@@ -80,9 +80,6 @@ pub struct CliConfig {
     /// `--mapping <file>`: MAP-language statement file loaded as the
     /// initial workspace (see `docs/planner.md`).
     pub mapping_file: Option<String>,
-    /// `--plan`: route mapping evaluation through the planner (filter
-    /// pushdown + warmth-ordered subgraphs; see `docs/planner.md`).
-    pub plan: bool,
     /// `--synthetic <spec>`: validated generator spec.
     pub synthetic: Option<SyntheticSpec>,
     /// `--metrics <file>`: counter JSON report path (`-` = stdout).
@@ -236,7 +233,6 @@ impl CliConfig {
                     cfg.mapping_file = Some(require_value(args, i, "--mapping")?);
                 }
                 "--trace" => cfg.trace = true,
-                "--plan" => cfg.plan = true,
                 "--no-cache" => cfg.no_cache = true,
                 "--trace-filter" => {
                     i += 1;
@@ -604,13 +600,19 @@ mod tests {
     }
 
     #[test]
-    fn mapping_and_plan_flags() {
-        let cfg = CliConfig::parse(&argv(&["--mapping", "demo.map", "--plan"])).unwrap();
+    fn mapping_flag() {
+        let cfg = CliConfig::parse(&argv(&["--mapping", "demo.map"])).unwrap();
         assert_eq!(cfg.mapping_file.as_deref(), Some("demo.map"));
-        assert!(cfg.plan);
         let cfg = CliConfig::parse(&argv(&[])).unwrap();
         assert_eq!(cfg.mapping_file, None);
-        assert!(!cfg.plan, "planner routing is opt-in");
+    }
+
+    #[test]
+    fn plan_is_no_longer_a_flag() {
+        // every evaluation runs through the plan, so there is nothing to
+        // opt into: `--plan` is a usage error (the binary exits 2)
+        let err = CliConfig::parse(&argv(&["--plan"])).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag `--plan` (see --help)");
     }
 
     #[test]

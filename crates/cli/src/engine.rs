@@ -422,11 +422,7 @@ impl Shell {
                     let _ = writeln!(
                         out,
                         "active Q(M): {}",
-                        if cache.peek(fp).is_some() {
-                            "warm"
-                        } else {
-                            "cold"
-                        }
+                        if cache.peek(fp) { "warm" } else { "cold" }
                     );
                 }
                 if let Some(store) = cache.store() {

@@ -58,7 +58,6 @@ fn run_batch(
     width: usize,
     no_cache: bool,
     cache_policy: Option<clio_incr::EvictionPolicy>,
-    plan: bool,
     store: Option<Arc<dyn CacheStore>>,
 ) {
     let mut bodies: Vec<String> = Vec::new();
@@ -79,7 +78,6 @@ fn run_batch(
     if let Some(policy) = cache_policy {
         pool.set_cache_policy(policy);
     }
-    pool.set_plan_enabled(plan);
     let outputs = pool.run(bodies.len(), |i, session| {
         let mut shell = Shell::new(session);
         let mut out = String::new();
@@ -133,10 +131,6 @@ flags:
   --mapping <file>       load a MAP-language statement (see docs/planner.md)
                          as the initial workspace before reading commands
                          (single-session local mode only)
-  --plan                 route mapping evaluation through the planner —
-                         filter pushdown plus warmth-ordered subgraphs;
-                         output is byte-identical to the definitional
-                         path (see docs/planner.md and `explain`)
   --db-dir <dir>         open a paged source database written by `db save`
                          (relations stream through a buffer pool instead of
                          loading upfront; see docs/storage.md); the target
@@ -218,10 +212,6 @@ fn main() {
         };
         if cfg.mapping_file.is_some() {
             eprintln!("--mapping requires local mode (use `map load` over the wire; see --help)");
-            std::process::exit(2);
-        }
-        if matches!(cfg.mode, Mode::Connect(_)) && cfg.plan {
-            eprintln!("--plan applies to the evaluating side; pass it to `serve` (see --help)");
             std::process::exit(2);
         }
         if !cfg.batch_scripts.is_empty() {
@@ -378,7 +368,6 @@ fn main() {
             width,
             cfg.no_cache,
             cfg.cache_policy,
-            cfg.plan,
             store,
         );
         finish_reports(&cfg);
@@ -399,7 +388,6 @@ fn main() {
     if let Some(store) = store {
         session.attach_store(store);
     }
-    session.set_plan_enabled(cfg.plan);
     if let Some(path) = &cfg.mapping_file {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,

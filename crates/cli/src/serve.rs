@@ -129,7 +129,6 @@ pub fn run_server(
     if let Some(policy) = cfg.cache_policy {
         pool.set_cache_policy(policy);
     }
-    pool.set_plan_enabled(cfg.plan);
     let config = ServerConfig {
         max_conns: cfg.max_conns.unwrap_or_else(clio_relational::exec::threads),
         idle_timeout: Duration::from_millis(cfg.idle_ms.unwrap_or(DEFAULT_IDLE_MS)),

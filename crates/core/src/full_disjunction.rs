@@ -24,11 +24,12 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{join, minimum_union_all, pad_to, select, JoinKind, SubsumptionAlgo};
+use clio_relational::ops::{minimum_union_all, pad_to, select, SubsumptionAlgo};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::query_graph::{NodeId, QueryGraph};
+use crate::plan::chain_ir;
+use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
 /// Algorithm selector for computing `D(G)`.
@@ -47,10 +48,10 @@ pub enum FdAlgo {
 /// subgraph given by `mask` (paper Def 3.5): the inner join of the
 /// subgraph's relations under the conjunction of its edge predicates.
 ///
-/// Nodes are joined in a connected order; each new node joins on the
-/// conjunction of all its edges into the already-joined set, so cyclic
-/// subgraphs are handled (the cycle-closing predicates become part of the
-/// join condition).
+/// Runs the subgraph's join chain ([`chain_ir`]): nodes are joined in a
+/// connected order, each new node on the conjunction of all its edges
+/// into the already-joined set, so cyclic subgraphs are handled (the
+/// cycle-closing predicates become part of the join condition).
 pub fn full_associations(
     db: &Database,
     graph: &QueryGraph,
@@ -67,48 +68,7 @@ pub fn full_associations(
             "full associations are only defined for connected subgraphs".into(),
         ));
     }
-
-    // connected order within the mask, starting from its lowest node
-    let start = mask.trailing_zeros() as usize;
-    let mut order: Vec<NodeId> = vec![start];
-    let mut seen = 1u64 << start;
-    let mut i = 0;
-    while i < order.len() {
-        for m in graph.neighbors(order[i]) {
-            let bit = 1u64 << m;
-            if mask & bit != 0 && seen & bit == 0 {
-                seen |= bit;
-                order.push(m);
-            }
-        }
-        i += 1;
-    }
-    debug_assert_eq!(seen, mask);
-
-    let mut acc = graph.node_table(db, order[0])?;
-    let mut included = 1u64 << order[0];
-    for &n in &order[1..] {
-        // all edges from n into the included set form the join condition
-        let preds: Vec<Expr> = graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
-            .map(|e| e.predicate.clone())
-            .collect();
-        debug_assert!(!preds.is_empty(), "connected order guarantees an edge");
-        let pred = Expr::conjunction(preds);
-        acc = join(
-            &acc,
-            &graph.node_table(db, n)?,
-            &pred,
-            JoinKind::Inner,
-            funcs,
-        )?;
-        included |= 1 << n;
-    }
-    Ok(acc)
+    chain_ir(graph, mask, false).run_chain(db, funcs)
 }
 
 /// Definitional `D(G)`: minimum union of the padded `F(J)` over every
@@ -143,6 +103,19 @@ pub fn full_disjunction_naive(
     Ok(AssociationSet::from_table(graph, table))
 }
 
+impl FdAlgo {
+    /// Resolve `Auto` against a graph: the outer-join plan on trees, the
+    /// naive plan otherwise. Explicit choices are returned unchanged.
+    #[must_use]
+    pub fn resolve(self, graph: &QueryGraph) -> FdAlgo {
+        match self {
+            FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
+            FdAlgo::Auto => FdAlgo::Naive,
+            chosen => chosen,
+        }
+    }
+}
+
 /// Optimized `D(G)` for tree query graphs: left-deep full outer joins in a
 /// connected elimination order. Errors when the graph is not a tree.
 pub fn full_disjunction_outer_join(
@@ -156,27 +129,9 @@ pub fn full_disjunction_outer_join(
             "outer-join full disjunction requires a tree query graph".into(),
         ));
     }
-    let order = graph.connected_order(0)?;
-    let mut acc = graph.node_table(db, order[0])?;
-    let mut included = 1u64 << order[0];
-    for &n in &order[1..] {
-        let edge = graph
-            .edges()
-            .iter()
-            .find(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
-            .expect("tree + connected order guarantee exactly one edge");
-        acc = join(
-            &acc,
-            &graph.node_table(db, n)?,
-            &edge.predicate,
-            JoinKind::FullOuter,
-            funcs,
-        )?;
-        metrics::incr(Counter::OuterJoinSteps);
-        included |= 1 << n;
-    }
+    // the full outer-join chain over every node (a tree has exactly one
+    // edge into the joined set per step)
+    let acc = chain_ir(graph, graph.node_mask(), true).run_chain(db, funcs)?;
     // reorder columns into the canonical graph scheme
     let scheme = graph.scheme(db)?;
     let table = pad_to(&acc, &scheme)?;
@@ -199,16 +154,9 @@ pub fn full_disjunction(
     algo: FdAlgo,
     funcs: &FuncRegistry,
 ) -> Result<AssociationSet> {
-    let algo = match algo {
-        FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
-        FdAlgo::Auto => FdAlgo::Naive,
-        chosen => chosen,
-    };
-    match algo {
-        FdAlgo::Naive | FdAlgo::Auto => {
-            full_disjunction_naive(db, graph, funcs, engine_subsumption())
-        }
+    match algo.resolve(graph) {
         FdAlgo::OuterJoin => full_disjunction_outer_join(db, graph, funcs),
+        _ => full_disjunction_naive(db, graph, funcs, engine_subsumption()),
     }
 }
 

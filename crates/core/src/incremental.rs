@@ -23,17 +23,20 @@
 //! `tests/properties.rs` replays random operator sequences cache-on vs.
 //! cache-off. See `docs/incremental.md` for the full scheme.
 
+use std::cmp::Reverse;
+
 use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder, LookupTier};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
+use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::ops::{minimum_union_all, pad_to};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
 use crate::full_disjunction::{
-    engine_subsumption, full_associations, full_disjunction, full_disjunction_outer_join, FdAlgo,
+    engine_subsumption, full_associations, full_disjunction_outer_join, FdAlgo,
 };
 use crate::mapping::Mapping;
 use crate::query_graph::QueryGraph;
@@ -97,20 +100,7 @@ pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fi
 /// correspondences, source filters, target filters, and target schema.
 #[must_use]
 pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint {
-    mapping_fingerprint_tagged(mapping, cache, "Q(M)")
-}
-
-/// [`mapping_fingerprint`] under a caller-chosen domain tag. The planned
-/// evaluator stores its results under `"Q(M).plan"` so the two pipelines
-/// never serve each other's entries even though they are byte-identical
-/// by construction — a deliberate safety margin, not a semantic need.
-#[must_use]
-pub(crate) fn mapping_fingerprint_tagged(
-    mapping: &Mapping,
-    cache: &EvalCache,
-    tag: &str,
-) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new(tag);
+    let mut fp = FingerprintBuilder::new("Q(M)");
     hash_graph(&mut fp, &mapping.graph, cache);
     for v in &mapping.correspondences {
         fp.text(&v.expr.to_string()).text(&v.target_attr);
@@ -151,7 +141,7 @@ pub(crate) fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
 /// Row-count fallback when no sibling cost history exists: the product
 /// of the member relations' sizes (saturating), a proxy for the join
 /// work `full_associations` will do on the subgraph.
-pub(crate) fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
+fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
     let mut est: u64 = 1;
     for (i, n) in graph.nodes().iter().enumerate() {
         if mask & (1 << i) != 0 {
@@ -162,136 +152,204 @@ pub(crate) fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u6
     est
 }
 
-/// The naive `D(G)` plan with per-subgraph memoization and
-/// warmth-guided scheduling. A non-promoting [`EvalCache::peek`] scan
-/// first plans the fan-out: expected-warm subgraphs will be served
-/// inline, expected-cold ones get a cost estimate (sibling-entry
-/// history via [`EvalCache::estimate_cost`], falling back to a
-/// row-count heuristic). The counted lookups then run in canonical
-/// subgraph order — counter semantics identical to the unscheduled plan
-/// — and the misses are dispatched to the worker pool
-/// longest-estimated-first, so a straggler subgraph no longer
-/// serializes the tail of the fan-out. Each computed subgraph's
-/// recompute time is measured and recorded on its cache entry, feeding
-/// cost-aware eviction. Assembly — padding then one n-ary minimum union
-/// — runs in the same order as the uncached plan, so the output is
-/// byte-identical. `fd.subgraphs` counts only the subgraphs actually
-/// computed.
+/// Scheduling annotation for one subgraph branch of the naive `D(G)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchInfo {
+    /// The branch's node mask.
+    pub mask: u64,
+    /// Estimated recompute cost (`0` for expected-warm branches).
+    pub estimate: u64,
+    /// Whether the cache held the branch's `F(J)` when it was annotated.
+    pub warm: bool,
+}
+
+/// The warmth pass over subgraph branches: a non-promoting
+/// [`EvalCache::peek`] marks expected-warm branches (served inline,
+/// never dispatched), and each expected-cold one is priced from sibling
+/// cost history ([`EvalCache::estimate_cost`]), falling back to a
+/// row-count heuristic. Peeking perturbs no recency/priority order and
+/// counts nothing, so the pass cannot change what the eviction policy
+/// keeps; estimates are pinned here, before any counted lookup warms the
+/// memory tier and shifts the sibling history. Without a live cache
+/// every branch is cold with a heuristic estimate.
+pub(crate) fn annotate_branches(
+    db: &Database,
+    graph: &QueryGraph,
+    masks: &[u64],
+    cache: Option<&EvalCache>,
+) -> Vec<BranchInfo> {
+    let live = cache.filter(|c| c.enabled());
+    masks
+        .iter()
+        .map(|&mask| match live {
+            Some(c) if c.peek(subgraph_fingerprint(graph, mask, c)) => BranchInfo {
+                mask,
+                estimate: 0,
+                warm: true,
+            },
+            _ => BranchInfo {
+                mask,
+                estimate: live
+                    .and_then(|c| c.estimate_cost(&mask_deps(graph, mask)))
+                    .unwrap_or_else(|| heuristic_cost(db, graph, mask)),
+                warm: false,
+            },
+        })
+        .collect()
+}
+
+/// The naive `D(G)` scheduler: the minimum union of the padded `F(J)`
+/// of every branch, in the given (canonical) order.
 ///
-/// Returns the association set together with the summed compute time of
-/// the subgraphs evaluated this call, so the caller can charge its own
-/// graph-level cache entry the *exclusive* assembly cost rather than
-/// double-counting work already priced on the children.
-fn full_disjunction_naive_cached(
+/// With a live cache the counted lookups run in branch order; the
+/// misses — every branch without a cache — are computed on the worker
+/// pool longest-estimated-first, so a straggler subgraph does not
+/// serialize the tail of the fan-out, and each computed `F(J)` is
+/// inserted *unfiltered* with its measured recompute time (feeding
+/// cost-aware eviction and later estimates). `fd.subgraphs` counts only
+/// the subgraphs actually computed.
+///
+/// `pushed` / `pushed_masks` are the planner's pushed source filters and
+/// their alias masks: each retrieved `F(J)` is filtered by the pushed
+/// filters whose aliases it binds before padding. Assembly — padding
+/// then one n-ary minimum union — follows branch order, so the output is
+/// byte-identical whatever was warm and however the misses ran.
+///
+/// Returns the association set with the computed `(mask, cost_ns)`
+/// pairs in branch order.
+pub(crate) fn full_disjunction_scheduled(
     db: &Database,
     graph: &QueryGraph,
     funcs: &FuncRegistry,
-    cache: &EvalCache,
-) -> Result<(AssociationSet, u64)> {
+    cache: Option<&EvalCache>,
+    branches: &[BranchInfo],
+    pushed: &[Expr],
+    pushed_masks: &[u64],
+) -> Result<(AssociationSet, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.naive");
     let scheme = graph.scheme(db)?;
-    let masks = connected_subsets(graph);
-    let fps: Vec<Fingerprint> = masks
-        .iter()
-        .map(|&mask| subgraph_fingerprint(graph, mask, cache))
+    let cache = cache.filter(|c| c.enabled());
+    let fps: Vec<Fingerprint> = match cache {
+        Some(c) => branches
+            .iter()
+            .map(|b| subgraph_fingerprint(graph, b.mask, c))
+            .collect(),
+        None => Vec::new(),
+    };
+    let mut slots: Vec<Option<Table>> = match cache {
+        Some(c) => fps.iter().map(|&fp| c.get(fp)).collect(),
+        None => vec![None; branches.len()],
+    };
+    let missing: Vec<usize> = (0..branches.len())
+        .filter(|&i| slots[i].is_none())
         .collect();
-    // Warmth pre-probe: peek perturbs no recency/priority order and
-    // counts nothing, so planning the dispatch cannot change which
-    // entries the eviction policy keeps. Estimates are pinned here,
-    // before any counted lookup warms the memory tier and shifts the
-    // sibling history mid-plan.
-    let estimates: Vec<u64> = masks
-        .iter()
-        .zip(&fps)
-        .map(|(&mask, &fp)| {
-            if cache.peek(fp).is_some() {
-                0 // expected warm: served inline below, never dispatched
-            } else {
-                cache
-                    .estimate_cost(&mask_deps(graph, mask))
-                    .unwrap_or_else(|| heuristic_cost(db, graph, mask))
-            }
-        })
-        .collect();
-    let mut slots: Vec<Option<Table>> = fps.iter().map(|&fp| cache.get(fp)).collect();
-    let missing: Vec<(usize, u64)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(i, _)| (i, masks[i]))
-        .collect();
-    let mut children_ns: u64 = 0;
+    let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
     if !missing.is_empty() {
         // Longest-estimated-first dispatch; results return in input
-        // order, so the scheduling decision is answer-invisible.
+        // (canonical) order, so scheduling is answer-invisible.
         let mut order: Vec<usize> = (0..missing.len()).collect();
-        order.sort_by_key(|&pos| (std::cmp::Reverse(estimates[missing[pos].0]), pos));
+        order.sort_by_key(|&p| (Reverse(branches[missing[p]].estimate), p));
         let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
             &missing,
             &order,
             "fd.naive.worker",
-            |_, &(_, mask)| -> Result<(Table, u64)> {
+            |_, &i| -> Result<(Table, u64)> {
                 // Unconditional timing (unlike hist::start, which is
                 // trace-gated): the cost model needs real measurements
                 // even when tracing is off.
                 let t0 = std::time::Instant::now();
-                let table = full_associations(db, graph, mask, funcs)?;
-                let cost_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                Ok((table, cost_ns))
+                let table = full_associations(db, graph, branches[i].mask, funcs)?;
+                Ok((table, elapsed_ns(t0)))
             },
         )
         .into_iter()
         .collect::<Result<_>>()?;
         metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-        let tracing = clio_obs::trace::trace_enabled();
-        for (&(i, mask), (table, cost_ns)) in missing.iter().zip(&fresh) {
-            children_ns = children_ns.saturating_add(*cost_ns);
-            cache.insert_costed(
-                subgraph_fingerprint(graph, mask, cache),
-                mask_deps(graph, mask),
-                table,
-                *cost_ns,
-            );
-            if tracing {
-                clio_obs::hist::record("incr.fd.scheduled", *cost_ns);
+        for (&i, (table, cost_ns)) in missing.iter().zip(fresh) {
+            let mask = branches[i].mask;
+            if let Some(c) = cache {
+                c.insert_costed(fps[i], mask_deps(graph, mask), &table, cost_ns);
             }
-            slots[i] = Some(table.clone());
+            dispatched.push((mask, cost_ns));
+            slots[i] = Some(table);
+        }
+        if cache.is_some() && clio_obs::trace::trace_enabled() {
+            for &(_, cost_ns) in &dispatched {
+                clio_obs::hist::record("incr.fd.scheduled", cost_ns);
+            }
         }
     }
     let padded: Vec<Table> = slots
         .iter()
-        .map(|t| pad_to(t.as_ref().expect("all slots filled"), &scheme))
+        .zip(branches)
+        .map(|(slot, b)| {
+            let table = slot.as_ref().expect("all slots filled");
+            let applicable: Vec<&Expr> = pushed
+                .iter()
+                .zip(pushed_masks)
+                .filter(|&(_, &pm)| pm & b.mask == pm)
+                .map(|(f, _)| f)
+                .collect();
+            if applicable.is_empty() {
+                pad_to(table, &scheme)
+            } else {
+                pad_to(&filter_rows(table, &applicable, funcs)?, &scheme)
+            }
+        })
         .collect::<Result<_>>()?;
     let refs: Vec<&Table> = padded.iter().collect();
     let table = minimum_union_all(&refs, engine_subsumption())?;
-    Ok((AssociationSet::from_table(graph, table), children_ns))
+    Ok((AssociationSet::from_table(graph, table), dispatched))
 }
 
-/// Compute `D(G)` through the cache. `cache: None` (or a disabled
-/// cache) takes exactly the uncached [`full_disjunction`] path. With a
-/// live cache, the assembled result is memoized per graph+algorithm,
-/// and the naive plan additionally memoizes per-subgraph `F(J)`s so an
-/// edit to one relation recomputes only the subgraphs touching it.
-pub fn full_disjunction_cached(
-    db: &Database,
+/// Keep the rows passing every filter, preserving order; the filters
+/// must bind against the table's scheme.
+fn filter_rows(table: &Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Table> {
+    let bound: Vec<BoundExpr> = filters
+        .iter()
+        .map(|f| f.bind(table.scheme()))
+        .collect::<Result<_>>()?;
+    let mut out = Table::empty(table.scheme().clone());
+    'rows: for row in table.rows() {
+        for b in &bound {
+            if !b.eval_truth(row, funcs)?.passes() {
+                continue 'rows;
+            }
+        }
+        out.push(row.clone());
+    }
+    Ok(out)
+}
+
+pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The summed compute time of a scheduler's dispatched subgraphs — what
+/// a parent entry must not charge again.
+pub(crate) fn total_ns(dispatched: &[(u64, u64)]) -> u64 {
+    dispatched
+        .iter()
+        .fold(0, |acc, &(_, ns)| acc.saturating_add(ns))
+}
+
+/// The graph-level `D(G)` memo around `compute`, which returns the set
+/// together with the compute time already charged to child entries.
+/// `cache: None` (or a disabled cache) just runs `compute`. With a live
+/// cache, the assembled result is looked up under `tag`
+/// (`"D(G).tree"` / `"D(G).naive"` — the two algorithms emit different
+/// row orders, so they must not share entries) and, on a miss, computed
+/// and inserted charged only its *exclusive* cost.
+pub(crate) fn memoized_disjunction(
     graph: &QueryGraph,
-    algo: FdAlgo,
-    funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
+    tag: &str,
+    compute: impl FnOnce() -> Result<(AssociationSet, u64)>,
 ) -> Result<AssociationSet> {
     let Some(cache) = cache.filter(|c| c.enabled()) else {
-        return full_disjunction(db, graph, algo, funcs);
-    };
-    let algo = match algo {
-        FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
-        FdAlgo::Auto => FdAlgo::Naive,
-        chosen => chosen,
+        return compute().map(|(set, _)| set);
     };
     let _span = clio_obs::span("incr.fd");
-    let tag = match algo {
-        FdAlgo::OuterJoin => "D(G).tree",
-        _ => "D(G).naive",
-    };
     let fp = graph_fingerprint(graph, cache, tag);
     // Cache-tier timing: while tracing is on, the whole lookup — and,
     // on a miss, the recompute + insert — lands in a per-tier latency
@@ -309,25 +367,46 @@ pub fn full_disjunction_cached(
         return Ok(AssociationSet::from_table(graph, table));
     }
     let t0 = std::time::Instant::now();
-    // The naive plan memoizes its subgraphs individually, so the
-    // graph-level entry is charged only the exclusive assembly cost
-    // (padding + minimum union); the tree plan has no cached children
-    // and carries its full compute time.
-    let (set, children_ns) = match algo {
-        FdAlgo::OuterJoin => (full_disjunction_outer_join(db, graph, funcs)?, 0),
-        _ => full_disjunction_naive_cached(db, graph, funcs, cache)?,
-    };
-    let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .saturating_sub(children_ns);
+    let (set, children_ns) = compute()?;
+    let cost_ns = elapsed_ns(t0).saturating_sub(children_ns);
     cache.insert_costed(fp, relation_deps(graph), set.table(), cost_ns);
     clio_obs::hist::finish("incr.fd.cold", timer);
     Ok(set)
 }
 
+/// Compute `D(G)` through the cache. `cache: None` (or a disabled
+/// cache) computes without memoization. With a live cache, the
+/// assembled result is memoized per graph+algorithm, and the naive
+/// algorithm additionally memoizes per-subgraph `F(J)`s (through
+/// the one `F(J)` scheduler over every connected subgraph), so an
+/// edit to one relation recomputes only the subgraphs touching it. The
+/// naive graph-level entry is charged only the exclusive assembly cost
+/// (padding + minimum union); the tree plan has no cached children and
+/// carries its full compute time.
+pub fn full_disjunction_cached(
+    db: &Database,
+    graph: &QueryGraph,
+    algo: FdAlgo,
+    funcs: &FuncRegistry,
+    cache: Option<&EvalCache>,
+) -> Result<AssociationSet> {
+    match algo.resolve(graph) {
+        FdAlgo::OuterJoin => memoized_disjunction(graph, cache, "D(G).tree", || {
+            Ok((full_disjunction_outer_join(db, graph, funcs)?, 0))
+        }),
+        _ => memoized_disjunction(graph, cache, "D(G).naive", || {
+            let branches = annotate_branches(db, graph, &connected_subsets(graph), cache);
+            let (set, dispatched) =
+                full_disjunction_scheduled(db, graph, funcs, cache, &branches, &[], &[])?;
+            Ok((set, total_ns(&dispatched)))
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::full_disjunction::full_disjunction;
     use crate::query_graph::Node;
     use clio_relational::parser::parse_expr;
     use clio_relational::relation::RelationBuilder;
@@ -465,25 +544,34 @@ mod tests {
         assert!(s.hits >= 1, "memory tier never hit: {s:?}");
     }
 
+    /// One scheduler run over every connected subgraph of `g`.
+    fn schedule_all(g: &QueryGraph, cache: &EvalCache) -> (Vec<BranchInfo>, Vec<(u64, u64)>) {
+        let branches = annotate_branches(&db(), g, &connected_subsets(g), Some(cache));
+        let (set, dispatched) =
+            full_disjunction_scheduled(&db(), g, &funcs(), Some(cache), &branches, &[], &[])
+                .unwrap();
+        let plain = full_disjunction(&db(), g, FdAlgo::Naive, &funcs()).unwrap();
+        assert_eq!(plain.table().rows(), set.table().rows());
+        (branches, dispatched)
+    }
+
     #[test]
-    fn cold_runs_record_entry_costs_and_scheduled_histogram() {
-        let _guard = crate::obs_testutil::lock();
-        clio_obs::set_trace_enabled(true);
-        clio_obs::clear_histograms();
-        let g = cyclic_graph(); // non-tree: takes the scheduled naive plan
+    fn cold_runs_dispatch_every_subgraph_and_record_entry_costs() {
+        let g = cyclic_graph();
         let cache = EvalCache::new();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        clio_obs::set_trace_enabled(false);
-        let _ = clio_obs::take_spans();
-        clio_obs::clear_events();
-        let hists = clio_obs::snapshot_histograms();
-        clio_obs::clear_histograms();
-        let (_, h) = hists
-            .iter()
-            .find(|(n, _)| *n == "incr.fd.scheduled")
-            .expect("cold naive run must record scheduled-subgraph costs");
-        let n_subgraphs = connected_subsets(&g).len() as u64;
-        assert_eq!(h.count, n_subgraphs, "one cost per computed subgraph");
+        let (branches, dispatched) = schedule_all(&g, &cache);
+        let n_subgraphs = connected_subsets(&g).len();
+        assert!(branches.iter().all(|b| !b.warm && b.estimate > 0));
+        assert_eq!(
+            dispatched.len(),
+            n_subgraphs,
+            "one cost per computed subgraph"
+        );
+        let masks: Vec<u64> = dispatched.iter().map(|&(mask, _)| mask).collect();
+        assert_eq!(masks, connected_subsets(&g), "branch order");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, n_subgraphs as u64));
+        assert_eq!(s.entries, n_subgraphs);
         // the measured costs seeded the cache's cost model
         assert!(
             cache.estimate_cost(&relation_deps(&g)).is_some(),
@@ -493,31 +581,28 @@ mod tests {
 
     #[test]
     fn warm_subgraphs_are_never_dispatched() {
-        let _guard = crate::obs_testutil::lock();
-        clio_obs::set_trace_enabled(true);
         let g = cyclic_graph();
         let cache = EvalCache::new();
         full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        clio_obs::clear_histograms();
         // a PhoneDir edit leaves the Children/Parents subgraphs warm:
-        // only the PhoneDir-touching ones may be scheduled
+        // exactly the PhoneDir-touching ones are scheduled
         cache.bump_version("PhoneDir");
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        clio_obs::set_trace_enabled(false);
-        let _ = clio_obs::take_spans();
-        clio_obs::clear_events();
-        let hists = clio_obs::snapshot_histograms();
-        clio_obs::clear_histograms();
-        let scheduled = hists
-            .iter()
-            .find(|(n, _)| *n == "incr.fd.scheduled")
-            .map_or(0, |(_, h)| h.count);
-        let total = connected_subsets(&g).len() as u64;
-        assert!(
-            scheduled > 0 && scheduled < total,
-            "post-edit run must dispatch only the cold subset \
-             ({scheduled} of {total})"
-        );
+        let before = cache.stats();
+        let (branches, dispatched) = schedule_all(&g, &cache);
+        let phone = 1u64 << 2;
+        let touching: Vec<u64> = connected_subsets(&g)
+            .into_iter()
+            .filter(|m| m & phone != 0)
+            .collect();
+        let masks: Vec<u64> = dispatched.iter().map(|&(mask, _)| mask).collect();
+        assert_eq!(masks, touching);
+        for b in &branches {
+            assert_eq!(b.warm, b.mask & phone == 0, "{b:?}");
+        }
+        let s = cache.stats();
+        let warm = (branches.len() - touching.len()) as u64;
+        assert_eq!(s.hits - before.hits, warm);
+        assert_eq!(s.misses - before.misses, touching.len() as u64);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! ) WHERE c_t1 AND ... AND c_tl
 //! ```
 //!
-//! evaluated here directly over the materialized full disjunction.
+//! evaluated by compiling the mapping to its [`Plan`](crate::plan::Plan)
+//! — which computes `D(G)`, with source filters pushed below the minimum
+//! union where that is answer-invisible — and one evaluator pass over
+//! the resulting associations.
 
 use std::fmt;
 
@@ -255,10 +258,13 @@ impl Mapping {
     }
 
     /// Like [`Mapping::evaluate`], routed through an incremental cache:
-    /// the result table is memoized per full mapping state, and the
-    /// underlying `D(G)` per graph, so repeating an evaluation — or
-    /// re-evaluating after a change that left the graph intact — skips
-    /// the joins. `None` is exactly the uncached path.
+    /// the result table is memoized per full mapping state under its
+    /// `"Q(M)"` fingerprint. On a miss the mapping's
+    /// [`Plan`](crate::plan::Plan) is built and run — its
+    /// full-disjunction stage memoizes `D(G)` / `F(J)` layers of its own
+    /// — followed by one evaluator pass that applies the source filters,
+    /// the projection and the target filters per association. `None` is
+    /// the same pipeline without memoization.
     pub fn evaluate_cached(
         &self,
         db: &Database,
@@ -274,13 +280,15 @@ impl Mapping {
             }
         }
         let t0 = std::time::Instant::now();
-        let assocs = self.associations_cached(db, FdAlgo::Auto, funcs, cache)?;
+        let plan = crate::plan::Plan::new(self, db, funcs, cache)?;
+        let t_fd = std::time::Instant::now();
+        let assocs = plan.associations(db, funcs, cache)?;
         // Exclusive cost: the association step memoizes its own layers,
-        // so this entry is charged only the projection/filter work a
+        // so this entry is charged only the plan/projection/filter work a
         // recompute would redo when those layers are warm. Charging the
         // whole pipeline would double-count the children and hand this
         // low-reuse aggregate an inflated eviction priority.
-        let inner_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let inner_ns = crate::incremental::elapsed_ns(t_fd);
         let eval = self.evaluator(db, funcs)?;
         let mut out = Table::empty(self.target_scheme());
         for i in 0..assocs.len() {
@@ -289,9 +297,7 @@ impl Mapping {
             }
         }
         if let (Some(c), Some(fp)) = (cache, fp) {
-            let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_sub(inner_ns);
+            let cost_ns = crate::incremental::elapsed_ns(t0).saturating_sub(inner_ns);
             c.insert_costed(
                 fp,
                 crate::incremental::relation_deps(&self.graph),
@@ -300,29 +306,6 @@ impl Mapping {
             );
         }
         Ok(out)
-    }
-
-    /// Evaluate the mapping query through the planner: build a
-    /// [`Plan`](crate::plan::Plan), apply its rewrites (filter pushdown
-    /// past the minimum union, warmth-guided subgraph ordering), and
-    /// run it. Byte-identical to [`Mapping::evaluate`] by construction;
-    /// a property test in `tests/properties.rs` pins this.
-    pub fn evaluate_planned(&self, db: &Database, funcs: &FuncRegistry) -> Result<Table> {
-        self.evaluate_planned_cached(db, funcs, None)
-    }
-
-    /// Like [`Mapping::evaluate_planned`], with the per-subgraph `F(J)`
-    /// layers and the final result served from an incremental cache.
-    /// The result entry lives under a `"Q(M).plan"` fingerprint,
-    /// distinct from the definitional `"Q(M)"` entry.
-    pub fn evaluate_planned_cached(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&clio_incr::EvalCache>,
-    ) -> Result<Table> {
-        let plan = crate::plan::Plan::new(self, db, funcs, cache)?;
-        plan.evaluate(db, funcs, cache)
     }
 
     /// Generate all examples of the mapping (paper Def 4.1): one per data

@@ -10,15 +10,29 @@
 //! [`RelExpr::check`] rejects trees that reference an alias below the
 //! point where it is bound — the invariant the filter-pushdown rewrite
 //! must preserve.
+//!
+//! The join chains are also the executed form: [`chain_ir`] builds the
+//! `Scan`/`Join` chain of one subgraph (or of the whole tree), and
+//! [`RelExpr::run_chain`] runs it. `F(J)`
+//! ([`full_associations`](crate::full_disjunction::full_associations))
+//! and the tree plan's outer-join chain
+//! ([`full_disjunction_outer_join`](crate::full_disjunction::full_disjunction_outer_join))
+//! are both computed that way, so the order `explain` prints is the
+//! order that runs.
 
 use std::collections::BTreeSet;
 
+use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
+use clio_relational::funcs::FuncRegistry;
+use clio_relational::ops::{join, JoinKind};
 use clio_relational::schema::{RelSchema, Scheme};
+use clio_relational::table::Table;
 
 use crate::correspondence::ValueCorrespondence;
+use crate::query_graph::{NodeId, QueryGraph};
 
 /// Which predicate class a [`RelExpr::Filter`] node carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,10 +47,9 @@ pub enum FilterScope {
 ///
 /// The variants mirror exactly the operations the engine's evaluation
 /// pipeline performs, so a plan is an honest description of the work:
-/// execution follows the tree's structure (which subgraphs, which
-/// filters where, which join order) even where it delegates the inner
-/// loops to the tuned kernels in
-/// [`full_disjunction`](crate::full_disjunction).
+/// the join chains are executed as built ([`RelExpr::run_chain`]), and
+/// the union, filters and projection run in the order the tree gives
+/// (which subgraphs, which filters where).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RelExpr {
     /// A base-relation scan, qualified by its node alias.
@@ -205,6 +218,92 @@ impl RelExpr {
             RelExpr::Project { target, .. } => Ok(Scheme::of_relation(target, target.name())),
         }
     }
+
+    /// Execute a join chain: a `Scan` reads its relation qualified by its
+    /// alias, a `Join` joins its evaluated inputs (full outer when
+    /// `outer`, counting `fd.outer_join_steps`; inner otherwise). Other
+    /// node kinds are not chain nodes and are rejected.
+    pub fn run_chain(&self, db: &Database, funcs: &FuncRegistry) -> Result<Table> {
+        match self {
+            RelExpr::Scan { alias, relation } => Ok(db.relation(relation)?.to_table(alias)),
+            RelExpr::Join {
+                left,
+                right,
+                predicate,
+                outer,
+            } => {
+                let left = left.run_chain(db, funcs)?;
+                let right = right.run_chain(db, funcs)?;
+                let kind = if *outer {
+                    JoinKind::FullOuter
+                } else {
+                    JoinKind::Inner
+                };
+                let out = join(&left, &right, predicate, kind, funcs)?;
+                if *outer {
+                    metrics::incr(Counter::OuterJoinSteps);
+                }
+                Ok(out)
+            }
+            _ => Err(Error::Invalid(
+                "only Scan/Join chains execute directly".into(),
+            )),
+        }
+    }
+}
+
+/// The left-deep join chain over the connected node set `mask`: nodes in
+/// BFS order from the lowest member, each joined on the conjunction of
+/// its edges into the nodes already joined — so cyclic subgraphs close
+/// their cycles inside the join condition. With `outer` the joins are
+/// full outer joins: over a whole tree graph that chain is the
+/// outer-join full disjunction (exactly one edge per step). The mask
+/// must be non-empty and connected.
+#[must_use]
+pub fn chain_ir(graph: &QueryGraph, mask: u64, outer: bool) -> RelExpr {
+    let start = mask.trailing_zeros() as usize;
+    let mut order: Vec<NodeId> = vec![start];
+    let mut seen = 1u64 << start;
+    let mut i = 0;
+    while i < order.len() {
+        for m in graph.neighbors(order[i]) {
+            let bit = 1u64 << m;
+            if mask & bit != 0 && seen & bit == 0 {
+                seen |= bit;
+                order.push(m);
+            }
+        }
+        i += 1;
+    }
+    debug_assert_eq!(seen, mask, "chain mask must be connected");
+    let scan = |n: NodeId| {
+        let node = &graph.nodes()[n];
+        RelExpr::Scan {
+            alias: node.alias.clone(),
+            relation: node.relation.clone(),
+        }
+    };
+    let mut acc = scan(order[0]);
+    let mut included = 1u64 << order[0];
+    for &n in &order[1..] {
+        let preds: Vec<Expr> = graph
+            .edges()
+            .iter()
+            .filter(|e| {
+                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
+            })
+            .map(|e| e.predicate.clone())
+            .collect();
+        debug_assert!(!preds.is_empty(), "connected order guarantees an edge");
+        acc = RelExpr::Join {
+            left: Box::new(acc),
+            right: Box::new(scan(n)),
+            predicate: Expr::conjunction(preds),
+            outer,
+        };
+        included |= 1 << n;
+    }
+    acc
 }
 
 /// Is `e` *extension-stable*: once true on a row, still true on any row
@@ -361,5 +460,47 @@ mod tests {
         ] {
             assert!(!is_extension_stable(&parse_expr(bad).unwrap()), "{bad}");
         }
+    }
+
+    #[test]
+    fn chains_close_cycles_and_only_chains_run() {
+        use crate::query_graph::Node;
+        let mut g = QueryGraph::new();
+        for r in ["A", "B", "C"] {
+            g.add_node(Node::new(r)).unwrap();
+        }
+        g.add_edge(0, 1, parse_expr("A.x = B.x").unwrap()).unwrap();
+        g.add_edge(1, 2, parse_expr("B.x = C.x").unwrap()).unwrap();
+        g.add_edge(0, 2, parse_expr("A.x = C.x").unwrap()).unwrap();
+        // BFS from A joins B, then C on both of its edges into {A, B}
+        let RelExpr::Join {
+            left,
+            predicate,
+            outer,
+            ..
+        } = chain_ir(&g, 0b111, false)
+        else {
+            panic!("expected a join");
+        };
+        assert!(!outer);
+        assert_eq!(predicate.to_string(), "(B.x = C.x) AND (A.x = C.x)");
+        assert!(matches!(*left, RelExpr::Join { .. }));
+        // a sub-mask chain starts at its lowest member
+        assert_eq!(
+            chain_ir(&g, 0b110, true)
+                .bound_vars()
+                .into_iter()
+                .collect::<Vec<_>>(),
+            vec!["B".to_owned(), "C".to_owned()]
+        );
+        let filter = RelExpr::Filter {
+            input: Box::new(scan("A", "A")),
+            predicate: parse_expr("A.x = 1").unwrap(),
+            scope: FilterScope::Source,
+            pushed: false,
+        };
+        let db = Database::new();
+        let funcs = FuncRegistry::with_builtins();
+        assert!(filter.run_chain(&db, &funcs).is_err());
     }
 }

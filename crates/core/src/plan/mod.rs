@@ -1,12 +1,12 @@
-//! Plan-based mapping evaluation: a typed relational-algebra IR over
-//! mapping queries, two rewrites, and an executor that is byte-identical
-//! to the definitional pipeline.
+//! The mapping query's executable plan: a typed relational-algebra IR
+//! over `Q(M)`, two rewrites, and the executor every evaluation runs.
 //!
-//! [`Plan::new`] lowers a [`Mapping`] into a [`RelExpr`] tree describing
-//! exactly the work [`Mapping::evaluate`] performs — per-subgraph `F(J)`
-//! join chains (or the left-deep outer-join chain on trees), the minimum
-//! union, source/target filters, and the projection onto the target
-//! schema. Two rewrites then improve the tree:
+//! [`Plan::new`] lowers a [`Mapping`] into a [`RelExpr`] tree — the
+//! per-subgraph `F(J)` join chains (or the left-deep outer-join chain on
+//! trees), the minimum union, source/target filters, and the projection
+//! onto the target schema. [`Mapping::evaluate_cached`] builds a plan on
+//! every `Q(M)` cache miss and runs it; there is no other evaluator. Two
+//! rewrites are always on:
 //!
 //! 1. **Filter pushdown.** A source filter that is *strong* (not true on
 //!    an all-null row, [`Expr::is_strong`]) and *extension-stable* (once
@@ -23,47 +23,44 @@
 //!    only some aliases stay unfiltered; the authoritative top-level
 //!    filters run regardless, so the rewrite only shrinks intermediate
 //!    results and can never change the answer.
-//! 2. **Warmth-guided subgraph ordering.** With a cache at hand, each
-//!    surviving subgraph is classified warm/cold via a non-promoting
-//!    [`EvalCache::peek`] and priced via [`EvalCache::estimate_cost`]
-//!    (sibling cost history, falling back to a row-count heuristic).
-//!    The executor dispatches cold subgraphs longest-estimated-first so
-//!    a straggler cannot serialize the tail; assembly stays in canonical
-//!    subgraph order, keeping the output byte-identical.
+//! 2. **Warmth-guided subgraph ordering.** Each surviving subgraph is
+//!    classified warm/cold via a non-promoting [`EvalCache::peek`] and
+//!    priced via [`EvalCache::estimate_cost`] (sibling cost history,
+//!    falling back to a row-count heuristic). The scheduler dispatches
+//!    cold subgraphs longest-estimated-first so a straggler cannot
+//!    serialize the tail; assembly stays in canonical subgraph order,
+//!    keeping the output byte-identical.
 //!
-//! The executor reuses the per-subgraph `F(J)` cache entries of the
-//! incremental layer — entries hold *unfiltered* tables, pushed filters
-//! are applied after retrieval — and memoizes the final result under a
-//! `"Q(M).plan"` fingerprint, distinct from the definitional `"Q(M)"`
-//! entry. A property test in `tests/properties.rs` replays random
-//! graphs × random filters planned vs. definitional and asserts byte
-//! equality; `scripts/verify.sh` pins the same end-to-end through the
-//! CLI. See `docs/planner.md`.
+//! The full-disjunction stage runs through the incremental layer's one
+//! scheduler and shares its per-subgraph `F(J)` entries — entries hold
+//! *unfiltered* tables, pushed filters are applied after retrieval — and
+//! its graph-level `D(G)` memo whenever nothing was pushed. Property
+//! tests in `tests/properties.rs` replay random graphs × random filters
+//! against a no-pushdown reference and assert byte equality. See
+//! `docs/planner.md`.
 
 pub mod explain;
 pub mod ir;
 
-pub use ir::{is_extension_stable, FilterScope, RelExpr};
+pub use ir::{chain_ir, is_extension_stable, FilterScope, RelExpr};
 
-use std::cmp::Reverse;
+pub use crate::incremental::BranchInfo;
 
-use clio_incr::{EvalCache, Fingerprint};
+use clio_incr::EvalCache;
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
-use clio_relational::expr::{BoundExpr, Expr};
+use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{minimum_union_all, pad_to};
-use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::full_disjunction::{engine_subsumption, full_associations, FdAlgo};
+use crate::full_disjunction::FdAlgo;
 use crate::incremental::{
-    full_disjunction_cached, heuristic_cost, mapping_fingerprint_tagged, mask_deps,
-    subgraph_fingerprint,
+    annotate_branches, full_disjunction_cached, full_disjunction_scheduled, memoized_disjunction,
+    total_ns,
 };
 use crate::mapping::Mapping;
-use crate::query_graph::{NodeId, QueryGraph};
+use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
 /// The full-disjunction strategy a plan commits to — the resolution of
@@ -76,58 +73,44 @@ pub enum PlanAlgo {
     Naive,
 }
 
-/// Scheduling annotation for one surviving subgraph branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchInfo {
-    /// The branch's node mask.
-    pub mask: u64,
-    /// Estimated recompute cost (`0` for expected-warm branches).
-    pub estimate: u64,
-    /// Whether the cache held the branch's `F(J)` at plan time.
-    pub warm: bool,
-}
-
 /// An executable plan for one mapping query.
 ///
-/// Built by [`Plan::new`]; run with [`Plan::evaluate`] (byte-identical
-/// to [`Mapping::evaluate_cached`]); rendered with [`Plan::explain`].
+/// Built by [`Plan::new`]; its full-disjunction stage runs with
+/// [`Plan::associations`] (the rest of `Q(M)` is the
+/// [`MappingEvaluator`](crate::mapping::MappingEvaluator) pass of
+/// [`Mapping::evaluate_cached`]); rendered with [`Plan::explain`].
 #[derive(Debug, Clone)]
-pub struct Plan {
-    mapping: Mapping,
+pub struct Plan<'m> {
+    mapping: &'m Mapping,
     root: RelExpr,
     algo: PlanAlgo,
-    /// Surviving subgraph masks in canonical order (empty on trees),
-    /// parallel to the `Union` node's branches.
-    masks: Vec<u64>,
+    /// Scheduling annotations for the surviving subgraph branches in
+    /// canonical order (empty on trees), parallel to the `Union` node's
+    /// branches.
     branches: Vec<BranchInfo>,
     pruned: usize,
     pushed: Vec<Expr>,
     /// Alias masks parallel to `pushed`.
     pushed_masks: Vec<u64>,
-    /// Positions into `masks`, longest-estimated-first dispatch order.
-    dispatch: Vec<usize>,
 }
 
-impl Plan {
+impl<'m> Plan<'m> {
     /// Build and rewrite the plan for `mapping`. The cache, when given,
     /// only informs the scheduling annotations — plan *structure* is a
     /// pure function of the mapping and database, so the same mapping
     /// always produces the same algebra.
     pub fn new(
-        mapping: &Mapping,
+        mapping: &'m Mapping,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
-    ) -> Result<Plan> {
+    ) -> Result<Plan<'m>> {
         let _span = clio_obs::span("plan.build");
         let graph = &mapping.graph;
         let scheme = graph.scheme(db)?;
-        // mirror FdAlgo::Auto exactly: the plan must describe the same
-        // computation the definitional evaluator would run
-        let algo = if graph.is_tree() {
-            PlanAlgo::OuterJoin
-        } else {
-            PlanAlgo::Naive
+        let algo = match FdAlgo::Auto.resolve(graph) {
+            FdAlgo::OuterJoin => PlanAlgo::OuterJoin,
+            _ => PlanAlgo::Naive,
         };
 
         let mut masks: Vec<u64> = Vec::new();
@@ -155,12 +138,12 @@ impl Plan {
         }
 
         let fd = match algo {
-            PlanAlgo::OuterJoin => tree_ir(graph)?,
+            PlanAlgo::OuterJoin => chain_ir(graph, graph.node_mask(), true),
             PlanAlgo::Naive => RelExpr::Union {
                 inputs: masks
                     .iter()
                     .map(|&mask| {
-                        let mut branch = subgraph_ir(graph, mask);
+                        let mut branch = chain_ir(graph, mask, false);
                         for (f, &pm) in pushed.iter().zip(&pushed_masks) {
                             if pm & mask == pm {
                                 branch = RelExpr::Filter {
@@ -201,54 +184,21 @@ impl Plan {
         }
         root.check()?;
 
-        // warmth/estimate annotations + dispatch order (the second
-        // rewrite): answer-invisible, so a missing or cold cache only
-        // means heuristic estimates
-        let live = cache.filter(|c| c.enabled());
-        let branches: Vec<BranchInfo> = masks
-            .iter()
-            .map(|&mask| match live {
-                Some(c) => {
-                    let fp = subgraph_fingerprint(graph, mask, c);
-                    if c.peek(fp).is_some() {
-                        BranchInfo {
-                            mask,
-                            estimate: 0,
-                            warm: true,
-                        }
-                    } else {
-                        BranchInfo {
-                            mask,
-                            estimate: c
-                                .estimate_cost(&mask_deps(graph, mask))
-                                .unwrap_or_else(|| heuristic_cost(db, graph, mask)),
-                            warm: false,
-                        }
-                    }
-                }
-                None => BranchInfo {
-                    mask,
-                    estimate: heuristic_cost(db, graph, mask),
-                    warm: false,
-                },
-            })
-            .collect();
-        let mut dispatch: Vec<usize> = (0..masks.len()).collect();
-        dispatch.sort_by_key(|&p| (Reverse(branches[p].estimate), p));
+        // the second rewrite: answer-invisible, so a missing or cold
+        // cache only means heuristic estimates
+        let branches = annotate_branches(db, graph, &masks, cache);
 
         metrics::incr(Counter::PlanBuilt);
         metrics::add(Counter::PlanPushedFilters, pushed.len() as u64);
         metrics::add(Counter::PlanPrunedSubgraphs, pruned as u64);
         Ok(Plan {
-            mapping: mapping.clone(),
+            mapping,
             root,
             algo,
-            masks,
             branches,
             pruned,
             pushed,
             pushed_masks,
-            dispatch,
         })
     }
 
@@ -288,166 +238,45 @@ impl Plan {
         explain::render(self)
     }
 
-    /// The data associations this plan's full-disjunction stage yields.
+    /// Run the plan's full-disjunction stage: the data associations the
+    /// mapping's filters and projection then apply to.
     ///
-    /// Without pushed filters (or on trees) this *is* the definitional
-    /// cached path, graph-level memoization included. With pushed
-    /// filters the graph-level `D(G)` entry no longer matches what is
-    /// assembled, so the executor goes straight to the per-subgraph
-    /// entries, filters each retrieved `F(J)` with the pushed predicates
-    /// that bind on it, and unions the padded survivors in canonical
-    /// order.
+    /// Trees run the outer-join chain under the `D(G).tree` memo. Cyclic
+    /// graphs run the scheduler over this plan's branches, in its
+    /// warmth/estimate order; with nothing pushed that is exactly
+    /// `D(G)`, so the graph-level `D(G).naive` memo applies. With pushed
+    /// filters the assembled set is no longer `D(G)`, so the scheduler
+    /// works straight from the per-subgraph entries, filtering each
+    /// retrieved `F(J)` with the pushed predicates that bind on it.
     pub fn associations(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
     ) -> Result<AssociationSet> {
-        if self.algo == PlanAlgo::OuterJoin || self.pushed.is_empty() {
-            return full_disjunction_cached(db, &self.mapping.graph, FdAlgo::Auto, funcs, cache);
-        }
-        self.associations_pushed(db, funcs, cache)
-    }
-
-    fn associations_pushed(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&EvalCache>,
-    ) -> Result<AssociationSet> {
-        let _span = clio_obs::span("plan.fd");
-        let graph = &self.mapping.graph;
-        let scheme = graph.scheme(db)?;
-        let cache = cache.filter(|c| c.enabled());
-        let tables: Vec<Table> = match cache {
-            None => {
-                let fresh: Vec<Table> = clio_relational::exec::map_slice(
-                    &self.masks,
-                    "plan.fd.worker",
-                    |_, &mask| -> Result<Table> { full_associations(db, graph, mask, funcs) },
-                )
-                .into_iter()
-                .collect::<Result<_>>()?;
-                metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-                fresh
-            }
-            Some(cache) => {
-                let fps: Vec<Fingerprint> = self
-                    .masks
-                    .iter()
-                    .map(|&mask| subgraph_fingerprint(graph, mask, cache))
-                    .collect();
-                let mut slots: Vec<Option<Table>> = fps.iter().map(|&fp| cache.get(fp)).collect();
-                let missing: Vec<(usize, u64)> = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, slot)| slot.is_none())
-                    .map(|(i, _)| (i, self.masks[i]))
-                    .collect();
-                if !missing.is_empty() {
-                    // dispatch in the plan's estimate order; results
-                    // return in input order, so scheduling stays
-                    // answer-invisible
-                    let mut rank = vec![0usize; self.masks.len()];
-                    for (r, &p) in self.dispatch.iter().enumerate() {
-                        rank[p] = r;
-                    }
-                    let mut order: Vec<usize> = (0..missing.len()).collect();
-                    order.sort_by_key(|&p| rank[missing[p].0]);
-                    let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
-                        &missing,
-                        &order,
-                        "plan.fd.worker",
-                        |_, &(_, mask)| -> Result<(Table, u64)> {
-                            let t0 = std::time::Instant::now();
-                            let table = full_associations(db, graph, mask, funcs)?;
-                            let cost_ns =
-                                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            Ok((table, cost_ns))
-                        },
-                    )
-                    .into_iter()
-                    .collect::<Result<_>>()?;
-                    metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-                    for (&(i, mask), (table, cost_ns)) in missing.iter().zip(&fresh) {
-                        // entries stay unfiltered so the definitional
-                        // pipeline (and other plans) can share them
-                        cache.insert_costed(fps[i], mask_deps(graph, mask), table, *cost_ns);
-                        slots[i] = Some(table.clone());
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|t| t.expect("all slots filled"))
-                    .collect()
-            }
-        };
-        let padded: Vec<Table> = tables
-            .iter()
-            .zip(&self.masks)
-            .map(|(table, &mask)| {
-                let applicable: Vec<&Expr> = self
-                    .pushed
-                    .iter()
-                    .zip(&self.pushed_masks)
-                    .filter(|&(_, &pm)| pm & mask == pm)
-                    .map(|(f, _)| f)
-                    .collect();
-                if applicable.is_empty() {
-                    pad_to(table, &scheme)
-                } else {
-                    pad_to(&filter_rows(table, &applicable, funcs)?, &scheme)
-                }
-            })
-            .collect::<Result<_>>()?;
-        let refs: Vec<&Table> = padded.iter().collect();
-        let table = minimum_union_all(&refs, engine_subsumption())?;
-        Ok(AssociationSet::from_table(graph, table))
-    }
-
-    /// Run the plan: the full mapping query, byte-identical to
-    /// [`Mapping::evaluate_cached`]. The result is memoized under a
-    /// `"Q(M).plan"` fingerprint when a cache is live.
-    pub fn evaluate(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&EvalCache>,
-    ) -> Result<Table> {
-        let _span = clio_obs::span("mapping.evaluate.plan");
         metrics::incr(Counter::PlanEvals);
-        let cache = cache.filter(|c| c.enabled());
-        let fp = cache.map(|c| mapping_fingerprint_tagged(&self.mapping, c, "Q(M).plan"));
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            if let Some(table) = c.get(fp) {
-                return Ok(table);
+        let graph = &self.mapping.graph;
+        let run = || -> Result<(AssociationSet, u64)> {
+            let (set, dispatched) = full_disjunction_scheduled(
+                db,
+                graph,
+                funcs,
+                cache,
+                &self.branches,
+                &self.pushed,
+                &self.pushed_masks,
+            )?;
+            Ok((set, total_ns(&dispatched)))
+        };
+        match self.algo {
+            PlanAlgo::OuterJoin => {
+                full_disjunction_cached(db, graph, FdAlgo::OuterJoin, funcs, cache)
             }
-        }
-        let t0 = std::time::Instant::now();
-        let assocs = self.associations(db, funcs, cache)?;
-        let inner_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // the top-level filters run on every association — re-checking
-        // the pushed ones is free in correctness terms (they already
-        // hold) and keeps this loop identical to the definitional one
-        let eval = self.mapping.evaluator(db, funcs)?;
-        let mut out = Table::empty(self.mapping.target_scheme());
-        for i in 0..assocs.len() {
-            if let Some(row) = eval.target_row_if_passing(assocs.row(i), funcs)? {
-                out.push_distinct(row);
+            PlanAlgo::Naive if self.pushed.is_empty() => {
+                memoized_disjunction(graph, cache, "D(G).naive", run)
             }
+            PlanAlgo::Naive => run().map(|(set, _)| set),
         }
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            let cost_ns = u64::try_from(t0.elapsed().as_nanos())
-                .unwrap_or(u64::MAX)
-                .saturating_sub(inner_ns);
-            c.insert_costed(
-                fp,
-                crate::incremental::relation_deps(&self.mapping.graph),
-                &out,
-                cost_ns,
-            );
-        }
-        Ok(out)
     }
 }
 
@@ -467,99 +296,6 @@ fn alias_mask(graph: &QueryGraph, e: &Expr) -> Option<u64> {
     Some(mask)
 }
 
-/// Keep the rows passing every filter, preserving order; the filters
-/// must bind against the table's scheme.
-fn filter_rows(table: &Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Table> {
-    let bound: Vec<BoundExpr> = filters
-        .iter()
-        .map(|f| f.bind(table.scheme()))
-        .collect::<Result<_>>()?;
-    let mut out = Table::empty(table.scheme().clone());
-    'rows: for row in table.rows() {
-        for b in &bound {
-            if !b.eval_truth(row, funcs)?.passes() {
-                continue 'rows;
-            }
-        }
-        out.push(row.clone());
-    }
-    Ok(out)
-}
-
-fn scan_of(graph: &QueryGraph, n: NodeId) -> RelExpr {
-    let node = &graph.nodes()[n];
-    RelExpr::Scan {
-        alias: node.alias.clone(),
-        relation: node.relation.clone(),
-    }
-}
-
-/// The left-deep outer-join chain of the tree plan, in the same
-/// connected elimination order (and same edge choice) as
-/// [`full_disjunction_outer_join`](crate::full_disjunction::full_disjunction_outer_join).
-fn tree_ir(graph: &QueryGraph) -> Result<RelExpr> {
-    let order = graph.connected_order(0)?;
-    let mut acc = scan_of(graph, order[0]);
-    let mut included = 1u64 << order[0];
-    for &n in &order[1..] {
-        let edge = graph
-            .edges()
-            .iter()
-            .find(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
-            .expect("tree + connected order guarantee exactly one edge");
-        acc = RelExpr::Join {
-            left: Box::new(acc),
-            right: Box::new(scan_of(graph, n)),
-            predicate: edge.predicate.clone(),
-            outer: true,
-        };
-        included |= 1 << n;
-    }
-    Ok(acc)
-}
-
-/// The inner-join chain computing `F(J)` for `mask`, in the same
-/// order-from-lowest-bit and edge-conjunction grouping as
-/// [`full_associations`].
-fn subgraph_ir(graph: &QueryGraph, mask: u64) -> RelExpr {
-    let start = mask.trailing_zeros() as usize;
-    let mut order: Vec<NodeId> = vec![start];
-    let mut seen = 1u64 << start;
-    let mut i = 0;
-    while i < order.len() {
-        for m in graph.neighbors(order[i]) {
-            let bit = 1u64 << m;
-            if mask & bit != 0 && seen & bit == 0 {
-                seen |= bit;
-                order.push(m);
-            }
-        }
-        i += 1;
-    }
-    let mut acc = scan_of(graph, order[0]);
-    let mut included = 1u64 << order[0];
-    for &n in &order[1..] {
-        let preds: Vec<Expr> = graph
-            .edges()
-            .iter()
-            .filter(|e| {
-                (e.a == n && included & (1 << e.b) != 0) || (e.b == n && included & (1 << e.a) != 0)
-            })
-            .map(|e| e.predicate.clone())
-            .collect();
-        acc = RelExpr::Join {
-            left: Box::new(acc),
-            right: Box::new(scan_of(graph, n)),
-            predicate: Expr::conjunction(preds),
-            outer: false,
-        };
-        included |= 1 << n;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +304,7 @@ mod tests {
     use clio_relational::parser::parse_expr;
     use clio_relational::relation::RelationBuilder;
     use clio_relational::schema::{Attribute, RelSchema};
+    use clio_relational::table::Table;
     use clio_relational::value::{DataType, Value};
 
     fn db() -> Database {
@@ -662,14 +399,26 @@ mod tests {
             .with_target_not_null_filters()
     }
 
+    /// `Q(M)` without the plan: the definitional `D(G)` (naive minimum
+    /// union on cyclic graphs, no pushdown) and the evaluator loop.
+    fn reference(m: &Mapping) -> Table {
+        let (db, funcs) = (db(), funcs());
+        let assocs = m.associations(&db, FdAlgo::Auto, &funcs).unwrap();
+        let eval = m.evaluator(&db, &funcs).unwrap();
+        let mut out = Table::empty(m.target_scheme());
+        for i in 0..assocs.len() {
+            if let Some(row) = eval.target_row_if_passing(assocs.row(i), &funcs).unwrap() {
+                out.push_distinct(row);
+            }
+        }
+        out
+    }
+
     fn assert_same(m: &Mapping, cache: Option<&EvalCache>) {
-        let legacy = m.evaluate(&db(), &funcs()).unwrap();
-        let planned = Plan::new(m, &db(), &funcs(), cache)
-            .unwrap()
-            .evaluate(&db(), &funcs(), cache)
-            .unwrap();
-        assert_eq!(legacy.scheme(), planned.scheme());
-        assert_eq!(legacy.rows(), planned.rows());
+        let expected = reference(m);
+        let planned = m.evaluate_cached(&db(), &funcs(), cache).unwrap();
+        assert_eq!(expected.scheme(), planned.scheme());
+        assert_eq!(expected.rows(), planned.rows());
     }
 
     #[test]
@@ -743,50 +492,34 @@ mod tests {
         let m = cyclic_mapping();
         let cache = EvalCache::new();
         assert_same(&m, Some(&cache));
+        // the result lives under the one Q(M) entry
+        let fp = crate::incremental::mapping_fingerprint(&m, &cache);
+        assert!(cache.peek(fp));
         let hits_before = cache.stats().hits;
-        let plan = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
-        let again = plan.evaluate(&db(), &funcs(), Some(&cache)).unwrap();
-        assert_eq!(again.rows(), m.evaluate(&db(), &funcs()).unwrap().rows());
-        assert!(
-            cache.stats().hits > hits_before,
-            "repeat must hit Q(M).plan"
-        );
+        let again = m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
+        assert_eq!(again.rows(), reference(&m).rows());
+        assert_eq!(cache.stats().hits, hits_before + 1, "repeat must hit Q(M)");
         // warm branches are annotated as such on a rebuild
         let rebuilt = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
         assert!(rebuilt.branches().iter().any(|b| b.warm));
     }
 
     #[test]
-    fn plan_and_definitional_caches_never_share_result_entries() {
+    fn pushed_plans_serve_unfiltered_subgraph_entries() {
         let m = cyclic_mapping();
         let cache = EvalCache::new();
-        let planned = Plan::new(&m, &db(), &funcs(), Some(&cache))
-            .unwrap()
-            .evaluate(&db(), &funcs(), Some(&cache))
-            .unwrap();
-        let legacy = m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
-        assert_eq!(planned.rows(), legacy.rows());
-        let fp_plan = mapping_fingerprint_tagged(&m, &cache, "Q(M).plan");
-        let fp_legacy = crate::incremental::mapping_fingerprint(&m, &cache);
-        assert_ne!(fp_plan, fp_legacy);
-        assert!(cache.peek(fp_plan).is_some());
-        assert!(cache.peek(fp_legacy).is_some());
-    }
-
-    #[test]
-    fn evaluate_planned_entry_points_delegate() {
-        let m = cyclic_mapping();
-        let legacy = m.evaluate(&db(), &funcs()).unwrap();
-        assert_eq!(
-            legacy.rows(),
-            m.evaluate_planned(&db(), &funcs()).unwrap().rows()
-        );
-        let cache = EvalCache::new();
-        assert_eq!(
-            legacy.rows(),
-            m.evaluate_planned_cached(&db(), &funcs(), Some(&cache))
-                .unwrap()
-                .rows()
-        );
+        assert_same(&m, Some(&cache));
+        let plan = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
+        assert!(plan.branches().iter().all(|b| b.warm));
+        // a different target filter is a new Q(M): every surviving F(J)
+        // is served from the entries the first run stored
+        let m2 = m
+            .clone()
+            .with_target_filter(parse_expr("Kids.number IS NOT NULL").unwrap());
+        let before = cache.stats();
+        assert_same(&m2, Some(&cache));
+        let after = cache.stats();
+        assert_eq!(after.misses - before.misses, 1, "only the new Q(M) misses");
+        assert_eq!(after.hits - before.hits, plan.branches().len() as u64);
     }
 }

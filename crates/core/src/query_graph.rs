@@ -220,19 +220,20 @@ impl QueryGraph {
         out
     }
 
+    /// The node-set bitmask of the whole graph (`0` when empty).
+    #[must_use]
+    pub fn node_mask(&self) -> u64 {
+        match self.nodes.len() {
+            0 => 0,
+            n => u64::MAX >> (64 - n),
+        }
+    }
+
     /// Is the whole graph connected? (The empty graph is not; a single
     /// node is.)
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return false;
-        }
-        let all = if self.nodes.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.nodes.len()) - 1
-        };
-        self.is_subset_connected(all)
+        !self.nodes.is_empty() && self.is_subset_connected(self.node_mask())
     }
 
     /// Is the node subset given by `mask` connected in the induced

@@ -83,8 +83,6 @@ pub struct Session {
     /// Memoized evaluation results (`F(J)`, `D(G)`, mapping queries),
     /// invalidated by relation edits and function-registry changes.
     cache: EvalCache,
-    /// Route mapping evaluation through the planner (off by default).
-    plan_enabled: bool,
 }
 
 impl Session {
@@ -141,7 +139,6 @@ impl Session {
             generation: 0,
             walk_max_steps: 4,
             cache: EvalCache::new(),
-            plan_enabled: false,
         }
     }
 
@@ -186,31 +183,6 @@ impl Session {
     /// is byte-identical either way.
     pub fn set_cache_enabled(&mut self, on: bool) {
         self.cache.set_enabled(on);
-    }
-
-    /// Route mapping evaluation through the planner (off by default):
-    /// builds a [`crate::plan::Plan`] per evaluation, applying the
-    /// filter-pushdown and subgraph-ordering rewrites. Output is
-    /// byte-identical to the definitional path either way.
-    pub fn set_plan_enabled(&mut self, on: bool) {
-        self.plan_enabled = on;
-    }
-
-    /// Is plan-based evaluation on?
-    #[must_use]
-    pub fn plan_enabled(&self) -> bool {
-        self.plan_enabled
-    }
-
-    /// Evaluate a mapping the way this session is configured to —
-    /// through the planner when [`Session::set_plan_enabled`] is on,
-    /// the definitional cached path otherwise.
-    pub fn evaluate_mapping(&self, mapping: &Mapping) -> Result<Table> {
-        if self.plan_enabled {
-            mapping.evaluate_planned_cached(&self.db, &self.funcs, Some(&self.cache))
-        } else {
-            mapping.evaluate_cached(&self.db, &self.funcs, Some(&self.cache))
-        }
     }
 
     /// The planner's `explain` tree for the active workspace's mapping.
@@ -848,7 +820,10 @@ impl Session {
             mappings.push(&w.mapping);
         }
         for m in mappings {
-            for row in self.evaluate_mapping(m)?.into_rows() {
+            for row in m
+                .evaluate_cached(&self.db, &self.funcs, Some(&self.cache))?
+                .into_rows()
+            {
                 out.push_distinct(row);
             }
         }

@@ -71,7 +71,6 @@ pub struct SessionPool {
     width: usize,
     cache_enabled: bool,
     cache_policy: clio_incr::EvictionPolicy,
-    plan_enabled: bool,
     store: Option<Arc<dyn clio_incr::CacheStore>>,
 }
 
@@ -97,7 +96,6 @@ impl SessionPool {
             width: 1,
             cache_enabled: true,
             cache_policy: clio_incr::EvictionPolicy::default(),
-            plan_enabled: false,
             store: None,
         }
     }
@@ -126,12 +124,6 @@ impl SessionPool {
     /// (the CLI's `--cache-policy`; cost-aware by default).
     pub fn set_cache_policy(&mut self, policy: clio_incr::EvictionPolicy) {
         self.cache_policy = policy;
-    }
-
-    /// Whether sessions spawned from this pool route mapping evaluation
-    /// through the planner (the CLI's `--plan`; off by default).
-    pub fn set_plan_enabled(&mut self, on: bool) {
-        self.plan_enabled = on;
     }
 
     /// Attach one shared persistent cache backend: every session the
@@ -169,7 +161,6 @@ impl SessionPool {
         );
         s.set_cache_enabled(self.cache_enabled);
         s.set_cache_policy(self.cache_policy);
-        s.set_plan_enabled(self.plan_enabled);
         if let Some(store) = &self.store {
             s.attach_store(Arc::clone(store));
         }
@@ -311,16 +302,6 @@ mod tests {
         assert!(pool.session().cache().enabled());
         pool.set_cache_enabled(false);
         assert!(!pool.session().cache().enabled());
-    }
-
-    #[test]
-    fn pool_plan_setting_propagates() {
-        let mut pool = SessionPool::new(db(), target());
-        assert!(!pool.session().plan_enabled());
-        pool.set_plan_enabled(true);
-        assert!(pool.session().plan_enabled());
-        // planned sessions preview the same bytes
-        assert_eq!(preview_rows(pool.session()), 2);
     }
 
     #[test]

@@ -536,18 +536,15 @@ impl EvalCache {
         (None, LookupTier::Miss)
     }
 
-    /// Non-promoting lookup: a copy of the resident table, or `None`
-    /// (also while disabled). Touches no recency tick, frequency,
-    /// priority, or counter, and never consults the attached store — so
-    /// *inspecting* the cache (the `cache` shell command, the
-    /// warmth-guided scheduler's pre-probe) cannot change what gets
-    /// evicted next.
+    /// Non-promoting residency check: is `fp` in the memory tier
+    /// (always `false` while disabled)? Copies nothing, touches no
+    /// recency tick, frequency, priority, or counter, and never consults
+    /// the attached store — so *inspecting* the cache (the `cache` shell
+    /// command, the warmth-guided scheduler's pre-probe) cannot change
+    /// what gets evicted next.
     #[must_use]
-    pub fn peek(&self, fp: Fingerprint) -> Option<Table> {
-        if !self.enabled() {
-            return None;
-        }
-        self.lock().entries.get(&fp).map(|e| e.table.clone())
+    pub fn peek(&self, fp: Fingerprint) -> bool {
+        self.enabled() && self.lock().entries.contains_key(&fp)
     }
 
     /// Estimate the recompute cost of a not-yet-resident entry from
@@ -1099,11 +1096,11 @@ mod tests {
         // peek 1 repeatedly: were this a promoting get, 1 would become
         // most-recent (and most-frequent) and 2 the next victim.
         for _ in 0..5 {
-            assert_eq!(cache.peek(fp(1)).map(|t| t.len()), Some(1));
+            assert!(cache.peek(fp(1)));
         }
         cache.insert(fp(3), vec![], &table(1, "c"));
-        assert!(cache.peek(fp(1)).is_none(), "peek must not refresh recency");
-        assert!(cache.peek(fp(2)).is_some());
+        assert!(!cache.peek(fp(1)), "peek must not refresh recency");
+        assert!(cache.peek(fp(2)));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (0, 0), "peek counts nothing");
     }
@@ -1122,10 +1119,10 @@ mod tests {
         );
         let cache = EvalCache::new();
         cache.set_store(Some(store.clone()));
-        assert!(cache.peek(fp(1)).is_none(), "peek is memory-tier only");
+        assert!(!cache.peek(fp(1)), "peek is memory-tier only");
         assert_eq!(store.stats().hits, 0);
         cache.set_enabled(false);
-        assert!(cache.peek(fp(1)).is_none());
+        assert!(!cache.peek(fp(1)));
     }
 
     #[test]
@@ -1138,8 +1135,8 @@ mod tests {
         cache.insert_costed(fp(1), vec![], &table(1, "a"), 1_000_000);
         cache.insert(fp(2), vec![], &table(1, "b"));
         cache.insert_costed(fp(3), vec![], &table(1, "c"), 500_000);
-        assert!(cache.peek(fp(1)).is_some(), "expensive entry survives");
-        assert!(cache.peek(fp(2)).is_none(), "cheap entry is the victim");
+        assert!(cache.peek(fp(1)), "expensive entry survives");
+        assert!(!cache.peek(fp(2)), "cheap entry is the victim");
         let s = cache.stats();
         assert_eq!((s.evictions, s.cost_evictions), (1, 1));
     }
@@ -1154,8 +1151,8 @@ mod tests {
         cache.insert(fp(2), vec![], &table(1, "b"));
         assert!(cache.get(fp(1)).is_some());
         cache.insert(fp(3), vec![], &table(1, "c"));
-        assert!(cache.peek(fp(2)).is_none(), "LRU victim");
-        assert!(cache.peek(fp(1)).is_some());
+        assert!(!cache.peek(fp(2)), "LRU victim");
+        assert!(cache.peek(fp(1)));
         let s = cache.stats();
         assert_eq!((s.evictions, s.cost_evictions), (1, 1));
     }
@@ -1168,7 +1165,7 @@ mod tests {
         cache.insert_costed(fp(1), vec![], &table(1, "a"), u64::MAX);
         cache.insert(fp(2), vec![], &table(1, "b"));
         cache.insert(fp(3), vec![], &table(1, "c"));
-        assert!(cache.peek(fp(1)).is_none(), "oldest dies, cost ignored");
+        assert!(!cache.peek(fp(1)), "oldest dies, cost ignored");
         let s = cache.stats();
         assert_eq!((s.evictions, s.cost_evictions), (1, 0));
     }
@@ -1182,11 +1179,11 @@ mod tests {
         // clock past its priority, so the *next* equally-expensive
         // entry is admitted warmer and the old one cannot squat.
         cache.insert_costed(fp(2), vec![], &table(1, "b"), 1_000);
-        assert!(cache.peek(fp(1)).is_none());
-        assert!(cache.peek(fp(2)).is_some());
+        assert!(!cache.peek(fp(1)));
+        assert!(cache.peek(fp(2)));
         cache.insert_costed(fp(3), vec![], &table(1, "c"), 1_000);
-        assert!(cache.peek(fp(2)).is_none());
-        assert!(cache.peek(fp(3)).is_some());
+        assert!(!cache.peek(fp(2)));
+        assert!(cache.peek(fp(3)));
         assert_eq!(cache.stats().evictions, 2);
     }
 
@@ -1204,9 +1201,9 @@ mod tests {
         // single-shot 100ns newcomer), so admission control turns the
         // insert away instead of churning either of them out
         cache.insert_costed(fp(3), vec![], &table(1, "c"), 100);
-        assert!(cache.peek(fp(1)).is_some(), "frequent entry survives");
-        assert!(cache.peek(fp(2)).is_some(), "earner outranks the newcomer");
-        assert!(cache.peek(fp(3)).is_none(), "cheap newcomer rejected");
+        assert!(cache.peek(fp(1)), "frequent entry survives");
+        assert!(cache.peek(fp(2)), "earner outranks the newcomer");
+        assert!(!cache.peek(fp(3)), "cheap newcomer rejected");
         assert_eq!(cache.stats().evictions, 0, "rejection is not an eviction");
     }
 
@@ -1218,13 +1215,13 @@ mod tests {
         // a cheap insert into a full cache loses to the expensive
         // resident: nothing is evicted, nothing is admitted
         cache.insert_costed(fp(2), vec![], &table(1, "b"), 10);
-        assert!(cache.peek(fp(1)).is_some());
-        assert!(cache.peek(fp(2)).is_none());
+        assert!(cache.peek(fp(1)));
+        assert!(!cache.peek(fp(2)));
         assert_eq!(cache.stats().evictions, 0);
         // a more expensive insert wins and displaces the resident
         cache.insert_costed(fp(3), vec![], &table(1, "c"), 2_000_000);
-        assert!(cache.peek(fp(1)).is_none());
-        assert!(cache.peek(fp(3)).is_some());
+        assert!(!cache.peek(fp(1)));
+        assert!(cache.peek(fp(3)));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -1239,7 +1236,7 @@ mod tests {
         let mut admitted_at = None;
         for i in 0..10_000u64 {
             cache.insert_costed(fp(100 + i), vec![], &table(1, "b"), 50_000);
-            if cache.peek(fp(1)).is_none() {
+            if !cache.peek(fp(1)) {
                 admitted_at = Some(i);
                 break;
             }
@@ -1263,7 +1260,7 @@ mod tests {
         let mut admitted_at = None;
         for round in 0..64u64 {
             cache.insert_costed(fp(2), vec![], &table(1, "b"), 1_000_000);
-            if cache.peek(fp(2)).is_some() {
+            if cache.peek(fp(2)) {
                 admitted_at = Some(round);
                 break;
             }

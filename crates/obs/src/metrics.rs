@@ -119,7 +119,7 @@ pub enum Counter {
     /// typed error (corrupt pages, version mismatches, I/O errors) —
     /// never a wrong answer.
     PagerLoadErrors,
-    /// Mapping plans built (one per `explain` or planned evaluation).
+    /// Mapping plans built (one per `explain` or `Q(M)` cache miss).
     PlanBuilt,
     /// Source filters pushed below the full-disjunction union by the
     /// filter-pushdown rewrite (strong filters only; see docs/planner.md).
@@ -127,7 +127,8 @@ pub enum Counter {
     /// Connected subgraphs skipped entirely because a pushed filter's
     /// aliases lie outside the subgraph (its padded rows cannot pass).
     PlanPrunedSubgraphs,
-    /// Mapping evaluations answered through the planned path.
+    /// Mapping plans run — one per `Q(M)` evaluation that missed the
+    /// cache (or ran without one).
     PlanEvals,
 }
 

@@ -26,8 +26,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p clio-obs -p clio-incr -p clio-net -p clio-cli -p clio-bench \
     -p clio-pager -p clio-lang
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 # Benches are part of the contract (EXPERIMENTS.md reproduces from
 # them); they must at least compile even though running them is not a
@@ -475,27 +475,25 @@ echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses 
 # Tier 2i: planner / MAP-language gate (PR 10, docs/planner.md). The
 # same cyclic mapping (three-node cycle plus a pushable source filter)
 # is loaded two ways — script format via `load`, MAP language via
-# `map load` — and each is evaluated with the planner off and on. All
-# four runs' stdout (prompt-echo lines stripped, since the load
-# commands differ textually) must be byte-identical: the language is a
-# faithful surface for the script format, and the plan-based executor
-# is answer-invisible. Each script also runs `map show` (the canonical
-# MAP printer — identical text regardless of how the mapping was
-# loaded) and `explain` (must render a plan tree). A metrics replay of
-# the planned run then pins that the rewrite really fired:
+# `map load` — and the two runs' stdout (prompt-echo lines stripped,
+# since the load commands differ textually) must be byte-identical: the
+# language is a faithful surface for the script format. Each script
+# also runs `map show` (the canonical MAP printer — identical text
+# regardless of how the mapping was loaded) and `explain` (must render
+# a plan tree). Every mapping evaluation runs through the plan, so a
+# plain metrics replay then pins that the rewrite really fired:
 # plan.pushed_filters > 0 (the filter was pushed below the union) and
-# plan.evals > 0 (evaluation actually routed through the planner).
-# Regenerate nothing — this gate has no golden file; equality is
-# between live runs.
-echo "==> planner gate (load vs map load, --plan off/on, pushdown counters)"
+# plan.evals > 0 (evaluation actually ran a plan). That the pushdown is
+# answer-invisible is pinned by the byte-identity proptests against a
+# no-pushdown reference. Regenerate nothing — this gate has no golden
+# file; equality is between live runs.
+echo "==> planner gate (load vs map load, pushdown counters)"
 tmp_lang_legacy="$(mktemp)"
 tmp_lang_map="$(mktemp)"
 tmp_lang_script_a="$(mktemp)"
 tmp_lang_script_b="$(mktemp)"
 tmp_lang_out_a="$(mktemp)"
 tmp_lang_out_b="$(mktemp)"
-tmp_lang_out_ap="$(mktemp)"
-tmp_lang_out_bp="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
 cat > "$tmp_lang_legacy" <<'EOF'
 target Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
@@ -522,41 +520,34 @@ SELECT Children.ID AS ID, Children.name AS name, Parents.affiliation AS affiliat
 EOF
 { echo "load $tmp_lang_legacy"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_a"
 { echo "map load $tmp_lang_map"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_b"
-run_and_strip() { # $2... flags; stdout has prompt-echo lines removed
-    script="$1"; out="$2"; shift 2
-    target/release/clio-shell --script "$script" --threads 1 "$@" > "$out"
-    sed -i '/^clio> /d' "$out"
+run_and_strip() { # $1 script, $2 output; prompt-echo lines removed
+    target/release/clio-shell --script "$1" --threads 1 > "$2"
+    sed -i '/^clio> /d' "$2"
 }
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_a"
 run_and_strip "$tmp_lang_script_b" "$tmp_lang_out_b"
-run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_ap" --plan
-run_and_strip "$tmp_lang_script_b" "$tmp_lang_out_bp" --plan
-for pair in "$tmp_lang_out_b:map-load" "$tmp_lang_out_ap:planned" "$tmp_lang_out_bp:planned-map-load"; do
-    other="${pair%%:*}"
-    label="${pair##*:}"
-    if ! diff -u "$tmp_lang_out_a" "$other"; then
-        echo "verify: FAILED — $label run diverged from the script-format definitional run" >&2
-        exit 1
-    fi
-done
+if ! diff -u "$tmp_lang_out_a" "$tmp_lang_out_b"; then
+    echo "verify: FAILED — map-load run diverged from the script-format run" >&2
+    exit 1
+fi
 if ! grep -q '^plan for Kids' "$tmp_lang_out_a"; then
     echo "verify: FAILED — explain printed no plan tree" >&2
     exit 1
 fi
-target/release/clio-shell --script "$tmp_lang_script_b" --threads 1 --plan \
+target/release/clio-shell --script "$tmp_lang_script_b" --threads 1 \
     --metrics "$tmp_plan_metrics" >/dev/null
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
 rm -f "$tmp_lang_legacy" "$tmp_lang_map" "$tmp_lang_script_a" "$tmp_lang_script_b" \
-    "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_lang_out_ap" "$tmp_lang_out_bp" "$tmp_plan_metrics"
+    "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
-    echo "verify: FAILED — planned run pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
+    echo "verify: FAILED — the plan pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
     exit 1
 fi
 if [ "${plan_evals:-0}" -eq 0 ]; then
-    echo "verify: FAILED — --plan run recorded no planned evaluations" >&2
+    echo "verify: FAILED — mapping evaluation ran no plan (plan.evals = 0)" >&2
     exit 1
 fi
-echo "    load == map load == planned (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    load == map load (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"
