@@ -177,26 +177,11 @@ pub static DB_SUBCOMMANDS: &[SubcommandSpec<DbAction>] = &[
 ];
 
 /// The `map` family: the MAP statement language (docs/planner.md).
-pub static MAP_SUBCOMMANDS: &[SubcommandSpec<MapAction>] = &[
-    SubcommandSpec {
-        usage: "map load <file>",
-        description: &[
-            "load a MAP-language statement as a new",
-            "workspace (see docs/planner.md)",
-        ],
-        parse: |arg| {
-            if arg.is_empty() {
-                return err("usage: map load <file>");
-            }
-            Ok(MapAction::Load(arg.to_owned()))
-        },
-    },
-    SubcommandSpec {
-        usage: "map show",
-        description: &["print the active mapping as a MAP", "statement"],
-        parse: |_| Ok(MapAction::Show),
-    },
-];
+pub static MAP_SUBCOMMANDS: &[SubcommandSpec<MapAction>] = &[SubcommandSpec {
+    usage: "map show",
+    description: &["print the active mapping as a MAP", "statement"],
+    parse: |_| Ok(MapAction::Show),
+}];
 
 fn opt_arg(arg: &str) -> Option<String> {
     if arg.is_empty() {
@@ -332,7 +317,10 @@ const COMMANDS_TAIL: &[CommandSpec] = &[
     },
     CommandSpec {
         usage: "save <file> / load <file>",
-        description: &["persist the active mapping as a script"],
+        description: &[
+            "write the active mapping as a MAP statement",
+            "/ load one as a new workspace",
+        ],
     },
     CommandSpec {
         usage: "explain",
@@ -441,9 +429,6 @@ pub enum DbAction {
 /// The `map` subcommands (the MAP statement language).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapAction {
-    /// `map load <file>` — parse a MAP-language statement file and
-    /// adopt it as a new workspace.
-    Load(String),
     /// `map show` — print the active mapping as a MAP statement.
     Show,
 }
@@ -557,7 +542,7 @@ pub enum Command {
     Cache(CacheAction),
     /// `db [save|load ...]`.
     Db(DbAction),
-    /// `map load|show ...`.
+    /// `map show`.
     Map(MapAction),
     /// `explain`.
     Explain,
@@ -1032,13 +1017,12 @@ mod tests {
     /// drift apart.
     #[test]
     fn map_subcommands() {
-        assert_eq!(
-            parse("map load demo.map").unwrap(),
-            Command::Map(MapAction::Load("demo.map".into()))
-        );
         assert_eq!(parse("map show").unwrap(), Command::Map(MapAction::Show));
-        assert_eq!(parse("map load").unwrap_err().0, "usage: map load <file>");
-        assert_eq!(parse("map").unwrap_err().0, "usage: map <load|show>");
+        assert_eq!(parse("map").unwrap_err().0, "usage: map <show>");
+        assert!(parse("map load demo.map")
+            .unwrap_err()
+            .0
+            .contains("unknown map subcommand `load`"));
         assert!(parse("map frobnicate")
             .unwrap_err()
             .0
@@ -1137,9 +1121,8 @@ mod tests {
         assert!(help.contains("  cache limit <bytes>         set the cache's eviction byte budget"));
         assert!(help.contains("  cache policy [lru|cost]     show or switch the eviction policy"));
         assert!(help.contains("  db save <dir>               write the source database as a paged"));
-        assert!(
-            help.contains("  map load <file>             load a MAP-language statement as a new")
-        );
+        assert!(help
+            .contains("  save <file> / load <file>   write the active mapping as a MAP statement"));
         assert!(help.contains("  map show                    print the active mapping as a MAP"));
         assert!(
             help.contains("  explain                     evaluation plan of the active mapping")

@@ -5,13 +5,25 @@
 use std::fmt::Write as _;
 
 use clio_core::illustration::Illustration;
-use clio_core::script::{parse_mapping, write_mapping};
 use clio_core::session::Session;
 use clio_core::sql::{generate_sql, SqlOptions};
 use clio_relational::error::{Error, Result};
+use clio_relational::schema::RelSchema;
 use clio_relational::value::Value;
 
 use crate::command::{self, CacheAction, Command, DbAction, FilterKind, MapAction, StatsAction};
+
+/// The file in a paged database directory that names the session's
+/// target schema; `db save` writes it, `db load` and `--db-dir` read it.
+pub const TARGET_FILE: &str = "_target.txt";
+
+/// Read a paged database directory's [`TARGET_FILE`].
+pub fn read_target_file(dir: &std::path::Path) -> Result<RelSchema> {
+    let path = dir.join(TARGET_FILE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| Error::Invalid(format!("cannot read `{}`: {e}", path.display())))?;
+    clio_lang::parse_target_schema(&text)
+}
 
 /// The shell state: a session plus presentation settings.
 pub struct Shell {
@@ -175,7 +187,7 @@ impl Shell {
                 Ok("ok\n".to_owned())
             }
             Command::SaveMapping { path } => {
-                let text = write_mapping(&self.active()?.mapping);
+                let text = clio_lang::print_mapping(&self.active()?.mapping);
                 std::fs::write(&path, &text)
                     .map_err(|e| Error::Invalid(format!("cannot write `{path}`: {e}")))?;
                 Ok(format!("saved to {path}\n"))
@@ -183,7 +195,7 @@ impl Shell {
             Command::LoadMapping { path } => {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| Error::Invalid(format!("cannot read `{path}`: {e}")))?;
-                let m = parse_mapping(&text)?;
+                let m = clio_lang::parse_map(&text)?;
                 let id = self
                     .session
                     .adopt_mapping(m, &format!("loaded from {path}"))?;
@@ -347,15 +359,6 @@ impl Shell {
             }
             Command::Cache(action) => self.cache_command(action),
             Command::Db(action) => self.db_command(action),
-            Command::Map(MapAction::Load(path)) => {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| Error::Invalid(format!("cannot read `{path}`: {e}")))?;
-                let m = clio_lang::parse_map(&text)?;
-                let id = self
-                    .session
-                    .adopt_mapping(m, &format!("loaded from {path}"))?;
-                Ok(format!("loaded as workspace {id}\n"))
-            }
             Command::Map(MapAction::Show) => Ok(clio_lang::print_mapping(&self.active()?.mapping)),
             Command::Explain => self.session.explain_active(),
             Command::Trace { filter } => {
@@ -536,9 +539,9 @@ impl Shell {
                     path,
                     clio_pager::DEFAULT_PAGE_SIZE,
                 )?;
-                let spec = clio_relational::storage::target_spec(self.session.target_schema());
-                std::fs::write(path.join("_target.txt"), format!("{spec}\n")).map_err(|e| {
-                    Error::Invalid(format!("cannot write `{dir}/_target.txt`: {e}"))
+                let spec = clio_lang::print_target_schema(self.session.target_schema());
+                std::fs::write(path.join(TARGET_FILE), format!("{spec}\n")).map_err(|e| {
+                    Error::Invalid(format!("cannot write `{dir}/{TARGET_FILE}`: {e}"))
                 })?;
                 Ok(format!(
                     "saved {} relation(s) to {dir}\n",
@@ -549,9 +552,7 @@ impl Shell {
                 let path = std::path::Path::new(&dir);
                 let db =
                     clio_relational::storage::open_paged(path, crate::config::DEFAULT_DB_POOL)?;
-                let target_text = std::fs::read_to_string(path.join("_target.txt"))
-                    .map_err(|e| Error::Invalid(format!("cannot read `{dir}/_target.txt`: {e}")))?;
-                let target = clio_core::script::parse_target_schema(target_text.trim())?;
+                let target = read_target_file(path)?;
                 self.session = Session::shared(std::sync::Arc::new(db), target);
                 Ok(format!(
                     "loaded {dir} ({} relation(s), {} row(s))\n",
@@ -581,6 +582,7 @@ impl Shell {
 mod tests {
     use super::*;
     use clio_datagen::paper::{kids_target, paper_database};
+    use clio_relational::value::DataType;
 
     /// Serializes tests that toggle the process-global trace state.
     static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -667,16 +669,24 @@ mod tests {
     fn save_and_load_round_trip() {
         let mut sh = shell();
         run(&mut sh, "corr Children.ID -> ID");
-        let path = std::env::temp_dir().join("clio_cli_test.mapping");
+        let path = std::env::temp_dir().join(format!("clio-cli-save-{}.map", std::process::id()));
         let path_str = path.to_str().unwrap().to_owned();
         assert!(run(&mut sh, &format!("save {path_str}")).contains("saved"));
+        // `save` writes the MAP statement `map show` prints
+        let saved = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(saved, run(&mut sh, "map show"));
         let out = run(&mut sh, &format!("load {path_str}"));
         assert!(out.contains("loaded as workspace"), "{out}");
         std::fs::remove_file(&path).ok();
+        let n = sh.session.workspaces().len();
+        assert_eq!(
+            sh.session.workspaces()[n - 1].mapping,
+            sh.session.workspaces()[0].mapping
+        );
     }
 
     #[test]
-    fn map_load_show_and_explain() {
+    fn load_show_and_explain() {
         let mut sh = shell();
         let path = std::env::temp_dir().join(format!("clio-cli-map-{}.map", std::process::id()));
         let text = "MAP Kids (ID str not null, name str, affiliation str, address str, \
@@ -685,7 +695,7 @@ mod tests {
                     SELECT Children.ID AS ID, Children.name AS name\n";
         std::fs::write(&path, text).unwrap();
         let path_str = path.to_str().unwrap().to_owned();
-        let out = run(&mut sh, &format!("map load {path_str}"));
+        let out = run(&mut sh, &format!("load {path_str}"));
         assert!(out.contains("loaded as workspace"), "{out}");
         std::fs::remove_file(&path).ok();
         // `map show` prints the active mapping back in canonical MAP form.
@@ -702,18 +712,26 @@ mod tests {
     }
 
     #[test]
-    fn map_load_reports_parse_position() {
+    fn load_reports_parse_position() {
         let mut sh = shell();
         let path = std::env::temp_dir().join(format!("clio-cli-mapbad-{}.map", std::process::id()));
-        std::fs::write(
-            &path,
-            "MAP Kids (ID str)\nFROM Children\nSELECT ??? AS ID\n",
-        )
-        .unwrap();
-        let out = run(&mut sh, &format!("map load {}", path.display()));
+        for (text, expected) in [
+            (
+                "MAP Kids (ID str)\nFROM Children\nSELECT ??? AS ID\n",
+                "error: parse error at line 3",
+            ),
+            // the retired line-oriented format gets no fallback
+            (
+                "target Kids (ID str)\nnode Children\n",
+                "error: parse error at line 1, column 1: expected `MAP`",
+            ),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let out = run(&mut sh, &format!("load {}", path.display()));
+            assert!(out.starts_with(expected), "{out}");
+        }
         std::fs::remove_file(&path).ok();
-        assert!(out.starts_with("error: parse error at line 3"), "{out}");
-        let missing = run(&mut sh, "map load /nonexistent/clio.map");
+        let missing = run(&mut sh, "load /nonexistent/clio.map");
         assert!(missing.starts_with("error: cannot read"), "{missing}");
     }
 
@@ -997,6 +1015,28 @@ mod tests {
         assert!(run(&mut sh, "corr Children.name -> name").contains("ok"));
         assert!(run(&mut sh, "target").contains("Maya"));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn db_save_load_keeps_a_quoted_target() {
+        let dir = std::env::temp_dir().join(format!("clio-engine-dbq-{}", std::process::id()));
+        let dir_s = dir.display().to_string();
+        let _ = std::fs::remove_dir_all(&dir);
+        // `"Tar get" ("id col" str, "and" int)`
+        let target = RelSchema::new(
+            "Tar get",
+            vec![
+                clio_relational::schema::Attribute::new("id col", DataType::Str),
+                clio_relational::schema::Attribute::new("and", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let mut sh = Shell::new(Session::new(paper_database(), target.clone()));
+        assert!(run(&mut sh, &format!("db save {dir_s}")).starts_with("saved"));
+        let loaded = run(&mut sh, &format!("db load {dir_s}"));
+        assert!(loaded.starts_with("loaded "), "{loaded}");
+        assert_eq!(sh.session.target_schema(), &target);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,7 +15,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use clio_cli::config::{CliConfig, Mode, DEFAULT_DB_POOL};
-use clio_cli::engine::{Outcome, Shell};
+use clio_cli::engine::{read_target_file, Outcome, Shell, TARGET_FILE};
 use clio_core::session::Session;
 use clio_core::session_pool::SessionPool;
 use clio_datagen::paper::{kids_target, paper_database};
@@ -96,6 +96,14 @@ fn run_batch(
         println!("=== session {i}: {path} ===");
         print!("{text}");
     }
+}
+
+/// Parse a `--target` value, exiting 2 on a malformed one.
+fn parse_target_flag(spec: &str) -> RelSchema {
+    clio_lang::parse_target_schema(spec).unwrap_or_else(|e| {
+        eprintln!("bad --target: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Usage text printed by `--help` (flags first, then the shell commands).
@@ -211,7 +219,7 @@ fn main() {
             "connect"
         };
         if cfg.mapping_file.is_some() {
-            eprintln!("--mapping requires local mode (use `map load` over the wire; see --help)");
+            eprintln!("--mapping requires local mode (use `load` over the wire; see --help)");
             std::process::exit(2);
         }
         if !cfg.batch_scripts.is_empty() {
@@ -271,13 +279,7 @@ fn main() {
             }
         };
         let target = match &cfg.target_spec {
-            Some(spec) => match clio_core::script::parse_target_schema(spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("bad --target: {e}");
-                    std::process::exit(2);
-                }
-            },
+            Some(spec) => parse_target_flag(spec),
             None => {
                 eprintln!("--source requires --target \"Name (attr type, ...)\"");
                 std::process::exit(2);
@@ -308,25 +310,15 @@ fn main() {
         };
         // --target wins; otherwise the directory's own `_target.txt`
         // (written by `db save`) names the target schema.
-        let spec = match &cfg.target_spec {
-            Some(spec) => spec.clone(),
-            None => {
-                let path = std::path::Path::new(dir).join("_target.txt");
-                match std::fs::read_to_string(&path) {
-                    Ok(text) => text.trim().to_owned(),
-                    Err(_) => {
-                        eprintln!("--db-dir requires --target or a `_target.txt` in the directory");
-                        std::process::exit(2);
-                    }
+        let target = match &cfg.target_spec {
+            Some(spec) => parse_target_flag(spec),
+            None => match read_target_file(std::path::Path::new(dir)) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("--db-dir requires --target or a valid `{TARGET_FILE}`: {e}");
+                    std::process::exit(2);
                 }
-            }
-        };
-        let target = match clio_core::script::parse_target_schema(&spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bad --target: {e}");
-                std::process::exit(2);
-            }
+            },
         };
         source = Some((db, target));
     }

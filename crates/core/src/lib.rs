@@ -17,7 +17,6 @@ pub mod plan;
 pub mod profile;
 pub mod query_graph;
 pub mod ranking;
-pub mod script;
 pub mod session;
 pub mod session_pool;
 pub mod sql;
@@ -59,7 +58,6 @@ pub mod prelude {
     pub use crate::profile::{profile_database, render_profile, AttributeProfile};
     pub use crate::query_graph::{Edge, Node, NodeId, QueryGraph};
     pub use crate::ranking::{join_support, rank_walk_alternatives, RankScore};
-    pub use crate::script::{parse_mapping, write_mapping};
     pub use crate::session::{Session, Workspace};
     pub use crate::session_pool::SessionPool;
     pub use crate::sql::{generate_sql, SqlOptions};

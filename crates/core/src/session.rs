@@ -655,8 +655,8 @@ impl Session {
         Ok(ids)
     }
 
-    /// Adopt an externally-built mapping (e.g. loaded from a mapping
-    /// script) as a new workspace and make it active. The mapping is
+    /// Adopt an externally-built mapping (e.g. loaded from a saved MAP
+    /// statement) as a new workspace and make it active. The mapping is
     /// validated and its target schema must match the session's.
     pub fn adopt_mapping(&mut self, mapping: Mapping, description: &str) -> Result<usize> {
         if mapping.target != self.target {

@@ -51,6 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use clio_relational::schema::{Column, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::{DataType, Value};
+use clio_relational::{fnv1a, FNV_OFFSET_BASIS};
 
 use crate::fingerprint::Fingerprint;
 use crate::store::{CacheStore, StoreCounters, StoreStats, StoredEntry};
@@ -59,17 +60,6 @@ use crate::store::{CacheStore, StoreCounters, StoreStats, StoredEntry};
 pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"CLIC";
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET_BASIS;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// A persistent [`CacheStore`] over a directory of entry files.
 #[derive(Debug)]
@@ -346,7 +336,7 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
             put_value(&mut out, v);
         }
     }
-    let checksum = fnv1a(&out);
+    let checksum = fnv1a(FNV_OFFSET_BASIS, &out);
     put_u64(&mut out, checksum);
     out
 }
@@ -406,7 +396,7 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let declared = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != declared {
+    if fnv1a(FNV_OFFSET_BASIS, body) != declared {
         return Err("checksum mismatch".to_owned());
     }
     let mut cur = Cursor {
@@ -539,7 +529,7 @@ mod tests {
         let mut wrong_ver = good.clone();
         wrong_ver[4] = 99;
         let body_len = wrong_ver.len() - 8;
-        let sum = fnv1a(&wrong_ver[..body_len]);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &wrong_ver[..body_len]);
         wrong_ver[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode(&wrong_ver, 7, Fingerprint(42))
             .unwrap_err()
@@ -612,7 +602,7 @@ mod tests {
         let mut future = bytes.clone();
         future[4] = 3;
         let body_len = future.len() - 8;
-        let sum = fnv1a(&future[..body_len]);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &future[..body_len]);
         future[body_len..].copy_from_slice(&sum.to_le_bytes());
         fs::write(&path, &future).unwrap();
         assert!(store.load(Fingerprint(1)).is_none());
@@ -634,7 +624,7 @@ mod tests {
         v1.extend_from_slice(&good[..24]);
         v1.extend_from_slice(&good[32..good.len() - 8]);
         v1[4] = 1;
-        let sum = fnv1a(&v1);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &v1);
         v1.extend_from_slice(&sum.to_le_bytes());
         let why = decode(&v1, 7, Fingerprint(1)).unwrap_err();
         assert!(why.contains("format version 1"), "got: {why}");

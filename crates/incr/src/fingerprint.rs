@@ -16,8 +16,7 @@
 //! `golden_fingerprints_are_stable` test pins exact digests to catch
 //! accidental drift.
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use clio_relational::{fnv1a, FNV_OFFSET_BASIS};
 
 /// A 64-bit structural digest identifying one cached computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,10 +48,7 @@ impl FingerprintBuilder {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.state = fnv1a(self.state, bytes);
     }
 
     /// Mix in a string ingredient.

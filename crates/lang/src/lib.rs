@@ -1,9 +1,9 @@
-//! `clio-lang` — a small SQL-ish surface language for schema mappings.
+//! `clio-lang` — the MAP language, the one text format for schema
+//! mappings.
 //!
-//! The mapping script format (`clio_core::script`) is line-oriented and
-//! diff-friendly; this crate adds a clause-oriented language that reads
-//! like the SQL a mapping compiles to (paper Sec 5), covering everything
-//! the script format can express:
+//! A clause-oriented statement that reads like the SQL a mapping
+//! compiles to (paper Sec 5). The shell's `save`/`load`, `map show` and
+//! `--mapping` all speak it:
 //!
 //! ```text
 //! MAP Kids (ID str not null, contactPh str)
@@ -22,6 +22,9 @@
 //!   [`parse_map`] does both.
 //! * [`print_mapping`] renders a mapping back as canonical statement
 //!   text; `parse_map(&print_mapping(&m)) == m` for every mapping.
+//! * [`parse_target_schema`] and [`print_target_schema`] read and write
+//!   the `MAP` clause's target-schema header on its own (the CLI's
+//!   `--target` flag, a paged directory's `_target.txt`).
 //! * Errors carry 1-based line/column positions into the statement
 //!   text, including errors inside embedded expressions (relocated from
 //!   the expression parser) and lowering errors like an unknown `JOIN`
@@ -38,5 +41,8 @@ mod token;
 pub mod parser;
 pub mod printer;
 
-pub use parser::{parse_map, parse_statement, JoinDecl, MapStmt, NodeDecl, SelectItem, Spanned};
-pub use printer::{lang_ident, print_mapping};
+pub use parser::{
+    parse_map, parse_statement, parse_target_schema, JoinDecl, MapStmt, NodeDecl, SelectItem,
+    Spanned,
+};
+pub use printer::{lang_ident, print_mapping, print_target_schema};

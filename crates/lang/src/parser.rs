@@ -5,17 +5,19 @@
 //! repeat):
 //!
 //! ```text
-//! statement := MAP <target-schema>
-//!              [FROM node [, node]*]
-//!              [JOIN a , b ON <expr>]*
-//!              [WHERE (SOURCE|TARGET) <expr>]*
-//!              [SELECT <expr> AS attr [, <expr> AS attr]*]
-//! node      := relation [AS alias] [CODE code]
+//! statement     := MAP <target-schema>
+//!                  [FROM node [, node]*]
+//!                  [JOIN a , b ON <expr>]*
+//!                  [WHERE (SOURCE|TARGET) <expr>]*
+//!                  [SELECT <expr> AS attr [, <expr> AS attr]*]
+//! node          := relation [AS alias] [CODE code]
+//! target-schema := name ( [attr type [NOT NULL] [, attr type [NOT NULL]]*] )
+//! type          := int | float | str | bool
 //! ```
 //!
-//! `<target-schema>` is the script format's `Name (attr type [not
-//! null], ...)` declaration, and `<expr>` is the relational expression
-//! language. Expression fragments are delegated to
+//! [`parse_target_schema`] also reads a target schema on its own (the
+//! `--target` flag, a paged directory's `_target.txt`). `<expr>` is the
+//! relational expression language. Expression fragments are delegated to
 //! [`clio_relational::parser::parse_expr`]; their errors are relocated
 //! so line/column always refer to the original statement text.
 //!
@@ -27,11 +29,11 @@
 //! keyword.
 
 use clio_core::prelude::{Mapping, Node, QueryGraph, ValueCorrespondence};
-use clio_core::script::parse_target_schema;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::parser::parse_expr;
-use clio_relational::schema::RelSchema;
+use clio_relational::schema::{Attribute, RelSchema};
+use clio_relational::value::DataType;
 
 use crate::token::{tokenize, TokKind, Token};
 
@@ -146,6 +148,17 @@ fn err_at(t: &Token, message: impl Into<String>) -> Error {
         line: t.line,
         column: t.col,
         token: t.text.clone(),
+        message: message.into(),
+    }
+}
+
+/// An error at line 1, column 1, for input with no tokens.
+fn err_at_start(message: &str) -> Error {
+    Error::Parse {
+        pos: 0,
+        line: 1,
+        column: 1,
+        token: String::new(),
         message: message.into(),
     }
 }
@@ -335,17 +348,102 @@ fn parse_select(input: &str, body: &[Token], kw: &Token) -> Result<Vec<SelectIte
     Ok(items)
 }
 
+/// Reads a token run front to back; running out reports at the last
+/// token read.
+struct Cursor<'a> {
+    toks: &'a [Token],
+    i: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next token. `toks` must be non-empty, so there is always a
+    /// last token to point at.
+    fn next(&mut self, what: &str) -> Result<&'a Token> {
+        let t = self.toks.get(self.i).ok_or_else(|| {
+            let last = &self.toks[self.i - 1];
+            err_at(last, format!("expected {what} after `{}`", last.text))
+        })?;
+        self.i += 1;
+        Ok(t)
+    }
+}
+
+const TYPES: [DataType; 4] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Str,
+    DataType::Bool,
+];
+
+/// Parse a non-empty token run as `name ( attr type [NOT NULL], ... )`.
+fn target_schema(toks: &[Token]) -> Result<RelSchema> {
+    let name = ident(&toks[0], "a target relation name")?;
+    let mut cur = Cursor { toks, i: 1 };
+    let open = cur.next("`(`")?;
+    if open.kind != TokKind::Sym('(') {
+        return Err(err_at(open, "target schema needs `(attrs)`"));
+    }
+    let mut attrs = Vec::new();
+    let mut t = cur.next("an attribute or `)`")?;
+    if t.kind != TokKind::Sym(')') {
+        loop {
+            let attr = ident(t, "an attribute name")?;
+            let ty_tok = cur.next("a type")?;
+            let ty = TYPES
+                .into_iter()
+                .find(|ty| ty_tok.is_word(&ty.to_string()))
+                .ok_or_else(|| err_at(ty_tok, format!("unknown type `{}`", ty_tok.text)))?;
+            t = cur.next("`,` or `)`")?;
+            let not_null = t.is_word("NOT");
+            if not_null {
+                let null = cur.next("NULL")?;
+                if !null.is_word("NULL") {
+                    return Err(err_at(null, "expected NULL after NOT"));
+                }
+                t = cur.next("`,` or `)`")?;
+            }
+            attrs.push(Attribute {
+                name: attr.text,
+                ty,
+                not_null,
+            });
+            match t.kind {
+                TokKind::Sym(',') => t = cur.next("an attribute")?,
+                TokKind::Sym(')') => break,
+                _ => {
+                    return Err(err_at(
+                        t,
+                        format!("unexpected attribute modifier `{}`", t.text),
+                    ))
+                }
+            }
+        }
+    }
+    if let Some(extra) = toks.get(cur.i) {
+        return Err(err_at(
+            extra,
+            format!("unexpected token `{}` after the target schema", extra.text),
+        ));
+    }
+    RelSchema::new(name.text.clone(), attrs).map_err(|e| err_at_span(&name, e.to_string()))
+}
+
+/// Parse a target-schema declaration on its own,
+/// `Name (attr type [not null], ...)`, as
+/// [`print_target_schema`](crate::print_target_schema) writes it.
+pub fn parse_target_schema(input: &str) -> Result<RelSchema> {
+    let toks = tokenize(input)?;
+    if toks.is_empty() {
+        return Err(err_at_start("empty target schema"));
+    }
+    target_schema(&toks)
+}
+
 /// Parse a `MAP` statement into its AST without lowering it.
 pub fn parse_statement(input: &str) -> Result<MapStmt> {
     let toks = tokenize(input)?;
     if toks.is_empty() {
-        return Err(Error::Parse {
-            pos: 0,
-            line: 1,
-            column: 1,
-            token: String::new(),
-            message: "empty mapping statement".into(),
-        });
+        return Err(err_at_start("empty mapping statement"));
     }
     let bounds: Vec<(usize, Clause)> = (0..toks.len())
         .filter_map(|i| clause_start(&toks, i).map(|c| (i, c)))
@@ -374,12 +472,7 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
                 if body.is_empty() {
                     return Err(err_at(kw, "MAP clause needs a target schema"));
                 }
-                let frag = &input[body[0].start..body[body.len() - 1].end];
-                let schema = parse_target_schema(frag).map_err(|e| match e {
-                    Error::Invalid(msg) => err_at(&body[0], msg),
-                    other => other,
-                })?;
-                target = Some(schema);
+                target = Some(target_schema(body)?);
             }
             Clause::From => {
                 if nodes.is_some() {
@@ -463,7 +556,6 @@ pub fn parse_map(input: &str) -> Result<Mapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_core::script;
 
     const SAMPLE: &str = "\
 MAP Kids (ID str not null, contactPh str, FamilyIncome int)
@@ -475,25 +567,37 @@ WHERE TARGET Kids.ID IS NOT NULL
 SELECT Children.ID AS ID, concat(PhoneDir.type, ',', PhoneDir.number) AS contactPh
 ";
 
-    /// The script-format equivalent of [`SAMPLE`].
-    const SAMPLE_SCRIPT: &str = "\
-target Kids (ID str not null, contactPh str, FamilyIncome int)
-node Children
-node Parents2 = Parents
-node PhoneDir
-edge Children -- Parents2 : Children.mid = Parents2.ID
-edge Parents2 -- PhoneDir : PhoneDir.ID = Parents2.ID
-corr Children.ID -> ID
-corr concat(PhoneDir.type, ',', PhoneDir.number) -> contactPh
-where source Children.age < 7
-where target Kids.ID IS NOT NULL
-";
-
     #[test]
-    fn statement_lowers_to_the_script_equivalent_mapping() {
-        let m = parse_map(SAMPLE).unwrap();
-        let expected = script::parse_mapping(SAMPLE_SCRIPT).unwrap();
-        assert_eq!(m, expected);
+    fn statement_lowers_to_the_hand_built_mapping() {
+        let mut g = QueryGraph::new();
+        let c = g.add_node(Node::new("Children")).unwrap();
+        let p2 = g.add_node(Node::copy_of("Parents2", "Parents")).unwrap();
+        let ph = g.add_node(Node::new("PhoneDir")).unwrap();
+        g.add_edge(c, p2, parse_expr("Children.mid = Parents2.ID").unwrap())
+            .unwrap();
+        g.add_edge(p2, ph, parse_expr("PhoneDir.ID = Parents2.ID").unwrap())
+            .unwrap();
+        let target = RelSchema::new(
+            "Kids",
+            vec![
+                Attribute::not_null("ID", DataType::Str),
+                Attribute::new("contactPh", DataType::Str),
+                Attribute::new("FamilyIncome", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let expected = Mapping::new(g, target)
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(
+                ValueCorrespondence::parse(
+                    "concat(PhoneDir.type, ',', PhoneDir.number)",
+                    "contactPh",
+                )
+                .unwrap(),
+            )
+            .with_source_filter(parse_expr("Children.age < 7").unwrap())
+            .with_target_not_null_filters();
+        assert_eq!(parse_map(SAMPLE).unwrap(), expected);
     }
 
     #[test]
@@ -587,6 +691,30 @@ where target Kids.ID IS NOT NULL
                 "MAP T (a int)\nFROM R\nJOIN R, S ON R.x = S.x",
                 "unknown node `S`",
             ),
+            // header errors point at the offending token
+            (
+                "MAP T (a int,\n  b int zesty)",
+                "line 2, column 9: unexpected attribute modifier `zesty`",
+            ),
+            (
+                "MAP T (a int,\n  b frobs)\nFROM R",
+                "line 2, column 5: unknown type `frobs`",
+            ),
+            (
+                "MAP T (a int\nFROM R",
+                "line 1, column 10: expected `,` or `)` after `int`",
+            ),
+            (
+                "MAP T a int",
+                "line 1, column 7: target schema needs `(attrs)`",
+            ),
+            (
+                "MAP T (a int,)",
+                "line 1, column 14: expected an attribute name",
+            ),
+            ("MAP T (a int not)", "expected NULL after NOT"),
+            ("MAP T (a int) extra", "after the target schema"),
+            ("MAP T (a int, a str)", "duplicate attribute"),
         ] {
             let err = parse_map(text).unwrap_err().to_string();
             assert!(err.contains(needle), "for {text:?}: got {err}");

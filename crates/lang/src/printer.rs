@@ -7,7 +7,7 @@
 //! read as a clause boundary.
 
 use clio_core::prelude::{Mapping, Node};
-use clio_relational::schema::{format_ident, ident_needs_quoting};
+use clio_relational::schema::{format_ident, ident_needs_quoting, RelSchema};
 
 /// The language's keywords, quoted by [`lang_ident`] in addition to the
 /// expression language's own.
@@ -26,23 +26,28 @@ pub fn lang_ident(name: &str) -> String {
     }
 }
 
+/// Render a target schema as `Name (attr type [not null], ...)`: the
+/// `MAP` clause's header, which
+/// [`parse_target_schema`](crate::parse_target_schema) reads back.
+#[must_use]
+pub fn print_target_schema(schema: &RelSchema) -> String {
+    let attrs: Vec<String> = schema
+        .attrs()
+        .iter()
+        .map(|a| {
+            let not_null = if a.not_null { " not null" } else { "" };
+            format!("{} {}{not_null}", lang_ident(&a.name), a.ty)
+        })
+        .collect();
+    format!("{} ({})", lang_ident(schema.name()), attrs.join(", "))
+}
+
 /// Serialize a mapping as canonical `MAP` statement text: one clause
 /// per line, in `MAP`, `FROM`, `JOIN`, `WHERE SOURCE`, `WHERE TARGET`,
 /// `SELECT` order.
 #[must_use]
 pub fn print_mapping(m: &Mapping) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("MAP {} (", lang_ident(m.target.name())));
-    for (i, a) in m.target.attrs().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{} {}", lang_ident(&a.name), a.ty));
-        if a.not_null {
-            out.push_str(" not null");
-        }
-    }
-    out.push_str(")\n");
+    let mut out = format!("MAP {}\n", print_target_schema(&m.target));
     if m.graph.node_count() > 0 {
         let items: Vec<String> = m.graph.nodes().iter().map(node_item).collect();
         out.push_str(&format!("FROM {}\n", items.join(", ")));
@@ -95,9 +100,8 @@ mod tests {
     use super::*;
     use crate::parser::parse_map;
     use clio_core::prelude::{QueryGraph, ValueCorrespondence};
-    use clio_core::script;
     use clio_relational::parser::parse_expr;
-    use clio_relational::schema::{Attribute, RelSchema};
+    use clio_relational::schema::Attribute;
     use clio_relational::value::DataType;
 
     fn sample_mapping() -> Mapping {
@@ -203,12 +207,30 @@ mod tests {
     }
 
     #[test]
-    fn script_round_trips_through_the_language() {
-        // everything the script format expresses, the language expresses
-        let m = sample_mapping();
-        let via_script = script::parse_mapping(&script::write_mapping(&m)).unwrap();
-        let via_lang = parse_map(&print_mapping(&via_script)).unwrap();
-        assert_eq!(via_lang, m);
+    fn target_schemas_round_trip_on_their_own() {
+        use crate::parser::parse_target_schema;
+        let quoted = RelSchema::new(
+            "Tar get",
+            vec![
+                Attribute::not_null("id col", DataType::Str),
+                Attribute::new("and", DataType::Int),
+                Attribute::new("from", DataType::Bool),
+            ],
+        )
+        .unwrap();
+        let text = print_target_schema(&quoted);
+        assert_eq!(
+            text,
+            "\"Tar get\" (\"id col\" str not null, \"and\" int, \"from\" bool)"
+        );
+        for schema in [
+            quoted,
+            sample_mapping().target,
+            RelSchema::new("Empty", vec![]).unwrap(),
+        ] {
+            let text = print_target_schema(&schema);
+            assert_eq!(parse_target_schema(&text).unwrap(), schema, "{text}");
+        }
     }
 
     #[test]

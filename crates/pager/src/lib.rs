@@ -85,16 +85,22 @@ const FRAG_FIRST: u8 = 2;
 const FRAG_MIDDLE: u8 = 3;
 const FRAG_LAST: u8 = 4;
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 offset basis: the state a fresh [`fnv1a`] digest
+/// starts from.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// Fold `bytes` into an FNV-1a 64 `state`. Streaming: feeding a byte
+/// string in pieces gives the same digest as feeding it whole. Start
+/// from [`FNV_OFFSET_BASIS`]. Page checksums, the evaluation cache's
+/// file checksums and its structural fingerprints all use it, so their
+/// digests are stable across processes and toolchains.
+#[inline]
+#[must_use]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Record-fragment payload capacity of one data page.
@@ -340,7 +346,7 @@ impl Pager {
         let used = frame.used;
         let data = Arc::make_mut(&mut frame.data);
         f(&mut data[DATA_HEADER_LEN..DATA_HEADER_LEN + used]);
-        let sum = fnv1a(&data[..page_size - CHECKSUM_LEN]);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &data[..page_size - CHECKSUM_LEN]);
         data[page_size - CHECKSUM_LEN..].copy_from_slice(&sum.to_le_bytes());
         frame.dirty = true;
         Ok(())
@@ -500,7 +506,7 @@ fn read_header(state: &mut FileState) -> Result<(), PagerError> {
         .and_then(|_| state.file.read_exact(&mut header))
         .map_err(|_| degraded(&state.path, "truncated header"))?;
     let stored = u64::from_le_bytes(header[page_size - CHECKSUM_LEN..].try_into().unwrap());
-    if stored != fnv1a(&header[..page_size - CHECKSUM_LEN]) {
+    if stored != fnv1a(FNV_OFFSET_BASIS, &header[..page_size - CHECKSUM_LEN]) {
         return Err(degraded(&state.path, "header checksum mismatch"));
     }
     let page_count = u64::from_le_bytes(header[12..20].try_into().unwrap());
@@ -548,7 +554,7 @@ fn read_page(state: &mut FileState, page_no: u64) -> Result<(Vec<u8>, usize), Pa
         ));
     }
     let stored = u64::from_le_bytes(buf[page_size - CHECKSUM_LEN..].try_into().unwrap());
-    if stored != fnv1a(&buf[..page_size - CHECKSUM_LEN]) {
+    if stored != fnv1a(FNV_OFFSET_BASIS, &buf[..page_size - CHECKSUM_LEN]) {
         return Err(degraded(
             &state.path,
             format!("page {page_no}: checksum mismatch"),
@@ -796,7 +802,7 @@ impl HeapWriter {
         header[8..12].copy_from_slice(&(self.page_size as u32).to_le_bytes());
         header[12..20].copy_from_slice(&page_count.to_le_bytes());
         header[20..28].copy_from_slice(&self.record_count.to_le_bytes());
-        let sum = fnv1a(&header[..self.page_size - CHECKSUM_LEN]);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &header[..self.page_size - CHECKSUM_LEN]);
         header[self.page_size - CHECKSUM_LEN..].copy_from_slice(&sum.to_le_bytes());
         let mut file = self.file.take().expect("writer open").into_inner()?;
         file.seek(SeekFrom::Start(0))?;
@@ -825,7 +831,7 @@ fn encode_data_page(page_size: usize, page_no: u64, payload: &[u8]) -> Vec<u8> {
     page[8..16].copy_from_slice(&page_no.to_le_bytes());
     page[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     page[20..20 + payload.len()].copy_from_slice(payload);
-    let sum = fnv1a(&page[..page_size - CHECKSUM_LEN]);
+    let sum = fnv1a(FNV_OFFSET_BASIS, &page[..page_size - CHECKSUM_LEN]);
     page[page_size - CHECKSUM_LEN..].copy_from_slice(&sum.to_le_bytes());
     page
 }
@@ -1023,7 +1029,7 @@ mod tests {
         // version check itself fires.
         let mut future = good.clone();
         future[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let sum = fnv1a(&future[..64 - CHECKSUM_LEN]);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &future[..64 - CHECKSUM_LEN]);
         future[64 - CHECKSUM_LEN..64].copy_from_slice(&sum.to_le_bytes());
         check("future.clh", &future, "format version 99, expected 1");
         // Bit flip in a data page: caught by that page's checksum.

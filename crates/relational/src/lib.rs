@@ -63,6 +63,10 @@ pub mod truth;
 pub mod typing;
 pub mod value;
 
+/// FNV-1a 64, the one digest behind page checksums, cache-file
+/// checksums and cache fingerprints (defined in `clio-pager`).
+pub use clio_pager::{fnv1a, FNV_OFFSET_BASIS};
+
 /// Convenient re-exports of the crate's main types.
 pub mod prelude {
     pub use crate::constraints::{Constraints, ForeignKey, Key};

@@ -15,7 +15,6 @@
 //! `stored_index()` return `None`, so callers rebuild the index — slow,
 //! never wrong.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -328,25 +327,6 @@ pub fn open_paged(dir: &Path, pool_pages: usize) -> Result<Database> {
     ))
 }
 
-/// Render a target schema in the `Name (attr type [not null], ...)`
-/// form that `clio-core`'s script parser reads back — how `db save`
-/// persists the session's target alongside the data (`_target.txt`).
-#[must_use]
-pub fn target_spec(schema: &RelSchema) -> String {
-    let mut out = format!("{} (", schema.name());
-    for (i, a) in schema.attrs().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{} {}", a.name, a.ty);
-        if a.not_null {
-            out.push_str(" not null");
-        }
-    }
-    out.push(')');
-    out
-}
-
 /// The paged backend behind a [`Database`]: heap files plus lazily
 /// faulted relations. Cloning shares the buffer pool and the
 /// materialized cells (all mutation goes through
@@ -653,23 +633,6 @@ mod tests {
         }
         std::fs::remove_dir_all(&a).ok();
         std::fs::remove_dir_all(&b).ok();
-    }
-
-    #[test]
-    fn target_spec_renders_the_script_parser_form() {
-        let schema = RelSchema::new(
-            "Family",
-            vec![
-                crate::schema::Attribute::not_null("cname", DataType::Str),
-                crate::schema::Attribute::new("pname", DataType::Str),
-                crate::schema::Attribute::new("age", DataType::Int),
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            target_spec(&schema),
-            "Family (cname str not null, pname str, age int)"
-        );
     }
 
     #[test]

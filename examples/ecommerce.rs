@@ -182,12 +182,9 @@ fn main() -> Result<()> {
 
     // continue the session over the extended database: rebuild, reload
     // the mapping, chase the totals in
-    let mapping_script = clio::core::script::write_mapping(&session.active().unwrap().mapping);
+    let mapping_text = clio_lang::print_mapping(&session.active().unwrap().mapping);
     let mut session2 = Session::new(db2, target());
-    session2.adopt_mapping(
-        clio::core::script::parse_mapping(&mapping_script)?,
-        "resumed",
-    )?;
+    session2.adopt_mapping(clio_lang::parse_map(&mapping_text)?, "resumed")?;
     let chases = session2.data_chase("ORD_HDR", "ord_no", &Value::str("O-1001"))?;
     let totals_ws = chases
         .iter()

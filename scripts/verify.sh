@@ -193,17 +193,12 @@ echo "    cache.disk_hits = $disk_hits"
 # — timing stays invisible to the counter snapshots by construction.
 echo "==> timing-telemetry gate (demo + cyclic mapping, --trace-out, --metrics)"
 cat > "$tmp_cyclic_map" <<'EOF'
-target Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
-node Children
-node Parents
-node PhoneDir
-edge Children -- Parents : Children.mid = Parents.ID
-edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID
-edge Children -- PhoneDir : Children.mid = PhoneDir.ID
-corr Children.ID -> ID
-corr Children.name -> name
-corr Parents.affiliation -> affiliation
-corr PhoneDir.number -> contactPh
+MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
+FROM Children, Parents, PhoneDir
+JOIN Children, Parents ON Children.mid = Parents.ID
+JOIN Parents, PhoneDir ON PhoneDir.ID = Parents.ID
+JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID
+SELECT Children.ID AS ID, Children.name AS name, Parents.affiliation AS affiliation, PhoneDir.number AS contactPh
 EOF
 sed '/^quit$/d' examples/scripts/demo.clio > "$tmp_telemetry_script"
 {
@@ -472,43 +467,29 @@ if [ "${pager_load_errors:-1}" -ne 0 ]; then
 fi
 echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses = $pager_misses, pager.evictions = $pager_evictions, pager.load_errors = $pager_load_errors"
 
-# Tier 2i: planner / MAP-language gate (PR 10, docs/planner.md). The
-# same cyclic mapping (three-node cycle plus a pushable source filter)
-# is loaded two ways — script format via `load`, MAP language via
-# `map load` — and the two runs' stdout (prompt-echo lines stripped,
-# since the load commands differ textually) must be byte-identical: the
-# language is a faithful surface for the script format. Each script
-# also runs `map show` (the canonical MAP printer — identical text
-# regardless of how the mapping was loaded) and `explain` (must render
-# a plan tree). Every mapping evaluation runs through the plan, so a
-# plain metrics replay then pins that the rewrite really fired:
+# Tier 2i: planner / MAP-language gate (docs/planner.md). A
+# cyclic mapping (three-node cycle plus a pushable source filter) is
+# loaded from its MAP file and `save`d; the original file and the saved
+# copy are then each loaded and run through `target`, `map show` (the
+# canonical printer) and `explain` (must render a plan tree). The two
+# runs' stdout (prompt-echo lines stripped, since the load paths differ)
+# must be byte-identical: `save` writes a mapping `load` reads back
+# unchanged. Every mapping evaluation runs through the plan, so a plain
+# metrics replay then pins that the rewrite really fired:
 # plan.pushed_filters > 0 (the filter was pushed below the union) and
 # plan.evals > 0 (evaluation actually ran a plan). That the pushdown is
 # answer-invisible is pinned by the byte-identity proptests against a
 # no-pushdown reference. Regenerate nothing — this gate has no golden
 # file; equality is between live runs.
-echo "==> planner gate (load vs map load, pushdown counters)"
-tmp_lang_legacy="$(mktemp)"
+echo "==> planner gate (MAP file vs its saved copy, pushdown counters)"
 tmp_lang_map="$(mktemp)"
+tmp_lang_saved="$(mktemp)"
+tmp_lang_script_save="$(mktemp)"
 tmp_lang_script_a="$(mktemp)"
 tmp_lang_script_b="$(mktemp)"
 tmp_lang_out_a="$(mktemp)"
 tmp_lang_out_b="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
-cat > "$tmp_lang_legacy" <<'EOF'
-target Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
-node Children
-node Parents
-node PhoneDir
-edge Children -- Parents : Children.mid = Parents.ID
-edge Parents -- PhoneDir : PhoneDir.ID = Parents.ID
-edge Children -- PhoneDir : Children.mid = PhoneDir.ID
-corr Children.ID -> ID
-corr Children.name -> name
-corr Parents.affiliation -> affiliation
-corr PhoneDir.number -> contactPh
-where source Children.age < 7
-EOF
 cat > "$tmp_lang_map" <<'EOF'
 MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
 FROM Children, Parents, PhoneDir
@@ -518,8 +499,10 @@ JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID
 WHERE SOURCE Children.age < 7
 SELECT Children.ID AS ID, Children.name AS name, Parents.affiliation AS affiliation, PhoneDir.number AS contactPh
 EOF
-{ echo "load $tmp_lang_legacy"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_a"
-{ echo "map load $tmp_lang_map"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_b"
+{ echo "load $tmp_lang_map"; echo "save $tmp_lang_saved"; echo quit; } > "$tmp_lang_script_save"
+target/release/clio-shell --script "$tmp_lang_script_save" --threads 1 >/dev/null
+{ echo "load $tmp_lang_map"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_a"
+{ echo "load $tmp_lang_saved"; echo target; echo "map show"; echo explain; echo quit; } > "$tmp_lang_script_b"
 run_and_strip() { # $1 script, $2 output; prompt-echo lines removed
     target/release/clio-shell --script "$1" --threads 1 > "$2"
     sed -i '/^clio> /d' "$2"
@@ -527,19 +510,19 @@ run_and_strip() { # $1 script, $2 output; prompt-echo lines removed
 run_and_strip "$tmp_lang_script_a" "$tmp_lang_out_a"
 run_and_strip "$tmp_lang_script_b" "$tmp_lang_out_b"
 if ! diff -u "$tmp_lang_out_a" "$tmp_lang_out_b"; then
-    echo "verify: FAILED — map-load run diverged from the script-format run" >&2
+    echo "verify: FAILED — the saved copy's run diverged from the original MAP file's run" >&2
     exit 1
 fi
 if ! grep -q '^plan for Kids' "$tmp_lang_out_a"; then
     echo "verify: FAILED — explain printed no plan tree" >&2
     exit 1
 fi
-target/release/clio-shell --script "$tmp_lang_script_b" --threads 1 \
+target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 \
     --metrics "$tmp_plan_metrics" >/dev/null
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
-rm -f "$tmp_lang_legacy" "$tmp_lang_map" "$tmp_lang_script_a" "$tmp_lang_script_b" \
-    "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics"
+rm -f "$tmp_lang_map" "$tmp_lang_saved" "$tmp_lang_script_save" "$tmp_lang_script_a" \
+    "$tmp_lang_script_b" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
     echo "verify: FAILED — the plan pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
     exit 1
@@ -548,6 +531,6 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
     echo "verify: FAILED — mapping evaluation ran no plan (plan.evals = 0)" >&2
     exit 1
 fi
-echo "    load == map load (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    MAP file == its saved copy (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"

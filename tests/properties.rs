@@ -331,18 +331,6 @@ proptest! {
         }
     }
 
-    /// Mapping scripts round-trip for arbitrary synthetic mappings.
-    #[test]
-    fn mapping_script_round_trip(
-        spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle, Topology::RandomTree])
-    ) {
-        let w = generate(&spec);
-        let text = clio::core::script::write_mapping(&w.mapping);
-        let parsed = clio::core::script::parse_mapping(&text)
-            .unwrap_or_else(|e| panic!("failed to parse generated script: {e}\n{text}"));
-        prop_assert_eq!(parsed, w.mapping);
-    }
-
     /// Merged target-mapping evaluation never contains a subsumed pair and
     /// never loses a maximal tuple relative to the union.
     #[test]
@@ -1072,11 +1060,71 @@ proptest! {
         let reparsed = clio_lang::parse_map(&printed)
             .unwrap_or_else(|e| panic!("failed to reparse printed mapping: {e}\n{printed}"));
         prop_assert_eq!(reparsed, m.clone());
-        // the line-oriented script format quotes the same way
-        let script = clio::core::script::write_mapping(&m);
-        let reparsed = clio::core::script::parse_mapping(&script)
-            .unwrap_or_else(|e| panic!("failed to reparse written script: {e}\n{script}"));
-        prop_assert_eq!(reparsed, m);
+        // the target schema printed alone (`--target`, `_target.txt`)
+        // reparses to itself
+        let header = clio_lang::print_target_schema(&m.target);
+        let reparsed = clio_lang::parse_target_schema(&header)
+            .unwrap_or_else(|e| panic!("failed to reparse printed target: {e}\n{header}"));
+        prop_assert_eq!(reparsed, m.target);
+    }
+}
+
+/// Fragments the hostile-input soup is built from: the language's
+/// keywords, its punctuation, unbalanced quotes, newlines and
+/// multibyte characters.
+const SOUP: &[&str] = &[
+    "MAP",
+    "FROM",
+    "JOIN",
+    "ON",
+    "WHERE",
+    "SOURCE",
+    "TARGET",
+    "SELECT",
+    "AS",
+    "CODE",
+    "not",
+    "null",
+    "int",
+    "str",
+    "(",
+    ")",
+    ",",
+    "\"",
+    "'",
+    "\"\"",
+    "\n",
+    " ",
+    "é",
+    "日本",
+    "R",
+    "R.x",
+    ".",
+    "=",
+    "--",
+    "1",
+    "\u{1F600}",
+    "T (",
+    "a int",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The mapping parsers read untrusted text (`load`, `--mapping`,
+    /// `--target`, `_target.txt`): any soup of fragments yields `Ok` or
+    /// `Err`, never a panic.
+    #[test]
+    fn mapping_parsers_never_panic_on_hostile_input(
+        pieces in proptest::collection::vec(0..SOUP.len(), 0..40),
+        map_prefix in proptest::bool::ANY,
+    ) {
+        let mut text: String = pieces.iter().map(|&i| SOUP[i]).collect();
+        let _ = clio_lang::parse_target_schema(&text);
+        if map_prefix {
+            text.insert_str(0, "MAP ");
+        }
+        let _ = clio_lang::parse_map(&text);
     }
 }
 

@@ -3,8 +3,8 @@
 
 use clio::core::operators::link::{conjoin_edge_predicate, remove_node, replace_edge_predicate};
 use clio::core::ranking::{join_support, rank_walk_alternatives};
-use clio::core::script::{parse_mapping, write_mapping};
 use clio::prelude::*;
+use clio_lang::{parse_map, print_mapping};
 
 fn funcs() -> FuncRegistry {
     FuncRegistry::with_builtins()
@@ -37,10 +37,10 @@ fn session_persistence_round_trip() {
     let preview_before = session.target_preview().unwrap();
 
     // save + reload into a brand-new session
-    let script = write_mapping(&session.active().unwrap().mapping);
-    let reloaded = parse_mapping(&script).unwrap();
+    let text = print_mapping(&session.active().unwrap().mapping);
+    let reloaded = parse_map(&text).unwrap();
     let mut session2 = Session::new(paper_database(), kids_target());
-    let id = session2.adopt_mapping(reloaded, "from script").unwrap();
+    let id = session2.adopt_mapping(reloaded, "from MAP text").unwrap();
     assert_eq!(session2.active().unwrap().id, id);
     let preview_after = session2.target_preview().unwrap();
 
@@ -62,10 +62,10 @@ fn adopt_mapping_rejects_wrong_target() {
 }
 
 #[test]
-fn paper_mappings_round_trip_through_scripts() {
+fn paper_mappings_round_trip_through_map_text() {
     for m in [example_3_15_mapping(), section2_mapping()] {
-        let text = write_mapping(&m);
-        let parsed = parse_mapping(&text).unwrap();
+        let text = print_mapping(&m);
+        let parsed = parse_map(&text).unwrap();
         assert_eq!(parsed, m);
         // and the reloaded mapping evaluates identically
         let db = paper_database();
