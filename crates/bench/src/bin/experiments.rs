@@ -362,6 +362,7 @@ fn b6_mapping_eval() {
         ("chain4", chain(4, 100)),
         ("chain4", chain(4, 1000)),
         ("chain4", chain(4, 10_000)),
+        ("chain4", chain(4, 100_000)),
         ("chain6", chain(6, 1000)),
         ("star5", star(5, 1000)),
     ] {

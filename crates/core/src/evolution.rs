@@ -13,7 +13,6 @@
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::subsumes;
 use clio_relational::schema::Scheme;
 use clio_relational::value::Value;
 
@@ -42,8 +41,18 @@ pub fn extends(
     new_assoc: &[Value],
 ) -> Result<bool> {
     let positions = new_scheme.positions_of(old_scheme)?;
-    let projected: Vec<Value> = positions.iter().map(|&i| new_assoc[i].clone()).collect();
-    Ok(subsumes(&projected, old_assoc))
+    Ok(extends_at(&positions, old_assoc, new_assoc))
+}
+
+/// [`extends`] with the old scheme's columns already resolved to their
+/// `positions` in the new scheme: `subsumes(projection, old_assoc)`
+/// without copying the projection.
+fn extends_at(positions: &[usize], old_assoc: &[Value], new_assoc: &[Value]) -> bool {
+    debug_assert_eq!(positions.len(), old_assoc.len());
+    positions
+        .iter()
+        .zip(old_assoc)
+        .all(|(&p, old)| old.is_null() || new_assoc[p] == *old)
 }
 
 /// Evolve `old_illustration` from `old_mapping` to `new_mapping` (whose
@@ -81,21 +90,16 @@ pub fn evolve_illustration_cached(
         ));
     }
 
+    let positions = new_scheme.positions_of(&old_scheme)?;
     let population = new_mapping.examples_cached(db, funcs, cache)?;
     let mut chosen: Vec<usize> = Vec::new();
+    let mut taken = vec![false; population.len()];
 
     // 1. extend every old example
     for old in &old_illustration.examples {
         for (i, candidate) in population.iter().enumerate() {
-            if chosen.contains(&i) {
-                continue;
-            }
-            if extends(
-                &old_scheme,
-                &old.association,
-                &new_scheme,
-                &candidate.association,
-            )? {
+            if !taken[i] && extends_at(&positions, &old.association, &candidate.association) {
+                taken[i] = true;
                 chosen.push(i);
             }
         }
@@ -115,7 +119,7 @@ pub fn evolve_illustration_cached(
         clio_obs::metrics::incr(clio_obs::metrics::Counter::GreedyIterations);
         let mut best: Option<(usize, usize)> = None;
         for (i, e) in population.iter().enumerate() {
-            if chosen.contains(&i) {
+            if taken[i] {
                 continue;
             }
             let gain = reqs
@@ -135,6 +139,7 @@ pub fn evolve_illustration_cached(
                         covered[k] = true;
                     }
                 }
+                taken[i] = true;
                 chosen.push(i);
             }
         }

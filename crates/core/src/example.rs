@@ -12,7 +12,7 @@ use clio_relational::value::Value;
 use crate::query_graph::QueryGraph;
 
 /// One mapping example `(d, t)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Example {
     /// The data association `d` (row over the graph's wide scheme).
     pub association: Vec<Value>,

@@ -20,7 +20,7 @@
 //! use of [...] techniques [...] to efficiently select a minimal
 //! sufficient illustration."
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use clio_obs::metrics::{self, Counter};
 
@@ -195,11 +195,12 @@ pub fn select_greedy(all: &[Example], target_arity: usize, scope: SufficiencySco
     let reqs = requirements(all, target_arity, scope);
     let mut covered = vec![false; reqs.len()];
     let mut chosen: Vec<usize> = Vec::new();
+    let mut taken = vec![false; all.len()];
     loop {
         metrics::incr(Counter::GreedyIterations);
         let mut best: Option<(usize, usize)> = None; // (example idx, gain)
         for (i, e) in all.iter().enumerate() {
-            if chosen.contains(&i) {
+            if taken[i] {
                 continue;
             }
             let gain = reqs
@@ -219,6 +220,7 @@ pub fn select_greedy(all: &[Example], target_arity: usize, scope: SufficiencySco
                         covered[k] = true;
                     }
                 }
+                taken[i] = true;
                 chosen.push(i);
             }
         }
@@ -352,6 +354,8 @@ impl Illustration {
         let scope = SufficiencyScope::mapping();
         let reqs = requirements(all, target_arity, scope);
         let mut examples: Vec<Example> = required.to_vec();
+        // The members of `examples`, borrowed from the inputs.
+        let mut taken: HashSet<&Example> = required.iter().collect();
         let mut covered: Vec<bool> = reqs
             .iter()
             .map(|r| examples.iter().any(|e| satisfies(e, r)))
@@ -360,7 +364,7 @@ impl Illustration {
             metrics::incr(Counter::GreedyIterations);
             let mut best: Option<(usize, usize)> = None;
             for (i, e) in all.iter().enumerate() {
-                if examples.contains(e) {
+                if taken.contains(e) {
                     continue;
                 }
                 let gain = reqs
@@ -380,6 +384,7 @@ impl Illustration {
                             covered[k] = true;
                         }
                     }
+                    taken.insert(&all[i]);
                     examples.push(all[i].clone());
                 }
             }

@@ -13,7 +13,7 @@ use clio_core::knowledge::{JoinSpec, Provenance, SchemaKnowledge};
 use clio_core::mapping::Mapping;
 use clio_core::query_graph::{Node, QueryGraph};
 use clio_relational::database::Database;
-use clio_relational::relation::RelationBuilder;
+use clio_relational::relation::Relation;
 use clio_relational::schema::{Attribute, RelSchema};
 use clio_relational::value::{DataType, Value};
 use rand::rngs::StdRng;
@@ -115,28 +115,29 @@ pub fn generate(spec: &SyntheticSpec) -> Synthetic {
     let mut rng = StdRng::seed_from_u64(spec.seed);
 
     // schema: R<i>(id, l<a>.., p0..)
-    let mut db = Database::new();
+    let mut schemas = Vec::with_capacity(n);
     for i in 0..n {
-        let mut b = RelationBuilder::new(format!("R{i}")).attr_not_null("id", DataType::Str);
+        let mut attrs = vec![Attribute::not_null("id", DataType::Str)];
         for &(a, bb) in &edges {
             if bb == i {
-                b = b.attr(format!("l{a}"), DataType::Str);
+                attrs.push(Attribute::new(format!("l{a}"), DataType::Str));
             }
         }
         for p in 0..spec.payload_attrs {
-            b = b.attr(format!("p{p}"), DataType::Str);
+            attrs.push(Attribute::new(format!("p{p}"), DataType::Str));
         }
-        db.add_relation(b.build().expect("fresh synthetic schema"))
-            .expect("unique name");
+        schemas.push(RelSchema::new(format!("R{i}"), attrs).expect("fresh synthetic schema"));
     }
 
     // data
-    for i in 0..n {
+    let mut db = Database::new();
+    for (i, schema) in schemas.into_iter().enumerate() {
         let link_sources: Vec<usize> = edges
             .iter()
             .filter(|&&(_, bb)| bb == i)
             .map(|&(a, _)| a)
             .collect();
+        let mut rows = Vec::with_capacity(spec.rows);
         for k in 0..spec.rows {
             let mut row: Vec<Value> = vec![Value::str(format!("r{i}-{k}"))];
             for &a in &link_sources {
@@ -153,11 +154,10 @@ pub fn generate(spec: &SyntheticSpec) -> Synthetic {
             for p in 0..spec.payload_attrs {
                 row.push(Value::str(format!("v{p}-{}", rng.random_range(0..1000))));
             }
-            db.relation_mut(&format!("R{i}"))
-                .expect("exists")
-                .insert(row)
-                .expect("valid row");
+            rows.push(row);
         }
+        db.add_relation(Relation::with_rows(schema, rows).expect("valid rows"))
+            .expect("unique name");
     }
 
     // query graph + knowledge

@@ -39,6 +39,10 @@ pub enum Counter {
     /// Adaptive subsumption dispatches (`SubsumptionAlgo::Adaptive`
     /// calls that picked a concrete algorithm).
     SubsumptionAdaptiveChoices,
+    /// Rows offered to the hashed set primitives: one per
+    /// `Table::push_distinct` call, plus every row passed through
+    /// `Table::dedup` or `Relation::with_rows`.
+    DedupRows,
     /// Connected subgraphs enumerated by the naive full disjunction.
     SubgraphsEnumerated,
     /// Binary outer-join steps executed by the outer-join full
@@ -137,13 +141,14 @@ pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
 impl Counter {
     /// All counters, in table order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 41] = [
         Counter::TuplesScanned,
         Counter::JoinProbes,
         Counter::JoinOutputRows,
         Counter::SubsumptionComparisons,
         Counter::TuplesSubsumed,
         Counter::SubsumptionAdaptiveChoices,
+        Counter::DedupRows,
         Counter::SubgraphsEnumerated,
         Counter::OuterJoinSteps,
         Counter::ChaseAlternativesGenerated,
@@ -191,6 +196,7 @@ impl Counter {
             Counter::SubsumptionComparisons => "subsumption.comparisons",
             Counter::TuplesSubsumed => "subsumption.removed",
             Counter::SubsumptionAdaptiveChoices => "subsumption.adaptive_choices",
+            Counter::DedupRows => "dedup.rows",
             Counter::SubgraphsEnumerated => "fd.subgraphs",
             Counter::OuterJoinSteps => "fd.outer_join_steps",
             Counter::ChaseAlternativesGenerated => "chase.alternatives_generated",

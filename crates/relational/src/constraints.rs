@@ -5,6 +5,7 @@
 //! (`Children.mid → Parents.ID`, `Children.fid → Parents.ID`), and target
 //! not-null constraints become target filters (`Kids.ID <> null`).
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::database::Database;
@@ -38,19 +39,18 @@ impl Key {
             .iter()
             .map(|a| rel.schema().index_of(a))
             .collect::<Result<_>>()?;
-        let mut seen: Vec<Vec<&Value>> = Vec::with_capacity(rel.len());
+        let mut seen: HashSet<Vec<&Value>> = HashSet::with_capacity(rel.len());
         for row in rel.rows() {
             let key: Vec<&Value> = idxs.iter().map(|&i| &row[i]).collect();
             if key.iter().any(|v| v.is_null()) {
                 continue;
             }
-            if seen.contains(&key) {
+            if !seen.insert(key) {
                 return Err(Error::KeyViolation {
                     relation: self.relation.clone(),
                     key: self.attrs.join(", "),
                 });
             }
-            seen.push(key);
         }
         Ok(())
     }
@@ -115,6 +115,10 @@ impl ForeignKey {
             .iter()
             .map(|a| to.schema().index_of(a))
             .collect::<Result<_>>()?;
+        // A nested-loop scan on purpose: references match under SQL
+        // `sql_eq`, which equates `0.0` with `-0.0` and never matches NaN,
+        // while `Value`'s `Hash` follows the total order. A hash lookup
+        // would need its own SQL-equality key.
         'outer: for row in from.rows() {
             let probe: Vec<&Value> = from_idx.iter().map(|&i| &row[i]).collect();
             if probe.iter().any(|v| v.is_null()) {

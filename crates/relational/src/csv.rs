@@ -187,26 +187,26 @@ pub fn relation_from_csv(schema: RelSchema, text: &str) -> Result<Relation> {
             "CSV header {got:?} does not match schema attributes {expected:?}"
         )));
     }
-    let mut rel = Relation::empty(schema);
+    let mut rows = Vec::new();
     for record in records {
         if record.is_empty() {
             continue;
         }
         let fields = parse_record(record)?;
-        if fields.len() != rel.schema().arity() {
+        if fields.len() != schema.arity() {
             return Err(Error::ArityMismatch {
-                expected: rel.schema().arity(),
+                expected: schema.arity(),
                 got: fields.len(),
             });
         }
         let row: Vec<Value> = fields
             .into_iter()
-            .zip(rel.schema().attrs().to_vec())
+            .zip(schema.attrs())
             .map(|(f, a)| parse_value(f, a.ty))
             .collect::<Result<_>>()?;
-        rel.insert(row)?;
+        rows.push(row);
     }
-    Ok(rel)
+    Relation::with_rows(schema, rows)
 }
 
 /// The `_schema.txt` manifest for a database.

@@ -10,7 +10,7 @@ use std::fmt;
 
 use crate::error::{Error, Result};
 use crate::schema::{Attribute, RelSchema, Scheme};
-use crate::table::Table;
+use crate::table::{dedup_rows, Table};
 use crate::value::{DataType, Value};
 
 /// A stored relation.
@@ -30,12 +30,17 @@ impl Relation {
         }
     }
 
-    /// Build a relation and insert all `rows`, validating each.
-    pub fn with_rows(schema: RelSchema, rows: Vec<Vec<Value>>) -> Result<Relation> {
+    /// Build a relation from `rows`: each row is validated as
+    /// [`Relation::insert`] validates it (the first invalid row is the
+    /// error), then exact duplicates are dropped in one hashed pass that
+    /// keeps first occurrences — the rows `insert` in a loop would keep.
+    pub fn with_rows(schema: RelSchema, mut rows: Vec<Vec<Value>>) -> Result<Relation> {
         let mut rel = Relation::empty(schema);
-        for row in rows {
-            rel.insert(row)?;
+        for row in &rows {
+            rel.check_row(row)?;
         }
+        dedup_rows(&mut rows);
+        rel.rows = rows;
         Ok(rel)
     }
 
@@ -71,8 +76,18 @@ impl Relation {
 
     /// Insert a tuple. Validates arity, types, `NOT NULL` attributes, the
     /// all-null prohibition, and set semantics (exact duplicates are
-    /// silently ignored, as relations are sets).
+    /// silently ignored, as relations are sets). Each call scans the
+    /// stored rows; load many rows at once with [`Relation::with_rows`].
     pub fn insert(&mut self, row: Vec<Value>) -> Result<()> {
+        self.check_row(&row)?;
+        if !self.rows.contains(&row) {
+            self.rows.push(row);
+        }
+        Ok(())
+    }
+
+    /// The checks [`Relation::insert`] makes before its duplicate test.
+    fn check_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.schema.arity() {
             return Err(Error::ArityMismatch {
                 expected: self.schema.arity(),
@@ -100,9 +115,6 @@ impl Relation {
                     a.ty
                 )));
             }
-        }
-        if !self.rows.contains(&row) {
-            self.rows.push(row);
         }
         Ok(())
     }

@@ -415,22 +415,21 @@ impl PagedStorage {
     fn load_relation(&self, i: usize) -> Option<Relation> {
         let inner = &*self.inner;
         let path = inner.dir.join(heap_name(inner.schemas[i].name()));
-        let mut rel = Relation::empty(inner.schemas[i].clone());
+        let schema = &inner.schemas[i];
+        let mut rows = Vec::new();
         for rec in inner.pager.cursor(inner.files[i]) {
             let rec = rec.ok()?; // pager already logged + counted
-            let row = match decode_row(&rec, rel.schema()) {
-                Ok(row) => row,
+            match decode_row(&rec, schema) {
+                Ok(row) => rows.push(row),
                 Err(detail) => {
                     let _ = degraded(&path, detail);
                     return None;
                 }
-            };
-            if let Err(e) = rel.insert(row) {
-                let _ = degraded(&path, e.to_string());
-                return None;
             }
         }
-        Some(rel)
+        Relation::with_rows(schema.clone(), rows)
+            .map_err(|e| degraded(&path, e.to_string()))
+            .ok()
     }
 
     fn load_index(&self) -> Option<Arc<ValueIndex>> {

@@ -5,8 +5,19 @@
 //! [`Relation`](crate::relation::Relation)s, tables permit all-null rows
 //! (padding during outer operations produces them transiently) and do not
 //! deduplicate on push — operators deduplicate where the algebra requires it.
+//!
+//! Set semantics are hashed: [`Table::push_distinct`] is amortized O(1)
+//! (a lazily built row index, see below) and [`Table::dedup`] is one
+//! linear pass. Both keep the first occurrence of each row, and both
+//! decide membership with `Value`'s `==` — a hash match is only a
+//! candidate — so they answer exactly what a `Vec::contains` scan would.
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
+
+use clio_obs::metrics::{self, Counter};
 
 use crate::display::render_table;
 use crate::error::Result;
@@ -14,10 +25,69 @@ use crate::schema::{ColumnRef, Scheme};
 use crate::value::Value;
 
 /// A derived table: wide scheme + rows.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Clone`, `PartialEq` and `Debug` see only the scheme and the rows: the
+/// [`Table::push_distinct`] index is a cache, never copied or compared.
 pub struct Table {
     scheme: Scheme,
     rows: Vec<Vec<Value>>,
+    /// Row index for [`Table::push_distinct`], built on its first call
+    /// and dropped by every other mutation.
+    index: Option<Box<RowIndex>>,
+}
+
+/// Exact hash index over a table's rows: each row hash heads a chain of
+/// the positions whose rows share it.
+#[derive(Default)]
+struct RowIndex {
+    hasher: RandomState,
+    /// Row hash → the last position pushed with that hash.
+    heads: HashMap<u64, usize>,
+    /// `next[p]`: the previous position with row `p`'s hash, if any.
+    next: Vec<Option<usize>>,
+}
+
+impl RowIndex {
+    fn build(rows: &[Vec<Value>]) -> RowIndex {
+        let mut index = RowIndex::default();
+        index.heads.reserve(rows.len());
+        index.next.reserve(rows.len());
+        for row in rows {
+            let hash = index.hasher.hash_one(row.as_slice());
+            index.link(hash);
+        }
+        index
+    }
+
+    /// Does `rows` hold a row equal to `row` (whose hash is `hash`)?
+    fn contains(&self, rows: &[Vec<Value>], row: &[Value], hash: u64) -> bool {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(p) = at {
+            if rows[p] == row {
+                return true;
+            }
+            at = self.next[p];
+        }
+        false
+    }
+
+    /// Record that the next position holds a row hashing to `hash`.
+    fn link(&mut self, hash: u64) {
+        let position = self.next.len();
+        self.next.push(self.heads.insert(hash, position));
+    }
+}
+
+/// Drop exact duplicate rows, keeping each row's first occurrence. One
+/// hashed pass; counts every row offered in `dedup.rows`.
+pub(crate) fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
+    metrics::add(Counter::DedupRows, rows.len() as u64);
+    let keep: Vec<bool> = {
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(rows.len());
+        rows.iter().map(|row| seen.insert(row.as_slice())).collect()
+    };
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next().expect("retain visits each row once, in order"));
 }
 
 impl Table {
@@ -26,16 +96,17 @@ impl Table {
     #[must_use]
     pub fn new(scheme: Scheme, rows: Vec<Vec<Value>>) -> Table {
         debug_assert!(rows.iter().all(|r| r.len() == scheme.arity()));
-        Table { scheme, rows }
+        Table {
+            scheme,
+            rows,
+            index: None,
+        }
     }
 
     /// An empty table over `scheme`.
     #[must_use]
     pub fn empty(scheme: Scheme) -> Table {
-        Table {
-            scheme,
-            rows: Vec::new(),
-        }
+        Table::new(scheme, Vec::new())
     }
 
     /// The scheme.
@@ -53,6 +124,7 @@ impl Table {
     /// Mutable access to the rows. Callers must keep every row at the
     /// scheme's arity.
     pub fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
+        self.index = None;
         &mut self.rows
     }
 
@@ -77,32 +149,30 @@ impl Table {
     /// Push a row (no dedup).
     pub fn push(&mut self, row: Vec<Value>) {
         debug_assert_eq!(row.len(), self.scheme.arity());
+        self.index = None;
         self.rows.push(row);
     }
 
     /// Push a row only if an identical row is not already present.
+    /// Amortized O(1): the first call indexes the rows already present,
+    /// later calls keep that index up to date.
     pub fn push_distinct(&mut self, row: Vec<Value>) {
-        if !self.rows.contains(&row) {
-            self.rows.push(row);
+        metrics::incr(Counter::DedupRows);
+        let rows = &mut self.rows;
+        let index = self
+            .index
+            .get_or_insert_with(|| Box::new(RowIndex::build(rows)));
+        let hash = index.hasher.hash_one(row.as_slice());
+        if !index.contains(rows, &row, hash) {
+            index.link(hash);
+            rows.push(row);
         }
     }
 
     /// Remove exact duplicate rows, preserving first-occurrence order.
     pub fn dedup(&mut self) {
-        let mut seen: Vec<&Vec<Value>> = Vec::with_capacity(self.rows.len());
-        let mut keep = vec![false; self.rows.len()];
-        for (i, row) in self.rows.iter().enumerate() {
-            if !seen.contains(&row) {
-                seen.push(row);
-                keep[i] = true;
-            }
-        }
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let k = keep[i];
-            i += 1;
-            k
-        });
+        self.index = None;
+        dedup_rows(&mut self.rows);
     }
 
     /// The value of `col` in row `row_idx`.
@@ -114,6 +184,7 @@ impl Table {
     /// Sort rows by the total value order, column by column. Gives
     /// deterministic output for golden tests and rendered figures.
     pub fn sort_canonical(&mut self) {
+        self.index = None;
         self.rows.sort_by(|a, b| {
             for (x, y) in a.iter().zip(b.iter()) {
                 let ord = x.total_cmp(y);
@@ -139,6 +210,27 @@ impl Table {
     pub fn project_row(&self, row_idx: usize, sub: &Scheme) -> Result<Vec<Value>> {
         let pos = self.scheme.positions_of(sub)?;
         Ok(pos.iter().map(|&i| self.rows[row_idx][i].clone()).collect())
+    }
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table::new(self.scheme.clone(), self.rows.clone())
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.scheme == other.scheme && self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("scheme", &self.scheme)
+            .field("rows", &self.rows)
+            .finish()
     }
 }
 
@@ -192,6 +284,90 @@ mod tests {
         assert_eq!(t.len(), 3);
         t.dedup();
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn push_distinct_stays_exact_after_every_mutation_drops_its_index() {
+        let row = |a: i64, b: &str| vec![Value::Int(a), Value::str(b)];
+        let mut t = t();
+        t.push_distinct(row(3, "z"));
+        assert!(t.index.is_some(), "first push_distinct builds the index");
+
+        t.push(row(4, "w"));
+        assert!(t.index.is_none(), "push drops the index");
+        t.push_distinct(row(4, "w"));
+        t.push_distinct(row(5, "v"));
+        assert_eq!(t.len(), 5, "the rebuilt index saw the plain push");
+
+        t.rows_mut().push(row(6, "u"));
+        assert!(t.index.is_none(), "rows_mut drops the index");
+        t.push_distinct(row(6, "u"));
+        assert_eq!(t.len(), 6);
+
+        t.sort_canonical();
+        assert!(t.index.is_none(), "sort_canonical drops the index");
+        t.push_distinct(row(1, "x"));
+        t.push_distinct(row(7, "t"));
+        assert_eq!(t.len(), 7);
+
+        t.push(row(7, "t"));
+        t.push_distinct(row(8, "s"));
+        t.dedup();
+        assert!(t.index.is_none(), "dedup drops the index");
+        t.push_distinct(row(8, "s"));
+        t.push_distinct(row(7, "t"));
+        assert_eq!(t.len(), 8);
+        let firsts: Vec<i64> = t
+            .rows()
+            .iter()
+            .map(|r| match r[0] {
+                Value::Int(i) => i,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(firsts, [1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn the_push_distinct_index_is_invisible_to_clone_and_equality() {
+        let mut indexed = t();
+        indexed.push_distinct(vec![3i64.into(), "z".into()]);
+        let mut plain = t();
+        plain.push(vec![3i64.into(), "z".into()]);
+        assert!(indexed.index.is_some() && plain.index.is_none());
+        assert_eq!(indexed, plain);
+        assert_eq!(format!("{indexed:?}"), format!("{plain:?}"));
+        let copy = indexed.clone();
+        assert!(copy.index.is_none(), "clones carry no index");
+        assert_eq!(copy, indexed);
+    }
+
+    #[test]
+    fn dedup_rows_counts_every_row_offered() {
+        use crate::relation::Relation;
+        use crate::schema::{Attribute, RelSchema};
+        // A session label of its own keeps concurrent tests' work out of
+        // this count.
+        metrics::set_metrics_enabled(true);
+        let counted = metrics::with_session(Some(0xDED0), || {
+            let mut t = t();
+            for i in 0..5 {
+                t.push_distinct(vec![Value::Int(i % 3), "x".into()]); // 5
+            }
+            t.dedup(); // + the 6 rows present (2 seeded, 4 pushed)
+            let schema = RelSchema::new("R", vec![Attribute::new("a", DataType::Int)]).unwrap();
+            let rows = vec![
+                vec![Value::Int(1)],
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+            ];
+            Relation::with_rows(schema, rows).unwrap(); // + 3
+            metrics::session_snapshot(0xDED0)
+                .unwrap()
+                .get(Counter::DedupRows)
+        });
+        metrics::set_metrics_enabled(false);
+        assert_eq!(counted, 5 + 6 + 3);
     }
 
     #[test]

@@ -1128,6 +1128,210 @@ proptest! {
     }
 }
 
+/// Fragments for the expression parser's hostile-input soup: its
+/// keywords, operators, unbalanced quotes, numbers, newlines and
+/// multibyte characters, glued together without separators.
+const EXPR_SOUP: &[&str] = &[
+    "AND",
+    "OR",
+    "NOT",
+    "IS",
+    "NULL",
+    "LIKE",
+    "IN",
+    "BETWEEN",
+    "CASE",
+    "WHEN",
+    "THEN",
+    "ELSE",
+    "END",
+    "TRUE",
+    "(",
+    ")",
+    ",",
+    ".",
+    "=",
+    "<>",
+    "<=",
+    "||",
+    "+",
+    "-",
+    "*",
+    "/",
+    "'",
+    "\"",
+    "''",
+    "\n",
+    " ",
+    "é",
+    "日本",
+    "\u{1F600}",
+    "R",
+    "R.x",
+    "f(",
+    "1",
+    "1.5",
+    "1e",
+    "9999999999999999999",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The expression parser reads untrusted text (`where`, MAP clauses):
+    /// any soup of fragments yields `Ok` or `Err`, never a panic.
+    #[test]
+    fn expression_parser_never_panics_on_hostile_input(
+        pieces in proptest::collection::vec(0..EXPR_SOUP.len(), 0..40),
+    ) {
+        let text: String = pieces.iter().map(|&i| EXPR_SOUP[i]).collect();
+        let _ = parse_expr(&text);
+        let _ = parse_expr_list(&text);
+    }
+
+    /// The frame decoder reads bytes from any peer: a frame cut short
+    /// anywhere after its first byte, or declaring more than the limit,
+    /// is an `Err`; arbitrary bytes never panic it.
+    #[test]
+    fn frame_reader_rejects_truncated_and_oversized_frames(
+        pieces in proptest::collection::vec(0..EXPR_SOUP.len(), 0..12),
+        cut in 0usize..1000,
+        noise in proptest::collection::vec(proptest::num::u8::ANY, 0..48),
+    ) {
+        use clio_net::frame::{read_frame, write_frame, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+        let payload: String = pieces.iter().map(|&i| EXPR_SOUP[i]).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut whole = wire.as_slice();
+        prop_assert_eq!(read_frame(&mut whole, MAX_FRAME_BYTES).unwrap(), Some(payload.clone()));
+
+        let cut = 1 + cut % (wire.len() - 1);
+        let mut truncated = &wire[..cut];
+        prop_assert!(read_frame(&mut truncated, MAX_FRAME_BYTES).is_err());
+
+        if !payload.is_empty() {
+            let mut oversized = wire.as_slice();
+            prop_assert!(read_frame(&mut oversized, payload.len() - 1).is_err());
+        }
+
+        // Noise behind a valid version byte reaches the length and
+        // payload checks; a small limit keeps the allocation bounded.
+        let mut noisy = vec![PROTOCOL_VERSION];
+        noisy.extend_from_slice(&noise);
+        for bytes in [noise.as_slice(), noisy.as_slice()] {
+            let mut bytes = bytes;
+            while let Ok(Some(_)) = read_frame(&mut bytes, 64) {}
+        }
+    }
+}
+
+/// A numeric cell from a pool where `==` is subtle: equal Int/Float
+/// pairs (`3` / `3.0`), `0.0` / `-0.0`, NaN, and integers past 2^53
+/// where `Int(2^53) == Float(2^53) == Int(2^53 + 1)` but the two Ints
+/// differ.
+fn tricky_number(i: usize) -> Value {
+    const BIG: i64 = 1 << 53;
+    match i {
+        0 => Value::Null,
+        1 => Value::Int(3),
+        2 => Value::Float(3.0),
+        3 => Value::Float(0.0),
+        4 => Value::Float(-0.0),
+        5 => Value::Int(0),
+        6 => Value::Float(f64::NAN),
+        7 => Value::Int(BIG),
+        8 => Value::Int(BIG + 1),
+        9 => Value::Float(BIG as f64),
+        10 => Value::Int(i64::MAX),
+        _ => Value::Float(i64::MAX as f64),
+    }
+}
+
+fn tricky_text(i: usize) -> Value {
+    match i {
+        0 => Value::Null,
+        1 => Value::str(""),
+        2 => Value::str("a"),
+        _ => Value::str("3"),
+    }
+}
+
+fn tricky_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    proptest::collection::vec((0usize..12, 0usize..4), 0..40).prop_map(|cells| {
+        cells
+            .into_iter()
+            .map(|(n, t)| vec![tricky_number(n), tricky_text(t)])
+            .collect()
+    })
+}
+
+/// The definition the hashed set primitives must match: a linear
+/// `contains` scan that keeps first occurrences.
+fn first_occurrences(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    for row in rows {
+        if !out.contains(row) {
+            out.push(row.clone());
+        }
+    }
+    out
+}
+
+/// Rows rendered with their exact variants and bits (`Int(3)` vs
+/// `Float(3.0)`, `-0.0` vs `0.0`), since `==` cannot tell them apart.
+fn exact(rows: &[Vec<Value>]) -> String {
+    format!("{rows:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `push_distinct` (interleaved with plain pushes, which drop its
+    /// index), `Table::dedup` and `Relation::with_rows` keep exactly the
+    /// rows — variants and bits included — that a linear first-occurrence
+    /// scan keeps.
+    #[test]
+    fn hashed_set_primitives_match_a_linear_scan(
+        rows in tricky_rows(),
+        plain in proptest::collection::vec(proptest::bool::ANY, 40),
+    ) {
+        let scheme = Scheme::new(vec![
+            Column::new("R", "n", DataType::Float),
+            Column::new("R", "t", DataType::Str),
+        ]);
+
+        let mut table = Table::empty(scheme.clone());
+        let mut reference: Vec<Vec<Value>> = Vec::new();
+        for (row, &plain) in rows.iter().zip(&plain) {
+            if plain {
+                table.push(row.clone());
+                reference.push(row.clone());
+            } else {
+                table.push_distinct(row.clone());
+                if !reference.contains(row) {
+                    reference.push(row.clone());
+                }
+            }
+        }
+        prop_assert_eq!(exact(table.rows()), exact(&reference));
+
+        let expected = first_occurrences(&rows);
+        let mut table = Table::new(scheme, rows.clone());
+        table.dedup();
+        prop_assert_eq!(exact(table.rows()), exact(&expected));
+
+        let stored: Vec<Vec<Value>> =
+            rows.into_iter().filter(|r| !r.iter().all(Value::is_null)).collect();
+        let schema = RelSchema::new(
+            "R",
+            vec![Attribute::new("n", DataType::Float), Attribute::new("t", DataType::Str)],
+        )
+        .unwrap();
+        let rel = Relation::with_rows(schema, stored.clone()).unwrap();
+        prop_assert_eq!(exact(rel.rows()), exact(&first_occurrences(&stored)));
+    }
+}
+
 /// The synthetic mapping for a spec (helper so the round-trip test can
 /// compare against a second, independently generated copy).
 fn w_mapping(spec: &SyntheticSpec) -> Mapping {
