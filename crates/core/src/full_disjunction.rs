@@ -28,7 +28,8 @@ use clio_relational::ops::{minimum_union_all, pad_to, select, SubsumptionAlgo};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::plan::chain_ir;
+use crate::incremental::full_disjunction_cached;
+use crate::plan::{chain_ir, Exec};
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
@@ -68,7 +69,12 @@ pub fn full_associations(
             "full associations are only defined for connected subgraphs".into(),
         ));
     }
-    chain_ir(graph, mask, false).run_chain(db, funcs)
+    chain_ir(graph, mask, false).run(&Exec {
+        db,
+        funcs,
+        graph,
+        cache: None,
+    })
 }
 
 /// Definitional `D(G)`: minimum union of the padded `F(J)` over every
@@ -117,25 +123,14 @@ impl FdAlgo {
 }
 
 /// Optimized `D(G)` for tree query graphs: left-deep full outer joins in a
-/// connected elimination order. Errors when the graph is not a tree.
+/// connected elimination order, columns in the canonical graph scheme.
+/// Errors when the graph is not a tree.
 pub fn full_disjunction_outer_join(
     db: &Database,
     graph: &QueryGraph,
     funcs: &FuncRegistry,
 ) -> Result<AssociationSet> {
-    let _span = clio_obs::span("fd.outer_join");
-    if !graph.is_tree() {
-        return Err(Error::Invalid(
-            "outer-join full disjunction requires a tree query graph".into(),
-        ));
-    }
-    // the full outer-join chain over every node (a tree has exactly one
-    // edge into the joined set per step)
-    let acc = chain_ir(graph, graph.node_mask(), true).run_chain(db, funcs)?;
-    // reorder columns into the canonical graph scheme
-    let scheme = graph.scheme(db)?;
-    let table = pad_to(&acc, &scheme)?;
-    Ok(AssociationSet::from_table(graph, table))
+    full_disjunction_cached(db, graph, FdAlgo::OuterJoin, funcs, None)
 }
 
 /// The subsumption algorithm the engine uses wherever a caller does not
@@ -145,18 +140,21 @@ pub fn engine_subsumption() -> SubsumptionAlgo {
     SubsumptionAlgo::default() // Adaptive
 }
 
-/// Compute `D(G)` with the selected algorithm. `Auto` resolves to the
-/// outer-join plan on trees and the naive plan otherwise; the naive
-/// plan's subsumption pass uses [`engine_subsumption`] (adaptive).
+/// Compute `D(G)` with the selected algorithm. `Auto` runs the `D(G)`
+/// subtree a [`Plan`](crate::plan::Plan) starts from (the outer-join
+/// chain on trees, the scheduled minimum union otherwise) with no
+/// cache; an explicit choice runs its reference implementation. The
+/// naive plan's subsumption pass uses [`engine_subsumption`] (adaptive).
 pub fn full_disjunction(
     db: &Database,
     graph: &QueryGraph,
     algo: FdAlgo,
     funcs: &FuncRegistry,
 ) -> Result<AssociationSet> {
-    match algo.resolve(graph) {
+    match algo {
+        FdAlgo::Auto => full_disjunction_cached(db, graph, algo, funcs, None),
         FdAlgo::OuterJoin => full_disjunction_outer_join(db, graph, funcs),
-        _ => full_disjunction_naive(db, graph, funcs, engine_subsumption()),
+        FdAlgo::Naive => full_disjunction_naive(db, graph, funcs, engine_subsumption()),
     }
 }
 

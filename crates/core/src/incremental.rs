@@ -23,24 +23,17 @@
 //! `tests/properties.rs` replays random operator sequences cache-on vs.
 //! cache-off. See `docs/incremental.md` for the full scheme.
 
-use std::cmp::Reverse;
-
 use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder, LookupTier};
-use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
-use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{minimum_union_all, pad_to};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
-use crate::full_disjunction::{
-    engine_subsumption, full_associations, full_disjunction_outer_join, FdAlgo,
-};
+use crate::full_disjunction::FdAlgo;
 use crate::mapping::Mapping;
+use crate::plan::{disjunction, Exec};
 use crate::query_graph::QueryGraph;
-use crate::subgraph::connected_subsets;
 
 /// Mix a graph's full structure into a fingerprint: every node (alias,
 /// stored relation, content version) in id order, every edge (endpoint
@@ -119,10 +112,7 @@ pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint 
 /// — the dependency set declared on cache entries.
 #[must_use]
 pub fn relation_deps(graph: &QueryGraph) -> Vec<String> {
-    let mut deps: Vec<String> = graph.nodes().iter().map(|n| n.relation.clone()).collect();
-    deps.sort_unstable();
-    deps.dedup();
-    deps
+    mask_deps(graph, graph.node_mask())
 }
 
 pub(crate) fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
@@ -164,14 +154,13 @@ pub struct BranchInfo {
 }
 
 /// The warmth pass over subgraph branches: a non-promoting
-/// [`EvalCache::peek`] marks expected-warm branches (served inline,
-/// never dispatched), and each expected-cold one is priced from sibling
-/// cost history ([`EvalCache::estimate_cost`]), falling back to a
-/// row-count heuristic. Peeking perturbs no recency/priority order and
-/// counts nothing, so the pass cannot change what the eviction policy
-/// keeps; estimates are pinned here, before any counted lookup warms the
-/// memory tier and shifts the sibling history. Without a live cache
-/// every branch is cold with a heuristic estimate.
+/// [`EvalCache::peek`] marks expected-warm branches, and each cold one
+/// is priced from sibling cost history ([`EvalCache::estimate_cost`]),
+/// falling back to a row-count heuristic. Peeking counts nothing and
+/// perturbs no recency or priority, so the pass cannot change what the
+/// eviction policy keeps; estimates are pinned here, before any counted
+/// lookup warms the memory tier and shifts the sibling history. Without
+/// a live cache every branch is cold.
 pub(crate) fn annotate_branches(
     db: &Database,
     graph: &QueryGraph,
@@ -198,156 +187,25 @@ pub(crate) fn annotate_branches(
         .collect()
 }
 
-/// The naive `D(G)` scheduler: the minimum union of the padded `F(J)`
-/// of every branch, in the given (canonical) order.
-///
-/// With a live cache the counted lookups run in branch order; the
-/// misses — every branch without a cache — are computed on the worker
-/// pool longest-estimated-first, so a straggler subgraph does not
-/// serialize the tail of the fan-out, and each computed `F(J)` is
-/// inserted *unfiltered* with its measured recompute time (feeding
-/// cost-aware eviction and later estimates). `fd.subgraphs` counts only
-/// the subgraphs actually computed.
-///
-/// `pushed` / `pushed_masks` are the planner's pushed source filters and
-/// their alias masks: each retrieved `F(J)` is filtered by the pushed
-/// filters whose aliases it binds before padding. Assembly — padding
-/// then one n-ary minimum union — follows branch order, so the output is
-/// byte-identical whatever was warm and however the misses ran.
-///
-/// Returns the association set with the computed `(mask, cost_ns)`
-/// pairs in branch order.
-pub(crate) fn full_disjunction_scheduled(
-    db: &Database,
-    graph: &QueryGraph,
-    funcs: &FuncRegistry,
-    cache: Option<&EvalCache>,
-    branches: &[BranchInfo],
-    pushed: &[Expr],
-    pushed_masks: &[u64],
-) -> Result<(AssociationSet, Vec<(u64, u64)>)> {
-    let _span = clio_obs::span("fd.naive");
-    let scheme = graph.scheme(db)?;
-    let cache = cache.filter(|c| c.enabled());
-    let fps: Vec<Fingerprint> = match cache {
-        Some(c) => branches
-            .iter()
-            .map(|b| subgraph_fingerprint(graph, b.mask, c))
-            .collect(),
-        None => Vec::new(),
-    };
-    let mut slots: Vec<Option<Table>> = match cache {
-        Some(c) => fps.iter().map(|&fp| c.get(fp)).collect(),
-        None => vec![None; branches.len()],
-    };
-    let missing: Vec<usize> = (0..branches.len())
-        .filter(|&i| slots[i].is_none())
-        .collect();
-    let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
-    if !missing.is_empty() {
-        // Longest-estimated-first dispatch; results return in input
-        // (canonical) order, so scheduling is answer-invisible.
-        let mut order: Vec<usize> = (0..missing.len()).collect();
-        order.sort_by_key(|&p| (Reverse(branches[missing[p]].estimate), p));
-        let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
-            &missing,
-            &order,
-            "fd.naive.worker",
-            |_, &i| -> Result<(Table, u64)> {
-                // Unconditional timing (unlike hist::start, which is
-                // trace-gated): the cost model needs real measurements
-                // even when tracing is off.
-                let t0 = std::time::Instant::now();
-                let table = full_associations(db, graph, branches[i].mask, funcs)?;
-                Ok((table, elapsed_ns(t0)))
-            },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
-        metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-        for (&i, (table, cost_ns)) in missing.iter().zip(fresh) {
-            let mask = branches[i].mask;
-            if let Some(c) = cache {
-                c.insert_costed(fps[i], mask_deps(graph, mask), &table, cost_ns);
-            }
-            dispatched.push((mask, cost_ns));
-            slots[i] = Some(table);
-        }
-        if cache.is_some() && clio_obs::trace::trace_enabled() {
-            for &(_, cost_ns) in &dispatched {
-                clio_obs::hist::record("incr.fd.scheduled", cost_ns);
-            }
-        }
-    }
-    let padded: Vec<Table> = slots
-        .iter()
-        .zip(branches)
-        .map(|(slot, b)| {
-            let table = slot.as_ref().expect("all slots filled");
-            let applicable: Vec<&Expr> = pushed
-                .iter()
-                .zip(pushed_masks)
-                .filter(|&(_, &pm)| pm & b.mask == pm)
-                .map(|(f, _)| f)
-                .collect();
-            if applicable.is_empty() {
-                pad_to(table, &scheme)
-            } else {
-                pad_to(&filter_rows(table, &applicable, funcs)?, &scheme)
-            }
-        })
-        .collect::<Result<_>>()?;
-    let refs: Vec<&Table> = padded.iter().collect();
-    let table = minimum_union_all(&refs, engine_subsumption())?;
-    Ok((AssociationSet::from_table(graph, table), dispatched))
-}
-
-/// Keep the rows passing every filter, preserving order; the filters
-/// must bind against the table's scheme.
-fn filter_rows(table: &Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Table> {
-    let bound: Vec<BoundExpr> = filters
-        .iter()
-        .map(|f| f.bind(table.scheme()))
-        .collect::<Result<_>>()?;
-    let mut out = Table::empty(table.scheme().clone());
-    'rows: for row in table.rows() {
-        for b in &bound {
-            if !b.eval_truth(row, funcs)?.passes() {
-                continue 'rows;
-            }
-        }
-        out.push(row.clone());
-    }
-    Ok(out)
-}
-
 pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The summed compute time of a scheduler's dispatched subgraphs — what
-/// a parent entry must not charge again.
-pub(crate) fn total_ns(dispatched: &[(u64, u64)]) -> u64 {
-    dispatched
-        .iter()
-        .fold(0, |acc, &(_, ns)| acc.saturating_add(ns))
-}
-
-/// The graph-level `D(G)` memo around `compute`, which returns the set
-/// together with the compute time already charged to child entries.
-/// `cache: None` (or a disabled cache) just runs `compute`. With a live
-/// cache, the assembled result is looked up under `tag`
-/// (`"D(G).tree"` / `"D(G).naive"` — the two algorithms emit different
-/// row orders, so they must not share entries) and, on a miss, computed
-/// and inserted charged only its *exclusive* cost.
+/// The graph-level `D(G)` memo around `compute`, which returns the
+/// table with the compute time already charged to child entries. With a
+/// live cache the result is looked up under `tag` (`"D(G).tree"` /
+/// `"D(G).naive"`: the two algorithms emit different row orders) and,
+/// on a miss, computed and inserted charged only its *exclusive* cost.
+/// Returns the table with the time charged to this entry and its
+/// children (0 on a hit); without a live cache it just runs `compute`.
 pub(crate) fn memoized_disjunction(
     graph: &QueryGraph,
     cache: Option<&EvalCache>,
     tag: &str,
-    compute: impl FnOnce() -> Result<(AssociationSet, u64)>,
-) -> Result<AssociationSet> {
+    compute: impl FnOnce() -> Result<(Table, u64)>,
+) -> Result<(Table, u64)> {
     let Some(cache) = cache.filter(|c| c.enabled()) else {
-        return compute().map(|(set, _)| set);
+        return compute();
     };
     let _span = clio_obs::span("incr.fd");
     let fp = graph_fingerprint(graph, cache, tag);
@@ -364,25 +222,22 @@ pub(crate) fn memoized_disjunction(
             },
             timer,
         );
-        return Ok(AssociationSet::from_table(graph, table));
+        return Ok((table, 0));
     }
     let t0 = std::time::Instant::now();
-    let (set, children_ns) = compute()?;
-    let cost_ns = elapsed_ns(t0).saturating_sub(children_ns);
-    cache.insert_costed(fp, relation_deps(graph), set.table(), cost_ns);
+    let (table, children_ns) = compute()?;
+    let total = elapsed_ns(t0);
+    let cost_ns = total.saturating_sub(children_ns);
+    cache.insert_costed(fp, relation_deps(graph), &table, cost_ns);
     clio_obs::hist::finish("incr.fd.cold", timer);
-    Ok(set)
+    Ok((table, total))
 }
 
-/// Compute `D(G)` through the cache. `cache: None` (or a disabled
-/// cache) computes without memoization. With a live cache, the
-/// assembled result is memoized per graph+algorithm, and the naive
-/// algorithm additionally memoizes per-subgraph `F(J)`s (through
-/// the one `F(J)` scheduler over every connected subgraph), so an
-/// edit to one relation recomputes only the subgraphs touching it. The
-/// naive graph-level entry is charged only the exclusive assembly cost
-/// (padding + minimum union); the tree plan has no cached children and
-/// carries its full compute time.
+/// Compute `D(G)` by running the un-pushed `D(G)` subtree
+/// [`Plan::new`](crate::plan::Plan::new) starts from.
+/// With a live cache the result is memoized per graph+algorithm, and the
+/// naive algorithm also memoizes per-subgraph `F(J)`s, so an edit to one
+/// relation recomputes only the subgraphs touching it.
 pub fn full_disjunction_cached(
     db: &Database,
     graph: &QueryGraph,
@@ -390,24 +245,23 @@ pub fn full_disjunction_cached(
     funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
 ) -> Result<AssociationSet> {
-    match algo.resolve(graph) {
-        FdAlgo::OuterJoin => memoized_disjunction(graph, cache, "D(G).tree", || {
-            Ok((full_disjunction_outer_join(db, graph, funcs)?, 0))
-        }),
-        _ => memoized_disjunction(graph, cache, "D(G).naive", || {
-            let branches = annotate_branches(db, graph, &connected_subsets(graph), cache);
-            let (set, dispatched) =
-                full_disjunction_scheduled(db, graph, funcs, cache, &branches, &[], &[])?;
-            Ok((set, total_ns(&dispatched)))
-        }),
-    }
+    let table = disjunction(db, graph, algo, cache)?.run(&Exec {
+        db,
+        funcs,
+        graph,
+        cache,
+    })?;
+    Ok(AssociationSet::from_table(graph, table))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::full_disjunction::full_disjunction;
+    use crate::plan::ir::schedule;
+    use crate::plan::RelExpr;
     use crate::query_graph::Node;
+    use crate::subgraph::connected_subsets;
     use clio_relational::parser::parse_expr;
     use clio_relational::relation::RelationBuilder;
     use clio_relational::value::DataType;
@@ -544,14 +398,26 @@ mod tests {
         assert!(s.hits >= 1, "memory tier never hit: {s:?}");
     }
 
-    /// One scheduler run over every connected subgraph of `g`.
+    /// One union run over every connected subgraph of `g`.
     fn schedule_all(g: &QueryGraph, cache: &EvalCache) -> (Vec<BranchInfo>, Vec<(u64, u64)>) {
-        let branches = annotate_branches(&db(), g, &connected_subsets(g), Some(cache));
-        let (set, dispatched) =
-            full_disjunction_scheduled(&db(), g, &funcs(), Some(cache), &branches, &[], &[])
-                .unwrap();
-        let plain = full_disjunction(&db(), g, FdAlgo::Naive, &funcs()).unwrap();
-        assert_eq!(plain.table().rows(), set.table().rows());
+        let (db, funcs) = (db(), funcs());
+        let RelExpr::Union {
+            inputs,
+            branches,
+            pad,
+        } = disjunction(&db, g, FdAlgo::Naive, Some(cache)).unwrap()
+        else {
+            panic!("naive D(G) is a union");
+        };
+        let ex = Exec {
+            db: &db,
+            funcs: &funcs,
+            graph: g,
+            cache: Some(cache),
+        };
+        let (table, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+        let plain = full_disjunction(&db, g, FdAlgo::Naive, &funcs).unwrap();
+        assert_eq!(plain.table().rows(), table.rows());
         (branches, dispatched)
     }
 

@@ -16,12 +16,12 @@
 //! ```
 //!
 //! evaluated by compiling the mapping to its [`Plan`](crate::plan::Plan)
-//! — which computes `D(G)`, with source filters pushed below the minimum
-//! union where that is answer-invisible — and one evaluator pass over
-//! the resulting associations.
+//! — that algebra tree, with source filters pushed below the minimum
+//! union where that is answer-invisible — and running the tree.
 
 use std::fmt;
 
+use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
@@ -34,6 +34,8 @@ use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
 use crate::full_disjunction::{full_disjunction, FdAlgo};
+use crate::incremental::{elapsed_ns, mapping_fingerprint, relation_deps};
+use crate::plan::Exec;
 use crate::query_graph::QueryGraph;
 
 /// A schema mapping from a set of source relations to one target relation.
@@ -247,8 +249,14 @@ impl Mapping {
     }
 
     /// Prepare an evaluator with all expressions bound.
-    pub fn evaluator(&self, db: &Database, funcs: &FuncRegistry) -> Result<MappingEvaluator> {
-        MappingEvaluator::new(self, db, funcs)
+    pub fn evaluator(&self, db: &Database, _funcs: &FuncRegistry) -> Result<MappingEvaluator> {
+        MappingEvaluator::bind(
+            &self.correspondences,
+            &self.target,
+            &self.graph.scheme(db)?,
+            &self.source_filters,
+            &self.target_filters,
+        )
     }
 
     /// Evaluate the mapping query: the subset of the target relation this
@@ -260,11 +268,9 @@ impl Mapping {
     /// Like [`Mapping::evaluate`], routed through an incremental cache:
     /// the result table is memoized per full mapping state under its
     /// `"Q(M)"` fingerprint. On a miss the mapping's
-    /// [`Plan`](crate::plan::Plan) is built and run — its
-    /// full-disjunction stage memoizes `D(G)` / `F(J)` layers of its own
-    /// — followed by one evaluator pass that applies the source filters,
-    /// the projection and the target filters per association. `None` is
-    /// the same pipeline without memoization.
+    /// [`Plan`](crate::plan::Plan) is built and its tree run — its
+    /// `D(G)` stage memoizes `D(G)` / `F(J)` layers of its own. `None`
+    /// is the same pipeline without memoization.
     pub fn evaluate_cached(
         &self,
         db: &Database,
@@ -273,37 +279,26 @@ impl Mapping {
     ) -> Result<Table> {
         let _span = clio_obs::span("mapping.evaluate");
         let cache = cache.filter(|c| c.enabled());
-        let fp = cache.map(|c| crate::incremental::mapping_fingerprint(self, c));
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            if let Some(table) = c.get(fp) {
-                return Ok(table);
-            }
+        let fp = cache.map(|c| mapping_fingerprint(self, c));
+        if let Some(table) = cache.zip(fp).and_then(|(c, fp)| c.get(fp)) {
+            return Ok(table);
         }
         let t0 = std::time::Instant::now();
         let plan = crate::plan::Plan::new(self, db, funcs, cache)?;
-        let t_fd = std::time::Instant::now();
-        let assocs = plan.associations(db, funcs, cache)?;
-        // Exclusive cost: the association step memoizes its own layers,
-        // so this entry is charged only the plan/projection/filter work a
-        // recompute would redo when those layers are warm. Charging the
-        // whole pipeline would double-count the children and hand this
-        // low-reuse aggregate an inflated eviction priority.
-        let inner_ns = crate::incremental::elapsed_ns(t_fd);
-        let eval = self.evaluator(db, funcs)?;
-        let mut out = Table::empty(self.target_scheme());
-        for i in 0..assocs.len() {
-            if let Some(row) = eval.target_row_if_passing(assocs.row(i), funcs)? {
-                out.push_distinct(row);
-            }
-        }
-        if let (Some(c), Some(fp)) = (cache, fp) {
-            let cost_ns = crate::incremental::elapsed_ns(t0).saturating_sub(inner_ns);
-            c.insert_costed(
-                fp,
-                crate::incremental::relation_deps(&self.graph),
-                &out,
-                cost_ns,
-            );
+        metrics::incr(Counter::PlanEvals);
+        let ex = Exec {
+            db,
+            funcs,
+            graph: &self.graph,
+            cache,
+        };
+        let (out, charged) = plan.root().run_costed(&ex)?;
+        if let Some((c, fp)) = cache.zip(fp) {
+            // Exclusive cost: charging the time already charged to the
+            // `D(G)` / `F(J)` entries again would hand this low-reuse
+            // aggregate an inflated eviction priority.
+            let cost_ns = elapsed_ns(t0).saturating_sub(charged);
+            c.insert_costed(fp, relation_deps(&self.graph), &out, cost_ns);
         }
         Ok(out)
     }
@@ -380,27 +375,32 @@ pub struct MappingEvaluator {
 }
 
 impl MappingEvaluator {
-    fn new(mapping: &Mapping, db: &Database, _funcs: &FuncRegistry) -> Result<MappingEvaluator> {
-        let scheme = mapping.graph.scheme(db)?;
-        let tscheme = mapping.target_scheme();
-        let mut slots = Vec::with_capacity(mapping.target.arity());
-        for attr in mapping.target.attrs() {
-            let slot = match mapping.correspondence_for(&attr.name) {
-                Some(v) => Some(v.expr.bind(&scheme)?),
-                None => None,
-            };
-            slots.push(slot);
-        }
+    /// Bind the correspondences and source filters against `scheme` and
+    /// the target filters against the target relation's scheme. The
+    /// first correspondence for a target attribute populates it.
+    pub(crate) fn bind<'e>(
+        correspondences: &[ValueCorrespondence],
+        target: &RelSchema,
+        scheme: &Scheme,
+        source_filters: impl IntoIterator<Item = &'e Expr>,
+        target_filters: impl IntoIterator<Item = &'e Expr>,
+    ) -> Result<MappingEvaluator> {
+        let tscheme = Scheme::of_relation(target, target.name());
         Ok(MappingEvaluator {
-            slots,
-            source_filters: mapping
-                .source_filters
+            slots: target
+                .attrs()
                 .iter()
-                .map(|e| e.bind(&scheme))
+                .map(|a| {
+                    let v = correspondences.iter().find(|v| v.target_attr == a.name);
+                    v.map(|v| v.expr.bind(scheme)).transpose()
+                })
                 .collect::<Result<_>>()?,
-            target_filters: mapping
-                .target_filters
-                .iter()
+            source_filters: source_filters
+                .into_iter()
+                .map(|e| e.bind(scheme))
+                .collect::<Result<_>>()?,
+            target_filters: target_filters
+                .into_iter()
                 .map(|e| e.bind(&tscheme))
                 .collect::<Result<_>>()?,
         })

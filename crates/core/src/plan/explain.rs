@@ -10,15 +10,15 @@
 use clio_relational::schema::format_ident;
 
 use super::ir::{FilterScope, RelExpr};
-use super::{Plan, PlanAlgo};
+use super::Plan;
 
 /// Render `plan` as the multi-line `explain` tree.
 #[must_use]
 pub(super) fn render(plan: &Plan) -> String {
     let mut out = String::new();
-    let algo = match plan.algo {
-        PlanAlgo::OuterJoin => "outer-join (tree)",
-        PlanAlgo::Naive => "minimum-union (cyclic)",
+    let algo = match plan.disjunction() {
+        RelExpr::Union { .. } => "minimum-union (cyclic)",
+        _ => "outer-join (tree)",
     };
     out.push_str(&format!(
         "plan for {} — {algo}",
@@ -96,14 +96,14 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
     out.push_str(head);
     out.push_str(&label(plan, e));
     out.push('\n');
-    let children: Vec<&RelExpr> = match e {
-        RelExpr::Scan { .. } => Vec::new(),
-        RelExpr::Join { left, right, .. } => vec![left, right],
-        RelExpr::Filter { input, .. } => vec![input],
-        RelExpr::Union { inputs, .. } => inputs.iter().collect(),
-        RelExpr::Project { input, .. } => vec![input],
+    let (children, branches): (Vec<&RelExpr>, &[_]) = match e {
+        RelExpr::Scan { .. } => (Vec::new(), &[]),
+        RelExpr::Join { left, right, .. } => (vec![left, right], &[]),
+        RelExpr::Filter { input, .. } | RelExpr::Project { input, .. } => (vec![input], &[]),
+        RelExpr::Union {
+            inputs, branches, ..
+        } => (inputs.iter().collect(), branches),
     };
-    let is_union = matches!(e, RelExpr::Union { .. });
     for (i, child) in children.iter().enumerate() {
         let last = i + 1 == children.len();
         let (branch, cont) = if last {
@@ -113,9 +113,8 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
         };
         let head = format!("{tail}{branch}");
         let tail = format!("{tail}{cont}");
-        if is_union {
+        if let Some(b) = branches.get(i) {
             // annotate the branch with its subgraph and schedule info
-            let b = plan.branches[i];
             let members: Vec<String> = plan
                 .mapping
                 .graph

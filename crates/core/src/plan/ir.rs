@@ -1,4 +1,4 @@
-//! The planner's relational-algebra IR.
+//! The planner's relational-algebra IR and its interpreter.
 //!
 //! A [`RelExpr`] tree describes a mapping query `Q(M)` as algebra over
 //! the source relations: scans joined into per-subgraph `F(J)` chains
@@ -11,27 +11,33 @@
 //! point where it is bound — the invariant the filter-pushdown rewrite
 //! must preserve.
 //!
-//! The join chains are also the executed form: [`chain_ir`] builds the
-//! `Scan`/`Join` chain of one subgraph (or of the whole tree), and
-//! [`RelExpr::run_chain`] runs it. `F(J)`
-//! ([`full_associations`](crate::full_disjunction::full_associations))
-//! and the tree plan's outer-join chain
-//! ([`full_disjunction_outer_join`](crate::full_disjunction::full_disjunction_outer_join))
-//! are both computed that way, so the order `explain` prints is the
-//! order that runs.
+//! The tree is also the executed form: [`RelExpr::run`] interprets it
+//! against an [`Exec`], one arm per node kind. `F(J)`
+//! ([`full_associations`](crate::full_disjunction::full_associations)),
+//! `D(G)` ([`full_disjunction_cached`](crate::incremental::full_disjunction_cached))
+//! and every `Q(M)` ([`Mapping::evaluate_cached`](crate::mapping::Mapping::evaluate_cached))
+//! are computed that way, so the tree `explain` prints is the code that
+//! runs — which subgraphs, which filters where, in which join order.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
+use clio_incr::{EvalCache, Fingerprint};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
-use clio_relational::expr::Expr;
+use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{join, JoinKind};
+use clio_relational::ops::{join, minimum_union_all, pad_to, JoinKind};
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 
 use crate::correspondence::ValueCorrespondence;
+use crate::full_disjunction::engine_subsumption;
+use crate::incremental::{
+    elapsed_ns, mask_deps, memoized_disjunction, subgraph_fingerprint, BranchInfo,
+};
+use crate::mapping::MappingEvaluator;
 use crate::query_graph::{NodeId, QueryGraph};
 
 /// Which predicate class a [`RelExpr::Filter`] node carries.
@@ -45,11 +51,9 @@ pub enum FilterScope {
 
 /// A node of the planner's algebra.
 ///
-/// The variants mirror exactly the operations the engine's evaluation
-/// pipeline performs, so a plan is an honest description of the work:
-/// the join chains are executed as built ([`RelExpr::run_chain`]), and
-/// the union, filters and projection run in the order the tree gives
-/// (which subgraphs, which filters where).
+/// Every variant is an operation [`RelExpr::run`] executes, so a plan is
+/// an honest description of the work: the join chains, the union, the
+/// filters and the projection run in the order the tree gives.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RelExpr {
     /// A base-relation scan, qualified by its node alias.
@@ -90,8 +94,12 @@ pub enum RelExpr {
     /// then subsumed and duplicate rows are removed, keeping first
     /// occurrences — `F(J₁) ⊕ … ⊕ F(Jₖ)` of the naive full disjunction.
     Union {
-        /// One branch per induced connected subgraph, canonical order.
+        /// One branch per induced connected subgraph, canonical order:
+        /// its `F(J)` chain, under any filters pushed onto it.
         inputs: Vec<RelExpr>,
+        /// Scheduling annotations parallel to `inputs`: each branch's
+        /// node mask, warmth and estimated recompute cost.
+        branches: Vec<BranchInfo>,
         /// The full graph scheme every branch is padded to.
         pad: Scheme,
     },
@@ -107,7 +115,33 @@ pub enum RelExpr {
     },
 }
 
+/// What a plan runs against: the source database and scalar functions,
+/// the query graph the [`RelExpr::Union`] branch masks index, and the
+/// cache that memoizes `F(J)` and `D(G)` (`None` or disabled: nothing is
+/// memoized).
+pub struct Exec<'a> {
+    /// The source database.
+    pub db: &'a Database,
+    /// Scalar functions for predicates and correspondences.
+    pub funcs: &'a FuncRegistry,
+    /// The query graph the plan was built from.
+    pub graph: &'a QueryGraph,
+    /// The incremental cache, if any.
+    pub cache: Option<&'a EvalCache>,
+}
+
 impl RelExpr {
+    /// This node under a [`RelExpr::Filter`].
+    #[must_use]
+    pub fn filtered(self, predicate: &Expr, scope: FilterScope, pushed: bool) -> RelExpr {
+        RelExpr::Filter {
+            input: Box::new(self),
+            predicate: predicate.clone(),
+            scope,
+            pushed,
+        }
+    }
+
     /// The aliases whose columns this node's *output* provides — the
     /// variables a parent's predicate may reference.
     ///
@@ -142,54 +176,35 @@ impl RelExpr {
     }
 
     fn collect_free(&self, free: &mut BTreeSet<String>) {
-        match self {
-            RelExpr::Scan { .. } => {}
+        let (inputs, refs): (Vec<&RelExpr>, Vec<&Expr>) = match self {
+            RelExpr::Scan { .. } => (Vec::new(), Vec::new()),
             RelExpr::Join {
                 left,
                 right,
                 predicate,
                 ..
-            } => {
-                left.collect_free(free);
-                right.collect_free(free);
-                let mut bound = left.bound_vars();
-                bound.extend(right.bound_vars());
-                for q in predicate.qualifiers() {
-                    if !bound.contains(q) {
-                        free.insert(q.to_owned());
-                    }
-                }
-            }
+            } => (vec![left, right], vec![predicate]),
             RelExpr::Filter {
                 input, predicate, ..
-            } => {
-                input.collect_free(free);
-                let bound = input.bound_vars();
-                for q in predicate.qualifiers() {
-                    if !bound.contains(q) {
-                        free.insert(q.to_owned());
-                    }
-                }
-            }
-            RelExpr::Union { inputs, .. } => {
-                for i in inputs {
-                    i.collect_free(free);
-                }
-            }
+            } => (vec![input], vec![predicate]),
+            RelExpr::Union { inputs, .. } => (inputs.iter().collect(), Vec::new()),
             RelExpr::Project {
                 input,
                 correspondences,
                 ..
-            } => {
-                input.collect_free(free);
-                let bound = input.bound_vars();
-                for v in correspondences {
-                    for q in v.expr.qualifiers() {
-                        if !bound.contains(q) {
-                            free.insert(q.to_owned());
-                        }
-                    }
-                }
+            } => (
+                vec![input],
+                correspondences.iter().map(|v| &v.expr).collect(),
+            ),
+        };
+        let mut bound = BTreeSet::new();
+        for input in inputs {
+            input.collect_free(free);
+            bound.extend(input.bound_vars());
+        }
+        for q in refs.iter().flat_map(|e| e.qualifiers()) {
+            if !bound.contains(q) {
+                free.insert(q.to_owned());
             }
         }
     }
@@ -206,7 +221,8 @@ impl RelExpr {
         }
     }
 
-    /// Infer this node's output scheme against a database.
+    /// Infer this node's output scheme against a database (a tree's
+    /// `D(G)` chain runs with its columns in graph-scheme order).
     pub fn scheme(&self, db: &Database) -> Result<Scheme> {
         match self {
             RelExpr::Scan { alias, relation } => {
@@ -219,37 +235,237 @@ impl RelExpr {
         }
     }
 
-    /// Execute a join chain: a `Scan` reads its relation qualified by its
-    /// alias, a `Join` joins its evaluated inputs (full outer when
-    /// `outer`, counting `fd.outer_join_steps`; inner otherwise). Other
-    /// node kinds are not chain nodes and are rejected.
-    pub fn run_chain(&self, db: &Database, funcs: &FuncRegistry) -> Result<Table> {
+    /// Execute the tree. The un-pushed `D(G)` node — a [`RelExpr::Union`]
+    /// with no filter on any branch, or an outer-join chain over every
+    /// node of `ex.graph` (a lone `Scan` on a one-node graph) — is
+    /// memoized under `"D(G).naive"` / `"D(G).tree"` when `ex.cache` is
+    /// live; every other node is computed on each run.
+    pub fn run(&self, ex: &Exec) -> Result<Table> {
+        self.run_costed(ex).map(|(table, _)| table)
+    }
+
+    /// [`RelExpr::run`], also returning the compute time (ns) charged to
+    /// the cache entries this run inserted — what a parent entry must not
+    /// charge again.
+    pub(crate) fn run_costed(&self, ex: &Exec) -> Result<(Table, u64)> {
         match self {
-            RelExpr::Scan { alias, relation } => Ok(db.relation(relation)?.to_table(alias)),
+            RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
+                if self.bound_vars().len() == ex.graph.node_count() =>
+            {
+                memoized_disjunction(ex.graph, ex.cache, "D(G).tree", || {
+                    let _span = clio_obs::span("fd.outer_join");
+                    let (table, charged) = self.eval(ex)?;
+                    // reorder columns into the canonical graph scheme
+                    Ok((pad_to(&table, &ex.graph.scheme(ex.db)?)?, charged))
+                })
+            }
+            RelExpr::Union { inputs, .. }
+                if !inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
+            {
+                memoized_disjunction(ex.graph, ex.cache, "D(G).naive", || self.eval(ex))
+            }
+            _ => self.eval(ex),
+        }
+    }
+
+    /// One arm per node kind: a `Scan` reads its relation qualified by
+    /// its alias; a `Join` joins its evaluated inputs (full outer when
+    /// `outer`, counting `fd.outer_join_steps`); a `Union` schedules its
+    /// branches ([`schedule`]); a stack of `Filter`s keeps the rows of
+    /// the node beneath passing every predicate — over a `Project`, as
+    /// the projection builds its distinct target rows ([`project`]).
+    fn eval(&self, ex: &Exec) -> Result<(Table, u64)> {
+        match self {
+            RelExpr::Scan { alias, relation } => Ok((ex.db.relation(relation)?.to_table(alias), 0)),
             RelExpr::Join {
                 left,
                 right,
                 predicate,
                 outer,
             } => {
-                let left = left.run_chain(db, funcs)?;
-                let right = right.run_chain(db, funcs)?;
+                let (left, l_ns) = left.run_costed(ex)?;
+                let (right, r_ns) = right.run_costed(ex)?;
                 let kind = if *outer {
                     JoinKind::FullOuter
                 } else {
                     JoinKind::Inner
                 };
-                let out = join(&left, &right, predicate, kind, funcs)?;
+                let out = join(&left, &right, predicate, kind, ex.funcs)?;
                 if *outer {
                     metrics::incr(Counter::OuterJoinSteps);
                 }
-                Ok(out)
+                Ok((out, l_ns.saturating_add(r_ns)))
             }
-            _ => Err(Error::Invalid(
-                "only Scan/Join chains execute directly".into(),
-            )),
+            RelExpr::Filter { .. } | RelExpr::Project { .. } => match self.filters() {
+                (
+                    RelExpr::Project {
+                        input,
+                        correspondences,
+                        target,
+                    },
+                    filters,
+                ) => project(ex, input, correspondences, target, &filters),
+                (base, filters) => {
+                    let (table, charged) = base.run_costed(ex)?;
+                    Ok((keep(table, &filters, ex.funcs)?, charged))
+                }
+            },
+            RelExpr::Union {
+                inputs,
+                branches,
+                pad,
+            } => {
+                let (table, dispatched) = schedule(ex, inputs, branches, pad)?;
+                Ok((table, dispatched.iter().map(|&(_, ns)| ns).sum()))
+            }
         }
     }
+
+    /// The node beneath a stack of `Filter`s, and their predicates,
+    /// innermost first (`self` and none when it is not a filter).
+    fn filters(&self) -> (&RelExpr, Vec<&Expr>) {
+        match self {
+            RelExpr::Filter {
+                input, predicate, ..
+            } => {
+                let (base, mut filters) = input.filters();
+                filters.push(predicate);
+                (base, filters)
+            }
+            base => (base, Vec::new()),
+        }
+    }
+}
+
+/// Run a `Project` together with the `filters` stacked on it: the
+/// correspondences and filters are bound once, and each input row's
+/// target row is offered to the distinct output only when it passes
+/// every filter, so rows the target filters reject are never hashed.
+fn project(
+    ex: &Exec,
+    input: &RelExpr,
+    correspondences: &[ValueCorrespondence],
+    target: &RelSchema,
+    filters: &[&Expr],
+) -> Result<(Table, u64)> {
+    let (table, charged) = input.run_costed(ex)?;
+    let eval = MappingEvaluator::bind(
+        correspondences,
+        target,
+        table.scheme(),
+        [],
+        filters.iter().copied(),
+    )?;
+    let mut out = Table::empty(Scheme::of_relation(target, target.name()));
+    for row in table.rows() {
+        if let Some(projected) = eval.target_row_if_passing(row, ex.funcs)? {
+            out.push_distinct(projected);
+        }
+    }
+    Ok((out, charged))
+}
+
+/// Keep the rows of `table` passing every filter, in order.
+fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Table> {
+    if filters.is_empty() {
+        return Ok(table);
+    }
+    let filters: Vec<BoundExpr> = filters
+        .iter()
+        .map(|f| f.bind(table.scheme()))
+        .collect::<Result<_>>()?;
+    let pass: Vec<bool> = table
+        .rows()
+        .iter()
+        .map(|row| {
+            filters
+                .iter()
+                .try_fold(true, |ok, f| Ok(ok && f.eval_truth(row, funcs)?.passes()))
+        })
+        .collect::<Result<_>>()?;
+    let mut pass = pass.into_iter();
+    table.rows_mut().retain(|_| pass.next() == Some(true));
+    Ok(table)
+}
+
+/// The minimum union of a [`RelExpr::Union`]'s branches, in their
+/// (canonical) order. With a live cache each branch's *unfiltered* chain
+/// is looked up under its [`subgraph_fingerprint`] (counted, in branch
+/// order). The misses run on the worker pool longest-estimated-first, so
+/// a straggler does not serialize the tail, and are inserted unfiltered
+/// with their measured recompute time; `fd.subgraphs` counts them. Each
+/// branch's pushed filters then apply, the result is padded to `pad`,
+/// and one n-ary minimum union follows branch order — byte-identical
+/// whatever was warm and however the misses ran. Returns the table with
+/// the computed `(mask, cost_ns)` pairs in branch order.
+pub(crate) fn schedule(
+    ex: &Exec,
+    inputs: &[RelExpr],
+    branches: &[BranchInfo],
+    pad: &Scheme,
+) -> Result<(Table, Vec<(u64, u64)>)> {
+    let _span = clio_obs::span("fd.naive");
+    let cache = ex.cache.filter(|c| c.enabled());
+    let fps: Vec<Option<Fingerprint>> = branches
+        .iter()
+        .map(|b| cache.map(|c| subgraph_fingerprint(ex.graph, b.mask, c)))
+        .collect();
+    let mut slots: Vec<Option<Table>> = fps
+        .iter()
+        .map(|&fp| cache.zip(fp).and_then(|(c, fp)| c.get(fp)))
+        .collect();
+    let missing: Vec<usize> = (0..branches.len())
+        .filter(|&i| slots[i].is_none())
+        .collect();
+    let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
+    if !missing.is_empty() {
+        // Longest-estimated-first dispatch; results return in input
+        // (canonical) order, so scheduling is answer-invisible.
+        let mut order: Vec<usize> = (0..missing.len()).collect();
+        order.sort_by_key(|&p| (Reverse(branches[missing[p]].estimate), p));
+        let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
+            &missing,
+            &order,
+            "fd.naive.worker",
+            |_, &i| -> Result<(Table, u64)> {
+                // Unconditional timing (unlike hist::start, which is
+                // trace-gated): the cost model needs real measurements
+                // even when tracing is off.
+                let t0 = std::time::Instant::now();
+                // `eval`: a branch chain is an `F(J)`, never the memoized
+                // `D(G)`, even when it spans a one-node graph
+                let (table, _) = inputs[i].filters().0.eval(ex)?;
+                Ok((table, elapsed_ns(t0)))
+            },
+        )
+        .into_iter()
+        .collect::<Result<_>>()?;
+        metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
+        for (&i, (table, cost_ns)) in missing.iter().zip(fresh) {
+            let mask = branches[i].mask;
+            if let Some((c, fp)) = cache.zip(fps[i]) {
+                c.insert_costed(fp, mask_deps(ex.graph, mask), &table, cost_ns);
+            }
+            dispatched.push((mask, cost_ns));
+            slots[i] = Some(table);
+        }
+        if cache.is_some() && clio_obs::trace::trace_enabled() {
+            for &(_, cost_ns) in &dispatched {
+                clio_obs::hist::record("incr.fd.scheduled", cost_ns);
+            }
+        }
+    }
+    let padded: Vec<Table> = slots
+        .into_iter()
+        .zip(inputs)
+        .map(|(slot, input)| {
+            let table = slot.expect("all slots filled");
+            pad_to(&keep(table, &input.filters().1, ex.funcs)?, pad)
+        })
+        .collect::<Result<_>>()?;
+    let refs: Vec<&Table> = padded.iter().collect();
+    let table = minimum_union_all(&refs, engine_subsumption())?;
+    Ok((table, dispatched))
 }
 
 /// The left-deep join chain over the connected node set `mask`: nodes in
@@ -390,7 +606,10 @@ fn is_strict_scalar(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_relational::ops::{project, select};
     use clio_relational::parser::parse_expr;
+    use clio_relational::schema::{Attribute, Column};
+    use clio_relational::value::{DataType, Value};
 
     fn scan(alias: &str, relation: &str) -> RelExpr {
         RelExpr::Scan {
@@ -462,9 +681,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chains_close_cycles_and_only_chains_run() {
+    /// The cycle A–B–C over `x`, with data for `A(x, y)`, `B(x, z)` and
+    /// `C(x, w)`.
+    fn cycle() -> (QueryGraph, Database) {
         use crate::query_graph::Node;
+        use clio_relational::relation::RelationBuilder;
         let mut g = QueryGraph::new();
         for r in ["A", "B", "C"] {
             g.add_node(Node::new(r)).unwrap();
@@ -472,6 +693,38 @@ mod tests {
         g.add_edge(0, 1, parse_expr("A.x = B.x").unwrap()).unwrap();
         g.add_edge(1, 2, parse_expr("B.x = C.x").unwrap()).unwrap();
         g.add_edge(0, 2, parse_expr("A.x = C.x").unwrap()).unwrap();
+        let mut db = Database::new();
+        for (name, col, rows) in [
+            (
+                "A",
+                ("y", DataType::Int),
+                vec![(1, 1.into()), (2, 5.into()), (3, 7.into())],
+            ),
+            (
+                "B",
+                ("z", DataType::Str),
+                vec![(2, Value::Null), (3, "b3".into()), (4, "b4".into())],
+            ),
+            (
+                "C",
+                ("w", DataType::Str),
+                vec![(3, "c3".into()), (5, "c5".into())],
+            ),
+        ] {
+            let mut r = RelationBuilder::new(name)
+                .attr("x", DataType::Int)
+                .attr(col.0, col.1);
+            for (x, v) in rows {
+                r = r.row(vec![Value::Int(x), v]);
+            }
+            db.add_relation(r.build().unwrap()).unwrap();
+        }
+        (g, db)
+    }
+
+    #[test]
+    fn chains_close_cycles_and_every_node_kind_runs() {
+        let (g, db) = cycle();
         // BFS from A joins B, then C on both of its edges into {A, B}
         let RelExpr::Join {
             left,
@@ -493,14 +746,107 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["B".to_owned(), "C".to_owned()]
         );
-        let filter = RelExpr::Filter {
-            input: Box::new(scan("A", "A")),
-            predicate: parse_expr("A.x = 1").unwrap(),
-            scope: FilterScope::Source,
-            pushed: false,
+
+        // a hand-built tree over all five node kinds: a target filter
+        // over a projection over a source filter over a union of three
+        // branches, the first under a pushed filter
+        let src = parse_expr("A.y > 1").unwrap();
+        let masks = [0b001, 0b011, 0b111];
+        let pad = g.scheme(&db).unwrap();
+        let union = RelExpr::Union {
+            inputs: vec![
+                scan("A", "A").filtered(&src, FilterScope::Source, true),
+                chain_ir(&g, masks[1], false),
+                chain_ir(&g, masks[2], false),
+            ],
+            branches: masks
+                .iter()
+                .map(|&mask| BranchInfo {
+                    mask,
+                    estimate: 1,
+                    warm: false,
+                })
+                .collect(),
+            pad: pad.clone(),
         };
-        let db = Database::new();
+        let target = RelSchema::new(
+            "T",
+            vec![
+                Attribute::new("y", DataType::Int),
+                Attribute::new("z", DataType::Str),
+                Attribute::new("u", DataType::Str),
+            ],
+        )
+        .unwrap();
+        let tree = RelExpr::Project {
+            input: Box::new(union.filtered(&src, FilterScope::Source, false)),
+            correspondences: vec![
+                ValueCorrespondence::identity("B.z", "z"),
+                ValueCorrespondence::identity("A.y", "y"),
+            ],
+            target,
+        }
+        .filtered(
+            &parse_expr("T.z IS NOT NULL").unwrap(),
+            FilterScope::Target,
+            false,
+        );
+        tree.check().unwrap();
+
+        // the reference: the same algebra with the relational operators
         let funcs = FuncRegistry::with_builtins();
-        assert!(filter.run_chain(&db, &funcs).is_err());
+        let table = |r: &str| db.relation(r).unwrap().to_table(r);
+        let on = |e: &str| parse_expr(e).unwrap();
+        let ab = join(
+            &table("A"),
+            &table("B"),
+            &on("A.x = B.x"),
+            JoinKind::Inner,
+            &funcs,
+        )
+        .unwrap();
+        let abc = join(
+            &ab,
+            &table("C"),
+            &on("B.x = C.x AND A.x = C.x"),
+            JoinKind::Inner,
+            &funcs,
+        )
+        .unwrap();
+        let padded: Vec<Table> = [select(&table("A"), &src, &funcs).unwrap(), ab, abc]
+            .iter()
+            .map(|t| pad_to(t, &pad).unwrap())
+            .collect();
+        let refs: Vec<&Table> = padded.iter().collect();
+        let unioned = minimum_union_all(&refs, engine_subsumption()).unwrap();
+        let col = |name: &str, ty| Column::new("T", name, ty);
+        let mut projected = project(
+            &select(&unioned, &src, &funcs).unwrap(),
+            &[
+                (on("A.y"), col("y", DataType::Int)),
+                (on("B.z"), col("z", DataType::Str)),
+                (Expr::Literal(Value::Null), col("u", DataType::Str)),
+            ],
+            &funcs,
+        )
+        .unwrap();
+        projected.dedup();
+        let expected = select(&projected, &on("T.z IS NOT NULL"), &funcs).unwrap();
+        assert_eq!(expected.len(), 1, "A2's null z is trimmed, A3–B3–C3 stays");
+
+        let cache = EvalCache::new();
+        for cache in [None, Some(&cache), Some(&cache)] {
+            let ex = Exec {
+                db: &db,
+                funcs: &funcs,
+                graph: &g,
+                cache,
+            };
+            let got = tree.run(&ex).unwrap();
+            assert_eq!(got.scheme(), expected.scheme());
+            assert_eq!(got.rows(), expected.rows());
+        }
+        // the second cached run served every branch's F(J) from the cache
+        assert_eq!(cache.stats().hits, 3);
     }
 }

@@ -1,97 +1,95 @@
 //! The mapping query's executable plan: a typed relational-algebra IR
-//! over `Q(M)`, two rewrites, and the executor every evaluation runs.
+//! over `Q(M)`, two rewrites, and the one interpreter every evaluation
+//! runs.
 //!
 //! [`Plan::new`] lowers a [`Mapping`] into a [`RelExpr`] tree — the
 //! per-subgraph `F(J)` join chains (or the left-deep outer-join chain on
 //! trees), the minimum union, source/target filters, and the projection
-//! onto the target schema. [`Mapping::evaluate_cached`] builds a plan on
-//! every `Q(M)` cache miss and runs it; there is no other evaluator. Two
-//! rewrites are always on:
+//! onto the target schema — starting from the un-pushed `D(G)` subtree
+//! that [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
+//! runs. [`Mapping::evaluate_cached`] runs the tree with [`RelExpr::run`]
+//! on every `Q(M)` cache miss; there is no other evaluator. Two rewrites
+//! are always on:
 //!
 //! 1. **Filter pushdown.** A source filter that is *strong* (not true on
 //!    an all-null row, [`Expr::is_strong`]) and *extension-stable* (once
 //!    true, still true on any row refining its nulls,
 //!    [`is_extension_stable`]) commutes with the subsumption pass of the
-//!    minimum union: a row's subsumers are exactly its extensions, so
-//!    the filter can never keep a row while dropping the subsumer that
-//!    would have replaced it, and exact duplicates filter identically.
-//!    Such a filter is therefore pushed below the union into every
-//!    subgraph branch that binds all of its aliases, and any branch
-//!    sharing *no* alias with it is **pruned** outright — every row the
-//!    branch contributes is all-null on the filter's columns after
-//!    padding, so a strong filter rejects them all. Branches binding
-//!    only some aliases stay unfiltered; the authoritative top-level
-//!    filters run regardless, so the rewrite only shrinks intermediate
-//!    results and can never change the answer.
-//! 2. **Warmth-guided subgraph ordering.** Each surviving subgraph is
-//!    classified warm/cold via a non-promoting [`EvalCache::peek`] and
-//!    priced via [`EvalCache::estimate_cost`] (sibling cost history,
-//!    falling back to a row-count heuristic). The scheduler dispatches
-//!    cold subgraphs longest-estimated-first so a straggler cannot
-//!    serialize the tail; assembly stays in canonical subgraph order,
-//!    keeping the output byte-identical.
+//!    minimum union: a row's subsumers are exactly its extensions, and
+//!    exact duplicates filter identically. Such a filter is pushed into
+//!    every union branch that binds all of its aliases, and any branch
+//!    sharing *no* alias with it is **pruned** — after padding its rows
+//!    are all-null on the filter's columns, which a strong filter
+//!    rejects. The authoritative top-level filters run regardless, so
+//!    the rewrite only shrinks intermediate results.
+//! 2. **Warmth-guided subgraph ordering.** Each branch is classified
+//!    warm/cold via a non-promoting [`EvalCache::peek`] and priced via
+//!    [`EvalCache::estimate_cost`] (falling back to a row-count
+//!    heuristic); the union dispatches cold branches
+//!    longest-estimated-first and assembles in canonical order.
 //!
-//! The full-disjunction stage runs through the incremental layer's one
-//! scheduler and shares its per-subgraph `F(J)` entries — entries hold
-//! *unfiltered* tables, pushed filters are applied after retrieval — and
-//! its graph-level `D(G)` memo whenever nothing was pushed. Property
-//! tests in `tests/properties.rs` replay random graphs × random filters
-//! against a no-pushdown reference and assert byte equality. See
-//! `docs/planner.md`.
+//! `F(J)` entries hold *unfiltered* tables, so pushed and un-pushed
+//! plans share them. Property tests in `tests/properties.rs` replay
+//! random graphs × random filters against a no-pushdown reference and
+//! assert byte equality. See `docs/planner.md`.
 
 pub mod explain;
 pub mod ir;
 
-pub use ir::{chain_ir, is_extension_stable, FilterScope, RelExpr};
+pub use ir::{chain_ir, is_extension_stable, Exec, FilterScope, RelExpr};
 
 pub use crate::incremental::BranchInfo;
 
 use clio_incr::EvalCache;
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
-use clio_relational::error::Result;
+use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
 
-use crate::association::AssociationSet;
 use crate::full_disjunction::FdAlgo;
-use crate::incremental::{
-    annotate_branches, full_disjunction_cached, full_disjunction_scheduled, memoized_disjunction,
-    total_ns,
-};
+use crate::incremental::annotate_branches;
 use crate::mapping::Mapping;
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
-/// The full-disjunction strategy a plan commits to — the resolution of
-/// [`FdAlgo::Auto`] made explicit at plan time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanAlgo {
-    /// Tree graph: left-deep full outer joins, no subgraph enumeration.
-    OuterJoin,
-    /// Cyclic graph: minimum union over all induced connected subgraphs.
-    Naive,
-}
-
-/// An executable plan for one mapping query.
-///
-/// Built by [`Plan::new`]; its full-disjunction stage runs with
-/// [`Plan::associations`] (the rest of `Q(M)` is the
-/// [`MappingEvaluator`](crate::mapping::MappingEvaluator) pass of
-/// [`Mapping::evaluate_cached`]); rendered with [`Plan::explain`].
+/// An executable plan for one mapping query: built by [`Plan::new`],
+/// run by [`RelExpr::run`] on its [`root`](Plan::root), rendered with
+/// [`Plan::explain`].
 #[derive(Debug, Clone)]
 pub struct Plan<'m> {
     mapping: &'m Mapping,
     root: RelExpr,
-    algo: PlanAlgo,
-    /// Scheduling annotations for the surviving subgraph branches in
-    /// canonical order (empty on trees), parallel to the `Union` node's
-    /// branches.
-    branches: Vec<BranchInfo>,
     pruned: usize,
     pushed: Vec<Expr>,
-    /// Alias masks parallel to `pushed`.
-    pushed_masks: Vec<u64>,
+}
+
+/// The un-pushed `D(G)` subtree for `algo` (resolved against `graph`):
+/// the outer-join chain over every node, or the minimum union of every
+/// connected subgraph's `F(J)` chain with [`annotate_branches`]' notes.
+pub(crate) fn disjunction(
+    db: &Database,
+    graph: &QueryGraph,
+    algo: FdAlgo,
+    cache: Option<&EvalCache>,
+) -> Result<RelExpr> {
+    match algo.resolve(graph) {
+        FdAlgo::OuterJoin if !graph.is_tree() => Err(Error::Invalid(
+            "outer-join full disjunction requires a tree query graph".into(),
+        )),
+        FdAlgo::OuterJoin => Ok(chain_ir(graph, graph.node_mask(), true)),
+        _ => {
+            let branches = annotate_branches(db, graph, &connected_subsets(graph), cache);
+            Ok(RelExpr::Union {
+                inputs: branches
+                    .iter()
+                    .map(|b| chain_ir(graph, b.mask, false))
+                    .collect(),
+                branches,
+                pad: graph.scheme(db)?,
+            })
+        }
+    }
 }
 
 impl<'m> Plan<'m> {
@@ -107,67 +105,47 @@ impl<'m> Plan<'m> {
     ) -> Result<Plan<'m>> {
         let _span = clio_obs::span("plan.build");
         let graph = &mapping.graph;
-        let scheme = graph.scheme(db)?;
-        let algo = match FdAlgo::Auto.resolve(graph) {
-            FdAlgo::OuterJoin => PlanAlgo::OuterJoin,
-            _ => PlanAlgo::Naive,
-        };
-
-        let mut masks: Vec<u64> = Vec::new();
+        let mut root = disjunction(db, graph, FdAlgo::Auto, cache)?;
         let mut pushed: Vec<Expr> = Vec::new();
-        let mut pushed_masks: Vec<u64> = Vec::new();
         let mut pruned = 0usize;
-        if algo == PlanAlgo::Naive {
-            masks = connected_subsets(graph);
+        if let RelExpr::Union {
+            inputs,
+            branches,
+            pad,
+        } = &mut root
+        {
+            let mut pushed_masks: Vec<u64> = Vec::new();
             for f in &mapping.source_filters {
                 let Some(amask) = alias_mask(graph, f) else {
                     continue; // bare or foreign qualifiers: not pushable
                 };
-                if amask != 0 && is_extension_stable(f) && f.is_strong(&scheme, funcs)? {
+                if amask != 0 && is_extension_stable(f) && f.is_strong(pad, funcs)? {
                     pushed.push(f.clone());
                     pushed_masks.push(amask);
                 }
             }
-            if !pushed.is_empty() {
-                let before = masks.len();
-                // a branch sharing no alias with some pushed (strong)
-                // filter is all-null on that filter's columns: drop it
-                masks.retain(|&mask| pushed_masks.iter().all(|&pm| pm & mask != 0));
-                pruned = before - masks.len();
-            }
-        }
-
-        let fd = match algo {
-            PlanAlgo::OuterJoin => chain_ir(graph, graph.node_mask(), true),
-            PlanAlgo::Naive => RelExpr::Union {
-                inputs: masks
-                    .iter()
-                    .map(|&mask| {
-                        let mut branch = chain_ir(graph, mask, false);
-                        for (f, &pm) in pushed.iter().zip(&pushed_masks) {
-                            if pm & mask == pm {
-                                branch = RelExpr::Filter {
-                                    input: Box::new(branch),
-                                    predicate: f.clone(),
-                                    scope: FilterScope::Source,
-                                    pushed: true,
-                                };
-                            }
+            let before = branches.len();
+            // a branch sharing no alias with some pushed (strong) filter
+            // is all-null on that filter's columns: drop it; the others
+            // get a copy of every pushed filter they bind completely
+            let survivors: Vec<(RelExpr, BranchInfo)> = std::mem::take(inputs)
+                .into_iter()
+                .zip(std::mem::take(branches))
+                .filter(|(_, b)| pushed_masks.iter().all(|&pm| pm & b.mask != 0))
+                .map(|(mut branch, b)| {
+                    for (f, &pm) in pushed.iter().zip(&pushed_masks) {
+                        if pm & b.mask == pm {
+                            branch = branch.filtered(f, FilterScope::Source, true);
                         }
-                        branch
-                    })
-                    .collect(),
-                pad: scheme.clone(),
-            },
-        };
-        let mut root = fd;
+                    }
+                    (branch, b)
+                })
+                .collect();
+            pruned = before - survivors.len();
+            (*inputs, *branches) = survivors.into_iter().unzip();
+        }
         for f in &mapping.source_filters {
-            root = RelExpr::Filter {
-                input: Box::new(root),
-                predicate: f.clone(),
-                scope: FilterScope::Source,
-                pushed: false,
-            };
+            root = root.filtered(f, FilterScope::Source, false);
         }
         root = RelExpr::Project {
             input: Box::new(root),
@@ -175,18 +153,9 @@ impl<'m> Plan<'m> {
             target: mapping.target.clone(),
         };
         for f in &mapping.target_filters {
-            root = RelExpr::Filter {
-                input: Box::new(root),
-                predicate: f.clone(),
-                scope: FilterScope::Target,
-                pushed: false,
-            };
+            root = root.filtered(f, FilterScope::Target, false);
         }
         root.check()?;
-
-        // the second rewrite: answer-invisible, so a missing or cold
-        // cache only means heuristic estimates
-        let branches = annotate_branches(db, graph, &masks, cache);
 
         metrics::incr(Counter::PlanBuilt);
         metrics::add(Counter::PlanPushedFilters, pushed.len() as u64);
@@ -194,11 +163,8 @@ impl<'m> Plan<'m> {
         Ok(Plan {
             mapping,
             root,
-            algo,
-            branches,
             pruned,
             pushed,
-            pushed_masks,
         })
     }
 
@@ -208,10 +174,14 @@ impl<'m> Plan<'m> {
         &self.root
     }
 
-    /// The committed full-disjunction strategy.
-    #[must_use]
-    pub fn algo(&self) -> PlanAlgo {
-        self.algo
+    /// The `D(G)` stage: the node beneath the projection and filters —
+    /// a `Union` on cyclic graphs, the outer-join chain on trees.
+    fn disjunction(&self) -> &RelExpr {
+        let mut e = &self.root;
+        while let RelExpr::Project { input, .. } | RelExpr::Filter { input, .. } = e {
+            e = input;
+        }
+        e
     }
 
     /// The source filters pushed below the minimum union.
@@ -226,57 +196,20 @@ impl<'m> Plan<'m> {
         self.pruned
     }
 
-    /// Scheduling annotations for the surviving subgraph branches.
+    /// Scheduling annotations for the surviving subgraph branches
+    /// (empty on trees).
     #[must_use]
     pub fn branches(&self) -> &[BranchInfo] {
-        &self.branches
+        match self.disjunction() {
+            RelExpr::Union { branches, .. } => branches,
+            _ => &[],
+        }
     }
 
     /// Render the plan as an indented tree (the `explain` output).
     #[must_use]
     pub fn explain(&self) -> String {
         explain::render(self)
-    }
-
-    /// Run the plan's full-disjunction stage: the data associations the
-    /// mapping's filters and projection then apply to.
-    ///
-    /// Trees run the outer-join chain under the `D(G).tree` memo. Cyclic
-    /// graphs run the scheduler over this plan's branches, in its
-    /// warmth/estimate order; with nothing pushed that is exactly
-    /// `D(G)`, so the graph-level `D(G).naive` memo applies. With pushed
-    /// filters the assembled set is no longer `D(G)`, so the scheduler
-    /// works straight from the per-subgraph entries, filtering each
-    /// retrieved `F(J)` with the pushed predicates that bind on it.
-    pub fn associations(
-        &self,
-        db: &Database,
-        funcs: &FuncRegistry,
-        cache: Option<&EvalCache>,
-    ) -> Result<AssociationSet> {
-        metrics::incr(Counter::PlanEvals);
-        let graph = &self.mapping.graph;
-        let run = || -> Result<(AssociationSet, u64)> {
-            let (set, dispatched) = full_disjunction_scheduled(
-                db,
-                graph,
-                funcs,
-                cache,
-                &self.branches,
-                &self.pushed,
-                &self.pushed_masks,
-            )?;
-            Ok((set, total_ns(&dispatched)))
-        };
-        match self.algo {
-            PlanAlgo::OuterJoin => {
-                full_disjunction_cached(db, graph, FdAlgo::OuterJoin, funcs, cache)
-            }
-            PlanAlgo::Naive if self.pushed.is_empty() => {
-                memoized_disjunction(graph, cache, "D(G).naive", run)
-            }
-            PlanAlgo::Naive => run().map(|(set, _)| set),
-        }
     }
 }
 
@@ -399,11 +332,16 @@ mod tests {
             .with_target_not_null_filters()
     }
 
-    /// `Q(M)` without the plan: the definitional `D(G)` (naive minimum
+    /// `Q(M)` without the plan: the reference `D(G)` (naive minimum
     /// union on cyclic graphs, no pushdown) and the evaluator loop.
     fn reference(m: &Mapping) -> Table {
         let (db, funcs) = (db(), funcs());
-        let assocs = m.associations(&db, FdAlgo::Auto, &funcs).unwrap();
+        let algo = if m.graph.is_tree() {
+            FdAlgo::OuterJoin
+        } else {
+            FdAlgo::Naive
+        };
+        let assocs = m.associations(&db, algo, &funcs).unwrap();
         let eval = m.evaluator(&db, &funcs).unwrap();
         let mut out = Table::empty(m.target_scheme());
         for i in 0..assocs.len() {
@@ -435,7 +373,10 @@ mod tests {
     fn tree_mappings_take_the_outer_join_plan_unchanged() {
         let m = tree_mapping();
         let plan = Plan::new(&m, &db(), &funcs(), None).unwrap();
-        assert_eq!(plan.algo(), PlanAlgo::OuterJoin);
+        assert!(matches!(
+            plan.disjunction(),
+            RelExpr::Join { outer: true, .. }
+        ));
         assert!(plan.pushed_filters().is_empty());
         assert_eq!(plan.pruned_subgraphs(), 0);
         assert_same(&m, None);
@@ -445,7 +386,7 @@ mod tests {
     fn cyclic_mappings_push_strong_filters_and_prune() {
         let m = cyclic_mapping();
         let plan = Plan::new(&m, &db(), &funcs(), None).unwrap();
-        assert_eq!(plan.algo(), PlanAlgo::Naive);
+        assert!(matches!(plan.disjunction(), RelExpr::Union { .. }));
         assert_eq!(plan.pushed_filters().len(), 1);
         // subgraphs not containing Children ({P}, {Ph}, {P,Ph}) are
         // pruned by the strong Children.age filter

@@ -434,7 +434,19 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
         let ty = type_from_tag(cur.u8()?).ok_or("unknown type tag")?;
         cols.push(Column::new(qualifier, name, ty));
     }
-    let nrows = cur.u64()? as usize;
+    let nrows = cur.u64()?;
+    // Every value takes at least one byte, so the rest of the body bounds
+    // the row count; zero-width rows take none, but all are equal and a
+    // stored table is a set, so it holds at most one. Without this check
+    // a forged count on a zero-column table would loop pushing rows.
+    let room = match ncols {
+        0 => 1,
+        n => (body.len() - cur.pos) / n,
+    };
+    if nrows > room as u64 {
+        return Err(format!("row count {nrows} exceeds the body"));
+    }
+    let nrows = nrows as usize;
     let mut rows = Vec::with_capacity(nrows.min(4096));
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);

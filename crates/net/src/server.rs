@@ -9,7 +9,8 @@
 //! free, and a per-request idle deadline. Malformed frames are answered
 //! with a one-line `error: ...` frame and the connection continues
 //! (truncated frames close it — the stream can no longer be trusted);
-//! idle timeouts close the connection after an error frame. A client
+//! idle timeouts close the connection after an error frame, and so
+//! does a request whose handler panics (`net.handler_panics`). A client
 //! sending the `shutdown` command stops the whole server: the listener
 //! stops accepting, in-flight requests finish, and `run` returns once
 //! every connection thread has drained.
@@ -19,6 +20,7 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -190,9 +192,8 @@ impl Server {
                         let config = &self.config;
                         let stop = &self.stop;
                         scope.spawn(move || {
+                            let _slot = Slot(active);
                             serve_connection(&stream, id, handler, config, stop);
-                            metrics::sub(Counter::NetActive, 1);
-                            active.fetch_sub(1, Ordering::Relaxed);
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -206,6 +207,17 @@ impl Server {
             }
         });
         Ok(())
+    }
+}
+
+/// A connection's place under [`ServerConfig::max_conns`], released
+/// however its thread ends.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        metrics::sub(Counter::NetActive, 1);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -385,7 +397,16 @@ fn connection_loop(
                     return;
                 }
                 let timer = hist::start();
-                let response = handler.handle(&line);
+                // A panicking request costs its connection, not the
+                // server: the handler may be mid-update, so answer and
+                // close rather than serve it again.
+                let Ok(response) = panic::catch_unwind(AssertUnwindSafe(|| handler.handle(&line)))
+                else {
+                    metrics::incr(Counter::NetHandlerPanics);
+                    warn_limited("net.conn", &format!("conn.{id}: handler panicked, closing"));
+                    send(stream, id, "error: internal error, closing connection\n");
+                    return;
+                };
                 hist::finish(response.hist, timer);
                 if !send(stream, id, &response.text) || response.quit {
                     return;
@@ -514,6 +535,52 @@ mod tests {
             assert_eq!(resp, "echo: ok\n");
             handle.shutdown();
             run.join().unwrap().unwrap();
+        });
+    }
+
+    /// Panics on the line `boom`, echoes everything else.
+    struct Fragile;
+    impl Handler for Fragile {
+        fn handle(&mut self, line: &str) -> Response {
+            assert_ne!(line, "boom", "handler bug");
+            Echo.handle(line)
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_costs_only_its_connection() {
+        let config = ServerConfig {
+            max_conns: 1,
+            ..test_config()
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(|_| Box::new(Fragile) as Box<dyn Handler>));
+            // observe everything before shutting down, so a server that
+            // leaks the slot fails the assertions instead of hanging
+            let mut c = Client::connect(addr).unwrap();
+            let hi = c.request("hi").unwrap();
+            let boom = c.request("boom").ok().flatten();
+            let after = c.read_response().ok().flatten();
+            // the one slot must be free again for a second client
+            let mut c2 = std::net::TcpStream::connect(addr).unwrap();
+            c2.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            frame::write_frame(&mut c2, "again").unwrap();
+            let again = frame::read_frame(&mut c2, frame::MAX_FRAME_BYTES)
+                .ok()
+                .flatten();
+            handle.shutdown();
+            let ran = run.join();
+            assert_eq!(hi.as_deref(), Some("echo: hi\n"));
+            assert_eq!(
+                boom.as_deref(),
+                Some("error: internal error, closing connection\n")
+            );
+            assert_eq!(after, None, "connection closed");
+            assert_eq!(again.as_deref(), Some("echo: again\n"));
+            assert!(matches!(ran, Ok(Ok(()))), "run returns Ok after a panic");
         });
     }
 

@@ -106,6 +106,9 @@ pub enum Counter {
     /// Connections closed because the client sent nothing for the
     /// server's idle timeout.
     NetTimeouts,
+    /// Requests whose handler panicked: answered with an error frame,
+    /// and only that connection closed.
+    NetHandlerPanics,
     /// Pages read from heap files by the pager (buffer-pool misses that
     /// reached the disk).
     PagerPageReads,
@@ -141,7 +144,7 @@ pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
 impl Counter {
     /// All counters, in table order.
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 42] = [
         Counter::TuplesScanned,
         Counter::JoinProbes,
         Counter::JoinOutputRows,
@@ -173,6 +176,7 @@ impl Counter {
         Counter::NetFrames,
         Counter::NetFrameErrors,
         Counter::NetTimeouts,
+        Counter::NetHandlerPanics,
         Counter::PagerPageReads,
         Counter::PagerPageWrites,
         Counter::PagerHits,
@@ -221,6 +225,7 @@ impl Counter {
             Counter::NetFrames => "net.frames",
             Counter::NetFrameErrors => "net.frame_errors",
             Counter::NetTimeouts => "net.timeouts",
+            Counter::NetHandlerPanics => "net.handler_panics",
             Counter::PagerPageReads => "pager.page_reads",
             Counter::PagerPageWrites => "pager.page_writes",
             Counter::PagerHits => "pager.hits",

@@ -511,7 +511,16 @@ fn read_header(state: &mut FileState) -> Result<(), PagerError> {
     }
     let page_count = u64::from_le_bytes(header[12..20].try_into().unwrap());
     let record_count = u64::from_le_bytes(header[20..28].try_into().unwrap());
-    let expected = (page_count + 1) * page_size as u64;
+    // untrusted sizes: a forged page count must degrade, not overflow
+    let Some(expected) = page_count
+        .checked_add(1)
+        .and_then(|pages| pages.checked_mul(page_size as u64))
+    else {
+        return Err(degraded(
+            &state.path,
+            format!("page count {page_count} overflows the file size"),
+        ));
+    };
     if len < expected {
         return Err(degraded(
             &state.path,
@@ -1055,6 +1064,25 @@ mod tests {
         let pager = Pager::new(4);
         let file = pager.open(&path).unwrap();
         assert_eq!(read_all(&pager, file), recs);
+    }
+
+    #[test]
+    fn forged_page_counts_degrade_instead_of_overflowing() {
+        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let dir = tmp_dir("forged");
+        let good = std::fs::read(build_heap(&dir, "good.clh", 64, &records(3, 50))).unwrap();
+        // a re-checksummed header whose page count makes the expected
+        // file size overflow, in the `+ 1` and in the `* page_size`
+        for count in [u64::MAX, u64::MAX / 64] {
+            let mut forged = good.clone();
+            forged[12..20].copy_from_slice(&count.to_le_bytes());
+            let sum = fnv1a(FNV_OFFSET_BASIS, &forged[..64 - CHECKSUM_LEN]);
+            forged[64 - CHECKSUM_LEN..64].copy_from_slice(&sum.to_le_bytes());
+            let path = dir.join("forged.clh");
+            std::fs::write(&path, &forged).unwrap();
+            let err = Pager::new(4).open(&path).expect_err("forged count");
+            assert!(err.to_string().contains("overflows"), "{count}: {err}");
+        }
     }
 
     #[test]

@@ -194,7 +194,8 @@ fn decode_index_entry(bytes: &[u8]) -> std::result::Result<(Value, Vec<Occurrenc
     let mut r = Reader::new(bytes);
     let value = r.value()?;
     let count = r.u32()? as usize;
-    let mut occs = Vec::with_capacity(count);
+    // an untrusted count: each occurrence takes at least 16 bytes
+    let mut occs = Vec::with_capacity(count.min((bytes.len() - r.pos) / 16));
     for _ in 0..count {
         let relation = r.string()?;
         let attribute = r.string()?;
@@ -502,6 +503,26 @@ mod tests {
         .unwrap();
         db.constraints.keys.push(Key::new("Tricky", vec!["id"]));
         db
+    }
+
+    #[test]
+    fn forged_occurrence_counts_do_not_preallocate() {
+        let occ = Occurrence {
+            relation: "R".into(),
+            attribute: "a".into(),
+            row: 7,
+        };
+        let good = encode_index_entry(&Value::Int(1), std::slice::from_ref(&occ));
+        assert_eq!(
+            decode_index_entry(&good).unwrap(),
+            (Value::Int(1), vec![occ])
+        );
+        // the count sits after the 9-byte Int value; claiming u32::MAX
+        // occurrences must fail on the missing bytes, not reserve ~240 GB
+        let mut forged = good.clone();
+        forged[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_index_entry(&forged).is_err());
+        assert!(decode_index_entry(&forged[..13]).is_err());
     }
 
     #[test]

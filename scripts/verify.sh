@@ -479,8 +479,15 @@ echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses 
 # plan.pushed_filters > 0 (the filter was pushed below the union) and
 # plan.evals > 0 (evaluation actually ran a plan). That the pushdown is
 # answer-invisible is pinned by the byte-identity proptests against a
-# no-pushdown reference. Regenerate nothing — this gate has no golden
-# file; equality is between live runs.
+# no-pushdown reference. The plan tree itself is pinned too: the MAP
+# file's `explain`, run with --no-cache so the branch estimates are the
+# deterministic row-count heuristic, must match
+# scripts/golden/explain-cyclic.txt byte-for-byte. Regenerate it after
+# an intentional plan change with
+#
+#   printf 'load <the MAP file below>\nexplain\nquit\n' > explain.clio
+#   target/release/clio-shell --script explain.clio --threads 1 --no-cache \
+#       | sed '/^clio> /d' > scripts/golden/explain-cyclic.txt
 echo "==> planner gate (MAP file vs its saved copy, pushdown counters)"
 tmp_lang_map="$(mktemp)"
 tmp_lang_saved="$(mktemp)"
@@ -490,6 +497,8 @@ tmp_lang_script_b="$(mktemp)"
 tmp_lang_out_a="$(mktemp)"
 tmp_lang_out_b="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
+tmp_explain_script="$(mktemp)"
+tmp_explain_out="$(mktemp)"
 cat > "$tmp_lang_map" <<'EOF'
 MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
 FROM Children, Parents, PhoneDir
@@ -513,8 +522,12 @@ if ! diff -u "$tmp_lang_out_a" "$tmp_lang_out_b"; then
     echo "verify: FAILED — the saved copy's run diverged from the original MAP file's run" >&2
     exit 1
 fi
-if ! grep -q '^plan for Kids' "$tmp_lang_out_a"; then
-    echo "verify: FAILED — explain printed no plan tree" >&2
+{ echo "load $tmp_lang_map"; echo explain; echo quit; } > "$tmp_explain_script"
+target/release/clio-shell --script "$tmp_explain_script" --threads 1 --no-cache \
+    | sed '/^clio> /d' > "$tmp_explain_out"
+if ! diff -u scripts/golden/explain-cyclic.txt "$tmp_explain_out"; then
+    echo "verify: FAILED — explain drifted from scripts/golden/explain-cyclic.txt" >&2
+    echo "         (if the change is intentional, regenerate the golden file)" >&2
     exit 1
 fi
 target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 \
@@ -522,7 +535,8 @@ target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 \
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
 rm -f "$tmp_lang_map" "$tmp_lang_saved" "$tmp_lang_script_save" "$tmp_lang_script_a" \
-    "$tmp_lang_script_b" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics"
+    "$tmp_lang_script_b" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics" \
+    "$tmp_explain_script" "$tmp_explain_out"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
     echo "verify: FAILED — the plan pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
     exit 1
@@ -531,6 +545,6 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
     echo "verify: FAILED — mapping evaluation ran no plan (plan.evals = 0)" >&2
     exit 1
 fi
-echo "    MAP file == its saved copy (byte-identical); plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    MAP file == its saved copy (byte-identical); explain == golden; plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"

@@ -1016,6 +1016,16 @@ proptest! {
         let planned = m.evaluate(&w.db, &funcs).unwrap();
         prop_assert_eq!(reference.scheme(), planned.scheme());
         prop_assert_eq!(reference.rows(), planned.rows());
+        // through a fresh cache, and through one whose `F(J)` entries the
+        // filter-free twin warmed (pushed filters over cached chains)
+        let fresh = EvalCache::new();
+        let warmed = EvalCache::new();
+        m.without_filters().evaluate_cached(&w.db, &funcs, Some(&warmed)).unwrap();
+        for cache in [&fresh, &warmed] {
+            let cached = m.evaluate_cached(&w.db, &funcs, Some(cache)).unwrap();
+            prop_assert_eq!(reference.scheme(), cached.scheme());
+            prop_assert_eq!(reference.rows(), cached.rows());
+        }
     }
 
     /// `parse_map(print_mapping(m)) == m` for synthetic mappings across
@@ -1222,6 +1232,134 @@ proptest! {
             let mut bytes = bytes;
             while let Ok(Some(_)) = read_frame(&mut bytes, 64) {}
         }
+    }
+}
+
+/// A cache entry of `cols` columns (some names empty) and `rows` rows of
+/// mixed values, for the disk-decoder proptest. Stored tables are sets,
+/// so a zero-column one keeps at most one (empty) row.
+fn cache_entry(deps: usize, cols: usize, rows: usize, seed: usize) -> clio_incr::StoredEntry {
+    let rows = if cols == 0 { rows.min(1) } else { rows };
+    let types = [
+        DataType::Int,
+        DataType::Str,
+        DataType::Float,
+        DataType::Bool,
+    ];
+    let scheme = Scheme::new(
+        (0..cols)
+            .map(|c| Column::new(if c == 0 { "" } else { "T" }, format!("c{c}"), types[c % 4]))
+            .collect(),
+    );
+    let value = |r: usize, c: usize| match (r + c + seed) % 5 {
+        0 => Value::Null,
+        1 => Value::Int((r * 31 + seed) as i64),
+        2 => Value::str("x".repeat((r + seed) % 4)),
+        3 => Value::Float(r as f64 / 3.0),
+        _ => Value::Bool(r.is_multiple_of(2)),
+    };
+    clio_incr::StoredEntry {
+        deps: (0..deps).map(|d| format!("R{d}")).collect(),
+        table: Table::new(
+            scheme,
+            (0..rows)
+                .map(|r| (0..cols).map(|c| value(r, c)).collect())
+                .collect(),
+        ),
+        cost_ns: seed as u64,
+    }
+}
+
+/// Offsets and widths of every length field in `entry`'s encoding,
+/// counted back from the end of the body: `(distance, width)`.
+fn length_fields(entry: &clio_incr::StoredEntry) -> (Vec<(usize, usize)>, usize) {
+    let mut fields = vec![(0, 4)];
+    let mut at = 4;
+    for d in &entry.deps {
+        fields.push((at, 4));
+        at += 4 + d.len();
+    }
+    fields.push((at, 4));
+    at += 4;
+    for c in entry.table.scheme().columns() {
+        fields.push((at, 4));
+        at += 4 + c.qualifier.len();
+        fields.push((at, 4));
+        at += 4 + c.name.len() + 1;
+    }
+    fields.push((at, 8));
+    at += 8;
+    for v in entry.table.rows().iter().flatten() {
+        at += 1;
+        match v {
+            Value::Null => {}
+            Value::Bool(_) => at += 1,
+            Value::Int(_) | Value::Float(_) => at += 8,
+            Value::Str(s) => {
+                fields.push((at, 4));
+                at += 4 + s.len();
+            }
+        }
+    }
+    (fields, at)
+}
+
+/// `body` followed by its FNV-1a checksum, as the disk format ends.
+fn checksummed(body: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    out.extend_from_slice(
+        &clio_relational::fnv1a(clio_relational::FNV_OFFSET_BASIS, body).to_le_bytes(),
+    );
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cache-file decoder reads bytes a hostile or broken disk may
+    /// hold. Noise, every truncation of a valid encoding (as cut, and
+    /// re-checksummed), and a re-checksummed entry whose length field
+    /// claims more than the body holds — or, on a zero-column table, more
+    /// than one row — all decode to `Err`, never a panic or an abort.
+    #[test]
+    fn disk_decoder_rejects_noise_truncation_and_forged_lengths(
+        deps in 0usize..3,
+        cols in 0usize..4,
+        rows in 0usize..4,
+        seed in 0usize..100,
+        field in 0usize..64,
+        forged in proptest::num::u64::ANY,
+        noise in proptest::collection::vec(proptest::num::u8::ANY, 0..96),
+    ) {
+        use clio_incr::disk::{decode, encode};
+        let fp = Fingerprint(7);
+        let entry = cache_entry(deps, cols, rows, seed);
+        let good = encode(3, fp, &entry);
+        prop_assert_eq!(decode(&good, 3, fp).unwrap(), entry.clone());
+
+        prop_assert!(decode(&noise, 3, fp).is_err());
+        prop_assert!(decode(&checksummed(&noise), 3, fp).is_err());
+
+        let body = &good[..good.len() - 8];
+        for n in 0..good.len() {
+            prop_assert!(decode(&good[..n], 3, fp).is_err(), "cut at {}", n);
+            if n < body.len() {
+                prop_assert!(decode(&checksummed(&body[..n]), 3, fp).is_err(), "re-summed cut at {}", n);
+            }
+        }
+
+        let (fields, rest) = length_fields(&entry);
+        let (distance, width) = fields[field % fields.len()];
+        let at = body.len() - rest + distance;
+        let row_count = width == 8;
+        // more than the body holds; a row count on a zero-column table
+        // only needs to exceed one
+        let floor = if row_count && cols == 0 { 2 } else { body.len() as u64 + 1 };
+        let limit = if width == 4 { u64::from(u32::MAX) } else { u64::MAX };
+        let claim = floor + forged % (limit - floor + 1).max(1);
+        let mut forged_body = body.to_vec();
+        forged_body[at..at + width].copy_from_slice(&claim.to_le_bytes()[..width]);
+        prop_assert!(decode(&checksummed(&forged_body), 3, fp).is_err(), "field at {} = {}", at, claim);
     }
 }
 
