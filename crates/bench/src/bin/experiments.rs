@@ -127,15 +127,36 @@ fn b1_full_disjunction() {
             work.get(clio_obs::Counter::JoinProbes)
         );
     }
-    // cyclic: naive only
-    println!("\ncyclic graphs (naive only):\n");
-    println!("| nodes | rows/rel | naive | |D(G)| |");
-    println!("|---|---|---|---|");
-    for n in [3usize, 4, 5] {
-        let w = cycle(n, 100);
+    // cyclic: the naive oracle (a join chain per subgraph, one minimum
+    // union) beside the executed lattice union (one join per subgraph,
+    // subsumption by non-extension); work counters as naive / executed
+    println!("\ncyclic graphs (naive oracle vs executed lattice D(G)):\n");
+    println!(
+        "| nodes | rows/rel | naive | executed | speedup | |D(G)| | subgraphs \
+         | join probes | subsumption comparisons |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|");
+    for (n, rows) in [(3usize, 100usize), (4, 100), (5, 100), (3, 1000), (5, 1000)] {
+        let w = cycle(n, rows);
         let mut count = 0;
         let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
-        println!("| {n} | 100 | {} | {count} |", fmt(naive));
+        let executed = time(|| count = clio_bench::fd(&w, FdAlgo::Auto));
+        let naive_work = counted(|| {
+            let _ = clio_bench::fd(&w, FdAlgo::Naive);
+        });
+        let work = counted(|| {
+            let _ = clio_bench::fd(&w, FdAlgo::Auto);
+        });
+        let pair = |c| format!("{} / {}", naive_work.get(c), work.get(c));
+        println!(
+            "| {n} | {rows} | {} | {} | {} | {count} | {} | {} | {} |",
+            fmt(naive),
+            fmt(executed),
+            ratio(naive, executed),
+            pair(clio_obs::Counter::SubgraphsEnumerated),
+            pair(clio_obs::Counter::JoinProbes),
+            pair(clio_obs::Counter::SubsumptionComparisons)
+        );
     }
     // parallel naive: the per-subgraph F(J) evaluations fan out on the
     // exec worker pool; output is byte-identical at every thread count

@@ -1,23 +1,30 @@
 //! Full disjunction `D(G)` — the complete set of data associations of a
 //! query graph (paper Def 3.11; Galindo-Legaria \[4\]).
 //!
-//! Two algorithms:
+//! `D(G) = F(J₁) ⊕ … ⊕ F(Jₖ)` over **all** induced connected subgraphs
+//! `Jᵢ`. What runs ([`full_disjunction`] with [`FdAlgo::Auto`], and every
+//! plan) is the `D(G)` subtree of the plan IR
+//! ([`crate::plan::RelExpr::run`]):
 //!
-//! * [`full_disjunction_naive`] — the definitional computation:
-//!   `D(G) = F(J₁) ⊕ … ⊕ F(Jₖ)` over **all** induced connected subgraphs
-//!   `Jᵢ`, combined by one n-ary minimum union. The number of subgraphs is
-//!   exponential in dense graphs, so this serves as the reference.
-//! * [`full_disjunction_outer_join`] — for **tree** query graphs: a
-//!   left-deep sequence of full outer joins following a connected
-//!   elimination order computes the full disjunction directly
-//!   (Galindo-Legaria's outerjoins-as-disjunctions result), with no
-//!   subgraph enumeration and no subsumption pass.
+//! * on **tree** graphs, a left-deep sequence of full outer joins
+//!   following a connected elimination order (Galindo-Legaria's
+//!   outerjoins-as-disjunctions result), with no subgraph enumeration
+//!   and no subsumption pass;
+//! * on **cyclic** graphs, the subgraph lattice: each `F(J)` is one join
+//!   of a smaller subgraph's table with one relation, and a row is
+//!   dropped when a neighbouring subgraph's row extends it, so the
+//!   residual subsumption pass only sees rows that can still be subsumed
+//!   (see `plan::ir::schedule`).
 //!
-//! The paper claims Clio "make\[s\] use of evaluation and optimization
-//! techniques for the minimal union operator to efficiently compute D(G)";
-//! benchmark **B1** (`cargo bench -p clio-bench --bench full_disjunction`)
-//! quantifies the gap between the two algorithms, and a property test in
-//! `tests/properties.rs` checks they agree on random tree graphs.
+//! Two references stay as oracles: [`full_disjunction_naive`] computes
+//! the definition directly — a join chain per subgraph and one n-ary
+//! minimum union — and [`full_associations_definitional`] is Def 3.5's
+//! σ over ×. The paper claims Clio "make\[s\] use of evaluation and
+//! optimization techniques for the minimal union operator to efficiently
+//! compute D(G)"; benchmark **B1** (`cargo bench -p clio-bench --bench
+//! full_disjunction`, and the `experiments b1` tables) measures the
+//! executed plans against the naive oracle, and property tests in
+//! `tests/properties.rs` check they agree.
 
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;

@@ -20,25 +20,28 @@
 //! runs — which subgraphs, which filters where, in which join order.
 
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use clio_incr::{EvalCache, Fingerprint};
+use clio_incr::EvalCache;
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{join, minimum_union_all, pad_to, JoinKind};
+use clio_relational::ops::{extended_rows, join, pad_to, remove_subsumed_among, JoinKind};
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
+use clio_relational::value::Value;
 
 use crate::correspondence::ValueCorrespondence;
-use crate::full_disjunction::engine_subsumption;
 use crate::incremental::{
     elapsed_ns, mask_deps, memoized_disjunction, subgraph_fingerprint, BranchInfo,
 };
 use crate::mapping::MappingEvaluator;
 use crate::query_graph::{NodeId, QueryGraph};
+use crate::subgraph::neighbourhood;
+
+use super::alias_mask;
 
 /// Which predicate class a [`RelExpr::Filter`] node carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -388,16 +391,54 @@ fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Tab
     Ok(table)
 }
 
+/// One `F(J)` a [`RelExpr::Union`] computes: its subgraph, its chain,
+/// and — for a chain longer than one scan — the parent subgraph whose
+/// table the chain's last join extends, with that join's right-hand scan
+/// and predicate.
+struct Job<'e> {
+    mask: u64,
+    chain: &'e RelExpr,
+    step: Option<(u64, &'e RelExpr, &'e Expr)>,
+    estimate: u64,
+}
+
 /// The minimum union of a [`RelExpr::Union`]'s branches, in their
-/// (canonical) order. With a live cache each branch's *unfiltered* chain
-/// is looked up under its [`subgraph_fingerprint`] (counted, in branch
-/// order). The misses run on the worker pool longest-estimated-first, so
-/// a straggler does not serialize the tail, and are inserted unfiltered
-/// with their measured recompute time; `fd.subgraphs` counts them. Each
-/// branch's pushed filters then apply, the result is padded to `pad`,
-/// and one n-ary minimum union follows branch order — byte-identical
-/// whatever was warm and however the misses ran. Returns the table with
-/// the computed `(mask, cost_ns)` pairs in branch order.
+/// (canonical) order, computed over the subgraph lattice.
+///
+/// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
+/// looked up under its [`subgraph_fingerprint`] (counted, in branch
+/// order). A miss is one join: `chain_ir(J)` is
+/// `Join { chain_ir(J \ {v}), Scan v }` for `J`'s last BFS node `v`, so
+/// `F(J)` joins the parent subgraph's table with `R_v`. The parent is a
+/// branch, a cache hit, or — when the pushdown pruned it — looked up and
+/// computed once for sharing. The misses run level by level in popcount
+/// order, each level on the worker pool longest-estimated-first, and are
+/// inserted unfiltered, each charged only its own join; `fd.subgraphs`
+/// counts them.
+///
+/// **Subsumption by non-extension.** Each branch's pushed filters then
+/// apply. A row of branch `J` is dropped when a row of some branch
+/// `J ∪ {v}` extends it ([`extended_rows`]): padded, that row strictly
+/// subsumes it, so the dropped row is never maximal. The rest keep
+/// branch order and are padded to `pad`. A residual pass
+/// ([`remove_subsumed_among`]) then removes duplicates and tests as the
+/// subsumed side only the rows that can still be subsumed: those with a
+/// base-data null in their own coverage, and every row of a branch that
+/// is not *closed* — closed meaning every `J ∪ {v}` is a branch and the
+/// filters sit where [`canonical_pushdown`] expects them. A closed
+/// branch's unextended null-free row is maximal: a subsumer in `F(J')`
+/// agrees with it on all of `J`, and its restriction to `J ∪ {v}`, for a
+/// `v` of `J' \ J` adjacent to `J`, is a row of that branch that passes
+/// its filters (they bind only `J ∪ {v}`, and also sit on `J'`) and
+/// extends the row — relations hold no all-null tuple, so the
+/// restriction adds a value. Only strictly subsumed rows are dropped, so
+/// every maximal row and each of its occurrences survives, and the
+/// result is [`minimum_union_all`](clio_relational::ops::minimum_union_all)
+/// over the filtered, padded branches, row order included, whatever was
+/// warm and however the misses ran.
+///
+/// Returns the table with the computed `(mask, cost_ns)` pairs in
+/// dispatch order (popcount, then mask).
 pub(crate) fn schedule(
     ex: &Exec,
     inputs: &[RelExpr],
@@ -406,66 +447,184 @@ pub(crate) fn schedule(
 ) -> Result<(Table, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.naive");
     let cache = ex.cache.filter(|c| c.enabled());
-    let fps: Vec<Option<Fingerprint>> = branches
+    let keyed = |mask: u64| cache.map(|c| (c, subgraph_fingerprint(ex.graph, mask, c)));
+    let lookup = |mask: u64| keyed(mask).and_then(|(c, fp)| c.get(fp));
+    let branch_masks: HashMap<u64, usize> = branches
         .iter()
-        .map(|b| cache.map(|c| subgraph_fingerprint(ex.graph, b.mask, c)))
+        .enumerate()
+        .map(|(i, b)| (b.mask, i))
         .collect();
-    let mut slots: Vec<Option<Table>> = fps
-        .iter()
-        .map(|&fp| cache.zip(fp).and_then(|(c, fp)| c.get(fp)))
-        .collect();
-    let missing: Vec<usize> = (0..branches.len())
-        .filter(|&i| slots[i].is_none())
-        .collect();
-    let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
-    if !missing.is_empty() {
-        // Longest-estimated-first dispatch; results return in input
-        // (canonical) order, so scheduling is answer-invisible.
-        let mut order: Vec<usize> = (0..missing.len()).collect();
-        order.sort_by_key(|&p| (Reverse(branches[missing[p]].estimate), p));
+    let mut known: HashMap<u64, Table> = HashMap::new();
+    for b in branches {
+        if let Some(table) = lookup(b.mask) {
+            known.insert(b.mask, table);
+        }
+    }
+    // the misses, each followed up its chain to a known or queued parent
+    let mut jobs: Vec<Job> = Vec::new();
+    let mut queued: HashSet<u64> = HashSet::new();
+    for (input, b) in inputs.iter().zip(branches) {
+        let (mut mask, mut chain, mut estimate) = (b.mask, input.filters().0, b.estimate);
+        while !known.contains_key(&mask) && queued.insert(mask) {
+            let step = match chain {
+                RelExpr::Join {
+                    left,
+                    right,
+                    predicate,
+                    outer: false,
+                } => Some((
+                    mask & !node_bit(ex.graph, right)?,
+                    &**left,
+                    &**right,
+                    predicate,
+                )),
+                _ => None,
+            };
+            jobs.push(Job {
+                mask,
+                chain,
+                step: step.map(|(parent, _, right, predicate)| (parent, right, predicate)),
+                estimate,
+            });
+            let Some((parent, left, _, _)) = step else {
+                break;
+            };
+            (mask, chain, estimate) = (parent, left, 0);
+            if branch_masks.contains_key(&mask) {
+                break; // its own lookup ran; its own entry queues it
+            }
+            if !known.contains_key(&mask) && !queued.contains(&mask) {
+                if let Some(table) = lookup(mask) {
+                    known.insert(mask, table);
+                }
+            }
+        }
+    }
+    jobs.sort_by_key(|j| (j.mask.count_ones(), j.mask));
+    let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(jobs.len());
+    for level in jobs.chunk_by(|a, b| a.mask.count_ones() == b.mask.count_ones()) {
+        // Longest-estimated-first dispatch; results return in level
+        // order, so scheduling is answer-invisible.
+        let mut order: Vec<usize> = (0..level.len()).collect();
+        order.sort_by_key(|&p| (Reverse(level[p].estimate), p));
         let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
-            &missing,
+            level,
             &order,
             "fd.naive.worker",
-            |_, &i| -> Result<(Table, u64)> {
+            |_, job| -> Result<(Table, u64)> {
                 // Unconditional timing (unlike hist::start, which is
                 // trace-gated): the cost model needs real measurements
                 // even when tracing is off.
                 let t0 = std::time::Instant::now();
-                // `eval`: a branch chain is an `F(J)`, never the memoized
-                // `D(G)`, even when it spans a one-node graph
-                let (table, _) = inputs[i].filters().0.eval(ex)?;
+                let table = match job.step {
+                    Some((parent, right, predicate)) => {
+                        let (scan, _) = right.eval(ex)?;
+                        join(&known[&parent], &scan, predicate, JoinKind::Inner, ex.funcs)?
+                    }
+                    // `eval`: a lone scan is an `F(J)`, never the memoized
+                    // `D(G)`, even when it spans a one-node graph
+                    None => job.chain.eval(ex)?.0,
+                };
                 Ok((table, elapsed_ns(t0)))
             },
         )
         .into_iter()
         .collect::<Result<_>>()?;
-        metrics::add(Counter::SubgraphsEnumerated, fresh.len() as u64);
-        for (&i, (table, cost_ns)) in missing.iter().zip(fresh) {
-            let mask = branches[i].mask;
-            if let Some((c, fp)) = cache.zip(fps[i]) {
-                c.insert_costed(fp, mask_deps(ex.graph, mask), &table, cost_ns);
+        for (job, (table, cost_ns)) in level.iter().zip(fresh) {
+            if let Some((c, fp)) = keyed(job.mask) {
+                c.insert_costed(fp, mask_deps(ex.graph, job.mask), &table, cost_ns);
             }
-            dispatched.push((mask, cost_ns));
-            slots[i] = Some(table);
-        }
-        if cache.is_some() && clio_obs::trace::trace_enabled() {
-            for &(_, cost_ns) in &dispatched {
-                clio_obs::hist::record("incr.fd.scheduled", cost_ns);
-            }
+            dispatched.push((job.mask, cost_ns));
+            known.insert(job.mask, table);
         }
     }
-    let padded: Vec<Table> = slots
-        .into_iter()
-        .zip(inputs)
-        .map(|(slot, input)| {
-            let table = slot.expect("all slots filled");
-            pad_to(&keep(table, &input.filters().1, ex.funcs)?, pad)
+    metrics::add(Counter::SubgraphsEnumerated, dispatched.len() as u64);
+    if cache.is_some() && clio_obs::trace::trace_enabled() {
+        for &(_, cost_ns) in &dispatched {
+            clio_obs::hist::record("incr.fd.scheduled", cost_ns);
+        }
+    }
+
+    let tables: Vec<Table> = inputs
+        .iter()
+        .zip(branches)
+        .map(|(input, b)| {
+            let table = known.remove(&b.mask).ok_or_else(|| {
+                Error::Invalid("union branches must be distinct subgraphs".into())
+            })?;
+            keep(table, &input.filters().1, ex.funcs)
         })
         .collect::<Result<_>>()?;
-    let refs: Vec<&Table> = padded.iter().collect();
-    let table = minimum_union_all(&refs, engine_subsumption())?;
+    // A branch is closed when every subgraph one node larger is a branch
+    // too and the pushed filters sit exactly where they bind, as
+    // `Plan::new` places them: its unextended null-free rows are maximal.
+    let canonical = canonical_pushdown(ex.graph, inputs, branches);
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut candidates: Vec<bool> = Vec::new();
+    let mut dropped = 0u64;
+    for (table, b) in tables.iter().zip(branches) {
+        let mut closed = canonical;
+        let mut children: Vec<&Table> = Vec::new();
+        for v in bits(neighbourhood(ex.graph, b.mask)) {
+            match branch_masks.get(&(b.mask | 1 << v)) {
+                Some(&k) => children.push(&tables[k]),
+                None => closed = false,
+            }
+        }
+        let extended = extended_rows(table, &children)?;
+        let positions = pad.positions_of(table.scheme())?;
+        for (row, _) in table.rows().iter().zip(&extended).filter(|(_, &x)| !x) {
+            let mut padded = vec![Value::Null; pad.arity()];
+            for (&p, v) in positions.iter().zip(row) {
+                padded[p] = v.clone();
+            }
+            rows.push(padded);
+            candidates.push(!closed || row.iter().any(Value::is_null));
+        }
+        dropped += extended.iter().filter(|&&x| x).count() as u64;
+    }
+    metrics::add(Counter::TuplesSubsumed, dropped);
+    let mut table = Table::new(pad.clone(), rows);
+    remove_subsumed_among(&mut table, &candidates);
     Ok((table, dispatched))
+}
+
+/// Are the union's pushed filters exactly where `Plan::new` puts them:
+/// each on every branch that binds all of its aliases, and on no other?
+fn canonical_pushdown(graph: &QueryGraph, inputs: &[RelExpr], branches: &[BranchInfo]) -> bool {
+    let filters: Vec<Vec<&Expr>> = inputs.iter().map(|input| input.filters().1).collect();
+    filters.iter().flatten().all(|f| {
+        alias_mask(graph, f).is_some_and(|amask| {
+            filters
+                .iter()
+                .zip(branches)
+                .all(|(on, b)| on.contains(f) == (amask & !b.mask == 0))
+        })
+    })
+}
+
+/// The graph bit of the node a chain step scans.
+fn node_bit(graph: &QueryGraph, scan: &RelExpr) -> Result<u64> {
+    let RelExpr::Scan { alias, .. } = scan else {
+        return Err(Error::Invalid("a chain step joins one scan".into()));
+    };
+    graph
+        .nodes()
+        .iter()
+        .position(|n| &n.alias == alias)
+        .map(|i| 1 << i)
+        .ok_or_else(|| Error::Invalid(format!("scan alias `{alias}` is not a graph node")))
+}
+
+/// The node ids set in `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = NodeId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let v = mask.trailing_zeros() as NodeId;
+            mask &= mask - 1;
+            v
+        })
+    })
 }
 
 /// The left-deep join chain over the connected node set `mask`: nodes in
@@ -606,7 +765,8 @@ fn is_strict_scalar(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_relational::ops::{project, select};
+    use crate::full_disjunction::engine_subsumption;
+    use clio_relational::ops::{minimum_union_all, project, select};
     use clio_relational::parser::parse_expr;
     use clio_relational::schema::{Attribute, Column};
     use clio_relational::value::{DataType, Value};
@@ -848,5 +1008,117 @@ mod tests {
         }
         // the second cached run served every branch's F(J) from the cache
         assert_eq!(cache.stats().hits, 3);
+    }
+
+    /// `schedule` over hand-built branches (`(mask, filters)`) against
+    /// `minimum_union_all` over the same filtered, padded `F(J)`s.
+    fn assert_union_is_minimum(branches: &[(u64, &[&str])]) {
+        let (g, db) = cycle();
+        let funcs = FuncRegistry::with_builtins();
+        let pad = g.scheme(&db).unwrap();
+        let mut inputs = Vec::new();
+        let mut padded = Vec::new();
+        for &(mask, filters) in branches {
+            let mut input = chain_ir(&g, mask, false);
+            let mut f = crate::full_disjunction::full_associations(&db, &g, mask, &funcs).unwrap();
+            for e in filters {
+                let e = parse_expr(e).unwrap();
+                input = input.filtered(&e, FilterScope::Source, true);
+                f = select(&f, &e, &funcs).unwrap();
+            }
+            inputs.push(input);
+            padded.push(pad_to(&f, &pad).unwrap());
+        }
+        let infos: Vec<BranchInfo> = branches
+            .iter()
+            .map(|&(mask, _)| BranchInfo {
+                mask,
+                estimate: 1,
+                warm: false,
+            })
+            .collect();
+        let refs: Vec<&Table> = padded.iter().collect();
+        let expected = minimum_union_all(&refs, engine_subsumption()).unwrap();
+        let ex = Exec {
+            db: &db,
+            funcs: &funcs,
+            graph: &g,
+            cache: None,
+        };
+        let (got, _) = schedule(&ex, &inputs, &infos, &pad).unwrap();
+        assert_eq!(got.rows(), expected.rows(), "{branches:?}");
+    }
+
+    #[test]
+    fn unions_the_pushdown_would_not_build_still_subsume_exactly() {
+        // {A} has no one-node-larger branch, yet A3 is subsumed by A3B3C3
+        assert_union_is_minimum(&[(0b001, &[]), (0b111, &[])]);
+        // filters that are not where `Plan::new` puts them: both children
+        // of {C} reject their C3 row, the unfiltered {A, B, C} keeps it
+        let all = [0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111];
+        let branches: Vec<(u64, &[&str])> = all
+            .iter()
+            .map(|&m| -> (u64, &[&str]) {
+                match m {
+                    0b101 => (m, &["A.y < 5"]),
+                    0b110 => (m, &["B.x > 3"]),
+                    _ => (m, &[]),
+                }
+            })
+            .collect();
+        assert_union_is_minimum(&branches);
+    }
+
+    #[test]
+    fn pruned_parents_are_computed_once_and_the_union_is_minimum() {
+        let (g, db) = cycle();
+        let funcs = FuncRegistry::with_builtins();
+        // a filter on C prunes {A}, {B} and {A, B}, yet {A, C}, {B, C}
+        // and {A, B, C} extend exactly those
+        let on_c = parse_expr("C.w IS NOT NULL").unwrap();
+        let masks = [0b100, 0b101, 0b110, 0b111];
+        let inputs: Vec<RelExpr> = masks
+            .iter()
+            .map(|&m| chain_ir(&g, m, false).filtered(&on_c, FilterScope::Source, true))
+            .collect();
+        let branches: Vec<BranchInfo> = masks
+            .iter()
+            .map(|&mask| BranchInfo {
+                mask,
+                estimate: 1,
+                warm: false,
+            })
+            .collect();
+        let pad = g.scheme(&db).unwrap();
+        let padded: Vec<Table> = masks
+            .iter()
+            .map(|&m| {
+                let f = crate::full_disjunction::full_associations(&db, &g, m, &funcs).unwrap();
+                pad_to(&select(&f, &on_c, &funcs).unwrap(), &pad).unwrap()
+            })
+            .collect();
+        let refs: Vec<&Table> = padded.iter().collect();
+        let expected = minimum_union_all(&refs, engine_subsumption()).unwrap();
+
+        let cache = EvalCache::new();
+        for (round, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate() {
+            let ex = Exec {
+                db: &db,
+                funcs: &funcs,
+                graph: &g,
+                cache,
+            };
+            let (got, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+            assert_eq!(got.scheme(), expected.scheme());
+            assert_eq!(got.rows(), expected.rows(), "round {round}");
+            let computed: Vec<u64> = dispatched.iter().map(|&(m, _)| m).collect();
+            let all = vec![0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111];
+            // popcount order; the warm round computes nothing
+            assert_eq!(computed, if round == 2 { vec![] } else { all });
+        }
+        // cold: 4 branch misses, then one lookup per pruned parent; warm:
+        // the 4 branches hit and no parent is needed
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (7, 4, 7));
     }
 }

@@ -215,7 +215,7 @@ impl<'m> Plan<'m> {
 
 /// The qualifier bitmask of an expression over graph aliases, or `None`
 /// if any column is bare or references a non-graph qualifier.
-fn alias_mask(graph: &QueryGraph, e: &Expr) -> Option<u64> {
+pub(crate) fn alias_mask(graph: &QueryGraph, e: &Expr) -> Option<u64> {
     let mut mask = 0u64;
     for c in e.columns() {
         let q = c.qualifier.as_deref()?;

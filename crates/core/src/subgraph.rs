@@ -50,7 +50,8 @@ pub fn connected_subsets(g: &QueryGraph) -> Vec<u64> {
     out
 }
 
-fn neighbourhood(g: &QueryGraph, mask: u64) -> u64 {
+/// The nodes outside `mask` adjacent to some node of it.
+pub(crate) fn neighbourhood(g: &QueryGraph, mask: u64) -> u64 {
     let mut out = 0u64;
     for i in 0..g.node_count() {
         if mask & (1 << i) != 0 {

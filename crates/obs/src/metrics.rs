@@ -32,9 +32,13 @@ pub enum Counter {
     /// Tuples emitted by join operators.
     JoinOutputRows,
     /// Tuple-pair subsumption tests (naive) or partition probes
-    /// (partitioned) performed during subsumption removal.
+    /// (partitioned) performed during subsumption removal, plus the
+    /// index insertions and probes of the lattice `D(G)` union's
+    /// non-extension semi-joins.
     SubsumptionComparisons,
-    /// Tuples removed because another tuple subsumed them.
+    /// Tuples removed because another tuple strictly subsumed them
+    /// (by a subsumption pass, or by the lattice union's non-extension
+    /// rule).
     TuplesSubsumed,
     /// Adaptive subsumption dispatches (`SubsumptionAlgo::Adaptive`
     /// calls that picked a concrete algorithm).
@@ -43,7 +47,9 @@ pub enum Counter {
     /// `Table::push_distinct` call, plus every row passed through
     /// `Table::dedup` or `Relation::with_rows`.
     DedupRows,
-    /// Connected subgraphs enumerated by the naive full disjunction.
+    /// `F(J)` tables computed by a full disjunction over connected
+    /// subgraphs: one join each in the lattice union (cache hits are not
+    /// counted), one join chain each in the naive oracle.
     SubgraphsEnumerated,
     /// Binary outer-join steps executed by the outer-join full
     /// disjunction.

@@ -20,6 +20,6 @@ pub use project::{out_col, project, project_columns};
 pub use select::select;
 pub use sort::{limit, order_by, SortKey};
 pub use subsumption::{
-    remove_subsumed, remove_subsumed_naive, remove_subsumed_partitioned, strictly_subsumes,
-    subsumes, SubsumptionAlgo,
+    extended_rows, remove_subsumed, remove_subsumed_among, remove_subsumed_naive,
+    remove_subsumed_partitioned, strictly_subsumes, subsumes, SubsumptionAlgo,
 };

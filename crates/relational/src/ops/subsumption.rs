@@ -21,14 +21,23 @@
 //!   recording each decision in the `subsumption.adaptive_choices`
 //!   counter.
 //!
+//! Two building blocks serve callers that know where subsumers can be
+//! — the lattice `D(G)` union: [`extended_rows`], a hashed semi-join
+//! marking the rows a wider table extends, and
+//! [`remove_subsumed_among`], the partitioned pass testing only the rows
+//! the caller marks as possibly subsumed.
+//!
 //! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`)
 //! compares them; a property test asserts they agree.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use clio_obs::metrics::{self, Counter};
 
 use crate::bitset::Bitset;
+use crate::error::Result;
 use crate::exec;
 use crate::table::Table;
 use crate::value::Value;
@@ -168,9 +177,36 @@ pub fn remove_subsumed_naive(table: &mut Table) {
 pub fn remove_subsumed_partitioned(table: &mut Table) {
     let _span = clio_obs::span("ops.remove_subsumed");
     table.dedup();
+    let keep = partitioned_pass(table, None);
+    retain_by_mask(table, &keep);
+}
+
+/// Remove the rows marked in `candidates` that another row strictly
+/// subsumes, then exact duplicates, keeping first occurrences. Unmarked
+/// rows are never tested as the subsumed side — the caller knows no row
+/// strictly subsumes them — though every row may subsume. With every
+/// row marked this is [`remove_subsumed_partitioned`]'s answer; the work
+/// (and `subsumption.comparisons`) scales with the marked rows' masks
+/// only. `candidates` must have one flag per row.
+pub fn remove_subsumed_among(table: &mut Table, candidates: &[bool]) {
+    let _span = clio_obs::span("ops.remove_subsumed");
+    assert_eq!(candidates.len(), table.len(), "one flag per row");
+    let keep = partitioned_pass(table, Some(candidates));
+    retain_by_mask(table, &keep);
+    table.dedup();
+}
+
+/// The partitioned probe over `table` (see
+/// [`remove_subsumed_partitioned`]), testing as subsumees only the rows
+/// `candidates` marks (all when `None`). Returns the keep mask and
+/// flushes the work and removal counters.
+fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
     let arity = table.scheme().arity();
     let rows = table.rows();
     let n = rows.len();
+    if candidates.is_some_and(|c| !c.contains(&true)) {
+        return vec![true; n];
+    }
 
     // group row indexes by non-null mask
     let mut groups: HashMap<Bitset, Vec<usize>> = HashMap::new();
@@ -180,18 +216,30 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
 
     if groups.len() <= 1 {
         // one partition ⇒ no strict mask-subset pairs ⇒ nothing beyond
-        // the dedup above can be removed
+        // exact duplicates can be removed
         metrics::add(Counter::TuplesSubsumed, 0);
-        return;
+        return vec![true; n];
     }
 
     let masks: Vec<&Bitset> = groups.keys().collect();
+    // the subsumee side: each mask with the rows of it under test
+    let tested: Vec<(&Bitset, Vec<usize>)> = masks
+        .iter()
+        .filter_map(|&m| {
+            let members: Vec<usize> = groups[m]
+                .iter()
+                .copied()
+                .filter(|&ri| candidates.is_none_or(|c| c[ri]))
+                .collect();
+            (!members.is_empty()).then_some((m, members))
+        })
+        .collect();
 
     // One pass per subsumee mask: probe a hash index of the projections
     // of every strictly-larger group, returning this partition's doomed
     // row indexes plus its work count (index insertions + probes — the
     // role the pairwise tests play in the naive algorithm).
-    let probe_mask = |_i: usize, small: &&Bitset| -> (Vec<usize>, u64) {
+    let probe_mask = |_i: usize, (small, members): &(&Bitset, Vec<usize>)| -> (Vec<usize>, u64) {
         let mut comparisons: u64 = 0;
         let positions: Vec<usize> = small.iter_ones().collect();
         let mut projections: HashMap<Vec<&Value>, ()> = HashMap::new();
@@ -206,7 +254,7 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
         }
         let mut doomed = Vec::new();
         if !projections.is_empty() {
-            for &ri in &groups[*small] {
+            for &ri in members {
                 let proj: Vec<&Value> = positions.iter().map(|&p| &rows[ri][p]).collect();
                 comparisons += 1;
                 if projections.contains_key(&proj) {
@@ -218,9 +266,9 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
     };
 
     let results: Vec<(Vec<usize>, u64)> = if n >= PARTITIONED_PARALLEL_MIN_ROWS {
-        exec::map_slice(&masks, "subsumption.worker", probe_mask)
+        exec::map_slice(&tested, "subsumption.worker", probe_mask)
     } else {
-        masks
+        tested
             .iter()
             .enumerate()
             .map(|(i, m)| probe_mask(i, m))
@@ -239,7 +287,66 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
     }
     metrics::add(Counter::SubsumptionComparisons, comparisons);
     metrics::add(Counter::TuplesSubsumed, removed);
-    retain_by_mask(table, &keep);
+    keep
+}
+
+/// Which rows of `table` some row of a `wider` table *extends*: agrees
+/// with it on every column of `table` and is non-null on at least one
+/// column `table` lacks. Padded onto a common scheme, such a row
+/// strictly subsumes the `table` row, so a row marked here is never
+/// maximal. Each `wider` scheme must contain every column of `table`'s.
+///
+/// One hashed semi-join per call: `table`'s rows are indexed once (a
+/// chain of positions per row hash, matches confirmed with `==`), and
+/// each `wider` row with a non-null extra column probes it with its
+/// projection onto `table`'s columns, hashed in place. Index insertions
+/// plus probes count in `subsumption.comparisons`.
+///
+/// # Errors
+///
+/// [`Error::UnknownColumn`](crate::error::Error::UnknownColumn) if a
+/// `wider` scheme misses a column of `table`.
+pub fn extended_rows(table: &Table, wider: &[&Table]) -> Result<Vec<bool>> {
+    let rows = table.rows();
+    let mut extended = vec![false; rows.len()];
+    if rows.is_empty() || wider.iter().all(|w| w.is_empty()) {
+        return Ok(extended);
+    }
+    let hasher = RandomState::new();
+    let hash = |values: &mut dyn Iterator<Item = &Value>| {
+        let mut h = hasher.build_hasher();
+        values.for_each(|v| v.hash(&mut h));
+        h.finish()
+    };
+    let mut heads: HashMap<u64, usize> = HashMap::with_capacity(rows.len());
+    let mut next: Vec<Option<usize>> = Vec::with_capacity(rows.len());
+    for (p, row) in rows.iter().enumerate() {
+        next.push(heads.insert(hash(&mut row.iter()), p));
+    }
+    let mut comparisons = rows.len() as u64;
+    for w in wider {
+        let positions = w.scheme().positions_of(table.scheme())?;
+        let extra: Vec<usize> = (0..w.scheme().arity())
+            .filter(|c| !positions.contains(c))
+            .collect();
+        for wrow in w.rows() {
+            if extra.iter().all(|&c| wrow[c].is_null()) {
+                continue;
+            }
+            comparisons += 1;
+            let mut at = heads
+                .get(&hash(&mut positions.iter().map(|&c| &wrow[c])))
+                .copied();
+            while let Some(p) = at {
+                if positions.iter().zip(&rows[p]).all(|(&c, v)| wrow[c] == *v) {
+                    extended[p] = true;
+                }
+                at = next[p];
+            }
+        }
+    }
+    metrics::add(Counter::SubsumptionComparisons, comparisons);
+    Ok(extended)
 }
 
 fn retain_by_mask(table: &mut Table, keep: &[bool]) {
@@ -475,5 +582,58 @@ mod tests {
             remove_subsumed(&mut adaptive, SubsumptionAlgo::Adaptive);
             assert_eq!(reference.rows(), adaptive.rows(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn extension_marks_only_rows_a_wider_row_extends() {
+        // `narrow` is R.a0..a1; `wide` adds S.b, listed first
+        let narrow = table(&[&["a", "b"], &["a", "-"], &["c", "d"], &["e", "f"]]);
+        let s_col = Column::new("S", "b", DataType::Str);
+        let mut cols = vec![s_col];
+        cols.extend(narrow.scheme().columns().iter().cloned());
+        let wide = Table::new(
+            Scheme::new(cols),
+            vec![
+                vec![v("x"), v("a"), v("b")],
+                // agrees with ("c", "d") but adds nothing: not an extension
+                vec![v("-"), v("c"), v("d")],
+                // extends neither ("a", "-") nor anything else of `narrow`
+                vec![v("y"), v("a"), v("z")],
+            ],
+        );
+        let marks = extended_rows(&narrow, &[&wide]).unwrap();
+        // ("a", "-") is subsumed by ("a", "b") without being extended
+        assert_eq!(marks, vec![true, false, false, false]);
+        assert_eq!(
+            extended_rows(&narrow, &[]).unwrap(),
+            vec![false; 4],
+            "no wider table extends nothing"
+        );
+        // a wider scheme missing a column of `narrow` is an error
+        assert!(extended_rows(&wide, &[&narrow]).is_err());
+    }
+
+    #[test]
+    fn restricted_removal_tests_only_the_marked_rows() {
+        let rows: &[&[&str]] = &[
+            &["a", "-", "-"],
+            &["a", "b", "-"],
+            &["a", "b", "c"],
+            &["a", "b", "c"],
+            &["x", "-", "-"],
+        ];
+        // every row marked: the partitioned answer
+        let mut all = table(rows);
+        remove_subsumed_among(&mut all, &[true; 5]);
+        let mut reference = table(rows);
+        remove_subsumed_partitioned(&mut reference);
+        assert_eq!(all.rows(), reference.rows());
+        // unmarked rows stay even when subsumed; duplicates still go
+        let mut some = table(rows);
+        remove_subsumed_among(&mut some, &[false, true, false, false, false]);
+        assert_eq!(
+            some.rows(),
+            table(&[&["a", "-", "-"], &["a", "b", "c"], &["x", "-", "-"]]).rows()
+        );
     }
 }

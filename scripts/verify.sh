@@ -488,7 +488,7 @@ echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses 
 #   printf 'load <the MAP file below>\nexplain\nquit\n' > explain.clio
 #   target/release/clio-shell --script explain.clio --threads 1 --no-cache \
 #       | sed '/^clio> /d' > scripts/golden/explain-cyclic.txt
-echo "==> planner gate (MAP file vs its saved copy, pushdown counters)"
+echo "==> planner gate (MAP file vs its saved copy, explain, cyclic counters, pushdown counters)"
 tmp_lang_map="$(mktemp)"
 tmp_lang_saved="$(mktemp)"
 tmp_lang_script_save="$(mktemp)"
@@ -499,6 +499,7 @@ tmp_lang_out_b="$(mktemp)"
 tmp_plan_metrics="$(mktemp)"
 tmp_explain_script="$(mktemp)"
 tmp_explain_out="$(mktemp)"
+tmp_cyclic_metrics="$(mktemp)"
 cat > "$tmp_lang_map" <<'EOF'
 MAP Kids (ID str not null, name str, affiliation str, address str, contactPh str, BusSchedule str, FamilyIncome int)
 FROM Children, Parents, PhoneDir
@@ -530,13 +531,31 @@ if ! diff -u scripts/golden/explain-cyclic.txt "$tmp_explain_out"; then
     echo "         (if the change is intentional, regenerate the golden file)" >&2
     exit 1
 fi
+# The same run with --threads 1 --no-cache is the cyclic work-counter
+# gate: unlike the demo goldens (tree graphs, `"fd.subgraphs": 0`) it
+# runs the lattice `D(G)` union — the examples' un-pushed one and the
+# plan's pushed one — so its counters must match
+# scripts/golden/cyclic-counters.json byte-for-byte, as in tier 2a.
+# Regenerate after an intentional change with
+#
+#   printf 'load <the MAP file below>\ntarget\nmap show\nexplain\nquit\n' > cyclic.clio
+#   target/release/clio-shell --script cyclic.clio --threads 1 --no-cache \
+#       --metrics scripts/golden/cyclic-counters.json >/dev/null
+target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 --no-cache \
+    --metrics "$tmp_cyclic_metrics" >/dev/null
+normalize_saved_ns "$tmp_cyclic_metrics"
+if ! diff -u scripts/golden/cyclic-counters.json "$tmp_cyclic_metrics"; then
+    echo "verify: FAILED — cyclic work counters drifted from scripts/golden/cyclic-counters.json" >&2
+    echo "         (if the change is intentional, regenerate the golden file)" >&2
+    exit 1
+fi
 target/release/clio-shell --script "$tmp_lang_script_a" --threads 1 \
     --metrics "$tmp_plan_metrics" >/dev/null
 plan_pushed="$(counter "$tmp_plan_metrics" 'plan\.pushed_filters' | head -n 1)"
 plan_evals="$(counter "$tmp_plan_metrics" 'plan\.evals' | head -n 1)"
 rm -f "$tmp_lang_map" "$tmp_lang_saved" "$tmp_lang_script_save" "$tmp_lang_script_a" \
     "$tmp_lang_script_b" "$tmp_lang_out_a" "$tmp_lang_out_b" "$tmp_plan_metrics" \
-    "$tmp_explain_script" "$tmp_explain_out"
+    "$tmp_explain_script" "$tmp_explain_out" "$tmp_cyclic_metrics"
 if [ "${plan_pushed:-0}" -eq 0 ]; then
     echo "verify: FAILED — the plan pushed no filters (plan.pushed_filters = ${plan_pushed:-none})" >&2
     exit 1
@@ -545,6 +564,6 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
     echo "verify: FAILED — mapping evaluation ran no plan (plan.evals = 0)" >&2
     exit 1
 fi
-echo "    MAP file == its saved copy (byte-identical); explain == golden; plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
+echo "    MAP file == its saved copy (byte-identical); explain == golden; cyclic counters == golden; plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
 echo "verify: OK"

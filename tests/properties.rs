@@ -9,6 +9,7 @@
 //! * illustration evolution preserves continuity and sufficiency;
 //! * expression display/parse round-trips.
 
+use clio::datagen::synthetic::Synthetic;
 use clio::prelude::*;
 use proptest::prelude::*;
 
@@ -36,6 +37,30 @@ fn spec_strategy(topologies: &'static [Topology]) -> impl Strategy<Value = Synth
         )
 }
 
+/// Picks for [`with_near_duplicates`]: `(relation, row, cell)` seeds.
+fn near_duplicate_picks() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    proptest::collection::vec((0usize..16, 0usize..32, 0usize..8), 0..4)
+}
+
+/// `w` with near-duplicates injected: for each pick, a copy of one tuple
+/// with one nullable cell (any but `id`) set to null. The copy is
+/// subsumed by its original without being extended by any join — the
+/// one way a row leaves a minimum union unextended, and one the
+/// generator's unique ids never produce. A copy that equals its
+/// original (the cell was null already) is a duplicate and ignored.
+fn with_near_duplicates(mut w: Synthetic, picks: &[(usize, usize, usize)]) -> Synthetic {
+    for &(r, k, c) in picks {
+        let name = format!("R{}", r % w.graph.node_count());
+        let mut rel = w.db.relation(&name).unwrap().clone();
+        let mut row = rel.rows()[k % rel.len()].clone();
+        let cell = 1 + c % (row.len() - 1);
+        row[cell] = Value::Null;
+        rel.insert(row).unwrap();
+        w.db.replace_relation(rel).unwrap();
+    }
+    w
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -58,19 +83,28 @@ proptest! {
         prop_assert_eq!(naive.table().rows(), outer.table().rows());
     }
 
-    /// On cyclic graphs the naive algorithm with both subsumption
-    /// implementations agrees; every association's coverage is an
-    /// induced-connected subgraph.
+    /// On cyclic graphs, near-duplicate tuples included, the naive
+    /// algorithm with both subsumption implementations agrees, and the
+    /// executed `D(G)` (`FdAlgo::Auto`: the lattice union) equals the
+    /// naive oracle row for row, unsorted; every association's coverage
+    /// is an induced-connected subgraph.
     #[test]
     fn fd_on_cycles_is_consistent(
-        spec in spec_strategy(&[Topology::Cycle])
+        spec in spec_strategy(&[Topology::Cycle]),
+        picks in near_duplicate_picks(),
     ) {
-        let w = generate(&spec);
+        let w = with_near_duplicates(generate(&spec), &picks);
         let funcs = funcs();
         let mut a = full_disjunction_naive(
             &w.db, &w.graph, &funcs, SubsumptionAlgo::Naive).unwrap();
         let mut b = full_disjunction_naive(
             &w.db, &w.graph, &funcs, SubsumptionAlgo::Partitioned).unwrap();
+        if !w.graph.is_tree() {
+            // (two relations make a one-edge "cycle": the tree plan runs)
+            let auto = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs).unwrap();
+            prop_assert_eq!(auto.table().scheme(), a.table().scheme());
+            prop_assert_eq!(auto.table().rows(), a.table().rows());
+        }
         a.sort_canonical(&w.graph);
         b.sort_canonical(&w.graph);
         prop_assert_eq!(a.table().rows(), b.table().rows());
@@ -988,13 +1022,180 @@ fn reference_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table
     out
 }
 
+/// The subgraph of `g` induced by `mask`, nodes and edges in `g`'s order.
+fn induced(g: &QueryGraph, mask: u64) -> QueryGraph {
+    let mut sub = QueryGraph::new();
+    let mut ids = vec![None; g.node_count()];
+    for (i, n) in g.nodes().iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            ids[i] = Some(sub.add_node(n.clone()).unwrap());
+        }
+    }
+    for e in g.induced_edges(mask) {
+        sub.add_edge(ids[e.a].unwrap(), ids[e.b].unwrap(), e.predicate.clone())
+            .unwrap();
+    }
+    sub
+}
+
+/// `D(G)` by definition, canonically sorted: per induced connected
+/// subgraph, Def 3.5's σ over × ([`full_associations_definitional`]),
+/// padded, then the naive minimum union.
+fn definitional_fd(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
+    let scheme = g.scheme(db).unwrap();
+    let padded: Vec<Table> = connected_subsets(g)
+        .into_iter()
+        .map(|mask| {
+            let sub = induced(g, mask);
+            let f = clio::core::full_disjunction::full_associations_definitional(db, &sub, funcs)
+                .unwrap();
+            clio::relational::ops::pad_to(&f, &scheme).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Table> = padded.iter().collect();
+    let mut fd = minimum_union_all(&refs, SubsumptionAlgo::Naive).unwrap();
+    fd.sort_canonical();
+    fd
+}
+
+/// The matrix's cache configurations: off, on and unbounded, and on at
+/// `tight` bytes under each eviction policy.
+fn matrix_caches(tight: usize) -> Vec<Option<EvalCache>> {
+    let bounded = |policy| {
+        let c = EvalCache::with_capacity(tight);
+        c.set_policy(policy);
+        Some(c)
+    };
+    vec![
+        None,
+        Some(EvalCache::new()),
+        bounded(clio_incr::EvictionPolicy::Lru),
+        bounded(clio_incr::EvictionPolicy::CostAware),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The differential matrix. A tiny random mapping (trees and cycles,
+    /// at most 4 relations × 6 rows, base-data nulls, near-duplicates)
+    /// is evaluated — `Q(M)`, then the executed `D(G)`, cold and then
+    /// again over the same cache — under every combination of cache
+    /// (off, unbounded, LRU or cost-aware at half the unbounded demand),
+    /// worker threads (1, 4), backend (memory, paged with a 2-page pool)
+    /// and source filter (none; `R0.p0 IS NOT NULL`; the two-alias
+    /// `R0.id = R1.id` and `R0.p0 <> R1.p0`, pushed onto the branches
+    /// binding both aliases only; and a filter on the last relation,
+    /// whose pushdown prunes the parents the lattice joins extend).
+    /// Every result is byte-identical to the cache-off, serial, memory
+    /// run; that run's `Q(M)` is the no-pushdown reference's, and its
+    /// `D(G)` sort-equals the definitional one — on trees, once a
+    /// near-duplicate is in the data, only after a minimum union of its
+    /// own: the outer-join plan keeps a joined near-duplicate that
+    /// Def 3.11 removes as subsumed (a known defect of the tree plan).
+    #[test]
+    fn differential_matrix(
+        spec in (
+            prop_oneof![
+                Just(Topology::Chain),
+                Just(Topology::Star),
+                Just(Topology::Cycle),
+                Just(Topology::RandomTree),
+            ],
+            2usize..5,
+            1usize..7,
+            0.0f64..1.0,
+            proptest::num::u64::ANY,
+        )
+            .prop_map(|(topology, relations, rows, match_rate, seed)| SyntheticSpec {
+                topology,
+                relations,
+                rows,
+                match_rate,
+                payload_attrs: 1,
+                seed,
+            }),
+        picks in near_duplicate_picks(),
+    ) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let plain = generate(&spec);
+        let w = with_near_duplicates(plain.clone(), &picks);
+        let injected = plain.db != w.db;
+        let funcs = funcs();
+        let dir = std::env::temp_dir().join(format!(
+            "clio-props-matrix-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        clio::relational::storage::save_database(&w.db, &dir, 64).unwrap();
+        let paged = clio::relational::storage::open_paged(&dir, 2).unwrap();
+        let definitional = definitional_fd(&w.db, &w.graph, &funcs);
+        let last = w.graph.node_count() - 1;
+        let filters = [
+            None,
+            Some("R0.p0 IS NOT NULL".to_owned()),
+            Some("R0.id = R1.id".to_owned()),
+            Some("R0.p0 <> R1.p0".to_owned()),
+            Some(format!("R{last}.p0 IS NOT NULL")),
+        ];
+        for filter in filters {
+            let mut m = w.mapping.clone();
+            m.source_filters.extend(filter.as_deref().map(|f| parse_expr(f).unwrap()));
+            let run = |db: &Database, cache: Option<&EvalCache>| {
+                let q = m.evaluate_cached(db, &funcs, cache).unwrap();
+                let d = full_disjunction_cached(db, &w.graph, FdAlgo::Auto, &funcs, cache)
+                    .unwrap();
+                (q, d.table().clone())
+            };
+            let baseline = clio::relational::exec::with_threads(1, || run(&w.db, None));
+            let reference = reference_evaluate(&m, &w.db, &funcs);
+            prop_assert_eq!(baseline.0.scheme(), reference.scheme());
+            prop_assert_eq!(baseline.0.rows(), reference.rows());
+            let mut fd = baseline.1.clone();
+            if w.graph.is_tree() && injected {
+                clio::relational::ops::remove_subsumed(&mut fd, SubsumptionAlgo::Naive);
+            }
+            fd.sort_canonical();
+            prop_assert_eq!(fd.scheme(), definitional.scheme());
+            prop_assert_eq!(fd.rows(), definitional.rows());
+
+            let probe = EvalCache::new();
+            run(&w.db, Some(&probe));
+            let tight = (probe.stats().bytes / 2).max(1);
+            for threads in [1, 4] {
+                for (backend, db) in [("memory", &w.db), ("paged", &paged)] {
+                    for (c, cache) in matrix_caches(tight).iter().enumerate() {
+                        for pass in ["cold", "warm"] {
+                            let got = clio::relational::exec::with_threads(threads, || {
+                                run(db, cache.as_ref())
+                            });
+                            let at = format!(
+                                "filter {filter:?}, {threads} threads, {backend}, cache {c}, {pass}"
+                            );
+                            prop_assert_eq!(got.0.scheme(), baseline.0.scheme(), "{}", at);
+                            prop_assert_eq!(got.0.rows(), baseline.0.rows(), "{}", at);
+                            prop_assert_eq!(got.1.scheme(), baseline.1.scheme(), "{}", at);
+                            prop_assert_eq!(got.1.rows(), baseline.1.rows(), "{}", at);
+                        }
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Mapping evaluation — the plan, with its filter pushdown — is
     /// byte-identical to the no-pushdown reference over random
-    /// topologies and a mix of pushable filters (strong single-alias),
-    /// non-pushable filters (IS NULL, multi-alias), and target filters.
+    /// topologies and a mix of pushable filters (strong single-alias,
+    /// and the two-alias `R0.id = R1.id`, which branches such as `{R0}`
+    /// and `{R0, R2}` bind only partially, so they stay unfiltered),
+    /// non-pushable filters (`IS NULL`), and target filters.
     #[test]
     fn planned_evaluation_is_byte_identical(
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle, Topology::RandomTree]),
@@ -1360,6 +1561,132 @@ proptest! {
         let mut forged_body = body.to_vec();
         forged_body[at..at + width].copy_from_slice(&claim.to_le_bytes()[..width]);
         prop_assert!(decode(&checksummed(&forged_body), 3, fp).is_err(), "field at {} = {}", at, claim);
+    }
+}
+
+/// Page size of the hostile page-decode heaps: the minimum, so records
+/// of a few dozen bytes already fragment across pages.
+const HOSTILE_PAGE: usize = clio_pager::MIN_PAGE_SIZE;
+
+/// A heap read: its records, or the first error.
+type HeapRead = std::result::Result<Vec<Vec<u8>>, String>;
+
+/// Open the heap file `bytes` through a 2-page pool and read every
+/// record: `Err` on the first failure, with how many cursor steps ran.
+fn read_heap(path: &std::path::Path, bytes: &[u8]) -> (HeapRead, usize) {
+    std::fs::write(path, bytes).unwrap();
+    let pager = clio_pager::Pager::new(2);
+    let file = match pager.open(path) {
+        Ok(file) => file,
+        Err(e) => return (Err(e.to_string()), 0),
+    };
+    let mut records = Vec::new();
+    let mut steps = 0;
+    for rec in pager.cursor(file) {
+        steps += 1;
+        match rec {
+            Ok(rec) => records.push(rec),
+            Err(e) => return (Err(e.to_string()), steps),
+        }
+    }
+    (Ok(records), steps)
+}
+
+/// Recompute the checksum of the page starting at byte `at`.
+fn resum_page(bytes: &mut [u8], at: usize) {
+    let end = at + HOSTILE_PAGE - 8;
+    let sum = clio_pager::fnv1a(clio_pager::FNV_OFFSET_BASIS, &bytes[at..end]);
+    bytes[end..end + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Byte offsets of every fragment header (flag byte, then `u32` length)
+/// in the data page starting at byte `at`, as the writer laid them out.
+fn fragment_headers(bytes: &[u8], at: usize) -> Vec<usize> {
+    let used = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().unwrap()) as usize;
+    let (mut out, mut off) = (Vec::new(), 0);
+    while off + 5 <= used {
+        out.push(at + 20 + off);
+        let len = u32::from_le_bytes(bytes[at + 21 + off..at + 25 + off].try_into().unwrap());
+        off += 5 + len as usize;
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pager's page decode never trusts the file. A multi-page heap
+    /// of fragmented records is read back through `Pager::open` and a
+    /// cursor after: random noise; a cut at every page boundary; and,
+    /// re-checksummed so only the structure checks can catch it, a
+    /// forged page-header `used`, fragment `len` or fragment flag. Each
+    /// read returns `Err` or records, in at most one cursor step per
+    /// byte, and never panics; un-resummed damage is always an `Err`.
+    #[test]
+    fn pager_page_decode_rejects_noise_truncation_and_forged_fields(
+        lens in proptest::collection::vec(0usize..160, 1..8),
+        noise in proptest::collection::vec(proptest::num::u8::ANY, 0..320),
+        page in 0usize..64,
+        fragment in 0usize..64,
+        field in 0usize..3,
+        forged in proptest::num::u32::ANY,
+    ) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "clio-props-pages-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let records: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (0..n).map(|b| (i * 31 + b) as u8).collect())
+            .collect();
+        let heap = dir.join("r.clh");
+        let mut w = clio_pager::HeapWriter::create(&heap, HOSTILE_PAGE).unwrap();
+        for r in &records {
+            w.append(r).unwrap();
+        }
+        w.finish().unwrap();
+        let good = std::fs::read(&heap).unwrap();
+        let probe = dir.join("probe.clh");
+        let bounded = |(read, steps): (HeapRead, usize), bytes: usize| {
+            prop_assert!(steps <= bytes + 1, "{} cursor steps over {} bytes", steps, bytes);
+            read
+        };
+        prop_assert_eq!(bounded(read_heap(&probe, &good), good.len()), Ok(records.clone()));
+
+        prop_assert!(bounded(read_heap(&probe, &noise), noise.len()).is_err());
+        let mut noisy = good.clone();
+        for (i, &b) in noise.iter().enumerate() {
+            let at = (i * 7 + usize::from(b)) % noisy.len();
+            noisy[at] ^= b | 1;
+        }
+        let read = bounded(read_heap(&probe, &noisy), noisy.len());
+        prop_assert!(read.is_err() || noisy == good, "damaged bytes decoded");
+
+        for cut in (0..good.len()).step_by(HOSTILE_PAGE) {
+            prop_assert!(bounded(read_heap(&probe, &good[..cut]), cut).is_err(), "cut at {}", cut);
+        }
+
+        let pages = good.len() / HOSTILE_PAGE - 1;
+        let at = (1 + page % pages) * HOSTILE_PAGE;
+        let mut forged_bytes = good.clone();
+        let frags = fragment_headers(&good, at);
+        match (field, frags.get(fragment % frags.len().max(1))) {
+            (1, Some(&f)) => forged_bytes[f + 1..f + 5].copy_from_slice(&forged.to_le_bytes()),
+            (2, Some(&f)) => forged_bytes[f] = forged as u8,
+            _ => forged_bytes[at + 16..at + 20].copy_from_slice(&forged.to_le_bytes()),
+        }
+        let raw = bounded(read_heap(&probe, &forged_bytes), forged_bytes.len());
+        prop_assert!(raw.is_err() || forged_bytes == good, "an un-resummed forgery decoded");
+        resum_page(&mut forged_bytes, at);
+        // records or an error are both answers here; a panic is not
+        let _ = bounded(read_heap(&probe, &forged_bytes), forged_bytes.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
