@@ -1,5 +1,5 @@
 //! Run the parameter sweeps behind EXPERIMENTS.md and print one markdown
-//! table per experiment (B1–B17). Wall-clock medians over a few
+//! table per experiment (B1–B17; B13 was dropped). Wall-clock medians over a few
 //! repetitions — the Criterion benches give rigorous statistics; this
 //! binary gives the compact tables the docs quote.
 //!
@@ -645,72 +645,31 @@ fn b10_warm_path() {
     }
 }
 
-fn b10_eviction_pressure() {
-    println!("\n### B10b — eviction pressure: post-edit replay under shrinking byte budgets\n");
-    println!("| workload | budget | post-edit replay | hits | misses | evictions |");
-    println!("|---|---|---|---|---|---|");
-    // cyclic workloads memoize one table per subgraph F(J); an edit to
-    // R0 invalidates only the dependent entries, so the replay's speed
-    // depends on the *other* entries still being resident — exactly what
-    // a shrinking byte budget destroys. Tree-shaped mappings cache a
-    // single result table and have nothing to evict.
-    let funcs = FuncRegistry::with_builtins();
-    for (name, w) in [
-        ("cycle4 x100", cycle(4, 100)),
-        ("cycle5 x100", cycle(5, 100)),
-    ] {
-        let eval = |cache: &EvalCache| {
-            w.mapping
-                .evaluate_cached(&w.db, &funcs, Some(cache))
-                .expect("valid")
-                .len()
-        };
-        // working set: resident bytes after one cold evaluation with an
-        // effectively unbounded budget
-        let probe = EvalCache::new();
-        eval(&probe);
-        let working = probe.stats().bytes.max(1);
-        for pct in [100usize, 50, 25, 10] {
-            let cache = EvalCache::with_capacity((working * pct / 100).max(1));
-            eval(&cache); // cold fill under the budget
-            let post_edit = time(|| {
-                cache.bump_version("R0");
-                std::hint::black_box(eval(&cache));
-            });
-            // one counted edit-replay round for the hit/miss/eviction mix
-            let before = cache.stats();
-            cache.bump_version("R0");
-            eval(&cache);
-            let s = cache.stats();
-            println!(
-                "| {name} | {pct}% | {} | {} | {} | {} |",
-                fmt(post_edit),
-                s.hits - before.hits,
-                s.misses - before.misses,
-                s.evictions - before.evictions,
-            );
-        }
-    }
-}
-
 fn b14_policy_budget_sweep() {
     println!("\n## B14 — eviction policy under budget pressure: LRU vs cost-aware\n");
     println!(
-        "| workload | budget | policy | post-edit replay | hits | misses | hit rate \
+        "| workload | budget | edits | policy | post-edit replay | hits | misses | hit rate \
          | evictions |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
-    // The B10b sweep, run once per eviction policy. Rounds are steady-
-    // state: after the cold fill, un-counted edit-replay rounds let each
-    // policy settle on a resident set (cost-aware learns which F(J)
-    // tables recur through ghost-frequency history, which takes a few
-    // rejection rounds to compound), then several counted rounds report
-    // the aggregate hit/miss/eviction mix — aggregating smooths the
-    // round-to-round churn a tight budget induces — plus a timed replay.
+    println!("|---|---|---|---|---|---|---|---|---|");
+    // Cyclic workloads memoize one table per subgraph F(J); an edit
+    // invalidates only the entries depending on the edited relation, so
+    // a post-edit replay's hits depend on the other entries staying
+    // resident under the byte budget (a percentage of the working set).
+    // Each budget runs once per eviction policy and per edit pattern:
+    // every edit on R0, or the edited relation rotating R0..Rn-1 (the
+    // perfbench cycle-edit pattern). Rounds are steady-state: after the
+    // cold fill, un-counted edit-replay rounds let each policy settle on
+    // a resident set (cost-aware learns which F(J) tables recur through
+    // ghost-frequency history, which takes a few rejection rounds to
+    // compound), then several counted rounds report the aggregate
+    // hit/miss/eviction mix — aggregating smooths the round-to-round
+    // churn a tight budget induces — plus a timed replay. A rotating
+    // run settles for two rotations and counts two.
     let funcs = FuncRegistry::with_builtins();
-    for (name, w) in [
-        ("cycle4 x100", cycle(4, 100)),
-        ("cycle5 x100", cycle(5, 100)),
+    for (name, n, w) in [
+        ("cycle4 x100", 4, cycle(4, 100)),
+        ("cycle5 x100", 5, cycle(5, 100)),
     ] {
         let eval = |cache: &EvalCache| {
             w.mapping
@@ -722,35 +681,46 @@ fn b14_policy_budget_sweep() {
         eval(&probe);
         let working = probe.stats().bytes.max(1);
         for pct in [100usize, 50, 25, 10] {
-            for policy in [
-                clio_incr::EvictionPolicy::Lru,
-                clio_incr::EvictionPolicy::CostAware,
-            ] {
-                let cache = EvalCache::with_capacity((working * pct / 100).max(1));
-                cache.set_policy(policy);
-                eval(&cache); // cold fill under the budget
-                for _ in 0..8 {
-                    cache.bump_version("R0");
-                    eval(&cache);
+            for rotating in [false, true] {
+                let (edits, settle, count) = if rotating {
+                    (format!("R0..R{}", n - 1), 2 * n, 2 * n)
+                } else {
+                    ("R0".to_string(), 8, 4)
+                };
+                for policy in [
+                    clio_incr::EvictionPolicy::Lru,
+                    clio_incr::EvictionPolicy::CostAware,
+                ] {
+                    let cache = EvalCache::with_capacity((working * pct / 100).max(1));
+                    cache.set_policy(policy);
+                    let mut next = 0usize;
+                    let mut round = || {
+                        let edited = if rotating { next % n } else { 0 };
+                        next += 1;
+                        cache.bump_version(&format!("R{edited}"));
+                        eval(&cache)
+                    };
+                    eval(&cache); // cold fill under the budget
+                    for _ in 0..settle {
+                        round();
+                    }
+                    let post_edit = time(|| {
+                        std::hint::black_box(round());
+                    });
+                    let before = cache.stats();
+                    for _ in 0..count {
+                        round();
+                    }
+                    let s = cache.stats();
+                    let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
+                    println!(
+                        "| {name} | {pct}% | {edits} | {} | {} | {hits} | {misses} | {:.0}% | {} |",
+                        policy.name(),
+                        fmt(post_edit),
+                        100.0 * hits as f64 / (hits + misses).max(1) as f64,
+                        s.evictions - before.evictions,
+                    );
                 }
-                let post_edit = time(|| {
-                    cache.bump_version("R0");
-                    std::hint::black_box(eval(&cache));
-                });
-                let before = cache.stats();
-                for _ in 0..4 {
-                    cache.bump_version("R0");
-                    eval(&cache);
-                }
-                let s = cache.stats();
-                let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
-                println!(
-                    "| {name} | {pct}% | {} | {} | {hits} | {misses} | {:.0}% | {} |",
-                    policy.name(),
-                    fmt(post_edit),
-                    100.0 * hits as f64 / (hits + misses).max(1) as f64,
-                    s.evictions - before.evictions,
-                );
             }
         }
     }
@@ -867,51 +837,6 @@ fn b11_concurrent_sessions() {
             fmt(pooled_serial),
             fmt(pooled_wide),
             ratio(copies, pooled_wide),
-        );
-    }
-}
-
-fn b13_timing_telemetry() {
-    println!("\n## B13 — timing telemetry: span latency histograms under tracing\n");
-    let funcs = FuncRegistry::with_builtins();
-    let w = chain(4, 1000);
-    let eval = || {
-        let cache = EvalCache::new();
-        std::hint::black_box(
-            w.mapping
-                .evaluate_cached(&w.db, &funcs, Some(&cache))
-                .expect("valid")
-                .len(),
-        );
-    };
-    // tracing overhead: the same evaluation with spans off and on (the
-    // on-path also feeds histograms and the event ring)
-    let off = time(&eval);
-    clio_obs::clear_histograms();
-    clio_obs::clear_events();
-    clio_obs::set_trace_enabled(true);
-    let on = time(&eval);
-    clio_obs::set_trace_enabled(false);
-    let _ = clio_obs::take_spans();
-    clio_obs::clear_events();
-    let hists = clio_obs::snapshot_histograms();
-    clio_obs::clear_histograms();
-    println!(
-        "tracing overhead on chain4 x1000 mapping evaluation: off {} vs on {} ({})\n",
-        fmt(off),
-        fmt(on),
-        ratio(on, off),
-    );
-    println!("| span | count | p50 | p90 | p99 | max |");
-    println!("|---|---|---|---|---|---|");
-    for (name, h) in &hists {
-        println!(
-            "| {name} | {} | {} | {} | {} | {} |",
-            h.count,
-            clio_obs::fmt_ns(u128::from(h.percentile(50))),
-            clio_obs::fmt_ns(u128::from(h.percentile(90))),
-            clio_obs::fmt_ns(u128::from(h.percentile(99))),
-            clio_obs::fmt_ns(u128::from(h.max_ns)),
         );
     }
 }
@@ -1177,16 +1102,12 @@ fn main() {
     }
     if run("b10") {
         b10_warm_path();
-        b10_eviction_pressure();
     }
     if run("b11") {
         b11_concurrent_sessions();
     }
     if run("b12") {
         b12_persistence();
-    }
-    if run("b13") {
-        b13_timing_telemetry();
     }
     if run("b14") {
         b14_policy_budget_sweep();

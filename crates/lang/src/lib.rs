@@ -26,17 +26,17 @@
 //!   the `MAP` clause's target-schema header on its own (the CLI's
 //!   `--target` flag, a paged directory's `_target.txt`).
 //! * Errors carry 1-based line/column positions into the statement
-//!   text, including errors inside embedded expressions (relocated from
-//!   the expression parser) and lowering errors like an unknown `JOIN`
-//!   alias.
+//!   text: a statement is lexed once, by the expression language's
+//!   lexer, so errors inside embedded expressions are positioned by
+//!   that one lexer, and lowering errors like an unknown `JOIN` alias
+//!   point back at the statement too.
 //!
-//! Keywords are case-insensitive; identifiers that collide with them
-//! (or carry whitespace/punctuation) are `"..."`-quoted exactly as in
-//! the expression language.
+//! Keywords are case-insensitive. Names follow the expression
+//! language's quoting rule: one that collides with a keyword of either
+//! grammar, starts with a digit or carries whitespace/punctuation is
+//! `"..."`-quoted.
 
 #![warn(missing_docs)]
-
-mod token;
 
 pub mod parser;
 pub mod printer;

@@ -17,25 +17,28 @@
 //!
 //! [`parse_target_schema`] also reads a target schema on its own (the
 //! `--target` flag, a paged directory's `_target.txt`). `<expr>` is the
-//! relational expression language. Expression fragments are delegated to
-//! [`clio_relational::parser::parse_expr`]; their errors are relocated
-//! so line/column always refer to the original statement text.
+//! relational expression language.
 //!
-//! Identifiers follow the expression lexer's quoting rules, so a
-//! relation, alias, code or attribute whose name collides with a clause
-//! keyword (or carries whitespace) is written `"..."` and never
-//! terminates a clause. Qualified column references like `R.from` are
-//! also safe: a word adjacent to a `.` is never read as a clause
-//! keyword.
+//! A statement is lexed once, by [`lex`]. The clause parser finds
+//! clause boundaries on those tokens and hands each `<expr>`'s token run
+//! to [`parse_expr_tokens`], so every error already carries its line and
+//! column in the statement.
+//!
+//! Clause words (`MAP`, `FROM`, `AS`, the type names, ...) are unquoted
+//! identifier tokens, compared case-insensitively. Names follow the
+//! expression lexer's quoting rules: a relation, alias, code or
+//! attribute that collides with a clause word or an expression keyword,
+//! starts with a digit or carries whitespace is written `"..."`, and a
+//! quoted name never terminates a clause. Qualified column references
+//! like `R.from` are also safe: a word adjacent to a `.` is never read
+//! as a clause word.
 
 use clio_core::prelude::{Mapping, Node, QueryGraph, ValueCorrespondence};
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
-use clio_relational::parser::parse_expr;
+use clio_relational::parser::{lex, parse_expr_tokens, Token, TokenKind};
 use clio_relational::schema::{Attribute, RelSchema};
 use clio_relational::value::DataType;
-
-use crate::token::{tokenize, TokKind, Token};
 
 /// An identifier with its source position, kept through lowering so
 /// semantic errors (an unknown alias in `JOIN`) still point at the
@@ -109,47 +112,24 @@ enum Clause {
     Select,
 }
 
-fn clause_of(word: &str) -> Option<Clause> {
-    for (kw, c) in [
-        ("MAP", Clause::Map),
-        ("FROM", Clause::From),
-        ("JOIN", Clause::Join),
-        ("WHERE", Clause::Where),
-        ("SELECT", Clause::Select),
-    ] {
-        if word.eq_ignore_ascii_case(kw) {
-            return Some(c);
-        }
-    }
-    None
-}
+const CLAUSES: [(&str, Clause); 5] = [
+    ("MAP", Clause::Map),
+    ("FROM", Clause::From),
+    ("JOIN", Clause::Join),
+    ("WHERE", Clause::Where),
+    ("SELECT", Clause::Select),
+];
 
 /// Is token `i` a clause keyword at top level? Quoted identifiers and
 /// words adjacent to a `.` (qualified-name parts inside expressions)
 /// are not.
 fn clause_start(toks: &[Token], i: usize) -> Option<Clause> {
-    let t = &toks[i];
-    if t.kind != TokKind::Word {
-        return None;
-    }
-    let c = clause_of(&t.text)?;
-    if i > 0 && toks[i - 1].kind == TokKind::Sym('.') {
-        return None;
-    }
-    if toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Sym('.')) {
+    let &(_, c) = CLAUSES.iter().find(|(kw, _)| toks[i].is_word(kw))?;
+    let dot = |t: &Token| t.kind == TokenKind::Dot;
+    if (i > 0 && dot(&toks[i - 1])) || toks.get(i + 1).is_some_and(dot) {
         return None;
     }
     Some(c)
-}
-
-fn err_at(t: &Token, message: impl Into<String>) -> Error {
-    Error::Parse {
-        pos: t.cpos,
-        line: t.line,
-        column: t.col,
-        token: t.text.clone(),
-        message: message.into(),
-    }
 }
 
 /// An error at line 1, column 1, for input with no tokens.
@@ -173,44 +153,17 @@ fn err_at_span(s: &Spanned, message: impl Into<String>) -> Error {
     }
 }
 
-/// An identifier token (bare word or quoted), as a [`Spanned`].
+/// An identifier token (plain or quoted), as a [`Spanned`].
 fn ident(t: &Token, what: &str) -> Result<Spanned> {
-    match t.kind {
-        TokKind::Word | TokKind::Quoted => Ok(Spanned {
-            text: t.text.clone(),
-            pos: t.cpos,
-            line: t.line,
-            col: t.col,
+    match &t.kind {
+        TokenKind::Ident { name, .. } => Ok(Spanned {
+            text: name.clone(),
+            pos: t.start.offset,
+            line: t.start.line,
+            col: t.start.column,
         }),
-        _ => Err(err_at(t, format!("expected {what}, got `{}`", t.text))),
+        other => Err(t.error(format!("expected {what}, got `{other}`"))),
     }
-}
-
-/// Parse the raw text under `body` (a contiguous token run) as a
-/// relational expression, relocating any error onto the statement.
-fn sub_expr(input: &str, body: &[Token]) -> Result<Expr> {
-    let first = &body[0];
-    let frag = &input[first.start..body[body.len() - 1].end];
-    parse_expr(frag).map_err(|e| match e {
-        Error::Parse {
-            pos,
-            line,
-            column,
-            token,
-            message,
-        } => Error::Parse {
-            pos: first.cpos + pos,
-            line: first.line + line - 1,
-            column: if line == 1 {
-                first.col + column - 1
-            } else {
-                column
-            },
-            token,
-            message,
-        },
-        other => other,
-    })
 }
 
 /// Split a token run on top-level commas (outside parentheses).
@@ -220,9 +173,9 @@ fn comma_groups(body: &[Token]) -> Vec<&[Token]> {
     let mut start = 0usize;
     for (i, t) in body.iter().enumerate() {
         match t.kind {
-            TokKind::Sym('(') => depth += 1,
-            TokKind::Sym(')') => depth -= 1,
-            TokKind::Sym(',') if depth == 0 => {
+            TokenKind::LParen => depth += 1,
+            TokenKind::RParen => depth -= 1,
+            TokenKind::Comma if depth == 0 => {
                 out.push(&body[start..i]);
                 start = i + 1;
             }
@@ -237,7 +190,7 @@ fn parse_from(body: &[Token], kw: &Token) -> Result<Vec<NodeDecl>> {
     let mut nodes = Vec::new();
     for group in comma_groups(body) {
         let Some(first) = group.first() else {
-            return Err(err_at(kw, "FROM clause has an empty item"));
+            return Err(kw.error("FROM clause has an empty item"));
         };
         let relation = ident(first, "a relation name in FROM")?;
         let mut alias = None;
@@ -246,21 +199,18 @@ fn parse_from(body: &[Token], kw: &Token) -> Result<Vec<NodeDecl>> {
         while let Some(t) = it.next() {
             if t.is_word("AS") {
                 if alias.is_some() {
-                    return Err(err_at(t, "duplicate AS in FROM item"));
+                    return Err(t.error("duplicate AS in FROM item"));
                 }
-                let name = it.next().ok_or_else(|| err_at(t, "AS needs an alias"))?;
+                let name = it.next().ok_or_else(|| t.error("AS needs an alias"))?;
                 alias = Some(ident(name, "an alias after AS")?);
             } else if t.is_word("CODE") {
                 if code.is_some() {
-                    return Err(err_at(t, "duplicate CODE in FROM item"));
+                    return Err(t.error("duplicate CODE in FROM item"));
                 }
-                let name = it.next().ok_or_else(|| err_at(t, "CODE needs a value"))?;
+                let name = it.next().ok_or_else(|| t.error("CODE needs a value"))?;
                 code = Some(ident(name, "a code after CODE")?);
             } else {
-                return Err(err_at(
-                    t,
-                    format!("unexpected token `{}` in FROM clause", t.text),
-                ));
+                return Err(t.error(format!("unexpected token `{}` in FROM clause", t.kind)));
             }
         }
         nodes.push(NodeDecl {
@@ -272,47 +222,47 @@ fn parse_from(body: &[Token], kw: &Token) -> Result<Vec<NodeDecl>> {
     Ok(nodes)
 }
 
-fn parse_join(input: &str, body: &[Token], kw: &Token) -> Result<JoinDecl> {
+fn parse_join(body: &[Token], kw: &Token) -> Result<JoinDecl> {
     let usage = "JOIN clause needs `JOIN a, b ON predicate`";
     if body.len() < 5 {
-        return Err(err_at(kw, usage));
+        return Err(kw.error(usage));
     }
     let a = ident(&body[0], "a node alias in JOIN")?;
-    if body[1].kind != TokKind::Sym(',') {
-        return Err(err_at(&body[1], usage));
+    if body[1].kind != TokenKind::Comma {
+        return Err(body[1].error(usage));
     }
     let b = ident(&body[2], "a node alias in JOIN")?;
     if !body[3].is_word("ON") {
-        return Err(err_at(&body[3], usage));
+        return Err(body[3].error(usage));
     }
-    let predicate = sub_expr(input, &body[4..])?;
+    let predicate = parse_expr_tokens(&body[4..])?;
     Ok(JoinDecl { a, b, predicate })
 }
 
 /// `true` for a `WHERE SOURCE` filter, `false` for `WHERE TARGET`.
-fn parse_where(input: &str, body: &[Token], kw: &Token) -> Result<(bool, Expr)> {
+fn parse_where(body: &[Token], kw: &Token) -> Result<(bool, Expr)> {
     let usage = "WHERE clause needs `WHERE SOURCE|TARGET predicate`";
     let Some(first) = body.first() else {
-        return Err(err_at(kw, usage));
+        return Err(kw.error(usage));
     };
     let on_source = if first.is_word("SOURCE") {
         true
     } else if first.is_word("TARGET") {
         false
     } else {
-        return Err(err_at(first, usage));
+        return Err(first.error(usage));
     };
     if body.len() < 2 {
-        return Err(err_at(first, usage));
+        return Err(first.error(usage));
     }
-    Ok((on_source, sub_expr(input, &body[1..])?))
+    Ok((on_source, parse_expr_tokens(&body[1..])?))
 }
 
-fn parse_select(input: &str, body: &[Token], kw: &Token) -> Result<Vec<SelectItem>> {
+fn parse_select(body: &[Token], kw: &Token) -> Result<Vec<SelectItem>> {
     let mut items = Vec::new();
     for group in comma_groups(body) {
         let Some(first) = group.first() else {
-            return Err(err_at(kw, "SELECT clause has an empty item"));
+            return Err(kw.error("SELECT clause has an empty item"));
         };
         // split on the LAST top-level AS, so expressions containing
         // quoted identifiers can never confuse the split
@@ -320,29 +270,29 @@ fn parse_select(input: &str, body: &[Token], kw: &Token) -> Result<Vec<SelectIte
         let mut as_idx = None;
         for (i, t) in group.iter().enumerate() {
             match t.kind {
-                TokKind::Sym('(') => depth += 1,
-                TokKind::Sym(')') => depth -= 1,
+                TokenKind::LParen => depth += 1,
+                TokenKind::RParen => depth -= 1,
                 _ if depth == 0 && t.is_word("AS") => as_idx = Some(i),
                 _ => {}
             }
         }
         let Some(as_idx) = as_idx else {
-            return Err(err_at(first, "SELECT item needs `expr AS attr`"));
+            return Err(first.error("SELECT item needs `expr AS attr`"));
         };
         if as_idx == 0 {
-            return Err(err_at(first, "SELECT item has an empty expression"));
+            return Err(first.error("SELECT item has an empty expression"));
         }
         let attr = match &group[as_idx + 1..] {
             [t] => ident(t, "a target attribute after AS")?,
-            [] => return Err(err_at(&group[as_idx], "AS needs a target attribute")),
+            [] => return Err(group[as_idx].error("AS needs a target attribute")),
             [_, extra, ..] => {
-                return Err(err_at(
-                    extra,
-                    format!("unexpected token `{}` after SELECT item", extra.text),
-                ))
+                return Err(extra.error(format!(
+                    "unexpected token `{}` after SELECT item",
+                    extra.kind
+                )))
             }
         };
-        let expr = sub_expr(input, &group[..as_idx])?;
+        let expr = parse_expr_tokens(&group[..as_idx])?;
         items.push(SelectItem { expr, attr });
     }
     Ok(items)
@@ -361,7 +311,7 @@ impl<'a> Cursor<'a> {
     fn next(&mut self, what: &str) -> Result<&'a Token> {
         let t = self.toks.get(self.i).ok_or_else(|| {
             let last = &self.toks[self.i - 1];
-            err_at(last, format!("expected {what} after `{}`", last.text))
+            last.error(format!("expected {what} after `{}`", last.kind))
         })?;
         self.i += 1;
         Ok(t)
@@ -380,25 +330,25 @@ fn target_schema(toks: &[Token]) -> Result<RelSchema> {
     let name = ident(&toks[0], "a target relation name")?;
     let mut cur = Cursor { toks, i: 1 };
     let open = cur.next("`(`")?;
-    if open.kind != TokKind::Sym('(') {
-        return Err(err_at(open, "target schema needs `(attrs)`"));
+    if open.kind != TokenKind::LParen {
+        return Err(open.error("target schema needs `(attrs)`"));
     }
     let mut attrs = Vec::new();
     let mut t = cur.next("an attribute or `)`")?;
-    if t.kind != TokKind::Sym(')') {
+    if t.kind != TokenKind::RParen {
         loop {
             let attr = ident(t, "an attribute name")?;
             let ty_tok = cur.next("a type")?;
             let ty = TYPES
                 .into_iter()
                 .find(|ty| ty_tok.is_word(&ty.to_string()))
-                .ok_or_else(|| err_at(ty_tok, format!("unknown type `{}`", ty_tok.text)))?;
+                .ok_or_else(|| ty_tok.error(format!("unknown type `{}`", ty_tok.kind)))?;
             t = cur.next("`,` or `)`")?;
-            let not_null = t.is_word("NOT");
+            let not_null = t.kind == TokenKind::Not;
             if not_null {
                 let null = cur.next("NULL")?;
-                if !null.is_word("NULL") {
-                    return Err(err_at(null, "expected NULL after NOT"));
+                if null.kind != TokenKind::Null {
+                    return Err(null.error("expected NULL after NOT"));
                 }
                 t = cur.next("`,` or `)`")?;
             }
@@ -408,22 +358,17 @@ fn target_schema(toks: &[Token]) -> Result<RelSchema> {
                 not_null,
             });
             match t.kind {
-                TokKind::Sym(',') => t = cur.next("an attribute")?,
-                TokKind::Sym(')') => break,
-                _ => {
-                    return Err(err_at(
-                        t,
-                        format!("unexpected attribute modifier `{}`", t.text),
-                    ))
-                }
+                TokenKind::Comma => t = cur.next("an attribute")?,
+                TokenKind::RParen => break,
+                _ => return Err(t.error(format!("unexpected attribute modifier `{}`", t.kind))),
             }
         }
     }
     if let Some(extra) = toks.get(cur.i) {
-        return Err(err_at(
-            extra,
-            format!("unexpected token `{}` after the target schema", extra.text),
-        ));
+        return Err(extra.error(format!(
+            "unexpected token `{}` after the target schema",
+            extra.kind
+        )));
     }
     RelSchema::new(name.text.clone(), attrs).map_err(|e| err_at_span(&name, e.to_string()))
 }
@@ -432,7 +377,7 @@ fn target_schema(toks: &[Token]) -> Result<RelSchema> {
 /// `Name (attr type [not null], ...)`, as
 /// [`print_target_schema`](crate::print_target_schema) writes it.
 pub fn parse_target_schema(input: &str) -> Result<RelSchema> {
-    let toks = tokenize(input)?;
+    let toks = lex(input)?;
     if toks.is_empty() {
         return Err(err_at_start("empty target schema"));
     }
@@ -441,7 +386,7 @@ pub fn parse_target_schema(input: &str) -> Result<RelSchema> {
 
 /// Parse a `MAP` statement into its AST without lowering it.
 pub fn parse_statement(input: &str) -> Result<MapStmt> {
-    let toks = tokenize(input)?;
+    let toks = lex(input)?;
     if toks.is_empty() {
         return Err(err_at_start("empty mapping statement"));
     }
@@ -449,10 +394,7 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
         .filter_map(|i| clause_start(&toks, i).map(|c| (i, c)))
         .collect();
     if bounds.first() != Some(&(0, Clause::Map)) {
-        return Err(err_at(
-            &toks[0],
-            "expected `MAP` to start the mapping statement",
-        ));
+        return Err(toks[0].error("expected `MAP` to start the mapping statement"));
     }
     let mut target: Option<RelSchema> = None;
     let mut nodes: Option<Vec<NodeDecl>> = None;
@@ -467,22 +409,22 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
         match clause {
             Clause::Map => {
                 if target.is_some() {
-                    return Err(err_at(kw, "duplicate MAP clause"));
+                    return Err(kw.error("duplicate MAP clause"));
                 }
                 if body.is_empty() {
-                    return Err(err_at(kw, "MAP clause needs a target schema"));
+                    return Err(kw.error("MAP clause needs a target schema"));
                 }
                 target = Some(target_schema(body)?);
             }
             Clause::From => {
                 if nodes.is_some() {
-                    return Err(err_at(kw, "duplicate FROM clause"));
+                    return Err(kw.error("duplicate FROM clause"));
                 }
                 nodes = Some(parse_from(body, kw)?);
             }
-            Clause::Join => joins.push(parse_join(input, body, kw)?),
+            Clause::Join => joins.push(parse_join(body, kw)?),
             Clause::Where => {
-                let (on_source, e) = parse_where(input, body, kw)?;
+                let (on_source, e) = parse_where(body, kw)?;
                 if on_source {
                     source_filters.push(e);
                 } else {
@@ -491,9 +433,9 @@ pub fn parse_statement(input: &str) -> Result<MapStmt> {
             }
             Clause::Select => {
                 if selects.is_some() {
-                    return Err(err_at(kw, "duplicate SELECT clause"));
+                    return Err(kw.error("duplicate SELECT clause"));
                 }
-                selects = Some(parse_select(input, body, kw)?);
+                selects = Some(parse_select(body, kw)?);
             }
         }
     }
@@ -556,6 +498,7 @@ pub fn parse_map(input: &str) -> Result<Mapping> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_relational::parser::parse_expr;
 
     const SAMPLE: &str = "\
 MAP Kids (ID str not null, contactPh str, FamilyIncome int)
@@ -731,5 +674,75 @@ SELECT Children.ID AS ID, concat(PhoneDir.type, ',', PhoneDir.number) AS contact
         let text = "MAP T (a str, b str)\nFROM R\nSELECT concat(R.x, ',', R.y) AS a, R.z AS b\n";
         let m = parse_map(text).unwrap();
         assert_eq!(m.correspondences.len(), 2);
+    }
+
+    #[test]
+    fn end_of_clause_errors_point_past_its_last_token() {
+        let text = "MAP T (a int)\nFROM R\nWHERE SOURCE (R.x = 1\nSELECT R.x AS a\n";
+        let err = parse_map(text).unwrap_err().to_string();
+        assert!(
+            err.contains("line 3, column 22: expected `)`, found `end of input`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bare_names_follow_the_expression_quoting_rule() {
+        // keyword-shaped and digit-led names must be quoted
+        for (text, needle) in [
+            (
+                "MAP T (a int)\nFROM end",
+                "line 2, column 6: expected a relation name in FROM, got `END`",
+            ),
+            (
+                "MAP T (a int)\nFROM 1R",
+                "line 2, column 6: expected a relation name in FROM, got `1`",
+            ),
+            (
+                "MAP T (a int)\nFROM R AS null",
+                "line 2, column 11: expected an alias after AS, got `NULL`",
+            ),
+            (
+                "MAP T (a int, in str)",
+                "line 1, column 15: expected an attribute name, got `IN`",
+            ),
+            (
+                "MAP T (a int)\nFROM R\nSELECT R.x AS 2a",
+                "line 3, column 16: unexpected token `a` after SELECT item",
+            ),
+        ] {
+            let err = parse_map(text).unwrap_err().to_string();
+            assert!(err.contains(needle), "for {text:?}: got {err}");
+        }
+        let m = parse_map("MAP T (\"in\" str)\nFROM \"end\", \"1R\" AS \"null\"\n").unwrap();
+        assert_eq!(m.graph.nodes()[0].relation, "end");
+        assert_eq!(m.graph.nodes()[1].relation, "1R");
+        assert_eq!(m.graph.nodes()[1].alias, "null");
+        let printed = crate::print_mapping(&m);
+        assert!(
+            printed.contains("FROM \"end\", \"1R\" AS \"null\""),
+            "{printed}"
+        );
+        assert_eq!(parse_map(&printed).unwrap(), m);
+
+        // characters only the expression lexer rejects fail at lex time,
+        // at the same line and column a clause error used to report
+        for (text, needle) in [
+            (
+                "MAP T (a int)\nFROM R;",
+                "line 2, column 7: unexpected character `;`",
+            ),
+            (
+                "MAP T (a int)\nFROM R\nSELECT @ AS a",
+                "line 3, column 8: unexpected character `@`",
+            ),
+            (
+                "MAP T (a int)\nFROM R, S\nJOIN R | S ON R.x = S.x",
+                "line 3, column 8: expected `||`",
+            ),
+        ] {
+            let err = parse_map(text).unwrap_err().to_string();
+            assert!(err.contains(needle), "for {text:?}: got {err}");
+        }
     }
 }

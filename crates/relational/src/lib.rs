@@ -80,7 +80,7 @@ pub mod prelude {
         group_by, join, minimum_union, minimum_union_all, outer_union, select, AggFunc, Aggregate,
         JoinKind, SubsumptionAlgo,
     };
-    pub use crate::parser::{parse_expr, parse_expr_list};
+    pub use crate::parser::parse_expr;
     pub use crate::relation::{Relation, RelationBuilder};
     pub use crate::schema::{Attribute, Column, ColumnRef, RelSchema, Scheme};
     pub use crate::simplify::simplify;

@@ -31,6 +31,14 @@
 //! escaping an embedded quote: `"My Rel".x = 'y'`. Parse errors carry
 //! the 1-based line/column of the offending token plus its text (see
 //! [`crate::error::Error::Parse`]).
+//!
+//! [`lex`] is the workspace's one tokenizer: the MAP statement parser in
+//! `clio-lang` lexes a whole statement with it, finds its clauses on the
+//! tokens, and hands each embedded expression's token run to
+//! [`parse_expr_tokens`], so every position is already a statement
+//! position.
+
+use std::fmt;
 
 use crate::error::{Error, Result};
 use crate::expr::{BinOp, Expr};
@@ -53,57 +61,40 @@ use crate::value::Value;
 /// assert!(err.to_string().contains("line 1, column 9"));
 /// ```
 pub fn parse_expr(input: &str) -> Result<Expr> {
-    let (tokens, end) = lex(input)?;
+    parse_expr_tokens(&lex(input)?)
+}
+
+/// Parse a complete expression from a run of [`lex`] tokens, such as
+/// one clause of a larger statement. Errors carry the tokens' own
+/// positions; running out of tokens reports just past the last one
+/// (line 1, column 1 for an empty run).
+pub fn parse_expr_tokens(tokens: &[Token]) -> Result<Expr> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        end,
+        end: tokens.last().map_or(Pos::START, |t| t.end),
     };
     let e = p.parse_or()?;
     if let Some(tok) = p.peek() {
-        return Err(parse_error_at(
-            tok,
-            format!("unexpected trailing input `{}`", tok.kind.describe()),
-        ));
+        return Err(tok.error(format!("unexpected trailing input `{}`", tok.kind)));
     }
     Ok(e)
 }
 
-/// Parse a comma-separated list of expressions (filter lists).
-pub fn parse_expr_list(input: &str) -> Result<Vec<Expr>> {
-    let (tokens, end) = lex(input)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        end,
-    };
-    let mut out = Vec::new();
-    if p.peek().is_none() {
-        return Ok(out);
-    }
-    loop {
-        out.push(p.parse_or()?);
-        match p.peek() {
-            None => break,
-            Some(t) if t.kind == TokenKind::Comma => {
-                p.pos += 1;
-            }
-            Some(t) => {
-                return Err(parse_error_at(
-                    t,
-                    format!("expected `,`, found `{}`", t.kind.describe()),
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
+/// What a [`Token`] is.
 #[derive(Debug, Clone, PartialEq)]
-enum TokenKind {
-    Ident(String),
+#[allow(missing_docs)] // the symbol and keyword variants are self-describing
+pub enum TokenKind {
+    /// A plain identifier, or a `"..."`-quoted one (`name` unescaped).
+    /// A quoted identifier is never a keyword of any grammar built on
+    /// these tokens.
+    Ident {
+        name: String,
+        quoted: bool,
+    },
     Int(i64),
     Float(f64),
+    /// A `'...'` string literal, unescaped.
     Str(String),
     // symbols
     Plus,
@@ -139,74 +130,99 @@ enum TokenKind {
     End,
 }
 
-impl TokenKind {
-    fn describe(&self) -> String {
-        match self {
-            TokenKind::Ident(s) => s.clone(),
-            TokenKind::Int(i) => i.to_string(),
-            TokenKind::Float(f) => f.to_string(),
-            TokenKind::Str(s) => format!("'{s}'"),
-            TokenKind::Plus => "+".into(),
-            TokenKind::Minus => "-".into(),
-            TokenKind::Star => "*".into(),
-            TokenKind::Slash => "/".into(),
-            TokenKind::ConcatOp => "||".into(),
-            TokenKind::Eq => "=".into(),
-            TokenKind::Ne => "<>".into(),
-            TokenKind::Lt => "<".into(),
-            TokenKind::Le => "<=".into(),
-            TokenKind::Gt => ">".into(),
-            TokenKind::Ge => ">=".into(),
-            TokenKind::LParen => "(".into(),
-            TokenKind::RParen => ")".into(),
-            TokenKind::Comma => ",".into(),
-            TokenKind::Dot => ".".into(),
-            TokenKind::And => "AND".into(),
-            TokenKind::Or => "OR".into(),
-            TokenKind::Not => "NOT".into(),
-            TokenKind::Is => "IS".into(),
-            TokenKind::Null => "NULL".into(),
-            TokenKind::Like => "LIKE".into(),
-            TokenKind::True => "TRUE".into(),
-            TokenKind::False => "FALSE".into(),
-            TokenKind::In => "IN".into(),
-            TokenKind::Between => "BETWEEN".into(),
-            TokenKind::Case => "CASE".into(),
-            TokenKind::When => "WHEN".into(),
-            TokenKind::Then => "THEN".into(),
-            TokenKind::Else => "ELSE".into(),
-            TokenKind::End => "END".into(),
-        }
+/// How errors quote a token: identifiers by name, string literals in
+/// `'...'`, keywords in upper case.
+impl fmt::Display for TokenKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TokenKind::*;
+        let text = match self {
+            Ident { name, .. } => return f.write_str(name),
+            Int(i) => return write!(f, "{i}"),
+            Float(x) => return write!(f, "{x}"),
+            Str(s) => return write!(f, "'{s}'"),
+            Plus => "+",
+            Minus => "-",
+            Star => "*",
+            Slash => "/",
+            ConcatOp => "||",
+            Eq => "=",
+            Ne => "<>",
+            Lt => "<",
+            Le => "<=",
+            Gt => ">",
+            Ge => ">=",
+            LParen => "(",
+            RParen => ")",
+            Comma => ",",
+            Dot => ".",
+            And => "AND",
+            Or => "OR",
+            Not => "NOT",
+            Is => "IS",
+            Null => "NULL",
+            Like => "LIKE",
+            True => "TRUE",
+            False => "FALSE",
+            In => "IN",
+            Between => "BETWEEN",
+            Case => "CASE",
+            When => "WHEN",
+            Then => "THEN",
+            Else => "ELSE",
+            End => "END",
+        };
+        f.write_str(text)
     }
 }
 
+/// A position in the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pos {
+    /// Character offset.
+    pub offset: usize,
+    /// 1-based line.
+    pub line: usize,
+    /// 1-based column, in characters.
+    pub column: usize,
+}
+
+impl Pos {
+    /// The first character of the input.
+    pub const START: Pos = Pos {
+        offset: 0,
+        line: 1,
+        column: 1,
+    };
+}
+
+/// One lexed token with the positions of its first character and of
+/// the character just past it.
 #[derive(Debug, Clone, PartialEq)]
-struct Token {
-    kind: TokenKind,
-    /// Character offset into the input.
-    pos: usize,
-    /// 1-based line of the token's first character.
-    line: usize,
-    /// 1-based column (in characters) of the token's first character.
-    column: usize,
+pub struct Token {
+    /// What was lexed.
+    pub kind: TokenKind,
+    /// Where it starts.
+    pub start: Pos,
+    /// Just past where it ends.
+    pub end: Pos,
 }
 
-/// Where the input ends, for "end of input" diagnostics.
-#[derive(Debug, Clone, Copy)]
-struct EndPos {
-    pos: usize,
-    line: usize,
-    column: usize,
-}
+impl Token {
+    /// Is this an unquoted identifier equal to `word`, ignoring ASCII
+    /// case? `"FROM"` is a name, `from` may be a keyword.
+    pub fn is_word(&self, word: &str) -> bool {
+        matches!(&self.kind, TokenKind::Ident { name, quoted: false } if name.eq_ignore_ascii_case(word))
+    }
 
-/// A parse error anchored at an existing token.
-fn parse_error_at(tok: &Token, message: String) -> Error {
-    Error::Parse {
-        pos: tok.pos,
-        line: tok.line,
-        column: tok.column,
-        token: tok.kind.describe(),
-        message,
+    /// A parse error pointing at this token.
+    pub fn error(&self, message: impl Into<String>) -> Error {
+        Error::Parse {
+            pos: self.start.offset,
+            line: self.start.line,
+            column: self.start.column,
+            token: self.kind.to_string(),
+            message: message.into(),
+        }
     }
 }
 
@@ -237,330 +253,160 @@ fn keyword(word: &str) -> Option<TokenKind> {
     }
 }
 
-fn lex(input: &str) -> Result<(Vec<Token>, EndPos)> {
-    let bytes: Vec<char> = input.chars().collect();
+/// The operator or punctuation token that starts with `c` (followed by
+/// `next`), and how many characters it spans.
+fn symbol(c: char, next: Option<char>) -> Option<(TokenKind, usize)> {
+    use TokenKind::*;
+    Some(match (c, next) {
+        ('|', Some('|')) => (ConcatOp, 2),
+        ('!', Some('=')) | ('<', Some('>')) => (Ne, 2),
+        ('<', Some('=')) => (Le, 2),
+        ('>', Some('=')) => (Ge, 2),
+        ('<', _) => (Lt, 1),
+        ('>', _) => (Gt, 1),
+        ('(', _) => (LParen, 1),
+        (')', _) => (RParen, 1),
+        (',', _) => (Comma, 1),
+        ('.', _) => (Dot, 1),
+        ('+', _) => (Plus, 1),
+        ('-', _) => (Minus, 1),
+        ('*', _) => (Star, 1),
+        ('/', _) => (Slash, 1),
+        ('=', _) => (Eq, 1),
+        _ => return None,
+    })
+}
+
+/// Lex `input` into positioned tokens, skipping whitespace.
+///
+/// Errors (an unterminated quote, a stray character, an out-of-range
+/// number) point at the offending token's first character.
+pub fn lex(input: &str) -> Result<Vec<Token>> {
+    let chars: Vec<char> = input.chars().collect();
+    let step = |at: &mut Pos| {
+        if chars[at.offset] == '\n' {
+            at.line += 1;
+            at.column = 1;
+        } else {
+            at.column += 1;
+        }
+        at.offset += 1;
+    };
     let mut out = Vec::new();
-    let mut i = 0usize;
-    let mut lline = 1usize; // 1-based line of position `i`
-    let mut line_start = 0usize; // char offset where the current line begins
-    while i < bytes.len() {
-        let c = bytes[i];
-        let pos = i;
-        let line = lline;
-        let column = pos - line_start + 1;
-        // the lexer's error at the current position, blaming `token`
-        let err = |token: &str, message: String| Error::Parse {
-            pos,
-            line,
-            column,
+    let mut at = Pos::START;
+    while let Some(&c) = chars.get(at.offset) {
+        let start = at;
+        // the lexer's error at the token's start, blaming `token`
+        let err = |token: &str, message: &str| Error::Parse {
+            pos: start.offset,
+            line: start.line,
+            column: start.column,
             token: token.into(),
-            message,
+            message: message.into(),
         };
-        match c {
+        let kind = match c {
             c if c.is_whitespace() => {
-                if c == '\n' {
-                    lline += 1;
-                    line_start = i + 1;
-                }
-                i += 1;
+                step(&mut at);
+                continue;
             }
-            '(' => {
-                out.push(Token {
-                    kind: TokenKind::LParen,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token {
-                    kind: TokenKind::RParen,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token {
-                    kind: TokenKind::Comma,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '.' => {
-                out.push(Token {
-                    kind: TokenKind::Dot,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '+' => {
-                out.push(Token {
-                    kind: TokenKind::Plus,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '-' => {
-                out.push(Token {
-                    kind: TokenKind::Minus,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '*' => {
-                out.push(Token {
-                    kind: TokenKind::Star,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '/' => {
-                out.push(Token {
-                    kind: TokenKind::Slash,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '=' => {
-                out.push(Token {
-                    kind: TokenKind::Eq,
-                    pos,
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-            '|' => {
-                if bytes.get(i + 1) == Some(&'|') {
-                    out.push(Token {
-                        kind: TokenKind::ConcatOp,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 2;
-                } else {
-                    return Err(err("|", "expected `||`".into()));
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    out.push(Token {
-                        kind: TokenKind::Ne,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 2;
-                } else {
-                    return Err(err("!", "expected `!=`".into()));
-                }
-            }
-            '<' => match bytes.get(i + 1) {
-                Some('=') => {
-                    out.push(Token {
-                        kind: TokenKind::Le,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 2;
-                }
-                Some('>') => {
-                    out.push(Token {
-                        kind: TokenKind::Ne,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 2;
-                }
-                _ => {
-                    out.push(Token {
-                        kind: TokenKind::Lt,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 1;
-                }
-            },
-            '>' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    out.push(Token {
-                        kind: TokenKind::Ge,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 2;
-                } else {
-                    out.push(Token {
-                        kind: TokenKind::Gt,
-                        pos,
-                        line,
-                        column,
-                    });
-                    i += 1;
-                }
-            }
-            '\'' => {
+            quote @ ('\'' | '"') => {
+                // `''` / `""` escapes an embedded quote
+                step(&mut at);
                 let mut s = String::new();
-                i += 1;
                 loop {
-                    match bytes.get(i) {
-                        None => return Err(err("'", "unterminated string literal".into())),
-                        Some('\'') if bytes.get(i + 1) == Some(&'\'') => {
-                            s.push('\'');
-                            i += 2;
+                    match chars.get(at.offset) {
+                        None if quote == '"' => {
+                            return Err(err("\"", "unterminated quoted identifier"))
                         }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(c) => {
-                            if *c == '\n' {
-                                lline += 1;
-                                line_start = i + 1;
+                        None => return Err(err("'", "unterminated string literal")),
+                        Some(&q) if q == quote => {
+                            step(&mut at);
+                            if chars.get(at.offset) != Some(&quote) {
+                                break;
                             }
-                            s.push(*c);
-                            i += 1;
+                            s.push(quote);
                         }
+                        Some(&ch) => s.push(ch),
                     }
+                    step(&mut at);
                 }
-                out.push(Token {
-                    kind: TokenKind::Str(s),
-                    pos,
-                    line,
-                    column,
-                });
-            }
-            '"' => {
-                // double-quoted identifier; `""` escapes an embedded quote
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => return Err(err("\"", "unterminated quoted identifier".into())),
-                        Some('"') if bytes.get(i + 1) == Some(&'"') => {
-                            s.push('"');
-                            i += 2;
-                        }
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(c) => {
-                            if *c == '\n' {
-                                lline += 1;
-                                line_start = i + 1;
-                            }
-                            s.push(*c);
-                            i += 1;
-                        }
-                    }
+                match quote {
+                    '\'' => TokenKind::Str(s),
+                    _ if s.is_empty() => return Err(err("\"\"", "empty quoted identifier")),
+                    _ => TokenKind::Ident {
+                        name: s,
+                        quoted: true,
+                    },
                 }
-                if s.is_empty() {
-                    return Err(err("\"\"", "empty quoted identifier".into()));
-                }
-                out.push(Token {
-                    kind: TokenKind::Ident(s),
-                    pos,
-                    line,
-                    column,
-                });
             }
             c if c.is_ascii_digit() => {
-                let mut end = i;
-                let mut is_float = false;
-                while end < bytes.len() && bytes[end].is_ascii_digit() {
-                    end += 1;
-                }
+                let digits = |at: &mut Pos| {
+                    while chars.get(at.offset).is_some_and(char::is_ascii_digit) {
+                        step(at);
+                    }
+                };
+                digits(&mut at);
                 // a fractional part requires a digit after '.', so that
                 // `R.1x` style errors are caught and `2.attr` never lexes
-                if end < bytes.len()
-                    && bytes[end] == '.'
-                    && bytes.get(end + 1).is_some_and(char::is_ascii_digit)
-                {
-                    is_float = true;
-                    end += 1;
-                    while end < bytes.len() && bytes[end].is_ascii_digit() {
-                        end += 1;
-                    }
+                let is_float = chars.get(at.offset) == Some(&'.')
+                    && chars.get(at.offset + 1).is_some_and(char::is_ascii_digit);
+                if is_float {
+                    step(&mut at);
+                    digits(&mut at);
                 }
-                let text: String = bytes[i..end].iter().collect();
-                let kind = if is_float {
-                    TokenKind::Float(
-                        text.parse()
-                            .map_err(|_| err(&text, format!("invalid float `{text}`")))?,
-                    )
+                let text: String = chars[start.offset..at.offset].iter().collect();
+                if is_float {
+                    let x = text.parse();
+                    TokenKind::Float(x.map_err(|_| err(&text, &format!("invalid float `{text}`")))?)
                 } else {
-                    TokenKind::Int(
-                        text.parse()
-                            .map_err(|_| err(&text, format!("invalid integer `{text}`")))?,
-                    )
-                };
-                out.push(Token {
-                    kind,
-                    pos,
-                    line,
-                    column,
-                });
-                i = end;
+                    let i = text.parse();
+                    TokenKind::Int(i.map_err(|_| err(&text, &format!("invalid integer `{text}`")))?)
+                }
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut end = i;
-                while end < bytes.len() && (bytes[end].is_alphanumeric() || bytes[end] == '_') {
-                    end += 1;
+                while chars
+                    .get(at.offset)
+                    .is_some_and(|&ch| ch.is_alphanumeric() || ch == '_')
+                {
+                    step(&mut at);
                 }
-                let word: String = bytes[i..end].iter().collect();
-                let kind = keyword(&word).unwrap_or(TokenKind::Ident(word));
-                out.push(Token {
-                    kind,
-                    pos,
-                    line,
-                    column,
-                });
-                i = end;
+                let word: String = chars[start.offset..at.offset].iter().collect();
+                keyword(&word).unwrap_or(TokenKind::Ident {
+                    name: word,
+                    quoted: false,
+                })
             }
-            other => {
-                return Err(err(
-                    &other.to_string(),
-                    format!("unexpected character `{other}`"),
-                ))
+            c => {
+                let Some((kind, width)) = symbol(c, chars.get(at.offset + 1).copied()) else {
+                    return Err(match c {
+                        '|' => err("|", "expected `||`"),
+                        '!' => err("!", "expected `!=`"),
+                        _ => err(&c.to_string(), &format!("unexpected character `{c}`")),
+                    });
+                };
+                for _ in 0..width {
+                    step(&mut at);
+                }
+                kind
             }
-        }
+        };
+        out.push(Token {
+            kind,
+            start,
+            end: at,
+        });
     }
-    let end = EndPos {
-        pos: bytes.len(),
-        line: lline,
-        column: bytes.len() - line_start + 1,
-    };
-    Ok((out, end))
+    Ok(out)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: &'a [Token],
     pos: usize,
-    end: EndPos,
+    /// Where "end of input" errors point.
+    end: Pos,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -579,18 +425,18 @@ impl Parser {
             Ok(())
         } else {
             let found = match self.peek() {
-                Some(t) => t.kind.describe(),
+                Some(t) => t.kind.to_string(),
                 None => "end of input".into(),
             };
-            Err(self.err_here(format!("expected `{}`, found `{found}`", kind.describe())))
+            Err(self.err_here(format!("expected `{kind}`, found `{found}`")))
         }
     }
 
     fn err_here(&self, message: impl Into<String>) -> Error {
         match self.peek() {
-            Some(t) => parse_error_at(t, message.into()),
+            Some(t) => t.error(message),
             None => Error::Parse {
-                pos: self.end.pos,
+                pos: self.end.offset,
                 line: self.end.line,
                 column: self.end.column,
                 token: String::new(),
@@ -807,7 +653,7 @@ impl Parser {
                     otherwise,
                 })
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident { name, .. } => {
                 self.pos += 1;
                 if self.eat(&TokenKind::LParen) {
                     // function call
@@ -824,7 +670,7 @@ impl Parser {
                     Ok(Expr::Func { name, args })
                 } else if self.eat(&TokenKind::Dot) {
                     match self.peek().map(|t| t.kind.clone()) {
-                        Some(TokenKind::Ident(attr)) => {
+                        Some(TokenKind::Ident { name: attr, .. }) => {
                             self.pos += 1;
                             Ok(Expr::Column(ColumnRef::qualified(name, attr)))
                         }
@@ -834,13 +680,7 @@ impl Parser {
                     Ok(Expr::Column(ColumnRef::bare(name)))
                 }
             }
-            other => Err(Error::Parse {
-                pos: tok.pos,
-                line: tok.line,
-                column: tok.column,
-                token: other.describe(),
-                message: format!("unexpected token `{}`", other.describe()),
-            }),
+            _ => Err(tok.error(format!("unexpected token `{}`", tok.kind))),
         }
     }
 }
@@ -1022,14 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn expr_list_parsing() {
-        let list = parse_expr_list("C.age < 7, Kids.ID IS NOT NULL").unwrap();
-        assert_eq!(list.len(), 2);
-        assert!(parse_expr_list("").unwrap().is_empty());
-        assert!(parse_expr_list("a = 1,").is_err());
-    }
-
-    #[test]
     fn round_trip_display_reparses_to_same_ast() {
         for src in [
             "C.mid = P.ID",
@@ -1148,6 +980,43 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("line 1, column 4"));
+    }
+
+    #[test]
+    fn token_runs_parse_on_their_own() {
+        let toks = lex("(a = 1\n  FROM \"FROM\" 'x\ny'").unwrap();
+        assert!(toks[4].is_word("from"));
+        assert!(!toks[5].is_word("from"));
+        assert_eq!(
+            toks[5].kind,
+            TokenKind::Ident {
+                name: "FROM".into(),
+                quoted: true
+            }
+        );
+        // a string spanning lines ends on its closing line
+        let end = Pos {
+            offset: 26,
+            line: 3,
+            column: 3,
+        };
+        assert_eq!(toks[6].end, end);
+        assert_eq!(parse_expr_tokens(&toks[1..4]).unwrap(), p("a = 1"));
+        // end of a run: just past its last token, not the input's end
+        match parse_expr_tokens(&toks[..4]).unwrap_err() {
+            Error::Parse {
+                pos,
+                line,
+                column,
+                ref token,
+                ref message,
+            } => {
+                assert_eq!((pos, line, column), (6, 1, 7));
+                assert!(token.is_empty());
+                assert_eq!(message, "expected `)`, found `end of input`");
+            }
+            other => panic!("expected parse error, got {other}"),
+        }
     }
 
     #[test]

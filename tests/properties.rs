@@ -922,7 +922,6 @@ proptest! {
     #[test]
     fn parser_is_total_on_arbitrary_strings(s in "\\PC{0,60}") {
         let _ = parse_expr(&s); // must not panic
-        let _ = parse_expr_list(&s);
     }
 
     /// The parser never panics on expression-shaped token soup either.
@@ -1281,8 +1280,9 @@ proptest! {
 }
 
 /// Fragments the hostile-input soup is built from: the language's
-/// keywords, its punctuation, unbalanced quotes, newlines and
-/// multibyte characters.
+/// keywords, its punctuation, unbalanced quotes, newlines, multibyte
+/// characters, and the characters and numbers the lexer rejects or
+/// reads specially.
 const SOUP: &[&str] = &[
     "MAP",
     "FROM",
@@ -1317,6 +1317,15 @@ const SOUP: &[&str] = &[
     "\u{1F600}",
     "T (",
     "a int",
+    ";",
+    "@",
+    "!",
+    "|",
+    "||",
+    "<>",
+    "1.5",
+    "9999999999999999999",
+    "1R",
 ];
 
 proptest! {
@@ -1337,6 +1346,20 @@ proptest! {
         }
         let _ = clio_lang::parse_map(&text);
     }
+}
+
+/// Does every `'...'` and `"..."` opened in `text` close? A doubled
+/// quote inside one is an escape, which closes and reopens it.
+fn quotes_close(text: &str) -> bool {
+    let mut open = None;
+    for c in text.chars() {
+        match open {
+            None if c == '\'' || c == '"' => open = Some(c),
+            Some(q) if c == q => open = None,
+            _ => {}
+        }
+    }
+    open.is_none()
 }
 
 /// Fragments for the expression parser's hostile-input soup: its
@@ -1397,7 +1420,40 @@ proptest! {
     ) {
         let text: String = pieces.iter().map(|&i| EXPR_SOUP[i]).collect();
         let _ = parse_expr(&text);
-        let _ = parse_expr_list(&text);
+    }
+
+    /// An expression inside a MAP statement parses exactly as it does on
+    /// its own: the same filter, or the same error message and token at
+    /// the line and column shifted by the statement text before it.
+    /// Fragments that leave a quote open are left to the hostile-input
+    /// proptests: they swallow the rest of the statement.
+    #[test]
+    fn embedded_expression_errors_match_standalone(
+        pieces in proptest::collection::vec(0..EXPR_SOUP.len(), 1..24),
+    ) {
+        let text: String = pieces.iter().map(|&i| EXPR_SOUP[i]).collect();
+        let frag = text.trim();
+        prop_assume!(!frag.is_empty() && quotes_close(frag));
+        let prefix = "MAP T (a int)\nFROM R\nWHERE SOURCE ";
+        let embedded = clio_lang::parse_map(&format!("{prefix}{frag}"));
+        match parse_expr(frag) {
+            Ok(filter) => {
+                let m = embedded.unwrap_or_else(|e| panic!("{frag:?} fails embedded: {e}"));
+                prop_assert_eq!(m.source_filters, vec![filter]);
+            }
+            Err(Error::Parse { line, column, token, message, .. }) => {
+                let shifted = if line == 1 { (3, column + 13) } else { (line + 2, column) };
+                match embedded {
+                    Err(Error::Parse { line: l, column: c, token: t, message: msg, .. }) => {
+                        prop_assert_eq!((l, c), shifted, "{:?}", frag);
+                        prop_assert_eq!(t, token);
+                        prop_assert_eq!(msg, message);
+                    }
+                    other => prop_assert!(false, "{:?}: embedded gave {:?}", frag, other),
+                }
+            }
+            Err(other) => prop_assert!(false, "{:?}: not a parse error: {}", frag, other),
+        }
     }
 
     /// The frame decoder reads bytes from any peer: a frame cut short
