@@ -23,6 +23,7 @@ use clio_core::operators::walk::data_walk;
 use clio_datagen::synthetic::random_knowledge;
 use clio_incr::EvalCache;
 use clio_relational::database::Database;
+use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::index::{scan_occurrences, ValueIndex};
 use clio_relational::ops::{join, remove_subsumed_naive, remove_subsumed_partitioned, JoinKind};
@@ -519,20 +520,30 @@ fn b8_expressions() {
 }
 
 /// The B9 join inputs: `A(id, link)` and `B(id, payload)` with a ~2:1
-/// fan-in of `A.link` onto `B.id`.
-fn join_tables(rows: usize) -> (Table, Table) {
+/// fan-in of `A.link` onto `B.id`, keyed by strings (`"b17"`) or by
+/// integers (`17`).
+fn join_tables(rows: usize, string_keys: bool) -> (Table, Table) {
+    let key_type = if string_keys {
+        DataType::Str
+    } else {
+        DataType::Int
+    };
+    let key = |k: usize| -> Value {
+        if string_keys {
+            format!("b{k}").into()
+        } else {
+            Value::Int(k as i64)
+        }
+    };
     let mut a = RelationBuilder::new("A")
         .attr("id", DataType::Str)
-        .attr("link", DataType::Str);
+        .attr("link", key_type);
     let mut b = RelationBuilder::new("B")
-        .attr("id", DataType::Str)
+        .attr("id", key_type)
         .attr("payload", DataType::Str);
     for k in 0..rows {
-        a = a.row(vec![
-            format!("a{k}").into(),
-            format!("b{}", k % (rows / 2 + 1)).into(),
-        ]);
-        b = b.row(vec![format!("b{k}").into(), format!("p{k}").into()]);
+        a = a.row(vec![format!("a{k}").into(), key(k % (rows / 2 + 1))]);
+        b = b.row(vec![key(k), format!("p{k}").into()]);
     }
     (
         a.build().expect("valid").to_table("A"),
@@ -543,43 +554,54 @@ fn join_tables(rows: usize) -> (Table, Table) {
 fn b9_join_ablation() {
     println!("\n## B9 — join ablation: hash-equijoin fast path vs nested loop\n");
     println!(
-        "| rows/side | hash | nested loop | ratio | hash join.probes \
+        "| key | rows/side | hash | nested loop | ratio | hash join.probes \
          | nested join.probes | scan.tuples |"
     );
-    println!("|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|");
     let funcs = FuncRegistry::with_builtins();
     // the same predicate, phrased to take each path: `=` hashes,
     // `>= AND <=` defeats equi-extraction and falls back to nested loop
     let hash_pred = parse_expr("A.link = B.id").expect("valid");
     let nested_pred = parse_expr("A.link >= B.id AND A.link <= B.id").expect("valid");
-    for rows in [200usize, 1000] {
-        let (a, b) = join_tables(rows);
+    for (string_keys, rows) in [
+        (true, 200usize),
+        (true, 1000),
+        (true, 10_000),
+        (false, 1000),
+        (false, 10_000),
+    ] {
+        let (a, b) = join_tables(rows, string_keys);
+        let inner = |pred: &Expr| join(&a, &b, pred, JoinKind::Inner, &funcs).expect("joins");
+        let (mut hashed, mut nested) = (None, None);
+        let hash_work = counted(|| hashed = Some(inner(&hash_pred)));
+        let nested_work = counted(|| nested = Some(inner(&nested_pred)));
+        // an ablation compares two ways to one answer: the same rows, in
+        // the same order
+        assert_eq!(
+            hashed.map(Table::into_rows),
+            nested.map(Table::into_rows),
+            "B9: the hash and nested-loop joins disagree at {rows} rows/side"
+        );
         let hash = time(|| {
-            std::hint::black_box(
-                join(&a, &b, &hash_pred, JoinKind::Inner, &funcs)
-                    .expect("joins")
-                    .len(),
-            );
+            std::hint::black_box(inner(&hash_pred).len());
         });
-        let nested = time(|| {
-            std::hint::black_box(
-                join(&a, &b, &nested_pred, JoinKind::Inner, &funcs)
-                    .expect("joins")
-                    .len(),
-            );
-        });
-        let hash_work = counted(|| {
-            join(&a, &b, &hash_pred, JoinKind::Inner, &funcs).expect("joins");
-        });
-        let nested_work = counted(|| {
-            join(&a, &b, &nested_pred, JoinKind::Inner, &funcs).expect("joins");
-        });
+        // the nested loop is quadratic: one timed run past 1 000 rows/side
+        let nested = if rows > 1000 {
+            let t = Instant::now();
+            std::hint::black_box(inner(&nested_pred).len());
+            t.elapsed()
+        } else {
+            time(|| {
+                std::hint::black_box(inner(&nested_pred).len());
+            })
+        };
         // nested-loop pair tests count as probes too, so the fallback
         // shows up as quadratic (rows^2) vs linear probes — the
         // tell-tale the golden counter gate in scripts/verify.sh
         // watches for
         println!(
-            "| {rows} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {rows} | {} | {} | {} | {} | {} | {} |",
+            if string_keys { "str" } else { "int" },
             fmt(hash),
             fmt(nested),
             ratio(nested, hash),

@@ -409,13 +409,16 @@ impl MappingEvaluator {
     /// Compute the target tuple for an association row (no filters —
     /// `Q_{φ(M)}(d)`).
     pub fn target_row(&self, assoc: &[Value], funcs: &FuncRegistry) -> Result<Vec<Value>> {
-        self.slots
-            .iter()
-            .map(|slot| match slot {
-                None => Ok(Value::Null),
-                Some(b) => b.eval(assoc, funcs),
-            })
-            .collect()
+        // an exact-capacity loop: `collect` over a `Result` iterator cannot
+        // size its vector up front
+        let mut row = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            row.push(match slot {
+                None => Value::Null,
+                Some(b) => b.eval(assoc, funcs)?,
+            });
+        }
+        Ok(row)
     }
 
     /// Do the filters accept `(assoc, target)`?

@@ -258,8 +258,14 @@ impl RelExpr {
                 memoized_disjunction(ex.graph, ex.cache, "D(G).tree", || {
                     let _span = clio_obs::span("fd.outer_join");
                     let (table, charged) = self.eval(ex)?;
-                    // reorder columns into the canonical graph scheme
-                    Ok((pad_to(&table, &ex.graph.scheme(ex.db)?)?, charged))
+                    // reorder columns into the canonical graph scheme,
+                    // unless the chain already produced them in that order
+                    let scheme = ex.graph.scheme(ex.db)?;
+                    if *table.scheme() == scheme {
+                        Ok((table, charged))
+                    } else {
+                        Ok((pad_to(&table, &scheme)?, charged))
+                    }
                 })
             }
             RelExpr::Union { inputs, .. }

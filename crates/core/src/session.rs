@@ -1123,7 +1123,7 @@ mod tests {
             Arity::Exact(1),
             Arc::new(|args: &[Value]| {
                 Ok(match &args[0] {
-                    Value::Str(v) => Value::Str(format!("kid-{v}")),
+                    Value::Str(v) => Value::str(format!("kid-{v}")),
                     other => other.clone(),
                 })
             }),

@@ -111,6 +111,13 @@ fn gd_priority(clock: u64, cost_ns: u64, bytes: usize, freq: u64) -> u64 {
 /// Estimate the resident size of a table: one `Value` slot per cell plus
 /// string payloads. Good enough for budgeting; never used for
 /// correctness.
+///
+/// Each string cell is charged its payload, once per entry and per cell.
+/// Cells share their strings (`Value::Str` holds an `Arc<str>`), so a
+/// payload held by several cells, entries or base relations is resident
+/// once and the number is an upper bound. It is kept that way on purpose:
+/// charging by pointer would make a budget's meaning depend on which
+/// other tables happen to share a string.
 #[must_use]
 pub fn table_bytes(table: &Table) -> usize {
     let cell = std::mem::size_of::<Value>();
@@ -821,6 +828,31 @@ mod tests {
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint(n)
+    }
+
+    #[test]
+    fn table_bytes_charges_every_cell_and_every_string_payload() {
+        // Two rows share one `Arc<str>` in column `a`; each cell is still
+        // charged its payload.
+        let shared = Value::str("shared");
+        let scheme = Scheme::new(vec![
+            Column::new("T", "a", DataType::Str),
+            Column::new("T", "b", DataType::Int),
+        ]);
+        let t = Table::new(
+            scheme,
+            vec![
+                vec![shared.clone(), Value::Int(1)],
+                vec![shared, Value::Null],
+                vec![Value::str("xy"), Value::Int(3)],
+            ],
+        );
+        let cells = 6;
+        let strings = "shared".len() * 2 + "xy".len();
+        assert_eq!(
+            table_bytes(&t),
+            cells * std::mem::size_of::<Value>() + strings
+        );
     }
 
     #[test]

@@ -369,10 +369,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<&'a str, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8".to_owned())
+        std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_owned())
     }
 
     fn value(&mut self) -> Result<Value, String> {
@@ -380,7 +380,7 @@ impl<'a> Cursor<'a> {
             0 => Value::Null,
             1 => Value::Int(self.u64()? as i64),
             2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::Str(self.str()?),
+            3 => Value::str(self.str()?),
             4 => Value::Bool(self.u8()? != 0),
             tag => return Err(format!("unknown value tag {tag}")),
         })
@@ -424,7 +424,7 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
     let ndeps = cur.u32()? as usize;
     let mut deps = Vec::with_capacity(ndeps.min(1024));
     for _ in 0..ndeps {
-        deps.push(cur.str()?);
+        deps.push(cur.str()?.to_owned());
     }
     let ncols = cur.u32()? as usize;
     let mut cols = Vec::with_capacity(ncols.min(1024));

@@ -154,7 +154,7 @@ fn parse_value(raw: Option<String>, ty: DataType) -> Result<Value> {
         return Ok(Value::Null);
     };
     Ok(match ty {
-        DataType::Str => Value::Str(s),
+        DataType::Str => Value::str(s),
         DataType::Int => Value::Int(
             s.trim()
                 .parse()

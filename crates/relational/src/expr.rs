@@ -700,15 +700,7 @@ fn concat_values(l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    let ls = match l {
-        Value::Str(s) => s.clone(),
-        v => v.to_string(),
-    };
-    let rs = match r {
-        Value::Str(s) => s.clone(),
-        v => v.to_string(),
-    };
-    Ok(Value::Str(ls + &rs))
+    Ok(Value::str(format!("{l}{r}")))
 }
 
 /// SQL LIKE with `%` (any run) and `_` (single char).

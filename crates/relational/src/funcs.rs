@@ -128,7 +128,7 @@ impl FuncRegistry {
 
 fn string_arg(name: &str, v: &Value) -> Result<String> {
     match v {
-        Value::Str(s) => Ok(s.clone()),
+        Value::Str(s) => Ok(s.to_string()),
         Value::Int(i) => Ok(i.to_string()),
         Value::Float(f) => Ok(f.to_string()),
         Value::Bool(b) => Ok(b.to_string()),
@@ -148,7 +148,7 @@ fn builtin_concat(args: &[Value]) -> Result<Value> {
     for a in args {
         out.push_str(&string_arg("concat", a)?);
     }
-    Ok(Value::Str(out))
+    Ok(Value::str(out))
 }
 
 fn builtin_coalesce(args: &[Value]) -> Result<Value> {
@@ -162,7 +162,7 @@ fn builtin_coalesce(args: &[Value]) -> Result<Value> {
 fn builtin_upper(args: &[Value]) -> Result<Value> {
     match &args[0] {
         Value::Null => Ok(Value::Null),
-        Value::Str(s) => Ok(Value::Str(s.to_uppercase())),
+        Value::Str(s) => Ok(Value::str(s.to_uppercase())),
         v => Err(Error::TypeMismatch(format!(
             "upper: expected string, got {v}"
         ))),
@@ -172,7 +172,7 @@ fn builtin_upper(args: &[Value]) -> Result<Value> {
 fn builtin_lower(args: &[Value]) -> Result<Value> {
     match &args[0] {
         Value::Null => Ok(Value::Null),
-        Value::Str(s) => Ok(Value::Str(s.to_lowercase())),
+        Value::Str(s) => Ok(Value::str(s.to_lowercase())),
         v => Err(Error::TypeMismatch(format!(
             "lower: expected string, got {v}"
         ))),
@@ -230,15 +230,15 @@ fn builtin_substr(args: &[Value]) -> Result<Value> {
     let from = (start - 1) as usize;
     let to = (from + len as usize).min(chars.len());
     if from >= chars.len() {
-        return Ok(Value::Str(String::new()));
+        return Ok(Value::str(""));
     }
-    Ok(Value::Str(chars[from..to].iter().collect()))
+    Ok(Value::str(chars[from..to].iter().collect::<String>()))
 }
 
 fn builtin_trim(args: &[Value]) -> Result<Value> {
     match &args[0] {
         Value::Null => Ok(Value::Null),
-        Value::Str(s) => Ok(Value::Str(s.trim().to_owned())),
+        Value::Str(s) => Ok(Value::str(s.trim())),
         v => Err(Error::TypeMismatch(format!(
             "trim: expected string, got {v}"
         ))),
@@ -251,9 +251,7 @@ fn builtin_replace(args: &[Value]) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (&args[0], &args[1], &args[2]) {
-        (Value::Str(s), Value::Str(from), Value::Str(to)) => {
-            Ok(Value::Str(s.replace(from.as_str(), to)))
-        }
+        (Value::Str(s), Value::Str(from), Value::Str(to)) => Ok(Value::str(s.replace(&**from, to))),
         _ => Err(Error::TypeMismatch(
             "replace: expected three strings".into(),
         )),
@@ -265,7 +263,7 @@ fn builtin_starts_with(args: &[Value]) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (&args[0], &args[1]) {
-        (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.starts_with(p.as_str()))),
+        (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.starts_with(&**p))),
         _ => Err(Error::TypeMismatch(
             "starts_with: expected two strings".into(),
         )),
@@ -277,7 +275,7 @@ fn builtin_ends_with(args: &[Value]) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (&args[0], &args[1]) {
-        (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.ends_with(p.as_str()))),
+        (Value::Str(s), Value::Str(p)) => Ok(Value::Bool(s.ends_with(&**p))),
         _ => Err(Error::TypeMismatch(
             "ends_with: expected two strings".into(),
         )),
@@ -312,7 +310,7 @@ fn builtin_lpad(args: &[Value]) -> Result<Value> {
         i += 1;
     }
     out.push_str(s);
-    Ok(Value::Str(out))
+    Ok(Value::str(out))
 }
 
 /// `to_int(v)` — parse a string / truncate a float to an integer; null on
@@ -333,7 +331,7 @@ fn builtin_to_int(args: &[Value]) -> Result<Value> {
 fn builtin_to_str(args: &[Value]) -> Result<Value> {
     Ok(match &args[0] {
         Value::Null => Value::Null,
-        v => Value::Str(v.to_string()),
+        v => Value::str(v.to_string()),
     })
 }
 

@@ -8,8 +8,16 @@
 //! and uses a hash join on them; any residual predicate is evaluated on the
 //! concatenated row. Null join-key values never match (SQL semantics — this
 //! is exactly what makes join predicates *strong*).
-
-use std::collections::HashMap;
+//!
+//! The hash join allocates nothing per probe. The right input's key
+//! columns are hashed in place into the crate's `RowIndex`, whose chains
+//! list right rows in ascending order, so output rows come out in the
+//! nested loop's order. Each left row hashes its key columns in place and
+//! confirms each chain candidate with SQL `=` on every key column: a hash
+//! match is only a candidate, and `Value`'s container equality is not
+//! SQL's (`NaN == NaN` holds there, `-0.0 == 0.0` does not). Output rows
+//! are built once at their final width; copying a cell never copies a
+//! string ([`Value`]).
 
 use clio_obs::metrics::{self, Counter};
 
@@ -17,7 +25,8 @@ use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::funcs::FuncRegistry;
 use crate::schema::Scheme;
-use crate::table::Table;
+use crate::table::{RowIndex, Table};
+use crate::truth::Truth;
 use crate::value::Value;
 
 /// Join flavour.
@@ -37,9 +46,7 @@ pub fn cartesian_product(left: &Table, right: &Table) -> Result<Table> {
     let mut out = Table::empty(scheme);
     for l in left.rows() {
         for r in right.rows() {
-            let mut row = l.clone();
-            row.extend(r.iter().cloned());
-            out.push(row);
+            out.push(concat(l, r));
         }
     }
     metrics::add(Counter::TuplesScanned, (left.len() + right.len()) as u64);
@@ -93,8 +100,7 @@ pub fn join(
             let mut matched = false;
             probes += right.len() as u64;
             for (ri, r) in right.rows().iter().enumerate() {
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
+                let row = concat(l, r);
                 if bound.eval_truth(&row, funcs)?.passes() {
                     matched = true;
                     right_matched[ri] = true;
@@ -102,51 +108,47 @@ pub fn join(
                 }
             }
             if !matched && kind != JoinKind::Inner {
-                let mut row = l.clone();
-                row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                out.push(row);
+                out.push(concat_nulls(l, right_arity));
             }
         }
     } else {
-        // Hash join on the extracted keys.
-        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.len());
-        for (ri, r) in right.rows().iter().enumerate() {
-            let key: Vec<Value> = right_keys.iter().map(|&i| r[i].clone()).collect();
-            if key.iter().any(Value::is_null) {
+        // Hash join on the extracted keys. Linking the right rows last to
+        // first leaves every chain in ascending row order.
+        let mut index = RowIndex::with_capacity(right.len());
+        for (ri, r) in right.rows().iter().enumerate().rev() {
+            if right_keys.iter().any(|&i| r[i].is_null()) {
                 continue; // null keys never match
             }
-            index.entry(key).or_default().push(ri);
+            index.link(ri, index.hash(right_keys.iter().map(|&i| sql_key(&r[i]))));
         }
         for l in left.rows() {
-            let key: Vec<Value> = left_keys.iter().map(|&i| l[i].clone()).collect();
             let mut matched = false;
-            if !key.iter().any(Value::is_null) {
+            if !left_keys.iter().any(|&i| l[i].is_null()) {
                 probes += 1;
-                if let Some(candidates) = index.get(&key) {
-                    for &ri in candidates {
-                        let r = &right.rows()[ri];
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        // container equality may admit pairs SQL equality
-                        // would not (it never does for same-typed keys, but
-                        // the residual check also enforces any extra
-                        // predicate conjuncts)
-                        let ok = match &residual {
-                            None => true,
-                            Some(b) => b.eval_truth(&row, funcs)?.passes(),
-                        };
-                        if ok {
-                            matched = true;
-                            right_matched[ri] = true;
-                            out.push(row);
-                        }
+                let hash = index.hash(left_keys.iter().map(|&i| sql_key(&l[i])));
+                for ri in index.candidates(hash) {
+                    let r = &right.rows()[ri];
+                    let keys_equal = left_keys
+                        .iter()
+                        .zip(&right_keys)
+                        .all(|(&li, &rj)| l[li].sql_eq(&r[rj]) == Truth::True);
+                    if !keys_equal {
+                        continue;
+                    }
+                    let row = concat(l, r);
+                    let ok = match &residual {
+                        None => true,
+                        Some(b) => b.eval_truth(&row, funcs)?.passes(),
+                    };
+                    if ok {
+                        matched = true;
+                        right_matched[ri] = true;
+                        out.push(row);
                     }
                 }
             }
             if !matched && kind != JoinKind::Inner {
-                let mut row = l.clone();
-                row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                out.push(row);
+                out.push(concat_nulls(l, right_arity));
             }
         }
     }
@@ -154,8 +156,9 @@ pub fn join(
     if kind == JoinKind::FullOuter {
         for (ri, r) in right.rows().iter().enumerate() {
             if !right_matched[ri] {
-                let mut row: Vec<Value> = std::iter::repeat_n(Value::Null, left_arity).collect();
-                row.extend(r.iter().cloned());
+                let mut row = Vec::with_capacity(left_arity + right_arity);
+                row.resize(left_arity, Value::Null);
+                row.extend_from_slice(r);
                 out.push(row);
             }
         }
@@ -165,6 +168,32 @@ pub fn join(
     metrics::add(Counter::JoinProbes, probes);
     metrics::add(Counter::JoinOutputRows, out.len() as u64);
     Ok(out)
+}
+
+/// A key cell as SQL `=` hashes it: `-0.0 = 0.0` holds, so both hash as
+/// `0.0` (every other value SQL-equal to another already shares its hash).
+fn sql_key(v: &Value) -> &Value {
+    static ZERO: Value = Value::Float(0.0);
+    match v {
+        Value::Float(f) if *f == 0.0 => &ZERO,
+        v => v,
+    }
+}
+
+/// `l` followed by `r`, allocated once at the joined width.
+fn concat(l: &[Value], r: &[Value]) -> Vec<Value> {
+    let mut row = Vec::with_capacity(l.len() + r.len());
+    row.extend_from_slice(l);
+    row.extend_from_slice(r);
+    row
+}
+
+/// `l` followed by `nulls` nulls, allocated once at the joined width.
+fn concat_nulls(l: &[Value], nulls: usize) -> Vec<Value> {
+    let mut row = Vec::with_capacity(l.len() + nulls);
+    row.extend_from_slice(l);
+    row.resize(l.len() + nulls, Value::Null);
+    row
 }
 
 /// Flatten a conjunction tree into its conjuncts.

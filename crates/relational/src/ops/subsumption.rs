@@ -30,16 +30,14 @@
 //! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`)
 //! compares them; a property test asserts they agree.
 
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
 
 use clio_obs::metrics::{self, Counter};
 
 use crate::bitset::Bitset;
 use crate::error::Result;
 use crate::exec;
-use crate::table::Table;
+use crate::table::{RowIndex, Table};
 use crate::value::Value;
 
 /// Algorithm selector for subsumption removal.
@@ -296,8 +294,8 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
 /// strictly subsumes the `table` row, so a row marked here is never
 /// maximal. Each `wider` scheme must contain every column of `table`'s.
 ///
-/// One hashed semi-join per call: `table`'s rows are indexed once (a
-/// chain of positions per row hash, matches confirmed with `==`), and
+/// One hashed semi-join per call: `table`'s rows are indexed once (the
+/// crate's chained `RowIndex`, matches confirmed with `==`), and
 /// each `wider` row with a non-null extra column probes it with its
 /// projection onto `table`'s columns, hashed in place. Index insertions
 /// plus probes count in `subsumption.comparisons`.
@@ -312,16 +310,9 @@ pub fn extended_rows(table: &Table, wider: &[&Table]) -> Result<Vec<bool>> {
     if rows.is_empty() || wider.iter().all(|w| w.is_empty()) {
         return Ok(extended);
     }
-    let hasher = RandomState::new();
-    let hash = |values: &mut dyn Iterator<Item = &Value>| {
-        let mut h = hasher.build_hasher();
-        values.for_each(|v| v.hash(&mut h));
-        h.finish()
-    };
-    let mut heads: HashMap<u64, usize> = HashMap::with_capacity(rows.len());
-    let mut next: Vec<Option<usize>> = Vec::with_capacity(rows.len());
+    let mut index = RowIndex::with_capacity(rows.len());
     for (p, row) in rows.iter().enumerate() {
-        next.push(heads.insert(hash(&mut row.iter()), p));
+        index.link(p, index.hash(row));
     }
     let mut comparisons = rows.len() as u64;
     for w in wider {
@@ -334,14 +325,10 @@ pub fn extended_rows(table: &Table, wider: &[&Table]) -> Result<Vec<bool>> {
                 continue;
             }
             comparisons += 1;
-            let mut at = heads
-                .get(&hash(&mut positions.iter().map(|&c| &wrow[c])))
-                .copied();
-            while let Some(p) = at {
+            for p in index.candidates(index.hash(positions.iter().map(|&c| &wrow[c]))) {
                 if positions.iter().zip(&rows[p]).all(|(&c, v)| wrow[c] == *v) {
                     extended[p] = true;
                 }
-                at = next[p];
             }
         }
     }

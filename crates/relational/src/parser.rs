@@ -622,7 +622,7 @@ impl Parser<'_> {
             }
             TokenKind::Str(s) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok(Expr::Literal(Value::str(s)))
             }
             TokenKind::LParen => {
                 self.pos += 1;

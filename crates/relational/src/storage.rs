@@ -124,10 +124,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> std::result::Result<String, String> {
+    fn str(&mut self) -> std::result::Result<&'a str, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8 in record".to_owned())
+        std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in record".to_owned())
     }
 
     fn value(&mut self) -> std::result::Result<Value, String> {
@@ -137,7 +137,7 @@ impl<'a> Reader<'a> {
                 self.take(8)?.try_into().unwrap(),
             ))),
             TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            TAG_STR => Ok(Value::Str(self.string()?)),
+            TAG_STR => Ok(Value::str(self.str()?)),
             TAG_BOOL => match self.u8()? {
                 0 => Ok(Value::Bool(false)),
                 1 => Ok(Value::Bool(true)),
@@ -197,8 +197,8 @@ fn decode_index_entry(bytes: &[u8]) -> std::result::Result<(Value, Vec<Occurrenc
     // an untrusted count: each occurrence takes at least 16 bytes
     let mut occs = Vec::with_capacity(count.min((bytes.len() - r.pos) / 16));
     for _ in 0..count {
-        let relation = r.string()?;
-        let attribute = r.string()?;
+        let relation = r.str()?.to_owned();
+        let attribute = r.str()?.to_owned();
         let row = usize::try_from(r.u64()?).map_err(|_| "row index overflow".to_owned())?;
         occs.push(Occurrence {
             relation,

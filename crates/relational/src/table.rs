@@ -15,7 +15,7 @@
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use clio_obs::metrics::{self, Counter};
 
@@ -36,45 +36,60 @@ pub struct Table {
     index: Option<Box<RowIndex>>,
 }
 
-/// Exact hash index over a table's rows: each row hash heads a chain of
-/// the positions whose rows share it.
+/// Exact hash index over rows by a set of key columns: each key hash
+/// heads a chain of the positions whose keys share it. A hash match is
+/// only a candidate; the caller confirms it with the equality it needs
+/// (`Value`'s `==` for set semantics, SQL `=` for join keys). Serves
+/// [`Table::push_distinct`] (the key is the whole row), the build side of
+/// a hash join and the semi-join of
+/// [`extended_rows`](crate::ops::extended_rows).
 #[derive(Default)]
-struct RowIndex {
+pub(crate) struct RowIndex {
     hasher: RandomState,
-    /// Row hash → the last position pushed with that hash.
+    /// Key hash → the first position of its chain.
     heads: HashMap<u64, usize>,
-    /// `next[p]`: the previous position with row `p`'s hash, if any.
+    /// `next[p]`: the position after `p` on its chain, if any.
     next: Vec<Option<usize>>,
 }
 
 impl RowIndex {
-    fn build(rows: &[Vec<Value>]) -> RowIndex {
+    /// An empty index expecting about `positions` linked positions.
+    pub(crate) fn with_capacity(positions: usize) -> RowIndex {
         let mut index = RowIndex::default();
-        index.heads.reserve(rows.len());
-        index.next.reserve(rows.len());
-        for row in rows {
-            let hash = index.hasher.hash_one(row.as_slice());
-            index.link(hash);
+        index.heads.reserve(positions);
+        index.next.reserve(positions);
+        index
+    }
+
+    /// Index every row whole, in order.
+    fn build(rows: &[Vec<Value>]) -> RowIndex {
+        let mut index = RowIndex::with_capacity(rows.len());
+        for (p, row) in rows.iter().enumerate() {
+            let hash = index.hash(row);
+            index.link(p, hash);
         }
         index
     }
 
-    /// Does `rows` hold a row equal to `row` (whose hash is `hash`)?
-    fn contains(&self, rows: &[Vec<Value>], row: &[Value], hash: u64) -> bool {
-        let mut at = self.heads.get(&hash).copied();
-        while let Some(p) = at {
-            if rows[p] == row {
-                return true;
-            }
-            at = self.next[p];
-        }
-        false
+    /// Hash a key: the values in order, hashed in place.
+    pub(crate) fn hash<'v>(&self, key: impl IntoIterator<Item = &'v Value>) -> u64 {
+        let mut state = self.hasher.build_hasher();
+        key.into_iter().for_each(|v| v.hash(&mut state));
+        state.finish()
     }
 
-    /// Record that the next position holds a row hashing to `hash`.
-    fn link(&mut self, hash: u64) {
-        let position = self.next.len();
-        self.next.push(self.heads.insert(hash, position));
+    /// Put `position` at the head of its key's chain: a chain lists its
+    /// positions in the reverse of the order they were linked in.
+    pub(crate) fn link(&mut self, position: usize, hash: u64) {
+        if position >= self.next.len() {
+            self.next.resize(position + 1, None);
+        }
+        self.next[position] = self.heads.insert(hash, position);
+    }
+
+    /// The positions on the chain of `hash`, head first.
+    pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.heads.get(&hash).copied(), |&p| self.next[p])
     }
 }
 
@@ -162,9 +177,9 @@ impl Table {
         let index = self
             .index
             .get_or_insert_with(|| Box::new(RowIndex::build(rows)));
-        let hash = index.hasher.hash_one(row.as_slice());
-        if !index.contains(rows, &row, hash) {
-            index.link(hash);
+        let hash = index.hash(&row);
+        if !index.candidates(hash).any(|p| rows[p] == row) {
+            index.link(rows.len(), hash);
             rows.push(row);
         }
     }

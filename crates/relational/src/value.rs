@@ -5,10 +5,16 @@
 //! subsumption and join machinery relies on), while the *SQL* comparison
 //! methods ([`Value::sql_eq`], [`Value::sql_cmp`]) implement three-valued
 //! semantics where any comparison against null is [`Truth::Unknown`].
+//!
+//! Strings are shared: [`Value::Str`] holds an `Arc<str>`, so copying a
+//! cell — into a join row, a scanned table, a padded row or a cache hit —
+//! bumps a reference count instead of copying its bytes. A `Value` is 24
+//! bytes.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::truth::Truth;
@@ -47,15 +53,15 @@ pub enum Value {
     Int(i64),
     /// Floating-point value.
     Float(f64),
-    /// String value.
-    Str(String),
+    /// String value, shared by every copy of the cell.
+    Str(Arc<str>),
     /// Boolean value.
     Bool(bool),
 }
 
 impl Value {
     /// Construct a string value from anything string-like.
-    pub fn str(s: impl Into<String>) -> Value {
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
         Value::Str(s.into())
     }
 
@@ -276,13 +282,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -413,6 +419,17 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "-");
         assert_eq!(Value::str("Maya").to_string(), "Maya");
         assert_eq!(Value::Int(2).to_string(), "2");
+    }
+
+    #[test]
+    fn clones_share_the_string_and_a_value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let a = Value::str("Maya");
+        let b = a.clone();
+        match (&a, &b) {
+            (Value::Str(x), Value::Str(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => unreachable!(),
+        }
     }
 
     #[test]

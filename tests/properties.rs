@@ -1810,11 +1810,16 @@ proptest! {
     /// `push_distinct` (interleaved with plain pushes, which drop its
     /// index), `Table::dedup` and `Relation::with_rows` keep exactly the
     /// rows — variants and bits included — that a linear first-occurrence
-    /// scan keeps.
+    /// scan keeps. The hash join's keys follow SQL `=` (`-0.0 = 0.0`,
+    /// `NaN = NaN` is not true, Int/Float compare numerically): inner, left
+    /// and full outer hash joins return, row for row and in order, what the
+    /// nested-loop phrasing `a >= b AND a <= b` returns, and the inner join
+    /// equals a selection over the cartesian product.
     #[test]
     fn hashed_set_primitives_match_a_linear_scan(
         rows in tricky_rows(),
         plain in proptest::collection::vec(proptest::bool::ANY, 40),
+        right in tricky_rows(),
     ) {
         let scheme = Scheme::new(vec![
             Column::new("R", "n", DataType::Float),
@@ -1842,7 +1847,7 @@ proptest! {
         prop_assert_eq!(exact(table.rows()), exact(&expected));
 
         let stored: Vec<Vec<Value>> =
-            rows.into_iter().filter(|r| !r.iter().all(Value::is_null)).collect();
+            rows.iter().filter(|r| !r.iter().all(Value::is_null)).cloned().collect();
         let schema = RelSchema::new(
             "R",
             vec![Attribute::new("n", DataType::Float), Attribute::new("t", DataType::Str)],
@@ -1850,6 +1855,34 @@ proptest! {
         .unwrap();
         let rel = Relation::with_rows(schema, stored.clone()).unwrap();
         prop_assert_eq!(exact(rel.rows()), exact(&first_occurrences(&stored)));
+
+        let side = |q: &str, rows: &[Vec<Value>]| {
+            let scheme = Scheme::new(vec![
+                Column::new(q, "n", DataType::Float),
+                Column::new(q, "t", DataType::Str),
+            ]);
+            Table::new(scheme, rows.to_vec())
+        };
+        let (l, r) = (side("L", &rows), side("R", &right));
+        let keyed = [
+            ("L.n = R.n", "L.n >= R.n AND L.n <= R.n"),
+            (
+                "L.n = R.n AND R.t = L.t",
+                "L.n >= R.n AND L.n <= R.n AND L.t >= R.t AND L.t <= R.t",
+            ),
+        ];
+        for (hashed, nested) in keyed {
+            let (hashed, nested) = (parse_expr(hashed).unwrap(), parse_expr(nested).unwrap());
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+                let h = join(&l, &r, &hashed, kind, &funcs()).unwrap();
+                let n = join(&l, &r, &nested, kind, &funcs()).unwrap();
+                prop_assert_eq!(exact(h.rows()), exact(n.rows()), "{:?} on {}", kind, hashed);
+            }
+            let inner = join(&l, &r, &hashed, JoinKind::Inner, &funcs()).unwrap();
+            let product = clio::relational::ops::cartesian_product(&l, &r).unwrap();
+            let selected = select(&product, &hashed, &funcs()).unwrap();
+            prop_assert_eq!(exact(inner.rows()), exact(selected.rows()));
+        }
     }
 }
 
