@@ -26,7 +26,9 @@ use clio_relational::database::Database;
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::index::{scan_occurrences, ValueIndex};
-use clio_relational::ops::{join, remove_subsumed_naive, remove_subsumed_partitioned, JoinKind};
+use clio_relational::ops::{
+    join, remove_subsumed_among, remove_subsumed_naive, remove_subsumed_partitioned, JoinKind,
+};
 use clio_relational::parser::parse_expr;
 use clio_relational::relation::RelationBuilder;
 use clio_relational::table::Table;
@@ -200,24 +202,31 @@ fn b2_subsumption() {
         (2000, 0.7),
     ] {
         let t0 = nullable_table(rows, 6, null_rate, 0xBEEF);
-        let mut survivors = 0;
-        let naive = time(|| {
+        let removed = |remove: fn(&mut Table)| {
             let mut t = t0.clone();
-            remove_subsumed_naive(&mut t);
-            survivors = t.len();
+            remove(&mut t);
+            t.into_rows()
+        };
+        let (mut by_naive, mut by_partitioned) = (Vec::new(), Vec::new());
+        let naive_work = counted(|| by_naive = removed(remove_subsumed_naive));
+        let part_work = counted(|| by_partitioned = removed(remove_subsumed_partitioned));
+        let by_among = removed(|t| remove_subsumed_among(t, &vec![true; t.len()]));
+        // three ways to one answer: the same rows, in the same order
+        assert_eq!(
+            by_naive, by_partitioned,
+            "B2: naive and partitioned removal disagree at {rows} rows, null rate {null_rate}"
+        );
+        assert_eq!(
+            by_partitioned, by_among,
+            "B2: partitioned removal and the restricted pass with every row flagged \
+             disagree at {rows} rows, null rate {null_rate}"
+        );
+        let survivors = by_naive.len();
+        let naive = time(|| {
+            std::hint::black_box(removed(remove_subsumed_naive));
         });
         let part = time(|| {
-            let mut t = t0.clone();
-            remove_subsumed_partitioned(&mut t);
-            survivors = t.len();
-        });
-        let naive_work = counted(|| {
-            let mut t = t0.clone();
-            remove_subsumed_naive(&mut t);
-        });
-        let part_work = counted(|| {
-            let mut t = t0.clone();
-            remove_subsumed_partitioned(&mut t);
+            std::hint::black_box(removed(remove_subsumed_partitioned));
         });
         println!(
             "| {rows} | {null_rate} | {} | {} | {} | {survivors} | {} | {} |",

@@ -18,6 +18,13 @@
 //! and every `Q(M)` ([`Mapping::evaluate_cached`](crate::mapping::Mapping::evaluate_cached))
 //! are computed that way, so the tree `explain` prints is the code that
 //! runs — which subgraphs, which filters where, in which join order.
+//!
+//! Scans that feed a join are read in place: the join ([`join_rows`])
+//! borrows the stored relation's rows under the scan alias's scheme,
+//! both in a `Join` node and in the lattice step that joins a parent
+//! subgraph's table with one more relation. Only a scan that is itself a
+//! result — the memoized `D(G)` of a one-node graph, or a one-node
+//! branch of the union — is copied into a table.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -28,7 +35,7 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{extended_rows, join, pad_to, remove_subsumed_among, JoinKind};
+use clio_relational::ops::{extended_rows, join_rows, pad_to, remove_subsumed_among, JoinKind};
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::Value;
@@ -278,11 +285,12 @@ impl RelExpr {
     }
 
     /// One arm per node kind: a `Scan` reads its relation qualified by
-    /// its alias; a `Join` joins its evaluated inputs (full outer when
-    /// `outer`, counting `fd.outer_join_steps`); a `Union` schedules its
-    /// branches ([`schedule`]); a stack of `Filter`s keeps the rows of
-    /// the node beneath passing every predicate — over a `Project`, as
-    /// the projection builds its distinct target rows ([`project`]).
+    /// its alias; a `Join` joins its inputs, reading a `Scan` input in
+    /// place ([`RelExpr::input`]; full outer when `outer`, counting
+    /// `fd.outer_join_steps`); a `Union` schedules its branches
+    /// ([`schedule`]); a stack of `Filter`s keeps the rows of the node
+    /// beneath passing every predicate — over a `Project`, as the
+    /// projection builds its distinct target rows ([`project`]).
     fn eval(&self, ex: &Exec) -> Result<(Table, u64)> {
         match self {
             RelExpr::Scan { alias, relation } => Ok((ex.db.relation(relation)?.to_table(alias), 0)),
@@ -292,14 +300,14 @@ impl RelExpr {
                 predicate,
                 outer,
             } => {
-                let (left, l_ns) = left.run_costed(ex)?;
-                let (right, r_ns) = right.run_costed(ex)?;
+                let (left, l_ns) = left.input(ex)?;
+                let (right, r_ns) = right.input(ex)?;
                 let kind = if *outer {
                     JoinKind::FullOuter
                 } else {
                     JoinKind::Inner
                 };
-                let out = join(&left, &right, predicate, kind, ex.funcs)?;
+                let out = join_rows(left.rows(), right.rows(), predicate, kind, ex.funcs)?;
                 if *outer {
                     metrics::incr(Counter::OuterJoinSteps);
                 }
@@ -330,6 +338,25 @@ impl RelExpr {
         }
     }
 
+    /// This node as a join input, with the compute time charged to the
+    /// cache entries its run inserted. A `Scan` is read in place: its
+    /// relation's rows under its alias's scheme, never copied (a scan
+    /// under a join never spans the graph, so it is never the memoized
+    /// `D(G)`). Any other node runs ([`RelExpr::run_costed`]).
+    fn input<'t>(&self, ex: &Exec<'t>) -> Result<(Input<'t>, u64)> {
+        match self {
+            RelExpr::Scan { alias, relation } => {
+                let rel = ex.db.relation(relation)?;
+                let scheme = Scheme::of_relation(rel.schema(), alias);
+                Ok((Input::Scan(scheme, rel.rows()), 0))
+            }
+            _ => {
+                let (table, charged) = self.run_costed(ex)?;
+                Ok((Input::Table(table), charged))
+            }
+        }
+    }
+
     /// The node beneath a stack of `Filter`s, and their predicates,
     /// innermost first (`self` and none when it is not a filter).
     fn filters(&self) -> (&RelExpr, Vec<&Expr>) {
@@ -342,6 +369,23 @@ impl RelExpr {
                 (base, filters)
             }
             base => (base, Vec::new()),
+        }
+    }
+}
+
+/// A join input: a scanned relation's rows, borrowed in place, or an
+/// evaluated node's table.
+enum Input<'t> {
+    Scan(Scheme, &'t [Vec<Value>]),
+    Table(Table),
+}
+
+impl Input<'_> {
+    /// The input's scheme and rows, as [`join_rows`] reads them.
+    fn rows(&self) -> (&Scheme, &[Vec<Value>]) {
+        match self {
+            Input::Scan(scheme, rows) => (scheme, rows),
+            Input::Table(table) => (table.scheme(), table.rows()),
         }
     }
 }
@@ -415,12 +459,12 @@ struct Job<'e> {
 /// looked up under its [`subgraph_fingerprint`] (counted, in branch
 /// order). A miss is one join: `chain_ir(J)` is
 /// `Join { chain_ir(J \ {v}), Scan v }` for `J`'s last BFS node `v`, so
-/// `F(J)` joins the parent subgraph's table with `R_v`. The parent is a
-/// branch, a cache hit, or — when the pushdown pruned it — looked up and
-/// computed once for sharing. The misses run level by level in popcount
-/// order, each level on the worker pool longest-estimated-first, and are
-/// inserted unfiltered, each charged only its own join; `fd.subgraphs`
-/// counts them.
+/// `F(J)` joins the parent subgraph's table with `R_v`'s rows, read in
+/// place. The parent is a branch, a cache hit, or — when the pushdown
+/// pruned it — looked up and computed once for sharing. The misses run
+/// level by level in popcount order, each level on the worker pool
+/// longest-estimated-first, and are inserted unfiltered, each charged
+/// only its own join; `fd.subgraphs` counts them.
 ///
 /// **Subsumption by non-extension.** Each branch's pushed filters then
 /// apply. A row of branch `J` is dropped when a row of some branch
@@ -524,8 +568,15 @@ pub(crate) fn schedule(
                 let t0 = std::time::Instant::now();
                 let table = match job.step {
                     Some((parent, right, predicate)) => {
-                        let (scan, _) = right.eval(ex)?;
-                        join(&known[&parent], &scan, predicate, JoinKind::Inner, ex.funcs)?
+                        let (scan, _) = right.input(ex)?;
+                        let parent = &known[&parent];
+                        join_rows(
+                            (parent.scheme(), parent.rows()),
+                            scan.rows(),
+                            predicate,
+                            JoinKind::Inner,
+                            ex.funcs,
+                        )?
                     }
                     // `eval`: a lone scan is an `F(J)`, never the memoized
                     // `D(G)`, even when it spans a one-node graph
@@ -772,7 +823,7 @@ fn is_strict_scalar(e: &Expr) -> bool {
 mod tests {
     use super::*;
     use crate::full_disjunction::engine_subsumption;
-    use clio_relational::ops::{minimum_union_all, project, select};
+    use clio_relational::ops::{join, minimum_union_all, project, select};
     use clio_relational::parser::parse_expr;
     use clio_relational::schema::{Attribute, Column};
     use clio_relational::value::{DataType, Value};

@@ -64,6 +64,11 @@ pub struct Workspace {
 /// edit in a sharing session materializes a private copy, and sibling
 /// sessions keep observing the original snapshot
 /// (`docs/concurrency.md`).
+///
+/// The value index is built lazily after an edit: an edit drops the
+/// session's index, and the next [`Session::data_chase`] — its only
+/// reader — builds one over the edited database. A run of edits with no
+/// chase between them builds no index.
 #[derive(Debug, Clone)]
 pub struct Session {
     db: Arc<Database>,
@@ -71,7 +76,9 @@ pub struct Session {
     /// Schema knowledge driving data walks (seeded from foreign keys,
     /// extended by confirmed chases).
     pub knowledge: SchemaKnowledge,
-    index: Arc<ValueIndex>,
+    /// The value index over `db`; `None` after an edit until a chase
+    /// needs it.
+    index: Option<Arc<ValueIndex>>,
     target: RelSchema,
     workspaces: Vec<Workspace>,
     active: Option<usize>,
@@ -128,7 +135,7 @@ impl Session {
     ) -> Session {
         Session {
             knowledge,
-            index,
+            index: Some(index),
             db,
             funcs: FuncRegistry::with_builtins(),
             target,
@@ -212,7 +219,8 @@ impl Session {
 
     /// Replace the contents of one base relation (a content edit — the
     /// schema must stay identical, so every mapping stays valid). The
-    /// value index is rebuilt, dependent cache entries are invalidated,
+    /// value index is dropped (the next [`Session::data_chase`] builds
+    /// one over the edited data), dependent cache entries are invalidated,
     /// and each workspace's illustration is *evolved* over the new data
     /// (paper Sec 5.3 continuity, applied to data instead of graph
     /// changes): familiar examples that survive the edit are retained,
@@ -229,7 +237,7 @@ impl Session {
         // Copy-on-write: if the snapshot is shared with other sessions,
         // clone it first; they keep seeing the pre-edit data.
         Arc::make_mut(&mut self.db).replace_relation(rel)?;
-        self.index = Arc::new(ValueIndex::build(&self.db));
+        self.index = None;
         self.cache.bump_version(&name);
         let ids: Vec<usize> = self.workspaces.iter().map(|w| w.id).collect();
         for id in ids {
@@ -599,10 +607,13 @@ impl Session {
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?
             .clone();
+        let index = self
+            .index
+            .get_or_insert_with(|| Arc::new(ValueIndex::build(&self.db)));
         let alternatives = data_chase(
             &active.mapping,
             &self.db,
-            &self.index,
+            index,
             alias,
             attr,
             value,
@@ -1181,6 +1192,32 @@ mod tests {
         // the illustration was refreshed over the new data
         let ill = &s.active().unwrap().illustration;
         assert!(!ill.is_empty());
+    }
+
+    #[test]
+    fn chases_after_an_edit_see_the_edited_data() {
+        let mut s = session();
+        s.add_correspondence("Children.ID", "ID").unwrap();
+        // before the edit `001` occurs only in Children, which the
+        // mapping already references
+        assert!(s.data_chase("Children", "ID", &Value::str("001")).is_err());
+        // the edit moves SBPS's one row from `002` to `001`
+        let sbps = RelationBuilder::new("SBPS")
+            .attr("ID", DataType::Str)
+            .attr("time", DataType::Str)
+            .row(vec!["001".into(), "8:15".into()])
+            .build()
+            .unwrap();
+        s.replace_relation(sbps).unwrap();
+        assert!(s.index.is_none(), "the edit drops the index");
+        // the removed value's SBPS site is gone...
+        assert!(s.data_chase("Children", "ID", &Value::str("002")).is_err());
+        assert!(s.index.is_some(), "the chase built the index");
+        // ...and the introduced value's is found
+        let ids = s.data_chase("Children", "ID", &Value::str("001")).unwrap();
+        assert_eq!(ids.len(), 1);
+        let w = s.active().unwrap();
+        assert!(w.mapping.graph.node_by_alias("SBPS").is_some());
     }
 
     #[test]

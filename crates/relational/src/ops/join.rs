@@ -18,6 +18,11 @@
 //! SQL's (`NaN == NaN` holds there, `-0.0 == 0.0` does not). Output rows
 //! are built once at their final width; copying a cell never copies a
 //! string ([`Value`]).
+//!
+//! Inputs are read in place. [`join_rows`] takes each side as a borrowed
+//! scheme and row slice, so the plan executor joins a stored relation's
+//! rows where they lie instead of copying them into a [`Table`] first;
+//! [`join`] over two tables calls that same body.
 
 use clio_obs::metrics::{self, Counter};
 
@@ -62,8 +67,27 @@ pub fn join(
     kind: JoinKind,
     funcs: &FuncRegistry,
 ) -> Result<Table> {
+    join_rows(
+        (left.scheme(), left.rows()),
+        (right.scheme(), right.rows()),
+        pred,
+        kind,
+        funcs,
+    )
+}
+
+/// [`join`] over borrowed inputs, each a scheme and its rows: a stored
+/// relation is joined where it lies, without first being copied into a
+/// [`Table`]. Every join runs this body.
+pub fn join_rows(
+    (left_scheme, left_rows): (&Scheme, &[Vec<Value>]),
+    (right_scheme, right_rows): (&Scheme, &[Vec<Value>]),
+    pred: &Expr,
+    kind: JoinKind,
+    funcs: &FuncRegistry,
+) -> Result<Table> {
     let _span = clio_obs::span("ops.join");
-    let scheme = left.scheme().concat(right.scheme())?;
+    let scheme = left_scheme.concat(right_scheme)?;
 
     // Split the predicate into equi-conjuncts usable as hash keys and a
     // residual expression evaluated on the concatenated row.
@@ -72,7 +96,7 @@ pub fn join(
     let mut right_keys: Vec<usize> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for c in conjuncts {
-        match equi_key(&c, left.scheme(), right.scheme()) {
+        match equi_key(&c, left_scheme, right_scheme) {
             Some((l, r)) => {
                 left_keys.push(l);
                 right_keys.push(r);
@@ -86,20 +110,20 @@ pub fn join(
         Some(Expr::conjunction(residual).bind(&scheme)?)
     };
 
-    let left_arity = left.scheme().arity();
-    let right_arity = right.scheme().arity();
+    let left_arity = left_scheme.arity();
+    let right_arity = right_scheme.arity();
     let mut out = Table::empty(scheme);
-    let mut right_matched = vec![false; right.len()];
+    let mut right_matched = vec![false; right_rows.len()];
     // Work counters, accumulated locally and flushed once on return.
     let mut probes: u64 = 0;
 
     if left_keys.is_empty() {
         // Pure nested loop.
         let bound = pred.bind(out.scheme())?;
-        for l in left.rows() {
+        for l in left_rows {
             let mut matched = false;
-            probes += right.len() as u64;
-            for (ri, r) in right.rows().iter().enumerate() {
+            probes += right_rows.len() as u64;
+            for (ri, r) in right_rows.iter().enumerate() {
                 let row = concat(l, r);
                 if bound.eval_truth(&row, funcs)?.passes() {
                     matched = true;
@@ -114,20 +138,20 @@ pub fn join(
     } else {
         // Hash join on the extracted keys. Linking the right rows last to
         // first leaves every chain in ascending row order.
-        let mut index = RowIndex::with_capacity(right.len());
-        for (ri, r) in right.rows().iter().enumerate().rev() {
+        let mut index = RowIndex::with_capacity(right_rows.len());
+        for (ri, r) in right_rows.iter().enumerate().rev() {
             if right_keys.iter().any(|&i| r[i].is_null()) {
                 continue; // null keys never match
             }
             index.link(ri, index.hash(right_keys.iter().map(|&i| sql_key(&r[i]))));
         }
-        for l in left.rows() {
+        for l in left_rows {
             let mut matched = false;
             if !left_keys.iter().any(|&i| l[i].is_null()) {
                 probes += 1;
                 let hash = index.hash(left_keys.iter().map(|&i| sql_key(&l[i])));
                 for ri in index.candidates(hash) {
-                    let r = &right.rows()[ri];
+                    let r = &right_rows[ri];
                     let keys_equal = left_keys
                         .iter()
                         .zip(&right_keys)
@@ -154,7 +178,7 @@ pub fn join(
     }
 
     if kind == JoinKind::FullOuter {
-        for (ri, r) in right.rows().iter().enumerate() {
+        for (ri, r) in right_rows.iter().enumerate() {
             if !right_matched[ri] {
                 let mut row = Vec::with_capacity(left_arity + right_arity);
                 row.resize(left_arity, Value::Null);
@@ -164,7 +188,10 @@ pub fn join(
         }
     }
 
-    metrics::add(Counter::TuplesScanned, (left.len() + right.len()) as u64);
+    metrics::add(
+        Counter::TuplesScanned,
+        (left_rows.len() + right_rows.len()) as u64,
+    );
     metrics::add(Counter::JoinProbes, probes);
     metrics::add(Counter::JoinOutputRows, out.len() as u64);
     Ok(out)
@@ -237,10 +264,14 @@ fn equi_key(e: &Expr, left: &Scheme, right: &Scheme) -> Option<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::parser::parse_expr;
-    use crate::relation::RelationBuilder;
+    use crate::relation::{Relation, RelationBuilder};
     use crate::value::DataType;
 
     fn children() -> Table {
+        children_relation().to_table("C")
+    }
+
+    fn children_relation() -> Relation {
         RelationBuilder::new("Children")
             .attr("ID", DataType::Str)
             .attr("mid", DataType::Str)
@@ -249,10 +280,13 @@ mod tests {
             .row(vec!["003".into(), Value::Null]) // motherless child
             .build()
             .unwrap()
-            .to_table("C")
     }
 
     fn parents() -> Table {
+        parents_relation().to_table("P")
+    }
+
+    fn parents_relation() -> Relation {
         RelationBuilder::new("Parents")
             .attr("ID", DataType::Str)
             .attr("affiliation", DataType::Str)
@@ -261,7 +295,6 @@ mod tests {
             .row(vec!["205".into(), "MIT".into()]) // childless parent
             .build()
             .unwrap()
-            .to_table("P")
     }
 
     fn funcs() -> FuncRegistry {
@@ -277,6 +310,25 @@ mod tests {
         let out = join(&children(), &parents(), &pred(), JoinKind::Inner, &funcs()).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.scheme().arity(), 4);
+    }
+
+    #[test]
+    fn relations_read_in_place_join_like_their_table_copies() {
+        let (c, p) = (children_relation(), parents_relation());
+        let scheme = |r: &Relation, alias| Scheme::of_relation(r.schema(), alias);
+        let (c_scheme, p_scheme) = (scheme(&c, "C"), scheme(&p, "P"));
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+            let in_place = join_rows(
+                (&c_scheme, c.rows()),
+                (&p_scheme, p.rows()),
+                &pred(),
+                kind,
+                &funcs(),
+            )
+            .unwrap();
+            let copied = join(&children(), &parents(), &pred(), kind, &funcs()).unwrap();
+            assert_eq!(in_place, copied, "{kind:?}");
+        }
     }
 
     #[test]

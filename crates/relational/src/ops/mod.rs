@@ -14,7 +14,7 @@ mod sort;
 mod subsumption;
 
 pub use aggregate::{group_by, AggFunc, Aggregate};
-pub use join::{cartesian_product, join, JoinKind};
+pub use join::{cartesian_product, join, join_rows, JoinKind};
 pub use minimum_union::{minimum_union, minimum_union_all, outer_union, pad_to, unified_scheme};
 pub use project::{out_col, project, project_columns};
 pub use select::select;

@@ -13,9 +13,19 @@
 //! * [`remove_subsumed_partitioned`] — partitions tuples by their non-null
 //!   mask; `t1` can only strictly subsume `t2` when
 //!   `mask(t2) ⊊ mask(t1)`, so only mask pairs in strict-subset relation
-//!   are probed, via a hash index on the subsumee-mask projection. The
-//!   per-mask probe passes are independent, so on large tables they run
-//!   on the [`crate::exec`] worker pool (`subsumption.worker` spans);
+//!   are probed. For each subsumee mask, the rows of every larger mask
+//!   are indexed by their projection onto the mask's positions in the
+//!   crate's row index (`RowIndex`: one keyed hash per key, values
+//!   hashed in place), and each tested row probes it with its own
+//!   projection, confirming a candidate with `==` on those positions —
+//!   no projection is copied, and no row allocates. Every indexed row
+//!   stays on its chain, so a probe meets each larger row whose
+//!   projection equals its own, as the pairwise check does even where
+//!   `Value`'s `==` is not transitive (`Int(2^53 + 1) == Float(2^53) ==
+//!   Int(2^53)`). Null masks are computed into one reused set and copied
+//!   once per distinct mask. The per-mask probe passes are independent,
+//!   so on large tables they run on the [`crate::exec`] worker pool
+//!   (`subsumption.worker` spans);
 //! * [`SubsumptionAlgo::Adaptive`] — the engine default: picks one of the
 //!   two per call from the input size and the observed partition shape,
 //!   recording each decision in the `subsumption.adaptive_choices`
@@ -25,10 +35,15 @@
 //! — the lattice `D(G)` union: [`extended_rows`], a hashed semi-join
 //! marking the rows a wider table extends, and
 //! [`remove_subsumed_among`], the partitioned pass testing only the rows
-//! the caller marks as possibly subsumed.
+//! the caller marks as possibly subsumed. [`remove_subsumed_partitioned`]
+//! (which [`remove_subsumed`] runs when it does not pick naive) and
+//! [`remove_subsumed_among`] share that one pass.
 //!
-//! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`)
-//! compares them; a property test asserts they agree.
+//! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`, and
+//! `experiments b2`, which first asserts that the naive, partitioned and
+//! all-flagged restricted passes return the same rows in the same order)
+//! compares them; a property test pins each hashed pass to its pairwise
+//! definition.
 
 use std::collections::{HashMap, HashSet};
 
@@ -118,8 +133,12 @@ fn pick_naive(table: &Table) -> bool {
     let sample = n.min(ADAPTIVE_SAMPLE_ROWS);
     let arity = table.scheme().arity();
     let mut masks: HashSet<Bitset> = HashSet::with_capacity(sample);
+    let mut mask = Bitset::new(arity);
     for row in &table.rows()[..sample] {
-        masks.insert(null_mask(row, arity));
+        fill_null_mask(&mut mask, row);
+        if !masks.contains(&mask) {
+            masks.insert(mask.clone());
+        }
     }
     // Near-unique masks → partitions of ~1 row each; the partitioned
     // algorithm would pay a quadratic mask-pair scan plus hashing for no
@@ -127,14 +146,15 @@ fn pick_naive(table: &Table) -> bool {
     masks.len() * 2 > sample
 }
 
-fn null_mask(row: &[Value], arity: usize) -> Bitset {
-    let mut mask = Bitset::new(arity);
+/// Write `row`'s non-null mask into `mask`, which has the row's arity.
+fn fill_null_mask(mask: &mut Bitset, row: &[Value]) {
     for (k, v) in row.iter().enumerate() {
-        if !v.is_null() {
+        if v.is_null() {
+            mask.clear(k);
+        } else {
             mask.set(k);
         }
     }
-    mask
 }
 
 /// Reference implementation: pairwise `O(n²)` scan.
@@ -162,9 +182,9 @@ pub fn remove_subsumed_naive(table: &mut Table) {
     retain_by_mask(table, &keep);
 }
 
-/// Optimized implementation: group rows by non-null mask; for each strict
-/// mask-subset pair `(m_small, m_big)`, probe a hash index of the big
-/// group's rows projected onto `m_small`'s positions.
+/// Optimized implementation: group rows by non-null mask; for each mask
+/// `m_small`, probe a hash index of the rows of every strictly larger
+/// mask, projected in place onto `m_small`'s positions.
 ///
 /// The per-mask passes only read the shared row/group structures and
 /// only ever remove rows of their own partition, so they are
@@ -206,10 +226,18 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
         return vec![true; n];
     }
 
-    // group row indexes by non-null mask
+    // group row indexes by non-null mask, each mask computed into one
+    // scratch set and copied only when first seen
     let mut groups: HashMap<Bitset, Vec<usize>> = HashMap::new();
+    let mut mask = Bitset::new(arity);
     for (i, row) in rows.iter().enumerate() {
-        groups.entry(null_mask(row, arity)).or_default().push(i);
+        fill_null_mask(&mut mask, row);
+        match groups.get_mut(&mask) {
+            Some(members) => members.push(i),
+            None => {
+                groups.insert(mask.clone(), vec![i]);
+            }
+        }
     }
 
     if groups.len() <= 1 {
@@ -233,34 +261,38 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
         })
         .collect();
 
-    // One pass per subsumee mask: probe a hash index of the projections
-    // of every strictly-larger group, returning this partition's doomed
-    // row indexes plus its work count (index insertions + probes — the
-    // role the pairwise tests play in the naive algorithm).
+    // One pass per subsumee mask: index the projections of every
+    // strictly-larger group's rows onto the mask's positions, then probe
+    // it with each tested row's projection. Both sides are hashed in
+    // place and a candidate is confirmed with `==` on those positions.
+    // Returns this partition's doomed row indexes plus its work count
+    // (index insertions + probes — the role the pairwise tests play in
+    // the naive algorithm).
     let probe_mask = |_i: usize, (small, members): &(&Bitset, Vec<usize>)| -> (Vec<usize>, u64) {
-        let mut comparisons: u64 = 0;
         let positions: Vec<usize> = small.iter_ones().collect();
-        let mut projections: HashMap<Vec<&Value>, ()> = HashMap::new();
-        for big in &masks {
-            if small.is_strict_subset(big) {
-                for &ri in &groups[*big] {
-                    let proj: Vec<&Value> = positions.iter().map(|&p| &rows[ri][p]).collect();
-                    comparisons += 1;
-                    projections.insert(proj, ());
-                }
-            }
+        let project = |ri: usize| positions.iter().map(move |&p| &rows[ri][p]);
+        let larger: Vec<usize> = masks
+            .iter()
+            .filter(|big| small.is_strict_subset(big))
+            .flat_map(|big| groups[*big].iter().copied())
+            .collect();
+        if larger.is_empty() {
+            return (Vec::new(), 0);
         }
-        let mut doomed = Vec::new();
-        if !projections.is_empty() {
-            for &ri in members {
-                let proj: Vec<&Value> = positions.iter().map(|&p| &rows[ri][p]).collect();
-                comparisons += 1;
-                if projections.contains_key(&proj) {
-                    doomed.push(ri);
-                }
-            }
+        let mut index = RowIndex::with_capacity(larger.len());
+        for (k, &ri) in larger.iter().enumerate() {
+            index.link(k, index.hash(project(ri)));
         }
-        (doomed, comparisons)
+        let doomed = members
+            .iter()
+            .copied()
+            .filter(|&ri| {
+                index
+                    .candidates(index.hash(project(ri)))
+                    .any(|k| project(larger[k]).eq(project(ri)))
+            })
+            .collect();
+        (doomed, (larger.len() + members.len()) as u64)
     };
 
     let results: Vec<(Vec<usize>, u64)> = if n >= PARTITIONED_PARALLEL_MIN_ROWS {

@@ -11,11 +11,16 @@
 //! linear pass. Both keep the first occurrence of each row, and both
 //! decide membership with `Value`'s `==` — a hash match is only a
 //! candidate — so they answer exactly what a `Vec::contains` scan would.
+//!
+//! The crate's row index (`RowIndex`) hashes each key once, in place,
+//! with a keyed `RandomState`, and files it under that hash as is: the
+//! joins, `push_distinct`, the extension semi-join and the subsumption
+//! probes pay one hash per key and allocate nothing per key.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use clio_obs::metrics::{self, Counter};
 
@@ -41,13 +46,19 @@ pub struct Table {
 /// only a candidate; the caller confirms it with the equality it needs
 /// (`Value`'s `==` for set semantics, SQL `=` for join keys). Serves
 /// [`Table::push_distinct`] (the key is the whole row), the build side of
-/// a hash join and the semi-join of
-/// [`extended_rows`](crate::ops::extended_rows).
+/// a hash join, the semi-join of
+/// [`extended_rows`](crate::ops::extended_rows) and the projection
+/// probes of subsumption removal.
+///
+/// A key is hashed once: its values are fed in place to a keyed
+/// [`RandomState`] hasher (so colliding keys cannot be chosen in
+/// advance), and the `heads` map uses that `u64` as its own hash
+/// (`PassThrough`) instead of hashing it a second time.
 #[derive(Default)]
 pub(crate) struct RowIndex {
     hasher: RandomState,
     /// Key hash → the first position of its chain.
-    heads: HashMap<u64, usize>,
+    heads: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     /// `next[p]`: the position after `p` on its chain, if any.
     next: Vec<Option<usize>>,
 }
@@ -90,6 +101,25 @@ impl RowIndex {
     /// The positions on the chain of `hash`, head first.
     pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         std::iter::successors(self.heads.get(&hash).copied(), |&p| self.next[p])
+    }
+}
+
+/// The hasher of [`RowIndex`]'s `heads`: its keys are already keyed
+/// hashes, so the `u64` passes through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("RowIndex heads are keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
 

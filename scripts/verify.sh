@@ -566,4 +566,60 @@ if [ "${plan_evals:-0}" -eq 0 ]; then
 fi
 echo "    MAP file == its saved copy (byte-identical); explain == golden; cyclic counters == golden; plan.pushed_filters = $plan_pushed, plan.evals = $plan_evals"
 
+# Tier 2j: chain-refresh counter gate. The bulk refresh — the synthetic
+# 4-relation chain of 1000 rows each, a 2-relation prefix mapping
+# accepted first and the full chain mapping active — runs with one
+# worker thread and the cache off, and its work counters (join.probes,
+# subsumption.comparisons, scan.tuples, dedup.rows, ...) must match
+# scripts/golden/chain-counters.json byte-for-byte, as in tier 2a. It
+# pins the joins, the merge dedup and the minimum union's subsumption
+# at a size the demo goldens do not reach. Regenerate after an
+# intentional change with
+#
+#   printf 'load <prefix MAP>\naccept\nload <chain MAP>\ntarget\nquit\n' > chain.clio
+#   target/release/clio-shell --synthetic chain,4,1000 --threads 1 --no-cache \
+#       --script chain.clio --metrics scripts/golden/chain-counters.json >/dev/null
+#
+# with the two MAP files below.
+echo "==> chain-refresh counter gate (--synthetic chain,4,1000, prefix accepted, --threads 1, --no-cache)"
+tmp_chain_prefix="$(mktemp)"
+tmp_chain_full="$(mktemp)"
+tmp_chain_script="$(mktemp)"
+tmp_chain_metrics="$(mktemp)"
+cat > "$tmp_chain_prefix" <<'EOF'
+MAP T (B0 str not null, B1 str, B2 str, B3 str)
+FROM R0, R1
+JOIN R0, R1 ON R1.l0 = R0.id
+SELECT R0.p0 AS B0, R1.p0 AS B1
+WHERE TARGET T.B0 IS NOT NULL
+EOF
+cat > "$tmp_chain_full" <<'EOF'
+MAP T (B0 str not null, B1 str, B2 str, B3 str)
+FROM R0, R1, R2, R3
+JOIN R0, R1 ON R1.l0 = R0.id
+JOIN R1, R2 ON R2.l1 = R1.id
+JOIN R2, R3 ON R3.l2 = R2.id
+SELECT R0.p0 AS B0, R1.p0 AS B1, R2.p0 AS B2, R3.p0 AS B3
+WHERE TARGET T.B0 IS NOT NULL
+EOF
+{
+    echo "load $tmp_chain_prefix"
+    echo accept
+    echo "load $tmp_chain_full"
+    echo target
+    echo quit
+} > "$tmp_chain_script"
+target/release/clio-shell --synthetic chain,4,1000 --threads 1 --no-cache \
+    --script "$tmp_chain_script" --metrics "$tmp_chain_metrics" >/dev/null
+normalize_saved_ns "$tmp_chain_metrics"
+chain_diff=0
+diff -u scripts/golden/chain-counters.json "$tmp_chain_metrics" || chain_diff=1
+rm -f "$tmp_chain_prefix" "$tmp_chain_full" "$tmp_chain_script" "$tmp_chain_metrics"
+if [ "$chain_diff" -ne 0 ]; then
+    echo "verify: FAILED — chain-refresh counters drifted from scripts/golden/chain-counters.json" >&2
+    echo "         (if the change is intentional, regenerate the golden file)" >&2
+    exit 1
+fi
+echo "    chain refresh counters == golden"
+
 echo "verify: OK"

@@ -1777,6 +1777,16 @@ fn tricky_text(i: usize) -> Value {
     }
 }
 
+/// Three-column rows `(number, text, number)` of the tricky values.
+fn tricky_wide_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    proptest::collection::vec((0usize..12, 0usize..4, 0usize..12), 0..40).prop_map(|cells| {
+        cells
+            .into_iter()
+            .map(|(n, t, m)| vec![tricky_number(n), tricky_text(t), tricky_number(m)])
+            .collect()
+    })
+}
+
 fn tricky_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     proptest::collection::vec((0usize..12, 0usize..4), 0..40).prop_map(|cells| {
         cells
@@ -1814,12 +1824,23 @@ proptest! {
     /// `NaN = NaN` is not true, Int/Float compare numerically): inner, left
     /// and full outer hash joins return, row for row and in order, what the
     /// nested-loop phrasing `a >= b AND a <= b` returns, and the inner join
-    /// equals a selection over the cartesian product.
+    /// equals a selection over the cartesian product. A plan `Join` over
+    /// two scans, which reads the stored relations in place, returns what
+    /// `join` over their `to_table` copies returns, inner and full outer.
+    /// Subsumption removal's hashed passes match their pairwise
+    /// definitions on three-column rows of the same values: the
+    /// partitioned pass equals the naive one, the restricted pass drops
+    /// exactly the flagged rows some row strictly subsumes and then the
+    /// duplicates, and `extended_rows` marks exactly the rows some wider
+    /// row agrees with while adding a non-null value.
     #[test]
     fn hashed_set_primitives_match_a_linear_scan(
         rows in tricky_rows(),
         plain in proptest::collection::vec(proptest::bool::ANY, 40),
         right in tricky_rows(),
+        wide in tricky_wide_rows(),
+        flags in proptest::collection::vec(proptest::bool::ANY, 40),
+        wider in tricky_wide_rows(),
     ) {
         let scheme = Scheme::new(vec![
             Column::new("R", "n", DataType::Float),
@@ -1883,6 +1904,98 @@ proptest! {
             let selected = select(&product, &hashed, &funcs()).unwrap();
             prop_assert_eq!(exact(inner.rows()), exact(selected.rows()));
         }
+
+        // joins reading stored relations in place
+        let mut db = Database::new();
+        for (name, rows) in [("L", &rows), ("R", &right)] {
+            let schema = RelSchema::new(
+                name,
+                vec![Attribute::new("n", DataType::Float), Attribute::new("t", DataType::Str)],
+            )
+            .unwrap();
+            let stored: Vec<Vec<Value>> =
+                rows.iter().filter(|r| !r.iter().all(Value::is_null)).cloned().collect();
+            db.add_relation(Relation::with_rows(schema, stored).unwrap()).unwrap();
+        }
+        // a third node keeps the two-scan join from being the graph's
+        // whole (memoized) D(G)
+        let mut graph = QueryGraph::new();
+        for node in [Node::new("L"), Node::new("R"), Node::copy_of("L2", "L")] {
+            graph.add_node(node).unwrap();
+        }
+        let ex = clio::core::plan::Exec { db: &db, funcs: &funcs(), graph: &graph, cache: None };
+        let scan = |alias: &str| clio::core::plan::RelExpr::Scan {
+            alias: alias.to_owned(),
+            relation: alias.to_owned(),
+        };
+        let table = |name: &str| db.relation(name).unwrap().to_table(name);
+        for predicate in ["L.n = R.n", "L.n = R.n AND R.t = L.t", "L.n >= R.n AND L.t <= R.t"] {
+            let predicate = parse_expr(predicate).unwrap();
+            for (outer, kind) in [(false, JoinKind::Inner), (true, JoinKind::FullOuter)] {
+                let plan = clio::core::plan::RelExpr::Join {
+                    left: Box::new(scan("L")),
+                    right: Box::new(scan("R")),
+                    predicate: predicate.clone(),
+                    outer,
+                };
+                let in_place = plan.run(&ex).unwrap();
+                let copied = join(&table("L"), &table("R"), &predicate, kind, &funcs()).unwrap();
+                prop_assert_eq!(in_place.scheme(), copied.scheme());
+                prop_assert_eq!(exact(in_place.rows()), exact(copied.rows()), "{:?} on {}", kind, predicate);
+            }
+        }
+
+        // subsumption removal against its pairwise definitions
+        let wide_scheme = |q: &str| Scheme::new(vec![
+            Column::new(q, "n", DataType::Float),
+            Column::new(q, "t", DataType::Str),
+            Column::new(q, "m", DataType::Float),
+        ]);
+        let base = Table::new(wide_scheme("W"), wide.clone());
+        let mut naive = base.clone();
+        clio::relational::ops::remove_subsumed_naive(&mut naive);
+        let mut partitioned = base.clone();
+        clio::relational::ops::remove_subsumed_partitioned(&mut partitioned);
+        prop_assert_eq!(exact(partitioned.rows()), exact(naive.rows()));
+
+        let flags = &flags[..wide.len()];
+        let strictly_subsumed =
+            |r: &Vec<Value>| wide.iter().any(|o| clio::relational::ops::strictly_subsumes(o, r));
+        let survivors: Vec<Vec<Value>> = wide
+            .iter()
+            .zip(flags)
+            .filter(|&(r, &flagged)| !(flagged && strictly_subsumed(r)))
+            .map(|(r, _)| r.clone())
+            .collect();
+        let mut among = base.clone();
+        clio::relational::ops::remove_subsumed_among(&mut among, flags);
+        prop_assert_eq!(exact(among.rows()), exact(&first_occurrences(&survivors)));
+
+        // `wider` rows add a column `X.e` in front of W's three; every
+        // other one copies a row of `wide`, so agreements occur
+        let mut cols = vec![Column::new("X", "e", DataType::Float)];
+        cols.extend(wide_scheme("W").columns().iter().cloned());
+        let wider_rows: Vec<Vec<Value>> = wider
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let body = match wide.len() {
+                    0 => r,
+                    n if i % 2 == 0 => &wide[i % n],
+                    _ => r,
+                };
+                std::iter::once(r[2].clone()).chain(body.iter().cloned()).collect()
+            })
+            .collect();
+        let extended: Vec<bool> = wide
+            .iter()
+            .map(|r| wider_rows.iter().any(|w| !w[0].is_null() && w[1..] == r[..]))
+            .collect();
+        let wider_table = Table::new(Scheme::new(cols), wider_rows);
+        prop_assert_eq!(
+            clio::relational::ops::extended_rows(&base, &[&wider_table]).unwrap(),
+            extended
+        );
     }
 }
 
