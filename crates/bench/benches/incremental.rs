@@ -15,7 +15,7 @@ use clio_bench::{chain, cycle};
 use clio_core::full_disjunction::FdAlgo;
 use clio_core::incremental::full_disjunction_cached;
 use clio_core::session::Session;
-use clio_incr::{EvalCache, EvictionPolicy};
+use clio_incr::EvalCache;
 use clio_relational::funcs::FuncRegistry;
 
 fn bench_mapping_eval_cold_vs_warm(c: &mut Criterion) {
@@ -73,7 +73,7 @@ fn bench_mapping_eval_cold_vs_warm(c: &mut Criterion) {
 }
 
 fn bench_cycle_partial_reuse(c: &mut Criterion) {
-    // on cyclic graphs D(G) takes the naive per-subgraph path, so a
+    // on cyclic graphs D(G) takes the lattice's per-subgraph path, so a
     // version bump on one relation recomputes only the F(J) tables whose
     // subgraph touches it
     let mut group = c.benchmark_group("incremental_cycle_fd");
@@ -84,30 +84,30 @@ fn bench_cycle_partial_reuse(c: &mut Criterion) {
         b.iter(|| {
             cache.bump_epoch();
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
         });
     });
     let cache = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache)).expect("valid");
+    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache)).expect("valid");
     group.bench_function("post_edit", |b| {
         b.iter(|| {
             cache.bump_version("R0");
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
         });
     });
     let cache = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache)).expect("valid");
+    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache)).expect("valid");
     group.bench_function("warm", |b| {
         b.iter(|| {
             black_box(
-                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
+                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache))
                     .expect("valid")
                     .len(),
             )
@@ -118,31 +118,26 @@ fn bench_cycle_partial_reuse(c: &mut Criterion) {
 
 fn bench_eviction_policy_under_pressure(c: &mut Criterion) {
     // post-edit replay on the cyclic workload at half the working-set
-    // byte budget: the eviction policy decides which F(J) tables survive
+    // byte budget: cost-aware eviction decides which F(J) tables survive
     // each round, so the replay pays recompute for exactly the entries
-    // its policy chose to sacrifice
+    // it chose to sacrifice
     let mut group = c.benchmark_group("incremental_eviction_policy");
     let funcs = FuncRegistry::with_builtins();
     let w = cycle(4, 100);
     let probe = EvalCache::new();
-    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&probe)).expect("valid");
-    let budget = (probe.stats().bytes / 2).max(1);
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
-        let cache = EvalCache::with_capacity(budget);
-        cache.set_policy(policy);
-        full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
-            .expect("valid");
-        group.bench_function(policy.name(), |b| {
-            b.iter(|| {
-                cache.bump_version("R0");
-                black_box(
-                    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Naive, &funcs, Some(&cache))
-                        .expect("valid")
-                        .len(),
-                )
-            });
+    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&probe)).expect("valid");
+    let cache = EvalCache::with_capacity((probe.stats().bytes / 2).max(1));
+    full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache)).expect("valid");
+    group.bench_function(cache.policy().name(), |b| {
+        b.iter(|| {
+            cache.bump_version("R0");
+            black_box(
+                full_disjunction_cached(&w.db, &w.graph, FdAlgo::Lattice, &funcs, Some(&cache))
+                    .expect("valid")
+                    .len(),
+            )
         });
-    }
+    });
     group.finish();
 }
 

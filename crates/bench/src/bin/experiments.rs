@@ -15,7 +15,7 @@ use clio_bench::{
     chain, chain_prefix_mapping, cycle, example_population, nullable_table, service_workload, star,
 };
 use clio_core::evolution::evolve_illustration;
-use clio_core::full_disjunction::FdAlgo;
+use clio_core::full_disjunction::{engine_subsumption, FdAlgo};
 use clio_core::illustration::{select_exact, select_greedy, Illustration, SufficiencyScope};
 use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
@@ -95,10 +95,10 @@ fn b1_full_disjunction() {
                 star(n, rows)
             };
             let mut count = 0;
-            let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
+            let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
             let outer = time(|| count = clio_bench::fd(&w, FdAlgo::OuterJoin));
             let work = counted(|| {
-                let _ = clio_bench::fd(&w, FdAlgo::Naive);
+                let _ = clio_bench::fd_naive(&w, engine_subsumption());
                 let _ = clio_bench::fd(&w, FdAlgo::OuterJoin);
             });
             println!(
@@ -115,10 +115,10 @@ fn b1_full_disjunction() {
     for rows in [100usize, 400, 1600] {
         let w = chain(4, rows);
         let mut count = 0;
-        let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
+        let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
         let outer = time(|| count = clio_bench::fd(&w, FdAlgo::OuterJoin));
         let work = counted(|| {
-            let _ = clio_bench::fd(&w, FdAlgo::Naive);
+            let _ = clio_bench::fd_naive(&w, engine_subsumption());
             let _ = clio_bench::fd(&w, FdAlgo::OuterJoin);
         });
         println!(
@@ -142,10 +142,10 @@ fn b1_full_disjunction() {
     for (n, rows) in [(3usize, 100usize), (4, 100), (5, 100), (3, 1000), (5, 1000)] {
         let w = cycle(n, rows);
         let mut count = 0;
-        let naive = time(|| count = clio_bench::fd(&w, FdAlgo::Naive));
+        let naive = time(|| count = clio_bench::fd_naive(&w, engine_subsumption()));
         let executed = time(|| count = clio_bench::fd(&w, FdAlgo::Auto));
         let naive_work = counted(|| {
-            let _ = clio_bench::fd(&w, FdAlgo::Naive);
+            let _ = clio_bench::fd_naive(&w, engine_subsumption());
         });
         let work = counted(|| {
             let _ = clio_bench::fd(&w, FdAlgo::Auto);
@@ -172,7 +172,7 @@ fn b1_full_disjunction() {
         let timed = |threads: usize| {
             time(|| {
                 clio_relational::exec::with_threads(threads, || {
-                    std::hint::black_box(clio_bench::fd(&w, FdAlgo::Naive));
+                    std::hint::black_box(clio_bench::fd_naive(&w, engine_subsumption()));
                 });
             })
         };
@@ -677,26 +677,25 @@ fn b10_warm_path() {
 }
 
 fn b14_policy_budget_sweep() {
-    println!("\n## B14 — eviction policy under budget pressure: LRU vs cost-aware\n");
+    println!("\n## B14 — cost-aware eviction under budget pressure\n");
     println!(
-        "| workload | budget | edits | policy | post-edit replay | hits | misses | hit rate \
-         | evictions |"
+        "| workload | budget | edits | post-edit replay | hits | misses | hit rate | evictions |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|");
     // Cyclic workloads memoize one table per subgraph F(J); an edit
     // invalidates only the entries depending on the edited relation, so
     // a post-edit replay's hits depend on the other entries staying
     // resident under the byte budget (a percentage of the working set).
-    // Each budget runs once per eviction policy and per edit pattern:
-    // every edit on R0, or the edited relation rotating R0..Rn-1 (the
-    // perfbench cycle-edit pattern). Rounds are steady-state: after the
-    // cold fill, un-counted edit-replay rounds let each policy settle on
-    // a resident set (cost-aware learns which F(J) tables recur through
-    // ghost-frequency history, which takes a few rejection rounds to
-    // compound), then several counted rounds report the aggregate
-    // hit/miss/eviction mix — aggregating smooths the round-to-round
-    // churn a tight budget induces — plus a timed replay. A rotating
-    // run settles for two rotations and counts two.
+    // Each budget runs once per edit pattern: every edit on R0, or the
+    // edited relation rotating R0..Rn-1 (the perfbench cycle-edit
+    // pattern). Rounds are steady-state: after the cold fill, un-counted
+    // edit-replay rounds let eviction settle on a resident set (it
+    // learns which F(J) tables recur through ghost-frequency history,
+    // which takes a few rejection rounds to compound), then several
+    // counted rounds report the aggregate hit/miss/eviction mix —
+    // aggregating smooths the round-to-round churn a tight budget
+    // induces — plus a timed replay. A rotating run settles for two
+    // rotations and counts two.
     let funcs = FuncRegistry::with_builtins();
     for (name, n, w) in [
         ("cycle4 x100", 4, cycle(4, 100)),
@@ -718,40 +717,33 @@ fn b14_policy_budget_sweep() {
                 } else {
                     ("R0".to_string(), 8, 4)
                 };
-                for policy in [
-                    clio_incr::EvictionPolicy::Lru,
-                    clio_incr::EvictionPolicy::CostAware,
-                ] {
-                    let cache = EvalCache::with_capacity((working * pct / 100).max(1));
-                    cache.set_policy(policy);
-                    let mut next = 0usize;
-                    let mut round = || {
-                        let edited = if rotating { next % n } else { 0 };
-                        next += 1;
-                        cache.bump_version(&format!("R{edited}"));
-                        eval(&cache)
-                    };
-                    eval(&cache); // cold fill under the budget
-                    for _ in 0..settle {
-                        round();
-                    }
-                    let post_edit = time(|| {
-                        std::hint::black_box(round());
-                    });
-                    let before = cache.stats();
-                    for _ in 0..count {
-                        round();
-                    }
-                    let s = cache.stats();
-                    let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
-                    println!(
-                        "| {name} | {pct}% | {edits} | {} | {} | {hits} | {misses} | {:.0}% | {} |",
-                        policy.name(),
-                        fmt(post_edit),
-                        100.0 * hits as f64 / (hits + misses).max(1) as f64,
-                        s.evictions - before.evictions,
-                    );
+                let cache = EvalCache::with_capacity((working * pct / 100).max(1));
+                let mut next = 0usize;
+                let mut round = || {
+                    let edited = if rotating { next % n } else { 0 };
+                    next += 1;
+                    cache.bump_version(&format!("R{edited}"));
+                    eval(&cache)
+                };
+                eval(&cache); // cold fill under the budget
+                for _ in 0..settle {
+                    round();
                 }
+                let post_edit = time(|| {
+                    std::hint::black_box(round());
+                });
+                let before = cache.stats();
+                for _ in 0..count {
+                    round();
+                }
+                let s = cache.stats();
+                let (hits, misses) = (s.hits - before.hits, s.misses - before.misses);
+                println!(
+                    "| {name} | {pct}% | {edits} | {} | {hits} | {misses} | {:.0}% | {} |",
+                    fmt(post_edit),
+                    100.0 * hits as f64 / (hits + misses).max(1) as f64,
+                    s.evictions - before.evictions,
+                );
             }
         }
     }

@@ -186,12 +186,13 @@ pub fn chain_prefix_mapping(w: &Synthetic, prefix: usize) -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_core::full_disjunction::engine_subsumption;
 
     #[test]
     fn workloads_build() {
         assert!(fd(&chain(3, 20), FdAlgo::Auto) > 0);
         assert!(fd(&star(3, 20), FdAlgo::Auto) > 0);
-        assert!(fd(&cycle(4, 10), FdAlgo::Naive) > 0);
+        assert!(fd_naive(&cycle(4, 10), engine_subsumption()) > 0);
     }
 
     #[test]
@@ -204,7 +205,10 @@ mod tests {
     #[test]
     fn naive_and_optimized_fd_agree_on_bench_workloads() {
         let w = chain(4, 50);
-        assert_eq!(fd(&w, FdAlgo::Naive), fd(&w, FdAlgo::OuterJoin));
+        assert_eq!(
+            fd_naive(&w, engine_subsumption()),
+            fd(&w, FdAlgo::OuterJoin)
+        );
         assert_eq!(
             fd_naive(&w, SubsumptionAlgo::Naive),
             fd_naive(&w, SubsumptionAlgo::Partitioned)

@@ -130,18 +130,6 @@ pub static CACHE_SUBCOMMANDS: &[SubcommandSpec<CacheAction>] = &[
             Ok(CacheAction::Limit(bytes))
         },
     },
-    SubcommandSpec {
-        usage: "cache policy [lru|cost]",
-        description: &["show or switch the eviction policy"],
-        parse: |arg| {
-            if arg.is_empty() {
-                return Ok(CacheAction::Policy(None));
-            }
-            let policy = clio_incr::EvictionPolicy::parse(arg)
-                .ok_or_else(|| ParseError(format!("expected a policy (lru|cost), got `{arg}`")))?;
-            Ok(CacheAction::Policy(Some(policy)))
-        },
-    },
 ];
 
 /// The `db` family.
@@ -408,9 +396,6 @@ pub enum CacheAction {
     Clear,
     /// `cache limit <bytes>` — set the eviction byte budget at runtime.
     Limit(usize),
-    /// `cache policy [lru|cost]` — show (`None`) or switch (`Some`)
-    /// the eviction policy at runtime.
-    Policy(Option<clio_incr::EvictionPolicy>),
 }
 
 /// The `db` subcommands.
@@ -911,24 +896,6 @@ mod tests {
             parse("cache limit lots").unwrap_err().0,
             "expected a byte budget, got `lots`"
         );
-        assert_eq!(
-            parse("cache policy").unwrap(),
-            Command::Cache(CacheAction::Policy(None))
-        );
-        assert_eq!(
-            parse("cache policy lru").unwrap(),
-            Command::Cache(CacheAction::Policy(Some(clio_incr::EvictionPolicy::Lru)))
-        );
-        assert_eq!(
-            parse("cache policy cost").unwrap(),
-            Command::Cache(CacheAction::Policy(Some(
-                clio_incr::EvictionPolicy::CostAware
-            )))
-        );
-        assert_eq!(
-            parse("cache policy mru").unwrap_err().0,
-            "expected a policy (lru|cost), got `mru`"
-        );
         assert!(parse("cache frobnicate")
             .unwrap_err()
             .0
@@ -1119,7 +1086,6 @@ mod tests {
         // every described entry puts its description at column 30
         assert!(help.contains("  source                      show the source schema"));
         assert!(help.contains("  cache limit <bytes>         set the cache's eviction byte budget"));
-        assert!(help.contains("  cache policy [lru|cost]     show or switch the eviction policy"));
         assert!(help.contains("  db save <dir>               write the source database as a paged"));
         assert!(help
             .contains("  save <file> / load <file>   write the active mapping as a MAP statement"));

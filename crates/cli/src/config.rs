@@ -101,10 +101,6 @@ pub struct CliConfig {
     /// `--cache-dir <path>`: attach an on-disk cache store rooted at
     /// this directory (see `docs/incremental.md`, Persistence).
     pub cache_dir: Option<String>,
-    /// `--cache-policy <lru|cost>`: how the cache evicts under
-    /// byte-budget pressure (cost-aware by default; see
-    /// `docs/incremental.md`, Eviction policy & cost model).
-    pub cache_policy: Option<clio_incr::EvictionPolicy>,
 }
 
 /// The value of flag `flag`, or the binary's exact missing-value error.
@@ -215,18 +211,6 @@ impl CliConfig {
                 "--cache-dir" => {
                     i += 1;
                     cfg.cache_dir = Some(require_value(args, i, "--cache-dir")?);
-                }
-                "--cache-policy" => {
-                    i += 1;
-                    let value = require_value(args, i, "--cache-policy")?;
-                    match clio_incr::EvictionPolicy::parse(&value) {
-                        Some(policy) => cfg.cache_policy = Some(policy),
-                        None => {
-                            return Err(UsageError(format!(
-                                "--cache-policy expects `lru` or `cost`, got `{value}`"
-                            )))
-                        }
-                    }
                 }
                 "--mapping" => {
                     i += 1;
@@ -405,14 +389,12 @@ mod tests {
             "m.json",
             "--cache-dir",
             "/tmp/cc",
-            "--cache-policy",
-            "lru",
             "--threads",
             "3",
             "--sessions",
             "2",
             "--trace-filter",
-            "fd.naive",
+            "fd.lattice",
             "--trace-out",
             "t.jsonl",
             "--slow-ms",
@@ -429,10 +411,9 @@ mod tests {
         assert_eq!(cfg.db_pool, Some(8));
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
         assert_eq!(cfg.cache_dir.as_deref(), Some("/tmp/cc"));
-        assert_eq!(cfg.cache_policy, Some(clio_incr::EvictionPolicy::Lru));
         assert_eq!(cfg.threads, Some(3));
         assert_eq!(cfg.sessions_width, Some(2));
-        assert_eq!(cfg.trace_filter.as_deref(), Some("fd.naive"));
+        assert_eq!(cfg.trace_filter.as_deref(), Some("fd.lattice"));
         assert!(cfg.trace, "--trace-filter implies --trace");
         assert_eq!(cfg.trace_out.as_deref(), Some("t.jsonl"));
         assert_eq!(cfg.slow_ms, Some(25));
@@ -462,14 +443,6 @@ mod tests {
         assert_eq!(
             err(&["--cache-dir"]),
             "--cache-dir requires a value (see --help)"
-        );
-        assert_eq!(
-            err(&["--cache-policy"]),
-            "--cache-policy requires a value (see --help)"
-        );
-        assert_eq!(
-            err(&["--cache-policy", "mru"]),
-            "--cache-policy expects `lru` or `cost`, got `mru`"
         );
         assert_eq!(
             err(&["--threads", "0"]),
@@ -608,11 +581,17 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_no_longer_a_flag() {
-        // every evaluation runs through the plan, so there is nothing to
-        // opt into: `--plan` is a usage error (the binary exits 2)
-        let err = CliConfig::parse(&argv(&["--plan"])).unwrap_err();
-        assert_eq!(err.to_string(), "unknown flag `--plan` (see --help)");
+    fn removed_flags_are_usage_errors() {
+        // every evaluation runs through the plan, and the cache has one
+        // eviction policy, so there is nothing to choose: `--plan` and
+        // `--cache-policy` are usage errors (the binary exits 2)
+        for flag in ["--plan", "--cache-policy"] {
+            let err = CliConfig::parse(&argv(&[flag])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("unknown flag `{flag}` (see --help)")
+            );
+        }
     }
 
     #[test]

@@ -390,7 +390,7 @@ impl Shell {
 
     /// Dispatch a `cache …` subcommand. `cache` (stats) leads with its
     /// legacy three lines (on/off, entries, hit counters) so scripted
-    /// greps keep working; the policy, cost, and warmth lines follow,
+    /// greps keep working; the saved-time and warmth lines follow,
     /// and store lines are appended only when a persistent store is
     /// attached. The warmth probe uses the non-promoting
     /// [`EvalCache::peek`], so printing statistics never perturbs
@@ -413,13 +413,7 @@ impl Shell {
                     "hits: {}  misses: {}  invalidations: {}  evictions: {}",
                     stats.hits, stats.misses, stats.invalidations, stats.evictions
                 );
-                let _ = writeln!(
-                    out,
-                    "policy: {}  cost evictions: {}  saved: {:.1} ms",
-                    cache.policy().name(),
-                    stats.cost_evictions,
-                    stats.saved_ns as f64 / 1e6,
-                );
+                let _ = writeln!(out, "saved: {:.1} ms", stats.saved_ns as f64 / 1e6);
                 if let Some(w) = self.session.active() {
                     let fp = clio_core::incremental::mapping_fingerprint(&w.mapping, cache);
                     let _ = writeln!(
@@ -445,11 +439,6 @@ impl Shell {
             }
             CacheAction::Limit(bytes) => {
                 cache.set_capacity(bytes);
-                Ok("ok\n".to_owned())
-            }
-            CacheAction::Policy(None) => Ok(format!("policy: {}\n", cache.policy().name())),
-            CacheAction::Policy(Some(policy)) => {
-                cache.set_policy(policy);
                 Ok("ok\n".to_owned())
             }
             CacheAction::Save(dir) => {
@@ -890,27 +879,6 @@ mod tests {
         // bad arguments come back as parse errors, not panics
         assert!(run(&mut sh, "cache limit lots").starts_with("error:"));
         assert!(run(&mut sh, "cache wat").starts_with("error:"));
-    }
-
-    #[test]
-    fn cache_policy_command_shows_and_switches() {
-        let mut sh = shell();
-        // cost-aware is the default, reported by both `cache` and
-        // `cache policy`
-        assert!(run(&mut sh, "cache").contains("policy: cost"));
-        assert_eq!(run(&mut sh, "cache policy"), "policy: cost\n");
-        assert_eq!(run(&mut sh, "cache policy lru"), "ok\n");
-        assert_eq!(run(&mut sh, "cache policy"), "policy: lru\n");
-        assert_eq!(sh.session.cache().policy(), clio_incr::EvictionPolicy::Lru);
-        assert_eq!(run(&mut sh, "cache policy cost"), "ok\n");
-        assert_eq!(
-            sh.session.cache().policy(),
-            clio_incr::EvictionPolicy::CostAware
-        );
-        assert_eq!(
-            run(&mut sh, "cache policy mru"),
-            "error: expected a policy (lru|cost), got `mru`\n"
-        );
     }
 
     /// The stats warmth probe is `peek`-based: printing `cache` must

@@ -50,14 +50,12 @@ fn synthetic_source(spec: SyntheticSpec) -> (Database, RelSchema) {
 /// source: scripts are read upfront (first unreadable file by input
 /// order exits 2), sessions run on the pool, and outputs are buffered
 /// per session and merged deterministically.
-#[allow(clippy::too_many_arguments)]
 fn run_batch(
     db: Database,
     target: RelSchema,
     scripts: &[String],
     width: usize,
     no_cache: bool,
-    cache_policy: Option<clio_incr::EvictionPolicy>,
     store: Option<Arc<dyn CacheStore>>,
 ) {
     let mut bodies: Vec<String> = Vec::new();
@@ -75,9 +73,6 @@ fn run_batch(
         pool = pool.with_store(store);
     }
     pool.set_cache_enabled(!no_cache);
-    if let Some(policy) = cache_policy {
-        pool.set_cache_policy(policy);
-    }
     let outputs = pool.run(bodies.len(), |i, session| {
         let mut shell = Shell::new(session);
         let mut out = String::new();
@@ -149,7 +144,7 @@ flags:
                          output)
   --trace                collect spans; print the span tree on exit
   --trace-filter <name>  like --trace, but only print subtrees whose span
-                         name contains <name> (e.g. fd.naive)
+                         name contains <name> (e.g. fd.lattice)
   --trace-out <file>     collect spans; export completed spans as Chrome
                          trace-event JSONL (load in chrome://tracing or
                          Perfetto; see docs/observability.md, Timing)
@@ -164,9 +159,6 @@ flags:
   --cache-dir <path>     persist eligible cache entries under <path> and
                          serve misses from it across runs (see
                          docs/incremental.md, Persistence)
-  --cache-policy <p>     eviction policy under capacity pressure: `cost`
-                         (recompute-cost-weighted, the default) or `lru`
-                         (see docs/incremental.md, Eviction policy)
   --port <n>             serve: TCP port to listen on (default 0 = an
                          ephemeral port, announced as `listening on
                          <addr>`; fallback: CLIO_PORT)
@@ -353,15 +345,7 @@ fn main() {
             std::process::exit(2);
         }
         let width = cfg.sessions_width.unwrap_or(1);
-        run_batch(
-            db,
-            target,
-            &cfg.batch_scripts,
-            width,
-            cfg.no_cache,
-            cfg.cache_policy,
-            store,
-        );
+        run_batch(db, target, &cfg.batch_scripts, width, cfg.no_cache, store);
         finish_reports(&cfg);
         return;
     }
@@ -373,9 +357,6 @@ fn main() {
     let mut session = Session::new(db, target);
     if cfg.no_cache {
         session.set_cache_enabled(false);
-    }
-    if let Some(policy) = cfg.cache_policy {
-        session.set_cache_policy(policy);
     }
     if let Some(store) = store {
         session.attach_store(store);

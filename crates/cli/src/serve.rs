@@ -126,9 +126,6 @@ pub fn run_server(
     let store = store.unwrap_or_else(|| Arc::new(MemStore::new()) as Arc<dyn CacheStore>);
     let mut pool = SessionPool::new(db, target).with_store(store);
     pool.set_cache_enabled(!cfg.no_cache);
-    if let Some(policy) = cfg.cache_policy {
-        pool.set_cache_policy(policy);
-    }
     let config = ServerConfig {
         max_conns: cfg.max_conns.unwrap_or_else(clio_relational::exec::threads),
         idle_timeout: Duration::from_millis(cfg.idle_ms.unwrap_or(DEFAULT_IDLE_MS)),

@@ -209,28 +209,12 @@ fn missing_flag_values_exit_2() {
         "--threads",
         "--sessions",
         "--cache-dir",
-        "--cache-policy",
     ] {
         let out = shell().arg(flag).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("requires a value"), "{flag}: {stderr}");
     }
-}
-
-#[test]
-fn bad_cache_policy_value_exits_2_with_one_usage_line() {
-    let out = shell()
-        .arg("--cache-policy")
-        .arg("mru")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr,
-        "--cache-policy expects `lru` or `cost`, got `mru`\n"
-    );
 }
 
 #[test]
@@ -254,28 +238,6 @@ fn bad_cache_limit_value_is_a_one_line_shell_error() {
         stdout.contains("error: usage: cache limit <bytes>\n"),
         "{stdout}"
     );
-}
-
-#[test]
-fn cache_policy_flag_switches_the_session_policy() {
-    let script = tmp_path("policy_flag.clio");
-    std::fs::write(&script, "cache policy\nquit\n").expect("script written");
-    for (flag_value, expect) in [("lru", "policy: lru\n"), ("cost", "policy: cost\n")] {
-        let out = shell()
-            .arg("--script")
-            .arg(&script)
-            .arg("--cache-policy")
-            .arg(flag_value)
-            .output()
-            .expect("binary runs");
-        assert!(out.status.success());
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains(expect),
-            "--cache-policy {flag_value}: {stdout}"
-        );
-    }
-    std::fs::remove_file(&script).ok();
 }
 
 #[test]

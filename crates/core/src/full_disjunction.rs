@@ -2,26 +2,27 @@
 //! query graph (paper Def 3.11; Galindo-Legaria \[4\]).
 //!
 //! `D(G) = F(J₁) ⊕ … ⊕ F(Jₖ)` over **all** induced connected subgraphs
-//! `Jᵢ`. What runs ([`full_disjunction`] with [`FdAlgo::Auto`], and every
-//! plan) is the `D(G)` subtree of the plan IR
-//! ([`crate::plan::RelExpr::run`]):
+//! `Jᵢ`. What runs ([`full_disjunction`], and every plan) is the `D(G)`
+//! subtree of the plan IR ([`crate::plan::RelExpr::run`]), one of two
+//! algorithms that [`FdAlgo::Auto`] picks between:
 //!
-//! * on **tree** graphs, a left-deep sequence of full outer joins
-//!   following a connected elimination order (Galindo-Legaria's
-//!   outerjoins-as-disjunctions result), with no subgraph enumeration
-//!   and no subsumption pass;
-//! * on **cyclic** graphs, the subgraph lattice: each `F(J)` is one join
-//!   of a smaller subgraph's table with one relation, and a row is
-//!   dropped when a neighbouring subgraph's row extends it, so the
-//!   residual subsumption pass only sees rows that can still be subsumed
-//!   (see `plan::ir::schedule`).
+//! * [`FdAlgo::OuterJoin`], on **tree** graphs: a left-deep sequence of
+//!   full outer joins following a connected elimination order
+//!   (Galindo-Legaria's outerjoins-as-disjunctions result), with no
+//!   subgraph enumeration and no subsumption pass (span `fd.outer_join`);
+//! * [`FdAlgo::Lattice`], on **cyclic** graphs: the subgraph lattice.
+//!   Each `F(J)` is one join of a smaller subgraph's table with one
+//!   relation, and a row is dropped when a neighbouring subgraph's row
+//!   extends it, so the residual subsumption pass only sees rows that can
+//!   still be subsumed (span `fd.lattice`; see `plan::ir::schedule`).
 //!
-//! Two references stay as oracles: [`full_disjunction_naive`] computes
-//! the definition directly — a join chain per subgraph and one n-ary
-//! minimum union — and [`full_associations_definitional`] is Def 3.5's
-//! σ over ×. The paper claims Clio "make\[s\] use of evaluation and
-//! optimization techniques for the minimal union operator to efficiently
-//! compute D(G)"; benchmark **B1** (`cargo bench -p clio-bench --bench
+//! Two references stay as oracles, reached only by their own names:
+//! [`full_disjunction_naive`] computes the definition directly — a join
+//! chain per subgraph and one n-ary minimum union (span `fd.naive`) —
+//! and [`full_associations_definitional`] is Def 3.5's σ over ×. The
+//! paper claims Clio "make\[s\] use of evaluation and optimization
+//! techniques for the minimal union operator to efficiently compute
+//! D(G)"; benchmark **B1** (`cargo bench -p clio-bench --bench
 //! full_disjunction`, and the `experiments b1` tables) measures the
 //! executed plans against the naive oracle, and property tests in
 //! `tests/properties.rs` check they agree.
@@ -40,14 +41,15 @@ use crate::plan::{chain_ir, Exec};
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
-/// Algorithm selector for computing `D(G)`.
+/// Algorithm selector for computing `D(G)`. The definitional oracle is
+/// not among them: call [`full_disjunction_naive`] by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FdAlgo {
-    /// Definitional: enumerate subgraphs, minimum-union their `F(J)`s.
-    Naive,
+    /// The subgraph lattice (`plan::ir::schedule`); valid on every graph.
+    Lattice,
     /// Full-outer-join plan; only valid for tree graphs.
     OuterJoin,
-    /// Outer-join plan when the graph is a tree, naive otherwise.
+    /// Outer-join plan when the graph is a tree, the lattice otherwise.
     #[default]
     Auto,
 }
@@ -118,12 +120,12 @@ pub fn full_disjunction_naive(
 
 impl FdAlgo {
     /// Resolve `Auto` against a graph: the outer-join plan on trees, the
-    /// naive plan otherwise. Explicit choices are returned unchanged.
+    /// lattice otherwise. Explicit choices are returned unchanged.
     #[must_use]
     pub fn resolve(self, graph: &QueryGraph) -> FdAlgo {
         match self {
             FdAlgo::Auto if graph.is_tree() => FdAlgo::OuterJoin,
-            FdAlgo::Auto => FdAlgo::Naive,
+            FdAlgo::Auto => FdAlgo::Lattice,
             chosen => chosen,
         }
     }
@@ -147,22 +149,16 @@ pub fn engine_subsumption() -> SubsumptionAlgo {
     SubsumptionAlgo::default() // Adaptive
 }
 
-/// Compute `D(G)` with the selected algorithm. `Auto` runs the `D(G)`
-/// subtree a [`Plan`](crate::plan::Plan) starts from (the outer-join
-/// chain on trees, the scheduled minimum union otherwise) with no
-/// cache; an explicit choice runs its reference implementation. The
-/// naive plan's subsumption pass uses [`engine_subsumption`] (adaptive).
+/// Compute `D(G)` with the selected algorithm, with no cache: the
+/// `D(G)` subtree a [`Plan`](crate::plan::Plan) starts from (`Auto`: the
+/// outer-join chain on trees, the lattice otherwise).
 pub fn full_disjunction(
     db: &Database,
     graph: &QueryGraph,
     algo: FdAlgo,
     funcs: &FuncRegistry,
 ) -> Result<AssociationSet> {
-    match algo {
-        FdAlgo::Auto => full_disjunction_cached(db, graph, algo, funcs, None),
-        FdAlgo::OuterJoin => full_disjunction_outer_join(db, graph, funcs),
-        FdAlgo::Naive => full_disjunction_naive(db, graph, funcs, engine_subsumption()),
-    }
+    full_disjunction_cached(db, graph, algo, funcs, None)
 }
 
 /// Apply the paper's Def 3.5 `σ_P(R₁ × … × Rₙ)` literally for the *whole*
@@ -312,7 +308,7 @@ mod tests {
         g.add_edge(0, 2, parse_expr("Children.ID = PhoneDir.ID").unwrap())
             .unwrap();
         assert!(full_disjunction_outer_join(&db(), &g, &funcs()).is_err());
-        // but auto dispatch falls back to naive
+        // but auto dispatch falls back to the lattice
         full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
     }
 
@@ -320,7 +316,7 @@ mod tests {
     fn auto_uses_outer_join_on_trees() {
         let g = path_graph();
         let mut a = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
-        let mut b = full_disjunction(&db(), &g, FdAlgo::Naive, &funcs()).unwrap();
+        let mut b = full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap();
         a.sort_canonical(&g);
         b.sort_canonical(&g);
         assert_eq!(a.table().rows(), b.table().rows());

@@ -80,7 +80,7 @@ pub fn subgraph_fingerprint(graph: &QueryGraph, mask: u64, cache: &EvalCache) ->
 }
 
 /// Fingerprint of the assembled `D(G)` under a given algorithm tag
-/// (`"D(G).tree"` / `"D(G).naive"` — the two plans emit different row
+/// (`"D(G).tree"` / `"D(G).lattice"` — the two plans emit different row
 /// orders, so they must not share entries).
 #[must_use]
 pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
@@ -142,7 +142,7 @@ fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
     est
 }
 
-/// Scheduling annotation for one subgraph branch of the naive `D(G)`.
+/// Scheduling annotation for one subgraph branch of the lattice `D(G)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchInfo {
     /// The branch's node mask.
@@ -157,8 +157,8 @@ pub struct BranchInfo {
 /// [`EvalCache::peek`] marks expected-warm branches, and each cold one
 /// is priced from sibling cost history ([`EvalCache::estimate_cost`]),
 /// falling back to a row-count heuristic. Peeking counts nothing and
-/// perturbs no recency or priority, so the pass cannot change what the
-/// eviction policy keeps; estimates are pinned here, before any counted
+/// perturbs no recency or priority, so the pass cannot change what
+/// eviction keeps; estimates are pinned here, before any counted
 /// lookup warms the memory tier and shifts the sibling history. Without
 /// a live cache every branch is cold.
 pub(crate) fn annotate_branches(
@@ -194,7 +194,7 @@ pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
 /// The graph-level `D(G)` memo around `compute`, which returns the
 /// table with the compute time already charged to child entries. With a
 /// live cache the result is looked up under `tag` (`"D(G).tree"` /
-/// `"D(G).naive"`: the two algorithms emit different row orders) and,
+/// `"D(G).lattice"`: the two algorithms emit different row orders) and,
 /// on a miss, computed and inserted charged only its *exclusive* cost.
 /// Returns the table with the time charged to this entry and its
 /// children (0 on a hit); without a live cache it just runs `compute`.
@@ -236,7 +236,7 @@ pub(crate) fn memoized_disjunction(
 /// Compute `D(G)` by running the un-pushed `D(G)` subtree
 /// [`Plan::new`](crate::plan::Plan::new) starts from.
 /// With a live cache the result is memoized per graph+algorithm, and the
-/// naive algorithm also memoizes per-subgraph `F(J)`s, so an edit to one
+/// lattice also memoizes per-subgraph `F(J)`s, so an edit to one
 /// relation recomputes only the subgraphs touching it.
 pub fn full_disjunction_cached(
     db: &Database,
@@ -257,7 +257,7 @@ pub fn full_disjunction_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::full_disjunction::full_disjunction;
+    use crate::full_disjunction::{engine_subsumption, full_disjunction, full_disjunction_naive};
     use crate::plan::ir::schedule;
     use crate::plan::RelExpr;
     use crate::query_graph::Node;
@@ -405,9 +405,9 @@ mod tests {
             inputs,
             branches,
             pad,
-        } = disjunction(&db, g, FdAlgo::Naive, Some(cache)).unwrap()
+        } = disjunction(&db, g, FdAlgo::Lattice, Some(cache)).unwrap()
         else {
-            panic!("naive D(G) is a union");
+            panic!("lattice D(G) is a union");
         };
         let ex = Exec {
             db: &db,
@@ -416,7 +416,7 @@ mod tests {
             cache: Some(cache),
         };
         let (table, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
-        let plain = full_disjunction(&db, g, FdAlgo::Naive, &funcs).unwrap();
+        let plain = full_disjunction_naive(&db, g, &funcs, engine_subsumption()).unwrap();
         assert_eq!(plain.table().rows(), table.rows());
         (branches, dispatched)
     }
@@ -495,7 +495,7 @@ mod tests {
         );
         assert_ne!(
             graph_fingerprint(&tree, &cache, "D(G).tree"),
-            graph_fingerprint(&tree, &cache, "D(G).naive")
+            graph_fingerprint(&tree, &cache, "D(G).lattice")
         );
         let before = graph_fingerprint(&tree, &cache, "D(G).tree");
         cache.bump_version("Parents");

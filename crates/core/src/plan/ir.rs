@@ -102,7 +102,8 @@ pub enum RelExpr {
     },
     /// Minimum (subsuming) union: inputs are padded to `pad` and unioned,
     /// then subsumed and duplicate rows are removed, keeping first
-    /// occurrences — `F(J₁) ⊕ … ⊕ F(Jₖ)` of the naive full disjunction.
+    /// occurrences — Def 3.11's `F(J₁) ⊕ … ⊕ F(Jₖ)`, computed over the
+    /// subgraph lattice (`schedule`).
     Union {
         /// One branch per induced connected subgraph, canonical order:
         /// its `F(J)` chain, under any filters pushed onto it.
@@ -248,7 +249,7 @@ impl RelExpr {
     /// Execute the tree. The un-pushed `D(G)` node — a [`RelExpr::Union`]
     /// with no filter on any branch, or an outer-join chain over every
     /// node of `ex.graph` (a lone `Scan` on a one-node graph) — is
-    /// memoized under `"D(G).naive"` / `"D(G).tree"` when `ex.cache` is
+    /// memoized under `"D(G).lattice"` / `"D(G).tree"` when `ex.cache` is
     /// live; every other node is computed on each run.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
         self.run_costed(ex).map(|(table, _)| table)
@@ -278,7 +279,7 @@ impl RelExpr {
             RelExpr::Union { inputs, .. }
                 if !inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
             {
-                memoized_disjunction(ex.graph, ex.cache, "D(G).naive", || self.eval(ex))
+                memoized_disjunction(ex.graph, ex.cache, "D(G).lattice", || self.eval(ex))
             }
             _ => self.eval(ex),
         }
@@ -495,7 +496,7 @@ pub(crate) fn schedule(
     branches: &[BranchInfo],
     pad: &Scheme,
 ) -> Result<(Table, Vec<(u64, u64)>)> {
-    let _span = clio_obs::span("fd.naive");
+    let _span = clio_obs::span("fd.lattice");
     let cache = ex.cache.filter(|c| c.enabled());
     let keyed = |mask: u64| cache.map(|c| (c, subgraph_fingerprint(ex.graph, mask, c)));
     let lookup = |mask: u64| keyed(mask).and_then(|(c, fp)| c.get(fp));
@@ -560,7 +561,7 @@ pub(crate) fn schedule(
         let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
             level,
             &order,
-            "fd.naive.worker",
+            "fd.lattice.worker",
             |_, job| -> Result<(Table, u64)> {
                 // Unconditional timing (unlike hist::start, which is
                 // trace-gated): the cost model needs real measurements

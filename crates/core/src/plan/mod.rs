@@ -332,16 +332,17 @@ mod tests {
             .with_target_not_null_filters()
     }
 
-    /// `Q(M)` without the plan: the reference `D(G)` (naive minimum
-    /// union on cyclic graphs, no pushdown) and the evaluator loop.
+    /// `Q(M)` without the plan: the reference `D(G)` (the definitional
+    /// oracle on cyclic graphs, no pushdown) and the evaluator loop.
     fn reference(m: &Mapping) -> Table {
+        use crate::full_disjunction::{engine_subsumption, full_disjunction_naive};
         let (db, funcs) = (db(), funcs());
-        let algo = if m.graph.is_tree() {
-            FdAlgo::OuterJoin
+        let assocs = if m.graph.is_tree() {
+            m.associations(&db, FdAlgo::OuterJoin, &funcs)
         } else {
-            FdAlgo::Naive
-        };
-        let assocs = m.associations(&db, algo, &funcs).unwrap();
+            full_disjunction_naive(&db, &m.graph, &funcs, engine_subsumption())
+        }
+        .unwrap();
         let eval = m.evaluator(&db, &funcs).unwrap();
         let mut out = Table::empty(m.target_scheme());
         for i in 0..assocs.len() {

@@ -201,13 +201,6 @@ impl Session {
         Ok(plan.explain())
     }
 
-    /// Choose how the cache evicts under byte-budget pressure (the
-    /// CLI's `--cache-policy`; cost-aware by default). Answer-invisible:
-    /// the policy only decides what stays resident.
-    pub fn set_cache_policy(&mut self, policy: clio_incr::EvictionPolicy) {
-        self.cache.set_policy(policy);
-    }
-
     /// Attach a persistent second-tier cache backend (e.g. a
     /// [`clio_incr::DiskStore`] over the CLI's `--cache-dir`): eligible
     /// cache insertions spill to it, and lookups that miss in memory

@@ -70,7 +70,6 @@ pub struct SessionPool {
     target: RelSchema,
     width: usize,
     cache_enabled: bool,
-    cache_policy: clio_incr::EvictionPolicy,
     store: Option<Arc<dyn clio_incr::CacheStore>>,
 }
 
@@ -95,7 +94,6 @@ impl SessionPool {
             target,
             width: 1,
             cache_enabled: true,
-            cache_policy: clio_incr::EvictionPolicy::default(),
             store: None,
         }
     }
@@ -118,12 +116,6 @@ impl SessionPool {
     /// incremental cache enabled (on by default).
     pub fn set_cache_enabled(&mut self, on: bool) {
         self.cache_enabled = on;
-    }
-
-    /// The eviction policy sessions spawned from this pool start with
-    /// (the CLI's `--cache-policy`; cost-aware by default).
-    pub fn set_cache_policy(&mut self, policy: clio_incr::EvictionPolicy) {
-        self.cache_policy = policy;
     }
 
     /// Attach one shared persistent cache backend: every session the
@@ -160,7 +152,6 @@ impl SessionPool {
             self.target.clone(),
         );
         s.set_cache_enabled(self.cache_enabled);
-        s.set_cache_policy(self.cache_policy);
         if let Some(store) = &self.store {
             s.attach_store(Arc::clone(store));
         }
@@ -302,15 +293,6 @@ mod tests {
         assert!(pool.session().cache().enabled());
         pool.set_cache_enabled(false);
         assert!(!pool.session().cache().enabled());
-    }
-
-    #[test]
-    fn pool_cache_policy_propagates() {
-        use clio_incr::EvictionPolicy;
-        let mut pool = SessionPool::new(db(), target());
-        assert_eq!(pool.session().cache().policy(), EvictionPolicy::CostAware);
-        pool.set_cache_policy(EvictionPolicy::Lru);
-        assert_eq!(pool.session().cache().policy(), EvictionPolicy::Lru);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! graphs or mappings. `clio-core` computes the fingerprints (see
 //! `clio_core::incremental` and `docs/incremental.md` for the scheme)
 //! and decides what to cache; this crate provides deterministic hashing
-//! ([`FingerprintBuilder`]), storage under a byte budget with a
-//! pluggable [`EvictionPolicy`] (cost-aware by default), pluggable
+//! ([`FingerprintBuilder`]), storage under a byte budget with
+//! cost-aware eviction (see [`EvictionPolicy`]), pluggable
 //! persistence ([`CacheStore`], with [`DiskStore`] surviving process
 //! restarts — see `docs/incremental.md`, *Persistence*), and
 //! observability (the `cache.*` counters in [`clio_obs`]).

@@ -24,7 +24,7 @@ pub const EVENT_CAPACITY: usize = 65_536;
 /// One completed span, positioned on the process timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Static span name (dotted, e.g. `fd.naive`).
+    /// Static span name (dotted, e.g. `fd.lattice`).
     pub name: &'static str,
     /// Ordinal of the thread the span ran on.
     pub thread: u64,

@@ -89,12 +89,8 @@ pub enum Counter {
     /// Persistent-backend load failures tolerated by falling back to
     /// recomputation (corrupt files, version mismatches, I/O errors).
     CacheLoadErrors,
-    /// Incremental-cache entries dropped to stay under the byte budget
-    /// (either policy).
+    /// Incremental-cache entries dropped to stay under the byte budget.
     CacheEvictions,
-    /// Evictions chosen by the cost-aware policy (a subset of
-    /// `cache.evictions`).
-    CacheCostEvictions,
     /// Recompute nanoseconds avoided by cache answers: each hit adds
     /// the answering entry's recorded recompute cost. Wall-clock
     /// derived, so normalized away in golden-counter gates.
@@ -150,7 +146,7 @@ pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
 impl Counter {
     /// All counters, in table order.
-    pub const ALL: [Counter; 42] = [
+    pub const ALL: [Counter; 41] = [
         Counter::TuplesScanned,
         Counter::JoinProbes,
         Counter::JoinOutputRows,
@@ -175,7 +171,6 @@ impl Counter {
         Counter::CacheDiskBytes,
         Counter::CacheLoadErrors,
         Counter::CacheEvictions,
-        Counter::CacheCostEvictions,
         Counter::CacheSavedNs,
         Counter::NetAccepted,
         Counter::NetActive,
@@ -224,7 +219,6 @@ impl Counter {
             Counter::CacheDiskBytes => "cache.disk_bytes",
             Counter::CacheLoadErrors => "cache.load_errors",
             Counter::CacheEvictions => "cache.evictions",
-            Counter::CacheCostEvictions => "cache.cost_evictions",
             Counter::CacheSavedNs => "cache.saved_ns",
             Counter::NetAccepted => "net.accepted",
             Counter::NetActive => "net.active",

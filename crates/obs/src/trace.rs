@@ -68,7 +68,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread, if any.
     pub parent: Option<u64>,
-    /// Static span name (dotted, e.g. `fd.naive`).
+    /// Static span name (dotted, e.g. `fd.lattice`).
     pub name: &'static str,
     /// Wall-clock duration in nanoseconds.
     pub nanos: u128,

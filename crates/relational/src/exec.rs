@@ -19,7 +19,7 @@
 //! 4. [`std::thread::available_parallelism`].
 //!
 //! Each worker thread opens one observability span (the caller names it,
-//! e.g. `fd.naive.worker`), so a `--trace` run shows the fan-out as one
+//! e.g. `fd.lattice.worker`), so a `--trace` run shows the fan-out as one
 //! span tree per worker thread with the per-item engine spans nested
 //! underneath (see `docs/observability.md`).
 

@@ -77,8 +77,7 @@ pub mod prelude {
     pub use crate::funcs::{Arity, FuncRegistry};
     pub use crate::index::ValueIndex;
     pub use crate::ops::{
-        group_by, join, minimum_union, minimum_union_all, outer_union, select, AggFunc, Aggregate,
-        JoinKind, SubsumptionAlgo,
+        join, minimum_union, minimum_union_all, outer_union, select, JoinKind, SubsumptionAlgo,
     };
     pub use crate::parser::parse_expr;
     pub use crate::relation::{Relation, RelationBuilder};

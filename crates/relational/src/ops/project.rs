@@ -1,11 +1,10 @@
-//! Projection: compute output columns from expressions or column subsets.
+//! Projection: compute output columns from expressions.
 
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::funcs::FuncRegistry;
 use crate::schema::{Column, Scheme};
 use crate::table::Table;
-use crate::value::DataType;
 
 /// π over expressions: each `(expr, qualifier, name, ty)` becomes an output
 /// column. This is how mapping queries apply value correspondences to data
@@ -27,29 +26,6 @@ pub fn project(table: &Table, outputs: &[(Expr, Column)], funcs: &FuncRegistry) 
     Ok(out)
 }
 
-/// π over plain columns, by qualified name (`"Q.attr"`).
-pub fn project_columns(table: &Table, cols: &[&str], funcs: &FuncRegistry) -> Result<Table> {
-    let outputs: Vec<(Expr, Column)> = cols
-        .iter()
-        .map(|spec| {
-            let e = Expr::col(spec);
-            let idx = table.scheme().resolve(match &e {
-                Expr::Column(c) => c,
-                _ => unreachable!(),
-            })?;
-            let c = table.scheme().columns()[idx].clone();
-            Ok((e, c))
-        })
-        .collect::<Result<_>>()?;
-    project(table, &outputs, funcs)
-}
-
-/// Helper to name an output column when projecting expressions.
-#[must_use]
-pub fn out_col(qualifier: &str, name: &str, ty: DataType) -> Column {
-    Column::new(qualifier, name, ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,18 +45,10 @@ mod tests {
     }
 
     #[test]
-    fn project_columns_by_name() {
-        let out = project_columns(&table(), &["P.salary"], &FuncRegistry::with_builtins()).unwrap();
-        assert_eq!(out.scheme().arity(), 1);
-        assert_eq!(out.rows()[0][0], Value::Int(50));
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
     fn project_expressions_computes_new_values() {
         let outputs = vec![(
             parse_expr("P.salary * 2").unwrap(),
-            out_col("Kids", "FamilyIncome", DataType::Int),
+            Column::new("Kids", "FamilyIncome", DataType::Int),
         )];
         let out = project(&table(), &outputs, &FuncRegistry::with_builtins()).unwrap();
         assert_eq!(
@@ -93,6 +61,10 @@ mod tests {
 
     #[test]
     fn unknown_column_errors() {
-        assert!(project_columns(&table(), &["P.nope"], &FuncRegistry::with_builtins()).is_err());
+        let outputs = vec![(
+            parse_expr("P.nope").unwrap(),
+            Column::new("Kids", "nope", DataType::Int),
+        )];
+        assert!(project(&table(), &outputs, &FuncRegistry::with_builtins()).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! A legacy order-management schema with cryptic names (`ORD_HDR`,
 //! `ORD_LN`, `CUST_MST`, `SKU_REF`, `SHIP_LOG`) is mapped onto a clean
 //! `OrderSummary` target using walks, a chase into the cryptically-named
-//! shipping log, verification, and aggregation for totals.
+//! shipping log, verification, and a derived relation of order totals.
 //!
 //! ```sh
 //! cargo run --example ecommerce
@@ -107,7 +107,6 @@ fn target() -> RelSchema {
 
 fn main() -> Result<()> {
     let db = build_source()?;
-    let funcs = FuncRegistry::with_builtins();
 
     println!("== legacy source ==");
     for rel in db.relations() {
@@ -153,20 +152,32 @@ fn main() -> Result<()> {
         println!("- {f}");
     }
 
-    // 5. order totals are SET-VALUED: sum over all order lines. Compute
-    //    with the aggregation operator and register as a derived relation,
-    //    then map it like any other source.
+    // 5. order totals are SET-VALUED: sum over all order lines. Fold
+    //    qty * unit_price per order (orders in first-appearance order),
+    //    register the result as a derived relation, then map it like any
+    //    other source.
     let lines = db.relation("ORD_LN")?.to_table("L");
-    let totals = group_by(
-        &lines,
-        &["L.ord_no"],
-        &[Aggregate {
-            func: AggFunc::Sum,
-            expr: parse_expr("L.qty * L.unit_price")?,
-            output: Column::new("T", "total_cents", DataType::Int),
-        }],
-        &funcs,
-    )?;
+    let col = |name: &str| lines.scheme().resolve(&ColumnRef::qualified("L", name));
+    let (ord, qty, price) = (col("ord_no")?, col("qty")?, col("unit_price")?);
+    let mut sums: Vec<(Value, i64)> = Vec::new();
+    for row in lines.rows() {
+        let (Value::Int(q), Value::Int(p)) = (&row[qty], &row[price]) else {
+            continue;
+        };
+        match sums.iter_mut().find(|(key, _)| *key == row[ord]) {
+            Some((_, sum)) => *sum += q * p,
+            None => sums.push((row[ord].clone(), q * p)),
+        }
+    }
+    let totals = Table::new(
+        Scheme::new(vec![
+            lines.scheme().columns()[ord].clone(),
+            Column::new("T", "total_cents", DataType::Int),
+        ]),
+        sums.into_iter()
+            .map(|(key, sum)| vec![key, Value::Int(sum)])
+            .collect(),
+    );
     println!("\n== derived ORDER_TOTALS (sum of qty * unit_price per order) ==");
     print!("{totals}");
 

@@ -183,12 +183,12 @@ fi
 echo "    cache.disk_hits = $disk_hits"
 
 # Tier 2e: timing-telemetry gate (PR 6, docs/observability.md § Timing).
-# The demo plus a loaded CYCLIC mapping (so the naive full-disjunction
+# The demo plus a loaded CYCLIC mapping (so the lattice full-disjunction
 # plan runs, not just the tree-graph outer join) is traced with
 # --trace-out and --metrics. The gate checks the whole export path:
 # every JSONL line is a well-formed Chrome trace event, the event count
 # equals the --trace tree's span count, and the metrics report carries
-# nonzero latency histograms for `fd.naive` and `incr.fd`. The golden
+# nonzero latency histograms for `fd.lattice` and `incr.fd`. The golden
 # gates above run WITHOUT tracing, so histogram keys never appear there
 # — timing stays invisible to the counter snapshots by construction.
 echo "==> timing-telemetry gate (demo + cyclic mapping, --trace-out, --metrics)"
@@ -233,35 +233,32 @@ python3 - "$tmp_telemetry_metrics" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 hists = report.get("histograms", {})
-for name in ("fd.naive", "incr.fd", "incr.fd.scheduled"):
+for name in ("fd.lattice", "incr.fd", "incr.fd.scheduled"):
     count = hists.get(name, {}).get("count", 0)
     assert count > 0, f"histogram `{name}` missing or empty: {sorted(hists)}"
 EOF
-echo "    $event_count trace events = $span_count spans; fd.naive + incr.fd + incr.fd.scheduled histograms populated"
+echo "    $event_count trace events = $span_count spans; fd.lattice + incr.fd + incr.fd.scheduled histograms populated"
 
-# Tier 2f: eviction-pressure gate (PR 7, docs/incremental.md § Eviction
-# policy). The demo plus the cyclic mapping is replayed twice in one
-# process with the cache's byte budget shrunk to half the workload's
-# measured demand (`cache limit` mid-script), once per eviction policy.
-# The gate pins the end-to-end wiring under real pressure: the budget
-# actually binds (the LRU run must record evictions), the --cache-policy
-# flag actually switches victim selection (the cost run must still
-# convert lookups into hits under the same pressure), and the policies
-# must be answer-invisible — both runs' stdout byte-identical. The
-# in-shell `stats` counter table is the one legitimate difference
-# (hit/miss/eviction counts are exactly what a policy is *allowed* to
-# change), so its rows are filtered out of the comparison. Which policy
-# wins on hit rate is workload-dependent — this twice-replay is
-# recency-friendly — so the policy-quality claim is pinned where it is
-# real instead: the B14 edit-replay sweep (EXPERIMENTS.md) and the
-# bench `incremental_eviction_policy` group.
-echo "==> eviction-pressure gate (demo + cyclic mapping twice, half budget, lru vs cost)"
+# Tier 2f: eviction-pressure gate (docs/incremental.md § Eviction &
+# cost model). The demo plus the cyclic mapping is replayed twice in
+# one process, once with the unbounded default budget and once with the
+# cache's byte budget shrunk to half the workload's measured demand
+# (`cache limit` mid-script). The gate pins the end-to-end wiring under
+# real pressure: the budget actually binds (the half-budget run must
+# record evictions), eviction still converts lookups into hits under
+# that pressure, and eviction is answer-invisible — both runs' stdout
+# byte-identical. The in-shell `stats` counter table is the one
+# legitimate difference (hit/miss/eviction counts are exactly what a
+# budget is *allowed* to change), so its rows are filtered out of the
+# comparison. Eviction quality across budgets and edit patterns is
+# measured by the B14 sweep (EXPERIMENTS.md) and the bench
+# `incremental_eviction_policy` group.
+echo "==> eviction-pressure gate (demo + cyclic mapping twice, half budget vs unbounded)"
 tmp_evict_script="$(mktemp)"
 tmp_evict_probe="$(mktemp)"
-tmp_evict_lru="$(mktemp)"
-tmp_evict_cost="$(mktemp)"
-tmp_evict_lru_out="$(mktemp)"
-tmp_evict_cost_out="$(mktemp)"
+tmp_evict_half="$(mktemp)"
+tmp_evict_full_out="$(mktemp)"
+tmp_evict_half_out="$(mktemp)"
 evict_body() {
     sed '/^quit$/d' examples/scripts/demo.clio
     echo "load $tmp_cyclic_map"
@@ -270,41 +267,39 @@ evict_body() {
 { evict_body; evict_body; echo quit; } > "$tmp_evict_script"
 target/release/clio-shell \
     --script "$tmp_evict_script" --threads 1 \
-    --metrics "$tmp_evict_probe" >/dev/null
+    --metrics "$tmp_evict_probe" > "$tmp_evict_full_out"
 demand_bytes="$(sed -n 's/.*"cache\.bytes": \([0-9][0-9]*\).*/\1/p' "$tmp_evict_probe")"
 budget=$((demand_bytes / 2))
 { echo "cache limit $budget"; evict_body; evict_body; echo quit; } > "$tmp_evict_script"
 target/release/clio-shell \
-    --script "$tmp_evict_script" --threads 1 --cache-policy lru \
-    --metrics "$tmp_evict_lru" > "$tmp_evict_lru_out"
-target/release/clio-shell \
-    --script "$tmp_evict_script" --threads 1 --cache-policy cost \
-    --metrics "$tmp_evict_cost" > "$tmp_evict_cost_out"
+    --script "$tmp_evict_script" --threads 1 \
+    --metrics "$tmp_evict_half" > "$tmp_evict_half_out"
 strip_counter_rows() {
     sed -i '/^[a-z_.][a-z_.]*  *[0-9][0-9]*$/d' "$1"
 }
-strip_counter_rows "$tmp_evict_lru_out"
-strip_counter_rows "$tmp_evict_cost_out"
-if ! diff -u "$tmp_evict_lru_out" "$tmp_evict_cost_out"; then
-    echo "verify: FAILED — eviction policy changed shell output (must be answer-invisible)" >&2
+strip_counter_rows "$tmp_evict_full_out"
+strip_counter_rows "$tmp_evict_half_out"
+# the half-budget script opens with `cache limit`: drop its echo and `ok`
+sed -i '1{/^clio> cache limit /d}' "$tmp_evict_half_out"
+sed -i '1{/^ok$/d}' "$tmp_evict_half_out"
+if ! diff -u "$tmp_evict_full_out" "$tmp_evict_half_out"; then
+    echo "verify: FAILED — half budget changed shell output (eviction must be answer-invisible)" >&2
     exit 1
 fi
 counter() { sed -n 's/.*"'"$2"'": \([0-9][0-9]*\).*/\1/p' "$1"; }
-lru_hits="$(counter "$tmp_evict_lru" 'cache\.hits')"
-lru_evictions="$(counter "$tmp_evict_lru" 'cache\.evictions')"
-cost_hits="$(counter "$tmp_evict_cost" 'cache\.hits')"
-cost_evictions="$(counter "$tmp_evict_cost" 'cache\.evictions')"
-if [ -z "$lru_evictions" ] || [ "$lru_evictions" -eq 0 ]; then
-    echo "verify: FAILED — half budget ($budget bytes) induced no LRU evictions" >&2
+half_hits="$(counter "$tmp_evict_half" 'cache\.hits')"
+half_evictions="$(counter "$tmp_evict_half" 'cache\.evictions')"
+if [ -z "$half_evictions" ] || [ "$half_evictions" -eq 0 ]; then
+    echo "verify: FAILED — half budget ($budget bytes) induced no evictions" >&2
     exit 1
 fi
-if [ -z "$cost_hits" ] || [ "$cost_hits" -eq 0 ]; then
-    echo "verify: FAILED — cost-aware policy served no hits at half budget ($budget bytes)" >&2
+if [ -z "$half_hits" ] || [ "$half_hits" -eq 0 ]; then
+    echo "verify: FAILED — half budget ($budget bytes) served no hits" >&2
     exit 1
 fi
-rm -f "$tmp_evict_script" "$tmp_evict_probe" "$tmp_evict_lru" "$tmp_evict_cost" \
-    "$tmp_evict_lru_out" "$tmp_evict_cost_out"
-echo "    half budget = $budget bytes: lru $lru_hits hits / $lru_evictions evictions, cost $cost_hits hits / $cost_evictions evictions"
+rm -f "$tmp_evict_script" "$tmp_evict_probe" "$tmp_evict_half" \
+    "$tmp_evict_full_out" "$tmp_evict_half_out"
+echo "    half budget = $budget bytes: $half_hits hits / $half_evictions evictions"
 
 # Tier 2g: networked-service gate (PR 8, docs/service.md). Phase A
 # starts `clio-shell serve` on an ephemeral port and drives FOUR

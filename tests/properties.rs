@@ -539,12 +539,23 @@ proptest! {
     /// sequence (correspondences, confirms, filters, walks, chases,
     /// previews, accepts, relation edits) replayed on a cache-enabled and
     /// a cache-disabled paper session produces byte-identical outcomes at
-    /// every step, and byte-identical final state.
+    /// every step, and byte-identical final state. The cached session's
+    /// byte budget ranges from nothing resident, through budgets tight
+    /// enough to force evictions, to unbounded: eviction decides only
+    /// which entries stay resident (and therefore what gets recomputed),
+    /// never what any operator returns.
     #[test]
     fn cache_is_transparent_to_operator_sequences(
-        ops in proptest::collection::vec(session_op_strategy(), 1..12)
+        ops in proptest::collection::vec(session_op_strategy(), 1..12),
+        budget in prop_oneof![
+            Just(0usize),
+            Just(2_048usize),
+            Just(8_192usize),
+            Just(usize::MAX),
+        ],
     ) {
         let mut cached = Session::new(paper_database(), kids_target());
+        cached.cache().set_capacity(budget);
         let mut plain = Session::new(paper_database(), kids_target());
         plain.set_cache_enabled(false);
         for (step, &op) in ops.iter().enumerate() {
@@ -710,59 +721,15 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The eviction policy is **answer-invisible**: the same operator
-    /// sequence replayed under `Lru` and `CostAware`, with a byte budget
-    /// tight enough to force evictions on both sides, produces
-    /// byte-identical step outputs and final digests. The policy decides
-    /// only which entries stay resident (and therefore what gets
-    /// recomputed), never what any operator returns.
-    #[test]
-    fn eviction_policy_is_transparent_to_operator_sequences(
-        ops in proptest::collection::vec(session_op_strategy(), 1..12),
-        budget in prop_oneof![
-            Just(0usize),
-            Just(2_048usize),
-            Just(8_192usize),
-            Just(usize::MAX),
-        ],
-    ) {
-        let build = |policy| {
-            let mut s = Session::new(paper_database(), kids_target());
-            s.set_cache_policy(policy);
-            s.cache().set_capacity(budget);
-            s
-        };
-        let mut lru = build(clio_incr::EvictionPolicy::Lru);
-        let mut cost = build(clio_incr::EvictionPolicy::CostAware);
-        for (step, &op) in ops.iter().enumerate() {
-            let a = apply_session_op(&mut lru, op, step);
-            let b = apply_session_op(&mut cost, op, step);
-            prop_assert_eq!(a, b, "diverged at step {} ({:?})", step, op);
-        }
-        prop_assert_eq!(session_digest(&lru), session_digest(&cost));
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Collapsing the byte budget to zero at an arbitrary step —
-    /// optionally switching eviction policy at runtime first — empties
-    /// the cache immediately, changes no answer afterwards, and keeps
-    /// the eviction ledger consistent: the cost-aware breakdown never
-    /// exceeds total evictions, and a zero budget leaves nothing
-    /// resident through the end of the run.
+    /// Collapsing the byte budget to zero at an arbitrary step empties
+    /// the cache immediately, changes no answer afterwards, and leaves
+    /// nothing resident through the end of the run.
     #[test]
     fn zero_capacity_empties_the_cache_without_changing_answers(
         ops in proptest::collection::vec(session_op_strategy(), 2..10),
         cut in 0usize..10,
-        switch in prop_oneof![
-            Just(None),
-            Just(Some(clio_incr::EvictionPolicy::Lru)),
-            Just(Some(clio_incr::EvictionPolicy::CostAware)),
-        ],
     ) {
         let mut plain = Session::new(paper_database(), kids_target());
         plain.set_cache_enabled(false);
@@ -770,9 +737,6 @@ proptest! {
         let cut = cut % ops.len();
         for (step, &op) in ops.iter().enumerate() {
             if step == cut {
-                if let Some(policy) = switch {
-                    squeezed.cache().set_policy(policy);
-                }
                 squeezed.cache().set_capacity(0);
                 let stats = squeezed.cache().stats();
                 prop_assert_eq!(stats.entries, 0, "zero budget left entries resident");
@@ -785,12 +749,6 @@ proptest! {
         let stats = squeezed.cache().stats();
         prop_assert_eq!(stats.entries, 0, "entries survived a zero budget");
         prop_assert_eq!(stats.bytes, 0);
-        prop_assert!(
-            stats.cost_evictions <= stats.evictions,
-            "cost-aware evictions ({}) exceed total evictions ({})",
-            stats.cost_evictions,
-            stats.evictions
-        );
         prop_assert_eq!(session_digest(&plain), session_digest(&squeezed));
     }
 }
@@ -1058,18 +1016,12 @@ fn definitional_fd(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table
 }
 
 /// The matrix's cache configurations: off, on and unbounded, and on at
-/// `tight` bytes under each eviction policy.
+/// `tight` bytes.
 fn matrix_caches(tight: usize) -> Vec<Option<EvalCache>> {
-    let bounded = |policy| {
-        let c = EvalCache::with_capacity(tight);
-        c.set_policy(policy);
-        Some(c)
-    };
     vec![
         None,
         Some(EvalCache::new()),
-        bounded(clio_incr::EvictionPolicy::Lru),
-        bounded(clio_incr::EvictionPolicy::CostAware),
+        Some(EvalCache::with_capacity(tight)),
     ]
 }
 
@@ -1080,7 +1032,7 @@ proptest! {
     /// at most 4 relations × 6 rows, base-data nulls, near-duplicates)
     /// is evaluated — `Q(M)`, then the executed `D(G)`, cold and then
     /// again over the same cache — under every combination of cache
-    /// (off, unbounded, LRU or cost-aware at half the unbounded demand),
+    /// (off, unbounded, or bounded at half the unbounded demand),
     /// worker threads (1, 4), backend (memory, paged with a 2-page pool)
     /// and source filter (none; `R0.p0 IS NOT NULL`; the two-alias
     /// `R0.id = R1.id` and `R0.p0 <> R1.p0`, pushed onto the branches
