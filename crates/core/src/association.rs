@@ -12,22 +12,27 @@ use clio_relational::value::Value;
 
 use crate::query_graph::QueryGraph;
 
-/// Compute the coverage mask of a row over a graph's wide scheme: node `i`
-/// is covered iff any of its columns is non-null. (Stored relations reject
-/// all-null tuples, so this is exact.)
-#[must_use]
-pub fn row_coverage(graph: &QueryGraph, scheme: &Scheme, row: &[Value]) -> u64 {
-    let mut mask = 0u64;
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let any_non_null = scheme
-            .indexes_of_qualifier(&node.alias)
-            .iter()
-            .any(|&k| !row[k].is_null());
-        if any_non_null {
-            mask |= 1 << i;
-        }
-    }
-    mask
+/// The coverage mask of every row of `table`, a table over `graph`'s
+/// wide scheme: node `i` is covered iff any of its columns is non-null.
+/// (Stored relations reject all-null tuples, so this is exact.) Each
+/// node's columns are resolved once for the table, not once per row.
+fn coverages(graph: &QueryGraph, table: &Table) -> Vec<u64> {
+    let columns: Vec<Vec<usize>> = graph
+        .nodes()
+        .iter()
+        .map(|node| table.scheme().indexes_of_qualifier(&node.alias))
+        .collect();
+    table
+        .rows()
+        .iter()
+        .map(|row| {
+            columns
+                .iter()
+                .enumerate()
+                .filter(|(_, cols)| cols.iter().any(|&k| !row[k].is_null()))
+                .fold(0, |mask, (i, _)| mask | 1 << i)
+        })
+        .collect()
 }
 
 /// The materialized set of data associations `D(G)` of a mapping's query
@@ -42,11 +47,14 @@ impl AssociationSet {
     /// Wrap a table of associations, computing each row's coverage.
     #[must_use]
     pub fn from_table(graph: &QueryGraph, table: Table) -> AssociationSet {
-        let coverages = table
-            .rows()
-            .iter()
-            .map(|r| row_coverage(graph, table.scheme(), r))
-            .collect();
+        let coverages = coverages(graph, &table);
+        AssociationSet { table, coverages }
+    }
+
+    /// A table of associations with each row's coverage already known
+    /// (the tree plan reads it off the tuple ids).
+    pub(crate) fn with_coverages(table: Table, coverages: Vec<u64>) -> AssociationSet {
+        debug_assert_eq!(table.len(), coverages.len());
         AssociationSet { table, coverages }
     }
 
@@ -125,12 +133,7 @@ impl AssociationSet {
             std::cmp::Ordering::Equal
         });
         *self.table.rows_mut() = rows;
-        self.coverages = self
-            .table
-            .rows()
-            .iter()
-            .map(|r| row_coverage(graph, self.table.scheme(), r))
-            .collect();
+        self.coverages = coverages(graph, &self.table);
     }
 
     /// Render as the paper's Figure-8 style table: rows tagged with their
@@ -184,18 +187,18 @@ mod tests {
     #[test]
     fn coverage_from_non_null_columns() {
         let g = graph();
-        let s = scheme();
-        assert_eq!(
-            row_coverage(&g, &s, &["002".into(), "202".into(), "202".into()]),
-            0b11
+        let t = Table::new(
+            scheme(),
+            vec![
+                vec!["002".into(), "202".into(), "202".into()],
+                vec!["002".into(), Value::Null, Value::Null],
+                vec![Value::Null, Value::Null, "205".into()],
+            ],
         );
+        let a = AssociationSet::from_table(&g, t);
         assert_eq!(
-            row_coverage(&g, &s, &["002".into(), Value::Null, Value::Null]),
-            0b01
-        );
-        assert_eq!(
-            row_coverage(&g, &s, &[Value::Null, Value::Null, "205".into()]),
-            0b10
+            (a.coverage(0), a.coverage(1), a.coverage(2)),
+            (0b11, 0b01, 0b10)
         );
     }
 

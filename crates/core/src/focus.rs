@@ -50,15 +50,15 @@ impl Focus {
     }
 
     /// Does the association row involve one of the focus tuples? The
-    /// projection of `d` onto the focus node's scheme must equal a focus
-    /// tuple (paper: `Π_{S_F}(d) ∈ f`).
+    /// projection of `d` onto the focus node's columns — `columns`, its
+    /// positions in the association scheme, resolved once per scheme
+    /// ([`Scheme::indexes_of_qualifier`]) — must equal a focus tuple
+    /// (paper: `Π_{S_F}(d) ∈ f`).
     #[must_use]
-    pub fn involves(&self, scheme: &Scheme, node_alias: &str, association: &[Value]) -> bool {
-        let idxs = scheme.indexes_of_qualifier(node_alias);
-        let projected: Vec<&Value> = idxs.iter().map(|&i| &association[i]).collect();
-        self.tuples
-            .iter()
-            .any(|t| t.len() == projected.len() && t.iter().zip(&projected).all(|(a, &b)| a == b))
+    pub fn involves(&self, columns: &[usize], association: &[Value]) -> bool {
+        self.tuples.iter().any(|t| {
+            t.len() == columns.len() && t.iter().zip(columns).all(|(a, &i)| *a == association[i])
+        })
     }
 }
 
@@ -73,10 +73,10 @@ pub fn focused_examples(
 ) -> Result<Vec<Example>> {
     let all = mapping.examples(db, funcs)?;
     let scheme = mapping.graph.scheme(db)?;
-    let alias = &mapping.graph.nodes()[focus.node].alias;
+    let columns = scheme.indexes_of_qualifier(&mapping.graph.nodes()[focus.node].alias);
     Ok(all
         .into_iter()
-        .filter(|e| focus.involves(&scheme, alias, &e.association))
+        .filter(|e| focus.involves(&columns, &e.association))
         .collect())
 }
 
@@ -90,8 +90,9 @@ pub fn is_focused(
     node_alias: &str,
     focus: &Focus,
 ) -> bool {
+    let columns = scheme.indexes_of_qualifier(node_alias);
     all.iter()
-        .filter(|e| focus.involves(scheme, node_alias, &e.association))
+        .filter(|e| focus.involves(&columns, &e.association))
         .all(|required| illustration.examples.contains(required))
 }
 

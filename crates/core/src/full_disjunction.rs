@@ -9,7 +9,16 @@
 //! * [`FdAlgo::OuterJoin`], on **tree** graphs: a left-deep sequence of
 //!   full outer joins following a connected elimination order
 //!   (Galindo-Legaria's outerjoins-as-disjunctions result), with no
-//!   subgraph enumeration and no subsumption pass (span `fd.outer_join`);
+//!   subgraph enumeration and no subsumption pass (span `fd.outer_join`).
+//!   It joins **tuple ids**, not values: a row is one id per graph node,
+//!   in node order — the node's tuple's position in its relation, or
+//!   `u32::MAX` when the row does not cover the node — so a data
+//!   association is, as in Defs 3.5–3.8, a combination of source tuples,
+//!   and its coverage is the set of nodes with an id. Join keys are read
+//!   through the ids, nothing is padded, and value rows are built once,
+//!   at the boundary (span `fd.materialize`): for a cache entry, a
+//!   returned table, or an [`AssociationSet`]. A mapping's projection
+//!   reads the values it needs through the ids and builds none;
 //! * [`FdAlgo::Lattice`], on **cyclic** graphs: the subgraph lattice.
 //!   Each `F(J)` is one join of a smaller subgraph's table with one
 //!   relation, and a row is dropped when a neighbouring subgraph's row

@@ -245,13 +245,13 @@ pub fn full_disjunction_cached(
     funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
 ) -> Result<AssociationSet> {
-    let table = disjunction(db, graph, algo, cache)?.run(&Exec {
+    let (associations, _) = disjunction(db, graph, algo, cache)?.associations(&Exec {
         db,
         funcs,
         graph,
         cache,
     })?;
-    Ok(AssociationSet::from_table(graph, table))
+    Ok(associations.into_association_set(graph))
 }
 
 #[cfg(test)]

@@ -428,33 +428,35 @@ impl MappingEvaluator {
         target: &[Value],
         funcs: &FuncRegistry,
     ) -> Result<bool> {
-        for f in &self.source_filters {
-            if !f.eval_truth(assoc, funcs)?.passes() {
-                return Ok(false);
-            }
-        }
-        for f in &self.target_filters {
-            if !f.eval_truth(target, funcs)?.passes() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(all_pass(&self.source_filters, assoc, funcs)?
+            && all_pass(&self.target_filters, target, funcs)?)
     }
 
     /// The full mapping query on one association: `Some(target_row)` when
-    /// all filters pass, `None` otherwise.
+    /// all filters pass, `None` otherwise. The source filters run first,
+    /// as `WHERE` before `SELECT`: a correspondence is never evaluated on
+    /// an association they reject, so its errors there never surface.
     pub fn target_row_if_passing(
         &self,
         assoc: &[Value],
         funcs: &FuncRegistry,
     ) -> Result<Option<Vec<Value>>> {
+        if !all_pass(&self.source_filters, assoc, funcs)? {
+            return Ok(None);
+        }
         let target = self.target_row(assoc, funcs)?;
-        Ok(if self.passes_filters(assoc, &target, funcs)? {
-            Some(target)
-        } else {
-            None
-        })
+        Ok(all_pass(&self.target_filters, &target, funcs)?.then_some(target))
     }
+}
+
+/// Does `row` pass every filter? Stops at the first that rejects it.
+fn all_pass(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
+    for f in filters {
+        if !f.eval_truth(row, funcs)?.passes() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -595,6 +597,56 @@ mod tests {
         let alone = examples.iter().find(|e| e.coverage == 0b10).unwrap();
         assert!(!alone.positive);
         assert!(alone.target[0].is_null());
+    }
+
+    #[test]
+    fn source_filters_reject_an_association_before_its_correspondences_run() {
+        // Zoe is 0: `100 / Children.age` divides by zero on her
+        // association alone, and the source filter rejects exactly that one
+        let mut db = db();
+        let mut children = db.relation("Children").unwrap().clone();
+        children
+            .insert(vec!["005".into(), "Zoe".into(), 0i64.into(), "201".into()])
+            .unwrap();
+        db.replace_relation(children).unwrap();
+        let target = RelSchema::new(
+            "Kids",
+            vec![
+                Attribute::not_null("ID", DataType::Str),
+                Attribute::new("per_year", DataType::Int),
+                Attribute::new("affiliation", DataType::Str),
+            ],
+        )
+        .unwrap();
+        let m = Mapping::new(graph(), target)
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(
+                ValueCorrespondence::parse("100 / Children.age", "per_year").unwrap(),
+            )
+            .with_correspondence(ValueCorrespondence::identity(
+                "Parents.affiliation",
+                "affiliation",
+            ))
+            .with_target_not_null_filters();
+        assert!(matches!(
+            m.evaluate(&db, &funcs()),
+            Err(Error::DivisionByZero)
+        ));
+        let m = m.with_source_filter(parse_expr("Children.age > 0").unwrap());
+        let row = |id: &str, per_year: i64, affiliation: Value| {
+            vec![Value::str(id), Value::Int(per_year), affiliation]
+        };
+        let expected = vec![
+            row("001", 16, "IBM".into()),
+            row("002", 25, "UofT".into()),
+            row("003", 11, "IBM".into()),
+            row("004", 20, Value::Null),
+        ];
+        let cache = clio_incr::EvalCache::new();
+        for cache in [None, Some(&cache)] {
+            let out = m.evaluate_cached(&db, &funcs(), cache).unwrap();
+            assert_eq!(out.rows(), expected);
+        }
     }
 
     #[test]

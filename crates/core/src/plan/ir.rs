@@ -23,8 +23,20 @@
 //! borrows the stored relation's rows under the scan alias's scheme,
 //! both in a `Join` node and in the lattice step that joins a parent
 //! subgraph's table with one more relation. Only a scan that is itself a
-//! result — the memoized `D(G)` of a one-node graph, or a one-node
-//! branch of the union — is copied into a table.
+//! result — a one-node branch of the union — is copied into a table.
+//!
+//! The tree plan's `D(G)` — the outer-join chain over every node, or a
+//! lone scan on a one-node graph — copies no value at all. It runs on
+//! tuple ids: per row, one `u32` per graph node, in node order, with
+//! `u32::MAX` for a node the row does not cover. Each step is the join
+//! kernel every join runs ([`join_with`]), reading key cells through the
+//! ids. A `Project` over it reads through the ids too, filling one
+//! scratch row with only the columns the correspondences and source
+//! filters reference. Value rows are built in three places only (span
+//! `fd.materialize`): the `"D(G).tree"` memo insert when the cache is
+//! live, [`RelExpr::run`]'s table, and
+//! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
+//! association set.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -35,11 +47,15 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{extended_rows, join_rows, pad_to, remove_subsumed_among, JoinKind};
+use clio_relational::ops::{
+    extended_rows, join_rows, join_with, remove_subsumed_among, JoinInput, JoinKind, Joined,
+};
+use clio_relational::relation::Relation;
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::Value;
 
+use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::incremental::{
     elapsed_ns, mask_deps, memoized_disjunction, subgraph_fingerprint, BranchInfo,
@@ -260,21 +276,9 @@ impl RelExpr {
     /// charge again.
     pub(crate) fn run_costed(&self, ex: &Exec) -> Result<(Table, u64)> {
         match self {
-            RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
-                if self.bound_vars().len() == ex.graph.node_count() =>
-            {
-                memoized_disjunction(ex.graph, ex.cache, "D(G).tree", || {
-                    let _span = clio_obs::span("fd.outer_join");
-                    let (table, charged) = self.eval(ex)?;
-                    // reorder columns into the canonical graph scheme,
-                    // unless the chain already produced them in that order
-                    let scheme = ex.graph.scheme(ex.db)?;
-                    if *table.scheme() == scheme {
-                        Ok((table, charged))
-                    } else {
-                        Ok((pad_to(&table, &scheme)?, charged))
-                    }
-                })
+            _ if self.is_tree_disjunction(ex) => {
+                let (associations, charged) = self.tree_disjunction(ex)?;
+                Ok((associations.into_table(), charged))
             }
             RelExpr::Union { inputs, .. }
                 if !inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
@@ -282,6 +286,81 @@ impl RelExpr {
                 memoized_disjunction(ex.graph, ex.cache, "D(G).lattice", || self.eval(ex))
             }
             _ => self.eval(ex),
+        }
+    }
+
+    /// This node's rows as data associations, with the compute time
+    /// charged as [`RelExpr::run_costed`] charges it: the tree `D(G)`
+    /// yields its tuple ids ([`RelExpr::tree_disjunction`]), any other
+    /// node its table.
+    pub(crate) fn associations<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
+        if self.is_tree_disjunction(ex) {
+            return self.tree_disjunction(ex);
+        }
+        let (table, charged) = self.run_costed(ex)?;
+        Ok((Associations::Values(table), charged))
+    }
+
+    /// Is this node the tree plan's `D(G)`: an outer-join chain over
+    /// every node of `ex.graph`, or a lone `Scan` on a one-node graph?
+    fn is_tree_disjunction(&self, ex: &Exec) -> bool {
+        matches!(
+            self,
+            RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
+        ) && self.bound_vars().len() == ex.graph.node_count()
+    }
+
+    /// The tree `D(G)`, computed on tuple ids (span `fd.outer_join`).
+    /// With a live cache it is memoized under `"D(G).tree"` as values:
+    /// a miss builds the value rows for the insert, and a hit returns
+    /// them. Nothing is charged to child entries.
+    fn tree_disjunction<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
+        let ids = || -> Result<TupleIds<'t>> {
+            let _span = clio_obs::span("fd.outer_join");
+            Ok(self.tuple_ids(ex)?.in_node_order())
+        };
+        if !ex.cache.is_some_and(EvalCache::enabled) {
+            return Ok((Associations::Ids(ids()?), 0));
+        }
+        let (table, charged) = memoized_disjunction(ex.graph, ex.cache, "D(G).tree", || {
+            Ok((ids()?.materialize(), 0))
+        })?;
+        Ok((Associations::Values(table), charged))
+    }
+
+    /// The tuple ids of a chain of scans and joins (full outer when
+    /// `outer`, counting `fd.outer_join_steps`): each join runs the
+    /// relational join kernel over id rows, reading key cells through
+    /// the ids.
+    fn tuple_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
+        match self {
+            RelExpr::Scan { alias, relation } => {
+                let node = node_bit(ex.graph, self)?.trailing_zeros() as usize;
+                let relation = ex.db.relation(relation)?;
+                TupleIds::scan(ex.graph.node_count(), node, alias, relation)
+            }
+            RelExpr::Join {
+                left,
+                right,
+                predicate,
+                outer,
+            } => {
+                let kind = if *outer {
+                    JoinKind::FullOuter
+                } else {
+                    JoinKind::Inner
+                };
+                let out =
+                    left.tuple_ids(ex)?
+                        .join(&right.tuple_ids(ex)?, predicate, kind, ex.funcs)?;
+                if *outer {
+                    metrics::incr(Counter::OuterJoinSteps);
+                }
+                Ok(out)
+            }
+            _ => Err(Error::Invalid(
+                "the tree D(G) is a chain of scans and joins".into(),
+            )),
         }
     }
 
@@ -391,10 +470,17 @@ impl Input<'_> {
     }
 }
 
-/// Run a `Project` together with the `filters` stacked on it: the
-/// correspondences and filters are bound once, and each input row's
-/// target row is offered to the distinct output only when it passes
-/// every filter, so rows the target filters reject are never hashed.
+/// Run a `Project` together with the target `filters` stacked on it and
+/// the source filters stacked beneath it, over the associations of the
+/// node under those ([`RelExpr::associations`]). Everything is bound
+/// once. One loop reads each association — a value row in place, or, on
+/// the tree `D(G)`'s tuple ids, one reused scratch row filled with only
+/// the columns the correspondences and source filters reference — and
+/// offers its target row to the distinct output only when the source
+/// filters accept the association and the target filters the row
+/// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
+/// reject are never hashed, and a correspondence never runs on an
+/// association the source filters reject.
 fn project(
     ex: &Exec,
     input: &RelExpr,
@@ -402,16 +488,35 @@ fn project(
     target: &RelSchema,
     filters: &[&Expr],
 ) -> Result<(Table, u64)> {
-    let (table, charged) = input.run_costed(ex)?;
+    let (base, source_filters) = input.filters();
+    let (associations, charged) = base.associations(ex)?;
+    let scheme = associations.scheme();
     let eval = MappingEvaluator::bind(
         correspondences,
         target,
-        table.scheme(),
-        [],
+        scheme,
+        source_filters.iter().copied(),
         filters.iter().copied(),
     )?;
+    // Only tuple ids need the columns read listed, and a row to fill.
+    let (reads, mut scratch) = match &associations {
+        Associations::Ids(_) => {
+            let mut reads: Vec<usize> = correspondences
+                .iter()
+                .map(|v| &v.expr)
+                .chain(source_filters.iter().copied())
+                .flat_map(Expr::columns)
+                .map(|c| scheme.resolve(c))
+                .collect::<Result<_>>()?;
+            reads.sort_unstable();
+            reads.dedup();
+            (reads, vec![Value::Null; scheme.arity()])
+        }
+        Associations::Values(_) => (Vec::new(), Vec::new()),
+    };
     let mut out = Table::empty(Scheme::of_relation(target, target.name()));
-    for row in table.rows() {
+    for i in 0..associations.len() {
+        let row = associations.row(i, &reads, &mut scratch);
         if let Some(projected) = eval.target_row_if_passing(row, ex.funcs)? {
             out.push_distinct(projected);
         }
@@ -440,6 +545,219 @@ fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Tab
     let mut pass = pass.into_iter();
     table.rows_mut().retain(|_| pass.next() == Some(true));
     Ok(table)
+}
+
+/// The id of a graph node a tuple-id row does not cover.
+const UNCOVERED: u32 = u32::MAX;
+
+/// Rows of tuple ids: the tree plan's `D(G)` and each step of its chain.
+///
+/// A row holds one id per graph node, in node order: the position of
+/// the node's tuple in its relation, or [`UNCOVERED`]. Two rows joined
+/// cover disjoint nodes, so the joined row is their elementwise minimum,
+/// and a row needs no padding. `scheme` lists the covered nodes' columns
+/// — in join order along the chain, in node order (the graph scheme)
+/// once [`TupleIds::in_node_order`] — and `columns` maps each to its
+/// node and attribute, so a cell is read through the row's id into the
+/// stored relation ([`JoinInput::cell`]).
+pub(crate) struct TupleIds<'t> {
+    /// Each covered node's stored rows (empty for the others).
+    relations: Vec<&'t [Vec<Value>]>,
+    scheme: Scheme,
+    /// Per scheme column: its node and attribute position.
+    columns: Vec<(usize, usize)>,
+    /// The rows, one after the other, `relations.len()` ids each.
+    ids: Vec<u32>,
+}
+
+impl<'t> TupleIds<'t> {
+    /// One row per tuple of `relation`, node `node` of a graph of
+    /// `width` nodes, read under `alias`. A relation with more tuples
+    /// than a `u32` id can number is rejected, never wrapped.
+    fn scan(width: usize, node: usize, alias: &str, relation: &'t Relation) -> Result<Self> {
+        let rows = relation.rows();
+        let count = u32::try_from(rows.len()).map_err(|_| {
+            Error::Invalid(format!(
+                "relation `{}` holds {} tuples, more than a tuple id can number",
+                relation.name(),
+                rows.len()
+            ))
+        })?;
+        let mut ids = vec![UNCOVERED; width * rows.len()];
+        for (row, id) in ids.chunks_exact_mut(width).zip(0..count) {
+            row[node] = id;
+        }
+        let mut relations: Vec<&[Vec<Value>]> = vec![&[]; width];
+        relations[node] = rows;
+        let scheme = Scheme::of_relation(relation.schema(), alias);
+        let columns = (0..scheme.arity()).map(|a| (node, a)).collect();
+        Ok(TupleIds {
+            relations,
+            scheme,
+            columns,
+            ids,
+        })
+    }
+
+    /// Row `i`'s ids.
+    fn row(&self, i: usize) -> &[u32] {
+        let width = self.relations.len();
+        &self.ids[i * width..(i + 1) * width]
+    }
+
+    /// `self ⋈ right` under `predicate` and `kind`, by the relational
+    /// join kernel: a pair's row is the elementwise minimum of its two
+    /// rows, an unmatched row is copied as it is.
+    fn join(
+        self,
+        right: &TupleIds<'t>,
+        predicate: &Expr,
+        kind: JoinKind,
+        funcs: &FuncRegistry,
+    ) -> Result<TupleIds<'t>> {
+        let mut ids = Vec::with_capacity(self.ids.len().max(right.ids.len()));
+        let scheme = join_with(&self, right, predicate, kind, funcs, |pair| match pair {
+            Joined::Pair(l, r) => ids.extend(
+                self.row(l)
+                    .iter()
+                    .zip(right.row(r))
+                    .map(|(&a, &b)| a.min(b)),
+            ),
+            Joined::Left(l) => ids.extend_from_slice(self.row(l)),
+            Joined::Right(r) => ids.extend_from_slice(right.row(r)),
+        })?;
+        let TupleIds {
+            mut relations,
+            mut columns,
+            ..
+        } = self;
+        for &(node, _) in &right.columns {
+            relations[node] = right.relations[node];
+        }
+        columns.extend_from_slice(&right.columns);
+        Ok(TupleIds {
+            relations,
+            scheme,
+            columns,
+            ids,
+        })
+    }
+
+    /// The same rows with the columns in node order: over every node,
+    /// the graph scheme.
+    fn in_node_order(self) -> Self {
+        let mut order: Vec<usize> = (0..self.columns.len()).collect();
+        order.sort_unstable_by_key(|&c| self.columns[c]);
+        let cols = self.scheme.columns();
+        TupleIds {
+            scheme: Scheme::new(order.iter().map(|&c| cols[c].clone()).collect()),
+            columns: order.iter().map(|&c| self.columns[c]).collect(),
+            ..self
+        }
+    }
+
+    /// The coverage of row `i`: its covered nodes.
+    fn coverage(&self, i: usize) -> u64 {
+        self.row(i)
+            .iter()
+            .enumerate()
+            .filter(|(_, &id)| id != UNCOVERED)
+            .fold(0, |mask, (node, _)| mask | 1 << node)
+    }
+
+    /// The value rows (span `fd.materialize`).
+    fn materialize(&self) -> Table {
+        let _span = clio_obs::span("fd.materialize");
+        let rows = (0..self.row_count())
+            .map(|i| {
+                (0..self.columns.len())
+                    .map(|c| self.cell(i, c).clone())
+                    .collect()
+            })
+            .collect();
+        Table::new(self.scheme.clone(), rows)
+    }
+}
+
+impl JoinInput for TupleIds<'_> {
+    fn scheme(&self) -> &Scheme {
+        &self.scheme
+    }
+
+    fn row_count(&self) -> usize {
+        self.ids.len() / self.relations.len()
+    }
+
+    fn cell(&self, row: usize, col: usize) -> &Value {
+        static NULL: Value = Value::Null;
+        let (node, attr) = self.columns[col];
+        match self.ids[row * self.relations.len() + node] {
+            UNCOVERED => &NULL,
+            id => &self.relations[node][id as usize][attr],
+        }
+    }
+}
+
+/// A `D(G)` as [`project`] and
+/// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
+/// read it: the tree plan's tuple ids, or a value table (the lattice
+/// union, a memoized `D(G)`, or any other node's rows).
+pub(crate) enum Associations<'t> {
+    /// Tuple ids over the graph scheme.
+    Ids(TupleIds<'t>),
+    /// Value rows.
+    Values(Table),
+}
+
+impl Associations<'_> {
+    fn scheme(&self) -> &Scheme {
+        match self {
+            Associations::Ids(ids) => &ids.scheme,
+            Associations::Values(table) => table.scheme(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Associations::Ids(ids) => ids.row_count(),
+            Associations::Values(table) => table.len(),
+        }
+    }
+
+    /// Association `i` as far as the `reads` columns go: a value row in
+    /// place, or `scratch` with those columns filled through the ids
+    /// (its other columns are left as they were).
+    fn row<'s>(&'s self, i: usize, reads: &[usize], scratch: &'s mut [Value]) -> &'s [Value] {
+        match self {
+            Associations::Values(table) => &table.rows()[i],
+            Associations::Ids(ids) => {
+                for &c in reads {
+                    scratch[c].clone_from(ids.cell(i, c));
+                }
+                scratch
+            }
+        }
+    }
+
+    /// The value table.
+    pub(crate) fn into_table(self) -> Table {
+        match self {
+            Associations::Ids(ids) => ids.materialize(),
+            Associations::Values(table) => table,
+        }
+    }
+
+    /// The association set: from ids, each coverage is the row's
+    /// covered nodes, read without a scan of the values.
+    pub(crate) fn into_association_set(self, graph: &QueryGraph) -> AssociationSet {
+        match self {
+            Associations::Ids(ids) => {
+                let coverages = (0..ids.row_count()).map(|i| ids.coverage(i)).collect();
+                AssociationSet::with_coverages(ids.materialize(), coverages)
+            }
+            Associations::Values(table) => AssociationSet::from_table(graph, table),
+        }
+    }
 }
 
 /// One `F(J)` a [`RelExpr::Union`] computes: its subgraph, its chain,
@@ -486,7 +804,9 @@ struct Job<'e> {
 /// every maximal row and each of its occurrences survives, and the
 /// result is [`minimum_union_all`](clio_relational::ops::minimum_union_all)
 /// over the filtered, padded branches, row order included, whatever was
-/// warm and however the misses ran.
+/// warm and however the misses ran. The non-extension pass, the padding
+/// and the residual pass run under the spans `fd.lattice.extend`,
+/// `fd.lattice.pad` and `fd.lattice.residual`.
 ///
 /// Returns the table with the computed `(mask, cost_ns)` pairs in
 /// dispatch order (popcount, then mask).
@@ -617,33 +937,51 @@ pub(crate) fn schedule(
     // too and the pushed filters sit exactly where they bind, as
     // `Plan::new` places them: its unextended null-free rows are maximal.
     let canonical = canonical_pushdown(ex.graph, inputs, branches);
+    // Per branch: is it closed, and which of its rows a child extends.
+    let extended: Vec<(bool, Vec<bool>)> = {
+        let _span = clio_obs::span("fd.lattice.extend");
+        tables
+            .iter()
+            .zip(branches)
+            .map(|(table, b)| {
+                let mut closed = canonical;
+                let mut children: Vec<&Table> = Vec::new();
+                for v in bits(neighbourhood(ex.graph, b.mask)) {
+                    match branch_masks.get(&(b.mask | 1 << v)) {
+                        Some(&k) => children.push(&tables[k]),
+                        None => closed = false,
+                    }
+                }
+                Ok((closed, extended_rows(table, &children)?))
+            })
+            .collect::<Result<_>>()?
+    };
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut candidates: Vec<bool> = Vec::new();
-    let mut dropped = 0u64;
-    for (table, b) in tables.iter().zip(branches) {
-        let mut closed = canonical;
-        let mut children: Vec<&Table> = Vec::new();
-        for v in bits(neighbourhood(ex.graph, b.mask)) {
-            match branch_masks.get(&(b.mask | 1 << v)) {
-                Some(&k) => children.push(&tables[k]),
-                None => closed = false,
+    {
+        let _span = clio_obs::span("fd.lattice.pad");
+        for (table, (closed, extended)) in tables.iter().zip(&extended) {
+            let positions = pad.positions_of(table.scheme())?;
+            for (row, _) in table.rows().iter().zip(extended).filter(|(_, &x)| !x) {
+                let mut padded = vec![Value::Null; pad.arity()];
+                for (&p, v) in positions.iter().zip(row) {
+                    padded[p] = v.clone();
+                }
+                rows.push(padded);
+                candidates.push(!closed || row.iter().any(Value::is_null));
             }
         }
-        let extended = extended_rows(table, &children)?;
-        let positions = pad.positions_of(table.scheme())?;
-        for (row, _) in table.rows().iter().zip(&extended).filter(|(_, &x)| !x) {
-            let mut padded = vec![Value::Null; pad.arity()];
-            for (&p, v) in positions.iter().zip(row) {
-                padded[p] = v.clone();
-            }
-            rows.push(padded);
-            candidates.push(!closed || row.iter().any(Value::is_null));
-        }
-        dropped += extended.iter().filter(|&&x| x).count() as u64;
     }
+    let dropped = extended
+        .iter()
+        .map(|(_, extended)| extended.iter().filter(|&&x| x).count() as u64)
+        .sum();
     metrics::add(Counter::TuplesSubsumed, dropped);
     let mut table = Table::new(pad.clone(), rows);
-    remove_subsumed_among(&mut table, &candidates);
+    {
+        let _span = clio_obs::span("fd.lattice.residual");
+        remove_subsumed_among(&mut table, &candidates);
+    }
     Ok((table, dispatched))
 }
 
@@ -824,7 +1162,7 @@ fn is_strict_scalar(e: &Expr) -> bool {
 mod tests {
     use super::*;
     use crate::full_disjunction::engine_subsumption;
-    use clio_relational::ops::{join, minimum_union_all, project, select};
+    use clio_relational::ops::{join, minimum_union_all, pad_to, project, select};
     use clio_relational::parser::parse_expr;
     use clio_relational::schema::{Attribute, Column};
     use clio_relational::value::{DataType, Value};

@@ -5,9 +5,9 @@
 //! query graphs and the `LEFT JOIN`s of generated mapping SQL.
 //!
 //! The implementation extracts equality conjuncts that span the two inputs
-//! and uses a hash join on them; any residual predicate is evaluated on the
-//! concatenated row. Null join-key values never match (SQL semantics — this
-//! is exactly what makes join predicates *strong*).
+//! and uses a hash join on them; any residual predicate is evaluated on a
+//! scratch row holding the pair's values. Null join-key values never match
+//! (SQL semantics — this is exactly what makes join predicates *strong*).
 //!
 //! The hash join allocates nothing per probe. The right input's key
 //! columns are hashed in place into the crate's `RowIndex`, whose chains
@@ -15,14 +15,17 @@
 //! nested loop's order. Each left row hashes its key columns in place and
 //! confirms each chain candidate with SQL `=` on every key column: a hash
 //! match is only a candidate, and `Value`'s container equality is not
-//! SQL's (`NaN == NaN` holds there, `-0.0 == 0.0` does not). Output rows
-//! are built once at their final width; copying a cell never copies a
-//! string ([`Value`]).
+//! SQL's (`NaN == NaN` holds there, `-0.0 == 0.0` does not).
 //!
-//! Inputs are read in place. [`join_rows`] takes each side as a borrowed
-//! scheme and row slice, so the plan executor joins a stored relation's
-//! rows where they lie instead of copying them into a [`Table`] first;
-//! [`join`] over two tables calls that same body.
+//! One kernel, [`join_with`], runs every join. It is generic over how
+//! each side reads a key cell ([`JoinInput`]) and over what it emits per
+//! output row (a [`Joined`] pair of input positions), and is
+//! monomorphised for each use. [`join_rows`] reads each side as a
+//! borrowed scheme and row slice — the plan executor joins a stored
+//! relation's rows where they lie — and builds value rows from the
+//! pairs; [`join`] over two tables calls it. The tree plan's outer-join
+//! chain in `clio-core` runs the same kernel over rows of tuple ids,
+//! reading key cells through the ids.
 
 use clio_obs::metrics::{self, Counter};
 
@@ -78,19 +81,115 @@ pub fn join(
 
 /// [`join`] over borrowed inputs, each a scheme and its rows: a stored
 /// relation is joined where it lies, without first being copied into a
-/// [`Table`]. Every join runs this body.
+/// [`Table`]. The rows are [`join_with`]'s pairs, each built once at the
+/// joined width.
 pub fn join_rows(
-    (left_scheme, left_rows): (&Scheme, &[Vec<Value>]),
-    (right_scheme, right_rows): (&Scheme, &[Vec<Value>]),
+    left: (&Scheme, &[Vec<Value>]),
+    right: (&Scheme, &[Vec<Value>]),
     pred: &Expr,
     kind: JoinKind,
     funcs: &FuncRegistry,
 ) -> Result<Table> {
+    let (left_rows, right_rows) = (left.1, right.1);
+    let (left_arity, right_arity) = (left.0.arity(), right.0.arity());
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let scheme = join_with(&left, &right, pred, kind, funcs, |pair| {
+        let mut row = Vec::with_capacity(left_arity + right_arity);
+        match pair {
+            Joined::Pair(l, r) => {
+                row.extend_from_slice(&left_rows[l]);
+                row.extend_from_slice(&right_rows[r]);
+            }
+            Joined::Left(l) => {
+                row.extend_from_slice(&left_rows[l]);
+                row.resize(left_arity + right_arity, Value::Null);
+            }
+            Joined::Right(r) => {
+                row.resize(left_arity, Value::Null);
+                row.extend_from_slice(&right_rows[r]);
+            }
+        }
+        rows.push(row);
+    })?;
+    Ok(Table::new(scheme, rows))
+}
+
+/// One side of a join as [`join_with`] reads it: a scheme, a row count,
+/// and each cell by position. A key cell is read where it lies — in a
+/// value row, or through a tuple id into the relation holding it.
+pub trait JoinInput {
+    /// The side's columns.
+    fn scheme(&self) -> &Scheme;
+
+    /// The number of rows.
+    fn row_count(&self) -> usize;
+
+    /// The value of column `col` in row `row`.
+    fn cell(&self, row: usize, col: usize) -> &Value;
+
+    /// Copy row `row` into `out`, one value per column.
+    fn fill(&self, row: usize, out: &mut [Value]) {
+        for (col, slot) in out.iter_mut().enumerate() {
+            slot.clone_from(self.cell(row, col));
+        }
+    }
+}
+
+impl JoinInput for (&Scheme, &[Vec<Value>]) {
+    fn scheme(&self) -> &Scheme {
+        self.0
+    }
+
+    fn row_count(&self) -> usize {
+        self.1.len()
+    }
+
+    fn cell(&self, row: usize, col: usize) -> &Value {
+        &self.1[row][col]
+    }
+
+    fn fill(&self, row: usize, out: &mut [Value]) {
+        out.clone_from_slice(&self.1[row]);
+    }
+}
+
+/// One output row of a join, by input row positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Joined {
+    /// A matching pair.
+    Pair(usize, usize),
+    /// A left row no right row matched (outer kinds), padded with nulls.
+    Left(usize),
+    /// A right row no left row matched (`FullOuter`), padded with nulls.
+    Right(usize),
+}
+
+/// The join kernel: every join runs this body. It reports each output
+/// row to `emit` as a [`Joined`] pair of input positions, in output
+/// order, and returns the joined scheme; what a row holds — values,
+/// tuple ids — is the caller's. Nothing is boxed: `emit` and the inputs'
+/// cell readers are monomorphised into the loops.
+///
+/// Equality conjuncts with one column per side are hash keys; the rest
+/// of the predicate is a residual, evaluated on a scratch row holding
+/// the pair's values. Without a key the join is a nested loop over the
+/// whole predicate. Matches come out in the nested loop's order: left
+/// rows in order, each with its right matches ascending, then (for
+/// `FullOuter`) the unmatched right rows.
+pub fn join_with<L: JoinInput, R: JoinInput>(
+    left: &L,
+    right: &R,
+    pred: &Expr,
+    kind: JoinKind,
+    funcs: &FuncRegistry,
+    mut emit: impl FnMut(Joined),
+) -> Result<Scheme> {
     let _span = clio_obs::span("ops.join");
+    let (left_scheme, right_scheme) = (left.scheme(), right.scheme());
     let scheme = left_scheme.concat(right_scheme)?;
 
     // Split the predicate into equi-conjuncts usable as hash keys and a
-    // residual expression evaluated on the concatenated row.
+    // residual expression evaluated on the pair's scratch row.
     let conjuncts = flatten_conjuncts(pred);
     let mut left_keys: Vec<usize> = Vec::new();
     let mut right_keys: Vec<usize> = Vec::new();
@@ -111,90 +210,95 @@ pub fn join_rows(
     };
 
     let left_arity = left_scheme.arity();
-    let right_arity = right_scheme.arity();
-    let mut out = Table::empty(scheme);
-    let mut right_matched = vec![false; right_rows.len()];
+    // The pair a residual or nested-loop predicate is evaluated on.
+    let mut scratch = vec![Value::Null; scheme.arity()];
+    let mut right_matched = vec![false; right.row_count()];
     // Work counters, accumulated locally and flushed once on return.
     let mut probes: u64 = 0;
+    let mut emitted: u64 = 0;
+    let mut emit = |pair: Joined| {
+        emitted += 1;
+        emit(pair);
+    };
 
     if left_keys.is_empty() {
         // Pure nested loop.
-        let bound = pred.bind(out.scheme())?;
-        for l in left_rows {
+        let bound = pred.bind(&scheme)?;
+        for l in 0..left.row_count() {
             let mut matched = false;
-            probes += right_rows.len() as u64;
-            for (ri, r) in right_rows.iter().enumerate() {
-                let row = concat(l, r);
-                if bound.eval_truth(&row, funcs)?.passes() {
+            probes += right.row_count() as u64;
+            left.fill(l, &mut scratch[..left_arity]);
+            for (r, right_matched) in right_matched.iter_mut().enumerate() {
+                right.fill(r, &mut scratch[left_arity..]);
+                if bound.eval_truth(&scratch, funcs)?.passes() {
                     matched = true;
-                    right_matched[ri] = true;
-                    out.push(row);
+                    *right_matched = true;
+                    emit(Joined::Pair(l, r));
                 }
             }
             if !matched && kind != JoinKind::Inner {
-                out.push(concat_nulls(l, right_arity));
+                emit(Joined::Left(l));
             }
         }
     } else {
         // Hash join on the extracted keys. Linking the right rows last to
         // first leaves every chain in ascending row order.
-        let mut index = RowIndex::with_capacity(right_rows.len());
-        for (ri, r) in right_rows.iter().enumerate().rev() {
-            if right_keys.iter().any(|&i| r[i].is_null()) {
+        let mut index = RowIndex::with_capacity(right.row_count());
+        for r in (0..right.row_count()).rev() {
+            if right_keys.iter().any(|&k| right.cell(r, k).is_null()) {
                 continue; // null keys never match
             }
-            index.link(ri, index.hash(right_keys.iter().map(|&i| sql_key(&r[i]))));
+            index.link(
+                r,
+                index.hash(right_keys.iter().map(|&k| sql_key(right.cell(r, k)))),
+            );
         }
-        for l in left_rows {
+        for l in 0..left.row_count() {
             let mut matched = false;
-            if !left_keys.iter().any(|&i| l[i].is_null()) {
+            if !left_keys.iter().any(|&k| left.cell(l, k).is_null()) {
                 probes += 1;
-                let hash = index.hash(left_keys.iter().map(|&i| sql_key(&l[i])));
-                for ri in index.candidates(hash) {
-                    let r = &right_rows[ri];
-                    let keys_equal = left_keys
-                        .iter()
-                        .zip(&right_keys)
-                        .all(|(&li, &rj)| l[li].sql_eq(&r[rj]) == Truth::True);
+                let hash = index.hash(left_keys.iter().map(|&k| sql_key(left.cell(l, k))));
+                for r in index.candidates(hash) {
+                    let keys_equal = left_keys.iter().zip(&right_keys).all(|(&lk, &rk)| {
+                        left.cell(l, lk).sql_eq(right.cell(r, rk)) == Truth::True
+                    });
                     if !keys_equal {
                         continue;
                     }
-                    let row = concat(l, r);
                     let ok = match &residual {
                         None => true,
-                        Some(b) => b.eval_truth(&row, funcs)?.passes(),
+                        Some(b) => {
+                            left.fill(l, &mut scratch[..left_arity]);
+                            right.fill(r, &mut scratch[left_arity..]);
+                            b.eval_truth(&scratch, funcs)?.passes()
+                        }
                     };
                     if ok {
                         matched = true;
-                        right_matched[ri] = true;
-                        out.push(row);
+                        right_matched[r] = true;
+                        emit(Joined::Pair(l, r));
                     }
                 }
             }
             if !matched && kind != JoinKind::Inner {
-                out.push(concat_nulls(l, right_arity));
+                emit(Joined::Left(l));
             }
         }
     }
 
     if kind == JoinKind::FullOuter {
-        for (ri, r) in right_rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut row = Vec::with_capacity(left_arity + right_arity);
-                row.resize(left_arity, Value::Null);
-                row.extend_from_slice(r);
-                out.push(row);
-            }
+        for (r, _) in right_matched.iter().enumerate().filter(|(_, &m)| !m) {
+            emit(Joined::Right(r));
         }
     }
 
     metrics::add(
         Counter::TuplesScanned,
-        (left_rows.len() + right_rows.len()) as u64,
+        (left.row_count() + right.row_count()) as u64,
     );
     metrics::add(Counter::JoinProbes, probes);
-    metrics::add(Counter::JoinOutputRows, out.len() as u64);
-    Ok(out)
+    metrics::add(Counter::JoinOutputRows, emitted);
+    Ok(scheme)
 }
 
 /// A key cell as SQL `=` hashes it: `-0.0 = 0.0` holds, so both hash as
@@ -212,14 +316,6 @@ fn concat(l: &[Value], r: &[Value]) -> Vec<Value> {
     let mut row = Vec::with_capacity(l.len() + r.len());
     row.extend_from_slice(l);
     row.extend_from_slice(r);
-    row
-}
-
-/// `l` followed by `nulls` nulls, allocated once at the joined width.
-fn concat_nulls(l: &[Value], nulls: usize) -> Vec<Value> {
-    let mut row = Vec::with_capacity(l.len() + nulls);
-    row.extend_from_slice(l);
-    row.resize(l.len() + nulls, Value::Null);
     row
 }
 
@@ -428,5 +524,255 @@ mod tests {
         let p = parse_expr("P.ID = C.mid").unwrap();
         let out = join(&children(), &parents(), &p, JoinKind::Inner, &funcs()).unwrap();
         assert_eq!(out.len(), 2);
+    }
+
+    /// A join side of tuple ids, as the tree plan's chain keeps them: per
+    /// row, one position per relation (`None` where the row does not
+    /// cover it), each cell read through the row's id.
+    struct Ids<'a> {
+        relations: &'a [Relation],
+        scheme: Scheme,
+        columns: Vec<(usize, usize)>,
+        rows: Vec<Vec<Option<usize>>>,
+    }
+
+    impl JoinInput for Ids<'_> {
+        fn scheme(&self) -> &Scheme {
+            &self.scheme
+        }
+
+        fn row_count(&self) -> usize {
+            self.rows.len()
+        }
+
+        fn cell(&self, row: usize, col: usize) -> &Value {
+            static NULL: Value = Value::Null;
+            let (rel, attr) = self.columns[col];
+            self.rows[row][rel].map_or(&NULL, |id| &self.relations[rel].rows()[id][attr])
+        }
+    }
+
+    fn ids_scan(relations: &[Relation], k: usize) -> Ids<'_> {
+        let rel = &relations[k];
+        Ids {
+            relations,
+            scheme: Scheme::of_relation(rel.schema(), rel.name()),
+            columns: (0..rel.schema().arity()).map(|a| (k, a)).collect(),
+            rows: (0..rel.len())
+                .map(|i| {
+                    let mut row = vec![None; relations.len()];
+                    row[k] = Some(i);
+                    row
+                })
+                .collect(),
+        }
+    }
+
+    /// `left ⟗ right` by the kernel: a pair's row merges the two id rows
+    /// (their relations are disjoint).
+    fn ids_outer_join<'a>(left: &Ids<'a>, right: &Ids<'a>, pred: &str) -> Ids<'a> {
+        let mut rows = Vec::new();
+        let pred = parse_expr(pred).unwrap();
+        let scheme = join_with(left, right, &pred, JoinKind::FullOuter, &funcs(), |pair| {
+            rows.push(match pair {
+                Joined::Pair(l, r) => left.rows[l]
+                    .iter()
+                    .zip(&right.rows[r])
+                    .map(|(a, b)| a.or(*b))
+                    .collect(),
+                Joined::Left(l) => left.rows[l].clone(),
+                Joined::Right(r) => right.rows[r].clone(),
+            });
+        })
+        .unwrap();
+        let mut columns = left.columns.clone();
+        columns.extend_from_slice(&right.columns);
+        Ids {
+            relations: left.relations,
+            scheme,
+            columns,
+            rows,
+        }
+    }
+
+    /// The outer chain `(R0 ⟗ R1) ⟗ R2` over three relations, on tuple
+    /// ids and on values: the id rows, read through, must equal the value
+    /// rows row for row. Returns the value chain.
+    fn three_node_outer_chain(relations: &[Relation], preds: [&str; 2]) -> Table {
+        let tables: Vec<Table> = relations.iter().map(|r| r.to_table(r.name())).collect();
+        let on = |p: &str| parse_expr(p).unwrap();
+        let ab = join(
+            &tables[0],
+            &tables[1],
+            &on(preds[0]),
+            JoinKind::FullOuter,
+            &funcs(),
+        )
+        .unwrap();
+        let values = join(
+            &ab,
+            &tables[2],
+            &on(preds[1]),
+            JoinKind::FullOuter,
+            &funcs(),
+        )
+        .unwrap();
+        let ab = ids_outer_join(&ids_scan(relations, 0), &ids_scan(relations, 1), preds[0]);
+        let ids = ids_outer_join(&ab, &ids_scan(relations, 2), preds[1]);
+        assert_eq!(ids.scheme(), values.scheme());
+        let read: Vec<Vec<Value>> = (0..ids.row_count())
+            .map(|i| {
+                (0..ids.scheme.arity())
+                    .map(|c| ids.cell(i, c).clone())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(read, values.rows());
+        values
+    }
+
+    fn relation(name: &str, attrs: &[(&str, DataType)], rows: Vec<Vec<Value>>) -> Relation {
+        let mut b = RelationBuilder::new(name);
+        for &(attr, ty) in attrs {
+            b = b.attr(attr, ty);
+        }
+        rows.into_iter()
+            .fold(b, RelationBuilder::row)
+            .build()
+            .unwrap()
+    }
+
+    fn count(t: &Table, pred: impl Fn(&[Value]) -> bool) -> usize {
+        t.rows().iter().filter(|r| pred(r)).count()
+    }
+
+    #[test]
+    fn kernel_outer_chain_on_a_conjunction_of_equalities() {
+        use DataType::{Int, Str};
+        let a = relation(
+            "A",
+            &[("x", Int), ("y", Str)],
+            vec![
+                vec![1i64.into(), "p".into()],
+                vec![1i64.into(), "q".into()],
+                vec![2i64.into(), "p".into()],
+                vec![Value::Null, "p".into()],
+            ],
+        );
+        let b = relation(
+            "B",
+            &[("x", Int), ("y", Str), ("z", Int)],
+            vec![
+                vec![1i64.into(), "p".into(), 10i64.into()],
+                vec![1i64.into(), "q".into(), 20i64.into()],
+                vec![2i64.into(), "q".into(), 10i64.into()],
+                vec![1i64.into(), "p".into(), 30i64.into()],
+            ],
+        );
+        let c = relation(
+            "C",
+            &[("z", Int), ("c", Str)],
+            vec![
+                vec![10i64.into(), "c1".into()],
+                vec![20i64.into(), "c2".into()],
+                vec![40i64.into(), "c3".into()],
+            ],
+        );
+        let out = three_node_outer_chain(&[a, b, c], ["A.x = B.x AND A.y = B.y", "B.z = C.z"]);
+        // A(1,p)–B(1,p,10)–C1, A(1,p)–B(1,p,30), A(1,q)–B(1,q,20)–C2,
+        // A(2,p), A(-,p), B(2,q,10)–C1, and C3 alone
+        assert_eq!(out.len(), 7);
+        // both equalities must hold: A(1,p) never meets B(1,q,20)
+        assert_eq!(count(&out, |r| !r[0].is_null() && !r[2].is_null()), 3);
+        assert_eq!(count(&out, |r| r[0].is_null() && !r[2].is_null()), 1);
+    }
+
+    #[test]
+    fn kernel_outer_chain_with_a_non_equi_residual() {
+        use DataType::{Int, Str};
+        let a = relation(
+            "A",
+            &[("k", Int)],
+            vec![vec![1i64.into()], vec![2i64.into()]],
+        );
+        let b = relation(
+            "B",
+            &[("k", Int), ("z", Int), ("w", Int)],
+            vec![
+                vec![1i64.into(), 10i64.into(), 5i64.into()],
+                vec![1i64.into(), 10i64.into(), 9i64.into()],
+                vec![2i64.into(), 20i64.into(), 1i64.into()],
+            ],
+        );
+        let c = relation(
+            "C",
+            &[("z", Int), ("w", Int), ("c", Str)],
+            vec![
+                vec![10i64.into(), 6i64.into(), "c1".into()],
+                vec![10i64.into(), 4i64.into(), "c2".into()],
+                vec![20i64.into(), Value::Null, "c3".into()],
+            ],
+        );
+        let relations = [a, b, c];
+        // hash keys plus a residual: B(1,10,5) meets C1 only, B(1,10,9)
+        // and B(2,20,1) (a null `w` on C3's side) meet nothing
+        let out = three_node_outer_chain(&relations, ["A.k = B.k", "B.z = C.z AND B.w < C.w"]);
+        assert_eq!(out.len(), 3 + 2);
+        assert_eq!(count(&out, |r| !r[1].is_null() && !r[4].is_null()), 1);
+        // no equality at all: the nested loop over the whole predicate
+        // (B(1,10,5) under C1; B(2,20,1) under C1 and C2)
+        let out = three_node_outer_chain(&relations, ["A.k = B.k", "B.w < C.w"]);
+        assert_eq!(count(&out, |r| !r[1].is_null() && !r[4].is_null()), 3);
+        assert_eq!(out.len(), 3 + 2);
+    }
+
+    #[test]
+    fn kernel_outer_chain_on_signed_zero_and_nan_keys() {
+        use DataType::{Float, Str};
+        let (zero, neg, nan) = (
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+        );
+        let a = relation(
+            "A",
+            &[("k", Float), ("a", Str)],
+            vec![
+                vec![zero.clone(), "a0".into()],
+                vec![neg.clone(), "a-0".into()],
+                vec![nan.clone(), "anan".into()],
+                vec![Value::Float(1.5), "a1.5".into()],
+            ],
+        );
+        let b = relation(
+            "B",
+            &[("k", Float), ("m", Float)],
+            vec![
+                vec![neg.clone(), Value::Float(2.0)],
+                vec![nan.clone(), nan.clone()],
+                vec![zero, nan.clone()],
+                vec![Value::Float(7.0), Value::Float(2.0)],
+            ],
+        );
+        let c = relation(
+            "C",
+            &[("m", Float), ("c", Str)],
+            vec![
+                vec![Value::Float(2.0), "c2".into()],
+                vec![nan, "cnan".into()],
+                vec![neg, "c-0".into()],
+            ],
+        );
+        let out = three_node_outer_chain(&[a, b, c], ["A.k = B.k", "B.m = C.m"]);
+        // SQL `=`: 0.0 and -0.0 meet (each A zero with each B zero), NaN
+        // meets nothing, not even NaN
+        assert_eq!(count(&out, |r| !r[0].is_null() && !r[2].is_null()), 4);
+        assert_eq!(
+            count(&out, |r| r[1] == Value::str("anan") && r[2].is_null()),
+            1
+        );
+        assert_eq!(count(&out, |r| r[5] == Value::str("c2")), 3);
+        assert_eq!(count(&out, |r| r[2].is_null() && !r[4].is_null()), 2);
+        assert_eq!(out.len(), 10);
     }
 }

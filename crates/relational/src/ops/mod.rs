@@ -11,7 +11,7 @@ mod project;
 mod select;
 mod subsumption;
 
-pub use join::{cartesian_product, join, join_rows, JoinKind};
+pub use join::{cartesian_product, join, join_rows, join_with, JoinInput, JoinKind, Joined};
 pub use minimum_union::{minimum_union, minimum_union_all, outer_union, pad_to, unified_scheme};
 pub use project::project;
 pub use select::select;

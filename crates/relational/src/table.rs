@@ -241,15 +241,6 @@ impl Table {
         });
     }
 
-    /// Is `row` null on every column of the qualifier? Used to compute
-    /// coverage of data associations.
-    pub fn qualifier_is_all_null(&self, row_idx: usize, qualifier: &str) -> bool {
-        self.scheme
-            .indexes_of_qualifier(qualifier)
-            .iter()
-            .all(|&i| self.rows[row_idx][i].is_null())
-    }
-
     /// Project row `row_idx` onto the columns of `sub` (which must be a
     /// sub-scheme of this table's scheme).
     pub fn project_row(&self, row_idx: usize, sub: &Scheme) -> Result<Vec<Value>> {
@@ -413,14 +404,6 @@ mod tests {
         });
         metrics::set_metrics_enabled(false);
         assert_eq!(counted, 5 + 6 + 3);
-    }
-
-    #[test]
-    fn qualifier_null_detection() {
-        let mut t = t();
-        t.push(vec![Value::Null, Value::Null]);
-        assert!(t.qualifier_is_all_null(2, "R"));
-        assert!(!t.qualifier_is_all_null(0, "R"));
     }
 
     #[test]

@@ -568,19 +568,25 @@ echo "    MAP file == its saved copy (byte-identical); explain == golden; cyclic
 # subsumption.comparisons, scan.tuples, dedup.rows, ...) must match
 # scripts/golden/chain-counters.json byte-for-byte, as in tier 2a. It
 # pins the joins, the merge dedup and the minimum union's subsumption
-# at a size the demo goldens do not reach. Regenerate after an
-# intentional change with
+# at a size the demo goldens do not reach. The same script is then
+# replayed with the cache on, and its stdout must equal the cache-off
+# run's: the cache-off preview projects through the tree D(G)'s tuple
+# ids, the cache-on one reads the memoized value table, and both must
+# print the same 1000-row answer. Regenerate after an intentional change
+# with
 #
 #   printf 'load <prefix MAP>\naccept\nload <chain MAP>\ntarget\nquit\n' > chain.clio
 #   target/release/clio-shell --synthetic chain,4,1000 --threads 1 --no-cache \
 #       --script chain.clio --metrics scripts/golden/chain-counters.json >/dev/null
 #
 # with the two MAP files below.
-echo "==> chain-refresh counter gate (--synthetic chain,4,1000, prefix accepted, --threads 1, --no-cache)"
+echo "==> chain-refresh counter gate (--synthetic chain,4,1000, prefix accepted, --threads 1, --no-cache, then cache on)"
 tmp_chain_prefix="$(mktemp)"
 tmp_chain_full="$(mktemp)"
 tmp_chain_script="$(mktemp)"
 tmp_chain_metrics="$(mktemp)"
+tmp_chain_out="$(mktemp)"
+tmp_chain_cached_out="$(mktemp)"
 cat > "$tmp_chain_prefix" <<'EOF'
 MAP T (B0 str not null, B1 str, B2 str, B3 str)
 FROM R0, R1
@@ -605,16 +611,25 @@ EOF
     echo quit
 } > "$tmp_chain_script"
 target/release/clio-shell --synthetic chain,4,1000 --threads 1 --no-cache \
-    --script "$tmp_chain_script" --metrics "$tmp_chain_metrics" >/dev/null
+    --script "$tmp_chain_script" --metrics "$tmp_chain_metrics" >"$tmp_chain_out"
 normalize_saved_ns "$tmp_chain_metrics"
+target/release/clio-shell --synthetic chain,4,1000 --threads 1 \
+    --script "$tmp_chain_script" >"$tmp_chain_cached_out"
 chain_diff=0
 diff -u scripts/golden/chain-counters.json "$tmp_chain_metrics" || chain_diff=1
-rm -f "$tmp_chain_prefix" "$tmp_chain_full" "$tmp_chain_script" "$tmp_chain_metrics"
+chain_cached_diff=0
+diff -u "$tmp_chain_out" "$tmp_chain_cached_out" || chain_cached_diff=1
+rm -f "$tmp_chain_prefix" "$tmp_chain_full" "$tmp_chain_script" "$tmp_chain_metrics" \
+    "$tmp_chain_out" "$tmp_chain_cached_out"
 if [ "$chain_diff" -ne 0 ]; then
     echo "verify: FAILED — chain-refresh counters drifted from scripts/golden/chain-counters.json" >&2
     echo "         (if the change is intentional, regenerate the golden file)" >&2
     exit 1
 fi
-echo "    chain refresh counters == golden"
+if [ "$chain_cached_diff" -ne 0 ]; then
+    echo "verify: FAILED — the chain refresh printed a different answer with the cache on" >&2
+    exit 1
+fi
+echo "    chain refresh counters == golden; cache-on answer == cache-off answer"
 
 echo "verify: OK"

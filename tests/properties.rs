@@ -1,7 +1,8 @@
 //! Property-based tests over the core invariants:
 //!
 //! * the optimized outer-join full disjunction agrees with the
-//!   definitional algorithm on random tree workloads;
+//!   definitional algorithm on random tree workloads, and its tuple-id
+//!   rows equal the value outer-join chain, `Q(M)` included;
 //! * partitioned subsumption removal agrees with the naive definition;
 //! * minimum union is commutative and idempotent;
 //! * greedy illustration selection is always sufficient, and never larger
@@ -9,6 +10,7 @@
 //! * illustration evolution preserves continuity and sufficiency;
 //! * expression display/parse round-trips.
 
+use clio::core::plan::chain_ir;
 use clio::datagen::synthetic::Synthetic;
 use clio::prelude::*;
 use proptest::prelude::*;
@@ -61,6 +63,55 @@ fn with_near_duplicates(mut w: Synthetic, picks: &[(usize, usize, usize)]) -> Sy
     w
 }
 
+/// A tree's `D(G)` by hand: a left-deep chain of value
+/// `ops::join(.., FullOuter)`s in [`chain_ir`]'s join order, padded to
+/// the graph scheme.
+fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
+    fn chain(e: &RelExpr, db: &Database, funcs: &FuncRegistry) -> Table {
+        match e {
+            RelExpr::Scan { alias, relation } => db.relation(relation).unwrap().to_table(alias),
+            RelExpr::Join {
+                left,
+                right,
+                predicate,
+                outer: true,
+            } => {
+                let (left, right) = (chain(left, db, funcs), chain(right, db, funcs));
+                join(&left, &right, predicate, JoinKind::FullOuter, funcs).unwrap()
+            }
+            other => panic!("not an outer-join chain: {other:?}"),
+        }
+    }
+    let chain = chain(&chain_ir(g, g.node_mask(), true), db, funcs);
+    clio::relational::ops::pad_to(&chain, &g.scheme(db).unwrap()).unwrap()
+}
+
+/// `Q(M)` over a value `D(G)` by the relational operators: σ over the
+/// source filters, π over the correspondences (an unmapped attribute is
+/// null), duplicates dropped, then σ over the target filters.
+fn project_by_operators(m: &Mapping, d: &Table, funcs: &FuncRegistry) -> Table {
+    let filtered = m
+        .source_filters
+        .iter()
+        .fold(d.clone(), |t, f| select(&t, f, funcs).unwrap());
+    let outputs: Vec<(Expr, Column)> = m
+        .target
+        .attrs()
+        .iter()
+        .map(|a| {
+            let expr = m
+                .correspondence_for(&a.name)
+                .map_or(Expr::Literal(Value::Null), |v| v.expr.clone());
+            (expr, Column::new(m.target.name(), a.name.clone(), a.ty))
+        })
+        .collect();
+    let mut projected = clio::relational::ops::project(&filtered, &outputs, funcs).unwrap();
+    projected.dedup();
+    m.target_filters
+        .iter()
+        .fold(projected, |t, f| select(&t, f, funcs).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -81,6 +132,40 @@ proptest! {
         outer.sort_canonical(&w.graph);
         prop_assert_eq!(naive.table().rows(), part.table().rows());
         prop_assert_eq!(naive.table().rows(), outer.table().rows());
+    }
+
+    /// The tree `D(G)` runs on tuple ids. On trees with null and dangling
+    /// links and near-duplicates injected, it equals — row for row,
+    /// unsorted, coverages included — a left-deep chain of value
+    /// `ops::join(.., FullOuter)`s in `chain_ir`'s order, padded. `Q(M)`,
+    /// which reads the values it projects through the ids, equals the
+    /// relational operators' projection of that reference, with and
+    /// without source filters.
+    #[test]
+    fn tree_fd_on_tuple_ids_equals_the_value_outer_join_chain(
+        spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::RandomTree]),
+        picks in near_duplicate_picks(),
+    ) {
+        let w = with_near_duplicates(generate(&spec), &picks);
+        let funcs = funcs();
+        let reference = value_outer_join_chain(&w.db, &w.graph, &funcs);
+        let fd = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs).unwrap();
+        prop_assert_eq!(&fd, &AssociationSet::from_table(&w.graph, reference.clone()));
+        let last = w.graph.node_count() - 1;
+        for filter in [
+            None,
+            Some("R0.p0 IS NOT NULL".to_owned()),
+            Some(format!("R{last}.p0 <> R0.p0")),
+            // a column no correspondence reads
+            Some(format!("R{last}.id IS NOT NULL")),
+        ] {
+            let mut m = w.mapping.clone();
+            m.source_filters.extend(filter.as_deref().map(|f| parse_expr(f).unwrap()));
+            let q = m.evaluate(&w.db, &funcs).unwrap();
+            let expected = project_by_operators(&m, &reference, &funcs);
+            prop_assert_eq!(q.scheme(), expected.scheme(), "{:?}", filter);
+            prop_assert_eq!(q.rows(), expected.rows(), "{:?}", filter);
+        }
     }
 
     /// On cyclic graphs, near-duplicate tuples included, the naive
