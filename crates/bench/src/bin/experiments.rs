@@ -16,7 +16,7 @@ use clio_bench::{
 };
 use clio_core::evolution::evolve_illustration;
 use clio_core::full_disjunction::{engine_subsumption, FdAlgo};
-use clio_core::illustration::{select_exact, select_greedy, Illustration, SufficiencyScope};
+use clio_core::illustration::{select_greedy, Illustration, SufficiencyScope};
 use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
 use clio_core::operators::walk::data_walk;
@@ -242,56 +242,43 @@ fn b2_subsumption() {
 fn b3_illustration() {
     println!("\n## B3 — minimal sufficient illustration selection\n");
     println!(
-        "| workload | examples | greedy | exact (B&B) | greedy size | exact size \
-         | req checks (greedy) |"
+        "| workload | examples | minimal | greedy | minimal size | greedy size \
+         | cover nodes | req checks (minimal) | req checks (greedy) |"
     );
-    println!("|---|---|---|---|---|---|---|");
-    // the paper-scale instance, where exact search completes
-    {
+    println!("|---|---|---|---|---|---|---|---|---|");
+    let paper = {
         let db = clio_datagen::paper::paper_database();
         let m = clio_datagen::paper::example_3_15_mapping();
         let funcs = FuncRegistry::with_builtins();
-        let pop = m.examples(&db, &funcs).expect("valid");
-        let arity = m.target.arity();
-        let scope = SufficiencyScope::mapping();
-        let mut gsize = 0;
-        let greedy = time(|| gsize = select_greedy(&pop, arity, scope).len());
-        let mut esize: Option<usize> = None;
-        let exact = time(|| esize = select_exact(&pop, arity, scope, 200_000).map(|v| v.len()));
-        let work = counted(|| {
-            let _ = select_greedy(&pop, arity, scope);
-        });
-        println!(
-            "| paper (Ex 3.15) | {} | {} | {} | {gsize} | {} | {} |",
-            pop.len(),
-            fmt(greedy),
-            fmt(exact),
-            esize.map_or("timeout".to_owned(), |n| n.to_string()),
-            work.get(clio_obs::Counter::RequirementsChecked)
-        );
-    }
-    for (name, w) in [
+        (m.examples(&db, &funcs).expect("valid"), m.target.arity())
+    };
+    let synthetic = [
         ("chain4 x200", chain(4, 200)),
         ("star5 x200", star(5, 200)),
         ("chain3 x1600", chain(3, 1600)),
-    ] {
-        let pop = example_population(&w);
-        let arity = w.mapping.target.arity();
+        ("cycle5 x100", cycle(5, 100)),
+    ]
+    .map(|(name, w)| (name, (example_population(&w), w.mapping.target.arity())));
+    for (name, (pop, arity)) in std::iter::once(("paper (Ex 3.15)", paper)).chain(synthetic) {
         let scope = SufficiencyScope::mapping();
+        let mut msize = 0;
+        let minimal = time(|| msize = Illustration::minimal_sufficient(&pop, arity).len());
         let mut gsize = 0;
         let greedy = time(|| gsize = select_greedy(&pop, arity, scope).len());
-        let mut esize: Option<usize> = None;
-        let exact = time(|| esize = select_exact(&pop, arity, scope, 200_000).map(|v| v.len()));
-        let work = counted(|| {
+        let minimal_work = counted(|| {
+            let _ = Illustration::minimal_sufficient(&pop, arity);
+        });
+        let greedy_work = counted(|| {
             let _ = select_greedy(&pop, arity, scope);
         });
         println!(
-            "| {name} | {} | {} | {} | {gsize} | {} | {} |",
+            "| {name} | {} | {} | {} | {msize} | {gsize} | {} | {} | {} |",
             pop.len(),
+            fmt(minimal),
             fmt(greedy),
-            fmt(exact),
-            esize.map_or("timeout".to_owned(), |n| n.to_string()),
-            work.get(clio_obs::Counter::RequirementsChecked)
+            minimal_work.get(clio_obs::Counter::CoverNodes),
+            minimal_work.get(clio_obs::Counter::RequirementsChecked),
+            greedy_work.get(clio_obs::Counter::RequirementsChecked)
         );
     }
 }

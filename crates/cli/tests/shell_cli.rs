@@ -115,10 +115,7 @@ fn stats_command_reports_counters_in_shell() {
     std::fs::remove_file(&path).ok();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("join.probes"), "{stdout}");
-    assert!(
-        stdout.contains("illustration.greedy_iterations"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("illustration.cover_nodes"), "{stdout}");
 }
 
 #[test]

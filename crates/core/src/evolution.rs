@@ -7,8 +7,9 @@
 //! set of examples, each old example is *extended* — the new illustration
 //! contains, for every old example, the new examples whose associations
 //! extend the old association (equal on all of its non-null attributes).
-//! Sufficiency is then repaired by *adding* examples, never by mutating or
-//! dropping the extended ones.
+//! Sufficiency is then repaired by *adding* the fewest examples (the
+//! solver in [`crate::illustration`]), never by mutating or dropping the
+//! extended ones.
 
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
@@ -16,7 +17,8 @@ use clio_relational::funcs::FuncRegistry;
 use clio_relational::schema::Scheme;
 use clio_relational::value::Value;
 
-use crate::illustration::{requirements, satisfies, Illustration, SufficiencyScope};
+use crate::example::Example;
+use crate::illustration::{minimal_completion, Illustration};
 use crate::mapping::Mapping;
 
 /// The outcome of evolving an illustration across a mapping change.
@@ -106,45 +108,12 @@ pub fn evolve_illustration_cached(
     }
     let extended_count = chosen.len();
 
-    // 2. repair sufficiency by greedily adding examples for uncovered
-    //    requirements (never removing the extensions)
-    let target_arity = new_mapping.target.arity();
-    let scope = SufficiencyScope::mapping();
-    let reqs = requirements(&population, target_arity, scope);
-    let mut covered: Vec<bool> = reqs
-        .iter()
-        .map(|r| chosen.iter().any(|&i| satisfies(&population[i], r)))
-        .collect();
-    loop {
-        clio_obs::metrics::incr(clio_obs::metrics::Counter::GreedyIterations);
-        let mut best: Option<(usize, usize)> = None;
-        for (i, e) in population.iter().enumerate() {
-            if taken[i] {
-                continue;
-            }
-            let gain = reqs
-                .iter()
-                .zip(&covered)
-                .filter(|(r, &c)| !c && satisfies(e, r))
-                .count();
-            if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        match best {
-            None => break,
-            Some((i, _)) => {
-                for (k, r) in reqs.iter().enumerate() {
-                    if satisfies(&population[i], r) {
-                        covered[k] = true;
-                    }
-                }
-                taken[i] = true;
-                chosen.push(i);
-            }
-        }
-    }
-    let repair_count = chosen.len() - extended_count;
+    // 2. repair sufficiency by appending the fewest examples, in
+    //    population order (never removing the extensions)
+    let extensions: Vec<&Example> = chosen.iter().map(|&i| &population[i]).collect();
+    let repairs = minimal_completion(&population, new_mapping.target.arity(), &extensions);
+    let repair_count = repairs.len();
+    chosen.extend(repairs);
 
     Ok(Evolution {
         illustration: Illustration::from_indexes(&population, &chosen),
@@ -161,26 +130,20 @@ pub fn continuity_holds(
     old_scheme: &Scheme,
     new_scheme: &Scheme,
 ) -> Result<bool> {
-    for old in &old_illustration.examples {
-        let mut found = false;
-        for new in &new_illustration.examples {
-            if extends(old_scheme, &old.association, new_scheme, &new.association)? {
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    let positions = new_scheme.positions_of(old_scheme)?;
+    Ok(old_illustration.examples.iter().all(|old| {
+        new_illustration
+            .examples
+            .iter()
+            .any(|new| extends_at(&positions, &old.association, &new.association))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::correspondence::ValueCorrespondence;
-    use crate::illustration::is_sufficient;
+    use crate::illustration::{is_sufficient, SufficiencyScope};
     use crate::query_graph::{Node, QueryGraph};
     use clio_relational::expr::Expr;
     use clio_relational::relation::RelationBuilder;

@@ -12,17 +12,34 @@
 //!   exists, and a positive example with a null value there if one exists;
 //! * **mapping** (Def 4.6): all three at once.
 //!
-//! The requirements form a set-cover instance over the candidate examples.
-//! Selecting a *minimal* sufficient illustration is NP-hard in general, so
-//! we provide a greedy `ln n`-approximation ([`select_greedy`]) and an
-//! exact branch-and-bound ([`select_exact`]) for the small instances that
-//! arise in practice; benchmark **B3** compares them. The paper: "We make
-//! use of [...] techniques [...] to efficiently select a minimal
-//! sufficient illustration."
+//! The requirements form a set-cover instance over the candidate examples,
+//! and its size does not depend on the population: every requirement reads
+//! only an example's **signature** — its coverage, its polarity and, when
+//! positive, which of its target values are non-null. Examples with one
+//! signature satisfy the same requirements, so a minimum cover over
+//! signature classes is a minimum cover over examples. Requirements of
+//! different coverage categories are never satisfied by one example, so a
+//! minimum cover is a union of per-category minimum covers. Within a
+//! category, a negative example satisfies only the coverage requirement,
+//! which any positive one meets too, and the negative-polarity one, which
+//! nothing else does. So the minimum is one negative class if that
+//! requirement is open, plus the fewest positive classes — distinct
+//! null-masks — covering the rest. That last step is still set cover,
+//! NP-hard in the target arity: the search tries combinations smallest
+//! first and stops after `COVER_NODE_LIMIT` (100 000) of them per
+//! category, warning (category `illustration`) and taking the first class
+//! that satisfies each remaining requirement. One solver serves the
+//! minimal (Def 4.6), focused (Def 4.7) and evolved (Sec 5.3,
+//! [`crate::evolution`]) illustrations; [`select_greedy`], the
+//! `ln n`-approximation, stays as the reference benchmark **B3** compares
+//! against. The paper: "We make use of [...]
+//! techniques [...] to efficiently select a minimal sufficient
+//! illustration."
 
 use std::collections::{HashMap, HashSet};
 
 use clio_obs::metrics::{self, Counter};
+use clio_relational::value::Value;
 
 use crate::example::Example;
 use crate::query_graph::QueryGraph;
@@ -124,52 +141,190 @@ impl SufficiencyScope {
 /// Derive the requirement set from the full example population. Every
 /// definition is conditional ("if there exists … then I contains …"), so a
 /// requirement is emitted only when at least one candidate satisfies it.
+/// Categories come in `(size, mask)` order; within one, coverage, then
+/// polarity (positive first), then attribute values (non-null first).
 #[must_use]
 pub fn requirements(
     all: &[Example],
     target_arity: usize,
     scope: SufficiencyScope,
 ) -> Vec<Requirement> {
-    let mut out = Vec::new();
-    let mut categories: Vec<u64> = Vec::new();
-    for e in all {
-        if !categories.contains(&e.coverage) {
-            categories.push(e.coverage);
-        }
-    }
-    categories.sort_by_key(|&m| (m.count_ones(), m));
+    categories(all)
+        .into_iter()
+        .flat_map(|(coverage, classes)| {
+            category_requirements(all, coverage, &classes, target_arity, scope)
+        })
+        .collect()
+}
 
-    for &c in &categories {
-        if scope.graph {
-            out.push(Requirement::Coverage(c));
+/// `all` grouped by signature into classes, each represented by its first
+/// member's index, and the classes grouped by coverage category: the
+/// categories in requirement order, the classes in population order.
+fn categories(all: &[Example]) -> Vec<(u64, Vec<usize>)> {
+    let mut seen = HashSet::new();
+    let mut out: Vec<(u64, Vec<usize>)> = Vec::new();
+    for (i, e) in all.iter().enumerate() {
+        // the signature (module docs); a negative's target is never read
+        let nulls: Vec<bool> = e
+            .target
+            .iter()
+            .filter(|_| e.positive)
+            .map(Value::is_null)
+            .collect();
+        if !seen.insert((e.coverage, e.positive, nulls)) {
+            continue;
         }
-        if scope.filters {
-            for positive in [true, false] {
-                let r = Requirement::Polarity {
-                    coverage: c,
-                    positive,
-                };
-                if all.iter().any(|e| satisfies(e, &r)) {
-                    out.push(r);
-                }
+        match out.iter_mut().find(|(c, _)| *c == e.coverage) {
+            Some((_, classes)) => classes.push(i),
+            None => out.push((e.coverage, vec![i])),
+        }
+    }
+    out.sort_by_key(|&(c, _)| (c.count_ones(), c));
+    out
+}
+
+/// The requirements of one coverage category whose classes are
+/// represented by `classes` (indexes into `all`), in [`requirements`]'
+/// order.
+fn category_requirements(
+    all: &[Example],
+    coverage: u64,
+    classes: &[usize],
+    target_arity: usize,
+    scope: SufficiencyScope,
+) -> Vec<Requirement> {
+    let graph = scope.graph.then_some(Requirement::Coverage(coverage));
+    let filters = [true, false]
+        .into_iter()
+        .filter(|_| scope.filters)
+        .map(|positive| Requirement::Polarity { coverage, positive });
+    let correspondences = (0..target_arity)
+        .filter(|_| scope.correspondences)
+        .flat_map(|attr| {
+            [true, false].map(|non_null| Requirement::AttrValue {
+                coverage,
+                attr,
+                non_null,
+            })
+        });
+    graph
+        .into_iter()
+        .chain(filters)
+        .chain(correspondences)
+        .filter(|r| classes.iter().any(|&i| satisfies(&all[i], r)))
+        .collect()
+}
+
+/// Combinations of positive classes one category's cover search tests
+/// before it stops and takes the first class satisfying each remaining
+/// requirement.
+const COVER_NODE_LIMIT: u64 = 100_000;
+
+/// Indexes into `all`, in population order, of the fewest examples that
+/// make `fixed` plus them sufficient for the mapping (Def 4.6). Each is
+/// its signature class's first member (module docs). No class of a fixed
+/// example is ever added: it would satisfy nothing new.
+pub(crate) fn minimal_completion(
+    all: &[Example],
+    target_arity: usize,
+    fixed: &[&Example],
+) -> Vec<usize> {
+    let _span = clio_obs::span("illustration.cover");
+    let mut chosen = Vec::new();
+    for (coverage, classes) in categories(all) {
+        let mut open = category_requirements(
+            all,
+            coverage,
+            &classes,
+            target_arity,
+            SufficiencyScope::mapping(),
+        );
+        open.retain(|r| !fixed.iter().any(|e| satisfies(e, r)));
+        let (positives, negatives): (Vec<usize>, Vec<usize>) =
+            classes.into_iter().partition(|&i| all[i].positive);
+        let negative = Requirement::Polarity {
+            coverage,
+            positive: false,
+        };
+        if open.contains(&negative) {
+            let n = negatives[0];
+            open.retain(|r| !satisfies(&all[n], r));
+            chosen.push(n);
+        }
+        if !open.is_empty() {
+            chosen.extend(minimum_cover(all, coverage, &positives, &open));
+        }
+    }
+    chosen.sort_unstable();
+    chosen
+}
+
+/// The first smallest set of `classes` (indexes into `all`, in class
+/// order) that together satisfy every requirement in `open`: combinations
+/// are tried smallest first, each size in lexicographic class order. Past
+/// `COVER_NODE_LIMIT` combinations it warns and takes, for each
+/// requirement in turn, the first class satisfying it.
+fn minimum_cover(
+    all: &[Example],
+    coverage: u64,
+    classes: &[usize],
+    open: &[Requirement],
+) -> Vec<usize> {
+    // sat[j][q]: class `j` satisfies `open[q]`
+    let sat: Vec<Vec<bool>> = classes
+        .iter()
+        .map(|&i| open.iter().map(|r| satisfies(&all[i], r)).collect())
+        .collect();
+    let mut nodes = 0;
+    'search: for size in 1..=classes.len() {
+        let mut pick: Vec<usize> = (0..size).collect();
+        loop {
+            metrics::incr(Counter::CoverNodes);
+            nodes += 1;
+            if (0..open.len()).all(|q| pick.iter().any(|&j| sat[j][q])) {
+                return pick.iter().map(|&j| classes[j]).collect();
             }
-        }
-        if scope.correspondences {
-            for attr in 0..target_arity {
-                for non_null in [true, false] {
-                    let r = Requirement::AttrValue {
-                        coverage: c,
-                        attr,
-                        non_null,
-                    };
-                    if all.iter().any(|e| satisfies(e, &r)) {
-                        out.push(r);
-                    }
-                }
+            if nodes == COVER_NODE_LIMIT {
+                break 'search;
+            }
+            if !next_combination(&mut pick, classes.len()) {
+                break;
             }
         }
     }
-    out
+    // All classes together satisfy every open requirement, so only the
+    // bound ends the search without a cover.
+    clio_obs::warn_limited(
+        "illustration",
+        &format!(
+            "illustration: minimum cover search for coverage {coverage:#b} stopped after \
+             {COVER_NODE_LIMIT} combinations ({} classes, {} requirements); \
+             the illustration may not be minimal",
+            classes.len(),
+            open.len()
+        ),
+    );
+    let mut chosen: Vec<usize> = Vec::new();
+    for r in open {
+        if !chosen.iter().any(|&i| satisfies(&all[i], r)) {
+            chosen.extend(classes.iter().copied().find(|&i| satisfies(&all[i], r)));
+        }
+    }
+    chosen
+}
+
+/// Advance `pick`, a strictly increasing `k`-combination of `0..n`, to the
+/// next one in lexicographic order; `false` when it was the last.
+fn next_combination(pick: &mut [usize], n: usize) -> bool {
+    let k = pick.len();
+    let Some(i) = (0..k).rev().find(|&i| pick[i] < n - k + i) else {
+        return false;
+    };
+    pick[i] += 1;
+    for j in i + 1..k {
+        pick[j] = pick[j - 1] + 1;
+    }
+    true
 }
 
 /// Is `illustration` sufficient for the given scope, relative to the full
@@ -186,124 +341,21 @@ pub fn is_sufficient(
         .all(|r| illustration.iter().any(|e| satisfies(e, r)))
 }
 
-/// Greedy minimal-sufficient-illustration selection: repeatedly take the
-/// example covering the most uncovered requirements. Returns indexes into
-/// `all`.
+/// Greedy set cover, the reference the exact selection is measured
+/// against (B3): repeatedly take the example covering the most uncovered
+/// requirements. Returns indexes into `all`, in selection order.
 #[must_use]
 pub fn select_greedy(all: &[Example], target_arity: usize, scope: SufficiencyScope) -> Vec<usize> {
-    let _span = clio_obs::span("illustration.select_greedy");
-    let reqs = requirements(all, target_arity, scope);
-    let mut covered = vec![false; reqs.len()];
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut taken = vec![false; all.len()];
-    loop {
-        metrics::incr(Counter::GreedyIterations);
-        let mut best: Option<(usize, usize)> = None; // (example idx, gain)
-        for (i, e) in all.iter().enumerate() {
-            if taken[i] {
-                continue;
-            }
-            let gain = reqs
-                .iter()
-                .zip(&covered)
-                .filter(|(r, &c)| !c && satisfies(e, r))
-                .count();
-            if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        match best {
-            None => break,
-            Some((i, _)) => {
-                for (k, r) in reqs.iter().enumerate() {
-                    if satisfies(&all[i], r) {
-                        covered[k] = true;
-                    }
-                }
-                taken[i] = true;
-                chosen.push(i);
-            }
-        }
+    let mut open = requirements(all, target_arity, scope);
+    let mut chosen = Vec::new();
+    while !open.is_empty() {
+        let gain = |i: &usize| open.iter().filter(|r| satisfies(&all[*i], r)).count();
+        // the first example of largest gain (open requirements have witnesses)
+        let best = (0..all.len()).rev().max_by_key(gain).expect("a witness");
+        open.retain(|r| !satisfies(&all[best], r));
+        chosen.push(best);
     }
     chosen
-}
-
-/// Exact minimum sufficient illustration by branch-and-bound. Branches on
-/// the uncovered requirement with the fewest candidates. `node_limit`
-/// bounds the search (returns `None` when exceeded) so callers can fall
-/// back to [`select_greedy`] on adversarial instances.
-#[must_use]
-pub fn select_exact(
-    all: &[Example],
-    target_arity: usize,
-    scope: SufficiencyScope,
-    node_limit: usize,
-) -> Option<Vec<usize>> {
-    let reqs = requirements(all, target_arity, scope);
-    // candidates per requirement
-    let cands: Vec<Vec<usize>> = reqs
-        .iter()
-        .map(|r| (0..all.len()).filter(|&i| satisfies(&all[i], r)).collect())
-        .collect();
-    let greedy = select_greedy(all, target_arity, scope);
-    let mut best: Vec<usize> = greedy;
-    let mut nodes = 0usize;
-
-    fn recurse(
-        all: &[Example],
-        reqs: &[Requirement],
-        cands: &[Vec<usize>],
-        chosen: &mut Vec<usize>,
-        best: &mut Vec<usize>,
-        nodes: &mut usize,
-        node_limit: usize,
-    ) -> bool {
-        *nodes += 1;
-        if *nodes > node_limit {
-            return false;
-        }
-        if chosen.len() >= best.len() {
-            return true; // prune: cannot improve
-        }
-        // first uncovered requirement with the fewest candidates
-        let mut pick: Option<usize> = None;
-        for (k, r) in reqs.iter().enumerate() {
-            if !chosen.iter().any(|&i| satisfies(&all[i], r))
-                && pick.is_none_or(|p| cands[k].len() < cands[p].len())
-            {
-                pick = Some(k);
-            }
-        }
-        let Some(k) = pick else {
-            // all covered: new best
-            *best = chosen.clone();
-            return true;
-        };
-        for &i in &cands[k] {
-            chosen.push(i);
-            let ok = recurse(all, reqs, cands, chosen, best, nodes, node_limit);
-            chosen.pop();
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    let mut chosen = Vec::new();
-    let completed = recurse(
-        all,
-        &reqs,
-        &cands,
-        &mut chosen,
-        &mut best,
-        &mut nodes,
-        node_limit,
-    );
-    completed.then(|| {
-        best.sort_unstable();
-        best
-    })
 }
 
 /// A selected illustration: the chosen examples plus bookkeeping for
@@ -331,65 +383,32 @@ impl Illustration {
         }
     }
 
-    /// A minimal sufficient illustration of the mapping (Def 4.6): exact
-    /// when the search completes within budget, greedy otherwise.
+    /// A minimal sufficient illustration of the mapping (Def 4.6), in
+    /// population order.
     #[must_use]
     pub fn minimal_sufficient(all: &[Example], target_arity: usize) -> Illustration {
-        let scope = SufficiencyScope::mapping();
-        let idxs = select_exact(all, target_arity, scope, 200_000)
-            .unwrap_or_else(|| select_greedy(all, target_arity, scope));
-        Illustration::from_indexes(all, &idxs)
+        Illustration::from_indexes(all, &minimal_completion(all, target_arity, &[]))
     }
 
     /// A minimal *sufficient and focused* illustration (Defs 4.6 + 4.7):
     /// every example in `required` (the focus closure — all examples
-    /// involving the focus tuples) is included, then sufficiency is
-    /// restored greedily with as few extra examples as possible.
+    /// involving the focus tuples) comes first, then the fewest examples
+    /// that restore sufficiency, in population order.
     #[must_use]
     pub fn minimal_sufficient_focused(
         all: &[Example],
         target_arity: usize,
         required: &[Example],
     ) -> Illustration {
-        let scope = SufficiencyScope::mapping();
-        let reqs = requirements(all, target_arity, scope);
-        let mut examples: Vec<Example> = required.to_vec();
-        // The members of `examples`, borrowed from the inputs.
-        let mut taken: HashSet<&Example> = required.iter().collect();
-        let mut covered: Vec<bool> = reqs
-            .iter()
-            .map(|r| examples.iter().any(|e| satisfies(e, r)))
-            .collect();
-        loop {
-            metrics::incr(Counter::GreedyIterations);
-            let mut best: Option<(usize, usize)> = None;
-            for (i, e) in all.iter().enumerate() {
-                if taken.contains(e) {
-                    continue;
-                }
-                let gain = reqs
-                    .iter()
-                    .zip(&covered)
-                    .filter(|(r, &c)| !c && satisfies(e, r))
-                    .count();
-                if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
-                    best = Some((i, gain));
-                }
-            }
-            match best {
-                None => break,
-                Some((i, _)) => {
-                    for (k, r) in reqs.iter().enumerate() {
-                        if satisfies(&all[i], r) {
-                            covered[k] = true;
-                        }
-                    }
-                    taken.insert(&all[i]);
-                    examples.push(all[i].clone());
-                }
-            }
+        let fixed: Vec<&Example> = required.iter().collect();
+        let added = minimal_completion(all, target_arity, &fixed);
+        Illustration {
+            examples: required
+                .iter()
+                .chain(added.iter().map(|&i| &all[i]))
+                .cloned()
+                .collect(),
         }
-        Illustration { examples }
     }
 
     /// Number of examples.
@@ -655,28 +674,109 @@ mod tests {
     }
 
     #[test]
-    fn exact_selection_is_minimal_and_sufficient() {
+    fn minimal_selection_is_sufficient_and_no_larger_than_greedy() {
         let pop = population();
-        let idxs = select_exact(&pop, 2, SufficiencyScope::mapping(), 100_000).unwrap();
-        let ill = Illustration::from_indexes(&pop, &idxs);
-        assert!(is_sufficient(
-            &ill.examples,
-            &pop,
-            2,
-            SufficiencyScope::mapping()
-        ));
-        // this instance needs examples 1 (null attr1), one of {0} (non-null
-        // attr1 + non-null attr0), 2 (negative 0b11), 3, 4 → exactly 5? No:
-        // example 0 covers several reqs; count must be ≤ greedy's
-        let greedy = select_greedy(&pop, 2, SufficiencyScope::mapping());
-        assert!(idxs.len() <= greedy.len());
-        assert_eq!(idxs.len(), 5); // all five are needed here
+        let scope = SufficiencyScope::mapping();
+        let ill = Illustration::minimal_sufficient(&pop, 2);
+        assert!(is_sufficient(&ill.examples, &pop, 2, scope));
+        assert!(ill.len() <= select_greedy(&pop, 2, scope).len());
+        // every example is the only witness of some requirement here
+        assert_eq!(ill.examples, pop);
+    }
+
+    /// Positive examples of one coverage over a target of `arity`
+    /// attributes: `copies` copies of each non-null pattern, one pattern
+    /// after another, in the order given.
+    fn positives(arity: usize, patterns: &[Vec<usize>], copies: usize) -> Vec<Example> {
+        let mut out = Vec::new();
+        for (p, non_null) in patterns.iter().enumerate() {
+            let target: Vec<Value> = (0..arity)
+                .map(|a| {
+                    if non_null.contains(&a) {
+                        Value::Int(a as i64)
+                    } else {
+                        Value::Null
+                    }
+                })
+                .collect();
+            for k in 0..copies {
+                out.push(Example {
+                    association: vec![Value::Int((p * copies + k) as i64)],
+                    coverage: 0b1,
+                    target: target.clone(),
+                    positive: true,
+                });
+            }
+        }
+        out
     }
 
     #[test]
-    fn exact_respects_node_limit() {
+    fn three_classes_of_many_copies_need_two_examples() {
+        // non-null masks 001, 011 and 100 (attribute 0 leftmost), 500
+        // copies each; greedy takes 001 first and then needs both others
+        let pop = positives(3, &[vec![2], vec![1, 2], vec![0]], 500);
+        let scope = SufficiencyScope::mapping();
+        let ill = Illustration::minimal_sufficient(&pop, 3);
+        assert!(is_sufficient(&ill.examples, &pop, 3, scope));
+        assert_eq!(ill.len(), 2);
+        assert_eq!(select_greedy(&pop, 3, scope).len(), 3);
+        // each class is represented by its first member
+        assert_eq!(ill.examples, vec![pop[500].clone(), pop[1000].clone()]);
+    }
+
+    #[test]
+    fn search_bound_warns_and_still_yields_a_sufficient_illustration() {
+        // 40 one-hot classes: every attribute's non-null requirement has
+        // one witness, so the minimum is all 40 and the smaller sizes'
+        // combinations outnumber the bound
+        let arity = 40;
+        let one_hot: Vec<Vec<usize>> = (0..arity).map(|a| vec![a]).collect();
+        let pop = positives(arity, &one_hot, 1);
+        let (printed, suppressed) = clio_obs::warn_counts("illustration");
+        let ill = Illustration::minimal_sufficient(&pop, arity);
+        let (printed_after, suppressed_after) = clio_obs::warn_counts("illustration");
+        assert!(printed_after + suppressed_after > printed + suppressed);
+        assert!(is_sufficient(
+            &ill.examples,
+            &pop,
+            arity,
+            SufficiencyScope::mapping()
+        ));
+        assert_eq!(ill.len(), arity);
+    }
+
+    #[test]
+    fn focused_selection_keeps_the_required_examples_first() {
         let pop = population();
-        assert!(select_exact(&pop, 2, SufficiencyScope::mapping(), 1).is_none());
+        let scope = SufficiencyScope::mapping();
+        let required = vec![pop[4].clone(), pop[0].clone()];
+        let ill = Illustration::minimal_sufficient_focused(&pop, 2, &required);
+        assert_eq!(ill.examples[..2], required[..]);
+        assert!(is_sufficient(&ill.examples, &pop, 2, scope));
+        // the repairs are the other three, in population order
+        assert_eq!(
+            ill.examples[2..],
+            [pop[1].clone(), pop[2].clone(), pop[3].clone()]
+        );
+    }
+
+    #[test]
+    fn combinations_run_in_lexicographic_order() {
+        let mut pick = vec![0, 1];
+        let mut seen = vec![pick.clone()];
+        while next_combination(&mut pick, 4) {
+            seen.push(pick.clone());
+        }
+        let expected: Vec<Vec<usize>> = vec![
+            vec![0, 1],
+            vec![0, 2],
+            vec![0, 3],
+            vec![1, 2],
+            vec![1, 3],
+            vec![2, 3],
+        ];
+        assert_eq!(seen, expected);
     }
 
     #[test]

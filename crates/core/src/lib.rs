@@ -38,8 +38,7 @@ pub mod prelude {
         full_disjunction_outer_join, FdAlgo,
     };
     pub use crate::illustration::{
-        is_sufficient, requirements, select_exact, select_greedy, Illustration, Requirement,
-        SufficiencyScope,
+        is_sufficient, requirements, select_greedy, Illustration, Requirement, SufficiencyScope,
     };
     pub use crate::incremental::{
         full_disjunction_cached, graph_fingerprint, mapping_fingerprint, relation_deps,

@@ -65,9 +65,9 @@ pub enum Counter {
     /// Requirement-satisfaction tests evaluated during illustration
     /// selection.
     RequirementsChecked,
-    /// Iterations of the greedy set-cover loop in illustration
-    /// selection (one per chosen example).
-    GreedyIterations,
+    /// Combinations of signature classes the minimum-cover search of
+    /// illustration selection tests.
+    CoverNodes,
     /// Incremental-cache lookups answered from the cache.
     CacheHits,
     /// Incremental-cache lookups that fell through to a computation.
@@ -161,7 +161,7 @@ impl Counter {
         Counter::WalkAlternativesGenerated,
         Counter::WalkAlternativesPruned,
         Counter::RequirementsChecked,
-        Counter::GreedyIterations,
+        Counter::CoverNodes,
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheInvalidations,
@@ -209,7 +209,7 @@ impl Counter {
             Counter::WalkAlternativesGenerated => "walk.alternatives_generated",
             Counter::WalkAlternativesPruned => "walk.alternatives_pruned",
             Counter::RequirementsChecked => "illustration.requirements_checked",
-            Counter::GreedyIterations => "illustration.greedy_iterations",
+            Counter::CoverNodes => "illustration.cover_nodes",
             Counter::CacheHits => "cache.hits",
             Counter::CacheMisses => "cache.misses",
             Counter::CacheInvalidations => "cache.invalidations",
@@ -530,7 +530,7 @@ mod tests {
         set_metrics_enabled(false);
         assert_eq!(snap.get(Counter::JoinProbes), 4);
         assert_eq!(snap.get(Counter::TuplesSubsumed), 7);
-        assert_eq!(snap.get(Counter::GreedyIterations), 0);
+        assert_eq!(snap.get(Counter::CoverNodes), 0);
         let json = snap.to_json_object(0);
         assert!(json.contains("\"join.probes\": 4"));
         assert!(json.contains("\"subsumption.removed\": 7"));

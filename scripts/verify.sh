@@ -56,8 +56,22 @@ cargo bench --no-run
 normalize_saved_ns() {
     sed -i 's/"cache\.saved_ns": [0-9][0-9]*/"cache.saved_ns": 0/' "$1"
 }
+# The illustration solver warns (`clio: illustration: ...`, category
+# `illustration`) when its minimum-cover search stops at its bound and
+# the illustration it returns may not be minimal. The stderr of the
+# demo run here and of the cyclic telemetry run (tier 2e) is kept, shown,
+# and must hold no such warning: a bound hit on a shipped script is a
+# regression, not noise.
+check_illustration_bound() { # $1 stderr of a run, $2 what ran
+    cat "$1" >&2
+    if grep -Eq '^clio: (illustration: |further `illustration` )' "$1"; then
+        echo "verify: FAILED — the illustration cover search hit its bound on $2" >&2
+        exit 1
+    fi
+}
 echo "==> golden counter gate (demo.clio, --threads 1, --no-cache)"
 tmp_metrics="$(mktemp)"
+tmp_stderr="$(mktemp)"
 tmp_twice_metrics="$(mktemp)"
 tmp_twice_script="$(mktemp)"
 tmp_serial_out="$(mktemp)"
@@ -73,11 +87,12 @@ tmp_trace_jsonl="$(mktemp)"
 tmp_serve_out="$(mktemp)"
 tmp_serve_metrics="$(mktemp)"
 tmp_shutdown_script="$(mktemp)"
-trap 'rm -f "$tmp_metrics" "$tmp_twice_metrics" "$tmp_twice_script" "$tmp_serial_out" "$tmp_diskwarm_out" "$tmp_diskwarm_metrics" "$tmp_cyclic_map" "$tmp_telemetry_script" "$tmp_telemetry_out" "$tmp_telemetry_metrics" "$tmp_trace_jsonl" "$tmp_serve_out" "$tmp_serve_metrics" "$tmp_shutdown_script"; rm -rf "$tmp_chunk_dir" "$tmp_cache_dir"' EXIT
+trap 'rm -f "$tmp_metrics" "$tmp_stderr" "$tmp_twice_metrics" "$tmp_twice_script" "$tmp_serial_out" "$tmp_diskwarm_out" "$tmp_diskwarm_metrics" "$tmp_cyclic_map" "$tmp_telemetry_script" "$tmp_telemetry_out" "$tmp_telemetry_metrics" "$tmp_trace_jsonl" "$tmp_serve_out" "$tmp_serve_metrics" "$tmp_shutdown_script"; rm -rf "$tmp_chunk_dir" "$tmp_cache_dir"' EXIT
 target/release/clio-shell \
     --script examples/scripts/demo.clio \
     --metrics "$tmp_metrics" \
-    --threads 1 --no-cache >/dev/null
+    --threads 1 --no-cache >/dev/null 2>"$tmp_stderr"
+check_illustration_bound "$tmp_stderr" "demo.clio"
 normalize_saved_ns "$tmp_metrics"
 if ! diff -u scripts/golden/demo-counters.json "$tmp_metrics"; then
     echo "verify: FAILED — work counters drifted from scripts/golden/demo-counters.json" >&2
@@ -209,7 +224,8 @@ sed '/^quit$/d' examples/scripts/demo.clio > "$tmp_telemetry_script"
 target/release/clio-shell \
     --script "$tmp_telemetry_script" --threads 1 \
     --trace --trace-out "$tmp_trace_jsonl" \
-    --metrics "$tmp_telemetry_metrics" > "$tmp_telemetry_out"
+    --metrics "$tmp_telemetry_metrics" > "$tmp_telemetry_out" 2>"$tmp_stderr"
+check_illustration_bound "$tmp_stderr" "demo.clio plus the cyclic mapping"
 span_count="$(sed -n 's/^trace: \([0-9][0-9]*\) spans* on .*/\1/p' "$tmp_telemetry_out")"
 if [ -z "$span_count" ] || [ "$span_count" -eq 0 ]; then
     echo "verify: FAILED — traced telemetry run printed no span tree" >&2

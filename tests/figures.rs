@@ -238,6 +238,12 @@ fn figure9_sufficient_illustration() {
         m.target.arity(),
         SufficiencyScope::mapping()
     ));
+    // each needed signature class's first member, in population order
+    let expected: Vec<Example> = [0, 2, 3, 4]
+        .iter()
+        .map(|&i| population[i].clone())
+        .collect();
+    assert_eq!(ill.examples, expected);
     // all three categories represented
     assert_eq!(ill.category_histogram().len(), 3);
     // both polarities present (age<7 trims Ben; ID-null trims PPh rows)

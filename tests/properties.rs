@@ -5,11 +5,12 @@
 //!   rows equal the value outer-join chain, `Q(M)` included;
 //! * partitioned subsumption removal agrees with the naive definition;
 //! * minimum union is commutative and idempotent;
-//! * greedy illustration selection is always sufficient, and never larger
-//!   than necessary relative to exact search;
+//! * the minimal illustration (plain, focused or evolved) is sufficient,
+//!   no larger than greedy's, and a brute-force minimum;
 //! * illustration evolution preserves continuity and sufficiency;
 //! * expression display/parse round-trips.
 
+use clio::core::illustration::satisfies;
 use clio::core::plan::chain_ir;
 use clio::datagen::synthetic::Synthetic;
 use clio::prelude::*;
@@ -110,6 +111,89 @@ fn project_by_operators(m: &Mapping, d: &Table, funcs: &FuncRegistry) -> Table {
     m.target_filters
         .iter()
         .fold(projected, |t, f| select(&t, f, funcs).unwrap())
+}
+
+/// The requirements of Defs 4.2–4.5 read straight off the population:
+/// categories by `(size, mask)`, then coverage, polarity (positive first)
+/// and attribute values (non-null first), each kept if some example
+/// satisfies it.
+fn requirements_by_scan(population: &[Example], arity: usize) -> Vec<Requirement> {
+    let mut coverages: Vec<u64> = population.iter().map(|e| e.coverage).collect();
+    coverages.sort_by_key(|&c| (c.count_ones(), c));
+    coverages.dedup();
+    coverages
+        .into_iter()
+        .flat_map(|coverage| {
+            let polarity =
+                [true, false].map(|positive| Requirement::Polarity { coverage, positive });
+            let attrs = (0..arity).flat_map(move |attr| {
+                [true, false].map(|non_null| Requirement::AttrValue {
+                    coverage,
+                    attr,
+                    non_null,
+                })
+            });
+            std::iter::once(Requirement::Coverage(coverage))
+                .chain(polarity)
+                .chain(attrs)
+        })
+        .filter(|r| population.iter().any(|e| satisfies(e, r)))
+        .collect()
+}
+
+/// The fewest examples of `population` that make `fixed` plus them a
+/// sufficient illustration (Def 4.6), by brute force: per coverage
+/// category (no example satisfies requirements of two), the smallest set
+/// of signature classes — one per distinct (polarity, target null-mask) —
+/// that satisfies the category's requirements `fixed` leaves open.
+fn minimum_completion_size(population: &[Example], arity: usize, fixed: &[Example]) -> usize {
+    let coverage_of = |r: &Requirement| match *r {
+        Requirement::Coverage(c) => c,
+        Requirement::Polarity { coverage, .. } | Requirement::AttrValue { coverage, .. } => {
+            coverage
+        }
+    };
+    let signature = |e: &Example| {
+        let nulls: Vec<bool> = e.target.iter().map(Value::is_null).collect();
+        (e.coverage, e.positive, e.positive.then_some(nulls))
+    };
+    let mut classes: Vec<&Example> = Vec::new();
+    for e in population {
+        if !classes.iter().any(|c| signature(c) == signature(e)) {
+            classes.push(e);
+        }
+    }
+    let open: Vec<Requirement> = requirements_by_scan(population, arity)
+        .into_iter()
+        .filter(|r| !fixed.iter().any(|e| satisfies(e, r)))
+        .collect();
+    let mut coverages: Vec<u64> = open.iter().map(coverage_of).collect();
+    coverages.dedup();
+    let mut total = 0;
+    for coverage in coverages {
+        let reqs: Vec<&Requirement> = open.iter().filter(|r| coverage_of(r) == coverage).collect();
+        assert!(reqs.len() <= 64);
+        let sets: Vec<u64> = classes
+            .iter()
+            .map(|e| {
+                reqs.iter()
+                    .enumerate()
+                    .filter(|(_, r)| satisfies(e, r))
+                    .fold(0, |acc, (q, _)| acc | 1 << q)
+            })
+            .collect();
+        let full = u64::MAX >> (64 - reqs.len());
+        fn covers(size: usize, from: usize, have: u64, full: u64, sets: &[u64]) -> bool {
+            have == full
+                || size > 0
+                    && (from..sets.len())
+                        .any(|j| covers(size - 1, j + 1, have | sets[j], full, sets))
+        }
+        total += (1..=sets.len())
+            .find(|&size| covers(size, 0, 0, full, &sets))
+            .expect("the whole population is sufficient");
+    }
+    total
 }
 
 proptest! {
@@ -295,27 +379,58 @@ proptest! {
         prop_assert_eq!(self_union.rows(), t1d.rows());
     }
 
-    /// Greedy selection is always sufficient; exact search (when it
-    /// completes) is sufficient and no larger than greedy.
+    /// Over a mapping's population with some target values nulled,
+    /// `requirements` lists what a scan finds; the minimal illustration is
+    /// sufficient, no larger than greedy's, and
+    /// exactly as large as a brute-force minimum over signature classes;
+    /// a focused one keeps its required examples first and adds a minimum
+    /// number of examples.
     #[test]
     fn illustration_selection_invariants(
-        spec in spec_strategy(&[Topology::Chain, Topology::Star])
+        spec in spec_strategy(&[
+            Topology::Chain,
+            Topology::Star,
+            Topology::Cycle,
+            Topology::RandomTree,
+        ]),
+        focus in (0usize..4, 1usize..6),
+        nulls in proptest::collection::vec((0usize..64, 0usize..8), 0..24),
     ) {
         let w = generate(&spec);
         let funcs = funcs();
-        let population = w.mapping.examples(&w.db, &funcs).unwrap();
+        let mut population = w.mapping.examples(&w.db, &funcs).unwrap();
         let arity = w.mapping.target.arity();
+        // Null some target values so categories hold many null-masks (the
+        // generator's rows rarely do); selection reads only the population.
+        for &(k, a) in &nulls {
+            let k = k % population.len();
+            population[k].target[a % arity] = Value::Null;
+        }
         let scope = SufficiencyScope::mapping();
 
+        prop_assert_eq!(
+            requirements(&population, arity, scope),
+            requirements_by_scan(&population, arity)
+        );
         let greedy = select_greedy(&population, arity, scope);
         let g_ill: Vec<Example> = greedy.iter().map(|&i| population[i].clone()).collect();
         prop_assert!(is_sufficient(&g_ill, &population, arity, scope));
 
-        if let Some(exact) = select_exact(&population, arity, scope, 50_000) {
-            let e_ill: Vec<Example> = exact.iter().map(|&i| population[i].clone()).collect();
-            prop_assert!(is_sufficient(&e_ill, &population, arity, scope));
-            prop_assert!(exact.len() <= greedy.len());
-        }
+        let ill = Illustration::minimal_sufficient(&population, arity);
+        prop_assert!(is_sufficient(&ill.examples, &population, arity, scope));
+        prop_assert!(ill.len() <= greedy.len());
+        prop_assert_eq!(ill.len(), minimum_completion_size(&population, arity, &[]));
+
+        let (skip, step) = focus;
+        let required: Vec<Example> =
+            population.iter().skip(skip).step_by(step).cloned().collect();
+        let focused = Illustration::minimal_sufficient_focused(&population, arity, &required);
+        prop_assert_eq!(&focused.examples[..required.len()], &required[..]);
+        prop_assert!(is_sufficient(&focused.examples, &population, arity, scope));
+        prop_assert_eq!(
+            focused.len() - required.len(),
+            minimum_completion_size(&population, arity, &required)
+        );
     }
 
     /// Evolving an illustration across a graph extension preserves
@@ -360,12 +475,29 @@ proptest! {
             &old_ill, &evo.illustration, &old_scheme, &new_scheme).unwrap());
 
         let new_pop = w.mapping.examples(&w.db, &funcs).unwrap();
+        let arity = w.mapping.target.arity();
         prop_assert!(is_sufficient(
             &evo.illustration.examples,
             &new_pop,
-            w.mapping.target.arity(),
+            arity,
             SufficiencyScope::mapping(),
         ));
+        // the extensions come first, then the fewest repairs
+        let (extensions, repairs) = evo.illustration.examples.split_at(evo.extended_count);
+        prop_assert_eq!(repairs.len(), evo.repair_count);
+        let positions = new_scheme.positions_of(&old_scheme).unwrap();
+        for e in extensions {
+            prop_assert!(old_ill.examples.iter().any(|old| {
+                positions
+                    .iter()
+                    .zip(&old.association)
+                    .all(|(&p, v)| v.is_null() || e.association[p] == *v)
+            }));
+        }
+        prop_assert_eq!(
+            evo.repair_count,
+            minimum_completion_size(&new_pop, arity, extensions)
+        );
     }
 }
 
