@@ -374,7 +374,7 @@ pub enum FilterKind {
 /// The `stats` subcommands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsAction {
-    /// `stats reset` — zero every counter.
+    /// `stats reset` — zero every counter of the current scope.
     Reset,
     /// `stats [<operation>]` — render counters whose dotted name
     /// contains the filter (empty filter = all).

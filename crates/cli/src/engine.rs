@@ -259,8 +259,9 @@ impl Shell {
             }
             Command::ProfileSpans { top } => {
                 // top-n spans by self time with per-name latency
-                // percentiles — the timing counterpart of `trace`
-                let records = clio_obs::snapshot_spans();
+                // percentiles — the timing counterpart of `trace`, over
+                // the current scope's spans
+                let (records, hists) = clio_obs::with_current(|r| (r.spans(), r.histograms()));
                 if records.is_empty() {
                     return Ok(
                         "no spans recorded (start the shell with --trace, --trace-out, or \
@@ -268,7 +269,6 @@ impl Shell {
                             .to_owned(),
                     );
                 }
-                let hists = clio_obs::hist::context_histograms();
                 Ok(clio_obs::render_profile(
                     &records,
                     &hists,
@@ -339,17 +339,20 @@ impl Shell {
                 Ok(out)
             }
             Command::Stats(StatsAction::Reset) => {
-                clio_obs::reset_metrics();
+                // zeroes the current scope: this batch session or
+                // connection only, the process totals in a local shell
+                clio_obs::with_current(clio_obs::Recorder::reset_counters);
                 Ok("counters reset\n".to_owned())
             }
             Command::Stats(StatsAction::Show(filter)) => {
                 // `stats <operation>` keeps only counters whose dotted
-                // name contains the argument (e.g. `stats chase`). In a
-                // pooled session (batch mode) the thread carries a
-                // session label, so the table shows this session's own
-                // work rather than the process-wide totals — which also
-                // keeps concurrent `stats` output deterministic.
-                let mut out = clio_obs::metrics::context_snapshot().render_table_filtered(&filter);
+                // name contains the argument (e.g. `stats chase`). A
+                // batch session or a connection runs under its own scope
+                // recorder, so the table shows that scope's own work
+                // rather than the process-wide totals — which also keeps
+                // concurrent `stats` output deterministic.
+                let mut out = clio_obs::with_current(clio_obs::Recorder::snapshot)
+                    .render_table_filtered(&filter);
                 if !clio_obs::metrics_enabled() {
                     out.push_str(
                         "(counting is off — run the shell with --metrics <file> to collect)\n",
@@ -362,9 +365,9 @@ impl Shell {
             Command::Map(MapAction::Show) => Ok(clio_lang::print_mapping(&self.active()?.mapping)),
             Command::Explain => self.session.explain_active(),
             Command::Trace { filter } => {
-                // live span tree, optionally filtered by name — the
-                // in-session counterpart of --trace-filter
-                let records = clio_obs::snapshot_spans();
+                // the current scope's span tree, optionally filtered by
+                // name — the in-session counterpart of --trace-filter
+                let records = clio_obs::with_current(clio_obs::Recorder::spans);
                 if records.is_empty() {
                     return Ok(
                         "no spans recorded (start the shell with --trace or --trace-filter \
@@ -573,14 +576,7 @@ mod tests {
     use clio_datagen::paper::{kids_target, paper_database};
     use clio_relational::value::DataType;
 
-    /// Serializes tests that toggle the process-global trace state.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-        OBS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use clio_obs::Recorder;
 
     fn shell() -> Shell {
         Shell::new(Session::new(paper_database(), kids_target()))
@@ -1021,26 +1017,62 @@ mod tests {
 
     #[test]
     fn trace_command_mirrors_trace_filter() {
-        let _guard = obs_lock();
         let mut sh = shell();
-        clio_obs::clear_spans();
-        // with tracing off there is nothing to show, only a hint
+        // outside a recording scope there is nothing to show, only a hint
         let s = run(&mut sh, "trace");
         assert!(s.contains("no spans recorded"), "{s}");
-        clio_obs::set_trace_enabled(true);
-        run(&mut sh, "corr Children.ID -> ID");
-        run(&mut sh, "target");
-        let all = run(&mut sh, "trace");
-        assert!(all.contains("mapping.evaluate"), "{all}");
-        let filtered = run(&mut sh, "trace mapping.evaluate");
-        assert!(filtered.contains("mapping.evaluate"), "{filtered}");
-        assert!(!filtered.contains("mapping.examples"), "{filtered}");
-        let none = run(&mut sh, "trace zzz-not-a-span");
-        assert!(none.contains("no spans matching"), "{none}");
-        clio_obs::set_trace_enabled(false);
-        clio_obs::clear_spans();
-        clio_obs::clear_histograms();
-        clio_obs::clear_events();
+        Recorder::new().run(|| {
+            let s = run(&mut sh, "trace");
+            assert!(s.contains("no spans recorded"), "{s}");
+            run(&mut sh, "corr Children.ID -> ID");
+            run(&mut sh, "target");
+            let all = run(&mut sh, "trace");
+            assert!(all.contains("mapping.evaluate"), "{all}");
+            let filtered = run(&mut sh, "trace mapping.evaluate");
+            assert!(filtered.contains("mapping.evaluate"), "{filtered}");
+            assert!(!filtered.contains("mapping.examples"), "{filtered}");
+            let none = run(&mut sh, "trace zzz-not-a-span");
+            assert!(none.contains("no spans matching"), "{none}");
+        });
+    }
+
+    /// `trace` and `profile spans` read the current scope: one shell's
+    /// spans never show up in another's.
+    #[test]
+    fn trace_reads_only_the_current_scope() {
+        let (mut a, mut b) = (shell(), shell());
+        let (rec_a, rec_b) = (Recorder::new(), Recorder::new());
+        rec_a.run(|| {
+            run(&mut a, "corr Children.ID -> ID");
+            run(&mut a, "target");
+        });
+        let trace_b = rec_b.run(|| run(&mut b, "trace"));
+        assert!(trace_b.contains("no spans recorded"), "{trace_b}");
+        let profile_b = rec_b.run(|| run(&mut b, "profile spans"));
+        assert!(profile_b.contains("no spans recorded"), "{profile_b}");
+        let trace_a = rec_a.run(|| run(&mut a, "trace"));
+        assert!(trace_a.contains("mapping.evaluate"), "{trace_a}");
+    }
+
+    /// `stats` and `stats reset` read and zero the current scope only.
+    #[test]
+    fn stats_reset_zeroes_only_the_current_scope() {
+        let (mut a, mut b) = (shell(), shell());
+        let (rec_a, rec_b) = (Recorder::new(), Recorder::new());
+        for (sh, rec) in [(&mut a, &rec_a), (&mut b, &rec_b)] {
+            rec.run(|| {
+                run(sh, "corr Children.ID -> ID");
+                run(sh, "target");
+            });
+        }
+        let work = |r: &Recorder| r.snapshot().get(clio_obs::Counter::PlanEvals);
+        assert!(work(&rec_a) > 0 && work(&rec_b) > 0);
+        assert_eq!(rec_a.run(|| run(&mut a, "stats reset")), "counters reset\n");
+        assert_eq!(work(&rec_a), 0);
+        assert!(work(&rec_b) > 0, "another scope's counters survive");
+        let table = rec_a.run(|| run(&mut a, "stats plan.evals"));
+        assert_eq!(table, "plan.evals  0\n");
+        assert!(!table.contains("counting is off"), "{table}");
     }
 
     /// The in-shell `trace <name>` and the `--trace-filter <name>` exit
@@ -1049,38 +1081,36 @@ mod tests {
     /// byte-for-byte.
     #[test]
     fn no_match_filter_agrees_across_entry_points() {
-        let _guard = obs_lock();
         let mut sh = shell();
-        clio_obs::clear_spans();
-        clio_obs::set_trace_enabled(true);
-        run(&mut sh, "corr Children.ID -> ID");
-        run(&mut sh, "target");
-        let shell_line = run(&mut sh, "trace zzz-not-a-span");
+        let rec = Recorder::new();
+        let shell_line = rec.run(|| {
+            run(&mut sh, "corr Children.ID -> ID");
+            run(&mut sh, "target");
+            run(&mut sh, "trace zzz-not-a-span")
+        });
         // what finish_reports prints for --trace-filter at exit
-        let records = clio_obs::snapshot_spans();
-        let exit_line = clio_obs::render_tree_filtered(&records, "zzz-not-a-span");
+        let exit_line = clio_obs::render_tree_filtered(&rec.spans(), "zzz-not-a-span");
         assert_eq!(shell_line, exit_line);
         assert_eq!(shell_line, "trace: no spans matching `zzz-not-a-span`\n");
-        clio_obs::set_trace_enabled(false);
-        clio_obs::clear_spans();
-        clio_obs::clear_histograms();
-        clio_obs::clear_events();
     }
 
     #[test]
     fn profile_spans_lists_top_spans_with_percentiles() {
-        let _guard = obs_lock();
         let mut sh = shell();
-        clio_obs::clear_spans();
-        clio_obs::clear_histograms();
         let hint = run(&mut sh, "profile spans");
         assert!(hint.contains("no spans recorded"), "{hint}");
         assert!(hint.contains("--trace-out"), "{hint}");
-        clio_obs::set_trace_enabled(true);
-        run(&mut sh, "corr Children.ID -> ID");
-        run(&mut sh, "target");
-        clio_obs::set_trace_enabled(false);
-        let out = run(&mut sh, "profile spans 3");
+        let rec = Recorder::new();
+        rec.run(|| {
+            run(&mut sh, "corr Children.ID -> ID");
+            run(&mut sh, "target");
+        });
+        let (out, all) = rec.run(|| {
+            (
+                run(&mut sh, "profile spans 3"),
+                run(&mut sh, "profile spans"),
+            )
+        });
         assert!(out.starts_with("profile: "), "{out}");
         assert!(out.contains("top 3 by self time"), "{out}");
         assert!(
@@ -1089,13 +1119,9 @@ mod tests {
         );
         assert!(out.contains("p50 "), "{out}");
         // the plain form defaults to the top 10
-        let all = run(&mut sh, "profile spans");
         assert!(
             all.contains("top 10 by self time") || all.contains("by self time"),
             "{all}"
         );
-        clio_obs::clear_spans();
-        clio_obs::clear_histograms();
-        clio_obs::clear_events();
     }
 }

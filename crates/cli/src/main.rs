@@ -249,8 +249,9 @@ fn main() {
     if let Some(ms) = slow_ms {
         clio_obs::set_slow_threshold_ns(ms.saturating_mul(1_000_000));
     }
-    // Timing (histograms, the event ring, slow-span checks) rides on the
-    // span machinery, so any of the three timing flags enables tracing.
+    // Timing (histograms, the Chrome trace export, slow-span checks)
+    // rides on the span machinery, so any of the three timing flags
+    // enables tracing.
     if cfg.trace || cfg.trace_out.is_some() || slow_ms.is_some() {
         clio_obs::set_trace_enabled(true);
     }
@@ -447,7 +448,7 @@ fn finish_reports(cfg: &CliConfig) {
         }
     }
     if cfg.trace {
-        let records = clio_obs::snapshot_spans();
+        let records = clio_obs::process().spans();
         if records.is_empty() {
             println!("trace: no spans recorded");
         } else {
@@ -459,14 +460,10 @@ fn finish_reports(cfg: &CliConfig) {
         }
     }
     if let Some(path) = cfg.trace_out.as_deref() {
-        let (events, dropped) = clio_obs::take_events();
-        let jsonl = clio_obs::chrome_trace_jsonl(&events);
+        let jsonl = clio_obs::chrome_trace_jsonl(&clio_obs::process().spans());
         if let Err(e) = std::fs::write(path, &jsonl) {
             eprintln!("cannot write trace events to `{path}`: {e}");
             std::process::exit(2);
-        }
-        if dropped > 0 {
-            eprintln!("clio: trace ring overflowed; {dropped} oldest span event(s) dropped");
         }
     }
     if let Some(summary) = clio_obs::warn_summary() {

@@ -171,6 +171,48 @@ fn sequential_clients_share_one_store_and_report_per_connection_sessions() {
     assert!(json.contains("\"conn.1\""), "{json}");
 }
 
+/// The counter object that follows `"key": ` in a JSON report.
+fn object<'a>(json: &'a str, key: &str) -> &'a str {
+    let start = json
+        .find(&format!("\"{key}\": {{"))
+        .unwrap_or_else(|| panic!("`{key}` in {json}"));
+    let end = start + json[start..].find('}').expect("object closes");
+    &json[start..end]
+}
+
+#[test]
+fn stats_reset_zeroes_only_the_issuing_connection() {
+    let metrics = tmp_path("reset.json");
+    let server = ServerProc::start(&["--metrics", metrics.to_str().unwrap()]);
+    let out = shell()
+        .arg("connect")
+        .arg(&server.addr)
+        .arg("--script")
+        .arg(demo_script())
+        .output()
+        .expect("client run");
+    assert!(out.status.success());
+    let mut client = Client::connect(&server.addr).expect("second client");
+    let reset = client.request("stats reset").expect("stats reset");
+    assert_eq!(reset.as_deref(), Some("counters reset\n"));
+    drop(client);
+    server.shutdown();
+    let json = std::fs::read_to_string(&metrics).expect("metrics written");
+    std::fs::remove_file(&metrics).ok();
+    // Both connections keep their names, and the first connection's
+    // work survives the second connection's reset, in its own table
+    // and in the process totals.
+    assert!(
+        counter(object(&json, "conn.0"), "join.probes") > 0,
+        "{json}"
+    );
+    assert_eq!(counter(object(&json, "conn.1"), "join.probes"), 0, "{json}");
+    assert!(
+        counter(object(&json, "counters"), "join.probes") > 0,
+        "{json}"
+    );
+}
+
 #[test]
 fn malformed_frames_are_answered_and_the_connection_survives() {
     let metrics = tmp_path("frames.json");

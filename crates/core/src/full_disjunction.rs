@@ -373,16 +373,16 @@ mod tests {
 
     #[test]
     fn parallel_naive_fd_emits_worker_spans() {
-        let _guard = crate::obs_testutil::lock();
         let mut g = path_graph();
         g.add_edge(0, 2, parse_expr("Children.mid = PhoneDir.ID").unwrap())
             .unwrap();
-        clio_obs::set_trace_enabled(true);
-        clio_relational::exec::with_threads(4, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            clio_relational::exec::with_threads(4, || {
+                full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            })
         });
-        clio_obs::set_trace_enabled(false);
-        let spans = clio_obs::take_spans();
+        let spans = rec.spans();
         let workers = spans.iter().filter(|s| s.name == "fd.naive.worker").count();
         // one span per worker thread that participated; the pool spawns
         // min(threads, items) workers, and a triangle has 7 connected

@@ -368,25 +368,21 @@ mod tests {
 
     #[test]
     fn cache_tiers_record_distinct_histogram_keys() {
-        let _guard = crate::obs_testutil::lock();
-        clio_obs::set_trace_enabled(true);
-        clio_obs::clear_histograms();
         let g = tree_graph();
         let cache = EvalCache::new();
         let store = std::sync::Arc::new(clio_incr::MemStore::new());
         cache.set_store(Some(store));
-        // cold: computes and spills
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        // disk hit: memory dropped, the store answers
-        cache.clear();
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        // memory hit: the disk load warmed the memory tier
-        full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
-        clio_obs::set_trace_enabled(false);
-        let _ = clio_obs::take_spans();
-        clio_obs::clear_events();
-        let hists = clio_obs::snapshot_histograms();
-        clio_obs::clear_histograms();
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            // cold: computes and spills
+            full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+            // disk hit: memory dropped, the store answers
+            cache.clear();
+            full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+            // memory hit: the disk load warmed the memory tier
+            full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        });
+        let hists = rec.histograms();
         for key in ["incr.fd.cold", "incr.fd.disk_hit", "incr.fd.memory_hit"] {
             let (_, h) = hists
                 .iter()

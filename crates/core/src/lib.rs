@@ -65,15 +65,3 @@ pub mod prelude {
     pub use crate::verify::{verify_mapping, Finding};
     pub use clio_incr::{CacheStats, EvalCache, Fingerprint, FingerprintBuilder};
 }
-
-#[cfg(test)]
-pub(crate) mod obs_testutil {
-    //! Serializes tests that toggle the process-global obs state
-    //! (tracing, histograms, the event ring) within this test binary.
-    pub static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    pub fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}

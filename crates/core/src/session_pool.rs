@@ -16,13 +16,15 @@
 //! **explicit** width (the CLI's `--sessions`), independent of the
 //! engine thread setting (`--threads`): each worker thread inherits the
 //! caller's engine-thread override, installs the job's observability
-//! session label, and wraps the job in a `session.<i>` span. Results
-//! come back in input order and a panicking job propagates to the
-//! caller — the same deterministic-merge and first-error-by-index
-//! discipline as `exec::map_slice` (see `docs/concurrency.md`).
+//! scope recorder (named `<i>`), and wraps the job in a `session.<i>`
+//! span. Results come back in input order and a panicking job
+//! propagates to the caller — the same deterministic-merge and
+//! first-error-by-index discipline as `exec::map_slice` (see
+//! `docs/concurrency.md`).
 
 use std::sync::Arc;
 
+use clio_obs::Recorder;
 use clio_relational::database::Database;
 use clio_relational::exec;
 use clio_relational::index::ValueIndex;
@@ -162,22 +164,25 @@ impl SessionPool {
     /// a time, returning each job's result **in input order**.
     ///
     /// Each job `i` receives a fresh session from [`SessionPool::session`]
-    /// and runs with observability session label `i` installed and a
-    /// `session.<i>` span open, so counters and spans aggregate per
-    /// session. Engine parallelism *inside* a job is divided fairly:
-    /// each job sees an engine thread budget of `threads() / width`
-    /// (at least 1). A panicking job propagates to the caller.
+    /// and runs under its own scope recorder named `i` (see
+    /// [`Recorder::scope`]) with a `session.<i>` span open, so counters,
+    /// spans and histograms aggregate per session. The recorders are
+    /// opened in job order before the fan-out, which is the order the
+    /// report lists them in. Engine parallelism *inside* a job is
+    /// divided fairly: each job sees an engine thread budget of
+    /// `threads() / width` (at least 1). A panicking job propagates to
+    /// the caller.
     pub fn run<R, F>(&self, jobs: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, Session) -> R + Sync,
     {
-        let indices: Vec<usize> = (0..jobs).collect();
+        let recorders: Vec<Arc<Recorder>> =
+            (0..jobs).map(|i| Recorder::scope(&i.to_string())).collect();
         let workers = self.width.min(jobs.max(1));
         let inner_threads = (exec::threads() / workers).max(1);
-        exec::map_slice_with(workers, &indices, "session.pool.worker", |_, &i| {
-            clio_obs::metrics::with_session(Some(i as u64), || {
-                clio_obs::metrics::touch_session(i as u64);
+        exec::map_slice_with(workers, &recorders, "session.pool.worker", |i, recorder| {
+            recorder.run(|| {
                 exec::with_threads(inner_threads, || {
                     let _span = clio_obs::span(session_span_name(i));
                     f(i, self.session())
@@ -325,30 +330,51 @@ mod tests {
     }
 
     #[test]
-    fn pooled_jobs_mirror_histograms_per_session() {
-        let _guard = crate::obs_testutil::lock();
-        clio_obs::set_trace_enabled(true);
-        clio_obs::clear_histograms();
+    fn pooled_jobs_record_into_their_own_scopes() {
         let pool = SessionPool::new(db(), target()).with_width(2);
-        let _ = pool.run(2, |_, s| preview_rows(s));
-        clio_obs::set_trace_enabled(false);
-        let _ = clio_obs::take_spans();
-        clio_obs::clear_events();
-        let sessions = clio_obs::hist::session_histograms();
-        clio_obs::clear_histograms();
-        let labels: Vec<u64> = sessions.iter().map(|(l, _)| *l).collect();
-        assert!(
-            labels.contains(&0) && labels.contains(&1),
-            "both jobs must mirror histograms: {labels:?}"
-        );
-        for (label, entries) in &sessions {
-            if *label > 1 {
-                continue; // spans leaked from concurrently-running tests
-            }
-            assert!(
-                entries.iter().any(|(n, _)| n.starts_with("session.")),
-                "session {label} missing its own span histogram: {entries:?}"
-            );
+        // Opened under an always-on recorder, the jobs' scopes record
+        // without the process switches.
+        let scopes = Recorder::new().run(|| {
+            pool.run(2, |_, s| {
+                preview_rows(s);
+                clio_obs::current_recorder().expect("job scope")
+            })
+        });
+        for (i, scope) in scopes.iter().enumerate() {
+            assert_eq!(scope.name(), Some(i.to_string().as_str()));
+            let sessions: Vec<&str> = scope
+                .histograms()
+                .into_iter()
+                .map(|(n, _)| n)
+                .filter(|n| n.starts_with("session."))
+                .collect();
+            assert_eq!(sessions, [session_span_name(i)], "job {i}");
+            assert!(scope.snapshot().get(clio_obs::Counter::JoinProbes) > 0);
+        }
+    }
+
+    #[test]
+    fn concurrent_jobs_count_exactly_what_a_serial_session_counts() {
+        let serial = Recorder::new();
+        let pool = SessionPool::new(db(), target()).with_width(4);
+        serial.run(|| preview_rows(pool.session()));
+        let scopes = Recorder::new().run(|| {
+            pool.run(4, |_, s| {
+                preview_rows(s);
+                clio_obs::current_recorder().expect("job scope")
+            })
+        });
+        // `cache.saved_ns` sums measured wall-clock time; every other
+        // counter is a deterministic work count.
+        let work = |r: &Recorder| {
+            let snap = r.snapshot();
+            snap.entries()
+                .filter(|&(name, _)| name != "cache.saved_ns")
+                .collect::<Vec<_>>()
+        };
+        assert!(serial.snapshot().get(clio_obs::Counter::JoinProbes) > 0);
+        for scope in &scopes {
+            assert_eq!(work(scope), work(&serial), "{:?}", scope.name());
         }
     }
 

@@ -18,7 +18,7 @@
 //!   away a newcomer worth less than the residents it would displace
 //!   (see `docs/incremental.md`, *Eviction*).
 //!
-//! Lookups and insertions mirror into the global `cache.*` counters of
+//! Lookups and insertions count into the `cache.*` counters of
 //! [`clio_obs`] (when metrics are enabled) and into per-cache
 //! [`CacheStats`] (always, for the `cache` shell command).
 

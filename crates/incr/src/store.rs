@@ -70,7 +70,7 @@ pub struct StoreStats {
 }
 
 /// Shared bookkeeping for store implementations: local [`StoreStats`]
-/// mirrored into the global `cache.spills` / `cache.disk_hits` /
+/// mirrored into the `clio_obs` `cache.spills` / `cache.disk_hits` /
 /// `cache.disk_bytes` / `cache.load_errors` counters.
 #[derive(Debug, Default)]
 pub struct StoreCounters {

@@ -5,15 +5,15 @@
 //! [`ServerConfig::max_conns`] (excess connections wait in the OS
 //! accept backlog — backpressure, not rejection). Each connection gets
 //! a fresh [`Handler`] from the caller's factory, a `conn.<n>` obs
-//! session label so per-connection counters and histograms mirror for
-//! free, and a per-request idle deadline. Malformed frames are answered
-//! with a one-line `error: ...` frame and the connection continues
-//! (truncated frames close it — the stream can no longer be trusted);
-//! idle timeouts close the connection after an error frame, and so
-//! does a request whose handler panics (`net.handler_panics`). A client
-//! sending the `shutdown` command stops the whole server: the listener
-//! stops accepting, in-flight requests finish, and `run` returns once
-//! every connection thread has drained.
+//! scope recorder so each connection's counters, spans and histograms
+//! are its own, and a per-request idle deadline. Malformed frames are
+//! answered with a one-line `error: ...` frame and the connection
+//! continues (truncated frames close it — the stream can no longer be
+//! trusted); idle timeouts close the connection after an error frame,
+//! and so does a request whose handler panics (`net.handler_panics`).
+//! A client sending the `shutdown` command stops the whole server: the
+//! listener stops accepting, in-flight requests finish, and `run`
+//! returns once every connection thread has drained.
 //!
 //! All error paths report through `clio_obs::warn_limited` under
 //! `net.*` categories, so a flapping client cannot flood stderr.
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clio_obs::metrics::{self, Counter};
-use clio_obs::{hist, warn_limited};
+use clio_obs::{hist, warn_limited, Recorder};
 
 use crate::frame;
 
@@ -188,12 +188,15 @@ impl Server {
                         metrics::incr(Counter::NetActive);
                         active.fetch_add(1, Ordering::Relaxed);
                         let handler = factory(id);
+                        // Opened here, in accept order: the order the
+                        // report lists connections in.
+                        let recorder = Recorder::scope(&format!("conn.{id}"));
                         let active = &active;
                         let config = &self.config;
                         let stop = &self.stop;
                         scope.spawn(move || {
                             let _slot = Slot(active);
-                            serve_connection(&stream, id, handler, config, stop);
+                            recorder.run(|| serve_connection(&stream, id, handler, config, stop));
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -354,7 +357,7 @@ fn send(stream: &TcpStream, id: u64, text: &str) -> bool {
     }
 }
 
-/// Serve one connection to completion under its `conn.<n>` obs label.
+/// Serve one connection to completion.
 fn serve_connection(
     stream: &TcpStream,
     id: u64,
@@ -370,12 +373,8 @@ fn serve_connection(
         return;
     }
     stream.set_nodelay(true).ok();
-    metrics::set_session_name(id, &format!("conn.{id}"));
-    metrics::with_session(Some(id), || {
-        metrics::touch_session(id);
-        let _span = clio_obs::span(conn_span_name(id));
-        connection_loop(stream, id, handler.as_mut(), config, stop);
-    });
+    let _span = clio_obs::span(conn_span_name(id));
+    connection_loop(stream, id, handler.as_mut(), config, stop);
 }
 
 fn connection_loop(

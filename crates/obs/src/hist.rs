@@ -8,14 +8,16 @@
 //! `min`, and `max` are exact; percentiles are bucket upper bounds
 //! clamped into `[min, max]`.
 //!
-//! Like the counter registry, histograms mirror into a per-session
-//! table when the recording thread carries a session label (see
-//! [`crate::metrics::with_session`]), which is how batch runs report
-//! per-session latency distributions.
+//! Histograms live in [`Recorder`](crate::Recorder)s, like counters: a
+//! duration lands in the process recorder while tracing is on and in
+//! the current scope recorder while that scope records, which is how
+//! batch sessions and connections report their own latency
+//! distributions.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
+
+use crate::recorder::{self, TRACE};
 
 /// Sub-bucket resolution: 2³ = 8 sub-buckets per octave.
 const SUB_BITS: u32 = 3;
@@ -45,7 +47,7 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 #[derive(Debug, Default, Clone)]
-struct Hist {
+pub(crate) struct Hist {
     count: u64,
     sum_ns: u64,
     min_ns: u64,
@@ -54,7 +56,7 @@ struct Hist {
 }
 
 impl Hist {
-    fn observe(&mut self, ns: u64) {
+    pub(crate) fn observe(&mut self, ns: u64) {
         if self.count == 0 || ns < self.min_ns {
             self.min_ns = ns;
         }
@@ -66,7 +68,7 @@ impl Hist {
         *self.buckets.entry(bucket_index(ns)).or_default() += 1;
     }
 
-    fn snapshot(&self) -> HistSnapshot {
+    pub(crate) fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             count: self.count,
             sum_ns: self.sum_ns,
@@ -113,28 +115,11 @@ impl HistSnapshot {
     }
 }
 
-type Table = BTreeMap<&'static str, Hist>;
-
-static GLOBAL: Mutex<Table> = Mutex::new(BTreeMap::new());
-static SESSIONS: Mutex<BTreeMap<u64, Table>> = Mutex::new(BTreeMap::new());
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Record one duration under `name`, mirroring into the current
-/// session's table when the thread carries a session label.
-/// Unconditional — callers gate on tracing via [`start`].
+/// Record one duration under `name` in every recorder this thread
+/// traces into. Callers gate on tracing via [`start`] or
+/// [`crate::trace_enabled`].
 pub fn record(name: &'static str, ns: u64) {
-    lock(&GLOBAL).entry(name).or_default().observe(ns);
-    if let Some(label) = crate::metrics::current_session() {
-        lock(&SESSIONS)
-            .entry(label)
-            .or_default()
-            .entry(name)
-            .or_default()
-            .observe(ns);
-    }
+    recorder::each(TRACE, |r| r.observe(name, ns));
 }
 
 /// Start a timing measurement: `Some(now)` while tracing is enabled,
@@ -153,43 +138,6 @@ pub fn finish(name: &'static str, timer: Option<Instant>) {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
         );
     }
-}
-
-/// Snapshot every global histogram, sorted by span name.
-#[must_use]
-pub fn snapshot_histograms() -> Vec<(&'static str, HistSnapshot)> {
-    lock(&GLOBAL)
-        .iter()
-        .map(|(&n, h)| (n, h.snapshot()))
-        .collect()
-}
-
-/// Snapshot every per-session histogram table, sorted by session label.
-#[must_use]
-pub fn session_histograms() -> Vec<(u64, Vec<(&'static str, HistSnapshot)>)> {
-    lock(&SESSIONS)
-        .iter()
-        .map(|(&label, t)| (label, t.iter().map(|(&n, h)| (n, h.snapshot())).collect()))
-        .collect()
-}
-
-/// Histograms for the calling context: the current session's table when
-/// the thread carries a session label, the global table otherwise.
-#[must_use]
-pub fn context_histograms() -> Vec<(&'static str, HistSnapshot)> {
-    match crate::metrics::current_session() {
-        Some(label) => lock(&SESSIONS)
-            .get(&label)
-            .map(|t| t.iter().map(|(&n, h)| (n, h.snapshot())).collect())
-            .unwrap_or_default(),
-        None => snapshot_histograms(),
-    }
-}
-
-/// Discard all histograms (global and per-session).
-pub fn clear_histograms() {
-    lock(&GLOBAL).clear();
-    lock(&SESSIONS).clear();
 }
 
 /// Render histogram entries as a JSON object keyed by span name, each

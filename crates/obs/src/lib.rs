@@ -1,18 +1,21 @@
 //! # clio-obs — observability for the Clio engine
 //!
 //! A **std-only** (zero external dependencies) observability layer with
-//! two halves:
+//! two halves, both recorded into [`Recorder`]s:
 //!
-//! * [`metrics`] — a registry of named **monotonic counters** for engine
-//!   work units (tuples scanned, join probes, subsumption comparisons,
-//!   …). Counters are global relaxed `AtomicU64`s behind a single
-//!   relaxed `AtomicBool`; when disabled, every instrumentation site
-//!   costs one atomic load and a branch.
+//! * [`metrics`] — named **monotonic counters** for engine work units
+//!   (tuples scanned, join probes, subsumption comparisons, …).
 //! * [`trace`] — hierarchical **span tracing** via RAII guards. Spans
-//!   nest through a thread-local stack and finished spans land in a
-//!   thread-safe global collector; the whole subsystem is gated by one
-//!   relaxed `AtomicBool` so disabled tracing is a load-and-branch with
-//!   no clock reads.
+//!   nest through a thread-local stack; each finished span also feeds a
+//!   per-name latency histogram ([`hist`]).
+//!
+//! A [`Recorder`] holds one scope's counter table, finished spans and
+//! histograms. The process recorder totals everything recorded while
+//! the process switches are on ([`set_metrics_enabled`],
+//! [`set_trace_enabled`]); a batch session, a network connection or a
+//! test installs a recorder of its own on its threads, and only its own
+//! work lands there (see [`recorder`]). While nothing records, every
+//! instrumentation site costs one relaxed atomic load and a branch.
 //!
 //! Hot loops are expected to accumulate counts in locals and flush once
 //! per operation via [`metrics::add`]; see `clio-relational`'s
@@ -20,11 +23,12 @@
 //!
 //! ## Reports
 //!
-//! [`report_json`] renders the counter snapshot (and the span tree, when
-//! any spans were recorded) as a JSON document; the schema is documented
-//! in `docs/observability.md`. [`trace::render_tree`] renders finished
-//! spans as an indented human-readable tree whose per-span totals sum
-//! consistently with their parents (`self = total − Σ children`).
+//! [`report_json`] renders the process counters, the named scopes'
+//! counter tables, the latency histograms and the span tree as one JSON
+//! document; the schema is documented in `docs/observability.md`.
+//! [`trace::render_tree`] renders finished spans as an indented
+//! human-readable tree whose per-span totals sum consistently with their
+//! parents (`self = total − Σ children`).
 
 #![warn(missing_docs)]
 
@@ -32,17 +36,17 @@ pub mod events;
 pub mod hist;
 pub mod json;
 pub mod metrics;
+pub mod recorder;
 pub mod trace;
 pub mod warn;
 
-pub use events::{chrome_trace_jsonl, clear_events, snapshot_events, take_events, EventRecord};
-pub use hist::{clear_histograms, snapshot_histograms, HistSnapshot};
-pub use metrics::{
-    add, incr, metrics_enabled, reset_metrics, set_metrics_enabled, snapshot, sub, Counter,
-};
+pub use events::chrome_trace_jsonl;
+pub use hist::HistSnapshot;
+pub use metrics::{add, incr, metrics_enabled, set_metrics_enabled, snapshot, sub, Counter};
+pub use recorder::{current_recorder, process, with_current, with_recorder, Recorder};
 pub use trace::{
-    clear_spans, fmt_ns, render_profile, render_tree_filtered, set_slow_threshold_ns,
-    set_trace_enabled, slow_threshold_ns, snapshot_spans, span, take_spans, trace_enabled, Span,
+    fmt_ns, render_profile, render_tree_filtered, set_slow_threshold_ns, set_trace_enabled,
+    slow_threshold_ns, span, trace_enabled, Span,
 };
 pub use warn::{reset_warnings, warn_counts, warn_limited, warn_summary};
 
@@ -52,12 +56,11 @@ pub fn set_enabled(on: bool) {
     trace::set_trace_enabled(on);
 }
 
-/// One JSON document with the current counter snapshot, per-session
-/// counter tables (when any session labels recorded work — see
-/// [`metrics::with_session`]), per-span-name latency histograms and
-/// their per-session mirrors (when any durations were recorded — i.e.
-/// under tracing), and the aggregated span tree (when any spans have
-/// been collected):
+/// One JSON document with the process counters, the counter table of
+/// every named scope opened while the process counted (see
+/// [`Recorder::scope`]), the process latency histograms and the scopes'
+/// (when any durations were recorded — i.e. under tracing), and the
+/// aggregated span tree (when any spans have been collected):
 ///
 /// ```json
 /// {"counters": {...}, "sessions": {"0": {...}},
@@ -70,46 +73,23 @@ pub fn set_enabled(on: bool) {
 /// invariant in `scripts/verify.sh`).
 #[must_use]
 pub fn report_json() -> String {
-    let snap = metrics::snapshot();
-    let spans = trace::snapshot_spans();
+    let process = recorder::process();
+    let scopes = recorder::scopes();
     let mut out = String::from("{\n  \"counters\": ");
-    out.push_str(&snap.to_json_object(2));
-    let labels = metrics::session_labels();
-    if !labels.is_empty() {
-        out.push_str(",\n  \"sessions\": {");
-        for (i, label) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let table = metrics::session_snapshot(*label).unwrap_or_else(metrics::snapshot);
-            out.push_str(&format!(
-                "\n    {}: ",
-                json::quote(&metrics::session_display(*label))
-            ));
-            out.push_str(&table.to_json_object(4));
-        }
-        out.push_str("\n  }");
-    }
-    let hists = hist::snapshot_histograms();
+    out.push_str(&process.snapshot().to_json_object(2));
+    push_scopes(&mut out, "sessions", &scopes, |r| {
+        Some(r.snapshot().to_json_object(4))
+    });
+    let hists = process.histograms();
     if !hists.is_empty() {
         out.push_str(",\n  \"histograms\": ");
         out.push_str(&hist::hists_to_json(&hists, 2));
     }
-    let session_hists = hist::session_histograms();
-    if !session_hists.is_empty() {
-        out.push_str(",\n  \"session_histograms\": {");
-        for (i, (label, entries)) in session_hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: ",
-                json::quote(&metrics::session_display(*label))
-            ));
-            out.push_str(&hist::hists_to_json(entries, 4));
-        }
-        out.push_str("\n  }");
-    }
+    push_scopes(&mut out, "session_histograms", &scopes, |r| {
+        let hists = r.histograms();
+        (!hists.is_empty()).then(|| hist::hists_to_json(&hists, 4))
+    });
+    let spans = process.spans();
     if !spans.is_empty() {
         out.push_str(",\n  \"spans\": ");
         out.push_str(&trace::spans_to_json(&spans, 2));
@@ -118,8 +98,22 @@ pub fn report_json() -> String {
     out
 }
 
-#[cfg(test)]
-pub(crate) mod testutil {
-    //! Serializes tests that toggle the global trace/histogram/event state.
-    pub static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Append `,"key": {"<scope>": <body>, ...}` over the scopes `body`
+/// renders; nothing when it renders none.
+fn push_scopes(
+    out: &mut String,
+    key: &str,
+    scopes: &[Recorder],
+    body: impl Fn(&Recorder) -> Option<String>,
+) {
+    let entries: Vec<String> = scopes
+        .iter()
+        .filter_map(|r| {
+            let name = json::quote(r.name().unwrap_or_default());
+            body(r).map(|b| format!("\n    {name}: {b}"))
+        })
+        .collect();
+    if !entries.is_empty() {
+        out.push_str(&format!(",\n  \"{key}\": {{{}\n  }}", entries.join(",")));
+    }
 }

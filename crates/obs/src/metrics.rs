@@ -1,27 +1,17 @@
 //! Named monotonic counters for engine work units.
 //!
-//! Counters are global relaxed `AtomicU64`s indexed by the [`Counter`]
-//! enum, gated by a single relaxed `AtomicBool`. Disabled counting is a
-//! load-and-branch; enabled counting is a relaxed `fetch_add`. Hot
-//! loops should accumulate into locals and [`add`] once per operation.
-//!
-//! ## Per-session aggregation
-//!
-//! A thread may carry an optional numeric **session label** (installed
-//! with [`with_session`] or [`set_session`]; inherited by `exec` pool
-//! workers). While a label is active, every enabled [`add`] is mirrored
-//! into a per-label counter table alongside the global one, giving each
-//! concurrent session its own view (see `docs/concurrency.md`). The
-//! labeled tables surface through [`session_snapshot`] and the
-//! `"sessions"` object of the `--metrics` JSON report.
+//! Counters are indexed by the [`Counter`] enum and live in
+//! [`Recorder`](crate::Recorder)s: [`add`] lands in the process recorder
+//! while counting is on and in the current thread's scope recorder while
+//! that scope records (see [`crate::recorder`]). Disabled counting is a
+//! load-and-branch; enabled counting is one relaxed `fetch_add` per
+//! recorder. Hot loops should accumulate into locals and [`add`] once
+//! per operation.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use crate::recorder::{self, METRICS};
 
-/// Every engine counter. The discriminant doubles as the index into the
-/// global counter table.
+/// Every engine counter. The discriminant doubles as the index into a
+/// recorder's counter table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
@@ -240,135 +230,23 @@ impl Counter {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-static COUNTERS: [AtomicU64; COUNTER_COUNT] = [ZERO; COUNTER_COUNT];
-
-thread_local! {
-    /// The session label carried by the current thread, if any.
-    static SESSION: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Per-label counter tables, keyed by session label. A `BTreeMap` so
-/// JSON reports list sessions in label order.
-static SESSION_COUNTERS: Mutex<BTreeMap<u64, [u64; COUNTER_COUNT]>> = Mutex::new(BTreeMap::new());
-
-/// Display names for session labels. Batch sessions keep their numeric
-/// label; the network front-end registers `conn.<n>` so per-connection
-/// tables are recognizable in reports (see [`session_display`]).
-static SESSION_NAMES: Mutex<BTreeMap<u64, String>> = Mutex::new(BTreeMap::new());
-
-fn names_lock() -> MutexGuard<'static, BTreeMap<u64, String>> {
-    SESSION_NAMES.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Register a display name for a session label, used as the label's key
-/// in JSON reports. Unnamed labels render as the number itself, which
-/// keeps batch-mode reports byte-identical.
-pub fn set_session_name(label: u64, name: &str) {
-    names_lock().insert(label, name.to_owned());
-}
-
-/// The display name for a session label: the registered name, or the
-/// numeric label rendered as a string.
-#[must_use]
-pub fn session_display(label: u64) -> String {
-    names_lock()
-        .get(&label)
-        .cloned()
-        .unwrap_or_else(|| label.to_string())
-}
-
-fn session_lock() -> MutexGuard<'static, BTreeMap<u64, [u64; COUNTER_COUNT]>> {
-    SESSION_COUNTERS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Install (or clear, with `None`) the current thread's session label.
-/// Prefer [`with_session`], which restores the previous label.
-pub fn set_session(label: Option<u64>) {
-    SESSION.with(|s| s.set(label));
-}
-
-/// The current thread's session label, if one is installed.
-#[must_use]
-pub fn current_session() -> Option<u64> {
-    SESSION.with(Cell::get)
-}
-
-/// Run `f` with the given session label installed on this thread,
-/// restoring the previous label afterwards (also on panic).
-pub fn with_session<R>(label: Option<u64>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SESSION.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(SESSION.with(|s| s.replace(label)));
-    f()
-}
-
-/// Ensure a (possibly all-zero) counter table exists for `label`, so a
-/// session that did no counted work still appears in reports. No-op
-/// while metrics are disabled.
-pub fn touch_session(label: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        session_lock().entry(label).or_insert([0; COUNTER_COUNT]);
-    }
-}
-
-/// Labels that have recorded (or touched) a per-session counter table,
-/// in ascending order.
-#[must_use]
-pub fn session_labels() -> Vec<u64> {
-    session_lock().keys().copied().collect()
-}
-
-/// Snapshot of one session's counter table, if that label has recorded
-/// anything.
-#[must_use]
-pub fn session_snapshot(label: u64) -> Option<MetricsSnapshot> {
-    session_lock()
-        .get(&label)
-        .map(|values| MetricsSnapshot { values: *values })
-}
-
-/// The snapshot for the current context: the per-session table when this
-/// thread carries a label (and the label has recorded work), the global
-/// table otherwise. The `stats` shell command uses this so each pooled
-/// session reports its own work.
-#[must_use]
-pub fn context_snapshot() -> MetricsSnapshot {
-    current_session()
-        .and_then(session_snapshot)
-        .unwrap_or_else(snapshot)
-}
-
-/// Turn counting on or off (off by default).
+/// Turn process-wide counting on or off (off by default).
 pub fn set_metrics_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    recorder::set_switch(METRICS, on);
 }
 
-/// Whether counting is currently on.
+/// Whether work on this thread is counted: process counting is on, or
+/// an always-on scope is installed.
 #[must_use]
 pub fn metrics_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    recorder::recording(METRICS)
 }
 
-/// Add `n` to a counter (no-op while disabled). When the current thread
-/// carries a session label, the add is mirrored into that session's
-/// table as well as the global one.
+/// Add `n` to a counter (no-op while disabled).
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-        if let Some(label) = SESSION.with(Cell::get) {
-            session_lock().entry(label).or_insert([0; COUNTER_COUNT])[counter as usize] += n;
-        }
+    if recorder::open(METRICS) {
+        recorder::each(METRICS, |r| r.add(counter, n));
     }
 }
 
@@ -383,50 +261,21 @@ pub fn incr(counter: Counter) {
 /// [`Counter::NetActive`], decremented when a connection closes; every
 /// other counter stays monotonic.
 pub fn sub(counter: Counter, n: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        let _ =
-            COUNTERS[counter as usize].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-        if let Some(label) = SESSION.with(Cell::get) {
-            let mut sessions = session_lock();
-            let slot = &mut sessions.entry(label).or_insert([0; COUNTER_COUNT])[counter as usize];
-            *slot = slot.saturating_sub(n);
-        }
+    if recorder::open(METRICS) {
+        recorder::each(METRICS, |r| r.sub(counter, n));
     }
-}
-
-/// Current value of one counter.
-#[must_use]
-pub fn value(counter: Counter) -> u64 {
-    COUNTERS[counter as usize].load(Ordering::Relaxed)
-}
-
-/// Zero every counter, global and per-session, and forget registered
-/// session names (leaves the enabled flag and installed session labels
-/// untouched).
-pub fn reset_metrics() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    session_lock().clear();
-    names_lock().clear();
 }
 
 /// A point-in-time copy of every counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    values: [u64; COUNTER_COUNT],
+    pub(crate) values: [u64; COUNTER_COUNT],
 }
 
-/// Read all counters at once.
+/// Read the process counter totals.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    let mut values = [0u64; COUNTER_COUNT];
-    for (slot, c) in values.iter_mut().zip(&COUNTERS) {
-        *slot = c.load(Ordering::Relaxed);
-    }
-    MetricsSnapshot { values }
+    recorder::process().snapshot()
 }
 
 impl MetricsSnapshot {
@@ -504,30 +353,24 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Counter state is process-global; tests in this module serialize
-    // themselves so their exact-value assertions cannot race.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::Recorder;
 
     #[test]
-    fn disabled_adds_are_dropped() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(false);
-        reset_metrics();
-        add(Counter::JoinProbes, 100);
-        assert_eq!(value(Counter::JoinProbes), 0);
+    fn adds_outside_a_recording_scope_are_dropped() {
+        let rec = Recorder::scope("metrics.test.off");
+        rec.run(|| add(Counter::JoinProbes, 100));
+        assert_eq!(rec.snapshot().get(Counter::JoinProbes), 0);
     }
 
     #[test]
-    fn enabled_adds_accumulate_and_snapshot() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(true);
-        reset_metrics();
-        add(Counter::JoinProbes, 3);
-        incr(Counter::JoinProbes);
-        add(Counter::TuplesSubsumed, 7);
-        let snap = snapshot();
-        set_metrics_enabled(false);
+    fn adds_accumulate_and_snapshot() {
+        let rec = Recorder::new();
+        rec.run(|| {
+            add(Counter::JoinProbes, 3);
+            incr(Counter::JoinProbes);
+            add(Counter::TuplesSubsumed, 7);
+        });
+        let snap = rec.snapshot();
         assert_eq!(snap.get(Counter::JoinProbes), 4);
         assert_eq!(snap.get(Counter::TuplesSubsumed), 7);
         assert_eq!(snap.get(Counter::CoverNodes), 0);
@@ -540,96 +383,38 @@ mod tests {
 
     #[test]
     fn since_subtracts_baseline() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(true);
-        reset_metrics();
-        add(Counter::TuplesScanned, 10);
-        let base = snapshot();
-        add(Counter::TuplesScanned, 5);
-        let delta = snapshot().since(&base);
-        set_metrics_enabled(false);
+        let rec = Recorder::new();
+        rec.run(|| add(Counter::TuplesScanned, 10));
+        let base = rec.snapshot();
+        rec.run(|| add(Counter::TuplesScanned, 5));
+        let delta = rec.snapshot().since(&base);
         assert_eq!(delta.get(Counter::TuplesScanned), 5);
     }
 
     #[test]
-    fn session_labels_mirror_adds_and_restore() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(true);
-        reset_metrics();
-        assert!(session_labels().is_empty());
-        add(Counter::JoinProbes, 2); // unlabeled: global only
-        with_session(Some(7), || {
-            assert_eq!(current_session(), Some(7));
-            add(Counter::JoinProbes, 5);
-            with_session(Some(9), || add(Counter::TuplesScanned, 1));
-            assert_eq!(current_session(), Some(7), "nested label restored");
+    fn sub_saturates() {
+        let rec = Recorder::new();
+        rec.run(|| {
+            add(Counter::NetActive, 3);
+            sub(Counter::NetActive, 2);
         });
-        assert_eq!(current_session(), None);
-        touch_session(11);
-        set_metrics_enabled(false);
-        assert_eq!(session_labels(), vec![7, 9, 11]);
-        let s7 = session_snapshot(7).expect("session 7 recorded");
-        assert_eq!(s7.get(Counter::JoinProbes), 5);
-        assert_eq!(s7.get(Counter::TuplesScanned), 0);
-        let s9 = session_snapshot(9).expect("session 9 recorded");
-        assert_eq!(s9.get(Counter::TuplesScanned), 1);
-        let s11 = session_snapshot(11).expect("touched session present");
-        assert_eq!(s11.get(Counter::JoinProbes), 0);
-        // global table saw everything
-        assert_eq!(snapshot().get(Counter::JoinProbes), 7);
-        assert!(session_snapshot(42).is_none());
-        reset_metrics();
-        assert!(session_labels().is_empty(), "reset clears session tables");
-    }
-
-    #[test]
-    fn context_snapshot_prefers_the_thread_label() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(true);
-        reset_metrics();
-        add(Counter::JoinProbes, 10);
-        let ctx = with_session(Some(3), || {
-            add(Counter::JoinProbes, 1);
-            context_snapshot()
-        });
-        let global = context_snapshot();
-        set_metrics_enabled(false);
-        assert_eq!(ctx.get(Counter::JoinProbes), 1);
-        assert_eq!(global.get(Counter::JoinProbes), 11);
-        reset_metrics();
-    }
-
-    #[test]
-    fn sub_saturates_and_mirrors_sessions() {
-        let _guard = LOCK.lock().unwrap();
-        set_metrics_enabled(true);
-        reset_metrics();
-        add(Counter::NetActive, 3);
-        sub(Counter::NetActive, 2);
-        assert_eq!(value(Counter::NetActive), 1);
-        sub(Counter::NetActive, 10);
-        assert_eq!(value(Counter::NetActive), 0, "saturates at zero");
-        with_session(Some(4), || {
-            add(Counter::NetActive, 2);
-            sub(Counter::NetActive, 1);
-        });
-        let s4 = session_snapshot(4).expect("session 4 recorded");
-        set_metrics_enabled(false);
-        assert_eq!(s4.get(Counter::NetActive), 1);
-        sub(Counter::NetActive, 1);
-        assert_eq!(value(Counter::NetActive), 1, "disabled subs are dropped");
-        reset_metrics();
-    }
-
-    #[test]
-    fn session_names_register_and_reset() {
-        let _guard = LOCK.lock().unwrap();
-        reset_metrics();
-        assert_eq!(session_display(3), "3", "unnamed labels stay numeric");
-        set_session_name(3, "conn.3");
-        assert_eq!(session_display(3), "conn.3");
-        reset_metrics();
-        assert_eq!(session_display(3), "3", "reset forgets names");
+        assert_eq!(rec.snapshot().get(Counter::NetActive), 1);
+        rec.run(|| sub(Counter::NetActive, 10));
+        assert_eq!(
+            rec.snapshot().get(Counter::NetActive),
+            0,
+            "saturates at zero"
+        );
+        // Under a scope that does not record, a sub is dropped: it
+        // reaches neither that scope nor the always-on scope around it.
+        rec.run(|| add(Counter::NetActive, 1));
+        let off = Recorder::scope("metrics.test.sub_off");
+        rec.run(|| off.run(|| sub(Counter::NetActive, 1)));
+        assert_eq!(
+            rec.snapshot().get(Counter::NetActive),
+            1,
+            "disabled subs are dropped"
+        );
     }
 
     #[test]

@@ -2,28 +2,27 @@
 //!
 //! [`span`] returns a guard; guards opened while another guard is alive
 //! on the same thread become its children (a thread-local stack tracks
-//! nesting). Finished spans are appended to a thread-safe global
-//! collector. The whole subsystem is gated by one relaxed `AtomicBool`:
-//! while disabled, [`span`] is a load-and-branch that never reads the
-//! clock and its guard's `Drop` does nothing.
+//! nesting). A finished span lands, with its duration in the per-name
+//! latency histogram ([`crate::hist`]), in the process recorder while
+//! tracing is on and in the current scope recorder while that scope
+//! records (see [`crate::recorder`]). While nothing traces, [`span`] is
+//! a load-and-branch that never reads the clock and its guard's `Drop`
+//! does nothing.
 //!
-//! While enabled, each finished span also feeds the timing-telemetry
-//! surface: its duration lands in the per-name latency histogram
-//! ([`crate::hist`]) and the bounded event ring ([`crate::events`]),
-//! and a span slower than the configured threshold (see
+//! A span slower than the configured threshold (see
 //! [`set_slow_threshold_ns`]) emits a rate-limited stderr warning with
 //! its ancestry path.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use crate::recorder::{self, TRACE};
+
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-static COLLECTOR: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 /// Spans at least this slow warn on drop; 0 disables the check.
 static SLOW_NS: AtomicU64 = AtomicU64::new(0);
 
@@ -32,14 +31,14 @@ thread_local! {
     static THREAD_ORDINAL: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Turn tracing on or off (off by default). Enabling pins the process
-/// trace epoch (see [`crate::events::epoch`]) so event offsets start
-/// near zero.
+/// Turn process-wide tracing on or off (off by default). Enabling pins
+/// the process trace epoch (see [`crate::events::epoch`]) so span
+/// start offsets begin near zero.
 pub fn set_trace_enabled(on: bool) {
     if on {
         crate::events::epoch();
     }
-    ENABLED.store(on, Ordering::Relaxed);
+    recorder::set_switch(TRACE, on);
 }
 
 /// Warn (rate-limited, with the span's ancestry path) whenever a span's
@@ -55,10 +54,11 @@ pub fn slow_threshold_ns() -> u64 {
     SLOW_NS.load(Ordering::Relaxed)
 }
 
-/// Whether tracing is currently on.
+/// Whether spans opened on this thread are recorded: process tracing is
+/// on, or an always-on scope is installed.
 #[must_use]
 pub fn trace_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    recorder::recording(TRACE)
 }
 
 /// One finished span.
@@ -74,6 +74,11 @@ pub struct SpanRecord {
     pub nanos: u128,
     /// Ordinal of the thread the span ran on.
     pub thread: u64,
+    /// Span start, nanoseconds since the process trace epoch.
+    pub start_ns: u64,
+    /// Name of the scope recorder the span ran under (a batch session or
+    /// a connection), if any.
+    pub scope: Option<Arc<str>>,
 }
 
 /// RAII guard for one span; the span finishes when the guard drops.
@@ -90,8 +95,8 @@ struct ActiveSpan {
     start: Instant,
 }
 
-/// Open a span. While tracing is disabled this is one relaxed atomic
-/// load and returns an inert guard.
+/// Open a span. While nothing traces this is one relaxed atomic load
+/// and returns an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !trace_enabled() {
@@ -140,33 +145,17 @@ impl Drop for Span {
                 path.join(" > ")
             })
         });
-        let thread = THREAD_ORDINAL.with(|t| *t);
+        let start = active.start.saturating_duration_since(active.epoch);
         let record = SpanRecord {
             id: active.id,
             parent: active.parent,
             name: active.name,
             nanos,
-            thread,
+            thread: THREAD_ORDINAL.with(|t| *t),
+            start_ns: u64::try_from(start.as_nanos()).unwrap_or(u64::MAX),
+            scope: recorder::current_name(),
         };
-        COLLECTOR
-            .lock()
-            .expect("span collector poisoned")
-            .push(record);
-        crate::hist::record(active.name, dur_ns);
-        let start_ns = u64::try_from(
-            active
-                .start
-                .saturating_duration_since(active.epoch)
-                .as_nanos(),
-        )
-        .unwrap_or(u64::MAX);
-        crate::events::record(crate::events::EventRecord {
-            name: active.name,
-            thread,
-            session: crate::metrics::current_session(),
-            start_ns,
-            dur_ns,
-        });
+        recorder::each(TRACE, |r| r.finish_span(record.clone()));
         if let Some(path) = slow_path {
             crate::warn::warn_limited(
                 "slow",
@@ -178,23 +167,6 @@ impl Drop for Span {
             );
         }
     }
-}
-
-/// Drain the collector, returning every finished span.
-#[must_use]
-pub fn take_spans() -> Vec<SpanRecord> {
-    std::mem::take(&mut *COLLECTOR.lock().expect("span collector poisoned"))
-}
-
-/// Copy the collector without draining it.
-#[must_use]
-pub fn snapshot_spans() -> Vec<SpanRecord> {
-    COLLECTOR.lock().expect("span collector poisoned").clone()
-}
-
-/// Discard all collected spans.
-pub fn clear_spans() {
-    COLLECTOR.lock().expect("span collector poisoned").clear();
 }
 
 /// Aggregated view of same-named sibling spans.
@@ -468,35 +440,35 @@ pub fn render_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::LOCK;
+    use crate::Recorder;
+
+    /// The spans `f` finishes, recorded into a recorder of its own.
+    fn traced(f: impl FnOnce()) -> (Vec<SpanRecord>, std::sync::Arc<Recorder>) {
+        let rec = Recorder::new();
+        rec.run(f);
+        (rec.spans(), rec)
+    }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(false);
-        clear_spans();
-        {
-            let _s = span("outer");
-            let _t = span("inner");
-        }
-        assert!(take_spans().is_empty());
+    fn spans_outside_a_recording_scope_are_inert() {
+        let rec = Recorder::scope("trace.test.off");
+        rec.run(|| {
+            let s = span("outer");
+            assert!(s.inner.is_none(), "no clock read, nothing to record");
+        });
+        assert!(rec.spans().is_empty());
     }
 
     #[test]
     fn nesting_and_aggregation_are_consistent() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(true);
-        clear_spans();
-        {
+        let (records, _) = traced(|| {
             let _root = span("root");
             for _ in 0..3 {
                 let _child = span("child");
                 let _leaf = span("leaf");
             }
             let _other = span("other");
-        }
-        set_trace_enabled(false);
-        let records = take_spans();
+        });
         assert_eq!(records.len(), 8);
         let forest = aggregate(&records);
         assert_eq!(forest.len(), 1);
@@ -530,19 +502,14 @@ mod tests {
 
     #[test]
     fn filtered_tree_keeps_matching_subtrees() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(true);
-        clear_spans();
-        {
+        let (records, _) = traced(|| {
             let _root = span("mapping.evaluate");
             {
                 let _c = span("fd.naive");
                 let _l = span("ops.join");
             }
             let _o = span("ops.remove_subsumed");
-        }
-        set_trace_enabled(false);
-        let records = take_spans();
+        });
         let full = render_tree_filtered(&records, "");
         assert_eq!(full, render_tree(&records));
         let fd = render_tree_filtered(&records, "fd.");
@@ -556,42 +523,18 @@ mod tests {
     }
 
     #[test]
-    fn spans_from_spawned_threads_collect_globally() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(true);
-        clear_spans();
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let _s = span("worker");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        set_trace_enabled(false);
-        let records = take_spans();
-        assert_eq!(records.len(), 2);
-        assert!(records.iter().all(|r| r.name == "worker"));
-    }
-
-    #[test]
-    fn finished_spans_feed_histograms_and_events() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(true);
-        clear_spans();
-        crate::hist::clear_histograms();
-        crate::events::clear_events();
-        {
+    fn finished_spans_feed_histograms() {
+        let (records, rec) = traced(|| {
             let _outer = span("timed.outer");
             std::thread::sleep(std::time::Duration::from_millis(1));
             let _inner = span("timed.inner");
-        }
-        set_trace_enabled(false);
-        let records = take_spans();
+        });
         assert_eq!(records.len(), 2);
-        let hists = crate::hist::snapshot_histograms();
+        let find = |name| records.iter().find(|r| r.name == name).unwrap();
+        let (outer_rec, inner_rec) = (find("timed.outer"), find("timed.inner"));
+        assert!(inner_rec.start_ns >= outer_rec.start_ns);
+        assert!(outer_rec.nanos >= inner_rec.nanos);
+        let hists = rec.histograms();
         let (_, outer) = hists
             .iter()
             .find(|(n, _)| *n == "timed.outer")
@@ -599,12 +542,6 @@ mod tests {
         assert_eq!(outer.count, 1);
         assert!(outer.sum_ns >= 1_000_000, "slept 1ms, sum {}", outer.sum_ns);
         assert_eq!(outer.percentile(50), outer.max_ns);
-        let events = crate::events::snapshot_events();
-        assert_eq!(events.len(), 2);
-        let outer_ev = events.iter().find(|e| e.name == "timed.outer").unwrap();
-        let inner_ev = events.iter().find(|e| e.name == "timed.inner").unwrap();
-        assert!(inner_ev.start_ns >= outer_ev.start_ns);
-        assert!(outer_ev.dur_ns >= inner_ev.dur_ns);
         // the profile ranks by self time and shows percentiles
         let profile = render_profile(&records, &hists, 10);
         assert!(
@@ -616,8 +553,6 @@ mod tests {
         let top1 = render_profile(&records, &hists, 1);
         assert!(top1.contains("top 1 by self time"), "{top1}");
         assert_eq!(top1.lines().count(), 2, "{top1}");
-        crate::events::clear_events();
-        crate::hist::clear_histograms();
     }
 
     #[test]
@@ -629,6 +564,8 @@ mod tests {
                 name: "outer",
                 nanos: 10_000,
                 thread: 0,
+                start_ns: 0,
+                scope: None,
             },
             SpanRecord {
                 id: 2,
@@ -636,6 +573,8 @@ mod tests {
                 name: "inner",
                 nanos: 9_000,
                 thread: 0,
+                start_ns: 0,
+                scope: None,
             },
         ];
         let profile = render_profile(&records, &[], 10);
@@ -651,34 +590,5 @@ mod tests {
         let inner_at = profile.find("- inner").unwrap();
         let outer_at = profile.find("- outer").unwrap();
         assert!(inner_at < outer_at, "{profile}");
-    }
-
-    #[test]
-    fn slow_spans_warn_with_counts() {
-        let _guard = LOCK.lock().unwrap();
-        set_trace_enabled(true);
-        clear_spans();
-        let before = {
-            let (p, s) = crate::warn::warn_counts("slow");
-            p + s
-        };
-        set_slow_threshold_ns(1);
-        {
-            let _outer = span("slowtest.outer");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        set_slow_threshold_ns(0);
-        set_trace_enabled(false);
-        let _ = take_spans();
-        crate::events::clear_events();
-        crate::hist::clear_histograms();
-        let after = {
-            let (p, s) = crate::warn::warn_counts("slow");
-            p + s
-        };
-        assert!(
-            after > before,
-            "slow span did not warn ({before} -> {after})"
-        );
     }
 }

@@ -849,10 +849,6 @@ fn encode_data_page(page_size: usize, page_no: u64, payload: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    // Counter state is process-global; tests that assert on counter
-    // values serialize themselves.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("clio-pager-test-{}-{tag}", std::process::id()));
@@ -890,7 +886,6 @@ mod tests {
 
     #[test]
     fn round_trips_records_within_one_page() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("small");
         let recs = vec![b"alpha".to_vec(), b"".to_vec(), b"gamma".to_vec()];
         let path = build_heap(&dir, "r.clh", 4096, &recs);
@@ -903,7 +898,6 @@ mod tests {
 
     #[test]
     fn round_trips_records_spanning_many_pages() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("span");
         // Page 64 → 36 payload bytes; a 300-byte record spans ~9 pages.
         let recs = records(7, 300);
@@ -919,24 +913,23 @@ mod tests {
 
     #[test]
     fn pool_counts_hits_misses_and_evictions() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("pool");
         let path = build_heap(&dir, "r.clh", 64, &records(6, 120));
         let pager = Pager::new(2);
         let file = pager.open(&path).unwrap();
         let pages = pager.page_count(file);
         assert!(pages > 2, "working set must exceed the pool");
-        clio_obs::set_metrics_enabled(true);
-        clio_obs::reset_metrics();
-        let _ = read_all(&pager, file); // cold: all misses
-        let snap1 = clio_obs::snapshot();
-        // The last page is still resident, so refetching it is a hit…
-        let _ = pager.fetch(file, pages).unwrap();
-        // …while a full rescan through a pool smaller than the file
-        // keeps missing (sequential LRU's worst case).
-        let _ = read_all(&pager, file);
-        let snap2 = clio_obs::snapshot();
-        clio_obs::set_metrics_enabled(false);
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| read_all(&pager, file)); // cold: all misses
+        let snap1 = rec.snapshot();
+        rec.run(|| {
+            // The last page is still resident, so refetching it is a hit…
+            let _ = pager.fetch(file, pages).unwrap();
+            // …while a full rescan through a pool smaller than the file
+            // keeps missing (sequential LRU's worst case).
+            read_all(&pager, file)
+        });
+        let snap2 = rec.snapshot();
         assert_eq!(snap1.get(Counter::PagerMisses), pages);
         assert_eq!(snap1.get(Counter::PagerPageReads), pages);
         assert_eq!(snap1.get(Counter::PagerEvictions), pages - 2);
@@ -947,7 +940,6 @@ mod tests {
 
     #[test]
     fn pinned_pages_are_not_evicted() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("pin");
         let path = build_heap(&dir, "r.clh", 64, &records(6, 120));
         let pager = Pager::new(1);
@@ -967,7 +959,6 @@ mod tests {
 
     #[test]
     fn dirty_pages_write_back_on_eviction_and_flush() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("dirty");
         let path = build_heap(&dir, "r.clh", 64, &records(6, 120));
         let pager = Pager::new(2);
@@ -1002,26 +993,24 @@ mod tests {
     /// answer, never a panic.
     #[test]
     fn fault_injection_degrades_to_logged_errors() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("faults");
         let recs = records(5, 120);
         let path = build_heap(&dir, "good.clh", 64, &recs);
         let good = std::fs::read(&path).unwrap();
-        clio_obs::set_metrics_enabled(true);
-        clio_obs::reset_metrics();
+        let rec = clio_obs::Recorder::new();
         let mut expected_errors = 0u64;
         let mut check = |name: &str, bytes: &[u8], detail: &str| {
             let p = dir.join(name);
             std::fs::write(&p, bytes).unwrap();
             let pager = Pager::new(4);
-            let err = match pager.open(&p) {
+            let err = rec.run(|| match pager.open(&p) {
                 Err(e) => e.to_string(),
                 Ok(file) => pager
                     .cursor(file)
                     .collect::<Result<Vec<_>, _>>()
                     .expect_err("defect must surface")
                     .to_string(),
-            };
+            });
             assert!(err.contains(detail), "{name}: `{err}` lacks `{detail}`");
             expected_errors += 1;
         };
@@ -1056,9 +1045,10 @@ mod tests {
         padded.extend_from_slice(b"junk");
         check("padded.clh", &padded, "trailing bytes");
 
-        let snap = clio_obs::snapshot();
-        clio_obs::set_metrics_enabled(false);
-        assert_eq!(snap.get(Counter::PagerLoadErrors), expected_errors);
+        assert_eq!(
+            rec.snapshot().get(Counter::PagerLoadErrors),
+            expected_errors
+        );
 
         // The untouched file still reads perfectly after all of that.
         let pager = Pager::new(4);
@@ -1068,7 +1058,6 @@ mod tests {
 
     #[test]
     fn forged_page_counts_degrade_instead_of_overflowing() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("forged");
         let good = std::fs::read(build_heap(&dir, "good.clh", 64, &records(3, 50))).unwrap();
         // a re-checksummed header whose page count makes the expected
@@ -1087,7 +1076,6 @@ mod tests {
 
     #[test]
     fn no_tmp_files_left_behind() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("tmp");
         build_heap(&dir, "a.clh", 64, &records(3, 50));
         // An abandoned writer cleans up its tmp file on drop.
@@ -1105,7 +1093,6 @@ mod tests {
 
     #[test]
     fn writer_rejects_bad_page_sizes() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("badsize");
         assert!(HeapWriter::create(&dir.join("x.clh"), 8).is_err());
         assert!(HeapWriter::create(&dir.join("x.clh"), MAX_PAGE_SIZE + 1).is_err());
@@ -1113,7 +1100,6 @@ mod tests {
 
     #[test]
     fn one_pool_serves_many_files() {
-        let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let dir = tmp_dir("multi");
         let a = build_heap(&dir, "a.clh", 64, &records(4, 90));
         let b = build_heap(&dir, "b.clh", 64, &records(4, 70));

@@ -112,7 +112,7 @@ where
 /// each session stays governed by `--threads`.
 ///
 /// Worker threads inherit the calling thread's [`with_threads`] override
-/// and its observability session label, so nested parallel operations
+/// and its observability scope recorder, so nested parallel operations
 /// and counters behave the same whether an item runs on the caller or on
 /// a pool worker.
 pub fn map_slice_with<T, R, F>(workers: usize, items: &[T], span_name: &'static str, f: F) -> Vec<R>
@@ -121,42 +121,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = workers.max(1).min(items.len());
-    if workers <= 1 {
-        let _span = clio_obs::span(span_name);
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let inherited_override = OVERRIDE.with(Cell::get);
-    let inherited_session = clio_obs::metrics::current_session();
-    let cursor = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    OVERRIDE.with(|c| c.set(inherited_override));
-                    clio_obs::metrics::set_session(inherited_session);
-                    let _span = clio_obs::span(span_name);
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => indexed.extend(local),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    dispatch(workers, items, None, span_name, f)
 }
 
 /// Like [`map_slice`], but items are *handed out* in the caller-given
@@ -169,7 +134,7 @@ where
 /// The serial path evaluates in `order` too (then re-sorts), keeping
 /// the evaluation sequence identical across thread counts. Panics if
 /// `order` is not index-for-index the same length as `items`; an
-/// out-of-range or duplicated index panics via slice indexing.
+/// out-of-range index panics via slice indexing.
 pub fn map_slice_prioritized<T, R, F>(
     items: &[T],
     order: &[usize],
@@ -186,42 +151,68 @@ where
         items.len(),
         "dispatch order must cover every item exactly once"
     );
-    let workers = threads().max(1).min(items.len());
-    if workers <= 1 {
-        let _span = clio_obs::span(span_name);
-        let mut indexed: Vec<(usize, R)> = order.iter().map(|&i| (i, f(i, &items[i]))).collect();
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        return indexed.into_iter().map(|(_, r)| r).collect();
-    }
+    dispatch(threads(), items, Some(order), span_name, f)
+}
 
-    let inherited_override = OVERRIDE.with(Cell::get);
-    let inherited_session = clio_obs::metrics::current_session();
-    let cursor = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    OVERRIDE.with(|c| c.set(inherited_override));
-                    clio_obs::metrics::set_session(inherited_session);
-                    let _span = clio_obs::span(span_name);
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(pos) else { break };
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
+/// The one worker body: hand out items in `order` (input order when
+/// `None`) to up to `workers` threads, and return results in input
+/// order.
+fn dispatch<T, R, F>(
+    workers: usize,
+    items: &[T],
+    order: Option<&[usize]>,
+    span_name: &'static str,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let item = |pos: usize| order.map_or(pos, |o| o[pos]);
+    let workers = workers.max(1).min(items.len());
+    let mut indexed: Vec<(usize, R)> = if workers <= 1 {
+        let _span = clio_obs::span(span_name);
+        (0..items.len())
+            .map(|pos| {
+                let i = item(pos);
+                (i, f(i, &items[i]))
             })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => indexed.extend(local),
-                Err(panic) => std::panic::resume_unwind(panic),
+            .collect()
+    } else {
+        let inherited_override = OVERRIDE.with(Cell::get);
+        let recorder = clio_obs::current_recorder();
+        let cursor = AtomicUsize::new(0);
+        let mut indexed = Vec::with_capacity(items.len());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        OVERRIDE.with(|c| c.set(inherited_override));
+                        clio_obs::with_recorder(recorder.clone(), || {
+                            let _span = clio_obs::span(span_name);
+                            let mut local: Vec<(usize, R)> = Vec::new();
+                            loop {
+                                let pos = cursor.fetch_add(1, Ordering::Relaxed);
+                                if pos >= items.len() {
+                                    break local;
+                                }
+                                let i = item(pos);
+                                local.push((i, f(i, &items[i])));
+                            }
+                        })
+                    })
+                })
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(local) => indexed.extend(local),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
-        }
-    });
+        });
+        indexed
+    };
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
 }
@@ -304,13 +295,14 @@ mod tests {
             })
         });
         assert_eq!(out, (0..32).map(|i| 2 * i).collect::<Vec<_>>());
-        // Session labels cross into workers too.
-        let labels = clio_obs::metrics::with_session(Some(5), || {
+        // The caller's recorder crosses into workers too.
+        let rec = clio_obs::Recorder::new();
+        let inherited = rec.run(|| {
             map_slice_with(3, &items, "test.worker", |_, _| {
-                clio_obs::metrics::current_session()
+                clio_obs::current_recorder().is_some_and(|r| std::sync::Arc::ptr_eq(&r, &rec))
             })
         });
-        assert!(labels.iter().all(|&l| l == Some(5)));
+        assert!(inherited.iter().all(|&same| same));
     }
 
     #[test]

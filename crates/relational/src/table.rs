@@ -382,10 +382,8 @@ mod tests {
     fn dedup_rows_counts_every_row_offered() {
         use crate::relation::Relation;
         use crate::schema::{Attribute, RelSchema};
-        // A session label of its own keeps concurrent tests' work out of
-        // this count.
-        metrics::set_metrics_enabled(true);
-        let counted = metrics::with_session(Some(0xDED0), || {
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
             let mut t = t();
             for i in 0..5 {
                 t.push_distinct(vec![Value::Int(i % 3), "x".into()]); // 5
@@ -398,11 +396,8 @@ mod tests {
                 vec![Value::Int(2)],
             ];
             Relation::with_rows(schema, rows).unwrap(); // + 3
-            metrics::session_snapshot(0xDED0)
-                .unwrap()
-                .get(Counter::DedupRows)
         });
-        metrics::set_metrics_enabled(false);
+        let counted = rec.snapshot().get(Counter::DedupRows);
         assert_eq!(counted, 5 + 6 + 3);
     }
 

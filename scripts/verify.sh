@@ -29,6 +29,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# Observability is recorded per scope: each test that reads counters,
+# spans or histograms installs a recorder of its own, so these crates'
+# unit tests need no lock to run concurrently. Run them twice with 8
+# test threads: state leaking between concurrent tests fails here.
+echo "==> cargo test --lib (obs-recording crates, 8 test threads, twice)"
+for pass in 1 2; do
+    cargo test -q --lib -p clio-obs -p clio-pager -p clio-core -p clio-cli \
+        -p clio-relational -- --test-threads 8
+done
+
 # Benches are part of the contract (EXPERIMENTS.md reproduces from
 # them); they must at least compile even though running them is not a
 # gate.
