@@ -30,7 +30,7 @@ use clio_relational::ops::{
     join, remove_subsumed_among, remove_subsumed_naive, remove_subsumed_partitioned, JoinKind,
 };
 use clio_relational::parser::parse_expr;
-use clio_relational::relation::RelationBuilder;
+use clio_relational::relation::{Relation, RelationBuilder};
 use clio_relational::table::Table;
 use clio_relational::value::{DataType, Value};
 
@@ -371,10 +371,32 @@ fn b5_chase() {
     }
 }
 
+/// The near-duplicate flag pass over every relation of `db`, once per
+/// relation version: the median of [`REPS`] timed passes, each over
+/// fresh copies built outside the clock (a relation keeps its flag).
+fn flag_pass(db: &Database) -> Duration {
+    let samples: Vec<Duration> = (0..REPS)
+        .map(|_| {
+            let fresh: Vec<Relation> = db
+                .relations()
+                .map(|r| Relation::with_rows(r.schema().clone(), r.rows().to_vec()).expect("valid"))
+                .collect();
+            let t = Instant::now();
+            for r in &fresh {
+                std::hint::black_box(r.has_near_duplicates());
+            }
+            t.elapsed()
+        })
+        .collect();
+    median(samples)
+}
+
 fn b6_mapping_eval() {
     println!("\n## B6 — end-to-end mapping evaluation (WYSIWYG refresh)\n");
-    println!("| workload | rows/rel | target tuples | time | tuples scanned | join probes |");
-    println!("|---|---|---|---|---|---|");
+    println!(
+        "| workload | rows/rel | target tuples | time | flag pass | tuples scanned | join probes |"
+    );
+    println!("|---|---|---|---|---|---|---|");
     let funcs = FuncRegistry::with_builtins();
     for (name, w) in [
         ("chain4", chain(4, 100)),
@@ -391,8 +413,9 @@ fn b6_mapping_eval() {
             w.mapping.evaluate(&w.db, &funcs).expect("valid");
         });
         println!(
-            "| {name} | {rows} | {count} | {} | {} | {} |",
+            "| {name} | {rows} | {count} | {} | {} | {} | {} |",
             fmt(t),
+            fmt(flag_pass(&w.db)),
             work.get(clio_obs::Counter::TuplesScanned),
             work.get(clio_obs::Counter::JoinProbes)
         );

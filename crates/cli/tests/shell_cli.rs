@@ -513,6 +513,78 @@ fn cache_dir_restart_serves_disk_hits_with_identical_stdout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A script loading the MAP text `map` (written next to it), then
+/// `target`: the script's path and the MAP file's.
+fn write_map_script(name: &str, map: &str) -> (PathBuf, PathBuf) {
+    let map_path = tmp_path(&format!("{name}.map"));
+    std::fs::write(&map_path, map).expect("map written");
+    let script = tmp_path(name);
+    let text = format!("load {}\ntarget\nquit\n", map_path.display());
+    std::fs::write(&script, text).expect("script written");
+    (script, map_path)
+}
+
+#[test]
+fn cyclic_restart_is_served_from_disk_tuple_id_entries() {
+    // The cold run caches the cycle Children–Parents–PhoneDir: its F(J)s
+    // as tuple ids, its D(G) and Q(M) as values. The warm run's graph
+    // adds SBPS after those three nodes, so its D(G) and Q(M) are new and
+    // every disk hit is a shared subgraph's F(J) tuple-id entry.
+    let head = "MAP Kids (ID str not null, name str, affiliation str, address str, \
+                contactPh str, BusSchedule str, FamilyIncome int)\n";
+    let joins = "JOIN Children, Parents ON Children.mid = Parents.ID\n\
+                 JOIN Parents, PhoneDir ON PhoneDir.ID = Parents.ID\n\
+                 JOIN Children, PhoneDir ON Children.mid = PhoneDir.ID\n";
+    let select = "SELECT Children.ID AS ID, Children.name AS name, \
+                  Parents.affiliation AS affiliation, PhoneDir.number AS contactPh\n";
+    let (cold_script, cold_map) = write_map_script(
+        "cyclic_cold.clio",
+        &format!("{head}FROM Children, Parents, PhoneDir\n{joins}{select}"),
+    );
+    let (warm_script, warm_map) = write_map_script(
+        "cyclic_warm.clio",
+        &format!(
+            "{head}FROM Children, Parents, PhoneDir, SBPS\n{joins}\
+             JOIN Children, SBPS ON SBPS.ID = Children.ID\n{select}"
+        ),
+    );
+    let dir = tmp_path("cyclic_cache_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = tmp_path("cyclic_metrics.json");
+
+    let cold = run_with_cache_dir(&cold_script, Some(&dir), &metrics);
+    assert!(
+        cold.status.success(),
+        "{}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
+    let cold_json = std::fs::read_to_string(&metrics).expect("cold metrics");
+    assert!(counter(&cold_json, "cache.spills") > 0, "{cold_json}");
+
+    let baseline = run_with_cache_dir(&warm_script, None, &metrics);
+    assert!(baseline.status.success());
+    let warm = run_with_cache_dir(&warm_script, Some(&dir), &metrics);
+    assert!(
+        warm.status.success(),
+        "{}",
+        String::from_utf8_lossy(&warm.stderr)
+    );
+    let warm_json = std::fs::read_to_string(&metrics).expect("warm metrics");
+    std::fs::remove_file(&metrics).ok();
+    assert!(counter(&warm_json, "cache.disk_hits") > 0, "{warm_json}");
+    assert_eq!(counter(&warm_json, "cache.load_errors"), 0, "{warm_json}");
+    assert!(String::from_utf8_lossy(&baseline.stdout).contains("555-01"));
+    assert_eq!(
+        String::from_utf8_lossy(&baseline.stdout),
+        String::from_utf8_lossy(&warm.stdout),
+        "a disk-warm restart changed visible output"
+    );
+    for path in [cold_script, cold_map, warm_script, warm_map] {
+        std::fs::remove_file(path).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn corrupted_cache_files_degrade_to_a_cold_run() {
     let script = write_persistence_script("corrupt.clio");

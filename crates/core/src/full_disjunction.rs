@@ -9,7 +9,9 @@
 //! * [`FdAlgo::OuterJoin`], on **tree** graphs: a left-deep sequence of
 //!   full outer joins following a connected elimination order
 //!   (Galindo-Legaria's outerjoins-as-disjunctions result), with no
-//!   subgraph enumeration and no subsumption pass (span `fd.outer_join`).
+//!   subgraph enumeration (span `fd.outer_join`), and no subsumption
+//!   pass unless a relation holds a near-duplicate, when one runs over
+//!   the rows holding its tuples.
 //!   It joins **tuple ids**, not values: a row is one id per graph node,
 //!   in node order — the node's tuple's position in its relation, or
 //!   `u32::MAX` when the row does not cover the node — so a data
@@ -19,11 +21,13 @@
 //!   at the boundary (span `fd.materialize`): for a cache entry, a
 //!   returned table, or an [`AssociationSet`]. A mapping's projection
 //!   reads the values it needs through the ids and builds none;
-//! * [`FdAlgo::Lattice`], on **cyclic** graphs: the subgraph lattice.
-//!   Each `F(J)` is one join of a smaller subgraph's table with one
-//!   relation, and a row is dropped when a neighbouring subgraph's row
-//!   extends it, so the residual subsumption pass only sees rows that can
-//!   still be subsumed (span `fd.lattice`; see `plan::ir::schedule`).
+//! * [`FdAlgo::Lattice`], on **cyclic** graphs: the subgraph lattice,
+//!   also on tuple ids. Each `F(J)` is one join of a smaller subgraph's
+//!   ids with one relation, and a row is dropped when a neighbouring
+//!   subgraph's row holds its tuples, so the residual subsumption pass
+//!   only sees rows that can still be subsumed — none when no relation
+//!   holds a near-duplicate (span `fd.lattice`; see
+//!   `plan::ir::schedule`).
 //!
 //! Two references stay as oracles, reached only by their own names:
 //! [`full_disjunction_naive`] computes the definition directly — a join

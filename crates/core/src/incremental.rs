@@ -10,9 +10,10 @@
 //!
 //! * `F(J)` — one entry per induced connected subgraph, keyed by the
 //!   subgraph's node aliases/relations, its induced edge predicates, and
-//!   a content version per base relation. Cached *unpadded*, so growing
-//!   the graph reuses every old subgraph and computes only the ones
-//!   touching new nodes or edges.
+//!   a content version per base relation (domain tag `"F(J).ids"`).
+//!   Cached as tuple ids, `|J|` per row, so growing the graph reuses
+//!   every old subgraph and computes only the ones touching new nodes
+//!   or edges.
 //! * `D(G)` — the assembled full disjunction per graph and algorithm.
 //! * `Q(M)` — the evaluated mapping query per full mapping state
 //!   (graph + correspondences + source filters + target filters).
@@ -56,10 +57,13 @@ fn hash_graph(fp: &mut FingerprintBuilder, graph: &QueryGraph, cache: &EvalCache
 
 /// Fingerprint of the full data associations `F(J)` of the induced
 /// subgraph `mask`: the member nodes (with ids, so the join order is
-/// captured), the induced edges, and the content versions involved.
+/// captured), the induced edges, and the content versions involved. The
+/// entry holds tuple ids, `|J|` per row in node order (domain tag
+/// `"F(J).ids"`: entries written as values under the older `"F(J)"` tag
+/// are never asked for).
 #[must_use]
 pub fn subgraph_fingerprint(graph: &QueryGraph, mask: u64, cache: &EvalCache) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new("F(J)");
+    let mut fp = FingerprintBuilder::new("F(J).ids");
     fp.number(cache.epoch());
     for (i, n) in graph.nodes().iter().enumerate() {
         if mask & (1 << i) != 0 {
@@ -411,9 +415,9 @@ mod tests {
             graph: g,
             cache: Some(cache),
         };
-        let (table, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+        let (ids, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
         let plain = full_disjunction_naive(&db, g, &funcs, engine_subsumption()).unwrap();
-        assert_eq!(plain.table().rows(), table.rows());
+        assert_eq!(plain.table().rows(), ids.materialize().rows());
         (branches, dispatched)
     }
 
@@ -465,6 +469,126 @@ mod tests {
         let warm = (branches.len() - touching.len()) as u64;
         assert_eq!(s.hits - before.hits, warm);
         assert_eq!(s.misses - before.misses, touching.len() as u64);
+    }
+
+    /// Cached tuple ids are untrusted: an id past its relation's end,
+    /// the uncovered sentinel, or a row width other than `|J|` makes the
+    /// entry a cold miss — counted as a load error when the store held
+    /// it, and replaced by the recomputed entry — never a panic or a
+    /// wrong answer.
+    #[test]
+    fn forged_id_entries_are_cold_misses() {
+        use clio_incr::{CacheStore, DiskStore, IdRows, Payload, StoredEntry};
+        let g = cyclic_graph();
+        let plain = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
+        // Children holds 2 tuples; {Children, Parents} has 2 ids a row
+        let forged = [
+            (0b001, vec![0, 99], 1),
+            (0b011, vec![0], 1),
+            (0b110, vec![0, u32::MAX], 2),
+        ];
+        let dir = std::env::temp_dir().join(format!("clio-forged-fj-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = std::sync::Arc::new(DiskStore::open(&dir, 7));
+        let cache = EvalCache::new();
+        cache.set_store(Some(store.clone()));
+        for (mask, ids, width) in &forged {
+            let entry = StoredEntry {
+                deps: mask_deps(&g, *mask),
+                payload: Payload::Ids(IdRows {
+                    width: *width,
+                    ids: ids.clone(),
+                }),
+                cost_ns: 0,
+            };
+            assert!(store.spill(subgraph_fingerprint(&g, *mask, &cache), &entry));
+        }
+        let run = |cache: &EvalCache| {
+            full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(cache)).unwrap()
+        };
+        assert_eq!(run(&cache).table().rows(), plain.table().rows());
+        let s = store.stats();
+        assert_eq!((s.hits, s.load_errors), (0, 3));
+        // the recomputed entries took the forged ones' place on disk
+        for (mask, ids, _) in &forged {
+            let fp = subgraph_fingerprint(&g, *mask, &cache);
+            let Some(Payload::Ids(rows)) = store.load(fp).map(|e| e.payload) else {
+                panic!("F(J) of {mask:#b} was not respilled");
+            };
+            assert_ne!(&rows.ids, ids);
+            assert_eq!(rows.width, mask.count_ones() as usize);
+        }
+
+        // the memory tier checks its entries the same way
+        let cache = EvalCache::new();
+        for (mask, ids, width) in &forged {
+            let rows = IdRows {
+                width: *width,
+                ids: ids.clone(),
+            };
+            let fp = subgraph_fingerprint(&g, *mask, &cache);
+            cache.insert_ids(fp, mask_deps(&g, *mask), &rows, 0);
+        }
+        assert_eq!(run(&cache).table().rows(), plain.table().rows());
+        assert_eq!(cache.stats().hits, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Format version 2 kept the tree `D(G)`'s rows that a near-duplicate
+    /// subsumes. A version-2 `"D(G).tree"` file holding such a stale answer
+    /// is a load error and a cold recompute, never served, and the
+    /// recompute rewrites it in the current format.
+    #[test]
+    fn version_two_tree_disjunctions_are_recomputed() {
+        use clio_incr::disk::encode;
+        use clio_incr::{CacheStore, DiskStore, Payload, StoredEntry};
+        use clio_relational::{fnv1a, value::Value, FNV_OFFSET_BASIS};
+        let mut db = db();
+        db.relation_mut("Parents")
+            .unwrap()
+            .insert(vec!["201".into(), Value::Null])
+            .unwrap();
+        let g = tree_graph();
+        let plain = full_disjunction(&db, &g, FdAlgo::Auto, &funcs()).unwrap();
+        // the old answer: plus Children 001 joined with the nulled copy
+        let mut stale = plain.table().clone();
+        let mut subsumed = stale.rows()[0].clone();
+        assert_eq!(subsumed[3], Value::str("IBM"));
+        subsumed[3] = Value::Null;
+        stale.push(subsumed);
+        let deps = relation_deps(&g);
+        let fp = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree");
+        let entry = StoredEntry {
+            deps: deps.clone(),
+            payload: Payload::Table(stale),
+            cost_ns: 0,
+        };
+        // a version-2 file is the version-3 table encoding without the
+        // kind byte (after the header and the deps), re-checksummed
+        let mut v2 = encode(7, fp, &entry);
+        let kind_at = 36 + deps.iter().map(|d| 4 + d.len()).sum::<usize>();
+        assert_eq!(v2.remove(kind_at), 0);
+        v2[4] = 2;
+        v2.truncate(v2.len() - 8);
+        let sum = fnv1a(FNV_OFFSET_BASIS, &v2);
+        v2.extend_from_slice(&sum.to_le_bytes());
+
+        let dir = std::env::temp_dir().join(format!("clio-v2-tree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{:016x}-{:016x}.clc", 7, fp.0)), &v2).unwrap();
+        let store = std::sync::Arc::new(DiskStore::open(&dir, 7));
+        let cache = EvalCache::new();
+        cache.set_store(Some(store.clone()));
+        let warm = full_disjunction_cached(&db, &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        assert_eq!(warm.table().rows(), plain.table().rows());
+        let s = store.stats();
+        assert_eq!((s.hits, s.load_errors), (0, 1));
+        let Some(Payload::Table(rewritten)) = store.load(fp).map(|e| e.payload) else {
+            panic!("D(G).tree was not respilled");
+        };
+        assert_eq!(rewritten.rows(), plain.table().rows());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,38 +19,34 @@
 //! are computed that way, so the tree `explain` prints is the code that
 //! runs — which subgraphs, which filters where, in which join order.
 //!
-//! Scans that feed a join are read in place: the join ([`join_rows`])
-//! borrows the stored relation's rows under the scan alias's scheme,
-//! both in a `Join` node and in the lattice step that joins a parent
-//! subgraph's table with one more relation. Only a scan that is itself a
-//! result — a one-node branch of the union — is copied into a table.
+//! Scans that feed a join are read in place: the join ([`join_rows`],
+//! or [`join_with`] on tuple ids) borrows the stored relation's rows
+//! under the scan alias's scheme.
 //!
-//! The tree plan's `D(G)` — the outer-join chain over every node, or a
-//! lone scan on a one-node graph — copies no value at all. It runs on
+//! Both `D(G)` plans copy no value at all: the tree plan's outer-join
+//! chain over every node (or a lone scan on a one-node graph), and the
+//! lattice union, whose `F(J)`s are also cached that way. They run on
 //! tuple ids: per row, one `u32` per graph node, in node order, with
 //! `u32::MAX` for a node the row does not cover. Each step is the join
 //! kernel every join runs ([`join_with`]), reading key cells through the
-//! ids. A `Project` over it reads through the ids too, filling one
+//! ids. A `Project` over a `D(G)` reads through the ids too, filling one
 //! scratch row with only the columns the correspondences and source
 //! filters reference. Value rows are built in three places only (span
-//! `fd.materialize`): the `"D(G).tree"` memo insert when the cache is
-//! live, [`RelExpr::run`]'s table, and
+//! `fd.materialize`): the `"D(G).tree"` / `"D(G).lattice"` memo insert
+//! when the cache is live, [`RelExpr::run`]'s table, and
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
 //! association set.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use clio_incr::EvalCache;
+use clio_incr::{EvalCache, IdRows};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{
-    extended_rows, join_rows, join_with, remove_subsumed_among, JoinInput, JoinKind, Joined,
-};
-use clio_relational::relation::Relation;
+use clio_relational::ops::{join_rows, join_with, subsumed_among, JoinInput, JoinKind, Joined};
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::Value;
@@ -275,30 +271,47 @@ impl RelExpr {
     /// the cache entries this run inserted — what a parent entry must not
     /// charge again.
     pub(crate) fn run_costed(&self, ex: &Exec) -> Result<(Table, u64)> {
-        match self {
-            _ if self.is_tree_disjunction(ex) => {
-                let (associations, charged) = self.tree_disjunction(ex)?;
-                Ok((associations.into_table(), charged))
-            }
-            RelExpr::Union { inputs, .. }
-                if !inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
-            {
-                memoized_disjunction(ex.graph, ex.cache, "D(G).lattice", || self.eval(ex))
-            }
-            _ => self.eval(ex),
+        if self.is_tree_disjunction(ex) {
+            let (associations, charged) = self.associations(ex)?;
+            return Ok((associations.into_table(), charged));
         }
+        self.eval(ex)
     }
 
     /// This node's rows as data associations, with the compute time
-    /// charged as [`RelExpr::run_costed`] charges it: the tree `D(G)`
-    /// yields its tuple ids ([`RelExpr::tree_disjunction`]), any other
-    /// node its table.
+    /// charged as [`RelExpr::run_costed`] charges it. A `D(G)` — the tree
+    /// plan's outer-join chain or a lattice `Union` — yields its tuple
+    /// ids, or, with a live cache, the memoized value table under
+    /// `"D(G).tree"` / `"D(G).lattice"` (a miss builds the value rows for
+    /// the insert, span `fd.materialize`, and returns them). A `Union`
+    /// with pushed filters is never memoized. Any other node yields its
+    /// table.
     pub(crate) fn associations<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
-        if self.is_tree_disjunction(ex) {
-            return self.tree_disjunction(ex);
+        match self {
+            _ if self.is_tree_disjunction(ex) => {
+                memoized_ids(ex, "D(G).tree", || Ok((self.tree_ids(ex)?, 0)))
+            }
+            RelExpr::Union {
+                inputs,
+                branches,
+                pad,
+            } => {
+                let lattice = || -> Result<(TupleIds<'t>, u64)> {
+                    let (ids, dispatched) = schedule(ex, inputs, branches, pad)?;
+                    Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
+                };
+                if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) {
+                    let (ids, charged) = lattice()?;
+                    Ok((Associations::Ids(ids), charged))
+                } else {
+                    memoized_ids(ex, "D(G).lattice", lattice)
+                }
+            }
+            _ => {
+                let (table, charged) = self.eval(ex)?;
+                Ok((Associations::Values(table), charged))
+            }
         }
-        let (table, charged) = self.run_costed(ex)?;
-        Ok((Associations::Values(table), charged))
     }
 
     /// Is this node the tree plan's `D(G)`: an outer-join chain over
@@ -310,35 +323,41 @@ impl RelExpr {
         ) && self.bound_vars().len() == ex.graph.node_count()
     }
 
-    /// The tree `D(G)`, computed on tuple ids (span `fd.outer_join`).
-    /// With a live cache it is memoized under `"D(G).tree"` as values:
-    /// a miss builds the value rows for the insert, and a hit returns
-    /// them. Nothing is charged to child entries.
-    fn tree_disjunction<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
-        let ids = || -> Result<TupleIds<'t>> {
-            let _span = clio_obs::span("fd.outer_join");
-            Ok(self.tuple_ids(ex)?.in_node_order())
-        };
-        if !ex.cache.is_some_and(EvalCache::enabled) {
-            return Ok((Associations::Ids(ids()?), 0));
+    /// The tree `D(G)` on tuple ids, in node order (span
+    /// `fd.outer_join`). The outer-join chain keeps every row Def 3.11
+    /// keeps, and more only when a relation of the graph holds a
+    /// near-duplicate ([`Relation::has_near_duplicates`]): the joined
+    /// copy of a tuple with a cell nulled is strictly subsumed by the
+    /// joined original. So when a relation is flagged, a residual pass
+    /// (span `fd.outer_join.residual`) tests the rows holding one of
+    /// its tuples. A row holding no flagged tuple is never strictly
+    /// subsumed: a subsumer would hold the same tuple at each of the
+    /// row's nodes and more, and on a tree the chain emits no row whose
+    /// tuples another row holds too. With no relation flagged there is
+    /// no residual pass.
+    ///
+    /// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
+    fn tree_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
+        let _span = clio_obs::span("fd.outer_join");
+        let mut ids = self.tuple_ids(ex)?.in_node_order();
+        let flagged = flagged_nodes(ex)?;
+        if flagged != 0 {
+            let _span = clio_obs::span("fd.outer_join.residual");
+            let candidates: Vec<bool> = (0..ids.row_count())
+                .map(|i| ids.coverage(i) & flagged != 0)
+                .collect();
+            ids.remove_subsumed_among(&candidates);
         }
-        let (table, charged) = memoized_disjunction(ex.graph, ex.cache, "D(G).tree", || {
-            Ok((ids()?.materialize(), 0))
-        })?;
-        Ok((Associations::Values(table), charged))
+        Ok(ids)
     }
 
     /// The tuple ids of a chain of scans and joins (full outer when
     /// `outer`, counting `fd.outer_join_steps`): each join runs the
-    /// relational join kernel over id rows, reading key cells through
-    /// the ids.
+    /// relational join kernel over id rows and the stored rows of the
+    /// scan it joins, reading key cells through the ids.
     fn tuple_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
         match self {
-            RelExpr::Scan { alias, relation } => {
-                let node = node_bit(ex.graph, self)?.trailing_zeros() as usize;
-                let relation = ex.db.relation(relation)?;
-                TupleIds::scan(ex.graph.node_count(), node, alias, relation)
-            }
+            RelExpr::Scan { .. } => TupleIds::scan(ex, node_bit(ex.graph, self)?),
             RelExpr::Join {
                 left,
                 right,
@@ -350,9 +369,7 @@ impl RelExpr {
                 } else {
                     JoinKind::Inner
                 };
-                let out =
-                    left.tuple_ids(ex)?
-                        .join(&right.tuple_ids(ex)?, predicate, kind, ex.funcs)?;
+                let out = left.tuple_ids(ex)?.join_scan(ex, right, predicate, kind)?;
                 if *outer {
                     metrics::incr(Counter::OuterJoinSteps);
                 }
@@ -368,9 +385,10 @@ impl RelExpr {
     /// its alias; a `Join` joins its inputs, reading a `Scan` input in
     /// place ([`RelExpr::input`]; full outer when `outer`, counting
     /// `fd.outer_join_steps`); a `Union` schedules its branches
-    /// ([`schedule`]); a stack of `Filter`s keeps the rows of the node
-    /// beneath passing every predicate — over a `Project`, as the
-    /// projection builds its distinct target rows ([`project`]).
+    /// ([`schedule`], through [`RelExpr::associations`]); a stack of
+    /// `Filter`s keeps the rows of the node beneath passing every
+    /// predicate — over a `Project`, as the projection builds its
+    /// distinct target rows ([`project`]).
     fn eval(&self, ex: &Exec) -> Result<(Table, u64)> {
         match self {
             RelExpr::Scan { alias, relation } => Ok((ex.db.relation(relation)?.to_table(alias), 0)),
@@ -407,13 +425,9 @@ impl RelExpr {
                     Ok((keep(table, &filters, ex.funcs)?, charged))
                 }
             },
-            RelExpr::Union {
-                inputs,
-                branches,
-                pad,
-            } => {
-                let (table, dispatched) = schedule(ex, inputs, branches, pad)?;
-                Ok((table, dispatched.iter().map(|&(_, ns)| ns).sum()))
+            RelExpr::Union { .. } => {
+                let (associations, charged) = self.associations(ex)?;
+                Ok((associations.into_table(), charged))
             }
         }
     }
@@ -453,6 +467,40 @@ impl RelExpr {
     }
 }
 
+/// A `D(G)` as tuple ids, memoized under `tag` as values when the cache
+/// is live: `compute` returns the ids and the time charged to child
+/// entries; a miss builds the value rows for the insert and returns
+/// them, a hit returns the memoized rows. Without a live cache, the ids.
+fn memoized_ids<'t>(
+    ex: &Exec<'t>,
+    tag: &str,
+    compute: impl FnOnce() -> Result<(TupleIds<'t>, u64)>,
+) -> Result<(Associations<'t>, u64)> {
+    if !ex.cache.is_some_and(EvalCache::enabled) {
+        let (ids, charged) = compute()?;
+        return Ok((Associations::Ids(ids), charged));
+    }
+    let (table, charged) = memoized_disjunction(ex.graph, ex.cache, tag, || {
+        let (ids, charged) = compute()?;
+        Ok((ids.materialize(), charged))
+    })?;
+    Ok((Associations::Values(table), charged))
+}
+
+/// The graph nodes whose relation holds a near-duplicate
+/// ([`Relation::has_near_duplicates`], computed on its first read).
+///
+/// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
+fn flagged_nodes(ex: &Exec) -> Result<u64> {
+    let mut flagged = 0;
+    for (v, node) in ex.graph.nodes().iter().enumerate() {
+        if ex.db.relation(&node.relation)?.has_near_duplicates() {
+            flagged |= 1 << v;
+        }
+    }
+    Ok(flagged)
+}
+
 /// A join input: a scanned relation's rows, borrowed in place, or an
 /// evaluated node's table.
 enum Input<'t> {
@@ -470,12 +518,28 @@ impl Input<'_> {
     }
 }
 
+/// The positions in `scheme` of the columns `exprs` reference, sorted
+/// and distinct: the cells a row read through tuple ids must fill.
+fn columns_read<'e>(
+    scheme: &Scheme,
+    exprs: impl IntoIterator<Item = &'e Expr>,
+) -> Result<Vec<usize>> {
+    let mut reads: Vec<usize> = exprs
+        .into_iter()
+        .flat_map(Expr::columns)
+        .map(|c| scheme.resolve(c))
+        .collect::<Result<_>>()?;
+    reads.sort_unstable();
+    reads.dedup();
+    Ok(reads)
+}
+
 /// Run a `Project` together with the target `filters` stacked on it and
 /// the source filters stacked beneath it, over the associations of the
 /// node under those ([`RelExpr::associations`]). Everything is bound
 /// once. One loop reads each association — a value row in place, or, on
-/// the tree `D(G)`'s tuple ids, one reused scratch row filled with only
-/// the columns the correspondences and source filters reference — and
+/// a `D(G)`'s tuple ids, one reused scratch row filled with only the
+/// columns the correspondences and source filters reference — and
 /// offers its target row to the distinct output only when the source
 /// filters accept the association and the target filters the row
 /// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
@@ -500,18 +564,16 @@ fn project(
     )?;
     // Only tuple ids need the columns read listed, and a row to fill.
     let (reads, mut scratch) = match &associations {
-        Associations::Ids(_) => {
-            let mut reads: Vec<usize> = correspondences
-                .iter()
-                .map(|v| &v.expr)
-                .chain(source_filters.iter().copied())
-                .flat_map(Expr::columns)
-                .map(|c| scheme.resolve(c))
-                .collect::<Result<_>>()?;
-            reads.sort_unstable();
-            reads.dedup();
-            (reads, vec![Value::Null; scheme.arity()])
-        }
+        Associations::Ids(_) => (
+            columns_read(
+                scheme,
+                correspondences
+                    .iter()
+                    .map(|v| &v.expr)
+                    .chain(source_filters.iter().copied()),
+            )?,
+            vec![Value::Null; scheme.arity()],
+        ),
         Associations::Values(_) => (Vec::new(), Vec::new()),
     };
     let mut out = Table::empty(Scheme::of_relation(target, target.name()));
@@ -522,6 +584,13 @@ fn project(
         }
     }
     Ok((out, charged))
+}
+
+/// Does `row` pass every bound filter? Stops at the first that rejects.
+fn passes(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
+    filters
+        .iter()
+        .try_fold(true, |ok, f| Ok(ok && f.eval_truth(row, funcs)?.passes()))
 }
 
 /// Keep the rows of `table` passing every filter, in order.
@@ -536,11 +605,7 @@ fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Tab
     let pass: Vec<bool> = table
         .rows()
         .iter()
-        .map(|row| {
-            filters
-                .iter()
-                .try_fold(true, |ok, f| Ok(ok && f.eval_truth(row, funcs)?.passes()))
-        })
+        .map(|row| passes(&filters, row, funcs))
         .collect::<Result<_>>()?;
     let mut pass = pass.into_iter();
     table.rows_mut().retain(|_| pass.next() == Some(true));
@@ -550,16 +615,16 @@ fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Tab
 /// The id of a graph node a tuple-id row does not cover.
 const UNCOVERED: u32 = u32::MAX;
 
-/// Rows of tuple ids: the tree plan's `D(G)` and each step of its chain.
+/// Rows of tuple ids: a `D(G)`, an `F(J)`, and each step of their joins.
 ///
 /// A row holds one id per graph node, in node order: the position of
-/// the node's tuple in its relation, or [`UNCOVERED`]. Two rows joined
-/// cover disjoint nodes, so the joined row is their elementwise minimum,
-/// and a row needs no padding. `scheme` lists the covered nodes' columns
-/// — in join order along the chain, in node order (the graph scheme)
-/// once [`TupleIds::in_node_order`] — and `columns` maps each to its
-/// node and attribute, so a cell is read through the row's id into the
-/// stored relation ([`JoinInput::cell`]).
+/// the node's tuple in its relation, or [`UNCOVERED`]. A join step sets
+/// the joined node's id in a copy of the row, and a row needs no
+/// padding. `scheme` lists the covered nodes' columns — in join order
+/// along a chain, in node order once [`TupleIds::in_node_order`] (for
+/// every node, the graph scheme) — and `columns` maps each to its node
+/// and attribute, so a cell is read through the row's id into the stored
+/// relation ([`JoinInput::cell`]).
 pub(crate) struct TupleIds<'t> {
     /// Each covered node's stored rows (empty for the others).
     relations: Vec<&'t [Vec<Value>]>,
@@ -571,70 +636,102 @@ pub(crate) struct TupleIds<'t> {
 }
 
 impl<'t> TupleIds<'t> {
-    /// One row per tuple of `relation`, node `node` of a graph of
-    /// `width` nodes, read under `alias`. A relation with more tuples
-    /// than a `u32` id can number is rejected, never wrapped.
-    fn scan(width: usize, node: usize, alias: &str, relation: &'t Relation) -> Result<Self> {
-        let rows = relation.rows();
-        let count = u32::try_from(rows.len()).map_err(|_| {
-            Error::Invalid(format!(
-                "relation `{}` holds {} tuples, more than a tuple id can number",
-                relation.name(),
-                rows.len()
-            ))
-        })?;
-        let mut ids = vec![UNCOVERED; width * rows.len()];
-        for (row, id) in ids.chunks_exact_mut(width).zip(0..count) {
-            row[node] = id;
+    /// No rows, over the nodes in `mask`, columns in node order. A
+    /// relation with more tuples than a `u32` id can number is
+    /// rejected, never wrapped.
+    fn over(ex: &Exec<'t>, mask: u64) -> Result<Self> {
+        let mut relations: Vec<&[Vec<Value>]> = vec![&[]; ex.graph.node_count()];
+        let mut scheme = Vec::new();
+        let mut columns = Vec::new();
+        for v in bits(mask) {
+            let node = &ex.graph.nodes()[v];
+            let relation = ex.db.relation(&node.relation)?;
+            u32::try_from(relation.len()).map_err(|_| {
+                Error::Invalid(format!(
+                    "relation `{}` holds {} tuples, more than a tuple id can number",
+                    relation.name(),
+                    relation.len()
+                ))
+            })?;
+            relations[v] = relation.rows();
+            let cols = Scheme::of_relation(relation.schema(), &node.alias);
+            columns.extend((0..cols.arity()).map(|a| (v, a)));
+            scheme.extend_from_slice(cols.columns());
         }
-        let mut relations: Vec<&[Vec<Value>]> = vec![&[]; width];
-        relations[node] = rows;
-        let scheme = Scheme::of_relation(relation.schema(), alias);
-        let columns = (0..scheme.arity()).map(|a| (node, a)).collect();
         Ok(TupleIds {
             relations,
-            scheme,
+            scheme: Scheme::new(scheme),
             columns,
-            ids,
+            ids: Vec::new(),
         })
+    }
+
+    /// One row per tuple of node `v`'s relation, in order.
+    fn scan(ex: &Exec<'t>, bit: u64) -> Result<Self> {
+        let mut out = TupleIds::over(ex, bit)?;
+        let (width, v) = (out.width(), bit.trailing_zeros() as usize);
+        out.ids = vec![UNCOVERED; width * out.relations[v].len()];
+        for (row, id) in out.ids.chunks_exact_mut(width).zip(0..) {
+            row[v] = id;
+        }
+        Ok(out)
+    }
+
+    /// Ids per row: the graph's node count.
+    fn width(&self) -> usize {
+        self.relations.len()
     }
 
     /// Row `i`'s ids.
     fn row(&self, i: usize) -> &[u32] {
-        let width = self.relations.len();
+        let width = self.width();
         &self.ids[i * width..(i + 1) * width]
     }
 
-    /// `self ⋈ right` under `predicate` and `kind`, by the relational
-    /// join kernel: a pair's row is the elementwise minimum of its two
-    /// rows, an unmatched row is copied as it is.
-    fn join(
-        self,
-        right: &TupleIds<'t>,
+    /// `self ⋈ scan` under `predicate` and `kind`, by the relational join
+    /// kernel, reading the scanned relation's rows in place: a pair's
+    /// row is `self`'s row with the scanned node's id set; an unmatched
+    /// row of either side covers only its own nodes.
+    fn join_scan(
+        &self,
+        ex: &Exec<'t>,
+        scan: &RelExpr,
         predicate: &Expr,
         kind: JoinKind,
-        funcs: &FuncRegistry,
     ) -> Result<TupleIds<'t>> {
-        let mut ids = Vec::with_capacity(self.ids.len().max(right.ids.len()));
-        let scheme = join_with(&self, right, predicate, kind, funcs, |pair| match pair {
-            Joined::Pair(l, r) => ids.extend(
-                self.row(l)
-                    .iter()
-                    .zip(right.row(r))
-                    .map(|(&a, &b)| a.min(b)),
-            ),
-            Joined::Left(l) => ids.extend_from_slice(self.row(l)),
-            Joined::Right(r) => ids.extend_from_slice(right.row(r)),
-        })?;
+        let bit = node_bit(ex.graph, scan)?;
         let TupleIds {
             mut relations,
+            scheme,
             mut columns,
             ..
-        } = self;
-        for &(node, _) in &right.columns {
-            relations[node] = right.relations[node];
-        }
-        columns.extend_from_slice(&right.columns);
+        } = TupleIds::over(ex, bit)?;
+        let (v, width) = (bit.trailing_zeros() as usize, self.width());
+        let rows = relations[v];
+        let mut ids = Vec::with_capacity(self.ids.len().max(rows.len() * width));
+        let scheme = join_with(
+            self,
+            &(&scheme, rows),
+            predicate,
+            kind,
+            ex.funcs,
+            |pair| match pair {
+                Joined::Pair(l, r) => {
+                    ids.extend_from_slice(self.row(l));
+                    let at = ids.len() - width + v;
+                    ids[at] = r as u32;
+                }
+                Joined::Left(l) => ids.extend_from_slice(self.row(l)),
+                Joined::Right(r) => {
+                    ids.resize(ids.len() + width, UNCOVERED);
+                    let at = ids.len() - width + v;
+                    ids[at] = r as u32;
+                }
+            },
+        )?;
+        relations.clone_from(&self.relations);
+        relations[v] = rows;
+        columns.splice(0..0, self.columns.iter().copied());
         Ok(TupleIds {
             relations,
             scheme,
@@ -656,6 +753,57 @@ impl<'t> TupleIds<'t> {
         }
     }
 
+    /// Keep the rows whose flag is set, in order.
+    fn retain(&mut self, keep: &[bool]) {
+        let width = self.width();
+        let mut at = 0;
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            self.ids.copy_within(i * width..(i + 1) * width, at);
+            at += width;
+        }
+        self.ids.truncate(at);
+    }
+
+    /// Keep the rows passing every filter, in order, each read through
+    /// its ids into one scratch row holding only the columns the
+    /// filters reference.
+    fn keep(mut self, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Self> {
+        if filters.is_empty() {
+            return Ok(self);
+        }
+        let bound: Vec<BoundExpr> = filters
+            .iter()
+            .map(|f| f.bind(&self.scheme))
+            .collect::<Result<_>>()?;
+        let reads = columns_read(&self.scheme, filters.iter().copied())?;
+        let mut scratch = vec![Value::Null; self.scheme.arity()];
+        let pass: Vec<bool> = (0..self.row_count())
+            .map(|i| {
+                self.fill(i, &reads, &mut scratch);
+                passes(&bound, &scratch, funcs)
+            })
+            .collect::<Result<_>>()?;
+        self.retain(&pass);
+        Ok(self)
+    }
+
+    /// Fill the `reads` columns of `scratch` with row `i`'s cells (its
+    /// other columns are left as they were).
+    fn fill(&self, i: usize, reads: &[usize], scratch: &mut [Value]) {
+        for &c in reads {
+            scratch[c].clone_from(self.cell(i, c));
+        }
+    }
+
+    /// Drop the rows `candidates` marks that another row strictly
+    /// subsumes, values read through the ids ([`subsumed_among`]).
+    fn remove_subsumed_among(&mut self, candidates: &[bool]) {
+        if candidates.contains(&true) {
+            let keep = subsumed_among(&*self, candidates);
+            self.retain(&keep);
+        }
+    }
+
     /// The coverage of row `i`: its covered nodes.
     fn coverage(&self, i: usize) -> u64 {
         self.row(i)
@@ -665,8 +813,49 @@ impl<'t> TupleIds<'t> {
             .fold(0, |mask, (node, _)| mask | 1 << node)
     }
 
+    /// The rows as a cache entry of the subgraph `mask` they cover: only
+    /// the `|J|` ids of `mask`'s nodes per row, in node order.
+    fn compact(&self, mask: u64) -> IdRows {
+        let nodes: Vec<usize> = bits(mask).collect();
+        let ids = (0..self.row_count())
+            .flat_map(|i| {
+                let row = self.row(i);
+                nodes.iter().map(move |&v| row[v])
+            })
+            .collect();
+        IdRows {
+            width: nodes.len(),
+            ids,
+        }
+    }
+
+    /// The id rows of a cache entry of [`TupleIds::compact`]'s form, laid
+    /// out for this (row-less) frame over `mask`. The entry is
+    /// untrusted: it is rejected (`None`) unless it holds `|J|` ids per
+    /// row and every id names a tuple of its node's relation.
+    fn expand(&self, mask: u64, cached: &IdRows) -> Option<Vec<u32>> {
+        let nodes: Vec<usize> = bits(mask).collect();
+        if cached.width != nodes.len() || !cached.ids.len().is_multiple_of(nodes.len()) {
+            return None;
+        }
+        let width = self.width();
+        let mut ids = vec![UNCOVERED; cached.len() * width];
+        for (row, entry) in ids
+            .chunks_exact_mut(width)
+            .zip(cached.ids.chunks_exact(nodes.len()))
+        {
+            for (&v, &id) in nodes.iter().zip(entry) {
+                if id as usize >= self.relations[v].len() {
+                    return None;
+                }
+                row[v] = id;
+            }
+        }
+        Some(ids)
+    }
+
     /// The value rows (span `fd.materialize`).
-    fn materialize(&self) -> Table {
+    pub(crate) fn materialize(&self) -> Table {
         let _span = clio_obs::span("fd.materialize");
         let rows = (0..self.row_count())
             .map(|i| {
@@ -700,8 +889,8 @@ impl JoinInput for TupleIds<'_> {
 
 /// A `D(G)` as [`project`] and
 /// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
-/// read it: the tree plan's tuple ids, or a value table (the lattice
-/// union, a memoized `D(G)`, or any other node's rows).
+/// read it: tuple ids (the tree chain or the lattice union), or a value
+/// table (a memoized `D(G)`, or any other node's rows).
 pub(crate) enum Associations<'t> {
     /// Tuple ids over the graph scheme.
     Ids(TupleIds<'t>),
@@ -731,9 +920,7 @@ impl Associations<'_> {
         match self {
             Associations::Values(table) => &table.rows()[i],
             Associations::Ids(ids) => {
-                for &c in reads {
-                    scratch[c].clone_from(ids.cell(i, c));
-                }
+                ids.fill(i, reads, scratch);
                 scratch
             }
         }
@@ -762,7 +949,7 @@ impl Associations<'_> {
 
 /// One `F(J)` a [`RelExpr::Union`] computes: its subgraph, its chain,
 /// and — for a chain longer than one scan — the parent subgraph whose
-/// table the chain's last join extends, with that join's right-hand scan
+/// rows the chain's last join extends, with that join's right-hand scan
 /// and predicate.
 struct Job<'e> {
     mask: u64,
@@ -771,64 +958,121 @@ struct Job<'e> {
     estimate: u64,
 }
 
+/// Which rows of `table`, the rows of a branch `J`, a row of some child
+/// branch `J ∪ {v}` extends: holds the same tuple at every node of `J`.
+/// `children` pairs each child's rows with its `v`. Padded, such a child
+/// row strictly subsumes the `table` row — it adds `v`'s tuple, which is
+/// not all null — so a row marked here is never maximal. One hashed
+/// semi-join on the `|J|` ids of each row: the rows of `table` are
+/// indexed once, and each child row probes with its ids, `v`'s left out.
+/// Index insertions plus probes count in `subsumption.comparisons`.
+fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool> {
+    let n = table.row_count();
+    let mut extended = vec![false; n];
+    if n == 0 || children.iter().all(|(child, _)| child.row_count() == 0) {
+        return extended;
+    }
+    let index: HashMap<&[u32], usize> = (0..n).map(|i| (table.row(i), i)).collect();
+    let mut key = vec![UNCOVERED; table.width()];
+    let mut comparisons = n as u64;
+    for &(child, v) in children {
+        for r in 0..child.row_count() {
+            key.copy_from_slice(child.row(r));
+            key[v] = UNCOVERED;
+            if let Some(&i) = index.get(key.as_slice()) {
+                extended[i] = true;
+            }
+        }
+        comparisons += child.row_count() as u64;
+    }
+    metrics::add(Counter::SubsumptionComparisons, comparisons);
+    extended
+}
+
 /// The minimum union of a [`RelExpr::Union`]'s branches, in their
-/// (canonical) order, computed over the subgraph lattice.
+/// (canonical) order, computed over the subgraph lattice on tuple ids.
 ///
 /// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
 /// looked up under its [`subgraph_fingerprint`] (counted, in branch
-/// order). A miss is one join: `chain_ir(J)` is
-/// `Join { chain_ir(J \ {v}), Scan v }` for `J`'s last BFS node `v`, so
-/// `F(J)` joins the parent subgraph's table with `R_v`'s rows, read in
-/// place. The parent is a branch, a cache hit, or — when the pushdown
+/// order; span `fd.lattice.lookup`). A miss is one join: `chain_ir(J)`
+/// is `Join { chain_ir(J \ {v}), Scan v }` for `J`'s last BFS node `v`,
+/// so `F(J)` joins the parent subgraph's id rows with `R_v`'s rows, read
+/// in place, by the join kernel ([`join_with`], as the tree plan's
+/// steps). The parent is a branch, a cache hit, or — when the pushdown
 /// pruned it — looked up and computed once for sharing. The misses run
 /// level by level in popcount order, each level on the worker pool
-/// longest-estimated-first, and are inserted unfiltered, each charged
-/// only its own join; `fd.subgraphs` counts them.
+/// longest-estimated-first, and are inserted unfiltered as `|J|` ids per
+/// row, each charged only its own join (span `fd.lattice.insert`);
+/// `fd.subgraphs` counts them. A cached entry is checked before use:
+/// an id past its relation's end makes it a miss.
 ///
 /// **Subsumption by non-extension.** Each branch's pushed filters then
-/// apply. A row of branch `J` is dropped when a row of some branch
-/// `J ∪ {v}` extends it ([`extended_rows`]): padded, that row strictly
-/// subsumes it, so the dropped row is never maximal. The rest keep
-/// branch order and are padded to `pad`. A residual pass
-/// ([`remove_subsumed_among`]) then removes duplicates and tests as the
-/// subsumed side only the rows that can still be subsumed: those with a
-/// base-data null in their own coverage, and every row of a branch that
-/// is not *closed* — closed meaning every `J ∪ {v}` is a branch and the
-/// filters sit where [`canonical_pushdown`] expects them. A closed
-/// branch's unextended null-free row is maximal: a subsumer in `F(J')`
-/// agrees with it on all of `J`, and its restriction to `J ∪ {v}`, for a
-/// `v` of `J' \ J` adjacent to `J`, is a row of that branch that passes
-/// its filters (they bind only `J ∪ {v}`, and also sit on `J'`) and
-/// extends the row — relations hold no all-null tuple, so the
-/// restriction adds a value. Only strictly subsumed rows are dropped, so
-/// every maximal row and each of its occurrences survives, and the
-/// result is [`minimum_union_all`](clio_relational::ops::minimum_union_all)
-/// over the filtered, padded branches, row order included, whatever was
-/// warm and however the misses ran. The non-extension pass, the padding
-/// and the residual pass run under the spans `fd.lattice.extend`,
-/// `fd.lattice.pad` and `fd.lattice.residual`.
+/// apply, read through the ids (span `fd.lattice.keep`). A row of branch
+/// `J` is dropped when a row of some branch `J ∪ {v}` holds the same
+/// tuple at every node of `J` ([`extended_rows`], span
+/// `fd.lattice.extend`): padded, that row strictly subsumes it, so the
+/// dropped row is never maximal. The rest keep branch order (span
+/// `fd.lattice.collect`); the id rows need no padding.
 ///
-/// Returns the table with the computed `(mask, cost_ns)` pairs in
-/// dispatch order (popcount, then mask).
-pub(crate) fn schedule(
-    ex: &Exec,
+/// **Residual pass.** A branch is *closed* when every `J ∪ {v}` is a
+/// branch and the filters sit where [`canonical_pushdown`] expects them.
+/// A residual pass ([`subsumed_among`], values read through the ids;
+/// span `fd.lattice.residual`) tests as the subsumed side only the rows
+/// of branches that are not closed or that hold a tuple of a relation
+/// with near-duplicates ([`Relation::has_near_duplicates`]). Every other
+/// row is maximal. Proof: let `r ∈ F(J)` be such a row, strictly
+/// subsumed by a row `s` of some filtered branch `F(J')`. At each node
+/// `u ∈ J`, `r`'s tuple `t` has a non-null cell (relations hold no
+/// all-null tuple), so `s` covers `u`, and `s`'s tuple there agrees with
+/// `t` on `t`'s non-null cells; `u`'s relation has no near-duplicate, so
+/// it is `t` itself. So `J' ⊋ J`, and for a `v` of `J' \ J` adjacent to
+/// `J`, `s` restricted to `J ∪ {v}` is a row of that branch (it
+/// satisfies every edge of `J'`), passes its filters (they bind only
+/// `J ∪ {v}` and also sit on `J'`), and holds `r`'s tuples:
+/// non-extension dropped `r`. With no relation of `G` flagged and every
+/// branch closed — what `Plan::new` builds — there is no residual pass
+/// at all. There is no duplicate pass either: rows of one branch are
+/// distinct id combinations of sets, rows of two branches differ in
+/// coverage, and two distinct tuples of one relation are never equal.
+/// Only strictly subsumed rows are dropped, so every maximal row
+/// survives, and the result is
+/// [`minimum_union_all`](clio_relational::ops::minimum_union_all)
+/// over the filtered, padded branches, row order included, whatever was
+/// warm and however the misses ran.
+///
+/// Returns the ids, over the graph scheme in node order (`pad`), with
+/// the computed `(mask, cost_ns)` pairs in dispatch order (popcount,
+/// then mask).
+///
+/// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
+pub(crate) fn schedule<'t>(
+    ex: &Exec<'t>,
     inputs: &[RelExpr],
     branches: &[BranchInfo],
     pad: &Scheme,
-) -> Result<(Table, Vec<(u64, u64)>)> {
+) -> Result<(TupleIds<'t>, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.lattice");
     let cache = ex.cache.filter(|c| c.enabled());
     let keyed = |mask: u64| cache.map(|c| (c, subgraph_fingerprint(ex.graph, mask, c)));
-    let lookup = |mask: u64| keyed(mask).and_then(|(c, fp)| c.get(fp));
+    let lookup = |mask: u64| -> Result<Option<TupleIds<'t>>> {
+        let Some(cache) = cache else {
+            return Ok(None);
+        };
+        let _span = clio_obs::span("fd.lattice.lookup");
+        let fp = subgraph_fingerprint(ex.graph, mask, cache);
+        let frame = TupleIds::over(ex, mask)?;
+        let ids = cache.get_ids(fp, |cached| frame.expand(mask, cached));
+        Ok(ids.map(|ids| TupleIds { ids, ..frame }))
+    };
     let branch_masks: HashMap<u64, usize> = branches
         .iter()
         .enumerate()
         .map(|(i, b)| (b.mask, i))
         .collect();
-    let mut known: HashMap<u64, Table> = HashMap::new();
+    let mut known: HashMap<u64, TupleIds<'t>> = HashMap::new();
     for b in branches {
-        if let Some(table) = lookup(b.mask) {
-            known.insert(b.mask, table);
+        if let Some(ids) = lookup(b.mask)? {
+            known.insert(b.mask, ids);
         }
     }
     // the misses, each followed up its chain to a known or queued parent
@@ -865,8 +1109,8 @@ pub(crate) fn schedule(
                 break; // its own lookup ran; its own entry queues it
             }
             if !known.contains_key(&mask) && !queued.contains(&mask) {
-                if let Some(table) = lookup(mask) {
-                    known.insert(mask, table);
+                if let Some(ids) = lookup(mask)? {
+                    known.insert(mask, ids);
                 }
             }
         }
@@ -878,42 +1122,34 @@ pub(crate) fn schedule(
         // order, so scheduling is answer-invisible.
         let mut order: Vec<usize> = (0..level.len()).collect();
         order.sort_by_key(|&p| (Reverse(level[p].estimate), p));
-        let fresh: Vec<(Table, u64)> = clio_relational::exec::map_slice_prioritized(
+        let fresh: Vec<(TupleIds<'t>, u64)> = clio_relational::exec::map_slice_prioritized(
             level,
             &order,
             "fd.lattice.worker",
-            |_, job| -> Result<(Table, u64)> {
+            |_, job| -> Result<(TupleIds<'t>, u64)> {
                 // Unconditional timing (unlike hist::start, which is
                 // trace-gated): the cost model needs real measurements
                 // even when tracing is off.
                 let t0 = std::time::Instant::now();
-                let table = match job.step {
-                    Some((parent, right, predicate)) => {
-                        let (scan, _) = right.input(ex)?;
-                        let parent = &known[&parent];
-                        join_rows(
-                            (parent.scheme(), parent.rows()),
-                            scan.rows(),
-                            predicate,
-                            JoinKind::Inner,
-                            ex.funcs,
-                        )?
-                    }
-                    // `eval`: a lone scan is an `F(J)`, never the memoized
-                    // `D(G)`, even when it spans a one-node graph
-                    None => job.chain.eval(ex)?.0,
+                let ids = match job.step {
+                    Some((parent, scan, predicate)) => known[&parent]
+                        .join_scan(ex, scan, predicate, JoinKind::Inner)?
+                        .in_node_order(),
+                    None => TupleIds::scan(ex, node_bit(ex.graph, job.chain)?)?,
                 };
-                Ok((table, elapsed_ns(t0)))
+                Ok((ids, elapsed_ns(t0)))
             },
         )
         .into_iter()
         .collect::<Result<_>>()?;
-        for (job, (table, cost_ns)) in level.iter().zip(fresh) {
+        let _span = cache.map(|_| clio_obs::span("fd.lattice.insert"));
+        for (job, (ids, cost_ns)) in level.iter().zip(fresh) {
             if let Some((c, fp)) = keyed(job.mask) {
-                c.insert_costed(fp, mask_deps(ex.graph, job.mask), &table, cost_ns);
+                let deps = mask_deps(ex.graph, job.mask);
+                c.insert_ids(fp, deps, &ids.compact(job.mask), cost_ns);
             }
             dispatched.push((job.mask, cost_ns));
-            known.insert(job.mask, table);
+            known.insert(job.mask, ids);
         }
     }
     metrics::add(Counter::SubgraphsEnumerated, dispatched.len() as u64);
@@ -923,66 +1159,71 @@ pub(crate) fn schedule(
         }
     }
 
-    let tables: Vec<Table> = inputs
-        .iter()
-        .zip(branches)
-        .map(|(input, b)| {
-            let table = known.remove(&b.mask).ok_or_else(|| {
-                Error::Invalid("union branches must be distinct subgraphs".into())
-            })?;
-            keep(table, &input.filters().1, ex.funcs)
-        })
-        .collect::<Result<_>>()?;
-    // A branch is closed when every subgraph one node larger is a branch
-    // too and the pushed filters sit exactly where they bind, as
-    // `Plan::new` places them: its unextended null-free rows are maximal.
-    let canonical = canonical_pushdown(ex.graph, inputs, branches);
+    let tables: Vec<TupleIds<'t>> = {
+        let _span = clio_obs::span("fd.lattice.keep");
+        inputs
+            .iter()
+            .zip(branches)
+            .map(|(input, b)| {
+                let ids = known.remove(&b.mask).ok_or_else(|| {
+                    Error::Invalid("union branches must be distinct subgraphs".into())
+                })?;
+                ids.keep(&input.filters().1, ex.funcs)
+            })
+            .collect::<Result<_>>()?
+    };
     // Per branch: is it closed, and which of its rows a child extends.
     let extended: Vec<(bool, Vec<bool>)> = {
         let _span = clio_obs::span("fd.lattice.extend");
+        // A branch is closed when every subgraph one node larger is a
+        // branch too and the pushed filters sit exactly where they bind,
+        // as `Plan::new` places them.
+        let canonical = canonical_pushdown(ex.graph, inputs, branches);
         tables
             .iter()
             .zip(branches)
             .map(|(table, b)| {
                 let mut closed = canonical;
-                let mut children: Vec<&Table> = Vec::new();
+                let mut children: Vec<(&TupleIds, usize)> = Vec::new();
                 for v in bits(neighbourhood(ex.graph, b.mask)) {
                     match branch_masks.get(&(b.mask | 1 << v)) {
-                        Some(&k) => children.push(&tables[k]),
+                        Some(&k) => children.push((&tables[k], v)),
                         None => closed = false,
                     }
                 }
-                Ok((closed, extended_rows(table, &children)?))
+                (closed, extended_rows(table, &children))
             })
-            .collect::<Result<_>>()?
+            .collect()
     };
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut candidates: Vec<bool> = Vec::new();
-    {
-        let _span = clio_obs::span("fd.lattice.pad");
-        for (table, (closed, extended)) in tables.iter().zip(&extended) {
-            let positions = pad.positions_of(table.scheme())?;
-            for (row, _) in table.rows().iter().zip(extended).filter(|(_, &x)| !x) {
-                let mut padded = vec![Value::Null; pad.arity()];
-                for (&p, v) in positions.iter().zip(row) {
-                    padded[p] = v.clone();
-                }
-                rows.push(padded);
-                candidates.push(!closed || row.iter().any(Value::is_null));
-            }
+    // The unextended rows in branch order, each marked as a residual
+    // candidate when its branch is open or holds a flagged tuple.
+    let (mut out, candidates) = {
+        let _span = clio_obs::span("fd.lattice.collect");
+        let flagged = flagged_nodes(ex)?;
+        let mut out = TupleIds::over(ex, ex.graph.node_mask())?;
+        if out.scheme != *pad {
+            return Err(Error::Invalid(
+                "a union is padded to its graph's scheme".into(),
+            ));
         }
-    }
-    let dropped = extended
-        .iter()
-        .map(|(_, extended)| extended.iter().filter(|&&x| x).count() as u64)
-        .sum();
-    metrics::add(Counter::TuplesSubsumed, dropped);
-    let mut table = Table::new(pad.clone(), rows);
-    {
+        let mut candidates: Vec<bool> = Vec::new();
+        let mut dropped = 0;
+        for ((table, b), (closed, extended)) in tables.into_iter().zip(branches).zip(extended) {
+            let candidate = !closed || flagged & b.mask != 0;
+            for (i, _) in extended.iter().enumerate().filter(|(_, &x)| !x) {
+                out.ids.extend_from_slice(table.row(i));
+                candidates.push(candidate);
+            }
+            dropped += extended.iter().filter(|&&x| x).count() as u64;
+        }
+        metrics::add(Counter::TuplesSubsumed, dropped);
+        (out, candidates)
+    };
+    if candidates.contains(&true) {
         let _span = clio_obs::span("fd.lattice.residual");
-        remove_subsumed_among(&mut table, &candidates);
+        out.remove_subsumed_among(&candidates);
     }
-    Ok((table, dispatched))
+    Ok((out, dispatched))
 }
 
 /// Are the union's pushed filters exactly where `Plan::new` puts them:
@@ -1441,7 +1682,10 @@ mod tests {
             graph: &g,
             cache: None,
         };
-        let (got, _) = schedule(&ex, &inputs, &infos, &pad).unwrap();
+        let got = schedule(&ex, &inputs, &infos, &pad)
+            .unwrap()
+            .0
+            .materialize();
         assert_eq!(got.rows(), expected.rows(), "{branches:?}");
     }
 
@@ -1505,6 +1749,7 @@ mod tests {
                 cache,
             };
             let (got, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+            let got = got.materialize();
             assert_eq!(got.scheme(), expected.scheme());
             assert_eq!(got.rows(), expected.rows(), "round {round}");
             let computed: Vec<u64> = dispatched.iter().map(|&(m, _)| m).collect();

@@ -1,7 +1,8 @@
 //! The memoizing evaluation cache.
 //!
-//! [`EvalCache`] maps [`Fingerprint`]s to result [`Table`]s. Three
-//! mechanisms keep entries honest (see `docs/incremental.md`):
+//! [`EvalCache`] maps [`Fingerprint`]s to results: value [`Table`]s, or
+//! rows of tuple ids ([`IdRows`]) that name base tuples by position.
+//! Three mechanisms keep entries honest (see `docs/incremental.md`):
 //!
 //! * **Content versions** — every base relation has a monotonically
 //!   increasing version, mixed into fingerprints by the caller. Editing
@@ -102,6 +103,60 @@ pub fn table_bytes(table: &Table) -> usize {
     bytes
 }
 
+/// Rows of tuple ids: `width` ids per row, row after row. A result held
+/// this way names the base tuples it combines by their positions in
+/// their relations instead of copying their values. The cache does not
+/// interpret the ids, and cannot check them: a reader must check each id
+/// against its relation before use ([`EvalCache::get_ids`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdRows {
+    /// Ids per row; at least 1 when there are ids.
+    pub width: usize,
+    /// The ids, `width` per row.
+    pub ids: Vec<u32>,
+}
+
+impl IdRows {
+    /// The number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ids.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// Are there no rows?
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The bytes an entry of these rows is charged: four per id.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.ids.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// What one cache entry holds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// A value table.
+    Table(Table),
+    /// Rows of tuple ids.
+    Ids(IdRows),
+}
+
+impl Payload {
+    /// The bytes the entry is charged: [`table_bytes`] for a table,
+    /// [`IdRows::bytes`] for id rows.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        match self {
+            Payload::Table(table) => table_bytes(table),
+            Payload::Ids(rows) => rows.bytes(),
+        }
+    }
+}
+
 /// Point-in-time statistics of one [`EvalCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -138,7 +193,7 @@ pub enum LookupTier {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    table: Table,
+    payload: Payload,
     deps: Vec<String>,
     bytes: usize,
     last_used: u64,
@@ -431,7 +486,7 @@ impl EvalCache {
         metrics::add(Counter::CacheInvalidations, dropped);
     }
 
-    /// Look up a result. A memory hit counts `cache.hits`; a lookup
+    /// Look up a table. A memory hit counts `cache.hits`; a lookup
     /// answered by the attached store counts `cache.disk_hits` (inside
     /// the store) and warms the memory tier; only a full miss counts
     /// `cache.misses` — so `hits + disk_hits + misses` equals lookups.
@@ -447,6 +502,40 @@ impl EvalCache {
     /// Counter semantics are identical to `get`.
     #[must_use]
     pub fn get_tiered(&self, fp: Fingerprint) -> (Option<Table>, LookupTier) {
+        self.lookup(fp, |payload| match payload {
+            Payload::Table(table) => Some(table.clone()),
+            Payload::Ids(_) => None,
+        })
+    }
+
+    /// Look up rows of tuple ids, handing them to `decode`, which turns
+    /// them into the caller's form or rejects them. Only the caller
+    /// knows the relations the ids point into, so it must check each id
+    /// there and reject an entry with one out of range. A rejected
+    /// memory entry is dropped; a rejected store entry counts
+    /// `cache.load_errors` (not `cache.disk_hits`) and is removed from
+    /// the store. Either way the lookup goes on as a miss. Counts as
+    /// [`get`](Self::get) does.
+    pub fn get_ids<T>(
+        &self,
+        fp: Fingerprint,
+        mut decode: impl FnMut(&IdRows) -> Option<T>,
+    ) -> Option<T> {
+        self.lookup(fp, |payload| match payload {
+            Payload::Ids(rows) => decode(rows),
+            Payload::Table(_) => None,
+        })
+        .0
+    }
+
+    /// The lookup behind [`get_tiered`](Self::get_tiered) and
+    /// [`get_ids`](Self::get_ids): `decode` reads an entry's payload, or
+    /// rejects it (`None`).
+    fn lookup<T>(
+        &self,
+        fp: Fingerprint,
+        mut decode: impl FnMut(&Payload) -> Option<T>,
+    ) -> (Option<T>, LookupTier) {
         if !self.enabled() {
             return (None, LookupTier::Disabled);
         }
@@ -455,29 +544,39 @@ impl EvalCache {
         let tick = inner.tick;
         let clock = inner.clock;
         if let Some(e) = inner.entries.get_mut(&fp) {
-            e.last_used = tick;
-            e.freq = e.freq.saturating_add(1);
-            e.priority = gd_priority(clock, e.cost_ns, e.bytes, e.freq);
-            let table = e.table.clone();
-            let saved = e.cost_ns;
-            inner.hits += 1;
-            inner.saved_ns = inner.saved_ns.saturating_add(saved);
-            metrics::incr(Counter::CacheHits);
-            metrics::add(Counter::CacheSavedNs, saved);
-            return (Some(table), LookupTier::Memory);
+            if let Some(value) = decode(&e.payload) {
+                e.last_used = tick;
+                e.freq = e.freq.saturating_add(1);
+                e.priority = gd_priority(clock, e.cost_ns, e.bytes, e.freq);
+                let saved = e.cost_ns;
+                inner.hits += 1;
+                inner.saved_ns = inner.saved_ns.saturating_add(saved);
+                metrics::incr(Counter::CacheHits);
+                metrics::add(Counter::CacheSavedNs, saved);
+                return (Some(value), LookupTier::Memory);
+            }
+            if let Some(e) = inner.entries.remove(&fp) {
+                inner.bytes -= e.bytes;
+            }
         }
         // Memory miss: consult the second tier with the lock released
         // (store loads may do I/O and must not serialize other sessions).
         let store = inner.store.clone();
         drop(inner);
         if let Some(store) = store {
-            if let Some(entry) = store.load(fp) {
-                self.admit(fp, entry.deps, &entry.table, entry.cost_ns);
+            let mut value = None;
+            let loaded = store.load_checked(fp, &mut |entry| {
+                value = decode(&entry.payload);
+                value.is_some()
+            });
+            if let Some(entry) = loaded {
+                let bytes = entry.payload.bytes();
+                self.admit(fp, entry.deps, bytes, entry.cost_ns, || entry.payload);
                 let mut inner = self.lock();
                 inner.saved_ns = inner.saved_ns.saturating_add(entry.cost_ns);
                 drop(inner);
                 metrics::add(Counter::CacheSavedNs, entry.cost_ns);
-                return (Some(entry.table), LookupTier::Disk);
+                return (value, LookupTier::Disk);
             }
         }
         let mut inner = self.lock();
@@ -530,34 +629,58 @@ impl EvalCache {
     /// included) to the attached store when the entry is eligible (see
     /// [`EvalCache::spill_all`] for the eligibility rule).
     pub fn insert_costed(&self, fp: Fingerprint, deps: Vec<String>, table: &Table, cost_ns: u64) {
+        self.insert_with(fp, deps, table_bytes(table), cost_ns, || {
+            Payload::Table(table.clone())
+        });
+    }
+
+    /// [`EvalCache::insert_costed`] for rows of tuple ids, charged four
+    /// bytes per id.
+    pub fn insert_ids(&self, fp: Fingerprint, deps: Vec<String>, rows: &IdRows, cost_ns: u64) {
+        self.insert_with(fp, deps, rows.bytes(), cost_ns, || {
+            Payload::Ids(rows.clone())
+        });
+    }
+
+    /// Admit the payload `make` builds (charged `bytes`), then spill a
+    /// second copy when the entry is eligible. `make` runs only for what
+    /// is kept.
+    fn insert_with(
+        &self,
+        fp: Fingerprint,
+        deps: Vec<String>,
+        bytes: usize,
+        cost_ns: u64,
+        make: impl Fn() -> Payload,
+    ) {
         if !self.enabled() {
             return;
         }
-        let spill = self.admit(fp, deps.clone(), table, cost_ns);
-        if let Some(store) = spill {
+        if let Some(store) = self.admit(fp, deps.clone(), bytes, cost_ns, &make) {
             store.spill(
                 fp,
                 &StoredEntry {
                     deps,
-                    table: table.clone(),
+                    payload: make(),
                     cost_ns,
                 },
             );
         }
     }
 
-    /// Insert into the memory tier only. Returns the store to spill to
-    /// when the entry was admitted fresh and is spill-eligible (the
+    /// Insert into the memory tier only; `make` builds the payload
+    /// (charged `bytes`) once it is admitted. Returns the store to spill
+    /// to when the entry was admitted fresh and is spill-eligible (the
     /// actual spill happens outside the lock).
     fn admit(
         &self,
         fp: Fingerprint,
         deps: Vec<String>,
-        table: &Table,
+        bytes: usize,
         cost_ns: u64,
+        make: impl FnOnce() -> Payload,
     ) -> Option<Arc<dyn CacheStore>> {
         let capacity = self.capacity();
-        let bytes = table_bytes(table);
         if capacity == 0 || bytes > capacity {
             return None;
         }
@@ -589,7 +712,7 @@ impl EvalCache {
         inner.entries.insert(
             fp,
             Entry {
-                table: table.clone(),
+                payload: make(),
                 deps,
                 bytes,
                 last_used,
@@ -631,7 +754,7 @@ impl EvalCache {
                     fp,
                     StoredEntry {
                         deps: e.deps.clone(),
-                        table: e.table.clone(),
+                        payload: e.payload.clone(),
                         cost_ns: e.cost_ns,
                     },
                 )
@@ -672,7 +795,8 @@ impl EvalCache {
                 !inner.entries.contains_key(&fp) && Self::spill_eligible(&inner, &entry.deps)
             };
             if ok {
-                self.admit(fp, entry.deps, &entry.table, entry.cost_ns);
+                let bytes = entry.payload.bytes();
+                self.admit(fp, entry.deps, bytes, entry.cost_ns, || entry.payload);
                 admitted += 1;
             }
         }
@@ -955,6 +1079,38 @@ mod tests {
     }
 
     #[test]
+    fn id_rows_are_charged_four_bytes_an_id_and_rejected_ones_miss() {
+        use crate::store::{CacheStore, MemStore};
+        let rows = IdRows {
+            width: 2,
+            ids: vec![0, 1, 2, 3, 4, 5],
+        };
+        let store = std::sync::Arc::new(MemStore::new());
+        let cache = EvalCache::new();
+        cache.set_store(Some(store.clone()));
+        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        assert_eq!(cache.stats().bytes, 24);
+        // a table lookup never reads ids: it rejects both copies
+        assert!(cache.get(fp(1)).is_none());
+        assert_eq!((cache.stats().entries, store.stats().load_errors), (0, 1));
+        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        let in_range = |r: &IdRows| r.ids.iter().all(|&id| id < 6).then(|| r.len());
+        assert_eq!(cache.get_ids(fp(1), in_range), Some(3));
+        // a memory entry its reader rejects is dropped, and the lookup
+        // goes on to the store, whose copy is rejected too
+        let short = |r: &IdRows| r.ids.iter().all(|&id| id < 4).then(|| r.len());
+        assert_eq!(cache.get_ids(fp(1), short), None);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes), (0, 0));
+        assert_eq!(store.stats().load_errors, 2);
+        assert!(store.is_empty());
+        // the recomputed entry takes the old one's place in both tiers
+        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        assert_eq!(store.len(), 1);
+        assert_eq!(cache.get_ids(fp(1), in_range), Some(3));
+    }
+
+    #[test]
     fn post_edit_entries_are_not_spilled() {
         use crate::store::MemStore;
         let store = std::sync::Arc::new(MemStore::new());
@@ -1004,7 +1160,7 @@ mod tests {
             fp(1),
             &crate::store::StoredEntry {
                 deps: vec![],
-                table: table(1, "r"),
+                payload: crate::cache::Payload::Table(table(1, "r")),
                 cost_ns: 0,
             },
         );
@@ -1059,7 +1215,7 @@ mod tests {
             fp(1),
             &crate::store::StoredEntry {
                 deps: vec![],
-                table: table(1, "r"),
+                payload: crate::cache::Payload::Table(table(1, "r")),
                 cost_ns: 0,
             },
         );

@@ -1,7 +1,7 @@
 //! The on-disk [`CacheStore`]: fingerprint-keyed files under a cache
 //! directory, surviving process restarts.
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! One entry per file, named `{namespace:016x}-{fingerprint:016x}.clc`.
 //! All integers are little-endian; strings are `u32` length + UTF-8
@@ -9,13 +9,18 @@
 //!
 //! ```text
 //! magic      b"CLIC"
-//! version    u32            (currently 2)
+//! version    u32            (currently 3)
 //! namespace  u64            (database_digest of the source)
 //! fp         u64            (the entry fingerprint)
 //! cost_ns    u64            (measured recompute time; 0 = unknown)
 //! deps       u32 count, then count strings
-//! scheme     u32 ncols, then per column: qualifier, name, u8 type tag
-//! rows       u64 nrows, then nrows × ncols tagged values
+//! kind       u8             (0 table, 1 tuple ids)
+//! table:
+//!   scheme   u32 ncols, then per column: qualifier, name, u8 type tag
+//!   rows     u64 nrows, then nrows × ncols tagged values
+//! tuple ids:
+//!   width    u32            (ids per row)
+//!   rows     u64 nrows, then nrows × width u32 ids
 //! checksum   u64            (FNV-1a 64 over everything above)
 //! ```
 //!
@@ -23,10 +28,16 @@
 //! `3` string, `4` bool (`u8`).
 //!
 //! Version 2 added `cost_ns` (between `fp` and `deps`) so a warm
-//! restart re-seeds the cost-aware eviction priorities. Version-1 files
-//! are rejected like any other version mismatch — one rate-limited
-//! warning, a `cache.load_errors` count, and a cold recompute that
-//! rewrites the entry in the current format.
+//! restart re-seeds the cost-aware eviction priorities; version 3 added
+//! `kind` and tuple-id entries (and changed what the tree `D(G)` holds:
+//! rows subsumed by a near-duplicate are gone). Files of any other
+//! version are rejected like every defective file — one rate-limited
+//! warning, a `cache.load_errors` count, the file removed, and a cold
+//! recompute that rewrites the entry in the current format. The decoder trusts no count: every
+//! length is checked against the bytes that remain before anything is
+//! allocated. Ids are not checked against the relations they point
+//! into — the store does not know them; the reader does
+//! ([`CacheStore::load_checked`]).
 //!
 //! ## Crash safety and tolerance
 //!
@@ -38,8 +49,9 @@
 //! or fingerprint mismatch, or a failed checksum logs one line to
 //! stderr (rate-limited per category via [`clio_obs::warn_limited`], so
 //! a directory of corrupt files cannot flood the terminal), counts
-//! `cache.load_errors`, and behaves as a miss — the cache recomputes,
-//! so a damaged directory can degrade performance but never an answer.
+//! `cache.load_errors`, removes the file, and behaves as a miss — the
+//! cache recomputes and spills the entry afresh, so a damaged directory
+//! can degrade performance once but never an answer.
 //! An unusable directory (e.g. unwritable) degrades the store to an
 //! inert no-op the same way.
 
@@ -53,11 +65,12 @@ use clio_relational::table::Table;
 use clio_relational::value::{DataType, Value};
 use clio_relational::{fnv1a, FNV_OFFSET_BASIS};
 
+use crate::cache::{IdRows, Payload};
 use crate::fingerprint::Fingerprint;
 use crate::store::{CacheStore, StoreCounters, StoreStats, StoredEntry};
 
 /// Current file format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"CLIC";
 
@@ -155,6 +168,8 @@ impl DiskStore {
                     ),
                 );
                 self.counters.record_load_error();
+                // `spill` never overwrites: make room for the recompute
+                let _ = fs::remove_file(path);
                 None
             }
         }
@@ -162,11 +177,28 @@ impl DiskStore {
 }
 
 impl CacheStore for DiskStore {
-    fn load(&self, fp: Fingerprint) -> Option<StoredEntry> {
+    fn load_checked(
+        &self,
+        fp: Fingerprint,
+        usable: &mut dyn FnMut(&StoredEntry) -> bool,
+    ) -> Option<StoredEntry> {
         let dir = self.dir.as_deref()?;
-        let entry = self.read_entry(&self.entry_path(dir, fp), fp)?;
-        self.counters.record_hit();
-        Some(entry)
+        let path = self.entry_path(dir, fp);
+        let entry = self.read_entry(&path, fp)?;
+        if usable(&entry) {
+            self.counters.record_hit();
+            return Some(entry);
+        }
+        clio_obs::warn_limited(
+            "cache.load",
+            &format!(
+                "cache entry `{}` rejected (unusable by its reader); recomputing",
+                path.display()
+            ),
+        );
+        self.counters.record_load_error();
+        let _ = fs::remove_file(&path);
+        None
     }
 
     fn spill(&self, fp: Fingerprint, entry: &StoredEntry) -> bool {
@@ -310,7 +342,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Encode one entry into the version-2 file bytes (checksum included).
+/// Encode one entry into the version-3 file bytes (checksum included).
 #[must_use]
 pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
     let mut out = Vec::new();
@@ -323,17 +355,30 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
     for dep in &entry.deps {
         put_str(&mut out, dep);
     }
-    let scheme = entry.table.scheme();
-    put_u32(&mut out, scheme.arity() as u32);
-    for col in scheme.columns() {
-        put_str(&mut out, &col.qualifier);
-        put_str(&mut out, &col.name);
-        out.push(type_tag(col.ty));
-    }
-    put_u64(&mut out, entry.table.len() as u64);
-    for row in entry.table.rows() {
-        for v in row {
-            put_value(&mut out, v);
+    match &entry.payload {
+        Payload::Table(table) => {
+            out.push(0);
+            let scheme = table.scheme();
+            put_u32(&mut out, scheme.arity() as u32);
+            for col in scheme.columns() {
+                put_str(&mut out, &col.qualifier);
+                put_str(&mut out, &col.name);
+                out.push(type_tag(col.ty));
+            }
+            put_u64(&mut out, table.len() as u64);
+            for row in table.rows() {
+                for v in row {
+                    put_value(&mut out, v);
+                }
+            }
+        }
+        Payload::Ids(rows) => {
+            out.push(1);
+            put_u32(&mut out, rows.width as u32);
+            put_u64(&mut out, rows.len() as u64);
+            for &id in &rows.ids {
+                put_u32(&mut out, id);
+            }
         }
     }
     let checksum = fnv1a(FNV_OFFSET_BASIS, &out);
@@ -387,9 +432,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decode version-2 file bytes, verifying magic, version, namespace,
-/// fingerprint, and checksum. Any defect yields a description of why
-/// the file was rejected.
+/// Decode version-3 file bytes, verifying magic, version,
+/// namespace, fingerprint, and checksum. Any defect yields a description
+/// of why the file was rejected.
 pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEntry, String> {
     if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 8 + 8 {
         return Err("truncated".to_owned());
@@ -426,6 +471,23 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
     for _ in 0..ndeps {
         deps.push(cur.str()?.to_owned());
     }
+    let payload = match cur.u8()? {
+        0 => Payload::Table(decode_table(&mut cur)?),
+        1 => Payload::Ids(decode_ids(&mut cur)?),
+        kind => return Err(format!("unknown entry kind {kind}")),
+    };
+    if cur.pos != body.len() {
+        return Err("trailing bytes".to_owned());
+    }
+    Ok(StoredEntry {
+        deps,
+        payload,
+        cost_ns,
+    })
+}
+
+/// A table entry's scheme and rows.
+fn decode_table(cur: &mut Cursor) -> Result<Table, String> {
     let ncols = cur.u32()? as usize;
     let mut cols = Vec::with_capacity(ncols.min(1024));
     for _ in 0..ncols {
@@ -441,7 +503,7 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
     // a forged count on a zero-column table would loop pushing rows.
     let room = match ncols {
         0 => 1,
-        n => (body.len() - cur.pos) / n,
+        n => (cur.bytes.len() - cur.pos) / n,
     };
     if nrows > room as u64 {
         return Err(format!("row count {nrows} exceeds the body"));
@@ -455,14 +517,28 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
         }
         rows.push(row);
     }
-    if cur.pos != body.len() {
-        return Err("trailing bytes".to_owned());
+    Ok(Table::new(Scheme::new(cols), rows))
+}
+
+/// A tuple-id entry's width and ids. The id count must fit the bytes
+/// that remain (four per id), and rows need a width of at least one.
+fn decode_ids(cur: &mut Cursor) -> Result<IdRows, String> {
+    let width = cur.u32()? as usize;
+    let nrows = cur.u64()?;
+    if width == 0 && nrows > 0 {
+        return Err("tuple-id rows of width 0".to_owned());
     }
-    Ok(StoredEntry {
-        deps,
-        table: Table::new(Scheme::new(cols), rows),
-        cost_ns,
-    })
+    let room = ((cur.bytes.len() - cur.pos) / 4) as u64;
+    let count = nrows
+        .checked_mul(width as u64)
+        .filter(|&n| n <= room)
+        .ok_or_else(|| format!("{nrows} rows of {width} ids exceed the body"))?;
+    let ids = cur
+        .take(count as usize * 4)?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    Ok(IdRows { width, ids })
 }
 
 #[cfg(test)]
@@ -479,7 +555,7 @@ mod tests {
             .collect();
         StoredEntry {
             deps: vec!["R".into(), "S".into()],
-            table: Table::new(scheme, rows),
+            payload: Payload::Table(Table::new(scheme, rows)),
             cost_ns: 987_654,
         }
     }
@@ -493,7 +569,7 @@ mod tests {
         ]);
         StoredEntry {
             deps: vec![],
-            table: Table::new(
+            payload: Payload::Table(Table::new(
                 scheme,
                 vec![
                     vec![
@@ -504,7 +580,7 @@ mod tests {
                     ],
                     vec![Value::Null, Value::Null, Value::Null, Value::Bool(false)],
                 ],
-            ),
+            )),
             cost_ns: 0,
         }
     }
@@ -600,19 +676,21 @@ mod tests {
         store.spill(Fingerprint(1), &entry(2, "r"));
         let path = dir.join(format!("{:016x}-{:016x}.clc", 7, 1));
         let bytes = fs::read(&path).unwrap();
-        // truncate
+        // truncate; every rejected file is removed
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(store.load(Fingerprint(1)).is_none());
         assert_eq!(store.stats().load_errors, 1);
+        assert!(!path.exists());
         // corrupt one byte (restore length first)
         let mut flipped = bytes.clone();
         flipped[20] ^= 0x55;
         fs::write(&path, &flipped).unwrap();
         assert!(store.load(Fingerprint(1)).is_none());
         assert_eq!(store.stats().load_errors, 2);
+        assert!(!path.exists());
         // future format version
         let mut future = bytes.clone();
-        future[4] = 3;
+        future[4] = 4;
         let body_len = future.len() - 8;
         let sum = fnv1a(FNV_OFFSET_BASIS, &future[..body_len]);
         future[body_len..].copy_from_slice(&sum.to_le_bytes());
@@ -620,35 +698,130 @@ mod tests {
         assert!(store.load(Fingerprint(1)).is_none());
         assert_eq!(store.stats().load_errors, 3);
         // load_all tolerates the same file
+        fs::write(&path, &future).unwrap();
         assert!(store.load_all().is_empty());
         assert_eq!(store.stats().load_errors, 4);
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A version-2 file: the current encoding of `e` without the kind
+    /// byte, re-checksummed.
+    fn version_two_file(e: &StoredEntry) -> Vec<u8> {
+        let mut v2 = encode(7, Fingerprint(1), e);
+        // header, deps ("R", "S"), then the kind byte
+        let kind_at = 32 + 4 + 2 * 5;
+        assert_eq!(v2[kind_at], 0);
+        v2.remove(kind_at);
+        v2[4] = 2;
+        resummed(v2)
+    }
+
+    /// `old` is rejected naming its `version`; through a store it is one
+    /// load error and a miss, and the file is removed so the recompute
+    /// spills `e` afresh.
+    fn assert_rejected_and_rewritten(version: u32, old: &[u8], e: &StoredEntry) {
+        let why = decode(old, 7, Fingerprint(1)).unwrap_err();
+        assert!(
+            why.contains(&format!("format version {version}")),
+            "got: {why}"
+        );
+        let dir = tmp_dir(&format!("v{version}"));
+        let store = DiskStore::open(&dir, 7);
+        let path = dir.join(format!("{:016x}-{:016x}.clc", 7, 1));
+        fs::write(&path, old).unwrap();
+        assert!(store.load(Fingerprint(1)).is_none());
+        assert_eq!(store.stats().load_errors, 1);
+        assert!(store.spill(Fingerprint(1), e));
+        assert_eq!(&store.load(Fingerprint(1)).expect("rewritten"), e);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_one_files_degrade_to_misses() {
-        // Reconstruct a version-1 file from the current encoding: drop
-        // the cost_ns word (bytes 24..32), set the version field to 1,
-        // and re-checksum — byte-for-byte what PR 5 wrote.
+        // Reconstruct a version-1 file byte for byte: a version-2 file
+        // without the cost_ns word (bytes 24..32), version field 1,
+        // re-checksummed.
         let e = entry(2, "r");
-        let good = encode(7, Fingerprint(1), &e);
+        let v2 = version_two_file(&e);
         let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(&good[..24]);
-        v1.extend_from_slice(&good[32..good.len() - 8]);
+        v1.extend_from_slice(&v2[..24]);
+        v1.extend_from_slice(&v2[32..]);
         v1[4] = 1;
-        let sum = fnv1a(FNV_OFFSET_BASIS, &v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        let why = decode(&v1, 7, Fingerprint(1)).unwrap_err();
-        assert!(why.contains("format version 1"), "got: {why}");
-        // through the store it is one load error and a miss, and the
-        // recompute path overwrites nothing (spill skips existing files)
-        // until the caller clears it — cold but correct.
-        let dir = tmp_dir("v1");
+        assert_rejected_and_rewritten(1, &resummed(v1), &e);
+    }
+
+    #[test]
+    fn version_two_files_degrade_to_misses() {
+        // version 3 changed what the tree `D(G)` entries hold, so a
+        // version-2 table is never served
+        let e = entry(2, "r");
+        assert_rejected_and_rewritten(2, &version_two_file(&e), &e);
+    }
+
+    fn ids_entry() -> StoredEntry {
+        StoredEntry {
+            deps: vec!["R".into()],
+            payload: Payload::Ids(IdRows {
+                width: 3,
+                ids: vec![0, 1, 2, 7, 0, u32::MAX],
+            }),
+            cost_ns: 11,
+        }
+    }
+
+    /// `bytes` with its checksum recomputed over the new body.
+    fn resummed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a(FNV_OFFSET_BASIS, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn tuple_id_entries_round_trip_and_forged_counts_are_rejected() {
+        let e = ids_entry();
+        let good = encode(7, Fingerprint(3), &e);
+        assert_eq!(decode(&good, 7, Fingerprint(3)).expect("round trip"), e);
+        // header, one dep ("R"), kind: width at 32 + 4 + 5 + 1
+        let width_at = 42;
+        let rows_at = width_at + 4;
+        for (at, claim) in [
+            (rows_at, u64::MAX),
+            (rows_at, 3),
+            (width_at, u64::from(u32::MAX)),
+            (width_at, 0),
+        ] {
+            let mut forged = good.clone();
+            let width = if at == width_at { 4 } else { 8 };
+            forged[at..at + width].copy_from_slice(&claim.to_le_bytes()[..width]);
+            let why = decode(&resummed(forged), 7, Fingerprint(3)).unwrap_err();
+            assert!(
+                why.contains("ids") || why.contains("width 0") || why.contains("trailing"),
+                "{why}"
+            );
+        }
+        let mut kind = good.clone();
+        kind[width_at - 1] = 9;
+        assert!(decode(&resummed(kind), 7, Fingerprint(3))
+            .unwrap_err()
+            .contains("kind"));
+    }
+
+    #[test]
+    fn an_entry_its_reader_rejects_is_a_load_error_and_is_removed() {
+        let dir = tmp_dir("reject");
         let store = DiskStore::open(&dir, 7);
-        let path = dir.join(format!("{:016x}-{:016x}.clc", 7, 1));
-        fs::write(&path, &v1).unwrap();
-        assert!(store.load(Fingerprint(1)).is_none());
-        assert_eq!(store.stats().load_errors, 1);
+        assert!(store.spill(Fingerprint(4), &ids_entry()));
+        assert!(store.load_checked(Fingerprint(4), &mut |_| false).is_none());
+        let s = store.stats();
+        assert_eq!((s.hits, s.load_errors), (0, 1));
+        assert!(store.load(Fingerprint(4)).is_none(), "the file is gone");
+        assert!(
+            store.spill(Fingerprint(4), &ids_entry()),
+            "and can be rewritten"
+        );
+        assert_eq!(store.load(Fingerprint(4)).expect("hit"), ids_entry());
         let _ = fs::remove_dir_all(&dir);
     }
 

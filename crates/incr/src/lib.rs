@@ -7,7 +7,8 @@
 //! correspondence, a filter, a walk — changes only part of the mapping
 //! state, so most of what the previous state established can be reused.
 //! This crate supplies the machinery: [`EvalCache`] stores result
-//! [`clio_relational::table::Table`]s under [`Fingerprint`] keys,
+//! [`clio_relational::table::Table`]s and rows of tuple ids
+//! ([`IdRows`]) under [`Fingerprint`] keys,
 //! tracks which base relations
 //! each entry depends on, and drops exactly the dependent entries when a
 //! relation's content version is bumped.
@@ -28,7 +29,8 @@ pub mod fingerprint;
 pub mod store;
 
 pub use cache::{
-    table_bytes, CacheStats, EvalCache, EvictionPolicy, LookupTier, DEFAULT_CAPACITY_BYTES,
+    table_bytes, CacheStats, EvalCache, EvictionPolicy, IdRows, LookupTier, Payload,
+    DEFAULT_CAPACITY_BYTES,
 };
 pub use disk::DiskStore;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};

@@ -38,18 +38,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
-use clio_relational::table::Table;
 
+use crate::cache::Payload;
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
 
-/// One cache entry as a backend sees it: the result table, the base
-/// relations it was computed from, and its measured recompute cost.
+/// One cache entry as a backend sees it: the result, the base relations
+/// it was computed from, and its measured recompute cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredEntry {
     /// Sorted, deduplicated base-relation dependencies.
     pub deps: Vec<String>,
-    /// The memoized result table.
-    pub table: Table,
+    /// The memoized result: a table, or rows of tuple ids.
+    pub payload: Payload,
     /// Measured recompute time in nanoseconds (0 when unknown), carried
     /// so a warm restart re-seeds the cost-aware eviction priorities.
     pub cost_ns: u64,
@@ -123,7 +123,19 @@ impl StoreCounters {
 /// entry that was previously stored under exactly the same fingerprint.
 pub trait CacheStore: Send + Sync + std::fmt::Debug {
     /// Fetch the entry stored under `fp`, if any.
-    fn load(&self, fp: Fingerprint) -> Option<StoredEntry>;
+    fn load(&self, fp: Fingerprint) -> Option<StoredEntry> {
+        self.load_checked(fp, &mut |_| true)
+    }
+
+    /// Fetch the entry stored under `fp` if `usable` accepts it. An
+    /// entry the caller cannot use — rows of tuple ids with an id past
+    /// its relation's end, say — counts as a load error, never as a
+    /// hit, and is removed, so a recomputed entry can take its place.
+    fn load_checked(
+        &self,
+        fp: Fingerprint,
+        usable: &mut dyn FnMut(&StoredEntry) -> bool,
+    ) -> Option<StoredEntry>;
 
     /// Write `entry` under `fp`. Returns whether a new entry was
     /// written (idempotent: spilling an already-present fingerprint is
@@ -177,12 +189,20 @@ impl MemStore {
 }
 
 impl CacheStore for MemStore {
-    fn load(&self, fp: Fingerprint) -> Option<StoredEntry> {
-        let entry = self.lock().get(&fp).cloned();
-        if entry.is_some() {
+    fn load_checked(
+        &self,
+        fp: Fingerprint,
+        usable: &mut dyn FnMut(&StoredEntry) -> bool,
+    ) -> Option<StoredEntry> {
+        let entry = self.lock().get(&fp).cloned()?;
+        if usable(&entry) {
             self.counters.record_hit();
+            Some(entry)
+        } else {
+            self.lock().remove(&fp);
+            self.counters.record_load_error();
+            None
         }
-        entry
     }
 
     fn spill(&self, fp: Fingerprint, entry: &StoredEntry) -> bool {
@@ -190,7 +210,7 @@ impl CacheStore for MemStore {
         if entries.contains_key(&fp) {
             return false;
         }
-        let bytes = crate::cache::table_bytes(&entry.table) as u64;
+        let bytes = entry.payload.bytes() as u64;
         entries.insert(fp, entry.clone());
         drop(entries);
         self.counters.record_spill(bytes);
@@ -264,6 +284,7 @@ mod tests {
     use super::*;
     use clio_relational::relation::RelationBuilder;
     use clio_relational::schema::{Column, Scheme};
+    use clio_relational::table::Table;
     use clio_relational::value::{DataType, Value};
 
     fn table(rows: usize, tag: &str) -> Table {
@@ -277,7 +298,7 @@ mod tests {
     fn entry(rows: usize, tag: &str) -> StoredEntry {
         StoredEntry {
             deps: vec!["R".into()],
-            table: table(rows, tag),
+            payload: Payload::Table(table(rows, tag)),
             cost_ns: 12_345,
         }
     }
@@ -292,12 +313,23 @@ mod tests {
         assert_eq!(got, entry(3, "r"));
         let s = store.stats();
         assert_eq!((s.spills, s.hits, s.load_errors), (1, 1, 0));
-        assert_eq!(
-            s.bytes,
-            crate::cache::table_bytes(&entry(3, "r").table) as u64
-        );
+        assert_eq!(s.bytes, crate::cache::table_bytes(&table(3, "r")) as u64);
         assert_eq!(store.len(), 1);
         assert!(store.describe().contains("mem"));
+    }
+
+    #[test]
+    fn an_unusable_entry_is_a_load_error_and_is_removed() {
+        let store = MemStore::new();
+        store.spill(Fingerprint(1), &entry(2, "r"));
+        assert!(store.load_checked(Fingerprint(1), &mut |_| false).is_none());
+        let s = store.stats();
+        assert_eq!((s.hits, s.load_errors), (0, 1));
+        assert!(
+            store.is_empty(),
+            "a fresh entry can be spilled in its place"
+        );
+        assert!(store.spill(Fingerprint(1), &entry(2, "r")));
     }
 
     #[test]

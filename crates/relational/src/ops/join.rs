@@ -23,9 +23,10 @@
 //! monomorphised for each use. [`join_rows`] reads each side as a
 //! borrowed scheme and row slice — the plan executor joins a stored
 //! relation's rows where they lie — and builds value rows from the
-//! pairs; [`join`] over two tables calls it. The tree plan's outer-join
-//! chain in `clio-core` runs the same kernel over rows of tuple ids,
-//! reading key cells through the ids.
+//! pairs; [`join`] over two tables calls it. The `D(G)` plans in
+//! `clio-core` — the tree's outer-join chain and the lattice's `F(J)`
+//! steps — run the same kernel over rows of tuple ids, reading key cells
+//! through the ids.
 
 use clio_obs::metrics::{self, Counter};
 

@@ -15,7 +15,8 @@ pub use join::{cartesian_product, join, join_rows, join_with, JoinInput, JoinKin
 pub use minimum_union::{minimum_union, minimum_union_all, outer_union, pad_to, unified_scheme};
 pub use project::project;
 pub use select::select;
+pub(crate) use subsumption::holds_subsumed_row;
 pub use subsumption::{
-    extended_rows, remove_subsumed, remove_subsumed_among, remove_subsumed_naive,
-    remove_subsumed_partitioned, strictly_subsumes, subsumes, SubsumptionAlgo,
+    remove_subsumed, remove_subsumed_among, remove_subsumed_naive, remove_subsumed_partitioned,
+    strictly_subsumes, subsumed_among, subsumes, SubsumptionAlgo,
 };

@@ -31,13 +31,16 @@
 //!   recording each decision in the `subsumption.adaptive_choices`
 //!   counter.
 //!
-//! Two building blocks serve callers that know where subsumers can be
-//! — the lattice `D(G)` union: [`extended_rows`], a hashed semi-join
-//! marking the rows a wider table extends, and
+//! Callers that know where subsumers can be run
 //! [`remove_subsumed_among`], the partitioned pass testing only the rows
-//! the caller marks as possibly subsumed. [`remove_subsumed_partitioned`]
-//! (which [`remove_subsumed`] runs when it does not pick naive) and
-//! [`remove_subsumed_among`] share that one pass.
+//! the caller marks as possibly subsumed, or [`subsumed_among`], the
+//! same test over any rows a [`JoinInput`] reads — how the `D(G)` plans
+//! test rows read through tuple ids. The same pass,
+//! testing only the tuples that hold a null, computes a relation's
+//! near-duplicate flag
+//! ([`Relation::has_near_duplicates`](crate::relation::Relation::has_near_duplicates)).
+//! [`remove_subsumed_partitioned`] (which [`remove_subsumed`] runs when
+//! it does not pick naive) shares that one pass too.
 //!
 //! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`, and
 //! `experiments b2`, which first asserts that the naive, partitioned and
@@ -50,8 +53,8 @@ use std::collections::{HashMap, HashSet};
 use clio_obs::metrics::{self, Counter};
 
 use crate::bitset::Bitset;
-use crate::error::Result;
 use crate::exec;
+use crate::ops::JoinInput;
 use crate::table::{RowIndex, Table};
 use crate::value::Value;
 
@@ -146,9 +149,9 @@ fn pick_naive(table: &Table) -> bool {
     masks.len() * 2 > sample
 }
 
-/// Write `row`'s non-null mask into `mask`, which has the row's arity.
-fn fill_null_mask(mask: &mut Bitset, row: &[Value]) {
-    for (k, v) in row.iter().enumerate() {
+/// Write a row's non-null mask into `mask`, which has the row's arity.
+fn fill_null_mask<'v>(mask: &mut Bitset, row: impl IntoIterator<Item = &'v Value>) {
+    for (k, v) in row.into_iter().enumerate() {
         if v.is_null() {
             mask.clear(k);
         } else {
@@ -195,7 +198,7 @@ pub fn remove_subsumed_naive(table: &mut Table) {
 pub fn remove_subsumed_partitioned(table: &mut Table) {
     let _span = clio_obs::span("ops.remove_subsumed");
     table.dedup();
-    let keep = partitioned_pass(table, None);
+    let keep = counted(partitioned_pass(&(table.scheme(), table.rows()), None));
     retain_by_mask(table, &keep);
 }
 
@@ -208,30 +211,68 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
 /// only. `candidates` must have one flag per row.
 pub fn remove_subsumed_among(table: &mut Table, candidates: &[bool]) {
     let _span = clio_obs::span("ops.remove_subsumed");
-    assert_eq!(candidates.len(), table.len(), "one flag per row");
-    let keep = partitioned_pass(table, Some(candidates));
+    let keep = subsumed_among(&(table.scheme(), table.rows()), candidates);
     retain_by_mask(table, &keep);
     table.dedup();
 }
 
-/// The partitioned probe over `table` (see
+/// [`remove_subsumed_among`]'s test over any rows a [`JoinInput`]
+/// reads — value rows, or rows read through tuple ids — without its
+/// duplicate pass: the keep mask, `false` for each marked row another
+/// row strictly subsumes. Counts `subsumption.comparisons` and
+/// `subsumption.removed` as [`remove_subsumed_among`] does.
+///
+/// # Panics
+///
+/// If `candidates` does not hold one flag per row.
+pub fn subsumed_among<R: JoinInput + Sync>(rows: &R, candidates: &[bool]) -> Vec<bool> {
+    assert_eq!(candidates.len(), rows.row_count(), "one flag per row");
+    counted(partitioned_pass(rows, Some(candidates)))
+}
+
+/// Does another row strictly subsume some row of `rows` that holds a
+/// null? On a set — no two rows equal, so a null-free row is subsumed
+/// by no other — this is whether [`remove_subsumed_naive`] removes
+/// anything. Counts nothing.
+pub(crate) fn holds_subsumed_row<R: JoinInput + Sync>(rows: &R) -> bool {
+    let arity = rows.scheme().arity();
+    let nullable: Vec<bool> = (0..rows.row_count())
+        .map(|i| (0..arity).any(|c| rows.cell(i, c).is_null()))
+        .collect();
+    nullable.contains(&true) && partitioned_pass(rows, Some(&nullable)).0.contains(&false)
+}
+
+/// Flush a [`partitioned_pass`]'s work and removal counts; the keep mask.
+fn counted((keep, comparisons): (Vec<bool>, u64)) -> Vec<bool> {
+    metrics::add(Counter::SubsumptionComparisons, comparisons);
+    metrics::add(
+        Counter::TuplesSubsumed,
+        keep.iter().filter(|&&k| !k).count() as u64,
+    );
+    keep
+}
+
+/// The partitioned probe over `rows` (see
 /// [`remove_subsumed_partitioned`]), testing as subsumees only the rows
-/// `candidates` marks (all when `None`). Returns the keep mask and
-/// flushes the work and removal counters.
-fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
-    let arity = table.scheme().arity();
-    let rows = table.rows();
-    let n = rows.len();
+/// `candidates` marks (all when `None`). Returns the keep mask and the
+/// work: index insertions plus probes, the role the pairwise tests play
+/// in the naive algorithm.
+fn partitioned_pass<R: JoinInput + Sync>(
+    rows: &R,
+    candidates: Option<&[bool]>,
+) -> (Vec<bool>, u64) {
+    let arity = rows.scheme().arity();
+    let n = rows.row_count();
     if candidates.is_some_and(|c| !c.contains(&true)) {
-        return vec![true; n];
+        return (vec![true; n], 0);
     }
 
     // group row indexes by non-null mask, each mask computed into one
     // scratch set and copied only when first seen
     let mut groups: HashMap<Bitset, Vec<usize>> = HashMap::new();
     let mut mask = Bitset::new(arity);
-    for (i, row) in rows.iter().enumerate() {
-        fill_null_mask(&mut mask, row);
+    for i in 0..n {
+        fill_null_mask(&mut mask, (0..arity).map(|c| rows.cell(i, c)));
         match groups.get_mut(&mask) {
             Some(members) => members.push(i),
             None => {
@@ -243,8 +284,7 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
     if groups.len() <= 1 {
         // one partition ⇒ no strict mask-subset pairs ⇒ nothing beyond
         // exact duplicates can be removed
-        metrics::add(Counter::TuplesSubsumed, 0);
-        return vec![true; n];
+        return (vec![true; n], 0);
     }
 
     let masks: Vec<&Bitset> = groups.keys().collect();
@@ -265,12 +305,10 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
     // strictly-larger group's rows onto the mask's positions, then probe
     // it with each tested row's projection. Both sides are hashed in
     // place and a candidate is confirmed with `==` on those positions.
-    // Returns this partition's doomed row indexes plus its work count
-    // (index insertions + probes — the role the pairwise tests play in
-    // the naive algorithm).
+    // Returns this partition's doomed row indexes plus its work count.
     let probe_mask = |_i: usize, (small, members): &(&Bitset, Vec<usize>)| -> (Vec<usize>, u64) {
         let positions: Vec<usize> = small.iter_ones().collect();
-        let project = |ri: usize| positions.iter().map(move |&p| &rows[ri][p]);
+        let project = |ri: usize| positions.iter().map(move |&p| rows.cell(ri, p));
         let larger: Vec<usize> = masks
             .iter()
             .filter(|big| small.is_strict_subset(big))
@@ -307,65 +345,13 @@ fn partitioned_pass(table: &Table, candidates: Option<&[bool]>) -> Vec<bool> {
 
     let mut keep = vec![true; n];
     let mut comparisons: u64 = 0;
-    let mut removed: u64 = 0;
     for (doomed, work) in results {
         comparisons += work;
-        removed += doomed.len() as u64;
         for ri in doomed {
             keep[ri] = false;
         }
     }
-    metrics::add(Counter::SubsumptionComparisons, comparisons);
-    metrics::add(Counter::TuplesSubsumed, removed);
-    keep
-}
-
-/// Which rows of `table` some row of a `wider` table *extends*: agrees
-/// with it on every column of `table` and is non-null on at least one
-/// column `table` lacks. Padded onto a common scheme, such a row
-/// strictly subsumes the `table` row, so a row marked here is never
-/// maximal. Each `wider` scheme must contain every column of `table`'s.
-///
-/// One hashed semi-join per call: `table`'s rows are indexed once (the
-/// crate's chained `RowIndex`, matches confirmed with `==`), and
-/// each `wider` row with a non-null extra column probes it with its
-/// projection onto `table`'s columns, hashed in place. Index insertions
-/// plus probes count in `subsumption.comparisons`.
-///
-/// # Errors
-///
-/// [`Error::UnknownColumn`](crate::error::Error::UnknownColumn) if a
-/// `wider` scheme misses a column of `table`.
-pub fn extended_rows(table: &Table, wider: &[&Table]) -> Result<Vec<bool>> {
-    let rows = table.rows();
-    let mut extended = vec![false; rows.len()];
-    if rows.is_empty() || wider.iter().all(|w| w.is_empty()) {
-        return Ok(extended);
-    }
-    let mut index = RowIndex::with_capacity(rows.len());
-    for (p, row) in rows.iter().enumerate() {
-        index.link(p, index.hash(row));
-    }
-    let mut comparisons = rows.len() as u64;
-    for w in wider {
-        let positions = w.scheme().positions_of(table.scheme())?;
-        let extra: Vec<usize> = (0..w.scheme().arity())
-            .filter(|c| !positions.contains(c))
-            .collect();
-        for wrow in w.rows() {
-            if extra.iter().all(|&c| wrow[c].is_null()) {
-                continue;
-            }
-            comparisons += 1;
-            for p in index.candidates(index.hash(positions.iter().map(|&c| &wrow[c]))) {
-                if positions.iter().zip(&rows[p]).all(|(&c, v)| wrow[c] == *v) {
-                    extended[p] = true;
-                }
-            }
-        }
-    }
-    metrics::add(Counter::SubsumptionComparisons, comparisons);
-    Ok(extended)
+    (keep, comparisons)
 }
 
 fn retain_by_mask(table: &mut Table, keep: &[bool]) {
@@ -601,35 +587,6 @@ mod tests {
             remove_subsumed(&mut adaptive, SubsumptionAlgo::Adaptive);
             assert_eq!(reference.rows(), adaptive.rows(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn extension_marks_only_rows_a_wider_row_extends() {
-        // `narrow` is R.a0..a1; `wide` adds S.b, listed first
-        let narrow = table(&[&["a", "b"], &["a", "-"], &["c", "d"], &["e", "f"]]);
-        let s_col = Column::new("S", "b", DataType::Str);
-        let mut cols = vec![s_col];
-        cols.extend(narrow.scheme().columns().iter().cloned());
-        let wide = Table::new(
-            Scheme::new(cols),
-            vec![
-                vec![v("x"), v("a"), v("b")],
-                // agrees with ("c", "d") but adds nothing: not an extension
-                vec![v("-"), v("c"), v("d")],
-                // extends neither ("a", "-") nor anything else of `narrow`
-                vec![v("y"), v("a"), v("z")],
-            ],
-        );
-        let marks = extended_rows(&narrow, &[&wide]).unwrap();
-        // ("a", "-") is subsumed by ("a", "b") without being extended
-        assert_eq!(marks, vec![true, false, false, false]);
-        assert_eq!(
-            extended_rows(&narrow, &[]).unwrap(),
-            vec![false; 4],
-            "no wider table extends nothing"
-        );
-        // a wider scheme missing a column of `narrow` is an error
-        assert!(extended_rows(&wide, &[&narrow]).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! attributes").
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
 use crate::schema::{Attribute, RelSchema, Scheme};
@@ -14,10 +15,17 @@ use crate::table::{dedup_rows, Table};
 use crate::value::{DataType, Value};
 
 /// A stored relation.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Clone`, `PartialEq` and `Debug` see only the schema and the rows:
+/// the near-duplicate flag ([`Relation::has_near_duplicates`]) is a
+/// cache of them.
+#[derive(Clone)]
 pub struct Relation {
     schema: RelSchema,
     rows: Vec<Vec<Value>>,
+    /// [`Relation::has_near_duplicates`], computed on its first call and
+    /// reset by [`Relation::insert`].
+    near_duplicates: OnceLock<bool>,
 }
 
 impl Relation {
@@ -27,6 +35,7 @@ impl Relation {
         Relation {
             schema,
             rows: Vec::new(),
+            near_duplicates: OnceLock::new(),
         }
     }
 
@@ -82,8 +91,33 @@ impl Relation {
         self.check_row(&row)?;
         if !self.rows.contains(&row) {
             self.rows.push(row);
+            self.near_duplicates = OnceLock::new();
         }
         Ok(())
+    }
+
+    /// Does the relation hold a *near-duplicate*: a tuple that another of
+    /// its tuples subsumes (paper Def 3.8, under `Value`'s `==` — the
+    /// predicate [`remove_subsumed_naive`](crate::ops::remove_subsumed_naive)
+    /// uses) or equals? A copy of a tuple with a nullable cell set to
+    /// null is one.
+    ///
+    /// Computed on the first call (span `relation.near_duplicates`) and
+    /// kept until [`Relation::insert`] changes the rows. The pass clones
+    /// no row and tests only the tuples that hold a null: relations are
+    /// sets, so a null-free tuple is subsumed only by itself. It counts
+    /// no work counter: it is a property of the data, not of a query.
+    ///
+    /// Without near-duplicates, two tuples of the relation agree on the
+    /// non-null cells of one of them only when they are the same tuple —
+    /// what lets the `D(G)` plans compare combinations of tuples by
+    /// their positions instead of their values.
+    pub fn has_near_duplicates(&self) -> bool {
+        *self.near_duplicates.get_or_init(|| {
+            let _span = clio_obs::span("relation.near_duplicates");
+            let scheme = Scheme::of_relation(&self.schema, self.name());
+            crate::ops::holds_subsumed_row(&(&scheme, self.rows.as_slice()))
+        })
     }
 
     /// The checks [`Relation::insert`] makes before its duplicate test.
@@ -156,7 +190,23 @@ impl Relation {
         Relation {
             schema: self.schema.renamed(new_name),
             rows: self.rows.clone(),
+            near_duplicates: self.near_duplicates.clone(),
         }
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
     }
 }
 
@@ -327,6 +377,93 @@ mod tests {
         let t = sample().to_table("C");
         assert_eq!(t.scheme().columns()[0].qualified_name(), "C.ID");
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn a_copy_with_a_nullable_cell_nulled_is_a_near_duplicate() {
+        let mut rel = sample();
+        assert!(!rel.has_near_duplicates());
+        rel.insert(vec!["002".into(), "Maya".into(), Value::Null])
+            .unwrap();
+        assert!(rel.has_near_duplicates(), "insert resets the flag");
+        // the flag is invisible to equality and to the debug rendering
+        let plain = Relation::with_rows(rel.schema().clone(), rel.rows().to_vec()).unwrap();
+        assert_eq!(plain, rel);
+        assert_eq!(format!("{plain:?}"), format!("{rel:?}"));
+        assert!(plain.has_near_duplicates());
+    }
+
+    #[test]
+    fn a_null_foreign_key_on_a_unique_id_is_no_near_duplicate() {
+        let rel = RelationBuilder::new("Children")
+            .attr_not_null("ID", DataType::Str)
+            .attr("mid", DataType::Str)
+            .row(vec!["001".into(), "201".into()])
+            .row(vec!["002".into(), Value::Null])
+            .row(vec!["003".into(), "201".into()])
+            .build()
+            .unwrap();
+        assert!(!rel.has_near_duplicates());
+    }
+
+    /// The flag answers what the pairwise minimum union does on the
+    /// relation's own tuples: it is set exactly when
+    /// `remove_subsumed_naive` removes a tuple.
+    #[test]
+    fn the_flag_agrees_with_naive_subsumption_on_tricky_numbers() {
+        use crate::ops::remove_subsumed_naive;
+        let big = 1i64 << 53;
+        let cases: Vec<(bool, Vec<Vec<Value>>)> = vec![
+            // -0.0 and 0.0 differ under `==`: nothing is subsumed
+            (
+                false,
+                vec![
+                    vec![Value::Float(-0.0), Value::Null],
+                    vec![Value::Float(0.0), Value::Int(1)],
+                ],
+            ),
+            // NaN equals itself under `==`: subsumed
+            (
+                true,
+                vec![
+                    vec![Value::Float(f64::NAN), Value::Null],
+                    vec![Value::Float(f64::NAN), Value::Int(1)],
+                ],
+            ),
+            // Int(2^53 + 1) == Float(2^53): subsumed across types
+            (
+                true,
+                vec![
+                    vec![Value::Int(big + 1), Value::Null],
+                    vec![Value::Float(big as f64), Value::Int(1)],
+                ],
+            ),
+            // Int(2^53 + 1) != Int(2^53): nothing is subsumed, and the
+            // float equal to both is dropped as a copy of the first
+            (
+                false,
+                vec![
+                    vec![Value::Int(big), Value::Null],
+                    vec![Value::Int(big + 1), Value::Int(2)],
+                    vec![Value::Float(big as f64), Value::Null],
+                ],
+            ),
+        ];
+        for (expected, rows) in cases {
+            let schema = RelSchema::new(
+                "R",
+                vec![
+                    Attribute::new("a", DataType::Float),
+                    Attribute::new("b", DataType::Int),
+                ],
+            )
+            .unwrap();
+            let rel = Relation::with_rows(schema, rows).unwrap();
+            let mut naive = rel.to_table("R");
+            remove_subsumed_naive(&mut naive);
+            assert_eq!(naive.len() < rel.len(), expected, "{:?}", rel.rows());
+            assert_eq!(rel.has_near_duplicates(), expected, "{:?}", rel.rows());
+        }
     }
 
     #[test]

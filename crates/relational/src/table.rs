@@ -14,8 +14,8 @@
 //!
 //! The crate's row index (`RowIndex`) hashes each key once, in place,
 //! with a keyed `RandomState`, and files it under that hash as is: the
-//! joins, `push_distinct`, the extension semi-join and the subsumption
-//! probes pay one hash per key and allocate nothing per key.
+//! joins, `push_distinct` and the subsumption probes pay one hash per
+//! key and allocate nothing per key.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -46,9 +46,7 @@ pub struct Table {
 /// only a candidate; the caller confirms it with the equality it needs
 /// (`Value`'s `==` for set semantics, SQL `=` for join keys). Serves
 /// [`Table::push_distinct`] (the key is the whole row), the build side of
-/// a hash join, the semi-join of
-/// [`extended_rows`](crate::ops::extended_rows) and the projection
-/// probes of subsumption removal.
+/// a hash join, and the projection probes of subsumption removal.
 ///
 /// A key is hashed once: its values are fed in place to a keyed
 /// [`RandomState`] hasher (so colliding keys cannot be chosen in

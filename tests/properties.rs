@@ -66,7 +66,9 @@ fn with_near_duplicates(mut w: Synthetic, picks: &[(usize, usize, usize)]) -> Sy
 
 /// A tree's `D(G)` by hand: a left-deep chain of value
 /// `ops::join(.., FullOuter)`s in [`chain_ir`]'s join order, padded to
-/// the graph scheme.
+/// the graph scheme, then the rows another row strictly subsumes removed
+/// by the pairwise definition — the joined copies of near-duplicates,
+/// which the chain alone keeps.
 fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
     fn chain(e: &RelExpr, db: &Database, funcs: &FuncRegistry) -> Table {
         match e {
@@ -84,7 +86,9 @@ fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -
         }
     }
     let chain = chain(&chain_ir(g, g.node_mask(), true), db, funcs);
-    clio::relational::ops::pad_to(&chain, &g.scheme(db).unwrap()).unwrap()
+    let mut padded = clio::relational::ops::pad_to(&chain, &g.scheme(db).unwrap()).unwrap();
+    clio::relational::ops::remove_subsumed_naive(&mut padded);
+    padded
 }
 
 /// `Q(M)` over a value `D(G)` by the relational operators: σ over the
@@ -221,7 +225,8 @@ proptest! {
     /// The tree `D(G)` runs on tuple ids. On trees with null and dangling
     /// links and near-duplicates injected, it equals — row for row,
     /// unsorted, coverages included — a left-deep chain of value
-    /// `ops::join(.., FullOuter)`s in `chain_ir`'s order, padded. `Q(M)`,
+    /// `ops::join(.., FullOuter)`s in `chain_ir`'s order, padded, less the
+    /// rows the pairwise minimum union removes. `Q(M)`,
     /// which reads the values it projects through the ids, equals the
     /// relational operators' projection of that reference, with and
     /// without source filters.
@@ -279,6 +284,78 @@ proptest! {
         prop_assert_eq!(a.table().rows(), b.table().rows());
         for i in 0..a.len() {
             prop_assert!(w.graph.is_subset_connected(a.coverage(i)));
+        }
+    }
+
+    /// The lattice `D(G)` runs on tuple ids, its residual pass gated by
+    /// the near-duplicate flag. On chains, stars and cycles with
+    /// near-duplicates injected, a `Union` of every connected subgraph's
+    /// chain, each under the source filters that bind it — all branches
+    /// kept (every branch closed), or only those sharing an alias with
+    /// the filter (as the pushdown prunes; parents left open) — equals,
+    /// row order included, `minimum_union_all` over the same filtered,
+    /// padded `F(J)`s: without a cache, and cold and warm over one.
+    #[test]
+    fn lattice_fd_on_tuple_ids_equals_the_minimum_union_of_filtered_branches(
+        spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle]),
+        picks in near_duplicate_picks(),
+    ) {
+        use clio::core::full_disjunction::full_associations;
+        use clio::core::plan::{BranchInfo, Exec, FilterScope};
+        let w = with_near_duplicates(generate(&spec), &picks);
+        let (g, funcs) = (&w.graph, funcs());
+        let pad = g.scheme(&w.db).unwrap();
+        let last = g.node_count() - 1;
+        let alias_mask = |e: &Expr| {
+            e.qualifiers().into_iter().fold(0u64, |mask, q| {
+                mask | 1 << g.nodes().iter().position(|n| n.alias == q).unwrap()
+            })
+        };
+        for filter in [
+            None,
+            Some("R0.p0 IS NOT NULL".to_owned()),
+            Some("R0.id = R1.id".to_owned()),
+            Some("R0.p0 <> R1.p0".to_owned()),
+            Some(format!("R{last}.p0 IS NOT NULL")),
+        ] {
+            let filter = filter.map(|f| parse_expr(&f).unwrap());
+            let amask = filter.as_ref().map_or(0, alias_mask);
+            for prune in [false, true] {
+                let masks: Vec<u64> = connected_subsets(g)
+                    .into_iter()
+                    .filter(|&m| !prune || amask == 0 || m & amask != 0)
+                    .collect();
+                let mut inputs = Vec::new();
+                let mut padded = Vec::new();
+                for &m in &masks {
+                    let mut input = chain_ir(g, m, false);
+                    let mut f = full_associations(&w.db, g, m, &funcs).unwrap();
+                    if let Some(e) = filter.as_ref().filter(|_| amask & !m == 0) {
+                        input = input.filtered(e, FilterScope::Source, true);
+                        f = select(&f, e, &funcs).unwrap();
+                    }
+                    inputs.push(input);
+                    padded.push(clio::relational::ops::pad_to(&f, &pad).unwrap());
+                }
+                let refs: Vec<&Table> = padded.iter().collect();
+                let expected = minimum_union_all(&refs, SubsumptionAlgo::Naive).unwrap();
+                let union = RelExpr::Union {
+                    inputs,
+                    branches: masks
+                        .iter()
+                        .map(|&mask| BranchInfo { mask, estimate: 1, warm: false })
+                        .collect(),
+                    pad: pad.clone(),
+                };
+                let cache = EvalCache::new();
+                for (run, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate() {
+                    let ex = Exec { db: &w.db, funcs: &funcs, graph: g, cache };
+                    let got = union.run(&ex).unwrap();
+                    let at = format!("{filter:?}, prune {prune}, run {run}");
+                    prop_assert_eq!(got.scheme(), expected.scheme(), "{}", at);
+                    prop_assert_eq!(got.rows(), expected.rows(), "{}", at);
+                }
+            }
         }
     }
 
@@ -1257,10 +1334,7 @@ proptest! {
     /// whose pushdown prunes the parents the lattice joins extend).
     /// Every result is byte-identical to the cache-off, serial, memory
     /// run; that run's `Q(M)` is the no-pushdown reference's, and its
-    /// `D(G)` sort-equals the definitional one — on trees, once a
-    /// near-duplicate is in the data, only after a minimum union of its
-    /// own: the outer-join plan keeps a joined near-duplicate that
-    /// Def 3.11 removes as subsumed (a known defect of the tree plan).
+    /// `D(G)` sort-equals the definitional one.
     #[test]
     fn differential_matrix(
         spec in (
@@ -1287,9 +1361,7 @@ proptest! {
     ) {
         use std::sync::atomic::{AtomicU64, Ordering};
         static CASE: AtomicU64 = AtomicU64::new(0);
-        let plain = generate(&spec);
-        let w = with_near_duplicates(plain.clone(), &picks);
-        let injected = plain.db != w.db;
+        let w = with_near_duplicates(generate(&spec), &picks);
         let funcs = funcs();
         let dir = std::env::temp_dir().join(format!(
             "clio-props-matrix-{}-{}",
@@ -1322,9 +1394,6 @@ proptest! {
             prop_assert_eq!(baseline.0.scheme(), reference.scheme());
             prop_assert_eq!(baseline.0.rows(), reference.rows());
             let mut fd = baseline.1.clone();
-            if w.graph.is_tree() && injected {
-                clio::relational::ops::remove_subsumed(&mut fd, SubsumptionAlgo::Naive);
-            }
             fd.sort_canonical();
             prop_assert_eq!(fd.scheme(), definitional.scheme());
             prop_assert_eq!(fd.rows(), definitional.rows());
@@ -1686,28 +1755,33 @@ fn cache_entry(deps: usize, cols: usize, rows: usize, seed: usize) -> clio_incr:
     };
     clio_incr::StoredEntry {
         deps: (0..deps).map(|d| format!("R{d}")).collect(),
-        table: Table::new(
+        payload: clio_incr::Payload::Table(Table::new(
             scheme,
             (0..rows)
                 .map(|r| (0..cols).map(|c| value(r, c)).collect())
                 .collect(),
-        ),
+        )),
         cost_ns: seed as u64,
     }
 }
 
-/// Offsets and widths of every length field in `entry`'s encoding,
-/// counted back from the end of the body: `(distance, width)`.
+/// Offsets and widths of every length field in `entry`'s encoding (a
+/// table entry), counted back from the end of the body:
+/// `(distance, width)`.
 fn length_fields(entry: &clio_incr::StoredEntry) -> (Vec<(usize, usize)>, usize) {
+    let clio_incr::Payload::Table(table) = &entry.payload else {
+        panic!("a table entry");
+    };
     let mut fields = vec![(0, 4)];
     let mut at = 4;
     for d in &entry.deps {
         fields.push((at, 4));
         at += 4 + d.len();
     }
+    at += 1; // the entry kind
     fields.push((at, 4));
     at += 4;
-    for c in entry.table.scheme().columns() {
+    for c in table.scheme().columns() {
         fields.push((at, 4));
         at += 4 + c.qualifier.len();
         fields.push((at, 4));
@@ -1715,7 +1789,7 @@ fn length_fields(entry: &clio_incr::StoredEntry) -> (Vec<(usize, usize)>, usize)
     }
     fields.push((at, 8));
     at += 8;
-    for v in entry.table.rows().iter().flatten() {
+    for v in table.rows().iter().flatten() {
         at += 1;
         match v {
             Value::Null => {}
@@ -1998,10 +2072,9 @@ proptest! {
     /// `join` over their `to_table` copies returns, inner and full outer.
     /// Subsumption removal's hashed passes match their pairwise
     /// definitions on three-column rows of the same values: the
-    /// partitioned pass equals the naive one, the restricted pass drops
-    /// exactly the flagged rows some row strictly subsumes and then the
-    /// duplicates, and `extended_rows` marks exactly the rows some wider
-    /// row agrees with while adding a non-null value.
+    /// partitioned pass equals the naive one, and the restricted pass
+    /// drops exactly the flagged rows some row strictly subsumes and then
+    /// the duplicates.
     #[test]
     fn hashed_set_primitives_match_a_linear_scan(
         rows in tricky_rows(),
@@ -2009,7 +2082,6 @@ proptest! {
         right in tricky_rows(),
         wide in tricky_wide_rows(),
         flags in proptest::collection::vec(proptest::bool::ANY, 40),
-        wider in tricky_wide_rows(),
     ) {
         let scheme = Scheme::new(vec![
             Column::new("R", "n", DataType::Float),
@@ -2140,31 +2212,6 @@ proptest! {
         clio::relational::ops::remove_subsumed_among(&mut among, flags);
         prop_assert_eq!(exact(among.rows()), exact(&first_occurrences(&survivors)));
 
-        // `wider` rows add a column `X.e` in front of W's three; every
-        // other one copies a row of `wide`, so agreements occur
-        let mut cols = vec![Column::new("X", "e", DataType::Float)];
-        cols.extend(wide_scheme("W").columns().iter().cloned());
-        let wider_rows: Vec<Vec<Value>> = wider
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let body = match wide.len() {
-                    0 => r,
-                    n if i % 2 == 0 => &wide[i % n],
-                    _ => r,
-                };
-                std::iter::once(r[2].clone()).chain(body.iter().cloned()).collect()
-            })
-            .collect();
-        let extended: Vec<bool> = wide
-            .iter()
-            .map(|r| wider_rows.iter().any(|w| !w[0].is_null() && w[1..] == r[..]))
-            .collect();
-        let wider_table = Table::new(Scheme::new(cols), wider_rows);
-        prop_assert_eq!(
-            clio::relational::ops::extended_rows(&base, &[&wider_table]).unwrap(),
-            extended
-        );
     }
 }
 
