@@ -14,7 +14,9 @@
 //!   Cached as tuple ids, `|J|` per row, so growing the graph reuses
 //!   every old subgraph and computes only the ones touching new nodes
 //!   or edges.
-//! * `D(G)` — the assembled full disjunction per graph and algorithm.
+//! * `D(G)` — the assembled full disjunction per graph and algorithm,
+//!   cached as tuple ids too, `|G|` per row (domain tags
+//!   `"D(G).tree.ids"` / `"D(G).lattice.ids"`).
 //! * `Q(M)` — the evaluated mapping query per full mapping state
 //!   (graph + correspondences + source filters + target filters).
 //!
@@ -24,11 +26,10 @@
 //! `tests/properties.rs` replays random operator sequences cache-on vs.
 //! cache-off. See `docs/incremental.md` for the full scheme.
 
-use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder, LookupTier};
+use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
 use crate::full_disjunction::FdAlgo;
@@ -83,9 +84,60 @@ pub fn subgraph_fingerprint(graph: &QueryGraph, mask: u64, cache: &EvalCache) ->
     fp.finish()
 }
 
+/// What the fingerprints of a graph's subgraphs mix in, read once for a
+/// pass of lookups: the cache epoch, every node's content version (read
+/// under one lock) and every edge's predicate text (formatted once).
+/// [`SubgraphKeys::fingerprint`] equals [`subgraph_fingerprint`] for
+/// every mask, so the entries a pass looks up are the ones it inserted.
+pub(crate) struct SubgraphKeys<'g> {
+    graph: &'g QueryGraph,
+    epoch: u64,
+    versions: Vec<u64>,
+    predicates: Vec<String>,
+}
+
+impl<'g> SubgraphKeys<'g> {
+    pub(crate) fn new(graph: &'g QueryGraph, cache: &EvalCache) -> SubgraphKeys<'g> {
+        let (epoch, versions) =
+            cache.epoch_and_versions(graph.nodes().iter().map(|n| n.relation.as_str()));
+        SubgraphKeys {
+            graph,
+            epoch,
+            versions,
+            predicates: graph
+                .edges()
+                .iter()
+                .map(|e| e.predicate.to_string())
+                .collect(),
+        }
+    }
+
+    /// The fingerprint of the `F(J)` of the induced subgraph `mask`.
+    pub(crate) fn fingerprint(&self, mask: u64) -> Fingerprint {
+        let mut fp = FingerprintBuilder::new("F(J).ids");
+        fp.number(self.epoch);
+        for (i, n) in self.graph.nodes().iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                fp.number(i as u64)
+                    .text(&n.alias)
+                    .text(&n.relation)
+                    .number(self.versions[i]);
+            }
+        }
+        for (e, predicate) in self.graph.edges().iter().zip(&self.predicates) {
+            if mask & (1 << e.a) != 0 && mask & (1 << e.b) != 0 {
+                fp.number(e.a as u64).number(e.b as u64).text(predicate);
+            }
+        }
+        fp.finish()
+    }
+}
+
 /// Fingerprint of the assembled `D(G)` under a given algorithm tag
-/// (`"D(G).tree"` / `"D(G).lattice"` — the two plans emit different row
-/// orders, so they must not share entries).
+/// (`"D(G).tree.ids"` / `"D(G).lattice.ids"` — the two plans emit
+/// different row orders, so they must not share entries; entries
+/// written as values under the older `"D(G).tree"` / `"D(G).lattice"`
+/// tags are never asked for).
 #[must_use]
 pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
     let mut fp = FingerprintBuilder::new(tag);
@@ -171,11 +223,13 @@ pub(crate) fn annotate_branches(
     masks: &[u64],
     cache: Option<&EvalCache>,
 ) -> Vec<BranchInfo> {
-    let live = cache.filter(|c| c.enabled());
+    let live = cache
+        .filter(|c| c.enabled())
+        .map(|c| (c, SubgraphKeys::new(graph, c)));
     masks
         .iter()
-        .map(|&mask| match live {
-            Some(c) if c.peek(subgraph_fingerprint(graph, mask, c)) => BranchInfo {
+        .map(|&mask| match &live {
+            Some((c, keys)) if c.peek(keys.fingerprint(mask)) => BranchInfo {
                 mask,
                 estimate: 0,
                 warm: true,
@@ -183,7 +237,8 @@ pub(crate) fn annotate_branches(
             _ => BranchInfo {
                 mask,
                 estimate: live
-                    .and_then(|c| c.estimate_cost(&mask_deps(graph, mask)))
+                    .as_ref()
+                    .and_then(|(c, _)| c.estimate_cost(&mask_deps(graph, mask)))
                     .unwrap_or_else(|| heuristic_cost(db, graph, mask)),
                 warm: false,
             },
@@ -193,48 +248,6 @@ pub(crate) fn annotate_branches(
 
 pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The graph-level `D(G)` memo around `compute`, which returns the
-/// table with the compute time already charged to child entries. With a
-/// live cache the result is looked up under `tag` (`"D(G).tree"` /
-/// `"D(G).lattice"`: the two algorithms emit different row orders) and,
-/// on a miss, computed and inserted charged only its *exclusive* cost.
-/// Returns the table with the time charged to this entry and its
-/// children (0 on a hit); without a live cache it just runs `compute`.
-pub(crate) fn memoized_disjunction(
-    graph: &QueryGraph,
-    cache: Option<&EvalCache>,
-    tag: &str,
-    compute: impl FnOnce() -> Result<(Table, u64)>,
-) -> Result<(Table, u64)> {
-    let Some(cache) = cache.filter(|c| c.enabled()) else {
-        return compute();
-    };
-    let _span = clio_obs::span("incr.fd");
-    let fp = graph_fingerprint(graph, cache, tag);
-    // Cache-tier timing: while tracing is on, the whole lookup — and,
-    // on a miss, the recompute + insert — lands in a per-tier latency
-    // histogram, the cost data the recompute-cost eviction model wants.
-    let timer = clio_obs::hist::start();
-    let (cached, tier) = cache.get_tiered(fp);
-    if let Some(table) = cached {
-        clio_obs::hist::finish(
-            match tier {
-                LookupTier::Memory => "incr.fd.memory_hit",
-                _ => "incr.fd.disk_hit",
-            },
-            timer,
-        );
-        return Ok((table, 0));
-    }
-    let t0 = std::time::Instant::now();
-    let (table, children_ns) = compute()?;
-    let total = elapsed_ns(t0);
-    let cost_ns = total.saturating_sub(children_ns);
-    cache.insert_costed(fp, relation_deps(graph), &table, cost_ns);
-    clio_obs::hist::finish("incr.fd.cold", timer);
-    Ok((table, total))
 }
 
 /// Compute `D(G)` by running the un-pushed `D(G)` subtree
@@ -534,10 +547,88 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The `D(G)` memo's tuple ids are checked like `F(J)`'s: an id past
+    /// its relation's end, a row width other than the graph's node count,
+    /// or a row covering no node makes the entry a cold miss, whether
+    /// the store or the memory tier held it. A store entry counts one
+    /// load error and is replaced by the recomputed entry.
+    #[test]
+    fn forged_disjunction_entries_are_cold_misses() {
+        use clio_incr::{CacheStore, DiskStore, IdRows, Payload, StoredEntry};
+        const U: u32 = u32::MAX;
+        for (g, tag) in [
+            (tree_graph(), "D(G).tree.ids"),
+            (cyclic_graph(), "D(G).lattice.ids"),
+        ] {
+            let plain = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
+            let n = g.node_count();
+            // each forgery opens with a valid row: only its flaw rejects it
+            let valid: Vec<u32> = (0..n as u32).map(|v| if v == 0 { 0 } else { U }).collect();
+            let with_row = |row: Vec<u32>| IdRows {
+                width: n,
+                ids: valid.iter().copied().chain(row).collect(),
+            };
+            let forged = [
+                with_row((0..n).map(|v| if v == 0 { 99 } else { U }).collect()),
+                IdRows {
+                    width: n - 1,
+                    ids: vec![0; n - 1],
+                },
+                with_row(vec![U; n]),
+            ];
+            let run = |cache: &EvalCache| {
+                full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(cache)).unwrap()
+            };
+            for (k, rows) in forged.iter().enumerate() {
+                let dir = std::env::temp_dir()
+                    .join(format!("clio-forged-dg-{}-{tag}-{k}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let store = std::sync::Arc::new(DiskStore::open(&dir, 7));
+                let cache = EvalCache::new();
+                cache.set_store(Some(store.clone()));
+                let fp = graph_fingerprint(&g, &cache, tag);
+                let entry = StoredEntry {
+                    deps: relation_deps(&g),
+                    payload: Payload::Ids(rows.clone()),
+                    cost_ns: 0,
+                };
+                assert!(store.spill(fp, &entry));
+                assert_eq!(
+                    run(&cache).table().rows(),
+                    plain.table().rows(),
+                    "{tag} {k}"
+                );
+                let s = store.stats();
+                assert_eq!((s.hits, s.load_errors), (0, 1), "{tag} {k}");
+                let Some(Payload::Ids(respilled)) = store.load(fp).map(|e| e.payload) else {
+                    panic!("{tag} was not respilled");
+                };
+                assert_eq!(respilled.width, n);
+                assert_eq!(respilled.len(), plain.len());
+                let _ = std::fs::remove_dir_all(&dir);
+
+                // the memory tier drops the forged entry the same way
+                let cache = EvalCache::new();
+                cache.insert_ids(fp, relation_deps(&g), rows, 0);
+                assert_eq!(
+                    run(&cache).table().rows(),
+                    plain.table().rows(),
+                    "{tag} {k}"
+                );
+                assert_eq!(cache.stats().hits, 0, "{tag} {k}");
+                // and the recomputed entry took its place
+                assert_eq!(run(&cache).table().rows(), plain.table().rows());
+                assert_eq!(cache.stats().hits, 1, "{tag} {k}: the memo serves");
+            }
+        }
+    }
+
     /// Format version 2 kept the tree `D(G)`'s rows that a near-duplicate
-    /// subsumes. A version-2 `"D(G).tree"` file holding such a stale answer
-    /// is a load error and a cold recompute, never served, and the
-    /// recompute rewrites it in the current format.
+    /// subsumes, as a value table under `"D(G).tree"`. Such a stale file
+    /// never serves its answer: the memo now asks for `"D(G).tree.ids"`,
+    /// so a file under the old tag is never read, and a version-2 file
+    /// under the new tag is a load error and a cold recompute, which
+    /// rewrites it as tuple ids in the current format.
     #[test]
     fn version_two_tree_disjunctions_are_recomputed() {
         use clio_incr::disk::encode;
@@ -557,7 +648,6 @@ mod tests {
         subsumed[3] = Value::Null;
         stale.push(subsumed);
         let deps = relation_deps(&g);
-        let fp = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree");
         let entry = StoredEntry {
             deps: deps.clone(),
             payload: Payload::Table(stale),
@@ -565,18 +655,26 @@ mod tests {
         };
         // a version-2 file is the version-3 table encoding without the
         // kind byte (after the header and the deps), re-checksummed
-        let mut v2 = encode(7, fp, &entry);
-        let kind_at = 36 + deps.iter().map(|d| 4 + d.len()).sum::<usize>();
-        assert_eq!(v2.remove(kind_at), 0);
-        v2[4] = 2;
-        v2.truncate(v2.len() - 8);
-        let sum = fnv1a(FNV_OFFSET_BASIS, &v2);
-        v2.extend_from_slice(&sum.to_le_bytes());
+        let version_two = |fp| {
+            let mut v2 = encode(7, fp, &entry);
+            let kind_at = 36 + deps.iter().map(|d| 4 + d.len()).sum::<usize>();
+            assert_eq!(v2.remove(kind_at), 0);
+            v2[4] = 2;
+            v2.truncate(v2.len() - 8);
+            let sum = fnv1a(FNV_OFFSET_BASIS, &v2);
+            v2.extend_from_slice(&sum.to_le_bytes());
+            v2
+        };
 
         let dir = std::env::temp_dir().join(format!("clio-v2-tree-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{:016x}-{:016x}.clc", 7, fp.0)), &v2).unwrap();
+        let path = |fp: Fingerprint| dir.join(format!("{:016x}-{:016x}.clc", 7, fp.0));
+        let old = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree");
+        let fp = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree.ids");
+        for fp in [old, fp] {
+            std::fs::write(path(fp), version_two(fp)).unwrap();
+        }
         let store = std::sync::Arc::new(DiskStore::open(&dir, 7));
         let cache = EvalCache::new();
         cache.set_store(Some(store.clone()));
@@ -584,10 +682,19 @@ mod tests {
         assert_eq!(warm.table().rows(), plain.table().rows());
         let s = store.stats();
         assert_eq!((s.hits, s.load_errors), (0, 1));
-        let Some(Payload::Table(rewritten)) = store.load(fp).map(|e| e.payload) else {
-            panic!("D(G).tree was not respilled");
+        assert!(path(old).exists(), "the old tag is never asked for");
+        let Some(Payload::Ids(rewritten)) = store.load(fp).map(|e| e.payload) else {
+            panic!("D(G).tree.ids was not respilled");
         };
-        assert_eq!(rewritten.rows(), plain.table().rows());
+        assert_eq!((rewritten.width, rewritten.len()), (2, plain.len()));
+        // a fresh process is served the rewritten entry
+        let cache = EvalCache::new();
+        cache.set_store(Some(store.clone()));
+        let hits = store.stats().hits;
+        let served =
+            full_disjunction_cached(&db, &g, FdAlgo::Auto, &funcs(), Some(&cache)).unwrap();
+        assert_eq!(served.table().rows(), plain.table().rows());
+        assert_eq!(store.stats().hits, hits + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -610,16 +717,16 @@ mod tests {
         let tree = tree_graph();
         let cyc = cyclic_graph();
         assert_ne!(
-            graph_fingerprint(&tree, &cache, "D(G).tree"),
-            graph_fingerprint(&cyc, &cache, "D(G).tree")
+            graph_fingerprint(&tree, &cache, "D(G).tree.ids"),
+            graph_fingerprint(&cyc, &cache, "D(G).tree.ids")
         );
         assert_ne!(
-            graph_fingerprint(&tree, &cache, "D(G).tree"),
-            graph_fingerprint(&tree, &cache, "D(G).lattice")
+            graph_fingerprint(&tree, &cache, "D(G).tree.ids"),
+            graph_fingerprint(&tree, &cache, "D(G).lattice.ids")
         );
-        let before = graph_fingerprint(&tree, &cache, "D(G).tree");
+        let before = graph_fingerprint(&tree, &cache, "D(G).tree.ids");
         cache.bump_version("Parents");
-        assert_ne!(before, graph_fingerprint(&tree, &cache, "D(G).tree"));
+        assert_ne!(before, graph_fingerprint(&tree, &cache, "D(G).tree.ids"));
         // subgraphs not touching Parents keep their fingerprint
         let mask_children = 0b001;
         let a = subgraph_fingerprint(&cyc, mask_children, &cache);
@@ -666,14 +773,61 @@ mod tests {
         );
     }
 
+    /// One key table per pass hashes every connected subgraph to the
+    /// same bytes as `subgraph_fingerprint`, so no cached entry, memory or
+    /// disk, goes cold: on a 5-cycle and a 5-star, at fresh and at bumped
+    /// versions and epochs.
+    #[test]
+    fn key_table_fingerprints_equal_subgraph_fingerprints() {
+        let nodes = |g: &mut QueryGraph| {
+            for i in 0..5 {
+                g.add_node(Node::new(format!("R{i}"))).unwrap();
+            }
+        };
+        let edge = |g: &mut QueryGraph, a: usize, b: usize| {
+            let p = parse_expr(&format!("R{a}.k = R{b}.k")).unwrap();
+            g.add_edge(a, b, p).unwrap();
+        };
+        let mut cycle = QueryGraph::new();
+        nodes(&mut cycle);
+        for i in 0..5 {
+            edge(&mut cycle, i, (i + 1) % 5);
+        }
+        let mut star = QueryGraph::new();
+        nodes(&mut star);
+        for i in 1..5 {
+            edge(&mut star, 0, i);
+        }
+        let cache = EvalCache::new();
+        for g in [&cycle, &star] {
+            let masks = connected_subsets(g);
+            assert!(masks.len() >= 5 + 4, "every node and edge");
+            for bump in ["", "R2", "R0", "epoch"] {
+                match bump {
+                    "" => {}
+                    "epoch" => cache.bump_epoch(),
+                    rel => cache.bump_version(rel),
+                }
+                let keys = SubgraphKeys::new(g, &cache);
+                for &mask in &masks {
+                    assert_eq!(
+                        keys.fingerprint(mask),
+                        subgraph_fingerprint(g, mask, &cache),
+                        "mask {mask:#b} after {bump:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn epoch_bump_changes_all_fingerprints() {
         let cache = EvalCache::new();
         let g = tree_graph();
-        let a = graph_fingerprint(&g, &cache, "D(G).tree");
+        let a = graph_fingerprint(&g, &cache, "D(G).tree.ids");
         let s = subgraph_fingerprint(&g, 0b11, &cache);
         cache.bump_epoch();
-        assert_ne!(a, graph_fingerprint(&g, &cache, "D(G).tree"));
+        assert_ne!(a, graph_fingerprint(&g, &cache, "D(G).tree.ids"));
         assert_ne!(s, subgraph_fingerprint(&g, 0b11, &cache));
     }
 }

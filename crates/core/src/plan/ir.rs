@@ -25,22 +25,23 @@
 //!
 //! Both `D(G)` plans copy no value at all: the tree plan's outer-join
 //! chain over every node (or a lone scan on a one-node graph), and the
-//! lattice union, whose `F(J)`s are also cached that way. They run on
-//! tuple ids: per row, one `u32` per graph node, in node order, with
-//! `u32::MAX` for a node the row does not cover. Each step is the join
-//! kernel every join runs ([`join_with`]), reading key cells through the
-//! ids. A `Project` over a `D(G)` reads through the ids too, filling one
+//! lattice union. They run on tuple ids: per row, one `u32` per graph
+//! node, in node order, with `u32::MAX` for a node the row does not
+//! cover. Each step is the join kernel every join runs ([`join_with`]),
+//! reading key cells through the ids. The cache holds them the same
+//! way: each `F(J)` as `|J|` ids per row, and the `D(G)` memo
+//! (`"D(G).tree.ids"` / `"D(G).lattice.ids"`) as `|G|` ids per row. A
+//! `Project` over a `D(G)` reads through the ids too, filling one
 //! scratch row with only the columns the correspondences and source
-//! filters reference. Value rows are built in three places only (span
-//! `fd.materialize`): the `"D(G).tree"` / `"D(G).lattice"` memo insert
-//! when the cache is live, [`RelExpr::run`]'s table, and
+//! filters reference. Value rows are built in two places only (span
+//! `fd.materialize`): [`RelExpr::run`]'s table and
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
 //! association set.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use clio_incr::{EvalCache, IdRows};
+use clio_incr::{EvalCache, Fingerprint, IdRows, LookupTier};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
@@ -54,7 +55,7 @@ use clio_relational::value::Value;
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::incremental::{
-    elapsed_ns, mask_deps, memoized_disjunction, subgraph_fingerprint, BranchInfo,
+    elapsed_ns, graph_fingerprint, mask_deps, relation_deps, BranchInfo, SubgraphKeys,
 };
 use crate::mapping::MappingEvaluator;
 use crate::query_graph::{NodeId, QueryGraph};
@@ -261,8 +262,8 @@ impl RelExpr {
     /// Execute the tree. The un-pushed `D(G)` node — a [`RelExpr::Union`]
     /// with no filter on any branch, or an outer-join chain over every
     /// node of `ex.graph` (a lone `Scan` on a one-node graph) — is
-    /// memoized under `"D(G).lattice"` / `"D(G).tree"` when `ex.cache` is
-    /// live; every other node is computed on each run.
+    /// memoized under `"D(G).lattice.ids"` / `"D(G).tree.ids"` when
+    /// `ex.cache` is live; every other node is computed on each run.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
         self.run_costed(ex).map(|(table, _)| table)
     }
@@ -281,15 +282,15 @@ impl RelExpr {
     /// This node's rows as data associations, with the compute time
     /// charged as [`RelExpr::run_costed`] charges it. A `D(G)` — the tree
     /// plan's outer-join chain or a lattice `Union` — yields its tuple
-    /// ids, or, with a live cache, the memoized value table under
-    /// `"D(G).tree"` / `"D(G).lattice"` (a miss builds the value rows for
-    /// the insert, span `fd.materialize`, and returns them). A `Union`
-    /// with pushed filters is never memoized. Any other node yields its
-    /// table.
+    /// ids, memoized as ids with a live cache ([`memoized_ids`], under
+    /// `"D(G).tree.ids"` / `"D(G).lattice.ids"`). A `Union` with pushed
+    /// filters is never memoized. Any other node yields its table.
     pub(crate) fn associations<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
         match self {
             _ if self.is_tree_disjunction(ex) => {
-                memoized_ids(ex, "D(G).tree", || Ok((self.tree_ids(ex)?, 0)))
+                let (ids, charged) =
+                    memoized_ids(ex, "D(G).tree.ids", || Ok((self.tree_ids(ex)?, 0)))?;
+                Ok((Associations::Ids(ids), charged))
             }
             RelExpr::Union {
                 inputs,
@@ -300,12 +301,12 @@ impl RelExpr {
                     let (ids, dispatched) = schedule(ex, inputs, branches, pad)?;
                     Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
                 };
-                if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) {
-                    let (ids, charged) = lattice()?;
-                    Ok((Associations::Ids(ids), charged))
+                let (ids, charged) = if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) {
+                    lattice()?
                 } else {
-                    memoized_ids(ex, "D(G).lattice", lattice)
-                }
+                    memoized_ids(ex, "D(G).lattice.ids", lattice)?
+                };
+                Ok((Associations::Ids(ids), charged))
             }
             _ => {
                 let (table, charged) = self.eval(ex)?;
@@ -467,24 +468,44 @@ impl RelExpr {
     }
 }
 
-/// A `D(G)` as tuple ids, memoized under `tag` as values when the cache
-/// is live: `compute` returns the ids and the time charged to child
-/// entries; a miss builds the value rows for the insert and returns
-/// them, a hit returns the memoized rows. Without a live cache, the ids.
+/// A `D(G)` as tuple ids, memoized under `tag` when the cache is live
+/// (span `incr.fd`): `compute` returns the ids and the time charged to
+/// child entries. A hit returns the memoized ids once
+/// [`TupleIds::expand`] has checked them. A miss computes them and
+/// inserts them as `|G|` ids per row, charged only their *exclusive*
+/// cost, the total minus what the `F(J)` entries were charged, and
+/// returns the total. Without a live cache, `compute`'s answer. While
+/// tracing is on, the lookup, and on a miss the recompute and insert,
+/// land in a per-tier latency histogram: `incr.fd.memory_hit`,
+/// `incr.fd.disk_hit` or `incr.fd.cold`.
 fn memoized_ids<'t>(
     ex: &Exec<'t>,
     tag: &str,
     compute: impl FnOnce() -> Result<(TupleIds<'t>, u64)>,
-) -> Result<(Associations<'t>, u64)> {
-    if !ex.cache.is_some_and(EvalCache::enabled) {
-        let (ids, charged) = compute()?;
-        return Ok((Associations::Ids(ids), charged));
+) -> Result<(TupleIds<'t>, u64)> {
+    let Some(cache) = ex.cache.filter(|c| c.enabled()) else {
+        return compute();
+    };
+    let _span = clio_obs::span("incr.fd");
+    let fp = graph_fingerprint(ex.graph, cache, tag);
+    let timer = clio_obs::hist::start();
+    let all = ex.graph.node_mask();
+    let frame = TupleIds::over(ex, all)?;
+    if let (Some(ids), tier) = cache.get_ids(fp, |cached| frame.expand(all, cached, true)) {
+        let hist = match tier {
+            LookupTier::Memory => "incr.fd.memory_hit",
+            _ => "incr.fd.disk_hit",
+        };
+        clio_obs::hist::finish(hist, timer);
+        return Ok((TupleIds { ids, ..frame }, 0));
     }
-    let (table, charged) = memoized_disjunction(ex.graph, ex.cache, tag, || {
-        let (ids, charged) = compute()?;
-        Ok((ids.materialize(), charged))
-    })?;
-    Ok((Associations::Values(table), charged))
+    let t0 = std::time::Instant::now();
+    let (ids, children_ns) = compute()?;
+    let total = elapsed_ns(t0);
+    let cost_ns = total.saturating_sub(children_ns);
+    cache.insert_ids(fp, relation_deps(ex.graph), &ids.compact(all), cost_ns);
+    clio_obs::hist::finish("incr.fd.cold", timer);
+    Ok((ids, total))
 }
 
 /// The graph nodes whose relation holds a near-duplicate
@@ -830,12 +851,18 @@ impl<'t> TupleIds<'t> {
     }
 
     /// The id rows of a cache entry of [`TupleIds::compact`]'s form, laid
-    /// out for this (row-less) frame over `mask`. The entry is
-    /// untrusted: it is rejected (`None`) unless it holds `|J|` ids per
-    /// row and every id names a tuple of its node's relation.
-    fn expand(&self, mask: u64, cached: &IdRows) -> Option<Vec<u32>> {
+    /// out for this (row-less) frame over `mask`: an `F(J)` over `mask`,
+    /// or, when `padded`, a `D(G)` over every node, whose rows may leave
+    /// nodes [`UNCOVERED`]. The entry is untrusted: it is rejected
+    /// (`None`) unless it holds `|mask|` ids per row, every id names a
+    /// tuple of its node's relation (or, when `padded`, is
+    /// [`UNCOVERED`]), and every row covers a node.
+    fn expand(&self, mask: u64, cached: &IdRows, padded: bool) -> Option<Vec<u32>> {
         let nodes: Vec<usize> = bits(mask).collect();
-        if cached.width != nodes.len() || !cached.ids.len().is_multiple_of(nodes.len()) {
+        if nodes.is_empty()
+            || cached.width != nodes.len()
+            || !cached.ids.len().is_multiple_of(nodes.len())
+        {
             return None;
         }
         let width = self.width();
@@ -845,10 +872,16 @@ impl<'t> TupleIds<'t> {
             .zip(cached.ids.chunks_exact(nodes.len()))
         {
             for (&v, &id) in nodes.iter().zip(entry) {
+                if padded && id == UNCOVERED {
+                    continue;
+                }
                 if id as usize >= self.relations[v].len() {
                     return None;
                 }
                 row[v] = id;
+            }
+            if row.iter().all(|&id| id == UNCOVERED) {
+                return None;
             }
         }
         Some(ids)
@@ -889,8 +922,8 @@ impl JoinInput for TupleIds<'_> {
 
 /// A `D(G)` as [`project`] and
 /// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
-/// read it: tuple ids (the tree chain or the lattice union), or a value
-/// table (a memoized `D(G)`, or any other node's rows).
+/// read it: tuple ids (the tree chain or the lattice union, computed or
+/// memoized), or a value table (any other node's rows).
 pub(crate) enum Associations<'t> {
     /// Tuple ids over the graph scheme.
     Ids(TupleIds<'t>),
@@ -993,13 +1026,16 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 /// (canonical) order, computed over the subgraph lattice on tuple ids.
 ///
 /// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
-/// looked up under its [`subgraph_fingerprint`] (counted, in branch
-/// order; span `fd.lattice.lookup`). A miss is one join: `chain_ir(J)`
-/// is `Join { chain_ir(J \ {v}), Scan v }` for `J`'s last BFS node `v`,
-/// so `F(J)` joins the parent subgraph's id rows with `R_v`'s rows, read
-/// in place, by the join kernel ([`join_with`], as the tree plan's
-/// steps). The parent is a branch, a cache hit, or — when the pushdown
-/// pruned it — looked up and computed once for sharing. The misses run
+/// looked up under its
+/// [`subgraph_fingerprint`](crate::incremental::subgraph_fingerprint)
+/// (counted, in branch order; span `fd.lattice.lookup`), hashed from one
+/// [`SubgraphKeys`] table per pass; an insert reuses its lookup's. A
+/// miss is one join: `chain_ir(J)` is `Join { chain_ir(J \ {v}), Scan v }`
+/// for `J`'s last BFS node `v`, so `F(J)` joins the parent subgraph's id
+/// rows with `R_v`'s rows, read in place, by the join kernel
+/// ([`join_with`], as the tree plan's steps). The parent is a branch, a
+/// cache hit, or — when the pushdown pruned it — looked up and computed
+/// once for sharing. The misses run
 /// level by level in popcount order, each level on the worker pool
 /// longest-estimated-first, and are inserted unfiltered as `|J|` ids per
 /// row, each charged only its own join (span `fd.lattice.insert`);
@@ -1052,16 +1088,22 @@ pub(crate) fn schedule<'t>(
     pad: &Scheme,
 ) -> Result<(TupleIds<'t>, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.lattice");
-    let cache = ex.cache.filter(|c| c.enabled());
-    let keyed = |mask: u64| cache.map(|c| (c, subgraph_fingerprint(ex.graph, mask, c)));
-    let lookup = |mask: u64| -> Result<Option<TupleIds<'t>>> {
-        let Some(cache) = cache else {
+    let cache = ex
+        .cache
+        .filter(|c| c.enabled())
+        .map(|c| (c, SubgraphKeys::new(ex.graph, c)));
+    // each looked-up mask's fingerprint, for its insert after a miss
+    let mut fps: HashMap<u64, Fingerprint> = HashMap::new();
+    let mut lookup = |mask: u64| -> Result<Option<TupleIds<'t>>> {
+        let Some((cache, keys)) = &cache else {
             return Ok(None);
         };
         let _span = clio_obs::span("fd.lattice.lookup");
-        let fp = subgraph_fingerprint(ex.graph, mask, cache);
+        let fp = *fps.entry(mask).or_insert_with(|| keys.fingerprint(mask));
         let frame = TupleIds::over(ex, mask)?;
-        let ids = cache.get_ids(fp, |cached| frame.expand(mask, cached));
+        let ids = cache
+            .get_ids(fp, |cached| frame.expand(mask, cached, false))
+            .0;
         Ok(ids.map(|ids| TupleIds { ids, ..frame }))
     };
     let branch_masks: HashMap<u64, usize> = branches
@@ -1142,9 +1184,13 @@ pub(crate) fn schedule<'t>(
         )
         .into_iter()
         .collect::<Result<_>>()?;
-        let _span = cache.map(|_| clio_obs::span("fd.lattice.insert"));
+        let _span = cache.as_ref().map(|_| clio_obs::span("fd.lattice.insert"));
         for (job, (ids, cost_ns)) in level.iter().zip(fresh) {
-            if let Some((c, fp)) = keyed(job.mask) {
+            if let Some((c, keys)) = &cache {
+                let fp = fps
+                    .get(&job.mask)
+                    .copied()
+                    .unwrap_or_else(|| keys.fingerprint(job.mask));
                 let deps = mask_deps(ex.graph, job.mask);
                 c.insert_ids(fp, deps, &ids.compact(job.mask), cost_ns);
             }

@@ -1187,6 +1187,82 @@ mod tests {
         assert!(!ill.is_empty());
     }
 
+    /// An edit's illustration and its preview read the same `D(G)`: the
+    /// examples pass runs the lattice and memoizes it as tuple ids, small
+    /// enough to fit a budget of half the working set (the cycle-edit
+    /// benchmark's setting), and the preview is served that memo. So each
+    /// `replace_relation` + `target_preview` runs the lattice once, and
+    /// previews equal a cache-off session's.
+    #[test]
+    fn an_edit_runs_one_lattice_at_half_budget() {
+        let mut g = QueryGraph::new();
+        let c = g.add_node(Node::new("Children")).unwrap();
+        let p = g.add_node(Node::new("Parents")).unwrap();
+        let ph = g.add_node(Node::new("PhoneDir")).unwrap();
+        for (a, b, pred) in [
+            (c, p, "Children.mid = Parents.ID"),
+            (p, ph, "PhoneDir.ID = Parents.ID"),
+            (c, ph, "Children.mid = PhoneDir.ID"),
+        ] {
+            g.add_edge(a, b, parse_expr(pred).unwrap()).unwrap();
+        }
+        assert!(!g.is_tree());
+        let mapping = Mapping::new(g, target())
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(ValueCorrespondence::identity("Children.name", "name"))
+            .with_correspondence(ValueCorrespondence::identity(
+                "Parents.affiliation",
+                "affiliation",
+            ))
+            .with_correspondence(ValueCorrespondence::identity(
+                "PhoneDir.number",
+                "contactPh",
+            ));
+        let mut cached = session();
+        let mut plain = session();
+        plain.set_cache_enabled(false);
+        for s in [&mut cached, &mut plain] {
+            s.adopt_mapping(mapping.clone(), "cyclic").unwrap();
+        }
+        cached.target_preview().unwrap();
+        let working_set = cached.cache().stats().bytes;
+        cached.cache().set_capacity(working_set / 2);
+        // one payload cell (column 1) per edit, rotating over the
+        // graph's relations
+        let edits = [
+            ("Children", "Ana"),
+            ("Parents", "CMU"),
+            ("PhoneDir", "555-0199"),
+        ];
+        for round in 0..2 {
+            for &(name, value) in &edits {
+                let value = format!("{value}{round}");
+                let edited = |s: &Session| {
+                    let rel = s.database().relation(name).unwrap();
+                    let mut rows = rel.rows().to_vec();
+                    rows[round][1] = Value::str(value.as_str());
+                    clio_relational::relation::Relation::with_rows(rel.schema().clone(), rows)
+                        .unwrap()
+                };
+                let rel = edited(&cached);
+                let rec = clio_obs::Recorder::new();
+                let preview = rec.run(|| {
+                    cached.replace_relation(rel).unwrap();
+                    cached.target_preview().unwrap()
+                });
+                let lattices = rec
+                    .spans()
+                    .iter()
+                    .filter(|s| s.name == "fd.lattice")
+                    .count();
+                assert_eq!(lattices, 1, "edit of {name} in round {round}");
+                plain.replace_relation(edited(&plain)).unwrap();
+                assert_eq!(preview, plain.target_preview().unwrap(), "{name} {round}");
+            }
+        }
+        assert!(cached.cache().stats().bytes <= working_set / 2);
+    }
+
     #[test]
     fn chases_after_an_edit_see_the_edited_data() {
         let mut s = session();

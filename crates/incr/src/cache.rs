@@ -177,7 +177,7 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// Which tier answered an [`EvalCache::get_tiered`] lookup.
+/// Which tier answered an [`EvalCache::get_ids`] lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupTier {
     /// The cache was disabled; nothing was counted.
@@ -441,6 +441,21 @@ impl EvalCache {
         self.lock().versions.get(relation).copied().unwrap_or(0)
     }
 
+    /// The epoch and the content version of each of `relations`, read
+    /// under one lock: what a pass of fingerprints mixes in, read once.
+    #[must_use]
+    pub fn epoch_and_versions<'r>(
+        &self,
+        relations: impl IntoIterator<Item = &'r str>,
+    ) -> (u64, Vec<u64>) {
+        let inner = self.lock();
+        let versions = relations
+            .into_iter()
+            .map(|r| inner.versions.get(r).copied().unwrap_or(0))
+            .collect();
+        (inner.epoch, versions)
+    }
+
     /// The cache-wide epoch covering non-relation evaluation state.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -493,19 +508,11 @@ impl EvalCache {
     /// Returns `None` without counting anything while disabled.
     #[must_use]
     pub fn get(&self, fp: Fingerprint) -> Option<Table> {
-        self.get_tiered(fp).0
-    }
-
-    /// [`get`](Self::get), also reporting which tier answered — the
-    /// timing-telemetry hook that lets callers record distinct latency
-    /// histograms for memory hits, store loads, and cold misses.
-    /// Counter semantics are identical to `get`.
-    #[must_use]
-    pub fn get_tiered(&self, fp: Fingerprint) -> (Option<Table>, LookupTier) {
         self.lookup(fp, |payload| match payload {
             Payload::Table(table) => Some(table.clone()),
             Payload::Ids(_) => None,
         })
+        .0
     }
 
     /// Look up rows of tuple ids, handing them to `decode`, which turns
@@ -515,20 +522,21 @@ impl EvalCache {
     /// memory entry is dropped; a rejected store entry counts
     /// `cache.load_errors` (not `cache.disk_hits`) and is removed from
     /// the store. Either way the lookup goes on as a miss. Counts as
-    /// [`get`](Self::get) does.
+    /// [`get`](Self::get) does, and also reports which tier answered —
+    /// the timing-telemetry hook that lets callers record distinct
+    /// latency histograms for memory hits, store loads, and cold misses.
     pub fn get_ids<T>(
         &self,
         fp: Fingerprint,
         mut decode: impl FnMut(&IdRows) -> Option<T>,
-    ) -> Option<T> {
+    ) -> (Option<T>, LookupTier) {
         self.lookup(fp, |payload| match payload {
             Payload::Ids(rows) => decode(rows),
             Payload::Table(_) => None,
         })
-        .0
     }
 
-    /// The lookup behind [`get_tiered`](Self::get_tiered) and
+    /// The lookup behind [`get`](Self::get) and
     /// [`get_ids`](Self::get_ids): `decode` reads an entry's payload, or
     /// rejects it (`None`).
     fn lookup<T>(
@@ -929,26 +937,27 @@ mod tests {
     }
 
     #[test]
-    fn get_tiered_reports_the_answering_tier() {
+    fn get_ids_reports_the_answering_tier() {
+        let rows = |n: u32| IdRows {
+            width: 1,
+            ids: (0..n).collect(),
+        };
+        let count = |r: &IdRows| Some(r.len());
         let cache = EvalCache::new();
         cache.set_enabled(false);
-        assert_eq!(cache.get_tiered(fp(1)), (None, LookupTier::Disabled));
+        assert_eq!(cache.get_ids(fp(1), count), (None, LookupTier::Disabled));
         cache.set_enabled(true);
-        assert_eq!(cache.get_tiered(fp(1)), (None, LookupTier::Miss));
-        cache.insert(fp(1), vec!["R".into()], &table(2, "r"));
-        let (hit, tier) = cache.get_tiered(fp(1));
-        assert_eq!(hit.map(|t| t.len()), Some(2));
-        assert_eq!(tier, LookupTier::Memory);
+        assert_eq!(cache.get_ids(fp(1), count), (None, LookupTier::Miss));
+        cache.insert_ids(fp(1), vec!["R".into()], &rows(2), 0);
+        assert_eq!(cache.get_ids(fp(1), count), (Some(2), LookupTier::Memory));
         // spill to a store, drop memory, and the store answers
         let store = Arc::new(crate::store::MemStore::new());
         cache.set_store(Some(store));
-        cache.insert(fp(2), vec![], &table(1, "s"));
+        cache.insert_ids(fp(2), vec![], &rows(1), 0);
         cache.clear();
-        let (from_disk, tier) = cache.get_tiered(fp(2));
-        assert!(from_disk.is_some());
-        assert_eq!(tier, LookupTier::Disk);
+        assert_eq!(cache.get_ids(fp(2), count), (Some(1), LookupTier::Disk));
         // the disk hit warmed memory
-        assert_eq!(cache.get_tiered(fp(2)).1, LookupTier::Memory);
+        assert_eq!(cache.get_ids(fp(2), count).1, LookupTier::Memory);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
     }
@@ -1095,11 +1104,11 @@ mod tests {
         assert_eq!((cache.stats().entries, store.stats().load_errors), (0, 1));
         cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
         let in_range = |r: &IdRows| r.ids.iter().all(|&id| id < 6).then(|| r.len());
-        assert_eq!(cache.get_ids(fp(1), in_range), Some(3));
+        assert_eq!(cache.get_ids(fp(1), in_range).0, Some(3));
         // a memory entry its reader rejects is dropped, and the lookup
         // goes on to the store, whose copy is rejected too
         let short = |r: &IdRows| r.ids.iter().all(|&id| id < 4).then(|| r.len());
-        assert_eq!(cache.get_ids(fp(1), short), None);
+        assert_eq!(cache.get_ids(fp(1), short), (None, LookupTier::Miss));
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes), (0, 0));
         assert_eq!(store.stats().load_errors, 2);
@@ -1107,7 +1116,7 @@ mod tests {
         // the recomputed entry takes the old one's place in both tiers
         cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
         assert_eq!(store.len(), 1);
-        assert_eq!(cache.get_ids(fp(1), in_range), Some(3));
+        assert_eq!(cache.get_ids(fp(1), in_range).0, Some(3));
     }
 
     #[test]

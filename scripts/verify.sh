@@ -614,8 +614,8 @@ echo "    MAP file == its saved copy (byte-identical); explain == golden; cyclic
 # at a size the demo goldens do not reach. The same script is then
 # replayed with the cache on, and its stdout must equal the cache-off
 # run's: the cache-off preview projects through the tree D(G)'s tuple
-# ids, the cache-on one reads the memoized value table, and both must
-# print the same 1000-row answer. Regenerate after an intentional change
+# ids as computed, the cache-on one through the ids memoized under
+# "D(G).tree.ids", and both must print the same 1000-row answer. Regenerate after an intentional change
 # with
 #
 #   printf 'load <prefix MAP>\naccept\nload <chain MAP>\ntarget\nquit\n' > chain.clio
