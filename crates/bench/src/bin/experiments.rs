@@ -15,7 +15,7 @@ use clio_bench::{
     chain, chain_prefix_mapping, cycle, example_population, nullable_table, service_workload, star,
 };
 use clio_core::evolution::evolve_illustration;
-use clio_core::full_disjunction::{engine_subsumption, FdAlgo};
+use clio_core::full_disjunction::{engine_subsumption, full_disjunction, FdAlgo};
 use clio_core::illustration::{select_greedy, Illustration, SufficiencyScope};
 use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
@@ -1044,7 +1044,7 @@ fn b16_paged_backend() {
 /// on cyclic graphs) and one `MappingEvaluator` pass over it — the
 /// reference the plan's pushdown is measured against.
 fn reference_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table {
-    let assocs = m.associations(db, FdAlgo::Auto, funcs).expect("D(G)");
+    let assocs = full_disjunction(db, &m.graph, FdAlgo::Auto, funcs).expect("D(G)");
     let eval = m.evaluator(db, funcs).expect("evaluator");
     let mut out = Table::empty(m.target_scheme());
     for i in 0..assocs.len() {
@@ -1102,10 +1102,43 @@ fn b17_planned_evaluation() {
     }
 }
 
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// Pin the process to the highest-numbered CPU it may run on; call it
+/// before any thread starts (threads inherit the mask). Unpinned, paired
+/// runs of unchanged code disagreed on a shared 2-core VM: ten
+/// alternating `experiments b7` pairs of two commits read evolve
+/// 1.04–1.16× apart on a path neither changed, and under `taskset` the
+/// same pairs agreed to within 1%. The thread sweeps (B1's parallel
+/// naive, B11, B15) then share the one CPU. Returns the CPU, or `None`
+/// if the affinity calls fail (the sweeps then run unpinned).
+fn pin_to_one_cpu() -> Option<usize> {
+    // a `cpu_set_t`: 1024 bits
+    let mut allowed = [0u64; 16];
+    let size = std::mem::size_of_val(&allowed);
+    // SAFETY: `allowed` is a writable buffer of `size` bytes, the size
+    // passed; pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, size, allowed.as_mut_ptr()) } != 0 {
+        return None;
+    }
+    let cpu = (0..size * 8)
+        .rev()
+        .find(|&c| allowed[c / 64] >> (c % 64) & 1 == 1)?;
+    let mut one = [0u64; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable buffer of `size` bytes naming one CPU
+    // from the allowed set; pid 0 names the calling thread.
+    (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+}
+
 fn main() {
+    let cpu = pin_to_one_cpu().map_or_else(|| "unpinned".to_owned(), |c| format!("CPU {c}"));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = |key: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(key));
-    println!("# Clio reproduction — experiment sweeps (median of {REPS} runs)");
+    println!("# Clio reproduction — experiment sweeps (median of {REPS} runs, {cpu})");
     if run("b1") {
         b1_full_disjunction();
     }

@@ -17,10 +17,12 @@
 //!   `u32::MAX` when the row does not cover the node — so a data
 //!   association is, as in Defs 3.5–3.8, a combination of source tuples,
 //!   and its coverage is the set of nodes with an id. Join keys are read
-//!   through the ids, nothing is padded, and value rows are built once,
-//!   at the boundary (span `fd.materialize`): for a cache entry, a
-//!   returned table, or an [`AssociationSet`]. A mapping's projection
-//!   reads the values it needs through the ids and builds none;
+//!   through the ids, nothing is padded, and value rows are built in
+//!   two places only (span `fd.materialize`):
+//!   [`RelExpr::run`](crate::plan::RelExpr::run)'s table and
+//!   [`full_disjunction_cached`]'s [`AssociationSet`]. A mapping's
+//!   projection reads the values it needs through the ids and builds
+//!   none;
 //! * [`FdAlgo::Lattice`], on **cyclic** graphs: the subgraph lattice,
 //!   also on tuple ids. Each `F(J)` is one join of a smaller subgraph's
 //!   ids with one relation, and a row is dropped when a neighbouring
@@ -45,12 +47,12 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{minimum_union_all, pad_to, select, SubsumptionAlgo};
+use clio_relational::ops::{minimum_union_all, pad_to, select, JoinInput, SubsumptionAlgo};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
 use crate::incremental::full_disjunction_cached;
-use crate::plan::{chain_ir, Exec};
+use crate::plan::{chain_ir, Exec, RelExpr};
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
 
@@ -74,13 +76,44 @@ pub enum FdAlgo {
 /// Runs the subgraph's join chain ([`chain_ir`]): nodes are joined in a
 /// connected order, each new node on the conjunction of all its edges
 /// into the already-joined set, so cyclic subgraphs are handled (the
-/// cycle-closing predicates become part of the join condition).
+/// cycle-closing predicates become part of the join condition). The
+/// chain is exactly its joins, on every graph: on a one-node graph,
+/// `F({R})` is every tuple of `R`, near-duplicates included.
 pub fn full_associations(
     db: &Database,
     graph: &QueryGraph,
     mask: u64,
     funcs: &FuncRegistry,
 ) -> Result<Table> {
+    full_associations_chain(graph, mask)?.run(&Exec {
+        db,
+        funcs,
+        graph,
+        cache: None,
+    })
+}
+
+/// `|F(J)|`: the rows [`full_associations`] returns, counted on their
+/// tuple ids, with no value built.
+pub(crate) fn full_associations_count(
+    db: &Database,
+    graph: &QueryGraph,
+    mask: u64,
+    funcs: &FuncRegistry,
+) -> Result<usize> {
+    let ex = Exec {
+        db,
+        funcs,
+        graph,
+        cache: None,
+    };
+    let (ids, _) = full_associations_chain(graph, mask)?.ids(&ex)?;
+    Ok(ids.row_count())
+}
+
+/// The join chain of `F(J)` for the subgraph `mask`, which must be
+/// non-empty and connected.
+fn full_associations_chain(graph: &QueryGraph, mask: u64) -> Result<RelExpr> {
     if mask == 0 {
         return Err(Error::Invalid(
             "empty node set has no full associations".into(),
@@ -91,12 +124,7 @@ pub fn full_associations(
             "full associations are only defined for connected subgraphs".into(),
         ));
     }
-    chain_ir(graph, mask, false).run(&Exec {
-        db,
-        funcs,
-        graph,
-        cache: None,
-    })
+    Ok(chain_ir(graph, mask, false))
 }
 
 /// Definitional `D(G)`: minimum union of the padded `F(J)` over every
@@ -142,17 +170,6 @@ impl FdAlgo {
             chosen => chosen,
         }
     }
-}
-
-/// Optimized `D(G)` for tree query graphs: left-deep full outer joins in a
-/// connected elimination order, columns in the canonical graph scheme.
-/// Errors when the graph is not a tree.
-pub fn full_disjunction_outer_join(
-    db: &Database,
-    graph: &QueryGraph,
-    funcs: &FuncRegistry,
-) -> Result<AssociationSet> {
-    full_disjunction_cached(db, graph, FdAlgo::OuterJoin, funcs, None)
 }
 
 /// The subsumption algorithm the engine uses wherever a caller does not
@@ -309,7 +326,7 @@ mod tests {
     fn outer_join_fd_agrees_with_naive_on_tree() {
         let g = path_graph();
         let mut a = full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Naive).unwrap();
-        let mut b = full_disjunction_outer_join(&db(), &g, &funcs()).unwrap();
+        let mut b = full_disjunction(&db(), &g, FdAlgo::OuterJoin, &funcs()).unwrap();
         a.sort_canonical(&g);
         b.sort_canonical(&g);
         assert_eq!(a.table().rows(), b.table().rows());
@@ -320,7 +337,7 @@ mod tests {
         let mut g = path_graph();
         g.add_edge(0, 2, parse_expr("Children.ID = PhoneDir.ID").unwrap())
             .unwrap();
-        assert!(full_disjunction_outer_join(&db(), &g, &funcs()).is_err());
+        assert!(full_disjunction(&db(), &g, FdAlgo::OuterJoin, &funcs()).is_err());
         // but auto dispatch falls back to the lattice
         full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
     }
@@ -342,6 +359,48 @@ mod tests {
         let d = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
         assert_eq!(d.len(), 4);
         assert!(d.categories() == vec![0b1]);
+    }
+
+    /// `F(J)` is its joins and nothing more, on a one-node graph too: a
+    /// near-duplicate tuple stays in `F({R})`, though the minimum union
+    /// of `D(G)` drops it.
+    #[test]
+    fn one_node_full_associations_keep_near_duplicates() {
+        let mut db = Database::new();
+        for (name, rows) in [
+            (
+                "R",
+                vec![vec![1.into(), Value::Null], vec![1.into(), 2.into()]],
+            ),
+            ("S", vec![vec![1.into(), 3.into()]]),
+        ] {
+            let mut r = RelationBuilder::new(name)
+                .attr("a", DataType::Int)
+                .attr("b", DataType::Int);
+            for row in rows {
+                r = r.row(row);
+            }
+            db.add_relation(r.build().unwrap()).unwrap();
+        }
+        let mut one = QueryGraph::new();
+        one.add_node(Node::new("R")).unwrap();
+        let mut two = one.clone();
+        two.add_node(Node::new("S")).unwrap();
+        two.add_edge(0, 1, parse_expr("R.a = S.a").unwrap())
+            .unwrap();
+
+        let alone = full_associations(&db, &one, 0b1, &funcs()).unwrap();
+        assert_eq!(alone.len(), 2, "both tuples of R");
+        let within = full_associations(&db, &two, 0b01, &funcs()).unwrap();
+        assert_eq!(alone.scheme(), within.scheme());
+        assert_eq!(alone.rows(), within.rows());
+        assert_eq!(
+            full_associations_count(&db, &one, 0b1, &funcs()).unwrap(),
+            2
+        );
+        // D(G) of the one-node graph keeps only the maximal tuple
+        let d = full_disjunction(&db, &one, FdAlgo::Auto, &funcs()).unwrap();
+        assert_eq!(d.table().rows(), &alone.rows()[1..]);
     }
 
     #[test]

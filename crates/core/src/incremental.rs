@@ -37,58 +37,11 @@ use crate::mapping::Mapping;
 use crate::plan::{disjunction, Exec};
 use crate::query_graph::QueryGraph;
 
-/// Mix a graph's full structure into a fingerprint: every node (alias,
-/// stored relation, content version) in id order, every edge (endpoint
-/// ids, predicate text) in insertion order, plus the cache epoch. Node
-/// and edge *order* are deliberately part of the digest — join order,
-/// and therefore output column and row order, depend on them.
-fn hash_graph(fp: &mut FingerprintBuilder, graph: &QueryGraph, cache: &EvalCache) {
-    fp.number(cache.epoch());
-    for n in graph.nodes() {
-        fp.text(&n.alias)
-            .text(&n.relation)
-            .number(cache.version(&n.relation));
-    }
-    for e in graph.edges() {
-        fp.number(e.a as u64)
-            .number(e.b as u64)
-            .text(&e.predicate.to_string());
-    }
-}
-
-/// Fingerprint of the full data associations `F(J)` of the induced
-/// subgraph `mask`: the member nodes (with ids, so the join order is
-/// captured), the induced edges, and the content versions involved. The
-/// entry holds tuple ids, `|J|` per row in node order (domain tag
-/// `"F(J).ids"`: entries written as values under the older `"F(J)"` tag
-/// are never asked for).
-#[must_use]
-pub fn subgraph_fingerprint(graph: &QueryGraph, mask: u64, cache: &EvalCache) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new("F(J).ids");
-    fp.number(cache.epoch());
-    for (i, n) in graph.nodes().iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            fp.number(i as u64)
-                .text(&n.alias)
-                .text(&n.relation)
-                .number(cache.version(&n.relation));
-        }
-    }
-    for e in graph.edges() {
-        if mask & (1 << e.a) != 0 && mask & (1 << e.b) != 0 {
-            fp.number(e.a as u64)
-                .number(e.b as u64)
-                .text(&e.predicate.to_string());
-        }
-    }
-    fp.finish()
-}
-
-/// What the fingerprints of a graph's subgraphs mix in, read once for a
-/// pass of lookups: the cache epoch, every node's content version (read
-/// under one lock) and every edge's predicate text (formatted once).
-/// [`SubgraphKeys::fingerprint`] equals [`subgraph_fingerprint`] for
-/// every mask, so the entries a pass looks up are the ones it inserted.
+/// What a graph's fingerprints mix in, read once: the cache epoch,
+/// every node's content version (read under one lock) and every edge's
+/// predicate text (formatted once). One table serves a pass of `F(J)`
+/// lookups ([`SubgraphKeys::fingerprint`]) and each whole-graph key
+/// ([`graph_fingerprint`], [`mapping_fingerprint`]).
 pub(crate) struct SubgraphKeys<'g> {
     graph: &'g QueryGraph,
     epoch: u64,
@@ -112,7 +65,12 @@ impl<'g> SubgraphKeys<'g> {
         }
     }
 
-    /// The fingerprint of the `F(J)` of the induced subgraph `mask`.
+    /// Fingerprint of the full data associations `F(J)` of the induced
+    /// subgraph `mask`: the member nodes (with ids, so the join order is
+    /// captured), the induced edges, and the content versions involved.
+    /// The entry holds tuple ids, `|J|` per row in node order (domain tag
+    /// `"F(J).ids"`: entries written as values under the older `"F(J)"`
+    /// tag are never asked for).
     pub(crate) fn fingerprint(&self, mask: u64) -> Fingerprint {
         let mut fp = FingerprintBuilder::new("F(J).ids");
         fp.number(self.epoch);
@@ -131,6 +89,23 @@ impl<'g> SubgraphKeys<'g> {
         }
         fp.finish()
     }
+
+    /// The graph's full structure, mixed under `tag`: the cache epoch,
+    /// every node (alias, stored relation, content version) in id order,
+    /// every edge (endpoint ids, predicate text) in insertion order. Node
+    /// and edge *order* are deliberately part of the digest — join order,
+    /// and therefore output column and row order, depend on them.
+    fn whole_graph(&self, tag: &str) -> FingerprintBuilder {
+        let mut fp = FingerprintBuilder::new(tag);
+        fp.number(self.epoch);
+        for (n, &version) in self.graph.nodes().iter().zip(&self.versions) {
+            fp.text(&n.alias).text(&n.relation).number(version);
+        }
+        for (e, predicate) in self.graph.edges().iter().zip(&self.predicates) {
+            fp.number(e.a as u64).number(e.b as u64).text(predicate);
+        }
+        fp
+    }
 }
 
 /// Fingerprint of the assembled `D(G)` under a given algorithm tag
@@ -140,17 +115,14 @@ impl<'g> SubgraphKeys<'g> {
 /// tags are never asked for).
 #[must_use]
 pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new(tag);
-    hash_graph(&mut fp, graph, cache);
-    fp.finish()
+    SubgraphKeys::new(graph, cache).whole_graph(tag).finish()
 }
 
 /// Fingerprint of a full mapping query `Q(M)`: the graph plus the
 /// correspondences, source filters, target filters, and target schema.
 #[must_use]
 pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint {
-    let mut fp = FingerprintBuilder::new("Q(M)");
-    hash_graph(&mut fp, &mapping.graph, cache);
+    let mut fp = SubgraphKeys::new(&mapping.graph, cache).whole_graph("Q(M)");
     for v in &mapping.correspondences {
         fp.text(&v.expr.to_string()).text(&v.target_attr);
     }
@@ -262,13 +234,14 @@ pub fn full_disjunction_cached(
     funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
 ) -> Result<AssociationSet> {
-    let (associations, _) = disjunction(db, graph, algo, cache)?.associations(&Exec {
+    let ex = Exec {
         db,
         funcs,
         graph,
         cache,
-    })?;
-    Ok(associations.into_association_set(graph))
+    };
+    let (ids, _) = disjunction(db, graph, algo, cache)?.disjunction_ids(&ex)?;
+    Ok(ids.into_association_set())
 }
 
 #[cfg(test)]
@@ -514,7 +487,7 @@ mod tests {
                 }),
                 cost_ns: 0,
             };
-            assert!(store.spill(subgraph_fingerprint(&g, *mask, &cache), &entry));
+            assert!(store.spill(SubgraphKeys::new(&g, &cache).fingerprint(*mask), &entry));
         }
         let run = |cache: &EvalCache| {
             full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(cache)).unwrap()
@@ -524,7 +497,7 @@ mod tests {
         assert_eq!((s.hits, s.load_errors), (0, 3));
         // the recomputed entries took the forged ones' place on disk
         for (mask, ids, _) in &forged {
-            let fp = subgraph_fingerprint(&g, *mask, &cache);
+            let fp = SubgraphKeys::new(&g, &cache).fingerprint(*mask);
             let Some(Payload::Ids(rows)) = store.load(fp).map(|e| e.payload) else {
                 panic!("F(J) of {mask:#b} was not respilled");
             };
@@ -539,7 +512,7 @@ mod tests {
                 width: *width,
                 ids: ids.clone(),
             };
-            let fp = subgraph_fingerprint(&g, *mask, &cache);
+            let fp = SubgraphKeys::new(&g, &cache).fingerprint(*mask);
             cache.insert_ids(fp, mask_deps(&g, *mask), &rows, 0);
         }
         assert_eq!(run(&cache).table().rows(), plain.table().rows());
@@ -729,11 +702,17 @@ mod tests {
         assert_ne!(before, graph_fingerprint(&tree, &cache, "D(G).tree.ids"));
         // subgraphs not touching Parents keep their fingerprint
         let mask_children = 0b001;
-        let a = subgraph_fingerprint(&cyc, mask_children, &cache);
+        let a = SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children);
         cache.bump_version("Parents");
-        assert_eq!(a, subgraph_fingerprint(&cyc, mask_children, &cache));
+        assert_eq!(
+            a,
+            SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children)
+        );
         cache.bump_version("Children");
-        assert_ne!(a, subgraph_fingerprint(&cyc, mask_children, &cache));
+        assert_ne!(
+            a,
+            SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children)
+        );
     }
 
     #[test]
@@ -773,61 +752,14 @@ mod tests {
         );
     }
 
-    /// One key table per pass hashes every connected subgraph to the
-    /// same bytes as `subgraph_fingerprint`, so no cached entry, memory or
-    /// disk, goes cold: on a 5-cycle and a 5-star, at fresh and at bumped
-    /// versions and epochs.
-    #[test]
-    fn key_table_fingerprints_equal_subgraph_fingerprints() {
-        let nodes = |g: &mut QueryGraph| {
-            for i in 0..5 {
-                g.add_node(Node::new(format!("R{i}"))).unwrap();
-            }
-        };
-        let edge = |g: &mut QueryGraph, a: usize, b: usize| {
-            let p = parse_expr(&format!("R{a}.k = R{b}.k")).unwrap();
-            g.add_edge(a, b, p).unwrap();
-        };
-        let mut cycle = QueryGraph::new();
-        nodes(&mut cycle);
-        for i in 0..5 {
-            edge(&mut cycle, i, (i + 1) % 5);
-        }
-        let mut star = QueryGraph::new();
-        nodes(&mut star);
-        for i in 1..5 {
-            edge(&mut star, 0, i);
-        }
-        let cache = EvalCache::new();
-        for g in [&cycle, &star] {
-            let masks = connected_subsets(g);
-            assert!(masks.len() >= 5 + 4, "every node and edge");
-            for bump in ["", "R2", "R0", "epoch"] {
-                match bump {
-                    "" => {}
-                    "epoch" => cache.bump_epoch(),
-                    rel => cache.bump_version(rel),
-                }
-                let keys = SubgraphKeys::new(g, &cache);
-                for &mask in &masks {
-                    assert_eq!(
-                        keys.fingerprint(mask),
-                        subgraph_fingerprint(g, mask, &cache),
-                        "mask {mask:#b} after {bump:?}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn epoch_bump_changes_all_fingerprints() {
         let cache = EvalCache::new();
         let g = tree_graph();
         let a = graph_fingerprint(&g, &cache, "D(G).tree.ids");
-        let s = subgraph_fingerprint(&g, 0b11, &cache);
+        let s = SubgraphKeys::new(&g, &cache).fingerprint(0b11);
         cache.bump_epoch();
         assert_ne!(a, graph_fingerprint(&g, &cache, "D(G).tree.ids"));
-        assert_ne!(s, subgraph_fingerprint(&g, 0b11, &cache));
+        assert_ne!(s, SubgraphKeys::new(&g, &cache).fingerprint(0b11));
     }
 }

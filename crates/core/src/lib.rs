@@ -34,15 +34,13 @@ pub mod prelude {
     pub use crate::example::Example;
     pub use crate::focus::{focused_examples, is_focused, Focus};
     pub use crate::full_disjunction::{
-        engine_subsumption, full_associations, full_disjunction, full_disjunction_naive,
-        full_disjunction_outer_join, FdAlgo,
+        engine_subsumption, full_associations, full_disjunction, full_disjunction_naive, FdAlgo,
     };
     pub use crate::illustration::{
         is_sufficient, requirements, select_greedy, Illustration, Requirement, SufficiencyScope,
     };
     pub use crate::incremental::{
         full_disjunction_cached, graph_fingerprint, mapping_fingerprint, relation_deps,
-        subgraph_fingerprint,
     };
     pub use crate::knowledge::{JoinSpec, PathStep, Provenance, SchemaKnowledge};
     pub use crate::mapping::{Mapping, MappingEvaluator};

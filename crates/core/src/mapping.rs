@@ -33,7 +33,7 @@ use clio_relational::value::Value;
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
-use crate::full_disjunction::{full_disjunction, FdAlgo};
+use crate::full_disjunction::FdAlgo;
 use crate::incremental::{elapsed_ns, mapping_fingerprint, relation_deps};
 use crate::plan::Exec;
 use crate::query_graph::QueryGraph;
@@ -226,18 +226,9 @@ impl Mapping {
         Ok(())
     }
 
-    /// Materialize the data associations `D(G)` of this mapping's graph.
-    pub fn associations(
-        &self,
-        db: &Database,
-        algo: FdAlgo,
-        funcs: &FuncRegistry,
-    ) -> Result<AssociationSet> {
-        full_disjunction(db, &self.graph, algo, funcs)
-    }
-
-    /// Like [`Mapping::associations`], routed through an incremental
-    /// cache. `None` (or a disabled cache) is exactly the uncached path.
+    /// The data associations `D(G)` of this mapping's graph, routed
+    /// through an incremental cache. `None` (or a disabled cache) is
+    /// exactly the uncached path.
     pub fn associations_cached(
         &self,
         db: &Database,
@@ -449,8 +440,9 @@ impl MappingEvaluator {
     }
 }
 
-/// Does `row` pass every filter? Stops at the first that rejects it.
-fn all_pass(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
+/// Does `row` pass every bound filter? Stops at the first that rejects
+/// it.
+pub(crate) fn all_pass(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
     for f in filters {
         if !f.eval_truth(row, funcs)?.passes() {
             return Ok(false);

@@ -12,6 +12,7 @@ use clio_relational::funcs::FuncRegistry;
 use clio_relational::parser::parse_expr;
 
 use crate::example::Example;
+use crate::full_disjunction::{full_disjunction, FdAlgo};
 use crate::mapping::Mapping;
 
 /// Add a source filter (parsed from text) to a mapping.
@@ -85,7 +86,7 @@ pub fn trim_effect(
     db: &Database,
     funcs: &FuncRegistry,
 ) -> Result<TrimEffect> {
-    let assocs = before.associations(db, crate::full_disjunction::FdAlgo::Auto, funcs)?;
+    let assocs = full_disjunction(db, &before.graph, FdAlgo::Auto, funcs)?;
     let eb = before.examples_for(&assocs, db, funcs)?;
     let ea = after.examples_for(&assocs, db, funcs)?;
     debug_assert_eq!(eb.len(), ea.len());

@@ -12,26 +12,32 @@
 //! must preserve.
 //!
 //! The tree is also the executed form: [`RelExpr::run`] interprets it
-//! against an [`Exec`], one arm per node kind. `F(J)`
+//! against an [`Exec`]. `F(J)`
 //! ([`full_associations`](crate::full_disjunction::full_associations)),
 //! `D(G)` ([`full_disjunction_cached`](crate::incremental::full_disjunction_cached))
 //! and every `Q(M)` ([`Mapping::evaluate_cached`](crate::mapping::Mapping::evaluate_cached))
 //! are computed that way, so the tree `explain` prints is the code that
 //! runs — which subgraphs, which filters where, in which join order.
 //!
-//! Scans that feed a join are read in place: the join ([`join_rows`],
-//! or [`join_with`] on tuple ids) borrows the stored relation's rows
-//! under the scan alias's scheme.
+//! There is one interpreter, and it runs on tuple ids: every node below
+//! a `Project` yields rows of `u32` ids (`RelExpr::ids`), one per graph
+//! node, in node order — the position of the node's tuple in its
+//! relation, or `u32::MAX` for a node the row does not cover. A scan
+//! numbers its relation's tuples; a join step is the join kernel every
+//! join runs ([`join_with`]), reading key cells through the ids and the
+//! scanned relation's rows in place; a filter reads the cells it tests
+//! through the ids; a union is the subgraph lattice (`schedule`). The
+//! cache holds ids the same way: each `F(J)` as `|J|` ids per row, and
+//! the `D(G)` memo (`"D(G).tree.ids"` / `"D(G).lattice.ids"`) as `|G|`
+//! ids per row.
 //!
-//! Both `D(G)` plans copy no value at all: the tree plan's outer-join
-//! chain over every node (or a lone scan on a one-node graph), and the
-//! lattice union. They run on tuple ids: per row, one `u32` per graph
-//! node, in node order, with `u32::MAX` for a node the row does not
-//! cover. Each step is the join kernel every join runs ([`join_with`]),
-//! reading key cells through the ids. The cache holds them the same
-//! way: each `F(J)` as `|J|` ids per row, and the `D(G)` memo
-//! (`"D(G).tree.ids"` / `"D(G).lattice.ids"`) as `|G|` ids per row. A
-//! `Project` over a `D(G)` reads through the ids too, filling one
+//! The `D(G)` is found by where it sits, not by its shape: it is the
+//! node beneath a `Project`'s source filters, or the node
+//! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
+//! runs (`RelExpr::disjunction_ids`). Only that node is memoized, and
+//! only there does the tree plan's outer-join chain get its
+//! near-duplicate residual pass; a chain run any other way is exactly
+//! its joins. A `Project` reads its `D(G)` through the ids, filling one
 //! scratch row with only the columns the correspondences and source
 //! filters reference. Value rows are built in two places only (span
 //! `fd.materialize`): [`RelExpr::run`]'s table and
@@ -47,7 +53,7 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{join_rows, join_with, subsumed_among, JoinInput, JoinKind, Joined};
+use clio_relational::ops::{join_with, subsumed_among, JoinInput, JoinKind, Joined};
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::Value;
@@ -57,7 +63,7 @@ use crate::correspondence::ValueCorrespondence;
 use crate::incremental::{
     elapsed_ns, graph_fingerprint, mask_deps, relation_deps, BranchInfo, SubgraphKeys,
 };
-use crate::mapping::MappingEvaluator;
+use crate::mapping::{all_pass, MappingEvaluator};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
 
@@ -259,11 +265,11 @@ impl RelExpr {
         }
     }
 
-    /// Execute the tree. The un-pushed `D(G)` node — a [`RelExpr::Union`]
-    /// with no filter on any branch, or an outer-join chain over every
-    /// node of `ex.graph` (a lone `Scan` on a one-node graph) — is
-    /// memoized under `"D(G).lattice.ids"` / `"D(G).tree.ids"` when
-    /// `ex.cache` is live; every other node is computed on each run.
+    /// Execute the tree. A `Project`, with the target filters stacked on
+    /// it, projects the `D(G)` beneath its source filters; any other
+    /// node returns its tuple ids materialized: a chain exactly its
+    /// joins, a `Filter` the rows that pass, a `Union` the minimum union
+    /// of its branches.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
         self.run_costed(ex).map(|(table, _)| table)
     }
@@ -272,56 +278,102 @@ impl RelExpr {
     /// the cache entries this run inserted — what a parent entry must not
     /// charge again.
     pub(crate) fn run_costed(&self, ex: &Exec) -> Result<(Table, u64)> {
-        if self.is_tree_disjunction(ex) {
-            let (associations, charged) = self.associations(ex)?;
-            return Ok((associations.into_table(), charged));
+        match self.filters() {
+            (
+                RelExpr::Project {
+                    input,
+                    correspondences,
+                    target,
+                },
+                filters,
+            ) => project(ex, input, correspondences, target, &filters),
+            _ => {
+                let (ids, charged) = self.ids(ex)?;
+                Ok((ids.materialize(), charged))
+            }
         }
-        self.eval(ex)
     }
 
-    /// This node's rows as data associations, with the compute time
-    /// charged as [`RelExpr::run_costed`] charges it. A `D(G)` — the tree
-    /// plan's outer-join chain or a lattice `Union` — yields its tuple
-    /// ids, memoized as ids with a live cache ([`memoized_ids`], under
-    /// `"D(G).tree.ids"` / `"D(G).lattice.ids"`). A `Union` with pushed
-    /// filters is never memoized. Any other node yields its table.
-    pub(crate) fn associations<'t>(&self, ex: &Exec<'t>) -> Result<(Associations<'t>, u64)> {
+    /// This node's rows as tuple ids, with the compute time charged to
+    /// the cache entries the run inserted. A `Scan` numbers its
+    /// relation's tuples; a `Join` joins its left input's ids with the
+    /// scan on its right, read in place ([`TupleIds::join_scan`]; full
+    /// outer when `outer`, counting `fd.outer_join_steps`); a `Filter`
+    /// keeps the rows passing its predicate ([`TupleIds::keep`]); a
+    /// `Union` is the minimum union of its branches ([`schedule`]). No
+    /// node is memoized as a `D(G)` here, and a chain gets no residual
+    /// pass: both belong to the node at the `D(G)`'s position
+    /// ([`RelExpr::disjunction_ids`]). A `Project` has no ids.
+    pub(crate) fn ids<'t>(&self, ex: &Exec<'t>) -> Result<(TupleIds<'t>, u64)> {
         match self {
-            _ if self.is_tree_disjunction(ex) => {
-                let (ids, charged) =
-                    memoized_ids(ex, "D(G).tree.ids", || Ok((self.tree_ids(ex)?, 0)))?;
-                Ok((Associations::Ids(ids), charged))
+            RelExpr::Scan { .. } => Ok((TupleIds::scan(ex, node_bit(ex.graph, self)?)?, 0)),
+            RelExpr::Join {
+                left,
+                right,
+                predicate,
+                outer,
+            } => {
+                let kind = if *outer {
+                    JoinKind::FullOuter
+                } else {
+                    JoinKind::Inner
+                };
+                let (left, charged) = left.ids(ex)?;
+                let out = left.join_scan(ex, right, predicate, kind)?;
+                if *outer {
+                    metrics::incr(Counter::OuterJoinSteps);
+                }
+                Ok((out, charged))
+            }
+            RelExpr::Filter {
+                input, predicate, ..
+            } => {
+                let (ids, charged) = input.ids(ex)?;
+                Ok((ids.keep(&[predicate], ex.funcs)?, charged))
             }
             RelExpr::Union {
                 inputs,
                 branches,
                 pad,
             } => {
-                let lattice = || -> Result<(TupleIds<'t>, u64)> {
-                    let (ids, dispatched) = schedule(ex, inputs, branches, pad)?;
-                    Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
-                };
-                let (ids, charged) = if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) {
-                    lattice()?
-                } else {
-                    memoized_ids(ex, "D(G).lattice.ids", lattice)?
-                };
-                Ok((Associations::Ids(ids), charged))
+                let (ids, dispatched) = schedule(ex, inputs, branches, pad)?;
+                Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
             }
-            _ => {
-                let (table, charged) = self.eval(ex)?;
-                Ok((Associations::Values(table), charged))
-            }
+            RelExpr::Project { .. } => Err(Error::Invalid(
+                "a projection yields target rows, not tuple ids".into(),
+            )),
         }
     }
 
-    /// Is this node the tree plan's `D(G)`: an outer-join chain over
-    /// every node of `ex.graph`, or a lone `Scan` on a one-node graph?
-    fn is_tree_disjunction(&self, ex: &Exec) -> bool {
-        matches!(
-            self,
+    /// This node as the `D(G)` of `ex.graph`: tuple ids over the graph
+    /// scheme, with the compute time charged as [`RelExpr::ids`] charges
+    /// it. It is called on the node at the `D(G)`'s position — beneath a
+    /// `Project`'s source filters, or the subtree
+    /// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
+    /// runs — and on no other. A `Union` is the lattice, memoized with a
+    /// live cache under `"D(G).lattice.ids"` ([`memoized_ids`]) unless a
+    /// filter is pushed onto a branch: that union is no longer `D(G)`.
+    /// Otherwise it must be the tree plan's outer-join chain over every
+    /// node (a lone scan on a one-node graph), memoized under
+    /// `"D(G).tree.ids"` ([`RelExpr::tree_ids`]); any other node there is
+    /// an error, never a wrong answer or a wrong memo entry.
+    pub(crate) fn disjunction_ids<'t>(&self, ex: &Exec<'t>) -> Result<(TupleIds<'t>, u64)> {
+        match self {
+            RelExpr::Union { inputs, .. }
+                if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
+            {
+                self.ids(ex)
+            }
+            RelExpr::Union { .. } => memoized_ids(ex, "D(G).lattice.ids", || self.ids(ex)),
             RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
-        ) && self.bound_vars().len() == ex.graph.node_count()
+                if self.bound_vars().len() == ex.graph.node_count() =>
+            {
+                memoized_ids(ex, "D(G).tree.ids", || Ok((self.tree_ids(ex)?, 0)))
+            }
+            _ => Err(Error::Invalid(
+                "a D(G) is a union or an outer-join chain over every graph node".into(),
+            )),
+        }
     }
 
     /// The tree `D(G)` on tuple ids, in node order (span
@@ -340,7 +392,7 @@ impl RelExpr {
     /// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
     fn tree_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
         let _span = clio_obs::span("fd.outer_join");
-        let mut ids = self.tuple_ids(ex)?.in_node_order();
+        let mut ids = self.ids(ex)?.0.in_node_order();
         let flagged = flagged_nodes(ex)?;
         if flagged != 0 {
             let _span = clio_obs::span("fd.outer_join.residual");
@@ -350,106 +402,6 @@ impl RelExpr {
             ids.remove_subsumed_among(&candidates);
         }
         Ok(ids)
-    }
-
-    /// The tuple ids of a chain of scans and joins (full outer when
-    /// `outer`, counting `fd.outer_join_steps`): each join runs the
-    /// relational join kernel over id rows and the stored rows of the
-    /// scan it joins, reading key cells through the ids.
-    fn tuple_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
-        match self {
-            RelExpr::Scan { .. } => TupleIds::scan(ex, node_bit(ex.graph, self)?),
-            RelExpr::Join {
-                left,
-                right,
-                predicate,
-                outer,
-            } => {
-                let kind = if *outer {
-                    JoinKind::FullOuter
-                } else {
-                    JoinKind::Inner
-                };
-                let out = left.tuple_ids(ex)?.join_scan(ex, right, predicate, kind)?;
-                if *outer {
-                    metrics::incr(Counter::OuterJoinSteps);
-                }
-                Ok(out)
-            }
-            _ => Err(Error::Invalid(
-                "the tree D(G) is a chain of scans and joins".into(),
-            )),
-        }
-    }
-
-    /// One arm per node kind: a `Scan` reads its relation qualified by
-    /// its alias; a `Join` joins its inputs, reading a `Scan` input in
-    /// place ([`RelExpr::input`]; full outer when `outer`, counting
-    /// `fd.outer_join_steps`); a `Union` schedules its branches
-    /// ([`schedule`], through [`RelExpr::associations`]); a stack of
-    /// `Filter`s keeps the rows of the node beneath passing every
-    /// predicate — over a `Project`, as the projection builds its
-    /// distinct target rows ([`project`]).
-    fn eval(&self, ex: &Exec) -> Result<(Table, u64)> {
-        match self {
-            RelExpr::Scan { alias, relation } => Ok((ex.db.relation(relation)?.to_table(alias), 0)),
-            RelExpr::Join {
-                left,
-                right,
-                predicate,
-                outer,
-            } => {
-                let (left, l_ns) = left.input(ex)?;
-                let (right, r_ns) = right.input(ex)?;
-                let kind = if *outer {
-                    JoinKind::FullOuter
-                } else {
-                    JoinKind::Inner
-                };
-                let out = join_rows(left.rows(), right.rows(), predicate, kind, ex.funcs)?;
-                if *outer {
-                    metrics::incr(Counter::OuterJoinSteps);
-                }
-                Ok((out, l_ns.saturating_add(r_ns)))
-            }
-            RelExpr::Filter { .. } | RelExpr::Project { .. } => match self.filters() {
-                (
-                    RelExpr::Project {
-                        input,
-                        correspondences,
-                        target,
-                    },
-                    filters,
-                ) => project(ex, input, correspondences, target, &filters),
-                (base, filters) => {
-                    let (table, charged) = base.run_costed(ex)?;
-                    Ok((keep(table, &filters, ex.funcs)?, charged))
-                }
-            },
-            RelExpr::Union { .. } => {
-                let (associations, charged) = self.associations(ex)?;
-                Ok((associations.into_table(), charged))
-            }
-        }
-    }
-
-    /// This node as a join input, with the compute time charged to the
-    /// cache entries its run inserted. A `Scan` is read in place: its
-    /// relation's rows under its alias's scheme, never copied (a scan
-    /// under a join never spans the graph, so it is never the memoized
-    /// `D(G)`). Any other node runs ([`RelExpr::run_costed`]).
-    fn input<'t>(&self, ex: &Exec<'t>) -> Result<(Input<'t>, u64)> {
-        match self {
-            RelExpr::Scan { alias, relation } => {
-                let rel = ex.db.relation(relation)?;
-                let scheme = Scheme::of_relation(rel.schema(), alias);
-                Ok((Input::Scan(scheme, rel.rows()), 0))
-            }
-            _ => {
-                let (table, charged) = self.run_costed(ex)?;
-                Ok((Input::Table(table), charged))
-            }
-        }
     }
 
     /// The node beneath a stack of `Filter`s, and their predicates,
@@ -522,23 +474,6 @@ fn flagged_nodes(ex: &Exec) -> Result<u64> {
     Ok(flagged)
 }
 
-/// A join input: a scanned relation's rows, borrowed in place, or an
-/// evaluated node's table.
-enum Input<'t> {
-    Scan(Scheme, &'t [Vec<Value>]),
-    Table(Table),
-}
-
-impl Input<'_> {
-    /// The input's scheme and rows, as [`join_rows`] reads them.
-    fn rows(&self) -> (&Scheme, &[Vec<Value>]) {
-        match self {
-            Input::Scan(scheme, rows) => (scheme, rows),
-            Input::Table(table) => (table.scheme(), table.rows()),
-        }
-    }
-}
-
 /// The positions in `scheme` of the columns `exprs` reference, sorted
 /// and distinct: the cells a row read through tuple ids must fill.
 fn columns_read<'e>(
@@ -556,16 +491,15 @@ fn columns_read<'e>(
 }
 
 /// Run a `Project` together with the target `filters` stacked on it and
-/// the source filters stacked beneath it, over the associations of the
-/// node under those ([`RelExpr::associations`]). Everything is bound
-/// once. One loop reads each association — a value row in place, or, on
-/// a `D(G)`'s tuple ids, one reused scratch row filled with only the
-/// columns the correspondences and source filters reference — and
-/// offers its target row to the distinct output only when the source
-/// filters accept the association and the target filters the row
-/// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
-/// reject are never hashed, and a correspondence never runs on an
-/// association the source filters reject.
+/// the source filters stacked beneath it, over the `D(G)` beneath those
+/// ([`RelExpr::disjunction_ids`]). Everything is bound once. One loop
+/// reads each association through its ids into one reused scratch row,
+/// filled with only the columns the correspondences and source filters
+/// reference, and offers its target row to the distinct output only
+/// when the source filters accept the association and the target
+/// filters the row ([`MappingEvaluator::target_row_if_passing`]): rows
+/// the filters reject are never hashed, and a correspondence never runs
+/// on an association the source filters reject.
 fn project(
     ex: &Exec,
     input: &RelExpr,
@@ -574,63 +508,30 @@ fn project(
     filters: &[&Expr],
 ) -> Result<(Table, u64)> {
     let (base, source_filters) = input.filters();
-    let (associations, charged) = base.associations(ex)?;
-    let scheme = associations.scheme();
+    let (ids, charged) = base.disjunction_ids(ex)?;
     let eval = MappingEvaluator::bind(
         correspondences,
         target,
-        scheme,
+        &ids.scheme,
         source_filters.iter().copied(),
         filters.iter().copied(),
     )?;
-    // Only tuple ids need the columns read listed, and a row to fill.
-    let (reads, mut scratch) = match &associations {
-        Associations::Ids(_) => (
-            columns_read(
-                scheme,
-                correspondences
-                    .iter()
-                    .map(|v| &v.expr)
-                    .chain(source_filters.iter().copied()),
-            )?,
-            vec![Value::Null; scheme.arity()],
-        ),
-        Associations::Values(_) => (Vec::new(), Vec::new()),
-    };
+    let reads = columns_read(
+        &ids.scheme,
+        correspondences
+            .iter()
+            .map(|v| &v.expr)
+            .chain(source_filters.iter().copied()),
+    )?;
+    let mut scratch = vec![Value::Null; ids.scheme.arity()];
     let mut out = Table::empty(Scheme::of_relation(target, target.name()));
-    for i in 0..associations.len() {
-        let row = associations.row(i, &reads, &mut scratch);
-        if let Some(projected) = eval.target_row_if_passing(row, ex.funcs)? {
+    for i in 0..ids.row_count() {
+        ids.fill(i, &reads, &mut scratch);
+        if let Some(projected) = eval.target_row_if_passing(&scratch, ex.funcs)? {
             out.push_distinct(projected);
         }
     }
     Ok((out, charged))
-}
-
-/// Does `row` pass every bound filter? Stops at the first that rejects.
-fn passes(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
-    filters
-        .iter()
-        .try_fold(true, |ok, f| Ok(ok && f.eval_truth(row, funcs)?.passes()))
-}
-
-/// Keep the rows of `table` passing every filter, in order.
-fn keep(mut table: Table, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Table> {
-    if filters.is_empty() {
-        return Ok(table);
-    }
-    let filters: Vec<BoundExpr> = filters
-        .iter()
-        .map(|f| f.bind(table.scheme()))
-        .collect::<Result<_>>()?;
-    let pass: Vec<bool> = table
-        .rows()
-        .iter()
-        .map(|row| passes(&filters, row, funcs))
-        .collect::<Result<_>>()?;
-    let mut pass = pass.into_iter();
-    table.rows_mut().retain(|_| pass.next() == Some(true));
-    Ok(table)
 }
 
 /// The id of a graph node a tuple-id row does not cover.
@@ -801,7 +702,7 @@ impl<'t> TupleIds<'t> {
         let pass: Vec<bool> = (0..self.row_count())
             .map(|i| {
                 self.fill(i, &reads, &mut scratch);
-                passes(&bound, &scratch, funcs)
+                all_pass(&bound, &scratch, funcs)
             })
             .collect::<Result<_>>()?;
         self.retain(&pass);
@@ -899,6 +800,13 @@ impl<'t> TupleIds<'t> {
             .collect();
         Table::new(self.scheme.clone(), rows)
     }
+
+    /// The association set: each coverage is the row's covered nodes,
+    /// read without a scan of the values.
+    pub(crate) fn into_association_set(self) -> AssociationSet {
+        let coverages = (0..self.row_count()).map(|i| self.coverage(i)).collect();
+        AssociationSet::with_coverages(self.materialize(), coverages)
+    }
 }
 
 impl JoinInput for TupleIds<'_> {
@@ -916,66 +824,6 @@ impl JoinInput for TupleIds<'_> {
         match self.ids[row * self.relations.len() + node] {
             UNCOVERED => &NULL,
             id => &self.relations[node][id as usize][attr],
-        }
-    }
-}
-
-/// A `D(G)` as [`project`] and
-/// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
-/// read it: tuple ids (the tree chain or the lattice union, computed or
-/// memoized), or a value table (any other node's rows).
-pub(crate) enum Associations<'t> {
-    /// Tuple ids over the graph scheme.
-    Ids(TupleIds<'t>),
-    /// Value rows.
-    Values(Table),
-}
-
-impl Associations<'_> {
-    fn scheme(&self) -> &Scheme {
-        match self {
-            Associations::Ids(ids) => &ids.scheme,
-            Associations::Values(table) => table.scheme(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Associations::Ids(ids) => ids.row_count(),
-            Associations::Values(table) => table.len(),
-        }
-    }
-
-    /// Association `i` as far as the `reads` columns go: a value row in
-    /// place, or `scratch` with those columns filled through the ids
-    /// (its other columns are left as they were).
-    fn row<'s>(&'s self, i: usize, reads: &[usize], scratch: &'s mut [Value]) -> &'s [Value] {
-        match self {
-            Associations::Values(table) => &table.rows()[i],
-            Associations::Ids(ids) => {
-                ids.fill(i, reads, scratch);
-                scratch
-            }
-        }
-    }
-
-    /// The value table.
-    pub(crate) fn into_table(self) -> Table {
-        match self {
-            Associations::Ids(ids) => ids.materialize(),
-            Associations::Values(table) => table,
-        }
-    }
-
-    /// The association set: from ids, each coverage is the row's
-    /// covered nodes, read without a scan of the values.
-    pub(crate) fn into_association_set(self, graph: &QueryGraph) -> AssociationSet {
-        match self {
-            Associations::Ids(ids) => {
-                let coverages = (0..ids.row_count()).map(|i| ids.coverage(i)).collect();
-                AssociationSet::with_coverages(ids.materialize(), coverages)
-            }
-            Associations::Values(table) => AssociationSet::from_table(graph, table),
         }
     }
 }
@@ -1026,10 +874,9 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 /// (canonical) order, computed over the subgraph lattice on tuple ids.
 ///
 /// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
-/// looked up under its
-/// [`subgraph_fingerprint`](crate::incremental::subgraph_fingerprint)
-/// (counted, in branch order; span `fd.lattice.lookup`), hashed from one
-/// [`SubgraphKeys`] table per pass; an insert reuses its lookup's. A
+/// looked up under its fingerprint (counted, in branch order; span
+/// `fd.lattice.lookup`), hashed from one [`SubgraphKeys`] table per
+/// pass ([`SubgraphKeys::fingerprint`]); an insert reuses its lookup's. A
 /// miss is one join: `chain_ir(J)` is `Join { chain_ir(J \ {v}), Scan v }`
 /// for `J`'s last BFS node `v`, so `F(J)` joins the parent subgraph's id
 /// rows with `R_v`'s rows, read in place, by the join kernel
@@ -1693,6 +1540,66 @@ mod tests {
         assert_eq!(cache.stats().hits, 3);
     }
 
+    /// A chain's rows by the relational operators, outside the plan
+    /// interpreter: a left-deep chain of value `ops::join`s in the
+    /// chain's order.
+    fn value_chain(db: &Database, chain: &RelExpr, funcs: &FuncRegistry) -> Table {
+        match chain {
+            RelExpr::Scan { alias, relation } => db.relation(relation).unwrap().to_table(alias),
+            RelExpr::Join {
+                left,
+                right,
+                predicate,
+                outer,
+            } => {
+                let kind = if *outer {
+                    JoinKind::FullOuter
+                } else {
+                    JoinKind::Inner
+                };
+                let (left, right) = (value_chain(db, left, funcs), value_chain(db, right, funcs));
+                join(&left, &right, predicate, kind, funcs).unwrap()
+            }
+            other => panic!("not a join chain: {other:?}"),
+        }
+    }
+
+    /// Away from the `D(G)`'s position a chain, filtered or not, runs
+    /// exactly its joins: no residual pass, no memo. At that position
+    /// only a union or an outer-join chain over every node is accepted.
+    #[test]
+    fn chains_run_their_joins_and_only_a_disjunction_is_projected() {
+        let (g, db) = cycle();
+        let funcs = FuncRegistry::with_builtins();
+        let ex = Exec {
+            db: &db,
+            funcs: &funcs,
+            graph: &g,
+            cache: None,
+        };
+        let on = parse_expr("A.y > 1").unwrap();
+        for outer in [false, true] {
+            let chain = chain_ir(&g, 0b111, outer);
+            let expected = value_chain(&db, &chain, &funcs);
+            let got = chain.run(&ex).unwrap();
+            assert_eq!(got.scheme(), expected.scheme());
+            assert_eq!(got.rows(), expected.rows(), "outer {outer}");
+            let filtered = chain.filtered(&on, FilterScope::Source, false);
+            let expected = select(&expected, &on, &funcs).unwrap();
+            assert_eq!(filtered.run(&ex).unwrap().rows(), expected.rows());
+        }
+        let target = RelSchema::new("T", vec![Attribute::new("y", DataType::Int)]).unwrap();
+        let project = |input: RelExpr| RelExpr::Project {
+            input: Box::new(input),
+            correspondences: vec![ValueCorrespondence::identity("A.y", "y")],
+            target: target.clone(),
+        };
+        // an inner chain over every node is F(G), not D(G)
+        assert!(project(chain_ir(&g, 0b111, false)).run(&ex).is_err());
+        // an outer chain over part of the graph is not its D(G)
+        assert!(project(chain_ir(&g, 0b011, true)).run(&ex).is_err());
+    }
+
     /// `schedule` over hand-built branches (`(mask, filters)`) against
     /// `minimum_union_all` over the same filtered, padded `F(J)`s.
     fn assert_union_is_minimum(branches: &[(u64, &[&str])]) {
@@ -1703,7 +1610,7 @@ mod tests {
         let mut padded = Vec::new();
         for &(mask, filters) in branches {
             let mut input = chain_ir(&g, mask, false);
-            let mut f = crate::full_disjunction::full_associations(&db, &g, mask, &funcs).unwrap();
+            let mut f = value_chain(&db, &input, &funcs);
             for e in filters {
                 let e = parse_expr(e).unwrap();
                 input = input.filtered(&e, FilterScope::Source, true);
@@ -1779,7 +1686,7 @@ mod tests {
         let padded: Vec<Table> = masks
             .iter()
             .map(|&m| {
-                let f = crate::full_disjunction::full_associations(&db, &g, m, &funcs).unwrap();
+                let f = value_chain(&db, &chain_ir(&g, m, false), &funcs);
                 pad_to(&select(&f, &on_c, &funcs).unwrap(), &pad).unwrap()
             })
             .collect();

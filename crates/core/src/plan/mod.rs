@@ -338,7 +338,7 @@ mod tests {
         use crate::full_disjunction::{engine_subsumption, full_disjunction_naive};
         let (db, funcs) = (db(), funcs());
         let assocs = if m.graph.is_tree() {
-            m.associations(&db, FdAlgo::OuterJoin, &funcs)
+            crate::full_disjunction::full_disjunction(&db, &m.graph, FdAlgo::OuterJoin, &funcs)
         } else {
             full_disjunction_naive(&db, &m.graph, &funcs, engine_subsumption())
         }

@@ -14,7 +14,7 @@ use clio_relational::database::Database;
 use clio_relational::error::Result;
 use clio_relational::funcs::FuncRegistry;
 
-use crate::full_disjunction::full_associations;
+use crate::full_disjunction::full_associations_count;
 use crate::mapping::Mapping;
 use crate::operators::walk::WalkAlternative;
 
@@ -38,7 +38,7 @@ pub fn join_support(mapping: &Mapping, db: &Database, funcs: &FuncRegistry) -> R
         return Ok(0);
     }
     let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    Ok(full_associations(db, &mapping.graph, mask, funcs)?.len())
+    full_associations_count(db, &mapping.graph, mask, funcs)
 }
 
 /// Rank walk alternatives: primary structural order (path length, then

@@ -64,28 +64,40 @@ fn with_near_duplicates(mut w: Synthetic, picks: &[(usize, usize, usize)]) -> Sy
     w
 }
 
-/// A tree's `D(G)` by hand: a left-deep chain of value
-/// `ops::join(.., FullOuter)`s in [`chain_ir`]'s join order, padded to
-/// the graph scheme, then the rows another row strictly subsumes removed
-/// by the pairwise definition — the joined copies of near-duplicates,
-/// which the chain alone keeps.
-fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
-    fn chain(e: &RelExpr, db: &Database, funcs: &FuncRegistry) -> Table {
-        match e {
-            RelExpr::Scan { alias, relation } => db.relation(relation).unwrap().to_table(alias),
-            RelExpr::Join {
-                left,
-                right,
-                predicate,
-                outer: true,
-            } => {
-                let (left, right) = (chain(left, db, funcs), chain(right, db, funcs));
-                join(&left, &right, predicate, JoinKind::FullOuter, funcs).unwrap()
-            }
-            other => panic!("not an outer-join chain: {other:?}"),
+/// A chain's rows by hand, outside the plan interpreter: a left-deep
+/// chain of value `ops::join`s (`Inner`, or `FullOuter` for an outer
+/// step) in the chain's order.
+fn value_join_chain(db: &Database, chain: &RelExpr, funcs: &FuncRegistry) -> Table {
+    match chain {
+        RelExpr::Scan { alias, relation } => db.relation(relation).unwrap().to_table(alias),
+        RelExpr::Join {
+            left,
+            right,
+            predicate,
+            outer,
+        } => {
+            let kind = if *outer {
+                JoinKind::FullOuter
+            } else {
+                JoinKind::Inner
+            };
+            let (left, right) = (
+                value_join_chain(db, left, funcs),
+                value_join_chain(db, right, funcs),
+            );
+            join(&left, &right, predicate, kind, funcs).unwrap()
         }
+        other => panic!("not a join chain: {other:?}"),
     }
-    let chain = chain(&chain_ir(g, g.node_mask(), true), db, funcs);
+}
+
+/// A tree's `D(G)` by hand: the value outer-join chain in [`chain_ir`]'s
+/// join order ([`value_join_chain`]), padded to the graph scheme, then
+/// the rows another row strictly subsumes removed by the pairwise
+/// definition — the joined copies of near-duplicates, which the chain
+/// alone keeps.
+fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
+    let chain = value_join_chain(db, &chain_ir(g, g.node_mask(), true), funcs);
     let mut padded = clio::relational::ops::pad_to(&chain, &g.scheme(db).unwrap()).unwrap();
     clio::relational::ops::remove_subsumed_naive(&mut padded);
     padded
@@ -214,7 +226,7 @@ proptest! {
             &w.db, &w.graph, &funcs, SubsumptionAlgo::Naive).unwrap();
         let mut part = full_disjunction_naive(
             &w.db, &w.graph, &funcs, SubsumptionAlgo::Partitioned).unwrap();
-        let mut outer = full_disjunction_outer_join(&w.db, &w.graph, &funcs).unwrap();
+        let mut outer = full_disjunction(&w.db, &w.graph, FdAlgo::OuterJoin, &funcs).unwrap();
         naive.sort_canonical(&w.graph);
         part.sort_canonical(&w.graph);
         outer.sort_canonical(&w.graph);
@@ -300,7 +312,6 @@ proptest! {
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle]),
         picks in near_duplicate_picks(),
     ) {
-        use clio::core::full_disjunction::full_associations;
         use clio::core::plan::{BranchInfo, Exec, FilterScope};
         let w = with_near_duplicates(generate(&spec), &picks);
         let (g, funcs) = (&w.graph, funcs());
@@ -329,7 +340,7 @@ proptest! {
                 let mut padded = Vec::new();
                 for &m in &masks {
                     let mut input = chain_ir(g, m, false);
-                    let mut f = full_associations(&w.db, g, m, &funcs).unwrap();
+                    let mut f = value_join_chain(&w.db, &input, &funcs);
                     if let Some(e) = filter.as_ref().filter(|_| amask & !m == 0) {
                         input = input.filtered(e, FilterScope::Source, true);
                         f = select(&f, e, &funcs).unwrap();
@@ -1259,7 +1270,7 @@ fn odd_name() -> impl Strategy<Value = String> {
 /// `MappingEvaluator` pass over it.
 fn reference_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table {
     let assocs = if m.graph.is_tree() {
-        full_disjunction_outer_join(db, &m.graph, funcs).unwrap()
+        full_disjunction(db, &m.graph, FdAlgo::OuterJoin, funcs).unwrap()
     } else {
         full_disjunction_naive(db, &m.graph, funcs, engine_subsumption()).unwrap()
     };
@@ -2158,10 +2169,8 @@ proptest! {
                 rows.iter().filter(|r| !r.iter().all(Value::is_null)).cloned().collect();
             db.add_relation(Relation::with_rows(schema, stored).unwrap()).unwrap();
         }
-        // a third node keeps the two-scan join from being the graph's
-        // whole (memoized) D(G)
         let mut graph = QueryGraph::new();
-        for node in [Node::new("L"), Node::new("R"), Node::copy_of("L2", "L")] {
+        for node in [Node::new("L"), Node::new("R")] {
             graph.add_node(node).unwrap();
         }
         let ex = clio::core::plan::Exec { db: &db, funcs: &funcs(), graph: &graph, cache: None };
