@@ -7,6 +7,7 @@
 //! cargo run --release -p clio-bench --bin experiments
 //! ```
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use clio_obs::metrics::MetricsSnapshot;
@@ -15,7 +16,7 @@ use clio_bench::{
     chain, chain_prefix_mapping, cycle, example_population, nullable_table, service_workload, star,
 };
 use clio_core::evolution::evolve_illustration;
-use clio_core::full_disjunction::{engine_subsumption, full_disjunction, FdAlgo};
+use clio_core::full_disjunction::{engine_subsumption, full_disjunction_naive, FdAlgo};
 use clio_core::illustration::{select_greedy, Illustration, SufficiencyScope};
 use clio_core::mapping::Mapping;
 use clio_core::operators::chase::data_chase;
@@ -163,28 +164,30 @@ fn b1_full_disjunction() {
     }
     // parallel naive: the per-subgraph F(J) evaluations fan out on the
     // exec worker pool; output is byte-identical at every thread count
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("\nparallel naive on cycles ({hw} hardware thread(s) available):\n");
-    println!("| nodes | rows/rel | threads=1 | threads=2 | threads=4 | speedup 1->4 |");
-    println!("|---|---|---|---|---|---|");
-    for (n, rows) in [(4usize, 200usize), (5, 200)] {
-        let w = cycle(n, rows);
-        let timed = |threads: usize| {
-            time(|| {
-                clio_relational::exec::with_threads(threads, || {
-                    std::hint::black_box(clio_bench::fd_naive(&w, engine_subsumption()));
-                });
-            })
-        };
-        let (t1, t2, t4) = (timed(1), timed(2), timed(4));
-        println!(
-            "| {n} | {rows} | {} | {} | {} | {} |",
-            fmt(t1),
-            fmt(t2),
-            fmt(t4),
-            ratio(t1, t4)
-        );
-    }
+    on_allowed_cpus(|cpus| {
+        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        println!("\nparallel naive on cycles ({cpus}, {hw} hardware thread(s) available):\n");
+        println!("| nodes | rows/rel | threads=1 | threads=2 | threads=4 | speedup 1->4 |");
+        println!("|---|---|---|---|---|---|");
+        for (n, rows) in [(4usize, 200usize), (5, 200)] {
+            let w = cycle(n, rows);
+            let timed = |threads: usize| {
+                time(|| {
+                    clio_relational::exec::with_threads(threads, || {
+                        std::hint::black_box(clio_bench::fd_naive(&w, engine_subsumption()));
+                    });
+                })
+            };
+            let (t1, t2, t4) = (timed(1), timed(2), timed(4));
+            println!(
+                "| {n} | {rows} | {} | {} | {} | {} |",
+                fmt(t1),
+                fmt(t2),
+                fmt(t4),
+                ratio(t1, t4)
+            );
+        }
+    });
 }
 
 fn b2_subsumption() {
@@ -828,11 +831,13 @@ fn b12_persistence() {
     }
 }
 
-fn b11_concurrent_sessions() {
+fn b11_concurrent_sessions(cpus: &str) {
     use clio_core::session::Session;
     use clio_core::session_pool::SessionPool;
 
-    println!("\n## B11 — concurrent session service: shared snapshot vs per-session copies\n");
+    println!(
+        "\n## B11 — concurrent session service: shared snapshot vs per-session copies ({cpus})\n"
+    );
     println!(
         "| sessions | per-session copy (serial) | pooled width 1 | pooled width N \
          | copy/pooled-N | sessions/s (pooled N) |"
@@ -874,7 +879,7 @@ fn b11_concurrent_sessions() {
     }
 }
 
-fn b15_networked_clients() {
+fn b15_networked_clients(cpus: &str) {
     use std::sync::Arc;
 
     use clio_cli::engine::Shell;
@@ -906,7 +911,7 @@ fn b15_networked_clients() {
         "contributions",
     ];
 
-    println!("\n## B15 — networked service: concurrent clients over loopback TCP\n");
+    println!("\n## B15 — networked service: concurrent clients over loopback TCP ({cpus})\n");
     println!(
         "| clients | cold shared store | warm shared store | cold/warm \
          | commands/s (warm) | store loads/client (warm) |"
@@ -1040,11 +1045,12 @@ fn b16_paged_backend() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Q(M)` with no pushdown: the definitional `D(G)` (naive minimum union
-/// on cyclic graphs) and one `MappingEvaluator` pass over it — the
-/// reference the plan's pushdown is measured against.
+/// `Q(M)` with no pushdown and no lattice: the definitional `D(G)`
+/// (`full_disjunction_naive`, the minimum union of every connected
+/// subgraph's `F(J)`) and one `MappingEvaluator` pass over it — the
+/// oracle the plan is checked and timed against.
 fn reference_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table {
-    let assocs = full_disjunction(db, &m.graph, FdAlgo::Auto, funcs).expect("D(G)");
+    let assocs = full_disjunction_naive(db, &m.graph, funcs, engine_subsumption()).expect("D(G)");
     let eval = m.evaluator(db, funcs).expect("evaluator");
     let mut out = Table::empty(m.target_scheme());
     for i in 0..assocs.len() {
@@ -1107,31 +1113,65 @@ extern "C" {
     fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
 }
 
-/// Pin the process to the highest-numbered CPU it may run on; call it
+/// A `cpu_set_t`: 1024 bits.
+type CpuSet = [u64; 16];
+
+/// The CPUs the process may run on, as `sched_getaffinity` returned
+/// them at start-up (`None` if the call failed).
+static ALLOWED: OnceLock<Option<CpuSet>> = OnceLock::new();
+
+fn allowed_cpus() -> Option<CpuSet> {
+    *ALLOWED.get_or_init(|| {
+        let mut set: CpuSet = [0; 16];
+        // SAFETY: `set` is a writable buffer of the size passed; pid 0
+        // names the calling thread.
+        let ok = unsafe { sched_getaffinity(0, std::mem::size_of_val(&set), set.as_mut_ptr()) };
+        (ok == 0).then_some(set)
+    })
+}
+
+/// Restrict the calling thread (and the threads it starts later) to
+/// `set`.
+fn set_cpus(set: &CpuSet) -> bool {
+    // SAFETY: `set` is a readable buffer of the size passed; pid 0 names
+    // the calling thread.
+    unsafe { sched_setaffinity(0, std::mem::size_of_val(set), set.as_ptr()) == 0 }
+}
+
+fn cpus_in(set: &CpuSet) -> impl Iterator<Item = usize> + '_ {
+    (0..set.len() * 64).filter(|&c| set[c / 64] >> (c % 64) & 1 == 1)
+}
+
+/// Pin the main thread to the highest-numbered allowed CPU; call it
 /// before any thread starts (threads inherit the mask). Unpinned, paired
 /// runs of unchanged code disagreed on a shared 2-core VM: ten
 /// alternating `experiments b7` pairs of two commits read evolve
 /// 1.04–1.16× apart on a path neither changed, and under `taskset` the
-/// same pairs agreed to within 1%. The thread sweeps (B1's parallel
-/// naive, B11, B15) then share the one CPU. Returns the CPU, or `None`
-/// if the affinity calls fail (the sweeps then run unpinned).
+/// same pairs agreed to within 1%. Returns the CPU, or `None` if the
+/// affinity calls fail (the sweeps then run unpinned).
 fn pin_to_one_cpu() -> Option<usize> {
-    // a `cpu_set_t`: 1024 bits
-    let mut allowed = [0u64; 16];
-    let size = std::mem::size_of_val(&allowed);
-    // SAFETY: `allowed` is a writable buffer of `size` bytes, the size
-    // passed; pid 0 names the calling thread.
-    if unsafe { sched_getaffinity(0, size, allowed.as_mut_ptr()) } != 0 {
-        return None;
-    }
-    let cpu = (0..size * 8)
-        .rev()
-        .find(|&c| allowed[c / 64] >> (c % 64) & 1 == 1)?;
-    let mut one = [0u64; 16];
+    let cpu = cpus_in(&allowed_cpus()?).last()?;
+    let mut one: CpuSet = [0; 16];
     one[cpu / 64] = 1 << (cpu % 64);
-    // SAFETY: `one` is a readable buffer of `size` bytes naming one CPU
-    // from the allowed set; pid 0 names the calling thread.
-    (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+    set_cpus(&one).then_some(cpu)
+}
+
+/// Run a sweep that measures concurrency (B1's parallel naive, B11,
+/// B15) on every allowed CPU: the main thread gets the start-up set
+/// back before `sweep` starts its workers, and is pinned to one CPU
+/// again afterwards. `sweep` is handed the set for its header
+/// (`CPUs 0,1`, or `unpinned` if the affinity calls fail).
+fn on_allowed_cpus<R>(sweep: impl FnOnce(&str) -> R) -> R {
+    let cpus = match allowed_cpus() {
+        Some(set) if set_cpus(&set) => {
+            let list: Vec<String> = cpus_in(&set).map(|c| c.to_string()).collect();
+            format!("CPUs {}", list.join(","))
+        }
+        _ => "unpinned".to_owned(),
+    };
+    let out = sweep(&cpus);
+    pin_to_one_cpu();
+    out
 }
 
 fn main() {
@@ -1170,7 +1210,7 @@ fn main() {
         b10_warm_path();
     }
     if run("b11") {
-        b11_concurrent_sessions();
+        on_allowed_cpus(b11_concurrent_sessions);
     }
     if run("b12") {
         b12_persistence();
@@ -1179,7 +1219,7 @@ fn main() {
         b14_policy_budget_sweep();
     }
     if run("b15") {
-        b15_networked_clients();
+        on_allowed_cpus(b15_networked_clients);
     }
     if run("b16") {
         b16_paged_backend();

@@ -323,8 +323,7 @@ impl Shell {
             Command::Contributions => {
                 let tm = self.session.target_mapping();
                 let db = self.session.shared_database();
-                let funcs = clio_relational::funcs::FuncRegistry::with_builtins();
-                let contribs = tm.contributions(&db, &funcs)?;
+                let contribs = tm.contributions(&db, self.session.funcs())?;
                 if contribs.is_empty() {
                     return Ok("no accepted mappings\n".to_owned());
                 }
@@ -381,9 +380,7 @@ impl Shell {
                 // full example population of the active mapping, capped
                 let db = self.session.shared_database();
                 let w = self.active()?;
-                let all = w
-                    .mapping
-                    .examples(&db, &clio_relational::funcs::FuncRegistry::with_builtins())?;
+                let all = w.mapping.examples(&db, self.session.funcs())?;
                 let ill = Illustration { examples: all };
                 let scheme = w.mapping.graph.scheme(&db)?;
                 Ok(ill.render(&w.mapping.graph, &scheme))
@@ -587,6 +584,35 @@ mod tests {
             Outcome::Continue(s) => s,
             Outcome::Quit => panic!("unexpected quit"),
         }
+    }
+
+    /// `examples` and `contributions` evaluate with the session's own
+    /// registry: a function registered through `funcs_mut` resolves.
+    #[test]
+    fn examples_and_contributions_use_the_session_functions() {
+        use clio_relational::funcs::Arity;
+        use clio_relational::value::Value;
+        let mut session = Session::new(paper_database(), kids_target());
+        session.funcs_mut().register(
+            "mask_id",
+            Arity::Exact(1),
+            std::sync::Arc::new(|args: &[Value]| {
+                Ok(match &args[0] {
+                    Value::Str(v) => Value::str(format!("kid-{v}")),
+                    other => other.clone(),
+                })
+            }),
+        );
+        let mut sh = Shell::new(session);
+        let added = run(&mut sh, "corr mask_id(Children.ID) -> ID");
+        assert!(!added.starts_with("error"), "{added}");
+        let examples = run(&mut sh, "examples");
+        assert!(!examples.starts_with("error"), "{examples}");
+        assert!(examples.contains("002"), "{examples}");
+        run(&mut sh, "accept");
+        let contributions = run(&mut sh, "contributions");
+        assert!(contributions.starts_with("mapping 0: "), "{contributions}");
+        assert!(run(&mut sh, "target").contains("kid-002"));
     }
 
     #[test]

@@ -156,68 +156,6 @@ pub(crate) fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
     deps
 }
 
-/// Row-count fallback when no sibling cost history exists: the product
-/// of the member relations' sizes (saturating), a proxy for the join
-/// work `full_associations` will do on the subgraph.
-fn heuristic_cost(db: &Database, graph: &QueryGraph, mask: u64) -> u64 {
-    let mut est: u64 = 1;
-    for (i, n) in graph.nodes().iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            let rows = db.relation(&n.relation).map_or(1, |r| r.len() as u64);
-            est = est.saturating_mul(rows.max(1));
-        }
-    }
-    est
-}
-
-/// Scheduling annotation for one subgraph branch of the lattice `D(G)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchInfo {
-    /// The branch's node mask.
-    pub mask: u64,
-    /// Estimated recompute cost (`0` for expected-warm branches).
-    pub estimate: u64,
-    /// Whether the cache held the branch's `F(J)` when it was annotated.
-    pub warm: bool,
-}
-
-/// The warmth pass over subgraph branches: a non-promoting
-/// [`EvalCache::peek`] marks expected-warm branches, and each cold one
-/// is priced from sibling cost history ([`EvalCache::estimate_cost`]),
-/// falling back to a row-count heuristic. Peeking counts nothing and
-/// perturbs no recency or priority, so the pass cannot change what
-/// eviction keeps; estimates are pinned here, before any counted
-/// lookup warms the memory tier and shifts the sibling history. Without
-/// a live cache every branch is cold.
-pub(crate) fn annotate_branches(
-    db: &Database,
-    graph: &QueryGraph,
-    masks: &[u64],
-    cache: Option<&EvalCache>,
-) -> Vec<BranchInfo> {
-    let live = cache
-        .filter(|c| c.enabled())
-        .map(|c| (c, SubgraphKeys::new(graph, c)));
-    masks
-        .iter()
-        .map(|&mask| match &live {
-            Some((c, keys)) if c.peek(keys.fingerprint(mask)) => BranchInfo {
-                mask,
-                estimate: 0,
-                warm: true,
-            },
-            _ => BranchInfo {
-                mask,
-                estimate: live
-                    .as_ref()
-                    .and_then(|(c, _)| c.estimate_cost(&mask_deps(graph, mask)))
-                    .unwrap_or_else(|| heuristic_cost(db, graph, mask)),
-                warm: false,
-            },
-        })
-        .collect()
-}
-
 pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -240,7 +178,7 @@ pub fn full_disjunction_cached(
         graph,
         cache,
     };
-    let (ids, _) = disjunction(db, graph, algo, cache)?.disjunction_ids(&ex)?;
+    let (ids, _) = disjunction(db, graph, algo)?.disjunction_ids(&ex)?;
     Ok(ids.into_association_set())
 }
 
@@ -384,14 +322,11 @@ mod tests {
         assert!(s.hits >= 1, "memory tier never hit: {s:?}");
     }
 
-    /// One union run over every connected subgraph of `g`.
-    fn schedule_all(g: &QueryGraph, cache: &EvalCache) -> (Vec<BranchInfo>, Vec<(u64, u64)>) {
+    /// One union run over every connected subgraph of `g`: the branch
+    /// masks and the computed `(mask, cost_ns)` pairs.
+    fn schedule_all(g: &QueryGraph, cache: &EvalCache) -> (Vec<u64>, Vec<(u64, u64)>) {
         let (db, funcs) = (db(), funcs());
-        let RelExpr::Union {
-            inputs,
-            branches,
-            pad,
-        } = disjunction(&db, g, FdAlgo::Lattice, Some(cache)).unwrap()
+        let RelExpr::Union { inputs, masks, pad } = disjunction(&db, g, FdAlgo::Lattice).unwrap()
         else {
             panic!("lattice D(G) is a union");
         };
@@ -401,10 +336,10 @@ mod tests {
             graph: g,
             cache: Some(cache),
         };
-        let (ids, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+        let (ids, dispatched) = schedule(&ex, &inputs, &masks, &pad).unwrap();
         let plain = full_disjunction_naive(&db, g, &funcs, engine_subsumption()).unwrap();
         assert_eq!(plain.table().rows(), ids.materialize().rows());
-        (branches, dispatched)
+        (masks, dispatched)
     }
 
     #[test]
@@ -413,7 +348,7 @@ mod tests {
         let cache = EvalCache::new();
         let (branches, dispatched) = schedule_all(&g, &cache);
         let n_subgraphs = connected_subsets(&g).len();
-        assert!(branches.iter().all(|b| !b.warm && b.estimate > 0));
+        assert_eq!(branches, connected_subsets(&g));
         assert_eq!(
             dispatched.len(),
             n_subgraphs,
@@ -424,9 +359,12 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (0, n_subgraphs as u64));
         assert_eq!(s.entries, n_subgraphs);
-        // the measured costs seeded the cache's cost model
+        // the entries carry their measured costs, which eviction reads
         assert!(
-            cache.estimate_cost(&relation_deps(&g)).is_some(),
+            cache
+                .debug_entries()
+                .iter()
+                .any(|&(_, _, cost_ns, _, _)| cost_ns > 0),
             "subgraph entries must carry measured costs"
         );
     }
@@ -439,18 +377,20 @@ mod tests {
         // a PhoneDir edit leaves the Children/Parents subgraphs warm:
         // exactly the PhoneDir-touching ones are scheduled
         cache.bump_version("PhoneDir");
+        let phone = 1u64 << 2;
+        let keys = SubgraphKeys::new(&g, &cache);
+        for mask in connected_subsets(&g) {
+            let warm = cache.peek(keys.fingerprint(mask));
+            assert_eq!(warm, mask & phone == 0, "{mask:#b}");
+        }
         let before = cache.stats();
         let (branches, dispatched) = schedule_all(&g, &cache);
-        let phone = 1u64 << 2;
         let touching: Vec<u64> = connected_subsets(&g)
             .into_iter()
             .filter(|m| m & phone != 0)
             .collect();
         let masks: Vec<u64> = dispatched.iter().map(|&(mask, _)| mask).collect();
         assert_eq!(masks, touching);
-        for b in &branches {
-            assert_eq!(b.warm, b.mask & phone == 0, "{b:?}");
-        }
         let s = cache.stats();
         let warm = (branches.len() - touching.len()) as u64;
         assert_eq!(s.hits - before.hits, warm);

@@ -51,7 +51,7 @@ pub mod prelude {
         add_correspondence, data_chase, data_walk, require_target_attribute, trim_effect,
         AddOutcome, ChaseAlternative, TrimEffect, WalkAlternative,
     };
-    pub use crate::plan::{is_extension_stable, BranchInfo, Exec, FilterScope, Plan, RelExpr};
+    pub use crate::plan::{is_extension_stable, Exec, FilterScope, Plan, RelExpr};
     pub use crate::profile::{profile_database, render_profile, AttributeProfile};
     pub use crate::query_graph::{Edge, Node, NodeId, QueryGraph};
     pub use crate::ranking::{join_support, rank_walk_alternatives, RankScore};

@@ -1,16 +1,17 @@
 //! The `explain` tree renderer.
 //!
 //! Renders a [`Plan`] as an indented tree using box-drawing connectors,
-//! one operator per line, with the pushdown and scheduling decisions
+//! one operator per line, with the pushdown decisions and branch warmth
 //! annotated in place: pushed filter copies are marked `pushed`, the
 //! minimum-union line reports how many subgraph branches the rewrite
-//! pruned, and each branch line carries its node set plus the plan-time
-//! warmth/cost estimate that orders the dispatch.
+//! pruned, and each branch line carries its node set and whether the
+//! plan's cache holds its `F(J)` right now (`[warm]`) or not (`[cold]`).
 
 use clio_relational::schema::format_ident;
 
 use super::ir::{FilterScope, RelExpr};
 use super::Plan;
+use crate::incremental::SubgraphKeys;
 
 /// Render `plan` as the multi-line `explain` tree.
 #[must_use]
@@ -96,14 +97,19 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
     out.push_str(head);
     out.push_str(&label(plan, e));
     out.push('\n');
-    let (children, branches): (Vec<&RelExpr>, &[_]) = match e {
+    let (children, masks): (Vec<&RelExpr>, &[u64]) = match e {
         RelExpr::Scan { .. } => (Vec::new(), &[]),
         RelExpr::Join { left, right, .. } => (vec![left, right], &[]),
         RelExpr::Filter { input, .. } | RelExpr::Project { input, .. } => (vec![input], &[]),
-        RelExpr::Union {
-            inputs, branches, ..
-        } => (inputs.iter().collect(), branches),
+        RelExpr::Union { inputs, masks, .. } => (inputs.iter().collect(), masks),
     };
+    // a non-promoting peek per branch: rendering never changes what the
+    // cache keeps
+    let graph = &plan.mapping.graph;
+    let cache = plan
+        .cache
+        .filter(|c| c.enabled() && !masks.is_empty())
+        .map(|c| (c, SubgraphKeys::new(graph, c)));
     for (i, child) in children.iter().enumerate() {
         let last = i + 1 == children.len();
         let (branch, cont) = if last {
@@ -113,23 +119,20 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
         };
         let head = format!("{tail}{branch}");
         let tail = format!("{tail}{cont}");
-        if let Some(b) = branches.get(i) {
-            // annotate the branch with its subgraph and schedule info
-            let members: Vec<String> = plan
-                .mapping
-                .graph
+        if let Some(&mask) = masks.get(i) {
+            // annotate the branch with its subgraph and warmth
+            let members: Vec<String> = graph
                 .nodes()
                 .iter()
                 .enumerate()
-                .filter(|(j, _)| b.mask & (1 << j) != 0)
+                .filter(|(j, _)| mask & (1 << j) != 0)
                 .map(|(_, n)| n.code.clone())
                 .collect();
-            let sched = if b.warm {
-                "warm".to_owned()
-            } else {
-                format!("est {}", b.estimate)
-            };
-            out.push_str(&format!("{head}F({{{}}}) [{sched}]\n", members.join(",")));
+            let warm = cache
+                .as_ref()
+                .is_some_and(|(c, keys)| c.peek(keys.fingerprint(mask)));
+            let warmth = if warm { "warm" } else { "cold" };
+            out.push_str(&format!("{head}F({{{}}}) [{warmth}]\n", members.join(",")));
             node(
                 plan,
                 child,
@@ -235,7 +238,7 @@ mod tests {
             text.contains("Filter (source, pushed) Children.age < 7"),
             "{text}"
         );
-        assert!(text.contains("[est "), "{text}");
+        assert!(text.contains("[cold]"), "{text}");
         assert!(text.contains("F({"), "{text}");
     }
 }

@@ -44,7 +44,6 @@
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
 //! association set.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use clio_incr::{EvalCache, Fingerprint, IdRows, LookupTier};
@@ -60,9 +59,7 @@ use clio_relational::value::Value;
 
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
-use crate::incremental::{
-    elapsed_ns, graph_fingerprint, mask_deps, relation_deps, BranchInfo, SubgraphKeys,
-};
+use crate::incremental::{elapsed_ns, graph_fingerprint, mask_deps, relation_deps, SubgraphKeys};
 use crate::mapping::{all_pass, MappingEvaluator};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
@@ -127,9 +124,8 @@ pub enum RelExpr {
         /// One branch per induced connected subgraph, canonical order:
         /// its `F(J)` chain, under any filters pushed onto it.
         inputs: Vec<RelExpr>,
-        /// Scheduling annotations parallel to `inputs`: each branch's
-        /// node mask, warmth and estimated recompute cost.
-        branches: Vec<BranchInfo>,
+        /// Each branch's subgraph, as a node mask, parallel to `inputs`.
+        masks: Vec<u64>,
         /// The full graph scheme every branch is padded to.
         pad: Scheme,
     },
@@ -331,12 +327,8 @@ impl RelExpr {
                 let (ids, charged) = input.ids(ex)?;
                 Ok((ids.keep(&[predicate], ex.funcs)?, charged))
             }
-            RelExpr::Union {
-                inputs,
-                branches,
-                pad,
-            } => {
-                let (ids, dispatched) = schedule(ex, inputs, branches, pad)?;
+            RelExpr::Union { inputs, masks, pad } => {
+                let (ids, dispatched) = schedule(ex, inputs, masks, pad)?;
                 Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
             }
             RelExpr::Project { .. } => Err(Error::Invalid(
@@ -836,7 +828,6 @@ struct Job<'e> {
     mask: u64,
     chain: &'e RelExpr,
     step: Option<(u64, &'e RelExpr, &'e Expr)>,
-    estimate: u64,
 }
 
 /// Which rows of `table`, the rows of a branch `J`, a row of some child
@@ -883,9 +874,9 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 /// ([`join_with`], as the tree plan's steps). The parent is a branch, a
 /// cache hit, or — when the pushdown pruned it — looked up and computed
 /// once for sharing. The misses run
-/// level by level in popcount order, each level on the worker pool
-/// longest-estimated-first, and are inserted unfiltered as `|J|` ids per
-/// row, each charged only its own join (span `fd.lattice.insert`);
+/// level by level in popcount order, each level on the worker pool in
+/// mask order, and are inserted unfiltered as `|J|` ids per row, each
+/// charged only its own join (span `fd.lattice.insert`);
 /// `fd.subgraphs` counts them. A cached entry is checked before use:
 /// an id past its relation's end makes it a miss.
 ///
@@ -931,7 +922,7 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 pub(crate) fn schedule<'t>(
     ex: &Exec<'t>,
     inputs: &[RelExpr],
-    branches: &[BranchInfo],
+    masks: &[u64],
     pad: &Scheme,
 ) -> Result<(TupleIds<'t>, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.lattice");
@@ -953,22 +944,19 @@ pub(crate) fn schedule<'t>(
             .0;
         Ok(ids.map(|ids| TupleIds { ids, ..frame }))
     };
-    let branch_masks: HashMap<u64, usize> = branches
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.mask, i))
-        .collect();
+    let branch_masks: HashMap<u64, usize> =
+        masks.iter().enumerate().map(|(i, &m)| (m, i)).collect();
     let mut known: HashMap<u64, TupleIds<'t>> = HashMap::new();
-    for b in branches {
-        if let Some(ids) = lookup(b.mask)? {
-            known.insert(b.mask, ids);
+    for &mask in masks {
+        if let Some(ids) = lookup(mask)? {
+            known.insert(mask, ids);
         }
     }
     // the misses, each followed up its chain to a known or queued parent
     let mut jobs: Vec<Job> = Vec::new();
     let mut queued: HashSet<u64> = HashSet::new();
-    for (input, b) in inputs.iter().zip(branches) {
-        let (mut mask, mut chain, mut estimate) = (b.mask, input.filters().0, b.estimate);
+    for (input, mut mask) in inputs.iter().zip(masks.iter().copied()) {
+        let mut chain = input.filters().0;
         while !known.contains_key(&mask) && queued.insert(mask) {
             let step = match chain {
                 RelExpr::Join {
@@ -988,12 +976,11 @@ pub(crate) fn schedule<'t>(
                 mask,
                 chain,
                 step: step.map(|(parent, _, right, predicate)| (parent, right, predicate)),
-                estimate,
             });
             let Some((parent, left, _, _)) = step else {
                 break;
             };
-            (mask, chain, estimate) = (parent, left, 0);
+            (mask, chain) = (parent, left);
             if branch_masks.contains_key(&mask) {
                 break; // its own lookup ran; its own entry queues it
             }
@@ -1007,18 +994,14 @@ pub(crate) fn schedule<'t>(
     jobs.sort_by_key(|j| (j.mask.count_ones(), j.mask));
     let mut dispatched: Vec<(u64, u64)> = Vec::with_capacity(jobs.len());
     for level in jobs.chunk_by(|a, b| a.mask.count_ones() == b.mask.count_ones()) {
-        // Longest-estimated-first dispatch; results return in level
-        // order, so scheduling is answer-invisible.
-        let mut order: Vec<usize> = (0..level.len()).collect();
-        order.sort_by_key(|&p| (Reverse(level[p].estimate), p));
-        let fresh: Vec<(TupleIds<'t>, u64)> = clio_relational::exec::map_slice_prioritized(
+        let fresh: Vec<(TupleIds<'t>, u64)> = clio_relational::exec::map_slice(
             level,
-            &order,
             "fd.lattice.worker",
             |_, job| -> Result<(TupleIds<'t>, u64)> {
                 // Unconditional timing (unlike hist::start, which is
-                // trace-gated): the cost model needs real measurements
-                // even when tracing is off.
+                // trace-gated): eviction priority and exclusive-cost
+                // charging need real measurements even when tracing is
+                // off.
                 let t0 = std::time::Instant::now();
                 let ids = match job.step {
                     Some((parent, scan, predicate)) => known[&parent]
@@ -1056,9 +1039,9 @@ pub(crate) fn schedule<'t>(
         let _span = clio_obs::span("fd.lattice.keep");
         inputs
             .iter()
-            .zip(branches)
-            .map(|(input, b)| {
-                let ids = known.remove(&b.mask).ok_or_else(|| {
+            .zip(masks)
+            .map(|(input, mask)| {
+                let ids = known.remove(mask).ok_or_else(|| {
                     Error::Invalid("union branches must be distinct subgraphs".into())
                 })?;
                 ids.keep(&input.filters().1, ex.funcs)
@@ -1071,15 +1054,15 @@ pub(crate) fn schedule<'t>(
         // A branch is closed when every subgraph one node larger is a
         // branch too and the pushed filters sit exactly where they bind,
         // as `Plan::new` places them.
-        let canonical = canonical_pushdown(ex.graph, inputs, branches);
+        let canonical = canonical_pushdown(ex.graph, inputs, masks);
         tables
             .iter()
-            .zip(branches)
-            .map(|(table, b)| {
+            .zip(masks)
+            .map(|(table, &mask)| {
                 let mut closed = canonical;
                 let mut children: Vec<(&TupleIds, usize)> = Vec::new();
-                for v in bits(neighbourhood(ex.graph, b.mask)) {
-                    match branch_masks.get(&(b.mask | 1 << v)) {
+                for v in bits(neighbourhood(ex.graph, mask)) {
+                    match branch_masks.get(&(mask | 1 << v)) {
                         Some(&k) => children.push((&tables[k], v)),
                         None => closed = false,
                     }
@@ -1101,8 +1084,8 @@ pub(crate) fn schedule<'t>(
         }
         let mut candidates: Vec<bool> = Vec::new();
         let mut dropped = 0;
-        for ((table, b), (closed, extended)) in tables.into_iter().zip(branches).zip(extended) {
-            let candidate = !closed || flagged & b.mask != 0;
+        for ((table, mask), (closed, extended)) in tables.into_iter().zip(masks).zip(extended) {
+            let candidate = !closed || flagged & mask != 0;
             for (i, _) in extended.iter().enumerate().filter(|(_, &x)| !x) {
                 out.ids.extend_from_slice(table.row(i));
                 candidates.push(candidate);
@@ -1121,14 +1104,14 @@ pub(crate) fn schedule<'t>(
 
 /// Are the union's pushed filters exactly where `Plan::new` puts them:
 /// each on every branch that binds all of its aliases, and on no other?
-fn canonical_pushdown(graph: &QueryGraph, inputs: &[RelExpr], branches: &[BranchInfo]) -> bool {
+fn canonical_pushdown(graph: &QueryGraph, inputs: &[RelExpr], masks: &[u64]) -> bool {
     let filters: Vec<Vec<&Expr>> = inputs.iter().map(|input| input.filters().1).collect();
     filters.iter().flatten().all(|f| {
         alias_mask(graph, f).is_some_and(|amask| {
             filters
                 .iter()
-                .zip(branches)
-                .all(|(on, b)| on.contains(f) == (amask & !b.mask == 0))
+                .zip(masks)
+                .all(|(on, &mask)| on.contains(f) == (amask & !mask == 0))
         })
     })
 }
@@ -1449,14 +1432,7 @@ mod tests {
                 chain_ir(&g, masks[1], false),
                 chain_ir(&g, masks[2], false),
             ],
-            branches: masks
-                .iter()
-                .map(|&mask| BranchInfo {
-                    mask,
-                    estimate: 1,
-                    warm: false,
-                })
-                .collect(),
+            masks: masks.to_vec(),
             pad: pad.clone(),
         };
         let target = RelSchema::new(
@@ -1619,14 +1595,7 @@ mod tests {
             inputs.push(input);
             padded.push(pad_to(&f, &pad).unwrap());
         }
-        let infos: Vec<BranchInfo> = branches
-            .iter()
-            .map(|&(mask, _)| BranchInfo {
-                mask,
-                estimate: 1,
-                warm: false,
-            })
-            .collect();
+        let masks: Vec<u64> = branches.iter().map(|&(mask, _)| mask).collect();
         let refs: Vec<&Table> = padded.iter().collect();
         let expected = minimum_union_all(&refs, engine_subsumption()).unwrap();
         let ex = Exec {
@@ -1635,7 +1604,7 @@ mod tests {
             graph: &g,
             cache: None,
         };
-        let got = schedule(&ex, &inputs, &infos, &pad)
+        let got = schedule(&ex, &inputs, &masks, &pad)
             .unwrap()
             .0
             .materialize();
@@ -1674,14 +1643,6 @@ mod tests {
             .iter()
             .map(|&m| chain_ir(&g, m, false).filtered(&on_c, FilterScope::Source, true))
             .collect();
-        let branches: Vec<BranchInfo> = masks
-            .iter()
-            .map(|&mask| BranchInfo {
-                mask,
-                estimate: 1,
-                warm: false,
-            })
-            .collect();
         let pad = g.scheme(&db).unwrap();
         let padded: Vec<Table> = masks
             .iter()
@@ -1701,7 +1662,7 @@ mod tests {
                 graph: &g,
                 cache,
             };
-            let (got, dispatched) = schedule(&ex, &inputs, &branches, &pad).unwrap();
+            let (got, dispatched) = schedule(&ex, &inputs, &masks, &pad).unwrap();
             let got = got.materialize();
             assert_eq!(got.scheme(), expected.scheme());
             assert_eq!(got.rows(), expected.rows(), "round {round}");

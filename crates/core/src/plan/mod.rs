@@ -1,5 +1,5 @@
 //! The mapping query's executable plan: a typed relational-algebra IR
-//! over `Q(M)`, two rewrites, and the one interpreter every evaluation
+//! over `Q(M)`, one rewrite, and the one interpreter every evaluation
 //! runs.
 //!
 //! [`Plan::new`] lowers a [`Mapping`] into a [`RelExpr`] tree — the
@@ -8,25 +8,23 @@
 //! onto the target schema — starting from the un-pushed `D(G)` subtree
 //! that [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
 //! runs. [`Mapping::evaluate_cached`] runs the tree with [`RelExpr::run`]
-//! on every `Q(M)` cache miss; there is no other evaluator. Two rewrites
-//! are always on:
+//! on every `Q(M)` cache miss; there is no other evaluator. One rewrite
+//! is always on, **filter pushdown**: a source filter that is *strong*
+//! (not true on an all-null row, [`Expr::is_strong`]) and
+//! *extension-stable* (once true, still true on any row refining its
+//! nulls, [`is_extension_stable`]) commutes with the subsumption pass of
+//! the minimum union: a row's subsumers are exactly its extensions, and
+//! exact duplicates filter identically. Such a filter is pushed into
+//! every union branch that binds all of its aliases, and any branch
+//! sharing *no* alias with it is **pruned** — after padding its rows are
+//! all-null on the filter's columns, which a strong filter rejects. The
+//! authoritative top-level filters run regardless, so the rewrite only
+//! shrinks intermediate results.
 //!
-//! 1. **Filter pushdown.** A source filter that is *strong* (not true on
-//!    an all-null row, [`Expr::is_strong`]) and *extension-stable* (once
-//!    true, still true on any row refining its nulls,
-//!    [`is_extension_stable`]) commutes with the subsumption pass of the
-//!    minimum union: a row's subsumers are exactly its extensions, and
-//!    exact duplicates filter identically. Such a filter is pushed into
-//!    every union branch that binds all of its aliases, and any branch
-//!    sharing *no* alias with it is **pruned** — after padding its rows
-//!    are all-null on the filter's columns, which a strong filter
-//!    rejects. The authoritative top-level filters run regardless, so
-//!    the rewrite only shrinks intermediate results.
-//! 2. **Warmth-guided subgraph ordering.** Each branch is classified
-//!    warm/cold via a non-promoting [`EvalCache::peek`] and priced via
-//!    [`EvalCache::estimate_cost`] (falling back to a row-count
-//!    heuristic); the union dispatches cold branches
-//!    longest-estimated-first and assembles in canonical order.
+//! A union carries each branch's subgraph node mask beside its chain;
+//! the misses run level by level in popcount order, then mask order,
+//! and assemble in canonical order. `explain` marks a branch `[warm]`
+//! when the cache holds its `F(J)` at render time, `[cold]` otherwise.
 //!
 //! `F(J)` entries hold *unfiltered* tables, so pushed and un-pushed
 //! plans share them. Property tests in `tests/properties.rs` replay
@@ -38,8 +36,6 @@ pub mod ir;
 
 pub use ir::{chain_ir, is_extension_stable, Exec, FilterScope, RelExpr};
 
-pub use crate::incremental::BranchInfo;
-
 use clio_incr::EvalCache;
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
@@ -48,7 +44,6 @@ use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
 
 use crate::full_disjunction::FdAlgo;
-use crate::incremental::annotate_branches;
 use crate::mapping::Mapping;
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
@@ -59,6 +54,7 @@ use crate::subgraph::connected_subsets;
 #[derive(Debug, Clone)]
 pub struct Plan<'m> {
     mapping: &'m Mapping,
+    cache: Option<&'m EvalCache>,
     root: RelExpr,
     pruned: usize,
     pushed: Vec<Expr>,
@@ -66,26 +62,18 @@ pub struct Plan<'m> {
 
 /// The un-pushed `D(G)` subtree for `algo` (resolved against `graph`):
 /// the outer-join chain over every node, or the minimum union of every
-/// connected subgraph's `F(J)` chain with [`annotate_branches`]' notes.
-pub(crate) fn disjunction(
-    db: &Database,
-    graph: &QueryGraph,
-    algo: FdAlgo,
-    cache: Option<&EvalCache>,
-) -> Result<RelExpr> {
+/// connected subgraph's `F(J)` chain, each beside its node mask.
+pub(crate) fn disjunction(db: &Database, graph: &QueryGraph, algo: FdAlgo) -> Result<RelExpr> {
     match algo.resolve(graph) {
         FdAlgo::OuterJoin if !graph.is_tree() => Err(Error::Invalid(
             "outer-join full disjunction requires a tree query graph".into(),
         )),
         FdAlgo::OuterJoin => Ok(chain_ir(graph, graph.node_mask(), true)),
         _ => {
-            let branches = annotate_branches(db, graph, &connected_subsets(graph), cache);
+            let masks = connected_subsets(graph);
             Ok(RelExpr::Union {
-                inputs: branches
-                    .iter()
-                    .map(|b| chain_ir(graph, b.mask, false))
-                    .collect(),
-                branches,
+                inputs: masks.iter().map(|&m| chain_ir(graph, m, false)).collect(),
+                masks,
                 pad: graph.scheme(db)?,
             })
         }
@@ -94,26 +82,21 @@ pub(crate) fn disjunction(
 
 impl<'m> Plan<'m> {
     /// Build and rewrite the plan for `mapping`. The cache, when given,
-    /// only informs the scheduling annotations — plan *structure* is a
-    /// pure function of the mapping and database, so the same mapping
-    /// always produces the same algebra.
+    /// is only what [`Plan::explain`] peeks to mark each branch warm or
+    /// cold — plan *structure* is a pure function of the mapping and
+    /// database, so the same mapping always produces the same algebra.
     pub fn new(
         mapping: &'m Mapping,
         db: &Database,
         funcs: &FuncRegistry,
-        cache: Option<&EvalCache>,
+        cache: Option<&'m EvalCache>,
     ) -> Result<Plan<'m>> {
         let _span = clio_obs::span("plan.build");
         let graph = &mapping.graph;
-        let mut root = disjunction(db, graph, FdAlgo::Auto, cache)?;
+        let mut root = disjunction(db, graph, FdAlgo::Auto)?;
         let mut pushed: Vec<Expr> = Vec::new();
         let mut pruned = 0usize;
-        if let RelExpr::Union {
-            inputs,
-            branches,
-            pad,
-        } = &mut root
-        {
+        if let RelExpr::Union { inputs, masks, pad } = &mut root {
             let mut pushed_masks: Vec<u64> = Vec::new();
             for f in &mapping.source_filters {
                 let Some(amask) = alias_mask(graph, f) else {
@@ -124,25 +107,25 @@ impl<'m> Plan<'m> {
                     pushed_masks.push(amask);
                 }
             }
-            let before = branches.len();
+            let before = masks.len();
             // a branch sharing no alias with some pushed (strong) filter
             // is all-null on that filter's columns: drop it; the others
             // get a copy of every pushed filter they bind completely
-            let survivors: Vec<(RelExpr, BranchInfo)> = std::mem::take(inputs)
+            let survivors: Vec<(RelExpr, u64)> = std::mem::take(inputs)
                 .into_iter()
-                .zip(std::mem::take(branches))
-                .filter(|(_, b)| pushed_masks.iter().all(|&pm| pm & b.mask != 0))
-                .map(|(mut branch, b)| {
+                .zip(std::mem::take(masks))
+                .filter(|&(_, mask)| pushed_masks.iter().all(|&pm| pm & mask != 0))
+                .map(|(mut branch, mask)| {
                     for (f, &pm) in pushed.iter().zip(&pushed_masks) {
-                        if pm & b.mask == pm {
+                        if pm & mask == pm {
                             branch = branch.filtered(f, FilterScope::Source, true);
                         }
                     }
-                    (branch, b)
+                    (branch, mask)
                 })
                 .collect();
             pruned = before - survivors.len();
-            (*inputs, *branches) = survivors.into_iter().unzip();
+            (*inputs, *masks) = survivors.into_iter().unzip();
         }
         for f in &mapping.source_filters {
             root = root.filtered(f, FilterScope::Source, false);
@@ -162,6 +145,7 @@ impl<'m> Plan<'m> {
         metrics::add(Counter::PlanPrunedSubgraphs, pruned as u64);
         Ok(Plan {
             mapping,
+            cache,
             root,
             pruned,
             pushed,
@@ -194,16 +178,6 @@ impl<'m> Plan<'m> {
     #[must_use]
     pub fn pruned_subgraphs(&self) -> usize {
         self.pruned
-    }
-
-    /// Scheduling annotations for the surviving subgraph branches
-    /// (empty on trees).
-    #[must_use]
-    pub fn branches(&self) -> &[BranchInfo] {
-        match self.disjunction() {
-            RelExpr::Union { branches, .. } => branches,
-            _ => &[],
-        }
     }
 
     /// Render the plan as an indented tree (the `explain` output).
@@ -441,9 +415,10 @@ mod tests {
         let again = m.evaluate_cached(&db(), &funcs(), Some(&cache)).unwrap();
         assert_eq!(again.rows(), reference(&m).rows());
         assert_eq!(cache.stats().hits, hits_before + 1, "repeat must hit Q(M)");
-        // warm branches are annotated as such on a rebuild
+        // warm branches are marked as such by a rebuilt plan's explain
         let rebuilt = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
-        assert!(rebuilt.branches().iter().any(|b| b.warm));
+        let text = rebuilt.explain();
+        assert!(text.contains("[warm]"), "{text}");
     }
 
     #[test]
@@ -452,7 +427,11 @@ mod tests {
         let cache = EvalCache::new();
         assert_same(&m, Some(&cache));
         let plan = Plan::new(&m, &db(), &funcs(), Some(&cache)).unwrap();
-        assert!(plan.branches().iter().all(|b| b.warm));
+        let text = plan.explain();
+        assert!(!text.contains("[cold]"), "{text}");
+        // the triangle has 7 connected subgraphs
+        let warm = text.matches("[warm]").count();
+        assert_eq!(warm, 7 - plan.pruned_subgraphs(), "{text}");
         // a different target filter is a new Q(M): every surviving F(J)
         // is served from the entries the first run stored
         let m2 = m
@@ -462,6 +441,6 @@ mod tests {
         assert_same(&m2, Some(&cache));
         let after = cache.stats();
         assert_eq!(after.misses - before.misses, 1, "only the new Q(M) misses");
-        assert_eq!(after.hits - before.hits, plan.branches().len() as u64);
+        assert_eq!(after.hits - before.hits, warm as u64);
     }
 }

@@ -169,6 +169,13 @@ impl Session {
         Arc::clone(&self.db)
     }
 
+    /// The function registry every evaluation in this session resolves
+    /// its function calls against.
+    #[must_use]
+    pub fn funcs(&self) -> &FuncRegistry {
+        &self.funcs
+    }
+
     /// The function registry (register custom correspondence functions
     /// here before adding correspondences that use them). Taking the
     /// mutable registry conservatively invalidates the whole evaluation

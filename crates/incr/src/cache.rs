@@ -197,8 +197,8 @@ struct Entry {
     deps: Vec<String>,
     bytes: usize,
     last_used: u64,
-    /// Measured recompute time, reported by the caller at insert
-    /// (0 when unknown — e.g. legacy disk entries).
+    /// Measured recompute time, reported by the caller at insert or
+    /// read from the store's entry (0 when the caller does not know it).
     cost_ns: u64,
     /// Reference count: starts at 1 on first admission (or resumes
     /// from ghost history on a re-insert) and bumps on every hit.
@@ -596,29 +596,12 @@ impl EvalCache {
     /// Non-promoting residency check: is `fp` in the memory tier
     /// (always `false` while disabled)? Copies nothing, touches no
     /// recency tick, frequency, priority, or counter, and never consults
-    /// the attached store — so *inspecting* the cache (the `cache` shell
-    /// command, the warmth-guided scheduler's pre-probe) cannot change
-    /// what gets evicted next.
+    /// the attached store — so *inspecting* the cache (the warmth line
+    /// of the `cache` shell command's stats, `explain`'s `[warm]` /
+    /// `[cold]` branch marks) cannot change what gets evicted next.
     #[must_use]
     pub fn peek(&self, fp: Fingerprint) -> bool {
         self.enabled() && self.lock().entries.contains_key(&fp)
-    }
-
-    /// Estimate the recompute cost of a not-yet-resident entry from
-    /// sibling history: the mean recorded `cost_ns` of resident entries
-    /// sharing at least one declared dependency. `None` when no sibling
-    /// carries a cost (then callers fall back to row-count heuristics).
-    #[must_use]
-    pub fn estimate_cost(&self, deps: &[String]) -> Option<u64> {
-        let inner = self.lock();
-        let (mut sum, mut n) = (0u128, 0u64);
-        for e in inner.entries.values() {
-            if e.cost_ns > 0 && e.deps.iter().any(|d| deps.contains(d)) {
-                sum += u128::from(e.cost_ns);
-                n += 1;
-            }
-        }
-        (n > 0).then(|| u64::try_from(sum / u128::from(n)).unwrap_or(u64::MAX))
     }
 
     /// Store a result under `fp`, declaring the base relations it was
@@ -629,8 +612,8 @@ impl EvalCache {
     }
 
     /// Store a result under `fp` together with its measured recompute
-    /// time, which feeds the eviction priority and the warmth-guided
-    /// scheduler's estimates. No-op while disabled, when the entry
+    /// time, which feeds the eviction priority and the saved-time
+    /// statistics. No-op while disabled, when the entry
     /// already exists, when the table alone exceeds the whole budget, or
     /// when admission control turns it away. Evicts the lowest-priority
     /// entries to stay under the budget, and spills a copy (cost
@@ -1394,19 +1377,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_cost_averages_sibling_history() {
-        let cache = EvalCache::new();
-        assert_eq!(cache.estimate_cost(&["R".into()]), None, "empty cache");
-        cache.insert_costed(fp(1), vec!["R".into()], &table(1, "a"), 1_000);
-        cache.insert_costed(fp(2), vec!["R".into(), "S".into()], &table(1, "b"), 3_000);
-        cache.insert_costed(fp(3), vec!["T".into()], &table(1, "c"), 9_000);
-        cache.insert(fp(4), vec!["R".into()], &table(1, "d")); // cost 0: excluded
-        assert_eq!(cache.estimate_cost(&["R".into()]), Some(2_000));
-        assert_eq!(cache.estimate_cost(&["S".into()]), Some(3_000));
-        assert_eq!(cache.estimate_cost(&["U".into()]), None, "no siblings");
-    }
-
-    #[test]
     fn cost_survives_the_store_round_trip() {
         use crate::store::MemStore;
         let store = std::sync::Arc::new(MemStore::new());
@@ -1418,6 +1388,8 @@ mod tests {
         warm.set_store(Some(store));
         assert!(warm.get(fp(1)).is_some());
         assert_eq!(warm.stats().saved_ns, 7_500, "disk hit counts the cost");
-        assert_eq!(warm.estimate_cost(&["R".into()]), Some(7_500));
+        let resident = warm.debug_entries();
+        assert_eq!(resident.len(), 1);
+        assert_eq!(resident[0].2, 7_500, "the loaded entry keeps its cost");
     }
 }

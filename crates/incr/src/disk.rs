@@ -25,7 +25,7 @@
 //! ```
 //!
 //! Value tags: `0` null, `1` int (`i64`), `2` float (`f64` bit pattern),
-//! `3` string, `4` bool (`u8`).
+//! `3` string, `4` bool (`u8`, `0` or `1`).
 //!
 //! Version 2 added `cost_ns` (between `fp` and `deps`) so a warm
 //! restart re-seeds the cost-aware eviction priorities; version 3 added
@@ -426,7 +426,11 @@ impl<'a> Cursor<'a> {
             1 => Value::Int(self.u64()? as i64),
             2 => Value::Float(f64::from_bits(self.u64()?)),
             3 => Value::str(self.str()?),
-            4 => Value::Bool(self.u8()? != 0),
+            4 => match self.u8()? {
+                0 => Value::Bool(false),
+                1 => Value::Bool(true),
+                b => return Err(format!("bad bool byte {b}")),
+            },
             tag => return Err(format!("unknown value tag {tag}")),
         })
     }
@@ -597,6 +601,22 @@ mod tests {
         let bytes = encode(7, Fingerprint(42), &e);
         let back = decode(&bytes, 7, Fingerprint(42)).expect("round trip");
         assert_eq!(back, e);
+    }
+
+    /// A bool byte other than 0 or 1 is a defect, not `true`, even
+    /// under a valid checksum.
+    #[test]
+    fn decode_rejects_bool_bytes_other_than_zero_and_one() {
+        let good = encode(7, Fingerprint(42), &all_types_entry());
+        // the body ends with the last row's `Bool(false)`: tag 4, byte 0
+        let body_len = good.len() - 8;
+        assert_eq!(&good[body_len - 2..body_len], &[4, 0]);
+        let mut forged = good.clone();
+        forged[body_len - 1] = 2;
+        let sum = fnv1a(FNV_OFFSET_BASIS, &forged[..body_len]);
+        forged[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let err = decode(&forged, 7, Fingerprint(42)).unwrap_err();
+        assert!(err.contains("bool"), "{err}");
     }
 
     #[test]

@@ -121,98 +121,41 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    dispatch(workers, items, None, span_name, f)
-}
-
-/// Like [`map_slice`], but items are *handed out* in the caller-given
-/// `order` (a permutation of `0..items.len()`) while results still come
-/// back **in input order** — so scheduling is a pure latency decision
-/// that cannot change what the caller observes. The incremental
-/// evaluator uses this to start the longest-estimated subgraphs first,
-/// so a straggler no longer serializes the tail of the fan-out.
-///
-/// The serial path evaluates in `order` too (then re-sorts), keeping
-/// the evaluation sequence identical across thread counts. Panics if
-/// `order` is not index-for-index the same length as `items`; an
-/// out-of-range index panics via slice indexing.
-pub fn map_slice_prioritized<T, R, F>(
-    items: &[T],
-    order: &[usize],
-    span_name: &'static str,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    assert_eq!(
-        order.len(),
-        items.len(),
-        "dispatch order must cover every item exactly once"
-    );
-    dispatch(threads(), items, Some(order), span_name, f)
-}
-
-/// The one worker body: hand out items in `order` (input order when
-/// `None`) to up to `workers` threads, and return results in input
-/// order.
-fn dispatch<T, R, F>(
-    workers: usize,
-    items: &[T],
-    order: Option<&[usize]>,
-    span_name: &'static str,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let item = |pos: usize| order.map_or(pos, |o| o[pos]);
     let workers = workers.max(1).min(items.len());
-    let mut indexed: Vec<(usize, R)> = if workers <= 1 {
+    if workers <= 1 {
         let _span = clio_obs::span(span_name);
-        (0..items.len())
-            .map(|pos| {
-                let i = item(pos);
-                (i, f(i, &items[i]))
-            })
-            .collect()
-    } else {
-        let inherited_override = OVERRIDE.with(Cell::get);
-        let recorder = clio_obs::current_recorder();
-        let cursor = AtomicUsize::new(0);
-        let mut indexed = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        OVERRIDE.with(|c| c.set(inherited_override));
-                        clio_obs::with_recorder(recorder.clone(), || {
-                            let _span = clio_obs::span(span_name);
-                            let mut local: Vec<(usize, R)> = Vec::new();
-                            loop {
-                                let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                                if pos >= items.len() {
-                                    break local;
-                                }
-                                let i = item(pos);
-                                local.push((i, f(i, &items[i])));
+        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    }
+    let inherited_override = OVERRIDE.with(Cell::get);
+    let recorder = clio_obs::current_recorder();
+    let cursor = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    OVERRIDE.with(|c| c.set(inherited_override));
+                    clio_obs::with_recorder(recorder.clone(), || {
+                        let _span = clio_obs::span(span_name);
+                        let mut local: Vec<(usize, R)> = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break local;
                             }
-                        })
+                            local.push((i, f(i, &items[i])));
+                        }
                     })
                 })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(local) => indexed.extend(local),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(local) => indexed.extend(local),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-        });
-        indexed
-    };
+        }
+    });
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
 }
@@ -303,42 +246,6 @@ mod tests {
             })
         });
         assert!(inherited.iter().all(|&same| same));
-    }
-
-    #[test]
-    fn prioritized_dispatch_preserves_input_order_of_results() {
-        let items: Vec<usize> = (0..50).collect();
-        // reverse dispatch order: item 49 starts first
-        let order: Vec<usize> = (0..50).rev().collect();
-        for width in [1, 4] {
-            let out = with_threads(width, || {
-                map_slice_prioritized(&items, &order, "test.worker", |i, &x| i * 100 + x)
-            });
-            assert_eq!(out, (0..50).map(|i| i * 101).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn prioritized_serial_evaluates_in_dispatch_order() {
-        use std::sync::Mutex;
-        let items: Vec<usize> = (0..8).collect();
-        let order = vec![3, 1, 7, 0, 2, 6, 4, 5];
-        let seen = Mutex::new(Vec::new());
-        with_threads(1, || {
-            map_slice_prioritized(&items, &order, "test.worker", |i, _| {
-                seen.lock().unwrap().push(i);
-            })
-        });
-        assert_eq!(*seen.lock().unwrap(), order);
-    }
-
-    #[test]
-    fn prioritized_rejects_partial_orders() {
-        let items: Vec<usize> = (0..4).collect();
-        let result = std::panic::catch_unwind(|| {
-            map_slice_prioritized(&items, &[0, 1], "test.worker", |_, &x| x)
-        });
-        assert!(result.is_err());
     }
 
     #[test]

@@ -505,6 +505,46 @@ mod tests {
         db
     }
 
+    /// Every malformed heap record is an `Err`, never a panic or a
+    /// wrong row: each truncation, an arity the schema does not have, an
+    /// unknown value tag, a bool byte other than 0 or 1, trailing bytes.
+    #[test]
+    fn decode_row_rejects_malformed_records() {
+        let db = sample_db();
+        let schema = db.relation("Tricky").unwrap().schema().clone();
+        let row = vec![
+            Value::Int(1),
+            Value::str("line\nbreak"),
+            Value::Float(1.5),
+            Value::Bool(true),
+        ];
+        let good = encode_row(&row);
+        assert_eq!(decode_row(&good, &schema).unwrap(), row);
+        for n in 0..good.len() {
+            assert!(decode_row(&good[..n], &schema).is_err(), "len {n}");
+        }
+        for arity in [0, 3, 5, u32::MAX] {
+            let mut forged = good.clone();
+            forged[..4].copy_from_slice(&arity.to_le_bytes());
+            assert!(decode_row(&forged, &schema).is_err(), "arity {arity}");
+        }
+        // the first value's tag follows the 4-byte arity
+        let mut forged = good.clone();
+        forged[4] = 9;
+        let err = decode_row(&forged, &schema).unwrap_err();
+        assert!(err.contains("unknown value tag"), "{err}");
+        // the record ends with the bool's tag and byte
+        let last = good.len() - 1;
+        assert_eq!(&good[last - 1..], &[TAG_BOOL, 1]);
+        let mut forged = good.clone();
+        forged[last] = 2;
+        let err = decode_row(&forged, &schema).unwrap_err();
+        assert!(err.contains("bool"), "{err}");
+        let mut trailing = good;
+        trailing.push(0);
+        assert!(decode_row(&trailing, &schema).is_err());
+    }
+
     #[test]
     fn forged_occurrence_counts_do_not_preallocate() {
         let occ = Occurrence {

@@ -15,6 +15,12 @@ cargo fmt --check
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# perfbench is its own crate outside the workspace and imports the
+# engine's public API: an API change that breaks the benchmark fails
+# here, not first in a benchmark run.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -501,8 +507,8 @@ echo "    paged demo + 4 concurrent paged sessions byte-identical; pager.misses 
 # plan.evals > 0 (evaluation actually ran a plan). That the pushdown is
 # answer-invisible is pinned by the byte-identity proptests against a
 # no-pushdown reference. The plan tree itself is pinned too: the MAP
-# file's `explain`, run with --no-cache so the branch estimates are the
-# deterministic row-count heuristic, must match
+# file's `explain`, run with --no-cache so every branch is marked
+# `[cold]`, must match
 # scripts/golden/explain-cyclic.txt byte-for-byte. Regenerate it after
 # an intentional plan change with
 #
@@ -578,7 +584,7 @@ fi
 # lattice D(G) is projected through its tuple ids; with it on, the
 # examples' D(G) inserts every F(J) as tuple ids and `target`'s pushed
 # branches are served from those entries. (explain is left out: with
-# the cache on, its branch estimates come from measured costs.)
+# the cache on, it marks the branches the examples warmed `[warm]`.)
 { echo "load $tmp_lang_map"; echo target; echo "map show"; echo quit; } > "$tmp_cyclic_replay"
 target/release/clio-shell --script "$tmp_cyclic_replay" --threads 1 --no-cache > "$tmp_cyclic_off"
 target/release/clio-shell --script "$tmp_cyclic_replay" --threads 1 > "$tmp_cyclic_on"

@@ -312,7 +312,7 @@ proptest! {
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle]),
         picks in near_duplicate_picks(),
     ) {
-        use clio::core::plan::{BranchInfo, Exec, FilterScope};
+        use clio::core::plan::{Exec, FilterScope};
         let w = with_near_duplicates(generate(&spec), &picks);
         let (g, funcs) = (&w.graph, funcs());
         let pad = g.scheme(&w.db).unwrap();
@@ -350,14 +350,7 @@ proptest! {
                 }
                 let refs: Vec<&Table> = padded.iter().collect();
                 let expected = minimum_union_all(&refs, SubsumptionAlgo::Naive).unwrap();
-                let union = RelExpr::Union {
-                    inputs,
-                    branches: masks
-                        .iter()
-                        .map(|&mask| BranchInfo { mask, estimate: 1, warm: false })
-                        .collect(),
-                    pad: pad.clone(),
-                };
+                let union = RelExpr::Union { inputs, masks, pad: pad.clone() };
                 let cache = EvalCache::new();
                 for (run, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate() {
                     let ex = Exec { db: &w.db, funcs: &funcs, graph: g, cache };
