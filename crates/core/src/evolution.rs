@@ -20,6 +20,7 @@ use clio_relational::value::Value;
 use crate::example::Example;
 use crate::illustration::{minimal_completion, Illustration};
 use crate::mapping::Mapping;
+use crate::plan::CompiledMapping;
 
 /// The outcome of evolving an illustration across a mapping change.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +75,8 @@ pub fn evolve_illustration(
 /// population built over cached data associations: continuity is then
 /// effectively checked against the *delta* of `D(G)` — the subgraphs an
 /// operator did not touch are served from the cache, only the new ones
-/// are joined. `None` is exactly the uncached path.
+/// are joined. `None` is exactly the uncached path. The new mapping is
+/// compiled for the call; a session evolves through the form it keeps.
 pub fn evolve_illustration_cached(
     old_illustration: &Illustration,
     old_mapping: &Mapping,
@@ -83,24 +85,42 @@ pub fn evolve_illustration_cached(
     funcs: &FuncRegistry,
     cache: Option<&clio_incr::EvalCache>,
 ) -> Result<Evolution> {
-    let _span = clio_obs::span("evolution.evolve");
-    let old_scheme = old_mapping.graph.scheme(db)?;
-    let new_scheme = new_mapping.graph.scheme(db)?;
-    if !new_scheme.contains_scheme(&old_scheme) {
+    let new = CompiledMapping::new(new_mapping, db, funcs, 0)?;
+    let positions = positions_in(&old_mapping.graph.scheme(db)?, new.scheme())?;
+    evolve(old_illustration, &positions, &new, db, funcs, cache)
+}
+
+/// The positions in `new_scheme` of `old_scheme`'s columns: an error
+/// unless the new graph extends the old one.
+pub(crate) fn positions_in(old_scheme: &Scheme, new_scheme: &Scheme) -> Result<Vec<usize>> {
+    if !new_scheme.contains_scheme(old_scheme) {
         return Err(Error::Invalid(
             "continuous evolution requires the new graph to extend the old one".into(),
         ));
     }
+    new_scheme.positions_of(old_scheme)
+}
 
-    let positions = new_scheme.positions_of(&old_scheme)?;
-    let population = new_mapping.examples_cached(db, funcs, cache)?;
+/// Evolve `old_illustration` onto the compiled mapping `new`, whose graph
+/// scheme holds the old scheme's columns at `positions`: extend every
+/// old example, then repair sufficiency (span `evolution.evolve`).
+pub(crate) fn evolve(
+    old_illustration: &Illustration,
+    positions: &[usize],
+    new: &CompiledMapping,
+    db: &Database,
+    funcs: &FuncRegistry,
+    cache: Option<&clio_incr::EvalCache>,
+) -> Result<Evolution> {
+    let _span = clio_obs::span("evolution.evolve");
+    let population = new.examples(db, funcs, cache)?;
     let mut chosen: Vec<usize> = Vec::new();
     let mut taken = vec![false; population.len()];
 
     // 1. extend every old example
     for old in &old_illustration.examples {
         for (i, candidate) in population.iter().enumerate() {
-            if !taken[i] && extends_at(&positions, &old.association, &candidate.association) {
+            if !taken[i] && extends_at(positions, &old.association, &candidate.association) {
                 taken[i] = true;
                 chosen.push(i);
             }
@@ -111,7 +131,8 @@ pub fn evolve_illustration_cached(
     // 2. repair sufficiency by appending the fewest examples, in
     //    population order (never removing the extensions)
     let extensions: Vec<&Example> = chosen.iter().map(|&i| &population[i]).collect();
-    let repairs = minimal_completion(&population, new_mapping.target.arity(), &extensions);
+    let arity = new.mapping().target.arity();
+    let repairs = minimal_completion(&population, arity, &extensions);
     let repair_count = repairs.len();
     chosen.extend(repairs);
 

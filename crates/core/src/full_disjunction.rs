@@ -52,6 +52,7 @@ use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
 use crate::incremental::full_disjunction_cached;
+use crate::plan::ir::{GraphForm, Pass};
 use crate::plan::{chain_ir, Exec, RelExpr};
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
@@ -107,7 +108,9 @@ pub(crate) fn full_associations_count(
         graph,
         cache: None,
     };
-    let (ids, _) = full_associations_chain(graph, mask)?.ids(&ex)?;
+    let form = GraphForm::default();
+    let pass = Pass::new(&ex, &form)?;
+    let (ids, _) = full_associations_chain(graph, mask)?.ids(&pass)?;
     Ok(ids.row_count())
 }
 

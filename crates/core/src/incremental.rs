@@ -34,95 +34,94 @@ use clio_relational::funcs::FuncRegistry;
 use crate::association::AssociationSet;
 use crate::full_disjunction::FdAlgo;
 use crate::mapping::Mapping;
+use crate::plan::ir::Pass;
 use crate::plan::{disjunction, Exec};
 use crate::query_graph::QueryGraph;
 
-/// What a graph's fingerprints mix in, read once: the cache epoch,
-/// every node's content version (read under one lock) and every edge's
-/// predicate text (formatted once). One table serves a pass of `F(J)`
-/// lookups ([`SubgraphKeys::fingerprint`]) and each whole-graph key
-/// ([`graph_fingerprint`], [`mapping_fingerprint`]).
-pub(crate) struct SubgraphKeys<'g> {
-    graph: &'g QueryGraph,
+/// What a pass's keys mix into their structure hashes, read under one
+/// lock: the cache epoch and every graph node's content version.
+pub(crate) struct Versions {
     epoch: u64,
     versions: Vec<u64>,
-    predicates: Vec<String>,
 }
 
-impl<'g> SubgraphKeys<'g> {
-    pub(crate) fn new(graph: &'g QueryGraph, cache: &EvalCache) -> SubgraphKeys<'g> {
+impl Versions {
+    pub(crate) fn read(graph: &QueryGraph, cache: &EvalCache) -> Versions {
         let (epoch, versions) =
             cache.epoch_and_versions(graph.nodes().iter().map(|n| n.relation.as_str()));
-        SubgraphKeys {
-            graph,
-            epoch,
-            versions,
-            predicates: graph
-                .edges()
-                .iter()
-                .map(|e| e.predicate.to_string())
-                .collect(),
-        }
+        Versions { epoch, versions }
     }
 
-    /// Fingerprint of the full data associations `F(J)` of the induced
-    /// subgraph `mask`: the member nodes (with ids, so the join order is
-    /// captured), the induced edges, and the content versions involved.
-    /// The entry holds tuple ids, `|J|` per row in node order (domain tag
-    /// `"F(J).ids"`: entries written as values under the older `"F(J)"`
-    /// tag are never asked for).
-    pub(crate) fn fingerprint(&self, mask: u64) -> Fingerprint {
-        let mut fp = FingerprintBuilder::new("F(J).ids");
-        fp.number(self.epoch);
-        for (i, n) in self.graph.nodes().iter().enumerate() {
+    /// The cache key of a computation whose version-free `structure`
+    /// hash covers the nodes in `mask`: that hash, the epoch, and the
+    /// content version of each node in `mask`, in node order.
+    pub(crate) fn key(&self, structure: u64, mask: u64) -> Fingerprint {
+        let mut fp = FingerprintBuilder::new("versions");
+        fp.number(structure).number(self.epoch);
+        for (i, &version) in self.versions.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                fp.number(i as u64)
-                    .text(&n.alias)
-                    .text(&n.relation)
-                    .number(self.versions[i]);
-            }
-        }
-        for (e, predicate) in self.graph.edges().iter().zip(&self.predicates) {
-            if mask & (1 << e.a) != 0 && mask & (1 << e.b) != 0 {
-                fp.number(e.a as u64).number(e.b as u64).text(predicate);
+                fp.number(version);
             }
         }
         fp.finish()
     }
+}
 
-    /// The graph's full structure, mixed under `tag`: the cache epoch,
-    /// every node (alias, stored relation, content version) in id order,
-    /// every edge (endpoint ids, predicate text) in insertion order. Node
-    /// and edge *order* are deliberately part of the digest — join order,
-    /// and therefore output column and row order, depend on them.
-    fn whole_graph(&self, tag: &str) -> FingerprintBuilder {
-        let mut fp = FingerprintBuilder::new(tag);
-        fp.number(self.epoch);
-        for (n, &version) in self.graph.nodes().iter().zip(&self.versions) {
-            fp.text(&n.alias).text(&n.relation).number(version);
+/// The version-free part of the key of the full data associations
+/// `F(J)` of the induced subgraph `mask`: the member nodes (with ids, so
+/// the join order is captured) and the induced edges. The entry holds
+/// tuple ids, `|J|` per row in node order (domain tag `"F(J).ids"`:
+/// entries written as values under the older `"F(J)"` tag are never
+/// asked for).
+pub(crate) fn subgraph_structure(graph: &QueryGraph, mask: u64) -> u64 {
+    let mut fp = FingerprintBuilder::new("F(J).ids");
+    for (i, n) in graph.nodes().iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            fp.number(i as u64).text(&n.alias).text(&n.relation);
         }
-        for (e, predicate) in self.graph.edges().iter().zip(&self.predicates) {
-            fp.number(e.a as u64).number(e.b as u64).text(predicate);
-        }
-        fp
     }
+    for e in graph.edges() {
+        if mask & (1 << e.a) != 0 && mask & (1 << e.b) != 0 {
+            fp.number(e.a as u64)
+                .number(e.b as u64)
+                .text(&e.predicate.to_string());
+        }
+    }
+    fp.finish().0
 }
 
-/// Fingerprint of the assembled `D(G)` under a given algorithm tag
-/// (`"D(G).tree.ids"` / `"D(G).lattice.ids"` — the two plans emit
-/// different row orders, so they must not share entries; entries
-/// written as values under the older `"D(G).tree"` / `"D(G).lattice"`
-/// tags are never asked for).
-#[must_use]
-pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
-    SubgraphKeys::new(graph, cache).whole_graph(tag).finish()
+/// The graph's full structure, mixed under `tag`: every node (alias,
+/// stored relation) in id order, every edge (endpoint ids, predicate
+/// text) in insertion order. Node and edge *order* are deliberately part
+/// of the digest — join order, and therefore output column and row
+/// order, depend on them.
+fn whole_graph(graph: &QueryGraph, tag: &str) -> FingerprintBuilder {
+    let mut fp = FingerprintBuilder::new(tag);
+    for n in graph.nodes() {
+        fp.text(&n.alias).text(&n.relation);
+    }
+    for e in graph.edges() {
+        fp.number(e.a as u64)
+            .number(e.b as u64)
+            .text(&e.predicate.to_string());
+    }
+    fp
 }
 
-/// Fingerprint of a full mapping query `Q(M)`: the graph plus the
-/// correspondences, source filters, target filters, and target schema.
-#[must_use]
-pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint {
-    let mut fp = SubgraphKeys::new(&mapping.graph, cache).whole_graph("Q(M)");
+/// The version-free part of the key of the assembled `D(G)` under a
+/// given algorithm tag (`"D(G).tree.ids"` / `"D(G).lattice.ids"` — the
+/// two plans emit different row orders, so they must not share entries;
+/// entries written as values under the older `"D(G).tree"` /
+/// `"D(G).lattice"` tags are never asked for).
+pub(crate) fn disjunction_structure(graph: &QueryGraph, tag: &str) -> u64 {
+    whole_graph(graph, tag).finish().0
+}
+
+/// The version-free part of the key of a full mapping query `Q(M)`: the
+/// graph plus the correspondences, source filters, target filters, and
+/// target schema.
+pub(crate) fn mapping_structure(mapping: &Mapping) -> u64 {
+    let mut fp = whole_graph(&mapping.graph, "Q(M)");
     for v in &mapping.correspondences {
         fp.text(&v.expr.to_string()).text(&v.target_attr);
     }
@@ -133,7 +132,24 @@ pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint 
         fp.text(&e.to_string());
     }
     fp.text(&mapping.target.to_string());
-    fp.finish()
+    fp.finish().0
+}
+
+/// Fingerprint of the assembled `D(G)` under a given algorithm tag: its
+/// structure hash (`disjunction_structure`) with the cache epoch and
+/// every node's content version mixed in.
+#[must_use]
+pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
+    Versions::read(graph, cache).key(disjunction_structure(graph, tag), graph.node_mask())
+}
+
+/// Fingerprint of a full mapping query `Q(M)`: its structure hash (the
+/// graph plus the correspondences, source filters, target filters, and
+/// target schema) with the cache epoch and every node's content version
+/// mixed in — the key a compiled mapping's run looks `Q(M)` up under.
+#[must_use]
+pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint {
+    Versions::read(&mapping.graph, cache).key(mapping_structure(mapping), mapping.graph.node_mask())
 }
 
 /// The base relations a graph's evaluation reads (sorted, deduplicated)
@@ -161,7 +177,8 @@ pub(crate) fn elapsed_ns(t0: std::time::Instant) -> u64 {
 }
 
 /// Compute `D(G)` by running the un-pushed `D(G)` subtree
-/// [`Plan::new`](crate::plan::Plan::new) starts from.
+/// [`Plan::new`](crate::plan::Plan::new) starts from, with the graph's
+/// `GraphForm` built for the run.
 /// With a live cache the result is memoized per graph+algorithm, and the
 /// lattice also memoizes per-subgraph `F(J)`s, so an edit to one
 /// relation recomputes only the subgraphs touching it.
@@ -172,13 +189,15 @@ pub fn full_disjunction_cached(
     funcs: &FuncRegistry,
     cache: Option<&EvalCache>,
 ) -> Result<AssociationSet> {
+    let (subtree, form) = disjunction(db, graph, algo)?;
     let ex = Exec {
         db,
         funcs,
         graph,
         cache,
     };
-    let (ids, _) = disjunction(db, graph, algo)?.disjunction_ids(&ex)?;
+    let pass = Pass::new(&ex, &form)?;
+    let (ids, _) = subtree.disjunction_ids(&pass)?;
     Ok(ids.into_association_set())
 }
 
@@ -251,6 +270,12 @@ mod tests {
 
     fn funcs() -> FuncRegistry {
         FuncRegistry::with_builtins()
+    }
+
+    /// The key of the `F(J)` of the subgraph `mask` at the cache's
+    /// current versions.
+    fn fj_fingerprint(g: &QueryGraph, cache: &EvalCache, mask: u64) -> Fingerprint {
+        Versions::read(g, cache).key(subgraph_structure(g, mask), mask)
     }
 
     #[test]
@@ -326,7 +351,8 @@ mod tests {
     /// masks and the computed `(mask, cost_ns)` pairs.
     fn schedule_all(g: &QueryGraph, cache: &EvalCache) -> (Vec<u64>, Vec<(u64, u64)>) {
         let (db, funcs) = (db(), funcs());
-        let RelExpr::Union { inputs, masks, pad } = disjunction(&db, g, FdAlgo::Lattice).unwrap()
+        let (RelExpr::Union { inputs, masks, pad }, form) =
+            disjunction(&db, g, FdAlgo::Lattice).unwrap()
         else {
             panic!("lattice D(G) is a union");
         };
@@ -336,7 +362,8 @@ mod tests {
             graph: g,
             cache: Some(cache),
         };
-        let (ids, dispatched) = schedule(&ex, &inputs, &masks, &pad).unwrap();
+        let pass = Pass::new(&ex, &form).unwrap();
+        let (ids, dispatched) = schedule(&pass, &inputs, &masks, &pad).unwrap();
         let plain = full_disjunction_naive(&db, g, &funcs, engine_subsumption()).unwrap();
         assert_eq!(plain.table().rows(), ids.materialize().rows());
         (masks, dispatched)
@@ -378,9 +405,8 @@ mod tests {
         // exactly the PhoneDir-touching ones are scheduled
         cache.bump_version("PhoneDir");
         let phone = 1u64 << 2;
-        let keys = SubgraphKeys::new(&g, &cache);
         for mask in connected_subsets(&g) {
-            let warm = cache.peek(keys.fingerprint(mask));
+            let warm = cache.peek(fj_fingerprint(&g, &cache, mask));
             assert_eq!(warm, mask & phone == 0, "{mask:#b}");
         }
         let before = cache.stats();
@@ -427,7 +453,7 @@ mod tests {
                 }),
                 cost_ns: 0,
             };
-            assert!(store.spill(SubgraphKeys::new(&g, &cache).fingerprint(*mask), &entry));
+            assert!(store.spill(fj_fingerprint(&g, &cache, *mask), &entry));
         }
         let run = |cache: &EvalCache| {
             full_disjunction_cached(&db(), &g, FdAlgo::Auto, &funcs(), Some(cache)).unwrap()
@@ -437,7 +463,7 @@ mod tests {
         assert_eq!((s.hits, s.load_errors), (0, 3));
         // the recomputed entries took the forged ones' place on disk
         for (mask, ids, _) in &forged {
-            let fp = SubgraphKeys::new(&g, &cache).fingerprint(*mask);
+            let fp = fj_fingerprint(&g, &cache, *mask);
             let Some(Payload::Ids(rows)) = store.load(fp).map(|e| e.payload) else {
                 panic!("F(J) of {mask:#b} was not respilled");
             };
@@ -452,7 +478,7 @@ mod tests {
                 width: *width,
                 ids: ids.clone(),
             };
-            let fp = SubgraphKeys::new(&g, &cache).fingerprint(*mask);
+            let fp = fj_fingerprint(&g, &cache, *mask);
             cache.insert_ids(fp, mask_deps(&g, *mask), &rows, 0);
         }
         assert_eq!(run(&cache).table().rows(), plain.table().rows());
@@ -642,17 +668,11 @@ mod tests {
         assert_ne!(before, graph_fingerprint(&tree, &cache, "D(G).tree.ids"));
         // subgraphs not touching Parents keep their fingerprint
         let mask_children = 0b001;
-        let a = SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children);
+        let a = fj_fingerprint(&cyc, &cache, mask_children);
         cache.bump_version("Parents");
-        assert_eq!(
-            a,
-            SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children)
-        );
+        assert_eq!(a, fj_fingerprint(&cyc, &cache, mask_children));
         cache.bump_version("Children");
-        assert_ne!(
-            a,
-            SubgraphKeys::new(&cyc, &cache).fingerprint(mask_children)
-        );
+        assert_ne!(a, fj_fingerprint(&cyc, &cache, mask_children));
     }
 
     #[test]
@@ -697,9 +717,9 @@ mod tests {
         let cache = EvalCache::new();
         let g = tree_graph();
         let a = graph_fingerprint(&g, &cache, "D(G).tree.ids");
-        let s = SubgraphKeys::new(&g, &cache).fingerprint(0b11);
+        let s = fj_fingerprint(&g, &cache, 0b11);
         cache.bump_epoch();
         assert_ne!(a, graph_fingerprint(&g, &cache, "D(G).tree.ids"));
-        assert_ne!(s, SubgraphKeys::new(&g, &cache).fingerprint(0b11));
+        assert_ne!(s, fj_fingerprint(&g, &cache, 0b11));
     }
 }

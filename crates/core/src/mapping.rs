@@ -17,11 +17,12 @@
 //!
 //! evaluated by compiling the mapping to its [`Plan`](crate::plan::Plan)
 //! — that algebra tree, with source filters pushed below the minimum
-//! union where that is answer-invisible — and running the tree.
+//! union where that is answer-invisible — and running the tree. A
+//! session compiles each mapping once and reruns the compiled form after
+//! a data edit.
 
 use std::fmt;
 
-use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
@@ -34,8 +35,7 @@ use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
 use crate::full_disjunction::FdAlgo;
-use crate::incremental::{elapsed_ns, mapping_fingerprint, relation_deps};
-use crate::plan::Exec;
+use crate::plan::CompiledMapping;
 use crate::query_graph::QueryGraph;
 
 /// A schema mapping from a set of source relations to one target relation.
@@ -257,41 +257,21 @@ impl Mapping {
     }
 
     /// Like [`Mapping::evaluate`], routed through an incremental cache:
-    /// the result table is memoized per full mapping state under its
-    /// `"Q(M)"` fingerprint. On a miss the mapping's
-    /// [`Plan`](crate::plan::Plan) is built and its tree run — its
-    /// `D(G)` stage memoizes `D(G)` / `F(J)` layers of its own. `None`
-    /// is the same pipeline without memoization.
+    /// the mapping is compiled for the call
+    /// ([`Plan::new`](crate::plan::Plan::new)'s form), and the result
+    /// table is memoized per full mapping state under its `"Q(M)"`
+    /// fingerprint; on a miss the plan runs, and its `D(G)` stage
+    /// memoizes `D(G)` / `F(J)` layers of its own. `None` is the same
+    /// pipeline without memoization. A
+    /// [`Session`](crate::session::Session) keeps each mapping compiled
+    /// and runs that form instead.
     pub fn evaluate_cached(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&clio_incr::EvalCache>,
     ) -> Result<Table> {
-        let _span = clio_obs::span("mapping.evaluate");
-        let cache = cache.filter(|c| c.enabled());
-        let fp = cache.map(|c| mapping_fingerprint(self, c));
-        if let Some(table) = cache.zip(fp).and_then(|(c, fp)| c.get(fp)) {
-            return Ok(table);
-        }
-        let t0 = std::time::Instant::now();
-        let plan = crate::plan::Plan::new(self, db, funcs, cache)?;
-        metrics::incr(Counter::PlanEvals);
-        let ex = Exec {
-            db,
-            funcs,
-            graph: &self.graph,
-            cache,
-        };
-        let (out, charged) = plan.root().run_costed(&ex)?;
-        if let Some((c, fp)) = cache.zip(fp) {
-            // Exclusive cost: charging the time already charged to the
-            // `D(G)` / `F(J)` entries again would hand this low-reuse
-            // aggregate an inflated eviction priority.
-            let cost_ns = elapsed_ns(t0).saturating_sub(charged);
-            c.insert_costed(fp, relation_deps(&self.graph), &out, cost_ns);
-        }
-        Ok(out)
+        CompiledMapping::new(self, db, funcs, 0)?.evaluate(db, funcs, cache)
     }
 
     /// Generate all examples of the mapping (paper Def 4.1): one per data
@@ -302,16 +282,16 @@ impl Mapping {
     }
 
     /// Like [`Mapping::examples`], with the `D(G)` the population is
-    /// built over served from an incremental cache when available.
+    /// built over served from an incremental cache when available. The
+    /// mapping is compiled for the call; each association's values are
+    /// built once, into its example.
     pub fn examples_cached(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&clio_incr::EvalCache>,
     ) -> Result<Vec<Example>> {
-        let _span = clio_obs::span("mapping.examples");
-        let assocs = self.associations_cached(db, FdAlgo::Auto, funcs, cache)?;
-        self.examples_for(&assocs, db, funcs)
+        CompiledMapping::new(self, db, funcs, 0)?.examples(db, funcs, cache)
     }
 
     /// Examples over a pre-computed association set.
@@ -357,6 +337,7 @@ impl fmt::Display for Mapping {
 
 /// A mapping with every expression bound against its schemes, ready for
 /// repeated evaluation over association rows.
+#[derive(Debug)]
 pub struct MappingEvaluator {
     /// one slot per target attribute: the bound correspondence, or `None`
     /// (attribute not mapped → null)

@@ -11,7 +11,7 @@ use clio_relational::schema::format_ident;
 
 use super::ir::{FilterScope, RelExpr};
 use super::Plan;
-use crate::incremental::SubgraphKeys;
+use crate::incremental::Versions;
 
 /// Render `plan` as the multi-line `explain` tree.
 #[must_use]
@@ -23,17 +23,17 @@ pub(super) fn render(plan: &Plan) -> String {
     };
     out.push_str(&format!(
         "plan for {} — {algo}",
-        format_ident(plan.mapping.target.name())
+        format_ident(plan.compiled.mapping.target.name())
     ));
-    if !plan.pushed.is_empty() {
+    if !plan.compiled.pushed.is_empty() {
         out.push_str(&format!(
             ", {} filter(s) pushed, {} subgraph(s) pruned",
-            plan.pushed.len(),
-            plan.pruned
+            plan.compiled.pushed.len(),
+            plan.compiled.pruned
         ));
     }
     out.push('\n');
-    node(plan, &plan.root, "", "", &mut out);
+    node(plan, plan.root(), "", "", &mut out);
     out
 }
 
@@ -66,8 +66,11 @@ fn label(plan: &Plan, e: &RelExpr) -> String {
         }
         RelExpr::Union { inputs, .. } => {
             let mut s = format!("MinUnion of {} subgraph(s)", inputs.len());
-            if plan.pruned > 0 {
-                s.push_str(&format!(" ({} pruned by pushed filters)", plan.pruned));
+            if plan.compiled.pruned > 0 {
+                s.push_str(&format!(
+                    " ({} pruned by pushed filters)",
+                    plan.compiled.pruned
+                ));
             }
             s
         }
@@ -105,11 +108,11 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
     };
     // a non-promoting peek per branch: rendering never changes what the
     // cache keeps
-    let graph = &plan.mapping.graph;
+    let graph = &plan.compiled.mapping.graph;
     let cache = plan
         .cache
         .filter(|c| c.enabled() && !masks.is_empty())
-        .map(|c| (c, SubgraphKeys::new(graph, c)));
+        .map(|c| (c, Versions::read(graph, c)));
     for (i, child) in children.iter().enumerate() {
         let last = i + 1 == children.len();
         let (branch, cont) = if last {
@@ -128,9 +131,9 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
                 .filter(|(j, _)| mask & (1 << j) != 0)
                 .map(|(_, n)| n.code.clone())
                 .collect();
-            let warm = cache
-                .as_ref()
-                .is_some_and(|(c, keys)| c.peek(keys.fingerprint(mask)));
+            let warm = cache.as_ref().is_some_and(|(c, versions)| {
+                c.peek(versions.key(plan.compiled.form.structure(graph, mask), mask))
+            });
             let warmth = if warm { "warm" } else { "cold" };
             out.push_str(&format!("{head}F({{{}}}) [{warmth}]\n", members.join(",")));
             node(

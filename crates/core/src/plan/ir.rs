@@ -39,12 +39,22 @@
 //! near-duplicate residual pass; a chain run any other way is exactly
 //! its joins. A `Project` reads its `D(G)` through the ids, filling one
 //! scratch row with only the columns the correspondences and source
-//! filters reference. Value rows are built in two places only (span
-//! `fd.materialize`): [`RelExpr::run`]'s table and
+//! filters reference (span `plan.project`). Value rows are built in
+//! three places only: [`RelExpr::run`]'s table and
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
-//! association set.
+//! association set (span `fd.materialize`), and each example's
+//! association, moved into its example.
+//!
+//! A tree runs in a `Pass`: each graph node's relation is borrowed
+//! once, and with a live cache the epoch and every node's content
+//! version are read under one lock. What does not depend on the data
+//! comes from a `GraphForm`, built once per graph: each subgraph's
+//! column layout (a `Frame`, shared, never rebuilt per lookup) and the
+//! version-free structure hash its `F(J)` key starts from. A key is that
+//! hash with the pass's versions mixed in, so a run formats no predicate.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use clio_incr::{EvalCache, Fingerprint, IdRows, LookupTier};
 use clio_obs::metrics::{self, Counter};
@@ -53,13 +63,17 @@ use clio_relational::error::{Error, Result};
 use clio_relational::expr::{BoundExpr, Expr};
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::ops::{join_with, subsumed_among, JoinInput, JoinKind, Joined};
+use clio_relational::relation::Relation;
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
 use clio_relational::value::Value;
 
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
-use crate::incremental::{elapsed_ns, graph_fingerprint, mask_deps, relation_deps, SubgraphKeys};
+use crate::example::Example;
+use crate::incremental::{
+    disjunction_structure, elapsed_ns, mask_deps, relation_deps, subgraph_structure, Versions,
+};
 use crate::mapping::{all_pass, MappingEvaluator};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
@@ -154,6 +168,167 @@ pub struct Exec<'a> {
     pub graph: &'a QueryGraph,
     /// The incremental cache, if any.
     pub cache: Option<&'a EvalCache>,
+}
+
+/// The column layout of tuple-id rows: the scheme of the covered nodes'
+/// columns, and per column its node and attribute position.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    scheme: Scheme,
+    columns: Vec<(usize, usize)>,
+}
+
+impl Frame {
+    /// The columns of the nodes in `mask`, in node order (for every
+    /// node, the graph scheme); `relations` holds each node's relation.
+    fn over(graph: &QueryGraph, relations: &[&Relation], mask: u64) -> Frame {
+        let mut scheme = Vec::new();
+        let mut columns = Vec::new();
+        for v in bits(mask) {
+            let cols = Scheme::of_relation(relations[v].schema(), &graph.nodes()[v].alias);
+            columns.extend((0..cols.arity()).map(|a| (v, a)));
+            scheme.extend_from_slice(cols.columns());
+        }
+        Frame {
+            scheme: Scheme::new(scheme),
+            columns,
+        }
+    }
+
+    /// The scheme of the rows this frame lays out.
+    pub(crate) fn scheme(&self) -> &Scheme {
+        &self.scheme
+    }
+}
+
+/// What every run of one graph's plans shares, built once: per subgraph
+/// mask, its [`Frame`] in node order, and for the subgraphs whose `F(J)`
+/// is looked up the version-free structure hash its key starts from;
+/// and the structure hash of the graph's `D(G)` memo key under its tag.
+/// A mask or tag it was not built for is computed when asked, so an
+/// empty form serves any tree, paying per lookup what a built form pays
+/// once.
+#[derive(Debug, Default)]
+pub(crate) struct GraphForm {
+    frames: HashMap<u64, Arc<Frame>>,
+    keys: HashMap<u64, u64>,
+    memo: Option<(&'static str, u64)>,
+}
+
+impl GraphForm {
+    /// The form of `graph` with the frames of `frames`, the `F(J)` key
+    /// structure hashes of `keyed`, and the `D(G)` memo under `memo`.
+    pub(crate) fn new(
+        graph: &QueryGraph,
+        db: &Database,
+        frames: impl IntoIterator<Item = u64>,
+        keyed: &[u64],
+        memo: &'static str,
+    ) -> Result<GraphForm> {
+        let relations: Vec<&Relation> = graph
+            .nodes()
+            .iter()
+            .map(|n| db.relation(&n.relation))
+            .collect::<Result<_>>()?;
+        Ok(GraphForm {
+            frames: frames
+                .into_iter()
+                .map(|mask| (mask, Arc::new(Frame::over(graph, &relations, mask))))
+                .collect(),
+            keys: keyed
+                .iter()
+                .map(|&mask| (mask, subgraph_structure(graph, mask)))
+                .collect(),
+            memo: Some((memo, disjunction_structure(graph, memo))),
+        })
+    }
+
+    /// The frame built for `mask`, if any.
+    pub(crate) fn built(&self, mask: u64) -> Option<Arc<Frame>> {
+        self.frames.get(&mask).cloned()
+    }
+
+    /// The frame of the nodes in `mask`, in node order.
+    pub(crate) fn frame(&self, p: &Pass, mask: u64) -> Arc<Frame> {
+        match self.frames.get(&mask) {
+            Some(frame) => Arc::clone(frame),
+            None => Arc::new(Frame::over(p.graph, &p.relations, mask)),
+        }
+    }
+
+    /// The structure hash of the `F(J)` key of the subgraph `mask`.
+    pub(crate) fn structure(&self, graph: &QueryGraph, mask: u64) -> u64 {
+        match self.keys.get(&mask) {
+            Some(&structure) => structure,
+            None => subgraph_structure(graph, mask),
+        }
+    }
+
+    /// The structure hash of the `D(G)` memo key under `tag`.
+    fn memo_structure(&self, graph: &QueryGraph, tag: &'static str) -> u64 {
+        match self.memo {
+            Some((memo, structure)) if memo == tag => structure,
+            _ => disjunction_structure(graph, tag),
+        }
+    }
+}
+
+/// One run of a tree: every graph node's relation, borrowed once, the
+/// graph's [`GraphForm`], and with a live cache the [`Versions`] every
+/// key of the run mixes in, read once.
+pub(crate) struct Pass<'p> {
+    pub(crate) funcs: &'p FuncRegistry,
+    pub(crate) graph: &'p QueryGraph,
+    cache: Option<(&'p EvalCache, Versions)>,
+    form: &'p GraphForm,
+    relations: Vec<&'p Relation>,
+    rows: Vec<&'p [Vec<Value>]>,
+}
+
+impl<'p> Pass<'p> {
+    /// Start a run of `ex` with the form of its graph. A relation with
+    /// more tuples than a `u32` id can number is rejected, never
+    /// wrapped.
+    pub(crate) fn new(ex: &Exec<'p>, form: &'p GraphForm) -> Result<Pass<'p>> {
+        let relations: Vec<&Relation> = ex
+            .graph
+            .nodes()
+            .iter()
+            .map(|n| ex.db.relation(&n.relation))
+            .collect::<Result<_>>()?;
+        for relation in &relations {
+            u32::try_from(relation.len()).map_err(|_| {
+                Error::Invalid(format!(
+                    "relation `{}` holds {} tuples, more than a tuple id can number",
+                    relation.name(),
+                    relation.len()
+                ))
+            })?;
+        }
+        Ok(Pass {
+            funcs: ex.funcs,
+            graph: ex.graph,
+            cache: ex
+                .cache
+                .filter(|c| c.enabled())
+                .map(|c| (c, Versions::read(ex.graph, c))),
+            form,
+            rows: relations.iter().map(|r| r.rows()).collect(),
+            relations,
+        })
+    }
+
+    /// The live cache, and the key of `structure` over the nodes in
+    /// `mask` with this pass's versions mixed in.
+    pub(crate) fn keyed(&self, structure: u64, mask: u64) -> Option<(&'p EvalCache, Fingerprint)> {
+        self.cache
+            .as_ref()
+            .map(|(cache, versions)| (*cache, versions.key(structure, mask)))
+    }
+
+    fn frame(&self, mask: u64) -> Arc<Frame> {
+        self.form.frame(self, mask)
+    }
 }
 
 impl RelExpr {
@@ -267,13 +442,15 @@ impl RelExpr {
     /// joins, a `Filter` the rows that pass, a `Union` the minimum union
     /// of its branches.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
-        self.run_costed(ex).map(|(table, _)| table)
+        let form = GraphForm::default();
+        self.run_costed(&Pass::new(ex, &form)?)
+            .map(|(table, _)| table)
     }
 
-    /// [`RelExpr::run`], also returning the compute time (ns) charged to
-    /// the cache entries this run inserted — what a parent entry must not
-    /// charge again.
-    pub(crate) fn run_costed(&self, ex: &Exec) -> Result<(Table, u64)> {
+    /// [`RelExpr::run`] in a pass, also returning the compute time (ns)
+    /// charged to the cache entries this run inserted — what a parent
+    /// entry must not charge again.
+    pub(crate) fn run_costed(&self, p: &Pass) -> Result<(Table, u64)> {
         match self.filters() {
             (
                 RelExpr::Project {
@@ -282,9 +459,20 @@ impl RelExpr {
                     target,
                 },
                 filters,
-            ) => project(ex, input, correspondences, target, &filters),
+            ) => {
+                let (base, source_filters) = input.filters();
+                let (ids, charged) = base.disjunction_ids(p)?;
+                let projection = Projection::bind(
+                    correspondences,
+                    target,
+                    ids.scheme(),
+                    &source_filters,
+                    &filters,
+                )?;
+                Ok((projection.run(&ids, p.funcs)?, charged))
+            }
             _ => {
-                let (ids, charged) = self.ids(ex)?;
+                let (ids, charged) = self.ids(p)?;
                 Ok((ids.materialize(), charged))
             }
         }
@@ -300,9 +488,9 @@ impl RelExpr {
     /// node is memoized as a `D(G)` here, and a chain gets no residual
     /// pass: both belong to the node at the `D(G)`'s position
     /// ([`RelExpr::disjunction_ids`]). A `Project` has no ids.
-    pub(crate) fn ids<'t>(&self, ex: &Exec<'t>) -> Result<(TupleIds<'t>, u64)> {
+    pub(crate) fn ids<'t>(&self, p: &'t Pass<'t>) -> Result<(TupleIds<'t>, u64)> {
         match self {
-            RelExpr::Scan { .. } => Ok((TupleIds::scan(ex, node_bit(ex.graph, self)?)?, 0)),
+            RelExpr::Scan { .. } => Ok((TupleIds::scan(p, node_bit(p.graph, self)?), 0)),
             RelExpr::Join {
                 left,
                 right,
@@ -314,8 +502,8 @@ impl RelExpr {
                 } else {
                     JoinKind::Inner
                 };
-                let (left, charged) = left.ids(ex)?;
-                let out = left.join_scan(ex, right, predicate, kind)?;
+                let (left, charged) = left.ids(p)?;
+                let out = left.join_scan(p, right, predicate, kind)?;
                 if *outer {
                     metrics::incr(Counter::OuterJoinSteps);
                 }
@@ -324,11 +512,11 @@ impl RelExpr {
             RelExpr::Filter {
                 input, predicate, ..
             } => {
-                let (ids, charged) = input.ids(ex)?;
-                Ok((ids.keep(&[predicate], ex.funcs)?, charged))
+                let (ids, charged) = input.ids(p)?;
+                Ok((ids.keep(&[predicate], p.funcs)?, charged))
             }
             RelExpr::Union { inputs, masks, pad } => {
-                let (ids, dispatched) = schedule(ex, inputs, masks, pad)?;
+                let (ids, dispatched) = schedule(p, inputs, masks, pad)?;
                 Ok((ids, dispatched.iter().map(|&(_, ns)| ns).sum()))
             }
             RelExpr::Project { .. } => Err(Error::Invalid(
@@ -337,10 +525,10 @@ impl RelExpr {
         }
     }
 
-    /// This node as the `D(G)` of `ex.graph`: tuple ids over the graph
-    /// scheme, with the compute time charged as [`RelExpr::ids`] charges
-    /// it. It is called on the node at the `D(G)`'s position — beneath a
-    /// `Project`'s source filters, or the subtree
+    /// This node as the `D(G)` of the pass's graph: tuple ids over the
+    /// graph scheme, with the compute time charged as [`RelExpr::ids`]
+    /// charges it. It is called on the node at the `D(G)`'s position —
+    /// beneath a `Project`'s source filters, or the subtree
     /// [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)
     /// runs — and on no other. A `Union` is the lattice, memoized with a
     /// live cache under `"D(G).lattice.ids"` ([`memoized_ids`]) unless a
@@ -349,22 +537,32 @@ impl RelExpr {
     /// node (a lone scan on a one-node graph), memoized under
     /// `"D(G).tree.ids"` ([`RelExpr::tree_ids`]); any other node there is
     /// an error, never a wrong answer or a wrong memo entry.
-    pub(crate) fn disjunction_ids<'t>(&self, ex: &Exec<'t>) -> Result<(TupleIds<'t>, u64)> {
+    pub(crate) fn disjunction_ids<'t>(&self, p: &'t Pass<'t>) -> Result<(TupleIds<'t>, u64)> {
         match self {
             RelExpr::Union { inputs, .. }
                 if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
             {
-                self.ids(ex)
+                self.ids(p)
             }
-            RelExpr::Union { .. } => memoized_ids(ex, "D(G).lattice.ids", || self.ids(ex)),
+            RelExpr::Union { .. } => memoized_ids(p, "D(G).lattice.ids", || self.ids(p)),
             RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
-                if self.bound_vars().len() == ex.graph.node_count() =>
+                if self.scans(p.graph) == Some(p.graph.node_mask()) =>
             {
-                memoized_ids(ex, "D(G).tree.ids", || Ok((self.tree_ids(ex)?, 0)))
+                memoized_ids(p, "D(G).tree.ids", || Ok((self.tree_ids(p)?, 0)))
             }
             _ => Err(Error::Invalid(
                 "a D(G) is a union or an outer-join chain over every graph node".into(),
             )),
+        }
+    }
+
+    /// The graph nodes a join chain scans, or `None` when it is not a
+    /// chain of scans over graph nodes.
+    fn scans(&self, graph: &QueryGraph) -> Option<u64> {
+        match self {
+            RelExpr::Scan { .. } => node_bit(graph, self).ok(),
+            RelExpr::Join { left, right, .. } => Some(left.scans(graph)? | right.scans(graph)?),
+            _ => None,
         }
     }
 
@@ -380,12 +578,10 @@ impl RelExpr {
     /// row's nodes and more, and on a tree the chain emits no row whose
     /// tuples another row holds too. With no relation flagged there is
     /// no residual pass.
-    ///
-    /// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
-    fn tree_ids<'t>(&self, ex: &Exec<'t>) -> Result<TupleIds<'t>> {
+    fn tree_ids<'t>(&self, p: &'t Pass<'t>) -> Result<TupleIds<'t>> {
         let _span = clio_obs::span("fd.outer_join");
-        let mut ids = self.ids(ex)?.0.in_node_order();
-        let flagged = flagged_nodes(ex)?;
+        let mut ids = self.ids(p)?.0.in_node_order(p);
+        let flagged = flagged_nodes(p);
         if flagged != 0 {
             let _span = clio_obs::span("fd.outer_join.residual");
             let candidates: Vec<bool> = (0..ids.row_count())
@@ -398,7 +594,7 @@ impl RelExpr {
 
     /// The node beneath a stack of `Filter`s, and their predicates,
     /// innermost first (`self` and none when it is not a filter).
-    fn filters(&self) -> (&RelExpr, Vec<&Expr>) {
+    pub(crate) fn filters(&self) -> (&RelExpr, Vec<&Expr>) {
         match self {
             RelExpr::Filter {
                 input, predicate, ..
@@ -423,47 +619,43 @@ impl RelExpr {
 /// land in a per-tier latency histogram: `incr.fd.memory_hit`,
 /// `incr.fd.disk_hit` or `incr.fd.cold`.
 fn memoized_ids<'t>(
-    ex: &Exec<'t>,
-    tag: &str,
+    p: &'t Pass<'t>,
+    tag: &'static str,
     compute: impl FnOnce() -> Result<(TupleIds<'t>, u64)>,
 ) -> Result<(TupleIds<'t>, u64)> {
-    let Some(cache) = ex.cache.filter(|c| c.enabled()) else {
+    let all = p.graph.node_mask();
+    let Some((cache, fp)) = p.keyed(p.form.memo_structure(p.graph, tag), all) else {
         return compute();
     };
     let _span = clio_obs::span("incr.fd");
-    let fp = graph_fingerprint(ex.graph, cache, tag);
     let timer = clio_obs::hist::start();
-    let all = ex.graph.node_mask();
-    let frame = TupleIds::over(ex, all)?;
-    if let (Some(ids), tier) = cache.get_ids(fp, |cached| frame.expand(all, cached, true)) {
+    if let (Some(ids), tier) =
+        cache.get_ids(fp, |cached| TupleIds::expand(&p.rows, all, cached, true))
+    {
         let hist = match tier {
             LookupTier::Memory => "incr.fd.memory_hit",
             _ => "incr.fd.disk_hit",
         };
         clio_obs::hist::finish(hist, timer);
-        return Ok((TupleIds { ids, ..frame }, 0));
+        return Ok((TupleIds::with_ids(p, p.frame(all), ids), 0));
     }
     let t0 = std::time::Instant::now();
     let (ids, children_ns) = compute()?;
     let total = elapsed_ns(t0);
     let cost_ns = total.saturating_sub(children_ns);
-    cache.insert_ids(fp, relation_deps(ex.graph), &ids.compact(all), cost_ns);
+    cache.insert_ids(fp, relation_deps(p.graph), &ids.compact(all), cost_ns);
     clio_obs::hist::finish("incr.fd.cold", timer);
     Ok((ids, total))
 }
 
 /// The graph nodes whose relation holds a near-duplicate
 /// ([`Relation::has_near_duplicates`], computed on its first read).
-///
-/// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
-fn flagged_nodes(ex: &Exec) -> Result<u64> {
-    let mut flagged = 0;
-    for (v, node) in ex.graph.nodes().iter().enumerate() {
-        if ex.db.relation(&node.relation)?.has_near_duplicates() {
-            flagged |= 1 << v;
-        }
-    }
-    Ok(flagged)
+fn flagged_nodes(p: &Pass) -> u64 {
+    p.relations
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.has_near_duplicates())
+        .fold(0, |flagged, (v, _)| flagged | 1 << v)
 }
 
 /// The positions in `scheme` of the columns `exprs` reference, sorted
@@ -482,48 +674,87 @@ fn columns_read<'e>(
     Ok(reads)
 }
 
-/// Run a `Project` together with the target `filters` stacked on it and
-/// the source filters stacked beneath it, over the `D(G)` beneath those
-/// ([`RelExpr::disjunction_ids`]). Everything is bound once. One loop
-/// reads each association through its ids into one reused scratch row,
-/// filled with only the columns the correspondences and source filters
-/// reference, and offers its target row to the distinct output only
-/// when the source filters accept the association and the target
-/// filters the row ([`MappingEvaluator::target_row_if_passing`]): rows
-/// the filters reject are never hashed, and a correspondence never runs
-/// on an association the source filters reject.
-fn project(
-    ex: &Exec,
-    input: &RelExpr,
-    correspondences: &[ValueCorrespondence],
-    target: &RelSchema,
-    filters: &[&Expr],
-) -> Result<(Table, u64)> {
-    let (base, source_filters) = input.filters();
-    let (ids, charged) = base.disjunction_ids(ex)?;
-    let eval = MappingEvaluator::bind(
-        correspondences,
-        target,
-        &ids.scheme,
-        source_filters.iter().copied(),
-        filters.iter().copied(),
-    )?;
-    let reads = columns_read(
-        &ids.scheme,
-        correspondences
-            .iter()
-            .map(|v| &v.expr)
-            .chain(source_filters.iter().copied()),
-    )?;
-    let mut scratch = vec![Value::Null; ids.scheme.arity()];
-    let mut out = Table::empty(Scheme::of_relation(target, target.name()));
-    for i in 0..ids.row_count() {
-        ids.fill(i, &reads, &mut scratch);
-        if let Some(projected) = eval.target_row_if_passing(&scratch, ex.funcs)? {
-            out.push_distinct(projected);
-        }
+/// A `Project`, with the source filters stacked beneath it and the
+/// target filters stacked on it, bound once over its `D(G)`'s scheme:
+/// the evaluator, the columns a row must fill, and the target scheme.
+#[derive(Debug)]
+pub(crate) struct Projection {
+    eval: MappingEvaluator,
+    reads: Vec<usize>,
+    target: Scheme,
+}
+
+impl Projection {
+    /// Bind the correspondences and `source_filters` over `scheme`, and
+    /// `target_filters` over the target relation's.
+    pub(crate) fn bind(
+        correspondences: &[ValueCorrespondence],
+        target: &RelSchema,
+        scheme: &Scheme,
+        source_filters: &[&Expr],
+        target_filters: &[&Expr],
+    ) -> Result<Projection> {
+        Ok(Projection {
+            eval: MappingEvaluator::bind(
+                correspondences,
+                target,
+                scheme,
+                source_filters.iter().copied(),
+                target_filters.iter().copied(),
+            )?,
+            reads: columns_read(
+                scheme,
+                correspondences
+                    .iter()
+                    .map(|v| &v.expr)
+                    .chain(source_filters.iter().copied()),
+            )?,
+            target: Scheme::of_relation(target, target.name()),
+        })
     }
-    Ok((out, charged))
+
+    /// Project `ids`, a `D(G)` over the bound scheme (span
+    /// `plan.project`). One loop reads each association through its ids
+    /// into one reused scratch row, filled with only the columns the
+    /// correspondences and source filters reference, and offers its
+    /// target row to the distinct output only when the source filters
+    /// accept the association and the target filters the row
+    /// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
+    /// reject are never hashed, and a correspondence never runs on an
+    /// association the source filters reject.
+    pub(crate) fn run(&self, ids: &TupleIds, funcs: &FuncRegistry) -> Result<Table> {
+        let _span = clio_obs::span("plan.project");
+        let mut scratch = vec![Value::Null; ids.scheme().arity()];
+        let mut out = Table::empty(self.target.clone());
+        for i in 0..ids.row_count() {
+            ids.fill(i, &self.reads, &mut scratch);
+            if let Some(projected) = self.eval.target_row_if_passing(&scratch, funcs)? {
+                out.push_distinct(projected);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The examples of `ids`, a `D(G)` over the bound scheme, in row
+    /// order (paper Def 4.1): each association's values are built once
+    /// and moved into its example, beside its coverage, its target row
+    /// `Q_{φ(M)}(d)` and its polarity.
+    pub(crate) fn examples(&self, ids: &TupleIds, funcs: &FuncRegistry) -> Result<Vec<Example>> {
+        let arity = ids.scheme().arity();
+        let mut out = Vec::with_capacity(ids.row_count());
+        for i in 0..ids.row_count() {
+            let association: Vec<Value> = (0..arity).map(|c| ids.cell(i, c).clone()).collect();
+            let target = self.eval.target_row(&association, funcs)?;
+            let positive = self.eval.passes_filters(&association, &target, funcs)?;
+            out.push(Example {
+                coverage: ids.coverage(i),
+                association,
+                target,
+                positive,
+            });
+        }
+        Ok(out)
+    }
 }
 
 /// The id of a graph node a tuple-id row does not cover.
@@ -534,66 +765,47 @@ const UNCOVERED: u32 = u32::MAX;
 /// A row holds one id per graph node, in node order: the position of
 /// the node's tuple in its relation, or [`UNCOVERED`]. A join step sets
 /// the joined node's id in a copy of the row, and a row needs no
-/// padding. `scheme` lists the covered nodes' columns — in join order
-/// along a chain, in node order once [`TupleIds::in_node_order`] (for
-/// every node, the graph scheme) — and `columns` maps each to its node
-/// and attribute, so a cell is read through the row's id into the stored
-/// relation ([`JoinInput::cell`]).
+/// padding. The [`Frame`] lists the covered nodes' columns — in join
+/// order along a chain, in node order once [`TupleIds::in_node_order`]
+/// (for every node, the graph scheme) — each with its node and
+/// attribute, so a cell is read through the row's id into the stored
+/// relation the pass borrowed ([`JoinInput::cell`]).
 pub(crate) struct TupleIds<'t> {
-    /// Each covered node's stored rows (empty for the others).
-    relations: Vec<&'t [Vec<Value>]>,
-    scheme: Scheme,
-    /// Per scheme column: its node and attribute position.
-    columns: Vec<(usize, usize)>,
-    /// The rows, one after the other, `relations.len()` ids each.
+    /// Every graph node's stored rows.
+    rows: &'t [&'t [Vec<Value>]],
+    frame: Arc<Frame>,
+    /// The rows, one after the other, `rows.len()` ids each.
     ids: Vec<u32>,
 }
 
 impl<'t> TupleIds<'t> {
-    /// No rows, over the nodes in `mask`, columns in node order. A
-    /// relation with more tuples than a `u32` id can number is
-    /// rejected, never wrapped.
-    fn over(ex: &Exec<'t>, mask: u64) -> Result<Self> {
-        let mut relations: Vec<&[Vec<Value>]> = vec![&[]; ex.graph.node_count()];
-        let mut scheme = Vec::new();
-        let mut columns = Vec::new();
-        for v in bits(mask) {
-            let node = &ex.graph.nodes()[v];
-            let relation = ex.db.relation(&node.relation)?;
-            u32::try_from(relation.len()).map_err(|_| {
-                Error::Invalid(format!(
-                    "relation `{}` holds {} tuples, more than a tuple id can number",
-                    relation.name(),
-                    relation.len()
-                ))
-            })?;
-            relations[v] = relation.rows();
-            let cols = Scheme::of_relation(relation.schema(), &node.alias);
-            columns.extend((0..cols.arity()).map(|a| (v, a)));
-            scheme.extend_from_slice(cols.columns());
+    /// `ids` laid out by `frame`, in pass `p`.
+    fn with_ids(p: &'t Pass<'t>, frame: Arc<Frame>, ids: Vec<u32>) -> Self {
+        TupleIds {
+            rows: &p.rows,
+            frame,
+            ids,
         }
-        Ok(TupleIds {
-            relations,
-            scheme: Scheme::new(scheme),
-            columns,
-            ids: Vec::new(),
-        })
     }
 
     /// One row per tuple of node `v`'s relation, in order.
-    fn scan(ex: &Exec<'t>, bit: u64) -> Result<Self> {
-        let mut out = TupleIds::over(ex, bit)?;
-        let (width, v) = (out.width(), bit.trailing_zeros() as usize);
-        out.ids = vec![UNCOVERED; width * out.relations[v].len()];
-        for (row, id) in out.ids.chunks_exact_mut(width).zip(0..) {
+    fn scan(p: &'t Pass<'t>, bit: u64) -> Self {
+        let (width, v) = (p.rows.len(), bit.trailing_zeros() as usize);
+        let mut ids = vec![UNCOVERED; width * p.rows[v].len()];
+        for (row, id) in ids.chunks_exact_mut(width).zip(0..) {
             row[v] = id;
         }
-        Ok(out)
+        TupleIds::with_ids(p, p.frame(bit), ids)
+    }
+
+    /// The scheme of the rows' columns.
+    pub(crate) fn scheme(&self) -> &Scheme {
+        &self.frame.scheme
     }
 
     /// Ids per row: the graph's node count.
     fn width(&self) -> usize {
-        self.relations.len()
+        self.rows.len()
     }
 
     /// Row `i`'s ids.
@@ -608,27 +820,22 @@ impl<'t> TupleIds<'t> {
     /// row of either side covers only its own nodes.
     fn join_scan(
         &self,
-        ex: &Exec<'t>,
+        p: &Pass,
         scan: &RelExpr,
         predicate: &Expr,
         kind: JoinKind,
     ) -> Result<TupleIds<'t>> {
-        let bit = node_bit(ex.graph, scan)?;
-        let TupleIds {
-            mut relations,
-            scheme,
-            mut columns,
-            ..
-        } = TupleIds::over(ex, bit)?;
+        let bit = node_bit(p.graph, scan)?;
+        let right = p.frame(bit);
         let (v, width) = (bit.trailing_zeros() as usize, self.width());
-        let rows = relations[v];
+        let rows = self.rows[v];
         let mut ids = Vec::with_capacity(self.ids.len().max(rows.len() * width));
         let scheme = join_with(
             self,
-            &(&scheme, rows),
+            &(&right.scheme, rows),
             predicate,
             kind,
-            ex.funcs,
+            p.funcs,
             |pair| match pair {
                 Joined::Pair(l, r) => {
                     ids.extend_from_slice(self.row(l));
@@ -643,26 +850,25 @@ impl<'t> TupleIds<'t> {
                 }
             },
         )?;
-        relations.clone_from(&self.relations);
-        relations[v] = rows;
-        columns.splice(0..0, self.columns.iter().copied());
+        let mut columns = self.frame.columns.clone();
+        columns.extend_from_slice(&right.columns);
         Ok(TupleIds {
-            relations,
-            scheme,
-            columns,
+            rows: self.rows,
+            frame: Arc::new(Frame { scheme, columns }),
             ids,
         })
     }
 
     /// The same rows with the columns in node order: over every node,
     /// the graph scheme.
-    fn in_node_order(self) -> Self {
-        let mut order: Vec<usize> = (0..self.columns.len()).collect();
-        order.sort_unstable_by_key(|&c| self.columns[c]);
-        let cols = self.scheme.columns();
+    fn in_node_order(self, p: &Pass) -> Self {
+        let mask = self
+            .frame
+            .columns
+            .iter()
+            .fold(0, |mask, &(v, _)| mask | 1 << v);
         TupleIds {
-            scheme: Scheme::new(order.iter().map(|&c| cols[c].clone()).collect()),
-            columns: order.iter().map(|&c| self.columns[c]).collect(),
+            frame: p.frame(mask),
             ..self
         }
     }
@@ -687,10 +893,10 @@ impl<'t> TupleIds<'t> {
         }
         let bound: Vec<BoundExpr> = filters
             .iter()
-            .map(|f| f.bind(&self.scheme))
+            .map(|f| f.bind(self.scheme()))
             .collect::<Result<_>>()?;
-        let reads = columns_read(&self.scheme, filters.iter().copied())?;
-        let mut scratch = vec![Value::Null; self.scheme.arity()];
+        let reads = columns_read(self.scheme(), filters.iter().copied())?;
+        let mut scratch = vec![Value::Null; self.scheme().arity()];
         let pass: Vec<bool> = (0..self.row_count())
             .map(|i| {
                 self.fill(i, &reads, &mut scratch);
@@ -744,13 +950,18 @@ impl<'t> TupleIds<'t> {
     }
 
     /// The id rows of a cache entry of [`TupleIds::compact`]'s form, laid
-    /// out for this (row-less) frame over `mask`: an `F(J)` over `mask`,
-    /// or, when `padded`, a `D(G)` over every node, whose rows may leave
-    /// nodes [`UNCOVERED`]. The entry is untrusted: it is rejected
-    /// (`None`) unless it holds `|mask|` ids per row, every id names a
-    /// tuple of its node's relation (or, when `padded`, is
-    /// [`UNCOVERED`]), and every row covers a node.
-    fn expand(&self, mask: u64, cached: &IdRows, padded: bool) -> Option<Vec<u32>> {
+    /// out over every node of `rows` (each node's stored rows): an
+    /// `F(J)` over `mask`, or, when `padded`, a `D(G)` over every node,
+    /// whose rows may leave nodes [`UNCOVERED`]. The entry is untrusted:
+    /// it is rejected (`None`) unless it holds `|mask|` ids per row,
+    /// every id names a tuple of its node's relation (or, when `padded`,
+    /// is [`UNCOVERED`]), and every row covers a node.
+    fn expand(
+        rows: &[&[Vec<Value>]],
+        mask: u64,
+        cached: &IdRows,
+        padded: bool,
+    ) -> Option<Vec<u32>> {
         let nodes: Vec<usize> = bits(mask).collect();
         if nodes.is_empty()
             || cached.width != nodes.len()
@@ -758,7 +969,7 @@ impl<'t> TupleIds<'t> {
         {
             return None;
         }
-        let width = self.width();
+        let width = rows.len();
         let mut ids = vec![UNCOVERED; cached.len() * width];
         for (row, entry) in ids
             .chunks_exact_mut(width)
@@ -768,7 +979,7 @@ impl<'t> TupleIds<'t> {
                 if padded && id == UNCOVERED {
                     continue;
                 }
-                if id as usize >= self.relations[v].len() {
+                if id as usize >= rows[v].len() {
                     return None;
                 }
                 row[v] = id;
@@ -785,12 +996,12 @@ impl<'t> TupleIds<'t> {
         let _span = clio_obs::span("fd.materialize");
         let rows = (0..self.row_count())
             .map(|i| {
-                (0..self.columns.len())
+                (0..self.frame.columns.len())
                     .map(|c| self.cell(i, c).clone())
                     .collect()
             })
             .collect();
-        Table::new(self.scheme.clone(), rows)
+        Table::new(self.scheme().clone(), rows)
     }
 
     /// The association set: each coverage is the row's covered nodes,
@@ -803,19 +1014,19 @@ impl<'t> TupleIds<'t> {
 
 impl JoinInput for TupleIds<'_> {
     fn scheme(&self) -> &Scheme {
-        &self.scheme
+        &self.frame.scheme
     }
 
     fn row_count(&self) -> usize {
-        self.ids.len() / self.relations.len()
+        self.ids.len() / self.rows.len()
     }
 
     fn cell(&self, row: usize, col: usize) -> &Value {
         static NULL: Value = Value::Null;
-        let (node, attr) = self.columns[col];
-        match self.ids[row * self.relations.len() + node] {
+        let (node, attr) = self.frame.columns[col];
+        match self.ids[row * self.rows.len() + node] {
             UNCOVERED => &NULL,
-            id => &self.relations[node][id as usize][attr],
+            id => &self.rows[node][id as usize][attr],
         }
     }
 }
@@ -865,9 +1076,10 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 /// (canonical) order, computed over the subgraph lattice on tuple ids.
 ///
 /// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
-/// looked up under its fingerprint (counted, in branch order; span
-/// `fd.lattice.lookup`), hashed from one [`SubgraphKeys`] table per
-/// pass ([`SubgraphKeys::fingerprint`]); an insert reuses its lookup's. A
+/// looked up under its key (counted, in branch order; span
+/// `fd.lattice.lookup`): the structure hash the [`GraphForm`] holds for
+/// the subgraph, with the pass's versions mixed in; an insert reuses its
+/// lookup's key, and a hit is laid out by the form's frame. A
 /// miss is one join: `chain_ir(J)` is `Join { chain_ir(J \ {v}), Scan v }`
 /// for `J`'s last BFS node `v`, so `F(J)` joins the parent subgraph's id
 /// rows with `R_v`'s rows, read in place, by the join kernel
@@ -920,35 +1132,37 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 ///
 /// [`Relation::has_near_duplicates`]: clio_relational::relation::Relation::has_near_duplicates
 pub(crate) fn schedule<'t>(
-    ex: &Exec<'t>,
+    p: &'t Pass<'t>,
     inputs: &[RelExpr],
     masks: &[u64],
     pad: &Scheme,
 ) -> Result<(TupleIds<'t>, Vec<(u64, u64)>)> {
     let _span = clio_obs::span("fd.lattice");
-    let cache = ex
-        .cache
-        .filter(|c| c.enabled())
-        .map(|c| (c, SubgraphKeys::new(ex.graph, c)));
-    // each looked-up mask's fingerprint, for its insert after a miss
-    let mut fps: HashMap<u64, Fingerprint> = HashMap::new();
-    let mut lookup = |mask: u64| -> Result<Option<TupleIds<'t>>> {
-        let Some((cache, keys)) = &cache else {
-            return Ok(None);
-        };
+    let live = p.cache.is_some();
+    // each looked-up mask's key, for its insert after a miss
+    let mut fps: HashMap<u64, (&EvalCache, Fingerprint)> = HashMap::new();
+    let mut lookup = |mask: u64| -> Option<TupleIds<'t>> {
+        if !live {
+            return None;
+        }
         let _span = clio_obs::span("fd.lattice.lookup");
-        let fp = *fps.entry(mask).or_insert_with(|| keys.fingerprint(mask));
-        let frame = TupleIds::over(ex, mask)?;
+        let (cache, fp) = match fps.get(&mask) {
+            Some(&keyed) => keyed,
+            None => {
+                let keyed = p.keyed(p.form.structure(p.graph, mask), mask)?;
+                *fps.entry(mask).or_insert(keyed)
+            }
+        };
         let ids = cache
-            .get_ids(fp, |cached| frame.expand(mask, cached, false))
-            .0;
-        Ok(ids.map(|ids| TupleIds { ids, ..frame }))
+            .get_ids(fp, |cached| TupleIds::expand(&p.rows, mask, cached, false))
+            .0?;
+        Some(TupleIds::with_ids(p, p.frame(mask), ids))
     };
     let branch_masks: HashMap<u64, usize> =
         masks.iter().enumerate().map(|(i, &m)| (m, i)).collect();
     let mut known: HashMap<u64, TupleIds<'t>> = HashMap::new();
     for &mask in masks {
-        if let Some(ids) = lookup(mask)? {
+        if let Some(ids) = lookup(mask) {
             known.insert(mask, ids);
         }
     }
@@ -965,7 +1179,7 @@ pub(crate) fn schedule<'t>(
                     predicate,
                     outer: false,
                 } => Some((
-                    mask & !node_bit(ex.graph, right)?,
+                    mask & !node_bit(p.graph, right)?,
                     &**left,
                     &**right,
                     predicate,
@@ -985,7 +1199,7 @@ pub(crate) fn schedule<'t>(
                 break; // its own lookup ran; its own entry queues it
             }
             if !known.contains_key(&mask) && !queued.contains(&mask) {
-                if let Some(ids) = lookup(mask)? {
+                if let Some(ids) = lookup(mask) {
                     known.insert(mask, ids);
                 }
             }
@@ -1005,23 +1219,23 @@ pub(crate) fn schedule<'t>(
                 let t0 = std::time::Instant::now();
                 let ids = match job.step {
                     Some((parent, scan, predicate)) => known[&parent]
-                        .join_scan(ex, scan, predicate, JoinKind::Inner)?
-                        .in_node_order(),
-                    None => TupleIds::scan(ex, node_bit(ex.graph, job.chain)?)?,
+                        .join_scan(p, scan, predicate, JoinKind::Inner)?
+                        .in_node_order(p),
+                    None => TupleIds::scan(p, node_bit(p.graph, job.chain)?),
                 };
                 Ok((ids, elapsed_ns(t0)))
             },
         )
         .into_iter()
         .collect::<Result<_>>()?;
-        let _span = cache.as_ref().map(|_| clio_obs::span("fd.lattice.insert"));
+        let _span = live.then(|| clio_obs::span("fd.lattice.insert"));
         for (job, (ids, cost_ns)) in level.iter().zip(fresh) {
-            if let Some((c, keys)) = &cache {
-                let fp = fps
-                    .get(&job.mask)
-                    .copied()
-                    .unwrap_or_else(|| keys.fingerprint(job.mask));
-                let deps = mask_deps(ex.graph, job.mask);
+            let keyed = fps
+                .get(&job.mask)
+                .copied()
+                .or_else(|| p.keyed(p.form.structure(p.graph, job.mask), job.mask));
+            if let Some((c, fp)) = keyed {
+                let deps = mask_deps(p.graph, job.mask);
                 c.insert_ids(fp, deps, &ids.compact(job.mask), cost_ns);
             }
             dispatched.push((job.mask, cost_ns));
@@ -1029,7 +1243,7 @@ pub(crate) fn schedule<'t>(
         }
     }
     metrics::add(Counter::SubgraphsEnumerated, dispatched.len() as u64);
-    if cache.is_some() && clio_obs::trace::trace_enabled() {
+    if live && clio_obs::trace::trace_enabled() {
         for &(_, cost_ns) in &dispatched {
             clio_obs::hist::record("incr.fd.scheduled", cost_ns);
         }
@@ -1044,7 +1258,7 @@ pub(crate) fn schedule<'t>(
                 let ids = known.remove(mask).ok_or_else(|| {
                     Error::Invalid("union branches must be distinct subgraphs".into())
                 })?;
-                ids.keep(&input.filters().1, ex.funcs)
+                ids.keep(&input.filters().1, p.funcs)
             })
             .collect::<Result<_>>()?
     };
@@ -1054,14 +1268,14 @@ pub(crate) fn schedule<'t>(
         // A branch is closed when every subgraph one node larger is a
         // branch too and the pushed filters sit exactly where they bind,
         // as `Plan::new` places them.
-        let canonical = canonical_pushdown(ex.graph, inputs, masks);
+        let canonical = canonical_pushdown(p.graph, inputs, masks);
         tables
             .iter()
             .zip(masks)
             .map(|(table, &mask)| {
                 let mut closed = canonical;
                 let mut children: Vec<(&TupleIds, usize)> = Vec::new();
-                for v in bits(neighbourhood(ex.graph, mask)) {
+                for v in bits(neighbourhood(p.graph, mask)) {
                     match branch_masks.get(&(mask | 1 << v)) {
                         Some(&k) => children.push((&tables[k], v)),
                         None => closed = false,
@@ -1075,9 +1289,9 @@ pub(crate) fn schedule<'t>(
     // candidate when its branch is open or holds a flagged tuple.
     let (mut out, candidates) = {
         let _span = clio_obs::span("fd.lattice.collect");
-        let flagged = flagged_nodes(ex)?;
-        let mut out = TupleIds::over(ex, ex.graph.node_mask())?;
-        if out.scheme != *pad {
+        let flagged = flagged_nodes(p);
+        let mut out = TupleIds::with_ids(p, p.frame(p.graph.node_mask()), Vec::new());
+        if out.scheme() != pad {
             return Err(Error::Invalid(
                 "a union is padded to its graph's scheme".into(),
             ));
@@ -1604,7 +1818,8 @@ mod tests {
             graph: &g,
             cache: None,
         };
-        let got = schedule(&ex, &inputs, &masks, &pad)
+        let form = GraphForm::default();
+        let got = schedule(&Pass::new(&ex, &form).unwrap(), &inputs, &masks, &pad)
             .unwrap()
             .0
             .materialize();
@@ -1662,7 +1877,9 @@ mod tests {
                 graph: &g,
                 cache,
             };
-            let (got, dispatched) = schedule(&ex, &inputs, &masks, &pad).unwrap();
+            let form = GraphForm::default();
+            let pass = Pass::new(&ex, &form).unwrap();
+            let (got, dispatched) = schedule(&pass, &inputs, &masks, &pad).unwrap();
             let got = got.materialize();
             assert_eq!(got.scheme(), expected.scheme());
             assert_eq!(got.rows(), expected.rows(), "round {round}");

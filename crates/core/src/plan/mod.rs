@@ -36,67 +36,132 @@ pub mod ir;
 
 pub use ir::{chain_ir, is_extension_stable, Exec, FilterScope, RelExpr};
 
+use std::sync::{Arc, OnceLock};
+
 use clio_incr::EvalCache;
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
+use clio_relational::schema::Scheme;
+use clio_relational::table::Table;
 
+use crate::example::Example;
 use crate::full_disjunction::FdAlgo;
+use crate::incremental::{elapsed_ns, mapping_structure, relation_deps};
 use crate::mapping::Mapping;
 use crate::query_graph::QueryGraph;
 use crate::subgraph::connected_subsets;
+use ir::{Frame, GraphForm, Pass, Projection};
 
 /// An executable plan for one mapping query: built by [`Plan::new`],
 /// run by [`RelExpr::run`] on its [`root`](Plan::root), rendered with
 /// [`Plan::explain`].
 #[derive(Debug, Clone)]
 pub struct Plan<'m> {
-    mapping: &'m Mapping,
+    compiled: Arc<CompiledMapping>,
     cache: Option<&'m EvalCache>,
-    root: RelExpr,
-    pruned: usize,
-    pushed: Vec<Expr>,
 }
 
-/// The un-pushed `D(G)` subtree for `algo` (resolved against `graph`):
+/// The un-pushed `D(G)` subtree for `algo` (resolved against `graph`) —
 /// the outer-join chain over every node, or the minimum union of every
-/// connected subgraph's `F(J)` chain, each beside its node mask.
-pub(crate) fn disjunction(db: &Database, graph: &QueryGraph, algo: FdAlgo) -> Result<RelExpr> {
+/// connected subgraph's `F(J)` chain, each beside its node mask — and
+/// the graph's [`GraphForm`] for the subgraphs its runs read.
+pub(crate) fn disjunction(
+    db: &Database,
+    graph: &QueryGraph,
+    algo: FdAlgo,
+) -> Result<(RelExpr, GraphForm)> {
+    let all = graph.node_mask();
     match algo.resolve(graph) {
         FdAlgo::OuterJoin if !graph.is_tree() => Err(Error::Invalid(
             "outer-join full disjunction requires a tree query graph".into(),
         )),
-        FdAlgo::OuterJoin => Ok(chain_ir(graph, graph.node_mask(), true)),
+        FdAlgo::OuterJoin => {
+            // the tree plan looks no `F(J)` up: frames only
+            let scans = (0..graph.node_count()).map(|v| 1 << v);
+            let form = GraphForm::new(graph, db, scans.chain([all]), &[], "D(G).tree.ids")?;
+            Ok((chain_ir(graph, all, true), form))
+        }
         _ => {
             let masks = connected_subsets(graph);
-            Ok(RelExpr::Union {
+            let frames = masks.iter().copied().chain([all]);
+            let form = GraphForm::new(graph, db, frames, &masks, "D(G).lattice.ids")?;
+            let pad = form
+                .built(all)
+                .map(|frame| frame.scheme().clone())
+                .ok_or_else(|| Error::Invalid("a graph's form lays out every node".into()))?;
+            let union = RelExpr::Union {
                 inputs: masks.iter().map(|&m| chain_ir(graph, m, false)).collect(),
                 masks,
-                pad: graph.scheme(db)?,
-            })
+                pad,
+            };
+            Ok((union, form))
         }
     }
 }
 
-impl<'m> Plan<'m> {
-    /// Build and rewrite the plan for `mapping`. The cache, when given,
-    /// is only what [`Plan::explain`] peeks to mark each branch warm or
-    /// cold — plan *structure* is a pure function of the mapping and
-    /// database, so the same mapping always produces the same algebra.
-    pub fn new(
-        mapping: &'m Mapping,
+/// A mapping compiled once: everything its runs need that depends on
+/// the mapping, the relation schemes and the function registry, but not
+/// on the data. It holds the un-pushed `D(G)` subtree the examples run,
+/// the union with the pushed filters when the pushdown rewrote it (else
+/// the plan runs the same subtree), the graph's [`GraphForm`] (each
+/// subgraph's frame and key structure hash), and the [`Projection`]
+/// bound over the graph scheme, which both the preview and the examples
+/// evaluate. The whole plan tree (what [`Plan::root`] and `explain`
+/// show) and the version-free structure hash of the `Q(M)` key are built
+/// on first use. A run borrows each relation once and mixes the current
+/// content versions into the precomputed hashes (`ir::Pass`); it builds
+/// no plan, chain, frame or key text.
+///
+/// A compiled form describes the mapping it was built from over the
+/// relation schemes and function epoch it was built against:
+/// [`CompiledMapping::is_current`] is what a holder checks before each
+/// reuse.
+#[derive(Debug)]
+pub(crate) struct CompiledMapping {
+    mapping: Mapping,
+    epoch: u64,
+    form: GraphForm,
+    /// The frame over every node: the graph scheme.
+    all: Arc<Frame>,
+    disjunction: RelExpr,
+    /// The `D(G)` stage when filters were pushed into it.
+    pushed_union: Option<RelExpr>,
+    pushed: Vec<Expr>,
+    pruned: usize,
+    root: OnceLock<RelExpr>,
+    /// The version-free structure hash of the `Q(M)` key.
+    qm: OnceLock<u64>,
+    projection: Projection,
+    /// The graph scheme's positions in itself: what evolving an
+    /// illustration of this mapping onto this mapping reads.
+    positions: Vec<usize>,
+}
+
+impl CompiledMapping {
+    /// Compile `mapping` against `db`'s relation schemes and `funcs`
+    /// (span `plan.build`, counting `plan.built`); `epoch` is the
+    /// function epoch the caller checks reuse against. The plan starts
+    /// from the un-pushed `D(G)` subtree and applies the one rewrite,
+    /// filter pushdown (see the module docs).
+    pub(crate) fn new(
+        mapping: &Mapping,
         db: &Database,
         funcs: &FuncRegistry,
-        cache: Option<&'m EvalCache>,
-    ) -> Result<Plan<'m>> {
+        epoch: u64,
+    ) -> Result<CompiledMapping> {
         let _span = clio_obs::span("plan.build");
         let graph = &mapping.graph;
-        let mut root = disjunction(db, graph, FdAlgo::Auto)?;
+        let (disjunction, form) = disjunction(db, graph, FdAlgo::Auto)?;
+        let all = form
+            .built(graph.node_mask())
+            .ok_or_else(|| Error::Invalid("a graph's form lays out every node".into()))?;
         let mut pushed: Vec<Expr> = Vec::new();
         let mut pruned = 0usize;
-        if let RelExpr::Union { inputs, masks, pad } = &mut root {
+        let mut pushed_union = None;
+        if let RelExpr::Union { inputs, masks, pad } = &disjunction {
             let mut pushed_masks: Vec<u64> = Vec::new();
             for f in &mapping.source_filters {
                 let Some(amask) = alias_mask(graph, f) else {
@@ -107,77 +172,244 @@ impl<'m> Plan<'m> {
                     pushed_masks.push(amask);
                 }
             }
-            let before = masks.len();
-            // a branch sharing no alias with some pushed (strong) filter
-            // is all-null on that filter's columns: drop it; the others
-            // get a copy of every pushed filter they bind completely
-            let survivors: Vec<(RelExpr, u64)> = std::mem::take(inputs)
-                .into_iter()
-                .zip(std::mem::take(masks))
-                .filter(|&(_, mask)| pushed_masks.iter().all(|&pm| pm & mask != 0))
-                .map(|(mut branch, mask)| {
-                    for (f, &pm) in pushed.iter().zip(&pushed_masks) {
-                        if pm & mask == pm {
-                            branch = branch.filtered(f, FilterScope::Source, true);
+            if !pushed.is_empty() {
+                // a branch sharing no alias with some pushed (strong)
+                // filter is all-null on that filter's columns: drop it;
+                // the others get a copy of every pushed filter they bind
+                // completely
+                let (inputs, kept): (Vec<RelExpr>, Vec<u64>) = inputs
+                    .iter()
+                    .zip(masks)
+                    .filter(|&(_, &mask)| pushed_masks.iter().all(|&pm| pm & mask != 0))
+                    .map(|(branch, &mask)| {
+                        let mut branch = branch.clone();
+                        for (f, &pm) in pushed.iter().zip(&pushed_masks) {
+                            if pm & mask == pm {
+                                branch = branch.filtered(f, FilterScope::Source, true);
+                            }
                         }
-                    }
-                    (branch, mask)
-                })
-                .collect();
-            pruned = before - survivors.len();
-            (*inputs, *masks) = survivors.into_iter().unzip();
+                        (branch, mask)
+                    })
+                    .unzip();
+                pruned = masks.len() - kept.len();
+                pushed_union = Some(RelExpr::Union {
+                    inputs,
+                    masks: kept,
+                    pad: pad.clone(),
+                });
+            }
         }
-        for f in &mapping.source_filters {
-            root = root.filtered(f, FilterScope::Source, false);
-        }
-        root = RelExpr::Project {
-            input: Box::new(root),
-            correspondences: mapping.correspondences.clone(),
-            target: mapping.target.clone(),
-        };
-        for f in &mapping.target_filters {
-            root = root.filtered(f, FilterScope::Target, false);
-        }
-        root.check()?;
+        let projection = Projection::bind(
+            &mapping.correspondences,
+            &mapping.target,
+            all.scheme(),
+            &mapping.source_filters.iter().collect::<Vec<_>>(),
+            &mapping.target_filters.iter().collect::<Vec<_>>(),
+        )?;
 
         metrics::incr(Counter::PlanBuilt);
         metrics::add(Counter::PlanPushedFilters, pushed.len() as u64);
         metrics::add(Counter::PlanPrunedSubgraphs, pruned as u64);
-        Ok(Plan {
-            mapping,
-            cache,
-            root,
-            pruned,
+        Ok(CompiledMapping {
+            mapping: mapping.clone(),
+            epoch,
+            form,
+            positions: (0..all.scheme().arity()).collect(),
+            all,
+            disjunction,
+            pushed_union,
             pushed,
+            pruned,
+            root: OnceLock::new(),
+            qm: OnceLock::new(),
+            projection,
         })
+    }
+
+    /// The whole plan: the `D(G)` stage under the source filters, the
+    /// projection, and the target filters on top.
+    fn root(&self) -> &RelExpr {
+        self.root.get_or_init(|| {
+            let m = &self.mapping;
+            let mut root = self.plan_disjunction().clone();
+            for f in &m.source_filters {
+                root = root.filtered(f, FilterScope::Source, false);
+            }
+            root = RelExpr::Project {
+                input: Box::new(root),
+                correspondences: m.correspondences.clone(),
+                target: m.target.clone(),
+            };
+            for f in &m.target_filters {
+                root = root.filtered(f, FilterScope::Target, false);
+            }
+            root
+        })
+    }
+
+    /// Does this form describe `mapping` over `db`'s relation schemes at
+    /// function epoch `epoch`? Only then may it run in its place. The
+    /// schemes are compared attribute by attribute with the graph
+    /// scheme the form was built over, which copies nothing.
+    pub(crate) fn is_current(&self, mapping: &Mapping, db: &Database, epoch: u64) -> bool {
+        let mut columns = self.all.scheme().columns().iter();
+        self.epoch == epoch
+            && self.mapping == *mapping
+            && self.mapping.graph.nodes().iter().all(|n| {
+                db.relation(&n.relation).is_ok_and(|r| {
+                    r.schema().attrs().iter().all(|a| {
+                        columns
+                            .next()
+                            .is_some_and(|c| c.name == a.name && c.ty == a.ty)
+                    })
+                })
+            })
+            && columns.next().is_none()
+    }
+
+    /// The mapping this form was compiled from.
+    pub(crate) fn mapping(&self) -> &Mapping {
+        &self.mapping
+    }
+
+    /// The graph scheme the examples' associations are rows over.
+    pub(crate) fn scheme(&self) -> &Scheme {
+        self.all.scheme()
+    }
+
+    /// The positions of the graph scheme in itself (evolving onto the
+    /// same mapping).
+    pub(crate) fn own_positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// A run's pass over `db`: each relation borrowed once, and with a
+    /// live cache the versions its keys mix in read once.
+    fn pass<'p>(
+        &'p self,
+        db: &'p Database,
+        funcs: &'p FuncRegistry,
+        cache: Option<&'p EvalCache>,
+    ) -> Result<Pass<'p>> {
+        let ex = Exec {
+            db,
+            funcs,
+            graph: &self.mapping.graph,
+            cache,
+        };
+        Pass::new(&ex, &self.form)
+    }
+
+    /// The mapping query's result (span `mapping.evaluate`), memoized
+    /// with a live cache under its `"Q(M)"` key: the compiled structure
+    /// hash with the pass's versions mixed in. On a miss the plan runs.
+    pub(crate) fn evaluate(
+        &self,
+        db: &Database,
+        funcs: &FuncRegistry,
+        cache: Option<&EvalCache>,
+    ) -> Result<Table> {
+        let _span = clio_obs::span("mapping.evaluate");
+        let pass = self.pass(db, funcs, cache)?;
+        let qm = *self.qm.get_or_init(|| mapping_structure(&self.mapping));
+        let keyed = pass.keyed(qm, self.mapping.graph.node_mask());
+        if let Some(table) = keyed.and_then(|(c, fp)| c.get(fp)) {
+            return Ok(table);
+        }
+        self.run_plan(&pass, keyed)
+    }
+
+    /// Run the plan: the `D(G)` beneath the projection (memoized as the
+    /// pass allows), projected, and inserted under `keyed` when given.
+    fn run_plan(
+        &self,
+        pass: &Pass,
+        keyed: Option<(&EvalCache, clio_incr::Fingerprint)>,
+    ) -> Result<Table> {
+        let t0 = std::time::Instant::now();
+        metrics::incr(Counter::PlanEvals);
+        let (ids, charged) = self.plan_disjunction().disjunction_ids(pass)?;
+        let out = self.projection.run(&ids, pass.funcs)?;
+        if let Some((c, fp)) = keyed {
+            // Exclusive cost: charging the time already charged to the
+            // `D(G)` / `F(J)` entries again would hand this low-reuse
+            // aggregate an inflated eviction priority.
+            let cost_ns = elapsed_ns(t0).saturating_sub(charged);
+            c.insert_costed(fp, relation_deps(&self.mapping.graph), &out, cost_ns);
+        }
+        Ok(out)
+    }
+
+    /// The mapping's examples (span `mapping.examples`; paper Def 4.1):
+    /// one per association of the un-pushed `D(G)`, which the preview
+    /// shares through the `D(G)` memo when it pushes no filter.
+    pub(crate) fn examples(
+        &self,
+        db: &Database,
+        funcs: &FuncRegistry,
+        cache: Option<&EvalCache>,
+    ) -> Result<Vec<Example>> {
+        let _span = clio_obs::span("mapping.examples");
+        let pass = self.pass(db, funcs, cache)?;
+        let (ids, _) = self.disjunction.disjunction_ids(&pass)?;
+        self.projection.examples(&ids, funcs)
+    }
+
+    /// The `D(G)` stage of the plan, beneath the projection and filters
+    /// — a `Union` on cyclic graphs, the outer-join chain on trees: the
+    /// un-pushed subtree unless filters were pushed into it.
+    fn plan_disjunction(&self) -> &RelExpr {
+        self.pushed_union.as_ref().unwrap_or(&self.disjunction)
+    }
+}
+
+impl<'m> Plan<'m> {
+    /// Compile the plan for `mapping` ([`Plan::new`] counts `plan.built`).
+    /// The cache, when given, is only what [`Plan::explain`] peeks to
+    /// mark each branch warm or cold — plan *structure* is a pure
+    /// function of the mapping and the schemes, so the same mapping
+    /// always produces the same algebra.
+    pub fn new(
+        mapping: &'m Mapping,
+        db: &Database,
+        funcs: &FuncRegistry,
+        cache: Option<&'m EvalCache>,
+    ) -> Result<Plan<'m>> {
+        let compiled = CompiledMapping::new(mapping, db, funcs, 0)?;
+        compiled.root().check()?;
+        Ok(Plan::compiled(Arc::new(compiled), cache))
+    }
+
+    /// The plan of an already compiled mapping.
+    pub(crate) fn compiled(
+        compiled: Arc<CompiledMapping>,
+        cache: Option<&'m EvalCache>,
+    ) -> Plan<'m> {
+        Plan { compiled, cache }
     }
 
     /// The rewritten algebra tree.
     #[must_use]
     pub fn root(&self) -> &RelExpr {
-        &self.root
+        self.compiled.root()
     }
 
     /// The `D(G)` stage: the node beneath the projection and filters —
     /// a `Union` on cyclic graphs, the outer-join chain on trees.
     fn disjunction(&self) -> &RelExpr {
-        let mut e = &self.root;
-        while let RelExpr::Project { input, .. } | RelExpr::Filter { input, .. } = e {
-            e = input;
-        }
-        e
+        self.compiled.plan_disjunction()
     }
 
     /// The source filters pushed below the minimum union.
     #[must_use]
     pub fn pushed_filters(&self) -> &[Expr] {
-        &self.pushed
+        &self.compiled.pushed
     }
 
     /// How many subgraph branches the pushdown rewrite pruned.
     #[must_use]
     pub fn pruned_subgraphs(&self) -> usize {
-        self.pruned
+        self.compiled.pruned
     }
 
     /// Render the plan as an indented tree (the `explain` output).

@@ -12,7 +12,8 @@
 //! children); the target view is the union of all accepted mappings plus
 //! the active one.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
@@ -26,13 +27,14 @@ use clio_relational::value::Value;
 use clio_incr::EvalCache;
 
 use crate::correspondence::ValueCorrespondence;
-use crate::evolution::evolve_illustration_cached;
+use crate::evolution::{evolve, positions_in};
 use crate::illustration::Illustration;
 use crate::knowledge::SchemaKnowledge;
 use crate::mapping::Mapping;
 use crate::operators::chase::{confirm_chase, data_chase};
 use crate::operators::correspondence_ops::{add_correspondence, AddOutcome};
 use crate::operators::walk::data_walk;
+use crate::plan::{CompiledMapping, Plan};
 use crate::query_graph::{Node, QueryGraph};
 
 /// One mapping alternative plus its illustration.
@@ -53,6 +55,40 @@ pub struct Workspace {
     /// back when a second correspondence spawns an alternative mapping —
     /// paper Example 6.2).
     pub graph_before_last_link: Option<QueryGraph>,
+}
+
+/// Whose compiled mapping a [`Compiled`] entry is: a workspace's, by
+/// id, or an accepted mapping's, by position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    Workspace(usize),
+    Accepted(usize),
+}
+
+/// The session's compiled mappings, one per workspace and per accepted
+/// mapping. An entry is only ever used after
+/// [`CompiledMapping::is_current`] confirms it still describes the
+/// slot's mapping, so assigning a workspace's mapping in place needs no
+/// reset here: the next use compiles afresh.
+#[derive(Default)]
+struct Compiled(Mutex<HashMap<Slot, Arc<CompiledMapping>>>);
+
+impl Compiled {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Slot, Arc<CompiledMapping>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Compiled {
+    fn clone(&self) -> Compiled {
+        Compiled(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for Compiled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Compiled({} forms)", self.lock().len())
+    }
 }
 
 /// A Clio mapping session.
@@ -90,6 +126,9 @@ pub struct Session {
     /// Memoized evaluation results (`F(J)`, `D(G)`, mapping queries),
     /// invalidated by relation edits and function-registry changes.
     cache: EvalCache,
+    /// Each workspace's and accepted mapping's compiled form, reused
+    /// across data edits.
+    compiled: Compiled,
 }
 
 impl Session {
@@ -146,6 +185,7 @@ impl Session {
             generation: 0,
             walk_max_steps: 4,
             cache: EvalCache::new(),
+            compiled: Compiled::default(),
         }
     }
 
@@ -179,7 +219,8 @@ impl Session {
     /// The function registry (register custom correspondence functions
     /// here before adding correspondences that use them). Taking the
     /// mutable registry conservatively invalidates the whole evaluation
-    /// cache — a redefined function can change any cached result.
+    /// cache — a redefined function can change any cached result — and,
+    /// through the epoch it bumps, every compiled mapping.
     pub fn funcs_mut(&mut self) -> &mut FuncRegistry {
         self.cache.bump_epoch();
         &mut self.funcs
@@ -204,8 +245,29 @@ impl Session {
         let w = self
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let plan = crate::plan::Plan::new(&w.mapping, &self.db, &self.funcs, Some(&self.cache))?;
-        Ok(plan.explain())
+        let compiled = self.compiled(Slot::Workspace(w.id), &w.mapping)?;
+        Ok(Plan::compiled(compiled, Some(&self.cache)).explain())
+    }
+
+    /// The compiled form of `mapping`, the mapping of `slot`: the one kept
+    /// for the slot when it is still current (same mapping, relation
+    /// schemes and function epoch), otherwise a fresh compilation, kept
+    /// in its place. Entries of slots that no longer exist are dropped.
+    fn compiled(&self, slot: Slot, mapping: &Mapping) -> Result<Arc<CompiledMapping>> {
+        let epoch = self.cache.epoch();
+        let mut forms = self.compiled.lock();
+        if let Some(c) = forms.get(&slot) {
+            if c.is_current(mapping, &self.db, epoch) {
+                return Ok(Arc::clone(c));
+            }
+        }
+        let c = Arc::new(CompiledMapping::new(mapping, &self.db, &self.funcs, epoch)?);
+        forms.retain(|&s, _| match s {
+            Slot::Workspace(id) => s == slot || self.workspaces.iter().any(|w| w.id == id),
+            Slot::Accepted(i) => i < self.accepted.len(),
+        });
+        forms.insert(slot, Arc::clone(&c));
+        Ok(c)
     }
 
     /// Attach a persistent second-tier cache backend (e.g. a
@@ -224,8 +286,17 @@ impl Session {
     /// and each workspace's illustration is *evolved* over the new data
     /// (paper Sec 5.3 continuity, applied to data instead of graph
     /// changes): familiar examples that survive the edit are retained,
-    /// sufficiency is repaired by adding examples.
+    /// sufficiency is repaired by adding examples. Each workspace evolves
+    /// through its compiled mapping, so an edit compiles nothing.
+    ///
+    /// The edit is all or nothing: every workspace is evolved before any
+    /// illustration changes. When one evolution fails (say, a
+    /// correspondence divides by a value the edit made zero), the old
+    /// relation and the index are restored and the relation's version
+    /// is bumped once more, so nothing computed on the rejected data is
+    /// ever served, and the error is returned.
     pub fn replace_relation(&mut self, rel: clio_relational::relation::Relation) -> Result<()> {
+        let _span = clio_obs::span("session.replace_relation");
         let name = rel.name().to_owned();
         let old_schema = self.db.relation(&name)?.schema();
         if old_schema != rel.schema() {
@@ -236,33 +307,43 @@ impl Session {
         }
         // Copy-on-write: if the snapshot is shared with other sessions,
         // clone it first; they keep seeing the pre-edit data.
-        Arc::make_mut(&mut self.db).replace_relation(rel)?;
-        self.index = None;
+        let old = std::mem::replace(Arc::make_mut(&mut self.db).relation_mut(&name)?, rel);
+        let index = self.index.take();
         self.cache.bump_version(&name);
-        let ids: Vec<usize> = self.workspaces.iter().map(|w| w.id).collect();
-        for id in ids {
-            let w = self
-                .workspaces
-                .iter()
-                .find(|w| w.id == id)
-                .expect("workspace ids are stable within this loop")
-                .clone();
-            let evo = evolve_illustration_cached(
-                &w.illustration,
-                &w.mapping,
-                &w.mapping,
-                &self.db,
-                &self.funcs,
-                Some(&self.cache),
-            )?;
-            let ws = self
-                .workspaces
-                .iter_mut()
-                .find(|w| w.id == id)
-                .expect("workspace ids are stable within this loop");
-            ws.illustration = evo.illustration;
+        match self.evolve_workspaces() {
+            Ok(illustrations) => {
+                for (w, illustration) in self.workspaces.iter_mut().zip(illustrations) {
+                    w.illustration = illustration;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                *Arc::make_mut(&mut self.db).relation_mut(&name)? = old;
+                self.index = index;
+                self.cache.bump_version(&name);
+                Err(e)
+            }
         }
-        Ok(())
+    }
+
+    /// Every workspace's illustration evolved onto its own mapping over
+    /// the current data, in workspace order.
+    fn evolve_workspaces(&self) -> Result<Vec<Illustration>> {
+        self.workspaces
+            .iter()
+            .map(|w| {
+                let compiled = self.compiled(Slot::Workspace(w.id), &w.mapping)?;
+                let evo = evolve(
+                    &w.illustration,
+                    compiled.own_positions(),
+                    &compiled,
+                    &self.db,
+                    &self.funcs,
+                    Some(&self.cache),
+                )?;
+                Ok(evo.illustration)
+            })
+            .collect()
     }
 
     /// All workspaces.
@@ -278,10 +359,13 @@ impl Session {
             .and_then(|id| self.workspaces.iter().find(|w| w.id == id))
     }
 
+    fn active_id(&self) -> Result<usize> {
+        self.active
+            .ok_or_else(|| Error::Invalid("no active workspace".into()))
+    }
+
     fn active_mut(&mut self) -> Result<&mut Workspace> {
-        let id = self
-            .active
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
+        let id = self.active_id()?;
         self.workspaces
             .iter_mut()
             .find(|w| w.id == id)
@@ -336,13 +420,17 @@ impl Session {
     /// mapping. Several mappings may be accepted for one target (paper
     /// Example 6.1).
     pub fn accept_active(&mut self) -> Result<()> {
-        let mapping = self
+        let w = self
             .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-            .mapping
-            .clone();
+            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
+        let (id, mapping) = (w.id, w.mapping.clone());
         mapping.validate(&self.db, &self.funcs)?;
+        // the accepted mapping starts with the workspace's compiled form
+        let compiled = self.compiled(Slot::Workspace(id), &mapping)?;
         self.accepted.push(mapping);
+        self.compiled
+            .lock()
+            .insert(Slot::Accepted(self.accepted.len() - 1), compiled);
         Ok(())
     }
 
@@ -353,8 +441,8 @@ impl Session {
         generation: usize,
         graph_before_last_link: Option<QueryGraph>,
     ) -> Result<usize> {
-        let illustration = self.illustrate(&mapping)?;
         let id = self.next_id;
+        let illustration = self.illustrate(id, &mapping)?;
         self.next_id += 1;
         self.workspaces.push(Workspace {
             id,
@@ -367,12 +455,43 @@ impl Session {
         Ok(id)
     }
 
-    fn illustrate(&self, mapping: &Mapping) -> Result<Illustration> {
-        let population = mapping.examples_cached(&self.db, &self.funcs, Some(&self.cache))?;
+    /// A minimal sufficient illustration of `mapping`, about to become
+    /// workspace `id`'s mapping, compiled for that workspace.
+    fn illustrate(&self, id: usize, mapping: &Mapping) -> Result<Illustration> {
+        let population = self.examples(Slot::Workspace(id), mapping)?;
         Ok(Illustration::minimal_sufficient(
             &population,
             mapping.target.arity(),
         ))
+    }
+
+    /// The examples of `mapping`, the mapping of `slot`, through its
+    /// compiled form.
+    fn examples(&self, slot: Slot, mapping: &Mapping) -> Result<Vec<crate::example::Example>> {
+        self.compiled(slot, mapping)?
+            .examples(&self.db, &self.funcs, Some(&self.cache))
+    }
+
+    /// Evolve `origin`'s illustration onto `mapping`, about to become
+    /// workspace `id`'s mapping (continuity, paper Sec 5.3).
+    fn evolve_onto(
+        &self,
+        origin: &Workspace,
+        id: usize,
+        mapping: &Mapping,
+    ) -> Result<Illustration> {
+        let old = self.compiled(Slot::Workspace(origin.id), &origin.mapping)?;
+        let new = self.compiled(Slot::Workspace(id), mapping)?;
+        let positions = positions_in(old.scheme(), new.scheme())?;
+        let evo = evolve(
+            &origin.illustration,
+            &positions,
+            &new,
+            &self.db,
+            &self.funcs,
+            Some(&self.cache),
+        )?;
+        Ok(evo.illustration)
     }
 
     /// Add a value correspondence (text form: `"Children.ID"`,
@@ -428,7 +547,7 @@ impl Session {
                 match add_correspondence(&active.mapping, v, base.as_ref()) {
                     AddOutcome::Extended(m) => {
                         m.validate(&self.db, &self.funcs)?;
-                        let illustration = self.illustrate(&m)?;
+                        let illustration = self.illustrate(active.id, &m)?;
                         let ws = self.active_mut()?;
                         ws.mapping = m;
                         ws.illustration = illustration;
@@ -574,20 +693,13 @@ impl Session {
             }
             m.validate(&self.db, &self.funcs)?;
             // continuity: evolve the origin's illustration
-            let evo = evolve_illustration_cached(
-                &origin.illustration,
-                &origin.mapping,
-                &m,
-                &self.db,
-                &self.funcs,
-                Some(&self.cache),
-            )?;
             let id = self.next_id;
+            let illustration = self.evolve_onto(origin, id, &m)?;
             self.next_id += 1;
             self.workspaces.push(Workspace {
                 id,
                 mapping: m,
-                illustration: evo.illustration,
+                illustration,
                 generation,
                 description: alt.description,
                 graph_before_last_link: Some(origin.mapping.graph.clone()),
@@ -628,20 +740,13 @@ impl Session {
         let generation = self.generation;
         let mut ids = Vec::new();
         for alt in &alternatives {
-            let evo = evolve_illustration_cached(
-                &active.illustration,
-                &active.mapping,
-                &alt.mapping,
-                &self.db,
-                &self.funcs,
-                Some(&self.cache),
-            )?;
             let id = self.next_id;
+            let illustration = self.evolve_onto(&active, id, &alt.mapping)?;
             self.next_id += 1;
             self.workspaces.push(Workspace {
                 id,
                 mapping: alt.mapping.clone(),
-                illustration: evo.illustration,
+                illustration,
                 generation,
                 description: alt.description.clone(),
                 graph_before_last_link: Some(active.mapping.graph.clone()),
@@ -695,7 +800,7 @@ impl Session {
             attr,
         );
         m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(&m)?;
+        let illustration = self.illustrate(self.active_id()?, &m)?;
         let ws = self.active_mut()?;
         ws.mapping = m;
         ws.illustration = illustration;
@@ -712,7 +817,7 @@ impl Session {
             filter,
         )?;
         m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(&m)?;
+        let illustration = self.illustrate(self.active_id()?, &m)?;
         let ws = self.active_mut()?;
         ws.mapping = m;
         ws.illustration = illustration;
@@ -729,7 +834,7 @@ impl Session {
             filter,
         )?;
         m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(&m)?;
+        let illustration = self.illustrate(self.active_id()?, &m)?;
         let ws = self.active_mut()?;
         ws.mapping = m;
         ws.illustration = illustration;
@@ -743,9 +848,7 @@ impl Session {
         let w = self
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let population = w
-            .mapping
-            .examples_cached(&self.db, &self.funcs, Some(&self.cache))?;
+        let population = self.examples(Slot::Workspace(w.id), &w.mapping)?;
         Ok(w.illustration.alternatives_for(
             slot,
             &population,
@@ -770,9 +873,7 @@ impl Session {
         let w = self
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let population = w
-            .mapping
-            .examples_cached(&self.db, &self.funcs, Some(&self.cache))?;
+        let population = self.examples(Slot::Workspace(w.id), &w.mapping)?;
         let arity = w.mapping.target.arity();
         let ws = self.active_mut()?;
         let ok = ws.illustration.swap(
@@ -820,19 +921,26 @@ impl Session {
     /// "the target view always shows the contents of the target as they
     /// would be under the \[active\] mapping"). Minimum-union semantics
     /// (Def 3.9): a tuple another mapping strictly extends is merged into
-    /// the more complete one.
+    /// the more complete one. Each mapping runs its compiled form.
     pub fn target_preview(&self) -> Result<Table> {
+        let _span = clio_obs::span("session.preview");
         let mut out = Table::empty(clio_relational::schema::Scheme::of_relation(
             &self.target,
             self.target.name(),
         ));
-        let mut mappings: Vec<&Mapping> = self.accepted.iter().collect();
+        let mut mappings: Vec<(Slot, &Mapping)> = self
+            .accepted
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (Slot::Accepted(i), m))
+            .collect();
         if let Some(w) = self.active() {
-            mappings.push(&w.mapping);
+            mappings.push((Slot::Workspace(w.id), &w.mapping));
         }
-        for m in mappings {
-            for row in m
-                .evaluate_cached(&self.db, &self.funcs, Some(&self.cache))?
+        for (slot, m) in mappings {
+            for row in self
+                .compiled(slot, m)?
+                .evaluate(&self.db, &self.funcs, Some(&self.cache))?
                 .into_rows()
             {
                 out.push_distinct(row);
@@ -1268,6 +1376,152 @@ mod tests {
             }
         }
         assert!(cached.cache().stats().bytes <= working_set / 2);
+    }
+
+    /// The cyclic `Children`–`Parents`–`PhoneDir` mapping of
+    /// `an_edit_runs_one_lattice_at_half_budget`.
+    fn cyclic_mapping() -> Mapping {
+        let mut g = QueryGraph::new();
+        let c = g.add_node(Node::new("Children")).unwrap();
+        let p = g.add_node(Node::new("Parents")).unwrap();
+        let ph = g.add_node(Node::new("PhoneDir")).unwrap();
+        for (a, b, pred) in [
+            (c, p, "Children.mid = Parents.ID"),
+            (p, ph, "PhoneDir.ID = Parents.ID"),
+            (c, ph, "Children.mid = PhoneDir.ID"),
+        ] {
+            g.add_edge(a, b, parse_expr(pred).unwrap()).unwrap();
+        }
+        Mapping::new(g, target())
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(ValueCorrespondence::identity("Children.name", "name"))
+            .with_correspondence(ValueCorrespondence::identity(
+                "Parents.affiliation",
+                "affiliation",
+            ))
+            .with_correspondence(ValueCorrespondence::identity(
+                "PhoneDir.number",
+                "contactPh",
+            ))
+    }
+
+    /// A data edit reruns the compiled mappings: six pairs of
+    /// `replace_relation` and `target_preview` at half budget, each under
+    /// its own recorder, compile nothing (no `plan.build` span,
+    /// `plan.built` 0), and every preview equals a cache-off session's.
+    #[test]
+    fn an_edit_compiles_nothing() {
+        let mut cached = session();
+        let mut plain = session();
+        plain.set_cache_enabled(false);
+        for s in [&mut cached, &mut plain] {
+            s.adopt_mapping(cyclic_mapping(), "cyclic").unwrap();
+            s.target_preview().unwrap();
+        }
+        let working_set = cached.cache().stats().bytes;
+        cached.cache().set_capacity(working_set / 2);
+        let edits = [
+            ("Children", "Ana"),
+            ("Parents", "CMU"),
+            ("PhoneDir", "555-0199"),
+        ];
+        for round in 0..2 {
+            for &(name, value) in &edits {
+                let value = format!("{value}{round}");
+                let edited = |s: &Session| {
+                    let rel = s.database().relation(name).unwrap();
+                    let mut rows = rel.rows().to_vec();
+                    rows[round][1] = Value::str(value.as_str());
+                    clio_relational::relation::Relation::with_rows(rel.schema().clone(), rows)
+                        .unwrap()
+                };
+                let rel = edited(&cached);
+                let rec = clio_obs::Recorder::new();
+                let preview = rec.run(|| {
+                    cached.replace_relation(rel).unwrap();
+                    cached.target_preview().unwrap()
+                });
+                let at = format!("edit of {name} in round {round}");
+                assert_eq!(rec.snapshot().get(clio_obs::Counter::PlanBuilt), 0, "{at}");
+                assert!(rec.spans().iter().all(|s| s.name != "plan.build"), "{at}");
+                plain.replace_relation(edited(&plain)).unwrap();
+                assert_eq!(preview, plain.target_preview().unwrap(), "{at}");
+            }
+        }
+    }
+
+    /// The session spans sit where `docs/observability.md` puts them: an
+    /// edit's evolution under `session.replace_relation`, and the
+    /// projection loop under `mapping.evaluate` under `session.preview`.
+    #[test]
+    fn session_spans_hold_the_engine_spans() {
+        let mut s = session();
+        s.adopt_mapping(cyclic_mapping(), "cyclic").unwrap();
+        s.set_cache_enabled(false);
+        let mut rel = s.database().relation("Children").unwrap().clone();
+        rel.insert(vec!["005".into(), "Zoe".into(), "205".into(), Value::Null])
+            .unwrap();
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            s.replace_relation(rel).unwrap();
+            s.target_preview().unwrap();
+        });
+        let spans = rec.spans();
+        let parent = |name: &str| -> Vec<&str> {
+            spans
+                .iter()
+                .filter(|s| s.name == name)
+                .map(|s| {
+                    let p = s.parent.expect("a nested span");
+                    spans.iter().find(|q| q.id == p).expect("its parent").name
+                })
+                .collect()
+        };
+        assert_eq!(parent("evolution.evolve"), ["session.replace_relation"]);
+        assert_eq!(parent("mapping.examples"), ["evolution.evolve"]);
+        assert_eq!(parent("mapping.evaluate"), ["session.preview"]);
+        assert_eq!(parent("plan.project"), ["mapping.evaluate"]);
+        for top in ["session.replace_relation", "session.preview"] {
+            assert!(spans.iter().any(|s| s.name == top && s.parent.is_none()));
+        }
+    }
+
+    /// An edit whose evolution fails changes nothing: the relation, the
+    /// index and the illustration stay, and later previews are the
+    /// pre-edit ones, with the cache on and off.
+    #[test]
+    fn a_failed_edit_leaves_the_session_as_it_was() {
+        let mut db = Database::new();
+        db.add_relation(
+            RelationBuilder::new("R")
+                .attr("a", DataType::Int)
+                .attr("b", DataType::Int)
+                .row(vec![6i64.into(), 3i64.into()])
+                .row(vec![8i64.into(), 2i64.into()])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let target = RelSchema::new("T", vec![Attribute::new("q", DataType::Int)]).unwrap();
+        for cache in [true, false] {
+            let mut s = Session::new(db.clone(), target.clone());
+            s.set_cache_enabled(cache);
+            s.add_correspondence("R.a / R.b", "q").unwrap();
+            let preview = s.target_preview().unwrap();
+            let illustration = s.active().unwrap().illustration.clone();
+            let before = s.database().relation("R").unwrap().clone();
+            let mut rows = before.rows().to_vec();
+            rows[1][1] = 0i64.into();
+            let zero =
+                clio_relational::relation::Relation::with_rows(before.schema().clone(), rows)
+                    .unwrap();
+            let err = s.replace_relation(zero).unwrap_err();
+            assert!(matches!(err, Error::DivisionByZero), "{err:?}");
+            assert_eq!(s.database().relation("R").unwrap(), &before);
+            assert!(s.index.is_some(), "the index of the kept data stays");
+            assert_eq!(s.active().unwrap().illustration, illustration);
+            assert_eq!(s.target_preview().unwrap(), preview, "cache {cache}");
+        }
     }
 
     #[test]

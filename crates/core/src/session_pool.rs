@@ -346,7 +346,7 @@ mod tests {
                 .histograms()
                 .into_iter()
                 .map(|(n, _)| n)
-                .filter(|n| n.starts_with("session."))
+                .filter(|n| SESSION_SPAN_NAMES.contains(n))
                 .collect();
             assert_eq!(sessions, [session_span_name(i)], "job {i}");
             assert!(scope.snapshot().get(clio_obs::Counter::JoinProbes) > 0);

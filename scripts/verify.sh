@@ -51,6 +51,18 @@ done
 echo "==> cargo bench --no-run"
 cargo bench --no-run
 
+# Mutant patches: each scripts/mutants/*.patch is a deliberate bug the
+# tests its header names must catch. Running them all takes minutes
+# (scripts/mutants.sh); here each patch must only still apply, so a
+# change that moves the code a mutant patches is noticed.
+echo "==> mutant patches apply (git apply --check scripts/mutants/*.patch)"
+for patch in scripts/mutants/*.patch; do
+    if ! git apply --check "$patch"; then
+        echo "verify: FAILED — $patch no longer applies; update it (see scripts/mutants.sh)" >&2
+        exit 1
+    fi
+done
+
 # Tier 2a: golden work-counter gate. A scripted demo run with one worker
 # thread and the evaluation cache off must reproduce the checked-in
 # counter snapshot byte-for-byte — counters are per-work-unit sums, so

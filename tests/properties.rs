@@ -830,21 +830,178 @@ fn session_digest(s: &Session) -> String {
     out
 }
 
+/// What the widened transparency tests do besides [`SessionOp`]: a
+/// one-tuple data edit of any relation, a redefinition of the `tag`
+/// function a correspondence may use, and an in-place change of the
+/// active workspace's mapping.
+#[derive(Debug, Clone, Copy)]
+enum WideOp {
+    Session(SessionOp),
+    /// `(relation, kind, pick)`: insert a tuple mixed from existing
+    /// cells, delete one, update one cell (a join column included) to
+    /// another tuple's value, or insert a near-duplicate (a tuple with
+    /// one nullable cell nulled).
+    Edit(usize, usize, usize),
+    /// Redefine `tag` to prefix its argument with this number.
+    Redefine(usize),
+    /// Map `name` through `tag(Children.name)`.
+    CorrTag,
+}
+
+fn wide_op_strategy() -> impl Strategy<Value = WideOp> {
+    // session operators and edits appear several times to weight the
+    // sequence toward them
+    prop_oneof![
+        session_op_strategy().prop_map(WideOp::Session),
+        session_op_strategy().prop_map(WideOp::Session),
+        session_op_strategy().prop_map(WideOp::Session),
+        edit_strategy(),
+        edit_strategy(),
+        (0usize..3).prop_map(WideOp::Redefine),
+        Just(WideOp::CorrTag),
+    ]
+}
+
+fn edit_strategy() -> impl Strategy<Value = WideOp> {
+    (0usize..8, 0usize..4, 0usize..64).prop_map(|(r, k, p)| WideOp::Edit(r, k, p))
+}
+
+/// `tag`, prefixing a string argument with `k` (the function a
+/// correspondence runs through, redefined by [`WideOp::Redefine`]).
+fn register_tag(s: &mut Session, k: usize) {
+    use clio::relational::funcs::Arity;
+    s.funcs_mut().register(
+        "tag",
+        Arity::Exact(1),
+        std::sync::Arc::new(move |args: &[Value]| {
+            Ok(match &args[0] {
+                Value::Str(v) => Value::str(format!("{k}:{v}")),
+                other => other.clone(),
+            })
+        }),
+    );
+}
+
+/// The relation `edit` makes of relation `rel % count` of `s`'s source
+/// (see [`WideOp::Edit`]), or `None` when that edit has nothing to act
+/// on.
+fn edited_relation(s: &Session, rel: usize, kind: usize, pick: usize) -> Option<Relation> {
+    let db = s.database();
+    let count = db.relations().count();
+    let relation = db.relations().nth(rel % count)?;
+    let schema = relation.schema().clone();
+    let mut rows = relation.rows().to_vec();
+    let n = rows.len();
+    if n == 0 {
+        return None;
+    }
+    let at = pick % n;
+    match kind {
+        0 => rows.push(
+            (0..schema.arity())
+                .map(|c| rows[(at + c) % n][c].clone())
+                .collect(),
+        ),
+        1 => {
+            rows.remove(at);
+        }
+        2 => {
+            let col = (pick / n) % schema.arity();
+            rows[at][col] = rows[(at + 1) % n][col].clone();
+        }
+        _ => {
+            let mut copy = rows[at].clone();
+            let col = schema
+                .attrs()
+                .iter()
+                .enumerate()
+                .position(|(c, a)| !a.not_null && !copy[c].is_null())?;
+            copy[col] = Value::Null;
+            if copy.iter().all(Value::is_null) {
+                return None;
+            }
+            rows.push(copy);
+        }
+    }
+    Relation::with_rows(schema, rows).ok()
+}
+
+fn apply_wide_op(s: &mut Session, op: WideOp, step: usize) -> String {
+    match op {
+        WideOp::Session(op) => apply_session_op(s, op, step),
+        WideOp::Edit(rel, kind, pick) => match edited_relation(s, rel, kind, pick) {
+            Some(edited) => format!("{:?}", s.replace_relation(edited)),
+            None => "no edit".to_owned(),
+        },
+        WideOp::Redefine(k) => {
+            register_tag(s, k);
+            "redefined".to_owned()
+        }
+        WideOp::CorrTag => format!("{:?}", s.add_correspondence("tag(Children.name)", "name")),
+    }
+}
+
+/// The session's target view recomputed from scratch: every accepted
+/// mapping and the active one evaluated with no cache and no compiled
+/// form kept, then merged as `Session::target_preview` merges.
+fn fresh_preview(s: &Session) -> String {
+    let target = s.target_schema();
+    let mut mappings: Vec<&Mapping> = s.accepted().iter().collect();
+    mappings.extend(s.active().map(|w| &w.mapping));
+    let fresh = (|| {
+        let mut out = Table::empty(Scheme::of_relation(target, target.name()));
+        for m in mappings {
+            for row in m.evaluate(s.database(), s.funcs())?.into_rows() {
+                out.push_distinct(row);
+            }
+        }
+        clio::relational::ops::remove_subsumed(&mut out, engine_subsumption());
+        Ok::<Table, clio::relational::error::Error>(out)
+    })();
+    format!("{fresh:?}")
+}
+
+/// Replay `ops` on `cached` and `plain` (cache off), checking at every
+/// step that both return the same, and that each one's target view is
+/// the one recomputed from scratch.
+fn replay_wide(cached: &mut Session, plain: &mut Session, ops: &[WideOp]) {
+    for (step, &op) in ops.iter().enumerate() {
+        let a = apply_wide_op(cached, op, step);
+        let b = apply_wide_op(plain, op, step);
+        prop_assert_eq!(a, b, "diverged at step {} ({:?})", step, op);
+        for s in [&*cached, &*plain] {
+            let preview = format!("{:?}", s.target_preview());
+            prop_assert_eq!(
+                preview,
+                fresh_preview(s),
+                "stale at step {} ({:?})",
+                step,
+                op
+            );
+        }
+    }
+    prop_assert_eq!(session_digest(cached), session_digest(plain));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The evaluation cache is **transparent**: an arbitrary operator
     /// sequence (correspondences, confirms, filters, walks, chases,
-    /// previews, accepts, relation edits) replayed on a cache-enabled and
+    /// previews, accepts, function redefinitions, and data edits —
+    /// inserts, deletes, one-cell updates of join columns too, and
+    /// near-duplicates, on any relation) replayed on a cache-enabled and
     /// a cache-disabled paper session produces byte-identical outcomes at
-    /// every step, and byte-identical final state. The cached session's
-    /// byte budget ranges from nothing resident, through budgets tight
-    /// enough to force evictions, to unbounded: eviction decides only
-    /// which entries stay resident (and therefore what gets recomputed),
-    /// never what any operator returns.
+    /// every step, and byte-identical final state; and at every step each
+    /// session's target view equals one recomputed from scratch, so no
+    /// compiled mapping outlives the mapping, schemes or functions it was
+    /// built from. The cached session's byte budget ranges from nothing
+    /// resident, through budgets tight enough to force evictions, to
+    /// unbounded: eviction decides only which entries stay resident (and
+    /// therefore what gets recomputed), never what any operator returns.
     #[test]
     fn cache_is_transparent_to_operator_sequences(
-        ops in proptest::collection::vec(session_op_strategy(), 1..12),
+        ops in proptest::collection::vec(wide_op_strategy(), 1..12),
         budget in prop_oneof![
             Just(0usize),
             Just(2_048usize),
@@ -856,12 +1013,54 @@ proptest! {
         cached.cache().set_capacity(budget);
         let mut plain = Session::new(paper_database(), kids_target());
         plain.set_cache_enabled(false);
-        for (step, &op) in ops.iter().enumerate() {
-            let a = apply_session_op(&mut cached, op, step);
-            let b = apply_session_op(&mut plain, op, step);
-            prop_assert_eq!(a, b, "diverged at step {} ({:?})", step, op);
+        for s in [&mut cached, &mut plain] {
+            register_tag(s, 0);
         }
-        prop_assert_eq!(session_digest(&cached), session_digest(&plain));
+        replay_wide(&mut cached, &mut plain, &ops);
+    }
+
+    /// [`cache_is_transparent_to_operator_sequences`]'s edits and checks
+    /// on a synthetic cycle, where `D(G)` is the lattice and the cache
+    /// holds each `F(J)`: the mapping adopted, then previews, source
+    /// filters, accepts and data edits of any relation.
+    #[test]
+    fn cache_is_transparent_to_edits_on_a_cycle(
+        rows in 4usize..10,
+        seed in proptest::num::u64::ANY,
+        ops in proptest::collection::vec(
+            prop_oneof![
+                Just(WideOp::Session(SessionOp::Preview)),
+                Just(WideOp::Session(SessionOp::Accept)),
+                edit_strategy(),
+                edit_strategy(),
+                edit_strategy(),
+            ],
+            1..8,
+        ),
+        budget in prop_oneof![Just(0usize), Just(4_096usize), Just(usize::MAX)],
+    ) {
+        let spec = SyntheticSpec {
+            topology: Topology::Cycle,
+            relations: 3,
+            rows,
+            match_rate: 0.6,
+            payload_attrs: 1,
+            seed,
+        };
+        let build = || {
+            let w = generate(&spec);
+            let mut s = Session::new(w.db, w.target);
+            s.adopt_mapping(w.mapping, "cycle under test").unwrap();
+            s
+        };
+        let mut cached = build();
+        cached.cache().set_capacity(budget);
+        let mut plain = build();
+        plain.set_cache_enabled(false);
+        for s in [&mut cached, &mut plain] {
+            prop_assert_eq!(format!("{:?}", s.add_source_filter("R0.id IS NOT NULL")), "Ok(())");
+        }
+        replay_wide(&mut cached, &mut plain, &ops);
     }
 }
 
