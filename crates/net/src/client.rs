@@ -1,15 +1,17 @@
 //! A small blocking client for the framed protocol, used by
 //! `clio connect`, tests, and experiments.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::frame;
 
 /// One connection to a running server. Requests are strictly
-/// send-one-frame, read-one-frame.
+/// send-one-frame, read-one-frame: each request is one write on the
+/// socket, and its response one read through the connection's buffered
+/// reader.
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -21,7 +23,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream })
+        Ok(Client {
+            reader: BufReader::new(stream),
+        })
     }
 
     /// Send one command line and block for the response frame.
@@ -32,7 +36,7 @@ impl Client {
     /// Propagates transport failures and malformed response frames
     /// (`InvalidData`).
     pub fn request(&mut self, line: &str) -> io::Result<Option<String>> {
-        frame::write_frame(&mut self.stream, line)?;
+        frame::write_frame(&mut self.reader.get_ref(), line)?;
         self.read_response()
     }
 
@@ -43,6 +47,6 @@ impl Client {
     ///
     /// Propagates transport failures and malformed response frames.
     pub fn read_response(&mut self) -> io::Result<Option<String>> {
-        frame::read_frame(&mut self.stream, frame::MAX_FRAME_BYTES)
+        frame::read_frame(&mut self.reader, frame::MAX_FRAME_BYTES)
     }
 }

@@ -2,36 +2,39 @@
 //!
 //! [`Server::run`] accepts connections on a nonblocking listener and
 //! spawns one scoped thread per connection, capped at
-//! [`ServerConfig::max_conns`] (excess connections wait in the OS
-//! accept backlog — backpressure, not rejection). Each connection gets
-//! a fresh [`Handler`] from the caller's factory, a `conn.<n>` obs
-//! scope recorder so each connection's counters, spans and histograms
-//! are its own, and a per-request idle deadline. Malformed frames are
-//! answered with a one-line `error: ...` frame and the connection
-//! continues (truncated frames close it — the stream can no longer be
-//! trusted); idle timeouts close the connection after an error frame,
-//! and so does a request whose handler panics (`net.handler_panics`).
-//! A client sending the `shutdown` command stops the whole server: the
-//! listener stops accepting, in-flight requests finish, and `run`
-//! returns once every connection thread has drained.
+//! [`ServerConfig::max_conns`] (at the cap it waits for a connection to
+//! close, and excess connections wait in the OS accept backlog —
+//! backpressure, not rejection). Each connection gets a fresh
+//! [`Handler`] from the caller's factory, a `conn.<n>` obs scope
+//! recorder so each connection's counters, spans and histograms
+//! are its own, one buffered reader over its socket, and a per-request
+//! idle deadline. Requests are answered in the order they arrive, so a
+//! client may pipeline them. Malformed frames are answered with a
+//! one-line `error: ...` frame and the connection continues (truncated
+//! frames close it — the stream can no longer be trusted); idle
+//! timeouts close the connection after an error frame, and so does a
+//! request whose handler panics (`net.handler_panics`). A client
+//! sending the `shutdown` command stops the whole server: the listener
+//! stops accepting, in-flight requests finish, and `run` returns once
+//! every connection thread has drained.
 //!
 //! All error paths report through `clio_obs::warn_limited` under
 //! `net.*` categories, so a flapping client cannot flood stderr.
 
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use clio_obs::metrics::{self, Counter};
 use clio_obs::{hist, warn_limited, Recorder};
 
-use crate::frame;
+use crate::frame::{self, Fault};
 
 /// How often the accept loop polls the nonblocking listener (and the
-/// shutdown flag) when nothing is happening.
+/// shutdown flag) when no connection is waiting.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-connection socket read timeout: the granularity at which a
@@ -99,22 +102,43 @@ pub trait Handler: Send {
     fn handle(&mut self, line: &str) -> Response;
 }
 
+/// Every update of the guarded connection count is one statement, so
+/// a lock poisoned by a panicking thread still holds a valid count.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Cloneable stop signal for a running server. Trigger it from another
 /// thread (or let a client's `shutdown` command trigger it) and
 /// [`Server::run`] drains and returns.
 #[derive(Debug, Clone, Default)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle(Arc<Gate>);
+
+/// What the accept loop waits on: the stop flag, and the count of
+/// connections being served.
+#[derive(Debug, Default)]
+struct Gate {
+    stop: AtomicBool,
+    active: Mutex<usize>,
+    /// Signalled when a connection frees its slot and on shutdown.
+    changed: Condvar,
+}
 
 impl ShutdownHandle {
     /// Ask the server to stop accepting and drain.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        let gate = &*self.0;
+        gate.stop.store(true, Ordering::Relaxed);
+        // Taking the lock orders the flag before the accept loop's next
+        // look at it, so a wait for a slot cannot miss the signal.
+        drop(lock(&gate.active));
+        gate.changed.notify_all();
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.0.stop.load(Ordering::Relaxed)
     }
 }
 
@@ -171,42 +195,46 @@ impl Server {
         F: Fn(u64) -> Box<dyn Handler> + Sync,
     {
         self.listener.set_nonblocking(true)?;
-        let active = AtomicUsize::new(0);
+        let gate = &*self.stop.0;
         let max_conns = self.config.max_conns.max(1);
         std::thread::scope(|scope| {
             let mut next_id: u64 = 0;
-            while !self.stop.is_shutdown() {
-                if active.load(Ordering::Relaxed) >= max_conns {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
+            loop {
+                let mut active = lock(&gate.active);
+                while *active >= max_conns && !self.stop.is_shutdown() {
+                    active = gate
+                        .changed
+                        .wait(active)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let id = next_id;
-                        next_id += 1;
-                        metrics::incr(Counter::NetAccepted);
-                        metrics::incr(Counter::NetActive);
-                        active.fetch_add(1, Ordering::Relaxed);
-                        let handler = factory(id);
-                        // Opened here, in accept order: the order the
-                        // report lists connections in.
-                        let recorder = Recorder::scope(&format!("conn.{id}"));
-                        let active = &active;
-                        let config = &self.config;
-                        let stop = &self.stop;
-                        scope.spawn(move || {
-                            let _slot = Slot(active);
-                            recorder.run(|| serve_connection(&stream, id, handler, config, stop));
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
+                drop(active);
+                if self.stop.is_shutdown() {
+                    break;
+                }
+                let stream = match self.listener.accept() {
+                    Ok((stream, _peer)) => stream,
                     Err(e) => {
-                        warn_limited("net.accept", &format!("accept failed: {e}"));
+                        if e.kind() != io::ErrorKind::WouldBlock {
+                            warn_limited("net.accept", &format!("accept failed: {e}"));
+                        }
                         std::thread::sleep(ACCEPT_POLL);
+                        continue;
                     }
-                }
+                };
+                let id = next_id;
+                next_id += 1;
+                metrics::incr(Counter::NetAccepted);
+                metrics::incr(Counter::NetActive);
+                *lock(&gate.active) += 1;
+                let handler = factory(id);
+                // Opened here, in accept order: the order the report
+                // lists connections in.
+                let recorder = Recorder::scope(&format!("conn.{id}"));
+                let (config, stop) = (&self.config, &self.stop);
+                scope.spawn(move || {
+                    let _slot = Slot(gate);
+                    recorder.run(|| serve_connection(&stream, id, handler, config, stop));
+                });
             }
         });
         Ok(())
@@ -215,12 +243,13 @@ impl Server {
 
 /// A connection's place under [`ServerConfig::max_conns`], released
 /// however its thread ends.
-struct Slot<'a>(&'a AtomicUsize);
+struct Slot<'a>(&'a Gate);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
         metrics::sub(Counter::NetActive, 1);
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        *lock(&self.0.active) -= 1;
+        self.0.changed.notify_all();
     }
 }
 
@@ -244,104 +273,75 @@ enum Request {
     Io(io::Error),
 }
 
-/// Why a deadline-aware read stopped short.
-enum Fault {
-    Eof { got: usize },
-    Idle,
-    Shutdown,
-    Io(io::Error),
-}
-
-/// Fill `buf` from a socket whose read timeout is [`READ_POLL`],
-/// honoring the request's idle deadline and the server stop flag
-/// between polls.
-fn read_full(
-    mut stream: &TcpStream,
-    buf: &mut [u8],
+/// A connection's socket as the frame decoder reads it. The socket's
+/// read timeout ([`READ_POLL`]) wakes a blocked read to look at the
+/// current request's idle deadline and the server's stop flag: past
+/// the deadline the read fails with `TimedOut`, after a shutdown with
+/// `Other`.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
     deadline: Instant,
-    stop: &ShutdownHandle,
-) -> Result<(), Fault> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return Err(Fault::Eof { got }),
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.is_shutdown() {
-                    return Err(Fault::Shutdown);
-                }
-                if Instant::now() >= deadline {
-                    return Err(Fault::Idle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(Fault::Io(e)),
-        }
-    }
-    Ok(())
+    stop: &'a ShutdownHandle,
 }
 
-/// Decode one request frame. The whole frame must arrive within the
-/// idle window; a partial prefix when it closes is a torn frame.
-fn read_request(stream: &TcpStream, config: &ServerConfig, stop: &ShutdownHandle) -> Request {
-    let deadline = Instant::now() + config.idle_timeout;
-    let mut version = [0u8; 1];
-    match read_full(stream, &mut version, deadline, stop) {
-        Ok(()) => {}
-        Err(Fault::Eof { .. }) => return Request::Eof,
-        Err(Fault::Idle) => return Request::Idle,
-        Err(Fault::Shutdown) => return Request::Shutdown,
-        Err(Fault::Io(e)) => return Request::Io(e),
-    }
-    if version[0] != frame::PROTOCOL_VERSION {
-        // Resynchronize one byte at a time: each bad byte is answered,
-        // so a client that sent garbage sees exactly what went wrong.
-        return Request::Malformed(format!("unsupported protocol version 0x{:02x}", version[0]));
-    }
-    let mut len_bytes = [0u8; 4];
-    match read_full(stream, &mut len_bytes, deadline, stop) {
-        Ok(()) => {}
-        Err(Fault::Eof { .. }) => return Request::Torn("truncated frame header".into()),
-        Err(Fault::Idle) => return Request::Idle,
-        Err(Fault::Shutdown) => return Request::Shutdown,
-        Err(Fault::Io(e)) => return Request::Io(e),
-    }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > config.max_frame_bytes {
-        // Drain the declared payload so the stream stays in sync, then
-        // answer with an error frame.
-        let mut remaining = len;
-        let mut sink = [0u8; 4096];
-        while remaining > 0 {
-            let want = remaining.min(sink.len());
-            match read_full(stream, &mut sink[..want], deadline, stop) {
-                Ok(()) => remaining -= want,
-                Err(Fault::Eof { .. }) => return Request::Torn("truncated oversized frame".into()),
-                Err(Fault::Idle) => return Request::Idle,
-                Err(Fault::Shutdown) => return Request::Shutdown,
-                Err(Fault::Io(e)) => return Request::Io(e),
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.stop.is_shutdown() {
+                        return Err(io::Error::other("server shutting down"));
+                    }
+                    if Instant::now() >= self.deadline {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                }
+                result => return result,
             }
         }
-        return Request::Malformed(format!(
-            "frame length {len} exceeds the {}-byte limit",
-            config.max_frame_bytes
-        ));
     }
-    let mut payload = vec![0u8; len];
-    match read_full(stream, &mut payload, deadline, stop) {
-        Ok(()) => {}
-        Err(Fault::Eof { got }) => {
-            return Request::Torn(format!("truncated frame payload ({got} of {len} bytes)"))
+}
+
+/// A read that [`ConnReader`] gave up on, or a transport failure.
+fn read_failed(e: io::Error, stop: &ShutdownHandle) -> Request {
+    if e.kind() == io::ErrorKind::TimedOut {
+        Request::Idle
+    } else if stop.is_shutdown() {
+        Request::Shutdown
+    } else {
+        Request::Io(e)
+    }
+}
+
+/// Decode one request frame. The whole frame must arrive before the
+/// reader's deadline; a partial prefix when it passes is a torn frame.
+fn read_request(
+    reader: &mut BufReader<ConnReader<'_>>,
+    config: &ServerConfig,
+    stop: &ShutdownHandle,
+) -> Request {
+    match frame::decode(reader, config.max_frame_bytes) {
+        Ok(Some(line)) => Request::Line(line),
+        Ok(None) => Request::Eof,
+        Err(fault @ Fault::Oversized { len, .. }) => {
+            // Drain the declared payload so the stream stays in sync,
+            // then answer with an error frame.
+            let len = len as u64;
+            match io::copy(&mut reader.take(len), &mut io::sink()) {
+                Ok(n) if n == len => Request::Malformed(fault.to_string()),
+                Ok(_) => Request::Torn("truncated oversized frame".into()),
+                Err(e) => read_failed(e, stop),
+            }
         }
-        Err(Fault::Idle) => return Request::Idle,
-        Err(Fault::Shutdown) => return Request::Shutdown,
-        Err(Fault::Io(e)) => return Request::Io(e),
-    }
-    match String::from_utf8(payload) {
-        Ok(line) => Request::Line(line),
-        Err(_) => Request::Malformed("frame payload is not valid UTF-8".into()),
+        // A bad version byte is answered per byte: decoding resumes at
+        // the next one, so a client that sent garbage sees exactly what
+        // went wrong.
+        Err(fault @ (Fault::Version(_) | Fault::NotUtf8)) => Request::Malformed(fault.to_string()),
+        Err(Fault::Torn(msg)) => Request::Torn(msg),
+        Err(Fault::Io(e)) => read_failed(e, stop),
     }
 }
 
@@ -374,10 +374,18 @@ fn serve_connection(
     }
     stream.set_nodelay(true).ok();
     let _span = clio_obs::span(conn_span_name(id));
-    connection_loop(stream, id, handler.as_mut(), config, stop);
+    let mut reader = BufReader::new(ConnReader {
+        stream,
+        deadline: Instant::now() + config.idle_timeout,
+        stop,
+    });
+    connection_loop(&mut reader, stream, id, handler.as_mut(), config, stop);
 }
 
+/// Answer requests until the connection ends. Each request's idle
+/// window opens when the previous response has been sent.
 fn connection_loop(
+    reader: &mut BufReader<ConnReader<'_>>,
     stream: &TcpStream,
     id: u64,
     handler: &mut dyn Handler,
@@ -385,7 +393,7 @@ fn connection_loop(
     stop: &ShutdownHandle,
 ) {
     loop {
-        match read_request(stream, config, stop) {
+        match read_request(reader, config, stop) {
             Request::Line(line) => {
                 metrics::incr(Counter::NetFrames);
                 if line.trim() == "shutdown" {
@@ -436,6 +444,7 @@ fn connection_loop(
                 return;
             }
         }
+        reader.get_mut().deadline = Instant::now() + config.idle_timeout;
     }
 }
 
@@ -535,6 +544,74 @@ mod tests {
             handle.shutdown();
             run.join().unwrap().unwrap();
         });
+    }
+
+    #[test]
+    fn a_trickled_request_is_answered_once() {
+        use std::io::Write;
+        let server = Server::bind("127.0.0.1:0", test_config()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(|_| Box::new(Echo) as Box<dyn Handler>));
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            raw.set_nodelay(true).unwrap();
+            let mut wire = Vec::new();
+            frame::write_frame(&mut wire, "slow").unwrap();
+            for byte in &wire {
+                raw.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The next request's answer comes next: the trickled one was
+            // answered once, not once per read.
+            frame::write_frame(&mut raw, "next").unwrap();
+            let mut reader = io::BufReader::new(&raw);
+            let first = frame::read_frame(&mut reader, frame::MAX_FRAME_BYTES);
+            let second = frame::read_frame(&mut reader, frame::MAX_FRAME_BYTES);
+            handle.shutdown();
+            run.join().unwrap().unwrap();
+            assert_eq!(first.unwrap().as_deref(), Some("echo: slow\n"));
+            assert_eq!(second.unwrap().as_deref(), Some("echo: next\n"));
+        });
+    }
+
+    #[test]
+    fn pipelined_frames_are_answered_in_order() {
+        use std::io::Write;
+        let server = Server::bind("127.0.0.1:0", test_config()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| server.run(|_| Box::new(Echo) as Box<dyn Handler>));
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            let mut wire = Vec::new();
+            frame::write_frame(&mut wire, "one").unwrap();
+            frame::write_frame(&mut wire, "two").unwrap();
+            raw.write_all(&wire).unwrap();
+            let mut reader = io::BufReader::new(&raw);
+            let first = frame::read_frame(&mut reader, frame::MAX_FRAME_BYTES);
+            let second = frame::read_frame(&mut reader, frame::MAX_FRAME_BYTES);
+            handle.shutdown();
+            run.join().unwrap().unwrap();
+            assert_eq!(first.unwrap().as_deref(), Some("echo: one\n"));
+            assert_eq!(second.unwrap().as_deref(), Some("echo: two\n"));
+        });
+    }
+
+    #[test]
+    fn shutdown_stops_a_server_that_never_got_a_connection() {
+        let server = Server::bind("127.0.0.1:0", test_config()).unwrap();
+        let handle = server.shutdown_handle();
+        let (done, ran) = std::sync::mpsc::channel();
+        // Not scoped: a server that never wakes fails the test instead
+        // of hanging it.
+        std::thread::spawn(move || {
+            let ran = server.run(|_| Box::new(Echo) as Box<dyn Handler>);
+            done.send(ran.is_ok()).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        handle.shutdown();
+        assert_eq!(ran.recv_timeout(Duration::from_secs(5)), Ok(true));
     }
 
     /// Panics on the line `boom`, echoes everything else.

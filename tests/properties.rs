@@ -8,7 +8,9 @@
 //! * the minimal illustration (plain, focused or evolved) is sufficient,
 //!   no larger than greedy's, and a brute-force minimum;
 //! * illustration evolution preserves continuity and sufficiency;
-//! * expression display/parse round-trips.
+//! * expression display/parse round-trips;
+//! * wire frames decode to what was written, however the stream splits
+//!   them, and bad bytes are an error, never a panic.
 
 use clio::core::illustration::satisfies;
 use clio::core::plan::chain_ir;
@@ -1930,6 +1932,63 @@ proptest! {
             let mut bytes = bytes;
             while let Ok(Some(_)) = read_frame(&mut bytes, 64) {}
         }
+    }
+
+    /// Frames sent back to back decode to the same payloads, in order,
+    /// however the stream splits them: read straight from a reader that
+    /// returns chunks of random size, and through a buffered reader over
+    /// it, as both ends of a connection read.
+    #[test]
+    fn concatenated_frames_decode_in_order_through_chunked_reads(
+        frames in proptest::collection::vec(
+            proptest::collection::vec(0..EXPR_SOUP.len(), 0..8),
+            1..6,
+        ),
+        sizes in proptest::collection::vec(1usize..16, 1..32),
+        capacity in 1usize..64,
+    ) {
+        use std::io::{BufReader, Read};
+
+        use clio_net::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
+
+        /// Hands out `bytes` in reads of the next of `sizes`, cycling.
+        struct Chunked<'a> {
+            bytes: &'a [u8],
+            sizes: &'a [usize],
+            next: usize,
+        }
+        impl Read for Chunked<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let size = self.sizes[self.next % self.sizes.len()];
+                self.next += 1;
+                let n = size.min(buf.len()).min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes = &self.bytes[n..];
+                Ok(n)
+            }
+        }
+
+        let payloads: Vec<String> = frames
+            .iter()
+            .map(|pieces| pieces.iter().map(|&i| EXPR_SOUP[i]).collect())
+            .collect();
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        fn decode_all(mut reader: impl Read) -> Vec<String> {
+            let mut got = Vec::new();
+            while let Some(payload) = read_frame(&mut reader, MAX_FRAME_BYTES).unwrap() {
+                got.push(payload);
+            }
+            got
+        }
+        let chunked = || Chunked { bytes: &wire, sizes: &sizes, next: 0 };
+        prop_assert_eq!(&decode_all(chunked()), &payloads);
+        prop_assert_eq!(
+            &decode_all(BufReader::with_capacity(capacity, chunked())),
+            &payloads
+        );
     }
 }
 
