@@ -10,15 +10,19 @@
 //!
 //! * `F(J)` — one entry per induced connected subgraph, keyed by the
 //!   subgraph's node aliases/relations, its induced edge predicates, and
-//!   a content version per base relation (domain tag `"F(J).ids"`).
+//!   per member node its row-set version and the versions of the
+//!   columns those predicates read (domain tag `"F(J).ids"`): an edit
+//!   to other cells keeps the entry.
 //!   Cached as tuple ids, `|J|` per row, so growing the graph reuses
 //!   every old subgraph and computes only the ones touching new nodes
 //!   or edges.
 //! * `D(G)` — the assembled full disjunction per graph and algorithm,
 //!   cached as tuple ids too, `|G|` per row (domain tags
-//!   `"D(G).tree.ids"` / `"D(G).lattice.ids"`).
+//!   `"D(G).tree.ids"` / `"D(G).lattice.ids"`), keyed on the columns
+//!   every edge predicate reads as `F(J)` is.
 //! * `Q(M)` — the evaluated mapping query per full mapping state
-//!   (graph + correspondences + source filters + target filters).
+//!   (graph + correspondences + source filters + target filters),
+//!   keyed on every node's content version: any edit moves it.
 //!
 //! Every cached path is byte-identical to the uncached one: lookups are
 //! keyed by exactly the ingredients the computation reads, assembly
@@ -26,7 +30,7 @@
 //! `tests/properties.rs` replays random operator sequences cache-on vs.
 //! cache-off. See `docs/incremental.md` for the full scheme.
 
-use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder};
+use clio_incr::{EvalCache, Fingerprint, FingerprintBuilder, RelationVersions};
 use clio_relational::database::Database;
 use clio_relational::error::Result;
 use clio_relational::funcs::FuncRegistry;
@@ -34,15 +38,15 @@ use clio_relational::funcs::FuncRegistry;
 use crate::association::AssociationSet;
 use crate::full_disjunction::FdAlgo;
 use crate::mapping::Mapping;
-use crate::plan::ir::Pass;
+use crate::plan::ir::{KeyForm, Pass};
 use crate::plan::{disjunction, Exec};
-use crate::query_graph::QueryGraph;
+use crate::query_graph::{NodeId, QueryGraph};
 
 /// What a pass's keys mix into their structure hashes, read under one
-/// lock: the cache epoch and every graph node's content version.
+/// lock: the cache epoch and every graph node's relation versions.
 pub(crate) struct Versions {
     epoch: u64,
-    versions: Vec<u64>,
+    versions: Vec<RelationVersions>,
 }
 
 impl Versions {
@@ -52,15 +56,41 @@ impl Versions {
         Versions { epoch, versions }
     }
 
-    /// The cache key of a computation whose version-free `structure`
-    /// hash covers the nodes in `mask`: that hash, the epoch, and the
-    /// content version of each node in `mask`, in node order.
+    /// The cache key of a computation over every column of the nodes in
+    /// `mask` (`Q(M)`), from its version-free `structure` hash: that
+    /// hash, the epoch, and the content version of each node in `mask`,
+    /// in node order.
     pub(crate) fn key(&self, structure: u64, mask: u64) -> Fingerprint {
         let mut fp = FingerprintBuilder::new("versions");
         fp.number(structure).number(self.epoch);
-        for (i, &version) in self.versions.iter().enumerate() {
+        for (i, version) in self.versions.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                fp.number(version);
+                fp.number(version.content());
+            }
+        }
+        fp.finish()
+    }
+
+    /// The cache key of a computation over the nodes in `mask` that reads
+    /// only the `(node, column)` pairs of `reads`, sorted (an `F(J)` or
+    /// `D(G)`), from its version-free `structure` hash: that hash, the
+    /// epoch, and per node in `mask`, in node order, its row-set version
+    /// and the version of each column it reads.
+    pub(crate) fn key_reading(
+        &self,
+        structure: u64,
+        mask: u64,
+        reads: &[(NodeId, usize)],
+    ) -> Fingerprint {
+        let mut fp = FingerprintBuilder::new("column versions");
+        fp.number(structure).number(self.epoch);
+        let mut reads = reads.iter().peekable();
+        for (v, version) in self.versions.iter().enumerate() {
+            if mask & (1 << v) != 0 {
+                fp.number(version.rows());
+                while let Some((_, c)) = reads.next_if(|&&(node, _)| node == v) {
+                    fp.number(version.column(*c));
+                }
             }
         }
         fp.finish()
@@ -136,11 +166,23 @@ pub(crate) fn mapping_structure(mapping: &Mapping) -> u64 {
 }
 
 /// Fingerprint of the assembled `D(G)` under a given algorithm tag: its
-/// structure hash (`disjunction_structure`) with the cache epoch and
-/// every node's content version mixed in.
-#[must_use]
-pub fn graph_fingerprint(graph: &QueryGraph, cache: &EvalCache, tag: &str) -> Fingerprint {
-    Versions::read(graph, cache).key(disjunction_structure(graph, tag), graph.node_mask())
+/// structure hash (`disjunction_structure`) with the cache epoch, every
+/// node's row-set version and the versions of the columns the graph's
+/// edge predicates read mixed in (the relation schemes of `db` resolve
+/// those columns).
+pub fn graph_fingerprint(
+    db: &Database,
+    graph: &QueryGraph,
+    cache: &EvalCache,
+    tag: &str,
+) -> Result<Fingerprint> {
+    let key = KeyForm::of(
+        db,
+        graph,
+        graph.node_mask(),
+        disjunction_structure(graph, tag),
+    )?;
+    Ok(key.key(&Versions::read(graph, cache)))
 }
 
 /// Fingerprint of a full mapping query `Q(M)`: its structure hash (the
@@ -153,20 +195,11 @@ pub fn mapping_fingerprint(mapping: &Mapping, cache: &EvalCache) -> Fingerprint 
 }
 
 /// The base relations a graph's evaluation reads (sorted, deduplicated)
-/// — the dependency set declared on cache entries.
+/// — the dependency set declared on `Q(M)` entries, which read every
+/// column of each.
 #[must_use]
 pub fn relation_deps(graph: &QueryGraph) -> Vec<String> {
-    mask_deps(graph, graph.node_mask())
-}
-
-pub(crate) fn mask_deps(graph: &QueryGraph, mask: u64) -> Vec<String> {
-    let mut deps: Vec<String> = graph
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, n)| n.relation.clone())
-        .collect();
+    let mut deps: Vec<String> = graph.nodes().iter().map(|n| n.relation.clone()).collect();
     deps.sort_unstable();
     deps.dedup();
     deps
@@ -275,7 +308,28 @@ mod tests {
     /// The key of the `F(J)` of the subgraph `mask` at the cache's
     /// current versions.
     fn fj_fingerprint(g: &QueryGraph, cache: &EvalCache, mask: u64) -> Fingerprint {
-        Versions::read(g, cache).key(subgraph_structure(g, mask), mask)
+        let key = KeyForm::of(&db(), g, mask, subgraph_structure(g, mask)).unwrap();
+        key.key(&Versions::read(g, cache))
+    }
+
+    /// The relations of the nodes in `mask`, sorted and distinct: what a
+    /// stored entry of its `F(J)` declares.
+    fn mask_deps(g: &QueryGraph, mask: u64) -> Vec<String> {
+        let mut deps: Vec<String> = g
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, n)| n.relation.clone())
+            .collect();
+        deps.sort_unstable();
+        deps.dedup();
+        deps
+    }
+
+    /// Every column of each of `names`.
+    fn whole(names: Vec<String>) -> Vec<clio_incr::Dep> {
+        names.into_iter().map(clio_incr::Dep::from).collect()
     }
 
     #[test]
@@ -479,7 +533,7 @@ mod tests {
                 ids: ids.clone(),
             };
             let fp = fj_fingerprint(&g, &cache, *mask);
-            cache.insert_ids(fp, mask_deps(&g, *mask), &rows, 0);
+            cache.insert_ids(fp, whole(mask_deps(&g, *mask)), &rows, 0);
         }
         assert_eq!(run(&cache).table().rows(), plain.table().rows());
         assert_eq!(cache.stats().hits, 0);
@@ -525,7 +579,7 @@ mod tests {
                 let store = std::sync::Arc::new(DiskStore::open(&dir, 7));
                 let cache = EvalCache::new();
                 cache.set_store(Some(store.clone()));
-                let fp = graph_fingerprint(&g, &cache, tag);
+                let fp = graph_fingerprint(&db(), &g, &cache, tag).unwrap();
                 let entry = StoredEntry {
                     deps: relation_deps(&g),
                     payload: Payload::Ids(rows.clone()),
@@ -548,7 +602,7 @@ mod tests {
 
                 // the memory tier drops the forged entry the same way
                 let cache = EvalCache::new();
-                cache.insert_ids(fp, relation_deps(&g), rows, 0);
+                cache.insert_ids(fp, whole(relation_deps(&g)), rows, 0);
                 assert_eq!(
                     run(&cache).table().rows(),
                     plain.table().rows(),
@@ -609,8 +663,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = |fp: Fingerprint| dir.join(format!("{:016x}-{:016x}.clc", 7, fp.0));
-        let old = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree");
-        let fp = graph_fingerprint(&g, &EvalCache::new(), "D(G).tree.ids");
+        let old = graph_fingerprint(&db, &g, &EvalCache::new(), "D(G).tree").unwrap();
+        let fp = graph_fingerprint(&db, &g, &EvalCache::new(), "D(G).tree.ids").unwrap();
         for fp in [old, fp] {
             std::fs::write(path(fp), version_two(fp)).unwrap();
         }
@@ -656,16 +710,19 @@ mod tests {
         let tree = tree_graph();
         let cyc = cyclic_graph();
         assert_ne!(
-            graph_fingerprint(&tree, &cache, "D(G).tree.ids"),
-            graph_fingerprint(&cyc, &cache, "D(G).tree.ids")
+            graph_fingerprint(&db(), &tree, &cache, "D(G).tree.ids").unwrap(),
+            graph_fingerprint(&db(), &cyc, &cache, "D(G).tree.ids").unwrap()
         );
         assert_ne!(
-            graph_fingerprint(&tree, &cache, "D(G).tree.ids"),
-            graph_fingerprint(&tree, &cache, "D(G).lattice.ids")
+            graph_fingerprint(&db(), &tree, &cache, "D(G).tree.ids").unwrap(),
+            graph_fingerprint(&db(), &tree, &cache, "D(G).lattice.ids").unwrap()
         );
-        let before = graph_fingerprint(&tree, &cache, "D(G).tree.ids");
+        let before = graph_fingerprint(&db(), &tree, &cache, "D(G).tree.ids").unwrap();
         cache.bump_version("Parents");
-        assert_ne!(before, graph_fingerprint(&tree, &cache, "D(G).tree.ids"));
+        assert_ne!(
+            before,
+            graph_fingerprint(&db(), &tree, &cache, "D(G).tree.ids").unwrap()
+        );
         // subgraphs not touching Parents keep their fingerprint
         let mask_children = 0b001;
         let a = fj_fingerprint(&cyc, &cache, mask_children);
@@ -673,6 +730,43 @@ mod tests {
         assert_eq!(a, fj_fingerprint(&cyc, &cache, mask_children));
         cache.bump_version("Children");
         assert_ne!(a, fj_fingerprint(&cyc, &cache, mask_children));
+    }
+
+    /// `F(J)` and `D(G)` keys read the versions of the columns their
+    /// edge predicates read; `Q(M)` keys read every column.
+    #[test]
+    fn column_bumps_move_only_the_keys_that_read_the_column() {
+        use clio_relational::schema::{Attribute, RelSchema};
+        let cache = EvalCache::new();
+        let g = cyclic_graph();
+        let target = RelSchema::new("T", vec![Attribute::new("a", DataType::Str)]).unwrap();
+        let m = Mapping::new(g.clone(), target);
+        let keys = |cache: &EvalCache| {
+            [
+                fj_fingerprint(&g, cache, 0b011),
+                fj_fingerprint(&g, cache, 0b100),
+                graph_fingerprint(&db(), &g, cache, "D(G).lattice.ids").unwrap(),
+                mapping_fingerprint(&m, cache),
+            ]
+        };
+        let before = keys(&cache);
+        // Parents.affiliation and Children.ID: no edge reads them
+        cache.bump_columns("Parents", &[1]);
+        cache.bump_columns("Children", &[0]);
+        let after = keys(&cache);
+        assert_eq!(after[..3], before[..3]);
+        assert_ne!(after[3], before[3], "Q(M) reads every column");
+        // Children.mid is a join column of {Children, Parents} and of D(G)
+        cache.bump_columns("Children", &[1]);
+        let joined = keys(&cache);
+        assert_ne!(joined[0], after[0]);
+        assert_eq!(joined[1], after[1], "{{PhoneDir}} holds no Children");
+        assert_ne!(joined[2], after[2]);
+        // a one-node F(J) reads no column, only the row set
+        cache.bump_columns("PhoneDir", &[0, 1]);
+        assert_eq!(fj_fingerprint(&g, &cache, 0b100), joined[1]);
+        cache.bump_version("PhoneDir");
+        assert_ne!(fj_fingerprint(&g, &cache, 0b100), joined[1]);
     }
 
     #[test]
@@ -716,10 +810,13 @@ mod tests {
     fn epoch_bump_changes_all_fingerprints() {
         let cache = EvalCache::new();
         let g = tree_graph();
-        let a = graph_fingerprint(&g, &cache, "D(G).tree.ids");
+        let a = graph_fingerprint(&db(), &g, &cache, "D(G).tree.ids").unwrap();
         let s = fj_fingerprint(&g, &cache, 0b11);
         cache.bump_epoch();
-        assert_ne!(a, graph_fingerprint(&g, &cache, "D(G).tree.ids"));
+        assert_ne!(
+            a,
+            graph_fingerprint(&db(), &g, &cache, "D(G).tree.ids").unwrap()
+        );
         assert_ne!(s, fj_fingerprint(&g, &cache, 0b11));
     }
 }

@@ -132,7 +132,8 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
                 .map(|(_, n)| n.code.clone())
                 .collect();
             let warm = cache.as_ref().is_some_and(|(c, versions)| {
-                c.peek(versions.key(plan.compiled.form.structure(graph, mask), mask))
+                let key = plan.compiled.form.built_key(mask);
+                key.is_some_and(|key| c.peek(key.key(versions)))
             });
             let warmth = if warm { "warm" } else { "cold" };
             out.push_str(&format!("{head}F({{{}}}) [{warmth}]\n", members.join(",")));

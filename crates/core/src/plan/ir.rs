@@ -46,17 +46,20 @@
 //! association, moved into its example.
 //!
 //! A tree runs in a `Pass`: each graph node's relation is borrowed
-//! once, and with a live cache the epoch and every node's content
-//! version are read under one lock. What does not depend on the data
-//! comes from a `GraphForm`, built once per graph: each subgraph's
-//! column layout (a `Frame`, shared, never rebuilt per lookup) and the
-//! version-free structure hash its `F(J)` key starts from. A key is that
-//! hash with the pass's versions mixed in, so a run formats no predicate.
+//! once, and with a live cache the epoch and every node's versions are
+//! read under one lock. What does not depend on the data comes from a
+//! `GraphForm`, built once per graph: each subgraph's column layout (a
+//! `Frame`, shared, never rebuilt per lookup) and the `KeyForm` its
+//! `F(J)` key starts from — the version-free structure hash and the
+//! columns the subgraph's edge predicates read. A key is that hash with
+//! the pass's versions of those columns mixed in, so a run formats no
+//! predicate, and an edit to other cells keeps the key.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use clio_incr::{EvalCache, Fingerprint, IdRows, LookupTier};
+use clio_incr::{Dep, EvalCache, Fingerprint, IdRows, LookupTier};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
@@ -71,9 +74,7 @@ use clio_relational::value::Value;
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
-use crate::incremental::{
-    disjunction_structure, elapsed_ns, mask_deps, relation_deps, subgraph_structure, Versions,
-};
+use crate::incremental::{disjunction_structure, elapsed_ns, subgraph_structure, Versions};
 use crate::mapping::{all_pass, MappingEvaluator};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
@@ -201,23 +202,103 @@ impl Frame {
     }
 }
 
+/// Each graph node's relation in `db`, in node order.
+fn node_relations<'d>(graph: &QueryGraph, db: &'d Database) -> Result<Vec<&'d Relation>> {
+    graph
+        .nodes()
+        .iter()
+        .map(|n| db.relation(&n.relation))
+        .collect()
+}
+
+/// What the key of an `F(J)` or `D(G)` over the nodes of one mask is
+/// built from: the version-free structure hash, and the columns the
+/// computation reads — those of the mask's induced edge predicates. Its
+/// key mixes each member node's row-set version and the versions of the
+/// node's read columns only, so an edit to other cells keeps it; an
+/// entry under it declares the same columns as its dependencies.
+///
+/// Those are all the cells an `F(J)` or a `D(G)` on tuple ids reads
+/// while no relation holds a near-duplicate. With one, the residual
+/// passes read every cell of the relations' tuples through the ids, so
+/// an edit to a relation holding one before or after must bump its
+/// row-set version (`Session::replace_relation` does).
+#[derive(Debug, Clone)]
+pub(crate) struct KeyForm {
+    structure: u64,
+    mask: u64,
+    /// The `(node, attribute position)` pairs read, sorted, distinct.
+    reads: Vec<(NodeId, usize)>,
+}
+
+impl KeyForm {
+    /// The key form of `structure` over the nodes of `mask`, whose
+    /// columns `frame` lays out. A predicate column that does not
+    /// resolve over them (a join over it fails anyway) counts as reading
+    /// every column of every member node.
+    fn new(graph: &QueryGraph, frame: &Frame, mask: u64, structure: u64) -> KeyForm {
+        let reads: Option<Vec<(NodeId, usize)>> = graph
+            .edges()
+            .iter()
+            .filter(|e| mask & (1 << e.a) != 0 && mask & (1 << e.b) != 0)
+            .flat_map(|e| e.predicate.columns())
+            .map(|c| frame.scheme.resolve(c).ok().map(|at| frame.columns[at]))
+            .collect();
+        let mut reads = reads.unwrap_or_else(|| frame.columns.clone());
+        reads.sort_unstable();
+        reads.dedup();
+        KeyForm {
+            structure,
+            mask,
+            reads,
+        }
+    }
+
+    /// [`KeyForm::new`] over `db`'s relations.
+    pub(crate) fn of(
+        db: &Database,
+        graph: &QueryGraph,
+        mask: u64,
+        structure: u64,
+    ) -> Result<KeyForm> {
+        let frame = Frame::over(graph, &node_relations(graph, db)?, mask);
+        Ok(KeyForm::new(graph, &frame, mask, structure))
+    }
+
+    /// This key's fingerprint under `versions`.
+    pub(crate) fn key(&self, versions: &Versions) -> Fingerprint {
+        versions.key_reading(self.structure, self.mask, &self.reads)
+    }
+
+    /// What an entry under this key depends on: per member node, its
+    /// relation and the columns read of it.
+    fn deps(&self, graph: &QueryGraph) -> Vec<Dep> {
+        bits(self.mask)
+            .map(|v| {
+                let read = self.reads.iter().filter(|&&(node, _)| node == v);
+                let columns = read.map(|&(_, a)| a).collect();
+                Dep::columns(graph.nodes()[v].relation.clone(), columns)
+            })
+            .collect()
+    }
+}
+
 /// What every run of one graph's plans shares, built once: per subgraph
 /// mask, its [`Frame`] in node order, and for the subgraphs whose `F(J)`
-/// is looked up the version-free structure hash its key starts from;
-/// and the structure hash of the graph's `D(G)` memo key under its tag.
-/// A mask or tag it was not built for is computed when asked, so an
-/// empty form serves any tree, paying per lookup what a built form pays
-/// once.
+/// is looked up the [`KeyForm`] its key is built from; and the key form
+/// of the graph's `D(G)` memo under its tag. A mask or tag it was not
+/// built for is computed when asked, so an empty form serves any tree,
+/// paying per lookup what a built form pays once.
 #[derive(Debug, Default)]
 pub(crate) struct GraphForm {
     frames: HashMap<u64, Arc<Frame>>,
-    keys: HashMap<u64, u64>,
-    memo: Option<(&'static str, u64)>,
+    keys: HashMap<u64, KeyForm>,
+    memo: Option<(&'static str, KeyForm)>,
 }
 
 impl GraphForm {
     /// The form of `graph` with the frames of `frames`, the `F(J)` key
-    /// structure hashes of `keyed`, and the `D(G)` memo under `memo`.
+    /// forms of `keyed`, and the `D(G)` memo under `memo`.
     pub(crate) fn new(
         graph: &QueryGraph,
         db: &Database,
@@ -225,21 +306,30 @@ impl GraphForm {
         keyed: &[u64],
         memo: &'static str,
     ) -> Result<GraphForm> {
-        let relations: Vec<&Relation> = graph
-            .nodes()
-            .iter()
-            .map(|n| db.relation(&n.relation))
-            .collect::<Result<_>>()?;
+        let relations = node_relations(graph, db)?;
+        let frames: HashMap<u64, Arc<Frame>> = frames
+            .into_iter()
+            .map(|mask| (mask, Arc::new(Frame::over(graph, &relations, mask))))
+            .collect();
+        let key = |mask: u64, structure: u64| match frames.get(&mask) {
+            Some(frame) => KeyForm::new(graph, frame, mask, structure),
+            None => KeyForm::new(
+                graph,
+                &Frame::over(graph, &relations, mask),
+                mask,
+                structure,
+            ),
+        };
         Ok(GraphForm {
-            frames: frames
-                .into_iter()
-                .map(|mask| (mask, Arc::new(Frame::over(graph, &relations, mask))))
-                .collect(),
             keys: keyed
                 .iter()
-                .map(|&mask| (mask, subgraph_structure(graph, mask)))
+                .map(|&mask| (mask, key(mask, subgraph_structure(graph, mask))))
                 .collect(),
-            memo: Some((memo, disjunction_structure(graph, memo))),
+            memo: Some((
+                memo,
+                key(graph.node_mask(), disjunction_structure(graph, memo)),
+            )),
+            frames,
         })
     }
 
@@ -256,19 +346,34 @@ impl GraphForm {
         }
     }
 
-    /// The structure hash of the `F(J)` key of the subgraph `mask`.
-    pub(crate) fn structure(&self, graph: &QueryGraph, mask: u64) -> u64 {
+    /// The key form built for the `F(J)` of the subgraph `mask`, if any.
+    pub(crate) fn built_key(&self, mask: u64) -> Option<&KeyForm> {
+        self.keys.get(&mask)
+    }
+
+    /// The key form of the `F(J)` of the subgraph `mask`.
+    fn key(&self, p: &Pass, mask: u64) -> Cow<'_, KeyForm> {
         match self.keys.get(&mask) {
-            Some(&structure) => structure,
-            None => subgraph_structure(graph, mask),
+            Some(key) => Cow::Borrowed(key),
+            None => Cow::Owned(KeyForm::new(
+                p.graph,
+                &self.frame(p, mask),
+                mask,
+                subgraph_structure(p.graph, mask),
+            )),
         }
     }
 
-    /// The structure hash of the `D(G)` memo key under `tag`.
-    fn memo_structure(&self, graph: &QueryGraph, tag: &'static str) -> u64 {
-        match self.memo {
-            Some((memo, structure)) if memo == tag => structure,
-            _ => disjunction_structure(graph, tag),
+    /// The key form of the `D(G)` memo under `tag`.
+    fn memo_key(&self, p: &Pass, tag: &'static str) -> Cow<'_, KeyForm> {
+        match &self.memo {
+            Some((memo, key)) if *memo == tag => Cow::Borrowed(key),
+            _ => Cow::Owned(KeyForm::new(
+                p.graph,
+                &self.frame(p, p.graph.node_mask()),
+                p.graph.node_mask(),
+                disjunction_structure(p.graph, tag),
+            )),
         }
     }
 }
@@ -290,12 +395,7 @@ impl<'p> Pass<'p> {
     /// more tuples than a `u32` id can number is rejected, never
     /// wrapped.
     pub(crate) fn new(ex: &Exec<'p>, form: &'p GraphForm) -> Result<Pass<'p>> {
-        let relations: Vec<&Relation> = ex
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| ex.db.relation(&n.relation))
-            .collect::<Result<_>>()?;
+        let relations = node_relations(ex.graph, ex.db)?;
         for relation in &relations {
             u32::try_from(relation.len()).map_err(|_| {
                 Error::Invalid(format!(
@@ -318,12 +418,20 @@ impl<'p> Pass<'p> {
         })
     }
 
-    /// The live cache, and the key of `structure` over the nodes in
-    /// `mask` with this pass's versions mixed in.
+    /// The live cache, and the key of `structure` over every column of
+    /// the nodes in `mask` with this pass's versions mixed in.
     pub(crate) fn keyed(&self, structure: u64, mask: u64) -> Option<(&'p EvalCache, Fingerprint)> {
         self.cache
             .as_ref()
             .map(|(cache, versions)| (*cache, versions.key(structure, mask)))
+    }
+
+    /// The live cache, and `key`'s fingerprint with this pass's versions
+    /// mixed in.
+    fn keyed_form(&self, key: &KeyForm) -> Option<(&'p EvalCache, Fingerprint)> {
+        self.cache
+            .as_ref()
+            .map(|(cache, versions)| (*cache, key.key(versions)))
     }
 
     fn frame(&self, mask: u64) -> Arc<Frame> {
@@ -624,7 +732,8 @@ fn memoized_ids<'t>(
     compute: impl FnOnce() -> Result<(TupleIds<'t>, u64)>,
 ) -> Result<(TupleIds<'t>, u64)> {
     let all = p.graph.node_mask();
-    let Some((cache, fp)) = p.keyed(p.form.memo_structure(p.graph, tag), all) else {
+    let key = p.form.memo_key(p, tag);
+    let Some((cache, fp)) = p.keyed_form(&key) else {
         return compute();
     };
     let _span = clio_obs::span("incr.fd");
@@ -643,7 +752,7 @@ fn memoized_ids<'t>(
     let (ids, children_ns) = compute()?;
     let total = elapsed_ns(t0);
     let cost_ns = total.saturating_sub(children_ns);
-    cache.insert_ids(fp, relation_deps(p.graph), &ids.compact(all), cost_ns);
+    cache.insert_ids(fp, key.deps(p.graph), &ids.compact(all), cost_ns);
     clio_obs::hist::finish("incr.fd.cold", timer);
     Ok((ids, total))
 }
@@ -1077,9 +1186,9 @@ fn extended_rows(table: &TupleIds, children: &[(&TupleIds, usize)]) -> Vec<bool>
 ///
 /// **Joins.** With a live cache each branch's *unfiltered* `F(J)` is
 /// looked up under its key (counted, in branch order; span
-/// `fd.lattice.lookup`): the structure hash the [`GraphForm`] holds for
-/// the subgraph, with the pass's versions mixed in; an insert reuses its
-/// lookup's key, and a hit is laid out by the form's frame. A
+/// `fd.lattice.lookup`): the [`KeyForm`] the [`GraphForm`] holds for the
+/// subgraph, with the pass's versions of its columns mixed in; an insert
+/// reuses its lookup's key, and a hit is laid out by the form's frame. A
 /// miss is one join: `chain_ir(J)` is `Join { chain_ir(J \ {v}), Scan v }`
 /// for `J`'s last BFS node `v`, so `F(J)` joins the parent subgraph's id
 /// rows with `R_v`'s rows, read in place, by the join kernel
@@ -1149,7 +1258,7 @@ pub(crate) fn schedule<'t>(
         let (cache, fp) = match fps.get(&mask) {
             Some(&keyed) => keyed,
             None => {
-                let keyed = p.keyed(p.form.structure(p.graph, mask), mask)?;
+                let keyed = p.keyed_form(&p.form.key(p, mask))?;
                 *fps.entry(mask).or_insert(keyed)
             }
         };
@@ -1230,13 +1339,12 @@ pub(crate) fn schedule<'t>(
         .collect::<Result<_>>()?;
         let _span = live.then(|| clio_obs::span("fd.lattice.insert"));
         for (job, (ids, cost_ns)) in level.iter().zip(fresh) {
-            let keyed = fps
-                .get(&job.mask)
-                .copied()
-                .or_else(|| p.keyed(p.form.structure(p.graph, job.mask), job.mask));
-            if let Some((c, fp)) = keyed {
-                let deps = mask_deps(p.graph, job.mask);
-                c.insert_ids(fp, deps, &ids.compact(job.mask), cost_ns);
+            if live {
+                let key = p.form.key(p, job.mask);
+                let keyed = fps.get(&job.mask).copied().or_else(|| p.keyed_form(&key));
+                if let Some((c, fp)) = keyed {
+                    c.insert_ids(fp, key.deps(p.graph), &ids.compact(job.mask), cost_ns);
+                }
             }
             dispatched.push((job.mask, cost_ns));
             known.insert(job.mask, ids);

@@ -20,6 +20,7 @@ use clio_relational::error::{Error, Result};
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::index::ValueIndex;
 use clio_relational::parser::parse_expr;
+use clio_relational::relation::Relation;
 use clio_relational::schema::RelSchema;
 use clio_relational::table::Table;
 use clio_relational::value::Value;
@@ -289,13 +290,26 @@ impl Session {
     /// sufficiency is repaired by adding examples. Each workspace evolves
     /// through its compiled mapping, so an edit compiles nothing.
     ///
+    /// What is invalidated depends on what the edit changed. When the
+    /// new relation has as many rows as the old one and neither holds a
+    /// near-duplicate ([`Relation::has_near_duplicates`]), the two are
+    /// compared row by row in place and only the columns with a changed
+    /// cell are bumped ([`EvalCache::bump_columns`]): the `F(J)` and
+    /// `D(G)` entries, whose keys read only the columns their join
+    /// predicates read, survive an edit to other cells, while every
+    /// `Q(M)` entry of the relation goes. A reorder shows up as changed
+    /// cells of the columns that differ between the swapped rows. Any
+    /// other edit bumps the whole relation ([`EvalCache::bump_version`]):
+    /// a changed row count, or a near-duplicate on either side, whose
+    /// residual passes read every cell of the relation through the ids.
+    ///
     /// The edit is all or nothing: every workspace is evolved before any
     /// illustration changes. When one evolution fails (say, a
     /// correspondence divides by a value the edit made zero), the old
-    /// relation and the index are restored and the relation's version
-    /// is bumped once more, so nothing computed on the rejected data is
+    /// relation and the index are restored and the same versions are
+    /// bumped once more, so nothing computed on the rejected data is
     /// ever served, and the error is returned.
-    pub fn replace_relation(&mut self, rel: clio_relational::relation::Relation) -> Result<()> {
+    pub fn replace_relation(&mut self, rel: Relation) -> Result<()> {
         let _span = clio_obs::span("session.replace_relation");
         let name = rel.name().to_owned();
         let old_schema = self.db.relation(&name)?.schema();
@@ -309,7 +323,12 @@ impl Session {
         // clone it first; they keep seeing the pre-edit data.
         let old = std::mem::replace(Arc::make_mut(&mut self.db).relation_mut(&name)?, rel);
         let index = self.index.take();
-        self.cache.bump_version(&name);
+        let changed = changed_columns(&old, self.db.relation(&name)?);
+        let bump = |cache: &EvalCache| match &changed {
+            Some(columns) => cache.bump_columns(&name, columns),
+            None => cache.bump_version(&name),
+        };
+        bump(&self.cache);
         match self.evolve_workspaces() {
             Ok(illustrations) => {
                 for (w, illustration) in self.workspaces.iter_mut().zip(illustrations) {
@@ -320,7 +339,7 @@ impl Session {
             Err(e) => {
                 *Arc::make_mut(&mut self.db).relation_mut(&name)? = old;
                 self.index = index;
-                self.cache.bump_version(&name);
+                bump(&self.cache);
                 Err(e)
             }
         }
@@ -954,6 +973,24 @@ impl Session {
     }
 }
 
+/// The columns in which `new` differs from `old` when rows may be
+/// compared by position: both hold as many rows and neither holds a
+/// near-duplicate. Otherwise `None`: the edit changed the relation as a
+/// whole. Cells compare by variant and value, so an `Int` replaced by
+/// the equal `Float` counts as changed.
+fn changed_columns(old: &Relation, new: &Relation) -> Option<Vec<usize>> {
+    if old.len() != new.len() || old.has_near_duplicates() || new.has_near_duplicates() {
+        return None;
+    }
+    let mut changed = vec![false; old.schema().arity()];
+    for (a, b) in old.rows().iter().zip(new.rows()) {
+        for ((flag, x), y) in changed.iter_mut().zip(a).zip(b) {
+            *flag |= std::mem::discriminant(x) != std::mem::discriminant(y) || x != y;
+        }
+    }
+    Some((0..changed.len()).filter(|&c| changed[c]).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1302,62 +1339,40 @@ mod tests {
         assert!(!ill.is_empty());
     }
 
-    /// An edit's illustration and its preview read the same `D(G)`: the
-    /// examples pass runs the lattice and memoizes it as tuple ids, small
-    /// enough to fit a budget of half the working set (the cycle-edit
-    /// benchmark's setting), and the preview is served that memo. So each
-    /// `replace_relation` + `target_preview` runs the lattice once, and
-    /// previews equal a cache-off session's.
-    #[test]
-    fn an_edit_runs_one_lattice_at_half_budget() {
-        let mut g = QueryGraph::new();
-        let c = g.add_node(Node::new("Children")).unwrap();
-        let p = g.add_node(Node::new("Parents")).unwrap();
-        let ph = g.add_node(Node::new("PhoneDir")).unwrap();
-        for (a, b, pred) in [
-            (c, p, "Children.mid = Parents.ID"),
-            (p, ph, "PhoneDir.ID = Parents.ID"),
-            (c, ph, "Children.mid = PhoneDir.ID"),
-        ] {
-            g.add_edge(a, b, parse_expr(pred).unwrap()).unwrap();
-        }
-        assert!(!g.is_tree());
-        let mapping = Mapping::new(g, target())
-            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
-            .with_correspondence(ValueCorrespondence::identity("Children.name", "name"))
-            .with_correspondence(ValueCorrespondence::identity(
-                "Parents.affiliation",
-                "affiliation",
-            ))
-            .with_correspondence(ValueCorrespondence::identity(
-                "PhoneDir.number",
-                "contactPh",
-            ));
+    /// The `fd.lattice` spans each data edit and the preview after it
+    /// record, on a session over [`cyclic_mapping`] whose cache holds
+    /// half its working set (the cycle-edit benchmark's setting). First
+    /// `setup` rows are inserted, one relation at a time; then each of
+    /// `edits` sets `column` of row `round` of `relation` to `value`
+    /// followed by `round`, in rounds 0 and 1. Every preview must equal
+    /// a cache-off session's, and the cache must stay within budget.
+    fn lattices_per_edit(
+        setup: &[(&str, Vec<Value>)],
+        edits: &[(&str, usize, &str)],
+    ) -> Vec<usize> {
         let mut cached = session();
         let mut plain = session();
         plain.set_cache_enabled(false);
         for s in [&mut cached, &mut plain] {
-            s.adopt_mapping(mapping.clone(), "cyclic").unwrap();
+            s.adopt_mapping(cyclic_mapping(), "cyclic").unwrap();
+            for (name, row) in setup {
+                let mut rel = s.database().relation(name).unwrap().clone();
+                rel.insert(row.clone()).unwrap();
+                s.replace_relation(rel).unwrap();
+            }
         }
         cached.target_preview().unwrap();
-        let working_set = cached.cache().stats().bytes;
-        cached.cache().set_capacity(working_set / 2);
-        // one payload cell (column 1) per edit, rotating over the
-        // graph's relations
-        let edits = [
-            ("Children", "Ana"),
-            ("Parents", "CMU"),
-            ("PhoneDir", "555-0199"),
-        ];
+        let budget = cached.cache().stats().bytes / 2;
+        cached.cache().set_capacity(budget);
+        let mut lattices = Vec::new();
         for round in 0..2 {
-            for &(name, value) in &edits {
+            for &(name, column, value) in edits {
                 let value = format!("{value}{round}");
                 let edited = |s: &Session| {
                     let rel = s.database().relation(name).unwrap();
                     let mut rows = rel.rows().to_vec();
-                    rows[round][1] = Value::str(value.as_str());
-                    clio_relational::relation::Relation::with_rows(rel.schema().clone(), rows)
-                        .unwrap()
+                    rows[round][column] = Value::str(value.as_str());
+                    Relation::with_rows(rel.schema().clone(), rows).unwrap()
                 };
                 let rel = edited(&cached);
                 let rec = clio_obs::Recorder::new();
@@ -1365,21 +1380,49 @@ mod tests {
                     cached.replace_relation(rel).unwrap();
                     cached.target_preview().unwrap()
                 });
-                let lattices = rec
-                    .spans()
-                    .iter()
-                    .filter(|s| s.name == "fd.lattice")
-                    .count();
-                assert_eq!(lattices, 1, "edit of {name} in round {round}");
+                let spans = rec.spans();
+                lattices.push(spans.iter().filter(|s| s.name == "fd.lattice").count());
                 plain.replace_relation(edited(&plain)).unwrap();
                 assert_eq!(preview, plain.target_preview().unwrap(), "{name} {round}");
             }
         }
-        assert!(cached.cache().stats().bytes <= working_set / 2);
+        assert!(cached.cache().stats().bytes <= budget);
+        lattices
     }
 
-    /// The cyclic `Children`–`Parents`–`PhoneDir` mapping of
-    /// `an_edit_runs_one_lattice_at_half_budget`.
+    /// A payload edit keeps every `F(J)` and the `D(G)` memo: their keys
+    /// read only the join columns, so the examples pass and the preview
+    /// are both served the memo and no edit runs the lattice.
+    #[test]
+    fn a_payload_edit_runs_no_lattice_at_half_budget() {
+        let payload = [
+            ("Children", 1, "Ana"),
+            ("Parents", 1, "CMU"),
+            ("PhoneDir", 1, "555-0199"),
+        ];
+        assert_eq!(lattices_per_edit(&[], &payload), [0; 6]);
+    }
+
+    /// A join-column edit moves the keys of the `F(J)`s that read it and
+    /// of the `D(G)` memo: the examples pass runs the lattice once, and
+    /// the preview is served the memo it stored.
+    #[test]
+    fn a_join_column_edit_runs_one_lattice_at_half_budget() {
+        let joins = [("Children", 2, "20"), ("PhoneDir", 0, "20")];
+        assert_eq!(lattices_per_edit(&[], &joins), [1; 4]);
+    }
+
+    /// While a relation holds a near-duplicate, the residual pass reads
+    /// every cell of its tuples, so a payload edit to it is an edit of
+    /// the whole relation: the lattice runs once.
+    #[test]
+    fn a_payload_edit_to_a_relation_holding_a_near_duplicate_runs_one_lattice() {
+        let near_duplicate = ("Parents", vec!["203".into(), Value::Null]);
+        let payload = [("Parents", 1, "CMU")];
+        assert_eq!(lattices_per_edit(&[near_duplicate], &payload), [1; 2]);
+    }
+
+    /// The cyclic `Children`–`Parents`–`PhoneDir` mapping.
     fn cyclic_mapping() -> Mapping {
         let mut g = QueryGraph::new();
         let c = g.add_node(Node::new("Children")).unwrap();

@@ -5,10 +5,15 @@
 //! Three mechanisms keep entries honest (see `docs/incremental.md`):
 //!
 //! * **Content versions** — every base relation has a monotonically
-//!   increasing version, mixed into fingerprints by the caller. Editing
-//!   a relation calls [`EvalCache::bump_version`], which both retires
-//!   the old fingerprints (they can never be asked for again) and
-//!   eagerly drops entries that declared the relation as a dependency.
+//!   increasing *row-set* version and one version per column
+//!   ([`RelationVersions`]), mixed into fingerprints by the caller. An
+//!   edit that changed the relation as a whole calls
+//!   [`EvalCache::bump_version`]; one that kept every row in place and
+//!   changed only some cells calls [`EvalCache::bump_columns`] with
+//!   their columns. Either retires the fingerprints that mixed a bumped
+//!   version (they can never be asked for again) and eagerly drops the
+//!   entries whose declared dependencies ([`Dep`]) meet the change: a
+//!   column bump spares an entry that read other columns only.
 //! * **The epoch** — a cache-wide version covering ambient evaluation
 //!   state that is not per-relation (the function registry). Bumping it
 //!   clears everything.
@@ -157,6 +162,92 @@ impl Payload {
     }
 }
 
+/// A base relation an entry was computed from, and the columns of it
+/// the entry's key mixed the versions of.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Dep {
+    /// The relation's name.
+    pub relation: String,
+    /// The attribute positions read, ascending; `None` for every column
+    /// (the entry also changes with the cells of any column).
+    pub columns: Option<Vec<usize>>,
+}
+
+impl Dep {
+    /// A dependency on the listed columns of `relation` only.
+    #[must_use]
+    pub fn columns(relation: impl Into<String>, columns: Vec<usize>) -> Dep {
+        Dep {
+            relation: relation.into(),
+            columns: Some(columns),
+        }
+    }
+
+    /// Does a change to `columns` of `relation` (`None`: the whole
+    /// relation) meet this dependency?
+    fn meets(&self, relation: &str, columns: Option<&[usize]>) -> bool {
+        self.relation == relation
+            && match (&self.columns, columns) {
+                (Some(read), Some(changed)) => read.iter().any(|c| changed.contains(c)),
+                _ => true,
+            }
+    }
+}
+
+/// A dependency on every column of the relation.
+impl From<String> for Dep {
+    fn from(relation: String) -> Dep {
+        Dep {
+            relation,
+            columns: None,
+        }
+    }
+}
+
+/// The content versions of one base relation: a row-set version, bumped
+/// by [`EvalCache::bump_version`] when the rows changed as a whole
+/// (inserted, deleted, or any cell when rows may not be compared by
+/// position), and one version per column, bumped by
+/// [`EvalCache::bump_columns`] when rows kept their places and only that
+/// column's cells changed. All start at 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RelationVersions {
+    rows: u64,
+    /// Per column, by attribute position; a column past the end is at 0.
+    columns: Vec<u64>,
+}
+
+impl RelationVersions {
+    /// The row-set version.
+    #[must_use]
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// The version of column `c`.
+    #[must_use]
+    pub fn column(&self, c: usize) -> u64 {
+        self.columns.get(c).copied().unwrap_or(0)
+    }
+
+    /// The version of the whole relation: how many bumps, of the row set
+    /// or of any column, it has seen. It moves on every change, so a key
+    /// over every column mixes this one number.
+    #[must_use]
+    pub fn content(&self) -> u64 {
+        self.rows + self.columns.iter().sum::<u64>()
+    }
+
+    /// Are the versions a dependency on `columns` (`None`: every column)
+    /// reads all still 0?
+    fn pristine(&self, columns: Option<&[usize]>) -> bool {
+        match columns {
+            None => self.content() == 0,
+            Some(columns) => self.rows == 0 && columns.iter().all(|&c| self.column(c) == 0),
+        }
+    }
+}
+
 /// Point-in-time statistics of one [`EvalCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -194,7 +285,7 @@ pub enum LookupTier {
 #[derive(Debug, Clone)]
 struct Entry {
     payload: Payload,
-    deps: Vec<String>,
+    deps: Vec<Dep>,
     bytes: usize,
     last_used: u64,
     /// Measured recompute time, reported by the caller at insert or
@@ -225,7 +316,7 @@ const MAX_GHOSTS: usize = 1024;
 #[derive(Debug, Clone, Default)]
 struct Inner {
     entries: HashMap<Fingerprint, Entry>,
-    versions: HashMap<String, u64>,
+    versions: HashMap<String, RelationVersions>,
     epoch: u64,
     bytes: usize,
     tick: u64,
@@ -425,33 +516,41 @@ impl EvalCache {
 
     /// Is an entry with these dependencies in the pristine state that
     /// makes its fingerprint reproducible by a fresh process — epoch
-    /// zero and every declared dependency still at content version
-    /// zero? Only such entries are worth spilling: post-edit
-    /// fingerprints can never be requested across a restart.
-    fn spill_eligible(inner: &Inner, deps: &[String]) -> bool {
+    /// zero and every version its key mixed still zero (the row set and
+    /// the columns each dependency read)? Only such entries are worth
+    /// spilling: post-edit fingerprints can never be requested across a
+    /// restart.
+    fn spill_eligible(inner: &Inner, deps: &[Dep]) -> bool {
         inner.epoch == 0
-            && deps
-                .iter()
-                .all(|d| inner.versions.get(d).copied().unwrap_or(0) == 0)
+            && deps.iter().all(|d| {
+                inner
+                    .versions
+                    .get(&d.relation)
+                    .is_none_or(|v| v.pristine(d.columns.as_deref()))
+            })
     }
 
-    /// Current content version of a base relation (0 until first bump).
+    /// Current content version of a base relation: the number of bumps
+    /// of its row set or of any of its columns (0 until the first).
     #[must_use]
     pub fn version(&self, relation: &str) -> u64 {
-        self.lock().versions.get(relation).copied().unwrap_or(0)
+        self.lock()
+            .versions
+            .get(relation)
+            .map_or(0, RelationVersions::content)
     }
 
-    /// The epoch and the content version of each of `relations`, read
-    /// under one lock: what a pass of fingerprints mixes in, read once.
+    /// The epoch and the versions of each of `relations`, read under one
+    /// lock: what a pass of fingerprints mixes in, read once.
     #[must_use]
     pub fn epoch_and_versions<'r>(
         &self,
         relations: impl IntoIterator<Item = &'r str>,
-    ) -> (u64, Vec<u64>) {
+    ) -> (u64, Vec<RelationVersions>) {
         let inner = self.lock();
         let versions = relations
             .into_iter()
-            .map(|r| inner.versions.get(r).copied().unwrap_or(0))
+            .map(|r| inner.versions.get(r).cloned().unwrap_or_default())
             .collect();
         (inner.epoch, versions)
     }
@@ -462,17 +561,45 @@ impl EvalCache {
         self.lock().epoch
     }
 
-    /// Record a content change to `relation`: bump its version and drop
-    /// every entry that declared it as a dependency. Processed even
-    /// while disabled, so stale entries cannot survive a disable/edit/
-    /// enable sequence.
+    /// Record a change to `relation` as a whole: bump its row-set
+    /// version and drop every entry that declared it as a dependency.
+    /// Processed even while disabled, so stale entries cannot survive a
+    /// disable/edit/enable sequence.
     pub fn bump_version(&self, relation: &str) {
         let mut inner = self.lock();
-        *inner.versions.entry(relation.to_owned()).or_insert(0) += 1;
+        inner.versions.entry(relation.to_owned()).or_default().rows += 1;
+        Self::invalidate(&mut inner, relation, None);
+    }
+
+    /// Record a change to the cells of `columns` of `relation` that left
+    /// every row in its place: bump each column's version and drop the
+    /// entries that read one of them, or every column of `relation`.
+    /// An entry that read only other columns of it stays, and so does
+    /// its key. No columns, no change. Processed even while disabled, as
+    /// [`EvalCache::bump_version`] is.
+    pub fn bump_columns(&self, relation: &str, columns: &[usize]) {
+        if columns.is_empty() {
+            return;
+        }
+        let mut inner = self.lock();
+        let versions = inner.versions.entry(relation.to_owned()).or_default();
+        for &c in columns {
+            if versions.columns.len() <= c {
+                versions.columns.resize(c + 1, 0);
+            }
+            versions.columns[c] += 1;
+        }
+        Self::invalidate(&mut inner, relation, Some(columns));
+    }
+
+    /// Drop every entry a change to `columns` of `relation` (`None`: the
+    /// whole relation) meets, with its ghost history: its fingerprint
+    /// mixed a version that just moved.
+    fn invalidate(inner: &mut Inner, relation: &str, columns: Option<&[usize]>) {
         let stale: Vec<Fingerprint> = inner
             .entries
             .iter()
-            .filter(|(_, e)| e.deps.iter().any(|d| d == relation))
+            .filter(|(_, e)| e.deps.iter().any(|d| d.meets(relation, columns)))
             .map(|(&fp, _)| fp)
             .collect();
         let dropped = stale.len() as u64;
@@ -579,7 +706,8 @@ impl EvalCache {
             });
             if let Some(entry) = loaded {
                 let bytes = entry.payload.bytes();
-                self.admit(fp, entry.deps, bytes, entry.cost_ns, || entry.payload);
+                let deps = stored_deps(entry.deps);
+                self.admit(fp, deps, bytes, entry.cost_ns, || entry.payload);
                 let mut inner = self.lock();
                 inner.saved_ns = inner.saved_ns.saturating_add(entry.cost_ns);
                 drop(inner);
@@ -605,8 +733,8 @@ impl EvalCache {
     }
 
     /// Store a result under `fp`, declaring the base relations it was
-    /// computed from. Equivalent to [`EvalCache::insert_costed`] with an
-    /// unknown (zero) recompute cost.
+    /// computed from (every column of each). Equivalent to
+    /// [`EvalCache::insert_costed`] with an unknown (zero) recompute cost.
     pub fn insert(&self, fp: Fingerprint, deps: Vec<String>, table: &Table) {
         self.insert_costed(fp, deps, table, 0);
     }
@@ -620,14 +748,16 @@ impl EvalCache {
     /// included) to the attached store when the entry is eligible (see
     /// [`EvalCache::spill_all`] for the eligibility rule).
     pub fn insert_costed(&self, fp: Fingerprint, deps: Vec<String>, table: &Table, cost_ns: u64) {
+        let deps = deps.into_iter().map(Dep::from).collect();
         self.insert_with(fp, deps, table_bytes(table), cost_ns, || {
             Payload::Table(table.clone())
         });
     }
 
     /// [`EvalCache::insert_costed`] for rows of tuple ids, charged four
-    /// bytes per id.
-    pub fn insert_ids(&self, fp: Fingerprint, deps: Vec<String>, rows: &IdRows, cost_ns: u64) {
+    /// bytes per id, declaring per relation the columns the key mixed:
+    /// a [`EvalCache::bump_columns`] of other columns keeps the entry.
+    pub fn insert_ids(&self, fp: Fingerprint, deps: Vec<Dep>, rows: &IdRows, cost_ns: u64) {
         self.insert_with(fp, deps, rows.bytes(), cost_ns, || {
             Payload::Ids(rows.clone())
         });
@@ -639,7 +769,7 @@ impl EvalCache {
     fn insert_with(
         &self,
         fp: Fingerprint,
-        deps: Vec<String>,
+        deps: Vec<Dep>,
         bytes: usize,
         cost_ns: u64,
         make: impl Fn() -> Payload,
@@ -647,11 +777,12 @@ impl EvalCache {
         if !self.enabled() {
             return;
         }
-        if let Some(store) = self.admit(fp, deps.clone(), bytes, cost_ns, &make) {
+        let names = relation_names(&deps);
+        if let Some(store) = self.admit(fp, deps, bytes, cost_ns, &make) {
             store.spill(
                 fp,
                 &StoredEntry {
-                    deps,
+                    deps: names,
                     payload: make(),
                     cost_ns,
                 },
@@ -666,7 +797,7 @@ impl EvalCache {
     fn admit(
         &self,
         fp: Fingerprint,
-        deps: Vec<String>,
+        deps: Vec<Dep>,
         bytes: usize,
         cost_ns: u64,
         make: impl FnOnce() -> Payload,
@@ -744,7 +875,7 @@ impl EvalCache {
                 (
                     fp,
                     StoredEntry {
-                        deps: e.deps.clone(),
+                        deps: relation_names(&e.deps),
                         payload: e.payload.clone(),
                         cost_ns: e.cost_ns,
                     },
@@ -781,13 +912,14 @@ impl EvalCache {
         }
         let mut admitted = 0;
         for (fp, entry) in store.load_all() {
+            let deps = stored_deps(entry.deps);
             let ok = {
                 let inner = self.lock();
-                !inner.entries.contains_key(&fp) && Self::spill_eligible(&inner, &entry.deps)
+                !inner.entries.contains_key(&fp) && Self::spill_eligible(&inner, &deps)
             };
             if ok {
                 let bytes = entry.payload.bytes();
-                self.admit(fp, entry.deps, bytes, entry.cost_ns, || entry.payload);
+                self.admit(fp, deps, bytes, entry.cost_ns, || entry.payload);
                 admitted += 1;
             }
         }
@@ -819,7 +951,10 @@ impl EvalCache {
         self.lock()
             .entries
             .values()
-            .map(|e| (e.deps.clone(), e.bytes, e.cost_ns, e.freq, e.priority))
+            .map(|e| {
+                let deps = relation_names(&e.deps);
+                (deps, e.bytes, e.cost_ns, e.freq, e.priority)
+            })
             .collect()
     }
 
@@ -831,6 +966,24 @@ impl EvalCache {
         inner.ghosts.clear();
         inner.bytes = 0;
     }
+}
+
+/// The relation names of `deps`, sorted and distinct: what a stored
+/// entry keeps of them.
+fn relation_names(deps: &[Dep]) -> Vec<String> {
+    let mut names: Vec<String> = deps.iter().map(|d| d.relation.clone()).collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+/// The dependencies of an entry loaded from a store. A stored entry
+/// keeps only its relation names, so it is taken to read every column
+/// of each: any later bump of one drops it, and it is spilled or
+/// preloaded only while every version of each is 0 — stricter than its
+/// key, never looser.
+fn stored_deps(names: Vec<String>) -> Vec<Dep> {
+    names.into_iter().map(Dep::from).collect()
 }
 
 impl Default for EvalCache {
@@ -882,6 +1035,10 @@ mod tests {
         Fingerprint(n)
     }
 
+    fn every_column(relation: &str) -> Vec<Dep> {
+        vec![Dep::from(relation.to_owned())]
+    }
+
     #[test]
     fn table_bytes_charges_every_cell_and_every_string_payload() {
         // Two rows share one `Arc<str>` in column `a`; each cell is still
@@ -931,7 +1088,7 @@ mod tests {
         assert_eq!(cache.get_ids(fp(1), count), (None, LookupTier::Disabled));
         cache.set_enabled(true);
         assert_eq!(cache.get_ids(fp(1), count), (None, LookupTier::Miss));
-        cache.insert_ids(fp(1), vec!["R".into()], &rows(2), 0);
+        cache.insert_ids(fp(1), every_column("R"), &rows(2), 0);
         assert_eq!(cache.get_ids(fp(1), count), (Some(2), LookupTier::Memory));
         // spill to a store, drop memory, and the store answers
         let store = Arc::new(crate::store::MemStore::new());
@@ -958,6 +1115,68 @@ mod tests {
         assert!(cache.get(fp(3)).is_none());
         assert!(cache.get(fp(2)).is_some());
         assert_eq!(cache.stats().invalidations, 2);
+    }
+
+    #[test]
+    fn a_column_bump_drops_exactly_the_entries_that_read_a_bumped_column() {
+        let rows = IdRows {
+            width: 1,
+            ids: vec![0],
+        };
+        let cache = EvalCache::new();
+        let reads = |cols: Vec<usize>| vec![Dep::columns("R", cols)];
+        cache.insert_ids(fp(1), reads(vec![0]), &rows, 0);
+        cache.insert_ids(fp(2), reads(vec![1, 2]), &rows, 0);
+        cache.insert_ids(fp(3), reads(vec![]), &rows, 0);
+        cache.insert_ids(fp(4), every_column("R"), &rows, 0);
+        cache.insert_ids(fp(5), vec![Dep::columns("S", vec![2])], &rows, 0);
+        cache.bump_columns("R", &[2, 3]);
+        let resident: Vec<bool> = (1..=5).map(|n| cache.peek(fp(n))).collect();
+        assert_eq!(resident, [true, false, true, false, true]);
+        assert_eq!(cache.stats().invalidations, 2);
+        let v = &cache.epoch_and_versions(["R"]).1[0];
+        assert_eq!(
+            (v.rows(), v.column(0), v.column(2), v.column(3)),
+            (0, 0, 1, 1)
+        );
+        assert_eq!(
+            cache.version("R"),
+            2,
+            "every bump moves the content version"
+        );
+        // no columns, no change
+        cache.bump_columns("R", &[]);
+        assert_eq!((cache.version("R"), cache.stats().entries), (2, 3));
+        // a whole-relation bump still drops every dependent, whatever it read
+        cache.bump_version("R");
+        let resident: Vec<bool> = (1..=5).map(|n| cache.peek(fp(n))).collect();
+        assert_eq!(resident, [false, false, false, false, true]);
+        assert_eq!(cache.stats().invalidations, 4);
+        assert_eq!(cache.epoch_and_versions(["R"]).1[0].rows(), 1);
+    }
+
+    #[test]
+    fn spill_eligibility_reads_the_versions_an_entry_read() {
+        use crate::store::MemStore;
+        let rows = IdRows {
+            width: 1,
+            ids: vec![0],
+        };
+        let store = std::sync::Arc::new(MemStore::new());
+        let cache = EvalCache::new();
+        cache.set_store(Some(store.clone()));
+        cache.bump_columns("R", &[1]);
+        cache.insert_ids(fp(1), vec![Dep::columns("R", vec![0])], &rows, 0);
+        assert_eq!(store.len(), 1, "an untouched column still spills");
+        cache.insert_ids(fp(2), vec![Dep::columns("R", vec![0, 1])], &rows, 0);
+        cache.insert_ids(fp(3), every_column("R"), &rows, 0);
+        assert_eq!(store.len(), 1, "a bumped column blocks the spill");
+        // a stored entry keeps only its relation names: preloaded after
+        // the bump, it counts as reading every column, so it is skipped
+        let warm = EvalCache::new();
+        warm.set_store(Some(store));
+        warm.bump_columns("R", &[1]);
+        assert_eq!(warm.preload(), 0);
     }
 
     #[test]
@@ -1080,12 +1299,12 @@ mod tests {
         let store = std::sync::Arc::new(MemStore::new());
         let cache = EvalCache::new();
         cache.set_store(Some(store.clone()));
-        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        cache.insert_ids(fp(1), every_column("R"), &rows, 5);
         assert_eq!(cache.stats().bytes, 24);
         // a table lookup never reads ids: it rejects both copies
         assert!(cache.get(fp(1)).is_none());
         assert_eq!((cache.stats().entries, store.stats().load_errors), (0, 1));
-        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        cache.insert_ids(fp(1), every_column("R"), &rows, 5);
         let in_range = |r: &IdRows| r.ids.iter().all(|&id| id < 6).then(|| r.len());
         assert_eq!(cache.get_ids(fp(1), in_range).0, Some(3));
         // a memory entry its reader rejects is dropped, and the lookup
@@ -1097,7 +1316,7 @@ mod tests {
         assert_eq!(store.stats().load_errors, 2);
         assert!(store.is_empty());
         // the recomputed entry takes the old one's place in both tiers
-        cache.insert_ids(fp(1), vec!["R".into()], &rows, 5);
+        cache.insert_ids(fp(1), every_column("R"), &rows, 5);
         assert_eq!(store.len(), 1);
         assert_eq!(cache.get_ids(fp(1), in_range).0, Some(3));
     }

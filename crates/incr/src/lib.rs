@@ -9,9 +9,9 @@
 //! This crate supplies the machinery: [`EvalCache`] stores result
 //! [`clio_relational::table::Table`]s and rows of tuple ids
 //! ([`IdRows`]) under [`Fingerprint`] keys,
-//! tracks which base relations
+//! tracks which base relations (and which of their columns)
 //! each entry depends on, and drops exactly the dependent entries when a
-//! relation's content version is bumped.
+//! relation's row-set or column version is bumped.
 //!
 //! The crate is deliberately generic: it knows nothing about query
 //! graphs or mappings. `clio-core` computes the fingerprints (see
@@ -29,8 +29,8 @@ pub mod fingerprint;
 pub mod store;
 
 pub use cache::{
-    table_bytes, CacheStats, EvalCache, EvictionPolicy, IdRows, LookupTier, Payload,
-    DEFAULT_CAPACITY_BYTES,
+    table_bytes, CacheStats, Dep, EvalCache, EvictionPolicy, IdRows, LookupTier, Payload,
+    RelationVersions, DEFAULT_CAPACITY_BYTES,
 };
 pub use disk::DiskStore;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};

@@ -26,11 +26,11 @@
 //! their pristine state (no relation edits, no function-registry
 //! changes) **and** looking at the same source data. The first half is
 //! enforced by [`EvalCache`](crate::EvalCache): it spills only entries
-//! whose epoch and dependency versions are all zero. The second half is
-//! the store *namespace*: persistent stores key entries under a digest
-//! of the full source database ([`database_digest`]), so pointing one
-//! cache directory at a different source degrades to a cold run instead
-//! of serving tables computed from other data.
+//! whose epoch and the versions their keys mixed are all zero. The
+//! second half is the store *namespace*: persistent stores key entries
+//! under a digest of the full source database ([`database_digest`]), so
+//! pointing one cache directory at a different source degrades to a
+//! cold run instead of serving tables computed from other data.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

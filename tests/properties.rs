@@ -841,8 +841,10 @@ enum WideOp {
     Session(SessionOp),
     /// `(relation, kind, pick)`: insert a tuple mixed from existing
     /// cells, delete one, update one cell (a join column included) to
-    /// another tuple's value, or insert a near-duplicate (a tuple with
-    /// one nullable cell nulled).
+    /// another tuple's value, insert a near-duplicate (a tuple with one
+    /// nullable cell nulled); or, keeping the row count, overwrite one
+    /// cell with a fresh value or null, swap two rows, or overwrite a
+    /// row with a copy of another row with one nullable cell nulled.
     Edit(usize, usize, usize),
     /// Redefine `tag` to prefix its argument with this number.
     Redefine(usize),
@@ -865,7 +867,7 @@ fn wide_op_strategy() -> impl Strategy<Value = WideOp> {
 }
 
 fn edit_strategy() -> impl Strategy<Value = WideOp> {
-    (0usize..8, 0usize..4, 0usize..64).prop_map(|(r, k, p)| WideOp::Edit(r, k, p))
+    (0usize..8, 0usize..7, 0usize..64).prop_map(|(r, k, p)| WideOp::Edit(r, k, p))
 }
 
 /// `tag`, prefixing a string argument with `k` (the function a
@@ -911,21 +913,36 @@ fn edited_relation(s: &Session, rel: usize, kind: usize, pick: usize) -> Option<
             let col = (pick / n) % schema.arity();
             rows[at][col] = rows[(at + 1) % n][col].clone();
         }
-        _ => {
-            let mut copy = rows[at].clone();
-            let col = schema
-                .attrs()
-                .iter()
-                .enumerate()
-                .position(|(c, a)| !a.not_null && !copy[c].is_null())?;
-            copy[col] = Value::Null;
-            if copy.iter().all(Value::is_null) {
-                return None;
-            }
-            rows.push(copy);
+        3 => rows.push(nulled_copy(&schema, &rows[at])?),
+        4 => {
+            let col = (pick / n) % schema.arity();
+            let attr = &schema.attrs()[col];
+            rows[at][col] = match attr.ty {
+                _ if !attr.not_null && pick.is_multiple_of(3) => Value::Null,
+                DataType::Int => Value::Int(1_000 + pick as i64),
+                DataType::Float => Value::Float(0.5 + pick as f64),
+                DataType::Bool => Value::Bool(!matches!(rows[at][col], Value::Bool(true))),
+                DataType::Str => Value::str(format!("fresh{pick}")),
+            };
         }
+        5 => rows.swap(at, (at + 1 + pick / n) % n),
+        _ => rows[at] = nulled_copy(&schema, &rows[(at + 1 + pick / n) % n])?,
     }
     Relation::with_rows(schema, rows).ok()
+}
+
+/// A copy of `row` with its first non-null nullable cell nulled: a
+/// near-duplicate of `row`, or `None` when it has no such cell or the
+/// copy would be all null.
+fn nulled_copy(schema: &RelSchema, row: &[Value]) -> Option<Vec<Value>> {
+    let mut copy = row.to_vec();
+    let col = schema
+        .attrs()
+        .iter()
+        .enumerate()
+        .position(|(c, a)| !a.not_null && !copy[c].is_null())?;
+    copy[col] = Value::Null;
+    (!copy.iter().all(Value::is_null)).then_some(copy)
 }
 
 fn apply_wide_op(s: &mut Session, op: WideOp, step: usize) -> String {
