@@ -47,7 +47,9 @@ use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::{minimum_union_all, pad_to, select, JoinInput, SubsumptionAlgo};
+use clio_relational::ops::{
+    minimum_union_all, pad_to, select, JoinInput, JoinKind, SubsumptionAlgo,
+};
 use clio_relational::table::Table;
 
 use crate::association::AssociationSet;
@@ -77,7 +79,8 @@ pub enum FdAlgo {
 /// Runs the subgraph's join chain ([`chain_ir`]): nodes are joined in a
 /// connected order, each new node on the conjunction of all its edges
 /// into the already-joined set, so cyclic subgraphs are handled (the
-/// cycle-closing predicates become part of the join condition). The
+/// cycle-closing predicates become part of the join condition); the
+/// columns come in node order. The
 /// chain is exactly its joins, on every graph: on a one-node graph,
 /// `F({R})` is every tuple of `R`, near-duplicates included.
 pub fn full_associations(
@@ -127,7 +130,7 @@ fn full_associations_chain(graph: &QueryGraph, mask: u64) -> Result<RelExpr> {
             "full associations are only defined for connected subgraphs".into(),
         ));
     }
-    Ok(chain_ir(graph, mask, false))
+    Ok(chain_ir(graph, mask, JoinKind::Inner))
 }
 
 /// Definitional `D(G)`: minimum union of the padded `F(J)` over every

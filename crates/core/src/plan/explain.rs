@@ -7,6 +7,7 @@
 //! pruned, and each branch line carries its node set and whether the
 //! plan's cache holds its `F(J)` right now (`[warm]`) or not (`[cold]`).
 
+use clio_relational::ops::JoinKind;
 use clio_relational::schema::format_ident;
 
 use super::ir::{FilterScope, RelExpr};
@@ -46,10 +47,20 @@ fn label(plan: &Plan, e: &RelExpr) -> String {
             format!("Scan {} AS {}", format_ident(relation), format_ident(alias))
         }
         RelExpr::Join {
-            predicate, outer, ..
+            predicate, kind, ..
         } => {
-            let kind = if *outer { "FullOuterJoin" } else { "Join" };
+            let kind = match kind {
+                JoinKind::Inner => "Join",
+                JoinKind::LeftOuter => "LeftOuterJoin",
+                JoinKind::FullOuter => "FullOuterJoin",
+            };
             format!("{kind} ON {predicate}")
+        }
+        RelExpr::Rooted { root, filter, .. } => {
+            format!(
+                "Rooted at {}: required by target filter {filter}",
+                format_ident(root)
+            )
         }
         RelExpr::Filter {
             predicate,
@@ -103,7 +114,9 @@ fn node(plan: &Plan, e: &RelExpr, head: &str, tail: &str, out: &mut String) {
     let (children, masks): (Vec<&RelExpr>, &[u64]) = match e {
         RelExpr::Scan { .. } => (Vec::new(), &[]),
         RelExpr::Join { left, right, .. } => (vec![left, right], &[]),
-        RelExpr::Filter { input, .. } | RelExpr::Project { input, .. } => (vec![input], &[]),
+        RelExpr::Filter { input, .. }
+        | RelExpr::Project { input, .. }
+        | RelExpr::Rooted { input, .. } => (vec![input], &[]),
         RelExpr::Union { inputs, masks, .. } => (inputs.iter().collect(), masks),
     };
     // a non-promoting peek per branch: rendering never changes what the
@@ -156,6 +169,7 @@ mod tests {
     use crate::mapping::Mapping;
     use crate::plan::Plan;
     use crate::query_graph::{Node, QueryGraph};
+    use clio_incr::EvalCache;
     use clio_relational::database::Database;
     use clio_relational::funcs::FuncRegistry;
     use clio_relational::parser::parse_expr;
@@ -190,17 +204,23 @@ mod tests {
         RelSchema::new("Kids", vec![Attribute::not_null("ID", DataType::Str)]).unwrap()
     }
 
-    #[test]
-    fn tree_plans_render_outer_join_chains() {
+    fn tree_mapping() -> Mapping {
         let mut g = QueryGraph::new();
         let c = g.add_node(Node::new("Children")).unwrap();
         let p = g.add_node(Node::new("Parents")).unwrap();
         g.add_edge(c, p, parse_expr("Children.mid = Parents.ID").unwrap())
             .unwrap();
-        let m = Mapping::new(g, target())
+        Mapping::new(g, target())
             .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
-            .with_target_not_null_filters();
-        let plan = Plan::new(&m, &db(), &FuncRegistry::with_builtins(), None).unwrap();
+            .with_target_not_null_filters()
+    }
+
+    /// With a live cache a tree runs, and renders, its full outer chain.
+    #[test]
+    fn tree_plans_render_outer_join_chains() {
+        let m = tree_mapping();
+        let cache = EvalCache::new();
+        let plan = Plan::new(&m, &db(), &FuncRegistry::with_builtins(), Some(&cache)).unwrap();
         let text = plan.explain();
         assert!(text.contains("outer-join (tree)"), "{text}");
         assert!(
@@ -216,6 +236,24 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("└─ Scan Parents"), "{text}");
+    }
+
+    /// Without one it runs, and renders, the chain rooted at the node
+    /// the target filter requires.
+    #[test]
+    fn rooted_tree_plans_render_left_outer_join_chains() {
+        let m = tree_mapping();
+        let plan = Plan::new(&m, &db(), &FuncRegistry::with_builtins(), None).unwrap();
+        let expected = "\
+plan for Kids — outer-join (tree)
+Filter (target) Kids.ID IS NOT NULL
+└─ Project Kids(ID) via 1 correspondence(s)
+   └─ Rooted at Children: required by target filter Kids.ID IS NOT NULL
+      └─ LeftOuterJoin ON Children.mid = Parents.ID
+         ├─ Scan Children
+         └─ Scan Parents
+";
+        assert_eq!(plan.explain(), expected);
     }
 
     #[test]

@@ -37,9 +37,14 @@
 //! runs (`RelExpr::disjunction_ids`). Only that node is memoized, and
 //! only there does the tree plan's outer-join chain get its
 //! near-duplicate residual pass; a chain run any other way is exactly
-//! its joins. A `Project` reads its `D(G)` through the ids, filling one
-//! scratch row with only the columns the correspondences and source
-//! filters reference (span `plan.project`). Value rows are built in
+//! its joins. A [`RelExpr::Rooted`] chain may stand there too: the
+//! left-outer-join chain from a node the target filters require, whose
+//! rows are the `D(G)` rows covering that node, in order. It gets the
+//! same residual pass and is never memoized. A `Project` reads its
+//! `D(G)` through the ids, skipping the rows that miss a required node,
+//! and filling one scratch row with only the columns the
+//! correspondences and source filters reference (span
+//! `plan.project`). Value rows are built in
 //! three places only: [`RelExpr::run`]'s table and
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
 //! association set (span `fd.materialize`), and each example's
@@ -48,8 +53,10 @@
 //! A tree runs in a `Pass`: each graph node's relation is borrowed
 //! once, and with a live cache the epoch and every node's versions are
 //! read under one lock. What does not depend on the data comes from a
-//! `GraphForm`, built once per graph: each subgraph's column layout (a
-//! `Frame`, shared, never rebuilt per lookup) and the `KeyForm` its
+//! `GraphForm`, built once per graph: each subgraph's column layout in
+//! node order (a `Frame`, shared, laid out on first use and never
+//! rebuilt per lookup or join step; every step of a chain over the same
+//! nodes, full, rooted or inner, shares it) and the `KeyForm` its
 //! `F(J)` key starts from — the version-free structure hash and the
 //! columns the subgraph's edge predicates read. A key is that hash with
 //! the pass's versions of those columns mixed in, so a run formats no
@@ -57,7 +64,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use clio_incr::{Dep, EvalCache, Fingerprint, IdRows, LookupTier};
 use clio_obs::metrics::{self, Counter};
@@ -113,9 +120,23 @@ pub enum RelExpr {
         /// Join predicate (conjunction of the query-graph edges closed
         /// by this step).
         predicate: Expr,
-        /// `true` for the tree plan's full outer joins, `false` for the
-        /// inner joins inside an `F(J)`.
-        outer: bool,
+        /// `Inner` inside an `F(J)`, `FullOuter` along the tree plan's
+        /// `D(G)` chain, `LeftOuter` along a [`RelExpr::Rooted`] chain.
+        kind: JoinKind,
+    },
+    /// The tree plan's chain rooted at a node every association must
+    /// cover to reach the target: `input` is the left-outer-join chain
+    /// from `root`, and its rows are the rows of the full outer chain's
+    /// `D(G)` that cover `root`, in the same order. `filter` is the
+    /// target filter that rejects every association missing `root`
+    /// (see [`Plan`](super::Plan)); it still runs above the projection.
+    Rooted {
+        /// The left-outer-join chain over every node, from `root`.
+        input: Box<RelExpr>,
+        /// The alias of the required node the chain starts at.
+        root: String,
+        /// The target filter that requires `root`.
+        filter: Expr,
     },
     /// A predicate filter over its input's rows.
     Filter {
@@ -177,6 +198,8 @@ pub struct Exec<'a> {
 pub(crate) struct Frame {
     scheme: Scheme,
     columns: Vec<(usize, usize)>,
+    /// The nodes laid out.
+    mask: u64,
 }
 
 impl Frame {
@@ -193,6 +216,7 @@ impl Frame {
         Frame {
             scheme: Scheme::new(scheme),
             columns,
+            mask,
         }
     }
 
@@ -284,21 +308,24 @@ impl KeyForm {
 }
 
 /// What every run of one graph's plans shares, built once: per subgraph
-/// mask, its [`Frame`] in node order, and for the subgraphs whose `F(J)`
-/// is looked up the [`KeyForm`] its key is built from; and the key form
-/// of the graph's `D(G)` memo under its tag. A mask or tag it was not
-/// built for is computed when asked, so an empty form serves any tree,
-/// paying per lookup what a built form pays once.
+/// mask it was built for, its [`Frame`] in node order, laid out on first
+/// use (a run a cache answers lays out nothing), and for the subgraphs
+/// whose `F(J)` is looked up the [`KeyForm`] its key is built from; and
+/// the key form of the graph's `D(G)` memo under its tag. A mask or tag
+/// it was not built for is computed when asked, so an empty form serves
+/// any tree, paying per lookup what a built form pays once.
 #[derive(Debug, Default)]
 pub(crate) struct GraphForm {
-    frames: HashMap<u64, Arc<Frame>>,
+    frames: HashMap<u64, OnceLock<Arc<Frame>>>,
     keys: HashMap<u64, KeyForm>,
     memo: Option<(&'static str, KeyForm)>,
 }
 
 impl GraphForm {
     /// The form of `graph` with the frames of `frames`, the `F(J)` key
-    /// forms of `keyed`, and the `D(G)` memo under `memo`.
+    /// forms of `keyed`, and the `D(G)` memo under `memo`. The frames a
+    /// key form reads, the one over every node included, are laid out
+    /// now.
     pub(crate) fn new(
         graph: &QueryGraph,
         db: &Database,
@@ -307,42 +334,49 @@ impl GraphForm {
         memo: &'static str,
     ) -> Result<GraphForm> {
         let relations = node_relations(graph, db)?;
-        let frames: HashMap<u64, Arc<Frame>> = frames
-            .into_iter()
-            .map(|mask| (mask, Arc::new(Frame::over(graph, &relations, mask))))
-            .collect();
-        let key = |mask: u64, structure: u64| match frames.get(&mask) {
-            Some(frame) => KeyForm::new(graph, frame, mask, structure),
-            None => KeyForm::new(
+        let mut form = GraphForm {
+            frames: frames
+                .into_iter()
+                .map(|mask| (mask, OnceLock::new()))
+                .collect(),
+            ..GraphForm::default()
+        };
+        let key = |mask: u64, structure: u64| {
+            KeyForm::new(
                 graph,
-                &Frame::over(graph, &relations, mask),
+                &form.laid_out(graph, &relations, mask),
                 mask,
                 structure,
-            ),
+            )
         };
-        Ok(GraphForm {
-            keys: keyed
-                .iter()
-                .map(|&mask| (mask, key(mask, subgraph_structure(graph, mask))))
-                .collect(),
-            memo: Some((
-                memo,
-                key(graph.node_mask(), disjunction_structure(graph, memo)),
-            )),
-            frames,
-        })
+        let keys = keyed
+            .iter()
+            .map(|&mask| (mask, key(mask, subgraph_structure(graph, mask))))
+            .collect();
+        let memo_key = key(graph.node_mask(), disjunction_structure(graph, memo));
+        form.keys = keys;
+        form.memo = Some((memo, memo_key));
+        Ok(form)
     }
 
-    /// The frame built for `mask`, if any.
+    /// The frame built for `mask`, if it is laid out.
     pub(crate) fn built(&self, mask: u64) -> Option<Arc<Frame>> {
-        self.frames.get(&mask).cloned()
+        self.frames.get(&mask).and_then(OnceLock::get).cloned()
     }
 
     /// The frame of the nodes in `mask`, in node order.
     pub(crate) fn frame(&self, p: &Pass, mask: u64) -> Arc<Frame> {
+        self.laid_out(p.graph, &p.relations, mask)
+    }
+
+    /// The frame of `mask` over `relations`, each graph node's relation:
+    /// the form's own, laid out on first use, when it was built for
+    /// `mask`; else a fresh one.
+    fn laid_out(&self, graph: &QueryGraph, relations: &[&Relation], mask: u64) -> Arc<Frame> {
+        let lay_out = || Arc::new(Frame::over(graph, relations, mask));
         match self.frames.get(&mask) {
-            Some(frame) => Arc::clone(frame),
-            None => Arc::new(Frame::over(p.graph, &p.relations, mask)),
+            Some(slot) => Arc::clone(slot.get_or_init(lay_out)),
+            None => lay_out(),
         }
     }
 
@@ -434,6 +468,11 @@ impl<'p> Pass<'p> {
             .map(|(cache, versions)| (*cache, key.key(versions)))
     }
 
+    /// Does this pass run with a live cache?
+    pub(crate) fn live(&self) -> bool {
+        self.cache.is_some()
+    }
+
     fn frame(&self, mask: u64) -> Arc<Frame> {
         self.form.frame(self, mask)
     }
@@ -467,7 +506,7 @@ impl RelExpr {
                 s.extend(right.bound_vars());
                 s
             }
-            RelExpr::Filter { input, .. } => input.bound_vars(),
+            RelExpr::Filter { input, .. } | RelExpr::Rooted { input, .. } => input.bound_vars(),
             RelExpr::Union { pad, .. } => pad.qualifiers().into_iter().map(str::to_owned).collect(),
             RelExpr::Project { target, .. } => std::iter::once(target.name().to_owned()).collect(),
         }
@@ -496,6 +535,8 @@ impl RelExpr {
             RelExpr::Filter {
                 input, predicate, ..
             } => (vec![input], vec![predicate]),
+            // the target filter is over the target, not the chain
+            RelExpr::Rooted { input, .. } => (vec![input], Vec::new()),
             RelExpr::Union { inputs, .. } => (inputs.iter().collect(), Vec::new()),
             RelExpr::Project {
                 input,
@@ -530,15 +571,17 @@ impl RelExpr {
         }
     }
 
-    /// Infer this node's output scheme against a database (a tree's
-    /// `D(G)` chain runs with its columns in graph-scheme order).
+    /// Infer this node's output scheme against a database. A join
+    /// chain's is its scans' columns in join order; a run lays them out
+    /// in node order, the same order when the chain joins its nodes in
+    /// node order.
     pub fn scheme(&self, db: &Database) -> Result<Scheme> {
         match self {
             RelExpr::Scan { alias, relation } => {
                 Ok(Scheme::of_relation(db.relation(relation)?.schema(), alias))
             }
             RelExpr::Join { left, right, .. } => left.scheme(db)?.concat(&right.scheme(db)?),
-            RelExpr::Filter { input, .. } => input.scheme(db),
+            RelExpr::Filter { input, .. } | RelExpr::Rooted { input, .. } => input.scheme(db),
             RelExpr::Union { pad, .. } => Ok(pad.clone()),
             RelExpr::Project { target, .. } => Ok(Scheme::of_relation(target, target.name())),
         }
@@ -546,9 +589,9 @@ impl RelExpr {
 
     /// Execute the tree. A `Project`, with the target filters stacked on
     /// it, projects the `D(G)` beneath its source filters; any other
-    /// node returns its tuple ids materialized: a chain exactly its
-    /// joins, a `Filter` the rows that pass, a `Union` the minimum union
-    /// of its branches.
+    /// node returns its tuple ids materialized, its columns in node
+    /// order: a chain exactly its joins, a `Filter` the rows that pass,
+    /// a `Union` the minimum union of its branches.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
         let form = GraphForm::default();
         self.run_costed(&Pass::new(ex, &form)?)
@@ -577,7 +620,7 @@ impl RelExpr {
                     &source_filters,
                     &filters,
                 )?;
-                Ok((projection.run(&ids, p.funcs)?, charged))
+                Ok((projection.run(&ids, 0, p.funcs)?, charged))
             }
             _ => {
                 let (ids, charged) = self.ids(p)?;
@@ -589,10 +632,11 @@ impl RelExpr {
     /// This node's rows as tuple ids, with the compute time charged to
     /// the cache entries the run inserted. A `Scan` numbers its
     /// relation's tuples; a `Join` joins its left input's ids with the
-    /// scan on its right, read in place ([`TupleIds::join_scan`]; full
-    /// outer when `outer`, counting `fd.outer_join_steps`); a `Filter`
-    /// keeps the rows passing its predicate ([`TupleIds::keep`]); a
-    /// `Union` is the minimum union of its branches ([`schedule`]). No
+    /// scan on its right, read in place ([`TupleIds::join_scan`], in
+    /// node order; an outer kind counts `fd.outer_join_steps`); a
+    /// `Filter` keeps the rows passing its
+    /// predicate ([`TupleIds::keep`]); a `Union` is the minimum union of
+    /// its branches ([`schedule`]); a `Rooted` chain runs its chain. No
     /// node is memoized as a `D(G)` here, and a chain gets no residual
     /// pass: both belong to the node at the `D(G)`'s position
     /// ([`RelExpr::disjunction_ids`]). A `Project` has no ids.
@@ -603,20 +647,16 @@ impl RelExpr {
                 left,
                 right,
                 predicate,
-                outer,
+                kind,
             } => {
-                let kind = if *outer {
-                    JoinKind::FullOuter
-                } else {
-                    JoinKind::Inner
-                };
                 let (left, charged) = left.ids(p)?;
-                let out = left.join_scan(p, right, predicate, kind)?;
-                if *outer {
+                let out = left.join_scan(p, right, predicate, *kind)?;
+                if *kind != JoinKind::Inner {
                     metrics::incr(Counter::OuterJoinSteps);
                 }
                 Ok((out, charged))
             }
+            RelExpr::Rooted { input, .. } => input.ids(p),
             RelExpr::Filter {
                 input, predicate, ..
             } => {
@@ -643,9 +683,13 @@ impl RelExpr {
     /// filter is pushed onto a branch: that union is no longer `D(G)`.
     /// Otherwise it must be the tree plan's outer-join chain over every
     /// node (a lone scan on a one-node graph), memoized under
-    /// `"D(G).tree.ids"` ([`RelExpr::tree_ids`]); any other node there is
-    /// an error, never a wrong answer or a wrong memo entry.
+    /// `"D(G).tree.ids"` ([`RelExpr::tree_ids`]). A `Rooted` chain is the
+    /// rows of that `D(G)` covering its root, which a target filter
+    /// requires: it gets the same residual pass, and is never memoized,
+    /// because it is not `D(G)`. Any other node there is an error, never
+    /// a wrong answer or a wrong memo entry.
     pub(crate) fn disjunction_ids<'t>(&self, p: &'t Pass<'t>) -> Result<(TupleIds<'t>, u64)> {
+        let all = Some(p.graph.node_mask());
         match self {
             RelExpr::Union { inputs, .. }
                 if inputs.iter().any(|b| matches!(b, RelExpr::Filter { .. })) =>
@@ -653,10 +697,16 @@ impl RelExpr {
                 self.ids(p)
             }
             RelExpr::Union { .. } => memoized_ids(p, "D(G).lattice.ids", || self.ids(p)),
-            RelExpr::Scan { .. } | RelExpr::Join { outer: true, .. }
-                if self.scans(p.graph) == Some(p.graph.node_mask()) =>
+            RelExpr::Scan { .. } | RelExpr::Join { .. }
+                if self.scans(p.graph, JoinKind::FullOuter) == all =>
             {
                 memoized_ids(p, "D(G).tree.ids", || Ok((self.tree_ids(p)?, 0)))
+            }
+            RelExpr::Rooted { input, root, .. }
+                if input.scans(p.graph, JoinKind::LeftOuter) == all
+                    && input.first_scan().is_some_and(|a| a == root) =>
+            {
+                Ok((input.tree_ids(p)?, 0))
             }
             _ => Err(Error::Invalid(
                 "a D(G) is a union or an outer-join chain over every graph node".into(),
@@ -664,12 +714,26 @@ impl RelExpr {
         }
     }
 
-    /// The graph nodes a join chain scans, or `None` when it is not a
-    /// chain of scans over graph nodes.
-    fn scans(&self, graph: &QueryGraph) -> Option<u64> {
+    /// The graph nodes a chain of `kind` joins scans, or `None` when it
+    /// is not a chain of scans over graph nodes joined by `kind`.
+    fn scans(&self, graph: &QueryGraph, kind: JoinKind) -> Option<u64> {
         match self {
             RelExpr::Scan { .. } => node_bit(graph, self).ok(),
-            RelExpr::Join { left, right, .. } => Some(left.scans(graph)? | right.scans(graph)?),
+            RelExpr::Join {
+                left,
+                right,
+                kind: k,
+                ..
+            } if *k == kind => Some(left.scans(graph, kind)? | right.scans(graph, kind)?),
+            _ => None,
+        }
+    }
+
+    /// The alias of a left-deep chain's first scan.
+    fn first_scan(&self) -> Option<&str> {
+        match self {
+            RelExpr::Scan { alias, .. } => Some(alias),
+            RelExpr::Join { left, .. } => left.first_scan(),
             _ => None,
         }
     }
@@ -686,9 +750,14 @@ impl RelExpr {
     /// row's nodes and more, and on a tree the chain emits no row whose
     /// tuples another row holds too. With no relation flagged there is
     /// no residual pass.
+    ///
+    /// The same holds for a left-outer chain from a root: its rows are
+    /// the full chain's rows that cover the root, in order, and a row's
+    /// subsumer covers every node the row covers, the root included, so
+    /// the pass removes exactly the full chain's removed rows among them.
     fn tree_ids<'t>(&self, p: &'t Pass<'t>) -> Result<TupleIds<'t>> {
         let _span = clio_obs::span("fd.outer_join");
-        let mut ids = self.ids(p)?.0.in_node_order(p);
+        let mut ids = self.ids(p)?.0;
         let flagged = flagged_nodes(p);
         if flagged != 0 {
             let _span = clio_obs::span("fd.outer_join.residual");
@@ -830,18 +899,31 @@ impl Projection {
     /// accept the association and the target filters the row
     /// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
     /// reject are never hashed, and a correspondence never runs on an
-    /// association the source filters reject.
-    pub(crate) fn run(&self, ids: &TupleIds, funcs: &FuncRegistry) -> Result<Table> {
+    /// association the source filters reject. A row whose ids miss a
+    /// node of `required` is skipped before it is read: the caller
+    /// proves that a target filter rejects it and that nothing on its
+    /// way can raise an error (`Plan`'s module docs).
+    pub(crate) fn run(&self, ids: &TupleIds, required: u64, funcs: &FuncRegistry) -> Result<Table> {
         let _span = clio_obs::span("plan.project");
+        let required: Vec<NodeId> = bits(required).collect();
         let mut scratch = vec![Value::Null; ids.scheme().arity()];
         let mut out = Table::empty(self.target.clone());
         for i in 0..ids.row_count() {
+            let row = ids.row(i);
+            if required.iter().any(|&v| row[v] == UNCOVERED) {
+                continue;
+            }
             ids.fill(i, &self.reads, &mut scratch);
             if let Some(projected) = self.eval.target_row_if_passing(&scratch, funcs)? {
                 out.push_distinct(projected);
             }
         }
         Ok(out)
+    }
+
+    /// The target scheme.
+    pub(crate) fn target(&self) -> &Scheme {
+        &self.target
     }
 
     /// The examples of `ids`, a `D(G)` over the bound scheme, in row
@@ -874,9 +956,8 @@ const UNCOVERED: u32 = u32::MAX;
 /// A row holds one id per graph node, in node order: the position of
 /// the node's tuple in its relation, or [`UNCOVERED`]. A join step sets
 /// the joined node's id in a copy of the row, and a row needs no
-/// padding. The [`Frame`] lists the covered nodes' columns — in join
-/// order along a chain, in node order once [`TupleIds::in_node_order`]
-/// (for every node, the graph scheme) — each with its node and
+/// padding. The [`Frame`] lists the covered nodes' columns in node
+/// order (for every node, the graph scheme), each with its node and
 /// attribute, so a cell is read through the row's id into the stored
 /// relation the pass borrowed ([`JoinInput::cell`]).
 pub(crate) struct TupleIds<'t> {
@@ -926,7 +1007,10 @@ impl<'t> TupleIds<'t> {
     /// `self ⋈ scan` under `predicate` and `kind`, by the relational join
     /// kernel, reading the scanned relation's rows in place: a pair's
     /// row is `self`'s row with the scanned node's id set; an unmatched
-    /// row of either side covers only its own nodes.
+    /// row of either side covers only its own nodes. The rows are laid
+    /// out in node order by the form's frame of the joined nodes: an id
+    /// row does not depend on the column order, so every step of a chain
+    /// over the same nodes, full, rooted or inner, shares that frame.
     fn join_scan(
         &self,
         p: &Pass,
@@ -939,7 +1023,8 @@ impl<'t> TupleIds<'t> {
         let (v, width) = (bit.trailing_zeros() as usize, self.width());
         let rows = self.rows[v];
         let mut ids = Vec::with_capacity(self.ids.len().max(rows.len() * width));
-        let scheme = join_with(
+        // the joined scheme binds a residual or nested-loop predicate
+        join_with(
             self,
             &(&right.scheme, rows),
             predicate,
@@ -959,27 +1044,11 @@ impl<'t> TupleIds<'t> {
                 }
             },
         )?;
-        let mut columns = self.frame.columns.clone();
-        columns.extend_from_slice(&right.columns);
         Ok(TupleIds {
             rows: self.rows,
-            frame: Arc::new(Frame { scheme, columns }),
+            frame: p.frame(self.frame.mask | bit),
             ids,
         })
-    }
-
-    /// The same rows with the columns in node order: over every node,
-    /// the graph scheme.
-    fn in_node_order(self, p: &Pass) -> Self {
-        let mask = self
-            .frame
-            .columns
-            .iter()
-            .fold(0, |mask, &(v, _)| mask | 1 << v);
-        TupleIds {
-            frame: p.frame(mask),
-            ..self
-        }
     }
 
     /// Keep the rows whose flag is set, in order.
@@ -1286,7 +1355,7 @@ pub(crate) fn schedule<'t>(
                     left,
                     right,
                     predicate,
-                    outer: false,
+                    kind: JoinKind::Inner,
                 } => Some((
                     mask & !node_bit(p.graph, right)?,
                     &**left,
@@ -1327,9 +1396,9 @@ pub(crate) fn schedule<'t>(
                 // off.
                 let t0 = std::time::Instant::now();
                 let ids = match job.step {
-                    Some((parent, scan, predicate)) => known[&parent]
-                        .join_scan(p, scan, predicate, JoinKind::Inner)?
-                        .in_node_order(p),
+                    Some((parent, scan, predicate)) => {
+                        known[&parent].join_scan(p, scan, predicate, JoinKind::Inner)?
+                    }
                     None => TupleIds::scan(p, node_bit(p.graph, job.chain)?),
                 };
                 Ok((ids, elapsed_ns(t0)))
@@ -1463,29 +1532,16 @@ fn bits(mut mask: u64) -> impl Iterator<Item = NodeId> {
 }
 
 /// The left-deep join chain over the connected node set `mask`: nodes in
-/// BFS order from the lowest member, each joined on the conjunction of
-/// its edges into the nodes already joined — so cyclic subgraphs close
-/// their cycles inside the join condition. With `outer` the joins are
-/// full outer joins: over a whole tree graph that chain is the
-/// outer-join full disjunction (exactly one edge per step). The mask
-/// must be non-empty and connected.
+/// BFS order from the lowest member (`chain_order`), each joined on the
+/// conjunction of its edges into the nodes already joined — so cyclic
+/// subgraphs close their cycles inside the join condition. The joins are
+/// of `kind`: inner within an `F(J)`; full outer over a whole tree graph,
+/// where the chain is the outer-join full disjunction (exactly one edge
+/// per step); left outer for the chain a [`RelExpr::Rooted`] runs from
+/// its first node. The mask must be non-empty and connected.
 #[must_use]
-pub fn chain_ir(graph: &QueryGraph, mask: u64, outer: bool) -> RelExpr {
-    let start = mask.trailing_zeros() as usize;
-    let mut order: Vec<NodeId> = vec![start];
-    let mut seen = 1u64 << start;
-    let mut i = 0;
-    while i < order.len() {
-        for m in graph.neighbors(order[i]) {
-            let bit = 1u64 << m;
-            if mask & bit != 0 && seen & bit == 0 {
-                seen |= bit;
-                order.push(m);
-            }
-        }
-        i += 1;
-    }
-    debug_assert_eq!(seen, mask, "chain mask must be connected");
+pub fn chain_ir(graph: &QueryGraph, mask: u64, kind: JoinKind) -> RelExpr {
+    let order = chain_order(graph, mask);
     let scan = |n: NodeId| {
         let node = &graph.nodes()[n];
         RelExpr::Scan {
@@ -1509,11 +1565,43 @@ pub fn chain_ir(graph: &QueryGraph, mask: u64, outer: bool) -> RelExpr {
             left: Box::new(acc),
             right: Box::new(scan(n)),
             predicate: Expr::conjunction(preds),
-            outer,
+            kind,
         };
         included |= 1 << n;
     }
     acc
+}
+
+/// The node masks the steps of [`chain_ir`] over the connected node set
+/// `mask` have joined, in join order: its first node, then one more node
+/// per step, the last being `mask`. The full and the rooted tree chains
+/// share them, and so their frames.
+pub(crate) fn chain_prefixes(graph: &QueryGraph, mask: u64) -> impl Iterator<Item = u64> {
+    chain_order(graph, mask).into_iter().scan(0, |joined, v| {
+        *joined |= 1 << v;
+        Some(*joined)
+    })
+}
+
+/// The join order of [`chain_ir`] over the connected node set `mask`:
+/// BFS from its lowest member.
+fn chain_order(graph: &QueryGraph, mask: u64) -> Vec<NodeId> {
+    let start = mask.trailing_zeros() as usize;
+    let mut order: Vec<NodeId> = vec![start];
+    let mut seen = 1u64 << start;
+    let mut i = 0;
+    while i < order.len() {
+        for m in graph.neighbors(order[i]) {
+            let bit = 1u64 << m;
+            if mask & bit != 0 && seen & bit == 0 {
+                seen |= bit;
+                order.push(m);
+            }
+        }
+        i += 1;
+    }
+    debug_assert_eq!(seen, mask, "chain mask must be connected");
+    order
 }
 
 /// Is `e` *extension-stable*: once true on a row, still true on any row
@@ -1619,7 +1707,7 @@ mod tests {
             left: Box::new(scan("C", "Children")),
             right: Box::new(scan("P", "Parents")),
             predicate: parse_expr("C.mid = P.ID").unwrap(),
-            outer: false,
+            kind: JoinKind::Inner,
         };
         assert_eq!(
             join.bound_vars().into_iter().collect::<Vec<_>>(),
@@ -1648,7 +1736,7 @@ mod tests {
             left: Box::new(scan("C", "Children")),
             right: Box::new(scan("P", "Parents")),
             predicate: parse_expr("C.mid = Ph.ID").unwrap(),
-            outer: false,
+            kind: JoinKind::Inner,
         };
         assert!(join.free_vars().contains("Ph"));
     }
@@ -1724,18 +1812,18 @@ mod tests {
         let RelExpr::Join {
             left,
             predicate,
-            outer,
+            kind,
             ..
-        } = chain_ir(&g, 0b111, false)
+        } = chain_ir(&g, 0b111, JoinKind::Inner)
         else {
             panic!("expected a join");
         };
-        assert!(!outer);
+        assert_eq!(kind, JoinKind::Inner);
         assert_eq!(predicate.to_string(), "(B.x = C.x) AND (A.x = C.x)");
         assert!(matches!(*left, RelExpr::Join { .. }));
         // a sub-mask chain starts at its lowest member
         assert_eq!(
-            chain_ir(&g, 0b110, true)
+            chain_ir(&g, 0b110, JoinKind::FullOuter)
                 .bound_vars()
                 .into_iter()
                 .collect::<Vec<_>>(),
@@ -1751,8 +1839,8 @@ mod tests {
         let union = RelExpr::Union {
             inputs: vec![
                 scan("A", "A").filtered(&src, FilterScope::Source, true),
-                chain_ir(&g, masks[1], false),
-                chain_ir(&g, masks[2], false),
+                chain_ir(&g, masks[1], JoinKind::Inner),
+                chain_ir(&g, masks[2], JoinKind::Inner),
             ],
             masks: masks.to_vec(),
             pad: pad.clone(),
@@ -1848,15 +1936,10 @@ mod tests {
                 left,
                 right,
                 predicate,
-                outer,
+                kind,
             } => {
-                let kind = if *outer {
-                    JoinKind::FullOuter
-                } else {
-                    JoinKind::Inner
-                };
                 let (left, right) = (value_chain(db, left, funcs), value_chain(db, right, funcs));
-                join(&left, &right, predicate, kind, funcs).unwrap()
+                join(&left, &right, predicate, *kind, funcs).unwrap()
             }
             other => panic!("not a join chain: {other:?}"),
         }
@@ -1876,12 +1959,12 @@ mod tests {
             cache: None,
         };
         let on = parse_expr("A.y > 1").unwrap();
-        for outer in [false, true] {
-            let chain = chain_ir(&g, 0b111, outer);
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+            let chain = chain_ir(&g, 0b111, kind);
             let expected = value_chain(&db, &chain, &funcs);
             let got = chain.run(&ex).unwrap();
             assert_eq!(got.scheme(), expected.scheme());
-            assert_eq!(got.rows(), expected.rows(), "outer {outer}");
+            assert_eq!(got.rows(), expected.rows(), "{kind:?}");
             let filtered = chain.filtered(&on, FilterScope::Source, false);
             let expected = select(&expected, &on, &funcs).unwrap();
             assert_eq!(filtered.run(&ex).unwrap().rows(), expected.rows());
@@ -1893,9 +1976,118 @@ mod tests {
             target: target.clone(),
         };
         // an inner chain over every node is F(G), not D(G)
-        assert!(project(chain_ir(&g, 0b111, false)).run(&ex).is_err());
+        assert!(project(chain_ir(&g, 0b111, JoinKind::Inner))
+            .run(&ex)
+            .is_err());
         // an outer chain over part of the graph is not its D(G)
-        assert!(project(chain_ir(&g, 0b011, true)).run(&ex).is_err());
+        assert!(project(chain_ir(&g, 0b011, JoinKind::FullOuter))
+            .run(&ex)
+            .is_err());
+        // nor is a left-outer chain that no required root wraps, nor one
+        // whose root is not its first node
+        let left = chain_ir(&g, 0b111, JoinKind::LeftOuter);
+        assert!(project(left.clone()).run(&ex).is_err());
+        let rooted = |root: &str| RelExpr::Rooted {
+            input: Box::new(left.clone()),
+            root: root.into(),
+            filter: parse_expr("T.y IS NOT NULL").unwrap(),
+        };
+        assert!(project(rooted("B")).run(&ex).is_err());
+    }
+
+    /// On random trees, near-duplicates included (the residual pass), a
+    /// chain rooted at node 0 yields exactly the full outer chain's
+    /// `D(G)` rows that cover node 0, in the same order, whether the
+    /// steps are laid out by a built form or afresh.
+    #[test]
+    fn rooted_chains_keep_the_full_chains_rows_covering_the_root_in_order() {
+        use crate::query_graph::Node;
+        use clio_relational::relation::RelationBuilder;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let funcs = FuncRegistry::with_builtins();
+        let mut flagged_runs = 0;
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1..6usize);
+            let mut g = QueryGraph::new();
+            let mut db = Database::new();
+            for v in 0..n {
+                let name = format!("R{v}");
+                let mut rows: Vec<Vec<Value>> = Vec::new();
+                for _ in 0..rng.random_range(0..9usize) {
+                    let mut cell = |nulls: f64| {
+                        if rng.random_bool(nulls) {
+                            Value::Null
+                        } else {
+                            Value::Int(rng.random_range(0..4i64))
+                        }
+                    };
+                    let row = vec![cell(0.0), cell(0.2), cell(0.3)];
+                    if !rows.contains(&row) {
+                        rows.push(row);
+                    }
+                }
+                // a near-duplicate: a copy with its non-null `p` nulled
+                if let Some(row) = rows.first().filter(|r| !r[2].is_null()).cloned() {
+                    let copy = vec![row[0].clone(), row[1].clone(), Value::Null];
+                    if rng.random_bool(0.5) && !rows.contains(&copy) {
+                        rows.push(copy);
+                    }
+                }
+                let mut r = RelationBuilder::new(&name)
+                    .attr("id", DataType::Int)
+                    .attr("k", DataType::Int)
+                    .attr("p", DataType::Int);
+                for row in rows {
+                    r = r.row(row);
+                }
+                db.add_relation(r.build().unwrap()).unwrap();
+                g.add_node(Node::new(&name)).unwrap();
+            }
+            for v in 1..n {
+                let parent = rng.random_range(0..v);
+                let on = if rng.random_bool(0.5) {
+                    format!("R{parent}.k = R{v}.k")
+                } else {
+                    format!("R{v}.id = R{parent}.p AND R{v}.k >= R{parent}.k")
+                };
+                g.add_edge(parent, v, parse_expr(&on).unwrap()).unwrap();
+            }
+            let all = g.node_mask();
+            let ex = Exec {
+                db: &db,
+                funcs: &funcs,
+                graph: &g,
+                cache: None,
+            };
+            let form = if seed % 2 == 0 {
+                let scans = (0..n).map(|v| 1 << v).chain(chain_prefixes(&g, all));
+                GraphForm::new(&g, &db, scans, &[], "D(G).tree.ids").unwrap()
+            } else {
+                GraphForm::default()
+            };
+            let pass = Pass::new(&ex, &form).unwrap();
+            flagged_runs += usize::from(flagged_nodes(&pass) != 0);
+            let full = chain_ir(&g, all, JoinKind::FullOuter)
+                .disjunction_ids(&pass)
+                .unwrap()
+                .0;
+            let rooted = RelExpr::Rooted {
+                input: Box::new(chain_ir(&g, all, JoinKind::LeftOuter)),
+                root: "R0".into(),
+                filter: parse_expr("T.B0 IS NOT NULL").unwrap(),
+            }
+            .disjunction_ids(&pass)
+            .unwrap()
+            .0;
+            let expected: Vec<u32> = (0..full.row_count())
+                .filter(|&i| full.coverage(i) & 1 != 0)
+                .flat_map(|i| full.row(i).to_vec())
+                .collect();
+            assert_eq!(rooted.scheme(), full.scheme(), "seed {seed}");
+            assert_eq!(rooted.ids, expected, "seed {seed}");
+        }
+        assert!(flagged_runs > 30, "near-duplicates in {flagged_runs} runs");
     }
 
     /// `schedule` over hand-built branches (`(mask, filters)`) against
@@ -1907,7 +2099,7 @@ mod tests {
         let mut inputs = Vec::new();
         let mut padded = Vec::new();
         for &(mask, filters) in branches {
-            let mut input = chain_ir(&g, mask, false);
+            let mut input = chain_ir(&g, mask, JoinKind::Inner);
             let mut f = value_chain(&db, &input, &funcs);
             for e in filters {
                 let e = parse_expr(e).unwrap();
@@ -1964,13 +2156,13 @@ mod tests {
         let masks = [0b100, 0b101, 0b110, 0b111];
         let inputs: Vec<RelExpr> = masks
             .iter()
-            .map(|&m| chain_ir(&g, m, false).filtered(&on_c, FilterScope::Source, true))
+            .map(|&m| chain_ir(&g, m, JoinKind::Inner).filtered(&on_c, FilterScope::Source, true))
             .collect();
         let pad = g.scheme(&db).unwrap();
         let padded: Vec<Table> = masks
             .iter()
             .map(|&m| {
-                let f = value_chain(&db, &chain_ir(&g, m, false), &funcs);
+                let f = value_chain(&db, &chain_ir(&g, m, JoinKind::Inner), &funcs);
                 pad_to(&select(&f, &on_c, &funcs).unwrap(), &pad).unwrap()
             })
             .collect();

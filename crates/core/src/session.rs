@@ -247,7 +247,7 @@ impl Session {
             .active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
         let compiled = self.compiled(Slot::Workspace(w.id), &w.mapping)?;
-        Ok(Plan::compiled(compiled, Some(&self.cache)).explain())
+        Ok(Plan::compiled(compiled, &self.funcs, Some(&self.cache)).explain())
     }
 
     /// The compiled form of `mapping`, the mapping of `slot`: the one kept

@@ -67,8 +67,7 @@ fn with_near_duplicates(mut w: Synthetic, picks: &[(usize, usize, usize)]) -> Sy
 }
 
 /// A chain's rows by hand, outside the plan interpreter: a left-deep
-/// chain of value `ops::join`s (`Inner`, or `FullOuter` for an outer
-/// step) in the chain's order.
+/// chain of value `ops::join`s of each step's kind in the chain's order.
 fn value_join_chain(db: &Database, chain: &RelExpr, funcs: &FuncRegistry) -> Table {
     match chain {
         RelExpr::Scan { alias, relation } => db.relation(relation).unwrap().to_table(alias),
@@ -76,18 +75,13 @@ fn value_join_chain(db: &Database, chain: &RelExpr, funcs: &FuncRegistry) -> Tab
             left,
             right,
             predicate,
-            outer,
+            kind,
         } => {
-            let kind = if *outer {
-                JoinKind::FullOuter
-            } else {
-                JoinKind::Inner
-            };
             let (left, right) = (
                 value_join_chain(db, left, funcs),
                 value_join_chain(db, right, funcs),
             );
-            join(&left, &right, predicate, kind, funcs).unwrap()
+            join(&left, &right, predicate, *kind, funcs).unwrap()
         }
         other => panic!("not a join chain: {other:?}"),
     }
@@ -99,7 +93,7 @@ fn value_join_chain(db: &Database, chain: &RelExpr, funcs: &FuncRegistry) -> Tab
 /// definition — the joined copies of near-duplicates, which the chain
 /// alone keeps.
 fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table {
-    let chain = value_join_chain(db, &chain_ir(g, g.node_mask(), true), funcs);
+    let chain = value_join_chain(db, &chain_ir(g, g.node_mask(), JoinKind::FullOuter), funcs);
     let mut padded = clio::relational::ops::pad_to(&chain, &g.scheme(db).unwrap()).unwrap();
     clio::relational::ops::remove_subsumed_naive(&mut padded);
     padded
@@ -341,7 +335,7 @@ proptest! {
                 let mut inputs = Vec::new();
                 let mut padded = Vec::new();
                 for &m in &masks {
-                    let mut input = chain_ir(g, m, false);
+                    let mut input = chain_ir(g, m, JoinKind::Inner);
                     let mut f = value_join_chain(&w.db, &input, &funcs);
                     if let Some(e) = filter.as_ref().filter(|_| amask & !m == 0) {
                         input = input.filtered(e, FilterScope::Source, true);
@@ -1649,28 +1643,57 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Mapping evaluation — the plan, with its filter pushdown — is
-    /// byte-identical to the no-pushdown reference over random
-    /// topologies and a mix of pushable filters (strong single-alias,
-    /// and the two-alias `R0.id = R1.id`, which branches such as `{R0}`
-    /// and `{R0, R2}` bind only partially, so they stay unfiltered),
-    /// non-pushable filters (`IS NULL`), and target filters.
+    /// Mapping evaluation — the plan, with its filter pushdown and its
+    /// pulled-back target filters — is byte-identical to the
+    /// no-pushdown reference over random topologies and a mix of
+    /// pushable filters (strong single-alias, and the two-alias
+    /// `R0.id = R1.id`, which branches such as `{R0}` and `{R0, R2}`
+    /// bind only partially, so they stay unfiltered), non-pushable
+    /// filters (`IS NULL`), and target filters, one of them over two
+    /// attributes and one not strong (`B1 IS NULL`, which must not make
+    /// `R1` required). `B0` is drawn from `R0.p0`, from two nodes
+    /// (`coalesce(R0.p0, R1.p0)`) or through a non-strict function
+    /// (`coalesce(R0.p0, 'x')`): the last two must not make `R0`
+    /// required. A covered `R0` tuple may hold a null `p0`, so the
+    /// authoritative target filter rejects rows the pullback keeps.
     #[test]
     fn planned_evaluation_is_byte_identical(
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle, Topology::RandomTree]),
-        filters in proptest::collection::vec(0usize..5, 0..3),
+        filters in proptest::collection::vec(0usize..8, 0..3),
+        b0 in 0usize..3,
+        null_p0 in proptest::option::of(0usize..32),
     ) {
-        let w = generate(&spec);
+        let mut w = generate(&spec);
+        if let Some(k) = null_p0 {
+            let r0 = w.db.relation("R0").unwrap();
+            let mut rows = r0.rows().to_vec();
+            let k = k % rows.len();
+            *rows[k].last_mut().unwrap() = Value::Null;
+            let r0 = Relation::with_rows(r0.schema().clone(), rows).unwrap();
+            w.db.replace_relation(r0).unwrap();
+        }
         let funcs = funcs();
         let mut m = w.mapping.clone();
+        match b0 {
+            1 => m.set_correspondence(ValueCorrespondence::parse("coalesce(R0.p0, R1.p0)", "B0").unwrap()),
+            2 => m.set_correspondence(ValueCorrespondence::parse("coalesce(R0.p0, 'x')", "B0").unwrap()),
+            _ => {}
+        }
         for f in filters {
             match f {
                 0 => m.source_filters.push(parse_expr("R0.id <> 'no-such'").unwrap()),
                 1 => m.source_filters.push(parse_expr("R0.p0 IS NOT NULL").unwrap()),
                 2 => m.source_filters.push(parse_expr("R0.p0 IS NULL").unwrap()),
                 3 => m.source_filters.push(parse_expr("R0.id = R1.id").unwrap()),
+                4 => m.target_filters.push(parse_expr("B0 IS NOT NULL OR B1 IS NOT NULL").unwrap()),
+                5 => m.target_filters.push(parse_expr("B1 IS NOT NULL").unwrap()),
+                6 => m.target_filters.push(parse_expr("B1 IS NULL").unwrap()),
                 _ => m.target_filters.push(parse_expr("B0 IS NOT NULL").unwrap()),
             }
+        }
+        if b0 != 0 {
+            let plan = clio::core::plan::Plan::new(&m, &w.db, &funcs, None).unwrap();
+            prop_assert_eq!(plan.required_nodes() & 1, 0, "R0 required through {}", b0);
         }
         let reference = reference_evaluate(&m, &w.db, &funcs);
         let planned = m.evaluate(&w.db, &funcs).unwrap();
@@ -2449,12 +2472,12 @@ proptest! {
         let table = |name: &str| db.relation(name).unwrap().to_table(name);
         for predicate in ["L.n = R.n", "L.n = R.n AND R.t = L.t", "L.n >= R.n AND L.t <= R.t"] {
             let predicate = parse_expr(predicate).unwrap();
-            for (outer, kind) in [(false, JoinKind::Inner), (true, JoinKind::FullOuter)] {
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
                 let plan = clio::core::plan::RelExpr::Join {
                     left: Box::new(scan("L")),
                     right: Box::new(scan("R")),
                     predicate: predicate.clone(),
-                    outer,
+                    kind,
                 };
                 let in_place = plan.run(&ex).unwrap();
                 let copied = join(&table("L"), &table("R"), &predicate, kind, &funcs()).unwrap();

@@ -266,3 +266,47 @@ fn mapping_eval_matches_left_join_plan() {
     eval_result.sort_canonical();
     assert_eq!(sql_result.rows(), eval_result.rows());
 }
+
+/// Without a cache the Kids view runs as Section 2 writes it: `Kids.ID
+/// IS NOT NULL` with `ID <- Children.ID` requires Children, so the plan
+/// is the `LEFT JOIN` chain from Children that
+/// `mapping_eval_matches_left_join_plan` emulates, and the SQL prints.
+/// `FamilyIncome <- Parents.salary + Parents2.salary` can raise an
+/// integer overflow, so with it the plan keeps every association and
+/// the full outer chain.
+#[test]
+fn kids_plan_without_a_cache_is_the_left_join_chain_from_children() {
+    let db = paper_database();
+    let funcs = funcs();
+    let mut m = section2_mapping();
+    let full = Plan::new(&m, &db, &funcs, None).unwrap();
+    assert_eq!(full.required_nodes(), 0);
+    assert!(!full.explain().contains("LeftOuterJoin"));
+
+    m.correspondences
+        .retain(|v| v.target_attr != "FamilyIncome");
+    let plan = Plan::new(&m, &db, &funcs, None).unwrap();
+    assert_eq!(plan.required_nodes(), 0b1, "Children is node 0");
+    let expected = "\
+plan for Kids — outer-join (tree)
+Filter (target) Kids.ID IS NOT NULL
+└─ Project Kids(ID, name, affiliation, address, contactPh, BusSchedule, FamilyIncome) via 6 correspondence(s)
+   └─ Rooted at Children: required by target filter Kids.ID IS NOT NULL
+      └─ LeftOuterJoin ON PhoneDir.ID = Parents2.ID
+         ├─ LeftOuterJoin ON Children.ID = SBPS.ID
+         │  ├─ LeftOuterJoin ON Children.mid = Parents2.ID
+         │  │  ├─ LeftOuterJoin ON Children.fid = Parents.ID
+         │  │  │  ├─ Scan Children
+         │  │  │  └─ Scan Parents
+         │  │  └─ Scan Parents AS Parents2
+         │  └─ Scan SBPS
+         └─ Scan PhoneDir
+";
+    assert_eq!(plan.explain(), expected);
+
+    // the rooted chain answers what the memoized full chain answers
+    let cache = EvalCache::new();
+    let rooted = m.evaluate(&db, &funcs).unwrap();
+    let memoized = m.evaluate_cached(&db, &funcs, Some(&cache)).unwrap();
+    assert_eq!(rooted.rows(), memoized.rows());
+}
