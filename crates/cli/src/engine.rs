@@ -321,9 +321,7 @@ impl Shell {
                 }
             }
             Command::Contributions => {
-                let tm = self.session.target_mapping();
-                let db = self.session.shared_database();
-                let contribs = tm.contributions(&db, self.session.funcs())?;
+                let contribs = self.session.contributions()?;
                 if contribs.is_empty() {
                     return Ok("no accepted mappings\n".to_owned());
                 }
@@ -378,11 +376,11 @@ impl Shell {
             }
             Command::Examples => {
                 // full example population of the active mapping, capped
-                let db = self.session.shared_database();
                 let w = self.active()?;
-                let all = w.mapping.examples(&db, self.session.funcs())?;
-                let ill = Illustration { examples: all };
-                let scheme = w.mapping.graph.scheme(&db)?;
+                let ill = Illustration {
+                    examples: self.session.examples_active()?,
+                };
+                let scheme = w.mapping.graph.scheme(self.session.database())?;
                 Ok(ill.render(&w.mapping.graph, &scheme))
             }
         }

@@ -21,7 +21,6 @@ pub mod session;
 pub mod session_pool;
 pub mod sql;
 pub mod subgraph;
-pub mod target_mapping;
 pub mod verify;
 
 /// Convenient re-exports of the crate's main types.
@@ -55,11 +54,10 @@ pub mod prelude {
     pub use crate::profile::{profile_database, render_profile, AttributeProfile};
     pub use crate::query_graph::{Edge, Node, NodeId, QueryGraph};
     pub use crate::ranking::{join_support, rank_walk_alternatives, RankScore};
-    pub use crate::session::{Session, Workspace};
+    pub use crate::session::{Contribution, Session, Workspace};
     pub use crate::session_pool::SessionPool;
     pub use crate::sql::{generate_sql, SqlOptions};
     pub use crate::subgraph::{connected_subsets, connected_subsets_exhaustive};
-    pub use crate::target_mapping::{Contribution, TargetMapping};
     pub use crate::verify::{verify_mapping, Finding};
     pub use clio_incr::{CacheStats, EvalCache, Fingerprint, FingerprintBuilder};
 }

@@ -293,29 +293,6 @@ impl Mapping {
     ) -> Result<Vec<Example>> {
         CompiledMapping::new(self, db, funcs, 0)?.examples(db, funcs, cache)
     }
-
-    /// Examples over a pre-computed association set.
-    pub fn examples_for(
-        &self,
-        assocs: &AssociationSet,
-        db: &Database,
-        funcs: &FuncRegistry,
-    ) -> Result<Vec<Example>> {
-        let eval = self.evaluator(db, funcs)?;
-        let mut out = Vec::with_capacity(assocs.len());
-        for i in 0..assocs.len() {
-            let row = assocs.row(i);
-            let target = eval.target_row(row, funcs)?;
-            let positive = eval.passes_filters(row, &target, funcs)?;
-            out.push(Example {
-                association: row.to_vec(),
-                coverage: assocs.coverage(i),
-                target,
-                positive,
-            });
-        }
-        Ok(out)
-    }
 }
 
 impl fmt::Display for Mapping {

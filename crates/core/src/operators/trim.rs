@@ -6,13 +6,12 @@
 //! [`trim_effect`] diff computes exactly which examples flip polarity.
 
 use clio_relational::database::Database;
-use clio_relational::error::Result;
+use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::parser::parse_expr;
 
 use crate::example::Example;
-use crate::full_disjunction::{full_disjunction, FdAlgo};
 use crate::mapping::Mapping;
 
 /// Add a source filter (parsed from text) to a mapping.
@@ -79,17 +78,22 @@ pub struct TrimEffect {
 }
 
 /// Compare two mappings that share a query graph: which examples change
-/// polarity? Both example populations are generated over the same `D(G)`.
+/// polarity? Both example populations are generated over the graph's one
+/// `D(G)`, in the same order; mappings over different graphs are an
+/// error.
 pub fn trim_effect(
     before: &Mapping,
     after: &Mapping,
     db: &Database,
     funcs: &FuncRegistry,
 ) -> Result<TrimEffect> {
-    let assocs = full_disjunction(db, &before.graph, FdAlgo::Auto, funcs)?;
-    let eb = before.examples_for(&assocs, db, funcs)?;
-    let ea = after.examples_for(&assocs, db, funcs)?;
-    debug_assert_eq!(eb.len(), ea.len());
+    if before.graph != after.graph {
+        return Err(Error::Invalid(
+            "trim_effect compares two mappings over one query graph".into(),
+        ));
+    }
+    let eb = before.examples(db, funcs)?;
+    let ea = after.examples(db, funcs)?;
     let mut newly_negative = Vec::new();
     let mut newly_positive = Vec::new();
     for (b, a) in eb.iter().zip(&ea) {
@@ -222,5 +226,18 @@ mod tests {
         let m = mapping();
         let effect = trim_effect(&m, &m, &db(), &funcs()).unwrap();
         assert!(effect.newly_negative.is_empty() && effect.newly_positive.is_empty());
+    }
+
+    #[test]
+    fn trim_effect_of_mappings_over_different_graphs_is_an_error() {
+        let m = mapping();
+        let mut other = m.clone();
+        other.graph = QueryGraph::new();
+        other.graph.add_node(Node::new("Children")).unwrap();
+        let err = trim_effect(&m, &other, &db(), &funcs()).unwrap_err();
+        assert!(
+            matches!(err, clio_relational::error::Error::Invalid(_)),
+            "{err:?}"
+        );
     }
 }

@@ -571,17 +571,32 @@ impl RelExpr {
         }
     }
 
-    /// Infer this node's output scheme against a database. A join
-    /// chain's is its scans' columns in join order; a run lays them out
-    /// in node order, the same order when the chain joins its nodes in
-    /// node order.
-    pub fn scheme(&self, db: &Database) -> Result<Scheme> {
+    /// Infer the scheme of the table [`RelExpr::run`] returns for this
+    /// node over `ex`'s database and graph. A join chain's is its scans'
+    /// columns in node order, as a run lays them out.
+    pub fn scheme(&self, ex: &Exec) -> Result<Scheme> {
         match self {
-            RelExpr::Scan { alias, relation } => {
-                Ok(Scheme::of_relation(db.relation(relation)?.schema(), alias))
+            RelExpr::Scan { alias, relation } => Ok(Scheme::of_relation(
+                ex.db.relation(relation)?.schema(),
+                alias,
+            )),
+            RelExpr::Join { .. } => {
+                let aliases = self.bound_vars();
+                let nodes: Vec<_> = ex
+                    .graph
+                    .nodes()
+                    .iter()
+                    .filter(|n| aliases.contains(&n.alias))
+                    .collect();
+                if nodes.len() != aliases.len() {
+                    return Err(Error::Invalid("a chain joins scans of graph nodes".into()));
+                }
+                nodes.iter().try_fold(Scheme::empty(), |scheme, n| {
+                    let rel = ex.db.relation(&n.relation)?;
+                    scheme.concat(&Scheme::of_relation(rel.schema(), &n.alias))
+                })
             }
-            RelExpr::Join { left, right, .. } => left.scheme(db)?.concat(&right.scheme(db)?),
-            RelExpr::Filter { input, .. } | RelExpr::Rooted { input, .. } => input.scheme(db),
+            RelExpr::Filter { input, .. } | RelExpr::Rooted { input, .. } => input.scheme(ex),
             RelExpr::Union { pad, .. } => Ok(pad.clone()),
             RelExpr::Project { target, .. } => Ok(Scheme::of_relation(target, target.name())),
         }
@@ -1993,6 +2008,36 @@ mod tests {
             filter: parse_expr("T.y IS NOT NULL").unwrap(),
         };
         assert!(project(rooted("B")).run(&ex).is_err());
+    }
+
+    /// On the path A–C–B the chain from A joins C before B, and still its
+    /// scheme is the one a run lays out: the columns in node order.
+    #[test]
+    fn a_chain_joined_out_of_node_order_has_the_scheme_it_runs() {
+        let (cycle, db) = cycle();
+        let mut g = QueryGraph::new();
+        for n in cycle.nodes() {
+            g.add_node(n.clone()).unwrap();
+        }
+        g.add_edge(0, 2, parse_expr("A.x = C.x").unwrap()).unwrap();
+        g.add_edge(2, 1, parse_expr("B.x = C.x").unwrap()).unwrap();
+        let funcs = FuncRegistry::with_builtins();
+        let ex = Exec {
+            db: &db,
+            funcs: &funcs,
+            graph: &g,
+            cache: None,
+        };
+        for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+            let chain = chain_ir(&g, 0b111, kind);
+            let RelExpr::Join { left, .. } = &chain else {
+                panic!("a chain over three nodes is a join: {chain:?}")
+            };
+            assert_eq!(left.bound_vars(), ["A", "C"].map(String::from).into());
+            let scheme = chain.scheme(&ex).unwrap();
+            assert_eq!(scheme, chain.run(&ex).unwrap().scheme().clone(), "{kind:?}");
+            assert_eq!(scheme.qualifiers(), ["A", "B", "C"]);
+        }
     }
 
     /// On random trees, near-duplicates included (the residual pass), a

@@ -802,7 +802,14 @@ mod tests {
         for m in [tree_mapping(), cyclic_mapping()] {
             let plan = Plan::new(&m, &db(), &funcs(), None).unwrap();
             plan.root().check().unwrap();
-            let scheme = plan.root().scheme(&db()).unwrap();
+            let (db, funcs) = (db(), funcs());
+            let ex = Exec {
+                db: &db,
+                funcs: &funcs,
+                graph: &m.graph,
+                cache: None,
+            };
+            let scheme = plan.root().scheme(&ex).unwrap();
             assert_eq!(scheme, m.target_scheme());
         }
     }

@@ -9,8 +9,8 @@
 //! workspace they replace is discarded; `confirm` keeps one alternative
 //! and deletes its siblings. Multiple mappings can be *accepted* for one
 //! target (paper Example 6.1 — complementary filters for motherless
-//! children); the target view is the union of all accepted mappings plus
-//! the active one.
+//! children); the target view is the minimum union of all accepted
+//! mappings plus the active one.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -58,37 +58,41 @@ pub struct Workspace {
     pub graph_before_last_link: Option<QueryGraph>,
 }
 
-/// Whose compiled mapping a [`Compiled`] entry is: a workspace's, by
-/// id, or an accepted mapping's, by position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Slot {
-    Workspace(usize),
-    Accepted(usize),
+/// One accepted mapping's share of the target view (the `contributions`
+/// report).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Contribution {
+    /// Index of the mapping among the accepted mappings.
+    pub mapping_index: usize,
+    /// Tuples this mapping produces.
+    pub produced: usize,
+    /// Of those, tuples no other accepted mapping produces.
+    pub exclusive: usize,
 }
 
-/// The session's compiled mappings, one per workspace and per accepted
-/// mapping. An entry is only ever used after
-/// [`CompiledMapping::is_current`] confirms it still describes the
-/// slot's mapping, so assigning a workspace's mapping in place needs no
-/// reset here: the next use compiles afresh.
+/// The session's compiled forms, one per distinct mapping its workspaces
+/// and accepted mappings hold. A form is only ever used after
+/// [`CompiledMapping::is_current`] confirms it describes the mapping at
+/// hand, so assigning a workspace's mapping in place needs no reset
+/// here: the next use finds no form for it and compiles afresh.
 #[derive(Default)]
-struct Compiled(Mutex<HashMap<Slot, Arc<CompiledMapping>>>);
+struct Forms(Mutex<Vec<Arc<CompiledMapping>>>);
 
-impl Compiled {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Slot, Arc<CompiledMapping>>> {
+impl Forms {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<CompiledMapping>>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl Clone for Compiled {
-    fn clone(&self) -> Compiled {
-        Compiled(Mutex::new(self.lock().clone()))
+impl Clone for Forms {
+    fn clone(&self) -> Forms {
+        Forms(Mutex::new(self.lock().clone()))
     }
 }
 
-impl std::fmt::Debug for Compiled {
+impl std::fmt::Debug for Forms {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Compiled({} forms)", self.lock().len())
+        write!(f, "Forms({} forms)", self.lock().len())
     }
 }
 
@@ -127,9 +131,9 @@ pub struct Session {
     /// Memoized evaluation results (`F(J)`, `D(G)`, mapping queries),
     /// invalidated by relation edits and function-registry changes.
     cache: EvalCache,
-    /// Each workspace's and accepted mapping's compiled form, reused
-    /// across data edits.
-    compiled: Compiled,
+    /// The compiled form of each distinct mapping held, reused across
+    /// data edits.
+    forms: Forms,
 }
 
 impl Session {
@@ -186,7 +190,7 @@ impl Session {
             generation: 0,
             walk_max_steps: 4,
             cache: EvalCache::new(),
-            compiled: Compiled::default(),
+            forms: Forms::default(),
         }
     }
 
@@ -243,31 +247,32 @@ impl Session {
 
     /// The planner's `explain` tree for the active workspace's mapping.
     pub fn explain_active(&self) -> Result<String> {
-        let w = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let compiled = self.compiled(Slot::Workspace(w.id), &w.mapping)?;
+        let compiled = self.compiled(&self.require_active()?.mapping)?;
         Ok(Plan::compiled(compiled, &self.funcs, Some(&self.cache)).explain())
     }
 
-    /// The compiled form of `mapping`, the mapping of `slot`: the one kept
-    /// for the slot when it is still current (same mapping, relation
-    /// schemes and function epoch), otherwise a fresh compilation, kept
-    /// in its place. Entries of slots that no longer exist are dropped.
-    fn compiled(&self, slot: Slot, mapping: &Mapping) -> Result<Arc<CompiledMapping>> {
+    /// The compiled form of `mapping`: the kept form that is current for
+    /// it (same mapping, relation schemes and function epoch), otherwise
+    /// a fresh compilation. A compilation is kept beside the current
+    /// forms of the mappings a workspace or an accepted mapping still
+    /// holds; every other form is dropped.
+    fn compiled(&self, mapping: &Mapping) -> Result<Arc<CompiledMapping>> {
         let epoch = self.cache.epoch();
-        let mut forms = self.compiled.lock();
-        if let Some(c) = forms.get(&slot) {
-            if c.is_current(mapping, &self.db, epoch) {
-                return Ok(Arc::clone(c));
-            }
+        let mut forms = self.forms.lock();
+        if let Some(c) = forms
+            .iter()
+            .find(|c| c.is_current(mapping, &self.db, epoch))
+        {
+            return Ok(Arc::clone(c));
         }
         let c = Arc::new(CompiledMapping::new(mapping, &self.db, &self.funcs, epoch)?);
-        forms.retain(|&s, _| match s {
-            Slot::Workspace(id) => s == slot || self.workspaces.iter().any(|w| w.id == id),
-            Slot::Accepted(i) => i < self.accepted.len(),
+        forms.retain(|f| {
+            let held = f.mapping();
+            f.is_current(held, &self.db, epoch)
+                && (self.accepted.contains(held)
+                    || self.workspaces.iter().any(|w| w.mapping == *held))
         });
-        forms.insert(slot, Arc::clone(&c));
+        forms.push(Arc::clone(&c));
         Ok(c)
     }
 
@@ -351,7 +356,7 @@ impl Session {
         self.workspaces
             .iter()
             .map(|w| {
-                let compiled = self.compiled(Slot::Workspace(w.id), &w.mapping)?;
+                let compiled = self.compiled(&w.mapping)?;
                 let evo = evolve(
                     &w.illustration,
                     compiled.own_positions(),
@@ -378,13 +383,15 @@ impl Session {
             .and_then(|id| self.workspaces.iter().find(|w| w.id == id))
     }
 
-    fn active_id(&self) -> Result<usize> {
-        self.active
+    fn require_active(&self) -> Result<&Workspace> {
+        self.active()
             .ok_or_else(|| Error::Invalid("no active workspace".into()))
     }
 
     fn active_mut(&mut self) -> Result<&mut Workspace> {
-        let id = self.active_id()?;
+        let id = self
+            .active
+            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
         self.workspaces
             .iter_mut()
             .find(|w| w.id == id)
@@ -437,31 +444,24 @@ impl Session {
 
     /// Accept the active workspace's mapping as (part of) the target
     /// mapping. Several mappings may be accepted for one target (paper
-    /// Example 6.1).
+    /// Example 6.1). The accepted mapping shares the workspace's
+    /// compiled form, the form of an equal mapping.
     pub fn accept_active(&mut self) -> Result<()> {
-        let w = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let (id, mapping) = (w.id, w.mapping.clone());
+        let mapping = self.require_active()?.mapping.clone();
         mapping.validate(&self.db, &self.funcs)?;
-        // the accepted mapping starts with the workspace's compiled form
-        let compiled = self.compiled(Slot::Workspace(id), &mapping)?;
         self.accepted.push(mapping);
-        self.compiled
-            .lock()
-            .insert(Slot::Accepted(self.accepted.len() - 1), compiled);
         Ok(())
     }
 
     fn push_workspace(
         &mut self,
         mapping: Mapping,
+        illustration: Illustration,
         description: String,
         generation: usize,
         graph_before_last_link: Option<QueryGraph>,
-    ) -> Result<usize> {
+    ) -> usize {
         let id = self.next_id;
-        let illustration = self.illustrate(id, &mapping)?;
         self.next_id += 1;
         self.workspaces.push(Workspace {
             id,
@@ -471,36 +471,49 @@ impl Session {
             description,
             graph_before_last_link,
         });
-        Ok(id)
+        id
     }
 
-    /// A minimal sufficient illustration of `mapping`, about to become
-    /// workspace `id`'s mapping, compiled for that workspace.
-    fn illustrate(&self, id: usize, mapping: &Mapping) -> Result<Illustration> {
-        let population = self.examples(Slot::Workspace(id), mapping)?;
+    /// Validate `mapping` and push it as a new workspace of `generation`
+    /// with a fresh minimal sufficient illustration of it. Returns the
+    /// new workspace's id.
+    fn open_workspace(
+        &mut self,
+        mapping: Mapping,
+        description: String,
+        generation: usize,
+    ) -> Result<usize> {
+        mapping.validate(&self.db, &self.funcs)?;
+        let illustration = self.illustrate(&mapping)?;
+        Ok(self.push_workspace(mapping, illustration, description, generation, None))
+    }
+
+    /// A minimal sufficient illustration of `mapping`.
+    fn illustrate(&self, mapping: &Mapping) -> Result<Illustration> {
+        let population = self.examples(mapping)?;
         Ok(Illustration::minimal_sufficient(
             &population,
             mapping.target.arity(),
         ))
     }
 
-    /// The examples of `mapping`, the mapping of `slot`, through its
-    /// compiled form.
-    fn examples(&self, slot: Slot, mapping: &Mapping) -> Result<Vec<crate::example::Example>> {
-        self.compiled(slot, mapping)?
+    /// The examples of `mapping`, through its compiled form.
+    fn examples(&self, mapping: &Mapping) -> Result<Vec<crate::example::Example>> {
+        self.compiled(mapping)?
             .examples(&self.db, &self.funcs, Some(&self.cache))
     }
 
-    /// Evolve `origin`'s illustration onto `mapping`, about to become
-    /// workspace `id`'s mapping (continuity, paper Sec 5.3).
-    fn evolve_onto(
-        &self,
-        origin: &Workspace,
-        id: usize,
-        mapping: &Mapping,
-    ) -> Result<Illustration> {
-        let old = self.compiled(Slot::Workspace(origin.id), &origin.mapping)?;
-        let new = self.compiled(Slot::Workspace(id), mapping)?;
+    /// The query result of `mapping`, through its compiled form.
+    fn evaluate(&self, mapping: &Mapping) -> Result<Table> {
+        self.compiled(mapping)?
+            .evaluate(&self.db, &self.funcs, Some(&self.cache))
+    }
+
+    /// Evolve `origin`'s illustration onto `mapping` (continuity, paper
+    /// Sec 5.3).
+    fn evolve_onto(&self, origin: &Workspace, mapping: &Mapping) -> Result<Illustration> {
+        let old = self.compiled(&origin.mapping)?;
+        let new = self.compiled(mapping)?;
         let positions = positions_in(old.scheme(), new.scheme())?;
         let evo = evolve(
             &origin.illustration,
@@ -511,6 +524,18 @@ impl Session {
             Some(&self.cache),
         )?;
         Ok(evo.illustration)
+    }
+
+    /// Validate `mapping`, make it the active workspace's mapping and
+    /// give that workspace a fresh minimal sufficient illustration of
+    /// it. Returns the workspace's id.
+    fn assign_active(&mut self, mapping: Mapping) -> Result<usize> {
+        mapping.validate(&self.db, &self.funcs)?;
+        let illustration = self.illustrate(&mapping)?;
+        let ws = self.active_mut()?;
+        ws.mapping = mapping;
+        ws.illustration = illustration;
+        Ok(ws.id)
     }
 
     /// Add a value correspondence (text form: `"Children.ID"`,
@@ -544,13 +569,12 @@ impl Session {
             let mapping = Mapping::new(graph, self.target.clone())
                 .with_correspondence(v)
                 .with_target_not_null_filters();
-            mapping.validate(&self.db, &self.funcs)?;
-            let id = self.push_workspace(mapping, format!("start from {rel}"), 0, None)?;
+            let id = self.open_workspace(mapping, format!("start from {rel}"), 0)?;
             self.active = Some(id);
             return Ok(vec![id]);
         }
 
-        let active = self.active().expect("checked above").clone();
+        let active = self.require_active()?.clone();
         let graph = &active.mapping.graph;
         let missing: Vec<String> = v
             .source_qualifiers()
@@ -564,23 +588,13 @@ impl Session {
                 // everything bound: extend or spawn an alternative
                 let base = active.graph_before_last_link.clone();
                 match add_correspondence(&active.mapping, v, base.as_ref()) {
-                    AddOutcome::Extended(m) => {
-                        m.validate(&self.db, &self.funcs)?;
-                        let illustration = self.illustrate(active.id, &m)?;
-                        let ws = self.active_mut()?;
-                        ws.mapping = m;
-                        ws.illustration = illustration;
-                        Ok(vec![ws.id])
-                    }
+                    AddOutcome::Extended(m) => Ok(vec![self.assign_active(m)?]),
                     AddOutcome::NewAlternative { alternative, .. } => {
-                        alternative.validate(&self.db, &self.funcs)?;
                         self.generation += 1;
-                        let generation = self.generation;
-                        let id = self.push_workspace(
+                        let id = self.open_workspace(
                             alternative,
                             format!("alternative computation of {target_attr}"),
-                            generation,
-                            None,
+                            self.generation,
                         )?;
                         Ok(vec![id])
                     }
@@ -590,8 +604,7 @@ impl Session {
                 // one missing relation: walk to it from every graph node,
                 // creating one workspace per alternative (Figure 3 flow)
                 let rel = rel.clone();
-                let ids = self.walk_internal(&active, &rel, Some(v))?;
-                Ok(ids)
+                self.walk_internal(&active, &rel, Some(v))
             }
             more => Err(Error::Invalid(format!(
                 "correspondence references {} relations missing from the graph ({}); \
@@ -612,52 +625,25 @@ impl Session {
         start_alias: Option<&str>,
         end_relation: &str,
     ) -> Result<Vec<usize>> {
-        let active = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-            .clone();
-        let mut patched = active.clone();
-        if let Some(s) = start_alias {
-            // restrict walks to those starting at the given node by
-            // filtering afterwards; data_walk already takes a start
-            let alternatives = data_walk(
-                &patched.mapping,
-                &self.db,
-                &self.knowledge,
-                s,
-                end_relation,
-                self.walk_max_steps,
-                &self.funcs,
-            )?;
-            return self.install_walk_alternatives(&active, alternatives, None);
-        }
-        // walk from every node, merging alternatives
-        let mut all = Vec::new();
-        let aliases: Vec<String> = patched
-            .mapping
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| n.alias.clone())
-            .collect();
-        for alias in aliases {
-            let mut alts = data_walk(
-                &patched.mapping,
-                &self.db,
-                &self.knowledge,
-                &alias,
-                end_relation,
-                self.walk_max_steps,
-                &self.funcs,
-            )?;
-            all.append(&mut alts);
-        }
-        all.sort_by_key(|a| (a.path_len, a.new_nodes.len()));
-        all.dedup_by(|a, b| a.mapping.graph == b.mapping.graph);
-        patched.mapping = active.mapping.clone();
-        self.install_walk_alternatives(&active, all, None)
+        let active = self.require_active()?.clone();
+        let Some(start) = start_alias else {
+            return self.walk_internal(&active, end_relation, None);
+        };
+        let alternatives = data_walk(
+            &active.mapping,
+            &self.db,
+            &self.knowledge,
+            start,
+            end_relation,
+            self.walk_max_steps,
+            &self.funcs,
+        )?;
+        self.install_walk_alternatives(&active, alternatives, None)
     }
 
+    /// Walk from every node of `active`'s graph to `end_relation` and
+    /// install the alternatives, shortest first, setting `correspondence`
+    /// on each.
     fn walk_internal(
         &mut self,
         active: &Workspace,
@@ -665,19 +651,12 @@ impl Session {
         correspondence: Option<ValueCorrespondence>,
     ) -> Result<Vec<usize>> {
         let mut all = Vec::new();
-        let aliases: Vec<String> = active
-            .mapping
-            .graph
-            .nodes()
-            .iter()
-            .map(|n| n.alias.clone())
-            .collect();
-        for alias in aliases {
+        for node in active.mapping.graph.nodes() {
             let mut alts = data_walk(
                 &active.mapping,
                 &self.db,
                 &self.knowledge,
-                &alias,
+                &node.alias,
                 end_relation,
                 self.walk_max_steps,
                 &self.funcs,
@@ -702,30 +681,41 @@ impl Session {
                     .into(),
             ));
         }
+        let alternatives = alternatives
+            .into_iter()
+            .map(|alt| {
+                let mut m = alt.mapping;
+                if let Some(v) = &correspondence {
+                    m.set_correspondence(v.clone());
+                }
+                m.validate(&self.db, &self.funcs)?;
+                Ok((m, alt.description))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.install_alternatives(origin, alternatives)
+    }
+
+    /// Install `alternatives`, (mapping, description) pairs best first
+    /// and at least one, as one new generation of workspaces, each with
+    /// `origin`'s illustration evolved onto it (continuity); then discard
+    /// `origin` and activate the first. Returns the new ids.
+    fn install_alternatives(
+        &mut self,
+        origin: &Workspace,
+        alternatives: Vec<(Mapping, String)>,
+    ) -> Result<Vec<usize>> {
         self.generation += 1;
-        let generation = self.generation;
-        let mut ids = Vec::new();
-        for alt in alternatives {
-            let mut m = alt.mapping;
-            if let Some(v) = &correspondence {
-                m.set_correspondence(v.clone());
-            }
-            m.validate(&self.db, &self.funcs)?;
-            // continuity: evolve the origin's illustration
-            let id = self.next_id;
-            let illustration = self.evolve_onto(origin, id, &m)?;
-            self.next_id += 1;
-            self.workspaces.push(Workspace {
-                id,
-                mapping: m,
+        let mut ids = Vec::with_capacity(alternatives.len());
+        for (mapping, description) in alternatives {
+            let illustration = self.evolve_onto(origin, &mapping)?;
+            ids.push(self.push_workspace(
+                mapping,
                 illustration,
-                generation,
-                description: alt.description,
-                graph_before_last_link: Some(origin.mapping.graph.clone()),
-            });
-            ids.push(id);
+                description,
+                self.generation,
+                Some(origin.mapping.graph.clone()),
+            ));
         }
-        // discard the originating workspace, activate the best alternative
         self.workspaces.retain(|w| w.id != origin.id);
         self.active = Some(ids[0]);
         Ok(ids)
@@ -734,10 +724,7 @@ impl Session {
     /// Run a data chase from `alias.attr` on `value`. Creates one
     /// workspace per occurrence site (paper Fig 5). Returns the ids.
     pub fn data_chase(&mut self, alias: &str, attr: &str, value: &Value) -> Result<Vec<usize>> {
-        let active = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-            .clone();
+        let active = self.require_active()?.clone();
         let index = self
             .index
             .get_or_insert_with(|| Arc::new(ValueIndex::build(&self.db)));
@@ -755,25 +742,11 @@ impl Session {
                 "value `{value}` does not occur outside the current mapping"
             )));
         }
-        self.generation += 1;
-        let generation = self.generation;
-        let mut ids = Vec::new();
-        for alt in &alternatives {
-            let id = self.next_id;
-            let illustration = self.evolve_onto(&active, id, &alt.mapping)?;
-            self.next_id += 1;
-            self.workspaces.push(Workspace {
-                id,
-                mapping: alt.mapping.clone(),
-                illustration,
-                generation,
-                description: alt.description.clone(),
-                graph_before_last_link: Some(active.mapping.graph.clone()),
-            });
-            ids.push(id);
-        }
-        self.workspaces.retain(|w| w.id != active.id);
-        self.active = Some(ids[0]);
+        let installed = alternatives
+            .iter()
+            .map(|alt| (alt.mapping.clone(), alt.description.clone()))
+            .collect();
+        let ids = self.install_alternatives(&active, installed)?;
 
         // confirming a chase later (via `confirm`) should teach the
         // knowledge base; record the discovered specs now so walks can
@@ -801,8 +774,7 @@ impl Session {
                 self.target.name()
             )));
         }
-        mapping.validate(&self.db, &self.funcs)?;
-        let id = self.push_workspace(mapping, description.to_owned(), self.generation, None)?;
+        let id = self.open_workspace(mapping, description.to_owned(), self.generation)?;
         self.active = Some(id);
         Ok(id)
     }
@@ -811,63 +783,35 @@ impl Session {
     /// (`Target.attr IS NOT NULL` — the paper's inner-join refinement).
     pub fn require_target_attribute(&mut self, attr: &str) -> Result<()> {
         self.target.index_of(attr)?;
-        let m = crate::operators::trim::require_target_attribute(
-            &self
-                .active()
-                .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-                .mapping,
-            attr,
-        );
-        m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(self.active_id()?, &m)?;
-        let ws = self.active_mut()?;
-        ws.mapping = m;
-        ws.illustration = illustration;
-        Ok(())
+        let m =
+            crate::operators::trim::require_target_attribute(&self.require_active()?.mapping, attr);
+        self.assign_active(m).map(drop)
     }
 
     /// Add a source filter (text) to the active mapping.
     pub fn add_source_filter(&mut self, filter: &str) -> Result<()> {
-        let m = crate::operators::trim::add_source_filter(
-            &self
-                .active()
-                .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-                .mapping,
-            filter,
-        )?;
-        m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(self.active_id()?, &m)?;
-        let ws = self.active_mut()?;
-        ws.mapping = m;
-        ws.illustration = illustration;
-        Ok(())
+        let m = crate::operators::trim::add_source_filter(&self.require_active()?.mapping, filter)?;
+        self.assign_active(m).map(drop)
     }
 
     /// Add a target filter (text) to the active mapping.
     pub fn add_target_filter(&mut self, filter: &str) -> Result<()> {
-        let m = crate::operators::trim::add_target_filter(
-            &self
-                .active()
-                .ok_or_else(|| Error::Invalid("no active workspace".into()))?
-                .mapping,
-            filter,
-        )?;
-        m.validate(&self.db, &self.funcs)?;
-        let illustration = self.illustrate(self.active_id()?, &m)?;
-        let ws = self.active_mut()?;
-        ws.mapping = m;
-        ws.illustration = illustration;
-        Ok(())
+        let m = crate::operators::trim::add_target_filter(&self.require_active()?.mapping, filter)?;
+        self.assign_active(m).map(drop)
+    }
+
+    /// Every example of the active workspace's mapping (paper Def 4.1),
+    /// through its compiled form and the session cache.
+    pub fn examples_active(&self) -> Result<Vec<crate::example::Example>> {
+        self.examples(&self.require_active()?.mapping)
     }
 
     /// Alternative examples that could replace slot `slot` of the active
     /// workspace's illustration without losing sufficiency (paper Sec 2:
     /// the user may ask "for different example tuples").
     pub fn example_alternatives(&self, slot: usize) -> Result<Vec<crate::example::Example>> {
-        let w = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let population = self.examples(Slot::Workspace(w.id), &w.mapping)?;
+        let w = self.require_active()?;
+        let population = self.examples(&w.mapping)?;
         Ok(w.illustration.alternatives_for(
             slot,
             &population,
@@ -889,10 +833,8 @@ impl Session {
                 ))
             })?
             .clone();
-        let w = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
-        let population = self.examples(Slot::Workspace(w.id), &w.mapping)?;
+        let w = self.require_active()?;
+        let population = self.examples(&w.mapping)?;
         let arity = w.mapping.target.arity();
         let ws = self.active_mut()?;
         let ok = ws.illustration.swap(
@@ -917,22 +859,8 @@ impl Session {
         &self,
         target_keys: &[Vec<String>],
     ) -> Result<Vec<crate::verify::Finding>> {
-        let w = self
-            .active()
-            .ok_or_else(|| Error::Invalid("no active workspace".into()))?;
+        let w = self.require_active()?;
         crate::verify::verify_mapping(&w.mapping, &self.db, &self.funcs, target_keys)
-    }
-
-    /// The accepted mappings as a [`TargetMapping`](crate::target_mapping::TargetMapping)
-    /// for union / merge evaluation and contribution reports.
-    #[must_use]
-    pub fn target_mapping(&self) -> crate::target_mapping::TargetMapping {
-        let mut tm = crate::target_mapping::TargetMapping::new(self.target.clone());
-        for m in &self.accepted {
-            tm.accept(m.clone())
-                .expect("accepted mappings share the session target");
-        }
-        tm
     }
 
     /// The WYSIWYG target view: the minimum union of all accepted
@@ -947,21 +875,9 @@ impl Session {
             &self.target,
             self.target.name(),
         ));
-        let mut mappings: Vec<(Slot, &Mapping)> = self
-            .accepted
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (Slot::Accepted(i), m))
-            .collect();
-        if let Some(w) = self.active() {
-            mappings.push((Slot::Workspace(w.id), &w.mapping));
-        }
-        for (slot, m) in mappings {
-            for row in self
-                .compiled(slot, m)?
-                .evaluate(&self.db, &self.funcs, Some(&self.cache))?
-                .into_rows()
-            {
+        let active = self.active().map(|w| &w.mapping);
+        for m in self.accepted.iter().chain(active) {
+            for row in self.evaluate(m)?.into_rows() {
                 out.push_distinct(row);
             }
         }
@@ -970,6 +886,34 @@ impl Session {
             crate::full_disjunction::engine_subsumption(),
         );
         Ok(out)
+    }
+
+    /// How many tuples each accepted mapping produces, and how many of
+    /// them no other accepted mapping produces: read from the same
+    /// compiled results, through the same cache, as
+    /// [`Session::target_preview`] merges, before the merge.
+    pub fn contributions(&self) -> Result<Vec<Contribution>> {
+        let results: Vec<Table> = self
+            .accepted
+            .iter()
+            .map(|m| self.evaluate(m))
+            .collect::<Result<_>>()?;
+        // a mapping's result rows are distinct, so a row's count is the
+        // number of mappings that produce it
+        let mut producers: HashMap<&[Value], usize> = HashMap::new();
+        for row in results.iter().flat_map(Table::rows) {
+            *producers.entry(row).or_default() += 1;
+        }
+        let elsewhere = |row: &[Value]| producers[row] - 1;
+        Ok(results
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Contribution {
+                mapping_index: i,
+                produced: t.len(),
+                exclusive: t.rows().iter().filter(|r| elsewhere(r) == 0).count(),
+            })
+            .collect())
     }
 }
 
@@ -1701,5 +1645,235 @@ mod tests {
             }
         }
         let _ = before;
+    }
+
+    /// The two-relation source of the Example 6.1 phone tests: Tom (004)
+    /// has no mother.
+    fn phone_db() -> Database {
+        let mut db = Database::new();
+        db.add_relation(
+            RelationBuilder::new("Children")
+                .attr_not_null("ID", DataType::Str)
+                .attr("mid", DataType::Str)
+                .attr("fid", DataType::Str)
+                .row(vec!["001".into(), "201".into(), "202".into()])
+                .row(vec!["004".into(), Value::Null, "202".into()])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.add_relation(
+            RelationBuilder::new("PhoneDir")
+                .attr_not_null("ID", DataType::Str)
+                .attr("number", DataType::Str)
+                .row(vec!["201".into(), "555-1".into()])
+                .row(vec!["202".into(), "555-2".into()])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db
+    }
+
+    fn phone_target() -> RelSchema {
+        RelSchema::new(
+            "Kids",
+            vec![
+                Attribute::not_null("ID", DataType::Str),
+                Attribute::new("contactPh", DataType::Str),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// The phone of the parent `Children.{via}` names, kept where
+    /// `filter` holds.
+    fn phone_mapping(via: &str, filter: &str) -> Mapping {
+        let mut g = QueryGraph::new();
+        let c = g.add_node(Node::new("Children")).unwrap();
+        let d = g.add_node(Node::new("PhoneDir")).unwrap();
+        g.add_edge(
+            c,
+            d,
+            parse_expr(&format!("Children.{via} = PhoneDir.ID")).unwrap(),
+        )
+        .unwrap();
+        Mapping::new(g, phone_target())
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_correspondence(ValueCorrespondence::identity(
+                "PhoneDir.number",
+                "contactPh",
+            ))
+            .with_source_filter(parse_expr(filter).unwrap())
+            .with_target_not_null_filters()
+    }
+
+    /// Phone via the mother (loses Tom), as in Example 6.1.
+    fn mother_mapping() -> Mapping {
+        phone_mapping("mid", "Children.mid IS NOT NULL")
+    }
+
+    /// Father's phone when there is no mother.
+    fn father_mapping() -> Mapping {
+        phone_mapping("fid", "Children.mid IS NULL")
+    }
+
+    /// IDs only (no phones): a partial contributor the merge absorbs.
+    fn ids_mapping() -> Mapping {
+        let mut g = QueryGraph::new();
+        g.add_node(Node::new("Children")).unwrap();
+        Mapping::new(g, phone_target())
+            .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+            .with_target_not_null_filters()
+    }
+
+    /// A session over [`phone_db`] that adopted and accepted `mappings`
+    /// in order; the last stays active.
+    fn accepting(mappings: &[Mapping]) -> Session {
+        let mut s = Session::new(phone_db(), phone_target());
+        for m in mappings {
+            s.adopt_mapping(m.clone(), "adopted").unwrap();
+            s.accept_active().unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn adopting_checks_the_target() {
+        let mut s = accepting(&[mother_mapping()]);
+        let other = RelSchema::new("Other", vec![Attribute::new("x", DataType::Int)]).unwrap();
+        let mut g = QueryGraph::new();
+        g.add_node(Node::new("Children")).unwrap();
+        assert!(s.adopt_mapping(Mapping::new(g, other), "other").is_err());
+    }
+
+    #[test]
+    fn example_6_1_preview_covers_all_children() {
+        let s = accepting(&[mother_mapping(), father_mapping()]);
+        let out = s.target_preview().unwrap();
+        assert_eq!(out.len(), 2);
+        let tom = out
+            .rows()
+            .iter()
+            .find(|r| r[0] == Value::str("004"))
+            .unwrap();
+        assert_eq!(tom[1], Value::str("555-2")); // father's phone
+    }
+
+    #[test]
+    fn the_preview_merges_partial_tuples() {
+        // (001, null), (004, null) and (001, 555-1)
+        let s = accepting(&[ids_mapping(), mother_mapping()]);
+        let merged = s.target_preview().unwrap();
+        assert_eq!(merged.len(), 2); // (001,null) merged into (001,555-1)
+        let anna = merged
+            .rows()
+            .iter()
+            .find(|r| r[0] == Value::str("001"))
+            .unwrap();
+        assert_eq!(anna[1], Value::str("555-1"));
+    }
+
+    #[test]
+    fn contributions_report_exclusive_tuples() {
+        let s = accepting(&[mother_mapping(), father_mapping(), ids_mapping()]);
+        let contribs = s.contributions().unwrap();
+        assert_eq!(contribs.len(), 3);
+        // mother mapping: (001, 555-1) — exclusive
+        assert_eq!(contribs[0].produced, 1);
+        assert_eq!(contribs[0].exclusive, 1);
+        // ids mapping produces (001,null),(004,null) — both exclusive as
+        // exact tuples (other mappings emit non-null phones)
+        assert_eq!(contribs[2].produced, 2);
+        assert_eq!(contribs[2].exclusive, 2);
+    }
+
+    /// A tuple two accepted mappings both produce is exclusive to neither.
+    #[test]
+    fn a_tuple_two_mappings_produce_is_exclusive_to_neither() {
+        let s = accepting(&[ids_mapping(), mother_mapping(), ids_mapping()]);
+        let counts: Vec<(usize, usize)> = s
+            .contributions()
+            .unwrap()
+            .iter()
+            .map(|c| (c.produced, c.exclusive))
+            .collect();
+        assert_eq!(counts, [(2, 0), (1, 1), (2, 0)]);
+    }
+
+    #[test]
+    fn a_session_without_mappings_previews_nothing() {
+        let s = accepting(&[]);
+        assert!(s.target_preview().unwrap().is_empty());
+        assert!(s.contributions().unwrap().is_empty());
+    }
+
+    /// `contributions` right after the preview reads the results the
+    /// preview memoized: no join runs and nothing compiles. The counts
+    /// equal a cache-off session's.
+    #[test]
+    fn contributions_after_the_preview_join_nothing() {
+        let mappings = [mother_mapping(), father_mapping(), ids_mapping()];
+        let mut counts = Vec::new();
+        for cache in [true, false] {
+            let mut s = accepting(&mappings);
+            s.set_cache_enabled(cache);
+            s.target_preview().unwrap();
+            let rec = clio_obs::Recorder::new();
+            let contribs = rec.run(|| s.contributions().unwrap());
+            let snapshot = rec.snapshot();
+            assert_eq!(
+                snapshot.get(clio_obs::Counter::PlanBuilt),
+                0,
+                "cache {cache}"
+            );
+            if cache {
+                assert_eq!(snapshot.get(clio_obs::Counter::JoinProbes), 0);
+                assert_eq!(snapshot.get(clio_obs::Counter::CacheHits), 3);
+            }
+            counts.push(contribs);
+        }
+        assert_eq!(counts[0], counts[1]);
+    }
+
+    /// Mappings over one graph keep forms of their own: the filtered
+    /// mapping's examples and tuples are its own, not those of the
+    /// unfiltered mapping accepted before it.
+    #[test]
+    fn mappings_over_one_graph_keep_their_own_forms() {
+        let mut s = accepting(&[ids_mapping()]);
+        s.add_source_filter("Children.mid IS NOT NULL").unwrap();
+        // Tom (004) has no mother
+        let examples = s.examples_active().unwrap();
+        let tom = examples
+            .iter()
+            .find(|e| e.association[0] == Value::str("004"))
+            .unwrap();
+        assert!(!tom.positive);
+        s.accept_active().unwrap();
+        let counts: Vec<(usize, usize)> = s
+            .contributions()
+            .unwrap()
+            .iter()
+            .map(|c| (c.produced, c.exclusive))
+            .collect();
+        assert_eq!(counts, [(2, 1), (1, 0)]);
+    }
+
+    /// Two workspaces holding equal mappings share one compiled form, and
+    /// so does the mapping accepted from either.
+    #[test]
+    fn one_mapping_adopted_twice_compiles_once() {
+        let mut s = session();
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            s.adopt_mapping(cyclic_mapping(), "first").unwrap();
+            s.adopt_mapping(cyclic_mapping(), "second").unwrap();
+            s.accept_active().unwrap();
+            s.target_preview().unwrap();
+            s.contributions().unwrap();
+        });
+        assert_eq!(s.workspaces().len(), 2);
+        assert_eq!(rec.snapshot().get(clio_obs::Counter::PlanBuilt), 1);
     }
 }

@@ -206,13 +206,20 @@ pub fn verify_mapping(
             .iter()
             .map(|a| mapping.target.index_of(a))
             .collect::<Result<_>>()?;
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
+        // the key values in the order they first appear in the result,
+        // each with the number of tuples holding it
+        let mut groups: Vec<(Vec<Value>, usize)> = Vec::new();
+        let mut group_of: HashMap<Vec<Value>, usize> = HashMap::new();
         for row in out.rows() {
             let kv: Vec<Value> = idxs.iter().map(|&i| row[i].clone()).collect();
             if kv.iter().any(Value::is_null) {
                 continue;
             }
-            *groups.entry(kv).or_insert(0) += 1;
+            let g = *group_of.entry(kv.clone()).or_insert_with(|| {
+                groups.push((kv, 0));
+                groups.len() - 1
+            });
+            groups[g].1 += 1;
         }
         for (kv, count) in groups {
             if count > 1 {
@@ -317,6 +324,52 @@ mod tests {
         };
         assert_eq!(key_values, &vec![Value::str("001")]);
         assert_eq!(*tuples, 2);
+    }
+
+    /// Key conflicts come out in the order their key values first
+    /// appear in the mapping's result, the same in every run.
+    #[test]
+    fn key_conflicts_follow_the_result_order() {
+        let mut kids = RelationBuilder::new("Children")
+            .attr_not_null("ID", DataType::Str)
+            .attr("mid", DataType::Str);
+        let mut parents = RelationBuilder::new("Parents")
+            .attr_not_null("ID", DataType::Str)
+            .attr("phone", DataType::Str);
+        for (i, id) in ["005", "003", "001", "006", "004", "002"]
+            .iter()
+            .enumerate()
+        {
+            let mid = format!("2{i:02}");
+            kids = kids.row(vec![(*id).into(), mid.as_str().into()]);
+            for phone in ["a", "b"] {
+                parents = parents.row(vec![mid.as_str().into(), format!("{id}-{phone}").into()]);
+            }
+        }
+        let mut db = Database::new();
+        db.add_relation(kids.build().unwrap()).unwrap();
+        db.add_relation(parents.build().unwrap()).unwrap();
+        let mut first_seen: Vec<Value> = Vec::new();
+        for row in mapping().evaluate(&db, &funcs()).unwrap().rows() {
+            if !first_seen.contains(&row[0]) {
+                first_seen.push(row[0].clone());
+            }
+        }
+        let findings = verify_mapping(&mapping(), &db, &funcs(), &[vec!["ID".to_owned()]]).unwrap();
+        let conflicts: Vec<Value> = findings
+            .iter()
+            .filter_map(|f| match f {
+                Finding::KeyConflict {
+                    key_values, tuples, ..
+                } => {
+                    assert_eq!(*tuples, 2);
+                    Some(key_values[0].clone())
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(conflicts.len(), 6);
+        assert_eq!(conflicts, first_seen);
     }
 
     #[test]

@@ -659,14 +659,14 @@ proptest! {
         }
     }
 
-    /// Merged target-mapping evaluation never contains a subsumed pair and
-    /// never loses a maximal tuple relative to the union.
+    /// A session's merged target view over two accepted mappings never
+    /// contains a subsumed pair and never loses a maximal tuple relative
+    /// to the plain union of the two mapping results.
     #[test]
     fn target_merge_invariants(
         rows in 4usize..16,
         seed in proptest::num::u64::ANY,
     ) {
-        use clio::core::target_mapping::TargetMapping;
         let spec = SyntheticSpec {
             topology: Topology::Chain,
             relations: 2,
@@ -684,12 +684,16 @@ proptest! {
         partial.graph = g;
         partial.correspondences.retain(|c| c.source_qualifiers() == vec!["R0"]);
 
-        let mut tm = TargetMapping::new(w.mapping.target.clone());
-        tm.accept(w.mapping.clone()).unwrap();
-        tm.accept(partial).unwrap();
-
-        let union = tm.evaluate_union(&w.db, &funcs).unwrap();
-        let merged = tm.evaluate_merged(&w.db, &funcs).unwrap();
+        let mut session = Session::new(w.db.clone(), w.mapping.target.clone());
+        let mut union = Table::empty(w.mapping.target_scheme());
+        for m in [&w.mapping, &partial] {
+            session.adopt_mapping(m.clone(), "accepted").unwrap();
+            session.accept_active().unwrap();
+            for row in m.evaluate(&w.db, &funcs).unwrap().into_rows() {
+                union.push_distinct(row);
+            }
+        }
+        let merged = session.target_preview().unwrap();
         prop_assert!(merged.len() <= union.len());
         // no subsumed pair survives
         for (i, a) in merged.rows().iter().enumerate() {
