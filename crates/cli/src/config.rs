@@ -314,15 +314,33 @@ impl CliConfig {
         Ok(cfg)
     }
 
-    /// Resolve the serve-mode environment fallbacks (`CLIO_PORT`,
-    /// `CLIO_MAX_CONNS`, `CLIO_IDLE_MS`) into any still-unset field.
-    /// Flags win over the environment; a malformed environment value is
-    /// a usage error (exit 2) exactly like its flag form. `get` is the
-    /// environment lookup, injectable for tests.
-    pub fn apply_net_env(
-        &mut self,
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<(), UsageError> {
+    /// Resolve the environment fallbacks into any still-unset field:
+    /// `CLIO_SLOW_MS` in every mode, and in serve mode `CLIO_PORT`,
+    /// `CLIO_MAX_CONNS` and `CLIO_IDLE_MS`. Flags win over the
+    /// environment; a malformed environment value is a usage error
+    /// (exit 2) exactly like its flag form. `get` is the environment
+    /// lookup, injectable for tests.
+    pub fn apply_env(&mut self, get: impl Fn(&str) -> Option<String>) -> Result<(), UsageError> {
+        if self.slow_ms.is_none() {
+            if let Some(value) = get("CLIO_SLOW_MS") {
+                match value.parse::<u64>() {
+                    Ok(n) if n >= 1 => self.slow_ms = Some(n),
+                    _ => {
+                        return Err(UsageError(format!(
+                            "CLIO_SLOW_MS expects a positive integer (milliseconds), got `{value}`"
+                        )))
+                    }
+                }
+            }
+        }
+        if self.mode == Mode::Serve {
+            self.apply_net_env(get)?;
+        }
+        Ok(())
+    }
+
+    /// The serve-mode half of [`CliConfig::apply_env`].
+    fn apply_net_env(&mut self, get: impl Fn(&str) -> Option<String>) -> Result<(), UsageError> {
         if self.port.is_none() {
             if let Some(value) = get("CLIO_PORT") {
                 match value.parse::<u16>() {
@@ -570,6 +588,27 @@ mod tests {
             err.to_string(),
             "CLIO_IDLE_MS expects a positive integer (milliseconds), got `x`"
         );
+    }
+
+    #[test]
+    fn slow_ms_env_fallback_fills_every_mode_and_validates() {
+        let env =
+            |value: &'static str| move |key: &str| (key == "CLIO_SLOW_MS").then(|| value.into());
+        for words in [&[][..], &["serve"][..], &["connect", "127.0.0.1:1"][..]] {
+            let mut cfg = CliConfig::parse(&argv(words)).unwrap();
+            cfg.apply_env(env("40")).unwrap();
+            assert_eq!(cfg.slow_ms, Some(40), "{words:?}");
+        }
+        let mut cfg = CliConfig::parse(&argv(&["--slow-ms", "7"])).unwrap();
+        cfg.apply_env(env("40")).unwrap();
+        assert_eq!(cfg.slow_ms, Some(7), "the flag wins over the environment");
+        for bad in ["0", "-3", "fast", ""] {
+            let mut cfg = CliConfig::parse(&argv(&[])).unwrap();
+            assert_eq!(
+                cfg.apply_env(env(bad)).unwrap_err().to_string(),
+                format!("CLIO_SLOW_MS expects a positive integer (milliseconds), got `{bad}`")
+            );
+        }
     }
 
     #[test]

@@ -527,9 +527,10 @@ impl Shell {
                     clio_pager::DEFAULT_PAGE_SIZE,
                 )?;
                 let spec = clio_lang::print_target_schema(self.session.target_schema());
-                std::fs::write(path.join(TARGET_FILE), format!("{spec}\n")).map_err(|e| {
-                    Error::Invalid(format!("cannot write `{dir}/{TARGET_FILE}`: {e}"))
-                })?;
+                clio_pager::write_atomic(&path.join(TARGET_FILE), format!("{spec}\n").as_bytes())
+                    .map_err(|e| {
+                        Error::Invalid(format!("cannot write `{dir}/{TARGET_FILE}`: {e}"))
+                    })?;
                 Ok(format!(
                     "saved {} relation(s) to {dir}\n",
                     self.session.database().relation_count()

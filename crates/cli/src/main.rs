@@ -223,15 +223,13 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if cfg.mode == Mode::Serve {
-        if cfg.script.is_some() {
-            eprintln!("--script conflicts with serve mode (see --help)");
-            std::process::exit(2);
-        }
-        if let Err(e) = cfg.apply_net_env(|key| std::env::var(key).ok()) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    if cfg.mode == Mode::Serve && cfg.script.is_some() {
+        eprintln!("--script conflicts with serve mode (see --help)");
+        std::process::exit(2);
+    }
+    if let Err(e) = cfg.apply_env(|key| std::env::var(key).ok()) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 
     if let Some(n) = cfg.threads {
@@ -240,19 +238,13 @@ fn main() {
     if cfg.metrics_path.is_some() {
         clio_obs::set_metrics_enabled(true);
     }
-    let slow_ms = cfg.slow_ms.or_else(|| {
-        std::env::var("CLIO_SLOW_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|n| *n > 0)
-    });
-    if let Some(ms) = slow_ms {
+    if let Some(ms) = cfg.slow_ms {
         clio_obs::set_slow_threshold_ns(ms.saturating_mul(1_000_000));
     }
     // Timing (histograms, the Chrome trace export, slow-span checks)
     // rides on the span machinery, so any of the three timing flags
     // enables tracing.
-    if cfg.trace || cfg.trace_out.is_some() || slow_ms.is_some() {
+    if cfg.trace || cfg.trace_out.is_some() || cfg.slow_ms.is_some() {
         clio_obs::set_trace_enabled(true);
     }
 

@@ -5,6 +5,7 @@
 //! examples so a user can see the effect of the different filters" — the
 //! [`trim_effect`] diff computes exactly which examples flip polarity.
 
+use clio_incr::EvalCache;
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
 use clio_relational::expr::Expr;
@@ -79,8 +80,9 @@ pub struct TrimEffect {
 
 /// Compare two mappings that share a query graph: which examples change
 /// polarity? Both example populations are generated over the graph's one
-/// `D(G)`, in the same order; mappings over different graphs are an
-/// error.
+/// `D(G)`, in the same order: it is computed once, memoized in a cache
+/// local to the call, and read back for the second population. Mappings
+/// over different graphs are an error.
 pub fn trim_effect(
     before: &Mapping,
     after: &Mapping,
@@ -92,8 +94,9 @@ pub fn trim_effect(
             "trim_effect compares two mappings over one query graph".into(),
         ));
     }
-    let eb = before.examples(db, funcs)?;
-    let ea = after.examples(db, funcs)?;
+    let cache = EvalCache::new();
+    let eb = before.examples_cached(db, funcs, Some(&cache))?;
+    let ea = after.examples_cached(db, funcs, Some(&cache))?;
     let mut newly_negative = Vec::new();
     let mut newly_positive = Vec::new();
     for (b, a) in eb.iter().zip(&ea) {
@@ -219,6 +222,26 @@ mod tests {
         let back = trim_effect(&m2, &m, &db(), &funcs()).unwrap();
         assert_eq!(back.newly_positive.len(), 2);
         assert!(back.newly_negative.is_empty());
+    }
+
+    /// The two populations share one `D(G)`: the second reads the
+    /// first's from the call's cache and joins nothing.
+    #[test]
+    fn trim_effect_runs_the_shared_d_of_g_once() {
+        let m = mapping();
+        let m2 = require_target_attribute(&m, "BusSchedule");
+        let (db, funcs) = (db(), funcs());
+        let rec = clio_obs::Recorder::new();
+        let one = rec.run(|| m.examples(&db, &funcs).unwrap());
+        let probes = rec.snapshot().get(clio_obs::Counter::JoinProbes);
+        assert!(probes > 0, "one population joins");
+        let effect = rec.run(|| trim_effect(&m, &m2, &db, &funcs).unwrap());
+        assert_eq!(
+            rec.snapshot().get(clio_obs::Counter::JoinProbes),
+            2 * probes,
+            "both populations together join once"
+        );
+        assert_eq!(effect.positive_before, one.len());
     }
 
     #[test]

@@ -852,15 +852,17 @@ impl Session {
     }
 
     /// Run data-driven verification on the active mapping (see
-    /// [`verify_mapping`](crate::verify::verify_mapping)). `target_keys`
-    /// lists candidate keys of the target to check for merge conflicts;
-    /// pass an empty slice to skip key checking.
+    /// [`verify_mapping`](crate::verify::verify_mapping)), its data
+    /// checks reading the result through the mapping's compiled form and
+    /// the session cache. `target_keys` lists candidate keys of the
+    /// target to check for merge conflicts; pass an empty slice to skip
+    /// key checking.
     pub fn verify_active(
         &self,
         target_keys: &[Vec<String>],
     ) -> Result<Vec<crate::verify::Finding>> {
-        let w = self.require_active()?;
-        crate::verify::verify_mapping(&w.mapping, &self.db, &self.funcs, target_keys)
+        let m = &self.require_active()?.mapping;
+        crate::verify::verify_with(m, &self.db, &self.funcs, target_keys, || self.evaluate(m))
     }
 
     /// The WYSIWYG target view: the minimum union of all accepted
@@ -1834,6 +1836,27 @@ mod tests {
             counts.push(contribs);
         }
         assert_eq!(counts[0], counts[1]);
+    }
+
+    /// `verify` right after the preview reads the active mapping's
+    /// result through its compiled form from the cache the preview
+    /// filled: nothing compiles and nothing joins, and the findings are
+    /// `verify_mapping`'s.
+    #[test]
+    fn verify_after_the_preview_compiles_and_joins_nothing() {
+        let mut s = accepting(&[ids_mapping()]);
+        s.adopt_mapping(mother_mapping(), "active").unwrap();
+        s.target_preview().unwrap();
+        let keys = vec![vec!["contactPh".to_owned()]];
+        let rec = clio_obs::Recorder::new();
+        let findings = rec.run(|| s.verify_active(&keys).unwrap());
+        let snapshot = rec.snapshot();
+        assert_eq!(snapshot.get(clio_obs::Counter::PlanBuilt), 0);
+        assert_eq!(snapshot.get(clio_obs::Counter::JoinProbes), 0);
+        let direct =
+            crate::verify::verify_mapping(&mother_mapping(), s.database(), s.funcs(), &keys)
+                .unwrap();
+        assert_eq!(findings, direct);
     }
 
     /// Mappings over one graph keep forms of their own: the filtered

@@ -14,6 +14,7 @@ use std::fmt;
 use clio_relational::database::Database;
 use clio_relational::error::Result;
 use clio_relational::funcs::FuncRegistry;
+use clio_relational::table::Table;
 use clio_relational::value::Value;
 
 use crate::mapping::Mapping;
@@ -109,6 +110,22 @@ pub fn verify_mapping(
     funcs: &FuncRegistry,
     target_keys: &[Vec<String>],
 ) -> Result<Vec<Finding>> {
+    verify_with(mapping, db, funcs, target_keys, || {
+        mapping.evaluate(db, funcs)
+    })
+}
+
+/// [`verify_mapping`] with the data checks reading the mapping's result
+/// from `evaluate`, called at most once: a
+/// [`Session`](crate::session::Session) passes its compiled form's
+/// evaluation through its cache.
+pub(crate) fn verify_with(
+    mapping: &Mapping,
+    db: &Database,
+    funcs: &FuncRegistry,
+    target_keys: &[Vec<String>],
+    evaluate: impl FnOnce() -> Result<Table>,
+) -> Result<Vec<Finding>> {
     mapping.validate(db, funcs)?;
     let mut findings = Vec::new();
 
@@ -196,7 +213,7 @@ pub fn verify_mapping(
     {
         return Ok(findings);
     }
-    let out = mapping.evaluate(db, funcs)?;
+    let out = evaluate()?;
     if out.is_empty() {
         findings.push(Finding::EmptyResult);
     }

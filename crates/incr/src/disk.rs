@@ -4,8 +4,9 @@
 //! ## File format (version 3)
 //!
 //! One entry per file, named `{namespace:016x}-{fingerprint:016x}.clc`.
-//! All integers are little-endian; strings are `u32` length + UTF-8
-//! bytes. Layout:
+//! Integers, strings and values use the shared encoding of
+//! [`clio_relational::codec`] (little-endian; strings are `u32` length +
+//! UTF-8 bytes), which heap files' records use too. Layout:
 //!
 //! ```text
 //! magic      b"CLIC"
@@ -24,8 +25,7 @@
 //! checksum   u64            (FNV-1a 64 over everything above)
 //! ```
 //!
-//! Value tags: `0` null, `1` int (`i64`), `2` float (`f64` bit pattern),
-//! `3` string, `4` bool (`u8`, `0` or `1`).
+//! Type tags: `0` int, `1` float, `2` string, `3` bool.
 //!
 //! Version 2 added `cost_ns` (between `fp` and `deps`) so a warm
 //! restart re-seeds the cost-aware eviction priorities; version 3 added
@@ -41,8 +41,9 @@
 //!
 //! ## Crash safety and tolerance
 //!
-//! Writes go to a `.tmp-{pid}-{seq}` file in the same directory and are
-//! renamed into place, so readers never observe a half-written entry
+//! Writes go through [`write_atomic`], the one atomic write every clio
+//! file uses: a `.tmp-{pid}-{seq}` file in the same directory, fsynced
+//! and renamed into place. Readers never observe a half-written entry,
 //! and concurrent sessions spilling the same fingerprint race
 //! harmlessly (both rename byte-identical content). Reads never trust
 //! the directory: a truncated file, a wrong magic/version, a namespace
@@ -56,14 +57,13 @@
 //! inert no-op the same way.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use clio_relational::codec::{put_len, put_str, put_u32, put_u64, put_value, Reader};
 use clio_relational::schema::{Column, Scheme};
 use clio_relational::table::Table;
-use clio_relational::value::{DataType, Value};
-use clio_relational::{fnv1a, FNV_OFFSET_BASIS};
+use clio_relational::value::DataType;
+use clio_relational::{fnv1a, write_atomic, FNV_OFFSET_BASIS};
 
 use crate::cache::{IdRows, Payload};
 use crate::fingerprint::Fingerprint;
@@ -81,7 +81,6 @@ pub struct DiskStore {
     /// store then answers every call as an inert no-op.
     dir: Option<PathBuf>,
     namespace: u64,
-    seq: AtomicU64,
     counters: StoreCounters,
 }
 
@@ -120,7 +119,6 @@ impl DiskStore {
         DiskStore {
             dir,
             namespace,
-            seq: AtomicU64::new(0),
             counters,
         }
     }
@@ -157,22 +155,23 @@ impl DiskStore {
                 return None;
             }
         };
-        match decode(&bytes, self.namespace, fp) {
-            Ok(entry) => Some(entry),
-            Err(why) => {
-                clio_obs::warn_limited(
-                    "cache.load",
-                    &format!(
-                        "cache entry `{}` rejected ({why}); recomputing",
-                        path.display()
-                    ),
-                );
-                self.counters.record_load_error();
-                // `spill` never overwrites: make room for the recompute
-                let _ = fs::remove_file(path);
-                None
-            }
-        }
+        decode(&bytes, self.namespace, fp)
+            .map_err(|why| self.reject(path, &why))
+            .ok()
+    }
+
+    /// Log and count a rejected entry file and remove it: `spill` never
+    /// overwrites, so this makes room for the recompute.
+    fn reject(&self, path: &Path, why: &str) {
+        clio_obs::warn_limited(
+            "cache.load",
+            &format!(
+                "cache entry `{}` rejected ({why}); recomputing",
+                path.display()
+            ),
+        );
+        self.counters.record_load_error();
+        let _ = fs::remove_file(path);
     }
 }
 
@@ -189,15 +188,7 @@ impl CacheStore for DiskStore {
             self.counters.record_hit();
             return Some(entry);
         }
-        clio_obs::warn_limited(
-            "cache.load",
-            &format!(
-                "cache entry `{}` rejected (unusable by its reader); recomputing",
-                path.display()
-            ),
-        );
-        self.counters.record_load_error();
-        let _ = fs::remove_file(&path);
+        self.reject(&path, "unusable by its reader");
         None
     }
 
@@ -210,15 +201,7 @@ impl CacheStore for DiskStore {
             return false;
         }
         let bytes = encode(self.namespace, fp, entry);
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let written = fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(&bytes).and_then(|()| f.sync_all()))
-            .and_then(|()| fs::rename(&tmp, &path));
-        match written {
+        match write_atomic(&path, &bytes) {
             Ok(()) => {
                 self.counters.record_spill(bytes.len() as u64);
                 true
@@ -231,7 +214,6 @@ impl CacheStore for DiskStore {
                         path.display()
                     ),
                 );
-                let _ = fs::remove_file(&tmp);
                 self.counters.record_load_error();
                 false
             }
@@ -288,59 +270,14 @@ impl CacheStore for DiskStore {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, n: u32) {
-    out.extend_from_slice(&n.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, n: u64) {
-    out.extend_from_slice(&n.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn type_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-    }
-}
-
-fn type_from_tag(tag: u8) -> Option<DataType> {
-    Some(match tag {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        3 => DataType::Bool,
-        _ => return None,
-    })
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            out.push(2);
-            put_u64(out, f.to_bits());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Bool(b) => {
-            out.push(4);
-            out.push(u8::from(*b));
-        }
-    }
-}
+/// Column types by their tag byte: the one table the encoder and the
+/// decoder read.
+const TYPES: [DataType; 4] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Str,
+    DataType::Bool,
+];
 
 /// Encode one entry into the version-3 file bytes (checksum included).
 #[must_use]
@@ -351,7 +288,7 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
     put_u64(&mut out, namespace);
     put_u64(&mut out, fp.0);
     put_u64(&mut out, entry.cost_ns);
-    put_u32(&mut out, entry.deps.len() as u32);
+    put_len(&mut out, entry.deps.len());
     for dep in &entry.deps {
         put_str(&mut out, dep);
     }
@@ -359,11 +296,12 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
         Payload::Table(table) => {
             out.push(0);
             let scheme = table.scheme();
-            put_u32(&mut out, scheme.arity() as u32);
+            put_len(&mut out, scheme.arity());
             for col in scheme.columns() {
                 put_str(&mut out, &col.qualifier);
                 put_str(&mut out, &col.name);
-                out.push(type_tag(col.ty));
+                let tag = TYPES.iter().position(|&t| t == col.ty);
+                out.push(tag.expect("every column type has a tag") as u8);
             }
             put_u64(&mut out, table.len() as u64);
             for row in table.rows() {
@@ -374,7 +312,7 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
         }
         Payload::Ids(rows) => {
             out.push(1);
-            put_u32(&mut out, rows.width as u32);
+            put_len(&mut out, rows.width);
             put_u64(&mut out, rows.len() as u64);
             for &id in &rows.ids {
                 put_u32(&mut out, id);
@@ -384,56 +322,6 @@ pub fn encode(namespace: u64, fp: Fingerprint, entry: &StoredEntry) -> Vec<u8> {
     let checksum = fnv1a(FNV_OFFSET_BASIS, &out);
     put_u64(&mut out, checksum);
     out
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.bytes.len() {
-            return Err("truncated".to_owned());
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_owned())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.u64()? as i64),
-            2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::str(self.str()?),
-            4 => match self.u8()? {
-                0 => Value::Bool(false),
-                1 => Value::Bool(true),
-                b => return Err(format!("bad bool byte {b}")),
-            },
-            tag => return Err(format!("unknown value tag {tag}")),
-        })
-    }
 }
 
 /// Decode version-3 file bytes, verifying magic, version,
@@ -448,10 +336,7 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
     if fnv1a(FNV_OFFSET_BASIS, body) != declared {
         return Err("checksum mismatch".to_owned());
     }
-    let mut cur = Cursor {
-        bytes: body,
-        pos: 0,
-    };
+    let mut cur = Reader::new(body);
     if cur.take(MAGIC.len())? != MAGIC {
         return Err("bad magic".to_owned());
     }
@@ -480,9 +365,7 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
         1 => Payload::Ids(decode_ids(&mut cur)?),
         kind => return Err(format!("unknown entry kind {kind}")),
     };
-    if cur.pos != body.len() {
-        return Err("trailing bytes".to_owned());
-    }
+    cur.done()?;
     Ok(StoredEntry {
         deps,
         payload,
@@ -491,13 +374,15 @@ pub fn decode(bytes: &[u8], namespace: u64, fp: Fingerprint) -> Result<StoredEnt
 }
 
 /// A table entry's scheme and rows.
-fn decode_table(cur: &mut Cursor) -> Result<Table, String> {
+fn decode_table(cur: &mut Reader) -> Result<Table, String> {
     let ncols = cur.u32()? as usize;
     let mut cols = Vec::with_capacity(ncols.min(1024));
     for _ in 0..ncols {
         let qualifier = cur.str()?;
         let name = cur.str()?;
-        let ty = type_from_tag(cur.u8()?).ok_or("unknown type tag")?;
+        let ty = *TYPES
+            .get(usize::from(cur.u8()?))
+            .ok_or("unknown type tag")?;
         cols.push(Column::new(qualifier, name, ty));
     }
     let nrows = cur.u64()?;
@@ -507,7 +392,7 @@ fn decode_table(cur: &mut Cursor) -> Result<Table, String> {
     // a forged count on a zero-column table would loop pushing rows.
     let room = match ncols {
         0 => 1,
-        n => (cur.bytes.len() - cur.pos) / n,
+        n => cur.remaining() / n,
     };
     if nrows > room as u64 {
         return Err(format!("row count {nrows} exceeds the body"));
@@ -526,13 +411,13 @@ fn decode_table(cur: &mut Cursor) -> Result<Table, String> {
 
 /// A tuple-id entry's width and ids. The id count must fit the bytes
 /// that remain (four per id), and rows need a width of at least one.
-fn decode_ids(cur: &mut Cursor) -> Result<IdRows, String> {
+fn decode_ids(cur: &mut Reader) -> Result<IdRows, String> {
     let width = cur.u32()? as usize;
     let nrows = cur.u64()?;
     if width == 0 && nrows > 0 {
         return Err("tuple-id rows of width 0".to_owned());
     }
-    let room = ((cur.bytes.len() - cur.pos) / 4) as u64;
+    let room = (cur.remaining() / 4) as u64;
     let count = nrows
         .checked_mul(width as u64)
         .filter(|&n| n <= room)
@@ -548,6 +433,7 @@ fn decode_ids(cur: &mut Cursor) -> Result<IdRows, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clio_relational::value::Value;
 
     fn entry(rows: usize, tag: &str) -> StoredEntry {
         let scheme = Scheme::new(vec![
@@ -774,9 +660,13 @@ mod tests {
     #[test]
     fn version_two_files_degrade_to_misses() {
         // version 3 changed what the tree `D(G)` entries hold, so a
-        // version-2 table is never served
+        // version-2 table is never served: not in its own layout, and
+        // not in the current one under the old number
         let e = entry(2, "r");
         assert_rejected_and_rewritten(2, &version_two_file(&e), &e);
+        let mut relabeled = encode(7, Fingerprint(1), &e);
+        relabeled[4] = 2;
+        assert_rejected_and_rewritten(2, &resummed(relabeled), &e);
     }
 
     fn ids_entry() -> StoredEntry {
@@ -826,6 +716,100 @@ mod tests {
         assert!(decode(&resummed(kind), 7, Fingerprint(3))
             .unwrap_err()
             .contains("kind"));
+    }
+
+    /// `hex` as bytes.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Every persisted record kind keeps its bytes: one heap record, one
+    /// `_index.clh` entry and one cache file of each payload kind,
+    /// encoded through the shared codec, against bytes written before it
+    /// was shared. Each also decodes back to what was encoded.
+    #[test]
+    fn every_record_kind_keeps_its_golden_bytes() {
+        use clio_relational::index::Occurrence;
+        use clio_relational::schema::{Attribute, RelSchema};
+        use clio_relational::storage::{
+            decode_index_entry, decode_row, encode_index_entry, encode_row,
+        };
+
+        let row = vec![
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::str("héllo"),
+            Value::Bool(true),
+            Value::Null,
+        ];
+        let golden_row = unhex(concat!(
+            "0500000001f9ffffffffffffff020000000000000440030600000068c3a96c6c",
+            "6f040100",
+        ));
+        assert_eq!(encode_row(&row), golden_row);
+        let schema = RelSchema::new(
+            "R",
+            ["i", "f", "s", "b", "n"]
+                .iter()
+                .zip([
+                    DataType::Int,
+                    DataType::Float,
+                    DataType::Str,
+                    DataType::Bool,
+                    DataType::Int,
+                ])
+                .map(|(name, ty)| Attribute::new(*name, ty))
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(decode_row(&golden_row, &schema).unwrap(), row);
+
+        let occs = vec![
+            Occurrence {
+                relation: "Children".into(),
+                attribute: "ID".into(),
+                row: 3,
+            },
+            Occurrence {
+                relation: "SBPS".into(),
+                attribute: "ID".into(),
+                row: 0,
+            },
+        ];
+        let golden_entry = unhex(concat!(
+            "030300000030303202000000080000004368696c6472656e0200000049440300",
+            "00000000000004000000534250530200000049440000000000000000",
+        ));
+        assert_eq!(encode_index_entry(&Value::str("002"), &occs), golden_entry);
+        assert_eq!(
+            decode_index_entry(&golden_entry).unwrap(),
+            (Value::str("002"), occs)
+        );
+
+        let table = StoredEntry {
+            deps: vec!["R".into(), "S".into()],
+            cost_ns: 987_654,
+            ..all_types_entry()
+        };
+        let golden_table = unhex(concat!(
+            "434c49430300000007000000000000002a0000000000000006120f0000000000",
+            "0200000001000000520100000053000400000001000000540100000069000100",
+            "0000540100000066010100000054010000007302010000005401000000620302",
+            "0000000000000001f9ffffffffffffff02000000000000044003010000007804",
+            "010000000400227b2a8ec7776367",
+        ));
+        assert_eq!(encode(7, Fingerprint(42), &table), golden_table);
+        assert_eq!(decode(&golden_table, 7, Fingerprint(42)).unwrap(), table);
+        let golden_ids = unhex(concat!(
+            "434c494303000000070000000000000003000000000000000b00000000000000",
+            "0100000001000000520103000000020000000000000000000000010000000200",
+            "00000700000000000000ffffffff5273e8c6417328ee",
+        ));
+        assert_eq!(encode(7, Fingerprint(3), &ids_entry()), golden_ids);
+        assert_eq!(decode(&golden_ids, 7, Fingerprint(3)).unwrap(), ids_entry());
     }
 
     #[test]

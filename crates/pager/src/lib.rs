@@ -43,9 +43,11 @@
 //!
 //! ## Crash safety and tolerance
 //!
-//! [`HeapWriter`] builds the whole file in a `.tmp-{pid}-{seq}` sibling
-//! and renames it into place after an fsync, so readers never observe a
-//! half-written heap. Reads never trust the file: a truncated file, a
+//! [`HeapWriter`] builds the whole file in an [`AtomicFile`]: a
+//! `.tmp-{pid}-{seq}` sibling renamed into place after an fsync, so
+//! readers never observe a half-written heap. [`write_atomic`] writes
+//! any other file the same way; every file clio persists goes through
+//! the one `AtomicFile`. Reads never trust the file: a truncated file, a
 //! torn header, a wrong magic or version, or a failed page checksum
 //! degrades to a typed [`PagerError`] — one rate-limited stderr line
 //! (category `pager.load`) and a `pager.load_errors` count, never a
@@ -691,17 +693,86 @@ impl Iterator for HeapCursor<'_> {
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Builds a heap file record by record, spilling full pages as it goes.
-/// Everything is written to a `.tmp-{pid}-{seq}` sibling; [`finish`]
-/// writes the header, fsyncs, and renames the file into place, so a
-/// crash mid-build leaves at most a stray tmp file (removed on drop),
-/// never a half-valid heap.
+/// A file built under a `.tmp-{pid}-{seq}` name beside its target and
+/// renamed over the target by [`commit`] after an fsync, so readers
+/// see the old file or the whole new one, never a torn one, and a
+/// committed file survives a crash. Dropped
+/// uncommitted (a failed or abandoned write), it removes its tmp file.
+///
+/// [`commit`]: AtomicFile::commit
+#[derive(Debug)]
+pub struct AtomicFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: File,
+}
+
+impl AtomicFile {
+    /// Start the file that [`AtomicFile::commit`] puts at `path`.
+    pub fn create(path: &Path) -> std::io::Result<AtomicFile> {
+        let tmp = path.with_file_name(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = File::create(&tmp)?;
+        Ok(AtomicFile {
+            path: path.to_path_buf(),
+            tmp,
+            file,
+        })
+    }
+
+    /// Fsync the file, rename it into place and fsync the directory
+    /// holding it; on an error the tmp file is removed.
+    pub fn commit(self) -> std::io::Result<()> {
+        self.file.sync_all()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        // the rename survives a crash once its directory is synced
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        // Drop runs next; the tmp file is gone, so its cleanup is a
+        // no-op.
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Seek for AtomicFile {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.file.seek(pos)
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.tmp);
+    }
+}
+
+/// Write `bytes` to `path` through an [`AtomicFile`].
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = AtomicFile::create(path)?;
+    file.write_all(bytes)?;
+    file.commit()
+}
+
+/// Builds a heap file record by record, spilling full pages as it goes,
+/// into an [`AtomicFile`]: [`finish`] writes the header and commits it,
+/// so a crash mid-build leaves at most a stray tmp file, never a
+/// half-valid heap.
 ///
 /// [`finish`]: HeapWriter::finish
 pub struct HeapWriter {
-    final_path: PathBuf,
-    tmp_path: PathBuf,
-    file: Option<BufWriter<File>>,
+    file: BufWriter<AtomicFile>,
     page_size: usize,
     payload: Vec<u8>,
     next_page: u64,
@@ -722,20 +793,12 @@ impl HeapWriter {
                 format!("page size {page_size} out of range ({MIN_PAGE_SIZE}..={MAX_PAGE_SIZE})"),
             ));
         }
-        let tmp_name = format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = path.with_file_name(tmp_name);
-        let mut file = BufWriter::new(File::create(&tmp_path)?);
+        let mut file = BufWriter::new(AtomicFile::create(path)?);
         // Reserve the header page; it is rewritten with real contents
         // (and a real checksum) by `finish`.
         file.write_all(&vec![0u8; page_size])?;
         Ok(HeapWriter {
-            final_path: path.to_path_buf(),
-            tmp_path,
-            file: Some(file),
+            file,
             page_size,
             payload: Vec::with_capacity(payload_cap(page_size)),
             next_page: 1,
@@ -787,15 +850,14 @@ impl HeapWriter {
 
     fn spill_page(&mut self) -> std::io::Result<()> {
         let page = encode_data_page(self.page_size, self.next_page, &self.payload);
-        self.file.as_mut().expect("writer open").write_all(&page)?;
+        self.file.write_all(&page)?;
         clio_obs::incr(Counter::PagerPageWrites);
         self.next_page += 1;
         self.payload.clear();
         Ok(())
     }
 
-    /// Flush the tail page, write the real header, fsync, and rename
-    /// the file into place.
+    /// Flush the tail page, write the real header, and commit the file.
     ///
     /// # Errors
     ///
@@ -813,22 +875,12 @@ impl HeapWriter {
         header[20..28].copy_from_slice(&self.record_count.to_le_bytes());
         let sum = fnv1a(FNV_OFFSET_BASIS, &header[..self.page_size - CHECKSUM_LEN]);
         header[self.page_size - CHECKSUM_LEN..].copy_from_slice(&sum.to_le_bytes());
-        let mut file = self.file.take().expect("writer open").into_inner()?;
+        let mut file = self.file.into_inner()?;
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
+        file.commit()?;
         clio_obs::incr(Counter::PagerPageWrites); // the header page
         Ok(())
-        // Drop runs next; the tmp file is gone, so its cleanup is a
-        // no-op.
-    }
-}
-
-impl Drop for HeapWriter {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.tmp_path);
     }
 }
 
@@ -1089,6 +1141,27 @@ mod tests {
             .collect();
         assert!(stray.is_empty(), "stray tmp files: {stray:?}");
         assert!(!dir.join("b.clh").exists(), "unfinished heap not renamed");
+    }
+
+    #[test]
+    fn atomic_writes_replace_whole_files_and_abandoned_ones_leave_nothing() {
+        let dir = tmp_dir("atomic");
+        let path = dir.join("manifest.txt");
+        write_atomic(&path, b"first").unwrap();
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        // an uncommitted write leaves the old file and no tmp file
+        let mut f = AtomicFile::create(&path).unwrap();
+        f.write_all(b"torn").unwrap();
+        drop(f);
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["manifest.txt"]);
+        // a target in a missing directory fails without a trace
+        assert!(write_atomic(&dir.join("gone").join("x"), b"x").is_err());
     }
 
     #[test]

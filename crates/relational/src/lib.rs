@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
+pub mod codec;
 pub mod constraints;
 pub mod csv;
 pub mod database;
@@ -63,6 +64,8 @@ pub mod truth;
 pub mod typing;
 pub mod value;
 
+/// The one atomic file write (defined in `clio-pager`).
+pub use clio_pager::write_atomic;
 /// FNV-1a 64, the one digest behind page checksums, cache-file
 /// checksums and cache fingerprints (defined in `clio-pager`).
 pub use clio_pager::{fnv1a, FNV_OFFSET_BASIS};

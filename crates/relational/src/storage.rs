@@ -18,8 +18,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use clio_pager::{HeapWriter, Pager};
+use clio_pager::{write_atomic, HeapWriter, Pager};
 
+use crate::codec::{put_len, put_str, put_u64, put_value, Reader};
 use crate::constraints::Constraints;
 use crate::csv::{parse_manifest, schema_manifest};
 use crate::database::Database;
@@ -37,126 +38,25 @@ fn heap_name(relation: &str) -> String {
     format!("{relation}.clh")
 }
 
-/// Value tags shared with `clio-incr`'s disk cache idiom.
-const TAG_NULL: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_FLOAT: u8 = 2;
-const TAG_STR: u8 = 3;
-const TAG_BOOL: u8 = 4;
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            encode_bytes(s.as_bytes(), out);
-        }
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-    }
-}
-
-fn encode_bytes(bytes: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(
-        &u32::try_from(bytes.len())
-            .expect("field fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(bytes);
-}
-
-/// One row as a heap record: `u32` arity, then tagged values.
-fn encode_row(row: &[Value]) -> Vec<u8> {
+/// One row as a heap record: `u32` arity, then its values in the
+/// [`codec`](crate::codec) encoding.
+#[must_use]
+pub fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(
-        &u32::try_from(row.len())
-            .expect("arity fits u32")
-            .to_le_bytes(),
-    );
+    put_len(&mut out, row.len());
     for v in row {
-        encode_value(v, &mut out);
+        put_value(&mut out, v);
     }
     out
 }
 
-/// Byte-wise reader used by the decoders; every failure is a short
-/// human detail, surfaced through the degradation path.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| "truncated record".to_owned())?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> std::result::Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> std::result::Result<&'a str, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in record".to_owned())
-    }
-
-    fn value(&mut self) -> std::result::Result<Value, String> {
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_INT => Ok(Value::Int(i64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            TAG_STR => Ok(Value::str(self.str()?)),
-            TAG_BOOL => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                b => Err(format!("bad bool byte {b}")),
-            },
-            tag => Err(format!("unknown value tag {tag}")),
-        }
-    }
-
-    fn done(&self) -> std::result::Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes in record".to_owned())
-        }
-    }
-}
-
-fn decode_row(bytes: &[u8], schema: &RelSchema) -> std::result::Result<Vec<Value>, String> {
+/// Decode a heap record of a relation with `schema`.
+///
+/// # Errors
+///
+/// A short human detail when the bytes are not one whole record of
+/// `schema`'s arity.
+pub fn decode_row(bytes: &[u8], schema: &RelSchema) -> std::result::Result<Vec<Value>, String> {
     let mut r = Reader::new(bytes);
     let n = r.u32()? as usize;
     if n != schema.arity() {
@@ -173,29 +73,32 @@ fn decode_row(bytes: &[u8], schema: &RelSchema) -> std::result::Result<Vec<Value
     Ok(row)
 }
 
-/// One index entry as a heap record: the value, then its occurrences.
-fn encode_index_entry(value: &Value, occs: &[Occurrence]) -> Vec<u8> {
+/// One `_index.clh` record: the value, a `u32` occurrence count, then
+/// each occurrence's relation, attribute and `u64` row.
+#[must_use]
+pub fn encode_index_entry(value: &Value, occs: &[Occurrence]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(value, &mut out);
-    out.extend_from_slice(
-        &u32::try_from(occs.len())
-            .expect("count fits u32")
-            .to_le_bytes(),
-    );
+    put_value(&mut out, value);
+    put_len(&mut out, occs.len());
     for occ in occs {
-        encode_bytes(occ.relation.as_bytes(), &mut out);
-        encode_bytes(occ.attribute.as_bytes(), &mut out);
-        out.extend_from_slice(&(occ.row as u64).to_le_bytes());
+        put_str(&mut out, &occ.relation);
+        put_str(&mut out, &occ.attribute);
+        put_u64(&mut out, occ.row as u64);
     }
     out
 }
 
-fn decode_index_entry(bytes: &[u8]) -> std::result::Result<(Value, Vec<Occurrence>), String> {
+/// Decode one `_index.clh` record.
+///
+/// # Errors
+///
+/// A short human detail when the bytes are not one whole entry.
+pub fn decode_index_entry(bytes: &[u8]) -> std::result::Result<(Value, Vec<Occurrence>), String> {
     let mut r = Reader::new(bytes);
     let value = r.value()?;
     let count = r.u32()? as usize;
     // an untrusted count: each occurrence takes at least 16 bytes
-    let mut occs = Vec::with_capacity(count.min((bytes.len() - r.pos) / 16));
+    let mut occs = Vec::with_capacity(count.min(r.remaining() / 16));
     for _ in 0..count {
         let relation = r.str()?.to_owned();
         let attribute = r.str()?.to_owned();
@@ -224,8 +127,9 @@ fn degraded(path: &Path, detail: impl Into<String>) -> Error {
 
 /// Write `db` to `dir` as a paged database: `_schema.txt`, one
 /// checksummed heap file per relation, and a persisted value index.
-/// Heap files are built in tmp siblings and renamed into place, so a
-/// crash never leaves a half-valid database behind the existing one.
+/// Every file is built in a tmp sibling and renamed into place
+/// ([`clio_pager::write_atomic`]), so a crash never leaves a torn file
+/// behind.
 ///
 /// # Errors
 ///
@@ -233,7 +137,8 @@ fn degraded(path: &Path, detail: impl Into<String>) -> Error {
 pub fn save_database(db: &Database, dir: &Path, page_size: usize) -> Result<()> {
     let io_err = |e: &dyn std::fmt::Display| Error::Invalid(format!("db save: {e}"));
     std::fs::create_dir_all(dir).map_err(|e| io_err(&e))?;
-    std::fs::write(dir.join("_schema.txt"), schema_manifest(db)).map_err(|e| io_err(&e))?;
+    write_atomic(&dir.join("_schema.txt"), schema_manifest(db).as_bytes())
+        .map_err(|e| io_err(&e))?;
     for rel in db.relations() {
         let mut w = HeapWriter::create(&dir.join(heap_name(rel.name())), page_size)
             .map_err(|e| io_err(&e))?;
@@ -535,7 +440,7 @@ mod tests {
         assert!(err.contains("unknown value tag"), "{err}");
         // the record ends with the bool's tag and byte
         let last = good.len() - 1;
-        assert_eq!(&good[last - 1..], &[TAG_BOOL, 1]);
+        assert_eq!(&good[last - 1..], &[4, 1]);
         let mut forged = good.clone();
         forged[last] = 2;
         let err = decode_row(&forged, &schema).unwrap_err();
