@@ -188,7 +188,7 @@ impl Shell {
             }
             Command::SaveMapping { path } => {
                 let text = clio_lang::print_mapping(&self.active()?.mapping);
-                std::fs::write(&path, &text)
+                clio_pager::write_atomic(std::path::Path::new(&path), text.as_bytes())
                     .map_err(|e| Error::Invalid(format!("cannot write `{path}`: {e}")))?;
                 Ok(format!("saved to {path}\n"))
             }
@@ -693,6 +693,32 @@ mod tests {
             sh.session.workspaces()[n - 1].mapping,
             sh.session.workspaces()[0].mapping
         );
+    }
+
+    #[test]
+    fn save_over_a_file_replaces_it_whole_and_leaves_no_tmp_file() {
+        let mut sh = shell();
+        run(&mut sh, "corr Children.ID -> ID");
+        let dir = std::env::temp_dir().join(format!("clio-cli-resave-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kids.map");
+        std::fs::write(
+            &path,
+            "an older, longer file that the save must replace whole\n".repeat(50),
+        )
+        .unwrap();
+        assert!(run(&mut sh, &format!("save {}", path.display())).contains("saved"));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            run(&mut sh, "map show")
+        );
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["kids.map"], "no `.tmp-*` file beside it");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

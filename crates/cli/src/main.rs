@@ -12,6 +12,7 @@
 //! ```
 
 use std::io::{BufRead, Write};
+use std::path::Path;
 use std::sync::Arc;
 
 use clio_cli::config::{CliConfig, Mode, DEFAULT_DB_POOL};
@@ -434,7 +435,7 @@ fn finish_reports(cfg: &CliConfig) {
         let report = clio_obs::report_json();
         if path == "-" {
             print!("{report}");
-        } else if let Err(e) = std::fs::write(path, &report) {
+        } else if let Err(e) = clio_pager::write_atomic(Path::new(path), report.as_bytes()) {
             eprintln!("cannot write metrics to `{path}`: {e}");
             std::process::exit(2);
         }
@@ -453,7 +454,7 @@ fn finish_reports(cfg: &CliConfig) {
     }
     if let Some(path) = cfg.trace_out.as_deref() {
         let jsonl = clio_obs::chrome_trace_jsonl(&clio_obs::process().spans());
-        if let Err(e) = std::fs::write(path, &jsonl) {
+        if let Err(e) = clio_pager::write_atomic(Path::new(path), jsonl.as_bytes()) {
             eprintln!("cannot write trace events to `{path}`: {e}");
             std::process::exit(2);
         }

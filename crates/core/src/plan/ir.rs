@@ -1036,12 +1036,13 @@ impl<'t> TupleIds<'t> {
         let bit = node_bit(p.graph, scan)?;
         let right = p.frame(bit);
         let (v, width) = (bit.trailing_zeros() as usize, self.width());
-        let rows = self.rows[v];
-        let mut ids = Vec::with_capacity(self.ids.len().max(rows.len() * width));
-        // the joined scheme binds a residual or nested-loop predicate
+        let relation = p.relations[v];
+        let mut ids = Vec::with_capacity(self.ids.len().max(relation.len() * width));
+        // the joined scheme binds a residual or nested-loop predicate;
+        // the relation keeps its key index for the next join on it
         join_with(
             self,
-            &(&right.scheme, rows),
+            &(&right.scheme, relation),
             predicate,
             kind,
             p.funcs,

@@ -870,7 +870,10 @@ impl Session {
     /// "the target view always shows the contents of the target as they
     /// would be under the \[active\] mapping"). Minimum-union semantics
     /// (Def 3.9): a tuple another mapping strictly extends is merged into
-    /// the more complete one. Each mapping runs its compiled form.
+    /// the more complete one. Each mapping runs its compiled form, and
+    /// its result is merged with the row hashes its projection computed
+    /// ([`Table::extend_distinct`]); the merged table is a set, so the
+    /// minimum union skips its duplicate pass.
     pub fn target_preview(&self) -> Result<Table> {
         let _span = clio_obs::span("session.preview");
         let mut out = Table::empty(clio_relational::schema::Scheme::of_relation(
@@ -879,9 +882,7 @@ impl Session {
         ));
         let active = self.active().map(|w| &w.mapping);
         for m in self.accepted.iter().chain(active) {
-            for row in self.evaluate(m)?.into_rows() {
-                out.push_distinct(row);
-            }
+            out.extend_distinct(self.evaluate(m)?);
         }
         clio_relational::ops::remove_subsumed(
             &mut out,

@@ -378,6 +378,36 @@ mod tests {
         }
     }
 
+    /// The sessions of a pool join one shared snapshot: the first join
+    /// on a relation's key columns indexes them, and every later join
+    /// on them, in any session of the pool, reads that index.
+    #[test]
+    fn pooled_sessions_index_each_relation_once_between_them() {
+        let join_indexes = |scopes: &[Arc<Recorder>]| -> usize {
+            scopes
+                .iter()
+                .flat_map(|r| r.spans())
+                .filter(|s| s.name == "relation.join_index")
+                .count()
+        };
+        let run = |jobs: usize| {
+            let pool = SessionPool::new(db(), target()).with_width(jobs);
+            Recorder::new().run(|| {
+                pool.run(jobs, |_, s| {
+                    preview_rows(s);
+                    clio_obs::current_recorder().expect("job scope")
+                })
+            })
+        };
+        let alone = join_indexes(&run(1));
+        assert!(alone > 0, "the script joins");
+        let pair = run(2);
+        assert_eq!(join_indexes(&pair), alone, "built once between the two");
+        for scope in &pair {
+            assert!(scope.snapshot().get(clio_obs::Counter::JoinProbes) > 0);
+        }
+    }
+
     #[test]
     fn job_panics_propagate() {
         let pool = SessionPool::new(db(), target()).with_width(2);

@@ -15,7 +15,9 @@ use crate::recorder::{self, METRICS};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Input tuples visited by scans, joins, and selections.
+    /// Input tuples visited by scans, joins, and selections. A join
+    /// counts both inputs, its build side included whether it built
+    /// that side's key index or read one a stored relation kept.
     TuplesScanned,
     /// Hash-table probes (or nested-loop pair tests) performed by joins.
     JoinProbes,
@@ -35,7 +37,9 @@ pub enum Counter {
     SubsumptionAdaptiveChoices,
     /// Rows offered to the hashed set primitives: one per
     /// `Table::push_distinct` call, plus every row passed through
-    /// `Table::dedup` or `Relation::with_rows`.
+    /// `Table::dedup` or `Relation::with_rows`, and every row
+    /// `Table::extend_distinct` tests (none when it takes a set whole
+    /// into an empty table).
     DedupRows,
     /// `F(J)` tables computed by a full disjunction over connected
     /// subgraphs: one join each in the lattice union (cache hits are not

@@ -17,6 +17,18 @@
 //! match is only a candidate, and `Value`'s container equality is not
 //! SQL's (`NaN == NaN` holds there, `-0.0 == 0.0` does not).
 //!
+//! **Stored build sides.** When the right input is a stored
+//! [`Relation`] read in place (`(&Scheme, &Relation)`, see
+//! [`JoinInput::stored`]), its index is built once per list of key
+//! columns and kept on the relation until [`Relation::insert`] changes
+//! its rows (span `relation.join_index`): the `D(G)` plans join the
+//! same unchanged relations on the same columns on every evaluation.
+//! The index is the one the join would build — the same rows, null keys
+//! skipped, keys normalised by `sql_key`, chains ascending — so a kept
+//! index changes no output row and no row order. Work counters do not
+//! see the difference: the join counts the right rows in `scan.tuples`
+//! whether it built the index or found it kept.
+//!
 //! One kernel, [`join_with`], runs every join. It is generic over how
 //! each side reads a key cell ([`JoinInput`]) and over what it emits per
 //! output row (a [`Joined`] pair of input positions), and is
@@ -33,6 +45,7 @@ use clio_obs::metrics::{self, Counter};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr};
 use crate::funcs::FuncRegistry;
+use crate::relation::Relation;
 use crate::schema::Scheme;
 use crate::table::{RowIndex, Table};
 use crate::truth::Truth;
@@ -134,6 +147,13 @@ pub trait JoinInput {
             slot.clone_from(self.cell(row, col));
         }
     }
+
+    /// The stored relation whose rows this side reads, in order and at
+    /// the same column positions, if it is one. A hash join with such a
+    /// right side keeps its key index on the relation and reuses it.
+    fn stored(&self) -> Option<&Relation> {
+        None
+    }
 }
 
 impl JoinInput for (&Scheme, &[Vec<Value>]) {
@@ -151,6 +171,32 @@ impl JoinInput for (&Scheme, &[Vec<Value>]) {
 
     fn fill(&self, row: usize, out: &mut [Value]) {
         out.clone_from_slice(&self.1[row]);
+    }
+}
+
+/// A stored relation read in place under `scheme`, a scheme of its
+/// attributes in order: as a join's right side its key index is kept on
+/// the relation ([`JoinInput::stored`]).
+impl JoinInput for (&Scheme, &Relation) {
+    fn scheme(&self) -> &Scheme {
+        debug_assert_eq!(self.0.arity(), self.1.schema().arity());
+        self.0
+    }
+
+    fn row_count(&self) -> usize {
+        self.1.len()
+    }
+
+    fn cell(&self, row: usize, col: usize) -> &Value {
+        &self.1.rows()[row][col]
+    }
+
+    fn fill(&self, row: usize, out: &mut [Value]) {
+        out.clone_from_slice(&self.1.rows()[row]);
+    }
+
+    fn stored(&self) -> Option<&Relation> {
+        Some(self.1)
     }
 }
 
@@ -242,23 +288,25 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
             }
         }
     } else {
-        // Hash join on the extracted keys. Linking the right rows last to
-        // first leaves every chain in ascending row order.
-        let mut index = RowIndex::with_capacity(right.row_count());
-        for r in (0..right.row_count()).rev() {
-            if right_keys.iter().any(|&k| right.cell(r, k).is_null()) {
-                continue; // null keys never match
+        // Hash join on the extracted keys, with the right side's index
+        // kept on its relation when it is a stored one.
+        let kept;
+        let built;
+        let index: &RowIndex = match right.stored() {
+            Some(relation) => {
+                kept = relation.join_index(&right_keys, || key_index(right, &right_keys));
+                &kept
             }
-            index.link(
-                r,
-                index.hash(right_keys.iter().map(|&k| sql_key(right.cell(r, k)))),
-            );
-        }
+            None => {
+                built = key_index(right, &right_keys);
+                &built
+            }
+        };
         for l in 0..left.row_count() {
             let mut matched = false;
             if !left_keys.iter().any(|&k| left.cell(l, k).is_null()) {
                 probes += 1;
-                let hash = index.hash(left_keys.iter().map(|&k| sql_key(left.cell(l, k))));
+                let hash = RowIndex::hash(left_keys.iter().map(|&k| sql_key(left.cell(l, k))));
                 for r in index.candidates(hash) {
                     let keys_equal = left_keys.iter().zip(&right_keys).all(|(&lk, &rk)| {
                         left.cell(l, lk).sql_eq(right.cell(r, rk)) == Truth::True
@@ -300,6 +348,23 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
     metrics::add(Counter::JoinProbes, probes);
     metrics::add(Counter::JoinOutputRows, emitted);
     Ok(scheme)
+}
+
+/// The hash index of `right`'s rows on the columns `keys`. Linking the
+/// rows last to first leaves every chain in ascending row order; a row
+/// with a null key is left out, since null keys never match.
+fn key_index<R: JoinInput>(right: &R, keys: &[usize]) -> RowIndex {
+    let mut index = RowIndex::with_capacity(right.row_count());
+    for r in (0..right.row_count()).rev() {
+        if keys.iter().any(|&k| right.cell(r, k).is_null()) {
+            continue;
+        }
+        index.link(
+            r,
+            RowIndex::hash(keys.iter().map(|&k| sql_key(right.cell(r, k)))),
+        );
+    }
+    index
 }
 
 /// A key cell as SQL `=` hashes it: `-0.0 = 0.0` holds, so both hash as
@@ -525,6 +590,148 @@ mod tests {
         let p = parse_expr("P.ID = C.mid").unwrap();
         let out = join(&children(), &parents(), &p, JoinKind::Inner, &funcs()).unwrap();
         assert_eq!(out.len(), 2);
+    }
+
+    /// The relation `K(k float, s str)` and a left table `L(k, s)` whose
+    /// keys hold what SQL `=` and `Value`'s `==` treat differently:
+    /// nulls, `-0.0`/`0.0`, `Int(1)`/`Float(1.0)` and NaN.
+    fn tricky_keys() -> (Relation, Table) {
+        use DataType::{Float, Str};
+        let k = |v: Value, s: &str| vec![v, Value::str(s)];
+        let right = relation(
+            "K",
+            &[("k", Float), ("s", Str)],
+            vec![
+                k(Value::Float(0.0), "p"),
+                k(Value::Null, "p"),
+                k(Value::Int(1), "q"),
+                k(Value::Float(f64::NAN), "p"),
+                k(Value::Float(-0.0), "q"),
+                k(Value::Float(1.0), "p"),
+                k(Value::Float(2.5), "p"),
+                k(Value::Float(0.0), "q"),
+            ],
+        );
+        let left = relation(
+            "L",
+            &[("k", Float), ("s", Str)],
+            vec![
+                k(Value::Float(-0.0), "p"),
+                k(Value::Float(1.0), "q"),
+                k(Value::Null, "p"),
+                k(Value::Float(f64::NAN), "p"),
+                k(Value::Int(1), "p"),
+                k(Value::Float(0.0), "q"),
+                k(Value::Float(7.0), "p"),
+            ],
+        );
+        (right, left.to_table("L"))
+    }
+
+    /// The rows of `left ⋈ right` that `join_with` emits reading the
+    /// right side through `stored`, built as [`join_rows`] builds them.
+    fn stored_join(
+        left: &Table,
+        stored: (&Scheme, &Relation),
+        pred: &Expr,
+        kind: JoinKind,
+    ) -> Table {
+        let (left_rows, right_rows) = (left.rows(), stored.1.rows());
+        let mut rows = Vec::new();
+        let input = (left.scheme(), left_rows);
+        let scheme = join_with(&input, &stored, pred, kind, &funcs(), |pair| {
+            let (l, r) = match pair {
+                Joined::Pair(l, r) => (Some(l), Some(r)),
+                Joined::Left(l) => (Some(l), None),
+                Joined::Right(r) => (None, Some(r)),
+            };
+            let mut row = l.map_or(vec![Value::Null; 2], |l| left_rows[l].clone());
+            row.extend(r.map_or(vec![Value::Null; 2], |r| right_rows[r].clone()));
+            rows.push(row);
+        })
+        .unwrap();
+        Table::new(scheme, rows)
+    }
+
+    fn spans_named(rec: &clio_obs::Recorder, name: &str) -> usize {
+        rec.spans().iter().filter(|s| s.name == name).count()
+    }
+
+    #[test]
+    fn a_kept_join_index_joins_like_a_fresh_one_row_for_row() {
+        let (right, left) = tricky_keys();
+        let scheme = Scheme::of_relation(right.schema(), "K");
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            for pred in [
+                "L.k = K.k",
+                "L.k = K.k AND L.s = K.s",
+                "K.k = L.k AND K.s <> L.s",
+            ] {
+                let pred = parse_expr(pred).unwrap();
+                for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+                    let fresh = join_rows(
+                        (left.scheme(), left.rows()),
+                        (&scheme, right.rows()),
+                        &pred,
+                        kind,
+                        &funcs(),
+                    )
+                    .unwrap();
+                    // the first join builds the index, the second reads it
+                    for _ in 0..2 {
+                        let kept = stored_join(&left, (&scheme, &right), &pred, kind);
+                        assert_eq!(kept.rows(), fresh.rows(), "{pred} {kind:?}");
+                    }
+                }
+            }
+        });
+        // one index per list of key columns: [k] and [k, s]; the third
+        // predicate keys on [k] again, with a residual
+        assert_eq!(spans_named(&rec, "relation.join_index"), 2);
+        // the fresh and kept joins count the same right rows as input
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.get(Counter::TuplesScanned),
+            3 * 3 * 3 * (left.len() + right.len()) as u64
+        );
+    }
+
+    #[test]
+    fn a_join_after_insert_sees_the_new_row_and_clones_share_the_index() {
+        let (mut right, left) = tricky_keys();
+        let scheme = Scheme::of_relation(right.schema(), "K");
+        let pred = parse_expr("L.k = K.k").unwrap();
+        let rec = clio_obs::Recorder::new();
+        let before = rec.run(|| stored_join(&left, (&scheme, &right), &pred, JoinKind::Inner));
+        // a clone shares the kept index: joining it builds nothing
+        let copy = right.clone();
+        rec.run(|| stored_join(&left, (&scheme, &copy), &pred, JoinKind::Inner));
+        assert_eq!(spans_named(&rec, "relation.join_index"), 1);
+
+        right
+            .insert(vec![Value::Float(7.0), Value::str("new")])
+            .unwrap();
+        let after = rec.run(|| stored_join(&left, (&scheme, &right), &pred, JoinKind::Inner));
+        assert_eq!(
+            spans_named(&rec, "relation.join_index"),
+            2,
+            "insert drops it"
+        );
+        assert_eq!(after.len(), before.len() + 1);
+        assert!(after.rows().iter().any(|r| r[3] == Value::str("new")));
+        let fresh = join_rows(
+            (left.scheme(), left.rows()),
+            (&scheme, right.rows()),
+            &pred,
+            JoinKind::Inner,
+            &funcs(),
+        )
+        .unwrap();
+        assert_eq!(after.rows(), fresh.rows());
+        // the copy made before the insert still joins its own rows
+        let old = rec.run(|| stored_join(&left, (&scheme, &copy), &pred, JoinKind::Inner));
+        assert_eq!(old.rows(), before.rows());
     }
 
     /// A join side of tuple ids, as the tree plan's chain keeps them: per

@@ -163,7 +163,7 @@ fn fill_null_mask<'v>(mask: &mut Bitset, row: impl IntoIterator<Item = &'v Value
 /// Reference implementation: pairwise `O(n²)` scan.
 pub fn remove_subsumed_naive(table: &mut Table) {
     let _span = clio_obs::span("ops.remove_subsumed");
-    table.dedup();
+    dedup_unless_set(table);
     let rows = table.rows();
     let n = rows.len();
     let mut keep = vec![true; n];
@@ -182,7 +182,7 @@ pub fn remove_subsumed_naive(table: &mut Table) {
     let removed = keep.iter().filter(|k| !**k).count() as u64;
     metrics::add(Counter::SubsumptionComparisons, comparisons);
     metrics::add(Counter::TuplesSubsumed, removed);
-    retain_by_mask(table, &keep);
+    table.retain(&keep);
 }
 
 /// Optimized implementation: group rows by non-null mask; for each mask
@@ -197,9 +197,9 @@ pub fn remove_subsumed_naive(table: &mut Table) {
 /// totals in any schedule — are identical to the serial pass.
 pub fn remove_subsumed_partitioned(table: &mut Table) {
     let _span = clio_obs::span("ops.remove_subsumed");
-    table.dedup();
+    dedup_unless_set(table);
     let keep = counted(partitioned_pass(&(table.scheme(), table.rows()), None));
-    retain_by_mask(table, &keep);
+    table.retain(&keep);
 }
 
 /// Remove the rows marked in `candidates` that another row strictly
@@ -212,8 +212,16 @@ pub fn remove_subsumed_partitioned(table: &mut Table) {
 pub fn remove_subsumed_among(table: &mut Table, candidates: &[bool]) {
     let _span = clio_obs::span("ops.remove_subsumed");
     let keep = subsumed_among(&(table.scheme(), table.rows()), candidates);
-    retain_by_mask(table, &keep);
-    table.dedup();
+    table.retain(&keep);
+    dedup_unless_set(table);
+}
+
+/// Drop exact duplicates, unless the table is known to be a set
+/// ([`Table::is_set`]): its rows were deduplicated as they came in.
+fn dedup_unless_set(table: &mut Table) {
+    if !table.is_set() {
+        table.dedup();
+    }
 }
 
 /// [`remove_subsumed_among`]'s test over any rows a [`JoinInput`]
@@ -319,14 +327,14 @@ fn partitioned_pass<R: JoinInput + Sync>(
         }
         let mut index = RowIndex::with_capacity(larger.len());
         for (k, &ri) in larger.iter().enumerate() {
-            index.link(k, index.hash(project(ri)));
+            index.link(k, RowIndex::hash(project(ri)));
         }
         let doomed = members
             .iter()
             .copied()
             .filter(|&ri| {
                 index
-                    .candidates(index.hash(project(ri)))
+                    .candidates(RowIndex::hash(project(ri)))
                     .any(|k| project(larger[k]).eq(project(ri)))
             })
             .collect();
@@ -352,15 +360,6 @@ fn partitioned_pass<R: JoinInput + Sync>(
         }
     }
     (keep, comparisons)
-}
-
-fn retain_by_mask(table: &mut Table, keep: &[bool]) {
-    let mut i = 0;
-    table.rows_mut().retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
 }
 
 #[cfg(test)]
@@ -413,6 +412,32 @@ mod tests {
         let u = [v("002"), v("Maya"), v("202"), v("-"), v("-")];
         let w = [v("002"), v("Maya"), v("202"), v("202"), v("555")];
         assert!(strictly_subsumes(&w, &u));
+    }
+
+    /// A set skips the duplicate pass; a table a plain push gave a
+    /// repeated row is a set no longer, and loses the copy. The copies
+    /// are null-free, so no subsumption test could remove one.
+    #[test]
+    fn a_set_skips_the_duplicate_pass_and_a_pushed_copy_ends_it() {
+        for algo in [
+            SubsumptionAlgo::Naive,
+            SubsumptionAlgo::Partitioned,
+            SubsumptionAlgo::Adaptive,
+        ] {
+            let mut t = Table::empty(scheme(2));
+            for row in [["a", "b"], ["a", "-"], ["c", "d"], ["a", "b"]] {
+                t.push_distinct(row.iter().map(|s| v(s)).collect());
+            }
+            let rec = clio_obs::Recorder::new();
+            let mut set = t.clone();
+            rec.run(|| remove_subsumed(&mut set, algo));
+            assert_eq!(set, table(&[&["a", "b"], &["c", "d"]]), "{algo:?}");
+            assert_eq!(rec.snapshot().get(Counter::DedupRows), 0, "{algo:?}");
+
+            t.push(vec![v("c"), v("d")]);
+            remove_subsumed(&mut t, algo);
+            assert_eq!(t, table(&[&["a", "b"], &["c", "d"]]), "{algo:?}");
+        }
     }
 
     #[test]

@@ -7,26 +7,33 @@
 //! attributes").
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::{Error, Result};
 use crate::schema::{Attribute, RelSchema, Scheme};
-use crate::table::{dedup_rows, Table};
+use crate::table::{dedup_rows, RowIndex, Table};
 use crate::value::{DataType, Value};
 
 /// A stored relation.
 ///
-/// `Clone`, `PartialEq` and `Debug` see only the schema and the rows:
-/// the near-duplicate flag ([`Relation::has_near_duplicates`]) is a
-/// cache of them.
-#[derive(Clone)]
+/// `PartialEq` and `Debug` see only the schema and the rows: the
+/// near-duplicate flag ([`Relation::has_near_duplicates`]) and the kept
+/// join indexes are caches of them, which `Clone` shares.
 pub struct Relation {
     schema: RelSchema,
     rows: Vec<Vec<Value>>,
     /// [`Relation::has_near_duplicates`], computed on its first call and
     /// reset by [`Relation::insert`].
     near_duplicates: OnceLock<bool>,
+    /// The hash joins' indexes of the rows, one per list of key columns
+    /// ([`Relation::join_index`]), dropped by [`Relation::insert`].
+    join_indexes: JoinIndexes,
 }
+
+/// A relation's kept join indexes, keyed by their key columns. Behind a
+/// lock: the sessions of a pool and the engine's workers join one
+/// shared relation at once.
+type JoinIndexes = Mutex<Vec<(Vec<usize>, Arc<RowIndex>)>>;
 
 impl Relation {
     /// An empty relation with the given scheme.
@@ -36,6 +43,7 @@ impl Relation {
             schema,
             rows: Vec::new(),
             near_duplicates: OnceLock::new(),
+            join_indexes: JoinIndexes::default(),
         }
     }
 
@@ -92,6 +100,7 @@ impl Relation {
         if !self.rows.contains(&row) {
             self.rows.push(row);
             self.near_duplicates = OnceLock::new();
+            self.join_indexes = JoinIndexes::default();
         }
         Ok(())
     }
@@ -118,6 +127,30 @@ impl Relation {
             let scheme = Scheme::of_relation(&self.schema, self.name());
             crate::ops::holds_subsumed_row(&(&scheme, self.rows.as_slice()))
         })
+    }
+
+    /// The hash index of the rows on the attribute positions `keys`, as
+    /// a join with this relation as its build side reads it: `build`
+    /// makes it on the first call for these keys (span
+    /// `relation.join_index`), and it is kept until
+    /// [`Relation::insert`] changes the rows. The lock is held while
+    /// `build` runs, so concurrent joins build an index once.
+    pub(crate) fn join_index(
+        &self,
+        keys: &[usize],
+        build: impl FnOnce() -> RowIndex,
+    ) -> Arc<RowIndex> {
+        let mut kept = self
+            .join_indexes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, index)) = kept.iter().find(|(k, _)| k == keys) {
+            return Arc::clone(index);
+        }
+        let _span = clio_obs::span("relation.join_index");
+        let index = Arc::new(build());
+        kept.push((keys.to_vec(), Arc::clone(&index)));
+        index
     }
 
     /// The checks [`Relation::insert`] makes before its duplicate test.
@@ -189,8 +222,23 @@ impl Relation {
     pub fn renamed(&self, new_name: &str) -> Relation {
         Relation {
             schema: self.schema.renamed(new_name),
+            ..self.clone()
+        }
+    }
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Relation {
+        let kept = self
+            .join_indexes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        Relation {
+            schema: self.schema.clone(),
             rows: self.rows.clone(),
             near_duplicates: self.near_duplicates.clone(),
+            join_indexes: Mutex::new(kept),
         }
     }
 }

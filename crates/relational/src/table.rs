@@ -7,20 +7,39 @@
 //! deduplicate on push — operators deduplicate where the algebra requires it.
 //!
 //! Set semantics are hashed: [`Table::push_distinct`] is amortized O(1)
-//! (a lazily built row index, see below) and [`Table::dedup`] is one
-//! linear pass. Both keep the first occurrence of each row, and both
+//! (a lazily built row index, see below), [`Table::extend_distinct`]
+//! merges a whole table the same way, and [`Table::dedup`] is one
+//! linear pass. All keep the first occurrence of each row, and all
 //! decide membership with `Value`'s `==` — a hash match is only a
 //! candidate — so they answer exactly what a `Vec::contains` scan would.
 //!
-//! The crate's row index (`RowIndex`) hashes each key once, in place,
-//! with a keyed `RandomState`, and files it under that hash as is: the
-//! joins, `push_distinct` and the subsumption probes pay one hash per
-//! key and allocate nothing per key.
+//! **One hasher.** The crate's row index (`RowIndex`) hashes each key
+//! once, in place, and files it under that hash as is: the joins,
+//! `push_distinct` and the subsumption probes pay one hash per key and
+//! allocate nothing per key. Every index hashes with one keyed
+//! `RandomState`, created on first use and kept for the process: a hash
+//! computed for one index is valid in every other, and the key is still
+//! random per process, so colliding keys cannot be chosen in advance.
+//!
+//! **Stored hashes.** A table's `push_distinct` index keeps each row's
+//! hash beside it, so [`Table::extend_distinct`] links another table's
+//! rows under the hashes that table computed when its rows were pushed,
+//! without hashing them again. The join and subsumption indexes keep no
+//! hashes.
+//!
+//! **The set flag.** A table knows when it is a set (`Table::is_set`):
+//! every row came through `push_distinct`, `extend_distinct` or
+//! [`Table::dedup`]. The flag
+//! survives `Clone` and [`Table::sort_canonical`]; [`Table::new`],
+//! [`Table::push`] and [`Table::rows_mut`] clear it. Subsumption removal
+//! skips its duplicate pass on a set, and `extend_distinct` into an
+//! empty table takes a set whole.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 
 use clio_obs::metrics::{self, Counter};
 
@@ -31,14 +50,18 @@ use crate::value::Value;
 
 /// A derived table: wide scheme + rows.
 ///
-/// `Clone`, `PartialEq` and `Debug` see only the scheme and the rows: the
-/// [`Table::push_distinct`] index is a cache, never copied or compared.
+/// `PartialEq` and `Debug` see only the scheme and the rows. `Clone`
+/// copies the set flag but not the [`Table::push_distinct`] index, which
+/// is a cache.
 pub struct Table {
     scheme: Scheme,
     rows: Vec<Vec<Value>>,
-    /// Row index for [`Table::push_distinct`], built on its first call
-    /// and dropped by every other mutation.
-    index: Option<Box<RowIndex>>,
+    /// Row index for [`Table::push_distinct`] and
+    /// [`Table::extend_distinct`], built on the first call of either and
+    /// dropped by every other mutation.
+    index: Option<Box<RowSet>>,
+    /// Whether every row is known to be distinct (`Table::is_set`).
+    set: bool,
 }
 
 /// Exact hash index over rows by a set of key columns: each key hash
@@ -48,13 +71,12 @@ pub struct Table {
 /// [`Table::push_distinct`] (the key is the whole row), the build side of
 /// a hash join, and the projection probes of subsumption removal.
 ///
-/// A key is hashed once: its values are fed in place to a keyed
-/// [`RandomState`] hasher (so colliding keys cannot be chosen in
-/// advance), and the `heads` map uses that `u64` as its own hash
-/// (`PassThrough`) instead of hashing it a second time.
+/// A key is hashed once: its values are fed in place to the process's
+/// keyed [`RandomState`] hasher (see the module docs), and the `heads`
+/// map uses that `u64` as its own hash (`PassThrough`) instead of
+/// hashing it a second time.
 #[derive(Default)]
 pub(crate) struct RowIndex {
-    hasher: RandomState,
     /// Key hash → the first position of its chain.
     heads: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     /// `next[p]`: the position after `p` on its chain, if any.
@@ -70,19 +92,11 @@ impl RowIndex {
         index
     }
 
-    /// Index every row whole, in order.
-    fn build(rows: &[Vec<Value>]) -> RowIndex {
-        let mut index = RowIndex::with_capacity(rows.len());
-        for (p, row) in rows.iter().enumerate() {
-            let hash = index.hash(row);
-            index.link(p, hash);
-        }
-        index
-    }
-
-    /// Hash a key: the values in order, hashed in place.
-    pub(crate) fn hash<'v>(&self, key: impl IntoIterator<Item = &'v Value>) -> u64 {
-        let mut state = self.hasher.build_hasher();
+    /// Hash a key: the values in order, hashed in place with the
+    /// process's one keyed hasher.
+    pub(crate) fn hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> u64 {
+        static HASHER: OnceLock<RandomState> = OnceLock::new();
+        let mut state = HASHER.get_or_init(RandomState::new).build_hasher();
         key.into_iter().for_each(|v| v.hash(&mut state));
         state.finish()
     }
@@ -121,6 +135,42 @@ impl Hasher for PassThrough {
     }
 }
 
+/// A table's [`Table::push_distinct`] index: every row linked whole
+/// under its hash, and `hashes[p]` the hash of row `p`.
+struct RowSet {
+    index: RowIndex,
+    hashes: Vec<u64>,
+}
+
+impl RowSet {
+    /// Index every row whole, in order; and whether no row equals an
+    /// earlier one.
+    fn build(rows: &[Vec<Value>]) -> (RowSet, bool) {
+        let mut set = RowSet {
+            index: RowIndex::with_capacity(rows.len()),
+            hashes: Vec::with_capacity(rows.len()),
+        };
+        let mut distinct = true;
+        for row in rows {
+            let hash = RowIndex::hash(row);
+            distinct = distinct && !set.holds(rows, row, hash);
+            set.link(hash);
+        }
+        (set, distinct)
+    }
+
+    /// Does a linked row of `rows` equal `row`, whose hash is `hash`?
+    fn holds(&self, rows: &[Vec<Value>], row: &[Value], hash: u64) -> bool {
+        self.index.candidates(hash).any(|p| rows[p] == row)
+    }
+
+    /// Link the next position under `hash`.
+    fn link(&mut self, hash: u64) {
+        self.index.link(self.hashes.len(), hash);
+        self.hashes.push(hash);
+    }
+}
+
 /// Drop exact duplicate rows, keeping each row's first occurrence. One
 /// hashed pass; counts every row offered in `dedup.rows`.
 pub(crate) fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
@@ -135,7 +185,8 @@ pub(crate) fn dedup_rows(rows: &mut Vec<Vec<Value>>) {
 
 impl Table {
     /// Build from parts. Rows must match the scheme's arity; this is
-    /// asserted (operator code constructs rows, not end users).
+    /// asserted (operator code constructs rows, not end users). The
+    /// table is not flagged as a set, whatever its rows.
     #[must_use]
     pub fn new(scheme: Scheme, rows: Vec<Vec<Value>>) -> Table {
         debug_assert!(rows.iter().all(|r| r.len() == scheme.arity()));
@@ -143,6 +194,7 @@ impl Table {
             scheme,
             rows,
             index: None,
+            set: false,
         }
     }
 
@@ -165,9 +217,10 @@ impl Table {
     }
 
     /// Mutable access to the rows. Callers must keep every row at the
-    /// scheme's arity.
+    /// scheme's arity. Clears the set flag.
     pub fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
         self.index = None;
+        self.set = false;
         &mut self.rows
     }
 
@@ -189,33 +242,89 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Push a row (no dedup).
+    /// Is the table known to be a set: did every row come through
+    /// [`Table::push_distinct`], [`Table::extend_distinct`] or
+    /// [`Table::dedup`]? `false` says only that no such guarantee is
+    /// kept, not that the rows repeat.
+    #[must_use]
+    pub(crate) fn is_set(&self) -> bool {
+        self.set
+    }
+
+    /// Push a row (no dedup). Clears the set flag.
     pub fn push(&mut self, row: Vec<Value>) {
         debug_assert_eq!(row.len(), self.scheme.arity());
         self.index = None;
+        self.set = false;
         self.rows.push(row);
     }
 
     /// Push a row only if an identical row is not already present.
-    /// Amortized O(1): the first call indexes the rows already present,
-    /// later calls keep that index up to date.
+    /// Amortized O(1): the first call indexes the rows already present
+    /// (and flags the table a set when none of them repeats), later
+    /// calls keep that index up to date.
     pub fn push_distinct(&mut self, row: Vec<Value>) {
         metrics::incr(Counter::DedupRows);
+        let hash = RowIndex::hash(&row);
+        self.insert_hashed(row, hash);
+    }
+
+    /// Push every row of `other` that is not already present, in order:
+    /// the rows [`Table::push_distinct`] of each would keep. A row is
+    /// hashed at most once: into an empty table a set is taken whole,
+    /// with its index if it has one; otherwise `other`'s rows are linked
+    /// under the hashes its own index kept (hashed here only when it
+    /// has none), each candidate confirmed with `==`. Counts the rows
+    /// tested in `dedup.rows`; a set taken whole is tested against
+    /// nothing. The schemes must have the same arity.
+    pub fn extend_distinct(&mut self, other: Table) {
+        debug_assert_eq!(self.scheme.arity(), other.scheme.arity());
+        if self.rows.is_empty() && other.set {
+            self.rows = other.rows;
+            self.index = other.index;
+            self.set = true;
+            return;
+        }
+        metrics::add(Counter::DedupRows, other.rows.len() as u64);
+        let hashes = match other.index {
+            Some(kept) => kept.hashes,
+            None => other.rows.iter().map(RowIndex::hash).collect(),
+        };
+        for (row, hash) in other.rows.into_iter().zip(hashes) {
+            self.insert_hashed(row, hash);
+        }
+    }
+
+    /// Push `row`, whose hash is `hash`, unless an equal row is present.
+    fn insert_hashed(&mut self, row: Vec<Value>, hash: u64) {
         let rows = &mut self.rows;
-        let index = self
-            .index
-            .get_or_insert_with(|| Box::new(RowIndex::build(rows)));
-        let hash = index.hash(&row);
-        if !index.candidates(hash).any(|p| rows[p] == row) {
-            index.link(rows.len(), hash);
+        let index = self.index.get_or_insert_with(|| {
+            let (index, distinct) = RowSet::build(rows);
+            self.set = distinct;
+            Box::new(index)
+        });
+        if !index.holds(rows, &row, hash) {
+            index.link(hash);
             rows.push(row);
         }
     }
 
     /// Remove exact duplicate rows, preserving first-occurrence order.
+    /// Flags the table a set.
     pub fn dedup(&mut self) {
         self.index = None;
+        self.set = true;
         dedup_rows(&mut self.rows);
+    }
+
+    /// Keep the rows whose flag in `keep` is set, in order. A set stays
+    /// one. `keep` must hold one flag per row.
+    pub(crate) fn retain(&mut self, keep: &[bool]) {
+        debug_assert_eq!(keep.len(), self.rows.len());
+        self.index = None;
+        let mut keep = keep.iter();
+        self.rows
+            .retain(|_| *keep.next().expect("one flag per row"));
     }
 
     /// The value of `col` in row `row_idx`.
@@ -225,7 +334,8 @@ impl Table {
     }
 
     /// Sort rows by the total value order, column by column. Gives
-    /// deterministic output for golden tests and rendered figures.
+    /// deterministic output for golden tests and rendered figures. A
+    /// set stays one.
     pub fn sort_canonical(&mut self) {
         self.index = None;
         self.rows.sort_by(|a, b| {
@@ -249,7 +359,10 @@ impl Table {
 
 impl Clone for Table {
     fn clone(&self) -> Table {
-        Table::new(self.scheme.clone(), self.rows.clone())
+        Table {
+            set: self.set,
+            ..Table::new(self.scheme.clone(), self.rows.clone())
+        }
     }
 }
 
@@ -374,6 +487,112 @@ mod tests {
         let copy = indexed.clone();
         assert!(copy.index.is_none(), "clones carry no index");
         assert_eq!(copy, indexed);
+    }
+
+    fn row(a: i64, b: &str) -> Vec<Value> {
+        vec![Value::Int(a), Value::str(b)]
+    }
+
+    /// `t()`'s scheme, built without a relation (which counts
+    /// `dedup.rows`).
+    fn scheme() -> Scheme {
+        use crate::schema::Column;
+        Scheme::new(vec![
+            Column::new("R", "a", DataType::Int),
+            Column::new("R", "b", DataType::Str),
+        ])
+    }
+
+    /// A set built by `push_distinct`, as a projection builds one.
+    fn pushed(rows: &[(i64, &str)]) -> Table {
+        let mut t = Table::empty(scheme());
+        for &(a, b) in rows {
+            t.push_distinct(row(a, b));
+        }
+        t
+    }
+
+    /// The rows as they are, not flagged a set.
+    fn listed(rows: &[(i64, &str)]) -> Table {
+        Table::new(scheme(), rows.iter().map(|&(a, b)| row(a, b)).collect())
+    }
+
+    #[test]
+    fn the_set_flag_follows_how_the_rows_came_in() {
+        let mut t = t();
+        assert!(!t.is_set(), "Table::new promises nothing");
+        t.push_distinct(row(3, "z"));
+        assert!(t.is_set(), "indexing found no repeated row");
+        t.sort_canonical();
+        assert!(t.is_set(), "sorting keeps a set");
+        assert!(t.clone().is_set(), "clones keep the flag");
+        t.push(row(3, "z"));
+        assert!(!t.is_set(), "push clears it");
+        t.push_distinct(row(4, "w"));
+        assert!(!t.is_set(), "a repeated row was indexed");
+        t.dedup();
+        assert!(t.is_set(), "dedup makes a set");
+        t.rows_mut();
+        assert!(!t.is_set(), "rows_mut clears it");
+        t.retain(&[true, false, true, true]);
+        assert!(!t.is_set(), "retain keeps what was there");
+        let mut set = pushed(&[(1, "x"), (2, "y")]);
+        set.retain(&[false, true]);
+        assert!(set.is_set() && set.len() == 1, "a subset of a set is one");
+    }
+
+    #[test]
+    fn extend_distinct_keeps_what_push_distinct_would() {
+        let a = [(1, "x"), (2, "y"), (3, "z")];
+        let b = [(3, "z"), (4, "w"), (1, "x"), (5, "v"), (4, "w")];
+        let by_row = |parts: &[&[(i64, &str)]]| {
+            let mut t = Table::empty(scheme());
+            for &(x, y) in parts.iter().copied().flatten() {
+                t.push_distinct(row(x, y));
+            }
+            t
+        };
+        // `other` with its index, as a clone without it, and as a table
+        // that is not flagged a set (it repeats a row)
+        type Make = fn(&[(i64, &str)]) -> Table;
+        let others: [Make; 3] = [pushed, |r| pushed(r).clone(), listed];
+        for (k, other) in others.iter().enumerate() {
+            for start in [pushed(&a), listed(&a), Table::empty(scheme())] {
+                let expected = if start.is_empty() {
+                    by_row(&[&b])
+                } else {
+                    by_row(&[&a, &b])
+                };
+                let mut merged = start;
+                merged.extend_distinct(other(&b));
+                assert_eq!(merged.rows(), expected.rows(), "other #{k}");
+                assert!(merged.is_set(), "other #{k}");
+                // the merged index stays exact for later pushes
+                merged.push_distinct(row(5, "v"));
+                merged.push_distinct(row(6, "u"));
+                assert_eq!(merged.len(), expected.len() + 1, "other #{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn extend_distinct_takes_a_set_whole_and_hashes_no_row_twice() {
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| {
+            let mut merged = Table::empty(scheme());
+            let first = pushed(&[(1, "x"), (2, "y")]); // 2
+            merged.extend_distinct(first); // taken whole: + 0
+            assert!(merged.index.is_some(), "with its index");
+            merged.extend_distinct(pushed(&[(2, "y"), (3, "z"), (4, "w")])); // 3 + 3
+            assert_eq!(merged.len(), 4);
+        });
+        assert_eq!(rec.snapshot().get(Counter::DedupRows), 2 + 3 + 3);
+        // every stored hash is the one a fresh hash of its row gives
+        let mut t = pushed(&[(1, "x"), (2, "y")]);
+        t.extend_distinct(pushed(&[(3, "z")]).clone());
+        let kept = &t.index.as_ref().expect("indexed").hashes;
+        let fresh: Vec<u64> = t.rows().iter().map(RowIndex::hash).collect();
+        assert_eq!(kept, &fresh);
     }
 
     #[test]

@@ -661,9 +661,13 @@ proptest! {
         }
     }
 
-    /// A session's merged target view over two accepted mappings never
-    /// contains a subsumed pair and never loses a maximal tuple relative
-    /// to the plain union of the two mapping results.
+    /// A session's merged target view over two accepted mappings is
+    /// their minimum union by the definition, with the cache off, with
+    /// it on (the second preview merges cached copies of each `Q(M)`,
+    /// which carry no index), and in a fresh session over a disk store
+    /// the first one spilled to (whose decoded tables are not flagged as
+    /// sets). It never contains a subsumed pair and never loses a
+    /// maximal tuple relative to the plain union of the two results.
     #[test]
     fn target_merge_invariants(
         rows in 4usize..16,
@@ -686,13 +690,58 @@ proptest! {
         partial.graph = g;
         partial.correspondences.retain(|c| c.source_qualifiers() == vec!["R0"]);
 
-        let mut session = Session::new(w.db.clone(), w.mapping.target.clone());
-        let mut union = Table::empty(w.mapping.target_scheme());
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "clio-props-merge-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || -> std::sync::Arc<dyn clio_incr::CacheStore> {
+            let namespace = clio_incr::database_digest(&w.db);
+            std::sync::Arc::new(clio_incr::DiskStore::open(&dir, namespace))
+        };
+        let accepting = |cache: bool, store: Option<std::sync::Arc<dyn clio_incr::CacheStore>>| {
+            let mut session = Session::new(w.db.clone(), w.mapping.target.clone());
+            session.set_cache_enabled(cache);
+            if let Some(store) = store {
+                session.attach_store(store);
+            }
+            for m in [&w.mapping, &partial] {
+                session.adopt_mapping(m.clone(), "accepted").unwrap();
+                session.accept_active().unwrap();
+            }
+            session
+        };
+        let expected = format!(
+            "{:?}",
+            definitional_preview(&w.db, &funcs, &w.mapping.target, &[&w.mapping, &partial])
+        );
+        let spilling = accepting(true, Some(open()));
+        let restarted_store = open();
+        let sessions = [
+            accepting(false, None),
+            accepting(true, None),
+            spilling,
+            accepting(true, Some(std::sync::Arc::clone(&restarted_store))),
+        ];
+        for (k, session) in sessions.iter().enumerate() {
+            for pass in 0..2 {
+                let preview = format!("{:?}", session.target_preview());
+                prop_assert_eq!(&preview, &expected, "session #{} pass {}", k, pass);
+            }
+        }
+        prop_assert!(restarted_store.stats().hits > 0, "the restarted session read the disk");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let session = &sessions[0];
+        let mut union: Vec<Vec<Value>> = Vec::new();
         for m in [&w.mapping, &partial] {
-            session.adopt_mapping(m.clone(), "accepted").unwrap();
-            session.accept_active().unwrap();
             for row in m.evaluate(&w.db, &funcs).unwrap().into_rows() {
-                union.push_distinct(row);
+                if !union.contains(&row) {
+                    union.push(row);
+                }
             }
         }
         let merged = session.target_preview().unwrap();
@@ -706,7 +755,7 @@ proptest! {
             }
         }
         // every union tuple is subsumed by (or equal to) some merged tuple
-        for u in union.rows() {
+        for u in &union {
             prop_assert!(merged
                 .rows()
                 .iter()
@@ -962,22 +1011,35 @@ fn apply_wide_op(s: &mut Session, op: WideOp, step: usize) -> String {
 
 /// The session's target view recomputed from scratch: every accepted
 /// mapping and the active one evaluated with no cache and no compiled
-/// form kept, then merged as `Session::target_preview` merges.
+/// form kept, then merged by the definition ([`definitional_preview`]).
 fn fresh_preview(s: &Session) -> String {
-    let target = s.target_schema();
     let mut mappings: Vec<&Mapping> = s.accepted().iter().collect();
     mappings.extend(s.active().map(|w| &w.mapping));
-    let fresh = (|| {
-        let mut out = Table::empty(Scheme::of_relation(target, target.name()));
-        for m in mappings {
-            for row in m.evaluate(s.database(), s.funcs())?.into_rows() {
-                out.push_distinct(row);
+    let fresh = definitional_preview(s.database(), s.funcs(), s.target_schema(), &mappings);
+    format!("{fresh:?}")
+}
+
+/// The minimum union of the mappings' results by its definition, with
+/// none of the engine's hashed set machinery: the outer union by a
+/// `Vec::contains` scan, keeping first occurrences, then the pairwise
+/// subsumption pass on a table that promises nothing of its rows.
+fn definitional_preview(
+    db: &Database,
+    funcs: &FuncRegistry,
+    target: &RelSchema,
+    mappings: &[&Mapping],
+) -> clio::relational::error::Result<Table> {
+    let mut union: Vec<Vec<Value>> = Vec::new();
+    for m in mappings {
+        for row in m.evaluate(db, funcs)?.into_rows() {
+            if !union.contains(&row) {
+                union.push(row);
             }
         }
-        clio::relational::ops::remove_subsumed(&mut out, engine_subsumption());
-        Ok::<Table, clio::relational::error::Error>(out)
-    })();
-    format!("{fresh:?}")
+    }
+    let mut out = Table::new(Scheme::of_relation(target, target.name()), union);
+    clio::relational::ops::remove_subsumed_naive(&mut out);
+    Ok(out)
 }
 
 /// Replay `ops` on `cached` and `plain` (cache off), checking at every
