@@ -1,5 +1,5 @@
-//! B2 — minimum-union inner loop: naive O(n²) subsumption removal vs the
-//! coverage/null-mask-partitioned algorithm.
+//! B2 — minimum-union inner loop: the definitional O(n²) subsumption
+//! removal vs the engine's null-mask-partitioned pass.
 //!
 //! Expected shape: the partitioned algorithm wins increasingly with row
 //! count; at high null rates (many distinct masks) its advantage narrows
@@ -9,8 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clio_bench::nullable_table;
-use clio_relational::ops::SubsumptionAlgo;
-use clio_relational::ops::{remove_subsumed, remove_subsumed_naive, remove_subsumed_partitioned};
+use clio_relational::ops::{remove_subsumed_naive, remove_subsumed_partitioned};
 
 fn bench_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("subsumption_rows");
@@ -76,35 +75,9 @@ fn bench_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_adaptive(c: &mut Criterion) {
-    // the adaptive dispatcher vs each fixed algorithm at its weak spot:
-    // small tables (naive's turf) and large repetitive-mask tables
-    // (partitioned's turf)
-    let mut group = c.benchmark_group("subsumption_adaptive");
-    for (label, rows, arity, null_rate) in
-        [("small", 48usize, 4usize, 0.4f64), ("large", 4000, 6, 0.4)]
-    {
-        let t = nullable_table(rows, arity, null_rate, 0xBEEF);
-        for (algo_label, algo) in [
-            ("naive", SubsumptionAlgo::Naive),
-            ("partitioned", SubsumptionAlgo::Partitioned),
-            ("adaptive", SubsumptionAlgo::Adaptive),
-        ] {
-            group.bench_with_input(BenchmarkId::new(algo_label, label), &t, |b, t| {
-                b.iter(|| {
-                    let mut t = t.clone();
-                    remove_subsumed(&mut t, algo);
-                    black_box(t.len())
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_rows, bench_null_rate, bench_threads, bench_adaptive
+    targets = bench_rows, bench_null_rate, bench_threads
 }
 criterion_main!(benches);

@@ -13,7 +13,6 @@ use clio_core::full_disjunction::{full_disjunction_naive, FdAlgo};
 use clio_core::mapping::Mapping;
 use clio_datagen::synthetic::{generate, Synthetic, SyntheticSpec, Topology};
 use clio_relational::funcs::FuncRegistry;
-use clio_relational::ops::SubsumptionAlgo;
 use clio_relational::relation::RelationBuilder;
 use clio_relational::schema::{Column, Scheme};
 use clio_relational::table::Table;
@@ -136,12 +135,12 @@ pub fn example_population(w: &Synthetic) -> Vec<clio_core::example::Example> {
     w.mapping.examples(&w.db, &funcs).expect("valid workload")
 }
 
-/// Convenience: run the naive full disjunction with a chosen subsumption
-/// algorithm (the B1/B2 baselines).
+/// Convenience: run the naive full disjunction (the B1 baseline),
+/// returning the association count.
 #[must_use]
-pub fn fd_naive(w: &Synthetic, algo: SubsumptionAlgo) -> usize {
+pub fn fd_naive(w: &Synthetic) -> usize {
     let funcs = FuncRegistry::with_builtins();
-    full_disjunction_naive(&w.db, &w.graph, &funcs, algo)
+    full_disjunction_naive(&w.db, &w.graph, &funcs)
         .expect("valid workload")
         .len()
 }
@@ -186,13 +185,12 @@ pub fn chain_prefix_mapping(w: &Synthetic, prefix: usize) -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clio_core::full_disjunction::engine_subsumption;
 
     #[test]
     fn workloads_build() {
         assert!(fd(&chain(3, 20), FdAlgo::Auto) > 0);
         assert!(fd(&star(3, 20), FdAlgo::Auto) > 0);
-        assert!(fd_naive(&cycle(4, 10), engine_subsumption()) > 0);
+        assert!(fd_naive(&cycle(4, 10)) > 0);
     }
 
     #[test]
@@ -205,14 +203,7 @@ mod tests {
     #[test]
     fn naive_and_optimized_fd_agree_on_bench_workloads() {
         let w = chain(4, 50);
-        assert_eq!(
-            fd_naive(&w, engine_subsumption()),
-            fd(&w, FdAlgo::OuterJoin)
-        );
-        assert_eq!(
-            fd_naive(&w, SubsumptionAlgo::Naive),
-            fd_naive(&w, SubsumptionAlgo::Partitioned)
-        );
+        assert_eq!(fd_naive(&w), fd(&w, FdAlgo::OuterJoin));
     }
 
     #[test]

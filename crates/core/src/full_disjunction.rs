@@ -143,11 +143,14 @@ fn full_associations_chain(graph: &QueryGraph, mask: u64) -> Result<RelExpr> {
 /// order, so the minimum union — and therefore the output table, row
 /// order included — is byte-identical to a serial run. A property test
 /// in `tests/properties.rs` pins this.
+///
+/// The union removes subsumed tuples with the engine's pass
+/// ([`minimum_union_all`]); a property test pins that pass, row for row,
+/// to the pairwise definition.
 pub fn full_disjunction_naive(
     db: &Database,
     graph: &QueryGraph,
     funcs: &FuncRegistry,
-    subsumption: SubsumptionAlgo,
 ) -> Result<AssociationSet> {
     let _span = clio_obs::span("fd.naive");
     let scheme = graph.scheme(db)?;
@@ -161,7 +164,7 @@ pub fn full_disjunction_naive(
         .collect::<Result<_>>()?;
     metrics::add(Counter::SubgraphsEnumerated, padded.len() as u64);
     let refs: Vec<&Table> = padded.iter().collect();
-    let table = minimum_union_all(&refs, subsumption)?;
+    let table = minimum_union_all(&refs)?;
     Ok(AssociationSet::from_table(graph, table))
 }
 
@@ -178,11 +181,12 @@ impl FdAlgo {
     }
 }
 
-/// The subsumption algorithm the engine uses wherever a caller does not
-/// choose one explicitly — the single place the default is decided.
+/// The engine's subsumption pass, [`SubsumptionAlgo::Partitioned`]. Only
+/// perfbench's traced replica of the session still calls it: ROADMAP
+/// item 14 deletes it, with the replica.
 #[must_use]
 pub fn engine_subsumption() -> SubsumptionAlgo {
-    SubsumptionAlgo::default() // Adaptive
+    SubsumptionAlgo::Partitioned
 }
 
 /// Compute `D(G)` with the selected algorithm, with no cache: the
@@ -316,7 +320,7 @@ mod tests {
     #[test]
     fn naive_fd_contents() {
         let g = path_graph();
-        let d = full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Partitioned).unwrap();
+        let d = full_disjunction_naive(&db(), &g, &funcs()).unwrap();
         // expected associations:
         //  2 × CPPh (children + mother + phone)
         //  1 × PPh (205 + phone)    [201/202's PPh are subsumed]
@@ -331,7 +335,7 @@ mod tests {
     #[test]
     fn outer_join_fd_agrees_with_naive_on_tree() {
         let g = path_graph();
-        let mut a = full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Naive).unwrap();
+        let mut a = full_disjunction_naive(&db(), &g, &funcs()).unwrap();
         let mut b = full_disjunction(&db(), &g, FdAlgo::OuterJoin, &funcs()).unwrap();
         a.sort_canonical(&g);
         b.sort_canonical(&g);
@@ -352,7 +356,7 @@ mod tests {
     fn auto_uses_outer_join_on_trees() {
         let g = path_graph();
         let mut a = full_disjunction(&db(), &g, FdAlgo::Auto, &funcs()).unwrap();
-        let mut b = full_disjunction_naive(&db(), &g, &funcs(), engine_subsumption()).unwrap();
+        let mut b = full_disjunction_naive(&db(), &g, &funcs()).unwrap();
         a.sort_canonical(&g);
         b.sort_canonical(&g);
         assert_eq!(a.table().rows(), b.table().rows());
@@ -416,7 +420,7 @@ mod tests {
         let mut g = path_graph();
         g.add_edge(0, 2, parse_expr("Children.mid = PhoneDir.ID").unwrap())
             .unwrap();
-        let d = full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Partitioned).unwrap();
+        let d = full_disjunction_naive(&db(), &g, &funcs()).unwrap();
         // full CPPh coverage still has both children; the CP and CPh pairs
         // are subsumed; PPh for 205, P for 207 survive
         assert_eq!(d.in_category(0b111).len(), 2);
@@ -431,10 +435,10 @@ mod tests {
         g.add_edge(0, 2, parse_expr("Children.mid = PhoneDir.ID").unwrap())
             .unwrap();
         let serial = clio_relational::exec::with_threads(1, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&db(), &g, &funcs()).unwrap()
         });
         let parallel = clio_relational::exec::with_threads(4, || {
-            full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&db(), &g, &funcs()).unwrap()
         });
         assert_eq!(serial.table().rows(), parallel.table().rows());
         assert_eq!(serial.table().scheme(), parallel.table().scheme());
@@ -448,7 +452,7 @@ mod tests {
         let rec = clio_obs::Recorder::new();
         rec.run(|| {
             clio_relational::exec::with_threads(4, || {
-                full_disjunction_naive(&db(), &g, &funcs(), SubsumptionAlgo::Adaptive).unwrap()
+                full_disjunction_naive(&db(), &g, &funcs()).unwrap()
             })
         });
         let spans = rec.spans();

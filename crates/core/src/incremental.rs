@@ -237,7 +237,7 @@ pub fn full_disjunction_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::full_disjunction::{engine_subsumption, full_disjunction, full_disjunction_naive};
+    use crate::full_disjunction::{full_disjunction, full_disjunction_naive};
     use crate::plan::ir::schedule;
     use crate::plan::RelExpr;
     use crate::query_graph::Node;
@@ -418,7 +418,7 @@ mod tests {
         };
         let pass = Pass::new(&ex, &form).unwrap();
         let (ids, dispatched) = schedule(&pass, &inputs, &masks, &pad).unwrap();
-        let plain = full_disjunction_naive(&db, g, &funcs, engine_subsumption()).unwrap();
+        let plain = full_disjunction_naive(&db, g, &funcs).unwrap();
         assert_eq!(plain.table().rows(), ids.materialize().rows());
         (masks, dispatched)
     }

@@ -33,7 +33,7 @@ pub mod prelude {
     pub use crate::example::Example;
     pub use crate::focus::{focused_examples, is_focused, Focus};
     pub use crate::full_disjunction::{
-        engine_subsumption, full_associations, full_disjunction, full_disjunction_naive, FdAlgo,
+        full_associations, full_disjunction, full_disjunction_naive, FdAlgo,
     };
     pub use crate::illustration::{
         is_sufficient, requirements, select_greedy, Illustration, Requirement, SufficiencyScope,

@@ -1704,7 +1704,6 @@ fn is_strict_scalar(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::full_disjunction::engine_subsumption;
     use clio_relational::ops::{join, minimum_union_all, pad_to, project, select};
     use clio_relational::parser::parse_expr;
     use clio_relational::schema::{Attribute, Column};
@@ -1910,7 +1909,7 @@ mod tests {
             .map(|t| pad_to(t, &pad).unwrap())
             .collect();
         let refs: Vec<&Table> = padded.iter().collect();
-        let unioned = minimum_union_all(&refs, engine_subsumption()).unwrap();
+        let unioned = minimum_union_all(&refs).unwrap();
         let col = |name: &str, ty| Column::new("T", name, ty);
         let mut projected = project(
             &select(&unioned, &src, &funcs).unwrap(),
@@ -2157,7 +2156,7 @@ mod tests {
         }
         let masks: Vec<u64> = branches.iter().map(|&(mask, _)| mask).collect();
         let refs: Vec<&Table> = padded.iter().collect();
-        let expected = minimum_union_all(&refs, engine_subsumption()).unwrap();
+        let expected = minimum_union_all(&refs).unwrap();
         let ex = Exec {
             db: &db,
             funcs: &funcs,
@@ -2213,7 +2212,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Table> = padded.iter().collect();
-        let expected = minimum_union_all(&refs, engine_subsumption()).unwrap();
+        let expected = minimum_union_all(&refs).unwrap();
 
         let cache = EvalCache::new();
         for (round, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate() {

@@ -772,12 +772,12 @@ mod tests {
     /// `Q(M)` without the plan: the reference `D(G)` (the definitional
     /// oracle on cyclic graphs, no pushdown) and the evaluator loop.
     fn reference(m: &Mapping) -> Table {
-        use crate::full_disjunction::{engine_subsumption, full_disjunction_naive};
+        use crate::full_disjunction::full_disjunction_naive;
         let (db, funcs) = (db(), funcs());
         let assocs = if m.graph.is_tree() {
             crate::full_disjunction::full_disjunction(&db, &m.graph, FdAlgo::OuterJoin, &funcs)
         } else {
-            full_disjunction_naive(&db, &m.graph, &funcs, engine_subsumption())
+            full_disjunction_naive(&db, &m.graph, &funcs)
         }
         .unwrap();
         let eval = m.evaluator(&db, &funcs).unwrap();

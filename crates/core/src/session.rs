@@ -884,10 +884,7 @@ impl Session {
         for m in self.accepted.iter().chain(active) {
             out.extend_distinct(self.evaluate(m)?);
         }
-        clio_relational::ops::remove_subsumed(
-            &mut out,
-            crate::full_disjunction::engine_subsumption(),
-        );
+        clio_relational::ops::remove_subsumed_partitioned(&mut out);
         Ok(out)
     }
 

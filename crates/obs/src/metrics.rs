@@ -23,18 +23,15 @@ pub enum Counter {
     JoinProbes,
     /// Tuples emitted by join operators.
     JoinOutputRows,
-    /// Tuple-pair subsumption tests (naive) or partition probes
-    /// (partitioned) performed during subsumption removal, plus the
-    /// index insertions and probes of the lattice `D(G)` union's
-    /// non-extension semi-joins.
+    /// Work of subsumption removal: index insertions plus probes in the
+    /// partitioned pass (the engine's), tuple-pair tests in the naive
+    /// one (the definition), plus the index insertions and probes of
+    /// the lattice `D(G)` union's non-extension semi-joins.
     SubsumptionComparisons,
     /// Tuples removed because another tuple strictly subsumed them
     /// (by a subsumption pass, or by the lattice union's non-extension
     /// rule).
     TuplesSubsumed,
-    /// Adaptive subsumption dispatches (`SubsumptionAlgo::Adaptive`
-    /// calls that picked a concrete algorithm).
-    SubsumptionAdaptiveChoices,
     /// Rows offered to the hashed set primitives: one per
     /// `Table::push_distinct` call, plus every row passed through
     /// `Table::dedup` or `Relation::with_rows`, and every row
@@ -140,13 +137,12 @@ pub const COUNTER_COUNT: usize = Counter::ALL.len();
 
 impl Counter {
     /// All counters, in table order.
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 40] = [
         Counter::TuplesScanned,
         Counter::JoinProbes,
         Counter::JoinOutputRows,
         Counter::SubsumptionComparisons,
         Counter::TuplesSubsumed,
-        Counter::SubsumptionAdaptiveChoices,
         Counter::DedupRows,
         Counter::SubgraphsEnumerated,
         Counter::OuterJoinSteps,
@@ -194,7 +190,6 @@ impl Counter {
             Counter::JoinOutputRows => "join.output_rows",
             Counter::SubsumptionComparisons => "subsumption.comparisons",
             Counter::TuplesSubsumed => "subsumption.removed",
-            Counter::SubsumptionAdaptiveChoices => "subsumption.adaptive_choices",
             Counter::DedupRows => "dedup.rows",
             Counter::SubgraphsEnumerated => "fd.subgraphs",
             Counter::OuterJoinSteps => "fd.outer_join_steps",

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::funcs::{Arity, FuncRegistry};
     pub use crate::index::ValueIndex;
     pub use crate::ops::{
-        join, minimum_union, minimum_union_all, outer_union, select, JoinKind, SubsumptionAlgo,
+        join, minimum_union, minimum_union_all, outer_union, outer_union_all, select, JoinKind,
     };
     pub use crate::parser::parse_expr;
     pub use crate::relation::{Relation, RelationBuilder};

@@ -9,10 +9,14 @@
 //! applied to arbitrary relations (paper Sec 1 discusses why this makes
 //! data-merging queries hard to manage); [`minimum_union_all`] therefore
 //! combines any number of tables in one step — pad everything onto the
-//! unified scheme first, then remove subsumed tuples once.
+//! unified scheme first ([`outer_union_all`]), then remove subsumed
+//! tuples once. Both minimum unions remove them with the engine's pass,
+//! [`remove_subsumed_partitioned`]; a caller that wants the definition
+//! runs [`outer_union_all`] and then
+//! [`remove_subsumed_naive`](crate::ops::remove_subsumed_naive).
 
 use crate::error::Result;
-use crate::ops::subsumption::{remove_subsumed, SubsumptionAlgo};
+use crate::ops::subsumption::remove_subsumed_partitioned;
 use crate::schema::Scheme;
 use crate::table::Table;
 use crate::value::Value;
@@ -68,12 +72,22 @@ pub fn pad_to(table: &Table, target: &Scheme) -> Result<Table> {
 
 /// Outer union of two tables (duplicates removed — relations are sets).
 pub fn outer_union(a: &Table, b: &Table) -> Result<Table> {
-    let scheme = unified_scheme(&[a, b]);
-    let mut out = pad_to(a, &scheme)?;
-    for row in pad_to(b, &scheme)?.into_rows() {
-        out.push(row);
-    }
+    let mut out = outer_union_all(&[a, b])?;
     out.dedup();
+    Ok(out)
+}
+
+/// Outer union of any number of tables as a bag: each padded onto the
+/// unified scheme, their rows concatenated in input order, duplicates
+/// kept (a minimum union's pass drops them).
+pub fn outer_union_all(tables: &[&Table]) -> Result<Table> {
+    let scheme = unified_scheme(tables);
+    let mut out = Table::empty(scheme.clone());
+    for t in tables {
+        for row in pad_to(t, &scheme)?.into_rows() {
+            out.push(row);
+        }
+    }
     Ok(out)
 }
 
@@ -95,34 +109,26 @@ pub fn outer_union(a: &Table, b: &Table) -> Result<Table> {
 ///     vec![vec!["002".into(), "555-0103".into()]],
 /// );
 /// // the bare id tuple is subsumed by the phone-bearing one
-/// let merged = minimum_union(&ids, &full, SubsumptionAlgo::Partitioned).unwrap();
+/// let merged = minimum_union(&ids, &full).unwrap();
 /// assert_eq!(merged.len(), 1);
 /// assert_eq!(merged.rows()[0][1], Value::str("555-0103"));
 /// ```
-pub fn minimum_union(a: &Table, b: &Table, algo: SubsumptionAlgo) -> Result<Table> {
+pub fn minimum_union(a: &Table, b: &Table) -> Result<Table> {
     let _span = clio_obs::span("ops.minimum_union");
     let mut out = outer_union(a, b)?;
-    remove_subsumed(&mut out, algo);
+    remove_subsumed_partitioned(&mut out);
     Ok(out)
 }
 
-/// N-ary minimum union: pad all inputs onto the unified scheme, take the
-/// union, then remove strictly subsumed tuples **once**. Because minimum
-/// union is not associative in general, this one-shot form is the correct
-/// way to combine the `F(J)` tables of a full disjunction.
-pub fn minimum_union_all(tables: &[&Table], algo: SubsumptionAlgo) -> Result<Table> {
+/// N-ary minimum union: [`outer_union_all`], then remove strictly
+/// subsumed tuples **once**. Because minimum union is not associative in
+/// general, this one-shot form is the correct way to combine the `F(J)`
+/// tables of a full disjunction. With no input, the empty table of the
+/// empty scheme.
+pub fn minimum_union_all(tables: &[&Table]) -> Result<Table> {
     let _span = clio_obs::span("ops.minimum_union_all");
-    if tables.is_empty() {
-        return Ok(Table::empty(Scheme::empty()));
-    }
-    let scheme = unified_scheme(tables);
-    let mut out = Table::empty(scheme.clone());
-    for t in tables {
-        for row in pad_to(t, &scheme)?.into_rows() {
-            out.push(row);
-        }
-    }
-    remove_subsumed(&mut out, algo);
+    let mut out = outer_union_all(tables)?;
+    remove_subsumed_partitioned(&mut out);
     Ok(out)
 }
 
@@ -182,6 +188,27 @@ mod tests {
         assert_eq!(u.rows()[1], vec![Value::Null, Value::str("2")]);
     }
 
+    /// The bag outer union keeps every padded row, duplicates included,
+    /// in input order; the set form drops the repeat.
+    #[test]
+    fn outer_union_all_concatenates_padded_rows_in_order() {
+        let a = table("A", &["x"], vec![vec!["1".into()], vec!["2".into()]]);
+        let b = table("B", &["z"], vec![vec!["3".into()]]);
+        let u = outer_union_all(&[&a, &b, &a]).unwrap();
+        let x = |s: &str| vec![Value::str(s), Value::Null];
+        assert_eq!(
+            u.rows(),
+            [
+                x("1"),
+                x("2"),
+                vec![Value::Null, Value::str("3")],
+                x("1"),
+                x("2")
+            ]
+        );
+        assert_eq!(outer_union(&a, &a).unwrap().rows(), a.rows());
+    }
+
     #[test]
     fn outer_union_same_scheme_is_plain_union() {
         let a = table("A", &["x"], vec![vec!["1".into()], vec!["2".into()]]);
@@ -213,7 +240,7 @@ mod tests {
                 ]],
             )
         };
-        let m = minimum_union(&r1, &wide, SubsumptionAlgo::Partitioned).unwrap();
+        let m = minimum_union(&r1, &wide).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m.rows()[0][3], Value::str("555-0102"));
     }
@@ -231,7 +258,7 @@ mod tests {
         );
         let s = unified_scheme(&[&r1, &table("Ph", &["number"], vec![])]);
         let wide = Table::new(s, vec![vec!["002".into(), "202".into(), "555".into()]]);
-        let m = minimum_union(&r1, &wide, SubsumptionAlgo::Naive).unwrap();
+        let m = minimum_union(&r1, &wide).unwrap();
         assert_eq!(m.len(), 2);
     }
 
@@ -241,15 +268,15 @@ mod tests {
         let b = table("B", &["y"], vec![vec!["2".into()]]);
         let s = unified_scheme(&[&a, &b]);
         let ab = Table::new(s, vec![vec!["1".into(), "2".into()]]);
-        let m1 = minimum_union_all(&[&a, &b, &ab], SubsumptionAlgo::Partitioned).unwrap();
-        let m2 = minimum_union_all(&[&ab, &b, &a], SubsumptionAlgo::Partitioned).unwrap();
+        let m1 = minimum_union_all(&[&a, &b, &ab]).unwrap();
+        let m2 = minimum_union_all(&[&ab, &b, &a]).unwrap();
         assert_eq!(m1.len(), 1);
         assert_eq!(m2.len(), 1);
     }
 
     #[test]
     fn empty_input_list() {
-        let m = minimum_union_all(&[], SubsumptionAlgo::Partitioned).unwrap();
+        let m = minimum_union_all(&[]).unwrap();
         assert!(m.is_empty());
         assert_eq!(m.scheme().arity(), 0);
     }

@@ -12,7 +12,9 @@ mod select;
 mod subsumption;
 
 pub use join::{cartesian_product, join, join_rows, join_with, JoinInput, JoinKind, Joined};
-pub use minimum_union::{minimum_union, minimum_union_all, outer_union, pad_to, unified_scheme};
+pub use minimum_union::{
+    minimum_union, minimum_union_all, outer_union, outer_union_all, pad_to, unified_scheme,
+};
 pub use project::project;
 pub use select::select;
 pub(crate) use subsumption::holds_subsumed_row;

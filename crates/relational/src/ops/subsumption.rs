@@ -6,12 +6,12 @@
 //! subsumed tuples — they are redundant, repeating information carried by a
 //! more complete tuple (paper Sec 3.2).
 //!
-//! Two base algorithms are provided, plus an adaptive dispatcher:
+//! Two passes remove them, with the same survivors in the same order
+//! (first occurrences kept):
 //!
-//! * [`remove_subsumed_naive`] — the definitional `O(n²)` pairwise check,
-//!   kept as the reference implementation;
-//! * [`remove_subsumed_partitioned`] — partitions tuples by their non-null
-//!   mask; `t1` can only strictly subsume `t2` when
+//! * [`remove_subsumed_partitioned`] — the engine's pass, run by every
+//!   minimum union and by the target preview. It partitions tuples by
+//!   their non-null mask; `t1` can only strictly subsume `t2` when
 //!   `mask(t2) ⊊ mask(t1)`, so only mask pairs in strict-subset relation
 //!   are probed. For each subsumee mask, the rows of every larger mask
 //!   are indexed by their projection onto the mask's positions in the
@@ -26,10 +26,9 @@
 //!   once per distinct mask. The per-mask probe passes are independent,
 //!   so on large tables they run on the [`crate::exec`] worker pool
 //!   (`subsumption.worker` spans);
-//! * [`SubsumptionAlgo::Adaptive`] — the engine default: picks one of the
-//!   two per call from the input size and the observed partition shape,
-//!   recording each decision in the `subsumption.adaptive_choices`
-//!   counter.
+//! * [`remove_subsumed_naive`] — the definitional `O(n²)` pairwise
+//!   check, called by name where the definition is wanted: tests,
+//!   benchmark B2 and the definitional references.
 //!
 //! Callers that know where subsumers can be run
 //! [`remove_subsumed_among`], the partitioned pass testing only the rows
@@ -39,16 +38,15 @@
 //! testing only the tuples that hold a null, computes a relation's
 //! near-duplicate flag
 //! ([`Relation::has_near_duplicates`](crate::relation::Relation::has_near_duplicates)).
-//! [`remove_subsumed_partitioned`] (which [`remove_subsumed`] runs when
-//! it does not pick naive) shares that one pass too.
+//! [`remove_subsumed_partitioned`] shares that one pass too.
 //!
 //! Benchmark **B2** (`cargo bench -p clio-bench --bench subsumption`, and
 //! `experiments b2`, which first asserts that the naive, partitioned and
 //! all-flagged restricted passes return the same rows in the same order)
 //! compares them; a property test pins each hashed pass to its pairwise
-//! definition.
+//! definition, row order included.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use clio_obs::metrics::{self, Counter};
 
@@ -58,27 +56,18 @@ use crate::ops::JoinInput;
 use crate::table::{RowIndex, Table};
 use crate::value::Value;
 
-/// Algorithm selector for subsumption removal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which pass [`remove_subsumed`] runs. Only perfbench's traced replica
+/// of the session and unit tests still choose: ROADMAP item 14 deletes
+/// this selector, with the replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubsumptionAlgo {
-    /// Definitional `O(n²)` pairwise comparison.
+    /// Definitional `O(n²)` pairwise comparison
+    /// ([`remove_subsumed_naive`]).
     Naive,
-    /// Null-mask partitioning + hash probing.
+    /// Null-mask partitioning + hash probing, the engine's pass
+    /// ([`remove_subsumed_partitioned`]).
     Partitioned,
-    /// Per-call choice between the two from input size and partition
-    /// shape (default; see [`remove_subsumed`] for the heuristic).
-    #[default]
-    Adaptive,
 }
-
-/// Tables at or below this row count always take the naive algorithm
-/// under [`SubsumptionAlgo::Adaptive`] — at ≤ 64² cheap row comparisons
-/// the quadratic scan beats the partitioned pass's hashing constants.
-const ADAPTIVE_NAIVE_MAX_ROWS: usize = 64;
-
-/// How many leading rows [`SubsumptionAlgo::Adaptive`] samples to
-/// estimate the partition shape (distinct null-mask density).
-const ADAPTIVE_SAMPLE_ROWS: usize = 128;
 
 /// Below this row count the partitioned algorithm stays on the calling
 /// thread — fan-out overhead would exceed the probe work.
@@ -97,70 +86,19 @@ pub fn strictly_subsumes(t1: &[Value], t2: &[Value]) -> bool {
     t1 != t2 && subsumes(t1, t2)
 }
 
-/// Remove strictly subsumed rows (and exact duplicates) from `table`,
-/// preserving first-occurrence order of the survivors.
-///
-/// [`SubsumptionAlgo::Adaptive`] resolves to one of the two base
-/// algorithms per call:
-///
-/// * ≤ `ADAPTIVE_NAIVE_MAX_ROWS` rows → naive (the quadratic scan's
-///   constant factors beat partitioning on small inputs);
-/// * a leading-row sample whose null-masks are almost all distinct →
-///   naive (near-unique masks mean tiny partitions, so the partitioned
-///   pass degenerates into a mask-pair scan with hashing overhead);
-/// * otherwise → partitioned.
-///
-/// Every adaptive dispatch increments `subsumption.adaptive_choices`.
+/// Remove strictly subsumed rows (and exact duplicates) from `table`
+/// with the pass `algo` names, preserving first-occurrence order of the
+/// survivors. Only perfbench's traced replica of the session and unit
+/// tests still call it: ROADMAP item 14 deletes it, with the replica.
+/// Everything else calls the pass it wants by name.
 pub fn remove_subsumed(table: &mut Table, algo: SubsumptionAlgo) {
     match algo {
         SubsumptionAlgo::Naive => remove_subsumed_naive(table),
         SubsumptionAlgo::Partitioned => remove_subsumed_partitioned(table),
-        SubsumptionAlgo::Adaptive => {
-            metrics::incr(Counter::SubsumptionAdaptiveChoices);
-            if pick_naive(table) {
-                remove_subsumed_naive(table);
-            } else {
-                remove_subsumed_partitioned(table);
-            }
-        }
     }
 }
 
-/// The [`SubsumptionAlgo::Adaptive`] decision: `true` → naive.
-fn pick_naive(table: &Table) -> bool {
-    let n = table.len();
-    if n <= ADAPTIVE_NAIVE_MAX_ROWS {
-        return true;
-    }
-    // Partition shape from a leading sample: count distinct null-masks.
-    let sample = n.min(ADAPTIVE_SAMPLE_ROWS);
-    let arity = table.scheme().arity();
-    let mut masks: HashSet<Bitset> = HashSet::with_capacity(sample);
-    let mut mask = Bitset::new(arity);
-    for row in &table.rows()[..sample] {
-        fill_null_mask(&mut mask, row);
-        if !masks.contains(&mask) {
-            masks.insert(mask.clone());
-        }
-    }
-    // Near-unique masks → partitions of ~1 row each; the partitioned
-    // algorithm would pay a quadratic mask-pair scan plus hashing for no
-    // pruning, so fall back to the straight quadratic row scan.
-    masks.len() * 2 > sample
-}
-
-/// Write a row's non-null mask into `mask`, which has the row's arity.
-fn fill_null_mask<'v>(mask: &mut Bitset, row: impl IntoIterator<Item = &'v Value>) {
-    for (k, v) in row.into_iter().enumerate() {
-        if v.is_null() {
-            mask.clear(k);
-        } else {
-            mask.set(k);
-        }
-    }
-}
-
-/// Reference implementation: pairwise `O(n²)` scan.
+/// The definition: a pairwise `O(n²)` scan.
 pub fn remove_subsumed_naive(table: &mut Table) {
     let _span = clio_obs::span("ops.remove_subsumed");
     dedup_unless_set(table);
@@ -179,13 +117,10 @@ pub fn remove_subsumed_naive(table: &mut Table) {
             }
         }
     }
-    let removed = keep.iter().filter(|k| !**k).count() as u64;
-    metrics::add(Counter::SubsumptionComparisons, comparisons);
-    metrics::add(Counter::TuplesSubsumed, removed);
-    table.retain(&keep);
+    table.retain(&counted((keep, comparisons)));
 }
 
-/// Optimized implementation: group rows by non-null mask; for each mask
+/// The engine's pass: group rows by non-null mask; for each mask
 /// `m_small`, probe a hash index of the rows of every strictly larger
 /// mask, projected in place onto `m_small`'s positions.
 ///
@@ -250,7 +185,7 @@ pub(crate) fn holds_subsumed_row<R: JoinInput + Sync>(rows: &R) -> bool {
     nullable.contains(&true) && partitioned_pass(rows, Some(&nullable)).0.contains(&false)
 }
 
-/// Flush a [`partitioned_pass`]'s work and removal counts; the keep mask.
+/// Flush a pass's work and removal counts; the keep mask.
 fn counted((keep, comparisons): (Vec<bool>, u64)) -> Vec<bool> {
     metrics::add(Counter::SubsumptionComparisons, comparisons);
     metrics::add(
@@ -280,7 +215,13 @@ fn partitioned_pass<R: JoinInput + Sync>(
     let mut groups: HashMap<Bitset, Vec<usize>> = HashMap::new();
     let mut mask = Bitset::new(arity);
     for i in 0..n {
-        fill_null_mask(&mut mask, (0..arity).map(|c| rows.cell(i, c)));
+        for c in 0..arity {
+            if rows.cell(i, c).is_null() {
+                mask.clear(c);
+            } else {
+                mask.set(c);
+            }
+        }
         match groups.get_mut(&mask) {
             Some(members) => members.push(i),
             None => {
@@ -414,122 +355,105 @@ mod tests {
         assert!(strictly_subsumes(&w, &u));
     }
 
+    /// A pass by name.
+    type Pass = (&'static str, fn(&mut Table));
+
+    /// Both passes: the definition and the engine's.
+    const PASSES: [Pass; 2] = [
+        ("naive", remove_subsumed_naive),
+        ("partitioned", remove_subsumed_partitioned),
+    ];
+
     /// A set skips the duplicate pass; a table a plain push gave a
     /// repeated row is a set no longer, and loses the copy. The copies
     /// are null-free, so no subsumption test could remove one.
     #[test]
     fn a_set_skips_the_duplicate_pass_and_a_pushed_copy_ends_it() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = Table::empty(scheme(2));
             for row in [["a", "b"], ["a", "-"], ["c", "d"], ["a", "b"]] {
                 t.push_distinct(row.iter().map(|s| v(s)).collect());
             }
             let rec = clio_obs::Recorder::new();
             let mut set = t.clone();
-            rec.run(|| remove_subsumed(&mut set, algo));
-            assert_eq!(set, table(&[&["a", "b"], &["c", "d"]]), "{algo:?}");
-            assert_eq!(rec.snapshot().get(Counter::DedupRows), 0, "{algo:?}");
+            rec.run(|| pass(&mut set));
+            assert_eq!(set, table(&[&["a", "b"], &["c", "d"]]), "{name}");
+            assert_eq!(rec.snapshot().get(Counter::DedupRows), 0, "{name}");
 
             t.push(vec![v("c"), v("d")]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t, table(&[&["a", "b"], &["c", "d"]]), "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t, table(&[&["a", "b"], &["c", "d"]]), "{name}");
         }
     }
 
     #[test]
     fn removal_keeps_maximal_rows() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = table(&[
                 &["a", "b", "-"],
                 &["a", "b", "c"],
                 &["x", "-", "-"],
                 &["-", "-", "z"],
             ]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t.len(), 3, "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t.len(), 3, "{name}");
             assert!(t.rows().iter().all(|r| r[0] != v("a") || !r[2].is_null()));
         }
     }
 
     #[test]
     fn exact_duplicates_are_collapsed() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = table(&[&["a", "b"], &["a", "b"], &["c", "-"]]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t.len(), 2, "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t.len(), 2, "{name}");
         }
     }
 
     #[test]
     fn incomparable_rows_all_survive() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = table(&[&["a", "-"], &["-", "b"], &["c", "-"]]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t.len(), 3, "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t.len(), 3, "{name}");
         }
     }
 
     #[test]
     fn equal_masks_different_values_survive() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = table(&[&["a", "-"], &["b", "-"]]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t.len(), 2, "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t.len(), 2, "{name}");
         }
     }
 
     #[test]
     fn chains_of_subsumption_leave_only_top() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (name, pass) in PASSES {
             let mut t = table(&[&["a", "-", "-"], &["a", "b", "-"], &["a", "b", "c"]]);
-            remove_subsumed(&mut t, algo);
-            assert_eq!(t.len(), 1, "{algo:?}");
+            pass(&mut t);
+            assert_eq!(t.len(), 1, "{name}");
             assert_eq!(t.rows()[0][2], v("c"));
         }
     }
 
+    /// Survivors keep their first-occurrence order, under both passes
+    /// and through the selector that still names them.
     #[test]
     fn order_of_survivors_is_preserved() {
-        let mut t = table(&[&["z", "-"], &["a", "b"], &["z", "y"]]);
-        remove_subsumed(&mut t, SubsumptionAlgo::Partitioned);
-        assert_eq!(t.rows()[0][0], v("a"));
-        assert_eq!(t.rows()[1][0], v("z"));
-        assert_eq!(t.len(), 2);
+        for algo in [SubsumptionAlgo::Naive, SubsumptionAlgo::Partitioned] {
+            let mut t = table(&[&["z", "-"], &["a", "b"], &["z", "y"]]);
+            remove_subsumed(&mut t, algo);
+            assert_eq!(t, table(&[&["a", "b"], &["z", "y"]]), "{algo:?}");
+        }
     }
 
     #[test]
     fn empty_table_is_fine() {
-        for algo in [
-            SubsumptionAlgo::Naive,
-            SubsumptionAlgo::Partitioned,
-            SubsumptionAlgo::Adaptive,
-        ] {
+        for (_, pass) in PASSES {
             let mut t = table(&[]);
-            remove_subsumed(&mut t, algo);
+            pass(&mut t);
             assert!(t.is_empty());
         }
     }
@@ -571,46 +495,18 @@ mod tests {
         assert_eq!(serial.rows(), parallel.rows());
     }
 
+    /// The engine pass equals the definition row for row, order
+    /// included, at a size that fans its probes out.
     #[test]
-    fn adaptive_picks_naive_on_small_and_partitioned_on_large() {
-        // small: under the row floor
-        assert!(super::pick_naive(&random_table(
-            ADAPTIVE_NAIVE_MAX_ROWS,
-            4,
-            1
-        )));
-        // large with few distinct masks (arity 4, domain {null,1..4}):
-        // the sample repeats masks, so partitioning pays off
-        assert!(!super::pick_naive(&random_table(1000, 4, 2)));
-        // large but every sampled row has a distinct mask → naive
-        let wide = Table::new(
-            scheme(12),
-            (0..200u32)
-                .map(|i| {
-                    (0..12)
-                        .map(|k| {
-                            if (i >> k) & 1 == 0 {
-                                Value::Null
-                            } else {
-                                Value::Int(1)
-                            }
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-        assert!(super::pick_naive(&wide));
-    }
-
-    #[test]
-    fn adaptive_agrees_with_reference_on_random_tables() {
+    fn engine_pass_equals_the_reference_in_row_order() {
         for seed in [3u64, 17, 99] {
             let base = random_table(700, 5, seed);
             let mut reference = base.clone();
-            let mut adaptive = base.clone();
+            let mut engine = base.clone();
             remove_subsumed_naive(&mut reference);
-            remove_subsumed(&mut adaptive, SubsumptionAlgo::Adaptive);
-            assert_eq!(reference.rows(), adaptive.rows(), "seed {seed}");
+            remove_subsumed_partitioned(&mut engine);
+            assert!(reference.len() < base.len(), "seed {seed} removes rows");
+            assert_eq!(reference.rows(), engine.rows(), "seed {seed}");
         }
     }
 

@@ -17,9 +17,10 @@ cargo build --release --workspace
 
 # perfbench is its own crate outside the workspace and imports the
 # engine's public API: an API change that breaks the benchmark fails
-# here, not first in a benchmark run.
-echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# here, not first in a benchmark run. --locked fails the build, instead
+# of rewriting perfbench/Cargo.lock, when a change would move the lock.
+echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -126,15 +126,10 @@ fn nary_minimum_union_beats_pairwise_folding() {
     let y = Table::new(s2, vec![vec!["2".into()]]);
     let z = Table::new(s12, vec![vec!["1".into(), "2".into()]]);
 
-    let nary = minimum_union_all(&[&x, &y, &z], SubsumptionAlgo::Partitioned).unwrap();
+    let nary = minimum_union_all(&[&x, &y, &z]).unwrap();
     assert_eq!(nary.len(), 1); // z subsumes both padded x and padded y
 
-    let pairwise = minimum_union(
-        &minimum_union(&x, &y, SubsumptionAlgo::Partitioned).unwrap(),
-        &z,
-        SubsumptionAlgo::Partitioned,
-    )
-    .unwrap();
+    let pairwise = minimum_union(&minimum_union(&x, &y).unwrap(), &z).unwrap();
     // here pairwise agrees (padding happens before comparison), which is
     // exactly why the engine funnels everything through the n-ary form
     assert_eq!(sorted_rows(&nary), sorted_rows(&pairwise));

@@ -201,7 +201,7 @@ fn figure8_full_disjunction() {
     let db = paper_database();
     let g = running_graph();
     let funcs = funcs();
-    let mut naive = full_disjunction_naive(&db, &g, &funcs, engine_subsumption()).unwrap();
+    let mut naive = full_disjunction_naive(&db, &g, &funcs).unwrap();
     let mut outer = full_disjunction(&db, &g, FdAlgo::OuterJoin, &funcs).unwrap();
     naive.sort_canonical(&g);
     outer.sort_canonical(&g);
@@ -422,7 +422,7 @@ fn example_3_10_minimum_union_identity() {
     let r1p = clio::relational::ops::pad_to(&r1, &scheme).unwrap();
     let r2p = clio::relational::ops::pad_to(&r2, &scheme).unwrap();
 
-    let mut m = minimum_union(&r1p, &r2p, SubsumptionAlgo::Partitioned).unwrap();
+    let mut m = minimum_union(&r1p, &r2p).unwrap();
     let mut expect = r2p.clone();
     m.sort_canonical();
     expect.sort_canonical();

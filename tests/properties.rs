@@ -101,6 +101,30 @@ fn value_outer_join_chain(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -
     padded
 }
 
+/// The definitional minimum union: the tables' outer union, reduced by
+/// the pairwise definition of subsumption.
+fn minimum_union_by_definition(tables: &[&Table]) -> Table {
+    let mut union = clio::relational::ops::outer_union_all(tables).unwrap();
+    clio::relational::ops::remove_subsumed_naive(&mut union);
+    union
+}
+
+/// The naive oracle's own padded union — each connected subgraph's
+/// `F(J)`, in the oracle's order — reduced by the pairwise definition
+/// instead of the engine's pass.
+fn naive_fd_by_definition(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> AssociationSet {
+    let scheme = g.scheme(db).unwrap();
+    let padded: Vec<Table> = connected_subsets(g)
+        .into_iter()
+        .map(|m| {
+            let f = full_associations(db, g, m, funcs).unwrap();
+            clio::relational::ops::pad_to(&f, &scheme).unwrap()
+        })
+        .collect();
+    let refs: Vec<&Table> = padded.iter().collect();
+    AssociationSet::from_table(g, minimum_union_by_definition(&refs))
+}
+
 /// `Q(M)` over a value `D(G)` by the relational operators: σ over the
 /// source filters, π over the correspondences (an unmapped attribute is
 /// null), duplicates dropped, then σ over the target filters.
@@ -213,22 +237,20 @@ fn minimum_completion_size(population: &[Example], arity: usize, fixed: &[Exampl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// FD(outer-join) == FD(naive, either subsumption algo) on trees.
+    /// On trees, the naive oracle equals, row for row, its own padded
+    /// union reduced by the pairwise definition, and FD(outer-join)
+    /// equals it up to row order.
     #[test]
     fn fd_algorithms_agree_on_trees(
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::RandomTree])
     ) {
         let w = generate(&spec);
         let funcs = funcs();
-        let mut naive = full_disjunction_naive(
-            &w.db, &w.graph, &funcs, SubsumptionAlgo::Naive).unwrap();
-        let mut part = full_disjunction_naive(
-            &w.db, &w.graph, &funcs, SubsumptionAlgo::Partitioned).unwrap();
+        let mut naive = full_disjunction_naive(&w.db, &w.graph, &funcs).unwrap();
+        prop_assert_eq!(&naive, &naive_fd_by_definition(&w.db, &w.graph, &funcs));
         let mut outer = full_disjunction(&w.db, &w.graph, FdAlgo::OuterJoin, &funcs).unwrap();
         naive.sort_canonical(&w.graph);
-        part.sort_canonical(&w.graph);
         outer.sort_canonical(&w.graph);
-        prop_assert_eq!(naive.table().rows(), part.table().rows());
         prop_assert_eq!(naive.table().rows(), outer.table().rows());
     }
 
@@ -268,10 +290,10 @@ proptest! {
     }
 
     /// On cyclic graphs, near-duplicate tuples included, the naive
-    /// algorithm with both subsumption implementations agrees, and the
-    /// executed `D(G)` (`FdAlgo::Auto`: the lattice union) equals the
-    /// naive oracle row for row, unsorted; every association's coverage
-    /// is an induced-connected subgraph.
+    /// oracle equals its own padded union reduced by the pairwise
+    /// definition, and the executed `D(G)` (`FdAlgo::Auto`: the lattice
+    /// union) equals the oracle — both row for row, unsorted; every
+    /// association's coverage is an induced-connected subgraph.
     #[test]
     fn fd_on_cycles_is_consistent(
         spec in spec_strategy(&[Topology::Cycle]),
@@ -279,19 +301,14 @@ proptest! {
     ) {
         let w = with_near_duplicates(generate(&spec), &picks);
         let funcs = funcs();
-        let mut a = full_disjunction_naive(
-            &w.db, &w.graph, &funcs, SubsumptionAlgo::Naive).unwrap();
-        let mut b = full_disjunction_naive(
-            &w.db, &w.graph, &funcs, SubsumptionAlgo::Partitioned).unwrap();
+        let a = full_disjunction_naive(&w.db, &w.graph, &funcs).unwrap();
+        prop_assert_eq!(&a, &naive_fd_by_definition(&w.db, &w.graph, &funcs));
         if !w.graph.is_tree() {
             // (two relations make a one-edge "cycle": the tree plan runs)
             let auto = full_disjunction(&w.db, &w.graph, FdAlgo::Auto, &funcs).unwrap();
             prop_assert_eq!(auto.table().scheme(), a.table().scheme());
             prop_assert_eq!(auto.table().rows(), a.table().rows());
         }
-        a.sort_canonical(&w.graph);
-        b.sort_canonical(&w.graph);
-        prop_assert_eq!(a.table().rows(), b.table().rows());
         for i in 0..a.len() {
             prop_assert!(w.graph.is_subset_connected(a.coverage(i)));
         }
@@ -303,8 +320,9 @@ proptest! {
     /// chain, each under the source filters that bind it — all branches
     /// kept (every branch closed), or only those sharing an alias with
     /// the filter (as the pushdown prunes; parents left open) — equals,
-    /// row order included, `minimum_union_all` over the same filtered,
-    /// padded `F(J)`s: without a cache, and cold and warm over one.
+    /// row order included, the definitional minimum union of the same
+    /// filtered, padded `F(J)`s: without a cache, and cold and warm over
+    /// one.
     #[test]
     fn lattice_fd_on_tuple_ids_equals_the_minimum_union_of_filtered_branches(
         spec in spec_strategy(&[Topology::Chain, Topology::Star, Topology::Cycle]),
@@ -347,7 +365,7 @@ proptest! {
                     padded.push(clio::relational::ops::pad_to(&f, &pad).unwrap());
                 }
                 let refs: Vec<&Table> = padded.iter().collect();
-                let expected = minimum_union_all(&refs, SubsumptionAlgo::Naive).unwrap();
+                let expected = minimum_union_by_definition(&refs);
                 let union = RelExpr::Union { inputs, masks, pad: pad.clone() };
                 let cache = EvalCache::new();
                 for (run, cache) in [None, Some(&cache), Some(&cache)].into_iter().enumerate() {
@@ -375,17 +393,18 @@ proptest! {
         let w = generate(&spec);
         let funcs = funcs();
         let serial = clio::relational::exec::with_threads(1, || {
-            full_disjunction_naive(&w.db, &w.graph, &funcs, SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&w.db, &w.graph, &funcs).unwrap()
         });
         let parallel = clio::relational::exec::with_threads(4, || {
-            full_disjunction_naive(&w.db, &w.graph, &funcs, SubsumptionAlgo::Adaptive).unwrap()
+            full_disjunction_naive(&w.db, &w.graph, &funcs).unwrap()
         });
         // deliberately NO sort_canonical: row order is part of the claim
         prop_assert_eq!(serial.table().rows(), parallel.table().rows());
     }
 
-    /// Subsumption removal: the two algorithms agree on random nullable
-    /// tables, and the result contains no strictly-subsumed pair.
+    /// Subsumption removal: the engine's pass and the definition return
+    /// the same rows in the same order on random nullable tables, and
+    /// the result contains no strictly-subsumed pair.
     #[test]
     fn subsumption_algorithms_agree(
         rows in proptest::collection::vec(
@@ -409,8 +428,6 @@ proptest! {
         let mut b = to_table();
         clio::relational::ops::remove_subsumed_naive(&mut a);
         clio::relational::ops::remove_subsumed_partitioned(&mut b);
-        a.sort_canonical();
-        b.sort_canonical();
         prop_assert_eq!(a.rows(), b.rows());
         for (i, x) in a.rows().iter().enumerate() {
             for (j, y) in a.rows().iter().enumerate() {
@@ -444,13 +461,13 @@ proptest! {
         let t1 = Table::new(scheme.clone(), all[..k].to_vec());
         let t2 = Table::new(scheme.clone(), all[k..].to_vec());
 
-        let mut ab = minimum_union(&t1, &t2, SubsumptionAlgo::Partitioned).unwrap();
-        let mut ba = minimum_union(&t2, &t1, SubsumptionAlgo::Partitioned).unwrap();
+        let mut ab = minimum_union(&t1, &t2).unwrap();
+        let mut ba = minimum_union(&t2, &t1).unwrap();
         ab.sort_canonical();
         ba.sort_canonical();
         prop_assert_eq!(ab.rows(), ba.rows());
 
-        let mut self_union = minimum_union(&t1, &t1, SubsumptionAlgo::Partitioned).unwrap();
+        let mut self_union = minimum_union(&t1, &t1).unwrap();
         let mut t1d = t1.clone();
         clio::relational::ops::remove_subsumed_naive(&mut t1d);
         self_union.sort_canonical();
@@ -1545,7 +1562,7 @@ fn reference_evaluate(m: &Mapping, db: &Database, funcs: &FuncRegistry) -> Table
     let assocs = if m.graph.is_tree() {
         full_disjunction(db, &m.graph, FdAlgo::OuterJoin, funcs).unwrap()
     } else {
-        full_disjunction_naive(db, &m.graph, funcs, engine_subsumption()).unwrap()
+        full_disjunction_naive(db, &m.graph, funcs).unwrap()
     };
     let eval = m.evaluator(db, funcs).unwrap();
     let mut out = Table::empty(m.target_scheme());
@@ -1588,7 +1605,7 @@ fn definitional_fd(db: &Database, g: &QueryGraph, funcs: &FuncRegistry) -> Table
         })
         .collect();
     let refs: Vec<&Table> = padded.iter().collect();
-    let mut fd = minimum_union_all(&refs, SubsumptionAlgo::Naive).unwrap();
+    let mut fd = minimum_union_by_definition(&refs);
     fd.sort_canonical();
     fd
 }

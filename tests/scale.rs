@@ -20,7 +20,7 @@ fn fd_algorithms_agree_on_a_wide_star_with_data() {
         seed: 99,
     });
     let funcs = funcs();
-    let mut a = full_disjunction_naive(&w.db, &w.graph, &funcs, engine_subsumption()).unwrap();
+    let mut a = full_disjunction_naive(&w.db, &w.graph, &funcs).unwrap();
     let mut b = full_disjunction(&w.db, &w.graph, FdAlgo::OuterJoin, &funcs).unwrap();
     a.sort_canonical(&w.graph);
     b.sort_canonical(&w.graph);
