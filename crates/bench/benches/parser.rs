@@ -78,7 +78,7 @@ fn bench_bound_vs_unbound(c: &mut Criterion) {
             let bound = e.bind(t.scheme()).expect("binds");
             let mut n = 0usize;
             for row in t.rows() {
-                if !bound.eval(row, &funcs).expect("evals").is_null() {
+                if !bound.eval(row.as_slice(), &funcs).expect("evals").is_null() {
                     n += 1;
                 }
             }

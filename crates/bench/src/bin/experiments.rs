@@ -528,7 +528,7 @@ fn b8_expressions() {
             let bound = e.bind(t.scheme()).expect("binds");
             let mut n = 0usize;
             for row in t.rows() {
-                if !bound.eval(row, &funcs).expect("evals").is_null() {
+                if !bound.eval(row.as_slice(), &funcs).expect("evals").is_null() {
                     n += 1;
                 }
             }

@@ -25,7 +25,7 @@ use std::fmt;
 
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
-use clio_relational::expr::{BoundExpr, Expr};
+use clio_relational::expr::{BoundExpr, Cells, Expr};
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::schema::{RelSchema, Scheme};
 use clio_relational::table::Table;
@@ -313,14 +313,29 @@ impl fmt::Display for Mapping {
 }
 
 /// A mapping with every expression bound against its schemes, ready for
-/// repeated evaluation over association rows.
+/// repeated evaluation over association rows. An association is read
+/// through a [`Cells`] view (a value row, or a row of tuple ids read
+/// through). The plan's projection reads each target row the same way,
+/// from borrowed cells, and builds only the rows its output keeps.
 #[derive(Debug)]
 pub struct MappingEvaluator {
-    /// one slot per target attribute: the bound correspondence, or `None`
-    /// (attribute not mapped → null)
-    slots: Vec<Option<BoundExpr>>,
-    source_filters: Vec<BoundExpr>,
-    target_filters: Vec<BoundExpr>,
+    /// how each target attribute is formed, in target order
+    slots: Vec<Slot>,
+    pub(crate) source_filters: Vec<BoundExpr>,
+    pub(crate) target_filters: Vec<BoundExpr>,
+}
+
+/// How one target attribute is formed from an association.
+#[derive(Debug)]
+enum Slot {
+    /// Unmapped: null.
+    Null,
+    /// A bare column of the association, read where it lies.
+    Column(usize),
+    /// A literal correspondence.
+    Literal(Value),
+    /// Any other correspondence, evaluated per association.
+    Computed(BoundExpr),
 }
 
 impl MappingEvaluator {
@@ -335,14 +350,21 @@ impl MappingEvaluator {
         target_filters: impl IntoIterator<Item = &'e Expr>,
     ) -> Result<MappingEvaluator> {
         let tscheme = Scheme::of_relation(target, target.name());
+        let slot = |name: &str| -> Result<Slot> {
+            let Some(v) = correspondences.iter().find(|v| v.target_attr == name) else {
+                return Ok(Slot::Null);
+            };
+            Ok(match v.expr.bind(scheme)? {
+                BoundExpr::Column(i) => Slot::Column(i),
+                BoundExpr::Literal(value) => Slot::Literal(value),
+                computed => Slot::Computed(computed),
+            })
+        };
         Ok(MappingEvaluator {
             slots: target
                 .attrs()
                 .iter()
-                .map(|a| {
-                    let v = correspondences.iter().find(|v| v.target_attr == a.name);
-                    v.map(|v| v.expr.bind(scheme)).transpose()
-                })
+                .map(|a| slot(&a.name))
                 .collect::<Result<_>>()?,
             source_filters: source_filters
                 .into_iter()
@@ -357,23 +379,67 @@ impl MappingEvaluator {
 
     /// Compute the target tuple for an association row (no filters —
     /// `Q_{φ(M)}(d)`).
-    pub fn target_row(&self, assoc: &[Value], funcs: &FuncRegistry) -> Result<Vec<Value>> {
+    pub fn target_row<C: Cells + ?Sized>(
+        &self,
+        assoc: &C,
+        funcs: &FuncRegistry,
+    ) -> Result<Vec<Value>> {
         // an exact-capacity loop: `collect` over a `Result` iterator cannot
         // size its vector up front
         let mut row = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             row.push(match slot {
-                None => Value::Null,
-                Some(b) => b.eval(assoc, funcs)?,
+                Slot::Null => Value::Null,
+                Slot::Column(i) => assoc.at(*i).clone(),
+                Slot::Literal(v) => v.clone(),
+                Slot::Computed(b) => b.eval(assoc, funcs)?,
             });
         }
         Ok(row)
     }
 
-    /// Do the filters accept `(assoc, target)`?
-    pub fn passes_filters(
+    /// Evaluate the computed correspondences on `assoc`, in target order,
+    /// each into its own position of `computed` (one cell per target
+    /// attribute; the other cells are left as they are): what a
+    /// [`TargetView`] reads for those attributes.
+    pub(crate) fn compute<C: Cells + ?Sized>(
         &self,
-        assoc: &[Value],
+        assoc: &C,
+        computed: &mut [Value],
+        funcs: &FuncRegistry,
+    ) -> Result<()> {
+        for (slot, cell) in self.slots.iter().zip(computed) {
+            if let Slot::Computed(b) = slot {
+                *cell = b.eval(assoc, funcs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Form the target row of the association whose cell `c` is
+    /// `cell(c)`, as `slots`, one per target attribute: a bare column's
+    /// cell, a literal or null (unmapped), borrowed; `None` for a
+    /// computed correspondence, whose value
+    /// [`MappingEvaluator::compute`] writes. Nothing is cloned.
+    pub(crate) fn borrow_slots<'a>(
+        &'a self,
+        cell: impl Fn(usize) -> &'a Value,
+        slots: &mut Vec<Option<&'a Value>>,
+    ) {
+        static NULL: Value = Value::Null;
+        slots.clear();
+        slots.extend(self.slots.iter().map(|slot| match slot {
+            Slot::Null => Some(&NULL),
+            Slot::Column(c) => Some(cell(*c)),
+            Slot::Literal(v) => Some(v),
+            Slot::Computed(_) => None,
+        }));
+    }
+
+    /// Do the filters accept `(assoc, target)`?
+    pub fn passes_filters<C: Cells + ?Sized>(
+        &self,
+        assoc: &C,
         target: &[Value],
         funcs: &FuncRegistry,
     ) -> Result<bool> {
@@ -385,22 +451,44 @@ impl MappingEvaluator {
     /// all filters pass, `None` otherwise. The source filters run first,
     /// as `WHERE` before `SELECT`: a correspondence is never evaluated on
     /// an association they reject, so its errors there never surface.
-    pub fn target_row_if_passing(
+    pub fn target_row_if_passing<C: Cells + ?Sized>(
         &self,
-        assoc: &[Value],
+        assoc: &C,
         funcs: &FuncRegistry,
     ) -> Result<Option<Vec<Value>>> {
         if !all_pass(&self.source_filters, assoc, funcs)? {
             return Ok(None);
         }
         let target = self.target_row(assoc, funcs)?;
-        Ok(all_pass(&self.target_filters, &target, funcs)?.then_some(target))
+        Ok(all_pass(&self.target_filters, target.as_slice(), funcs)?.then_some(target))
+    }
+}
+
+/// A target row as a view: each cell borrowed where it lies
+/// ([`MappingEvaluator::borrow_slots`]), or, for a computed
+/// correspondence, read from the buffer [`MappingEvaluator::compute`]
+/// filled.
+pub(crate) struct TargetView<'v> {
+    pub(crate) slots: &'v [Option<&'v Value>],
+    pub(crate) computed: &'v [Value],
+}
+
+impl Cells for TargetView<'_> {
+    fn at(&self, i: usize) -> &Value {
+        match self.slots[i] {
+            Some(cell) => cell,
+            None => &self.computed[i],
+        }
     }
 }
 
 /// Does `row` pass every bound filter? Stops at the first that rejects
 /// it.
-pub(crate) fn all_pass(filters: &[BoundExpr], row: &[Value], funcs: &FuncRegistry) -> Result<bool> {
+pub(crate) fn all_pass<C: Cells + ?Sized>(
+    filters: &[BoundExpr],
+    row: &C,
+    funcs: &FuncRegistry,
+) -> Result<bool> {
     for f in filters {
         if !f.eval_truth(row, funcs)?.passes() {
             return Ok(false);

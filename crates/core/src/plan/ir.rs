@@ -41,10 +41,11 @@
 //! left-outer-join chain from a node the target filters require, whose
 //! rows are the `D(G)` rows covering that node, in order. It gets the
 //! same residual pass and is never memoized. A `Project` reads its
-//! `D(G)` through the ids, skipping the rows that miss a required node,
-//! and filling one scratch row with only the columns the
-//! correspondences and source filters reference (span
-//! `plan.project`). Value rows are built in
+//! `D(G)` through the ids, skipping the rows that miss a required node
+//! (span `plan.project`). Every bound expression, a filter's or a
+//! correspondence's, reads a row's cells where they lie, through a view
+//! ([`Cells`]); a target row is a view too, and is cloned only when the
+//! distinct output keeps it. Association value rows are built in
 //! three places only: [`RelExpr::run`]'s table and
 //! [`full_disjunction_cached`](crate::incremental::full_disjunction_cached)'s
 //! association set (span `fd.materialize`), and each example's
@@ -70,7 +71,7 @@ use clio_incr::{Dep, EvalCache, Fingerprint, IdRows, LookupTier};
 use clio_obs::metrics::{self, Counter};
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
-use clio_relational::expr::{BoundExpr, Expr};
+use clio_relational::expr::{BoundExpr, Cells, Expr};
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::ops::{join_with, subsumed_among, JoinInput, JoinKind, Joined};
 use clio_relational::relation::Relation;
@@ -82,7 +83,7 @@ use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::Example;
 use crate::incremental::{disjunction_structure, elapsed_ns, subgraph_structure, Versions};
-use crate::mapping::{all_pass, MappingEvaluator};
+use crate::mapping::{all_pass, MappingEvaluator, TargetView};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
 
@@ -851,29 +852,12 @@ fn flagged_nodes(p: &Pass) -> u64 {
         .fold(0, |flagged, (v, _)| flagged | 1 << v)
 }
 
-/// The positions in `scheme` of the columns `exprs` reference, sorted
-/// and distinct: the cells a row read through tuple ids must fill.
-fn columns_read<'e>(
-    scheme: &Scheme,
-    exprs: impl IntoIterator<Item = &'e Expr>,
-) -> Result<Vec<usize>> {
-    let mut reads: Vec<usize> = exprs
-        .into_iter()
-        .flat_map(Expr::columns)
-        .map(|c| scheme.resolve(c))
-        .collect::<Result<_>>()?;
-    reads.sort_unstable();
-    reads.dedup();
-    Ok(reads)
-}
-
 /// A `Project`, with the source filters stacked beneath it and the
 /// target filters stacked on it, bound once over its `D(G)`'s scheme:
-/// the evaluator, the columns a row must fill, and the target scheme.
+/// the evaluator and the target scheme.
 #[derive(Debug)]
 pub(crate) struct Projection {
     eval: MappingEvaluator,
-    reads: Vec<usize>,
     target: Scheme,
 }
 
@@ -895,42 +879,49 @@ impl Projection {
                 source_filters.iter().copied(),
                 target_filters.iter().copied(),
             )?,
-            reads: columns_read(
-                scheme,
-                correspondences
-                    .iter()
-                    .map(|v| &v.expr)
-                    .chain(source_filters.iter().copied()),
-            )?,
             target: Scheme::of_relation(target, target.name()),
         })
     }
 
     /// Project `ids`, a `D(G)` over the bound scheme (span
-    /// `plan.project`). One loop reads each association through its ids
-    /// into one reused scratch row, filled with only the columns the
-    /// correspondences and source filters reference, and offers its
-    /// target row to the distinct output only when the source filters
-    /// accept the association and the target filters the row
-    /// ([`MappingEvaluator::target_row_if_passing`]): rows the filters
-    /// reject are never hashed, and a correspondence never runs on an
-    /// association the source filters reject. A row whose ids miss a
-    /// node of `required` is skipped before it is read: the caller
-    /// proves that a target filter rejects it and that nothing on its
-    /// way can raise an error (`Plan`'s module docs).
+    /// `plan.project`), in one loop that builds no row it does not keep.
+    /// Each association is read through its ids ([`IdRow`]), in place.
+    /// The source filters run over it first: a correspondence never runs
+    /// on an association they reject. Each target slot is then a
+    /// borrowed `&Value` ([`MappingEvaluator::borrow_slots`]): a bare
+    /// column's cell, a literal, or null for an unmapped attribute; only
+    /// a computed correspondence is evaluated, into one buffer reused
+    /// across rows ([`MappingEvaluator::compute`]). The target filters
+    /// run over that view, and a row they accept is offered to the
+    /// distinct output, which hashes and compares the borrowed cells and
+    /// clones them only when it keeps the row
+    /// ([`Table::push_distinct_view`]). A row whose ids miss a node of
+    /// `required` is skipped before it is read: the caller proves that a
+    /// target filter rejects it and that nothing on its way can raise an
+    /// error (`Plan`'s module docs).
     pub(crate) fn run(&self, ids: &TupleIds, required: u64, funcs: &FuncRegistry) -> Result<Table> {
         let _span = clio_obs::span("plan.project");
         let required: Vec<NodeId> = bits(required).collect();
-        let mut scratch = vec![Value::Null; ids.scheme().arity()];
+        let mut computed = vec![Value::Null; self.target.arity()];
+        let mut slots = Vec::with_capacity(self.target.arity());
         let mut out = Table::empty(self.target.clone());
         for i in 0..ids.row_count() {
             let row = ids.row(i);
             if required.iter().any(|&v| row[v] == UNCOVERED) {
                 continue;
             }
-            ids.fill(i, &self.reads, &mut scratch);
-            if let Some(projected) = self.eval.target_row_if_passing(&scratch, funcs)? {
-                out.push_distinct(projected);
+            let association = IdRow { ids, i };
+            if !all_pass(&self.eval.source_filters, &association, funcs)? {
+                continue;
+            }
+            self.eval.compute(&association, &mut computed, funcs)?;
+            self.eval.borrow_slots(|c| ids.cell(i, c), &mut slots);
+            let target = TargetView {
+                slots: &slots,
+                computed: &computed,
+            };
+            if all_pass(&self.eval.target_filters, &target, funcs)? {
+                out.push_distinct_view(&target);
             }
         }
         Ok(out)
@@ -950,8 +941,10 @@ impl Projection {
         let mut out = Vec::with_capacity(ids.row_count());
         for i in 0..ids.row_count() {
             let association: Vec<Value> = (0..arity).map(|c| ids.cell(i, c).clone()).collect();
-            let target = self.eval.target_row(&association, funcs)?;
-            let positive = self.eval.passes_filters(&association, &target, funcs)?;
+            let target = self.eval.target_row(association.as_slice(), funcs)?;
+            let positive = self
+                .eval
+                .passes_filters(association.as_slice(), &target, funcs)?;
             out.push(Example {
                 coverage: ids.coverage(i),
                 association,
@@ -1079,8 +1072,7 @@ impl<'t> TupleIds<'t> {
     }
 
     /// Keep the rows passing every filter, in order, each read through
-    /// its ids into one scratch row holding only the columns the
-    /// filters reference.
+    /// its ids in place ([`IdRow`]).
     fn keep(mut self, filters: &[&Expr], funcs: &FuncRegistry) -> Result<Self> {
         if filters.is_empty() {
             return Ok(self);
@@ -1089,24 +1081,11 @@ impl<'t> TupleIds<'t> {
             .iter()
             .map(|f| f.bind(self.scheme()))
             .collect::<Result<_>>()?;
-        let reads = columns_read(self.scheme(), filters.iter().copied())?;
-        let mut scratch = vec![Value::Null; self.scheme().arity()];
         let pass: Vec<bool> = (0..self.row_count())
-            .map(|i| {
-                self.fill(i, &reads, &mut scratch);
-                all_pass(&bound, &scratch, funcs)
-            })
+            .map(|i| all_pass(&bound, &IdRow { ids: &self, i }, funcs))
             .collect::<Result<_>>()?;
         self.retain(&pass);
         Ok(self)
-    }
-
-    /// Fill the `reads` columns of `scratch` with row `i`'s cells (its
-    /// other columns are left as they were).
-    fn fill(&self, i: usize, reads: &[usize], scratch: &mut [Value]) {
-        for &c in reads {
-            scratch[c].clone_from(self.cell(i, c));
-        }
     }
 
     /// Drop the rows `candidates` marks that another row strictly
@@ -1222,6 +1201,20 @@ impl JoinInput for TupleIds<'_> {
             UNCOVERED => &NULL,
             id => &self.rows[node][id as usize][attr],
         }
+    }
+}
+
+/// Row `i` of a [`TupleIds`] as a bound expression reads it: cell `c`
+/// is read through the row's id into the stored relation holding it
+/// ([`JoinInput::cell`]), never copied.
+struct IdRow<'a, 't> {
+    ids: &'a TupleIds<'t>,
+    i: usize,
+}
+
+impl Cells for IdRow<'_, '_> {
+    fn at(&self, c: usize) -> &Value {
+        self.ids.cell(self.i, c)
     }
 }
 
@@ -1939,6 +1932,118 @@ mod tests {
         }
         // the second cached run served every branch's F(J) from the cache
         assert_eq!(cache.stats().hits, 3);
+    }
+
+    /// The join kernel evaluates a residual conjunct, or a whole
+    /// nested-loop predicate, over a view of the pair that reads each
+    /// cell where it lies: with a tuple-id left input over two nodes, it
+    /// joins as `ops::join` over the materialized tables, row for row,
+    /// with the same scheme and work counters.
+    #[test]
+    fn an_id_join_runs_a_residual_over_both_sides_as_the_value_join() {
+        use crate::query_graph::Node;
+        use clio_obs::metrics::Counter;
+        use clio_relational::relation::RelationBuilder;
+        let mut g = QueryGraph::new();
+        for r in ["L", "M", "R"] {
+            g.add_node(Node::new(r)).unwrap();
+        }
+        g.add_edge(0, 1, parse_expr("L.k = M.k").unwrap()).unwrap();
+        g.add_edge(1, 2, parse_expr("M.k = R.k").unwrap()).unwrap();
+        let mut db = Database::new();
+        let (int, str) = (DataType::Int, DataType::Str);
+        let null = Value::Null;
+        for (name, attrs, rows) in [
+            (
+                "L",
+                vec![("k", int), ("a", int)],
+                vec![
+                    vec![1.into(), 5.into()],
+                    vec![2.into(), null.clone()],
+                    vec![3.into(), 1.into()],
+                    vec![3.into(), 8.into()],
+                ],
+            ),
+            (
+                "M",
+                vec![("k", int), ("b", str)],
+                vec![
+                    vec![1.into(), "x".into()],
+                    vec![2.into(), "y".into()],
+                    vec![3.into(), "x".into()],
+                    vec![3.into(), null.clone()],
+                ],
+            ),
+            (
+                "R",
+                vec![("k", int), ("c", int), ("s", str)],
+                vec![
+                    vec![1.into(), 7.into(), "x".into()],
+                    vec![1.into(), 9.into(), "z".into()],
+                    vec![2.into(), 0.into(), "y".into()],
+                    vec![3.into(), 4.into(), "w".into()],
+                    vec![3.into(), 9.into(), "x".into()],
+                    vec![4.into(), 1.into(), "x".into()],
+                ],
+            ),
+        ] {
+            let mut r = RelationBuilder::new(name);
+            for (attr, ty) in attrs {
+                r = r.attr(attr, ty);
+            }
+            db.add_relation(
+                rows.into_iter()
+                    .fold(r, RelationBuilder::row)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+        }
+        let funcs = FuncRegistry::with_builtins();
+        let ex = Exec {
+            db: &db,
+            funcs: &funcs,
+            graph: &g,
+            cache: None,
+        };
+        let form = GraphForm::default();
+        let p = Pass::new(&ex, &form).unwrap();
+        let on = |e: &str| parse_expr(e).unwrap();
+        let left = TupleIds::scan(&p, 0b001)
+            .join_scan(&p, &scan("M", "M"), &on("L.k = M.k"), JoinKind::Inner)
+            .unwrap();
+        let (left_table, right_table) =
+            (left.materialize(), db.relation("R").unwrap().to_table("R"));
+        assert_eq!(left_table.len(), 6);
+        let counted = [
+            Counter::TuplesScanned,
+            Counter::JoinProbes,
+            Counter::JoinOutputRows,
+        ];
+        for (pred, inner_rows) in [
+            // a hash key on `k`, and a residual reading L, M and R
+            ("L.k = R.k AND L.a < R.c AND M.b <> R.s", 2),
+            // no key: the nested loop over the whole predicate
+            ("L.a < R.c AND M.b <> R.s", 4),
+        ] {
+            let pred = on(pred);
+            for kind in [JoinKind::Inner, JoinKind::LeftOuter, JoinKind::FullOuter] {
+                let (by_ids, by_values) = (clio_obs::Recorder::new(), clio_obs::Recorder::new());
+                let ids = by_ids.run(|| left.join_scan(&p, &scan("R", "R"), &pred, kind).unwrap());
+                let expected =
+                    by_values.run(|| join(&left_table, &right_table, &pred, kind, &funcs).unwrap());
+                let got = ids.materialize();
+                assert_eq!(got.scheme(), expected.scheme(), "{pred} {kind:?}");
+                assert_eq!(got.rows(), expected.rows(), "{pred} {kind:?}");
+                if kind == JoinKind::Inner {
+                    assert_eq!(got.len(), inner_rows, "{pred}");
+                }
+                for c in counted {
+                    let (a, b) = (by_ids.snapshot().get(c), by_values.snapshot().get(c));
+                    assert_eq!(a, b, "{pred} {kind:?} {c:?}");
+                }
+            }
+        }
     }
 
     /// A chain's rows by the relational operators, outside the plan

@@ -772,15 +772,20 @@ mod tests {
     /// `Q(M)` without the plan: the reference `D(G)` (the definitional
     /// oracle on cyclic graphs, no pushdown) and the evaluator loop.
     fn reference(m: &Mapping) -> Table {
+        reference_over(&db(), m)
+    }
+
+    /// [`reference`] over `db`.
+    fn reference_over(db: &Database, m: &Mapping) -> Table {
         use crate::full_disjunction::full_disjunction_naive;
-        let (db, funcs) = (db(), funcs());
+        let funcs = funcs();
         let assocs = if m.graph.is_tree() {
-            crate::full_disjunction::full_disjunction(&db, &m.graph, FdAlgo::OuterJoin, &funcs)
+            crate::full_disjunction::full_disjunction(db, &m.graph, FdAlgo::OuterJoin, &funcs)
         } else {
-            full_disjunction_naive(&db, &m.graph, &funcs)
+            full_disjunction_naive(db, &m.graph, &funcs)
         }
         .unwrap();
-        let eval = m.evaluator(&db, &funcs).unwrap();
+        let eval = m.evaluator(db, &funcs).unwrap();
         let mut out = Table::empty(m.target_scheme());
         for i in 0..assocs.len() {
             if let Some(row) = eval.target_row_if_passing(assocs.row(i), &funcs).unwrap() {
@@ -1056,6 +1061,93 @@ mod tests {
         assert!(chain_ir(&m.graph, all, JoinKind::LeftOuter)
             .run(&ex)
             .is_ok());
+    }
+
+    /// Every kind of target slot at once: a literal, an unmapped
+    /// attribute (null), a computed correspondence and a bare column,
+    /// under a source filter and a target filter. The distinct output
+    /// compares its borrowed cells with `Value`'s `==`, so of the rows
+    /// that read `Int(1)` and `Float(1.0)` the first is kept, and two
+    /// rows that differ only in the last column are both kept. Those
+    /// last cells, 2^53 and 2^53 + 1, hash alike (an `Int` hashes as its
+    /// `f64`), so only the `==` on every cell tells the rows apart.
+    #[test]
+    fn every_slot_kind_projects_as_the_reference_byte_for_byte() {
+        const BIG: i64 = 1 << 53;
+        let mut db = Database::new();
+        let null = Value::Null;
+        db.add_relation(
+            RelationBuilder::new("A")
+                .attr_not_null("id", DataType::Str)
+                .attr("x", DataType::Int)
+                .attr("bid", DataType::Str)
+                .attr("s", DataType::Str)
+                .row(vec!["a1".into(), 1i64.into(), "b1".into(), "p".into()])
+                .row(vec!["a2".into(), null.clone(), "b2".into(), "p".into()])
+                .row(vec!["a3".into(), 2i64.into(), "b3".into(), "p".into()])
+                .row(vec!["a4".into(), 2i64.into(), "b4".into(), "p".into()])
+                .row(vec!["a5".into(), 2i64.into(), "b1".into(), "q".into()])
+                .row(vec!["a6".into(), 9i64.into(), "b1".into(), "p".into()])
+                .row(vec!["a7".into(), 3i64.into(), null.clone(), "p".into()])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.add_relation(
+            RelationBuilder::new("B")
+                .attr_not_null("id", DataType::Str)
+                .attr("y", DataType::Float)
+                .attr("n", DataType::Int)
+                .row(vec!["b1".into(), 1.0.into(), 5i64.into()])
+                .row(vec!["b2".into(), 1.0.into(), 5i64.into()])
+                .row(vec!["b3".into(), 5.0.into(), BIG.into()])
+                .row(vec!["b4".into(), 5.0.into(), (BIG + 1).into()])
+                .row(vec!["b5".into(), 0.5.into(), 6i64.into()])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let mut g = QueryGraph::new();
+        let a = g.add_node(Node::new("A")).unwrap();
+        let b = g.add_node(Node::new("B")).unwrap();
+        g.add_edge(a, b, parse_expr("A.bid = B.id").unwrap())
+            .unwrap();
+        let target = RelSchema::new(
+            "K",
+            vec![
+                Attribute::new("tag", DataType::Str),
+                Attribute::new("v", DataType::Float),
+                Attribute::new("note", DataType::Str),
+                Attribute::new("last", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let m = Mapping::new(g, target)
+            .with_correspondence(ValueCorrespondence::parse("'k'", "tag").unwrap())
+            .with_correspondence(ValueCorrespondence::parse("coalesce(A.x, B.y)", "v").unwrap())
+            .with_correspondence(ValueCorrespondence::identity("B.n", "last"))
+            .with_source_filter(parse_expr("A.s = 'p'").unwrap())
+            .with_target_filter(parse_expr("K.v < 5").unwrap());
+        m.validate(&db, &funcs()).unwrap();
+        let expected = reference_over(&db, &m);
+        let rows = |t: &Table| format!("{:?}", t.rows());
+        let k = Value::str("k");
+        // a1 and a2 both read 1 (a2's is B's 1.0): a1's `Int(1)` is kept;
+        // a3 and a4 differ only in `last`; a5 fails the source filter,
+        // a6 the target filter, and b5 alone the source filter
+        let want = vec![
+            vec![k.clone(), Value::Int(1), null.clone(), Value::Int(5)],
+            vec![k.clone(), Value::Int(2), null.clone(), Value::Int(BIG)],
+            vec![k.clone(), Value::Int(2), null.clone(), Value::Int(BIG + 1)],
+            vec![k, Value::Int(3), null.clone(), null],
+        ];
+        assert_eq!(rows(&expected), format!("{want:?}"));
+        let cache = EvalCache::new();
+        for cache in [None, Some(&cache), Some(&cache)] {
+            let planned = m.evaluate_cached(&db, &funcs(), cache).unwrap();
+            assert_eq!(planned.scheme(), expected.scheme());
+            assert_eq!(rows(&planned), rows(&expected));
+        }
     }
 
     #[test]

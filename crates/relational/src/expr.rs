@@ -13,7 +13,13 @@
 //! column references by name each time) or *bound* once into a
 //! [`BoundExpr`] with pre-resolved column indexes — the fast path used by
 //! joins, full disjunction, and the benchmark harness.
+//!
+//! A bound expression reads its row through [`Cells`], a view that hands
+//! out each cell by position: a value row (`[Value]`), a join's pair of
+//! input rows, or a row of tuple ids read through into the relations
+//! holding them. Nothing is copied into a scratch row to be evaluated.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{Error, Result};
@@ -497,6 +503,21 @@ impl fmt::Display for Expr {
     }
 }
 
+/// A row as a [`BoundExpr`] reads it: each cell by its position in the
+/// scheme the expression was bound against. The view decides where a
+/// cell lies; evaluation borrows it and clones only what it computes
+/// with.
+pub trait Cells {
+    /// The value at position `i`.
+    fn at(&self, i: usize) -> &Value;
+}
+
+impl Cells for [Value] {
+    fn at(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
 /// An expression with column references resolved to row indexes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundExpr {
@@ -561,13 +582,13 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluate to a value. Truth-valued subexpressions yield
-    /// `Value::Bool` or `Value::Null`.
-    pub fn eval(&self, row: &[Value], funcs: &FuncRegistry) -> Result<Value> {
+    /// Evaluate to a value, reading each cell through `row`.
+    /// Truth-valued subexpressions yield `Value::Bool` or `Value::Null`.
+    pub fn eval<C: Cells + ?Sized>(&self, row: &C, funcs: &FuncRegistry) -> Result<Value> {
         Ok(match self {
-            BoundExpr::Column(i) => row[*i].clone(),
+            BoundExpr::Column(i) => row.at(*i).clone(),
             BoundExpr::Literal(v) => v.clone(),
-            BoundExpr::Neg(e) => match e.eval(row, funcs)? {
+            BoundExpr::Neg(e) => match &*e.operand(row, funcs)? {
                 Value::Null => Value::Null,
                 Value::Int(i) => Value::Int(-i),
                 Value::Float(f) => Value::Float(-f),
@@ -575,7 +596,7 @@ impl BoundExpr {
             },
             BoundExpr::Not(e) => truth_to_value(e.eval_truth(row, funcs)?.not()),
             BoundExpr::IsNull { expr, negated } => {
-                let is_null = expr.eval(row, funcs)?.is_null();
+                let is_null = expr.operand(row, funcs)?.is_null();
                 Value::Bool(is_null != *negated)
             }
             BoundExpr::Binary { op, left, right } => {
@@ -588,20 +609,21 @@ impl BoundExpr {
                         l.or(r)
                     }));
                 }
-                let l = left.eval(row, funcs)?;
-                let r = right.eval(row, funcs)?;
+                let l = left.operand(row, funcs)?;
+                let r = right.operand(row, funcs)?;
+                let (l, r) = (&*l, &*r);
                 match op {
-                    BinOp::Add => l.add(&r)?,
-                    BinOp::Sub => l.sub(&r)?,
-                    BinOp::Mul => l.mul(&r)?,
-                    BinOp::Div => l.div(&r)?,
-                    BinOp::Concat => concat_values(&l, &r)?,
-                    BinOp::Eq => truth_to_value(l.sql_eq(&r)),
-                    BinOp::Ne => truth_to_value(l.sql_eq(&r).not()),
+                    BinOp::Add => l.add(r)?,
+                    BinOp::Sub => l.sub(r)?,
+                    BinOp::Mul => l.mul(r)?,
+                    BinOp::Div => l.div(r)?,
+                    BinOp::Concat => concat_values(l, r)?,
+                    BinOp::Eq => truth_to_value(l.sql_eq(r)),
+                    BinOp::Ne => truth_to_value(l.sql_eq(r).not()),
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        truth_to_value(compare(*op, &l, &r))
+                        truth_to_value(compare(*op, l, r))
                     }
-                    BinOp::Like => truth_to_value(like(&l, &r)?),
+                    BinOp::Like => truth_to_value(like(l, r)?),
                     BinOp::And | BinOp::Or => unreachable!("handled above"),
                 }
             }
@@ -637,10 +659,10 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let needle = expr.eval(row, funcs)?;
+                let needle = expr.operand(row, funcs)?;
                 let mut t = Truth::False;
                 for e in list {
-                    let candidate = e.eval(row, funcs)?;
+                    let candidate = e.operand(row, funcs)?;
                     t = t.or(needle.sql_eq(&candidate));
                     if t == Truth::True {
                         break;
@@ -654,17 +676,32 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row, funcs)?;
-                let lo = low.eval(row, funcs)?;
-                let hi = high.eval(row, funcs)?;
+                let v = expr.operand(row, funcs)?;
+                let lo = low.operand(row, funcs)?;
+                let hi = high.operand(row, funcs)?;
                 let t = compare(BinOp::Ge, &v, &lo).and(compare(BinOp::Le, &v, &hi));
                 truth_to_value(if *negated { t.not() } else { t })
             }
         })
     }
 
+    /// This expression's value over `row`, borrowed where it lies when
+    /// it is a bare column or a literal, evaluated otherwise: what an
+    /// operator reads of its operands without cloning them.
+    fn operand<'a, C: Cells + ?Sized>(
+        &'a self,
+        row: &'a C,
+        funcs: &FuncRegistry,
+    ) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Column(i) => Cow::Borrowed(row.at(*i)),
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            e => Cow::Owned(e.eval(row, funcs)?),
+        })
+    }
+
     /// Evaluate as a three-valued predicate.
-    pub fn eval_truth(&self, row: &[Value], funcs: &FuncRegistry) -> Result<Truth> {
+    pub fn eval_truth<C: Cells + ?Sized>(&self, row: &C, funcs: &FuncRegistry) -> Result<Truth> {
         match self.eval(row, funcs)? {
             Value::Bool(b) => Ok(Truth::from_bool(b)),
             Value::Null => Ok(Truth::Unknown),
@@ -939,7 +976,7 @@ mod tests {
         let b = e.bind(&scheme()).unwrap();
         let r = row("002", Some("Maya"), Some(4));
         assert_eq!(
-            b.eval(&r, &funcs()).unwrap(),
+            b.eval(r.as_slice(), &funcs()).unwrap(),
             e.eval(&scheme(), &r, &funcs()).unwrap()
         );
     }

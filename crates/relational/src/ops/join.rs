@@ -5,9 +5,10 @@
 //! query graphs and the `LEFT JOIN`s of generated mapping SQL.
 //!
 //! The implementation extracts equality conjuncts that span the two inputs
-//! and uses a hash join on them; any residual predicate is evaluated on a
-//! scratch row holding the pair's values. Null join-key values never match
-//! (SQL semantics — this is exactly what makes join predicates *strong*).
+//! and uses a hash join on them; any residual predicate is evaluated over
+//! a view of the pair ([`Cells`]) that reads each cell from its own side,
+//! where it lies. Null join-key values never match (SQL semantics — this
+//! is exactly what makes join predicates *strong*).
 //!
 //! The hash join allocates nothing per probe. The right input's key
 //! columns are hashed in place into the crate's `RowIndex`, whose chains
@@ -43,7 +44,7 @@
 use clio_obs::metrics::{self, Counter};
 
 use crate::error::Result;
-use crate::expr::{BinOp, Expr};
+use crate::expr::{BinOp, Cells, Expr};
 use crate::funcs::FuncRegistry;
 use crate::relation::Relation;
 use crate::schema::Scheme;
@@ -141,13 +142,6 @@ pub trait JoinInput {
     /// The value of column `col` in row `row`.
     fn cell(&self, row: usize, col: usize) -> &Value;
 
-    /// Copy row `row` into `out`, one value per column.
-    fn fill(&self, row: usize, out: &mut [Value]) {
-        for (col, slot) in out.iter_mut().enumerate() {
-            slot.clone_from(self.cell(row, col));
-        }
-    }
-
     /// The stored relation whose rows this side reads, in order and at
     /// the same column positions, if it is one. A hash join with such a
     /// right side keeps its key index on the relation and reuses it.
@@ -168,10 +162,6 @@ impl JoinInput for (&Scheme, &[Vec<Value>]) {
     fn cell(&self, row: usize, col: usize) -> &Value {
         &self.1[row][col]
     }
-
-    fn fill(&self, row: usize, out: &mut [Value]) {
-        out.clone_from_slice(&self.1[row]);
-    }
 }
 
 /// A stored relation read in place under `scheme`, a scheme of its
@@ -191,12 +181,29 @@ impl JoinInput for (&Scheme, &Relation) {
         &self.1.rows()[row][col]
     }
 
-    fn fill(&self, row: usize, out: &mut [Value]) {
-        out.clone_from_slice(&self.1.rows()[row]);
-    }
-
     fn stored(&self) -> Option<&Relation> {
         Some(self.1)
+    }
+}
+
+/// Left row `l` beside right row `r`, as a predicate over the joined
+/// scheme reads them: a cell left of `split`, the left side's arity, is
+/// the left row's, the rest the right row's.
+struct Pair<'a, L, R> {
+    left: &'a L,
+    right: &'a R,
+    split: usize,
+    l: usize,
+    r: usize,
+}
+
+impl<L: JoinInput, R: JoinInput> Cells for Pair<'_, L, R> {
+    fn at(&self, i: usize) -> &Value {
+        if i < self.split {
+            self.left.cell(self.l, i)
+        } else {
+            self.right.cell(self.r, i - self.split)
+        }
     }
 }
 
@@ -218,9 +225,9 @@ pub enum Joined {
 /// cell readers are monomorphised into the loops.
 ///
 /// Equality conjuncts with one column per side are hash keys; the rest
-/// of the predicate is a residual, evaluated on a scratch row holding
-/// the pair's values. Without a key the join is a nested loop over the
-/// whole predicate. Matches come out in the nested loop's order: left
+/// of the predicate is a residual, evaluated over the pair read in
+/// place (nothing is copied). Without a key the join is a nested loop
+/// over the whole predicate. Matches come out in the nested loop's order: left
 /// rows in order, each with its right matches ascending, then (for
 /// `FullOuter`) the unmatched right rows.
 pub fn join_with<L: JoinInput, R: JoinInput>(
@@ -236,7 +243,7 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
     let scheme = left_scheme.concat(right_scheme)?;
 
     // Split the predicate into equi-conjuncts usable as hash keys and a
-    // residual expression evaluated on the pair's scratch row.
+    // residual expression evaluated over the pair.
     let conjuncts = flatten_conjuncts(pred);
     let mut left_keys: Vec<usize> = Vec::new();
     let mut right_keys: Vec<usize> = Vec::new();
@@ -256,9 +263,14 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
         Some(Expr::conjunction(residual).bind(&scheme)?)
     };
 
-    let left_arity = left_scheme.arity();
-    // The pair a residual or nested-loop predicate is evaluated on.
-    let mut scratch = vec![Value::Null; scheme.arity()];
+    // The pair a residual or nested-loop predicate is evaluated over.
+    let pair = |l: usize, r: usize| Pair {
+        left,
+        right,
+        split: left_scheme.arity(),
+        l,
+        r,
+    };
     let mut right_matched = vec![false; right.row_count()];
     // Work counters, accumulated locally and flushed once on return.
     let mut probes: u64 = 0;
@@ -274,10 +286,8 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
         for l in 0..left.row_count() {
             let mut matched = false;
             probes += right.row_count() as u64;
-            left.fill(l, &mut scratch[..left_arity]);
             for (r, right_matched) in right_matched.iter_mut().enumerate() {
-                right.fill(r, &mut scratch[left_arity..]);
-                if bound.eval_truth(&scratch, funcs)?.passes() {
+                if bound.eval_truth(&pair(l, r), funcs)?.passes() {
                     matched = true;
                     *right_matched = true;
                     emit(Joined::Pair(l, r));
@@ -316,11 +326,7 @@ pub fn join_with<L: JoinInput, R: JoinInput>(
                     }
                     let ok = match &residual {
                         None => true,
-                        Some(b) => {
-                            left.fill(l, &mut scratch[..left_arity]);
-                            right.fill(r, &mut scratch[left_arity..]);
-                            b.eval_truth(&scratch, funcs)?.passes()
-                        }
+                        Some(b) => b.eval_truth(&pair(l, r), funcs)?.passes(),
                     };
                     if ok {
                         matched = true;

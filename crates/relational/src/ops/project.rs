@@ -19,7 +19,7 @@ pub fn project(table: &Table, outputs: &[(Expr, Column)], funcs: &FuncRegistry) 
     for row in table.rows() {
         let mut new_row = Vec::with_capacity(bound.len());
         for b in &bound {
-            new_row.push(b.eval(row, funcs)?);
+            new_row.push(b.eval(row.as_slice(), funcs)?);
         }
         out.push(new_row);
     }

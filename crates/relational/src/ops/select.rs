@@ -12,7 +12,7 @@ pub fn select(table: &Table, pred: &Expr, funcs: &FuncRegistry) -> Result<Table>
     let bound = pred.bind(table.scheme())?;
     let mut out = Table::empty(table.scheme().clone());
     for row in table.rows() {
-        if bound.eval_truth(row, funcs)?.passes() {
+        if bound.eval_truth(row.as_slice(), funcs)?.passes() {
             out.push(row.clone());
         }
     }

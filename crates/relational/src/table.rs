@@ -13,9 +13,19 @@
 //! decide membership with `Value`'s `==` — a hash match is only a
 //! candidate — so they answer exactly what a `Vec::contains` scan would.
 //!
+//! **One probe, owned rows or borrowed cells.** A row is offered to the
+//! index either owned ([`Table::push_distinct`], `extend_distinct`) or
+//! as a view of cells that lie elsewhere ([`Table::push_distinct_view`]:
+//! a projection's target row, read through its association). Both go
+//! through the same probe: the cells are hashed where they lie, each
+//! candidate is confirmed cell by cell with `==`, and only a row the
+//! table keeps is stored. An owned row is moved in; a view's cells are
+//! cloned into a new row then, and only then, so a duplicate offered as
+//! a view allocates nothing.
+//!
 //! **One hasher.** The crate's row index (`RowIndex`) hashes each key
-//! once, in place, and files it under that hash as is: the joins,
-//! `push_distinct` and the subsumption probes pay one hash per key and
+//! once, in place, and files it under that hash as is: the joins, the
+//! distinct pushes and the subsumption probes pay one hash per key and
 //! allocate nothing per key. Every index hashes with one keyed
 //! `RandomState`, created on first use and kept for the process: a hash
 //! computed for one index is valid in every other, and the key is still
@@ -45,6 +55,7 @@ use clio_obs::metrics::{self, Counter};
 
 use crate::display::render_table;
 use crate::error::Result;
+use crate::expr::Cells;
 use crate::schema::{ColumnRef, Scheme};
 use crate::value::Value;
 
@@ -153,15 +164,24 @@ impl RowSet {
         let mut distinct = true;
         for row in rows {
             let hash = RowIndex::hash(row);
-            distinct = distinct && !set.holds(rows, row, hash);
+            distinct = distinct && !set.holds(rows, row.iter(), hash);
             set.link(hash);
         }
         (set, distinct)
     }
 
-    /// Does a linked row of `rows` equal `row`, whose hash is `hash`?
-    fn holds(&self, rows: &[Vec<Value>], row: &[Value], hash: u64) -> bool {
-        self.index.candidates(hash).any(|p| rows[p] == row)
+    /// Does a linked row of `rows` equal the row `cells` reads, whose
+    /// hash is `hash`? Each candidate is confirmed cell by cell with
+    /// `Value`'s `==`.
+    fn holds<'v>(
+        &self,
+        rows: &[Vec<Value>],
+        cells: impl Iterator<Item = &'v Value> + Clone,
+        hash: u64,
+    ) -> bool {
+        self.index
+            .candidates(hash)
+            .any(|p| rows[p].iter().eq(cells.clone()))
     }
 
     /// Link the next position under `hash`.
@@ -266,7 +286,21 @@ impl Table {
     pub fn push_distinct(&mut self, row: Vec<Value>) {
         metrics::incr(Counter::DedupRows);
         let hash = RowIndex::hash(&row);
-        self.insert_hashed(row, hash);
+        if self.admit(row.iter(), hash) {
+            self.rows.push(row);
+        }
+    }
+
+    /// [`Table::push_distinct`] of the row `row` views, one cell per
+    /// column: the cells are hashed and compared where they lie, and
+    /// cloned into a new row only when no equal row is present.
+    pub fn push_distinct_view<C: Cells + ?Sized>(&mut self, row: &C) {
+        metrics::incr(Counter::DedupRows);
+        let cells = (0..self.scheme.arity()).map(|i| row.at(i));
+        let hash = RowIndex::hash(cells.clone());
+        if self.admit(cells.clone(), hash) {
+            self.rows.push(cells.cloned().collect());
+        }
     }
 
     /// Push every row of `other` that is not already present, in order:
@@ -291,22 +325,28 @@ impl Table {
             None => other.rows.iter().map(RowIndex::hash).collect(),
         };
         for (row, hash) in other.rows.into_iter().zip(hashes) {
-            self.insert_hashed(row, hash);
+            if self.admit(row.iter(), hash) {
+                self.rows.push(row);
+            }
         }
     }
 
-    /// Push `row`, whose hash is `hash`, unless an equal row is present.
-    fn insert_hashed(&mut self, row: Vec<Value>, hash: u64) {
-        let rows = &mut self.rows;
+    /// The one probe of every distinct push: is the row `cells` reads,
+    /// whose hash is `hash`, new? When it is, its position is linked
+    /// under `hash` and the caller must push it next. The first probe
+    /// indexes the rows already present.
+    fn admit<'v>(&mut self, cells: impl Iterator<Item = &'v Value> + Clone, hash: u64) -> bool {
+        let rows = &self.rows;
         let index = self.index.get_or_insert_with(|| {
             let (index, distinct) = RowSet::build(rows);
             self.set = distinct;
             Box::new(index)
         });
-        if !index.holds(rows, &row, hash) {
+        let new = !index.holds(rows, cells, hash);
+        if new {
             index.link(hash);
-            rows.push(row);
         }
+        new
     }
 
     /// Remove exact duplicate rows, preserving first-occurrence order.
@@ -593,6 +633,52 @@ mod tests {
         let kept = &t.index.as_ref().expect("indexed").hashes;
         let fresh: Vec<u64> = t.rows().iter().map(RowIndex::hash).collect();
         assert_eq!(kept, &fresh);
+    }
+
+    #[test]
+    fn pushing_views_keeps_what_pushing_owned_rows_keeps() {
+        /// A row read through a permutation of a wider record, as a
+        /// projection reads its target cells.
+        struct Picked<'a>(&'a [Value], [usize; 2]);
+        impl Cells for Picked<'_> {
+            fn at(&self, i: usize) -> &Value {
+                &self.0[self.1[i]]
+            }
+        }
+        let records: Vec<[Value; 3]> = vec![
+            [Value::str("x"), Value::Null, Value::Int(1)],
+            [Value::str("x"), Value::Int(0), Value::Float(1.0)],
+            [Value::str("y"), Value::Null, Value::Int(1)],
+            [Value::str("x"), Value::Null, Value::Float(1.5)],
+            [Value::str("y"), Value::Int(7), Value::Int(1)],
+            // 2^53 and 2^53 + 1 hash alike: only `==` keeps both
+            [Value::str("z"), Value::Null, Value::Int(1 << 53)],
+            [Value::str("z"), Value::Null, Value::Int((1 << 53) + 1)],
+        ];
+        let (rec_owned, rec_views) = (clio_obs::Recorder::new(), clio_obs::Recorder::new());
+        for start in [Table::empty(scheme()), listed(&[(1, "x"), (1, "x")]), t()] {
+            let start_len = start.len();
+            let mut owned = start.clone();
+            let mut views = start;
+            rec_owned.run(|| {
+                for r in &records {
+                    owned.push_distinct(vec![r[2].clone(), r[0].clone()]);
+                }
+            });
+            rec_views.run(|| {
+                for r in &records {
+                    views.push_distinct_view(&Picked(r, [2, 0]));
+                }
+            });
+            assert_eq!(format!("{:?}", views.rows()), format!("{:?}", owned.rows()));
+            assert_eq!(views.is_set(), owned.is_set());
+            if start_len == 0 {
+                assert_eq!(views.len(), 5, "two offered rows repeat an earlier one");
+            }
+        }
+        let (a, b) = (rec_owned.snapshot(), rec_views.snapshot());
+        assert_eq!(a.get(Counter::DedupRows), 3 * records.len() as u64);
+        assert_eq!(b.get(Counter::DedupRows), a.get(Counter::DedupRows));
     }
 
     #[test]

@@ -642,6 +642,15 @@ echo "    MAP file == its saved copy (byte-identical); explain == golden; cyclic
 #       --script chain.clio --metrics scripts/golden/chain-counters.json >/dev/null
 #
 # with the two MAP files below.
+#
+# Both of those runs project through the same code, so an answer that is
+# wrong the same way with the cache on and off would pass them. The
+# answer itself is pinned too: the cksum of the table lines of the
+# cache-off stdout must match scripts/golden/chain-preview.cksum.
+# Regenerate it, after a change meant to move the answer, with
+#
+#   target/release/clio-shell --synthetic chain,4,1000 --threads 1 --no-cache \
+#       --script chain.clio | grep '^|' | cksum > scripts/golden/chain-preview.cksum
 echo "==> chain-refresh counter gate (--synthetic chain,4,1000, prefix accepted, --threads 1, --no-cache, then cache on)"
 tmp_chain_prefix="$(mktemp)"
 tmp_chain_full="$(mktemp)"
@@ -681,6 +690,7 @@ chain_diff=0
 diff -u scripts/golden/chain-counters.json "$tmp_chain_metrics" || chain_diff=1
 chain_cached_diff=0
 diff -u "$tmp_chain_out" "$tmp_chain_cached_out" || chain_cached_diff=1
+chain_answer="$(grep '^|' "$tmp_chain_out" | cksum)"
 rm -f "$tmp_chain_prefix" "$tmp_chain_full" "$tmp_chain_script" "$tmp_chain_metrics" \
     "$tmp_chain_out" "$tmp_chain_cached_out"
 if [ "$chain_diff" -ne 0 ]; then
@@ -692,6 +702,10 @@ if [ "$chain_cached_diff" -ne 0 ]; then
     echo "verify: FAILED — the chain refresh printed a different answer with the cache on" >&2
     exit 1
 fi
-echo "    chain refresh counters == golden; cache-on answer == cache-off answer"
+if [ "$chain_answer" != "$(cat scripts/golden/chain-preview.cksum)" ]; then
+    echo "verify: FAILED — the chain refresh's answer ($chain_answer) drifted from scripts/golden/chain-preview.cksum" >&2
+    exit 1
+fi
+echo "    chain refresh counters == golden; cache-on answer == cache-off answer; answer cksum == golden"
 
 echo "verify: OK"
