@@ -124,10 +124,7 @@ pub static CACHE_SUBCOMMANDS: &[SubcommandSpec<CacheAction>] = &[
             if arg.is_empty() {
                 return err("usage: cache limit <bytes>");
             }
-            let bytes = arg
-                .parse()
-                .map_err(|_| ParseError(format!("expected a byte budget, got `{arg}`")))?;
-            Ok(CacheAction::Limit(bytes))
+            Ok(CacheAction::Limit(parse_arg("a byte budget", arg)?))
         },
     },
 ];
@@ -563,49 +560,49 @@ pub enum Command {
 }
 
 impl Command {
-    /// The command's stable keyword kind (e.g. `"corr"`). The network
-    /// front-end keys its per-command `net.request.*` latency
-    /// histograms on this, so the strings must stay stable.
+    /// The `net.request.*` latency histogram the network front-end files
+    /// this command under: one per verb (`profile spans` is `profile`),
+    /// so the names must stay stable. Histogram names are `'static`,
+    /// hence one literal per verb.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub fn hist_name(&self) -> &'static str {
         match self {
-            Command::Noop => "noop",
-            Command::Quit => "quit",
-            Command::Help => "help",
-            Command::Source => "source",
-            Command::Show { .. } => "show",
-            Command::Target => "target",
-            Command::Corr { .. } => "corr",
-            Command::Walk { .. } => "walk",
-            Command::Chase { .. } => "chase",
-            Command::Workspaces => "workspaces",
-            Command::Activate { .. } => "activate",
-            Command::Confirm { .. } => "confirm",
-            Command::Delete { .. } => "delete",
-            Command::Accept => "accept",
-            Command::Illustration => "illustration",
-            Command::Induced => "induced",
-            Command::Alternatives { .. } => "alternatives",
-            Command::Swap { .. } => "swap",
-            Command::Examples => "examples",
-            Command::Mapping => "mapping",
-            Command::Sql => "sql",
-            Command::Filter { .. } => "filter",
-            Command::Require { .. } => "require",
-            Command::Status => "status",
-            Command::Stats(_) => "stats",
-            Command::Trace { .. } => "trace",
-            Command::Cache(_) => "cache",
-            Command::Db(_) => "db",
-            Command::Map(_) => "map",
-            Command::Explain => "explain",
-            Command::Profile => "profile",
-            Command::ProfileSpans { .. } => "profile",
-            Command::Mine { .. } => "mine",
-            Command::Verify { .. } => "verify",
-            Command::Contributions => "contributions",
-            Command::SaveMapping { .. } => "save",
-            Command::LoadMapping { .. } => "load",
+            Command::Noop => "net.request.noop",
+            Command::Quit => "net.request.quit",
+            Command::Help => "net.request.help",
+            Command::Source => "net.request.source",
+            Command::Show { .. } => "net.request.show",
+            Command::Target => "net.request.target",
+            Command::Corr { .. } => "net.request.corr",
+            Command::Walk { .. } => "net.request.walk",
+            Command::Chase { .. } => "net.request.chase",
+            Command::Workspaces => "net.request.workspaces",
+            Command::Activate { .. } => "net.request.activate",
+            Command::Confirm { .. } => "net.request.confirm",
+            Command::Delete { .. } => "net.request.delete",
+            Command::Accept => "net.request.accept",
+            Command::Illustration => "net.request.illustration",
+            Command::Induced => "net.request.induced",
+            Command::Alternatives { .. } => "net.request.alternatives",
+            Command::Swap { .. } => "net.request.swap",
+            Command::Examples => "net.request.examples",
+            Command::Mapping => "net.request.mapping",
+            Command::Sql => "net.request.sql",
+            Command::Filter { .. } => "net.request.filter",
+            Command::Require { .. } => "net.request.require",
+            Command::Status => "net.request.status",
+            Command::Stats(_) => "net.request.stats",
+            Command::Trace { .. } => "net.request.trace",
+            Command::Cache(_) => "net.request.cache",
+            Command::Db(_) => "net.request.db",
+            Command::Map(_) => "net.request.map",
+            Command::Explain => "net.request.explain",
+            Command::Profile | Command::ProfileSpans { .. } => "net.request.profile",
+            Command::Mine { .. } => "net.request.mine",
+            Command::Verify { .. } => "net.request.verify",
+            Command::Contributions => "net.request.contributions",
+            Command::SaveMapping { .. } => "net.request.save",
+            Command::LoadMapping { .. } => "net.request.load",
         }
     }
 }
@@ -625,6 +622,21 @@ impl std::error::Error for ParseError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
+}
+
+/// Parse `s` as a `T`, or fail with ``expected {what}, got `{s}` ``.
+fn parse_arg<T: std::str::FromStr>(what: &str, s: &str) -> Result<T, ParseError> {
+    s.parse()
+        .map_err(|_| ParseError(format!("expected {what}, got `{s}`")))
+}
+
+/// [`parse_arg`] for an optional argument: an empty one is `None`.
+fn parse_opt_arg<T: std::str::FromStr>(what: &str, s: &str) -> Result<Option<T>, ParseError> {
+    if s.is_empty() {
+        Ok(None)
+    } else {
+        parse_arg(what, s).map(Some)
+    }
 }
 
 fn parse_id(s: &str) -> Result<usize, ParseError> {
@@ -754,29 +766,15 @@ pub fn parse(line: &str) -> Result<Command, ParseError> {
             let arg = arg.trim();
             match sub {
                 "" => Ok(Command::Profile),
-                "spans" => {
-                    let top = if arg.is_empty() {
-                        None
-                    } else {
-                        Some(arg.parse().map_err(|_| {
-                            ParseError(format!("expected a span count, got `{arg}`"))
-                        })?)
-                    };
-                    Ok(Command::ProfileSpans { top })
-                }
+                "spans" => Ok(Command::ProfileSpans {
+                    top: parse_opt_arg("a span count", arg)?,
+                }),
                 other => err(format!("unknown profile subcommand `{other}` (try `help`)")),
             }
         }
-        "mine" => {
-            let min_containment = if rest.is_empty() {
-                None
-            } else {
-                Some(rest.parse().map_err(|_| {
-                    ParseError(format!("expected a containment fraction, got `{rest}`"))
-                })?)
-            };
-            Ok(Command::Mine { min_containment })
-        }
+        "mine" => Ok(Command::Mine {
+            min_containment: parse_opt_arg("a containment fraction", rest)?,
+        }),
         "verify" => {
             let keys = if rest.is_empty() {
                 None
@@ -995,8 +993,8 @@ mod tests {
             .0
             .contains("unknown map subcommand"));
         assert_eq!(parse("explain").unwrap(), Command::Explain);
-        assert_eq!(parse("explain").unwrap().kind(), "explain");
-        assert_eq!(parse("map show").unwrap().kind(), "map");
+        assert_eq!(parse("explain").unwrap().hist_name(), "net.request.explain");
+        assert_eq!(parse("map show").unwrap().hist_name(), "net.request.map");
     }
 
     /// The family dispatcher's errors are byte-identical to the

@@ -1,10 +1,19 @@
 //! Typed command-line configuration for the `clio-shell` binary.
 //!
+//! One table, `FLAGS`, defines the flag vocabulary: each row gives a
+//! flag's spelling, its value placeholder, its help lines, the kind of
+//! value it takes, its `CLIO_*` environment fallback and the mode it
+//! needs. [`CliConfig::parse`], [`CliConfig::apply_env`], the flags
+//! block of [`usage`] and the mode-strictness errors are all read off
+//! that table, so a flag cannot be parsed without being documented.
+//!
 //! [`CliConfig::parse`] turns an argv slice into a [`CliConfig`] or a
 //! [`UsageError`] whose `Display` is exactly the message the binary
 //! prints to stderr before exiting 2 — so tests can assert on flag
 //! handling without spawning a process, and the binary's behavior is
 //! the library's behavior.
+
+use std::fmt::Write as _;
 
 use clio_datagen::synthetic::{SyntheticSpec, Topology};
 
@@ -25,6 +34,13 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
+/// End the binary as every usage error and every unreadable input does:
+/// `msg` on stderr, then exit status 2.
+pub fn exit_2(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 /// Which front-end the binary runs, selected by an optional leading
 /// subcommand word (`serve` / `connect <addr>`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,74 +56,441 @@ pub enum Mode {
     Connect(String),
 }
 
+impl Mode {
+    /// The mode's name in error messages.
+    fn word(&self) -> &'static str {
+        match self {
+            Mode::Local => "local",
+            Mode::Serve => "serve",
+            Mode::Connect(_) => "connect",
+        }
+    }
+}
+
 /// Everything the `clio-shell` binary accepts on its command line, in
-/// typed form. See the binary's `--help` for flag semantics.
+/// typed form. Each field is filled by the `FLAGS` row named in its
+/// doc (see `--help`); numbers are validated positive unless noted.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CliConfig {
-    /// Front-end mode: local shell (default), `serve`, or
-    /// `connect <addr>`.
+    /// Local shell (default), `serve`, or `connect <addr>`.
     pub mode: Mode,
-    /// `--port <n>` (serve): TCP port to listen on; 0 (the default)
-    /// picks an ephemeral port. Environment fallback: `CLIO_PORT`.
+    /// `--port` (`CLIO_PORT`); any port, 0 picks an ephemeral one.
     pub port: Option<u16>,
-    /// `--max-conns <n>` (serve): concurrent-connection cap (validated
-    /// positive; default: the `--threads` width). Environment fallback:
-    /// `CLIO_MAX_CONNS`.
+    /// `--max-conns` (`CLIO_MAX_CONNS`).
     pub max_conns: Option<usize>,
-    /// `--idle-ms <n>` (serve): per-connection idle timeout in
-    /// milliseconds (validated positive; default 30000). Environment
-    /// fallback: `CLIO_IDLE_MS`.
+    /// `--idle-ms` (`CLIO_IDLE_MS`), in milliseconds.
     pub idle_ms: Option<u64>,
-    /// `--help` / `-h`: print usage and exit 0. Parsing stops at the
-    /// flag, so anything after it is neither validated nor applied.
+    /// `--help` / `-h`: parsing stops at the flag, so anything after it
+    /// is neither validated nor applied.
     pub help: bool,
-    /// `--script <file>`: run commands from a script instead of stdin.
+    /// `--script`.
     pub script: Option<String>,
     /// Positional arguments: script files run as a concurrent batch.
     pub batch_scripts: Vec<String>,
-    /// `--sessions <n>`: batch width (validated positive).
+    /// `--sessions`: batch width.
     pub sessions_width: Option<usize>,
-    /// `--source <dir>`: CSV source database directory.
+    /// `--source`: CSV source database directory.
     pub source_dir: Option<String>,
-    /// `--db-dir <dir>`: paged source database directory (heap files
-    /// written by `db save`; see `docs/storage.md`).
+    /// `--db-dir`: paged source database directory.
     pub db_dir: Option<String>,
-    /// `--db-pool <pages>`: buffer-pool page budget for `--db-dir`
-    /// (validated positive; default 64).
+    /// `--db-pool`: buffer-pool page budget for `--db-dir`.
     pub db_pool: Option<usize>,
-    /// `--target <schema>`: target schema text.
+    /// `--target`: target schema text.
     pub target_spec: Option<String>,
-    /// `--mapping <file>`: MAP-language statement file loaded as the
-    /// initial workspace (see `docs/planner.md`).
+    /// `--mapping`: MAP statement file loaded as the first workspace.
     pub mapping_file: Option<String>,
-    /// `--synthetic <spec>`: validated generator spec.
+    /// `--synthetic`: validated generator spec.
     pub synthetic: Option<SyntheticSpec>,
-    /// `--metrics <file>`: counter JSON report path (`-` = stdout).
+    /// `--metrics`: counter JSON report path (`-` = stdout).
     pub metrics_path: Option<String>,
-    /// `--trace` (or implied by `--trace-filter`).
+    /// `--trace`, or implied by `--trace-filter`.
     pub trace: bool,
-    /// `--trace-filter <name>`.
+    /// `--trace-filter`.
     pub trace_filter: Option<String>,
-    /// `--trace-out <file>`: Chrome trace-event JSONL export path.
-    /// Enables span collection without implying the `--trace` tree.
+    /// `--trace-out`: Chrome trace-event JSONL export path.
     pub trace_out: Option<String>,
-    /// `--slow-ms <n>`: warn on spans at least this slow (validated
-    /// positive; `CLIO_SLOW_MS` is the environment fallback).
+    /// `--slow-ms` (`CLIO_SLOW_MS`), in milliseconds.
     pub slow_ms: Option<u64>,
-    /// `--threads <n>`: engine worker threads (validated positive).
+    /// `--threads`: engine worker threads.
     pub threads: Option<usize>,
-    /// `--no-cache`: disable the incremental evaluation cache.
+    /// `--no-cache`.
     pub no_cache: bool,
-    /// `--cache-dir <path>`: attach an on-disk cache store rooted at
-    /// this directory (see `docs/incremental.md`, Persistence).
+    /// `--cache-dir`: root of the on-disk cache store.
     pub cache_dir: Option<String>,
 }
 
-/// The value of flag `flag`, or the binary's exact missing-value error.
-fn require_value(args: &[String], i: usize, flag: &str) -> Result<String, UsageError> {
-    args.get(i)
-        .cloned()
-        .ok_or_else(|| UsageError(format!("{flag} requires a value (see --help)")))
+/// The kind of value a flag takes, with the [`CliConfig`] field it
+/// fills. Each kind has one parser, and that parser formats the same
+/// message whether the value came from the flag or from its `CLIO_*`
+/// variable.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag sets the field.
+    Switch(fn(&mut CliConfig) -> &mut bool),
+    /// Any text.
+    Text(fn(&mut CliConfig) -> &mut Option<String>),
+    /// A positive integer.
+    Count(fn(&mut CliConfig) -> &mut Option<usize>),
+    /// A positive integer of milliseconds.
+    Millis(fn(&mut CliConfig) -> &mut Option<u64>),
+    /// A TCP port number.
+    Port(fn(&mut CliConfig) -> &mut Option<u16>),
+    /// A `<topology>,<relations>,<rows>` generator spec.
+    Synthetic,
+}
+
+impl Kind {
+    /// Read `value` into the field; `who` (the flag or the variable)
+    /// names the value in the error.
+    fn store(self, cfg: &mut CliConfig, who: &str, value: &str) -> Result<(), UsageError> {
+        match self {
+            Kind::Switch(field) => *field(cfg) = true,
+            Kind::Text(field) => *field(cfg) = Some(value.to_owned()),
+            Kind::Count(field) => *field(cfg) = Some(positive(who, "", value)?),
+            Kind::Millis(field) => *field(cfg) = Some(positive(who, " (milliseconds)", value)?),
+            Kind::Port(field) => {
+                let port = value.parse().map_err(|_| {
+                    UsageError(format!(
+                        "{who} expects a port number (0-65535), got `{value}`"
+                    ))
+                })?;
+                *field(cfg) = Some(port);
+            }
+            Kind::Synthetic => cfg.synthetic = Some(parse_synthetic(value)?),
+        }
+        Ok(())
+    }
+
+    /// Whether the field holds a value (or the switch is on).
+    fn is_set(self, cfg: &mut CliConfig) -> bool {
+        match self {
+            Kind::Switch(field) => *field(cfg),
+            Kind::Text(field) => field(cfg).is_some(),
+            Kind::Count(field) => field(cfg).is_some(),
+            Kind::Millis(field) => field(cfg).is_some(),
+            Kind::Port(field) => field(cfg).is_some(),
+            Kind::Synthetic => cfg.synthetic.is_some(),
+        }
+    }
+}
+
+/// Parse a positive integer; `unit` (with its leading space) is named
+/// in the error.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    who: &str,
+    unit: &str,
+    value: &str,
+) -> Result<T, UsageError> {
+    value
+        .parse()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| {
+            UsageError(format!(
+                "{who} expects a positive integer{unit}, got `{value}`"
+            ))
+        })
+}
+
+/// The modes a flag may be given in. When several flags refuse the
+/// mode, the error names the one whose need comes first in this order
+/// (then the first in [`FLAGS`]); positional scripts given outside the
+/// local shell rank between `Local` and `NotRemote`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Needs {
+    /// Every mode.
+    Any,
+    /// `serve` only.
+    Serve,
+    /// The local shell only; over the wire, `load` does the job.
+    Local,
+    /// The local shell only: neither `serve` nor `connect`.
+    NotRemote,
+    /// Any mode but `serve`.
+    NotServe,
+}
+
+impl Needs {
+    fn admits(self, mode: &Mode) -> bool {
+        match self {
+            Needs::Any => true,
+            Needs::Serve => *mode == Mode::Serve,
+            Needs::Local | Needs::NotRemote => *mode == Mode::Local,
+            Needs::NotServe => *mode != Mode::Serve,
+        }
+    }
+
+    /// The error for `flag` given in a mode it does not admit.
+    fn refusal(self, flag: &str, mode: &Mode) -> UsageError {
+        UsageError(match self {
+            Needs::Serve => format!("{flag} requires serve mode (see --help)"),
+            Needs::Local => {
+                format!("{flag} requires local mode (use `load` over the wire; see --help)")
+            }
+            _ => format!("{flag} conflicts with {} mode (see --help)", mode.word()),
+        })
+    }
+}
+
+/// One row of [`FLAGS`].
+struct Flag {
+    /// The flag as `--help` lists it: its spellings, comma-separated,
+    /// then its value placeholder (`--script <file>`, `--help, -h`).
+    usage: &'static str,
+    /// The `--help` description lines.
+    help: &'static [&'static str],
+    kind: Kind,
+    /// The environment variable read when the flag is not given.
+    env: Option<&'static str>,
+    needs: Needs,
+}
+
+impl Flag {
+    /// The spellings the parser accepts, the flag's name first.
+    fn spellings(&self) -> impl Iterator<Item = &'static str> {
+        let usage = self.usage;
+        usage
+            .split_once(" <")
+            .map_or(usage, |(names, _)| names)
+            .split(", ")
+    }
+}
+
+/// Every flag of `clio-shell`, in `--help` order.
+static FLAGS: &[Flag] = &[
+    Flag {
+        usage: "--script <file>",
+        help: &["run commands from a script instead of stdin"],
+        kind: Kind::Text(|c| &mut c.script),
+        env: None,
+        needs: Needs::NotServe,
+    },
+    Flag {
+        usage: "--sessions <n>",
+        help: &[
+            "batch mode: run the positional scripts up to",
+            "<n> at a time as concurrent sessions (default",
+            "1; requires script arguments, conflicts with",
+            "--script)",
+        ],
+        kind: Kind::Count(|c| &mut c.sessions_width),
+        env: None,
+        needs: Needs::NotRemote,
+    },
+    Flag {
+        usage: "--source <dir>",
+        help: &["load a source database from CSV files (needs --target)"],
+        kind: Kind::Text(|c| &mut c.source_dir),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--target <schema>",
+        help: &["target schema, e.g. \"Kids (ID str not null, name str)\""],
+        kind: Kind::Text(|c| &mut c.target_spec),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--synthetic <spec>",
+        help: &[
+            "generate a source: <topology>,<relations>,<rows>",
+            "(topology: chain | star | cycle | tree)",
+        ],
+        kind: Kind::Synthetic,
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--mapping <file>",
+        help: &[
+            "load a MAP-language statement (see docs/planner.md)",
+            "as the initial workspace before reading commands",
+            "(single-session local mode only)",
+        ],
+        kind: Kind::Text(|c| &mut c.mapping_file),
+        env: None,
+        needs: Needs::Local,
+    },
+    Flag {
+        usage: "--db-dir <dir>",
+        help: &[
+            "open a paged source database written by `db save`",
+            "(relations stream through a buffer pool instead of",
+            "loading upfront; see docs/storage.md); the target",
+            "comes from --target or the directory's _target.txt",
+        ],
+        kind: Kind::Text(|c| &mut c.db_dir),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--db-pool <pages>",
+        help: &["buffer-pool page budget for --db-dir (default 64)"],
+        kind: Kind::Count(|c| &mut c.db_pool),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--metrics <file>",
+        help: &[
+            "collect work counters; write a JSON report on exit",
+            "(`-` writes the report to stdout after the shell",
+            "output)",
+        ],
+        kind: Kind::Text(|c| &mut c.metrics_path),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--trace",
+        help: &["collect spans; print the span tree on exit"],
+        kind: Kind::Switch(|c| &mut c.trace),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--trace-filter <name>",
+        help: &[
+            "like --trace, but only print subtrees whose span",
+            "name contains <name> (e.g. fd.lattice)",
+        ],
+        kind: Kind::Text(|c| &mut c.trace_filter),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--trace-out <file>",
+        help: &[
+            "collect spans; export completed spans as Chrome",
+            "trace-event JSONL (load in chrome://tracing or",
+            "Perfetto; see docs/observability.md, Timing)",
+        ],
+        kind: Kind::Text(|c| &mut c.trace_out),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--slow-ms <n>",
+        help: &[
+            "collect spans; warn on stderr whenever a span",
+            "takes at least <n> milliseconds (environment",
+            "fallback: CLIO_SLOW_MS)",
+        ],
+        kind: Kind::Millis(|c| &mut c.slow_ms),
+        env: Some("CLIO_SLOW_MS"),
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--threads <n>",
+        help: &[
+            "worker threads for parallel evaluation",
+            "(default: CLIO_THREADS or the hardware)",
+        ],
+        kind: Kind::Count(|c| &mut c.threads),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--no-cache",
+        help: &[
+            "disable the incremental evaluation cache; every",
+            "operator recomputes from scratch (see",
+            "docs/incremental.md)",
+        ],
+        kind: Kind::Switch(|c| &mut c.no_cache),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--cache-dir <path>",
+        help: &[
+            "persist eligible cache entries under <path> and",
+            "serve misses from it across runs (see",
+            "docs/incremental.md, Persistence)",
+        ],
+        kind: Kind::Text(|c| &mut c.cache_dir),
+        env: None,
+        needs: Needs::Any,
+    },
+    Flag {
+        usage: "--port <n>",
+        help: &[
+            "serve: TCP port to listen on (default 0 = an",
+            "ephemeral port, announced as `listening on",
+            "<addr>`; fallback: CLIO_PORT)",
+        ],
+        kind: Kind::Port(|c| &mut c.port),
+        env: Some("CLIO_PORT"),
+        needs: Needs::Serve,
+    },
+    Flag {
+        usage: "--max-conns <n>",
+        help: &[
+            "serve: concurrent-connection cap; excess",
+            "connections wait in the accept backlog",
+            "(default: the --threads width; fallback:",
+            "CLIO_MAX_CONNS)",
+        ],
+        kind: Kind::Count(|c| &mut c.max_conns),
+        env: Some("CLIO_MAX_CONNS"),
+        needs: Needs::Serve,
+    },
+    Flag {
+        usage: "--idle-ms <n>",
+        help: &[
+            "serve: close a connection when no request",
+            "arrives within <n> milliseconds (default",
+            "30000; fallback: CLIO_IDLE_MS)",
+        ],
+        kind: Kind::Millis(|c| &mut c.idle_ms),
+        env: Some("CLIO_IDLE_MS"),
+        needs: Needs::Serve,
+    },
+    Flag {
+        usage: "--help, -h",
+        help: &["show this help"],
+        kind: Kind::Switch(|c| &mut c.help),
+        env: None,
+        needs: Needs::Any,
+    },
+];
+
+/// The `--help` text: the modes, the flags block generated from
+/// `FLAGS` (description column at character 25), then the shell
+/// commands.
+#[must_use]
+pub fn usage() -> String {
+    let mut out = String::from(
+        "\
+clio — interactive mapping-refinement shell (Clio, SIGMOD 2001)
+
+usage: clio-shell [flags] [script.clio ...]
+       clio-shell serve [flags]
+       clio-shell connect <addr> [--script <file>]
+
+Positional arguments are script files executed as independent sessions
+over one shared source snapshot (batch mode); outputs are printed in
+input order, each framed by a `=== session <i>: <path> ===` header.
+
+`serve` listens for framed TCP clients on 127.0.0.1 and runs every
+connection as a private session over one shared snapshot and cache
+store; `connect` replays --script (or stdin) lines against a running
+server, printing byte-identical output to a local --script run (see
+docs/service.md). A client sending `shutdown` stops the server.
+
+flags:
+",
+    );
+    for flag in FLAGS {
+        for (i, line) in flag.help.iter().enumerate() {
+            let label = if i == 0 { flag.usage } else { "" };
+            let _ = writeln!(out, "  {label:<23}{line}");
+        }
+    }
+    out.push('\n');
+    out.push_str(&crate::command::help_text());
+    out
 }
 
 /// Parse a `--synthetic` spec (`<topology>,<relations>,<rows>`),
@@ -143,10 +526,12 @@ fn parse_synthetic(spec_text: &str) -> Result<SyntheticSpec, UsageError> {
 impl CliConfig {
     /// Parse an argv slice (without the program name). Flags are
     /// processed left to right; the first invalid flag wins, and
-    /// `--help` stops parsing. Cross-flag constraints that depend on
-    /// runtime state (e.g. `--source` needing `--target`, `--script`
-    /// conflicting with positional scripts) are checked by the binary
-    /// in its historical order, not here.
+    /// `--help` stops parsing. Once every flag is read, a flag given in
+    /// a mode it does not admit (see `FLAGS`) is an error. Cross-flag
+    /// constraints that depend on runtime state (e.g. `--source`
+    /// needing `--target`, `--script` conflicting with positional
+    /// scripts) are checked by the binary in its historical order, not
+    /// here.
     pub fn parse(args: &[String]) -> Result<CliConfig, UsageError> {
         let mut cfg = CliConfig::default();
         let mut i = 0;
@@ -170,210 +555,68 @@ impl CliConfig {
             }
             _ => {}
         }
-        while i < args.len() {
-            match args[i].as_str() {
-                "--help" | "-h" => {
-                    cfg.help = true;
-                    return Ok(cfg);
+        while i < args.len() && !cfg.help {
+            let arg = args[i].as_str();
+            match FLAGS.iter().find(|f| f.spellings().any(|n| n == arg)) {
+                Some(flag) => {
+                    let value = if matches!(flag.kind, Kind::Switch(_)) {
+                        ""
+                    } else {
+                        i += 1;
+                        args.get(i).ok_or_else(|| {
+                            UsageError(format!("{arg} requires a value (see --help)"))
+                        })?
+                    };
+                    flag.kind.store(&mut cfg, arg, value)?;
                 }
-                "--script" => {
-                    i += 1;
-                    cfg.script = Some(require_value(args, i, "--script")?);
+                None if arg.starts_with('-') => {
+                    return Err(UsageError(format!("unknown flag `{arg}` (see --help)")));
                 }
-                "--source" => {
-                    i += 1;
-                    cfg.source_dir = Some(require_value(args, i, "--source")?);
-                }
-                "--target" => {
-                    i += 1;
-                    cfg.target_spec = Some(require_value(args, i, "--target")?);
-                }
-                "--db-dir" => {
-                    i += 1;
-                    cfg.db_dir = Some(require_value(args, i, "--db-dir")?);
-                }
-                "--db-pool" => {
-                    i += 1;
-                    let value = require_value(args, i, "--db-pool")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.db_pool = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--db-pool expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--metrics" => {
-                    i += 1;
-                    cfg.metrics_path = Some(require_value(args, i, "--metrics")?);
-                }
-                "--cache-dir" => {
-                    i += 1;
-                    cfg.cache_dir = Some(require_value(args, i, "--cache-dir")?);
-                }
-                "--mapping" => {
-                    i += 1;
-                    cfg.mapping_file = Some(require_value(args, i, "--mapping")?);
-                }
-                "--trace" => cfg.trace = true,
-                "--no-cache" => cfg.no_cache = true,
-                "--trace-filter" => {
-                    i += 1;
-                    cfg.trace_filter = Some(require_value(args, i, "--trace-filter")?);
-                    cfg.trace = true;
-                }
-                "--trace-out" => {
-                    i += 1;
-                    cfg.trace_out = Some(require_value(args, i, "--trace-out")?);
-                }
-                "--slow-ms" => {
-                    i += 1;
-                    let value = require_value(args, i, "--slow-ms")?;
-                    match value.parse::<u64>() {
-                        Ok(n) if n >= 1 => cfg.slow_ms = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--slow-ms expects a positive integer (milliseconds), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--threads" => {
-                    i += 1;
-                    let value = require_value(args, i, "--threads")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.threads = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--threads expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--port" => {
-                    i += 1;
-                    let value = require_value(args, i, "--port")?;
-                    match value.parse::<u16>() {
-                        Ok(n) => cfg.port = Some(n),
-                        Err(_) => {
-                            return Err(UsageError(format!(
-                                "--port expects a port number (0-65535), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--max-conns" => {
-                    i += 1;
-                    let value = require_value(args, i, "--max-conns")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.max_conns = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--max-conns expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--idle-ms" => {
-                    i += 1;
-                    let value = require_value(args, i, "--idle-ms")?;
-                    match value.parse::<u64>() {
-                        Ok(n) if n >= 1 => cfg.idle_ms = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--idle-ms expects a positive integer (milliseconds), got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--sessions" => {
-                    i += 1;
-                    let value = require_value(args, i, "--sessions")?;
-                    match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => cfg.sessions_width = Some(n),
-                        _ => {
-                            return Err(UsageError(format!(
-                                "--sessions expects a positive integer, got `{value}`"
-                            )))
-                        }
-                    }
-                }
-                "--synthetic" => {
-                    i += 1;
-                    let spec = require_value(args, i, "--synthetic")?;
-                    cfg.synthetic = Some(parse_synthetic(&spec)?);
-                }
-                other if other.starts_with('-') => {
-                    return Err(UsageError(format!("unknown flag `{other}` (see --help)")));
-                }
-                path => cfg.batch_scripts.push(path.to_owned()),
+                None => cfg.batch_scripts.push(arg.to_owned()),
             }
             i += 1;
+        }
+        cfg.trace |= cfg.trace_filter.is_some();
+        if !cfg.help {
+            cfg.check_mode()?;
         }
         Ok(cfg)
     }
 
-    /// Resolve the environment fallbacks into any still-unset field:
-    /// `CLIO_SLOW_MS` in every mode, and in serve mode `CLIO_PORT`,
-    /// `CLIO_MAX_CONNS` and `CLIO_IDLE_MS`. Flags win over the
-    /// environment; a malformed environment value is a usage error
-    /// (exit 2) exactly like its flag form. `get` is the environment
-    /// lookup, injectable for tests.
-    pub fn apply_env(&mut self, get: impl Fn(&str) -> Option<String>) -> Result<(), UsageError> {
-        if self.slow_ms.is_none() {
-            if let Some(value) = get("CLIO_SLOW_MS") {
-                match value.parse::<u64>() {
-                    Ok(n) if n >= 1 => self.slow_ms = Some(n),
-                    _ => {
-                        return Err(UsageError(format!(
-                            "CLIO_SLOW_MS expects a positive integer (milliseconds), got `{value}`"
-                        )))
-                    }
-                }
-            }
+    /// The mode-strictness errors: a flag whose [`Needs`] the mode does
+    /// not admit, or positional scripts outside the local shell.
+    fn check_mode(&mut self) -> Result<(), UsageError> {
+        let mode = self.mode.clone();
+        let refused = FLAGS
+            .iter()
+            .filter(|f| !f.needs.admits(&mode) && f.kind.is_set(self))
+            .min_by_key(|f| f.needs);
+        let positional = mode != Mode::Local && !self.batch_scripts.is_empty();
+        match refused {
+            Some(f) if !positional || f.needs <= Needs::Local => Err(f
+                .needs
+                .refusal(f.spellings().next().unwrap_or(f.usage), &mode)),
+            _ if positional => Err(UsageError(format!(
+                "{} mode takes no positional script arguments (see --help)",
+                mode.word()
+            ))),
+            _ => Ok(()),
         }
-        if self.mode == Mode::Serve {
-            self.apply_net_env(get)?;
-        }
-        Ok(())
     }
 
-    /// The serve-mode half of [`CliConfig::apply_env`].
-    fn apply_net_env(&mut self, get: impl Fn(&str) -> Option<String>) -> Result<(), UsageError> {
-        if self.port.is_none() {
-            if let Some(value) = get("CLIO_PORT") {
-                match value.parse::<u16>() {
-                    Ok(n) => self.port = Some(n),
-                    Err(_) => {
-                        return Err(UsageError(format!(
-                            "CLIO_PORT expects a port number (0-65535), got `{value}`"
-                        )))
-                    }
-                }
-            }
-        }
-        if self.max_conns.is_none() {
-            if let Some(value) = get("CLIO_MAX_CONNS") {
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => self.max_conns = Some(n),
-                    _ => {
-                        return Err(UsageError(format!(
-                            "CLIO_MAX_CONNS expects a positive integer, got `{value}`"
-                        )))
-                    }
-                }
-            }
-        }
-        if self.idle_ms.is_none() {
-            if let Some(value) = get("CLIO_IDLE_MS") {
-                match value.parse::<u64>() {
-                    Ok(n) if n >= 1 => self.idle_ms = Some(n),
-                    _ => {
-                        return Err(UsageError(format!(
-                            "CLIO_IDLE_MS expects a positive integer (milliseconds), got `{value}`"
-                        )))
-                    }
+    /// Resolve the environment fallbacks into any still-unset field:
+    /// each `FLAGS` row's `CLIO_*` variable, in the modes the row
+    /// admits (`CLIO_SLOW_MS` in every mode; `CLIO_PORT`,
+    /// `CLIO_MAX_CONNS` and `CLIO_IDLE_MS` in serve mode). Flags win
+    /// over the environment; a malformed environment value is a usage
+    /// error (exit 2) exactly like its flag form. `get` is the
+    /// environment lookup, injectable for tests.
+    pub fn apply_env(&mut self, get: impl Fn(&str) -> Option<String>) -> Result<(), UsageError> {
+        for flag in FLAGS {
+            let Some(var) = flag.env else { continue };
+            if flag.needs.admits(&self.mode) && !flag.kind.is_set(self) {
+                if let Some(value) = get(var) {
+                    flag.kind.store(self, var, &value)?;
                 }
             }
         }
@@ -387,6 +630,18 @@ mod tests {
 
     fn argv(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    impl CliConfig {
+        /// [`CliConfig::apply_env`] on a `serve` config, which reads the
+        /// serve-only variables.
+        fn apply_net_env(
+            &mut self,
+            get: impl Fn(&str) -> Option<String>,
+        ) -> Result<(), UsageError> {
+            assert_eq!(self.mode, Mode::Serve);
+            self.apply_env(get)
+        }
     }
 
     #[test]
@@ -639,5 +894,133 @@ mod tests {
         let spec = cfg.synthetic.expect("spec");
         assert_eq!(spec.relations, 5);
         assert_eq!(spec.rows, 20);
+    }
+
+    /// Every row of [`FLAGS`] is accepted by the parser under each of
+    /// its spellings (with a valid value, in a mode it admits) and
+    /// appears in `usage()`: the flags block and the parser are one
+    /// table and cannot drift apart.
+    #[test]
+    fn flag_table_and_parser_agree() {
+        let help = usage();
+        for flag in FLAGS {
+            let value = match flag.kind {
+                Kind::Switch(_) => None,
+                Kind::Text(_) => Some("x"),
+                Kind::Count(_) | Kind::Millis(_) => Some("3"),
+                Kind::Port(_) => Some("8080"),
+                Kind::Synthetic => Some("chain,2,3"),
+            };
+            for name in flag.spellings() {
+                let mut words = Vec::new();
+                if flag.needs == Needs::Serve {
+                    words.push("serve");
+                }
+                words.push(name);
+                words.extend(value);
+                let mut cfg = CliConfig::parse(&argv(&words))
+                    .unwrap_or_else(|e| panic!("`{name}` is documented but refused: {e}"));
+                assert!(flag.kind.is_set(&mut cfg), "`{name}` set nothing");
+                assert!(help.contains(&format!("\n  {}", flag.usage)), "`{name}`");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_is_the_pinned_help() {
+        assert_eq!(usage(), include_str!("../../../scripts/golden/help.txt"));
+    }
+
+    /// The mode-strictness errors come from `parse`, after every flag
+    /// value is read and never past `--help`.
+    #[test]
+    fn mode_strictness_errors_are_the_binary_stderr_lines() {
+        let err = |words: &[&str]| CliConfig::parse(&argv(words)).unwrap_err().to_string();
+        assert_eq!(
+            err(&["--port", "9090"]),
+            "--port requires serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&["connect", "127.0.0.1:1", "--max-conns", "2"]),
+            "--max-conns requires serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&["--idle-ms", "5"]),
+            "--idle-ms requires serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--mapping", "m.map"]),
+            "--mapping requires local mode (use `load` over the wire; see --help)"
+        );
+        assert_eq!(
+            err(&["connect", "127.0.0.1:1", "a.clio"]),
+            "connect mode takes no positional script arguments (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--sessions", "2"]),
+            "--sessions conflicts with serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--script", "s.clio"]),
+            "--script conflicts with serve mode (see --help)"
+        );
+        // `connect` replays --script, and the local shell takes them all
+        assert!(CliConfig::parse(&argv(&["connect", "127.0.0.1:1", "--script", "s"])).is_ok());
+        assert!(CliConfig::parse(&argv(&["--mapping", "m", "--sessions", "2", "a"])).is_ok());
+        // a bad value anywhere wins over a mode error; --help skips both
+        assert_eq!(
+            err(&["--port", "1", "--threads", "0"]),
+            "--threads expects a positive integer, got `0`"
+        );
+        assert!(
+            CliConfig::parse(&argv(&["--port", "1", "--help"]))
+                .unwrap()
+                .help
+        );
+    }
+
+    /// With several mode errors, the first one the binary checked before
+    /// the table existed still wins: serve-only flags, then `--mapping`,
+    /// then positional scripts, then `--sessions`, then `--script`.
+    #[test]
+    fn mode_errors_keep_their_precedence() {
+        let err = |words: &[&str]| CliConfig::parse(&argv(words)).unwrap_err().to_string();
+        assert_eq!(
+            err(&[
+                "connect",
+                "h:1",
+                "--script",
+                "s",
+                "--sessions",
+                "2",
+                "a",
+                "--mapping",
+                "m",
+                "--idle-ms",
+                "5"
+            ]),
+            "--idle-ms requires serve mode (see --help)"
+        );
+        assert_eq!(
+            err(&[
+                "serve",
+                "--script",
+                "s",
+                "--sessions",
+                "2",
+                "a",
+                "--mapping",
+                "m"
+            ]),
+            "--mapping requires local mode (use `load` over the wire; see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--script", "s", "--sessions", "2", "a"]),
+            "serve mode takes no positional script arguments (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--script", "s", "--sessions", "2"]),
+            "--sessions conflicts with serve mode (see --help)"
+        );
     }
 }

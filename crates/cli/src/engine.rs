@@ -3,10 +3,12 @@
 //! Pure (text in, text out) so it is unit-testable and scriptable.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use clio_core::illustration::Illustration;
 use clio_core::session::Session;
 use clio_core::sql::{generate_sql, SqlOptions};
+use clio_incr::CacheStore;
 use clio_relational::error::{Error, Result};
 use clio_relational::schema::RelSchema;
 use clio_relational::value::Value;
@@ -39,6 +41,13 @@ pub enum Outcome {
     Quit,
 }
 
+impl Outcome {
+    /// The output of a command that failed: `error: <e>` on one line.
+    pub fn error(e: impl std::fmt::Display) -> Outcome {
+        Outcome::Continue(format!("error: {e}\n"))
+    }
+}
+
 impl Shell {
     /// Create a shell over a session.
     #[must_use]
@@ -50,25 +59,28 @@ impl Shell {
     /// into the output rather than propagated, so a shell script keeps
     /// going.
     pub fn execute(&mut self, line: &str) -> Outcome {
-        let cmd = match command::parse(line) {
-            Ok(cmd) => cmd,
-            Err(e) => return Outcome::Continue(format!("error: {e}\n")),
-        };
+        match command::parse(line) {
+            Ok(cmd) => self.run(cmd),
+            Err(e) => Outcome::error(e),
+        }
+    }
+
+    /// Run one parsed command; a dispatch error is rendered into the
+    /// output, as [`Shell::execute`] renders a parse error.
+    pub fn run(&mut self, cmd: Command) -> Outcome {
         match cmd {
             Command::Noop => Outcome::Continue(String::new()),
             Command::Quit => Outcome::Quit,
-            cmd => match self.dispatch(cmd) {
-                Ok(out) => Outcome::Continue(out),
-                Err(e) => Outcome::Continue(format!("error: {e}\n")),
-            },
+            cmd => self
+                .dispatch(cmd)
+                .map_or_else(Outcome::error, Outcome::Continue),
         }
     }
 
     fn dispatch(&mut self, cmd: Command) -> Result<String> {
         match cmd {
-            // Noop/Quit are consumed by `execute`; they produce nothing.
-            Command::Noop => Ok(String::new()),
-            Command::Quit => Ok(String::new()),
+            // Noop/Quit are consumed by `run`; they produce nothing.
+            Command::Noop | Command::Quit => Ok(String::new()),
             Command::Help => Ok(command::help_text()),
             Command::Source => {
                 let mut out = String::new();
@@ -87,37 +99,22 @@ impl Shell {
             Command::Target => Ok(self.session.target_preview()?.to_string()),
             Command::Corr { expr, attr } => {
                 let ids = self.session.add_correspondence(&expr, &attr)?;
-                if ids.len() == 1 {
-                    Ok(format!("ok (workspace {})\n", ids[0]))
-                } else {
-                    let mut out = format!(
-                        "{} scenario(s) created; inspect and confirm one:\n",
-                        ids.len()
-                    );
-                    for id in ids {
-                        let w = self.workspace(id)?;
-                        let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                    }
-                    Ok(out)
+                if let [id] = ids[..] {
+                    return Ok(format!("ok (workspace {id})\n"));
                 }
+                let head = format!(
+                    "{} scenario(s) created; inspect and confirm one:\n",
+                    ids.len()
+                );
+                self.list_workspaces(head, &ids)
             }
             Command::Walk { start, relation } => {
                 let ids = self.session.data_walk(start.as_deref(), &relation)?;
-                let mut out = format!("{} scenario(s):\n", ids.len());
-                for id in ids {
-                    let w = self.workspace(id)?;
-                    let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                }
-                Ok(out)
+                self.list_workspaces(format!("{} scenario(s):\n", ids.len()), &ids)
             }
             Command::Chase { alias, attr, value } => {
                 let ids = self.session.data_chase(&alias, &attr, &Value::str(value))?;
-                let mut out = format!("{} scenario(s):\n", ids.len());
-                for id in ids {
-                    let w = self.workspace(id)?;
-                    let _ = writeln!(out, "  workspace {id}: {}", w.description);
-                }
-                Ok(out)
+                self.list_workspaces(format!("{} scenario(s):\n", ids.len()), &ids)
             }
             Command::Workspaces => {
                 let mut out = String::new();
@@ -219,7 +216,8 @@ impl Shell {
                 if let Some(w) = self.session.active() {
                     let _ = writeln!(
                         out,
-                        "active: workspace {} — {} node(s), {} correspondence(s),                          {} example(s) in illustration",
+                        "active: workspace {} — {} node(s), {} correspondence(s), \
+                         {} example(s) in illustration",
                         w.id,
                         w.mapping.graph.node_count(),
                         w.mapping.correspondences.len(),
@@ -233,9 +231,7 @@ impl Shell {
             Command::Alternatives { slot } => {
                 let alts = self.session.example_alternatives(slot)?;
                 if alts.is_empty() {
-                    return Ok("no alternatives for this slot
-"
-                    .to_owned());
+                    return Ok("no alternatives for this slot\n".to_owned());
                 }
                 let db = self.session.shared_database();
                 let w = self.active()?;
@@ -249,9 +245,7 @@ impl Shell {
             }
             Command::Swap { slot, alt } => {
                 self.session.swap_example(slot, alt)?;
-                Ok("ok
-"
-                .to_owned())
+                Ok("ok\n".to_owned())
             }
             Command::Profile => {
                 let profiles = clio_core::profile::profile_database(self.session.database());
@@ -440,47 +434,11 @@ impl Shell {
                 Ok("ok\n".to_owned())
             }
             CacheAction::Save(dir) => {
-                let n = match dir {
-                    Some(dir) => {
-                        let store = clio_incr::DiskStore::open(
-                            std::path::Path::new(&dir),
-                            clio_incr::database_digest(self.session.database()),
-                        );
-                        cache.spill_to(&store)
-                    }
-                    None => match cache.store() {
-                        Some(store) => cache.spill_to(store.as_ref()),
-                        None => {
-                            return Err(Error::Invalid(
-                                "no cache store attached (start the shell with --cache-dir \
-                                 or pass a directory: `cache save <dir>`)"
-                                    .into(),
-                            ))
-                        }
-                    },
-                };
+                let n = cache.spill_to(self.cache_store(dir, "save")?.as_ref());
                 Ok(format!("saved {n} entry(ies)\n"))
             }
             CacheAction::Load(dir) => {
-                let n = match dir {
-                    Some(dir) => {
-                        let store = clio_incr::DiskStore::open(
-                            std::path::Path::new(&dir),
-                            clio_incr::database_digest(self.session.database()),
-                        );
-                        cache.preload_from(&store)
-                    }
-                    None => match cache.store() {
-                        Some(store) => cache.preload_from(store.as_ref()),
-                        None => {
-                            return Err(Error::Invalid(
-                                "no cache store attached (start the shell with --cache-dir \
-                                 or pass a directory: `cache load <dir>`)"
-                                    .into(),
-                            ))
-                        }
-                    },
-                };
+                let n = cache.preload_from(self.cache_store(dir, "load")?.as_ref());
                 Ok(format!("loaded {n} entry(ies)\n"))
             }
         }
@@ -557,12 +515,35 @@ impl Shell {
             .ok_or_else(|| Error::Invalid("no active workspace; start with `corr`".into()))
     }
 
-    fn workspace(&self, id: usize) -> Result<&clio_core::session::Workspace> {
-        self.session
-            .workspaces()
-            .iter()
-            .find(|w| w.id == id)
-            .ok_or_else(|| Error::Invalid(format!("no workspace {id}")))
+    /// `out`, then one `  workspace <id>: <description>` line per id.
+    fn list_workspaces(&self, mut out: String, ids: &[usize]) -> Result<String> {
+        for &id in ids {
+            let w = self
+                .session
+                .workspaces()
+                .iter()
+                .find(|w| w.id == id)
+                .ok_or_else(|| Error::Invalid(format!("no workspace {id}")))?;
+            let _ = writeln!(out, "  workspace {id}: {}", w.description);
+        }
+        Ok(out)
+    }
+
+    /// The store `cache save` / `cache load` use: a disk store over
+    /// `dir`, else the attached store.
+    fn cache_store(&self, dir: Option<String>, verb: &str) -> Result<Arc<dyn CacheStore>> {
+        match dir {
+            Some(dir) => Ok(Arc::new(clio_incr::DiskStore::open(
+                std::path::Path::new(&dir),
+                clio_incr::database_digest(self.session.database()),
+            ))),
+            None => self.session.cache().store().ok_or_else(|| {
+                Error::Invalid(format!(
+                    "no cache store attached (start the shell with --cache-dir \
+                     or pass a directory: `cache {verb} <dir>`)"
+                ))
+            }),
+        }
     }
 }
 
@@ -828,7 +809,11 @@ mod tests {
         assert!(out.contains("active: none"));
         run(&mut sh, "corr Children.ID -> ID");
         let out = run(&mut sh, "status");
-        assert!(out.contains("active: workspace 0"));
+        assert!(
+            out.lines().any(|l| l
+                == "active: workspace 0 — 1 node(s), 1 correspondence(s), 1 example(s) in illustration"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -20,65 +20,27 @@ use clio_relational::database::Database;
 use clio_relational::schema::RelSchema;
 
 use crate::command::{self, Command};
-use crate::config::CliConfig;
+use crate::config::{exit_2, CliConfig};
 use crate::engine::{Outcome, Shell};
 
 /// Idle timeout (milliseconds) when neither `--idle-ms` nor
 /// `CLIO_IDLE_MS` is given.
 pub const DEFAULT_IDLE_MS: u64 = 30_000;
 
-/// The `net.request.*` histogram for one request line, keyed by the
-/// parsed command kind (`net.request.invalid` for unparseable lines).
-/// Histogram names must be `'static`, hence the explicit table.
+/// The `net.request.*` histogram for one request line: the parsed
+/// command's [`Command::hist_name`], or `net.request.invalid` for a
+/// line that does not parse.
 #[must_use]
 pub fn request_hist_name(line: &str) -> &'static str {
-    let Ok(cmd) = command::parse(line) else {
-        return "net.request.invalid";
-    };
-    match cmd.kind() {
-        "noop" => "net.request.noop",
-        "quit" => "net.request.quit",
-        "help" => "net.request.help",
-        "source" => "net.request.source",
-        "show" => "net.request.show",
-        "target" => "net.request.target",
-        "corr" => "net.request.corr",
-        "walk" => "net.request.walk",
-        "chase" => "net.request.chase",
-        "workspaces" => "net.request.workspaces",
-        "activate" => "net.request.activate",
-        "confirm" => "net.request.confirm",
-        "delete" => "net.request.delete",
-        "accept" => "net.request.accept",
-        "illustration" => "net.request.illustration",
-        "induced" => "net.request.induced",
-        "alternatives" => "net.request.alternatives",
-        "swap" => "net.request.swap",
-        "examples" => "net.request.examples",
-        "mapping" => "net.request.mapping",
-        "sql" => "net.request.sql",
-        "filter" => "net.request.filter",
-        "require" => "net.request.require",
-        "status" => "net.request.status",
-        "stats" => "net.request.stats",
-        "trace" => "net.request.trace",
-        "cache" => "net.request.cache",
-        "db" => "net.request.db",
-        "profile" => "net.request.profile",
-        "mine" => "net.request.mine",
-        "verify" => "net.request.verify",
-        "contributions" => "net.request.contributions",
-        "save" => "net.request.save",
-        "load" => "net.request.load",
-        "map" => "net.request.map",
-        "explain" => "net.request.explain",
-        _ => "net.request.other",
-    }
+    command::parse(line).map_or(INVALID, |cmd| cmd.hist_name())
 }
 
-/// Adapts one connection's [`Shell`] to the wire: parse for the
-/// histogram key, dispatch through the existing engine, map `quit` to a
-/// connection close.
+/// The histogram of a request line that does not parse.
+const INVALID: &str = "net.request.invalid";
+
+/// Adapts one connection's [`Shell`] to the wire: parse the line once,
+/// file it under its histogram, dispatch it through the engine, and map
+/// `quit` to a connection close.
 pub struct ShellHandler {
     shell: Shell,
 }
@@ -93,8 +55,11 @@ impl ShellHandler {
 
 impl Handler for ShellHandler {
     fn handle(&mut self, line: &str) -> Response {
-        let hist = request_hist_name(line);
-        match self.shell.execute(line) {
+        let (hist, outcome) = match command::parse(line) {
+            Ok(cmd) => (cmd.hist_name(), self.shell.run(cmd)),
+            Err(e) => (INVALID, Outcome::error(e)),
+        };
+        match outcome {
             Outcome::Continue(text) => Response {
                 text,
                 hist,
@@ -137,6 +102,19 @@ pub fn run_server(
     server.run(|_conn| Box::new(ShellHandler::new(Shell::new(pool.session()))) as Box<dyn Handler>)
 }
 
+/// The lines of a command script, for `connect` and the local shell:
+/// the file at `path`, or stdin. A file that cannot be opened exits 2.
+#[must_use]
+pub fn open_script(path: Option<&str>) -> Box<dyn BufRead> {
+    match path {
+        Some(path) => match std::fs::File::open(path) {
+            Ok(file) => Box::new(std::io::BufReader::new(file)),
+            Err(e) => exit_2(format_args!("cannot open `{path}`: {e}")),
+        },
+        None => Box::new(std::io::stdin().lock()),
+    }
+}
+
 /// Run `clio connect <addr>`: replay `--script` (or stdin) lines
 /// against a remote server. Every line is echoed as `clio> <line>`
 /// before its response — including from stdin, so piped input produces
@@ -144,31 +122,9 @@ pub fn run_server(
 /// loop, without echoing later lines) or when the server closes the
 /// connection.
 pub fn run_client(addr: &str, script: Option<&str>) {
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to `{addr}`: {e}");
-            std::process::exit(2);
-        }
-    };
-    let stdin;
-    let file;
-    let reader: Box<dyn BufRead> = match script {
-        Some(path) => {
-            file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open `{path}`: {e}");
-                    std::process::exit(2);
-                }
-            };
-            Box::new(std::io::BufReader::new(file))
-        }
-        None => {
-            stdin = std::io::stdin();
-            Box::new(stdin.lock())
-        }
-    };
+    let mut client = Client::connect(addr)
+        .unwrap_or_else(|e| exit_2(format_args!("cannot connect to `{addr}`: {e}")));
+    let reader = open_script(script);
     for line in reader.lines() {
         let Ok(line) = line else { break };
         println!("clio> {line}");

@@ -25,12 +25,6 @@ pub struct Example {
 }
 
 impl Example {
-    /// The target value for target-attribute index `i`.
-    #[must_use]
-    pub fn target_value(&self, i: usize) -> &Value {
-        &self.target[i]
-    }
-
     /// Polarity tag used in rendered illustrations: `+` / `-`.
     #[must_use]
     pub fn polarity_tag(&self) -> &'static str {

@@ -11,7 +11,7 @@
 //! with appropriate skepticism — exactly how Figure 11's direct
 //! `Children—PhoneDir` walk (`G4`) can exist without a declared key.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use clio_relational::database::Database;
 use clio_relational::value::{DataType, Value};
@@ -161,25 +161,6 @@ pub fn enrich_knowledge(
         }
     }
     added
-}
-
-/// Count the distinct non-null values of every attribute (profiling aid
-/// used by the CLI's `source` view and by mining diagnostics).
-#[must_use]
-pub fn distinct_counts(db: &Database) -> HashMap<(String, String), usize> {
-    let mut out = HashMap::new();
-    for rel in db.relations() {
-        for (ai, attr) in rel.schema().attrs().iter().enumerate() {
-            let mut values = HashSet::new();
-            for row in rel.rows() {
-                if !row[ai].is_null() {
-                    values.insert(&row[ai]);
-                }
-            }
-            out.insert((rel.name().to_owned(), attr.name.clone()), values.len());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -339,13 +320,5 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[0].shared_values >= w[1].shared_values);
         }
-    }
-
-    #[test]
-    fn distinct_counts_profile() {
-        let counts = distinct_counts(&db());
-        assert_eq!(counts[&("Children".to_owned(), "ID".to_owned())], 4);
-        assert_eq!(counts[&("Parents".to_owned(), "ID".to_owned())], 7);
-        assert_eq!(counts[&("Children".to_owned(), "mid".to_owned())], 3);
     }
 }

@@ -1675,13 +1675,17 @@ fn stable(e: &Expr, positive: bool) -> bool {
 /// is null, and to a value determined solely by its non-null inputs
 /// otherwise. Division is excluded — it is strict, but pushing it would
 /// let a by-zero error surface on rows the subsumption pass would have
-/// removed before the top-level filters ran.
-fn is_strict_scalar(e: &Expr) -> bool {
+/// removed before the top-level filters ran. `AND` and `OR` are not
+/// strict: `NULL OR TRUE` is true and `NULL AND FALSE` is false. The
+/// SQL renderer asks the same question of a correspondence
+/// ([`crate::sql::required_nodes`]).
+pub(crate) fn is_strict_scalar(e: &Expr) -> bool {
+    use clio_relational::expr::BinOp;
     match e {
         Expr::Column(_) | Expr::Literal(_) => true,
         Expr::Neg(x) => is_strict_scalar(x),
         Expr::Binary { op, left, right } => {
-            !matches!(op, clio_relational::expr::BinOp::Div)
+            !matches!(op, BinOp::Div | BinOp::And | BinOp::Or)
                 && is_strict_scalar(left)
                 && is_strict_scalar(right)
         }
@@ -1769,6 +1773,23 @@ mod tests {
             "C.a / 2 = 1",
         ] {
             assert!(!is_extension_stable(&parse_expr(bad).unwrap()), "{bad}");
+        }
+    }
+
+    /// `NULL OR TRUE` is true and `NULL AND FALSE` is false, so neither
+    /// connective is null-strict.
+    #[test]
+    fn strictness_excludes_the_connectives() {
+        for strict in ["C.a", "-C.a + 1", "C.a || C.b", "C.a = C.b"] {
+            assert!(is_strict_scalar(&parse_expr(strict).unwrap()), "{strict}");
+        }
+        for lax in [
+            "C.a OR C.b",
+            "C.a = 1 AND C.b = 2",
+            "coalesce(C.a, 1)",
+            "C.a / 2",
+        ] {
+            assert!(!is_strict_scalar(&parse_expr(lax).unwrap()), "{lax}");
         }
     }
 

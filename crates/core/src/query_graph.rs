@@ -292,9 +292,10 @@ impl QueryGraph {
     }
 
     /// A BFS order of node ids starting from `root`, in which every node
-    /// after the first is adjacent to an earlier node — the *connected
-    /// elimination order* used by the outer-join full-disjunction plan and
-    /// SQL generation. Errors if the graph is disconnected.
+    /// after the first is adjacent to an earlier node — the join order of
+    /// the rendered SQL (`sql::generate_sql`). The planner's outer-join
+    /// chain orders its nodes with its own BFS over a node mask
+    /// (`plan::ir::chain_order`). Errors if the graph is disconnected.
     pub fn connected_order(&self, root: NodeId) -> Result<Vec<NodeId>> {
         if root >= self.nodes.len() {
             return Err(Error::Invalid("root out of range".into()));

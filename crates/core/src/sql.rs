@@ -18,6 +18,7 @@ use clio_relational::simplify::simplify;
 use clio_relational::value::Value;
 
 use crate::mapping::Mapping;
+use crate::plan::ir::is_strict_scalar;
 use crate::query_graph::NodeId;
 
 /// Options controlling SQL rendering.
@@ -31,8 +32,10 @@ pub struct SqlOptions {
 }
 
 /// Which graph nodes are *required* (inner-joined): nodes referenced by
-/// the correspondence of a target attribute that some target filter
-/// forces non-null.
+/// the null-strict correspondence of a target attribute that some
+/// target filter forces non-null. A correspondence that is not strict
+/// (`coalesce(Parents.salary, Parents2.salary)`) can be non-null with a
+/// node missing, so it requires none of its nodes.
 #[must_use]
 pub fn required_nodes(mapping: &Mapping) -> Vec<NodeId> {
     let mut required = Vec::new();
@@ -47,12 +50,16 @@ pub fn required_nodes(mapping: &Mapping) -> Vec<NodeId> {
         let Expr::Column(col) = expr.as_ref() else {
             continue;
         };
-        if let Some(v) = mapping.correspondence_for(&col.name) {
-            for q in v.source_qualifiers() {
-                if let Some(id) = mapping.graph.node_by_alias(q) {
-                    if !required.contains(&id) {
-                        required.push(id);
-                    }
+        let Some(v) = mapping
+            .correspondence_for(&col.name)
+            .filter(|v| is_strict_scalar(&v.expr))
+        else {
+            continue;
+        };
+        for q in v.source_qualifiers() {
+            if let Some(id) = mapping.graph.node_by_alias(q) {
+                if !required.contains(&id) {
+                    required.push(id);
                 }
             }
         }

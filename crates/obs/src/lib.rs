@@ -48,7 +48,7 @@ pub use trace::{
     fmt_ns, render_profile, render_tree_filtered, set_slow_threshold_ns, set_trace_enabled,
     slow_threshold_ns, span, trace_enabled, Span,
 };
-pub use warn::{reset_warnings, warn_counts, warn_limited, warn_summary};
+pub use warn::{warn_counts, warn_limited, warn_summary};
 
 /// Enable or disable both halves at once.
 pub fn set_enabled(on: bool) {

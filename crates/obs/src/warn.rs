@@ -78,11 +78,6 @@ pub fn warn_summary() -> Option<String> {
     (!out.is_empty()).then_some(out)
 }
 
-/// Zero all tallies (tests; a fresh shell session).
-pub fn reset_warnings() {
-    lock().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

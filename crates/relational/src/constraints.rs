@@ -184,15 +184,6 @@ impl Constraints {
             .collect()
     }
 
-    /// Foreign keys arriving at `relation`.
-    #[must_use]
-    pub fn fks_to(&self, relation: &str) -> Vec<&ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| fk.to_relation == relation)
-            .collect()
-    }
-
     /// Validate every constraint against a database instance.
     pub fn check_all(&self, db: &Database) -> Result<()> {
         for k in &self.keys {
@@ -296,7 +287,6 @@ mod tests {
         c.foreign_keys
             .push(ForeignKey::simple("PhoneDir", "ID", "Parents", "ID"));
         assert_eq!(c.fks_from("Children").len(), 2);
-        assert_eq!(c.fks_to("Parents").len(), 3);
         assert!(c.fks_from("Parents").is_empty());
     }
 

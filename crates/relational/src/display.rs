@@ -69,26 +69,6 @@ pub fn render_table(scheme: &Scheme, rows: &[Vec<Value>], tags: &[String]) -> St
     out
 }
 
-/// Render with short headers grouped by qualifier, like the paper's figures
-/// that title each relation block. Produces a one-line qualifier banner
-/// followed by the standard grid with *unqualified* column names.
-#[must_use]
-pub fn render_table_grouped(scheme: &Scheme, rows: &[Vec<Value>], tags: &[String]) -> String {
-    let mut banner = String::new();
-    for q in scheme.qualifiers() {
-        let n = scheme.indexes_of_qualifier(q).len();
-        banner.push_str(&format!("[{q} x{n}] "));
-    }
-    let short = Scheme::new(
-        scheme
-            .columns()
-            .iter()
-            .map(|c| crate::schema::Column::new(c.qualifier.clone(), c.name.clone(), c.ty))
-            .collect(),
-    );
-    format!("{banner}\n{}", render_table(&short, rows, tags))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,13 +116,6 @@ mod tests {
         for line in s.lines().filter(|l| l.starts_with('|')) {
             assert_eq!(line.len(), s.lines().next().unwrap().len());
         }
-    }
-
-    #[test]
-    fn grouped_rendering_has_banner() {
-        let (scheme, rows) = table();
-        let s = render_table_grouped(&scheme, &rows, &[]);
-        assert!(s.starts_with("[C x2]"));
     }
 
     #[test]

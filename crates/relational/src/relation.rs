@@ -478,16 +478,25 @@ mod tests {
                     vec![Value::Float(f64::NAN), Value::Int(1)],
                 ],
             ),
-            // Int(2^53 + 1) == Float(2^53): subsumed across types
+            // Int(2^53) == Float(2^53): subsumed across types
             (
                 true,
+                vec![
+                    vec![Value::Int(big), Value::Null],
+                    vec![Value::Float(big as f64), Value::Int(1)],
+                ],
+            ),
+            // Int(2^53 + 1) != Float(2^53): equality is exact, so
+            // nothing is subsumed
+            (
+                false,
                 vec![
                     vec![Value::Int(big + 1), Value::Null],
                     vec![Value::Float(big as f64), Value::Int(1)],
                 ],
             ),
             // Int(2^53 + 1) != Int(2^53): nothing is subsumed, and the
-            // float equal to both is dropped as a copy of the first
+            // float equal to the first is dropped as its copy
             (
                 false,
                 vec![

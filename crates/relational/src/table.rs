@@ -388,13 +388,6 @@ impl Table {
             std::cmp::Ordering::Equal
         });
     }
-
-    /// Project row `row_idx` onto the columns of `sub` (which must be a
-    /// sub-scheme of this table's scheme).
-    pub fn project_row(&self, row_idx: usize, sub: &Scheme) -> Result<Vec<Value>> {
-        let pos = self.scheme.positions_of(sub)?;
-        Ok(pos.iter().map(|&i| self.rows[row_idx][i].clone()).collect())
-    }
 }
 
 impl Clone for Table {
@@ -460,6 +453,37 @@ mod tests {
         t.sort_canonical();
         assert_eq!(t.rows()[0][0], Value::Int(1));
         assert_eq!(t.rows()[1][0], Value::Int(2));
+    }
+
+    /// Equality is exact across Int and Float past 2^53, so a distinct
+    /// table keeps the same rows whatever order they arrive in.
+    #[test]
+    fn push_distinct_past_two_to_the_53_keeps_the_same_rows_in_any_order() {
+        use crate::schema::Column;
+        let big = 1i64 << 53;
+        let pushed = |values: [Value; 3]| {
+            let column = Column::new("R", "x", DataType::Float);
+            let mut t = Table::empty(Scheme::new(vec![column]));
+            for v in values {
+                t.push_distinct(vec![v]);
+            }
+            t.rows().to_vec()
+        };
+        let a = pushed([
+            Value::Float(big as f64),
+            Value::Int(big),
+            Value::Int(big + 1),
+        ]);
+        let b = pushed([
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+        ]);
+        assert_eq!(
+            a,
+            vec![vec![Value::Float(big as f64)], vec![Value::Int(big + 1)]]
+        );
+        assert_eq!(b, vec![vec![Value::Int(big)], vec![Value::Int(big + 1)]]);
     }
 
     #[test]
@@ -702,13 +726,6 @@ mod tests {
         });
         let counted = rec.snapshot().get(Counter::DedupRows);
         assert_eq!(counted, 5 + 6 + 3);
-    }
-
-    #[test]
-    fn project_row_onto_sub_scheme() {
-        let t = t();
-        let sub = Scheme::new(vec![t.scheme().columns()[1].clone()]);
-        assert_eq!(t.project_row(0, &sub).unwrap(), vec![Value::str("y")]);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Value {
     }
 
     /// SQL equality: `Unknown` if either side is null, otherwise
-    /// a definite answer. Int/Float compare numerically.
+    /// a definite answer. Int/Float compare by exact value.
     #[must_use]
     pub fn sql_eq(&self, other: &Value) -> Truth {
         match self.sql_cmp(other) {
@@ -123,8 +123,8 @@ impl Value {
             (Null, _) | (_, Null) => None,
             (Int(a), Int(b)) => Some(a.cmp(b)),
             (Float(a), Float(b)) => a.partial_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).map(Ordering::reverse),
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             _ => None,
@@ -132,8 +132,10 @@ impl Value {
     }
 
     /// Total ordering used for deterministic output (sorting rendered
-    /// tables, canonicalizing test fixtures). Nulls sort first; across
-    /// types the order is Null < Bool < Int/Float < Str.
+    /// tables, canonicalizing test fixtures), and `Value`'s `==`. Nulls
+    /// sort first; across types the order is Null < Bool < Int/Float <
+    /// Str. An Int and a Float compare by exact value, never by the
+    /// Int's nearest float, so the order stays transitive past 2^53.
     #[must_use]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::{Bool, Float, Int, Null, Str};
@@ -150,8 +152,8 @@ impl Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_total_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_total_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
         }
@@ -214,6 +216,42 @@ impl Value {
     }
 }
 
+/// The exact order of an integer and a float, `None` for NaN: no
+/// rounding of `a` to `f64`, so distinct integers past 2^53 stay
+/// distinct from each other's nearest float. `-0.0` equals `0`.
+fn int_float_cmp(a: i64, b: f64) -> Option<Ordering> {
+    // 2^63: every i64 is below it, and every float in [-2^63, 2^63)
+    // floors to an exact i64
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() {
+        None
+    } else if b >= TWO_63 {
+        Some(Ordering::Less)
+    } else if b < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let floor = b.floor();
+        // `a` equal to the floor of a fractional `b` is below `b`
+        Some(a.cmp(&(floor as i64)).then(if b > floor {
+            Ordering::Less
+        } else {
+            Ordering::Equal
+        }))
+    }
+}
+
+/// [`int_float_cmp`] completed to [`f64::total_cmp`]'s order, which puts
+/// `-0.0` just below `0` and a NaN past every number on its sign's side:
+/// the integer `a` sits where the float of its exact value would.
+fn int_float_total_cmp(a: i64, b: f64) -> Ordering {
+    match int_float_cmp(a, b) {
+        Some(Ordering::Equal) if b == 0.0 && b.is_sign_negative() => Ordering::Greater,
+        Some(ord) => ord,
+        None if b.is_sign_negative() => Ordering::Greater,
+        None => Ordering::Less,
+    }
+}
+
 /// Structural equality: `Null == Null`, floats compare bitwise-by-total-order.
 /// This is the *container* equality (hash maps, dedup), not SQL equality.
 impl PartialEq for Value {
@@ -233,7 +271,9 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Int and Float hash consistently with total_cmp equality:
-            // an Int and the equal Float must share a hash.
+            // an Int and the equal Float must share a hash. An Int no
+            // float equals (past 2^53) shares its nearest float's hash,
+            // a collision that `==` then resolves exactly.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -310,6 +350,7 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     #[test]
@@ -404,6 +445,100 @@ mod tests {
         assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[1], Value::Bool(false));
         assert_eq!(*vals.last().unwrap(), Value::str("b"));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact() {
+        let big = 1i64 << 53;
+        let (int, float) = (Value::Int, Value::Float);
+        assert_eq!(int(big), float(big as f64));
+        assert_ne!(int(big + 1), float(big as f64));
+        assert!(int(big + 1).total_cmp(&float(big as f64)).is_gt());
+        assert!(int(i64::MAX).total_cmp(&float(i64::MAX as f64)).is_lt()); // 2^63
+        assert_eq!(int(i64::MIN), float(i64::MIN as f64)); // -2^63
+        assert!(int(2).total_cmp(&float(2.5)).is_lt());
+        assert!(int(-3).total_cmp(&float(-2.5)).is_lt());
+        assert_eq!(int(-3), float(-3.0));
+        // NaN and -0.0 keep f64::total_cmp's places
+        assert!(int(0).total_cmp(&float(-0.0)).is_gt());
+        assert_eq!(int(0), float(0.0));
+        assert!(int(i64::MAX).total_cmp(&float(f64::NAN)).is_lt());
+        assert!(int(i64::MIN).total_cmp(&float(-f64::NAN)).is_gt());
+        // SQL comparison: exact too, with -0.0 = 0 and NaN unknown
+        assert_eq!(int(big + 1).sql_eq(&float(big as f64)), Truth::False);
+        assert_eq!(int(0).sql_eq(&float(-0.0)), Truth::True);
+        assert_eq!(int(1).sql_cmp(&float(f64::NAN)), None);
+    }
+
+    /// Numbers near ±2^53 and ±2^63, where an i64 has no exact f64, and
+    /// the floats `f64::total_cmp` places apart (±0.0, ±NaN, ±∞).
+    fn edge_number() -> impl Strategy<Value = Value> {
+        const SPECIAL: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+        ];
+        let int_near = |c: i64| (-3i64..4).prop_map(move |d| Value::Int(c.saturating_add(d)));
+        // d ulps of 2^53 or 2^63 away from c
+        let float_near = |c: f64| {
+            (-2i32..3).prop_map(move |d| Value::Float(c + f64::from(d) * c.abs() * f64::EPSILON))
+        };
+        let (p53, p63) = (2f64.powi(53), 2f64.powi(63));
+        prop_oneof![
+            int_near(1 << 53),
+            int_near(-(1 << 53)),
+            int_near(i64::MAX),
+            int_near(i64::MIN),
+            float_near(p53),
+            float_near(-p53),
+            float_near(p63),
+            float_near(-p63),
+            (0usize..SPECIAL.len()).prop_map(|i| Value::Float(SPECIAL[i])),
+        ]
+    }
+
+    /// Where `v` sits on the number line: its exact integer value
+    /// (every finite float `edge_number` makes is integral), with
+    /// `f64::total_cmp`'s places for -0.0, the infinities and the NaNs.
+    fn exact_key(v: &Value) -> (i8, i128, i8) {
+        match v {
+            Value::Int(i) => (0, i128::from(*i), 0),
+            Value::Float(f) if f.is_nan() => (if f.is_sign_negative() { -2 } else { 2 }, 0, 0),
+            Value::Float(f) if f.is_infinite() => (if *f < 0.0 { -1 } else { 1 }, 0, 0),
+            Value::Float(f) => (
+                0,
+                *f as i128,
+                if *f == 0.0 && f.is_sign_negative() {
+                    -1
+                } else {
+                    0
+                },
+            ),
+            other => unreachable!("not a number: {other:?}"),
+        }
+    }
+
+    proptest! {
+        /// Every pair orders as its exact values do, so the order is
+        /// transitive; equal values hash alike.
+        #[test]
+        fn total_cmp_is_exact_near_the_float_limits(
+            values in proptest::collection::vec(edge_number(), 2..16),
+        ) {
+            use std::hash::BuildHasher;
+            let state = std::hash::RandomState::new();
+            for a in &values {
+                for b in &values {
+                    prop_assert_eq!(a.total_cmp(b), exact_key(a).cmp(&exact_key(b)), "{:?} vs {:?}", a, b);
+                    if a == b {
+                        prop_assert_eq!(state.hash_one(a), state.hash_one(b));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

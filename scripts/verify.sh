@@ -64,6 +64,18 @@ for patch in scripts/mutants/*.patch; do
     fi
 done
 
+# Help gate: `clio-shell --help` is generated from the flag table
+# (crates/cli/src/config.rs) and the command table (command.rs), and must
+# stay byte-identical to scripts/golden/help.txt. After an intentional
+# change to a flag or a command, regenerate it with
+#
+#   target/release/clio-shell --help > scripts/golden/help.txt
+echo "==> help-text gate (clio-shell --help)"
+if ! target/release/clio-shell --help | diff -u scripts/golden/help.txt -; then
+    echo "verify: FAILED — clio-shell --help drifted from scripts/golden/help.txt" >&2
+    exit 1
+fi
+
 # Tier 2a: golden work-counter gate. A scripted demo run with one worker
 # thread and the evaluation cache off must reproduce the checked-in
 # counter snapshot byte-for-byte — counters are per-work-unit sums, so

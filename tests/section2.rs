@@ -70,6 +70,48 @@ fn section2_required_field_refinement() {
     }
 }
 
+/// Requiring an attribute whose correspondence is not null-strict keeps
+/// the nodes it reads outer-joined: `coalesce` is non-null when either
+/// parent is present, so motherless Tom keeps his row (his father's
+/// salary), and the filter wraps the query instead of becoming a JOIN.
+#[test]
+fn section2_sql_keeps_outer_joins_under_a_coalesce_requirement() {
+    let db = paper_database();
+    let income =
+        ValueCorrespondence::parse("coalesce(Parents.salary, Parents2.salary)", "FamilyIncome")
+            .unwrap();
+    let m = require_target_attribute(
+        &section2_mapping().with_correspondence(income),
+        "FamilyIncome",
+    );
+
+    let sql = generate_sql(&m, &db, &SqlOptions::default()).unwrap();
+    assert!(sql.contains("FROM Children\n"), "{sql}");
+    assert!(
+        sql.contains("\n    LEFT JOIN Parents ON Children.fid = Parents.ID"),
+        "{sql}"
+    );
+    assert!(
+        sql.contains("\n    LEFT JOIN Parents AS Parents2 ON Children.mid = Parents2.ID"),
+        "{sql}"
+    );
+    assert!(!sql.contains("\n    JOIN "), "no inner join: {sql}");
+    assert!(sql.starts_with("SELECT * FROM (\n"), "{sql}");
+    assert!(
+        sql.ends_with("\n) AS Kids\nWHERE Kids.FamilyIncome IS NOT NULL\n"),
+        "{sql}"
+    );
+
+    let out = m.evaluate(&db, &funcs()).unwrap();
+    assert_eq!(out.len(), 4);
+    let tom = out
+        .rows()
+        .iter()
+        .find(|r| r[0] == Value::str("004"))
+        .expect("Tom kept");
+    assert!(!tom[6].is_null());
+}
+
 /// The mapping query result matches the paper's semantics value by value.
 #[test]
 fn section2_mapping_result_values() {
