@@ -527,11 +527,11 @@ impl CliConfig {
     /// Parse an argv slice (without the program name). Flags are
     /// processed left to right; the first invalid flag wins, and
     /// `--help` stops parsing. Once every flag is read, a flag given in
-    /// a mode it does not admit (see `FLAGS`) is an error. Cross-flag
-    /// constraints that depend on runtime state (e.g. `--source`
-    /// needing `--target`, `--script` conflicting with positional
-    /// scripts) are checked by the binary in its historical order, not
-    /// here.
+    /// a mode it does not admit (see `FLAGS`) is an error, and then a
+    /// pair of flags that cannot go together (`check_pairs`),
+    /// so each is reported before any source is read or generated.
+    /// Constraints checked while the source is read (`--source` needing
+    /// `--target`, `--db-dir` needing a target) stay with the binary.
     pub fn parse(args: &[String]) -> Result<CliConfig, UsageError> {
         let mut cfg = CliConfig::default();
         let mut i = 0;
@@ -579,8 +579,50 @@ impl CliConfig {
         cfg.trace |= cfg.trace_filter.is_some();
         if !cfg.help {
             cfg.check_mode()?;
+            cfg.check_pairs()?;
         }
         Ok(cfg)
+    }
+
+    /// The cross-flag usage errors, first one wins: `--db-pool` without
+    /// `--db-dir`, `--db-dir` beside `--source` or `--synthetic` (any
+    /// mode that reads a source, so not `connect`), and in the local
+    /// shell `--script` or `--mapping` beside positional scripts, or
+    /// `--sessions` without them.
+    fn check_pairs(&self) -> Result<(), UsageError> {
+        let source = !matches!(self.mode, Mode::Connect(_));
+        let local = self.mode == Mode::Local;
+        let batch = !self.batch_scripts.is_empty();
+        let pairs = [
+            (
+                source && self.db_pool.is_some() && self.db_dir.is_none(),
+                "--db-pool requires --db-dir",
+            ),
+            (
+                source && self.db_dir.is_some() && self.source_dir.is_some(),
+                "--db-dir conflicts with --source",
+            ),
+            (
+                source && self.db_dir.is_some() && self.synthetic.is_some(),
+                "--db-dir conflicts with --synthetic",
+            ),
+            (
+                local && batch && self.script.is_some(),
+                "--script conflicts with positional script arguments",
+            ),
+            (
+                local && batch && self.mapping_file.is_some(),
+                "--mapping conflicts with positional script arguments",
+            ),
+            (
+                local && !batch && self.sessions_width.is_some(),
+                "--sessions requires positional script arguments",
+            ),
+        ];
+        match pairs.iter().find(|(refused, _)| *refused) {
+            Some((_, message)) => Err(UsageError(format!("{message} (see --help)"))),
+            None => Ok(()),
+        }
     }
 
     /// The mode-strictness errors: a flag whose [`Needs`] the mode does
@@ -664,8 +706,6 @@ mod tests {
             "/tmp/cc",
             "--threads",
             "3",
-            "--sessions",
-            "2",
             "--trace-filter",
             "fd.lattice",
             "--trace-out",
@@ -685,12 +725,13 @@ mod tests {
         assert_eq!(cfg.metrics_path.as_deref(), Some("m.json"));
         assert_eq!(cfg.cache_dir.as_deref(), Some("/tmp/cc"));
         assert_eq!(cfg.threads, Some(3));
-        assert_eq!(cfg.sessions_width, Some(2));
         assert_eq!(cfg.trace_filter.as_deref(), Some("fd.lattice"));
         assert!(cfg.trace, "--trace-filter implies --trace");
         assert_eq!(cfg.trace_out.as_deref(), Some("t.jsonl"));
         assert_eq!(cfg.slow_ms, Some(25));
         assert!(cfg.no_cache);
+        let cfg = CliConfig::parse(&argv(&["--sessions", "2", "a.clio"])).unwrap();
+        assert_eq!(cfg.sessions_width, Some(2));
     }
 
     #[test]
@@ -897,7 +938,8 @@ mod tests {
     }
 
     /// Every row of [`FLAGS`] is accepted by the parser under each of
-    /// its spellings (with a valid value, in a mode it admits) and
+    /// its spellings (with a valid value, in a mode it admits, beside
+    /// the flag or script it needs) and
     /// appears in `usage()`: the flags block and the parser are one
     /// table and cannot drift apart.
     #[test]
@@ -918,6 +960,11 @@ mod tests {
                 }
                 words.push(name);
                 words.extend(value);
+                match flag.usage {
+                    "--sessions <n>" => words.push("a.clio"),
+                    "--db-pool <pages>" => words.extend(["--db-dir", "d"]),
+                    _ => {}
+                }
                 let mut cfg = CliConfig::parse(&argv(&words))
                     .unwrap_or_else(|e| panic!("`{name}` is documented but refused: {e}"));
                 assert!(flag.kind.is_set(&mut cfg), "`{name}` set nothing");
@@ -966,7 +1013,8 @@ mod tests {
         );
         // `connect` replays --script, and the local shell takes them all
         assert!(CliConfig::parse(&argv(&["connect", "127.0.0.1:1", "--script", "s"])).is_ok());
-        assert!(CliConfig::parse(&argv(&["--mapping", "m", "--sessions", "2", "a"])).is_ok());
+        assert!(CliConfig::parse(&argv(&["--mapping", "m", "--script", "s"])).is_ok());
+        assert!(CliConfig::parse(&argv(&["--sessions", "2", "a"])).is_ok());
         // a bad value anywhere wins over a mode error; --help skips both
         assert_eq!(
             err(&["--port", "1", "--threads", "0"]),
@@ -977,6 +1025,55 @@ mod tests {
                 .unwrap()
                 .help
         );
+        // the cross-flag errors, each before any source is read
+        assert_eq!(
+            err(&["--db-pool", "8"]),
+            "--db-pool requires --db-dir (see --help)"
+        );
+        assert_eq!(
+            err(&["--db-dir", "d", "--source", "s"]),
+            "--db-dir conflicts with --source (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--synthetic", "chain,2,5", "--db-dir", "d"]),
+            "--db-dir conflicts with --synthetic (see --help)"
+        );
+        assert_eq!(
+            err(&["--script", "s.clio", "a.clio"]),
+            "--script conflicts with positional script arguments (see --help)"
+        );
+        assert_eq!(
+            err(&["a.clio", "--mapping", "m.map"]),
+            "--mapping conflicts with positional script arguments (see --help)"
+        );
+        assert_eq!(
+            err(&["--synthetic", "chain,4,200000", "--sessions", "2"]),
+            "--sessions requires positional script arguments (see --help)"
+        );
+        // in their old order: the source pair first, then the batch
+        assert_eq!(
+            err(&[
+                "--sessions",
+                "2",
+                "--synthetic",
+                "chain,2,5",
+                "--db-dir",
+                "d",
+                "--db-pool",
+                "4"
+            ]),
+            "--db-dir conflicts with --synthetic (see --help)"
+        );
+        assert_eq!(
+            err(&["--db-dir", "d", "--source", "s", "--synthetic", "chain,2,5"]),
+            "--db-dir conflicts with --source (see --help)"
+        );
+        assert_eq!(
+            err(&["--mapping", "m", "--script", "s", "a"]),
+            "--script conflicts with positional script arguments (see --help)"
+        );
+        // `connect` reads no source, so it refuses none of them
+        assert!(CliConfig::parse(&argv(&["connect", "h:1", "--db-pool", "8"])).is_ok());
     }
 
     /// With several mode errors, the first one the binary checked before

@@ -139,16 +139,7 @@ fn main() {
         };
         source = Some((db, parse_target_flag(spec)));
     }
-    if cfg.db_pool.is_some() && cfg.db_dir.is_none() {
-        exit_2("--db-pool requires --db-dir (see --help)");
-    }
     if let Some(dir) = &cfg.db_dir {
-        if cfg.source_dir.is_some() {
-            exit_2("--db-dir conflicts with --source (see --help)");
-        }
-        if cfg.synthetic.is_some() {
-            exit_2("--db-dir conflicts with --synthetic (see --help)");
-        }
         let pool = cfg.db_pool.unwrap_or(DEFAULT_DB_POOL);
         let db = clio_relational::storage::open_paged(Path::new(dir), pool)
             .unwrap_or_else(|e| exit_2(format_args!("cannot load `{dir}`: {e}")));
@@ -185,19 +176,10 @@ fn main() {
     }
 
     if !cfg.batch_scripts.is_empty() {
-        if cfg.script.is_some() {
-            exit_2("--script conflicts with positional script arguments (see --help)");
-        }
-        if cfg.mapping_file.is_some() {
-            exit_2("--mapping conflicts with positional script arguments (see --help)");
-        }
         let width = cfg.sessions_width.unwrap_or(1);
         run_batch(db, target, &cfg.batch_scripts, width, cfg.no_cache, store);
         finish_reports(&cfg);
         return;
-    }
-    if cfg.sessions_width.is_some() {
-        exit_2("--sessions requires positional script arguments (see --help)");
     }
 
     let mut session = Session::new(db, target);

@@ -10,17 +10,26 @@
 //! Sufficiency is then repaired by *adding* the fewest examples (the
 //! solver in [`crate::illustration`]), never by mutating or dropping the
 //! extended ones.
+//!
+//! Evolution reads the new population as tuple-id rows and signatures,
+//! and builds examples only for the rows the new illustration keeps. An
+//! old example's extensions are found by a probe, not a scan of the
+//! population: they hold, at the node of its first non-null column, a
+//! tuple with that value.
+
+use std::collections::BTreeMap;
 
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
+use clio_relational::expr::Cells;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::schema::Scheme;
 use clio_relational::value::Value;
 
-use crate::example::Example;
 use crate::illustration::{minimal_completion, Illustration};
 use crate::mapping::Mapping;
-use crate::plan::CompiledMapping;
+use crate::plan::{CompiledMapping, Population};
+use crate::query_graph::NodeId;
 
 /// The outcome of evolving an illustration across a mapping change.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,12 +59,12 @@ pub fn extends(
 /// [`extends`] with the old scheme's columns already resolved to their
 /// `positions` in the new scheme: `subsumes(projection, old_assoc)`
 /// without copying the projection.
-fn extends_at(positions: &[usize], old_assoc: &[Value], new_assoc: &[Value]) -> bool {
+fn extends_at<C: Cells + ?Sized>(positions: &[usize], old_assoc: &[Value], new_assoc: &C) -> bool {
     debug_assert_eq!(positions.len(), old_assoc.len());
     positions
         .iter()
         .zip(old_assoc)
-        .all(|(&p, old)| old.is_null() || new_assoc[p] == *old)
+        .all(|(&p, old)| old.is_null() || new_assoc.at(p) == old)
 }
 
 /// Evolve `old_illustration` from `old_mapping` to `new_mapping` (whose
@@ -103,7 +112,9 @@ pub(crate) fn positions_in(old_scheme: &Scheme, new_scheme: &Scheme) -> Result<V
 
 /// Evolve `old_illustration` onto the compiled mapping `new`, whose graph
 /// scheme holds the old scheme's columns at `positions`: extend every
-/// old example, then repair sufficiency (span `evolution.evolve`).
+/// old example, then repair sufficiency (span `evolution.evolve`). Both
+/// steps read the population's rows and signatures; only the kept rows'
+/// examples are built.
 pub(crate) fn evolve(
     old_illustration: &Illustration,
     positions: &[usize],
@@ -113,34 +124,107 @@ pub(crate) fn evolve(
     cache: Option<&clio_incr::EvalCache>,
 ) -> Result<Evolution> {
     let _span = clio_obs::span("evolution.evolve");
-    let population = new.examples(db, funcs, cache)?;
-    let mut chosen: Vec<usize> = Vec::new();
-    let mut taken = vec![false; population.len()];
+    let arity = new.mapping().target.arity();
+    let (mut extended_count, mut repair_count) = (0, 0);
+    let illustration = new.illustrate(db, funcs, cache, |population| {
+        // 1. extend every old example
+        let mut chosen = extend(old_illustration, positions, population);
+        extended_count = chosen.len();
+        // 2. repair sufficiency by appending the fewest examples, in
+        //    population order (never removing the extensions)
+        let signatures = &population.signatures;
+        let extensions: Vec<_> = chosen.iter().map(|&i| &signatures[i]).collect();
+        let repairs = minimal_completion(signatures, arity, &extensions);
+        repair_count = repairs.len();
+        chosen.extend(repairs);
+        chosen
+    })?;
+    Ok(Evolution {
+        illustration,
+        extended_count,
+        repair_count,
+    })
+}
 
-    // 1. extend every old example
+/// The population rows extending each old example, old example by old
+/// example, each one's in row order, no row twice (span
+/// `evolution.extend`). A row extending an old example holds, at the
+/// node of the old association's first non-null column, a tuple with
+/// that column's value; so the candidates are the rows whose id there
+/// is one of those tuples, found in that node's id buckets, and each is
+/// confirmed on every column. An all-null old association is extended
+/// by every row.
+fn extend(
+    old_illustration: &Illustration,
+    positions: &[usize],
+    population: &Population,
+) -> Vec<usize> {
+    let _span = clio_obs::span("evolution.extend");
+    let mut buckets: BTreeMap<NodeId, Buckets> = BTreeMap::new();
+    let mut chosen = Vec::new();
+    let mut taken = vec![false; population.len()];
     for old in &old_illustration.examples {
-        for (i, candidate) in population.iter().enumerate() {
-            if !taken[i] && extends_at(positions, &old.association, &candidate.association) {
+        let candidates: Vec<usize> = match old.association.iter().position(|v| !v.is_null()) {
+            Some(j) => {
+                let (v, attr) = population.column(positions[j]);
+                let bucket = buckets
+                    .entry(v)
+                    .or_insert_with(|| Buckets::of(population, v));
+                let value = &old.association[j];
+                let mut rows: Vec<usize> = population
+                    .tuples(v)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, tuple)| tuple[attr] == *value)
+                    .flat_map(|(t, _)| bucket.rows(t))
+                    .collect();
+                rows.sort_unstable();
+                rows
+            }
+            None => (0..population.len()).collect(),
+        };
+        for i in candidates {
+            if !taken[i] && extends_at(positions, &old.association, &population.association(i)) {
                 taken[i] = true;
                 chosen.push(i);
             }
         }
     }
-    let extended_count = chosen.len();
+    chosen
+}
 
-    // 2. repair sufficiency by appending the fewest examples, in
-    //    population order (never removing the extensions)
-    let extensions: Vec<&Example> = chosen.iter().map(|&i| &population[i]).collect();
-    let arity = new.mapping().target.arity();
-    let repairs = minimal_completion(&population, arity, &extensions);
-    let repair_count = repairs.len();
-    chosen.extend(repairs);
+/// A population's rows grouped by their tuple id at one node, each
+/// group in row order: a counting sort over the ids.
+struct Buckets {
+    /// `rows[start[t]..start[t + 1]]` hold tuple `t`.
+    start: Vec<usize>,
+    rows: Vec<usize>,
+}
 
-    Ok(Evolution {
-        illustration: Illustration::from_indexes(&population, &chosen),
-        extended_count,
-        repair_count,
-    })
+impl Buckets {
+    /// The buckets of node `v`; a row missing `v` is in none.
+    fn of(population: &Population, v: NodeId) -> Buckets {
+        let mut start = vec![0; population.tuples(v).len() + 1];
+        let ids = (0..population.len()).filter_map(|i| Some((i, population.id(i, v)? as usize)));
+        for (_, t) in ids.clone() {
+            start[t + 1] += 1;
+        }
+        for t in 1..start.len() {
+            start[t] += start[t - 1];
+        }
+        let mut next = start.clone();
+        let mut rows = vec![0; start[start.len() - 1]];
+        for (i, t) in ids {
+            rows[next[t]] = i;
+            next[t] += 1;
+        }
+        Buckets { start, rows }
+    }
+
+    /// The rows holding tuple `t`, in row order.
+    fn rows(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows[self.start[t]..self.start[t + 1]].iter().copied()
+    }
 }
 
 /// Check the continuity property: every old example has at least one
@@ -156,7 +240,7 @@ pub fn continuity_holds(
         new_illustration
             .examples
             .iter()
-            .any(|new| extends_at(&positions, &old.association, &new.association))
+            .any(|new| extends_at(&positions, &old.association, new.association.as_slice()))
     }))
 }
 

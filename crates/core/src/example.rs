@@ -6,6 +6,7 @@
 //! satisfies all source filters and `t` all target filters, **negative**
 //! otherwise — negative examples show the user what data trimming removed.
 
+use clio_relational::bitset::Bitset;
 use clio_relational::schema::Scheme;
 use clio_relational::value::Value;
 
@@ -25,6 +26,12 @@ pub struct Example {
 }
 
 impl Example {
+    /// What the sufficiency requirements read of this example.
+    #[must_use]
+    pub fn signature(&self) -> Signature {
+        Signature::new(self.coverage, self.positive, &self.target)
+    }
+
     /// Polarity tag used in rendered illustrations: `+` / `-`.
     #[must_use]
     pub fn polarity_tag(&self) -> &'static str {
@@ -32,6 +39,41 @@ impl Example {
             "+"
         } else {
             "-"
+        }
+    }
+}
+
+/// The part of an example every sufficiency requirement reads (paper
+/// Defs 4.2–4.6): its coverage, its polarity and which of its target
+/// values are null. The requirements read the null mask of a positive
+/// example only.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Signature {
+    /// Coverage mask of the association.
+    pub coverage: u64,
+    /// `true` when the example is positive.
+    pub positive: bool,
+    /// Bit `a` set when target value `a` is null.
+    pub nulls: Bitset,
+}
+
+impl Signature {
+    /// The signature of an example of `coverage` and polarity
+    /// `positive` whose target row's cells are `target`.
+    pub fn new<'v>(
+        coverage: u64,
+        positive: bool,
+        target: impl IntoIterator<Item = &'v Value, IntoIter: ExactSizeIterator>,
+    ) -> Signature {
+        let target = target.into_iter();
+        let mut nulls = Bitset::new(target.len());
+        for (a, _) in target.enumerate().filter(|(_, v)| v.is_null()) {
+            nulls.set(a);
+        }
+        Signature {
+            coverage,
+            positive,
+            nulls,
         }
     }
 }

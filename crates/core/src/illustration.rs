@@ -14,8 +14,10 @@
 //!
 //! The requirements form a set-cover instance over the candidate examples,
 //! and its size does not depend on the population: every requirement reads
-//! only an example's **signature** — its coverage, its polarity and, when
-//! positive, which of its target values are non-null. Examples with one
+//! only an example's [`Signature`] — its coverage, its polarity and, when
+//! positive, which of its target values are non-null. The solver reads
+//! signatures only, so an illustration's examples need be built only for
+//! the rows it keeps ([`crate::evolution`]). Examples with one
 //! signature satisfy the same requirements, so a minimum cover over
 //! signature classes is a minimum cover over examples. Requirements of
 //! different coverage categories are never satisfied by one example, so a
@@ -39,9 +41,8 @@
 use std::collections::{HashMap, HashSet};
 
 use clio_obs::metrics::{self, Counter};
-use clio_relational::value::Value;
 
-use crate::example::Example;
+use crate::example::{Example, Signature};
 use crate::query_graph::QueryGraph;
 
 /// One atomic thing a sufficient illustration must demonstrate.
@@ -68,21 +69,26 @@ pub enum Requirement {
     },
 }
 
-/// Does example `e` satisfy requirement `r`?
+/// Does an example of signature `s` satisfy requirement `r`?
 #[must_use]
-pub fn satisfies(e: &Example, r: &Requirement) -> bool {
+pub fn satisfies(s: &Signature, r: &Requirement) -> bool {
     metrics::incr(Counter::RequirementsChecked);
     match *r {
-        Requirement::Coverage(c) => e.coverage == c,
+        Requirement::Coverage(c) => s.coverage == c,
         Requirement::Polarity { coverage, positive } => {
-            e.coverage == coverage && e.positive == positive
+            s.coverage == coverage && s.positive == positive
         }
         Requirement::AttrValue {
             coverage,
             attr,
             non_null,
-        } => e.positive && e.coverage == coverage && e.target[attr].is_null() != non_null,
+        } => s.positive && s.coverage == coverage && s.nulls.get(attr) != non_null,
     }
+}
+
+/// The signature of every example, in order.
+fn signatures(examples: &[Example]) -> Vec<Signature> {
+    examples.iter().map(Example::signature).collect()
 }
 
 /// Which aspects of the mapping to require (Defs 4.2 / 4.4 / 4.5 / 4.6).
@@ -149,6 +155,15 @@ pub fn requirements(
     target_arity: usize,
     scope: SufficiencyScope,
 ) -> Vec<Requirement> {
+    requirements_of(&signatures(all), target_arity, scope)
+}
+
+/// [`requirements`] of the examples whose signatures are `all`.
+fn requirements_of(
+    all: &[Signature],
+    target_arity: usize,
+    scope: SufficiencyScope,
+) -> Vec<Requirement> {
     categories(all)
         .into_iter()
         .flat_map(|(coverage, classes)| {
@@ -160,18 +175,12 @@ pub fn requirements(
 /// `all` grouped by signature into classes, each represented by its first
 /// member's index, and the classes grouped by coverage category: the
 /// categories in requirement order, the classes in population order.
-fn categories(all: &[Example]) -> Vec<(u64, Vec<usize>)> {
+fn categories(all: &[Signature]) -> Vec<(u64, Vec<usize>)> {
     let mut seen = HashSet::new();
     let mut out: Vec<(u64, Vec<usize>)> = Vec::new();
     for (i, e) in all.iter().enumerate() {
-        // the signature (module docs); a negative's target is never read
-        let nulls: Vec<bool> = e
-            .target
-            .iter()
-            .filter(|_| e.positive)
-            .map(Value::is_null)
-            .collect();
-        if !seen.insert((e.coverage, e.positive, nulls)) {
+        // a negative's null mask is never read
+        if !seen.insert((e.coverage, e.positive, e.positive.then_some(&e.nulls))) {
             continue;
         }
         match out.iter_mut().find(|(c, _)| *c == e.coverage) {
@@ -187,7 +196,7 @@ fn categories(all: &[Example]) -> Vec<(u64, Vec<usize>)> {
 /// represented by `classes` (indexes into `all`), in [`requirements`]'
 /// order.
 fn category_requirements(
-    all: &[Example],
+    all: &[Signature],
     coverage: u64,
     classes: &[usize],
     target_arity: usize,
@@ -220,14 +229,15 @@ fn category_requirements(
 /// requirement.
 const COVER_NODE_LIMIT: u64 = 100_000;
 
-/// Indexes into `all`, in population order, of the fewest examples that
-/// make `fixed` plus them sufficient for the mapping (Def 4.6). Each is
-/// its signature class's first member (module docs). No class of a fixed
+/// Indexes into `all`, the signatures of a population, in population
+/// order, of the fewest examples that make the examples of signatures
+/// `fixed` plus them sufficient for the mapping (Def 4.6). Each is its
+/// signature class's first member (module docs). No class of a fixed
 /// example is ever added: it would satisfy nothing new.
 pub(crate) fn minimal_completion(
-    all: &[Example],
+    all: &[Signature],
     target_arity: usize,
-    fixed: &[&Example],
+    fixed: &[&Signature],
 ) -> Vec<usize> {
     let _span = clio_obs::span("illustration.cover");
     let mut chosen = Vec::new();
@@ -265,7 +275,7 @@ pub(crate) fn minimal_completion(
 /// `COVER_NODE_LIMIT` combinations it warns and takes, for each
 /// requirement in turn, the first class satisfying it.
 fn minimum_cover(
-    all: &[Example],
+    all: &[Signature],
     coverage: u64,
     classes: &[usize],
     open: &[Requirement],
@@ -336,9 +346,10 @@ pub fn is_sufficient(
     target_arity: usize,
     scope: SufficiencyScope,
 ) -> bool {
+    let shown = signatures(illustration);
     requirements(all, target_arity, scope)
         .iter()
-        .all(|r| illustration.iter().any(|e| satisfies(e, r)))
+        .all(|r| shown.iter().any(|s| satisfies(s, r)))
 }
 
 /// Greedy set cover, the reference the exact selection is measured
@@ -346,7 +357,8 @@ pub fn is_sufficient(
 /// requirements. Returns indexes into `all`, in selection order.
 #[must_use]
 pub fn select_greedy(all: &[Example], target_arity: usize, scope: SufficiencyScope) -> Vec<usize> {
-    let mut open = requirements(all, target_arity, scope);
+    let all = signatures(all);
+    let mut open = requirements_of(&all, target_arity, scope);
     let mut chosen = Vec::new();
     while !open.is_empty() {
         let gain = |i: &usize| open.iter().filter(|r| satisfies(&all[*i], r)).count();
@@ -387,7 +399,8 @@ impl Illustration {
     /// population order.
     #[must_use]
     pub fn minimal_sufficient(all: &[Example], target_arity: usize) -> Illustration {
-        Illustration::from_indexes(all, &minimal_completion(all, target_arity, &[]))
+        let chosen = minimal_completion(&signatures(all), target_arity, &[]);
+        Illustration::from_indexes(all, &chosen)
     }
 
     /// A minimal *sufficient and focused* illustration (Defs 4.6 + 4.7):
@@ -400,8 +413,12 @@ impl Illustration {
         target_arity: usize,
         required: &[Example],
     ) -> Illustration {
-        let fixed: Vec<&Example> = required.iter().collect();
-        let added = minimal_completion(all, target_arity, &fixed);
+        let fixed = signatures(required);
+        let added = minimal_completion(
+            &signatures(all),
+            target_arity,
+            &fixed.iter().collect::<Vec<_>>(),
+        );
         Illustration {
             examples: required
                 .iter()
@@ -464,25 +481,27 @@ impl Illustration {
         let Some(current) = self.examples.get(index) else {
             return Vec::new();
         };
+        let shown = signatures(&self.examples);
+        let sigs = signatures(all);
         // requirements only `current` covers within this illustration
-        let exclusive: Vec<Requirement> = requirements(all, target_arity, scope)
+        let exclusive: Vec<Requirement> = requirements_of(&sigs, target_arity, scope)
             .into_iter()
             .filter(|r| {
-                satisfies(current, r)
-                    && !self
-                        .examples
+                satisfies(&shown[index], r)
+                    && !shown
                         .iter()
                         .enumerate()
-                        .any(|(i, e)| i != index && satisfies(e, r))
+                        .any(|(i, s)| i != index && satisfies(s, r))
             })
             .collect();
         all.iter()
-            .filter(|e| {
+            .zip(&sigs)
+            .filter(|(e, s)| {
                 *e != current
                     && !self.examples.contains(e)
-                    && exclusive.iter().all(|r| satisfies(e, r))
+                    && exclusive.iter().all(|r| satisfies(s, r))
             })
-            .cloned()
+            .map(|(e, _)| e.clone())
             .collect()
     }
 
@@ -540,7 +559,7 @@ mod tests {
 
     #[test]
     fn requirement_satisfaction() {
-        let pop = population();
+        let pop = signatures(&population());
         assert!(satisfies(&pop[0], &Requirement::Coverage(0b11)));
         assert!(!satisfies(&pop[3], &Requirement::Coverage(0b11)));
         assert!(satisfies(
@@ -723,6 +742,21 @@ mod tests {
         assert_eq!(select_greedy(&pop, 3, scope).len(), 3);
         // each class is represented by its first member
         assert_eq!(ill.examples, vec![pop[500].clone(), pop[1000].clone()]);
+    }
+
+    #[test]
+    fn null_masks_keep_attributes_past_the_sixty_fourth() {
+        // two classes differ only at attribute 66: each is the one
+        // witness of one of its requirements
+        let pop = positives(70, &[vec![66], vec![]], 2);
+        let ill = Illustration::minimal_sufficient(&pop, 70);
+        assert_eq!(ill.examples, vec![pop[0].clone(), pop[2].clone()]);
+        assert!(is_sufficient(
+            &ill.examples,
+            &pop,
+            70,
+            SufficiencyScope::mapping()
+        ));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod prelude {
     pub use crate::evolution::{
         continuity_holds, evolve_illustration, evolve_illustration_cached, Evolution,
     };
-    pub use crate::example::Example;
+    pub use crate::example::{Example, Signature};
     pub use crate::focus::{focused_examples, is_focused, Focus};
     pub use crate::full_disjunction::{
         full_associations, full_disjunction, full_disjunction_naive, FdAlgo,

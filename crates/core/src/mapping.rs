@@ -436,17 +436,6 @@ impl MappingEvaluator {
         }));
     }
 
-    /// Do the filters accept `(assoc, target)`?
-    pub fn passes_filters<C: Cells + ?Sized>(
-        &self,
-        assoc: &C,
-        target: &[Value],
-        funcs: &FuncRegistry,
-    ) -> Result<bool> {
-        Ok(all_pass(&self.source_filters, assoc, funcs)?
-            && all_pass(&self.target_filters, target, funcs)?)
-    }
-
     /// The full mapping query on one association: `Some(target_row)` when
     /// all filters pass, `None` otherwise. The source filters run first,
     /// as `WHERE` before `SELECT`: a correspondence is never evaluated on

@@ -81,7 +81,7 @@ use clio_relational::value::Value;
 
 use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
-use crate::example::Example;
+use crate::example::{Example, Signature};
 use crate::incremental::{disjunction_structure, elapsed_ns, subgraph_structure, Versions};
 use crate::mapping::{all_pass, MappingEvaluator, TargetView};
 use crate::query_graph::{NodeId, QueryGraph};
@@ -932,27 +932,94 @@ impl Projection {
         &self.target
     }
 
-    /// The examples of `ids`, a `D(G)` over the bound scheme, in row
-    /// order (paper Def 4.1): each association's values are built once
-    /// and moved into its example, beside its coverage, its target row
-    /// `Q_{φ(M)}(d)` and its polarity.
-    pub(crate) fn examples(&self, ids: &TupleIds, funcs: &FuncRegistry) -> Result<Vec<Example>> {
-        let arity = ids.scheme().arity();
+    /// The signature of each example of `ids`, a `D(G)` over the bound
+    /// scheme, in row order (paper Def 4.1), built as [`Projection::run`]
+    /// reads a row, with nothing cloned: the coverage read off the ids,
+    /// and the target row `Q_{φ(M)}(d)` as a view over the association's
+    /// cells and the computed correspondences, whose null mask is kept.
+    /// Every computed correspondence runs on every association, and then
+    /// the source filters and, when they pass, the target filters give
+    /// the polarity, so an error surfaces where building the examples
+    /// raises it.
+    pub(crate) fn signatures(
+        &self,
+        ids: &TupleIds,
+        funcs: &FuncRegistry,
+    ) -> Result<Vec<Signature>> {
+        let arity = self.target.arity();
+        let mut computed = vec![Value::Null; arity];
+        let mut slots = Vec::with_capacity(arity);
         let mut out = Vec::with_capacity(ids.row_count());
         for i in 0..ids.row_count() {
-            let association: Vec<Value> = (0..arity).map(|c| ids.cell(i, c).clone()).collect();
-            let target = self.eval.target_row(association.as_slice(), funcs)?;
-            let positive = self
-                .eval
-                .passes_filters(association.as_slice(), &target, funcs)?;
-            out.push(Example {
-                coverage: ids.coverage(i),
-                association,
-                target,
-                positive,
-            });
+            let association = IdRow { ids, i };
+            self.eval.compute(&association, &mut computed, funcs)?;
+            self.eval.borrow_slots(|c| ids.cell(i, c), &mut slots);
+            let target = TargetView {
+                slots: &slots,
+                computed: &computed,
+            };
+            let positive = all_pass(&self.eval.source_filters, &association, funcs)?
+                && all_pass(&self.eval.target_filters, &target, funcs)?;
+            let cells = (0..arity).map(|a| target.at(a));
+            out.push(Signature::new(ids.coverage(i), positive, cells));
         }
         Ok(out)
+    }
+
+    /// The example of row `i` of `ids`, whose signature is `signature`
+    /// ([`Projection::signatures`]): the association's values and its
+    /// target row, built.
+    pub(crate) fn example(
+        &self,
+        ids: &TupleIds,
+        i: usize,
+        signature: &Signature,
+        funcs: &FuncRegistry,
+    ) -> Result<Example> {
+        let association: Vec<Value> = (0..ids.scheme().arity())
+            .map(|c| ids.cell(i, c).clone())
+            .collect();
+        Ok(Example {
+            target: self.eval.target_row(association.as_slice(), funcs)?,
+            association,
+            coverage: signature.coverage,
+            positive: signature.positive,
+        })
+    }
+}
+
+/// A mapping's example population before its examples are built: the
+/// `D(G)`'s tuple-id rows and each row's [`Signature`]. A row's cells
+/// are read in place, through its ids.
+pub(crate) struct Population<'t> {
+    pub(crate) ids: TupleIds<'t>,
+    pub(crate) signatures: Vec<Signature>,
+}
+
+impl Population<'_> {
+    /// Number of examples.
+    pub(crate) fn len(&self) -> usize {
+        self.signatures.len()
+    }
+
+    /// Row `i`'s association, read in place.
+    pub(crate) fn association(&self, i: usize) -> IdRow<'_, '_> {
+        IdRow { ids: &self.ids, i }
+    }
+
+    /// The node and attribute position of association column `c`.
+    pub(crate) fn column(&self, c: usize) -> (NodeId, usize) {
+        self.ids.frame.columns[c]
+    }
+
+    /// Node `v`'s stored tuples, which row ids at `v` index.
+    pub(crate) fn tuples(&self, v: NodeId) -> &[Vec<Value>] {
+        self.ids.rows[v]
+    }
+
+    /// Row `i`'s tuple id at node `v`, `None` when it misses `v`.
+    pub(crate) fn id(&self, i: usize, v: NodeId) -> Option<u32> {
+        Some(self.ids.row(i)[v]).filter(|&id| id != UNCOVERED)
     }
 }
 
@@ -1207,7 +1274,7 @@ impl JoinInput for TupleIds<'_> {
 /// Row `i` of a [`TupleIds`] as a bound expression reads it: cell `c`
 /// is read through the row's id into the stored relation holding it
 /// ([`JoinInput::cell`]), never copied.
-struct IdRow<'a, 't> {
+pub(crate) struct IdRow<'a, 't> {
     ids: &'a TupleIds<'t>,
     i: usize,
 }

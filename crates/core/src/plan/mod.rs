@@ -83,10 +83,12 @@ use clio_relational::value::Value;
 
 use crate::example::Example;
 use crate::full_disjunction::FdAlgo;
+use crate::illustration::Illustration;
 use crate::incremental::{elapsed_ns, mapping_structure, relation_deps};
 use crate::mapping::Mapping;
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::connected_subsets;
+pub(crate) use ir::Population;
 use ir::{chain_prefixes, Frame, GraphForm, Pass, Projection};
 
 /// An executable plan for one mapping query: built by [`Plan::new`],
@@ -412,19 +414,48 @@ impl CompiledMapping {
         Ok(out)
     }
 
-    /// The mapping's examples (span `mapping.examples`; paper Def 4.1):
-    /// one per association of the un-pushed `D(G)`, which the preview
-    /// shares through the `D(G)` memo when it pushes no filter.
+    /// The mapping's examples (paper Def 4.1): one per association of
+    /// the un-pushed `D(G)`, which the preview shares through the `D(G)`
+    /// memo when it pushes no filter, in row order. They are the
+    /// illustration of every row ([`Self::illustrate`]).
     pub(crate) fn examples(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
     ) -> Result<Vec<Example>> {
-        let _span = clio_obs::span("mapping.examples");
+        let all = self.illustrate(db, funcs, cache, |population| {
+            (0..population.len()).collect()
+        });
+        Ok(all?.examples)
+    }
+
+    /// An illustration of the mapping: the rows `select` picks from its
+    /// example population, in its order, with only those rows' examples
+    /// built. The population is the un-pushed `D(G)`'s rows and their
+    /// signatures (span `mapping.examples`).
+    pub(crate) fn illustrate(
+        &self,
+        db: &Database,
+        funcs: &FuncRegistry,
+        cache: Option<&EvalCache>,
+        select: impl FnOnce(&Population) -> Vec<usize>,
+    ) -> Result<Illustration> {
+        let span = clio_obs::span("mapping.examples");
         let pass = self.pass(db, funcs, cache)?;
         let (ids, _) = self.disjunction.disjunction_ids(&pass)?;
-        self.projection.examples(&ids, funcs)
+        let signatures = self.projection.signatures(&ids, funcs)?;
+        let population = Population { ids, signatures };
+        drop(span);
+        let examples = select(&population)
+            .into_iter()
+            .map(|i| {
+                let signature = &population.signatures[i];
+                self.projection
+                    .example(&population.ids, i, signature, funcs)
+            })
+            .collect::<Result<_>>()?;
+        Ok(Illustration { examples })
     }
 
     /// The target filters pulled back (module docs), derived on the

@@ -29,7 +29,7 @@ use clio_incr::EvalCache;
 
 use crate::correspondence::ValueCorrespondence;
 use crate::evolution::{evolve, positions_in};
-use crate::illustration::Illustration;
+use crate::illustration::{minimal_completion, Illustration};
 use crate::knowledge::SchemaKnowledge;
 use crate::mapping::Mapping;
 use crate::operators::chase::{confirm_chase, data_chase};
@@ -488,13 +488,15 @@ impl Session {
         Ok(self.push_workspace(mapping, illustration, description, generation, None))
     }
 
-    /// A minimal sufficient illustration of `mapping`.
+    /// A minimal sufficient illustration of `mapping`
+    /// ([`Illustration::minimal_sufficient`]), solved over its
+    /// population's signatures: only the chosen examples are built.
     fn illustrate(&self, mapping: &Mapping) -> Result<Illustration> {
-        let population = self.examples(mapping)?;
-        Ok(Illustration::minimal_sufficient(
-            &population,
-            mapping.target.arity(),
-        ))
+        let arity = mapping.target.arity();
+        self.compiled(mapping)?
+            .illustrate(&self.db, &self.funcs, Some(&self.cache), |population| {
+                minimal_completion(&population.signatures, arity, &[])
+            })
     }
 
     /// The examples of `mapping`, through its compiled form.

@@ -14,6 +14,7 @@
 //! * so do the persisted-file decoders: heap records, index entries and
 //!   cache files of both payload kinds.
 
+use clio::core::evolution::extends;
 use clio::core::illustration::satisfies;
 use clio::core::plan::chain_ir;
 use clio::datagen::synthetic::Synthetic;
@@ -175,7 +176,7 @@ fn requirements_by_scan(population: &[Example], arity: usize) -> Vec<Requirement
                 .chain(polarity)
                 .chain(attrs)
         })
-        .filter(|r| population.iter().any(|e| satisfies(e, r)))
+        .filter(|r| population.iter().any(|e| satisfies(&e.signature(), r)))
         .collect()
 }
 
@@ -203,7 +204,7 @@ fn minimum_completion_size(population: &[Example], arity: usize, fixed: &[Exampl
     }
     let open: Vec<Requirement> = requirements_by_scan(population, arity)
         .into_iter()
-        .filter(|r| !fixed.iter().any(|e| satisfies(e, r)))
+        .filter(|r| !fixed.iter().any(|e| satisfies(&e.signature(), r)))
         .collect();
     let mut coverages: Vec<u64> = open.iter().map(coverage_of).collect();
     coverages.dedup();
@@ -216,7 +217,7 @@ fn minimum_completion_size(population: &[Example], arity: usize, fixed: &[Exampl
             .map(|e| {
                 reqs.iter()
                     .enumerate()
-                    .filter(|(_, r)| satisfies(e, r))
+                    .filter(|(_, r)| satisfies(&e.signature(), r))
                     .fold(0, |acc, (q, _)| acc | 1 << q)
             })
             .collect();
@@ -593,6 +594,214 @@ proptest! {
         prop_assert_eq!(
             evo.repair_count,
             minimum_completion_size(&new_pop, arity, extensions)
+        );
+    }
+}
+
+/// The numbers a [`numeric_source`] column holds: `Int(2^53)` equals
+/// `Float(2^53)`, which `Int(2^53 + 1)` does not.
+fn numeric_pool() -> [Value; 5] {
+    let big = 1i64 << 53;
+    [
+        Value::Int(big),
+        Value::Float(big as f64),
+        Value::Int(big + 1),
+        Value::Int(7),
+        Value::Null,
+    ]
+}
+
+/// `w` with a nullable float column `q` before every relation's `id`,
+/// each cell drawn from [`numeric_pool`] by `picks`: an association's
+/// first non-null column is then often a number.
+fn numeric_source(w: Synthetic, picks: &[usize]) -> Synthetic {
+    let pool = numeric_pool();
+    let mut db = Database::new();
+    for (i, node) in w.graph.nodes().iter().enumerate() {
+        let rel = w.db.relation(&node.relation).unwrap();
+        let mut attrs = vec![Attribute::new("q", DataType::Float)];
+        attrs.extend(rel.schema().attrs().iter().cloned());
+        let schema = RelSchema::new(rel.name(), attrs).unwrap();
+        let rows = rel
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(k, row)| {
+                let pick = picks[(i * 7 + k) % picks.len()] + k;
+                std::iter::once(pool[pick % pool.len()].clone())
+                    .chain(row.iter().cloned())
+                    .collect()
+            })
+            .collect();
+        db.add_relation(Relation::with_rows(schema, rows).unwrap())
+            .unwrap();
+    }
+    Synthetic { db, ..w }
+}
+
+/// `db` with one cell of a tuple `old` holds changed: the tuple of the
+/// `pick`-th node `old` covers, and its cell `column` of those other
+/// than `id` (the number, a join column or the payload) set to another
+/// value of its kind or to null.
+fn edit_held_tuple(
+    db: &Database,
+    graph: &QueryGraph,
+    old: &Example,
+    (pick, column, value): (usize, usize, usize),
+) -> Relation {
+    let covered: Vec<usize> = (0..graph.node_count())
+        .filter(|&v| old.coverage & 1 << v != 0)
+        .collect();
+    let v = covered[pick % covered.len()];
+    // the graph scheme lays the nodes out in order, `id` second
+    let offset: usize = graph.nodes()[..v]
+        .iter()
+        .map(|n| db.relation(&n.relation).unwrap().schema().arity())
+        .sum();
+    let rel = db.relation(&graph.nodes()[v].relation).unwrap();
+    let schema = rel.schema().clone();
+    let mut rows = rel.rows().to_vec();
+    let id = &old.association[offset + 1];
+    let row = rows.iter_mut().find(|row| row[1] == *id).unwrap();
+    let others: Vec<usize> = (0..schema.arity()).filter(|&c| c != 1).collect();
+    let c = others[column % others.len()];
+    row[c] = if c == 0 {
+        numeric_pool()[value % 5].clone()
+    } else if value % 4 == 0 {
+        Value::Null
+    } else if let Some(a) = schema.attrs()[c].name.strip_prefix('l') {
+        Value::str(format!("r{a}-{}", value % 8))
+    } else {
+        Value::str(format!("v0-{}", value % 3))
+    };
+    Relation::with_rows(schema, rows).unwrap()
+}
+
+/// Continuous evolution by definition: every old example, in order,
+/// takes each population example that extends it (`extends`) and that
+/// no earlier one took, scanning the whole population built by
+/// `Mapping::examples`; then the cover solver adds the fewest examples
+/// restoring sufficiency, over those full examples.
+fn evolve_by_scan(
+    old_ill: &Illustration,
+    old_m: &Mapping,
+    new_m: &Mapping,
+    db: &Database,
+) -> Evolution {
+    let population = new_m.examples(db, &funcs()).unwrap();
+    let old_scheme = old_m.graph.scheme(db).unwrap();
+    let new_scheme = new_m.graph.scheme(db).unwrap();
+    let mut taken = vec![false; population.len()];
+    let mut extensions = Vec::new();
+    for old in &old_ill.examples {
+        for (i, e) in population.iter().enumerate() {
+            if !taken[i]
+                && extends(&old_scheme, &old.association, &new_scheme, &e.association).unwrap()
+            {
+                taken[i] = true;
+                extensions.push(e.clone());
+            }
+        }
+    }
+    let illustration =
+        Illustration::minimal_sufficient_focused(&population, new_m.target.arity(), &extensions);
+    Evolution {
+        extended_count: extensions.len(),
+        repair_count: illustration.len() - extensions.len(),
+        illustration,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Evolution equals its definition ([`evolve_by_scan`]) on chains and
+    /// cycles with a number column (`Int(2^53)` beside `Float(2^53)`):
+    /// a session's evolution across an edit of a tuple an old example
+    /// holds (a number, a join column or the payload), and evolution
+    /// across a walk onto the whole graph from its last two nodes, whose
+    /// columns move. Both old illustrations get more old examples: one
+    /// holding only numbers, whose probe finds several tuples, and an
+    /// all-null one, which every row extends.
+    #[test]
+    fn evolution_is_the_definitional_scan(
+        cycle in proptest::bool::ANY,
+        rows in 4usize..10,
+        match_rate in 0.3f64..1.0,
+        seed in proptest::num::u64::ANY,
+        picks in proptest::collection::vec(0usize..5, 1..8),
+        edit in (0usize..8, 0usize..8, 0usize..8, 0usize..16),
+        extra in proptest::collection::vec(0usize..64, 0..4),
+    ) {
+        let spec = SyntheticSpec {
+            topology: if cycle { Topology::Cycle } else { Topology::Chain },
+            relations: 3,
+            rows,
+            match_rate,
+            payload_attrs: 1,
+            seed,
+        };
+        let w = numeric_source(generate(&spec), &picks);
+        let m = w.mapping.clone();
+        let arity = m.target.arity();
+
+        // an edit, through a session
+        let mut s = Session::new(w.db.clone(), w.target.clone());
+        s.adopt_mapping(m.clone(), "under test").unwrap();
+        let before = s.active().unwrap().illustration.clone();
+        let population = m.examples(&w.db, &funcs()).unwrap();
+        prop_assert_eq!(&before, &Illustration::minimal_sufficient(&population, arity));
+        let (k, pick, column, value) = edit;
+        let held = &before.examples[k % before.len()];
+        let rel = edit_held_tuple(&w.db, &m.graph, held, (pick, column, value));
+        let mut edited = w.db.clone();
+        edited.replace_relation(rel.clone()).unwrap();
+        s.replace_relation(rel).unwrap();
+        prop_assert_eq!(
+            &s.active().unwrap().illustration,
+            &evolve_by_scan(&before, &m, &m, &edited).illustration
+        );
+
+        // a walk onto the whole graph, from the mapping of its last two
+        // nodes, over the edited data
+        let mut graph = QueryGraph::new();
+        graph.add_node(Node::new("R1")).unwrap();
+        graph.add_node(Node::new("R2")).unwrap();
+        let edge = m.graph.edges().iter().find(|e| e.a + e.b == 3).unwrap();
+        graph.add_edge(0, 1, edge.predicate.clone()).unwrap();
+        let mut old_m = m.clone();
+        old_m.graph = graph;
+        old_m.correspondences.retain(|c| {
+            c.source_qualifiers().iter().all(|q| *q == "R1" || *q == "R2")
+        });
+        // more old examples: one with an all-null association, and one
+        // holding only numbers, which many tuples share
+        let grown = |ill: &Illustration, population: &[Example], scheme: &Scheme| {
+            let mut ill = ill.clone();
+            ill.examples.extend(extra.iter().map(|&x| population[x % population.len()].clone()));
+            let mut sparse = population[extra.len() % population.len()].clone();
+            for (cell, column) in sparse.association.iter_mut().zip(scheme.columns()) {
+                if column.name != "q" {
+                    *cell = Value::Null;
+                }
+            }
+            ill.examples.insert(0, sparse);
+            let mut all_null = population[0].clone();
+            all_null.association.fill(Value::Null);
+            ill.examples.insert(1 + extra.len() % ill.len(), all_null);
+            ill
+        };
+        let old_pop = old_m.examples(&w.db, &funcs()).unwrap();
+        let old_scheme = old_m.graph.scheme(&w.db).unwrap();
+        let walked = grown(&Illustration::minimal_sufficient(&old_pop, arity), &old_pop, &old_scheme);
+        prop_assert_eq!(
+            evolve_illustration(&walked, &old_m, &m, &edited, &funcs()).unwrap(),
+            evolve_by_scan(&walked, &old_m, &m, &edited)
+        );
+        let edited_over = grown(&before, &population, &m.graph.scheme(&w.db).unwrap());
+        prop_assert_eq!(
+            evolve_illustration(&edited_over, &m, &m, &edited, &funcs()).unwrap(),
+            evolve_by_scan(&edited_over, &m, &m, &edited)
         );
     }
 }
