@@ -530,8 +530,9 @@ impl CliConfig {
     /// a mode it does not admit (see `FLAGS`) is an error, and then a
     /// pair of flags that cannot go together (`check_pairs`),
     /// so each is reported before any source is read or generated.
-    /// Constraints checked while the source is read (`--source` needing
-    /// `--target`, `--db-dir` needing a target) stay with the binary.
+    /// The one constraint checked while the source is read, `--db-dir`
+    /// needing a target (its directory's `_target.txt` may name one),
+    /// stays with the binary.
     pub fn parse(args: &[String]) -> Result<CliConfig, UsageError> {
         let mut cfg = CliConfig::default();
         let mut i = 0;
@@ -588,7 +589,7 @@ impl CliConfig {
     /// `--db-dir`, `--db-dir` beside `--source` or `--synthetic` (any
     /// mode that reads a source, so not `connect`), and in the local
     /// shell `--script` or `--mapping` beside positional scripts, or
-    /// `--sessions` without them.
+    /// `--sessions` without them; then `--source` without `--target`.
     fn check_pairs(&self) -> Result<(), UsageError> {
         let source = !matches!(self.mode, Mode::Connect(_));
         let local = self.mode == Mode::Local;
@@ -617,6 +618,10 @@ impl CliConfig {
             (
                 local && !batch && self.sessions_width.is_some(),
                 "--sessions requires positional script arguments",
+            ),
+            (
+                source && self.source_dir.is_some() && self.target_spec.is_none(),
+                "--source requires --target \"Name (attr type, ...)\"",
             ),
         ];
         match pairs.iter().find(|(refused, _)| *refused) {
@@ -963,6 +968,7 @@ mod tests {
                 match flag.usage {
                     "--sessions <n>" => words.push("a.clio"),
                     "--db-pool <pages>" => words.extend(["--db-dir", "d"]),
+                    "--source <dir>" => words.extend(["--target", "T (a int)"]),
                     _ => {}
                 }
                 let mut cfg = CliConfig::parse(&argv(&words))
@@ -1050,7 +1056,21 @@ mod tests {
             err(&["--synthetic", "chain,4,200000", "--sessions", "2"]),
             "--sessions requires positional script arguments (see --help)"
         );
-        // in their old order: the source pair first, then the batch
+        assert_eq!(
+            err(&["--source", "s"]),
+            "--source requires --target \"Name (attr type, ...)\" (see --help)"
+        );
+        assert_eq!(
+            err(&["serve", "--source", "s"]),
+            "--source requires --target \"Name (attr type, ...)\" (see --help)"
+        );
+        assert!(CliConfig::parse(&argv(&["--source", "s", "--target", "T (a int)"])).is_ok());
+        // in their old order: the source pair first, then the batch, and
+        // `--source` without `--target` after every other pair
+        assert_eq!(
+            err(&["--source", "s", "--script", "s.clio", "a.clio"]),
+            "--script conflicts with positional script arguments (see --help)"
+        );
         assert_eq!(
             err(&[
                 "--sessions",

@@ -134,9 +134,8 @@ fn main() {
     if let Some(dir) = &cfg.source_dir {
         let db = clio_relational::csv::read_database(Path::new(dir))
             .unwrap_or_else(|e| exit_2(format_args!("cannot load `{dir}`: {e}")));
-        let Some(spec) = &cfg.target_spec else {
-            exit_2("--source requires --target \"Name (attr type, ...)\"")
-        };
+        // `CliConfig::parse` refused `--source` without `--target`
+        let spec = cfg.target_spec.as_deref().unwrap_or_default();
         source = Some((db, parse_target_flag(spec)));
     }
     if let Some(dir) = &cfg.db_dir {

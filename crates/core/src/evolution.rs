@@ -132,12 +132,12 @@ pub(crate) fn evolve(
         extended_count = chosen.len();
         // 2. repair sufficiency by appending the fewest examples, in
         //    population order (never removing the extensions)
-        let signatures = &population.signatures;
+        let signatures = population.signatures()?;
         let extensions: Vec<_> = chosen.iter().map(|&i| &signatures[i]).collect();
         let repairs = minimal_completion(signatures, arity, &extensions);
         repair_count = repairs.len();
         chosen.extend(repairs);
-        chosen
+        Ok(chosen)
     })?;
     Ok(Evolution {
         illustration,

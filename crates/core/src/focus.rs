@@ -8,6 +8,7 @@
 
 use clio_relational::database::Database;
 use clio_relational::error::{Error, Result};
+use clio_relational::expr::Cells;
 use clio_relational::funcs::FuncRegistry;
 use clio_relational::schema::Scheme;
 use clio_relational::value::Value;
@@ -15,6 +16,7 @@ use clio_relational::value::Value;
 use crate::example::Example;
 use crate::illustration::Illustration;
 use crate::mapping::Mapping;
+use crate::plan::CompiledMapping;
 use crate::query_graph::NodeId;
 
 /// A focus: a node of the mapping's graph plus distinguished tuples of its
@@ -53,31 +55,34 @@ impl Focus {
     /// projection of `d` onto the focus node's columns — `columns`, its
     /// positions in the association scheme, resolved once per scheme
     /// ([`Scheme::indexes_of_qualifier`]) — must equal a focus tuple
-    /// (paper: `Π_{S_F}(d) ∈ f`).
+    /// (paper: `Π_{S_F}(d) ∈ f`). The row is read where it lies.
     #[must_use]
-    pub fn involves(&self, columns: &[usize], association: &[Value]) -> bool {
+    pub fn involves<C: Cells + ?Sized>(&self, columns: &[usize], association: &C) -> bool {
         self.tuples.iter().any(|t| {
-            t.len() == columns.len() && t.iter().zip(columns).all(|(a, &i)| *a == association[i])
+            t.len() == columns.len() && t.iter().zip(columns).all(|(a, &i)| a == association.at(i))
         })
     }
 }
 
 /// All examples focused on `focus` — every example whose association
 /// involves a focus tuple. This is the *smallest* illustration focused on
-/// `f`; any superset is also focused.
+/// `f`; any superset is also focused. The population's rows are read in
+/// place, and only the focused examples are built.
 pub fn focused_examples(
     mapping: &Mapping,
     db: &Database,
     funcs: &FuncRegistry,
     focus: &Focus,
 ) -> Result<Vec<Example>> {
-    let all = mapping.examples(db, funcs)?;
-    let scheme = mapping.graph.scheme(db)?;
-    let columns = scheme.indexes_of_qualifier(&mapping.graph.nodes()[focus.node].alias);
-    Ok(all
-        .into_iter()
-        .filter(|e| focus.involves(&columns, &e.association))
-        .collect())
+    let compiled = CompiledMapping::new(mapping, db, funcs, 0)?;
+    let alias = &mapping.graph.nodes()[focus.node].alias;
+    let columns = compiled.scheme().indexes_of_qualifier(alias);
+    let focused = compiled.illustrate(db, funcs, None, |population| {
+        Ok((0..population.len())
+            .filter(|&i| focus.involves(&columns, &population.association(i)))
+            .collect())
+    })?;
+    Ok(focused.examples)
 }
 
 /// Is `illustration` focused on `focus` (Def 4.7) relative to the full
@@ -92,7 +97,7 @@ pub fn is_focused(
 ) -> bool {
     let columns = scheme.indexes_of_qualifier(node_alias);
     all.iter()
-        .filter(|e| focus.involves(&columns, &e.association))
+        .filter(|e| focus.involves(&columns, e.association.as_slice()))
         .all(|required| illustration.examples.contains(required))
 }
 

@@ -464,68 +464,64 @@ impl Illustration {
         crate::example::render_examples(graph, scheme, &refs)
     }
 
-    /// Alternative examples for slot `index`: members of the population
-    /// that satisfy every requirement the current example covers
+    /// Alternative examples for slot `index`: the indexes into `all`,
+    /// the signatures of the population in order, of the examples that
+    /// satisfy every requirement the current example covers
     /// *exclusively* (i.e. could replace it without losing sufficiency),
-    /// excluding examples already in the illustration. The paper: the
-    /// user may view and manipulate illustrations, "perhaps asking for
-    /// different example tuples".
+    /// excluding the examples `shown` names, those already in the
+    /// illustration. The paper: the user may view and manipulate
+    /// illustrations, "perhaps asking for different example tuples".
     #[must_use]
     pub fn alternatives_for(
         &self,
         index: usize,
-        all: &[Example],
+        all: &[Signature],
         target_arity: usize,
         scope: SufficiencyScope,
-    ) -> Vec<Example> {
-        let Some(current) = self.examples.get(index) else {
+        shown: impl Fn(usize) -> bool,
+    ) -> Vec<usize> {
+        if index >= self.examples.len() {
             return Vec::new();
-        };
-        let shown = signatures(&self.examples);
-        let sigs = signatures(all);
-        // requirements only `current` covers within this illustration
-        let exclusive: Vec<Requirement> = requirements_of(&sigs, target_arity, scope)
+        }
+        let signatures = signatures(&self.examples);
+        // requirements only the current example covers within this
+        // illustration
+        let exclusive: Vec<Requirement> = requirements_of(all, target_arity, scope)
             .into_iter()
             .filter(|r| {
-                satisfies(&shown[index], r)
-                    && !shown
+                satisfies(&signatures[index], r)
+                    && !signatures
                         .iter()
                         .enumerate()
                         .any(|(i, s)| i != index && satisfies(s, r))
             })
             .collect();
-        all.iter()
-            .zip(&sigs)
-            .filter(|(e, s)| {
-                *e != current
-                    && !self.examples.contains(e)
-                    && exclusive.iter().all(|r| satisfies(s, r))
-            })
-            .map(|(e, _)| e.clone())
+        (0..all.len())
+            .filter(|&i| !shown(i) && exclusive.iter().all(|r| satisfies(&all[i], r)))
             .collect()
     }
 
-    /// Replace the example at `index` with `replacement`. Returns `false`
-    /// (and leaves the illustration untouched) when the swap would break
-    /// sufficiency relative to `all`.
-    pub fn swap(
-        &mut self,
+    /// Would replacing the example at `index` with an example of
+    /// signature `replacement` keep the illustration sufficient relative
+    /// to the population whose signatures are `all`? `false` when `index`
+    /// is out of range.
+    #[must_use]
+    pub fn can_swap(
+        &self,
         index: usize,
-        replacement: Example,
-        all: &[Example],
+        replacement: &Signature,
+        all: &[Signature],
         target_arity: usize,
         scope: SufficiencyScope,
     ) -> bool {
         if index >= self.examples.len() {
             return false;
         }
-        let saved = std::mem::replace(&mut self.examples[index], replacement);
-        if is_sufficient(&self.examples, all, target_arity, scope) {
-            true
-        } else {
-            self.examples[index] = saved;
-            false
-        }
+        let mut shown = signatures(&self.examples);
+        shown[index] = replacement.clone();
+        requirements_of(all, target_arity, scope)
+            .iter()
+            .all(|r| shown.iter().any(|s| satisfies(s, r)))
     }
 }
 
@@ -831,8 +827,9 @@ mod tests {
     #[test]
     fn alternatives_and_swap_preserve_sufficiency() {
         let pop = population();
+        let all = signatures(&pop);
         let scope = SufficiencyScope::mapping();
-        let mut ill = Illustration::minimal_sufficient(&pop, 2);
+        let ill = Illustration::minimal_sufficient(&pop, 2);
         // pick the slot holding the 0b11 positive-with-non-null example
         let slot = ill
             .examples
@@ -841,22 +838,22 @@ mod tests {
             .expect("slot exists");
         // population example 0 and 1 both cover 0b11 positives, but only
         // example 0 has non-null attr1; no alternative can replace it
-        let alts = ill.alternatives_for(slot, &pop, 2, scope);
-        for a in &alts {
+        let shown = |i: usize| ill.examples.contains(&pop[i]);
+        let alts = ill.alternatives_for(slot, &all, 2, scope, shown);
+        for &a in &alts {
+            assert!(ill.can_swap(slot, &all[a], &all, 2, scope));
             let mut trial = ill.clone();
-            assert!(trial.swap(slot, a.clone(), &pop, 2, scope));
+            trial.examples[slot] = pop[a].clone();
             assert!(is_sufficient(&trial.examples, &pop, 2, scope));
         }
         // swapping in a random unsuitable example is refused
-        let unsuitable = pop[4].clone(); // 0b10 negative
-        let before = ill.clone();
+        let unsuitable = 4; // 0b10 negative
         if !alts.contains(&unsuitable) {
-            assert!(!ill.swap(slot, unsuitable, &pop, 2, scope));
-            assert_eq!(ill, before);
+            assert!(!ill.can_swap(slot, &all[unsuitable], &all, 2, scope));
         }
         // out-of-range swap is refused
-        assert!(!ill.swap(99, pop[0].clone(), &pop, 2, scope));
-        assert!(ill.alternatives_for(99, &pop, 2, scope).is_empty());
+        assert!(!ill.can_swap(99, &all[0], &all, 2, scope));
+        assert!(ill.alternatives_for(99, &all, 2, scope, shown).is_empty());
     }
 
     #[test]

@@ -315,8 +315,8 @@ impl fmt::Display for Mapping {
 /// A mapping with every expression bound against its schemes, ready for
 /// repeated evaluation over association rows. An association is read
 /// through a [`Cells`] view (a value row, or a row of tuple ids read
-/// through). The plan's projection reads each target row the same way,
-/// from borrowed cells, and builds only the rows its output keeps.
+/// through). Every target row is formed one way, as a view over borrowed
+/// cells, and cloned only where it is kept.
 #[derive(Debug)]
 pub struct MappingEvaluator {
     /// how each target attribute is formed, in target order
@@ -377,63 +377,38 @@ impl MappingEvaluator {
         })
     }
 
-    /// Compute the target tuple for an association row (no filters —
-    /// `Q_{φ(M)}(d)`).
-    pub fn target_row<C: Cells + ?Sized>(
-        &self,
+    /// The one row step: form the target row `Q_{φ(M)}(d)` of the
+    /// association `assoc`, whose cell `c` lies at `cell(c)`, as a view
+    /// over `buf`, reused across rows. Only a computed correspondence is
+    /// evaluated, in target order, into `buf`'s cell for its attribute;
+    /// every other slot is borrowed where it lies: a bare column's cell,
+    /// a literal, or null for an unmapped attribute. Nothing is cloned.
+    #[inline]
+    pub(crate) fn view<'v, 'a: 'v, C: Cells + ?Sized>(
+        &'a self,
         assoc: &C,
+        cell: impl Fn(usize) -> &'a Value,
+        buf: &'v mut RowBuf<'a>,
         funcs: &FuncRegistry,
-    ) -> Result<Vec<Value>> {
-        // an exact-capacity loop: `collect` over a `Result` iterator cannot
-        // size its vector up front
-        let mut row = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            row.push(match slot {
-                Slot::Null => Value::Null,
-                Slot::Column(i) => assoc.at(*i).clone(),
-                Slot::Literal(v) => v.clone(),
-                Slot::Computed(b) => b.eval(assoc, funcs)?,
-            });
-        }
-        Ok(row)
-    }
-
-    /// Evaluate the computed correspondences on `assoc`, in target order,
-    /// each into its own position of `computed` (one cell per target
-    /// attribute; the other cells are left as they are): what a
-    /// [`TargetView`] reads for those attributes.
-    pub(crate) fn compute<C: Cells + ?Sized>(
-        &self,
-        assoc: &C,
-        computed: &mut [Value],
-        funcs: &FuncRegistry,
-    ) -> Result<()> {
-        for (slot, cell) in self.slots.iter().zip(computed) {
+    ) -> Result<TargetView<'v>> {
+        static NULL: Value = Value::Null;
+        buf.computed.resize(self.slots.len(), Value::Null);
+        for (slot, computed) in self.slots.iter().zip(&mut buf.computed) {
             if let Slot::Computed(b) = slot {
-                *cell = b.eval(assoc, funcs)?;
+                *computed = b.eval(assoc, funcs)?;
             }
         }
-        Ok(())
-    }
-
-    /// Form the target row of the association whose cell `c` is
-    /// `cell(c)`, as `slots`, one per target attribute: a bare column's
-    /// cell, a literal or null (unmapped), borrowed; `None` for a
-    /// computed correspondence, whose value
-    /// [`MappingEvaluator::compute`] writes. Nothing is cloned.
-    pub(crate) fn borrow_slots<'a>(
-        &'a self,
-        cell: impl Fn(usize) -> &'a Value,
-        slots: &mut Vec<Option<&'a Value>>,
-    ) {
-        static NULL: Value = Value::Null;
-        slots.clear();
-        slots.extend(self.slots.iter().map(|slot| match slot {
+        buf.slots.clear();
+        buf.slots.extend(self.slots.iter().map(|slot| match slot {
             Slot::Null => Some(&NULL),
             Slot::Column(c) => Some(cell(*c)),
             Slot::Literal(v) => Some(v),
             Slot::Computed(_) => None,
         }));
+        Ok(TargetView {
+            slots: &buf.slots,
+            computed: &buf.computed,
+        })
     }
 
     /// The full mapping query on one association: `Some(target_row)` when
@@ -448,18 +423,35 @@ impl MappingEvaluator {
         if !all_pass(&self.source_filters, assoc, funcs)? {
             return Ok(None);
         }
-        let target = self.target_row(assoc, funcs)?;
-        Ok(all_pass(&self.target_filters, target.as_slice(), funcs)?.then_some(target))
+        let mut buf = RowBuf::default();
+        let target = self.view(assoc, |c| assoc.at(c), &mut buf, funcs)?;
+        Ok(all_pass(&self.target_filters, &target, funcs)?
+            .then(|| target.cells().cloned().collect()))
     }
 }
 
-/// A target row as a view: each cell borrowed where it lies
-/// ([`MappingEvaluator::borrow_slots`]), or, for a computed
-/// correspondence, read from the buffer [`MappingEvaluator::compute`]
-/// filled.
+/// The buffers a [`TargetView`] is formed in, reused across rows: per
+/// target attribute, a computed correspondence's value and the slot
+/// borrowing the cell.
+#[derive(Default)]
+pub(crate) struct RowBuf<'a> {
+    computed: Vec<Value>,
+    slots: Vec<Option<&'a Value>>,
+}
+
+/// A target row as a view ([`MappingEvaluator::view`]): each cell
+/// borrowed where it lies, or, for a computed correspondence, read from
+/// the buffer it was evaluated into.
 pub(crate) struct TargetView<'v> {
-    pub(crate) slots: &'v [Option<&'v Value>],
-    pub(crate) computed: &'v [Value],
+    slots: &'v [Option<&'v Value>],
+    computed: &'v [Value],
+}
+
+impl TargetView<'_> {
+    /// The cells, in target order.
+    pub(crate) fn cells(&self) -> impl ExactSizeIterator<Item = &Value> {
+        (0..self.slots.len()).map(|i| self.at(i))
+    }
 }
 
 impl Cells for TargetView<'_> {

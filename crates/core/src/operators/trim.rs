@@ -14,6 +14,7 @@ use clio_relational::parser::parse_expr;
 
 use crate::example::Example;
 use crate::mapping::Mapping;
+use crate::plan::CompiledMapping;
 
 /// Add a source filter (parsed from text) to a mapping.
 pub fn add_source_filter(mapping: &Mapping, filter: &str) -> Result<Mapping> {
@@ -79,10 +80,12 @@ pub struct TrimEffect {
 }
 
 /// Compare two mappings that share a query graph: which examples change
-/// polarity? Both example populations are generated over the graph's one
+/// polarity? Both example populations are read over the graph's one
 /// `D(G)`, in the same order: it is computed once, memoized in a cache
-/// local to the call, and read back for the second population. Mappings
-/// over different graphs are an error.
+/// local to the call, and read back for the second population. The
+/// polarities are read off the populations' signatures, and only the
+/// flipped examples are built. Mappings over different graphs are an
+/// error.
 pub fn trim_effect(
     before: &Mapping,
     after: &Mapping,
@@ -95,20 +98,23 @@ pub fn trim_effect(
         ));
     }
     let cache = EvalCache::new();
-    let eb = before.examples_cached(db, funcs, Some(&cache))?;
-    let ea = after.examples_cached(db, funcs, Some(&cache))?;
-    let mut newly_negative = Vec::new();
-    let mut newly_positive = Vec::new();
-    for (b, a) in eb.iter().zip(&ea) {
-        if b.positive && !a.positive {
-            newly_negative.push(a.clone());
-        } else if !b.positive && a.positive {
-            newly_positive.push(a.clone());
-        }
-    }
+    let compile = |m| CompiledMapping::new(m, db, funcs, 0);
+    let mut was = Vec::new();
+    compile(before)?.illustrate(db, funcs, Some(&cache), |population| {
+        was.extend(population.signatures()?.iter().map(|s| s.positive));
+        Ok(Vec::new())
+    })?;
+    let mut positive_after = 0;
+    let flipped = compile(after)?.illustrate(db, funcs, Some(&cache), |population| {
+        let now = population.signatures()?;
+        positive_after = now.iter().filter(|s| s.positive).count();
+        let flipped = |i: &usize| now[*i].positive != was[*i];
+        Ok((0..now.len().min(was.len())).filter(flipped).collect())
+    })?;
+    let (newly_positive, newly_negative) = flipped.examples.into_iter().partition(|e| e.positive);
     Ok(TrimEffect {
-        positive_before: eb.iter().filter(|e| e.positive).count(),
-        positive_after: ea.iter().filter(|e| e.positive).count(),
+        positive_before: was.iter().filter(|&&positive| positive).count(),
+        positive_after,
         newly_negative,
         newly_positive,
     })

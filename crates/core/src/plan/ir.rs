@@ -83,7 +83,7 @@ use crate::association::AssociationSet;
 use crate::correspondence::ValueCorrespondence;
 use crate::example::{Example, Signature};
 use crate::incremental::{disjunction_structure, elapsed_ns, subgraph_structure, Versions};
-use crate::mapping::{all_pass, MappingEvaluator, TargetView};
+use crate::mapping::{all_pass, MappingEvaluator, RowBuf, TargetView};
 use crate::query_graph::{NodeId, QueryGraph};
 use crate::subgraph::neighbourhood;
 
@@ -610,14 +610,7 @@ impl RelExpr {
     /// a `Union` the minimum union of its branches.
     pub fn run(&self, ex: &Exec) -> Result<Table> {
         let form = GraphForm::default();
-        self.run_costed(&Pass::new(ex, &form)?)
-            .map(|(table, _)| table)
-    }
-
-    /// [`RelExpr::run`] in a pass, also returning the compute time (ns)
-    /// charged to the cache entries this run inserted — what a parent
-    /// entry must not charge again.
-    pub(crate) fn run_costed(&self, p: &Pass) -> Result<(Table, u64)> {
+        let p = &Pass::new(ex, &form)?;
         match self.filters() {
             (
                 RelExpr::Project {
@@ -628,7 +621,7 @@ impl RelExpr {
                 filters,
             ) => {
                 let (base, source_filters) = input.filters();
-                let (ids, charged) = base.disjunction_ids(p)?;
+                let (ids, _) = base.disjunction_ids(p)?;
                 let projection = Projection::bind(
                     correspondences,
                     target,
@@ -636,12 +629,9 @@ impl RelExpr {
                     &source_filters,
                     &filters,
                 )?;
-                Ok((projection.run(&ids, 0, p.funcs)?, charged))
+                projection.run(&ids, 0, p.funcs)
             }
-            _ => {
-                let (ids, charged) = self.ids(p)?;
-                Ok((ids.materialize(), charged))
-            }
+            _ => Ok(self.ids(p)?.0.materialize()),
         }
     }
 
@@ -887,23 +877,18 @@ impl Projection {
     /// `plan.project`), in one loop that builds no row it does not keep.
     /// Each association is read through its ids ([`IdRow`]), in place.
     /// The source filters run over it first: a correspondence never runs
-    /// on an association they reject. Each target slot is then a
-    /// borrowed `&Value` ([`MappingEvaluator::borrow_slots`]): a bare
-    /// column's cell, a literal, or null for an unmapped attribute; only
-    /// a computed correspondence is evaluated, into one buffer reused
-    /// across rows ([`MappingEvaluator::compute`]). The target filters
-    /// run over that view, and a row they accept is offered to the
-    /// distinct output, which hashes and compares the borrowed cells and
-    /// clones them only when it keeps the row
-    /// ([`Table::push_distinct_view`]). A row whose ids miss a node of
-    /// `required` is skipped before it is read: the caller proves that a
-    /// target filter rejects it and that nothing on its way can raise an
-    /// error (`Plan`'s module docs).
+    /// on an association they reject. The row step then forms its target
+    /// row as a view ([`MappingEvaluator::view`]), the target filters
+    /// run over it, and a row they accept is offered to the distinct
+    /// output, which hashes and compares the borrowed cells and clones
+    /// them only when it keeps the row ([`Table::push_distinct_view`]).
+    /// A row whose ids miss a node of `required` is skipped before it is
+    /// read: the caller proves that a target filter rejects it and that
+    /// nothing on its way can raise an error (`Plan`'s module docs).
     pub(crate) fn run(&self, ids: &TupleIds, required: u64, funcs: &FuncRegistry) -> Result<Table> {
         let _span = clio_obs::span("plan.project");
         let required: Vec<NodeId> = bits(required).collect();
-        let mut computed = vec![Value::Null; self.target.arity()];
-        let mut slots = Vec::with_capacity(self.target.arity());
+        let mut buf = RowBuf::default();
         let mut out = Table::empty(self.target.clone());
         for i in 0..ids.row_count() {
             let row = ids.row(i);
@@ -914,12 +899,9 @@ impl Projection {
             if !all_pass(&self.eval.source_filters, &association, funcs)? {
                 continue;
             }
-            self.eval.compute(&association, &mut computed, funcs)?;
-            self.eval.borrow_slots(|c| ids.cell(i, c), &mut slots);
-            let target = TargetView {
-                slots: &slots,
-                computed: &computed,
-            };
+            let target = self
+                .eval
+                .view(&association, |c| ids.cell(i, c), &mut buf, funcs)?;
             if all_pass(&self.eval.target_filters, &target, funcs)? {
                 out.push_distinct_view(&target);
             }
@@ -932,79 +914,110 @@ impl Projection {
         &self.target
     }
 
-    /// The signature of each example of `ids`, a `D(G)` over the bound
-    /// scheme, in row order (paper Def 4.1), built as [`Projection::run`]
-    /// reads a row, with nothing cloned: the coverage read off the ids,
-    /// and the target row `Q_{φ(M)}(d)` as a view over the association's
-    /// cells and the computed correspondences, whose null mask is kept.
-    /// Every computed correspondence runs on every association, and then
-    /// the source filters and, when they pass, the target filters give
-    /// the polarity, so an error surfaces where building the examples
-    /// raises it.
-    pub(crate) fn signatures(
-        &self,
-        ids: &TupleIds,
+    /// Row `i` of `ids`'s target row `Q_{φ(M)}(d)` (paper Def 4.1) and
+    /// its polarity: every computed correspondence runs on every
+    /// association, and then the source filters and, when they pass, the
+    /// target filters give the polarity.
+    fn polar<'v, 'a: 'v>(
+        &'a self,
+        ids: &'a TupleIds,
+        i: usize,
+        buf: &'v mut RowBuf<'a>,
         funcs: &FuncRegistry,
-    ) -> Result<Vec<Signature>> {
-        let arity = self.target.arity();
-        let mut computed = vec![Value::Null; arity];
-        let mut slots = Vec::with_capacity(arity);
-        let mut out = Vec::with_capacity(ids.row_count());
-        for i in 0..ids.row_count() {
-            let association = IdRow { ids, i };
-            self.eval.compute(&association, &mut computed, funcs)?;
-            self.eval.borrow_slots(|c| ids.cell(i, c), &mut slots);
-            let target = TargetView {
-                slots: &slots,
-                computed: &computed,
-            };
-            let positive = all_pass(&self.eval.source_filters, &association, funcs)?
-                && all_pass(&self.eval.target_filters, &target, funcs)?;
-            let cells = (0..arity).map(|a| target.at(a));
-            out.push(Signature::new(ids.coverage(i), positive, cells));
-        }
-        Ok(out)
+    ) -> Result<(TargetView<'v>, bool)> {
+        let association = IdRow { ids, i };
+        let target = self
+            .eval
+            .view(&association, |c| ids.cell(i, c), buf, funcs)?;
+        let positive = all_pass(&self.eval.source_filters, &association, funcs)?
+            && all_pass(&self.eval.target_filters, &target, funcs)?;
+        Ok((target, positive))
     }
 
-    /// The example of row `i` of `ids`, whose signature is `signature`
-    /// ([`Projection::signatures`]): the association's values and its
-    /// target row, built.
-    pub(crate) fn example(
-        &self,
-        ids: &TupleIds,
+    /// The example of row `i` of `ids`, a `D(G)` over the bound scheme:
+    /// the association's values, read through its ids, its coverage,
+    /// and its target row and polarity ([`Projection::polar`]), cloned
+    /// off the view. No other code builds an example.
+    fn example<'a>(
+        &'a self,
+        ids: &'a TupleIds,
         i: usize,
-        signature: &Signature,
+        buf: &mut RowBuf<'a>,
         funcs: &FuncRegistry,
     ) -> Result<Example> {
-        let association: Vec<Value> = (0..ids.scheme().arity())
-            .map(|c| ids.cell(i, c).clone())
-            .collect();
+        let (target, positive) = self.polar(ids, i, buf, funcs)?;
         Ok(Example {
-            target: self.eval.target_row(association.as_slice(), funcs)?,
-            association,
-            coverage: signature.coverage,
-            positive: signature.positive,
+            association: (0..ids.scheme().arity())
+                .map(|c| ids.cell(i, c).clone())
+                .collect(),
+            coverage: ids.coverage(i),
+            target: target.cells().cloned().collect(),
+            positive,
         })
     }
 }
 
 /// A mapping's example population before its examples are built: the
-/// `D(G)`'s tuple-id rows and each row's [`Signature`]. A row's cells
-/// are read in place, through its ids.
-pub(crate) struct Population<'t> {
-    pub(crate) ids: TupleIds<'t>,
-    pub(crate) signatures: Vec<Signature>,
+/// `D(G)`'s tuple-id rows, whose cells are read in place, through the
+/// ids, and the projection that forms their examples. Each row's
+/// [`Signature`] is computed on the first read of the signatures; a
+/// reader that does not read them never pays for them. Only
+/// [`CompiledMapping::illustrate`](super::CompiledMapping::illustrate)
+/// builds one.
+pub(crate) struct Population<'p> {
+    pub(super) ids: TupleIds<'p>,
+    pub(super) projection: &'p Projection,
+    pub(super) funcs: &'p FuncRegistry,
+    pub(super) signatures: OnceLock<Vec<Signature>>,
 }
 
 impl Population<'_> {
     /// Number of examples.
     pub(crate) fn len(&self) -> usize {
-        self.signatures.len()
+        self.ids.row_count()
+    }
+
+    /// The signature of each example, in row order (paper Def 4.1),
+    /// built as an example is ([`Projection::polar`]), with nothing
+    /// cloned: the coverage read off the ids, the polarity, and the
+    /// target row's null mask. An error surfaces where building the
+    /// examples raises it.
+    pub(crate) fn signatures(&self) -> Result<&[Signature]> {
+        if let Some(signatures) = self.signatures.get() {
+            return Ok(signatures);
+        }
+        let mut buf = RowBuf::default();
+        let mut signatures = Vec::with_capacity(self.len());
+        for i in 0..self.len() {
+            let (target, positive) = self.projection.polar(&self.ids, i, &mut buf, self.funcs)?;
+            let coverage = self.ids.coverage(i);
+            signatures.push(Signature::new(coverage, positive, target.cells()));
+        }
+        Ok(self.signatures.get_or_init(|| signatures))
+    }
+
+    /// The examples of `rows`, in their order.
+    pub(crate) fn examples(&self, rows: &[usize]) -> Result<Vec<Example>> {
+        let mut buf = RowBuf::default();
+        let mut examples = Vec::with_capacity(rows.len());
+        for &i in rows {
+            examples.push(
+                self.projection
+                    .example(&self.ids, i, &mut buf, self.funcs)?,
+            );
+        }
+        Ok(examples)
     }
 
     /// Row `i`'s association, read in place.
     pub(crate) fn association(&self, i: usize) -> IdRow<'_, '_> {
         IdRow { ids: &self.ids, i }
+    }
+
+    /// Does row `i` hold `association`'s values?
+    pub(crate) fn holds(&self, i: usize, association: &[Value]) -> bool {
+        association.len() == self.ids.scheme().arity()
+            && (0..association.len()).all(|c| self.ids.cell(i, c) == &association[c])
     }
 
     /// The node and attribute position of association column `c`.

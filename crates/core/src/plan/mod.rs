@@ -201,9 +201,6 @@ pub(crate) struct CompiledMapping {
     /// The version-free structure hash of the `Q(M)` key.
     qm: OnceLock<u64>,
     projection: Projection,
-    /// The graph scheme's positions in itself: what evolving an
-    /// illustration of this mapping onto this mapping reads.
-    positions: Vec<usize>,
 }
 
 impl CompiledMapping {
@@ -281,7 +278,6 @@ impl CompiledMapping {
             mapping: mapping.clone(),
             epoch,
             form,
-            positions: (0..all.scheme().arity()).collect(),
             all,
             disjunction,
             pushed_union,
@@ -347,12 +343,6 @@ impl CompiledMapping {
         self.all.scheme()
     }
 
-    /// The positions of the graph scheme in itself (evolving onto the
-    /// same mapping).
-    pub(crate) fn own_positions(&self) -> &[usize] {
-        &self.positions
-    }
-
     /// A run's pass over `db`: each relation borrowed once, and with a
     /// live cache the versions its keys mix in read once.
     fn pass<'p>(
@@ -372,7 +362,9 @@ impl CompiledMapping {
 
     /// The mapping query's result (span `mapping.evaluate`), memoized
     /// with a live cache under its `"Q(M)"` key: the compiled structure
-    /// hash with the pass's versions mixed in. On a miss the plan runs.
+    /// hash with the pass's versions mixed in. On a miss the plan runs:
+    /// the `D(G)` beneath the projection (memoized as the pass allows),
+    /// projected, and inserted under the key.
     pub(crate) fn evaluate(
         &self,
         db: &Database,
@@ -386,23 +378,12 @@ impl CompiledMapping {
         if let Some(table) = keyed.and_then(|(c, fp)| c.get(fp)) {
             return Ok(table);
         }
-        self.run_plan(&pass, keyed)
-    }
-
-    /// Run the plan: the `D(G)` beneath the projection (memoized as the
-    /// pass allows), projected, and inserted under `keyed` when given.
-    fn run_plan(
-        &self,
-        pass: &Pass,
-        keyed: Option<(&EvalCache, clio_incr::Fingerprint)>,
-    ) -> Result<Table> {
         let t0 = std::time::Instant::now();
         metrics::incr(Counter::PlanEvals);
         let pullback = self.pullback(pass.funcs);
-        let live = pass.live();
         let (ids, charged) = self
-            .plan_disjunction(live, pullback)
-            .disjunction_ids(pass)?;
+            .plan_disjunction(pass.live(), pullback)
+            .disjunction_ids(&pass)?;
         let out = self.projection.run(&ids, pullback.required, pass.funcs)?;
         if let Some((c, fp)) = keyed {
             // Exclusive cost: charging the time already charged to the
@@ -417,7 +398,8 @@ impl CompiledMapping {
     /// The mapping's examples (paper Def 4.1): one per association of
     /// the un-pushed `D(G)`, which the preview shares through the `D(G)`
     /// memo when it pushes no filter, in row order. They are the
-    /// illustration of every row ([`Self::illustrate`]).
+    /// illustration of every row ([`Self::illustrate`]), built in one
+    /// pass: no signature is computed.
     pub(crate) fn examples(
         &self,
         db: &Database,
@@ -425,36 +407,32 @@ impl CompiledMapping {
         cache: Option<&EvalCache>,
     ) -> Result<Vec<Example>> {
         let all = self.illustrate(db, funcs, cache, |population| {
-            (0..population.len()).collect()
+            Ok((0..population.len()).collect())
         });
         Ok(all?.examples)
     }
 
     /// An illustration of the mapping: the rows `select` picks from its
     /// example population, in its order, with only those rows' examples
-    /// built. The population is the un-pushed `D(G)`'s rows and their
-    /// signatures (span `mapping.examples`).
+    /// built (span `mapping.examples`). The population is the un-pushed
+    /// `D(G)`'s rows, and their signatures when `select` reads them.
     pub(crate) fn illustrate(
         &self,
         db: &Database,
         funcs: &FuncRegistry,
         cache: Option<&EvalCache>,
-        select: impl FnOnce(&Population) -> Vec<usize>,
+        select: impl FnOnce(&Population) -> Result<Vec<usize>>,
     ) -> Result<Illustration> {
-        let span = clio_obs::span("mapping.examples");
+        let _span = clio_obs::span("mapping.examples");
         let pass = self.pass(db, funcs, cache)?;
         let (ids, _) = self.disjunction.disjunction_ids(&pass)?;
-        let signatures = self.projection.signatures(&ids, funcs)?;
-        let population = Population { ids, signatures };
-        drop(span);
-        let examples = select(&population)
-            .into_iter()
-            .map(|i| {
-                let signature = &population.signatures[i];
-                self.projection
-                    .example(&population.ids, i, signature, funcs)
-            })
-            .collect::<Result<_>>()?;
+        let population = Population {
+            ids,
+            projection: &self.projection,
+            funcs,
+            signatures: OnceLock::new(),
+        };
+        let examples = population.examples(&select(&population)?)?;
         Ok(Illustration { examples })
     }
 

@@ -29,7 +29,8 @@ use clio_incr::EvalCache;
 
 use crate::correspondence::ValueCorrespondence;
 use crate::evolution::{evolve, positions_in};
-use crate::illustration::{minimal_completion, Illustration};
+use crate::example::{Example, Signature};
+use crate::illustration::{minimal_completion, Illustration, SufficiencyScope};
 use crate::knowledge::SchemaKnowledge;
 use crate::mapping::Mapping;
 use crate::operators::chase::{confirm_chase, data_chase};
@@ -357,9 +358,10 @@ impl Session {
             .iter()
             .map(|w| {
                 let compiled = self.compiled(&w.mapping)?;
+                let positions: Vec<usize> = (0..compiled.scheme().arity()).collect();
                 let evo = evolve(
                     &w.illustration,
-                    compiled.own_positions(),
+                    &positions,
                     &compiled,
                     &self.db,
                     &self.funcs,
@@ -495,14 +497,8 @@ impl Session {
         let arity = mapping.target.arity();
         self.compiled(mapping)?
             .illustrate(&self.db, &self.funcs, Some(&self.cache), |population| {
-                minimal_completion(&population.signatures, arity, &[])
+                Ok(minimal_completion(population.signatures()?, arity, &[]))
             })
-    }
-
-    /// The examples of `mapping`, through its compiled form.
-    fn examples(&self, mapping: &Mapping) -> Result<Vec<crate::example::Example>> {
-        self.compiled(mapping)?
-            .examples(&self.db, &self.funcs, Some(&self.cache))
     }
 
     /// The query result of `mapping`, through its compiled form.
@@ -804,53 +800,68 @@ impl Session {
 
     /// Every example of the active workspace's mapping (paper Def 4.1),
     /// through its compiled form and the session cache.
-    pub fn examples_active(&self) -> Result<Vec<crate::example::Example>> {
-        self.examples(&self.require_active()?.mapping)
+    pub fn examples_active(&self) -> Result<Vec<Example>> {
+        self.compiled(&self.require_active()?.mapping)?.examples(
+            &self.db,
+            &self.funcs,
+            Some(&self.cache),
+        )
+    }
+
+    /// The illustration of the rows `pick` takes from the alternatives
+    /// for slot `slot` of the active workspace's illustration
+    /// ([`Illustration::alternatives_for`]), read off one population of
+    /// its mapping, whose signatures `pick` reads beside them. A shown
+    /// example is excluded by its association.
+    fn alternatives(
+        &self,
+        slot: usize,
+        pick: impl FnOnce(&[Signature], Vec<usize>) -> Vec<usize>,
+    ) -> Result<Illustration> {
+        let w = self.require_active()?;
+        let compiled = self.compiled(&w.mapping)?;
+        compiled.illustrate(&self.db, &self.funcs, Some(&self.cache), |p| {
+            let (all, ill) = (p.signatures()?, &w.illustration);
+            let shown = |i| ill.examples.iter().any(|e| p.holds(i, &e.association));
+            let (arity, scope) = (w.mapping.target.arity(), SufficiencyScope::mapping());
+            let alternatives = ill.alternatives_for(slot, all, arity, scope, shown);
+            Ok(pick(all, alternatives))
+        })
     }
 
     /// Alternative examples that could replace slot `slot` of the active
     /// workspace's illustration without losing sufficiency (paper Sec 2:
-    /// the user may ask "for different example tuples").
-    pub fn example_alternatives(&self, slot: usize) -> Result<Vec<crate::example::Example>> {
-        let w = self.require_active()?;
-        let population = self.examples(&w.mapping)?;
-        Ok(w.illustration.alternatives_for(
-            slot,
-            &population,
-            w.mapping.target.arity(),
-            crate::illustration::SufficiencyScope::mapping(),
-        ))
+    /// the user may ask "for different example tuples"). Only the
+    /// alternatives are built.
+    pub fn example_alternatives(&self, slot: usize) -> Result<Vec<Example>> {
+        let alternatives = self.alternatives(slot, |_, alternatives| alternatives)?;
+        Ok(alternatives.examples)
     }
 
     /// Swap illustration slot `slot` of the active workspace for the
-    /// `alt`-th alternative from [`Session::example_alternatives`].
+    /// `alt`-th alternative from [`Session::example_alternatives`], read
+    /// off the same one population: only the replacement is built.
     pub fn swap_example(&mut self, slot: usize, alt: usize) -> Result<()> {
-        let alternatives = self.example_alternatives(slot)?;
-        let replacement = alternatives
-            .get(alt)
-            .ok_or_else(|| {
-                Error::Invalid(format!(
-                    "no alternative {alt} for slot {slot} ({} available)",
-                    alternatives.len()
-                ))
-            })?
-            .clone();
         let w = self.require_active()?;
-        let population = self.examples(&w.mapping)?;
-        let arity = w.mapping.target.arity();
-        let ws = self.active_mut()?;
-        let ok = ws.illustration.swap(
-            slot,
-            replacement,
-            &population,
-            arity,
-            crate::illustration::SufficiencyScope::mapping(),
-        );
-        if ok {
-            Ok(())
-        } else {
-            Err(Error::Invalid("swap would break sufficiency".into()))
+        let (ill, arity) = (&w.illustration, w.mapping.target.arity());
+        let scope = SufficiencyScope::mapping();
+        let (mut available, mut keeps) = (0, false);
+        let picked = self.alternatives(slot, |all, alternatives| {
+            available = alternatives.len();
+            let picked = alternatives.get(alt).copied();
+            keeps = picked.is_some_and(|i| ill.can_swap(slot, &all[i], all, arity, scope));
+            Vec::from_iter(picked)
+        })?;
+        let replacement = picked.examples.into_iter().next().ok_or_else(|| {
+            Error::Invalid(format!(
+                "no alternative {alt} for slot {slot} ({available} available)"
+            ))
+        })?;
+        if !keeps {
+            return Err(Error::Invalid("swap would break sufficiency".into()));
         }
+        self.active_mut()?.illustration.examples[slot] = replacement;
+        Ok(())
     }
 
     /// Run data-driven verification on the active mapping (see
@@ -1473,6 +1484,23 @@ mod tests {
         for top in ["session.replace_relation", "session.preview"] {
             assert!(spans.iter().any(|s| s.name == top && s.parent.is_none()));
         }
+    }
+
+    /// A swap reads one example population (span `mapping.examples`):
+    /// its alternatives, the sufficiency check and the replacement all
+    /// come off it.
+    #[test]
+    fn a_swap_reads_one_population() {
+        let mut s = session();
+        s.add_correspondence("Children.ID", "ID").unwrap();
+        let before = s.active().unwrap().illustration.clone();
+        assert!(!s.example_alternatives(0).unwrap().is_empty());
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| s.swap_example(0, 0).unwrap());
+        let spans = rec.spans();
+        let populations = spans.iter().filter(|s| s.name == "mapping.examples");
+        assert_eq!(populations.count(), 1);
+        assert_ne!(s.active().unwrap().illustration, before);
     }
 
     /// An edit whose evolution fails changes nothing: the relation, the

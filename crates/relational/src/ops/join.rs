@@ -659,6 +659,38 @@ mod tests {
         Table::new(scheme, rows)
     }
 
+    /// Keys that share a hash but differ never pair: `2^53` and
+    /// `2^53 + 1` hash as the same float, so one chain holds both, and
+    /// each candidate on it is confirmed with SQL `=`, through a fresh
+    /// index and a kept one alike.
+    #[test]
+    fn colliding_keys_pair_only_when_sql_equal() {
+        use DataType::{Int, Str};
+        let big = 1i64 << 53;
+        let k = |v: i64, s: &str| vec![Value::Int(v), Value::str(s)];
+        let right = relation("K", &[("k", Int), ("s", Str)], vec![k(big + 1, "r")]);
+        let left = relation(
+            "L",
+            &[("k", Int), ("s", Str)],
+            vec![k(big, "a"), k(big + 1, "b")],
+        );
+        let left = left.to_table("L");
+        let scheme = Scheme::of_relation(right.schema(), "K");
+        let pred = parse_expr("L.k = K.k").unwrap();
+        let fresh = join_rows(
+            (left.scheme(), left.rows()),
+            (&scheme, right.rows()),
+            &pred,
+            JoinKind::Inner,
+            &funcs(),
+        )
+        .unwrap();
+        let pair = [k(big + 1, "b"), k(big + 1, "r")].concat();
+        assert_eq!(fresh.rows(), [pair]);
+        let kept = stored_join(&left, (&scheme, &right), &pred, JoinKind::Inner);
+        assert_eq!(kept.rows(), fresh.rows());
+    }
+
     fn spans_named(rec: &clio_obs::Recorder, name: &str) -> usize {
         rec.spans().iter().filter(|s| s.name == name).count()
     }

@@ -720,4 +720,38 @@ if [ "$chain_answer" != "$(cat scripts/golden/chain-preview.cksum)" ]; then
 fi
 echo "    chain refresh counters == golden; cache-on answer == cache-off answer; answer cksum == golden"
 
+# Tier 2k: example-verb gate. The example population's readers — the
+# `examples` listing, `alternatives` for a slot, `swap` and the
+# `illustration` it leaves — run on the Kids mapping (three
+# correspondences, the mid scenario confirmed) on slot 0, which has
+# alternatives. The script runs once with the cache on and once with
+# --no-cache, and both stdouts must match
+# scripts/golden/alternatives-kids.txt byte-for-byte. Regenerate it,
+# after a change meant to move what these verbs print, with
+#
+#   printf '%s\n' 'corr Children.ID -> ID' 'corr Children.name -> name' \
+#       'corr Parents.affiliation -> affiliation' 'confirm 1' examples \
+#       'alternatives 0' 'swap 0 0' illustration quit > alternatives.clio
+#   target/release/clio-shell --script alternatives.clio --threads 1 \
+#       > scripts/golden/alternatives-kids.txt
+echo "==> example-verb gate (examples, alternatives, swap, illustration; cache on and off)"
+tmp_alt_script="$(mktemp)"
+tmp_alt_on="$(mktemp)"
+tmp_alt_off="$(mktemp)"
+printf '%s\n' 'corr Children.ID -> ID' 'corr Children.name -> name' \
+    'corr Parents.affiliation -> affiliation' 'confirm 1' examples \
+    'alternatives 0' 'swap 0 0' illustration quit > "$tmp_alt_script"
+target/release/clio-shell --script "$tmp_alt_script" --threads 1 >"$tmp_alt_on"
+target/release/clio-shell --script "$tmp_alt_script" --threads 1 --no-cache >"$tmp_alt_off"
+alt_diff=0
+diff -u scripts/golden/alternatives-kids.txt "$tmp_alt_on" || alt_diff=1
+diff -u scripts/golden/alternatives-kids.txt "$tmp_alt_off" || alt_diff=1
+rm -f "$tmp_alt_script" "$tmp_alt_on" "$tmp_alt_off"
+if [ "$alt_diff" -ne 0 ]; then
+    echo "verify: FAILED — the example verbs drifted from scripts/golden/alternatives-kids.txt" >&2
+    echo "         (if the change is intentional, regenerate the golden file)" >&2
+    exit 1
+fi
+echo "    examples / alternatives / swap / illustration == golden, cache on and off"
+
 echo "verify: OK"

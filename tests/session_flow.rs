@@ -1,6 +1,7 @@
 //! Long-running session flows, persistence, link operators, and ranking —
 //! integration coverage beyond the figure golden tests.
 
+use clio::core::illustration::satisfies;
 use clio::core::operators::link::{conjoin_edge_predicate, remove_node, replace_edge_predicate};
 use clio::core::ranking::{join_support, rank_walk_alternatives};
 use clio::prelude::*;
@@ -258,4 +259,109 @@ fn session_fuzz_smoke() {
             w.mapping.validate(session.database(), &funcs()).unwrap();
         }
     }
+}
+
+/// The Children–Parents–PhoneDir cycle over the paper database.
+fn cyclic_mapping() -> Mapping {
+    let mut g = QueryGraph::new();
+    let c = g.add_node(Node::new("Children")).unwrap();
+    let p = g.add_node(Node::new("Parents")).unwrap();
+    let ph = g.add_node(Node::new("PhoneDir")).unwrap();
+    for (a, b, pred) in [
+        (c, p, "Children.mid = Parents.ID"),
+        (p, ph, "PhoneDir.ID = Parents.ID"),
+        (c, ph, "Children.mid = PhoneDir.ID"),
+    ] {
+        g.add_edge(a, b, parse_expr(pred).unwrap()).unwrap();
+    }
+    Mapping::new(g, kids_target())
+        .with_correspondence(ValueCorrespondence::identity("Children.ID", "ID"))
+        .with_correspondence(ValueCorrespondence::identity("Children.name", "name"))
+        .with_correspondence(ValueCorrespondence::identity(
+            "Parents.affiliation",
+            "affiliation",
+        ))
+        .with_correspondence(ValueCorrespondence::identity(
+            "PhoneDir.number",
+            "contactPh",
+        ))
+        .with_target_not_null_filters()
+}
+
+/// The alternatives for slot `slot` of `ill` as they are defined over the
+/// full example population `all`: the examples satisfying every
+/// requirement only the slot's example meets within the illustration,
+/// the illustration's own examples excluded.
+fn reference_alternatives(
+    ill: &Illustration,
+    slot: usize,
+    all: &[Example],
+    arity: usize,
+) -> Vec<Example> {
+    let Some(current) = ill.examples.get(slot) else {
+        return Vec::new();
+    };
+    let shown: Vec<Signature> = ill.examples.iter().map(Example::signature).collect();
+    let exclusive: Vec<Requirement> = requirements(all, arity, SufficiencyScope::mapping())
+        .into_iter()
+        .filter(|r| {
+            satisfies(&shown[slot], r)
+                && !shown
+                    .iter()
+                    .enumerate()
+                    .any(|(i, s)| i != slot && satisfies(s, r))
+        })
+        .collect();
+    all.iter()
+        .filter(|e| {
+            *e != current
+                && !ill.examples.contains(e)
+                && exclusive.iter().all(|r| satisfies(&e.signature(), r))
+        })
+        .cloned()
+        .collect()
+}
+
+/// A session's alternatives for every slot are the reference's, built
+/// from every example of the mapping, and a swap is accepted exactly
+/// where the reference accepts it (an alternative that keeps the
+/// illustration sufficient), and then shows that alternative: on the
+/// Kids mapping after `confirm 1`, and on a cyclic mapping.
+#[test]
+fn alternatives_and_swaps_match_the_full_population_reference() {
+    let mut kids = Session::new(paper_database(), kids_target());
+    kids.add_correspondence("Children.ID", "ID").unwrap();
+    kids.add_correspondence("Children.name", "name").unwrap();
+    kids.add_correspondence("Parents.affiliation", "affiliation")
+        .unwrap();
+    kids.confirm(1).unwrap();
+    let mut cyclic = Session::new(paper_database(), kids_target());
+    cyclic.adopt_mapping(cyclic_mapping(), "cyclic").unwrap();
+    let scope = SufficiencyScope::mapping();
+    let mut offered = 0;
+    for session in [kids, cyclic] {
+        let w = session.active().unwrap();
+        let all = w.mapping.examples(session.database(), &funcs()).unwrap();
+        let arity = w.mapping.target.arity();
+        for slot in 0..=w.illustration.len() {
+            let reference = reference_alternatives(&w.illustration, slot, &all, arity);
+            let got = session.example_alternatives(slot).unwrap();
+            assert_eq!(got, reference, "slot {slot} of {}", w.description);
+            offered += reference.len();
+            for alt in 0..=reference.len() {
+                let accepted = reference.get(alt).filter(|a| {
+                    let mut examples = w.illustration.examples.clone();
+                    examples[slot] = (*a).clone();
+                    is_sufficient(&examples, &all, arity, scope)
+                });
+                let mut swapped = session.clone();
+                let outcome = swapped.swap_example(slot, alt);
+                assert_eq!(outcome.is_ok(), accepted.is_some(), "slot {slot} alt {alt}");
+                if let Some(a) = accepted {
+                    assert_eq!(&swapped.active().unwrap().illustration.examples[slot], a);
+                }
+            }
+        }
+    }
+    assert!(offered > 0, "no slot has an alternative");
 }
