@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 use clio_obs::metrics::MetricsSnapshot;
 
 use clio_bench::{
-    chain, chain_prefix_mapping, cycle, example_population, nullable_table, service_workload, star,
+    chain, chain_prefix_mapping, cycle, example_population, keyed_nullable_table, nullable_table,
+    service_workload, star,
 };
 use clio_core::evolution::evolve_illustration;
 use clio_core::full_disjunction::{full_disjunction_naive, FdAlgo};
@@ -210,18 +211,27 @@ fn b1_full_disjunction() {
 fn b2_subsumption() {
     println!("\n## B2 — subsumption removal: naive O(n^2) vs partitioned\n");
     println!(
-        "| rows | null rate | naive | partitioned | speedup | survivors \
+        "| rows | null rate | first column | naive | partitioned | speedup | survivors \
          | naive cmps | part cmps |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
-    for (rows, null_rate) in [
-        (500usize, 0.4),
-        (2000, 0.4),
-        (8000, 0.4),
-        (2000, 0.1),
-        (2000, 0.7),
+    println!("|---|---|---|---|---|---|---|---|---|");
+    // `None`: every column nullable, so no column is filled in every row
+    // and the pass groups nothing; `Some(keys)`: the first column is
+    // filled in every row from `keys` values
+    for (rows, null_rate, keys) in [
+        (500usize, 0.4, None),
+        (2000, 0.4, None),
+        (8000, 0.4, None),
+        (2000, 0.1, None),
+        (2000, 0.7, None),
+        (2000, 0.4, Some(500usize)),
+        (8000, 0.4, Some(2000)),
     ] {
-        let t0 = nullable_table(rows, 6, null_rate, 0xBEEF);
+        let t0 = match keys {
+            None => nullable_table(rows, 6, null_rate, 0xBEEF),
+            Some(keys) => keyed_nullable_table(rows, 6, null_rate, keys, 0xBEEF),
+        };
+        let first = keys.map_or("nullable".to_owned(), |k| format!("{k} keys"));
         let removed = |remove: fn(&mut Table)| {
             let mut t = t0.clone();
             remove(&mut t);
@@ -234,12 +244,13 @@ fn b2_subsumption() {
         // three ways to one answer: the same rows, in the same order
         assert_eq!(
             by_naive, by_partitioned,
-            "B2: naive and partitioned removal disagree at {rows} rows, null rate {null_rate}"
+            "B2: naive and partitioned removal disagree at {rows} rows, null rate {null_rate}, \
+             first column {first}"
         );
         assert_eq!(
             by_partitioned, by_among,
             "B2: partitioned removal and the restricted pass with every row flagged \
-             disagree at {rows} rows, null rate {null_rate}"
+             disagree at {rows} rows, null rate {null_rate}, first column {first}"
         );
         let survivors = by_naive.len();
         let naive = time(|| {
@@ -249,7 +260,7 @@ fn b2_subsumption() {
             std::hint::black_box(removed(remove_subsumed_partitioned));
         });
         println!(
-            "| {rows} | {null_rate} | {} | {} | {} | {survivors} | {} | {} |",
+            "| {rows} | {null_rate} | {first} | {} | {} | {} | {survivors} | {} | {} |",
             fmt(naive),
             fmt(part),
             ratio(naive, part),

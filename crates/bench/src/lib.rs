@@ -127,6 +127,31 @@ pub fn nullable_table(rows: usize, arity: usize, null_rate: f64, seed: u64) -> T
     out
 }
 
+/// [`nullable_table`] with its first column filled in every row, from
+/// `keys` values: the rows fall into about `keys` groups that agree on
+/// it, the column every row fills.
+#[must_use]
+pub fn keyed_nullable_table(
+    rows: usize,
+    arity: usize,
+    null_rate: f64,
+    keys: usize,
+    seed: u64,
+) -> Table {
+    let t = nullable_table(rows, arity, null_rate, seed);
+    let mut rng = StdRng::seed_from_u64(!seed);
+    let keyed = t
+        .rows()
+        .iter()
+        .map(|row| {
+            let mut row = row.clone();
+            row[0] = Value::Int(rng.random_range(0..keys as i64));
+            row
+        })
+        .collect();
+    Table::new(t.scheme().clone(), keyed)
+}
+
 /// The full example population of a workload's mapping (illustration
 /// selection input).
 #[must_use]
@@ -191,6 +216,16 @@ mod tests {
         assert!(fd(&chain(3, 20), FdAlgo::Auto) > 0);
         assert!(fd(&star(3, 20), FdAlgo::Auto) > 0);
         assert!(fd_naive(&cycle(4, 10)) > 0);
+    }
+
+    #[test]
+    fn a_keyed_table_fills_its_first_column() {
+        let t = keyed_nullable_table(200, 4, 0.5, 50, 1);
+        assert_eq!(t.len(), 200);
+        assert!(t
+            .rows()
+            .iter()
+            .all(|r| matches!(r[0], Value::Int(k) if (0..50).contains(&k))));
     }
 
     #[test]

@@ -10,22 +10,30 @@
 //! (first occurrences kept):
 //!
 //! * [`remove_subsumed_partitioned`] — the engine's pass, run by every
-//!   minimum union and by the target preview. It partitions tuples by
-//!   their non-null mask; `t1` can only strictly subsume `t2` when
-//!   `mask(t2) ⊊ mask(t1)`, so only mask pairs in strict-subset relation
-//!   are probed. For each subsumee mask, the rows of every larger mask
+//!   minimum union and by the target preview. `t1` can only strictly
+//!   subsume `t2` when `mask(t2) ⊊ mask(t1)` (their non-null masks) and
+//!   `t1` equals `t2` on every column `t2` fills, so on the columns
+//!   *every* row fills. The pass computes each row's mask once, into one
+//!   flat word array, and groups the rows by the keyed hash of their
+//!   cells in those columns (`RowIndex::hash`, which agrees with `==`,
+//!   `Int` and `Float` included). A row alone in its group is never read
+//!   again. Inside a group, a subsumee mask with `T` tested rows and `L`
+//!   rows of strictly larger masks costs `T·L` pair tests or an index of
+//!   `L` insertions and `T` probes. A group whose pair tests would
+//!   outnumber its index work takes the per-mask probe: the larger rows
 //!   are indexed by their projection onto the mask's positions in the
-//!   crate's row index (`RowIndex`: one keyed hash per key, values
-//!   hashed in place), and each tested row probes it with its own
-//!   projection, confirming a candidate with `==` on those positions —
-//!   no projection is copied, and no row allocates. Every indexed row
-//!   stays on its chain, so a probe meets each larger row whose
-//!   projection equals its own, as the pairwise check does even where
-//!   `Value`'s `==` is not transitive (`Int(2^53 + 1) == Float(2^53) ==
-//!   Int(2^53)`). Null masks are computed into one reused set and copied
-//!   once per distinct mask. The per-mask probe passes are independent,
-//!   so on large tables they run on the [`crate::exec`] worker pool
-//!   (`subsumption.worker` spans);
+//!   crate's row index (values hashed in place; the group's own columns
+//!   are left out, since its rows agree there), and each tested row
+//!   probes it with its own projection. Other groups test each row
+//!   against each larger row. Either way a candidate is confirmed cell by
+//!   cell with `==` on all the mask's positions, no projection is copied,
+//!   and no row allocates. Every indexed row stays on its chain, so a
+//!   probe meets each larger row whose projection equals its own, as the
+//!   pairwise check does even where `Value`'s `==` is not transitive
+//!   (`Int(2^53 + 1) == Float(2^53) == Int(2^53)`). With no column that
+//!   every row fills, the whole table is one group. The per-mask probes
+//!   of a large group are independent, so they run on the
+//!   [`crate::exec`] worker pool (`subsumption.worker` spans);
 //! * [`remove_subsumed_naive`] — the definitional `O(n²)` pairwise
 //!   check, called by name where the definition is wanted: tests,
 //!   benchmark B2 and the definitional references.
@@ -46,11 +54,8 @@
 //! compares them; a property test pins each hashed pass to its pairwise
 //! definition, row order included.
 
-use std::collections::HashMap;
-
 use clio_obs::metrics::{self, Counter};
 
-use crate::bitset::Bitset;
 use crate::exec;
 use crate::ops::JoinInput;
 use crate::table::{RowIndex, Table};
@@ -64,13 +69,13 @@ pub enum SubsumptionAlgo {
     /// Definitional `O(n²)` pairwise comparison
     /// ([`remove_subsumed_naive`]).
     Naive,
-    /// Null-mask partitioning + hash probing, the engine's pass
-    /// ([`remove_subsumed_partitioned`]).
+    /// Grouping by the filled columns + pair tests or hash probing, the
+    /// engine's pass ([`remove_subsumed_partitioned`]).
     Partitioned,
 }
 
-/// Below this row count the partitioned algorithm stays on the calling
-/// thread — fan-out overhead would exceed the probe work.
+/// Below this many rows in a group, its per-mask probes stay on the
+/// calling thread — fan-out overhead would exceed the probe work.
 const PARTITIONED_PARALLEL_MIN_ROWS: usize = 256;
 
 /// Does `t1` subsume `t2`? Both rows must have the same arity.
@@ -120,14 +125,16 @@ pub fn remove_subsumed_naive(table: &mut Table) {
     table.retain(&counted((keep, comparisons)));
 }
 
-/// The engine's pass: group rows by non-null mask; for each mask
-/// `m_small`, probe a hash index of the rows of every strictly larger
-/// mask, projected in place onto `m_small`'s positions.
+/// The engine's pass (see the module docs): group the rows by their
+/// cells in the columns every row fills; inside a group, test each row
+/// against the rows whose non-null mask strictly contains its own, by
+/// pairs or, where pairs would cost more, through a hash index per
+/// subsumee mask.
 ///
-/// The per-mask passes only read the shared row/group structures and
-/// only ever remove rows of their own partition, so they are
-/// independent; tables of at least `PARTITIONED_PARALLEL_MIN_ROWS`
-/// rows run them on the [`exec`] pool (`subsumption.worker` spans). The
+/// The per-mask probes of a group only read the shared row and mask
+/// structures and only ever remove rows of their own mask, so they are
+/// independent; a group of at least `PARTITIONED_PARALLEL_MIN_ROWS` rows
+/// runs them on the [`exec`] pool (`subsumption.worker` spans). The
 /// survivors — and the flushed counters, which sum the same per-mask
 /// totals in any schedule — are identical to the serial pass.
 pub fn remove_subsumed_partitioned(table: &mut Table) {
@@ -195,112 +202,253 @@ fn counted((keep, comparisons): (Vec<bool>, u64)) -> Vec<bool> {
     keep
 }
 
-/// The partitioned probe over `rows` (see
-/// [`remove_subsumed_partitioned`]), testing as subsumees only the rows
-/// `candidates` marks (all when `None`). Returns the keep mask and the
-/// work: index insertions plus probes, the role the pairwise tests play
-/// in the naive algorithm.
+/// The grouped pass over `rows` (see the module docs), testing as
+/// subsumees only the rows `candidates` marks (all when `None`). Returns
+/// the keep mask and the work: pair tests, plus index insertions and
+/// probes.
 fn partitioned_pass<R: JoinInput + Sync>(
     rows: &R,
     candidates: Option<&[bool]>,
 ) -> (Vec<bool>, u64) {
-    let arity = rows.scheme().arity();
     let n = rows.row_count();
+    let mut keep = vec![true; n];
     if candidates.is_some_and(|c| !c.contains(&true)) {
-        return (vec![true; n], 0);
+        return (keep, 0);
+    }
+    let masks = Masks::of(rows);
+    if (1..n).all(|ri| masks.row(ri) == masks.row(0)) {
+        // one mask ⇒ no strict mask-subset pairs ⇒ nothing beyond exact
+        // duplicates can be removed
+        return (keep, 0);
     }
 
-    // group row indexes by non-null mask, each mask computed into one
-    // scratch set and copied only when first seen
-    let mut groups: HashMap<Bitset, Vec<usize>> = HashMap::new();
-    let mut mask = Bitset::new(arity);
-    for i in 0..n {
-        for c in 0..arity {
-            if rows.cell(i, c).is_null() {
-                mask.clear(c);
-            } else {
-                mask.set(c);
-            }
-        }
-        match groups.get_mut(&mask) {
-            Some(members) => members.push(i),
-            None => {
-                groups.insert(mask.clone(), vec![i]);
-            }
-        }
-    }
-
-    if groups.len() <= 1 {
-        // one partition ⇒ no strict mask-subset pairs ⇒ nothing beyond
-        // exact duplicates can be removed
-        return (vec![true; n], 0);
-    }
-
-    let masks: Vec<&Bitset> = groups.keys().collect();
-    // the subsumee side: each mask with the rows of it under test
-    let tested: Vec<(&Bitset, Vec<usize>)> = masks
-        .iter()
-        .filter_map(|&m| {
-            let members: Vec<usize> = groups[m]
-                .iter()
-                .copied()
-                .filter(|&ri| candidates.is_none_or(|c| c[ri]))
-                .collect();
-            (!members.is_empty()).then_some((m, members))
-        })
-        .collect();
-
-    // One pass per subsumee mask: index the projections of every
-    // strictly-larger group's rows onto the mask's positions, then probe
-    // it with each tested row's projection. Both sides are hashed in
-    // place and a candidate is confirmed with `==` on those positions.
-    // Returns this partition's doomed row indexes plus its work count.
-    let probe_mask = |_i: usize, (small, members): &(&Bitset, Vec<usize>)| -> (Vec<usize>, u64) {
-        let positions: Vec<usize> = small.iter_ones().collect();
-        let project = |ri: usize| positions.iter().map(move |&p| rows.cell(ri, p));
-        let larger: Vec<usize> = masks
-            .iter()
-            .filter(|big| small.is_strict_subset(big))
-            .flat_map(|big| groups[*big].iter().copied())
-            .collect();
-        if larger.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let mut index = RowIndex::with_capacity(larger.len());
-        for (k, &ri) in larger.iter().enumerate() {
-            index.link(k, RowIndex::hash(project(ri)));
-        }
-        let doomed = members
-            .iter()
-            .copied()
-            .filter(|&ri| {
-                index
-                    .candidates(RowIndex::hash(project(ri)))
-                    .any(|k| project(larger[k]).eq(project(ri)))
-            })
-            .collect();
-        (doomed, (larger.len() + members.len()) as u64)
-    };
-
-    let results: Vec<(Vec<usize>, u64)> = if n >= PARTITIONED_PARALLEL_MIN_ROWS {
-        exec::map_slice(&tested, "subsumption.worker", probe_mask)
+    // A subsumer equals its subsumee on every column the subsumee fills,
+    // so on the columns every row fills: group the rows by those cells'
+    // hash. Rows are ordered by group and, within a group of several, by
+    // mask and position, so a group is a run of `order` and each of its
+    // masks a run within it.
+    let filled: Vec<usize> = ones(&masks.filled).collect();
+    let key: Vec<u64> = if filled.is_empty() {
+        vec![0; n]
     } else {
-        tested
-            .iter()
-            .enumerate()
-            .map(|(i, m)| probe_mask(i, m))
+        (0..n)
+            .map(|ri| RowIndex::hash(filled.iter().map(|&c| rows.cell(ri, c))))
             .collect()
     };
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by_key(|&ri| (key[ri], ri));
+    for group in order.chunk_by_mut(|&a, &b| key[a] == key[b]) {
+        if group.len() > 1 {
+            group.sort_unstable_by(|&a, &b| (masks.row(a), a).cmp(&(masks.row(b), b)));
+        }
+    }
 
-    let mut keep = vec![true; n];
+    let tested = |ri: usize| candidates.is_none_or(|c| c[ri]);
     let mut comparisons: u64 = 0;
-    for (doomed, work) in results {
-        comparisons += work;
-        for ri in doomed {
-            keep[ri] = false;
+    let mut runs: Vec<&[usize]> = Vec::new();
+    let mut scratch = Scratch::default();
+    for group in order.chunk_by(|&a, &b| key[a] == key[b]) {
+        runs.clear();
+        runs.extend(group.chunk_by(|&a, &b| masks.row(a) == masks.row(b)));
+        if runs.len() < 2 {
+            // a lone row, or rows of one mask: none strictly subsumes another
+            continue;
+        }
+        // Per subsumee mask with T tested rows and L rows of strictly
+        // larger masks, pair tests cost T·L and the index L + T.
+        let (mut pairs, mut probes) = (0, 0);
+        for small in &runs {
+            let members = small.iter().filter(|&&ri| tested(ri)).count();
+            let larger: usize = larger_runs(&masks, &runs, small).map(|big| big.len()).sum();
+            if members > 0 && larger > 0 {
+                pairs += members * larger;
+                probes += members + larger;
+            }
+        }
+        let by_pairs = pairs <= probes;
+        if !by_pairs && group.len() >= PARTITIONED_PARALLEL_MIN_ROWS {
+            // the per-mask probes only read the shared structures, and
+            // each dooms rows of its own mask only
+            let results = exec::map_slice(&runs, "subsumption.worker", |_, small| {
+                let mut doomed = Vec::new();
+                let work = Scratch::default().test_run(
+                    rows,
+                    (&masks, &runs, small),
+                    &tested,
+                    false,
+                    |ri| doomed.push(ri),
+                );
+                (doomed, work)
+            });
+            for (doomed, work) in results {
+                comparisons += work;
+                doomed.into_iter().for_each(|ri| keep[ri] = false);
+            }
+        } else {
+            for small in &runs {
+                comparisons +=
+                    scratch.test_run(rows, (&masks, &runs, small), &tested, by_pairs, |ri| {
+                        keep[ri] = false
+                    });
+            }
         }
     }
     (keep, comparisons)
+}
+
+/// The buffers one subsumee mask of a group is tested with, reused from
+/// mask to mask.
+#[derive(Default)]
+struct Scratch {
+    /// The positions the mask fills.
+    positions: Vec<usize>,
+    /// The group's rows of strictly larger masks.
+    larger: Vec<usize>,
+    /// `larger` by its rows' projections onto `positions`.
+    index: RowIndex,
+}
+
+impl Scratch {
+    /// Test the tested rows of `small`, one mask's run of a group, for a
+    /// strict subsumer among the group's rows of larger masks, calling
+    /// `doom` on each row that has one. By pairs, each row is compared
+    /// with every larger row; otherwise the larger rows are indexed by
+    /// their projections onto the mask's positions, hashed in place, and
+    /// each row probes the index with its own. Either way a candidate is
+    /// confirmed cell by cell with `==` on all the mask's positions.
+    /// Returns the work: pair tests, or index insertions plus probes.
+    fn test_run<R: JoinInput>(
+        &mut self,
+        rows: &R,
+        (masks, runs, small): (&Masks, &[&[usize]], &[usize]),
+        tested: &impl Fn(usize) -> bool,
+        by_pairs: bool,
+        mut doom: impl FnMut(usize),
+    ) -> u64 {
+        let mut members = small.iter().copied().filter(|&ri| tested(ri)).peekable();
+        if members.peek().is_none() {
+            return 0;
+        }
+        self.larger.clear();
+        self.larger
+            .extend(larger_runs(masks, runs, small).flat_map(|big| big.iter().copied()));
+        if self.larger.is_empty() {
+            return 0;
+        }
+        // The group's rows agree on the columns every row fills, but for
+        // hash collisions: the index hashes only the mask's other
+        // columns, and a confirmation reads those first.
+        self.positions.clear();
+        self.positions
+            .extend(ones(masks.row(small[0])).filter(|&c| !masks.fills(c)));
+        let hashed = self.positions.len();
+        self.positions.extend(ones(&masks.filled));
+        let (positions, larger) = (&self.positions, &self.larger);
+        let project = |ri: usize| positions.iter().map(move |&p| rows.cell(ri, p));
+        let hash =
+            |ri: usize| RowIndex::hash(positions[..hashed].iter().map(|&p| rows.cell(ri, p)));
+        let mut work: u64 = 0;
+        if by_pairs {
+            for ri in members {
+                let subsumed = larger.iter().any(|&rj| {
+                    work += 1;
+                    project(rj).eq(project(ri))
+                });
+                if subsumed {
+                    doom(ri);
+                }
+            }
+        } else {
+            self.index.reset(larger.len());
+            for (k, &rj) in larger.iter().enumerate() {
+                self.index.link(k, hash(rj));
+            }
+            work += larger.len() as u64;
+            for ri in members {
+                work += 1;
+                let subsumed = self
+                    .index
+                    .candidates(hash(ri))
+                    .any(|k| project(larger[k]).eq(project(ri)));
+                if subsumed {
+                    doom(ri);
+                }
+            }
+        }
+        work
+    }
+}
+
+/// The runs of a group whose mask strictly contains the mask of `small`.
+#[inline]
+fn larger_runs<'r>(
+    masks: &'r Masks,
+    runs: &'r [&'r [usize]],
+    small: &[usize],
+) -> impl Iterator<Item = &'r [usize]> + 'r {
+    let mask = masks.row(small[0]);
+    runs.iter()
+        .copied()
+        .filter(move |big| strictly_within(mask, masks.row(big[0])))
+}
+
+/// Each row's non-null mask, `words` words per row in one flat array,
+/// and the mask of the columns every row fills.
+struct Masks {
+    bits: Vec<u64>,
+    words: usize,
+    filled: Vec<u64>,
+}
+
+impl Masks {
+    /// The mask of every row of `rows`, each cell read once.
+    fn of<R: JoinInput>(rows: &R) -> Masks {
+        let arity = rows.scheme().arity();
+        let words = arity.div_ceil(64);
+        let mut bits = vec![0u64; rows.row_count() * words];
+        for (ri, mask) in bits.chunks_mut(words.max(1)).enumerate() {
+            for c in (0..arity).filter(|&c| !rows.cell(ri, c).is_null()) {
+                mask[c / 64] |= 1 << (c % 64);
+            }
+        }
+        let mut filled = vec![u64::MAX; words];
+        for mask in bits.chunks(words.max(1)) {
+            filled.iter_mut().zip(mask).for_each(|(f, m)| *f &= m);
+        }
+        Masks {
+            bits,
+            words,
+            filled,
+        }
+    }
+
+    /// Row `ri`'s mask.
+    #[inline]
+    fn row(&self, ri: usize) -> &[u64] {
+        &self.bits[ri * self.words..(ri + 1) * self.words]
+    }
+
+    /// Does every row fill column `c`?
+    #[inline]
+    fn fills(&self, c: usize) -> bool {
+        self.filled[c / 64] & (1 << (c % 64)) != 0
+    }
+}
+
+/// Is mask `small` a strict subset of mask `big`?
+#[inline]
+fn strictly_within(small: &[u64], big: &[u64]) -> bool {
+    small != big && small.iter().zip(big).all(|(s, b)| s & !b == 0)
+}
+
+/// The positions of the set bits of `mask`, ascending.
+#[inline]
+fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&b| Some(b & b.wrapping_sub(1)))
+            .take_while(|&b| b != 0)
+            .map(move |b| w * 64 + b.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -508,6 +656,56 @@ mod tests {
             assert!(reference.len() < base.len(), "seed {seed} removes rows");
             assert_eq!(reference.rows(), engine.rows(), "seed {seed}");
         }
+    }
+
+    /// A table whose first column, and only that, every row fills, in
+    /// two interleaved groups. In `g`, three rows of one mask lie under
+    /// four of larger masks, and its pair tests (4 + 12 + 3) outnumber
+    /// its index work (5 + 7 + 4), so it takes the per-mask probe; `s`
+    /// has one subsumee and one subsumer: one pair test.
+    #[test]
+    fn a_large_group_probes_per_mask_and_a_small_one_tests_pairs() {
+        let rows: &[&[&str]] = &[
+            &["g", "1", "-", "-"],
+            &["s", "x", "-", "-"],
+            &["g", "2", "-", "-"],
+            &["g", "1", "b", "-"],
+            &["g", "-", "b", "-"],
+            &["g", "3", "-", "-"],
+            &["s", "x", "y", "-"],
+            &["g", "2", "b", "-"],
+            &["g", "9", "b", "-"],
+            &["g", "1", "b", "c"],
+        ];
+        let mut reference = table(rows);
+        remove_subsumed_naive(&mut reference);
+        let mut engine = table(rows);
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| remove_subsumed_partitioned(&mut engine));
+        assert_eq!(engine.rows(), reference.rows());
+        assert_eq!(
+            engine,
+            table(&[
+                &["g", "3", "-", "-"],
+                &["s", "x", "y", "-"],
+                &["g", "2", "b", "-"],
+                &["g", "9", "b", "-"],
+                &["g", "1", "b", "c"],
+            ])
+        );
+        assert_eq!(rec.snapshot().get(Counter::SubsumptionComparisons), 16 + 1);
+        assert_eq!(rec.snapshot().get(Counter::TuplesSubsumed), 5);
+    }
+
+    /// Rows alone in their group are never tested: with a distinct key
+    /// in every row the pass does no work, however the masks differ.
+    #[test]
+    fn rows_with_distinct_filled_keys_cost_nothing() {
+        let mut t = table(&[&["1", "a", "-"], &["2", "a", "b"], &["3", "-", "-"]]);
+        let rec = clio_obs::Recorder::new();
+        rec.run(|| remove_subsumed_partitioned(&mut t));
+        assert_eq!(t.len(), 3);
+        assert_eq!(rec.snapshot().get(Counter::SubsumptionComparisons), 0);
     }
 
     #[test]

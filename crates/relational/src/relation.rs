@@ -454,6 +454,37 @@ mod tests {
         assert!(!rel.has_near_duplicates());
     }
 
+    /// A key every tuple fills puts each tuple in a group of its own, so
+    /// the near-duplicate pass compares nothing: neither the flag nor
+    /// the same pass counted (`subsumed_among` over the tuples with a
+    /// null) makes a subsumption comparison.
+    #[test]
+    fn a_filled_key_makes_the_near_duplicate_pass_compare_nothing() {
+        let rel = RelationBuilder::new("Children")
+            .attr_not_null("ID", DataType::Str)
+            .attr("mid", DataType::Str)
+            .attr("fid", DataType::Str)
+            .row(vec!["001".into(), "201".into(), "301".into()])
+            .row(vec!["002".into(), Value::Null, "301".into()])
+            .row(vec!["003".into(), "201".into(), Value::Null])
+            .row(vec!["004".into(), Value::Null, Value::Null])
+            .build()
+            .unwrap();
+        let rec = clio_obs::Recorder::new();
+        let flagged = rec.run(|| rel.has_near_duplicates());
+        assert!(!flagged);
+        let scheme = Scheme::of_relation(rel.schema(), rel.name());
+        let with_null: Vec<bool> = rel
+            .rows()
+            .iter()
+            .map(|r| r.contains(&Value::Null))
+            .collect();
+        let keep = rec.run(|| crate::ops::subsumed_among(&(&scheme, rel.rows()), &with_null));
+        assert_eq!(keep, vec![true; 4]);
+        let comparisons = clio_obs::metrics::Counter::SubsumptionComparisons;
+        assert_eq!(rec.snapshot().get(comparisons), 0);
+    }
+
     /// The flag answers what the pairwise minimum union does on the
     /// relation's own tuples: it is set exactly when
     /// `remove_subsumed_naive` removes a tuple.

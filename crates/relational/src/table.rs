@@ -112,8 +112,19 @@ impl RowIndex {
         state.finish()
     }
 
+    /// Forget every linked position, keeping the memory, and expect
+    /// about `positions` new ones.
+    #[inline]
+    pub(crate) fn reset(&mut self, positions: usize) {
+        self.heads.clear();
+        self.heads.reserve(positions);
+        self.next.clear();
+        self.next.reserve(positions);
+    }
+
     /// Put `position` at the head of its key's chain: a chain lists its
     /// positions in the reverse of the order they were linked in.
+    #[inline]
     pub(crate) fn link(&mut self, position: usize, hash: u64) {
         if position >= self.next.len() {
             self.next.resize(position + 1, None);
@@ -122,6 +133,7 @@ impl RowIndex {
     }
 
     /// The positions on the chain of `hash`, head first.
+    #[inline]
     pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         std::iter::successors(self.heads.get(&hash).copied(), |&p| self.next[p])
     }

@@ -2626,6 +2626,27 @@ fn tricky_wide_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     })
 }
 
+/// Three-column rows like [`tricky_wide_rows`], but with a first column
+/// every row fills from three numbers, each an `Int` or the equal
+/// `Float`: rows fall into a few groups by a key that `==` equates
+/// across the two variants.
+fn keyed_wide_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    proptest::collection::vec((0i64..3, proptest::bool::ANY, 0usize..4, 0usize..12), 0..40)
+        .prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(k, float, t, m)| {
+                    let key = if float {
+                        Value::Float(k as f64)
+                    } else {
+                        Value::Int(k)
+                    };
+                    vec![key, tricky_text(t), tricky_number(m)]
+                })
+                .collect()
+        })
+}
+
 fn tricky_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     proptest::collection::vec((0usize..12, 0usize..4), 0..40).prop_map(|cells| {
         cells
@@ -2667,10 +2688,11 @@ proptest! {
     /// two scans, which reads the stored relations in place, returns what
     /// `join` over their `to_table` copies returns, inner and full outer.
     /// Subsumption removal's hashed passes match their pairwise
-    /// definitions on three-column rows of the same values: the
-    /// partitioned pass equals the naive one, and the restricted pass
-    /// drops exactly the flagged rows some row strictly subsumes and then
-    /// the duplicates.
+    /// definitions on three-column rows of the same values, and on rows
+    /// whose first column is always filled, so that the pass groups them
+    /// by an `Int` or an equal `Float`: the partitioned pass equals the
+    /// naive one, and the restricted pass drops exactly the flagged rows
+    /// some row strictly subsumes and then the duplicates.
     #[test]
     fn hashed_set_primitives_match_a_linear_scan(
         rows in tricky_rows(),
@@ -2678,6 +2700,8 @@ proptest! {
         right in tricky_rows(),
         wide in tricky_wide_rows(),
         flags in proptest::collection::vec(proptest::bool::ANY, 40),
+        grouped in keyed_wide_rows(),
+        grouped_flags in proptest::collection::vec(proptest::bool::ANY, 40),
     ) {
         let scheme = Scheme::new(vec![
             Column::new("R", "n", DataType::Float),
@@ -2780,31 +2804,34 @@ proptest! {
             }
         }
 
-        // subsumption removal against its pairwise definitions
-        let wide_scheme = |q: &str| Scheme::new(vec![
-            Column::new(q, "n", DataType::Float),
-            Column::new(q, "t", DataType::Str),
-            Column::new(q, "m", DataType::Float),
+        // subsumption removal against its pairwise definitions, on rows
+        // of any masks and on rows whose first column is always filled
+        let wide_scheme = Scheme::new(vec![
+            Column::new("W", "n", DataType::Float),
+            Column::new("W", "t", DataType::Str),
+            Column::new("W", "m", DataType::Float),
         ]);
-        let base = Table::new(wide_scheme("W"), wide.clone());
-        let mut naive = base.clone();
-        clio::relational::ops::remove_subsumed_naive(&mut naive);
-        let mut partitioned = base.clone();
-        clio::relational::ops::remove_subsumed_partitioned(&mut partitioned);
-        prop_assert_eq!(exact(partitioned.rows()), exact(naive.rows()));
+        for (wide, flags) in [(&wide, &flags), (&grouped, &grouped_flags)] {
+            let base = Table::new(wide_scheme.clone(), wide.clone());
+            let mut naive = base.clone();
+            clio::relational::ops::remove_subsumed_naive(&mut naive);
+            let mut partitioned = base.clone();
+            clio::relational::ops::remove_subsumed_partitioned(&mut partitioned);
+            prop_assert_eq!(exact(partitioned.rows()), exact(naive.rows()));
 
-        let flags = &flags[..wide.len()];
-        let strictly_subsumed =
-            |r: &Vec<Value>| wide.iter().any(|o| clio::relational::ops::strictly_subsumes(o, r));
-        let survivors: Vec<Vec<Value>> = wide
-            .iter()
-            .zip(flags)
-            .filter(|&(r, &flagged)| !(flagged && strictly_subsumed(r)))
-            .map(|(r, _)| r.clone())
-            .collect();
-        let mut among = base.clone();
-        clio::relational::ops::remove_subsumed_among(&mut among, flags);
-        prop_assert_eq!(exact(among.rows()), exact(&first_occurrences(&survivors)));
+            let flags = &flags[..wide.len()];
+            let strictly_subsumed =
+                |r: &Vec<Value>| wide.iter().any(|o| clio::relational::ops::strictly_subsumes(o, r));
+            let survivors: Vec<Vec<Value>> = wide
+                .iter()
+                .zip(flags)
+                .filter(|&(r, &flagged)| !(flagged && strictly_subsumed(r)))
+                .map(|(r, _)| r.clone())
+                .collect();
+            let mut among = base.clone();
+            clio::relational::ops::remove_subsumed_among(&mut among, flags);
+            prop_assert_eq!(exact(among.rows()), exact(&first_occurrences(&survivors)));
+        }
 
     }
 }
